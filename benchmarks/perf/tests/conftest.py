@@ -1,0 +1,11 @@
+"""Make ``benchmarks.perf`` (a namespace package) and ``repro`` importable."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[3]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
