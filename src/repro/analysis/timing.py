@@ -115,22 +115,34 @@ class PhaseTiming:
 
 @dataclass
 class TimingLedger:
-    """Accumulated phase timings of one dual-operator instance."""
+    """Accumulated phase timings of one dual-operator instance.
 
-    phases: list[PhaseTiming] = field(default_factory=list)
+    ``phases`` is the append-only record (add to it through :meth:`record`
+    only); per-name running aggregates keep ``count`` / ``total`` / ``last``
+    O(1), so a long-lived session's solves do not slow down as it grows.
+    """
+
+    phases: list[PhaseTiming] = field(default_factory=list, init=False)
+    _count: dict[str, int] = field(default_factory=dict, init=False, repr=False)
+    _total: dict[str, float] = field(default_factory=dict, init=False, repr=False)
+    _last: dict[str, PhaseTiming] = field(default_factory=dict, init=False, repr=False)
 
     def record(self, phase: PhaseTiming) -> PhaseTiming:
         """Append a phase."""
         self.phases.append(phase)
+        name = phase.name
+        self._count[name] = self._count.get(name, 0) + 1
+        self._total[name] = self._total.get(name, 0.0) + phase.simulated_seconds
+        self._last[name] = phase
         return phase
 
     def total(self, name: str) -> float:
         """Total simulated seconds of all phases with the given name."""
-        return sum(p.simulated_seconds for p in self.phases if p.name == name)
+        return self._total.get(name, 0.0)
 
     def count(self, name: str) -> int:
         """Number of recorded phases with the given name."""
-        return sum(1 for p in self.phases if p.name == name)
+        return self._count.get(name, 0)
 
     def mean(self, name: str) -> float:
         """Mean simulated seconds of the phases with the given name."""
@@ -139,7 +151,4 @@ class TimingLedger:
 
     def last(self, name: str) -> PhaseTiming | None:
         """The most recent phase with the given name, if any."""
-        for phase in reversed(self.phases):
-            if phase.name == name:
-                return phase
-        return None
+        return self._last.get(name)

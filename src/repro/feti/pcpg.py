@@ -83,10 +83,19 @@ def pcpg(
         Keep the first ``residual_history`` residual norms on
         ``PcpgResult.residual_history`` (0 keeps none).
     """
+
+    def project(v: np.ndarray) -> np.ndarray:
+        with trace_span("project"):
+            return apply_P(v)
+
+    def precondition(v: np.ndarray) -> np.ndarray:
+        with trace_span("precondition"):
+            return apply_M(v)
+
     lam = np.array(lambda_0, dtype=float, copy=True)
     r = d - apply_F(lam)
-    w = apply_P(r)
-    y = apply_P(apply_M(w))
+    w = project(r)
+    y = project(precondition(w))
     p = y.copy()
 
     wy = float(w @ y)
@@ -122,8 +131,8 @@ def pcpg(
             lam += scratch
             np.multiply(q, delta, out=scratch)
             r -= scratch
-            w_next = apply_P(r)
-            y_next = apply_P(apply_M(w_next))
+            w_next = project(r)
+            y_next = project(precondition(w_next))
             wy_next = float(w_next @ y_next)
             norm = np.sqrt(abs(wy_next))
             norms.append(norm)
@@ -230,19 +239,19 @@ def pcpg_block(
     converged = [False] * n_cols
     norms: list[list[float]] = [[] for _ in range(n_cols)]
 
+    def over_columns(name, apply, apply_block, columns: list[np.ndarray]) -> list[np.ndarray]:
+        """``apply`` over columns, fused into one stacked call if available."""
+        with trace_span(name, columns=len(columns)):
+            if apply_block is None or not columns:
+                return [apply(c) for c in columns]
+            block = apply_block(np.column_stack(columns))
+            return [np.ascontiguousarray(block[:, i]) for i in range(len(columns))]
+
     def project(columns: list[np.ndarray]) -> list[np.ndarray]:
-        """``apply_P`` over columns, fused into one stacked call if available."""
-        if apply_P_block is None or not columns:
-            return [apply_P(c) for c in columns]
-        block = apply_P_block(np.column_stack(columns))
-        return [np.ascontiguousarray(block[:, i]) for i in range(len(columns))]
+        return over_columns("project", apply_P, apply_P_block, columns)
 
     def precondition(columns: list[np.ndarray]) -> list[np.ndarray]:
-        """``apply_M`` over columns, fused into one stacked call if available."""
-        if apply_M_block is None or not columns:
-            return [apply_M(c) for c in columns]
-        block = apply_M_block(np.column_stack(columns))
-        return [np.ascontiguousarray(block[:, i]) for i in range(len(columns))]
+        return over_columns("precondition", apply_M, apply_M_block, columns)
 
     r0_block = apply_F_block(np.column_stack(lam))
     r = [

@@ -1,42 +1,33 @@
-"""Dual preconditioners for the PCPG iteration.
+"""Explicitly assembled dual preconditioners for the PCPG iteration.
 
-Three standard FETI preconditioners are provided:
+The paper's idea for ``F`` — assemble once what every iteration applies —
+used for the preconditioner:
 
-* :class:`IdentityPreconditioner` — no preconditioning;
-* :class:`LumpedPreconditioner` — ``M = Σᵢ B̃ᵢ Kᵢ B̃ᵢᵀ`` with multiplicity
-  scaling, cheap and usually sufficient for well-conditioned problems;
-* :class:`DirichletPreconditioner` — ``M = Σᵢ B̃ᵢ Sᵢ B̃ᵢᵀ`` where ``Sᵢ`` is
-  the Schur complement of the subdomain stiffness on its interface DOFs;
-  more expensive to set up but the strongest of the classical options.
+``M = Σᵢ Rᵢᵀ (B̃ᵢ,s Opᵢ B̃ᵢ,sᵀ) Rᵢ = B_s · blockdiag(Opᵢ) · B_sᵀ``
 
-All preconditioners act on global dual vectors; scaling by the inverse DOF
-multiplicity is applied on both sides, the usual choice for redundant-free
-constraint sets on structured decompositions.
+is one ``n_λ × n_λ`` CSR matrix built by two global sparse products, so
+``apply`` is one SpMV and ``apply_block`` one SpMM.  ``B_s = B D⁻¹`` is the
+global gluing matrix scaled by the inverse DOF multiplicity; ``Opᵢ`` is the
+stiffness ``Kᵢ`` (:class:`LumpedPreconditioner`) or its Schur complement
+``Sᵢ`` on the constrained DOFs (:class:`DirichletPreconditioner`: a dense
+block per subdomain, the ``Σ n_λᵢ²`` footprint the explicit ``F`` also pays).
 
-The application is a sum of independent per-subdomain products scattered
-into overlapping ``lambda_ids``.  On a thread executor the *products* run
-in parallel (they only read shared state) while the scatter-accumulate
-stays serial in subdomain order — overlapping indices make the accumulation
-order-sensitive, so keeping it serial is what makes the threaded apply
-bitwise equal to the serial reference.  The process backend falls through
-to serial: the per-subdomain operators are scipy sparse objects whose IPC
-cost would dwarf the products.
+Like ``F``, ``M`` has a numeric-refresh lifecycle: ``B_s`` is fixed by the
+mesh; ``refresh()`` re-reads the stiffness *values* and reassembles ``M`` in
+place.  :meth:`repro.feti.solver.FetiSolver.preprocess` calls it, so ``M``
+follows ``K`` exactly when the factorization does.  The per-subdomain loop
+this replaced is the test oracle ``tests/oracles/preconditioner.py``.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.feti.problem import FetiProblem
-from repro.runtime.shard import balanced_spans
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.executor import Executor
 
 __all__ = [
     "PreconditionerKind",
@@ -47,12 +38,7 @@ __all__ = [
 
 
 class PreconditionerKind(enum.Enum):
-    """Dual preconditioners selectable through the solver options.
-
-    (Historically exported from :mod:`repro.feti.solver`; it lives here so
-    the :mod:`repro.api` spec layer can use it without importing the
-    solver.)
-    """
+    """Dual preconditioners selectable through the solver options."""
 
     NONE = "none"
     LUMPED = "lumped"
@@ -62,9 +48,11 @@ class PreconditionerKind(enum.Enum):
 class IdentityPreconditioner:
     """The do-nothing preconditioner (``M = I``)."""
 
-    def __init__(self, problem: FetiProblem, *, executor: "Executor | None" = None) -> None:
+    def __init__(self, problem: FetiProblem) -> None:
         self.problem = problem
-        self.executor = executor
+
+    def refresh(self) -> None:
+        """Nothing depends on the stiffness values."""
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """Return ``w`` unchanged."""
@@ -77,141 +65,86 @@ class IdentityPreconditioner:
     __call__ = apply
 
 
-class _ScaledSubdomainPreconditioner:
-    """Common machinery of the lumped and Dirichlet preconditioners."""
+class _AssembledPreconditioner:
+    """``M = B_s · blockdiag(Opᵢ) · B_sᵀ`` as one CSR matrix."""
 
-    #: Smallest subdomain count worth a threaded dispatch (below it the
-    #: future overhead exceeds the per-subdomain product time).
-    _MIN_PARALLEL_SUBDOMAINS = 8
-
-    def __init__(self, problem: FetiProblem, *, executor: "Executor | None" = None) -> None:
+    def __init__(self, problem: FetiProblem) -> None:
         self.problem = problem
-        self.executor = executor
-        self._scaled_B: list[sp.csr_matrix] = []
-        for sub in problem.subdomains:
-            scale = sp.diags(1.0 / sub.dof_multiplicity)
-            self._scaled_B.append((sub.B @ scale).tocsr())
+        ndofs = [sub.ndofs for sub in problem.subdomains]
+        #: First global primal index of every subdomain, then the total.
+        self._offsets = np.concatenate([[0], np.cumsum(ndofs)])
+        scale = 1.0 / np.concatenate([sub.dof_multiplicity for sub in problem.subdomains])
+        self._scaled_B = (problem.gluing.global_B(ndofs) @ sp.diags(scale)).tocsr()
+        self._scaled_Bt = self._scaled_B.T.tocsr()
+        self.refresh()
 
-    def _subdomain_operator(self, index: int) -> sp.spmatrix | np.ndarray:
+    def _operator(self) -> sp.csr_matrix:
+        """``blockdiag(Opᵢ)`` at the current stiffness values."""
         raise NotImplementedError
 
-    def _local_result(self, i: int, w: np.ndarray) -> np.ndarray | None:
-        """One subdomain's contribution (``None`` = nothing to scatter)."""
-        sub = self.problem.subdomains[i]
-        Bs = self._scaled_B[i]
-        local = Bs.T @ w[sub.lambda_ids]
-        return Bs @ (self._subdomain_operator(sub.index) @ local)
-
-    def _local_results(self, w: np.ndarray) -> list[np.ndarray | None]:
-        """All per-subdomain contributions, threaded where it pays off."""
-        n = len(self.problem.subdomains)
-        executor = self.executor
-        if (
-            executor is None
-            or executor.workers <= 1
-            or executor.backend != "threads"
-            or n < self._MIN_PARALLEL_SUBDOMAINS
-        ):
-            return [self._local_result(i, w) for i in range(n)]
-        results: list[np.ndarray | None] = [None] * n
-
-        def run(lo: int, hi: int):
-            def task() -> None:
-                for i in range(lo, hi):
-                    results[i] = self._local_result(i, w)
-
-            return task
-
-        futures = [
-            executor.submit(run(lo, hi))
-            for lo, hi in balanced_spans(n, executor.workers)
-        ]
-        for future in futures:
-            future.result()
-        return results
+    def refresh(self) -> None:
+        """Reassemble ``M`` from the current stiffness values, in place."""
+        #: The assembled preconditioner (``n_λ × n_λ`` CSR).
+        self.matrix = self._scaled_B @ self._operator() @ self._scaled_Bt
 
     def apply(self, w: np.ndarray) -> np.ndarray:
-        """Apply ``M w = Σᵢ B̃ᵢ,scaled Opᵢ B̃ᵢ,scaledᵀ w``."""
-        results = self._local_results(w)
-        out = np.zeros_like(w)
-        # Serial scatter in subdomain order: lambda_ids overlap between
-        # neighbours, so accumulation order decides the rounding — fixing
-        # it keeps every backend bitwise equal to the serial reference.
-        for sub, result in zip(self.problem.subdomains, results):
-            if result is not None:
-                np.add.at(out, sub.lambda_ids, result)
-        return out
+        """Apply ``M w`` (one SpMV)."""
+        return self.matrix @ w
 
     def apply_block(self, W: np.ndarray) -> np.ndarray:
-        """Apply ``M`` to every column (bitwise equal to per-column apply)."""
-        return np.column_stack(
-            [self.apply(np.ascontiguousarray(W[:, j])) for j in range(W.shape[1])]
-        )
+        """Apply ``M`` to every column (one SpMM, bitwise equal to per-column)."""
+        return self.matrix @ W
 
     __call__ = apply
 
 
-class LumpedPreconditioner(_ScaledSubdomainPreconditioner):
+class LumpedPreconditioner(_AssembledPreconditioner):
     """The lumped preconditioner ``M = Σᵢ B̃ᵢ Kᵢ B̃ᵢᵀ`` (with scaling)."""
 
-    def _subdomain_operator(self, index: int) -> sp.spmatrix:
-        return self.problem.subdomains[index].K
+    def _operator(self) -> sp.csr_matrix:
+        # CSR block diagonal by concatenation (``sp.block_diag`` loops in
+        # Python over every block and is several times slower).
+        blocks = [sub.K.tocsr() for sub in self.problem.subdomains]
+        nnz_before = np.cumsum([0] + [b.nnz for b in blocks])
+        indptr = [b.indptr[1:] + start for b, start in zip(blocks, nnz_before)]
+        indices = [b.indices + start for b, start in zip(blocks, self._offsets)]
+        data = np.concatenate([b.data for b in blocks])
+        n = self._offsets[-1]
+        return sp.csr_matrix(
+            (data, np.concatenate(indices), np.concatenate([[0], *indptr])), shape=(n, n)
+        )
 
 
-class DirichletPreconditioner(_ScaledSubdomainPreconditioner):
+class DirichletPreconditioner(_AssembledPreconditioner):
     """The Dirichlet preconditioner ``M = Σᵢ B̃ᵢ Sᵢ B̃ᵢᵀ``.
 
     ``Sᵢ`` is the Schur complement of ``Kᵢ`` on the subdomain's *constrained*
-    DOFs (the DOFs touched by any constraint row); it is assembled densely at
-    construction time, which is affordable because the interface of a
-    subdomain is small compared to its interior.
+    DOFs (those touched by any constraint row): a dense block, affordable
+    because a subdomain's interface is small compared to its interior.
     """
 
-    def __init__(self, problem: FetiProblem, *, executor: "Executor | None" = None) -> None:
-        super().__init__(problem, executor=executor)
-        self._schur: list[np.ndarray] = []
-        self._interface_dofs: list[np.ndarray] = []
-        for sub in problem.subdomains:
-            boundary = np.unique(sub.B.indices) if sub.B.nnz else np.empty(0, np.int64)
-            self._interface_dofs.append(boundary)
+    def _operator(self) -> sp.csr_matrix:
+        rows, cols, vals = [], [], []
+        for sub, start in zip(self.problem.subdomains, self._offsets):
+            boundary = np.unique(sub.B.indices)
             if boundary.size == 0:
-                self._schur.append(np.zeros((0, 0)))
                 continue
-            interior = np.setdiff1d(np.arange(sub.ndofs), boundary)
-            K = sub.K.tocsc()
-            Kbb = K[np.ix_(boundary, boundary)].toarray()
-            if interior.size == 0:
-                self._schur.append(Kbb)
-                continue
-            Kib = K[np.ix_(interior, boundary)].tocsc()
-            Kii = K[np.ix_(interior, interior)].tocsc()
-            # Use the regularized interior block if Kii happens to be singular
-            # (cannot occur for connected interiors, but stay safe).
-            solve = spla.factorized(Kii)
-            X = np.column_stack([solve(np.asarray(Kib[:, j].todense()).ravel())
-                                 for j in range(boundary.size)])
-            self._schur.append(Kbb - Kib.T @ X)
+            rows.append(np.repeat(boundary + start, boundary.size))
+            cols.append(np.tile(boundary + start, boundary.size))
+            vals.append(_interface_schur(sub.K.tocsc(), boundary).ravel())
+        n = self._offsets[-1]
+        return sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n),
+        ).tocsr()
 
-    def _subdomain_operator(self, index: int) -> np.ndarray:
-        # Embedded Schur complement: operate only on interface DOFs.
-        sub = self.problem.subdomains[index]
-        boundary = self._interface_dofs[index]
-        S = self._schur[index]
-        op = np.zeros((sub.ndofs, sub.ndofs))
-        if boundary.size:
-            op[np.ix_(boundary, boundary)] = S
-        return op
 
-    def _local_result(self, i: int, w: np.ndarray) -> np.ndarray | None:
-        # Interface-restricted product: skip the embedding of the dense
-        # Schur block into a full (ndofs, ndofs) operator.
-        boundary = self._interface_dofs[i]
-        if boundary.size == 0:
-            return None
-        sub = self.problem.subdomains[i]
-        Bs = self._scaled_B[i]
-        local = Bs.T @ w[sub.lambda_ids]
-        restricted = self._schur[i] @ local[boundary]
-        full = np.zeros(sub.ndofs)
-        full[boundary] = restricted
-        return Bs @ full
+def _interface_schur(K: sp.csc_matrix, boundary: np.ndarray) -> np.ndarray:
+    """Dense ``Kbb − Kbi Kii⁻¹ Kib`` (one factorization, one multi-RHS solve)."""
+    interior = np.setdiff1d(np.arange(K.shape[0]), boundary)
+    Kbb = K[np.ix_(boundary, boundary)].toarray()
+    if interior.size == 0:
+        return Kbb
+    Kib = K[np.ix_(interior, boundary)].toarray()
+    Kii = K[np.ix_(interior, interior)].tocsc()
+    return Kbb - Kib.T @ spla.splu(Kii).solve(Kib)

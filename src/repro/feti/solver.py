@@ -116,9 +116,8 @@ class FetiSolver:
             from repro.runtime.executor import shared_executor
 
             executor = shared_executor(spec.execution)
-        #: Runtime executor the coarse projector and the preconditioner
-        #: shard their per-iteration applications on (shared with the
-        #: dual operator; ``None`` = serial).
+        #: Runtime executor the coarse projector shards its per-iteration
+        #: applications on (shared with the dual operator; ``None`` = serial).
         self.executor = executor
         #: Resolved factor-storage policy (see :mod:`repro.memory.precision`).
         self.precision = resolve_precision(spec.precision)
@@ -163,7 +162,7 @@ class FetiSolver:
                 cls = LumpedPreconditioner
             else:
                 cls = DirichletPreconditioner
-            self._preconditioner = cls(self.problem, executor=self.executor)
+            self._preconditioner = cls(self.problem)
         return self._preconditioner
 
     def prepare(self) -> PhaseTiming:
@@ -173,10 +172,18 @@ class FetiSolver:
         return timing
 
     def preprocess(self) -> PhaseTiming:
-        """Run the per-time-step FETI preprocessing."""
+        """Run the per-time-step FETI preprocessing.
+
+        An already-built preconditioner is refreshed in place (same object,
+        new values), so it follows the stiffness exactly when the
+        factorization does; its wall time is not part of the simulated ledger.
+        """
         if not self._prepared:
             self.prepare()
-        return self.operator.preprocess()
+        timing = self.operator.preprocess()
+        if self._preconditioner is not None:
+            self._preconditioner.refresh()
+        return timing
 
     def solve(self, reuse_preprocessing: bool = False) -> FetiSolution:
         """Solve the dual problem with PCPG and recover the primal solution.
@@ -200,7 +207,7 @@ class FetiSolver:
         with trace_span("coarse_setup", mode=self.spec.coarse):
             lambda_0 = self.projector.initial_lambda(e)
 
-        apply_count_before = self.operator.ledger.count("apply")
+        phases_before = len(self.operator.ledger.phases)
         with trace_span("pcpg", tolerance=self.spec.tolerance):
             result = pcpg(
                 apply_F=self.operator.apply,
@@ -213,10 +220,9 @@ class FetiSolver:
                 absolute_tolerance=self.spec.absolute_tolerance,
                 residual_history=self.spec.residual_history,
             )
-        apply_phases = self.operator.ledger.phases
         dual_apply_seconds = sum(
             p.simulated_seconds
-            for p in apply_phases[apply_count_before:]
+            for p in self.operator.ledger.phases[phases_before:]
             if p.name == "apply"
         )
         if self.precision.dual_refine_rounds:
@@ -347,7 +353,7 @@ class FetiSolver:
                     sub.f = f
 
         n_cols = len(loads_columns)
-        apply_count_before = len(self.operator.ledger.phases)
+        phases_before = len(self.operator.ledger.phases)
         coarse_before = self.projector.seconds
         try:
             d_cols: list[np.ndarray] = []
@@ -375,10 +381,9 @@ class FetiSolver:
                     absolute_tolerance=self.spec.absolute_tolerance,
                     residual_history=self.spec.residual_history,
                 )
-            apply_phases = self.operator.ledger.phases
             total_apply_seconds = sum(
                 p.simulated_seconds
-                for p in apply_phases[apply_count_before:]
+                for p in self.operator.ledger.phases[phases_before:]
                 if p.name in ("apply", "apply_multi")
             )
             if self.precision.dual_refine_rounds:

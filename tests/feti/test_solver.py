@@ -208,6 +208,9 @@ def test_solver_reuse_preprocessing_reuses_ledger_phase(
     assert solver.operator.ledger.count("preprocessing") == 1
     assert reused.preprocessing is ledger_phase
     np.testing.assert_allclose(reused.lam, first.lam, atol=1e-10)
+    # A warm solve sums its own applies only, like the cold one did.
+    assert reused.iterations == first.iterations
+    assert reused.dual_apply_seconds == first.dual_apply_seconds
     fresh = solver.solve(reuse_preprocessing=False)
     assert solver.operator.ledger.count("preprocessing") == 2
     np.testing.assert_allclose(fresh.lam, first.lam, atol=1e-10)

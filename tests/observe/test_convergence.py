@@ -108,10 +108,13 @@ def test_traced_solve_span_tree_covers_phases():
     pcpg = next(c for c in root["children"] if c["name"] == "pcpg")
     iterations = [c for c in pcpg["children"] if c["name"] == "iteration"]
     assert len(iterations) == solution.pcpg.iterations
-    # each iteration carries its residual instant event
+    # each iteration carries its residual instant event, and its time is
+    # covered: the dual-operator apply, both projections, the preconditioner
     for node in iterations:
         events = [e["name"] for e in node["events"]]
         assert "residual" in events
+        spans = [c["name"] for c in node["children"]]
+        assert spans == ["apply", "project", "precondition", "project"]
     norms = [
         node["events"][0]["attrs"]["norm"]
         for node in iterations
@@ -122,3 +125,16 @@ def test_traced_solve_span_tree_covers_phases():
     doc = tracer.to_chrome()
     assert doc["traceEvents"], "chrome export must not be empty"
     json.dumps(doc)
+
+
+def test_traced_block_solve_covers_project_and_precondition():
+    with trace() as tracer:
+        with Session() as session:
+            session.solve_many(WORKLOAD, [None, None])
+    (root,) = tracer.to_tree()
+    pcpg = next(c for c in root["children"] if c["name"] == "pcpg")
+    iterations = [c for c in pcpg["children"] if c["name"] == "block_iteration"]
+    assert iterations
+    for node in iterations:
+        spans = [c["name"] for c in node["children"]]
+        assert spans == ["apply_multi", "project", "precondition", "project"]
