@@ -16,6 +16,7 @@ clock; these helpers keep that bookkeeping tidy:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -117,24 +118,49 @@ class PhaseTiming:
 class TimingLedger:
     """Accumulated phase timings of one dual-operator instance.
 
-    ``phases`` is the append-only record (add to it through :meth:`record`
-    only); per-name running aggregates keep ``count`` / ``total`` / ``last``
-    O(1), so a long-lived session's solves do not slow down as it grows.
+    Every phase goes through :meth:`record`, which keeps per-name running
+    aggregates (``count`` / ``total`` / ``last``, all O(1)).  ``phases`` is
+    the append-only record of the *setup* phases only (preparation,
+    preprocessing): the per-iteration ``apply`` / ``apply_multi`` phases are
+    folded into the aggregates and dropped, so a long-lived session's ledger
+    stays the same size however many solves it serves.
     """
+
+    #: Per-iteration phase names: aggregated, never retained in ``phases``.
+    AGGREGATED_ONLY: ClassVar[frozenset[str]] = frozenset({"apply", "apply_multi"})
 
     phases: list[PhaseTiming] = field(default_factory=list, init=False)
     _count: dict[str, int] = field(default_factory=dict, init=False, repr=False)
     _total: dict[str, float] = field(default_factory=dict, init=False, repr=False)
     _last: dict[str, PhaseTiming] = field(default_factory=dict, init=False, repr=False)
+    _marked: tuple[str, ...] = field(default=(), init=False, repr=False)
+    _since_mark: float = field(default=0.0, init=False, repr=False)
 
     def record(self, phase: PhaseTiming) -> PhaseTiming:
-        """Append a phase."""
-        self.phases.append(phase)
+        """Fold a phase into the aggregates (and keep it, if a setup phase)."""
         name = phase.name
+        if name not in self.AGGREGATED_ONLY:
+            self.phases.append(phase)
         self._count[name] = self._count.get(name, 0) + 1
         self._total[name] = self._total.get(name, 0.0) + phase.simulated_seconds
         self._last[name] = phase
+        if name in self._marked:
+            self._since_mark += phase.simulated_seconds
         return phase
+
+    def mark(self, *names: str) -> None:
+        """Start summing the phases with these names, from 0.0 in record order.
+
+        One window per ledger; :meth:`since_mark` reads it.  A solve uses it
+        for "the applies of *this* PCPG run" — a left-to-right sum from zero,
+        which ``total()`` after minus ``total()`` before is not, bit for bit.
+        """
+        self._marked = names
+        self._since_mark = 0.0
+
+    def since_mark(self) -> float:
+        """Simulated seconds of the marked phases recorded since :meth:`mark`."""
+        return self._since_mark
 
     def total(self, name: str) -> float:
         """Total simulated seconds of all phases with the given name."""

@@ -152,7 +152,7 @@ class ApplyPhaseScenario(Scenario):
             measured: dict[str, Any] = {"n_lambda": int(n_lambda)}
             for variant in ("sequential", "stacked"):
                 best_wall = float("inf")
-                sim_before = len(ledger.phases)
+                ledger.mark("apply", "apply_multi")
                 for _ in range(self.rounds):
                     start = time.perf_counter()
                     if variant == "sequential":
@@ -161,9 +161,7 @@ class ApplyPhaseScenario(Scenario):
                     else:
                         operator.apply_multi(block, stacked=True)
                     best_wall = min(best_wall, time.perf_counter() - start)
-                simulated = sum(
-                    p.simulated_seconds for p in ledger.phases[sim_before:]
-                ) / self.rounds
+                simulated = ledger.since_mark() / self.rounds
                 measured[variant] = {
                     "wall_seconds": best_wall,
                     "simulated_seconds": simulated,

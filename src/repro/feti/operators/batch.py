@@ -15,15 +15,13 @@ NumPy operations regardless of the subdomain count:
 * :class:`BatchedDenseApply` — equal/padded-shape dense ``local_F`` blocks
   packed into one 3-D array, applied with a single batched GEMV
   (``np.matmul`` over the leading axis);
-* :class:`SubdomainBatchEngine` — per-cluster grouping of the above plus a
-  cache for precomputed per-subdomain simulated-cost arrays, so the timing
-  ledger is advanced from vectorized cost arrays
-  (:meth:`~repro.analysis.timing.ThreadClocks.advance_many`) with the same
-  semantics as the per-item loop.
+* :class:`SubdomainBatchEngine` — per-cluster grouping of the above.
 
-The engine is purely a faster execution strategy: the numerical results and
-the simulated-time semantics are identical to the looped implementations,
-which every backend retains as a fallback (``batched=False``).
+The engine is numerics only: the simulated time of a batched apply is the
+backend's timeline plan, replayed once per preprocessing round (see
+:meth:`~repro.feti.operators.base.DualOperatorBase._apply_impl`).  The
+numerical results and the simulated-time semantics are identical to the
+looped implementations, which every backend retains (``batched=False``).
 """
 
 from __future__ import annotations
@@ -248,15 +246,8 @@ class ClusterBatch:
     #: Optional secondary map (e.g. positions inside a cluster-wide device
     #: dual vector for the GPU scatter/gather path).
     aux_map: FlatIndexMap | None = None
-    #: Precomputed per-subdomain simulated-cost arrays, keyed by phase.
-    cost_arrays: dict[str, np.ndarray] = field(default_factory=dict)
     #: Storage dtype of dense packs created by :meth:`require_dense`.
     dense_dtype: np.dtype = field(default_factory=lambda: np.dtype(np.float64))
-
-    @property
-    def n_subdomains(self) -> int:
-        """Subdomains in the cluster."""
-        return len(self.subdomain_indices)
 
     def position_of(self, subdomain_index: int) -> int:
         """Loop position of a subdomain inside this cluster."""

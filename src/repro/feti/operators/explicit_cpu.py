@@ -118,66 +118,50 @@ class ExplicitCpuDualOperator(DualOperatorBase):
                     self.batch_engine.install_dense_block(
                         cluster.cluster_id, sub.index, self.local_F[sub.index]
                     )
-            if self.batched:
-                batch = self.batch_engine.cluster(cluster.cluster_id)
-                batch.cost_arrays["gemv"] = np.array(
-                    [cluster.cpu.gemv(s.n_lambda, s.n_lambda) for s in subs]
-                )
             cluster_times.append(clocks.elapsed)
         return self._merge_cluster_times(cluster_times), breakdown
 
-    def _apply_impl(self, lam: np.ndarray) -> tuple[np.ndarray, float, dict[str, float]]:
-        if self.batched:
-            return self._apply_batched(lam)
-        return self._apply_looped(lam)
+    def _apply_numerics(self, lam: np.ndarray) -> np.ndarray:
+        return self._apply_packed_dense(lam)
 
-    def _apply_batched(
-        self, lam: np.ndarray
-    ) -> tuple[np.ndarray, float, dict[str, float]]:
-        """One batched GEMV per cluster instead of a per-subdomain loop."""
-        q = np.zeros_like(lam)
+    def _plan_apply(self, columns: int = 1) -> tuple[float, dict[str, float]]:
+        """``columns`` GEMVs per subdomain on the round-robin thread clocks.
+
+        (The cost model has no GEMM-efficiency term for a stacked apply.)
+        """
         breakdown: dict[str, float] = {"gemv": 0.0}
         cluster_times = []
         for cluster, subs in self.iter_clusters():
             clocks = self.new_thread_clocks(cluster)
             if subs:
-                batch = self.batch_engine.cluster(cluster.cluster_id)
-                q_concat = self.dense_matvec(batch, batch.dual_map.gather(lam))
-                batch.dual_map.scatter_add(q, q_concat)
-                costs = batch.cost_arrays["gemv"]
+                costs = columns * np.array(
+                    [cluster.cpu.gemv(s.n_lambda, s.n_lambda) for s in subs]
+                )
                 clocks.advance_many(costs)
                 breakdown["gemv"] += float(costs.sum())
             cluster_times.append(clocks.elapsed)
-        return q, self._merge_cluster_times(cluster_times), breakdown
+        return self._merge_cluster_times(cluster_times), breakdown
 
     def _apply_multi_stacked(
         self, lam_block: np.ndarray
     ) -> tuple[np.ndarray, float, dict[str, float]] | None:
         """Stacked multi-RHS apply: one batched GEMM per cluster.
 
-        Simulated time models ``k`` GEMVs per subdomain (the cost model has
-        no GEMM-efficiency term); the wall win comes from amortizing the
-        scatter/gather and the kernel launch over every column.
+        The wall win comes from amortizing the scatter/gather and the kernel
+        launch over every column; the timeline is planned per column count.
         """
         if not self.batched:
             return None
-        k = int(lam_block.shape[1])
         q = np.zeros_like(lam_block)
-        breakdown: dict[str, float] = {"gemv": 0.0}
-        cluster_times = []
         for cluster, subs in self.iter_clusters():
-            clocks = self.new_thread_clocks(cluster)
             if subs:
                 batch = self.batch_engine.cluster(cluster.cluster_id)
                 q_stack = self.dense_matvec_multi(
                     batch, batch.dual_map.gather_multi(lam_block)
                 )
                 batch.dual_map.scatter_add_multi(q, q_stack)
-                costs = batch.cost_arrays["gemv"] * k
-                clocks.advance_many(costs)
-                breakdown["gemv"] += float(costs.sum())
-            cluster_times.append(clocks.elapsed)
-        return q, self._merge_cluster_times(cluster_times), breakdown
+        k = int(lam_block.shape[1])
+        return q, *self._planned(k, lambda: self._plan_apply(k))
 
     def _extra_pack_nbytes(self) -> int:
         return sum(int(F.nbytes) for F in self.local_F.values())

@@ -229,27 +229,7 @@ class ExplicitGpuDualOperator(DualOperatorBase):
                     clocks.advance(i, device.cost_model.submission_overhead_cpu)
                     breakdown["analysis"] += op.duration
 
-                # Persistent F̃ᵢ and dual vectors.  The F̃ᵢ buffer is the
-                # dominant persistent allocation and follows the precision
-                # policy's storage dtype (half-size under fp32 storage).
-                f_dtype = self.precision.storage_dtype
-                f_bytes = f_dtype.itemsize * sub.n_lambda * sub.n_lambda
-                if cfg.apply_symmetric:
-                    f_bytes //= 2
-                state.device_F = DeviceDenseMatrix(
-                    array=np.zeros((sub.n_lambda, sub.n_lambda), dtype=f_dtype),
-                    order=_matrix_order(cfg.rhs_order),
-                    symmetric_triangle=cfg.apply_symmetric,
-                    allocation=device.memory.allocate(f_bytes, f"F[{sub.index}]"),
-                )
-                state.p_vec = DeviceVector(
-                    array=np.zeros(sub.n_lambda),
-                    allocation=device.memory.allocate(8 * sub.n_lambda, "p"),
-                )
-                state.q_vec = DeviceVector(
-                    array=np.zeros(sub.n_lambda),
-                    allocation=device.memory.allocate(8 * sub.n_lambda, "q"),
-                )
+                self._allocate_apply_buffers(device, sub, state)
 
             # Cluster-wide dual vectors (GPU scatter/gather path).
             self._setup_cluster_apply(cluster, subs)
@@ -260,14 +240,38 @@ class ExplicitGpuDualOperator(DualOperatorBase):
             cluster_times.append(end)
         return self._merge_cluster_times(cluster_times), breakdown
 
+    def _allocate_apply_buffers(self, device, sub, state: _GpuState) -> None:
+        """Persistent ``F̃ᵢ`` and dual vectors of one subdomain (shared with the hybrid).
+
+        The ``F̃ᵢ`` buffer is the dominant persistent allocation and follows
+        the precision policy's storage dtype (half-size under fp32 storage).
+        """
+        f_dtype = self.precision.storage_dtype
+        f_bytes = f_dtype.itemsize * sub.n_lambda * sub.n_lambda
+        if self.config.apply_symmetric:
+            f_bytes //= 2
+        state.device_F = DeviceDenseMatrix(
+            array=np.zeros((sub.n_lambda, sub.n_lambda), dtype=f_dtype),
+            order=_matrix_order(self.config.rhs_order),
+            symmetric_triangle=self.config.apply_symmetric,
+            allocation=device.memory.allocate(f_bytes, f"F[{sub.index}]"),
+        )
+        state.p_vec = DeviceVector(
+            array=np.zeros(sub.n_lambda),
+            allocation=device.memory.allocate(8 * sub.n_lambda, "p"),
+        )
+        state.q_vec = DeviceVector(
+            array=np.zeros(sub.n_lambda),
+            allocation=device.memory.allocate(8 * sub.n_lambda, "q"),
+        )
+
     def _setup_cluster_apply(self, cluster: ClusterResources, subs) -> None:
         """Build the cluster-wide apply structures (shared with the hybrid).
 
         Allocates the cluster dual vectors of the GPU scatter/gather path,
         computes every subdomain's positions inside them, and — when the
-        batched engine is active — flattens those positions into fancy-index
-        maps and precomputes the per-subdomain apply costs so the hot path
-        replays them vectorized.
+        batched engine is active — flattens those positions into one
+        fancy-index map.
         """
         device = cluster.device
         cluster_lambdas = (
@@ -295,18 +299,6 @@ class ExplicitGpuDualOperator(DualOperatorBase):
             batch = self.batch_engine.cluster(cluster.cluster_id)
             batch.aux_map = FlatIndexMap(
                 [self._state[s.index].cluster_positions for s in subs]
-            )
-            cost = device.cost_model
-            batch.cost_arrays["apply_transfer"] = np.array(
-                [cost.transfer(8 * s.n_lambda) for s in subs]
-            )
-            batch.cost_arrays["apply_mv"] = np.array(
-                [
-                    cost.symv(s.n_lambda)
-                    if self.config.apply_symmetric
-                    else cost.gemv(s.n_lambda, s.n_lambda)
-                    for s in subs
-                ]
             )
 
     # ------------------------------------------------------------------ #
@@ -463,19 +455,21 @@ class ExplicitGpuDualOperator(DualOperatorBase):
     # ------------------------------------------------------------------ #
     # Application                                                         #
     # ------------------------------------------------------------------ #
-    def _apply_impl(self, lam: np.ndarray) -> tuple[np.ndarray, float, dict[str, float]]:
+    def _apply_looped(self, lam: np.ndarray) -> tuple[np.ndarray, float, dict[str, float]]:
         if self.config.scatter_gather is ScatterGatherDevice.GPU:
-            if self.batched:
-                return self._apply_gpu_scatter_batched(lam)
             return self._apply_gpu_scatter(lam)
-        if self.batched:
-            return self._apply_cpu_scatter_batched(lam)
         return self._apply_cpu_scatter(lam)
 
-    @property
-    def _mv_kernel_name(self) -> str:
-        """Stream label of the application kernel (matches the looped path)."""
-        return "cublas.symv" if self.config.apply_symmetric else "cublas.gemv"
+    def _plan_apply(self) -> tuple[float, dict[str, float]]:
+        if self.config.scatter_gather is ScatterGatherDevice.GPU:
+            return self._plan_gpu_scatter()
+        return self._plan_cpu_scatter()
+
+    def _mv_kernel(self, cost_model, n_lambda: int) -> tuple[str, float]:
+        """Stream label and duration of one subdomain's application kernel."""
+        if self.config.apply_symmetric:
+            return "cublas.symv", cost_model.symv(n_lambda)
+        return "cublas.gemv", cost_model.gemv(n_lambda, n_lambda)
 
     def _apply_mv(self, device, stream, state: _GpuState, submit_time: float):
         """The GEMV or SYMV kernel of one subdomain."""
@@ -557,18 +551,38 @@ class ExplicitGpuDualOperator(DualOperatorBase):
             cluster_times.append(end)
         return q, self._merge_cluster_times(cluster_times), breakdown
 
-    def _apply_gpu_scatter_batched(
-        self, lam: np.ndarray
-    ) -> tuple[np.ndarray, float, dict[str, float]]:
-        """GPU scatter/gather path with batched numerics.
+    def _apply_numerics(self, lam: np.ndarray) -> np.ndarray:
+        """All per-subdomain GEMVs as one batched MV over the packed ``F̃ᵢ``.
 
-        All per-subdomain GEMVs run as one batched matrix-vector product over
-        the packed ``F̃ᵢ`` blocks and the scatter/gather uses the flattened
-        cluster-position maps; the per-stream timing submissions are replayed
-        exactly as in the looped implementation so the simulated timeline is
-        unchanged.
+        The CPU scatter/gather path is one ``take`` / ``np.add.at`` over the
+        flattened ``lambda_ids``; the GPU path routes through the cluster-wide
+        device dual vectors and the flattened cluster-position maps.
         """
+        if self.config.scatter_gather is not ScatterGatherDevice.GPU:
+            return self._apply_packed_dense(lam)
         q = np.zeros_like(lam)
+        for cluster, subs in self.iter_clusters():
+            if not subs:
+                continue
+            batch = self.batch_engine.cluster(cluster.cluster_id)
+            cstate = self._cluster_state[cluster.cluster_id]
+            assert cstate.dual_in is not None and cstate.dual_out is not None
+            assert batch.aux_map is not None
+            cstate.dual_in.array[...] = lam[cstate.lambda_ids]
+            cstate.dual_out.array[...] = 0.0
+            q_concat = self.dense_matvec(
+                batch, batch.aux_map.gather(cstate.dual_in.array)
+            )
+            batch.aux_map.scatter_add(cstate.dual_out.array, q_concat)
+            np.add.at(q, cstate.lambda_ids, cstate.dual_out.array)
+        return q
+
+    def _plan_gpu_scatter(self) -> tuple[float, dict[str, float]]:
+        """Timeline of the GPU scatter/gather apply.
+
+        The stream submissions of :meth:`_apply_gpu_scatter` — same labels,
+        durations and order — with no numerics.
+        """
         breakdown = {"transfer": 0.0, "scatter_gather": 0.0, "mv": 0.0}
         cluster_times = []
         for cluster, subs in self.iter_clusters():
@@ -578,75 +592,44 @@ class ExplicitGpuDualOperator(DualOperatorBase):
             device = cluster.device
             device.reset_timeline()
             clocks = self.new_thread_clocks(cluster)
-            cstate = self._cluster_state[cluster.cluster_id]
-            batch = self.batch_engine.cluster(cluster.cluster_id)
-            assert cstate.dual_in is not None and cstate.dual_out is not None
-            assert batch.aux_map is not None
+            cost = device.cost_model
+            overhead = cost.submission_overhead_cpu
             main_stream = cluster.stream_for(0)
+            dual_transfer = cost.transfer(
+                8 * self._cluster_state[cluster.cluster_id].lambda_ids.size
+            )
+            scatter_gather = cost.scatter_gather(sum(s.n_lambda for s in subs))
 
             # One H2D copy of the cluster-wide dual vector + one scatter kernel.
-            cstate.dual_in.array[...] = lam[cstate.lambda_ids]
-            cstate.dual_out.array[...] = 0.0
-            op = main_stream.submit(
-                "h2d:cluster-dual",
-                device.cost_model.transfer(8 * cstate.lambda_ids.size),
-                clocks.now(0),
-            )
+            op = main_stream.submit("h2d:cluster-dual", dual_transfer, clocks.now(0))
             breakdown["transfer"] += op.duration
-            total_local = batch.dual_map.total
-            scatter_op = main_stream.submit(
-                "gpu.scatter", device.cost_model.scatter_gather(total_local), op.end_time
-            )
+            scatter_op = main_stream.submit("gpu.scatter", scatter_gather, op.end_time)
             breakdown["scatter_gather"] += scatter_op.duration
-            clocks.advance(0, 2 * device.cost_model.submission_overhead_cpu)
+            clocks.advance(0, 2 * overhead)
 
-            # One batched MV over the packed blocks; per-stream kernel
-            # submissions replayed for the timeline.
-            q_concat = self.dense_matvec(
-                batch, batch.aux_map.gather(cstate.dual_in.array)
-            )
-            mv_costs = batch.cost_arrays["apply_mv"]
-            overhead = device.cost_model.submission_overhead_cpu
-            for i in range(len(subs)):
+            # GEMV/SYMV kernels on per-subdomain streams, after the scatter.
+            for i, sub in enumerate(subs):
                 stream = cluster.stream_for(i)
                 stream.wait_for(scatter_op.end_time)
-                op = stream.submit(self._mv_kernel_name, mv_costs[i], clocks.now(i))
+                op = stream.submit(*self._mv_kernel(cost, sub.n_lambda), clocks.now(i))
                 clocks.advance(i, overhead)
                 breakdown["mv"] += op.duration
-            batch.aux_map.scatter_add(cstate.dual_out.array, q_concat)
 
             # One gather kernel + one D2H copy after all GEMVs finish.
-            ready = max(s.tail for s in cluster.streams)
-            main_stream.wait_for(ready)
-            gather_op = main_stream.submit(
-                "gpu.gather",
-                device.cost_model.scatter_gather(total_local),
-                clocks.max_time,
-            )
+            main_stream.wait_for(max(s.tail for s in cluster.streams))
+            gather_op = main_stream.submit("gpu.gather", scatter_gather, clocks.max_time)
             breakdown["scatter_gather"] += gather_op.duration
-            op = main_stream.submit(
-                "d2h:cluster-dual",
-                device.cost_model.transfer(8 * cstate.lambda_ids.size),
-                gather_op.end_time,
-            )
+            op = main_stream.submit("d2h:cluster-dual", dual_transfer, gather_op.end_time)
             breakdown["transfer"] += op.duration
-            np.add.at(q, cstate.lambda_ids, cstate.dual_out.array)
-            end = device.synchronize(clocks.max_time)
-            cluster_times.append(end)
-        return q, self._merge_cluster_times(cluster_times), breakdown
+            cluster_times.append(device.synchronize(clocks.max_time))
+        return self._merge_cluster_times(cluster_times), breakdown
 
-    def _apply_cpu_scatter_batched(
-        self, lam: np.ndarray
-    ) -> tuple[np.ndarray, float, dict[str, float]]:
-        """CPU scatter/gather path with batched numerics.
+    def _plan_cpu_scatter(self) -> tuple[float, dict[str, float]]:
+        """Timeline of the CPU scatter/gather apply.
 
-        The dual-vector scatter/gather runs as one ``take`` / ``np.add.at``
-        over the flattened ``lambda_ids`` and the per-subdomain GEMVs as one
-        batched matrix-vector product; the H2D / kernel / D2H stream
-        submissions are replayed per subdomain with the same labels and
-        durations as the looped implementation.
+        The per-subdomain H2D / kernel / D2H stream submissions of
+        :meth:`_apply_cpu_scatter`, with no numerics.
         """
-        q = np.zeros_like(lam)
         breakdown = {"transfer": 0.0, "mv": 0.0}
         cluster_times = []
         for cluster, subs in self.iter_clusters():
@@ -656,26 +639,21 @@ class ExplicitGpuDualOperator(DualOperatorBase):
             device = cluster.device
             device.reset_timeline()
             clocks = self.new_thread_clocks(cluster)
-            batch = self.batch_engine.cluster(cluster.cluster_id)
-            q_concat = self.dense_matvec(batch, batch.dual_map.gather(lam))
-            transfer_costs = batch.cost_arrays["apply_transfer"]
-            mv_costs = batch.cost_arrays["apply_mv"]
-            overhead = device.cost_model.submission_overhead_cpu
-            for i in range(len(subs)):
+            cost = device.cost_model
+            overhead = cost.submission_overhead_cpu
+            for i, sub in enumerate(subs):
                 stream = cluster.stream_for(i)
-                op = stream.submit("h2d:p", transfer_costs[i], clocks.now(i))
-                breakdown["transfer"] += op.duration
-                clocks.advance(i, overhead)
-                op = stream.submit(self._mv_kernel_name, mv_costs[i], clocks.now(i))
-                breakdown["mv"] += op.duration
-                clocks.advance(i, overhead)
-                op = stream.submit("d2h:q", transfer_costs[i], clocks.now(i))
-                breakdown["transfer"] += op.duration
-                clocks.advance(i, overhead)
-            batch.dual_map.scatter_add(q, q_concat)
-            end = device.synchronize(clocks.max_time)
-            cluster_times.append(end)
-        return q, self._merge_cluster_times(cluster_times), breakdown
+                transfer = cost.transfer(8 * sub.n_lambda)
+                for key, (label, duration) in (
+                    ("transfer", ("h2d:p", transfer)),
+                    ("mv", self._mv_kernel(cost, sub.n_lambda)),
+                    ("transfer", ("d2h:q", transfer)),
+                ):
+                    op = stream.submit(label, duration, clocks.now(i))
+                    breakdown[key] += op.duration
+                    clocks.advance(i, overhead)
+            cluster_times.append(device.synchronize(clocks.max_time))
+        return self._merge_cluster_times(cluster_times), breakdown
 
     def _apply_cpu_scatter(
         self, lam: np.ndarray

@@ -11,8 +11,6 @@ GPU approaches.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cluster.topology import Machine
 from repro.feti.config import AssemblyConfig, DualOperatorApproach
 from repro.feti.operators.base import DualOperatorBase
@@ -20,10 +18,8 @@ from repro.feti.operators.explicit_gpu import (
     ExplicitGpuDualOperator,
     _ClusterState,
     _GpuState,
-    _matrix_order,
 )
 from repro.feti.problem import FetiProblem
-from repro.gpu.arrays import DeviceDenseMatrix, DeviceVector
 from repro.sparse.costmodel import CpuLibrary
 from repro.sparse.solvers import PardisoLikeSolver
 
@@ -71,7 +67,6 @@ class HybridDualOperator(ExplicitGpuDualOperator):
 
     # ------------------------------------------------------------------ #
     def _prepare_impl(self) -> tuple[float, dict[str, float]]:
-        cfg = self.config
         breakdown = {"symbolic": 0.0}
         cluster_times = []
         for cluster, subs in self.iter_clusters():
@@ -87,25 +82,7 @@ class HybridDualOperator(ExplicitGpuDualOperator):
                 clocks.advance(i, cost)
                 breakdown["symbolic"] += cost
 
-                state = self._state[sub.index]
-                f_dtype = self.precision.storage_dtype
-                f_bytes = f_dtype.itemsize * sub.n_lambda * sub.n_lambda
-                if cfg.apply_symmetric:
-                    f_bytes //= 2
-                state.device_F = DeviceDenseMatrix(
-                    array=np.zeros((sub.n_lambda, sub.n_lambda), dtype=f_dtype),
-                    order=_matrix_order(cfg.rhs_order),
-                    symmetric_triangle=cfg.apply_symmetric,
-                    allocation=device.memory.allocate(f_bytes, f"F[{sub.index}]"),
-                )
-                state.p_vec = DeviceVector(
-                    array=np.zeros(sub.n_lambda),
-                    allocation=device.memory.allocate(8 * sub.n_lambda, "p"),
-                )
-                state.q_vec = DeviceVector(
-                    array=np.zeros(sub.n_lambda),
-                    allocation=device.memory.allocate(8 * sub.n_lambda, "q"),
-                )
+                self._allocate_apply_buffers(device, sub, self._state[sub.index])
 
             self._setup_cluster_apply(cluster, subs)
             if device.temporary is None:

@@ -96,88 +96,83 @@ class ImplicitCpuDualOperator(DualOperatorBase):
                 )
                 clocks.advance(i, cost)
                 breakdown["numeric_factorization"] += cost
-            if self.batched:
-                # The per-application costs only depend on fixed sparsity
-                # patterns, so they are precomputed here once per time step
-                # and replayed vectorized inside every PCPG iteration.
-                batch = self.batch_engine.cluster(cluster.cluster_id)
-                batch.cost_arrays["spmv"] = np.array(
-                    [2.0 * cluster.cpu.spmv(int(s.B.nnz)) for s in subs]
-                )
-                batch.cost_arrays["trsv"] = np.array(
-                    [
-                        2.0 * cluster.cpu.sparse_trsv(self._cpu_solvers[s.index].factor_nnz)
-                        for s in subs
-                    ]
-                )
             cluster_times.append(clocks.elapsed)
         return self._merge_cluster_times(cluster_times), breakdown
 
-    def _apply_impl(self, lam: np.ndarray) -> tuple[np.ndarray, float, dict[str, float]]:
-        if self.batched:
-            return self._apply_batched(lam)
-        return self._apply_looped(lam)
-
-    def _apply_batched(
-        self, lam: np.ndarray
-    ) -> tuple[np.ndarray, float, dict[str, float]]:
-        """Vectorized scatter/gather and cost bookkeeping.
+    def _apply_numerics(self, lam: np.ndarray) -> np.ndarray:
+        """Vectorized scatter/gather around the per-subdomain solves.
 
         The triangular solves remain per-subdomain (their sparsity patterns
-        differ), but the dual-vector traffic and the simulated-clock updates
-        run as single vectorized operations per cluster.  With a threads
-        executor the per-subdomain solve loop is chunked into contiguous
-        spans running as in-process futures — each span writes disjoint
-        slices of the concatenated result, so the sharded loop is
-        bit-identical to the serial one.
+        differ), but the dual-vector traffic runs as single vectorized
+        operations per cluster.  With a threads executor the per-subdomain
+        solve loop is chunked into contiguous spans running as in-process
+        futures — each span writes disjoint slices of the concatenated
+        result, so the sharded loop is bit-identical to the serial one.
         """
         q = np.zeros_like(lam)
+        for cluster, subs in self.iter_clusters():
+            if not subs:
+                continue
+            batch = self.batch_engine.cluster(cluster.cluster_id)
+            p_concat = batch.dual_map.gather(lam)
+            q_concat = np.empty_like(p_concat)
+
+            def solve_span(lo: int, hi: int, subs=subs, batch=batch,
+                           p_concat=p_concat, q_concat=q_concat) -> None:
+                for i in range(lo, hi):
+                    sub = subs[i]
+                    solver = self._cpu_solvers[sub.index]
+                    local = batch.dual_map.slice_of(i)
+                    z = solver.solve(sub.Bt @ p_concat[local])
+                    q_concat[local] = sub.B @ z
+
+            executor = self.executor
+            if executor.backend == "threads" and executor.workers > 1:
+                from repro.runtime.apply import min_shard_items
+                from repro.runtime.shard import balanced_spans
+
+                if len(subs) >= min_shard_items():
+                    spans = balanced_spans(len(subs), executor.workers)
+                    futures = [
+                        executor.submit(solve_span, lo, hi) for lo, hi in spans
+                    ]
+                    for future in futures:
+                        future.result()
+                else:
+                    solve_span(0, len(subs))
+            else:
+                # Serial reference; the process backend also solves in
+                # the parent — the sparse factors live here, and
+                # shipping two triangular solves per subdomain through
+                # IPC would cost more than it saves.
+                solve_span(0, len(subs))
+            batch.dual_map.scatter_add(q, q_concat)
+        return q
+
+    def _plan_apply(self) -> tuple[float, dict[str, float]]:
+        """Two SpMVs + two TRSVs per subdomain on the round-robin thread clocks.
+
+        The costs only depend on fixed sparsity patterns (``B̃ᵢ``, the factor).
+        """
         breakdown: dict[str, float] = {"spmv": 0.0, "trsv": 0.0}
         cluster_times = []
         for cluster, subs in self.iter_clusters():
             clocks = self.new_thread_clocks(cluster)
             if subs:
-                batch = self.batch_engine.cluster(cluster.cluster_id)
-                p_concat = batch.dual_map.gather(lam)
-                q_concat = np.empty_like(p_concat)
-
-                def solve_span(lo: int, hi: int, subs=subs, batch=batch,
-                               p_concat=p_concat, q_concat=q_concat) -> None:
-                    for i in range(lo, hi):
-                        sub = subs[i]
-                        solver = self._cpu_solvers[sub.index]
-                        local = batch.dual_map.slice_of(i)
-                        z = solver.solve(sub.B.T @ p_concat[local])
-                        q_concat[local] = sub.B @ z
-
-                executor = self.executor
-                if executor.backend == "threads" and executor.workers > 1:
-                    from repro.runtime.apply import min_shard_items
-                    from repro.runtime.shard import balanced_spans
-
-                    if len(subs) >= min_shard_items():
-                        spans = balanced_spans(len(subs), executor.workers)
-                        futures = [
-                            executor.submit(solve_span, lo, hi) for lo, hi in spans
-                        ]
-                        for future in futures:
-                            future.result()
-                    else:
-                        solve_span(0, len(subs))
-                else:
-                    # Serial reference; the process backend also solves in
-                    # the parent — the sparse factors live here, and
-                    # shipping two triangular solves per subdomain through
-                    # IPC would cost more than it saves.
-                    solve_span(0, len(subs))
-                batch.dual_map.scatter_add(q, q_concat)
-                spmv_costs = batch.cost_arrays["spmv"]
-                trsv_costs = batch.cost_arrays["trsv"]
+                spmv_costs = np.array(
+                    [2.0 * cluster.cpu.spmv(int(s.B.nnz)) for s in subs]
+                )
+                trsv_costs = np.array(
+                    [
+                        2.0 * cluster.cpu.sparse_trsv(self._cpu_solvers[s.index].factor_nnz)
+                        for s in subs
+                    ]
+                )
                 clocks.advance_many(spmv_costs + trsv_costs)
                 breakdown["spmv"] += float(spmv_costs.sum())
                 breakdown["trsv"] += float(trsv_costs.sum())
             cluster_times.append(clocks.elapsed)
-        return q, self._merge_cluster_times(cluster_times), breakdown
+        return self._merge_cluster_times(cluster_times), breakdown
 
     def _apply_looped(
         self, lam: np.ndarray
@@ -191,7 +186,7 @@ class ImplicitCpuDualOperator(DualOperatorBase):
             for i, sub in enumerate(subs):
                 solver = self._cpu_solvers[sub.index]
                 p_local = sub.local_dual(lam)
-                x = sub.B.T @ p_local
+                x = sub.Bt @ p_local
                 z = solver.solve(x)
                 q_local = sub.B @ z
                 sub.accumulate_dual(q, q_local)

@@ -200,7 +200,72 @@ class ImplicitGpuDualOperator(DualOperatorBase):
             cluster_times.append(end)
         return self._merge_cluster_times(cluster_times), breakdown
 
-    def _apply_impl(self, lam: np.ndarray) -> tuple[np.ndarray, float, dict[str, float]]:
+    def _apply_numerics(self, lam: np.ndarray) -> np.ndarray:
+        """SpMV → TRSV → TRSV → SpMV per subdomain, batched scatter/gather.
+
+        The sparse solves are inherently per-subdomain; the dual traffic is
+        one flat-map ``take`` and one ``np.add.at`` per cluster.
+        """
+        q = np.zeros_like(lam)
+        for cluster, subs in self.iter_clusters():
+            if not subs:
+                continue
+            batch = self.batch_engine.cluster(cluster.cluster_id)
+            p_concat = batch.dual_map.gather(lam)
+            q_concat = np.empty_like(p_concat)
+            for i, sub in enumerate(subs):
+                state = self._state[sub.index]
+                assert state.device_B is not None and state.device_factor is not None
+                local = batch.dual_map.slice_of(i)
+                # Prepared once per factor upload; repeated TRSVs inside the
+                # PCPG iteration stop paying the CSC conversion cost.
+                lower = cusparse.prepared_lower_factor(
+                    state.device_factor, blocked=self.blocked
+                )
+                B = state.device_B.matrix
+                z = lower.solve_upper(lower.solve_lower(B.T @ p_concat[local]))
+                q_concat[local] = B @ z
+            batch.dual_map.scatter_add(q, q_concat)
+        return q
+
+    def _plan_apply(self) -> tuple[float, dict[str, float]]:
+        """The stream submissions of :meth:`_apply_looped`, with no numerics.
+
+        H2D, SpMV, two TRSVs, SpMV and D2H per subdomain on its stream.
+        """
+        breakdown = {"transfer": 0.0, "spmv": 0.0, "trsv": 0.0}
+        cluster_times = []
+        for cluster, subs in self.iter_clusters():
+            device = cluster.device
+            device.reset_timeline()
+            clocks = self.new_thread_clocks(cluster)
+            cost = device.cost_model
+            overhead = cost.submission_overhead_cpu
+            for i, sub in enumerate(subs):
+                stream = cluster.stream_for(i)
+                state = self._state[sub.index]
+                assert state.device_B is not None and state.device_factor is not None
+                transfer = cost.transfer(8 * sub.n_lambda)
+                spmv = cost.spmv(state.device_B.nnz)
+                trsv = cost.sparse_trsm(
+                    state.device_factor.nnz, sub.ndofs, 1, device.cuda_version
+                )
+                for key, label, duration in (
+                    ("transfer", "h2d:p", transfer),
+                    ("spmv", "cusparse.spmv", spmv),
+                    ("trsv", "cusparse.trsv_fwd", trsv),
+                    ("trsv", "cusparse.trsv_bwd", trsv),
+                    ("spmv", "cusparse.spmv", spmv),
+                    ("transfer", "d2h:q", transfer),
+                ):
+                    op = stream.submit(label, duration, clocks.now(i))
+                    breakdown[key] += op.duration
+                    clocks.advance(i, overhead)
+            cluster_times.append(device.synchronize(clocks.max_time))
+        return self._merge_cluster_times(cluster_times), breakdown
+
+    def _apply_looped(self, lam: np.ndarray) -> tuple[np.ndarray, float, dict[str, float]]:
+        """Reference per-subdomain loop: numerics and replay on every apply."""
         q = np.zeros_like(lam)
         breakdown = {"transfer": 0.0, "spmv": 0.0, "trsv": 0.0}
         cluster_times = []
@@ -208,14 +273,8 @@ class ImplicitGpuDualOperator(DualOperatorBase):
             device = cluster.device
             device.reset_timeline()
             clocks = self.new_thread_clocks(cluster)
-            # The sparse solves are inherently per-subdomain, but the dual
-            # scatter/gather runs through the flattened index maps: one take
-            # up front, one np.add.at at the end.
-            batch = None
-            if self.batched and subs:
-                batch = self.batch_engine.cluster(cluster.cluster_id)
-                p_concat = batch.dual_map.gather(lam)
-                q_concat = np.empty_like(p_concat)
+            cost = device.cost_model
+            overhead = cost.submission_overhead_cpu
             for i, sub in enumerate(subs):
                 stream = cluster.stream_for(i)
                 state = self._state[sub.index]
@@ -223,70 +282,47 @@ class ImplicitGpuDualOperator(DualOperatorBase):
                 assert state.p_vec is not None and state.q_vec is not None
                 assert state.work_vec is not None and state.plan is not None
 
-                now = clocks.now(i)
-                if batch is not None:
-                    state.p_vec.array[...] = p_concat[batch.dual_map.slice_of(i)]
-                else:
-                    state.p_vec.array[...] = sub.local_dual(lam)
-                op = stream.submit(
-                    "h2d:p", device.cost_model.transfer(8 * sub.n_lambda), now
-                )
+                state.p_vec.array[...] = sub.local_dual(lam)
+                op = stream.submit("h2d:p", cost.transfer(8 * sub.n_lambda), clocks.now(i))
                 breakdown["transfer"] += op.duration
-                clocks.advance(i, device.cost_model.submission_overhead_cpu)
+                clocks.advance(i, overhead)
 
                 op = cusparse.spmv(
                     device, stream, state.device_B, state.p_vec, state.work_vec,
                     clocks.now(i), transpose=True,
                 )
                 breakdown["spmv"] += op.duration
-                clocks.advance(i, device.cost_model.submission_overhead_cpu)
+                clocks.advance(i, overhead)
 
                 rhs = state.work_vec.array
-                # Prepared once per factor upload; repeated TRSVs inside the
-                # PCPG iteration stop paying the CSC conversion cost.
                 lower = cusparse.prepared_lower_factor(
                     state.device_factor, blocked=self.blocked
                 )
-                rhs[...] = lower.solve_lower(rhs)
-                op = stream.submit(
-                    "cusparse.trsv_fwd",
-                    device.cost_model.sparse_trsm(
-                        state.device_factor.nnz, sub.ndofs, 1, device.cuda_version
-                    ),
-                    clocks.now(i),
+                trsv = cost.sparse_trsm(
+                    state.device_factor.nnz, sub.ndofs, 1, device.cuda_version
                 )
+                rhs[...] = lower.solve_lower(rhs)
+                op = stream.submit("cusparse.trsv_fwd", trsv, clocks.now(i))
                 breakdown["trsv"] += op.duration
-                clocks.advance(i, device.cost_model.submission_overhead_cpu)
+                clocks.advance(i, overhead)
 
                 rhs[...] = lower.solve_upper(rhs)
-                op = stream.submit(
-                    "cusparse.trsv_bwd",
-                    device.cost_model.sparse_trsm(
-                        state.device_factor.nnz, sub.ndofs, 1, device.cuda_version
-                    ),
-                    clocks.now(i),
-                )
+                op = stream.submit("cusparse.trsv_bwd", trsv, clocks.now(i))
                 breakdown["trsv"] += op.duration
-                clocks.advance(i, device.cost_model.submission_overhead_cpu)
+                clocks.advance(i, overhead)
 
                 op = cusparse.spmv(
                     device, stream, state.device_B, state.work_vec, state.q_vec,
                     clocks.now(i), transpose=False,
                 )
                 breakdown["spmv"] += op.duration
-                clocks.advance(i, device.cost_model.submission_overhead_cpu)
+                clocks.advance(i, overhead)
 
                 q_local, op = device.download_vector(
                     state.q_vec, stream, clocks.now(i), label="q"
                 )
                 breakdown["transfer"] += op.duration
-                clocks.advance(i, device.cost_model.submission_overhead_cpu)
-                if batch is not None:
-                    q_concat[batch.dual_map.slice_of(i)] = q_local
-                else:
-                    sub.accumulate_dual(q, q_local)
-            if batch is not None:
-                batch.dual_map.scatter_add(q, q_concat)
-            end = device.synchronize(clocks.max_time)
-            cluster_times.append(end)
+                clocks.advance(i, overhead)
+                sub.accumulate_dual(q, q_local)
+            cluster_times.append(device.synchronize(clocks.max_time))
         return q, self._merge_cluster_times(cluster_times), breakdown

@@ -14,6 +14,7 @@ iteration need:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +43,11 @@ class SubdomainProblem:
     B: sp.csr_matrix
     lambda_ids: np.ndarray
     dof_multiplicity: np.ndarray
+
+    @cached_property
+    def Bt(self) -> sp.csc_matrix:
+        """``B̃ᵢᵀ`` — the CSC view ``B.T`` returns, built once (``B`` is fixed)."""
+        return self.B.T
 
     @property
     def ndofs(self) -> int:
@@ -244,7 +250,7 @@ class FetiProblem:
         offsets = self.kernel_offsets
         solutions = []
         for sub in self.subdomains:
-            rhs = sub.f - sub.B.T @ lam[sub.lambda_ids]
+            rhs = sub.f - sub.Bt @ lam[sub.lambda_ids]
             u = spla.spsolve(sub.K_reg.tocsc(), rhs)
             a = alpha[offsets[sub.index] : offsets[sub.index + 1]]
             solutions.append(u + sub.kernel @ a)

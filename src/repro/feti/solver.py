@@ -207,7 +207,7 @@ class FetiSolver:
         with trace_span("coarse_setup", mode=self.spec.coarse):
             lambda_0 = self.projector.initial_lambda(e)
 
-        phases_before = len(self.operator.ledger.phases)
+        self.operator.ledger.mark("apply")
         with trace_span("pcpg", tolerance=self.spec.tolerance):
             result = pcpg(
                 apply_F=self.operator.apply,
@@ -220,11 +220,7 @@ class FetiSolver:
                 absolute_tolerance=self.spec.absolute_tolerance,
                 residual_history=self.spec.residual_history,
             )
-        dual_apply_seconds = sum(
-            p.simulated_seconds
-            for p in self.operator.ledger.phases[phases_before:]
-            if p.name == "apply"
-        )
+        dual_apply_seconds = self.operator.ledger.since_mark()
         if self.precision.dual_refine_rounds:
             with trace_span("defect_correction"):
                 result = self._dual_defect_correction(d, result)
@@ -353,7 +349,7 @@ class FetiSolver:
                     sub.f = f
 
         n_cols = len(loads_columns)
-        phases_before = len(self.operator.ledger.phases)
+        self.operator.ledger.mark("apply", "apply_multi")
         coarse_before = self.projector.seconds
         try:
             d_cols: list[np.ndarray] = []
@@ -381,11 +377,7 @@ class FetiSolver:
                     absolute_tolerance=self.spec.absolute_tolerance,
                     residual_history=self.spec.residual_history,
                 )
-            total_apply_seconds = sum(
-                p.simulated_seconds
-                for p in self.operator.ledger.phases[phases_before:]
-                if p.name in ("apply", "apply_multi")
-            )
+            total_apply_seconds = self.operator.ledger.since_mark()
             if self.precision.dual_refine_rounds:
                 results = [
                     self._dual_defect_correction(d, result)

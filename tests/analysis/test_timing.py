@@ -68,6 +68,29 @@ def test_ledger_totals_means_and_last():
     assert ledger.last("apply").simulated_seconds == 3.0
     assert ledger.last("preparation") is None
     assert ledger.mean("preparation") == 0.0
+    # Per-iteration phases are folded into the aggregates, never retained.
+    assert [p.name for p in ledger.phases] == ["preprocessing"]
+
+
+def test_ledger_mark_sums_left_to_right_from_zero():
+    """``since_mark`` is the sum a slice of the record used to give, bit for bit
+    (which ``total()`` after minus ``total()`` before is not)."""
+    values = [0.1, 0.2, 0.3, 0.7]
+    ledger = TimingLedger()
+    ledger.record(PhaseTiming("apply", 1e6))
+    ledger.mark("apply", "apply_multi")
+    for i, value in enumerate(values):
+        ledger.record(PhaseTiming("apply" if i % 2 else "apply_multi", value))
+        ledger.record(PhaseTiming("preprocessing", 5.0))
+    expected = 0.0
+    for value in values:
+        expected += value
+    assert ledger.since_mark() == expected
+    assert ledger.since_mark() != ledger.total("apply") - 1e6 + ledger.total("apply_multi")
+    ledger.mark("apply")
+    assert ledger.since_mark() == 0.0
+    ledger.record(PhaseTiming("apply_multi", 2.0))
+    assert ledger.since_mark() == 0.0
 
 
 @settings(max_examples=40, deadline=None)

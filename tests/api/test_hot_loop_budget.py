@@ -1,0 +1,109 @@
+"""A deterministic budget for the PCPG hot loop of a warm ``Session.solve``.
+
+Wall-clock numbers live in ``benchmarks/perf``; these are the call counts
+behind them.  The discrete-event GPU simulator (streams, stream lookup,
+thread clocks) runs during the first apply after a preprocessing — where the
+timeline plan is made — and never again in that round; and a long-lived
+session's timing ledger does not grow with the number of solves.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from repro.analysis.timing import ThreadClocks
+from repro.api import Session, SolverSpec, Workload
+from repro.cluster.topology import ClusterResources
+from repro.feti.operators.base import DualOperatorBase
+from repro.gpu.stream import Stream
+
+#: 4×4 subdomains, 2 clusters: eight subdomains share each cluster's streams.
+W = Workload("heat", 2, (4, 4), 4, n_clusters=2)
+SPEC = SolverSpec(approach="expl modern", assembly="table2")
+
+_SIMULATOR = (
+    (Stream, ("submit", "wait_for", "synchronize", "reset")),
+    (ClusterResources, ("stream_for",)),
+    (ThreadClocks, ("advance", "advance_many")),
+)
+
+
+def _session() -> Session:
+    # "unlimited": a REPRO_MEMORY_BUDGET in the environment must not demote
+    # the entry between solves — these tests are about *warm* solves.
+    return Session(SPEC, memory_budget="unlimited")
+
+
+def test_simulator_runs_in_the_first_apply_of_a_round_only(monkeypatch):
+    calls: Counter[str] = Counter()
+    applies: list[tuple[bool, int]] = []  # (first of its round?, simulator calls)
+    fresh_round = [False]
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def counted(self, *args, **kwargs):
+            calls[f"{cls.__name__}.{name}"] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls, names in _SIMULATOR:
+        for name in names:
+            count(cls, name)
+
+    preprocess, apply_impl = DualOperatorBase.preprocess, DualOperatorBase._apply_impl
+
+    def tracking_preprocess(self):
+        fresh_round[0] = True
+        return preprocess(self)
+
+    def tracking_apply_impl(self, lam):
+        before = sum(calls.values())
+        result = apply_impl(self, lam)
+        applies.append((fresh_round[0], sum(calls.values()) - before))
+        fresh_round[0] = False
+        return result
+
+    monkeypatch.setattr(DualOperatorBase, "preprocess", tracking_preprocess)
+    monkeypatch.setattr(DualOperatorBase, "_apply_impl", tracking_apply_impl)
+
+    session = _session()
+    cold = session.solve(W)
+    assert cold.converged
+    n_cold = len(applies)
+    assert n_cold == cold.iterations + 1
+    # The cold solve preprocessed: its first apply planned the timeline ...
+    first, *rest = applies
+    assert first[0] and first[1] > 0
+    assert calls["Stream.submit"] > 0 and calls["ClusterResources.stream_for"] > 0
+    # ... and applies 2…n never touched the simulator.
+    assert rest and all(not fresh and n == 0 for fresh, n in rest)
+
+    # A warm solve reuses the preprocessing, hence the plan: zero simulator
+    # calls in any of its applies.
+    calls.clear()
+    warm = session.solve(W)
+    assert warm.converged and warm.iterations == cold.iterations
+    assert applies[n_cold:] == [(False, 0)] * (warm.iterations + 1)
+    assert warm.dual_apply_seconds == cold.dual_apply_seconds
+
+
+def test_warm_solves_do_not_grow_the_timing_ledger():
+    """Regression: every apply used to append a PhaseTiming that nothing dropped."""
+    session = _session()
+    first = session.solve(W)
+    ledger = session.solver(W).operator.ledger
+    retained = len(ledger.phases)
+    assert retained == ledger.count("preparation") + ledger.count("preprocessing")
+    applies = ledger.count("apply")
+    total = ledger.total("apply")
+    iterations = 0
+    for _ in range(20):
+        solution = session.solve(W)
+        iterations += solution.iterations + 1  # + the initial residual's apply
+        assert solution.dual_apply_seconds == first.dual_apply_seconds
+    assert len(ledger.phases) == retained
+    assert ledger.count("apply") == applies + iterations
+    assert ledger.total("apply") > total
+    assert ledger.last("apply").breakdown is session.solver(W).operator._apply_plans[1][1]

@@ -101,3 +101,12 @@ def test_from_physics_with_multiple_dirichlet_faces(heat):
     assert problem.gluing.n_dirichlet > 0
     u, _ = problem.saddle_point_solution()
     assert np.isfinite(u).all()
+
+
+def test_transposed_gluing_is_built_once_and_bitwise_equal(heat_problem_2d, rng):
+    """``Bt`` is the one cached CSC view ``B.T`` returns: no rebuild per product."""
+    for sub in heat_problem_2d.subdomains:
+        assert sub.Bt is sub.Bt
+        assert sub.Bt.format == sub.B.T.format and sub.Bt.shape == (sub.ndofs, sub.n_lambda)
+        x = rng.standard_normal(sub.n_lambda)
+        np.testing.assert_array_equal(sub.Bt @ x, sub.B.T @ x)
