@@ -58,7 +58,6 @@ def measure_approach(
     m = measure_point(
         scenario.spec_with(cells=cells_per_subdomain),
         approach,
-        batched=True,
         n_applies=scenario.n_applies,
     )
     return (

@@ -2,8 +2,8 @@
 
 This package is the single public entry point for configuring and running
 the reproduction.  It replaces the scattered PR-1/2/3 wiring (the legacy
-solver/PCPG option objects + ``AssemblyConfig`` + ``MachineConfig`` + loose
-``batched``/``blocked`` flags) with three objects:
+solver/PCPG option objects + ``AssemblyConfig`` + ``MachineConfig``) with
+three objects:
 
 :class:`Workload`
     A frozen, validated, JSON-serializable description of *what* to solve:
@@ -13,10 +13,11 @@ solver/PCPG option objects + ``AssemblyConfig`` + ``MachineConfig`` + loose
 :class:`SolverSpec`
     A frozen, validated description of *how* to solve it: the Table-III
     dual-operator approach, the preconditioner, PCPG tolerances, per-cluster
-    resources, the Table-I explicit-assembly parameters (or the literal
-    ``"table2"`` to auto-select the paper's recommendation) and the
-    ``batched``/``blocked`` execution toggles.  Incompatible combinations
-    are rejected at construction time with actionable errors.
+    resources and the Table-I explicit-assembly parameters (or the literal
+    ``"table2"`` to auto-select the paper's recommendation).  Incompatible
+    combinations are rejected at construction time with actionable errors.
+    The solver has one apply path and one sparse path; the reference loops
+    they replaced live in ``tests/oracles/``.
 :class:`Session`
     A stateful runner that owns the cross-solve state: the structural
     :class:`~repro.sparse.cache.PatternCache`, the built problems with

@@ -3,8 +3,9 @@
 One frozen, validated object absorbs everything that was previously spread
 over the legacy solver/PCPG option objects (approach, preconditioner,
 tolerances), ``MachineConfig`` (per-cluster threads/streams) and
-``AssemblyConfig`` (the Table-I explicit-assembly parameters), plus the
-``batched``/``blocked`` execution toggles.
+``AssemblyConfig`` (the Table-I explicit-assembly parameters).  There is one
+apply path and one sparse path: the per-subdomain / per-column reference
+loops are test oracles (``tests/oracles/``), not options.
 
 Incompatible combinations are rejected at *construction* time with
 actionable errors instead of being silently ignored deep inside
@@ -147,10 +148,6 @@ class SolverSpec:
         ``"table2"`` (paper recommendation, resolved per problem), an
         :class:`AssemblyConfig`, or a dict of its fields.  Only valid for
         approaches that assemble ``F̃ᵢ`` on the GPU.
-    batched:
-        Drive the apply phase through the batched subdomain engine.
-    blocked:
-        Run the sparse layer through the supernodal kernels + pattern cache.
     execution:
         The runtime backend the preprocessing shards and queued solves run
         on: an :class:`~repro.runtime.executor.ExecutionSpec`, a backend
@@ -189,8 +186,6 @@ class SolverSpec:
     threads_per_cluster: int | None = None
     streams_per_cluster: int | None = None
     assembly: AssemblyConfig | str | None = None
-    batched: bool = True
-    blocked: bool = True
     execution: ExecutionSpec | str | None = None
     coarse: str = "auto"
     precision: str = "fp64"
@@ -230,8 +225,6 @@ class SolverSpec:
                 object.__setattr__(self, name, _whole_int(name, value))
                 if getattr(self, name) < 1:
                     raise SpecError(f"{name} must be >= 1, got {value!r}")
-        object.__setattr__(self, "batched", bool(self.batched))
-        object.__setattr__(self, "blocked", bool(self.blocked))
         if self.execution is not None:
             try:
                 object.__setattr__(self, "execution", ExecutionSpec.of(self.execution))
@@ -358,8 +351,6 @@ class SolverSpec:
             "threads_per_cluster": self.threads_per_cluster,
             "streams_per_cluster": self.streams_per_cluster,
             "assembly": assembly,
-            "batched": self.batched,
-            "blocked": self.blocked,
             "execution": None if self.execution is None else self.execution.to_dict(),
             "coarse": self.coarse,
             "precision": self.precision,

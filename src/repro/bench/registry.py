@@ -8,10 +8,10 @@ runnable (``repro-bench run``), and regression-gated against committed
 baselines (``repro-bench compare``) — and gives the pytest benchmark suite
 and the CLI one shared source of scenario truth.
 
-A scenario's sweep grid always has eight axes (``subdomains``, ``cells``,
-``approach``, ``batched``, ``blocked``, ``execution``, ``coarse``,
-``precision``); axes not explicitly swept are pinned to the base workload
-values, so a scenario record is a cartesian product executed with
+A scenario's sweep grid always has six axes (``subdomains``, ``cells``,
+``approach``, ``execution``, ``coarse``, ``precision``); axes not explicitly
+swept are pinned to the base workload values, so a scenario record is a
+cartesian product executed with
 :func:`repro.analysis.sweep.sweep_configurations`.
 
 Since PR 4 a scenario's base workload *is* a :class:`repro.api.Workload` —
@@ -59,13 +59,6 @@ class Scenario:
         The base workload; grid axes not swept are pinned to its values.
     approaches:
         Dual-operator approaches to sweep (the ``approach`` axis).
-    batched:
-        Values of the batched-engine toggle to sweep (the ``batched`` axis);
-        ``(True, False)`` benchmarks the engine against the reference loop.
-    blocked:
-        Values of the sparse-kernel toggle to sweep (the ``blocked`` axis);
-        ``(True, False)`` benchmarks the supernodal kernels + pattern cache
-        against the scalar per-column reference path.
     execution:
         Runtime execution backends to sweep (the ``execution`` axis):
         ``None`` is the serial reference, an
@@ -104,8 +97,6 @@ class Scenario:
     description: str
     base: Workload
     approaches: tuple[DualOperatorApproach, ...] = (DualOperatorApproach.EXPLICIT_MKL,)
-    batched: tuple[bool, ...] = (True,)
-    blocked: tuple[bool, ...] = (True,)
     execution: tuple[ExecutionSpec | None, ...] = (None,)
     coarse: tuple[str, ...] = ("dense",)
     precision: tuple[str, ...] = ("fp64",)
@@ -116,13 +107,11 @@ class Scenario:
     expected: dict[str, int] = field(default_factory=dict)
 
     def grid(self) -> dict[str, list[Any]]:
-        """The cartesian sweep grid of the scenario (eight fixed axes)."""
+        """The cartesian sweep grid of the scenario (six fixed axes)."""
         return {
             "subdomains": list(self.subdomain_grid or (self.base.subdomains,)),
             "cells": list(self.cells_grid or (self.base.cells,)),
             "approach": list(self.approaches),
-            "batched": list(self.batched),
-            "blocked": list(self.blocked),
             "execution": list(self.execution),
             "coarse": list(self.coarse),
             "precision": list(self.precision),
@@ -141,8 +130,6 @@ class Scenario:
             "subdomains": ["x".join(str(v) for v in s) for s in grid["subdomains"]],
             "cells": [str(c) for c in grid["cells"]],
             "approach": [a.value for a in grid["approach"]],
-            "batched": [str(b).lower() for b in grid["batched"]],
-            "blocked": [str(b).lower() for b in grid["blocked"]],
             "execution": [
                 "serial" if e is None or not e.parallel else e.describe()
                 for e in grid["execution"]
@@ -310,30 +297,6 @@ def _register_defaults() -> None:
             subdomain_grid=((2, 2), (4, 4)),
             tags=frozenset({"quick", "scaling"}),
             expected={"n_subdomains": 4, "kernel_dim": 1},
-        )
-    )
-    register(
-        Scenario(
-            name="batched_apply",
-            description="Batched subdomain engine vs per-subdomain loop, 64 subdomains",
-            base=Workload("heat", 2, (8, 8), 4),
-            approaches=(DualOperatorApproach.EXPLICIT_MKL,),
-            batched=(True, False),
-            n_applies=10,
-            tags=frozenset({"quick", "wall"}),
-            expected={"n_subdomains": 64, "dofs_per_subdomain": 25, "kernel_dim": 1},
-        )
-    )
-    register(
-        Scenario(
-            name="preprocessing_phase",
-            description="Supernodal kernels + pattern cache vs scalar path: Schur assembly, 64 subdomains",
-            base=Workload("heat", 2, (8, 8), 8),
-            approaches=(DualOperatorApproach.EXPLICIT_MKL,),
-            blocked=(True, False),
-            n_applies=2,
-            tags=frozenset({"quick", "wall", "preprocessing"}),
-            expected={"n_subdomains": 64, "dofs_per_subdomain": 81, "kernel_dim": 1},
         )
     )
     register(

@@ -9,7 +9,7 @@ that every approach of a grid point computes the same operator), and emits a
 schema-versioned, environment-stamped ``BENCH_<scenario>.json`` record that
 the baseline comparator can diff across runs and machines.
 
-Point measurements are cached per (workload, approach, batched, n_applies),
+Point measurements are cached per (workload, approach, n_applies, ...),
 so scenarios that share grid points — e.g. the Figure-5 sweep feeding
 Figures 6 and 7 — never re-measure.
 
@@ -114,18 +114,17 @@ class PointMeasurement:
 def measure_point(
     spec: Workload,
     approach: DualOperatorApproach,
-    batched: bool = True,
-    blocked: bool = True,
     n_applies: int = 3,
     execution: ExecutionSpec | None = None,
     coarse: str = "dense",
     precision: str = "fp64",
 ) -> PointMeasurement:
-    """Measure one (workload, approach, batched, blocked, execution, coarse, precision) point.
+    """Measure one (workload, approach, execution, coarse, precision) point.
 
     Simulated times come from the operator's timing ledger; wall-clock times
     wrap the real execution of prepare+preprocess and of the ``n_applies``
-    application loop (mean per apply).  Each point runs in its own
+    application loop (mean per apply, after one untimed warm-up apply that
+    pays the once-per-preprocessing timeline plan).  Each point runs in its own
     :class:`~repro.api.session.Session` with a private pattern cache, so it
     pays its own symbolic-analysis cost.  ``execution`` selects the runtime
     backend of the point (``None`` = the serial reference); the session
@@ -139,8 +138,6 @@ def measure_point(
     session = Session(
         SolverSpec(
             approach=approach,
-            batched=batched,
-            blocked=blocked,
             threads_per_cluster=RUNNER_MACHINE.threads_per_cluster,
             streams_per_cluster=RUNNER_MACHINE.streams_per_cluster,
             execution=execution if execution is not None else ExecutionSpec(),
@@ -157,14 +154,21 @@ def measure_point(
 
         rng = np.random.default_rng(_APPLY_SEED)
         x = rng.standard_normal(problem.n_lambda)
+        # Untimed warm-up: the first apply of a round plans the simulated
+        # timeline.  The mark keeps it out of the simulated mean as well, so
+        # that stays the left-to-right sum of exactly ``n_applies`` applies.
+        operator.apply(x)
+        operator.ledger.mark("apply")
         wall0 = time.perf_counter()
         for _ in range(max(1, n_applies)):
             q = operator.apply(x)
         wall_apply = (time.perf_counter() - wall0) / max(1, n_applies)
+        sim_apply = operator.ledger.since_mark() / max(1, n_applies)
 
         wall0 = time.perf_counter()
         projector = build_projector(problem, mode=coarse)
         wall_coarse_factor = time.perf_counter() - wall0
+        projector.apply(x)  # untimed warm-up
         wall0 = time.perf_counter()
         for _ in range(max(1, n_applies)):
             projector.apply(x)
@@ -179,7 +183,7 @@ def measure_point(
         kernel_dim=problem.subdomains[0].kernel_dim,
         sim_preparation_seconds=operator.preparation_time,
         sim_preprocessing_seconds=operator.preprocessing_time,
-        sim_apply_seconds=operator.application_time,
+        sim_apply_seconds=sim_apply,
         wall_preprocessing_seconds=wall_preprocessing,
         wall_apply_seconds=wall_apply,
         wall_coarse_factor_seconds=wall_coarse_factor,
@@ -192,25 +196,22 @@ def point_key(
     subdomains: tuple[int, ...],
     cells: int,
     approach: DualOperatorApproach,
-    batched: bool,
-    blocked: bool = True,
     execution: ExecutionSpec | None = None,
     coarse: str = "dense",
     precision: str = "fp64",
 ) -> str:
     """Stable human-readable identity of a grid point (used for pairing).
 
-    The ``blocked=True`` / ``execution=None`` / ``coarse="dense"`` /
-    ``precision="fp64"`` defaults leave historical keys unchanged; scalar
-    sparse-kernel points are suffixed with ``/scalar``, sharded runtime
-    points with the executor short form (e.g. ``/processes4``), non-dense
+    The ``/batched`` segment is a fixed part of the stem: it dates from the
+    removed ``batched`` sweep axis and stays so every committed baseline
+    keeps pairing by key.  The ``execution=None`` / ``coarse="dense"`` /
+    ``precision="fp64"`` defaults add nothing; sharded runtime points are
+    suffixed with the executor short form (e.g. ``/processes4``), non-dense
     coarse solvers with the coarse mode (e.g. ``/hierarchical``), and
     reduced-precision points with the policy name (e.g. ``/fp32_ir``).
     """
     grid = "x".join(str(s) for s in subdomains)
-    key = f"{grid}/c{cells}/{approach.value}/{'batched' if batched else 'looped'}"
-    if not blocked:
-        key += "/scalar"
+    key = f"{grid}/c{cells}/{approach.value}/batched"
     if execution is not None and execution.parallel:
         key += f"/{execution.describe()}"
     if coarse != "dense":
@@ -270,20 +271,13 @@ def run_scenario(
         subdomains: tuple[int, ...],
         cells: int,
         approach: DualOperatorApproach,
-        batched: bool,
-        blocked: bool,
         execution: ExecutionSpec | None,
         coarse: str,
         precision: str,
     ) -> dict[str, Any]:
         spec = scenario.spec_with(subdomains, cells)
-        args = (
-            spec, approach, batched, blocked, scenario.n_applies,
-            execution, coarse, precision,
-        )
-        key = point_key(
-            subdomains, cells, approach, batched, blocked, execution, coarse, precision
-        )
+        args = (spec, approach, scenario.n_applies, execution, coarse, precision)
+        key = point_key(subdomains, cells, approach, execution, coarse, precision)
 
         def run() -> PointMeasurement:
             if point_timeout is not None:
@@ -306,7 +300,7 @@ def run_scenario(
             wall_preprocessing_seconds=m.wall_preprocessing_seconds,
             wall_apply_seconds=m.wall_apply_seconds,
         )
-        qs[(subdomains, cells, approach, batched, blocked, execution, coarse, precision)] = m.q
+        qs[(subdomains, cells, approach, execution, coarse, precision)] = m.q
         return {
             "key": key,
             "n_subdomains": m.n_subdomains,
@@ -439,8 +433,6 @@ def _build_record(scenario: Scenario, sweep: SweepResult) -> dict[str, Any]:
                 "subdomains": list(r["subdomains"]),
                 "cells": int(r["cells"]),
                 "approach": r["approach"].value,
-                "batched": bool(r["batched"]),
-                "blocked": bool(r["blocked"]),
                 "execution": None if execution is None else execution.to_dict(),
                 "coarse": str(r["coarse"]),
                 "precision": str(r["precision"]),
@@ -485,73 +477,51 @@ def _build_record(scenario: Scenario, sweep: SweepResult) -> dict[str, Any]:
 
 
 def _derived_metrics(sweep: SweepResult) -> dict[str, float]:
-    """Wall-clock speedups of the optimized engines over the reference paths.
+    """Wall-clock speedups a scenario's own axes pair up.
 
-    ``wall_apply_speedup`` compares the batched apply engine against the
-    per-subdomain loop (at equal ``blocked``); ``wall_preprocessing_speedup``
-    compares the supernodal sparse kernels + pattern cache against the
-    scalar path (at equal ``batched``) on the preparation+preprocessing
-    wall-clock time, i.e. on the Schur-complement assembly for the explicit
-    approaches.  ``wall_coarse_factor_speedup`` / ``wall_coarse_apply_speedup``
-    compare the hierarchical coarse-problem factorization and projector
-    application against the dense reference whenever a scenario sweeps both
-    coarse modes at one grid point.
+    ``wall_preprocessing_speedup[.../<executor>]`` compares every sharded
+    execution backend against the serial point of the same workload on the
+    preparation+preprocessing wall-clock time.
+    ``wall_coarse_factor_speedup`` / ``wall_coarse_apply_speedup`` compare
+    the hierarchical coarse-problem factorization and projector application
+    against the dense reference whenever a scenario sweeps both coarse modes
+    at one grid point.
     """
     derived: dict[str, float] = {}
-    by_apply: dict[tuple[Any, ...], dict[bool, float]] = {}
-    by_preproc: dict[tuple[Any, ...], dict[bool, float]] = {}
     by_execution: dict[tuple[Any, ...], dict[Any, float]] = {}
     by_coarse: dict[tuple[Any, ...], dict[str, tuple[float, float]]] = {}
     for r in sweep.records:
-        coarse = r["coarse"]
-        precision = r["precision"]
-        if precision != "fp64":
-            # Reduced-precision points never pair with the fp64 reference
-            # paths: their own comparisons live in the precision_phase
-            # scenario's dedicated record sections.
+        if r["precision"] != "fp64":
+            # Reduced-precision points never pair with the fp64 reference:
+            # their own comparisons live in the precision_phase scenario's
+            # dedicated record sections.
             continue
-        coarse_variant = (
-            r["subdomains"], r["cells"], r["approach"], r["batched"],
-            r["blocked"], r["execution"],
+        execution = r["execution"]
+        if execution is not None and not execution.parallel:
+            execution = None
+        stem = (
+            "x".join(str(s) for s in r["subdomains"])
+            + f"/c{r['cells']}/{r['approach'].value}"
         )
-        by_coarse.setdefault(coarse_variant, {})[coarse] = (
+        by_coarse.setdefault((stem, execution), {})[r["coarse"]] = (
             r["wall_coarse_factor_seconds"],
             r["wall_coarse_apply_seconds"],
         )
-        if r["execution"] is not None and r["execution"].parallel:
-            # Parallel points only feed the executor-scaling metric below;
-            # mixing them into the batched/blocked pairings would pair a
-            # sharded run against a serial reference of the other toggle.
-            variant = (r["subdomains"], r["cells"], r["approach"], r["batched"], r["blocked"], coarse)
-            by_execution.setdefault(variant, {})[r["execution"]] = r[
-                "wall_preprocessing_seconds"
-            ]
-            continue
-        apply_variant = (r["subdomains"], r["cells"], r["approach"], r["blocked"], coarse)
-        by_apply.setdefault(apply_variant, {})[r["batched"]] = r["wall_apply_seconds"]
-        preproc_variant = (r["subdomains"], r["cells"], r["approach"], r["batched"], coarse)
-        by_preproc.setdefault(preproc_variant, {})[r["blocked"]] = r[
+        by_execution.setdefault((stem, r["coarse"]), {})[execution] = r[
             "wall_preprocessing_seconds"
         ]
-        exec_variant = (r["subdomains"], r["cells"], r["approach"], r["batched"], r["blocked"], coarse)
-        by_execution.setdefault(exec_variant, {})[None] = r["wall_preprocessing_seconds"]
-    for (subdomains, cells, approach, batched, blocked, execution), walls in by_coarse.items():
+    for (stem, execution), walls in by_coarse.items():
         dense = walls.get("dense")
         hier = walls.get("hierarchical")
         if dense is None or hier is None:
             continue
-        grid = "x".join(str(s) for s in subdomains)
-        backend = (
-            f"/{execution.describe()}"
-            if execution is not None and execution.parallel
-            else ""
-        )
-        stem = f"{grid}/c{cells}/{approach.value}{backend}"
+        if execution is not None:
+            stem = f"{stem}/{execution.describe()}"
         if hier[0] > 0.0:
             derived[f"wall_coarse_factor_speedup[{stem}]"] = dense[0] / hier[0]
         if hier[1] > 0.0:
             derived[f"wall_coarse_apply_speedup[{stem}]"] = dense[1] / hier[1]
-    for (subdomains, cells, approach, batched, blocked, coarse), walls in by_execution.items():
+    for (stem, coarse), walls in by_execution.items():
         serial_wall = walls.get(None)
         if serial_wall is None:
             continue
@@ -559,26 +529,8 @@ def _derived_metrics(sweep: SweepResult) -> dict[str, float]:
         for execution, wall in walls.items():
             if execution is None or wall <= 0.0:
                 continue
-            grid = "x".join(str(s) for s in subdomains)
-            key = (
-                "wall_preprocessing_speedup"
-                f"[{grid}/c{cells}/{approach.value}/{execution.describe()}{coarse_suffix}]"
-            )
+            key = f"wall_preprocessing_speedup[{stem}/{execution.describe()}{coarse_suffix}]"
             derived[key] = serial_wall / wall
-    for (subdomains, cells, approach, blocked, coarse), walls in by_apply.items():
-        if True in walls and False in walls and walls[True] > 0.0:
-            grid = "x".join(str(s) for s in subdomains)
-            suffix = "" if blocked else "/scalar"
-            suffix += "" if coarse == "dense" else f"/{coarse}"
-            key = f"wall_apply_speedup[{grid}/c{cells}/{approach.value}{suffix}]"
-            derived[key] = walls[False] / walls[True]
-    for (subdomains, cells, approach, batched, coarse), walls in by_preproc.items():
-        if True in walls and False in walls and walls[True] > 0.0:
-            grid = "x".join(str(s) for s in subdomains)
-            suffix = "" if batched else "/looped"
-            suffix += "" if coarse == "dense" else f"/{coarse}"
-            key = f"wall_preprocessing_speedup[{grid}/c{cells}/{approach.value}{suffix}]"
-            derived[key] = walls[False] / walls[True]
     return derived
 
 

@@ -57,8 +57,6 @@ def make_dual_operator(
     problem: FetiProblem,
     machine_config: MachineConfig | None = None,
     assembly_config: AssemblyConfig | None = None,
-    batched: bool = True,
-    blocked: bool = True,
     pattern_cache=None,
     executor=None,
     precision: str = "fp64",
@@ -78,19 +76,10 @@ def make_dual_operator(
         Explicit-assembly parameters (Table I); ignored by implicit and
         CPU-only approaches except for the scatter/gather setting used by
         the GPU application phase.
-    batched:
-        Run the apply phase through the batched subdomain execution engine
-        (:mod:`repro.feti.operators.batch`) instead of the per-subdomain
-        Python loop.  Numerically identical; the loop is the reference
-        fallback.
-    blocked:
-        Run the sparse layer through the supernodal/blocked kernels and the
-        shared pattern cache (:mod:`repro.sparse`).  Numerically identical;
-        the scalar per-column kernels are the reference fallback.
     pattern_cache:
         Caller-owned :class:`~repro.sparse.cache.PatternCache` for the
         symbolic analysis (a :class:`repro.api.Session` passes its own);
-        ``None`` keeps the sparse layer's default cache selection.
+        ``None`` keeps the sparse layer's process-global cache.
     executor:
         Runtime :class:`~repro.runtime.executor.Executor` the preprocessing
         shards run on (a :class:`repro.api.Session` passes the one it
@@ -109,8 +98,6 @@ def make_dual_operator(
     machine = Machine.for_decomposition(problem.decomposition, config)
     assembly = assembly_config or AssemblyConfig()
     kwargs = {
-        "batched": batched,
-        "blocked": blocked,
         "pattern_cache": pattern_cache,
         "executor": executor,
         "precision": precision,

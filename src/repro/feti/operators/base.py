@@ -42,8 +42,6 @@ class DualOperatorBase(abc.ABC):
         problem: FetiProblem,
         machine: Machine,
         config: AssemblyConfig | None = None,
-        batched: bool = True,
-        blocked: bool = True,
         pattern_cache: PatternCache | None = None,
         executor=None,
         precision: "str | PrecisionPolicy" = "fp64",
@@ -56,22 +54,10 @@ class DualOperatorBase(abc.ABC):
         #: resident factors and packed ``F̃ᵢ`` blocks are stored as, and
         #: whether solves are iteratively refined back to fp64 residuals.
         self.precision = resolve_precision(precision)
-        #: Run the apply phase through the batched subdomain execution
-        #: engine (vectorized scatter/gather and batched kernels) instead of
-        #: the per-subdomain Python loop.  Both paths are numerically
-        #: identical; the loop is kept as a reference/fallback.
-        self.batched = batched
-        #: Run the sparse layer through the supernodal/blocked kernels and
-        #: the shared pattern cache (the default); ``False`` selects the
-        #: scalar per-column reference kernels without pattern sharing.
-        #: Both paths are numerically identical.
-        self.blocked = blocked
         #: Caller-owned pattern cache for the sparse symbolic analysis (a
         #: :class:`repro.api.Session` passes its own); ``None`` keeps the
-        #: sparse layer's default (the process-global cache when blocked).
-        #: The scalar reference path never uses a cache so it stays a
-        #: faithful per-subdomain baseline.
-        self.pattern_cache = pattern_cache if blocked else None
+        #: sparse layer's default (the process-global cache).
+        self.pattern_cache = pattern_cache
         #: Runtime executor the preprocessing shards run on (a
         #: :class:`repro.runtime.executor.Executor`); ``None`` resolves to
         #: the process-wide default (``REPRO_EXECUTOR``, serial when unset)
@@ -86,8 +72,8 @@ class DualOperatorBase(abc.ABC):
         self._prepared = False
         self._preprocessed = False
         self._batch_engine: "SubdomainBatchEngine | None" = None
-        #: The batched applies' simulated timelines of this preprocessing
-        #: round, keyed by stacked column count (see :meth:`_planned`).
+        #: The applies' simulated timelines of this preprocessing round, keyed
+        #: by stacked column count (see :meth:`_planned`).
         self._apply_plans: dict[int, tuple[float, dict[str, float]]] = {}
         self._plan_lock = threading.Lock()
         self._cluster_subdomains: dict[int, list[SubdomainProblem]] = {}
@@ -162,7 +148,6 @@ class DualOperatorBase(abc.ABC):
             need_schur=need_schur,
             exploit_rhs_sparsity=exploit_rhs_sparsity,
             need_rhs_fill=need_rhs_fill,
-            blocked=self.blocked,
         )
         self._preprocess_round = round_
         return round_
@@ -308,14 +293,12 @@ class DualOperatorBase(abc.ABC):
     def _apply_impl(self, lam: np.ndarray) -> tuple[np.ndarray, float, dict[str, float]]:
         """Return (result, simulated seconds, breakdown) of one application.
 
-        Batched: numerics plus the round's planned timeline — simulated time
-        is a pure function of the preprocessed state, so the stream/clock
-        replay runs once per :meth:`preprocess`, not per PCPG iteration (the
-        breakdown mapping is shared: read-only).  The ``batched=False`` loop
-        replays on every apply and is the oracle the plan is tested against.
+        Numerics plus the round's planned timeline — simulated time is a pure
+        function of the preprocessed state, so the stream/clock replay runs
+        once per :meth:`preprocess`, not per PCPG iteration (the breakdown
+        mapping is shared: read-only).  The per-subdomain loops that replay
+        on every apply are the oracle (``tests/oracles/apply.py``).
         """
-        if not self.batched:
-            return self._apply_looped(lam)
         sim, breakdown = self._planned(1, self._plan_apply)
         return self._apply_numerics(lam), sim, breakdown
 
@@ -342,11 +325,7 @@ class DualOperatorBase(abc.ABC):
 
     @abc.abstractmethod
     def _plan_apply(self) -> tuple[float, dict[str, float]]:
-        """Replay one batched apply's timeline; return (simulated seconds, breakdown)."""
-
-    @abc.abstractmethod
-    def _apply_looped(self, lam: np.ndarray) -> tuple[np.ndarray, float, dict[str, float]]:
-        """Reference per-subdomain loop: (result, simulated seconds, breakdown)."""
+        """Replay one apply's timeline; return (simulated seconds, breakdown)."""
 
     # ------------------------------------------------------------------ #
     # Timing accessors used by the benchmarks                             #
@@ -411,15 +390,10 @@ class DualOperatorBase(abc.ABC):
         subdomains = self.problem.subdomains
         if not subdomains:
             return d
-        if self.batched:
-            contributions = np.concatenate(
-                [sub.B @ self.kplus_solve(sub.index, sub.f) for sub in subdomains]
-            )
-            self.batch_engine.global_map.scatter_add(d, contributions)
-        else:
-            for sub in subdomains:
-                z = self.kplus_solve(sub.index, sub.f)
-                np.add.at(d, sub.lambda_ids, sub.B @ z)
+        contributions = np.concatenate(
+            [sub.B @ self.kplus_solve(sub.index, sub.f) for sub in subdomains]
+        )
+        self.batch_engine.global_map.scatter_add(d, contributions)
         return d
 
     def primal_solution(self, lam: np.ndarray, alpha: np.ndarray) -> list[np.ndarray]:

@@ -1,11 +1,11 @@
 """Batched subdomain execution engine.
 
-Every dual-operator backend used to walk its subdomains in a Python loop:
-scatter the global dual vector, apply one small kernel, gather the result,
-advance one simulated thread clock — interpreter overhead linear in the
-number of subdomains.  This module packs the per-subdomain work into
-contiguous arrays so the hot PCPG apply path runs as a handful of vectorized
-NumPy operations regardless of the subdomain count:
+Walking the subdomains in a Python loop — scatter the global dual vector,
+apply one small kernel, gather the result, advance one simulated thread
+clock — costs interpreter overhead linear in the number of subdomains (those
+loops are the test oracle, ``tests/oracles/apply.py``).  This module packs
+the per-subdomain work into contiguous arrays so the hot PCPG apply path runs
+as a handful of vectorized NumPy operations regardless of the subdomain count:
 
 * :class:`FlatIndexMap` — the scatter/gather index maps of a group of
   subdomains flattened into fancy-index arrays (built from
@@ -17,11 +17,9 @@ NumPy operations regardless of the subdomain count:
   (``np.matmul`` over the leading axis);
 * :class:`SubdomainBatchEngine` — per-cluster grouping of the above.
 
-The engine is numerics only: the simulated time of a batched apply is the
+The engine is numerics only: the simulated time of an apply is the
 backend's timeline plan, replayed once per preprocessing round (see
-:meth:`~repro.feti.operators.base.DualOperatorBase._apply_impl`).  The
-numerical results and the simulated-time semantics are identical to the
-looped implementations, which every backend retains (``batched=False``).
+:meth:`~repro.feti.operators.base.DualOperatorBase._apply_impl`).
 """
 
 from __future__ import annotations

@@ -32,8 +32,6 @@ class ExplicitCpuDualOperator(DualOperatorBase):
         problem: FetiProblem,
         machine: Machine,
         library: CpuLibrary = CpuLibrary.MKL_PARDISO,
-        batched: bool = True,
-        blocked: bool = True,
         pattern_cache=None,
         executor=None,
         precision="fp64",
@@ -41,8 +39,6 @@ class ExplicitCpuDualOperator(DualOperatorBase):
         super().__init__(
             problem,
             machine,
-            batched=batched,
-            blocked=blocked,
             pattern_cache=pattern_cache,
             executor=executor,
             precision=precision,
@@ -58,7 +54,6 @@ class ExplicitCpuDualOperator(DualOperatorBase):
         )
         self._cpu_solvers = {
             s.index: solver_cls(
-                blocked=blocked,
                 pattern_cache=self.pattern_cache,
                 precision=self.precision,
             )
@@ -114,10 +109,9 @@ class ExplicitCpuDualOperator(DualOperatorBase):
                 )
                 clocks.advance(i, cost)
                 breakdown["schur_complement"] += cost
-                if self.batched:
-                    self.batch_engine.install_dense_block(
-                        cluster.cluster_id, sub.index, self.local_F[sub.index]
-                    )
+                self.batch_engine.install_dense_block(
+                    cluster.cluster_id, sub.index, self.local_F[sub.index]
+                )
             cluster_times.append(clocks.elapsed)
         return self._merge_cluster_times(cluster_times), breakdown
 
@@ -144,14 +138,12 @@ class ExplicitCpuDualOperator(DualOperatorBase):
 
     def _apply_multi_stacked(
         self, lam_block: np.ndarray
-    ) -> tuple[np.ndarray, float, dict[str, float]] | None:
+    ) -> tuple[np.ndarray, float, dict[str, float]]:
         """Stacked multi-RHS apply: one batched GEMM per cluster.
 
         The wall win comes from amortizing the scatter/gather and the kernel
         launch over every column; the timeline is planned per column count.
         """
-        if not self.batched:
-            return None
         q = np.zeros_like(lam_block)
         for cluster, subs in self.iter_clusters():
             if subs:
@@ -170,22 +162,3 @@ class ExplicitCpuDualOperator(DualOperatorBase):
         self.local_F = {
             index: demote_array(F, dtype) for index, F in self.local_F.items()
         }
-
-    def _apply_looped(
-        self, lam: np.ndarray
-    ) -> tuple[np.ndarray, float, dict[str, float]]:
-        """Reference per-subdomain loop (kept for regression comparison)."""
-        q = np.zeros_like(lam)
-        breakdown: dict[str, float] = {"gemv": 0.0}
-        cluster_times = []
-        for cluster, subs in self.iter_clusters():
-            clocks = self.new_thread_clocks(cluster)
-            for i, sub in enumerate(subs):
-                F = self.local_F[sub.index]
-                q_local = F @ sub.local_dual(lam)
-                sub.accumulate_dual(q, q_local)
-                cost = cluster.cpu.gemv(sub.n_lambda, sub.n_lambda)
-                clocks.advance(i, cost)
-                breakdown["gemv"] += cost
-            cluster_times.append(clocks.elapsed)
-        return q, self._merge_cluster_times(cluster_times), breakdown

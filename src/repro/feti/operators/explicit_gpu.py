@@ -98,8 +98,6 @@ class ExplicitGpuDualOperator(DualOperatorBase):
         machine: Machine,
         approach: DualOperatorApproach = DualOperatorApproach.EXPLICIT_GPU_MODERN,
         config: AssemblyConfig | None = None,
-        batched: bool = True,
-        blocked: bool = True,
         pattern_cache=None,
         executor=None,
         precision="fp64",
@@ -108,8 +106,6 @@ class ExplicitGpuDualOperator(DualOperatorBase):
             problem,
             machine,
             config,
-            batched=batched,
-            blocked=blocked,
             pattern_cache=pattern_cache,
             executor=executor,
             precision=precision,
@@ -122,7 +118,6 @@ class ExplicitGpuDualOperator(DualOperatorBase):
         self.approach = approach
         self._cpu_solvers = {
             s.index: CholmodLikeSolver(
-                blocked=blocked,
                 pattern_cache=self.pattern_cache,
                 precision=self.precision,
             )
@@ -269,9 +264,8 @@ class ExplicitGpuDualOperator(DualOperatorBase):
         """Build the cluster-wide apply structures (shared with the hybrid).
 
         Allocates the cluster dual vectors of the GPU scatter/gather path,
-        computes every subdomain's positions inside them, and — when the
-        batched engine is active — flattens those positions into one
-        fancy-index map.
+        computes every subdomain's positions inside them and flattens those
+        positions into one fancy-index map.
         """
         device = cluster.device
         cluster_lambdas = (
@@ -295,11 +289,10 @@ class ExplicitGpuDualOperator(DualOperatorBase):
             self._state[sub.index].cluster_positions = np.searchsorted(
                 cluster_lambdas, sub.lambda_ids
             )
-        if self.batched:
-            batch = self.batch_engine.cluster(cluster.cluster_id)
-            batch.aux_map = FlatIndexMap(
-                [self._state[s.index].cluster_positions for s in subs]
-            )
+        batch = self.batch_engine.cluster(cluster.cluster_id)
+        batch.aux_map = FlatIndexMap(
+            [self._state[s.index].cluster_positions for s in subs]
+        )
 
     # ------------------------------------------------------------------ #
     # Preprocessing (the accelerated explicit assembly)                   #
@@ -417,10 +410,9 @@ class ExplicitGpuDualOperator(DualOperatorBase):
                 if dense_factor is not None:
                     dense_factor.release()
 
-                if self.batched:
-                    self.batch_engine.install_dense_block(
-                        cluster.cluster_id, sub.index, state.device_F.array
-                    )
+                self.batch_engine.install_dense_block(
+                    cluster.cluster_id, sub.index, state.device_F.array
+                )
             end = device.synchronize(clocks.max_time)
             cluster_times.append(end)
         return self._merge_cluster_times(cluster_times), breakdown
@@ -449,17 +441,12 @@ class ExplicitGpuDualOperator(DualOperatorBase):
         assert plan is not None and state.device_factor is not None
         return cusparse.trsm(
             device, stream, plan, state.device_factor, rhs, submit_time,
-            transpose=transpose, arena=arena, blocked=self.blocked,
+            transpose=transpose, arena=arena,
         )
 
     # ------------------------------------------------------------------ #
     # Application                                                         #
     # ------------------------------------------------------------------ #
-    def _apply_looped(self, lam: np.ndarray) -> tuple[np.ndarray, float, dict[str, float]]:
-        if self.config.scatter_gather is ScatterGatherDevice.GPU:
-            return self._apply_gpu_scatter(lam)
-        return self._apply_cpu_scatter(lam)
-
     def _plan_apply(self) -> tuple[float, dict[str, float]]:
         if self.config.scatter_gather is ScatterGatherDevice.GPU:
             return self._plan_gpu_scatter()
@@ -470,86 +457,6 @@ class ExplicitGpuDualOperator(DualOperatorBase):
         if self.config.apply_symmetric:
             return "cublas.symv", cost_model.symv(n_lambda)
         return "cublas.gemv", cost_model.gemv(n_lambda, n_lambda)
-
-    def _apply_mv(self, device, stream, state: _GpuState, submit_time: float):
-        """The GEMV or SYMV kernel of one subdomain."""
-        assert state.device_F is not None
-        assert state.p_vec is not None and state.q_vec is not None
-        if self.config.apply_symmetric:
-            return cublas.symv(
-                device, stream, state.device_F, state.p_vec, state.q_vec, submit_time
-            )
-        return cublas.gemv(
-            device, stream, state.device_F, state.p_vec, state.q_vec, submit_time
-        )
-
-    def _apply_gpu_scatter(
-        self, lam: np.ndarray
-    ) -> tuple[np.ndarray, float, dict[str, float]]:
-        q = np.zeros_like(lam)
-        breakdown = {"transfer": 0.0, "scatter_gather": 0.0, "mv": 0.0}
-        cluster_times = []
-        for cluster, subs in self.iter_clusters():
-            if not subs:
-                cluster_times.append(0.0)
-                continue
-            device = cluster.device
-            device.reset_timeline()
-            clocks = self.new_thread_clocks(cluster)
-            cstate = self._cluster_state[cluster.cluster_id]
-            assert cstate.dual_in is not None and cstate.dual_out is not None
-            main_stream = cluster.stream_for(0)
-
-            # One H2D copy of the cluster-wide dual vector + one scatter kernel.
-            cstate.dual_in.array[...] = lam[cstate.lambda_ids]
-            cstate.dual_out.array[...] = 0.0
-            t0 = clocks.now(0)
-            op = main_stream.submit(
-                "h2d:cluster-dual",
-                device.cost_model.transfer(8 * cstate.lambda_ids.size),
-                t0,
-            )
-            breakdown["transfer"] += op.duration
-            total_local = sum(s.n_lambda for s in subs)
-            scatter_op = main_stream.submit(
-                "gpu.scatter", device.cost_model.scatter_gather(total_local), op.end_time
-            )
-            breakdown["scatter_gather"] += scatter_op.duration
-            clocks.advance(0, 2 * device.cost_model.submission_overhead_cpu)
-
-            # GEMV/SYMV kernels on per-subdomain streams, after the scatter.
-            for i, sub in enumerate(subs):
-                state = self._state[sub.index]
-                assert state.p_vec is not None and state.q_vec is not None
-                state.p_vec.array[...] = cstate.dual_in.array[state.cluster_positions]
-                stream = cluster.stream_for(i)
-                stream.wait_for(scatter_op.end_time)
-                op = self._apply_mv(device, stream, state, clocks.now(i))
-                clocks.advance(i, device.cost_model.submission_overhead_cpu)
-                breakdown["mv"] += op.duration
-                np.add.at(
-                    cstate.dual_out.array, state.cluster_positions, state.q_vec.array
-                )
-
-            # One gather kernel + one D2H copy after all GEMVs finish.
-            ready = max(s.tail for s in cluster.streams)
-            main_stream.wait_for(ready)
-            gather_op = main_stream.submit(
-                "gpu.gather",
-                device.cost_model.scatter_gather(total_local),
-                clocks.max_time,
-            )
-            breakdown["scatter_gather"] += gather_op.duration
-            op = main_stream.submit(
-                "d2h:cluster-dual",
-                device.cost_model.transfer(8 * cstate.lambda_ids.size),
-                gather_op.end_time,
-            )
-            breakdown["transfer"] += op.duration
-            np.add.at(q, cstate.lambda_ids, cstate.dual_out.array)
-            end = device.synchronize(clocks.max_time)
-            cluster_times.append(end)
-        return q, self._merge_cluster_times(cluster_times), breakdown
 
     def _apply_numerics(self, lam: np.ndarray) -> np.ndarray:
         """All per-subdomain GEMVs as one batched MV over the packed ``F̃ᵢ``.
@@ -578,11 +485,7 @@ class ExplicitGpuDualOperator(DualOperatorBase):
         return q
 
     def _plan_gpu_scatter(self) -> tuple[float, dict[str, float]]:
-        """Timeline of the GPU scatter/gather apply.
-
-        The stream submissions of :meth:`_apply_gpu_scatter` — same labels,
-        durations and order — with no numerics.
-        """
+        """Timeline of the GPU scatter/gather apply (stream submissions only)."""
         breakdown = {"transfer": 0.0, "scatter_gather": 0.0, "mv": 0.0}
         cluster_times = []
         for cluster, subs in self.iter_clusters():
@@ -625,11 +528,7 @@ class ExplicitGpuDualOperator(DualOperatorBase):
         return self._merge_cluster_times(cluster_times), breakdown
 
     def _plan_cpu_scatter(self) -> tuple[float, dict[str, float]]:
-        """Timeline of the CPU scatter/gather apply.
-
-        The per-subdomain H2D / kernel / D2H stream submissions of
-        :meth:`_apply_cpu_scatter`, with no numerics.
-        """
+        """Timeline of the CPU scatter/gather apply: H2D / kernel / D2H per subdomain."""
         breakdown = {"transfer": 0.0, "mv": 0.0}
         cluster_times = []
         for cluster, subs in self.iter_clusters():
@@ -654,39 +553,3 @@ class ExplicitGpuDualOperator(DualOperatorBase):
                     clocks.advance(i, overhead)
             cluster_times.append(device.synchronize(clocks.max_time))
         return self._merge_cluster_times(cluster_times), breakdown
-
-    def _apply_cpu_scatter(
-        self, lam: np.ndarray
-    ) -> tuple[np.ndarray, float, dict[str, float]]:
-        q = np.zeros_like(lam)
-        breakdown = {"transfer": 0.0, "mv": 0.0}
-        cluster_times = []
-        for cluster, subs in self.iter_clusters():
-            if not subs:
-                cluster_times.append(0.0)
-                continue
-            device = cluster.device
-            device.reset_timeline()
-            clocks = self.new_thread_clocks(cluster)
-            for i, sub in enumerate(subs):
-                stream = cluster.stream_for(i)
-                state = self._state[sub.index]
-                assert state.p_vec is not None and state.q_vec is not None
-                state.p_vec.array[...] = sub.local_dual(lam)
-                op = stream.submit(
-                    "h2d:p", device.cost_model.transfer(8 * sub.n_lambda), clocks.now(i)
-                )
-                breakdown["transfer"] += op.duration
-                clocks.advance(i, device.cost_model.submission_overhead_cpu)
-                op = self._apply_mv(device, stream, state, clocks.now(i))
-                breakdown["mv"] += op.duration
-                clocks.advance(i, device.cost_model.submission_overhead_cpu)
-                q_local, op = device.download_vector(
-                    state.q_vec, stream, clocks.now(i), label="q"
-                )
-                breakdown["transfer"] += op.duration
-                clocks.advance(i, device.cost_model.submission_overhead_cpu)
-                sub.accumulate_dual(q, q_local)
-            end = device.synchronize(clocks.max_time)
-            cluster_times.append(end)
-        return q, self._merge_cluster_times(cluster_times), breakdown

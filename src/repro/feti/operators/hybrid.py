@@ -34,8 +34,6 @@ class HybridDualOperator(ExplicitGpuDualOperator):
         problem: FetiProblem,
         machine: Machine,
         config: AssemblyConfig | None = None,
-        batched: bool = True,
-        blocked: bool = True,
         pattern_cache=None,
         executor=None,
         precision="fp64",
@@ -47,8 +45,6 @@ class HybridDualOperator(ExplicitGpuDualOperator):
             problem,
             machine,
             config,
-            batched=batched,
-            blocked=blocked,
             pattern_cache=pattern_cache,
             executor=executor,
             precision=precision,
@@ -56,7 +52,6 @@ class HybridDualOperator(ExplicitGpuDualOperator):
         self.approach = DualOperatorApproach.EXPLICIT_HYBRID
         self._cpu_solvers = {
             s.index: PardisoLikeSolver(
-                blocked=blocked,
                 pattern_cache=self.pattern_cache,
                 precision=self.precision,
             )
@@ -129,10 +124,7 @@ class HybridDualOperator(ExplicitGpuDualOperator):
                 )
                 clocks.advance(i, device.cost_model.submission_overhead_cpu)
                 breakdown["upload_F"] += op.duration
-                if self.batched:
-                    self.batch_engine.install_dense_block(
-                        cluster.cluster_id, sub.index, F
-                    )
+                self.batch_engine.install_dense_block(cluster.cluster_id, sub.index, F)
             end = device.synchronize(clocks.max_time)
             cluster_times.append(end)
         return self._merge_cluster_times(cluster_times), breakdown

@@ -31,8 +31,6 @@ class ImplicitCpuDualOperator(DualOperatorBase):
         problem: FetiProblem,
         machine: Machine,
         library: CpuLibrary = CpuLibrary.MKL_PARDISO,
-        batched: bool = True,
-        blocked: bool = True,
         pattern_cache=None,
         executor=None,
         precision="fp64",
@@ -40,8 +38,6 @@ class ImplicitCpuDualOperator(DualOperatorBase):
         super().__init__(
             problem,
             machine,
-            batched=batched,
-            blocked=blocked,
             pattern_cache=pattern_cache,
             executor=executor,
             precision=precision,
@@ -57,7 +53,6 @@ class ImplicitCpuDualOperator(DualOperatorBase):
         )
         self._cpu_solvers = {
             s.index: solver_cls(
-                blocked=blocked,
                 pattern_cache=self.pattern_cache,
                 precision=self.precision,
             )
@@ -173,27 +168,3 @@ class ImplicitCpuDualOperator(DualOperatorBase):
                 breakdown["trsv"] += float(trsv_costs.sum())
             cluster_times.append(clocks.elapsed)
         return self._merge_cluster_times(cluster_times), breakdown
-
-    def _apply_looped(
-        self, lam: np.ndarray
-    ) -> tuple[np.ndarray, float, dict[str, float]]:
-        """Reference per-subdomain loop (kept for regression comparison)."""
-        q = np.zeros_like(lam)
-        breakdown: dict[str, float] = {"spmv": 0.0, "trsv": 0.0}
-        cluster_times = []
-        for cluster, subs in self.iter_clusters():
-            clocks = self.new_thread_clocks(cluster)
-            for i, sub in enumerate(subs):
-                solver = self._cpu_solvers[sub.index]
-                p_local = sub.local_dual(lam)
-                x = sub.Bt @ p_local
-                z = solver.solve(x)
-                q_local = sub.B @ z
-                sub.accumulate_dual(q, q_local)
-                spmv_cost = 2.0 * cluster.cpu.spmv(int(sub.B.nnz))
-                trsv_cost = 2.0 * cluster.cpu.sparse_trsv(solver.factor_nnz)
-                clocks.advance(i, spmv_cost + trsv_cost)
-                breakdown["spmv"] += spmv_cost
-                breakdown["trsv"] += trsv_cost
-            cluster_times.append(clocks.elapsed)
-        return q, self._merge_cluster_times(cluster_times), breakdown

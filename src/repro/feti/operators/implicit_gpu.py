@@ -47,8 +47,6 @@ class ImplicitGpuDualOperator(DualOperatorBase):
         problem: FetiProblem,
         machine: Machine,
         approach: DualOperatorApproach = DualOperatorApproach.IMPLICIT_GPU_MODERN,
-        batched: bool = True,
-        blocked: bool = True,
         pattern_cache=None,
         executor=None,
         precision="fp64",
@@ -56,8 +54,6 @@ class ImplicitGpuDualOperator(DualOperatorBase):
         super().__init__(
             problem,
             machine,
-            batched=batched,
-            blocked=blocked,
             pattern_cache=pattern_cache,
             executor=executor,
             precision=precision,
@@ -70,7 +66,6 @@ class ImplicitGpuDualOperator(DualOperatorBase):
         self.approach = approach
         self._cpu_solvers = {
             s.index: CholmodLikeSolver(
-                blocked=blocked,
                 pattern_cache=self.pattern_cache,
                 precision=self.precision,
             )
@@ -219,9 +214,7 @@ class ImplicitGpuDualOperator(DualOperatorBase):
                 local = batch.dual_map.slice_of(i)
                 # Prepared once per factor upload; repeated TRSVs inside the
                 # PCPG iteration stop paying the CSC conversion cost.
-                lower = cusparse.prepared_lower_factor(
-                    state.device_factor, blocked=self.blocked
-                )
+                lower = cusparse.prepared_lower_factor(state.device_factor)
                 B = state.device_B.matrix
                 z = lower.solve_upper(lower.solve_lower(B.T @ p_concat[local]))
                 q_concat[local] = B @ z
@@ -229,10 +222,7 @@ class ImplicitGpuDualOperator(DualOperatorBase):
         return q
 
     def _plan_apply(self) -> tuple[float, dict[str, float]]:
-        """The stream submissions of :meth:`_apply_looped`, with no numerics.
-
-        H2D, SpMV, two TRSVs, SpMV and D2H per subdomain on its stream.
-        """
+        """H2D, SpMV, two TRSVs, SpMV and D2H per subdomain on its stream."""
         breakdown = {"transfer": 0.0, "spmv": 0.0, "trsv": 0.0}
         cluster_times = []
         for cluster, subs in self.iter_clusters():
@@ -263,66 +253,3 @@ class ImplicitGpuDualOperator(DualOperatorBase):
                     clocks.advance(i, overhead)
             cluster_times.append(device.synchronize(clocks.max_time))
         return self._merge_cluster_times(cluster_times), breakdown
-
-    def _apply_looped(self, lam: np.ndarray) -> tuple[np.ndarray, float, dict[str, float]]:
-        """Reference per-subdomain loop: numerics and replay on every apply."""
-        q = np.zeros_like(lam)
-        breakdown = {"transfer": 0.0, "spmv": 0.0, "trsv": 0.0}
-        cluster_times = []
-        for cluster, subs in self.iter_clusters():
-            device = cluster.device
-            device.reset_timeline()
-            clocks = self.new_thread_clocks(cluster)
-            cost = device.cost_model
-            overhead = cost.submission_overhead_cpu
-            for i, sub in enumerate(subs):
-                stream = cluster.stream_for(i)
-                state = self._state[sub.index]
-                assert state.device_B is not None and state.device_factor is not None
-                assert state.p_vec is not None and state.q_vec is not None
-                assert state.work_vec is not None and state.plan is not None
-
-                state.p_vec.array[...] = sub.local_dual(lam)
-                op = stream.submit("h2d:p", cost.transfer(8 * sub.n_lambda), clocks.now(i))
-                breakdown["transfer"] += op.duration
-                clocks.advance(i, overhead)
-
-                op = cusparse.spmv(
-                    device, stream, state.device_B, state.p_vec, state.work_vec,
-                    clocks.now(i), transpose=True,
-                )
-                breakdown["spmv"] += op.duration
-                clocks.advance(i, overhead)
-
-                rhs = state.work_vec.array
-                lower = cusparse.prepared_lower_factor(
-                    state.device_factor, blocked=self.blocked
-                )
-                trsv = cost.sparse_trsm(
-                    state.device_factor.nnz, sub.ndofs, 1, device.cuda_version
-                )
-                rhs[...] = lower.solve_lower(rhs)
-                op = stream.submit("cusparse.trsv_fwd", trsv, clocks.now(i))
-                breakdown["trsv"] += op.duration
-                clocks.advance(i, overhead)
-
-                rhs[...] = lower.solve_upper(rhs)
-                op = stream.submit("cusparse.trsv_bwd", trsv, clocks.now(i))
-                breakdown["trsv"] += op.duration
-                clocks.advance(i, overhead)
-
-                op = cusparse.spmv(
-                    device, stream, state.device_B, state.work_vec, state.q_vec,
-                    clocks.now(i), transpose=False,
-                )
-                breakdown["spmv"] += op.duration
-                clocks.advance(i, overhead)
-
-                q_local, op = device.download_vector(
-                    state.q_vec, stream, clocks.now(i), label="q"
-                )
-                breakdown["transfer"] += op.duration
-                clocks.advance(i, overhead)
-                sub.accumulate_dual(q, q_local)
-            cluster_times.append(device.synchronize(clocks.max_time))
-        return q, self._merge_cluster_times(cluster_times), breakdown

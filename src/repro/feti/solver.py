@@ -126,8 +126,6 @@ class FetiSolver:
             problem,
             machine_config=spec.machine_config(),
             assembly_config=spec.resolve_assembly(problem),
-            batched=spec.batched,
-            blocked=spec.blocked,
             pattern_cache=pattern_cache,
             executor=executor,
             precision=spec.precision,

@@ -39,22 +39,16 @@ __all__ = [
 ]
 
 
-def prepared_lower_factor(
-    matrix: DeviceCsrMatrix, blocked: bool = True
-) -> PreparedCscFactor:
+def prepared_lower_factor(matrix: DeviceCsrMatrix) -> PreparedCscFactor:
     """The device matrix's lower triangle, prepared for triangular solves.
 
-    The conversion to sorted CSC (and, with ``blocked``, the supernode-panel
-    detection) runs once per value upload instead of on every TRSV/TRSM
-    call; the cache is keyed by the ``blocked`` variant and invalidated
-    whenever the factor values are re-uploaded.
+    The conversion to sorted CSC and the supernode-panel detection run once
+    per value upload instead of on every TRSV/TRSM call; the cache is
+    invalidated whenever the factor values are re-uploaded.
     """
-    cached = matrix._prepared_tri
-    if isinstance(cached, tuple) and cached[0] == blocked:
-        return cached[1]
-    prepared = prepare_csc_factor(sp.tril(matrix.matrix), blocked=blocked)
-    matrix._prepared_tri = (blocked, prepared)
-    return prepared
+    if matrix._prepared_tri is None:
+        matrix._prepared_tri = prepare_csc_factor(sp.tril(matrix.matrix))
+    return matrix._prepared_tri
 
 
 @dataclass
@@ -135,20 +129,18 @@ def trsm(
     submit_time: float,
     transpose: bool = False,
     arena: TemporaryArena | None = None,
-    blocked: bool = True,
 ) -> StreamOperation:
     """Sparse triangular solve ``op(L) X = B`` performed in place on ``rhs``.
 
     The factor is interpreted as lower triangular; ``transpose=True`` solves
     with ``Lᵀ``.  A temporary workspace is taken from the arena for the
     duration of the kernel (blocking if necessary), mirroring the paper's
-    temporary-memory allocator usage.  ``blocked`` selects the supernodal
-    panel solve of the prepared factor (the scalar loop otherwise).
+    temporary-memory allocator usage.
     """
     workspace = None
     if arena is not None and plan.temporary_bytes > 0:
         workspace = arena.allocate(plan.temporary_bytes, label="cusparse-trsm-buffer")
-    lower = prepared_lower_factor(factor, blocked=blocked)
+    lower = prepared_lower_factor(factor)
     if transpose:
         rhs.array[...] = lower.solve_upper(rhs.array)
     else:

@@ -113,7 +113,7 @@ def demote_factor(factor, dtype: np.dtype):
 
     Both the CSC-aligned values and the dense-panel storage are converted
     (the panels are built first when the pattern has a supernode partition,
-    so the blocked triangular solves never rebuild them in fp64 later).
+    so the panel triangular solves never rebuild them in fp64 later).
     Returns the factor for chaining.  A no-op for matching dtypes.
     """
     if factor is None or np.dtype(dtype) == np.dtype(np.float64):

@@ -68,7 +68,7 @@ def batched_factor_panels(
     symbolic:
         The shared symbolic factorization; must carry a supernode partition
         and the cached one-pass permutation map (both are present whenever
-        the blocked path analysed the pattern).
+        :func:`~repro.sparse.symbolic.symbolic_cholesky` analysed the pattern).
 
     Returns
     -------
@@ -82,7 +82,7 @@ def batched_factor_panels(
     if part is None or symbolic.a_lower_map is None or part.ainit_pos is None:
         raise ValueError(
             "batched factorization needs a supernodal symbolic analysis with "
-            "the cached permutation map (blocked=True pattern-cache path)"
+            "the cached permutation map"
         )
     k = data_csc.shape[0]
     flat = np.zeros((k, part.panel_entries))
@@ -125,7 +125,7 @@ def factor_from_panels(
     """Wrap one panel slice (or arena view) as a numeric factor.
 
     ``values`` is gathered from the panels (one vectorized take); the panel
-    storage itself is adopted zero-copy, so the blocked triangular solves of
+    storage itself is adopted zero-copy, so the panel triangular solves of
     the apply phase read straight from the (possibly shared-memory) slice.
     """
     part = symbolic.supernodes

@@ -125,7 +125,6 @@ def _shard_groups(
     shard: Shard,
     subdomains: Mapping[int, "SubdomainProblem"],
     solvers: Mapping[int, "SparseSolverBase"],
-    blocked: bool,
 ) -> list[_Group]:
     """Group a shard's subdomains by stiffness pattern (order-preserving)."""
     groups: dict[Any, _Group] = {}
@@ -138,8 +137,7 @@ def _shard_groups(
         if group is None:
             symbolic = solver.symbolic  # analyzed during prepare()
             batched = (
-                blocked
-                and symbolic.supernodes is not None
+                symbolic.supernodes is not None
                 and symbolic.a_lower_map is not None
                 and symbolic.supernodes.ainit_pos is not None
             )
@@ -198,7 +196,6 @@ def _compute_group_inproc(
     need_schur: bool,
     exploit_rhs_sparsity: bool,
     need_rhs_fill: bool,
-    blocked: bool,
 ) -> _GroupComputed:
     """Run one group's preprocessing in the current process."""
     out = _GroupComputed()
@@ -217,14 +214,11 @@ def _compute_group_inproc(
             else None
         )
         for i, (sub, solver) in enumerate(zip(group.subs, group.solvers)):
-            factor = numeric_cholesky(sub.K_reg, solver.symbolic, blocked=blocked)
+            factor = numeric_cholesky(sub.K_reg, solver.symbolic)
             out.loop_factors.append(factor)
             if need_schur:
                 F = schur_complement(
-                    factor,
-                    sub.B,
-                    exploit_rhs_sparsity=exploit_rhs_sparsity,
-                    blocked=blocked,
+                    factor, sub.B, exploit_rhs_sparsity=exploit_rhs_sparsity
                 )
                 out.schur[i, : sub.n_lambda, : sub.n_lambda] = F
     if need_rhs_fill:
@@ -234,11 +228,11 @@ def _compute_group_inproc(
 
 def _compute_shard_inproc(args: tuple) -> list[_GroupComputed]:
     """Thread-backend shard task: compute every group, return the arrays."""
-    groups, need_schur, exploit, need_fill, blocked = args
+    groups, need_schur, exploit, need_fill = args
     n_subdomains = sum(len(g.subs) for g in groups)
     with trace_span("factorize", backend="threads", subdomains=n_subdomains):
         return [
-            _compute_group_inproc(g, need_schur, exploit, need_fill, blocked)
+            _compute_group_inproc(g, need_schur, exploit, need_fill)
             for g in groups
         ]
 
@@ -306,7 +300,7 @@ def _sparse_from_slots(buf: memoryview, ref: dict) -> sp.csr_matrix:
     )
 
 
-def _worker_symbolic(group: dict, blocked: bool):
+def _worker_symbolic(group: dict):
     """The group's symbolic analysis inside a pool worker.
 
     Preference order: the analysis seeded by the parent (shipped once per
@@ -328,9 +322,7 @@ def _worker_symbolic(group: dict, blocked: bool):
             ),
             shape=group["k_shape"],
         )
-        symbolic = _WORKER_PATTERN_CACHE.symbolic_for(
-            pattern, group["ordering"], supernodes=blocked
-        )
+        symbolic = _WORKER_PATTERN_CACHE.symbolic_for(pattern, group["ordering"])
     _WORKER_SYMBOLIC[key] = symbolic
     return symbolic
 
@@ -355,7 +347,7 @@ def _run_shard_process_body(payload: dict, shm, buf) -> list[dict]:
     try:
         results: list[dict] = []
         for g in payload["groups"]:
-            symbolic = _worker_symbolic(g, payload["blocked"])
+            symbolic = _worker_symbolic(g)
             meta: dict[str, Any] = {}
             if g["kind"] == "batched":
                 panels = batched_factor_panels(
@@ -373,15 +365,12 @@ def _run_shard_process_body(payload: dict, shm, buf) -> list[dict]:
             else:
                 for item in g["items"]:
                     K = _sparse_from_slots(buf, item["K"])
-                    factor = numeric_cholesky(K, symbolic, blocked=payload["blocked"])
+                    factor = numeric_cholesky(K, symbolic)
                     write_slot(buf, item["values_slot"], factor.values)
                     if item["schur_slot"] is not None:
                         B = _sparse_from_slots(buf, item["B"])
                         F = schur_complement(
-                            factor,
-                            B,
-                            exploit_rhs_sparsity=g["exploit"],
-                            blocked=payload["blocked"],
+                            factor, B, exploit_rhs_sparsity=g["exploit"]
                         )
                         out = np.zeros(item["schur_slot"].shape)
                         out[: F.shape[0], : F.shape[1]] = F
@@ -409,7 +398,6 @@ def _build_process_payload(
     need_schur: bool,
     exploit_rhs_sparsity: bool,
     need_rhs_fill: bool,
-    blocked: bool,
     seeded_keys: set,
 ) -> tuple[dict, list[dict], _Writes]:
     """Build one shard's payload, the parent-side slot map and input writes.
@@ -424,7 +412,7 @@ def _build_process_payload(
         symbolic = group.solvers[0].symbolic
         base = _canonical_csr(group.subs[0].K_reg)
         ordering = group.solvers[0].ordering.value
-        symbolic_key = (ordering, blocked, *group.pattern_key)
+        symbolic_key = (ordering, *group.pattern_key)
         common = {
             "k_indices": np.asarray(base.indices),
             "k_indptr": np.asarray(base.indptr),
@@ -492,7 +480,7 @@ def _build_process_payload(
             slot_maps.append({"kind": "loop", "items": item_slots})
     # The arena name is filled in by the caller once the layout is frozen
     # and the segment exists (create() runs after every shard allocated).
-    payload = {"arena": None, "blocked": blocked, "groups": groups_payload}
+    payload = {"arena": None, "groups": groups_payload}
     return payload, slot_maps, writes
 
 
@@ -543,7 +531,6 @@ def run_preprocessing(
     need_schur: bool = False,
     exploit_rhs_sparsity: bool = True,
     need_rhs_fill: bool = False,
-    blocked: bool = True,
 ) -> PreprocessRound:
     """Factorize every subdomain (and optionally assemble ``F̃ᵢ``) via shards.
 
@@ -577,7 +564,7 @@ def run_preprocessing(
     )
     round_.plan = plan
     shard_groups = [
-        _shard_groups(shard, subdomains, solvers, blocked) for shard in plan.shards
+        _shard_groups(shard, subdomains, solvers) for shard in plan.shards
     ]
 
     if executor.backend == "processes":
@@ -589,7 +576,6 @@ def run_preprocessing(
                 need_schur,
                 exploit_rhs_sparsity,
                 need_rhs_fill,
-                blocked,
                 executor.seeded_keys,
             )
             for groups in shard_groups
@@ -645,7 +631,7 @@ def run_preprocessing(
     futures = [
         executor.submit(
             _compute_shard_inproc,
-            (groups, need_schur, exploit_rhs_sparsity, need_rhs_fill, blocked),
+            (groups, need_schur, exploit_rhs_sparsity, need_rhs_fill),
         )
         for groups in shard_groups
     ]

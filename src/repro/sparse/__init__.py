@@ -9,11 +9,11 @@ production libraries the paper uses (CHOLMOD, MKL PARDISO):
 * a **numeric** phase — filling the factor with values (repeated every time
   step of the multi-step simulation).
 
-The symbolic phase additionally produces a **level schedule** and a relaxed
-**supernode partition** of the factor pattern; the numeric phase and the
-triangular kernels run over the resulting dense panels by default
-(``blocked=True``, GEMM/POTRF-style NumPy calls), with the scalar per-column
-loops kept as selectable reference paths.  A structural **pattern cache**
+The symbolic phase additionally produces a relaxed **supernode partition**
+of the factor pattern; the numeric phase and the triangular kernels always
+run over the resulting dense panels (GEMM/POTRF-style NumPy calls).  The
+scalar per-column factorization and solves they replaced are the test oracle
+(``tests/oracles/sparse.py``).  A structural **pattern cache**
 (:mod:`repro.sparse.cache`) shares one symbolic analysis across all
 subdomains with the same sparsity pattern.
 
@@ -32,7 +32,6 @@ from repro.sparse.symbolic import (
     SymbolicFactor,
     symbolic_cholesky,
     detect_supernodes,
-    elimination_levels,
     elimination_tree,
 )
 from repro.sparse.numeric import CholeskyFactor, numeric_cholesky
@@ -61,7 +60,6 @@ __all__ = [
     "SymbolicFactor",
     "symbolic_cholesky",
     "detect_supernodes",
-    "elimination_levels",
     "elimination_tree",
     "CholeskyFactor",
     "numeric_cholesky",

@@ -3,8 +3,8 @@
 Domain decompositions of regular grids — the workload of every registry
 scenario — produce many subdomains whose regularized stiffness matrices
 share one sparsity pattern.  Everything the sparse layer derives from the
-pattern (fill-reducing ordering, elimination tree, factor pattern, level
-schedule, supernode partition, dense-panel scatter maps, and the one-pass
+pattern (fill-reducing ordering, elimination tree, factor pattern,
+supernode partition, dense-panel scatter maps, and the one-pass
 permutation map for the matrix values) is therefore computed once per
 *structural key* and shared across subdomains, which removes the dominant
 per-subdomain cost of the preparation phase.
@@ -13,8 +13,7 @@ The key is a hash of the canonical CSC pattern (shape, ``indptr``,
 ``indices``) plus the ordering method; values never enter it, so two
 subdomains with equal patterns but different stiffness values hit the same
 entry.  The cache is bounded LRU and thread-safe; the solver facades use the
-process-global instance by default (``blocked=False`` reference solvers skip
-it so the scalar path remains a faithful per-subdomain baseline).
+process-global instance by default.
 """
 
 from __future__ import annotations

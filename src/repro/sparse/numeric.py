@@ -1,23 +1,20 @@
-"""Numeric sparse Cholesky factorization (supernodal and column variants).
+"""Numeric sparse Cholesky factorization (supernodal, left-looking).
 
 Given the pattern produced by :func:`repro.sparse.symbolic.symbolic_cholesky`
 this module computes the values of ``L`` such that ``P A Pᵀ = L Lᵀ``.
 
-The default path (``blocked=True``) is a **supernodal left-looking**
-factorization: every supernode is a dense trapezoidal panel initialized with
-one vectorized scatter of the (one-pass) permuted matrix values, updated by
-one GEMM per contributing descendant supernode, and finished with a dense
-Cholesky of its diagonal block plus one triangular solve for the off-panel
-block.  The Python-level work is proportional to the number of supernodal
-updates, not to ``nnz(L)``, and all arithmetic runs through BLAS-3 calls —
-the structure production libraries (CHOLMOD, PARDISO) use.
+The factorization is **supernodal left-looking**: every supernode is a dense
+trapezoidal panel initialized with one vectorized scatter of the (one-pass)
+permuted matrix values, updated by one GEMM per contributing descendant
+supernode, and finished with a dense Cholesky of its diagonal block plus one
+triangular solve for the off-panel block.  The Python-level work is
+proportional to the number of supernodal updates, not to ``nnz(L)``, and all
+arithmetic runs through BLAS-3 calls — the structure production libraries
+(CHOLMOD, PARDISO) use.
 
-``blocked=False`` keeps the classic left-looking *column* algorithm as the
-scalar reference path: column ``j`` is initialized with the lower triangle of
-``A``'s column ``j`` and receives one vectorized update from every earlier
-column ``k`` with ``L[j, k] != 0``, then is scaled by the square root of its
-diagonal.  Both paths produce the same factor up to floating-point roundoff
-and are tested against each other.
+The classic left-looking *column* algorithm it replaced is the test oracle
+(``tests/oracles/sparse.py``); both produce the same factor up to
+floating-point roundoff.
 """
 
 from __future__ import annotations
@@ -88,9 +85,9 @@ class CholeskyFactor:
     def panel_values(self) -> np.ndarray | None:
         """Values scattered into the flat dense-panel storage (built once).
 
-        Padding positions hold exact zeros, so the blocked triangular solves
-        of :mod:`repro.sparse.triangular` operate on clean panels regardless
-        of which numeric path produced the factor.  Returns ``None`` when
+        Padding positions hold exact zeros, so the panel triangular solves
+        of :mod:`repro.sparse.triangular` operate on clean panels however
+        the factor's values were produced.  Returns ``None`` when
         the symbolic factorization carries no supernode partition.
         """
         part = self.symbolic.supernodes
@@ -140,9 +137,7 @@ def _permuted_lower(
     return csc.data[np.flatnonzero(low)[order]], indptr, lr[order], False
 
 
-def numeric_cholesky(
-    A: sp.spmatrix, symbolic: SymbolicFactor, blocked: bool = True
-) -> CholeskyFactor:
+def numeric_cholesky(A: sp.spmatrix, symbolic: SymbolicFactor) -> CholeskyFactor:
     """Compute the numeric Cholesky factor of ``A`` using a symbolic pattern.
 
     Parameters
@@ -152,19 +147,15 @@ def numeric_cholesky(
         symbolic factorization was computed for.
     symbolic:
         Result of :func:`repro.sparse.symbolic.symbolic_cholesky`.
-    blocked:
-        Use the supernodal panel factorization (the default); ``False``
-        selects the scalar left-looking column reference path.
 
     Raises
     ------
     NotPositiveDefiniteError
         If a pivot is not strictly positive.
     """
-    adata, aptr, arows, cached = _permuted_lower(A, symbolic)
-    if blocked and symbolic.supernodes is not None:
-        return _numeric_supernodal(symbolic, adata, aptr, arows, cached)
-    return _numeric_scalar(symbolic, adata, aptr, arows)
+    if symbolic.supernodes is None:
+        raise ValueError("the symbolic factor carries no supernode partition")
+    return _numeric_supernodal(symbolic, *_permuted_lower(A, symbolic))
 
 
 def _numeric_supernodal(
@@ -176,7 +167,6 @@ def _numeric_supernodal(
 ) -> CholeskyFactor:
     """Supernodal left-looking factorization over dense panels."""
     part = s.supernodes
-    assert part is not None
     flat = np.zeros(part.panel_entries)
 
     if cached and part.ainit_pos is not None:
@@ -227,51 +217,5 @@ def _numeric_supernodal(
     values = flat[part.lpos]
     # The working panels are already the factor's dense-panel form (potrf
     # with clean=1 zeroed the diagonal blocks' upper triangles), so hand
-    # them to the factor and spare every blocked solve the rebuild.
+    # them to the factor and spare every panel solve the rebuild.
     return CholeskyFactor(symbolic=s, values=values, _panel_values=flat)
-
-
-def _numeric_scalar(
-    s: SymbolicFactor, adata: np.ndarray, aptr: np.ndarray, arows: np.ndarray
-) -> CholeskyFactor:
-    """Classic left-looking column factorization (scalar reference path)."""
-    n = s.n
-    col_ptr, row_idx = s.col_ptr, s.row_idx
-    values = np.zeros(row_idx.shape[0])
-
-    # Scatter positions of each column's pattern into a dense index map once
-    # per column; also keep a per-column cursor pointing at the next row of
-    # the column that will be consumed as the "L[j, k]" multiplier.
-    cursor = col_ptr[:-1].copy() + 1  # skip the diagonal entry
-    scratch = np.zeros(n)
-    row_ptr, row_cols = s.row_ptr, s.row_cols
-
-    for j in range(n):
-        pattern = row_idx[col_ptr[j] : col_ptr[j + 1]]
-        # Initialize the scratch column with the lower triangle of the
-        # permuted A's column j (already extracted in one pass).
-        scratch[pattern] = 0.0
-        sl = slice(aptr[j], aptr[j + 1])
-        scratch[arows[sl]] = adata[sl]
-
-        # Apply updates from every earlier column k with L[j, k] != 0.
-        for k in row_cols[row_ptr[j] : row_ptr[j + 1]]:
-            pos = cursor[k]
-            # The first unconsumed entry of column k is exactly row j.
-            ljk = values[pos]
-            rows_k = row_idx[pos : col_ptr[k + 1]]
-            scratch[rows_k] -= ljk * values[pos : col_ptr[k + 1]]
-            cursor[k] = pos + 1
-
-        diag = scratch[j]
-        if not diag > 0.0:
-            raise NotPositiveDefiniteError(
-                f"non-positive pivot {diag!r} encountered in column {j}"
-            )
-        diag = np.sqrt(diag)
-        colvals = scratch[pattern]
-        colvals[0] = diag
-        colvals[1:] /= diag
-        values[col_ptr[j] : col_ptr[j + 1]] = colvals
-
-    return CholeskyFactor(symbolic=s, values=values)

@@ -69,7 +69,6 @@ def schur_complement(
     factor: CholeskyFactor,
     B: sp.spmatrix,
     exploit_rhs_sparsity: bool = True,
-    blocked: bool = True,
 ) -> np.ndarray:
     """Assemble ``S = B̃ K_reg⁻¹ B̃ᵀ`` explicitly on the CPU.
 
@@ -85,9 +84,6 @@ def schur_complement(
         forward solve (the augmented-incomplete-factorization behaviour).
         Disabling it gives the plain TRSM path (the CHOLMOD-based explicit
         CPU approach) — the numerical result is identical.
-    blocked:
-        Run the forward solve over supernode panels (the default) or through
-        the scalar per-column reference loop.
 
     Returns
     -------
@@ -105,5 +101,5 @@ def schur_complement(
         start_rows[nonempty] = column_first_rows(Bt)
     else:
         start_rows = None
-    W = sparse_trsm_lower(factor, rhs, start_rows=start_rows, blocked=blocked)
+    W = sparse_trsm_lower(factor, rhs, start_rows=start_rows)
     return W.T @ W

@@ -65,7 +65,6 @@ class SparseSolverBase:
     def __init__(
         self,
         ordering: OrderingMethod | str = OrderingMethod.RCM,
-        blocked: bool = True,
         pattern_cache: PatternCache | bool | None = None,
         precision: str | PrecisionPolicy = "fp64",
     ) -> None:
@@ -75,17 +74,10 @@ class SparseSolverBase:
         ----------
         ordering:
             Fill-reducing ordering of the factorization.
-        blocked:
-            Run the supernodal/panel kernels (the default).  ``False``
-            selects the scalar per-column reference paths and — unless a
-            cache is passed explicitly — disables the pattern cache, so the
-            scalar configuration is a faithful per-subdomain baseline.
         pattern_cache:
-            Pattern cache for the symbolic analysis.  ``None`` picks the
-            process-global cache when ``blocked`` (and no cache otherwise);
-            ``True`` forces the process-global cache, ``False`` disables
-            caching, and a :class:`PatternCache` instance scopes sharing
-            explicitly.
+            Pattern cache for the symbolic analysis.  ``None`` or ``True``
+            picks the process-global cache, ``False`` disables caching, and
+            a :class:`PatternCache` instance scopes sharing explicitly.
         precision:
             Factor storage policy (see :mod:`repro.memory.precision`).  The
             factorization always runs in fp64; ``"fp32"`` demotes the stored
@@ -96,11 +88,8 @@ class SparseSolverBase:
         self.ordering = (
             OrderingMethod(ordering) if isinstance(ordering, str) else ordering
         )
-        self.blocked = blocked
         self.precision = resolve_precision(precision)
-        if pattern_cache is None:
-            pattern_cache = blocked
-        if pattern_cache is True:
+        if pattern_cache is None or pattern_cache is True:
             pattern_cache = global_pattern_cache()
         self._pattern_cache = (
             pattern_cache if isinstance(pattern_cache, PatternCache) else None
@@ -121,13 +110,9 @@ class SparseSolverBase:
         instead of once per subdomain.
         """
         if self._pattern_cache is not None:
-            self._symbolic = self._pattern_cache.symbolic_for(
-                K, self.ordering, supernodes=self.blocked
-            )
+            self._symbolic = self._pattern_cache.symbolic_for(K, self.ordering)
         else:
-            self._symbolic = symbolic_cholesky(
-                K, ordering=self.ordering, supernodes=self.blocked
-            )
+            self._symbolic = symbolic_cholesky(K, ordering=self.ordering)
         self._factor = None
         return self._symbolic
 
@@ -141,7 +126,7 @@ class SparseSolverBase:
         if self._symbolic is None:
             self.analyze(K)
         assert self._symbolic is not None
-        self._factor = numeric_cholesky(K, self._symbolic, blocked=self.blocked)
+        self._factor = numeric_cholesky(K, self._symbolic)
         self._install_precision(K)
         return self._factor
 
@@ -251,11 +236,9 @@ class SparseSolverBase:
         factor = self._require_factor()
         perm = factor.symbolic.perm
         if b.ndim == 1:
-            y = sparse_trsv_lower(factor, b[perm], blocked=self.blocked)
-            xp = sparse_trsv_upper(factor, y, blocked=self.blocked)
+            xp = sparse_trsv_upper(factor, sparse_trsv_lower(factor, b[perm]))
         else:
-            y = sparse_trsm_lower(factor, b[perm, :], blocked=self.blocked)
-            xp = sparse_trsm_upper(factor, y, blocked=self.blocked)
+            xp = sparse_trsm_upper(factor, sparse_trsm_lower(factor, b[perm, :]))
         x = np.empty_like(xp)
         x[perm] = xp
         return x
@@ -311,10 +294,7 @@ class SparseSolverBase:
         """Assemble ``B K⁻¹ Bᵀ`` explicitly (in the original ordering)."""
         factor = self._require_factor()
         return schur_complement(
-            factor,
-            B,
-            exploit_rhs_sparsity=self._exploit_rhs_sparsity(),
-            blocked=self.blocked,
+            factor, B, exploit_rhs_sparsity=self._exploit_rhs_sparsity()
         )
 
     def _exploit_rhs_sparsity(self) -> bool:

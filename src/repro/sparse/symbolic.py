@@ -8,18 +8,13 @@ this pattern, which is exactly the split production solvers (CHOLMOD,
 PARDISO) use and the reason the paper can re-run only the numeric
 factorization in every time step.
 
-On top of the column pattern the analysis produces the two structures that
-let the numeric phase and the triangular solves run on dense panels instead
-of per-column scatter loops, mirroring the supernodal techniques of the
-production libraries:
-
-* **level scheduling** — the elimination-tree depth of every column; columns
-  of equal depth are independent in the forward/backward solves and can be
-  processed together;
-* **supernode detection** — maximal parent-chains of columns whose (nested)
-  patterns are merged into dense trapezoidal panels, with a relaxed
-  amalgamation criterion that tolerates a bounded fraction of explicit-zero
-  padding (CHOLMOD's relaxed supernodes).
+On top of the column pattern the analysis produces the structure that lets
+the numeric phase and the triangular solves run on dense panels instead of
+per-column scatter loops, mirroring the supernodal techniques of the
+production libraries: **supernode detection** — maximal parent-chains of
+columns whose (nested) patterns are merged into dense trapezoidal panels,
+with a relaxed amalgamation criterion that tolerates a bounded fraction of
+explicit-zero padding (CHOLMOD's relaxed supernodes).
 
 All of it — including the one-pass permutation maps that turn the original
 matrix values into the permuted lower-triangular CSC layout — depends only on
@@ -40,7 +35,6 @@ __all__ = [
     "SupernodePartition",
     "SymbolicFactor",
     "elimination_tree",
-    "elimination_levels",
     "detect_supernodes",
     "symbolic_cholesky",
 ]
@@ -130,8 +124,7 @@ class SymbolicFactor:
         diagonal.
     row_ptr, row_cols:
         CSR view of the strictly-lower pattern: for every row ``j`` the
-        columns ``k < j`` with ``L[j, k] != 0`` (used by the left-looking
-        numeric factorization).
+        columns ``k < j`` with ``L[j, k] != 0``.
     """
 
     n: int
@@ -155,12 +148,8 @@ class SymbolicFactor:
     #: ``nnz(L)`` divided by the nnz of the lower triangle of ``A`` (fill-in).
     fill_ratio: float = 1.0
 
-    #: Elimination-tree depth of every column (leaves at level 0); columns of
-    #: equal level are independent in the triangular solves.
-    levels: np.ndarray | None = None
-
-    #: Supernode partition and dense-panel layout (``None`` when supernode
-    #: detection was disabled).
+    #: Supernode partition and dense-panel layout (always set by
+    #: :func:`symbolic_cholesky`).
     supernodes: SupernodePartition | None = None
 
     # Pattern of the analysed matrix in canonical CSC order, and the one-pass
@@ -171,9 +160,6 @@ class SymbolicFactor:
     a_lower_indptr: np.ndarray | None = field(default=None, repr=False)
     a_lower_rows: np.ndarray | None = field(default=None, repr=False)
     a_lower_map: np.ndarray | None = field(default=None, repr=False)
-
-    #: Lazily built level-schedule structures (see ``level_schedule``).
-    _level_sched: object | None = field(default=None, repr=False, compare=False)
 
     def factor_density(self) -> float:
         """Fraction of the lower triangle of ``L`` that is nonzero."""
@@ -223,22 +209,6 @@ def elimination_tree(lower: sp.csr_matrix) -> np.ndarray:
     """
     n = lower.shape[0]
     return _etree_from_arrays(lower.indptr, lower.indices, n)
-
-
-def elimination_levels(parent: np.ndarray) -> np.ndarray:
-    """Depth-from-the-leaves of every elimination-tree node.
-
-    ``levels[j] > levels[k]`` whenever ``k`` is a proper descendant of ``j``,
-    so processing columns level by level respects every dependency of the
-    forward solve (and, traversed in reverse, of the backward solve).
-    """
-    n = parent.shape[0]
-    levels = np.zeros(n, dtype=np.int64)
-    for j in range(n):
-        p = parent[j]
-        if p >= 0 and levels[p] <= levels[j]:
-            levels[p] = levels[j] + 1
-    return levels
 
 
 def detect_supernodes(
@@ -391,7 +361,6 @@ def symbolic_cholesky(
     A: sp.spmatrix,
     ordering: OrderingMethod | str = OrderingMethod.RCM,
     perm: np.ndarray | None = None,
-    supernodes: bool = True,
     relax: float = RELAX_PADDING,
     max_supernode: int = MAX_SUPERNODE,
 ) -> SymbolicFactor:
@@ -405,9 +374,6 @@ def symbolic_cholesky(
         Fill-reducing ordering method (ignored when ``perm`` is given).
     perm:
         Optional externally computed permutation.
-    supernodes:
-        Detect supernodes and build the dense-panel layout used by the
-        blocked numeric factorization and triangular solves.
     relax:
         Relaxed-amalgamation padding tolerance (see :func:`detect_supernodes`).
     max_supernode:
@@ -495,14 +461,12 @@ def symbolic_cholesky(
             row_idx[fill_pos[k]] = i
             fill_pos[k] += 1
 
-    partition = None
-    if supernodes and n:
-        snode_ptr = detect_supernodes(
-            parent, col_counts, relax=relax, max_width=max_supernode
-        )
-        partition = _build_partition(
-            n, col_ptr, row_idx, snode_ptr, a_lower_indptr, a_lower_rows
-        )
+    snode_ptr = detect_supernodes(
+        parent, col_counts, relax=relax, max_width=max_supernode
+    )
+    partition = _build_partition(
+        n, col_ptr, row_idx, snode_ptr, a_lower_indptr, a_lower_rows
+    )
 
     lower_nnz = max(int(low_src.shape[0]), 1)
     symbolic = SymbolicFactor(
@@ -514,7 +478,6 @@ def symbolic_cholesky(
         row_ptr=row_ptr,
         row_cols=row_cols,
         fill_ratio=float(int(col_ptr[-1]) / lower_nnz),
-        levels=elimination_levels(parent),
         supernodes=partition,
         a_indptr=np.asarray(csc.indptr, dtype=np.int64),
         a_indices=rows,

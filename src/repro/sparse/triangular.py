@@ -1,4 +1,4 @@
-"""Sparse triangular solves (vector and multi-RHS, blocked and scalar).
+"""Sparse triangular solves (vector and multi-RHS) over supernode panels.
 
 These are the CPU counterparts of the cuSPARSE ``TRSV``/``TRSM`` kernels used
 by the paper.  The factor is given as a :class:`~repro.sparse.numeric.CholeskyFactor`
@@ -6,17 +6,11 @@ by the paper.  The factor is given as a :class:`~repro.sparse.numeric.CholeskyFa
 forward solve with ``L`` and the backward solve with ``Lᵀ`` traverse the same
 arrays, so no transposition is ever materialized.
 
-Every kernel has two execution paths:
-
-* ``blocked=True`` (the default) dispatches over the **supernode panels** of
-  the symbolic analysis: one dense triangular solve per panel diagonal block
-  plus one GEMM per off-panel block, so the Python-level loop runs once per
-  supernode instead of once per column.  Factors whose symbolic analysis
-  carries no supernode partition fall back to a **level-scheduled** solve
-  (columns grouped by elimination-tree depth, one vectorized update per
-  level) for the single-RHS kernels.
-* ``blocked=False`` keeps the scalar per-column loops as the reference path;
-  the tests assert both paths produce identical results.
+Every kernel dispatches over the **supernode panels** of the symbolic
+analysis: one dense triangular solve per panel diagonal block plus one GEMM
+per off-panel block, so the Python-level loop runs once per supernode
+instead of once per column.  The scalar per-column loops these replaced are
+the test oracle (``tests/oracles/sparse.py``).
 
 For sparse right-hand sides the forward solve supports skipping leading zero
 rows.  The multi-RHS kernel honors **per-column** first-nonzero rows by
@@ -24,10 +18,11 @@ sorting the columns and activating them as the elimination reaches their
 first row, which mirrors how PARDISO's augmented incomplete factorization
 exploits the sparsity of ``B̃ᵢ`` during Schur-complement assembly.
 
-The generic ``csc_trsm_*`` variants back the simulated cuSPARSE kernels,
-which receive plain SciPy matrices; :class:`PreparedCscFactor` caches the
-converted/sorted storage (and detected panels) so repeated solves with the
-same factor stop paying the conversion cost.
+The simulated cuSPARSE kernels receive plain SciPy matrices instead of a
+:class:`~repro.sparse.numeric.CholeskyFactor`; :class:`PreparedCscFactor`
+converts/sorts one once and detects panels from its pattern (scalar CSC loops
+where the pattern does not coarsen), so repeated solves with the same factor
+stop paying the conversion cost.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from repro.sparse.symbolic import (
     MAX_SUPERNODE,
     RELAX_PADDING,
     SupernodePartition,
-    SymbolicFactor,
     _panel_positions,
 )
 
@@ -50,8 +44,6 @@ __all__ = [
     "sparse_trsv_upper",
     "sparse_trsm_lower",
     "sparse_trsm_upper",
-    "csc_trsm_lower",
-    "csc_trsm_upper",
     "PreparedCscFactor",
     "prepare_csc_factor",
 ]
@@ -115,67 +107,10 @@ def _panel_solve_upper(
 
 
 # --------------------------------------------------------------------- #
-# Level-scheduled fallback (no supernode partition)                      #
-# --------------------------------------------------------------------- #
-def _ranges_concat(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenate ``[arange(s, s + l) for s, l in zip(starts, lens)]``."""
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(lens)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - lens, lens)
-    return np.repeat(starts, lens) + offsets
-
-
-def _level_schedule(s: SymbolicFactor) -> list[tuple[np.ndarray, ...]]:
-    """Per-level column groups and gather indices (built once, cached)."""
-    if s._level_sched is None:
-        levels = s.levels
-        assert levels is not None
-        order = np.argsort(levels, kind="stable").astype(np.int64)
-        nlev = int(levels.max()) + 1 if s.n else 0
-        lcounts = np.bincount(levels, minlength=nlev)
-        lptr = np.concatenate(([0], np.cumsum(lcounts))).astype(np.int64)
-        sched = []
-        for lev in range(nlev):
-            cols = order[lptr[lev] : lptr[lev + 1]]
-            lens = (s.col_ptr[cols + 1] - s.col_ptr[cols] - 1).astype(np.int64)
-            vidx = _ranges_concat(s.col_ptr[cols] + 1, lens)
-            seg_ids = np.repeat(np.arange(cols.shape[0], dtype=np.int64), lens)
-            sched.append((cols, s.col_ptr[cols], vidx, seg_ids))
-        s._level_sched = sched
-    return s._level_sched
-
-
-def _level_solve_lower(factor: CholeskyFactor, y: np.ndarray) -> None:
-    """Forward solve processing independent columns level by level."""
-    s = factor.symbolic
-    values, row_idx = factor.values, s.row_idx
-    for cols, diag_idx, vidx, seg_ids in _level_schedule(s):
-        yj = y[cols] / values[diag_idx]
-        y[cols] = yj
-        if vidx.shape[0]:
-            np.subtract.at(y, row_idx[vidx], values[vidx] * yj[seg_ids])
-
-
-def _level_solve_upper(factor: CholeskyFactor, x: np.ndarray) -> None:
-    """Backward solve processing independent columns level by level."""
-    s = factor.symbolic
-    values, row_idx = factor.values, s.row_idx
-    for cols, diag_idx, vidx, seg_ids in reversed(_level_schedule(s)):
-        if vidx.shape[0]:
-            contrib = values[vidx] * x[row_idx[vidx]]
-            sums = np.bincount(seg_ids, weights=contrib, minlength=cols.shape[0])
-            x[cols] = (x[cols] - sums) / values[diag_idx]
-        else:
-            x[cols] = x[cols] / values[diag_idx]
-
-
-# --------------------------------------------------------------------- #
 # Factor-based kernels                                                   #
 # --------------------------------------------------------------------- #
 def sparse_trsv_lower(
-    factor: CholeskyFactor, b: np.ndarray, start_row: int = 0, blocked: bool = True
+    factor: CholeskyFactor, b: np.ndarray, start_row: int = 0
 ) -> np.ndarray:
     """Solve ``L y = b`` for a single right-hand side.
 
@@ -189,52 +124,24 @@ def sparse_trsv_lower(
         First possibly nonzero row of ``b``; earlier rows are skipped, which
         is valid because the forward substitution leaves them identically
         zero.
-    blocked:
-        Use the supernodal panels (level-scheduled when the factor has no
-        panels); ``False`` selects the scalar reference loop.
     """
     s = factor.symbolic
     y = np.array(b, dtype=float, copy=True)
-    if blocked:
-        part = s.supernodes
-        if part is not None:
-            _panel_solve_lower(part, factor.panel_values(), y, start_row=start_row)
-            return y
-        if s.levels is not None:
-            _level_solve_lower(factor, y)
-            return y
-    col_ptr, row_idx, values = s.col_ptr, s.row_idx, factor.values
-    for j in range(start_row, s.n):
-        p0 = col_ptr[j]
-        p1 = col_ptr[j + 1]
-        yj = y[j] / values[p0]
-        y[j] = yj
-        if yj != 0.0 and p1 > p0 + 1:
-            y[row_idx[p0 + 1 : p1]] -= values[p0 + 1 : p1] * yj
+    if s.supernodes is not None:
+        _panel_solve_lower(s.supernodes, factor.panel_values(), y, start_row=start_row)
+    else:
+        _csc_lower_inplace(s.col_ptr, s.row_idx, factor.values, y, start_row=start_row)
     return y
 
 
-def sparse_trsv_upper(
-    factor: CholeskyFactor, b: np.ndarray, blocked: bool = True
-) -> np.ndarray:
+def sparse_trsv_upper(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     """Solve ``Lᵀ x = b`` for a single right-hand side."""
     s = factor.symbolic
     x = np.array(b, dtype=float, copy=True)
-    if blocked:
-        part = s.supernodes
-        if part is not None:
-            _panel_solve_upper(part, factor.panel_values(), x)
-            return x
-        if s.levels is not None:
-            _level_solve_upper(factor, x)
-            return x
-    col_ptr, row_idx, values = s.col_ptr, s.row_idx, factor.values
-    for j in range(s.n - 1, -1, -1):
-        p0 = col_ptr[j]
-        p1 = col_ptr[j + 1]
-        if p1 > p0 + 1:
-            x[j] -= values[p0 + 1 : p1] @ x[row_idx[p0 + 1 : p1]]
-        x[j] /= values[p0]
+    if s.supernodes is not None:
+        _panel_solve_upper(s.supernodes, factor.panel_values(), x)
+    else:
+        _csc_upper_inplace(s.col_ptr, s.row_idx, factor.values, x)
     return x
 
 
@@ -242,7 +149,6 @@ def sparse_trsm_lower(
     factor: CholeskyFactor,
     B: np.ndarray,
     start_rows: np.ndarray | None = None,
-    blocked: bool = True,
 ) -> np.ndarray:
     """Solve ``L Y = B`` for a dense multi-column right-hand side.
 
@@ -257,8 +163,6 @@ def sparse_trsm_lower(
         sorting on their first row and joining the elimination only once it
         reaches them, so each column skips exactly its own leading zero
         rows (the ``B̃ᵢ`` sparsity exploitation of the PARDISO path).
-    blocked:
-        Use the supernodal panels; ``False`` selects the scalar loop.
     """
     s = factor.symbolic
     Y = np.array(B, dtype=float, copy=True)
@@ -275,7 +179,7 @@ def sparse_trsm_lower(
         Y = Y[:, order]
         sorted_starts = starts[order]
 
-    part = s.supernodes if blocked else None
+    part = s.supernodes
     if part is not None:
         _panel_solve_lower(part, factor.panel_values(), Y, sorted_starts=sorted_starts)
     else:
@@ -290,15 +194,13 @@ def sparse_trsm_lower(
     return Y
 
 
-def sparse_trsm_upper(
-    factor: CholeskyFactor, B: np.ndarray, blocked: bool = True
-) -> np.ndarray:
+def sparse_trsm_upper(factor: CholeskyFactor, B: np.ndarray) -> np.ndarray:
     """Solve ``Lᵀ X = B`` for a dense multi-column right-hand side."""
     s = factor.symbolic
     X = np.array(B, dtype=float, copy=True)
     if X.ndim != 2 or X.shape[0] != s.n:
         raise ValueError("B must have shape (n, nrhs)")
-    part = s.supernodes if blocked else None
+    part = s.supernodes
     if part is not None:
         _panel_solve_upper(part, factor.panel_values(), X)
         return X
@@ -379,7 +281,6 @@ class PreparedCscFactor:
     def __init__(
         self,
         L: sp.spmatrix,
-        blocked: bool = True,
         relax: float = RELAX_PADDING,
         max_width: int = MAX_SUPERNODE,
     ) -> None:
@@ -395,7 +296,7 @@ class PreparedCscFactor:
         self.data = np.asarray(Lc.data, dtype=float)
         self.partition: SupernodePartition | None = None
         self.panel_data: np.ndarray | None = None
-        if blocked and self.n:
+        if self.n:
             self._build_panels(relax, max_width)
 
     # ------------------------------------------------------------------ #
@@ -481,33 +382,6 @@ class PreparedCscFactor:
         return X
 
 
-def prepare_csc_factor(L: sp.spmatrix, blocked: bool = True) -> PreparedCscFactor:
+def prepare_csc_factor(L: sp.spmatrix) -> PreparedCscFactor:
     """Prepare (convert, sort, panel-detect) a lower-triangular factor once."""
-    return PreparedCscFactor(L, blocked=blocked)
-
-
-def csc_trsm_lower(L, B: np.ndarray, start_row: int = 0) -> np.ndarray:
-    """Solve ``L Y = B`` for a lower-triangular SciPy CSC matrix.
-
-    ``L`` must have sorted indices so that the diagonal entry is the first
-    stored entry of every column, or already be a :class:`PreparedCscFactor`.
-    Callers performing repeated solves should prepare once via
-    :func:`prepare_csc_factor`, which also enables the supernodal panel
-    dispatch; a plain matrix is converted on the fly without panel detection,
-    since panels never amortize over a single solve.  This generic variant
-    backs the simulated cuSPARSE TRSM kernel, which receives plain CSR/CSC
-    matrices rather than :class:`~repro.sparse.numeric.CholeskyFactor`
-    objects.
-    """
-    prepared = (
-        L if isinstance(L, PreparedCscFactor) else PreparedCscFactor(L, blocked=False)
-    )
-    return prepared.solve_lower(B, start_row=start_row)
-
-
-def csc_trsm_upper(L, B: np.ndarray) -> np.ndarray:
-    """Solve ``Lᵀ X = B`` given the lower-triangular CSC matrix ``L``."""
-    prepared = (
-        L if isinstance(L, PreparedCscFactor) else PreparedCscFactor(L, blocked=False)
-    )
-    return prepared.solve_upper(B)
+    return PreparedCscFactor(L)

@@ -164,13 +164,18 @@ def test_explicit_pattern_cache_is_shared_between_sessions():
     assert a.pattern_cache is b.pattern_cache
 
 
-def test_scalar_reference_path_bypasses_the_session_cache():
-    """blocked=False must stay a faithful per-subdomain baseline."""
-    session = Session(SolverSpec(approach="expl mkl", blocked=False))
+def test_every_symbolic_analysis_goes_through_the_session_cache():
+    """One sparse path: no solver of a session analyses outside its cache."""
+    from repro.sparse.cache import global_pattern_cache
+
+    global_pattern_cache().clear()
+    session = Session(SolverSpec(approach="expl mkl"))
     solution = session.solve(W_SMALL)
     assert solution.converged
-    assert session.pattern_cache.misses == 0
-    assert session.pattern_cache.hits == 0
+    cache = session.pattern_cache
+    assert cache.misses >= 1
+    assert cache.hits + cache.misses == session.problem(W_SMALL).n_subdomains
+    assert len(global_pattern_cache()) == 0
 
 
 def test_session_spec_accepts_preset_names():

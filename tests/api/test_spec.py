@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import SolverSpec, SpecError, assembly_config, solver_presets
@@ -177,6 +179,17 @@ def test_from_dict_rejects_unknown_fields():
         SolverSpec.from_dict({"approachh": "impl mkl"})
 
 
+@pytest.mark.parametrize("field, value", [("batched", False), ("blocked", True)])
+def test_removed_execution_toggles_are_unknown_fields(field, value):
+    """The reference loops are test oracles now, not options: 13 fields."""
+    with pytest.raises(SpecError, match=rf"unknown solver-spec field\(s\) \['{field}'\]"):
+        SolverSpec.from_dict({"approach": "expl mkl", field: value})
+    with pytest.raises(TypeError, match=field):
+        SolverSpec(**{field: value})
+    assert field not in SolverSpec().to_dict()
+    assert len(dataclasses.fields(SolverSpec)) == 13
+
+
 def test_spec_serialization_is_schema_versioned():
     from repro.api import SCHEMA_VERSION
 
@@ -206,7 +219,7 @@ def test_preset_overrides():
 def test_of_normalizes_none_presets_and_specs():
     assert SolverSpec.of(None) == SolverSpec()
     assert SolverSpec.of("cpu-explicit").approach is DualOperatorApproach.EXPLICIT_MKL
-    spec = SolverSpec(batched=False)
+    spec = SolverSpec(tolerance=1e-7)
     assert SolverSpec.of(spec) is spec
     with pytest.raises(TypeError, match="expected a SolverSpec"):
         SolverSpec.of(42)  # type: ignore[arg-type]

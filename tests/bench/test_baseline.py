@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,9 @@ from repro.bench.baseline import (
     compare_records,
 )
 from repro.bench.cli import main
-from repro.bench.runner import run_scenario, write_record
+from repro.bench.runner import load_record, run_scenario, write_record
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +57,19 @@ def test_improvement_is_reported_but_not_blocking(record):
     assert report.exit_code == 0
     (diff,) = report.differences
     assert diff.kind == "improvement"
+
+
+def test_old_baselines_with_the_removed_axes_still_pair_by_key(record):
+    """Committed baselines carry ``batched``/``blocked`` per point; fresh records do not."""
+    old = copy.deepcopy(record)
+    for point in old["points"]:
+        point["batched"], point["blocked"] = True, True
+        assert point["key"].endswith("/batched")
+    report = compare_records(old, record)
+    assert report.ok and report.exit_code == 0
+    committed = load_record(REPO_ROOT / "BENCH_smoke_heat_2d.json")
+    assert {p["key"] for p in committed["points"]} == {p["key"] for p in record["points"]}
+    assert compare_records(committed, record).exit_code == 0
 
 
 def test_tolerance_absorbs_small_drift(record):
@@ -107,7 +123,7 @@ def test_compare_directories_and_missing_baseline(tmp_path, record):
     assert compare_directories(results, baselines).exit_code == 0
 
     # restricting to a scenario without a fresh record is a setup error too
-    report = compare_directories(results, baselines, scenario_names=["batched_apply"])
+    report = compare_directories(results, baselines, scenario_names=["parallel_scaling"])
     assert report.exit_code == 2
 
 

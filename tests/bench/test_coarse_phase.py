@@ -103,15 +103,11 @@ def test_multicluster_scenario_sweeps_the_coarse_axis():
 
 
 def test_point_key_coarse_suffix_preserves_historical_keys():
-    base = point_key((4, 4), 4, DualOperatorApproach.EXPLICIT_MKL, True)
+    base = point_key((4, 4), 4, DualOperatorApproach.EXPLICIT_MKL)
     assert base == "4x4/c4/expl mkl/batched"
-    hier = point_key(
-        (4, 4), 4, DualOperatorApproach.EXPLICIT_MKL, True, coarse="hierarchical"
-    )
+    hier = point_key((4, 4), 4, DualOperatorApproach.EXPLICIT_MKL, coarse="hierarchical")
     assert hier == "4x4/c4/expl mkl/batched/hierarchical"
-    dense = point_key(
-        (4, 4), 4, DualOperatorApproach.EXPLICIT_MKL, True, coarse="dense"
-    )
+    dense = point_key((4, 4), 4, DualOperatorApproach.EXPLICIT_MKL, coarse="dense")
     assert dense == base
 
 

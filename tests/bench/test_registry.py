@@ -46,10 +46,16 @@ def test_quick_scenarios_cover_all_five_operator_backends():
     }
 
 
-def test_quick_scenarios_cover_the_batched_engine_toggle():
-    quick = registry.scenarios("quick")
-    batched_values = {b for s in quick for b in s.batched}
-    assert batched_values == {True, False}
+def test_every_scenario_has_a_committed_baseline_and_vice_versa():
+    """A scenario cannot be added or deleted without its ``BENCH_*.json``."""
+    from pathlib import Path
+
+    import repro.bench  # noqa: F401 - registers the phase/serve scenarios too
+    from repro.bench.runner import record_filename
+
+    root = Path(__file__).resolve().parents[2]
+    committed = {path.name for path in root.glob("BENCH_*.json")}
+    assert committed == {record_filename(name) for name in registry.names()}
 
 
 def test_all_nine_approaches_registered_somewhere():
@@ -90,9 +96,9 @@ def test_scenario_grid_axes_and_point_count():
     scenario = registry.get("heat_2d_scaling")
     grid = scenario.grid()
     assert sorted(grid) == [
-        "approach", "batched", "blocked", "cells", "coarse", "execution",
-        "precision", "subdomains",
+        "approach", "cells", "coarse", "execution", "precision", "subdomains",
     ]
+    assert sorted(scenario.axes()) == sorted(grid)
     assert grid["subdomains"] == [(2, 2), (4, 4)]
     assert grid["execution"] == [None]
     assert grid["precision"] == ["fp64"]

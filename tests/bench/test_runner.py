@@ -49,11 +49,27 @@ def test_record_points_carry_metrics_and_invariants(smoke_result):
         assert point["simulated"]["preprocessing_seconds"] > 0.0
         assert point["simulated"]["apply_seconds"] > 0.0
         assert point["wall"]["apply_seconds"] > 0.0
+        # One apply path, one sparse path: the axes left in a point.
+        assert set(point) == {
+            "key", "subdomains", "cells", "approach", "execution", "coarse",
+            "precision", "invariants", "simulated", "wall",
+        }
     keys = {p["key"] for p in points}
     assert keys == {
         "2x1/c2/impl mkl/batched",
         "2x1/c2/expl mkl/batched",
     }
+
+
+def test_warm_up_applies_stay_out_of_the_simulated_mean():
+    """``measure_point`` warms up untimed; the simulated mean spans n_applies."""
+    scenario = registry.get("smoke_heat_2d")
+    one = measure_point(scenario.spec_with(), DualOperatorApproach.EXPLICIT_MKL, 1)
+    three = measure_point(scenario.spec_with(), DualOperatorApproach.EXPLICIT_MKL, 3)
+    # Every apply of a round replays one plan: the one-apply mean *is* the plan,
+    # the three-apply mean is the left-to-right sum of three of them.
+    plan = one.sim_apply_seconds
+    assert three.sim_apply_seconds == (0.0 + plan + plan + plan) / 3
 
 
 def test_sweep_result_is_queryable(smoke_result):
@@ -75,67 +91,58 @@ def test_record_filename_sanitizes():
 
 
 def test_point_key_format():
-    key = point_key((4, 4), 7, DualOperatorApproach.EXPLICIT_HYBRID, False)
-    assert key == "4x4/c7/expl hybrid/looped"
-    scalar = point_key((4, 4), 7, DualOperatorApproach.EXPLICIT_HYBRID, True, False)
-    assert scalar == "4x4/c7/expl hybrid/batched/scalar"
+    """The ``/batched`` stem is fixed: committed baselines still pair by key."""
+    key = point_key((4, 4), 7, DualOperatorApproach.EXPLICIT_HYBRID)
+    assert key == "4x4/c7/expl hybrid/batched"
 
 
 def test_point_key_execution_suffix_preserves_historical_keys():
     from repro.runtime.executor import ExecutionSpec
 
-    base = point_key((8, 8), 8, DualOperatorApproach.EXPLICIT_MKL, True)
+    base = point_key((8, 8), 8, DualOperatorApproach.EXPLICIT_MKL)
     assert base == "8x8/c8/expl mkl/batched"
     # The serial execution spec leaves the key unchanged (old records pair).
-    serial = point_key(
-        (8, 8), 8, DualOperatorApproach.EXPLICIT_MKL, True, True, ExecutionSpec()
-    )
+    serial = point_key((8, 8), 8, DualOperatorApproach.EXPLICIT_MKL, ExecutionSpec())
     assert serial == base
     sharded = point_key(
-        (8, 8), 8, DualOperatorApproach.EXPLICIT_MKL, True, True,
-        ExecutionSpec("processes", 4),
+        (8, 8), 8, DualOperatorApproach.EXPLICIT_MKL, ExecutionSpec("processes", 4)
     )
     assert sharded == "8x8/c8/expl mkl/batched/processes4"
 
 
 def test_point_key_precision_suffix_preserves_historical_keys():
-    base = point_key((4, 4), 7, DualOperatorApproach.EXPLICIT_MKL, True)
-    fp64 = point_key(
-        (4, 4), 7, DualOperatorApproach.EXPLICIT_MKL, True, precision="fp64"
-    )
+    base = point_key((4, 4), 7, DualOperatorApproach.EXPLICIT_MKL)
+    fp64 = point_key((4, 4), 7, DualOperatorApproach.EXPLICIT_MKL, precision="fp64")
     assert fp64 == base  # the default policy leaves old keys unchanged
-    fp32 = point_key(
-        (4, 4), 7, DualOperatorApproach.EXPLICIT_MKL, True, precision="fp32_ir"
-    )
+    fp32 = point_key((4, 4), 7, DualOperatorApproach.EXPLICIT_MKL, precision="fp32_ir")
     assert fp32 == base + "/fp32_ir"
 
 
 def test_measure_point_is_cached_and_deterministic():
     scenario = registry.get("smoke_heat_2d")
     spec = scenario.spec_with()
-    a = measure_point(
-        spec, DualOperatorApproach.IMPLICIT_MKL, True, n_applies=scenario.n_applies
-    )
-    b = measure_point(
-        spec, DualOperatorApproach.IMPLICIT_MKL, True, n_applies=scenario.n_applies
-    )
+    a = measure_point(spec, DualOperatorApproach.IMPLICIT_MKL, n_applies=scenario.n_applies)
+    b = measure_point(spec, DualOperatorApproach.IMPLICIT_MKL, n_applies=scenario.n_applies)
     assert a is b  # lru_cache shares points across scenarios and tests
     assert np.all(np.isfinite(a.q))
 
 
-def test_derived_speedup_present_only_with_both_batched_variants(smoke_result):
+def test_derived_speedups_need_a_swept_axis_to_pair(smoke_result):
+    """No execution or coarse sweep, nothing to pair: no ``derived`` section."""
     assert "derived" not in smoke_result.record
     mini = Scenario(
-        name="tmp_batched_mini",
-        description="batched-vs-looped on the smoke workload",
-        base=Workload("heat", 2, (2, 1), 2),
-        batched=(True, False),
+        name="tmp_coarse_mini",
+        description="dense-vs-hierarchical coarse solver on a two-cluster workload",
+        base=Workload("heat", 2, (2, 2), 2, n_clusters=2),
+        coarse=("dense", "hierarchical"),
         n_applies=2,
     )
     record = run_scenario(mini).record
-    (key,) = record["derived"]
-    assert key == "wall_apply_speedup[2x1/c2/expl mkl]"
-    assert record["derived"][key] > 0.0
+    assert sorted(record["derived"]) == [
+        "wall_coarse_apply_speedup[2x2/c2/expl mkl]",
+        "wall_coarse_factor_speedup[2x2/c2/expl mkl]",
+    ]
+    assert all(value > 0.0 for value in record["derived"].values())
 
 
 def test_expected_invariant_violation_raises():
@@ -217,10 +224,10 @@ class TestExecutionAxis:
         scenario = registry.get("smoke_heat_2d")
         q = np.ones(3)
         qs = {
-            ((2, 1), 2, DualOperatorApproach.IMPLICIT_MKL, True, True, None, "dense"): q,
+            ((2, 1), 2, DualOperatorApproach.IMPLICIT_MKL, None, "dense", "fp64"): q,
             (
-                (2, 1), 2, DualOperatorApproach.IMPLICIT_MKL, True, True,
-                ExecutionSpec("threads", 2), "dense",
+                (2, 1), 2, DualOperatorApproach.IMPLICIT_MKL,
+                ExecutionSpec("threads", 2), "dense", "fp64",
             ): 2.0 * q,
         }
         with pytest.raises(InvariantViolation, match="threads2"):

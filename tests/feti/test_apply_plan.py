@@ -1,11 +1,12 @@
-"""The batched apply's simulated timeline is planned once per preprocessing.
+"""The apply's simulated timeline is planned once per preprocessing.
 
-A batched apply is numerics plus a *plan* — the ``(simulated_seconds,
-breakdown)`` the stream/clock replay yields, which is a pure function of the
-preprocessed state.  These tests pin the contract: the plan equals a fresh
-replay bit for bit, equals the ``batched=False`` loop (which still replays on
-every apply and is the oracle), is rebuilt by every ``preprocess()``, and is
-computed once even when several threads hit the first apply together.
+An apply is numerics plus a *plan* — the ``(simulated_seconds, breakdown)``
+the stream/clock replay yields, which is a pure function of the preprocessed
+state.  These tests pin the contract: the plan equals a fresh replay bit for
+bit, equals the per-subdomain loop of ``tests/oracles/apply.py`` (which
+replays on every apply and is the oracle), is rebuilt by every
+``preprocess()``, and is computed once even when several threads hit the
+first apply together.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from repro.feti.config import (
 from repro.feti.operators import make_dual_operator
 from repro.feti.problem import FetiProblem
 
+from tests.oracles.apply import looped_apply, looped_apply_multi
+
 APPROACHES = list(DualOperatorApproach)
-#: The CPU approaches' batched plan sums its cost arrays with NumPy's pairwise
+#: The CPU approaches' plan sums its cost arrays with NumPy's pairwise
 #: ``sum`` while the loop adds one cost at a time: same terms, another order.
 _CPU_SUM_RTOL = 1e-12
 _CPU_APPROACHES = {
@@ -50,23 +53,22 @@ def machine_config() -> MachineConfig:
     return MachineConfig(threads_per_cluster=2, streams_per_cluster=2)
 
 
-def _operator(problem, machine_config, approach, scatter, batched):
+def _operator(problem, machine_config, approach, scatter):
     operator = make_dual_operator(
         approach,
         problem,
         machine_config=machine_config,
         assembly_config=AssemblyConfig(scatter_gather=scatter),
-        batched=batched,
     )
     operator.preprocess()
     return operator
 
 
-def _assert_same_timeline(planned, looped, approach):
+def _assert_same_timeline(planned, looped_sim, looped_breakdown, approach):
     """Same simulated seconds, same breakdown keys in the same order."""
-    assert planned.simulated_seconds == looped.simulated_seconds
-    assert list(planned.breakdown) == list(looped.breakdown)
-    for key, value in looped.breakdown.items():
+    assert planned.simulated_seconds == looped_sim
+    assert list(planned.breakdown) == list(looped_breakdown)
+    for key, value in looped_breakdown.items():
         if approach in _CPU_APPROACHES:
             assert planned.breakdown[key] == pytest.approx(value, rel=_CPU_SUM_RTOL)
         else:
@@ -78,45 +80,40 @@ def _assert_same_timeline(planned, looped, approach):
 def test_planned_apply_equals_the_replaying_loop(
     problem, machine_config, approach, scatter
 ):
-    planned = _operator(problem, machine_config, approach, scatter, batched=True)
-    looped = _operator(problem, machine_config, approach, scatter, batched=False)
+    planned = _operator(problem, machine_config, approach, scatter)
     rng = np.random.default_rng(7)
+    looped_total = 0.0
     for n in range(1, 11):
         x = rng.standard_normal(problem.n_lambda)
-        q_planned, q_looped = planned.apply(x), looped.apply(x)
+        q_planned = planned.apply(x)
+        q_looped, sim, breakdown = looped_apply(planned, x)
+        looped_total += sim
         if n in (1, 2, 10):
             np.testing.assert_allclose(q_planned, q_looped, rtol=1e-12, atol=1e-12)
-            _assert_same_timeline(
-                planned.ledger.last("apply"), looped.ledger.last("apply"), approach
-            )
+            _assert_same_timeline(planned.ledger.last("apply"), sim, breakdown, approach)
             # The plan *is* what a replay returns, bit for bit, and every
             # planned apply shares its one breakdown mapping.
             assert planned._plan_apply() == planned._apply_plans[1]
             assert planned.ledger.last("apply").breakdown is planned._apply_plans[1][1]
-    assert planned.ledger.total("apply") == looped.ledger.total("apply")
+    assert planned.ledger.total("apply") == looped_total
 
     block = rng.standard_normal((problem.n_lambda, 3))
-    Q_looped = looped.apply_multi(block)
-    per_column = looped.ledger.last("apply_multi")
+    Q_looped, sim, breakdown = looped_apply_multi(planned, block)
     np.testing.assert_allclose(
         planned.apply_multi(block), Q_looped, rtol=1e-12, atol=1e-12
     )
-    _assert_same_timeline(planned.ledger.last("apply_multi"), per_column, approach)
+    _assert_same_timeline(planned.ledger.last("apply_multi"), sim, breakdown, approach)
     np.testing.assert_allclose(
         planned.apply_multi(block, stacked=True), Q_looped, rtol=1e-12, atol=1e-12
     )
     stacked = planned.ledger.last("apply_multi")
-    assert stacked.simulated_seconds == pytest.approx(
-        per_column.simulated_seconds, rel=_CPU_SUM_RTOL
-    )
-    assert list(stacked.breakdown) == list(per_column.breakdown)
+    assert stacked.simulated_seconds == pytest.approx(sim, rel=_CPU_SUM_RTOL)
+    assert list(stacked.breakdown) == list(breakdown)
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
 def test_preprocess_and_demotion_rebuild_the_plan(problem, machine_config, approach):
-    operator = _operator(
-        problem, machine_config, approach, ScatterGatherDevice.GPU, batched=True
-    )
+    operator = _operator(problem, machine_config, approach, ScatterGatherDevice.GPU)
     x = np.random.default_rng(3).standard_normal(problem.n_lambda)
     operator.apply(x)
     honest = operator.ledger.last("apply")
@@ -145,27 +142,19 @@ def test_preprocess_and_demotion_rebuild_the_plan(problem, machine_config, appro
 
 def test_stream_logs_show_one_apply_after_planned_applies(problem):
     """``keep_stream_logs``: the streams hold the replay of exactly one apply."""
-    operators = {}
-    for batched in (True, False):
-        operator = make_dual_operator(
-            DualOperatorApproach.EXPLICIT_GPU_MODERN, problem, batched=batched
-        )
-        operator.prepare()
-        for cluster in operator.machine.clusters:
-            for stream in cluster.streams:
-                stream.keep_log = True
-        operator.preprocess()
-        x = np.random.default_rng(5).standard_normal(problem.n_lambda)
-        for _ in range(3):
-            operator.apply(x)
-        operators[batched] = operator
-    for planned, looped in zip(
-        operators[True].machine.clusters, operators[False].machine.clusters
-    ):
-        for s_planned, s_looped in zip(planned.streams, looped.streams):
-            assert s_planned.operations == s_looped.operations
-            assert s_planned.tail == s_looped.tail
-    assert any(s.operations for c in operators[True].machine.clusters for s in c.streams)
+    operator = make_dual_operator(DualOperatorApproach.EXPLICIT_GPU_MODERN, problem)
+    operator.prepare()
+    streams = [s for c in operator.machine.clusters for s in c.streams]
+    for stream in streams:
+        stream.keep_log = True
+    operator.preprocess()
+    x = np.random.default_rng(5).standard_normal(problem.n_lambda)
+    for _ in range(3):
+        operator.apply(x)
+    planned = [(list(s.operations), s.tail) for s in streams]
+    assert any(operations for operations, _ in planned)
+    looped_apply(operator, x)  # resets the timelines and replays one apply
+    assert [(list(s.operations), s.tail) for s in streams] == planned
 
 
 def test_first_apply_from_many_threads_plans_once(problem, machine_config, monkeypatch):
@@ -175,17 +164,10 @@ def test_first_apply_from_many_threads_plans_once(problem, machine_config, monke
         machine_config,
         DualOperatorApproach.IMPLICIT_GPU_MODERN,
         ScatterGatherDevice.GPU,
-        batched=True,
     )
-    oracle = _operator(
-        problem,
-        machine_config,
-        DualOperatorApproach.IMPLICIT_GPU_MODERN,
-        ScatterGatherDevice.GPU,
-        batched=False,
+    _, expected_sim, expected_breakdown = looped_apply(
+        operator, np.zeros(problem.n_lambda)
     )
-    oracle.apply(np.zeros(problem.n_lambda))
-    expected = oracle.ledger.last("apply")
 
     replays = []
     plan_apply = operator._plan_apply
@@ -216,5 +198,5 @@ def test_first_apply_from_many_threads_plans_once(problem, machine_config, monke
         sys.setswitchinterval(interval)
     assert len(replays) == 1
     assert all(plan is plans[0] for plan in plans)
-    assert plans[0][0] == expected.simulated_seconds
-    assert list(plans[0][1].items()) == list(expected.breakdown.items())
+    assert plans[0][0] == expected_sim
+    assert list(plans[0][1].items()) == list(expected_breakdown.items())

@@ -1,9 +1,10 @@
 """Tests of the batched subdomain execution engine.
 
-The engine is a pure execution-strategy change: for every approach the
-batched apply must produce the same dual vectors as the per-subdomain
-reference loop, charge the same simulated time, and the index-map /
-block-packing primitives must round-trip exactly.
+For every approach the apply must produce the same dual vectors as the
+per-subdomain loop oracle (``tests/oracles/apply.py``) run on the same
+preprocessed operator, charge the same simulated time, agree with the fp64
+``B K⁺ Bᵀ`` reference, and the index-map / block-packing primitives must
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from repro.feti.config import (
 )
 from repro.feti.operators import make_dual_operator
 from repro.feti.operators.batch import BatchedDenseApply, FlatIndexMap
+
+from tests.oracles.apply import looped_apply, looped_dual_rhs
 
 
 # --------------------------------------------------------------------- #
@@ -103,57 +106,60 @@ def test_batched_dense_apply_rejects_wrong_block_shape():
 # --------------------------------------------------------------------- #
 # Operator-level equivalence                                             #
 # --------------------------------------------------------------------- #
+def _assert_apply_matches_oracle(operator, x):
+    """Values to 1e-10, simulated seconds and breakdown to summation order."""
+    q = operator.apply(x)
+    phase = operator.ledger.last("apply")
+    q_looped, sim, breakdown = looped_apply(operator, x)
+    np.testing.assert_allclose(q, q_looped, atol=1e-10)
+    assert phase.simulated_seconds == pytest.approx(sim, rel=1e-12)
+    assert set(phase.breakdown) == set(breakdown)
+    for key, value in breakdown.items():
+        assert phase.breakdown[key] == pytest.approx(value, rel=1e-12)
+
+
 @pytest.mark.parametrize("approach", list(DualOperatorApproach))
 def test_batched_apply_matches_looped_apply(
     heat_problem_2d, approach, small_machine_config
 ):
-    """Every approach: batched and looped paths agree on values AND timing."""
-    operators = {}
-    for batched in (False, True):
-        operator = make_dual_operator(
-            approach,
-            heat_problem_2d,
-            machine_config=small_machine_config,
-            batched=batched,
-        )
-        operator.prepare()
-        operator.preprocess()
-        operators[batched] = operator
-
+    """Every approach: the engine and the loop oracle agree on values AND timing."""
+    operator = make_dual_operator(
+        approach, heat_problem_2d, machine_config=small_machine_config
+    )
+    operator.prepare()
+    operator.preprocess()
     rng = np.random.default_rng(11)
     for _ in range(3):
-        x = rng.standard_normal(heat_problem_2d.n_lambda)
-        q_looped = operators[False].apply(x)
-        q_batched = operators[True].apply(x)
-        np.testing.assert_allclose(q_batched, q_looped, atol=1e-10)
-
-    for name in ("preparation", "preprocessing"):
-        assert operators[True].ledger.total(name) == pytest.approx(
-            operators[False].ledger.total(name), rel=1e-12
+        _assert_apply_matches_oracle(
+            operator, rng.standard_normal(heat_problem_2d.n_lambda)
         )
-    assert operators[True].ledger.mean("apply") == pytest.approx(
-        operators[False].ledger.mean("apply"), rel=1e-12
+    assert operator.ledger.count("apply") == 3
+
+
+@pytest.mark.parametrize("approach", list(DualOperatorApproach))
+def test_apply_matches_the_fp64_reference_operator(
+    heat_problem_2d, approach, small_machine_config
+):
+    """Independent check: ``apply(λ)`` is ``Σ B̃ᵢ Kᵢ⁺ B̃ᵢᵀ λ`` to 1e-10."""
+    operator = make_dual_operator(
+        approach, heat_problem_2d, machine_config=small_machine_config
     )
-    looped_breakdown = operators[False].ledger.last("apply").breakdown
-    batched_breakdown = operators[True].ledger.last("apply").breakdown
-    assert set(batched_breakdown) == set(looped_breakdown)
-    for key, value in looped_breakdown.items():
-        assert batched_breakdown[key] == pytest.approx(value, rel=1e-12)
+    operator.preprocess()
+    x = np.random.default_rng(17).standard_normal(heat_problem_2d.n_lambda)
+    np.testing.assert_allclose(
+        operator.apply(x), operator.apply_accurate(x), rtol=1e-10, atol=1e-10
+    )
 
 
 def test_batched_dual_rhs_matches_looped(heat_problem_2d, small_machine_config):
-    operators = {}
-    for batched in (False, True):
-        operator = make_dual_operator(
-            DualOperatorApproach.IMPLICIT_CHOLMOD,
-            heat_problem_2d,
-            machine_config=small_machine_config,
-            batched=batched,
-        )
-        operator.preprocess()
-        operators[batched] = operator
+    operator = make_dual_operator(
+        DualOperatorApproach.IMPLICIT_CHOLMOD,
+        heat_problem_2d,
+        machine_config=small_machine_config,
+    )
+    operator.preprocess()
     np.testing.assert_allclose(
-        operators[True].dual_rhs(), operators[False].dual_rhs(), atol=1e-12
+        operator.dual_rhs(), looped_dual_rhs(operator), atol=1e-12
     )
 
 
@@ -196,31 +202,18 @@ def test_batched_gpu_apply_matches_looped_for_nondefault_configs(
     heat_problem_2d, small_machine_config, scatter, symmetric
 ):
     """Both GPU apply paths and both MV kernels: values AND timing agree."""
-    config = AssemblyConfig(scatter_gather=scatter, apply_symmetric=symmetric)
-    operators = {}
-    for batched in (False, True):
-        operator = make_dual_operator(
-            DualOperatorApproach.EXPLICIT_GPU_MODERN,
-            heat_problem_2d,
-            machine_config=small_machine_config,
-            assembly_config=config,
-            batched=batched,
-        )
-        operator.preprocess()
-        operators[batched] = operator
-    rng = np.random.default_rng(23)
-    x = rng.standard_normal(heat_problem_2d.n_lambda)
+    operator = make_dual_operator(
+        DualOperatorApproach.EXPLICIT_GPU_MODERN,
+        heat_problem_2d,
+        machine_config=small_machine_config,
+        assembly_config=AssemblyConfig(scatter_gather=scatter, apply_symmetric=symmetric),
+    )
+    operator.preprocess()
+    x = np.random.default_rng(23).standard_normal(heat_problem_2d.n_lambda)
+    _assert_apply_matches_oracle(operator, x)
     np.testing.assert_allclose(
-        operators[True].apply(x), operators[False].apply(x), atol=1e-10
+        operator.apply(x), operator.apply_accurate(x), rtol=1e-10, atol=1e-10
     )
-    looped_phase = operators[False].ledger.last("apply")
-    batched_phase = operators[True].ledger.last("apply")
-    assert batched_phase.simulated_seconds == pytest.approx(
-        looped_phase.simulated_seconds, rel=1e-12
-    )
-    assert set(batched_phase.breakdown) == set(looped_phase.breakdown)
-    for key, value in looped_phase.breakdown.items():
-        assert batched_phase.breakdown[key] == pytest.approx(value, rel=1e-12)
 
 
 def test_pad_reused_out_buffer_rezeroes_padding_lanes():

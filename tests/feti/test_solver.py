@@ -15,6 +15,8 @@ from repro.feti.solver import (
     PreconditionerKind,
 )
 
+from tests.oracles.apply import use_looped_apply
+
 
 def _solve(problem, approach, machine_config, tol=1e-10):
     options = SolverSpec(
@@ -153,24 +155,22 @@ def test_solver_reuse_preprocessing_flag(heat_problem_2d, small_machine_config):
 def test_batched_and_looped_solvers_produce_identical_solutions(
     heat_problem_2d, small_machine_config
 ):
-    """The batched engine is an execution strategy, not a numerical change."""
-    solutions = {}
-    for batched in (False, True):
-        options = SolverSpec(
-            approach=DualOperatorApproach.EXPLICIT_MKL,
-            machine=small_machine_config,
-            tolerance=1e-11,
-            max_iterations=400,
-            batched=batched,
-        )
-        solutions[batched] = FetiSolver(heat_problem_2d, options).solve()
-    assert solutions[True].converged and solutions[False].converged
-    np.testing.assert_allclose(
-        solutions[True].lam, solutions[False].lam, atol=1e-10
+    """A whole solve on the loop oracle (apply and dual rhs) lands on the same answer."""
+    options = SolverSpec(
+        approach=DualOperatorApproach.EXPLICIT_MKL,
+        machine=small_machine_config,
+        tolerance=1e-11,
+        max_iterations=400,
     )
-    u_batched = np.concatenate(solutions[True].primal)
-    u_looped = np.concatenate(solutions[False].primal)
-    np.testing.assert_allclose(u_batched, u_looped, atol=1e-10)
+    engine = FetiSolver(heat_problem_2d, options).solve()
+    looped_solver = FetiSolver(heat_problem_2d, options)
+    use_looped_apply(looped_solver.operator)
+    looped = looped_solver.solve()
+    assert engine.converged and looped.converged
+    np.testing.assert_allclose(engine.lam, looped.lam, atol=1e-10)
+    np.testing.assert_allclose(
+        np.concatenate(engine.primal), np.concatenate(looped.primal), atol=1e-10
+    )
 
 
 def test_multistep_driver_records_accumulate_across_runs(

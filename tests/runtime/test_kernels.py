@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,6 +20,8 @@ from repro.sparse.numeric import NotPositiveDefiniteError, numeric_cholesky
 from repro.sparse.schur import schur_complement
 from repro.sparse.symbolic import symbolic_cholesky
 
+from tests.oracles import sparse as scalar
+
 
 @pytest.fixture(scope="module")
 def heat_group():
@@ -25,7 +29,7 @@ def heat_group():
     problem = build_problem(Workload("heat", 2, (8, 8), 8))
     subs = problem.subdomains
     base = sp.csr_matrix(subs[0].K_reg)
-    symbolic = symbolic_cholesky(base, supernodes=True)
+    symbolic = symbolic_cholesky(base)
     cmap = csr_to_csc_map(base)
     data = np.stack([np.asarray(s.K_reg.data) for s in subs])[:, cmap]
     return subs, symbolic, data
@@ -51,10 +55,9 @@ def test_batched_factor_matches_serial_bitwise(heat_group):
 
 
 def test_batched_factor_requires_supernodal_analysis(heat_group):
-    subs, _, data = heat_group
-    scalar = symbolic_cholesky(sp.csr_matrix(subs[0].K_reg), supernodes=False)
+    _, symbolic, data = heat_group
     with pytest.raises(ValueError, match="supernodal"):
-        batched_factor_panels(data, scalar)
+        batched_factor_panels(data, replace(symbolic, supernodes=None))
 
 
 def test_batched_factor_raises_on_non_spd_member(heat_group):
@@ -88,6 +91,11 @@ def test_batched_schur_matches_serial_to_machine_rounding(heat_group):
             np.testing.assert_allclose(
                 F[i, : sub.n_lambda, : sub.n_lambda], ref, rtol=1e-12, atol=1e-14
             )
+        if i % 16 == 0:  # and the scalar per-column oracle, on a few members
+            oracle = scalar.schur_complement(scalar.numeric_scalar(sub.K_reg, symbolic), sub.B)
+            np.testing.assert_allclose(
+                F[i, : sub.n_lambda, : sub.n_lambda], oracle, rtol=1e-10, atol=1e-12
+            )
         # Padding lanes stay exactly zero.
         assert np.all(F[i, sub.n_lambda :, :] == 0.0)
         assert np.all(F[i, :, sub.n_lambda :] == 0.0)
@@ -101,7 +109,8 @@ def test_batched_stack_of_one_equals_the_single_matrix_path(heat_group):
 
 
 def test_batched_schur_requires_a_partition(heat_group):
-    subs, _, data = heat_group
-    scalar = symbolic_cholesky(sp.csr_matrix(subs[0].K_reg), supernodes=False)
+    _, symbolic, _ = heat_group
     with pytest.raises(ValueError, match="supernode"):
-        batched_schur_complements(scalar, np.zeros((1, 4)), np.zeros((1, 4, 2)))
+        batched_schur_complements(
+            replace(symbolic, supernodes=None), np.zeros((1, 4)), np.zeros((1, 4, 2))
+        )

@@ -59,6 +59,14 @@ def test_parse_rejects_unknown_fields_actionably():
         parse_solve_request(_body(workloads="heat-2d-quick"))
 
 
+@pytest.mark.parametrize("field, value", [("batched", False), ("blocked", True)])
+def test_parse_rejects_the_removed_spec_toggles_by_name(field, value):
+    with pytest.raises(ProtocolError, match=rf"invalid spec.*unknown.*'{field}'"):
+        parse_solve_request(
+            _body(workload="heat-2d-quick", spec={"approach": "expl mkl", field: value})
+        )
+
+
 def test_parse_checks_the_schema_version():
     ok = parse_solve_request(_body(schema_version=SCHEMA_VERSION, workload="heat-2d-quick"))
     assert ok.workload.physics == "heat"

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.api import Workload
 from repro.serve import ServeClient, ServeConfig, ServeError, ServerThread
 from repro.serve.server import SolveServer
 
@@ -83,6 +84,11 @@ def test_invalid_requests_get_actionable_400s(client):
     with pytest.raises(ServeError, match="unknown request field") as exc_info:
         client._request("POST", "/v1/solve", {"workloads": "heat-2d-quick"})
     assert exc_info.value.status == 400
+    for removed in ({"batched": False}, {"blocked": True}):
+        (field,) = removed
+        with pytest.raises(ServeError, match=f"unknown solver-spec.*'{field}'") as exc_info:
+            client.solve("heat-2d-quick", spec={"approach": "expl mkl", **removed})
+        assert exc_info.value.status == 400
 
 
 def test_result_cache_serves_repeat_requests(client):
@@ -168,13 +174,16 @@ def test_saturation_yields_429_with_retry_after(monkeypatch):
 
 
 def test_timeout_yields_504_and_session_stays_serviceable(client):
+    # A cold 16-subdomain solve takes tens of milliseconds: it cannot finish
+    # inside the event loop's first GIL slice and beat the 1 µs timer.
+    workload = Workload("heat", 2, (4, 4), 10).to_dict()
     with pytest.raises(ServeError, match="did not finish") as exc_info:
-        client.solve("heat-2d-quick", rhs=2.0, timeout=1e-6)
+        client.solve(workload, rhs=2.0, timeout=1e-6)
     assert exc_info.value.status == 504
 
     # The abandoned solve finishes in the background under the session's
     # locks; the very same pattern keeps serving subsequent requests.
-    reply = client.solve("heat-2d-quick", rhs=3.0)
+    reply = client.solve(workload, rhs=3.0)
     assert reply["result"]["converged"] is True
     counters = client.metrics()["counters"]
     assert counters["solve_timeouts_504"] == 1

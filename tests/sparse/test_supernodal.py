@@ -1,13 +1,15 @@
-"""Tests of the supernodal/blocked sparse kernel layer.
+"""Tests of the supernodal sparse kernel layer.
 
-Covers supernode detection on hand-built elimination trees, blocked-vs-scalar
-equality of the numeric factorization and of every triangular kernel across
-heat/elasticity 2D/3D patterns, the level schedule, the per-column
-``start_rows`` grouping, the prepared generic CSC factor, and the structural
-pattern cache.
+Covers supernode detection on hand-built elimination trees, equality of the
+supernodal factorization and of every panel triangular kernel with the scalar
+per-column oracle (``tests/oracles/sparse.py``) across heat/elasticity 2D/3D
+patterns, the per-column ``start_rows`` grouping, the prepared generic CSC
+factor, and the structural pattern cache.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,11 +22,11 @@ from repro.fem.elasticity import LinearElasticityProblem
 from repro.fem.heat import HeatTransferProblem
 from repro.fem.mesh import structured_mesh
 from repro.sparse import (
+    CholeskyFactor,
     OrderingMethod,
     PatternCache,
     PreparedCscFactor,
     detect_supernodes,
-    elimination_levels,
     numeric_cholesky,
     prepare_csc_factor,
     sparse_trsm_lower,
@@ -37,6 +39,7 @@ from repro.sparse import (
 from repro.sparse.solvers import CholmodLikeSolver, PardisoLikeSolver
 
 from tests.conftest import random_spd_matrix
+from tests.oracles import sparse as scalar
 
 
 def _fem_matrix(physics, dim: int, cells: int = 3):
@@ -102,13 +105,6 @@ def test_detect_supernodes_honors_max_width():
     assert np.all(np.diff(ptr) <= 4)
 
 
-def test_elimination_levels_of_a_chain_and_a_star():
-    chain = np.array([1, 2, 3, -1])
-    assert elimination_levels(chain).tolist() == [0, 1, 2, 3]
-    star = np.array([3, 3, 3, -1])
-    assert elimination_levels(star).tolist() == [0, 0, 0, 1]
-
-
 def test_partition_covers_all_columns_and_pattern():
     A = _fem_matrix(HeatTransferProblem(), 2)
     s = symbolic_cholesky(A)
@@ -132,8 +128,8 @@ def test_partition_covers_all_columns_and_pattern():
 def test_blocked_factorization_matches_scalar_on_fem_patterns(physics, dim):
     A = _fem_matrix(physics, dim)
     s = symbolic_cholesky(A)
-    fb = numeric_cholesky(A, s, blocked=True)
-    fs = numeric_cholesky(A, s, blocked=False)
+    fb = numeric_cholesky(A, s)
+    fs = scalar.numeric_scalar(A, s)
     scale = np.abs(fs.values).max()
     assert np.allclose(fb.values, fs.values, atol=1e-12 * scale)
     # and the factor actually reconstructs the permuted matrix
@@ -154,16 +150,16 @@ def test_blocked_triangular_kernels_match_scalar_and_scipy(physics, dim):
 
     y_ref = spla.spsolve_triangular(L.tocsr(), b, lower=True)
     assert np.allclose(sparse_trsv_lower(f, b), y_ref)
-    assert np.allclose(sparse_trsv_lower(f, b, blocked=False), y_ref)
+    assert np.allclose(scalar.trsv_lower(f, b), y_ref)
 
     x_ref = spla.spsolve_triangular(L.T.tocsr(), b, lower=False)
     assert np.allclose(sparse_trsv_upper(f, b), x_ref)
-    assert np.allclose(sparse_trsv_upper(f, b, blocked=False), x_ref)
+    assert np.allclose(scalar.trsv_upper(f, b), x_ref)
 
     Yb = sparse_trsm_lower(f, B)
-    assert np.allclose(Yb, sparse_trsm_lower(f, B, blocked=False))
+    assert np.allclose(Yb, scalar.trsm_lower(f, B))
     Xb = sparse_trsm_upper(f, Yb)
-    assert np.allclose(Xb, sparse_trsm_upper(f, Yb, blocked=False))
+    assert np.allclose(Xb, scalar.trsm_upper(f, Yb))
     assert np.allclose(L.toarray() @ Yb, B)
 
 
@@ -177,32 +173,33 @@ def test_property_blocked_equals_scalar_on_random_spd(n, seed):
     rng = np.random.default_rng(seed)
     A = random_spd_matrix(n, 0.3, rng)
     s = symbolic_cholesky(A)
-    fb = numeric_cholesky(A, s, blocked=True)
-    fs = numeric_cholesky(A, s, blocked=False)
+    fb = numeric_cholesky(A, s)
+    fs = scalar.numeric_scalar(A, s)
     assert np.allclose(fb.values, fs.values, atol=1e-10 * max(1.0, np.abs(fs.values).max()))
     b = rng.standard_normal(n)
-    assert np.allclose(
-        sparse_trsv_lower(fb, b), sparse_trsv_lower(fs, b, blocked=False)
-    )
-    assert np.allclose(
-        sparse_trsv_upper(fb, b), sparse_trsv_upper(fs, b, blocked=False)
-    )
+    assert np.allclose(sparse_trsv_lower(fb, b), scalar.trsv_lower(fs, b))
+    assert np.allclose(sparse_trsv_upper(fb, b), scalar.trsv_upper(fs, b))
 
 
-def test_level_scheduled_fallback_matches_scalar():
-    """Factors without supernodes use the level-parallel solve."""
+def test_partition_less_factor_solves_through_the_csc_loops():
+    """A factor handed over without panels still solves (and cannot factorize)."""
     rng = np.random.default_rng(11)
     A = random_spd_matrix(40, 0.1, rng)
-    s = symbolic_cholesky(A, supernodes=False)
-    assert s.supernodes is None and s.levels is not None
-    f = numeric_cholesky(A, s)  # falls back to the scalar column path
+    s = symbolic_cholesky(A)
+    f = numeric_cholesky(A, s)
+    bare = CholeskyFactor(symbolic=replace(s, supernodes=None), values=f.values)
+    assert bare.panel_values() is None
     b = rng.standard_normal(40)
-    assert np.allclose(
-        sparse_trsv_lower(f, b), sparse_trsv_lower(f, b, blocked=False)
-    )
-    assert np.allclose(
-        sparse_trsv_upper(f, b), sparse_trsv_upper(f, b, blocked=False)
-    )
+    B = rng.standard_normal((40, 3))
+    starts = np.array([0, 7, 3])
+    for j, st0 in enumerate(starts):
+        B[:st0, j] = 0.0
+    assert np.allclose(sparse_trsv_lower(bare, b), scalar.trsv_lower(f, b))
+    assert np.allclose(sparse_trsv_upper(bare, b), scalar.trsv_upper(f, b))
+    assert np.allclose(sparse_trsm_lower(bare, B, start_rows=starts), scalar.trsm_lower(f, B))
+    assert np.allclose(sparse_trsm_upper(bare, B), scalar.trsm_upper(f, B))
+    with pytest.raises(ValueError, match="supernode partition"):
+        numeric_cholesky(A, bare.symbolic)
 
 
 def test_trsm_per_column_start_rows_groups_columns():
@@ -217,9 +214,8 @@ def test_trsm_per_column_start_rows_groups_columns():
     for j, st0 in enumerate(starts):
         B[st0:, j] = rng.standard_normal(s.n - int(st0))
     dense = sparse_trsm_lower(f, B)
-    for blocked in (True, False):
-        grouped = sparse_trsm_lower(f, B, start_rows=starts, blocked=blocked)
-        assert np.allclose(grouped, dense)
+    assert np.allclose(sparse_trsm_lower(f, B, start_rows=starts), dense)
+    assert np.allclose(scalar.trsm_lower(f, B), dense)
 
 
 def test_trsm_start_rows_requires_one_entry_per_column():
@@ -246,11 +242,9 @@ def test_prepared_csc_factor_matches_unprepared_and_scipy():
     ref = spla.spsolve_triangular(L.tocsr(), b, lower=True)
     assert np.allclose(prepared.solve_lower(b), ref)
     assert np.allclose(prepared.solve_upper(b), spla.spsolve_triangular(L.T.tocsr(), b, lower=False))
-    # 2-D, and the prepared object is accepted by the csc_trsm entry points
-    from repro.sparse.triangular import csc_trsm_lower, csc_trsm_upper
-
-    assert np.allclose(csc_trsm_lower(prepared, B), csc_trsm_lower(L, B))
-    assert np.allclose(csc_trsm_upper(prepared, B), csc_trsm_upper(L, B))
+    # 2-D right-hand sides against the scalar oracle on the plain matrix
+    assert np.allclose(prepared.solve_lower(B), scalar.csc_solve_lower(L, B))
+    assert np.allclose(prepared.solve_upper(B), scalar.csc_solve_upper(L, B))
 
 
 def test_prepared_csc_factor_panels_on_banded_factor():
@@ -263,10 +257,24 @@ def test_prepared_csc_factor_panels_on_banded_factor():
     assert prepared.partition is not None  # banded factors do coarsen
     rng = np.random.default_rng(7)
     B = rng.standard_normal((s.n, 3))
-    scalar = PreparedCscFactor(L, blocked=False)
-    assert scalar.partition is None
-    assert np.allclose(prepared.solve_lower(B), scalar.solve_lower(B))
-    assert np.allclose(prepared.solve_upper(B), scalar.solve_upper(B))
+    assert np.allclose(prepared.solve_lower(B), scalar.csc_solve_lower(L, B))
+    assert np.allclose(prepared.solve_upper(B), scalar.csc_solve_upper(L, B))
+
+
+def test_prepared_csc_factor_keeps_the_scalar_loops_when_panels_do_not_coarsen():
+    """A diagonal-plus-scattered pattern has no chains: the CSC loops run."""
+    rng = np.random.default_rng(14)
+    n = 30
+    L = sp.csc_matrix(
+        sp.tril(sp.random(n, n, density=0.05, random_state=rng), k=-2)
+        + sp.diags(2.0 + rng.random(n))
+    )
+    prepared = PreparedCscFactor(L)
+    assert prepared.partition is None
+    B = rng.standard_normal((n, 3))
+    assert np.allclose(prepared.solve_lower(B), scalar.csc_solve_lower(L, B))
+    assert np.allclose(prepared.solve_upper(B), scalar.csc_solve_upper(L, B))
+    assert np.allclose(prepared.solve_lower(B[:, 0]), scalar.csc_solve_lower(L, B[:, 0]))
 
 
 # --------------------------------------------------------------------- #
@@ -310,7 +318,7 @@ def test_pattern_cache_eviction_is_bounded():
 
 
 def test_blocked_solvers_share_the_cache_and_match_scalar():
-    """Same-pattern subdomains analyse once; results equal the scalar path."""
+    """Same-pattern subdomains analyse once; results equal the scalar oracle."""
     rng = np.random.default_rng(12)
     A = _fem_matrix(HeatTransferProblem(), 2)
     cache = PatternCache()
@@ -327,23 +335,28 @@ def test_blocked_solvers_share_the_cache_and_match_scalar():
 
     B = sp.random(6, A.shape[0], density=0.1, random_state=rng, format="csr")
     for solver, Ai in zip(solvers, matrices):
-        scalar = CholmodLikeSolver(blocked=False)
-        scalar.analyze(Ai)
-        scalar.factorize(Ai)
+        s = solver.symbolic
+        oracle = scalar.numeric_scalar(Ai, s)
         b = rng.standard_normal(A.shape[0])
-        assert np.allclose(solver.solve(b), scalar.solve(b))
-        assert np.allclose(
-            solver.schur_complement(B), scalar.schur_complement(B)
-        )
+        x = np.empty_like(b)
+        x[s.perm] = scalar.trsv_upper(oracle, scalar.trsv_lower(oracle, b[s.perm]))
+        assert np.allclose(solver.solve(b), x)
+        assert np.allclose(solver.schur_complement(B), scalar.schur_complement(oracle, B))
+        # the facade without sparsity exploitation assembles the same operator
+        plain = CholmodLikeSolver(pattern_cache=cache)
+        plain.factorize(Ai)
+        assert np.allclose(plain.schur_complement(B), scalar.schur_complement(oracle, B))
 
 
-def test_scalar_solver_skips_the_global_cache():
+def test_pattern_cache_false_skips_the_global_cache():
     from repro.sparse.cache import global_pattern_cache
 
     cache = global_pattern_cache()
     cache.clear()
     rng = np.random.default_rng(13)
     A = random_spd_matrix(20, 0.3, rng)
-    solver = PardisoLikeSolver(blocked=False)
+    solver = PardisoLikeSolver(pattern_cache=False)
     solver.analyze(A)
     assert cache.hits == 0 and cache.misses == 0
+    PardisoLikeSolver().analyze(A)  # the default is the process-global cache
+    assert cache.misses == 1

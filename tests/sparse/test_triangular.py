@@ -15,9 +15,9 @@ from repro.sparse import (
     sparse_trsv_upper,
     symbolic_cholesky,
 )
-from repro.sparse.triangular import csc_trsm_lower, csc_trsm_upper
 
 from tests.conftest import random_spd_matrix
+from tests.oracles.sparse import csc_solve_lower, csc_solve_upper
 
 
 @pytest.fixture(scope="module")
@@ -80,15 +80,16 @@ def test_trsm_rejects_bad_shapes(factor):
 
 
 def test_csc_variants_match_factor_variants(factor):
+    """The panel kernels equal the scalar CSC oracle on the factor's matrix."""
     rng = np.random.default_rng(4)
     B = rng.standard_normal((factor.n, 4))
     L = factor.to_csc()
-    assert np.allclose(csc_trsm_lower(L, B), sparse_trsm_lower(factor, B))
-    assert np.allclose(csc_trsm_upper(L, B), sparse_trsm_upper(factor, B))
-    # 1-D right-hand sides are supported by the generic variants
+    assert np.allclose(csc_solve_lower(L, B), sparse_trsm_lower(factor, B))
+    assert np.allclose(csc_solve_upper(L, B), sparse_trsm_upper(factor, B))
+    # 1-D right-hand sides
     b = rng.standard_normal(factor.n)
-    assert np.allclose(csc_trsm_lower(L, b), sparse_trsv_lower(factor, b))
-    assert np.allclose(csc_trsm_upper(L, b), sparse_trsv_upper(factor, b))
+    assert np.allclose(csc_solve_lower(L, b), sparse_trsv_lower(factor, b))
+    assert np.allclose(csc_solve_upper(L, b), sparse_trsv_upper(factor, b))
 
 
 def test_csc_solve_against_scipy():
@@ -102,7 +103,7 @@ def test_csc_solve_against_scipy():
     import scipy.sparse.linalg as spla
 
     expected = spla.spsolve_triangular(L.tocsr(), b, lower=True)
-    assert np.allclose(csc_trsm_lower(L, b), expected)
+    assert np.allclose(csc_solve_lower(L, b), expected)
 
 
 @settings(max_examples=25, deadline=None)
