@@ -652,6 +652,7 @@ class Session:
             "symbolic_analyses": self.pattern_cache.misses,
             "pattern_hits": self.pattern_cache.hits,
             "pattern_hit_rate": self.pattern_cache.hit_rate,
+            "pattern_bytes": self.pattern_cache.nbytes,
             "problems": len(self._problems),
             "solvers": len(self._solvers),
             "solver_reuses": self.stats.solver_reuses,

@@ -411,10 +411,14 @@ class DualOperatorBase(abc.ABC):
     # Resident-storage accounting and tiering (repro.memory)              #
     # ------------------------------------------------------------------ #
     def storage_nbytes(self) -> dict[str, int]:
-        """Byte-accurate resident storage, split by kind.
+        """Byte-accurate resident *numeric* storage, split by kind.
 
         ``factor`` counts the per-subdomain numeric factors (values +
-        supernodal panels + any matrix retained for refinement);
+        supernodal panels + any matrix retained for refinement) — not the
+        symbolic analyses they point to: those index arrays are shared across
+        cache entries through the pattern cache, so they sit outside the
+        per-entry budget and are reported as ``pattern_bytes`` in
+        ``Session.cache_stats()`` (:attr:`repro.sparse.PatternCache.nbytes`);
         ``pack`` the assembled/packed dense dual-operator blocks (the 3-D
         batched packs, ``local_F`` dicts, device-resident ``F̃ᵢ``); and
         ``arena`` the padded apply-scratch buffers the batched engine keeps

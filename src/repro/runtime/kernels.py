@@ -8,7 +8,9 @@ problem** instead of a Python loop of small ones:
 * :func:`batched_factor_panels` — supernodal left-looking factorization of a
   ``(k, nnz)`` stack of same-pattern matrices.  The panel initialization is
   one fancy-index scatter for the whole stack and every supernodal update is
-  a single batched GEMM (``np.matmul`` over the leading axis); only the tiny
+  a single batched GEMM (``np.matmul`` over the leading axis) subtracted from
+  ``panels[:, rows, cols]`` — the same factored ``(rows, cols)`` update maps
+  the serial kernel reads, with the stack as leading axis; only the tiny
   dense Cholesky/triangular finish of each panel stays per-matrix (the exact
   LAPACK calls of the serial path, keeping results bit-identical per slice).
 * :func:`batched_schur_complements` — forward panel TRSM over the stacked
@@ -93,20 +95,19 @@ def batched_factor_panels(
     for j in range(part.n_supernodes):
         j0, j1 = int(snode_ptr[j]), int(snode_ptr[j + 1])
         w, h = int(widths[j]), int(heights[j])
-        off0, off1 = int(panel_off[j]), int(panel_off[j + 1])
+        panels = flat[:, panel_off[j] : panel_off[j + 1]].reshape(k, h, w)
 
-        for d, i0, i1, scatter in part.updates[j]:
+        for d, i0, i1, rows, cols in part.updates[j]:
             wd = int(widths[d])
             pk = flat[:, panel_off[d] : panel_off[d + 1]].reshape(k, -1, wd)
             trailing = pk[:, wd + i0 :, :]
             mult = pk[:, wd + i0 : wd + i1, :]
-            contrib = np.matmul(trailing, mult.transpose(0, 2, 1))
-            flat[:, off0 + scatter] -= contrib.reshape(k, -1)
+            panels[:, rows, cols] -= np.matmul(trailing, mult.transpose(0, 2, 1))
 
         # The dense finish stays per-matrix: the identical LAPACK calls of
         # the serial kernel, so every slice matches the per-subdomain path.
         for i in range(k):
-            pv = flat[i, off0:off1].reshape(h, w)
+            pv = panels[i]
             ltop, info = dpotrf(pv[:w, :w], lower=1, clean=1)
             if info != 0:
                 raise NotPositiveDefiniteError(

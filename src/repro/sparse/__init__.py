@@ -32,7 +32,6 @@ from repro.sparse.symbolic import (
     SymbolicFactor,
     symbolic_cholesky,
     detect_supernodes,
-    elimination_tree,
 )
 from repro.sparse.numeric import CholeskyFactor, numeric_cholesky
 from repro.sparse.triangular import (
@@ -60,7 +59,6 @@ __all__ = [
     "SymbolicFactor",
     "symbolic_cholesky",
     "detect_supernodes",
-    "elimination_tree",
     "CholeskyFactor",
     "numeric_cholesky",
     "PreparedCscFactor",

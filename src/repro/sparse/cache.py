@@ -14,6 +14,11 @@ The key is a hash of the canonical CSC pattern (shape, ``indptr``,
 subdomains with equal patterns but different stiffness values hit the same
 entry.  The cache is bounded LRU and thread-safe; the solver facades use the
 process-global instance by default.
+
+An entry holds index arrays only — pattern, permutation maps, panel layout
+and the factored ``(rows, cols)`` update maps, about twice the bytes of the
+factor panels on a 3D subdomain — and :attr:`PatternCache.nbytes` reports
+their total (``pattern_bytes`` in ``Session.cache_stats()``).
 """
 
 from __future__ import annotations
@@ -84,6 +89,12 @@ class PatternCache:
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
         return symbolic
+
+    @property
+    def nbytes(self) -> int:
+        """Index bytes of every cached analysis (:attr:`SymbolicFactor.nbytes`)."""
+        with self._lock:
+            return sum(entry.nbytes for entry in self._entries.values())
 
     @property
     def hit_rate(self) -> float:

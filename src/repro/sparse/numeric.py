@@ -6,15 +6,18 @@ this module computes the values of ``L`` such that ``P A Pᵀ = L Lᵀ``.
 The factorization is **supernodal left-looking**: every supernode is a dense
 trapezoidal panel initialized with one vectorized scatter of the (one-pass)
 permuted matrix values, updated by one GEMM per contributing descendant
-supernode, and finished with a dense Cholesky of its diagonal block plus one
-triangular solve for the off-panel block.  The Python-level work is
-proportional to the number of supernodal updates, not to ``nnz(L)``, and all
-arithmetic runs through BLAS-3 calls — the structure production libraries
-(CHOLMOD, PARDISO) use.
+supernode (subtracted from ``panel[rows, cols]``, the factored block position
+of :attr:`~repro.sparse.symbolic.SupernodePartition.updates` — a basic slice
+where the rows/columns are contiguous), and finished with a dense Cholesky of
+its diagonal block plus one triangular solve for the off-panel block.  The
+Python-level work is proportional to the number of supernodal updates, not to
+``nnz(L)``, and all arithmetic runs through BLAS-3 calls — the structure
+production libraries (CHOLMOD, PARDISO) use.
 
 The classic left-looking *column* algorithm it replaced is the test oracle
-(``tests/oracles/sparse.py``); both produce the same factor up to
-floating-point roundoff.
+(``tests/oracles/sparse.py::numeric_scalar``); both produce the same factor up
+to floating-point roundoff.  ``numeric_reference`` in the same module is this
+loop driven by flat per-update scatter arrays and must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -191,15 +194,12 @@ def _numeric_supernodal(
     for j in range(part.n_supernodes):
         j0, j1 = int(snode_ptr[j]), int(snode_ptr[j + 1])
         w, h = int(widths[j]), int(heights[j])
-        pflat = flat[panel_off[j] : panel_off[j + 1]]
-        pv = pflat.reshape(h, w)
+        pv = flat[panel_off[j] : panel_off[j + 1]].reshape(h, w)
 
-        for k, i0, i1, scatter in part.updates[j]:
+        for k, i0, i1, rows, cols in part.updates[j]:
             wk = int(widths[k])
             pk = flat[panel_off[k] : panel_off[k + 1]].reshape(-1, wk)
-            trailing = pk[wk + i0 :, :]
-            contrib = trailing @ pk[wk + i0 : wk + i1, :].T
-            pflat[scatter] -= contrib.ravel()
+            pv[rows, cols] -= pk[wk + i0 :] @ pk[wk + i0 : wk + i1].T
 
         # Dense Cholesky of the diagonal block (LAPACK potrf references only
         # the lower triangle, so junk above the diagonal is harmless), then

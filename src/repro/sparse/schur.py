@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.sparse.numeric import CholeskyFactor
-from repro.sparse.triangular import sparse_trsm_lower
+from repro.sparse.triangular import solve_lower_inplace
 
 __all__ = ["schur_complement", "rhs_sparsity_fill", "column_first_rows"]
 
@@ -91,15 +91,31 @@ def schur_complement(
         The dense symmetric matrix ``S`` of shape ``(n_dual, n_dual)``.
     """
     s = factor.symbolic
-    perm = s.perm
-    Bp = sp.csr_matrix(B)[:, perm]
-    rhs = np.asarray(Bp.todense(), dtype=float).T  # (ndofs, n_dual), permuted rows
-    if exploit_rhs_sparsity:
-        Bt = sp.csc_matrix(Bp.T)
-        start_rows = np.full(rhs.shape[1], s.n, dtype=np.int64)
-        nonempty = np.diff(Bt.indptr) > 0
-        start_rows[nonempty] = column_first_rows(Bt)
-    else:
-        start_rows = None
-    W = sparse_trsm_lower(factor, rhs, start_rows=start_rows)
+    Bc = sp.csr_matrix(B)
+    n_dual = Bc.shape[0]
+    inv_perm = np.empty(s.n, dtype=np.int64)
+    inv_perm[s.perm] = np.arange(s.n, dtype=np.int64)
+    rows = inv_perm[Bc.indices]  # permuted row of every nonzero of B̃ᵀ
+    cols = np.repeat(np.arange(n_dual, dtype=np.int64), np.diff(Bc.indptr))
+
+    # W = P B̃ᵀ is scattered straight into the buffer the solve runs in, its
+    # columns already sorted by first nonzero row when that sparsity is
+    # exploited (the solve activates a growing column prefix).
+    rank = sorted_starts = None
+    if exploit_rhs_sparsity and n_dual:
+        starts = np.full(n_dual, s.n, dtype=np.int64)
+        starts[np.diff(Bc.indptr) > 0] = column_first_rows(Bc.T, row_map=inv_perm)
+        order = np.argsort(starts, kind="stable")
+        sorted_starts = starts[order]
+        rank = np.empty(n_dual, dtype=np.int64)
+        rank[order] = np.arange(n_dual, dtype=np.int64)
+        cols = rank[cols]
+    W = np.zeros((s.n, n_dual))
+    np.add.at(W, (rows, cols), Bc.data)
+    solve_lower_inplace(factor, W, sorted_starts=sorted_starts)
+    if rank is not None:
+        # Back to B̃'s column order before the product: WᵀW summed in another
+        # column order differs in the last bit, and the heat 3D iteration
+        # counts sit on exactly that edge.
+        W = np.take(W, rank, axis=1)
     return W.T @ W

@@ -20,6 +20,18 @@ All of it — including the one-pass permutation maps that turn the original
 matrix values into the permuted lower-triangular CSC layout — depends only on
 the pattern, so :mod:`repro.sparse.cache` can share one
 :class:`SymbolicFactor` across every subdomain with the same sparsity.
+
+The analysis runs in **array form**: the interpreter takes ``O(n)`` steps (one
+sorted union per column for the factor pattern, which discovers the
+elimination tree on the way; one pass over the columns for the supernode
+split; one tuple per left-looking update) and everything proportional to
+``nnz(L)`` happens inside NumPy calls — the panel positions of all entries of
+``L``, of ``A`` and of all update blocks come from one ``searchsorted`` each.
+What it keeps is ``O(nnz(L))`` index entries: an update stores the two factors
+``(rows, cols)`` of its block position, never the ``rows x cols`` product.
+The per-entry pure-Python analysis this replaced (Liu's path-compressed tree,
+row patterns by tree reach, one flat scatter array per update) lives on as
+the bit-identity oracle ``tests/oracles/sparse.py::symbolic_reference``.
 """
 
 from __future__ import annotations
@@ -34,7 +46,6 @@ from repro.sparse.ordering import OrderingMethod, compute_ordering
 __all__ = [
     "SupernodePartition",
     "SymbolicFactor",
-    "elimination_tree",
     "detect_supernodes",
     "symbolic_cholesky",
 ]
@@ -63,12 +74,18 @@ class SupernodePartition:
     position in the concatenated panel storage; ``ainit_pos`` does the same
     for the entries of the permuted lower triangle of the analysed matrix,
     so the numeric factorization initializes all panels with one vectorized
-    scatter.  ``updates[j]`` lists the left-looking contributions into
-    supernode ``j`` as ``(k, i0, i1, scatter)``: the below-rows ``i0:i1`` of
-    an earlier supernode ``k`` fall inside panel ``j``'s column range, and
-    ``scatter`` holds the flat positions (relative to panel ``j``) where the
-    GEMM contribution lands — precomputed once per pattern so every numeric
-    factorization scatters with a single fancy-index subtraction.
+    scatter.
+
+    ``updates[j]`` lists the left-looking contributions into supernode ``j``
+    as ``(k, i0, i1, rows, cols)``, ascending in ``k``: the below-rows
+    ``i0:i1`` of an earlier supernode ``k`` fall inside panel ``j``'s column
+    range, and the GEMM contribution ``(below rows i0: of k) x (below rows
+    i0:i1 of k)ᵀ`` is subtracted from ``panel_j[rows, cols]`` (``panel_j``
+    of shape ``(heights[j], widths[j])``).  ``rows`` / ``cols`` are the two
+    factors of the block's position — a ``slice`` where the range is
+    contiguous, an index array otherwise (``rows`` shaped ``(R, 1)`` when
+    both are arrays, so the pair always addresses an ``R x C`` block) — which
+    keeps the maps at ``O(R + C)`` per update instead of ``O(R * C)``.
     """
 
     snode_ptr: np.ndarray
@@ -78,7 +95,7 @@ class SupernodePartition:
     panel_off: np.ndarray
     below_rows: list[np.ndarray]
     lpos: np.ndarray
-    updates: list[list[tuple[int, int, int, np.ndarray]]]
+    updates: list[list[tuple[int, int, int, np.ndarray | slice, np.ndarray | slice]]]
     ainit_pos: np.ndarray | None = None
 
     @property
@@ -102,6 +119,11 @@ class SupernodePartition:
         total = self.panel_entries
         return 1.0 - self.lpos.shape[0] / total if total else 0.0
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every index array of the partition, update maps included."""
+        return _index_nbytes(list(vars(self).values()))
+
 
 @dataclass
 class SymbolicFactor:
@@ -122,9 +144,6 @@ class SymbolicFactor:
         CSC pattern of ``L`` including the unit diagonal position; row
         indices in every column are strictly increasing and start with the
         diagonal.
-    row_ptr, row_cols:
-        CSR view of the strictly-lower pattern: for every row ``j`` the
-        columns ``k < j`` with ``L[j, k] != 0``.
     """
 
     n: int
@@ -132,8 +151,6 @@ class SymbolicFactor:
     parent: np.ndarray
     col_ptr: np.ndarray
     row_idx: np.ndarray
-    row_ptr: np.ndarray
-    row_cols: np.ndarray
 
     @property
     def nnz(self) -> int:
@@ -161,6 +178,17 @@ class SymbolicFactor:
     a_lower_rows: np.ndarray | None = field(default=None, repr=False)
     a_lower_map: np.ndarray | None = field(default=None, repr=False)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every index array the analysis holds.
+
+        Pattern, permutation maps, panel layout and update maps — what one
+        :class:`~repro.sparse.cache.PatternCache` entry keeps resident (and
+        what the process backend pickles once per shard).  ``below_rows`` are
+        views into ``row_idx`` until pickled and are counted as if owned.
+        """
+        return _index_nbytes(list(vars(self).values()))
+
     def factor_density(self) -> float:
         """Fraction of the lower triangle of ``L`` that is nonzero."""
         total = self.n * (self.n + 1) / 2.0
@@ -181,34 +209,15 @@ class SymbolicFactor:
         return 4.0 * self.nnz * float(nrhs)
 
 
-def _etree_from_arrays(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
-    """Liu's elimination-tree algorithm on a lower-triangular CSR pattern."""
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        for p in range(indptr[i], indptr[i + 1]):
-            k = int(indices[p])
-            if k >= i:
-                continue
-            # Walk from k to the root of its current subtree, compressing paths.
-            while k != -1 and k < i:
-                knext = int(ancestor[k])
-                ancestor[k] = i
-                if knext == -1:
-                    parent[k] = i
-                    break
-                k = knext
-    return parent
-
-
-def elimination_tree(lower: sp.csr_matrix) -> np.ndarray:
-    """Elimination tree of a symmetric matrix given its lower-triangular CSR.
-
-    Implements Liu's algorithm with path compression (the ``ancestor``
-    array).  Returns the ``parent`` array with ``-1`` marking roots.
-    """
-    n = lower.shape[0]
-    return _etree_from_arrays(lower.indptr, lower.indices, n)
+def _index_nbytes(obj) -> int:
+    """Total ``nbytes`` of the arrays inside (nested) fields of an analysis."""
+    if isinstance(obj, np.ndarray):
+        return int(obj.nbytes)
+    if isinstance(obj, SupernodePartition):
+        return obj.nbytes
+    if isinstance(obj, (list, tuple)):
+        return sum(map(_index_nbytes, obj))
+    return 0
 
 
 def detect_supernodes(
@@ -243,8 +252,10 @@ def detect_supernodes(
         ``snode_ptr`` of length ``n_supernodes + 1`` with the column ranges.
     """
     n = parent.shape[0]
+    if n == 0:
+        return np.zeros(1, dtype=np.int64)
     boundaries = [0]
-    exact = int(col_counts[0]) if n else 0
+    exact = int(col_counts[0])
     j0 = 0
     for j in range(n - 1):
         width = j + 2 - j0
@@ -281,59 +292,70 @@ def _build_partition(
     col_ptr: np.ndarray,
     row_idx: np.ndarray,
     snode_ptr: np.ndarray,
-    a_lower_indptr: np.ndarray | None,
-    a_lower_rows: np.ndarray | None,
+    a_lower_indptr: np.ndarray,
+    a_lower_rows: np.ndarray,
 ) -> SupernodePartition:
-    """Derive the dense-panel layout and update lists of a supernode split."""
+    """Derive the dense-panel layout and update maps of a supernode split.
+
+    Every map is built for all supernodes at once: a pattern row ``r`` of
+    supernode ``s`` sits either in the triangle (``r - j0``) or among the
+    below rows, where one ``searchsorted`` over the keys ``s * n + row`` of
+    all below rows (ascending by construction) finds it.
+    """
     nsuper = snode_ptr.shape[0] - 1
     widths = np.diff(snode_ptr)
-    col_to_snode = np.repeat(np.arange(nsuper, dtype=np.int64), widths)
-    below_rows: list[np.ndarray] = []
-    for s in range(nsuper):
-        last = snode_ptr[s + 1] - 1
-        below_rows.append(row_idx[col_ptr[last] + 1 : col_ptr[last + 1]])
-    heights = widths + np.array([b.shape[0] for b in below_rows], dtype=np.int64)
+    snodes = np.arange(nsuper, dtype=np.int64)
+    col_to_snode = np.repeat(snodes, widths)
+    last = snode_ptr[1:] - 1
+    below_rows = [row_idx[a:b] for a, b in zip(col_ptr[last] + 1, col_ptr[last + 1])]
+    nbelow = col_ptr[last + 1] - col_ptr[last] - 1
+    heights = widths + nbelow
     panel_off = np.concatenate(([0], np.cumsum(heights * widths))).astype(np.int64)
 
-    lpos = np.empty(row_idx.shape[0], dtype=np.int64)
-    ainit = (
-        np.empty(a_lower_rows.shape[0], dtype=np.int64)
-        if a_lower_rows is not None
-        else None
-    )
-    for s in range(nsuper):
-        j0, j1 = int(snode_ptr[s]), int(snode_ptr[s + 1])
-        w = int(widths[s])
-        below = below_rows[s]
-        off = int(panel_off[s])
-        for c, j in enumerate(range(j0, j1)):
-            rows = row_idx[col_ptr[j] : col_ptr[j + 1]]
-            loc = _panel_positions(rows, j0, j1, w, below)
-            lpos[col_ptr[j] : col_ptr[j + 1]] = off + loc * w + c
-            if ainit is not None:
-                arows = a_lower_rows[a_lower_indptr[j] : a_lower_indptr[j + 1]]
-                aloc = _panel_positions(arows, j0, j1, w, below)
-                ainit[a_lower_indptr[j] : a_lower_indptr[j + 1]] = off + aloc * w + c
+    below_ptr = np.concatenate(([0], np.cumsum(nbelow))).astype(np.int64)
+    below_all = row_idx[_ragged_arange(col_ptr[last] + 1, nbelow)]
+    below_src = np.repeat(snodes, nbelow)
+    below_key = below_src * n + below_all
 
-    updates: list[list[tuple[int, int, int, np.ndarray]]] = [
-        [] for _ in range(nsuper)
-    ]
-    for k in range(nsuper):
-        bk = below_rows[k]
-        if bk.shape[0] == 0:
-            continue
-        targets = col_to_snode[bk]
-        cut = np.flatnonzero(np.diff(targets)) + 1
-        starts = np.concatenate(([0], cut))
-        ends = np.concatenate((cut, [bk.shape[0]]))
-        for a, b in zip(starts, ends):
-            j = int(targets[a])
-            j0, j1 = int(snode_ptr[j]), int(snode_ptr[j + 1])
-            w = int(widths[j])
-            rloc = _panel_positions(bk[a:], j0, j1, w, below_rows[j])
-            cloc = bk[a:b] - j0
-            scatter = (rloc[:, None] * w + cloc[None, :]).ravel()
-            updates[j].append((k, int(a), int(b), scatter))
+    def local_rows(sn: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Panel-local row of pattern row ``rows[i]`` in supernode ``sn[i]``."""
+        pos = np.searchsorted(below_key, sn * n + rows) - below_ptr[sn]
+        return np.where(rows < snode_ptr[sn + 1], rows - snode_ptr[sn], widths[sn] + pos)
+
+    def flat_positions(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Flat panel position of every entry of a CSC pattern inside ``L``'s."""
+        cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        sn = col_to_snode[cols]
+        return panel_off[sn] + local_rows(sn, rows) * widths[sn] + (cols - snode_ptr[sn])
+
+    lpos = flat_positions(col_ptr, row_idx)
+    ainit = flat_positions(a_lower_indptr, a_lower_rows)
+
+    # Left-looking updates: the below rows of supernode k split into runs by
+    # the supernode owning each row; the run i0:i1 that falls into supernode
+    # j's columns contributes (below rows i0: of k) x (below rows i0:i1 of k)
+    # to panel j.  The panel-local rows of all those blocks are looked up in
+    # one go; an update's local columns are the leading i1 - i0 of its rows.
+    target = col_to_snode[below_all]
+    first = np.ones(below_all.shape[0], dtype=bool)
+    first[1:] = (below_src[1:] != below_src[:-1]) | (target[1:] != target[:-1])
+    starts = np.flatnonzero(first)
+    src, dst = below_src[starts], target[starts]
+    ncols = np.diff(np.append(starts, below_all.shape[0]))
+    nrows = below_ptr[src + 1] - starts
+    rloc_all = local_rows(np.repeat(dst, nrows), below_all[_ragged_arange(starts, nrows)])
+    rloc_ptr = np.concatenate(([0], np.cumsum(nrows)))
+    updates: list[list[tuple]] = [[] for _ in range(nsuper)]
+    for k, j, i0, nc, r0, r1 in zip(
+        src.tolist(),
+        dst.tolist(),
+        (starts - below_ptr[src]).tolist(),
+        ncols.tolist(),
+        rloc_ptr[:-1].tolist(),
+        rloc_ptr[1:].tolist(),
+    ):
+        rloc = rloc_all[r0:r1]
+        updates[j].append((k, i0, i0 + nc, *_block_index(rloc, nc)))
 
     return SupernodePartition(
         snode_ptr=snode_ptr,
@@ -348,6 +370,32 @@ def _build_partition(
     )
 
 
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(starts[i], starts[i] + lengths[i])`` over ``i``."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()), dtype=np.int64)
+
+
+def _block_index(rloc: np.ndarray, ncols: int) -> tuple:
+    """``(rows, cols)`` such that ``panel[rows, cols]`` is an update's block.
+
+    ``rloc`` holds the strictly increasing panel-local rows of the block and
+    its leading ``ncols`` entries are the local columns.  Contiguous ranges
+    become slices (basic indexing, no index array kept); when both stay
+    index arrays the rows are shaped ``(R, 1)`` so that they broadcast
+    against the columns.
+    """
+
+    def compact(idx: np.ndarray):
+        lo, hi = int(idx[0]), int(idx[-1]) + 1
+        return slice(lo, hi) if hi - lo == idx.shape[0] else idx
+
+    rows, cols = compact(rloc), compact(rloc[:ncols])
+    if isinstance(cols, np.ndarray):
+        rows = rloc[:, None]
+    return rows, cols
+
+
 def _canonical_csc(A: sp.spmatrix) -> sp.csc_matrix:
     """CSC form with sorted indices, copying only when necessary."""
     csc = A.tocsc()
@@ -355,6 +403,62 @@ def _canonical_csc(A: sp.spmatrix) -> sp.csc_matrix:
         csc = csc.copy()
         csc.sort_indices()
     return csc
+
+
+def _column_structures(
+    n: int, a_indptr: np.ndarray, a_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elimination tree and CSC pattern of ``L`` by a bottom-up column merge.
+
+    ``struct(L[:, j]) = struct(A[j:, j]) ∪ ⋃ struct(L[:, c]) \\ {c}`` over the
+    elimination-tree children ``c`` of ``j`` (Liu 1990), and
+    ``parent(c) = min(struct(L[:, c]) \\ {c})`` — so the tree is discovered on
+    the way: every child of ``j`` is an earlier column and has left its
+    suffix in ``pending[j]`` by the time column ``j`` is merged.  One sorted
+    union per column; the interpreted work is ``O(n)``, not ``O(nnz(L))``.
+
+    ``a_indptr`` / ``a_rows`` are the CSC lower triangle of the permuted
+    matrix (sorted rows).  Returns ``(parent, col_ptr, row_idx)``.
+    """
+    parent = np.full(n, -1, dtype=np.int64)
+    diag = np.arange(n, dtype=np.int64)
+    structs: list[np.ndarray] = []
+    pending: dict[int, list[np.ndarray]] = {}
+    for j in range(n):
+        parts = pending.pop(j, [])
+        parts += (diag[j : j + 1], a_rows[a_indptr[j] : a_indptr[j + 1]])
+        # The parts are sorted runs, which the stable (merging) sort exploits.
+        merged = np.sort(np.concatenate(parts), kind="stable")
+        keep = np.ones(merged.shape[0], dtype=bool)
+        np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+        rows = merged[keep]
+        structs.append(rows)
+        if rows.shape[0] > 1:
+            p = int(rows[1])
+            parent[j] = p
+            pending.setdefault(p, []).append(rows[1:])
+    col_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([rows.shape[0] for rows in structs], out=col_ptr[1:])
+    row_idx = np.concatenate(structs) if structs else np.empty(0, dtype=np.int64)
+    return parent, col_ptr, row_idx
+
+
+def _require_symmetric_pattern(csc: sp.csc_matrix) -> None:
+    """Raise unless the stored pattern equals the pattern of its transpose.
+
+    The analysis reads the lower triangle of the permuted pattern only, so a
+    matrix stored as one triangle (or structurally unsymmetric) would
+    silently get a too-small factor pattern.
+    """
+    transposed = _canonical_csc(csc.T)
+    if not (
+        np.array_equal(transposed.indptr, csc.indptr)
+        and np.array_equal(transposed.indices, csc.indices)
+    ):
+        raise ValueError(
+            "matrix pattern is not structurally symmetric; symbolic_cholesky "
+            "needs both triangles stored"
+        )
 
 
 def symbolic_cholesky(
@@ -369,7 +473,8 @@ def symbolic_cholesky(
     Parameters
     ----------
     A:
-        Symmetric positive definite sparse matrix (only the pattern is used).
+        Symmetric positive definite sparse matrix (only the pattern is used;
+        it must be structurally symmetric, i.e. both triangles stored).
     ordering:
         Fill-reducing ordering method (ignored when ``perm`` is given).
     perm:
@@ -378,39 +483,39 @@ def symbolic_cholesky(
         Relaxed-amalgamation padding tolerance (see :func:`detect_supernodes`).
     max_supernode:
         Maximal columns per supernode.
+
+    Raises
+    ------
+    ValueError
+        If ``A`` is not square, its stored pattern is not symmetric, or
+        ``perm`` has the wrong shape.
     """
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    if perm is None:
-        perm = compute_ordering(A, ordering)
-    else:
+    csc = _canonical_csc(A)
+    _require_symmetric_pattern(csc)
+    if perm is not None:
         perm = np.asarray(perm, dtype=np.int64)
         if perm.shape != (n,):
             raise ValueError("perm has wrong shape")
+    elif n:
+        perm = compute_ordering(A, ordering)
+    else:  # nothing to order (and RCM cannot reduce over an empty graph)
+        perm = np.empty(0, dtype=np.int64)
 
     # One-pass permutation: classify every stored entry of A by its permuted
-    # coordinates and lexsort, instead of two fancy-index passes through
-    # SciPy.  Produces the permuted lower triangle both as CSR (driving the
-    # elimination tree and the row-pattern reach) and as CSC together with
-    # the map from A's canonical CSC data into that layout (reused by every
-    # numeric factorization of the same pattern).
-    csc = _canonical_csc(A)
+    # coordinates and lexsort once, which yields the permuted lower triangle
+    # as CSC (driving the column merge) together with the map from A's
+    # canonical CSC data into that layout (reused by every numeric
+    # factorization of the same pattern).
     inv_perm = np.empty(n, dtype=np.int64)
     inv_perm[perm] = np.arange(n, dtype=np.int64)
     rows = np.asarray(csc.indices, dtype=np.int64)
     cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(csc.indptr))
     pr, pc = inv_perm[rows], inv_perm[cols]
-    low = pr >= pc
-    lr, lc = pr[low], pc[low]
-    low_src = np.flatnonzero(low)
-
-    order_csr = np.lexsort((lc, lr))
-    csr_indptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(lr, minlength=n)))
-    ).astype(np.int64)
-    csr_indices = lc[order_csr]
-
+    low_src = np.flatnonzero(pr >= pc)
+    lr, lc = pr[low_src], pc[low_src]
     order_csc = np.lexsort((lr, lc))
     a_lower_indptr = np.concatenate(
         ([0], np.cumsum(np.bincount(lc, minlength=n)))
@@ -418,65 +523,21 @@ def symbolic_cholesky(
     a_lower_rows = lr[order_csc]
     a_lower_map = low_src[order_csc]
 
-    parent = _etree_from_arrays(csr_indptr, csr_indices, n)
-
-    # Row patterns of L (strictly lower part) through elimination-tree reach.
-    marker = np.full(n, -1, dtype=np.int64)
-    row_cols_list: list[np.ndarray] = []
-    row_counts = np.zeros(n, dtype=np.int64)
-    col_counts = np.ones(n, dtype=np.int64)  # diagonal entries
-    for i in range(n):
-        marker[i] = i
-        cols_i: list[int] = []
-        for p in range(csr_indptr[i], csr_indptr[i + 1]):
-            k = int(csr_indices[p])
-            if k >= i:
-                continue
-            while marker[k] != i:
-                cols_i.append(k)
-                marker[k] = i
-                col_counts[k] += 1
-                k = int(parent[k])
-                if k == -1:  # pragma: no cover - defensive; parent[k]<i always set
-                    break
-        cols_arr = np.asarray(sorted(cols_i), dtype=np.int64)
-        row_cols_list.append(cols_arr)
-        row_counts[i] = cols_arr.shape[0]
-
-    row_ptr = np.concatenate([[0], np.cumsum(row_counts)]).astype(np.int64)
-    row_cols = (
-        np.concatenate(row_cols_list) if row_cols_list else np.empty(0, dtype=np.int64)
-    ).astype(np.int64)
-
-    # Column pattern (CSC) of L: transpose the strictly-lower row pattern and
-    # prepend the diagonal entry to every column.
-    col_ptr = np.concatenate([[0], np.cumsum(col_counts)]).astype(np.int64)
-    row_idx = np.empty(int(col_ptr[-1]), dtype=np.int64)
-    fill_pos = col_ptr[:-1].copy()
-    for j in range(n):
-        row_idx[fill_pos[j]] = j  # diagonal first
-        fill_pos[j] += 1
-    for i in range(n):
-        for k in row_cols[row_ptr[i] : row_ptr[i + 1]]:
-            row_idx[fill_pos[k]] = i
-            fill_pos[k] += 1
-
+    parent, col_ptr, row_idx = _column_structures(n, a_lower_indptr, a_lower_rows)
     snode_ptr = detect_supernodes(
-        parent, col_counts, relax=relax, max_width=max_supernode
+        parent, np.diff(col_ptr), relax=relax, max_width=max_supernode
     )
     partition = _build_partition(
         n, col_ptr, row_idx, snode_ptr, a_lower_indptr, a_lower_rows
     )
 
     lower_nnz = max(int(low_src.shape[0]), 1)
-    symbolic = SymbolicFactor(
+    return SymbolicFactor(
         n=n,
         perm=perm,
         parent=parent,
         col_ptr=col_ptr,
         row_idx=row_idx,
-        row_ptr=row_ptr,
-        row_cols=row_cols,
         fill_ratio=float(int(col_ptr[-1]) / lower_nnz),
         supernodes=partition,
         a_indptr=np.asarray(csc.indptr, dtype=np.int64),
@@ -485,4 +546,3 @@ def symbolic_cholesky(
         a_lower_rows=a_lower_rows,
         a_lower_map=a_lower_map,
     )
-    return symbolic

@@ -168,30 +168,40 @@ def sparse_trsm_lower(
     Y = np.array(B, dtype=float, copy=True)
     if Y.ndim != 2 or Y.shape[0] != s.n:
         raise ValueError("B must have shape (n, nrhs)")
+    if start_rows is None or not start_rows.size:
+        solve_lower_inplace(factor, Y)
+        return Y
 
-    sorted_starts = None
-    order = None
-    if start_rows is not None and start_rows.size:
-        starts = np.asarray(start_rows, dtype=np.int64)
-        if starts.shape[0] != Y.shape[1]:
-            raise ValueError("start_rows must have one entry per column of B")
-        order = np.argsort(starts, kind="stable")
-        Y = Y[:, order]
-        sorted_starts = starts[order]
+    starts = np.asarray(start_rows, dtype=np.int64)
+    if starts.shape[0] != Y.shape[1]:
+        raise ValueError("start_rows must have one entry per column of B")
+    order = np.argsort(starts, kind="stable")
+    Y = Y[:, order]
+    solve_lower_inplace(factor, Y, sorted_starts=starts[order])
+    out = np.empty_like(Y)
+    out[:, order] = Y
+    return out
 
-    part = s.supernodes
-    if part is not None:
-        _panel_solve_lower(part, factor.panel_values(), Y, sorted_starts=sorted_starts)
+
+def solve_lower_inplace(
+    factor: CholeskyFactor, Y: np.ndarray, sorted_starts: np.ndarray | None = None
+) -> None:
+    """Overwrite the ``(n, nrhs)`` panel ``Y`` with ``L⁻¹ Y``.
+
+    The allocation-free core of :func:`sparse_trsm_lower`, for callers that
+    build the right-hand side themselves (the Schur assembly).  With
+    ``sorted_starts`` the columns of ``Y`` must already be ordered by
+    ascending first nonzero row (``sorted_starts[c]`` for column ``c``).
+    """
+    s = factor.symbolic
+    if s.supernodes is not None:
+        _panel_solve_lower(
+            s.supernodes, factor.panel_values(), Y, sorted_starts=sorted_starts
+        )
     else:
         _csc_lower_inplace(
             s.col_ptr, s.row_idx, factor.values, Y, sorted_starts=sorted_starts
         )
-
-    if order is not None:
-        out = np.empty_like(Y)
-        out[:, order] = Y
-        return out
-    return Y
 
 
 def sparse_trsm_upper(factor: CholeskyFactor, B: np.ndarray) -> np.ndarray:

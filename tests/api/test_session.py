@@ -13,6 +13,10 @@ W_SMALL = Workload("heat", 2, (2, 1), 3)
 W_SCALED = Workload("heat", 2, (2, 1), 3, material=Material(conductivity=2.0))
 
 
+def _cpu_solvers(session, workload):
+    return list(session.solver(workload).operator._cpu_solvers.values())
+
+
 def test_two_same_pattern_workloads_share_one_symbolic_analysis():
     """The tentpole cache assertion: one symbolic analysis for N subdomains
     x M workloads as long as the sparsity pattern is shared."""
@@ -24,6 +28,11 @@ def test_two_same_pattern_workloads_share_one_symbolic_analysis():
     assert stats["symbolic_analyses"] == 1
     # 2 subdomains x 2 workloads = 4 analyze() calls, 3 served by the cache.
     assert stats["pattern_hits"] == 3
+    # ... and the bytes of that one analysis are reported next to the counts
+    # (outside the per-entry factor budget: analyses are shared across entries).
+    (symbolic,) = {id(s.symbolic): s.symbolic for s in _cpu_solvers(session, W_SMALL)}.values()
+    assert stats["pattern_bytes"] == session.pattern_cache.nbytes == symbolic.nbytes > 0
+    assert stats["resident_bytes"] == session.tier.ledger.resident_bytes  # semantics unchanged
     # Scaling the conductivity scales the solution down by the same factor.
     u1 = np.concatenate(first.primal)
     u2 = np.concatenate(second.primal)

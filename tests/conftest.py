@@ -13,9 +13,10 @@ import pytest
 import scipy.sparse as sp
 
 from repro.cluster.topology import MachineConfig
-from repro.decomposition import decompose_box
+from repro.decomposition import decompose_box, regularize_stiffness
 from repro.fem.elasticity import LinearElasticityProblem
 from repro.fem.heat import HeatTransferProblem
+from repro.fem.mesh import structured_mesh
 from repro.feti.problem import FetiProblem
 
 
@@ -71,6 +72,14 @@ def random_spd_matrix(
     a = sp.random(n, n, density=density, random_state=rng, data_rvs=rng.standard_normal)
     a = (a + a.T).tocsr()
     return (a + sp.identity(n) * (abs(a).sum(axis=1).max() + 1.0)).tocsr()
+
+
+def fem_stiffness(physics, dim: int, cells: int = 3) -> sp.spmatrix:
+    """A regularized FEM stiffness matrix (the paper's subdomain workload)."""
+    mesh = structured_mesh(dim, cells, order=1)
+    K = physics.assemble_stiffness(mesh)
+    dofs_per_node = 1 if isinstance(physics, HeatTransferProblem) else dim
+    return regularize_stiffness(K, physics.kernel_basis(mesh), mesh, dofs_per_node).K_reg
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.api.workload import Workload, build_problem
+from repro.fem.heat import HeatTransferProblem
 from repro.runtime.kernels import (
     batched_factor_panels,
     batched_schur_complements,
@@ -20,6 +21,7 @@ from repro.sparse.numeric import NotPositiveDefiniteError, numeric_cholesky
 from repro.sparse.schur import schur_complement
 from repro.sparse.symbolic import symbolic_cholesky
 
+from tests.conftest import fem_stiffness
 from tests.oracles import sparse as scalar
 
 
@@ -52,6 +54,18 @@ def test_batched_factor_matches_serial_bitwise(heat_group):
         assert np.array_equal(got.values, ref.values)
         # The panel slice is adopted zero-copy as the dense-panel storage.
         assert np.shares_memory(got.panel_values(), panels)
+
+
+def test_batched_factor_matches_the_flat_scatter_oracle_bitwise():
+    """Factored update maps (slices and index pairs) == the flat scatter arrays."""
+    base = sp.csc_matrix(fem_stiffness(HeatTransferProblem(), 3))
+    base.sort_indices()
+    symbolic = symbolic_cholesky(base)
+    ref = scalar.symbolic_reference(base)
+    scales = np.array([1.0, 2.5, 0.3])
+    panels = batched_factor_panels(scales[:, None] * base.data, symbolic)
+    for scale, got in zip(scales, panels):
+        assert np.array_equal(got, scalar.numeric_reference(base * scale, ref))
 
 
 def test_batched_factor_requires_supernodal_analysis(heat_group):

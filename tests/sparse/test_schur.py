@@ -74,3 +74,43 @@ def test_empty_constraint_block(factorized):
     B = sp.csr_matrix((0, 50))
     S = schur_complement(factor, B)
     assert S.shape == (0, 0)
+
+
+@pytest.mark.parametrize("exploit", [True, False])
+def test_schur_scatters_empty_rows_and_duplicate_entries(factorized, exploit):
+    """``B̃`` goes into the solve buffer entry by entry: duplicates must add up."""
+    A, factor = factorized
+    # row 1 is empty (never activated); row 2 stores the entry (2, 7) twice
+    rows = np.array([0, 0, 2, 2, 2, 3])
+    cols = np.array([4, 30, 7, 7, 11, 49])
+    vals = np.array([1.0, -1.0, 0.25, 0.75, -1.0, 2.0])
+    B = sp.csr_matrix(
+        (vals, cols, np.array([0, 2, 2, 5, 6])), shape=(4, 50)
+    )
+    assert not B.has_canonical_format
+    before = (B.data.copy(), B.indices.copy(), B.indptr.copy())
+    S = schur_complement(factor, B, exploit_rhs_sparsity=exploit)
+    dense = np.zeros((4, 50))
+    np.add.at(dense, (rows, cols), vals)
+    S_ref = dense @ np.linalg.inv(A.toarray()) @ dense.T
+    assert np.allclose(S, S_ref, atol=1e-10)
+    assert np.all(S[1] == 0.0) and np.all(S[:, 1] == 0.0)
+    for got, want in zip((B.data, B.indices, B.indptr), before):
+        assert np.array_equal(got, want)
+
+
+def test_schur_assembly_allocates_two_panels_not_five(factorized):
+    """One solve buffer plus its re-ordered copy; no dense ``B̃`` round trips."""
+    import tracemalloc
+
+    _, factor = factorized
+    rng = np.random.default_rng(6)
+    n_dual = 40
+    B = sp.random(n_dual, 50, density=0.04, random_state=rng).tocsr()
+    panel = 50 * n_dual * 8
+    schur_complement(factor, B)  # warm: panel values, BLAS buffers
+    tracemalloc.start()
+    schur_complement(factor, B)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 3 * panel

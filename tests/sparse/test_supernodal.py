@@ -9,6 +9,7 @@ factor, and the structural pattern cache.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -17,10 +18,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from repro.decomposition import regularize_stiffness
 from repro.fem.elasticity import LinearElasticityProblem
 from repro.fem.heat import HeatTransferProblem
-from repro.fem.mesh import structured_mesh
 from repro.sparse import (
     CholeskyFactor,
     OrderingMethod,
@@ -38,17 +37,9 @@ from repro.sparse import (
 )
 from repro.sparse.solvers import CholmodLikeSolver, PardisoLikeSolver
 
+from tests.conftest import fem_stiffness as _fem_matrix
 from tests.conftest import random_spd_matrix
 from tests.oracles import sparse as scalar
-
-
-def _fem_matrix(physics, dim: int, cells: int = 3):
-    """A regularized FEM stiffness matrix (the paper's subdomain workload)."""
-    mesh = structured_mesh(dim, cells, order=1)
-    K = physics.assemble_stiffness(mesh)
-    dofs_per_node = 1 if isinstance(physics, HeatTransferProblem) else dim
-    reg = regularize_stiffness(K, physics.kernel_basis(mesh), mesh, dofs_per_node)
-    return reg.K_reg
 
 
 FEM_CASES = [
@@ -119,6 +110,33 @@ def test_partition_covers_all_columns_and_pattern():
     assert part.panel_entries >= s.nnz
     assert 0.0 <= part.padding_ratio() < 1.0
     assert part.mean_width >= 1.0
+
+
+def test_update_maps_are_factored_and_come_in_all_three_forms():
+    """``(rows, cols)`` is slice/slice, array/slice or (R, 1)-array/array."""
+    part = symbolic_cholesky(_fem_matrix(HeatTransferProblem(), 3)).supernodes
+    forms = set()
+    for j, updates in enumerate(part.updates):
+        h, w = int(part.heights[j]), int(part.widths[j])
+        assert [u[0] for u in updates] == sorted(u[0] for u in updates)
+        for k, i0, i1, rows, cols in updates:
+            assert k < j and 0 <= i0 < i1 <= part.below_rows[k].shape[0]
+            block = np.zeros((h, w))[rows, cols]
+            assert block.shape == (part.below_rows[k].shape[0] - i0, i1 - i0)
+            forms.add(tuple("slice" if isinstance(x, slice) else "array" for x in (rows, cols)))
+            if not isinstance(cols, slice):
+                assert rows.shape == (block.shape[0], 1) and cols.shape == (block.shape[1],)
+    assert forms == {("slice", "slice"), ("array", "slice"), ("array", "array")}
+
+
+def test_pickled_analysis_still_factorizes():
+    """The process backend ships the analysis to its workers once per shard."""
+    A = _fem_matrix(HeatTransferProblem(), 3)
+    s = symbolic_cholesky(A)
+    shipped = pickle.loads(pickle.dumps(s))
+    scalar.assert_matches_reference(shipped, scalar.symbolic_reference(A))
+    assert np.array_equal(numeric_cholesky(A, shipped).values, numeric_cholesky(A, s).values)
+    assert shipped.nbytes >= s.nbytes - sum(b.nbytes for b in s.supernodes.below_rows)
 
 
 # --------------------------------------------------------------------- #
