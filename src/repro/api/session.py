@@ -636,7 +636,6 @@ class Session:
         coarse_applies = 0
         coarse_solves = 0
         coarse_seconds = 0.0
-        hierarchical_projectors = 0
         with self._cache_lock:
             solvers = list(self._solvers.values())
         for solver in solvers:
@@ -646,8 +645,6 @@ class Session:
             coarse_applies += projector.applies
             coarse_solves += projector.solves
             coarse_seconds += projector.seconds + projector.factor_seconds
-            if projector.mode == "hierarchical":
-                hierarchical_projectors += 1
         return {
             "symbolic_analyses": self.pattern_cache.misses,
             "pattern_hits": self.pattern_cache.hits,
@@ -663,7 +660,6 @@ class Session:
             "coarse_applies": coarse_applies,
             "coarse_solves": coarse_solves,
             "coarse_seconds": coarse_seconds,
-            "hierarchical_projectors": hierarchical_projectors,
             **self.tier.stats(),
         }
 

@@ -41,7 +41,6 @@ from repro.feti.config import (
     ScatterGatherDevice,
 )
 from repro.feti.preconditioner import PreconditionerKind
-from repro.feti.projector import COARSE_MODES
 from repro.feti.problem import FetiProblem
 from repro.runtime.executor import ExecutionError, ExecutionSpec
 
@@ -154,12 +153,6 @@ class SolverSpec:
         string (``"processes"``, ``"threads:4"``), a ``{"backend", "workers"}``
         dict, or ``None`` for the process-wide default (``REPRO_EXECUTOR`` /
         ``REPRO_WORKERS``, serial when unset).
-    coarse:
-        Coarse-problem factorization of the PCPG projector: ``"dense"``
-        (one Cholesky of ``GᵀG`` — the exact reference), ``"hierarchical"``
-        (per-cluster Cholesky + interface Schur complement, results equal
-        to rounding), or ``"auto"`` (hierarchical iff the decomposition has
-        more than one cluster).
     precision:
         Factor storage policy (see :mod:`repro.memory.precision`):
         ``"fp64"`` (the double-precision reference), ``"fp32"``
@@ -187,7 +180,6 @@ class SolverSpec:
     streams_per_cluster: int | None = None
     assembly: AssemblyConfig | str | None = None
     execution: ExecutionSpec | str | None = None
-    coarse: str = "auto"
     precision: str = "fp64"
     residual_history: int = 0
     machine: MachineConfig | None = None
@@ -230,14 +222,6 @@ class SolverSpec:
                 object.__setattr__(self, "execution", ExecutionSpec.of(self.execution))
             except ExecutionError as exc:
                 raise SpecError(str(exc)) from None
-        if self.coarse not in COARSE_MODES:
-            raise SpecError(
-                f"unknown coarse mode {self.coarse!r}; expected one of: "
-                f"{', '.join(repr(m) for m in COARSE_MODES)} "
-                "('auto' picks the hierarchical two-level factorization on "
-                "multi-cluster decompositions and the dense reference "
-                "otherwise)"
-            )
         from repro.memory.precision import PRECISION_NAMES
 
         if self.precision not in PRECISION_NAMES:
@@ -352,7 +336,6 @@ class SolverSpec:
             "streams_per_cluster": self.streams_per_cluster,
             "assembly": assembly,
             "execution": None if self.execution is None else self.execution.to_dict(),
-            "coarse": self.coarse,
             "precision": self.precision,
             "residual_history": self.residual_history,
         }

@@ -42,14 +42,12 @@ from repro.bench.runner import (
     write_record,
 )
 from repro.bench.apply_phase import ApplyPhaseScenario
-from repro.bench.coarse_phase import CoarsePhaseScenario
 from repro.bench.precision_phase import PrecisionPhaseScenario
 from repro.bench.serve_load import ServeScenario
 
 __all__ = [
     "Scenario",
     "ApplyPhaseScenario",
-    "CoarsePhaseScenario",
     "PrecisionPhaseScenario",
     "ServeScenario",
     "Workload",

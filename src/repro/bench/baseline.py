@@ -15,7 +15,7 @@ classifies every metric difference:
 * **invariants** (problem shapes) and the point set itself must match
   exactly — any difference is a blocking *mismatch* meaning the scenario
   definition changed and the baseline must be regenerated;
-* **derived** record-level metrics (the wall and coarse-problem speedups)
+* **derived** record-level metrics (the executor wall speedups)
   are ratios of measurements and never gated — drifts beyond the simulated
   rtol are surfaced as non-blocking *info* rows so the CI summary shows how
   the speedups moved.
@@ -263,11 +263,11 @@ def _compare_derived(
 ) -> None:
     """Surface record-level derived metrics (speedups) as non-blocking rows.
 
-    Derived metrics are ratios of measurements — the coarse-problem and
-    executor speedups among them — so they drift with wall noise and are
+    Derived metrics are ratios of measurements — the executor speedups
+    among them — so they drift with wall noise and are
     never gated; the rows exist so the CI summary shows how the derived
     speedups moved without failing the gate.  A metric present on only one
-    side (e.g. a baseline predating the coarse axis) is informational too.
+    side (e.g. a baseline predating the metric) is informational too.
     """
     base_metrics = baseline.get("derived", {})
     fresh_metrics = fresh.get("derived", {})

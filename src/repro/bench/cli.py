@@ -100,16 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for --executor (default: the host's CPU count)",
     )
     p_run.add_argument(
-        "--coarse",
-        choices=["dense", "hierarchical"],
-        help=(
-            "force one coarse-problem factorization for every measured point "
-            "(replaces the scenarios' own coarse axis; non-dense point keys "
-            "gain the coarse suffix, so compare ad-hoc runs against each "
-            "other, not against committed baselines)"
-        ),
-    )
-    p_run.add_argument(
         "--precision",
         choices=["fp64", "fp32", "fp32_ir"],
         help=(
@@ -340,17 +330,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     trace_sink = {} if args.trace else None
     for name in names:
         scenario = get_scenario(name)
-        if (
-            executor_override is not None
-            or args.coarse is not None
-            or args.precision is not None
-        ):
+        if executor_override is not None or args.precision is not None:
             from dataclasses import replace as dc_replace
 
             if executor_override is not None:
                 scenario = dc_replace(scenario, execution=executor_override)
-            if args.coarse is not None:
-                scenario = dc_replace(scenario, coarse=(args.coarse,))
             if args.precision is not None:
                 scenario = dc_replace(scenario, precision=(args.precision,))
         print(f"running {name} ({scenario.n_points()} grid points)...", flush=True)
@@ -406,9 +390,8 @@ def _write_trace(trace_sink: dict, path: str):
 def _print_speedup_summary(record: dict) -> None:
     """Preprocessing-vs-apply summary of one record (shown in the CI gate log).
 
-    Prints the derived wall-clock speedups (sharded executors vs serial,
-    hierarchical vs dense coarse solver) and the preprocessing/apply wall
-    ratio of every measured point, so the
+    Prints the derived wall-clock speedups (sharded executors vs serial)
+    and the preprocessing/apply wall ratio of every measured point, so the
     benchmark-gate job log shows at a glance which phase dominates and what
     the optimized paths buy.
     """

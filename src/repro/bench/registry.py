@@ -8,11 +8,10 @@ runnable (``repro-bench run``), and regression-gated against committed
 baselines (``repro-bench compare``) — and gives the pytest benchmark suite
 and the CLI one shared source of scenario truth.
 
-A scenario's sweep grid always has six axes (``subdomains``, ``cells``,
-``approach``, ``execution``, ``coarse``, ``precision``); axes not explicitly
-swept are pinned to the base workload values, so a scenario record is a
-cartesian product executed with
-:func:`repro.analysis.sweep.sweep_configurations`.
+A scenario's sweep grid always has five axes (``subdomains``, ``cells``,
+``approach``, ``execution``, ``precision``); axes not explicitly swept are
+pinned to the base workload values, so a scenario record is a cartesian
+product executed with :func:`repro.analysis.sweep.sweep_configurations`.
 
 Since PR 4 a scenario's base workload *is* a :class:`repro.api.Workload` —
 the same declarative, JSON-serializable object the Session API and
@@ -66,12 +65,6 @@ class Scenario:
         worker pool — sweeping e.g. ``(None, ExecutionSpec("threads", 4),
         ExecutionSpec("processes", 4))`` measures the wall-clock scaling of
         the preprocessing phase over worker counts.
-    coarse:
-        Coarse-problem factorizations to sweep (the ``coarse`` axis):
-        ``"dense"`` is the single dense Cholesky reference,
-        ``"hierarchical"`` the two-level per-cluster + interface-Schur
-        solver; ``("dense", "hierarchical")`` benchmarks the hierarchy
-        against the dense factorization on multi-cluster workloads.
     precision:
         Factor-storage precisions to sweep (the ``precision`` axis):
         ``"fp64"`` is the reference, ``"fp32"`` stores factors and packed
@@ -98,7 +91,6 @@ class Scenario:
     base: Workload
     approaches: tuple[DualOperatorApproach, ...] = (DualOperatorApproach.EXPLICIT_MKL,)
     execution: tuple[ExecutionSpec | None, ...] = (None,)
-    coarse: tuple[str, ...] = ("dense",)
     precision: tuple[str, ...] = ("fp64",)
     subdomain_grid: tuple[tuple[int, ...], ...] | None = None
     cells_grid: tuple[int, ...] | None = None
@@ -107,13 +99,12 @@ class Scenario:
     expected: dict[str, int] = field(default_factory=dict)
 
     def grid(self) -> dict[str, list[Any]]:
-        """The cartesian sweep grid of the scenario (six fixed axes)."""
+        """The cartesian sweep grid of the scenario (five fixed axes)."""
         return {
             "subdomains": list(self.subdomain_grid or (self.base.subdomains,)),
             "cells": list(self.cells_grid or (self.base.cells,)),
             "approach": list(self.approaches),
             "execution": list(self.execution),
-            "coarse": list(self.coarse),
             "precision": list(self.precision),
         }
 
@@ -134,7 +125,6 @@ class Scenario:
                 "serial" if e is None or not e.parallel else e.describe()
                 for e in grid["execution"]
             ],
-            "coarse": [str(c) for c in grid["coarse"]],
             "precision": [str(p) for p in grid["precision"]],
         }
 
@@ -320,13 +310,12 @@ def _register_defaults() -> None:
     register(
         Scenario(
             name="multicluster_heat_2d",
-            description="Hierarchical vs dense coarse problem: heat 2D, 4x4 subdomains in 4 clusters",
+            description="Multi-cluster cost model: heat 2D, 4x4 subdomains in 4 clusters",
             base=Workload("heat", 2, (4, 4), 4, n_clusters=4),
             approaches=(
                 DualOperatorApproach.IMPLICIT_MKL,
                 DualOperatorApproach.EXPLICIT_MKL,
             ),
-            coarse=("dense", "hierarchical"),
             tags=frozenset({"quick", "cluster"}),
             expected={"n_subdomains": 16, "kernel_dim": 1},
         )

@@ -116,10 +116,9 @@ def measure_point(
     approach: DualOperatorApproach,
     n_applies: int = 3,
     execution: ExecutionSpec | None = None,
-    coarse: str = "dense",
     precision: str = "fp64",
 ) -> PointMeasurement:
-    """Measure one (workload, approach, execution, coarse, precision) point.
+    """Measure one (workload, approach, execution, precision) point.
 
     Simulated times come from the operator's timing ledger; wall-clock times
     wrap the real execution of prepare+preprocess and of the ``n_applies``
@@ -129,11 +128,11 @@ def measure_point(
     pays its own symbolic-analysis cost.  ``execution`` selects the runtime
     backend of the point (``None`` = the serial reference); the session
     warms the worker pool at construction — before the timed region — and
-    shuts it down when the measurement is done.  ``coarse`` selects the
-    coarse-problem factorization benchmarked alongside the operator: the
-    projector build (G^T G factorization) and ``n_applies`` projector
-    applications are timed on the same workload.  ``precision`` selects the
-    factor-storage policy (``fp64`` / ``fp32`` / ``fp32_ir``).
+    shuts it down when the measurement is done.  The coarse problem is
+    benchmarked alongside the operator: the projector build (G^T G
+    factorization) and ``n_applies`` projector applications are timed on the
+    same workload.  ``precision`` selects the factor-storage policy
+    (``fp64`` / ``fp32`` / ``fp32_ir``).
     """
     session = Session(
         SolverSpec(
@@ -166,7 +165,7 @@ def measure_point(
         sim_apply = operator.ledger.since_mark() / max(1, n_applies)
 
         wall0 = time.perf_counter()
-        projector = build_projector(problem, mode=coarse)
+        projector = build_projector(problem)
         wall_coarse_factor = time.perf_counter() - wall0
         projector.apply(x)  # untimed warm-up
         wall0 = time.perf_counter()
@@ -197,25 +196,21 @@ def point_key(
     cells: int,
     approach: DualOperatorApproach,
     execution: ExecutionSpec | None = None,
-    coarse: str = "dense",
     precision: str = "fp64",
 ) -> str:
     """Stable human-readable identity of a grid point (used for pairing).
 
     The ``/batched`` segment is a fixed part of the stem: it dates from the
     removed ``batched`` sweep axis and stays so every committed baseline
-    keeps pairing by key.  The ``execution=None`` / ``coarse="dense"`` /
-    ``precision="fp64"`` defaults add nothing; sharded runtime points are
-    suffixed with the executor short form (e.g. ``/processes4``), non-dense
-    coarse solvers with the coarse mode (e.g. ``/hierarchical``), and
-    reduced-precision points with the policy name (e.g. ``/fp32_ir``).
+    keeps pairing by key.  The ``execution=None`` / ``precision="fp64"``
+    defaults add nothing; sharded runtime points are suffixed with the
+    executor short form (e.g. ``/processes4``) and reduced-precision points
+    with the policy name (e.g. ``/fp32_ir``).
     """
     grid = "x".join(str(s) for s in subdomains)
     key = f"{grid}/c{cells}/{approach.value}/batched"
     if execution is not None and execution.parallel:
         key += f"/{execution.describe()}"
-    if coarse != "dense":
-        key += f"/{coarse}"
     if precision != "fp64":
         key += f"/{precision}"
     return key
@@ -272,12 +267,11 @@ def run_scenario(
         cells: int,
         approach: DualOperatorApproach,
         execution: ExecutionSpec | None,
-        coarse: str,
         precision: str,
     ) -> dict[str, Any]:
         spec = scenario.spec_with(subdomains, cells)
-        args = (spec, approach, scenario.n_applies, execution, coarse, precision)
-        key = point_key(subdomains, cells, approach, execution, coarse, precision)
+        args = (spec, approach, scenario.n_applies, execution, precision)
+        key = point_key(subdomains, cells, approach, execution, precision)
 
         def run() -> PointMeasurement:
             if point_timeout is not None:
@@ -300,7 +294,7 @@ def run_scenario(
             wall_preprocessing_seconds=m.wall_preprocessing_seconds,
             wall_apply_seconds=m.wall_apply_seconds,
         )
-        qs[(subdomains, cells, approach, execution, coarse, precision)] = m.q
+        qs[(subdomains, cells, approach, execution, precision)] = m.q
         return {
             "key": key,
             "n_subdomains": m.n_subdomains,
@@ -434,7 +428,6 @@ def _build_record(scenario: Scenario, sweep: SweepResult) -> dict[str, Any]:
                 "cells": int(r["cells"]),
                 "approach": r["approach"].value,
                 "execution": None if execution is None else execution.to_dict(),
-                "coarse": str(r["coarse"]),
                 "precision": str(r["precision"]),
                 "invariants": {
                     "n_subdomains": r["n_subdomains"],
@@ -482,14 +475,9 @@ def _derived_metrics(sweep: SweepResult) -> dict[str, float]:
     ``wall_preprocessing_speedup[.../<executor>]`` compares every sharded
     execution backend against the serial point of the same workload on the
     preparation+preprocessing wall-clock time.
-    ``wall_coarse_factor_speedup`` / ``wall_coarse_apply_speedup`` compare
-    the hierarchical coarse-problem factorization and projector application
-    against the dense reference whenever a scenario sweeps both coarse modes
-    at one grid point.
     """
     derived: dict[str, float] = {}
-    by_execution: dict[tuple[Any, ...], dict[Any, float]] = {}
-    by_coarse: dict[tuple[Any, ...], dict[str, tuple[float, float]]] = {}
+    by_execution: dict[str, dict[Any, float]] = {}
     for r in sweep.records:
         if r["precision"] != "fp64":
             # Reduced-precision points never pair with the fp64 reference:
@@ -503,33 +491,15 @@ def _derived_metrics(sweep: SweepResult) -> dict[str, float]:
             "x".join(str(s) for s in r["subdomains"])
             + f"/c{r['cells']}/{r['approach'].value}"
         )
-        by_coarse.setdefault((stem, execution), {})[r["coarse"]] = (
-            r["wall_coarse_factor_seconds"],
-            r["wall_coarse_apply_seconds"],
-        )
-        by_execution.setdefault((stem, r["coarse"]), {})[execution] = r[
-            "wall_preprocessing_seconds"
-        ]
-    for (stem, execution), walls in by_coarse.items():
-        dense = walls.get("dense")
-        hier = walls.get("hierarchical")
-        if dense is None or hier is None:
-            continue
-        if execution is not None:
-            stem = f"{stem}/{execution.describe()}"
-        if hier[0] > 0.0:
-            derived[f"wall_coarse_factor_speedup[{stem}]"] = dense[0] / hier[0]
-        if hier[1] > 0.0:
-            derived[f"wall_coarse_apply_speedup[{stem}]"] = dense[1] / hier[1]
-    for (stem, coarse), walls in by_execution.items():
+        by_execution.setdefault(stem, {})[execution] = r["wall_preprocessing_seconds"]
+    for stem, walls in by_execution.items():
         serial_wall = walls.get(None)
         if serial_wall is None:
             continue
-        coarse_suffix = "" if coarse == "dense" else f"/{coarse}"
         for execution, wall in walls.items():
             if execution is None or wall <= 0.0:
                 continue
-            key = f"wall_preprocessing_speedup[{stem}/{execution.describe()}{coarse_suffix}]"
+            key = f"wall_preprocessing_speedup[{stem}/{execution.describe()}]"
             derived[key] = serial_wall / wall
     return derived
 

@@ -116,9 +116,6 @@ class FetiSolver:
             from repro.runtime.executor import shared_executor
 
             executor = shared_executor(spec.execution)
-        #: Runtime executor the coarse projector shards its per-iteration
-        #: applications on (shared with the dual operator; ``None`` = serial).
-        self.executor = executor
         #: Resolved factor-storage policy (see :mod:`repro.memory.precision`).
         self.precision = resolve_precision(spec.precision)
         self.operator: DualOperatorBase = make_dual_operator(
@@ -138,15 +135,9 @@ class FetiSolver:
     @property
     def projector(self) -> Projector:
         """The coarse projector (built lazily: callers that only need the
-        dual operator — e.g. the bench runner — never assemble ``G``).
-
-        The factorization follows ``spec.coarse``: ``"auto"`` resolves to
-        the hierarchical two-level solve on multi-cluster decompositions
-        and to the dense reference otherwise."""
+        dual operator — e.g. the bench runner — never assemble ``G``)."""
         if self._projector is None:
-            self._projector = build_projector(
-                self.problem, mode=self.spec.coarse, executor=self.executor
-            )
+            self._projector = build_projector(self.problem)
         return self._projector
 
     @property
@@ -202,7 +193,7 @@ class FetiSolver:
             d = self.operator.dual_rhs()
             e = self.problem.compute_e()
         coarse_before = self.projector.seconds
-        with trace_span("coarse_setup", mode=self.spec.coarse):
+        with trace_span("coarse_setup", n_kernel=self.projector.n_kernel):
             lambda_0 = self.projector.initial_lambda(e)
 
         self.operator.ledger.mark("apply")

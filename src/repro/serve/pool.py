@@ -135,7 +135,6 @@ class SessionPool:
         coarse_applies = 0
         coarse_solves = 0
         coarse_seconds = 0.0
-        hierarchical_projectors = 0
         resident_bytes = 0
         tier_demotions = 0
         tier_evictions = 0
@@ -147,7 +146,6 @@ class SessionPool:
             coarse_applies += stats["coarse_applies"]
             coarse_solves += stats["coarse_solves"]
             coarse_seconds += stats["coarse_seconds"]
-            hierarchical_projectors += stats["hierarchical_projectors"]
             resident_bytes += stats["resident_bytes"]
             tier_demotions += stats["demotions"]
             tier_evictions += stats["evictions"]
@@ -179,7 +177,6 @@ class SessionPool:
             "coarse_applies": coarse_applies,
             "coarse_solves": coarse_solves,
             "coarse_seconds": coarse_seconds,
-            "hierarchical_projectors": hierarchical_projectors,
             "resident_bytes": resident_bytes,
             "demotions": tier_demotions,
             "tier_evictions": tier_evictions,
@@ -201,7 +198,6 @@ class SessionPool:
             "coarse_applies",
             "coarse_solves",
             "coarse_seconds",
-            "hierarchical_projectors",
         )
         for key in pool_keys:
             registry.gauge(

@@ -3,19 +3,28 @@
 Wall-clock numbers live in ``benchmarks/perf``; these are the call counts
 behind them.  The discrete-event GPU simulator (streams, stream lookup,
 thread clocks) runs during the first apply after a preprocessing — where the
-timeline plan is made — and never again in that round; and a long-lived
-session's timing ledger does not grow with the number of solves.
+timeline plan is made — and never again in that round; a long-lived
+session's timing ledger does not grow with the number of solves; and a
+projector apply is two sparse products and one Cholesky solve, never an
+executor dispatch.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
+
 from repro.analysis.timing import ThreadClocks
 from repro.api import Session, SolverSpec, Workload
+from repro.api.workload import build_problem
 from repro.cluster.topology import ClusterResources
 from repro.feti.operators.base import DualOperatorBase
+from repro.feti.projector import Projector, build_projector
 from repro.gpu.stream import Stream
+from repro.runtime.executor import ThreadExecutor
 
 #: 4×4 subdomains, 2 clusters: eight subdomains share each cluster's streams.
 W = Workload("heat", 2, (4, 4), 4, n_clusters=2)
@@ -107,3 +116,69 @@ def test_warm_solves_do_not_grow_the_timing_ledger():
     assert ledger.count("apply") == applies + iterations
     assert ledger.total("apply") > total
     assert ledger.last("apply").breakdown is session.solver(W).operator._apply_plans[1][1]
+
+
+#: 8×8 subdomains, 4 clusters, ``n_λ = 1024``: the projector's sparse products
+#: are as large as any workload of record makes them.
+W_LARGE = Workload("heat", 2, (8, 8), 8, n_clusters=4)
+
+_PROJECTOR_ENTRY_POINTS = ("apply", "apply_block", "initial_lambda", "alpha")
+
+
+def test_projector_never_dispatches_to_the_executor(monkeypatch):
+    """The projector is serial on every backend: no submit under threads:2."""
+    inside = [0]
+    calls: Counter[str] = Counter()
+    submits = [0]
+
+    def entered(name):
+        original = getattr(Projector, name)
+
+        def tracked(self, *args, **kwargs):
+            calls[name] += 1
+            inside[0] += 1
+            try:
+                return original(self, *args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        monkeypatch.setattr(Projector, name, tracked)
+
+    for name in _PROJECTOR_ENTRY_POINTS:
+        entered(name)
+    submit = ThreadExecutor.submit
+
+    def counted_submit(self, fn, /, *args, **kwargs):
+        submits[0] += bool(inside[0])
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadExecutor, "submit", counted_submit)
+
+    spec = SolverSpec(approach="expl modern", assembly="table2", execution="threads:2")
+    with Session(spec, memory_budget="unlimited") as session:
+        session.solve(W_LARGE)
+        calls.clear()
+        warm = session.solve(W_LARGE)
+    assert warm.converged
+    assert calls["initial_lambda"] == 1 and calls["alpha"] == 1
+    assert calls["apply"] >= 2 * warm.iterations
+    assert submits[0] == 0
+
+
+def test_serial_projector_apply_is_two_products_and_one_solve(monkeypatch):
+    projector = build_projector(build_problem(W_LARGE))
+    counts: Counter[str] = Counter()
+    cho_solve, matmul = scipy.linalg.cho_solve, sp.csr_matrix.__matmul__
+
+    def counted_solve(*args, **kwargs):
+        counts["cho_solve"] += 1
+        return cho_solve(*args, **kwargs)
+
+    def counted_matmul(self, other):
+        counts["csr @ x"] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", counted_solve)
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted_matmul)
+    projector.apply(np.ones(projector.n_lambda))
+    assert counts == {"csr @ x": 2, "cho_solve": 1}

@@ -179,15 +179,17 @@ def test_from_dict_rejects_unknown_fields():
         SolverSpec.from_dict({"approachh": "impl mkl"})
 
 
-@pytest.mark.parametrize("field, value", [("batched", False), ("blocked", True)])
-def test_removed_execution_toggles_are_unknown_fields(field, value):
-    """The reference loops are test oracles now, not options: 13 fields."""
+@pytest.mark.parametrize(
+    "field, value", [("batched", False), ("blocked", True), ("coarse", "dense")]
+)
+def test_removed_options_are_unknown_fields(field, value):
+    """One apply path, one sparse path, one coarse problem: 12 fields."""
     with pytest.raises(SpecError, match=rf"unknown solver-spec field\(s\) \['{field}'\]"):
         SolverSpec.from_dict({"approach": "expl mkl", field: value})
     with pytest.raises(TypeError, match=field):
         SolverSpec(**{field: value})
     assert field not in SolverSpec().to_dict()
-    assert len(dataclasses.fields(SolverSpec)) == 13
+    assert len(dataclasses.fields(SolverSpec)) == 12
 
 
 def test_spec_serialization_is_schema_versioned():
@@ -304,32 +306,3 @@ class TestExecutionField:
         assert hash(SolverSpec(execution="threads:2")) == hash(
             SolverSpec(execution="threads:2")
         )
-
-
-# --------------------------------------------------------------------- #
-# The coarse-problem knob (PR 8)                                         #
-# --------------------------------------------------------------------- #
-def test_coarse_defaults_to_auto_and_round_trips():
-    spec = SolverSpec()
-    assert spec.coarse == "auto"
-    assert spec.to_dict()["coarse"] == "auto"
-    assert SolverSpec.from_dict(spec.to_dict()) == spec
-
-    hier = SolverSpec(coarse="hierarchical")
-    assert SolverSpec.from_dict(hier.to_dict()) == hier
-
-
-def test_coarse_rejects_unknown_mode_with_actionable_message():
-    with pytest.raises(SpecError, match="coarse"):
-        SolverSpec(coarse="sparse")
-
-
-def test_coarse_auto_resolves_per_problem():
-    from repro.api.workload import Workload, build_problem
-    from repro.feti.solver import FetiSolver
-
-    multi = build_problem(Workload("heat", 2, (4, 4), 3, n_clusters=4))
-    single = build_problem(Workload("heat", 2, (2, 2), 3))
-    assert FetiSolver(multi, SolverSpec()).projector.mode == "hierarchical"
-    assert FetiSolver(single, SolverSpec()).projector.mode == "dense"
-    assert FetiSolver(multi, SolverSpec(coarse="dense")).projector.mode == "dense"

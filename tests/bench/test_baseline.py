@@ -174,6 +174,11 @@ def test_cli_unknown_scenario_or_tag_exits_2(capsys):
     assert main(["run", "no_such_scenario"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
     assert main(["list", "--tag", "no_such_tag"]) == 2
+    # The coarse sweep axis and its flag are gone: argparse rejects it.
+    with pytest.raises(SystemExit) as exc_info:
+        main(["run", "smoke_heat_2d", "--coarse", "dense"])
+    assert exc_info.value.code == 2
+    assert "--coarse" in capsys.readouterr().err
 
 
 def test_cli_run_compare_regression_roundtrip(tmp_path, capsys):

@@ -96,7 +96,7 @@ def test_scenario_grid_axes_and_point_count():
     scenario = registry.get("heat_2d_scaling")
     grid = scenario.grid()
     assert sorted(grid) == [
-        "approach", "cells", "coarse", "execution", "precision", "subdomains",
+        "approach", "cells", "execution", "precision", "subdomains",
     ]
     assert sorted(scenario.axes()) == sorted(grid)
     assert grid["subdomains"] == [(2, 2), (4, 4)]
@@ -107,6 +107,13 @@ def test_scenario_grid_axes_and_point_count():
     sizes = registry.get("heat_2d_sizes")
     assert sizes.grid()["cells"] == [7, 15, 31]
     assert sizes.n_points() == 27
+
+
+def test_multicluster_scenario_is_the_quick_gated_cluster_workload():
+    scenario = registry.get("multicluster_heat_2d")
+    assert {"quick", "cluster"} <= scenario.tags
+    assert scenario.base.n_clusters == 4
+    assert scenario.n_points() == 2  # two approaches, one coarse problem
 
 
 def test_parallel_scaling_scenario_sweeps_worker_counts():

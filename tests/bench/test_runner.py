@@ -49,9 +49,11 @@ def test_record_points_carry_metrics_and_invariants(smoke_result):
         assert point["simulated"]["preprocessing_seconds"] > 0.0
         assert point["simulated"]["apply_seconds"] > 0.0
         assert point["wall"]["apply_seconds"] > 0.0
-        # One apply path, one sparse path: the axes left in a point.
+        assert point["wall"]["coarse_factor_seconds"] > 0.0
+        assert point["wall"]["coarse_apply_seconds"] > 0.0
+        # One apply path, one sparse path, one coarse problem: the axes left.
         assert set(point) == {
-            "key", "subdomains", "cells", "approach", "execution", "coarse",
+            "key", "subdomains", "cells", "approach", "execution",
             "precision", "invariants", "simulated", "wall",
         }
     keys = {p["key"] for p in points}
@@ -128,21 +130,9 @@ def test_measure_point_is_cached_and_deterministic():
 
 
 def test_derived_speedups_need_a_swept_axis_to_pair(smoke_result):
-    """No execution or coarse sweep, nothing to pair: no ``derived`` section."""
+    """No execution sweep, nothing to pair: no ``derived`` section (the
+    paired half is ``TestExecutionAxis.test_derived_parallel_speedup_is_emitted``)."""
     assert "derived" not in smoke_result.record
-    mini = Scenario(
-        name="tmp_coarse_mini",
-        description="dense-vs-hierarchical coarse solver on a two-cluster workload",
-        base=Workload("heat", 2, (2, 2), 2, n_clusters=2),
-        coarse=("dense", "hierarchical"),
-        n_applies=2,
-    )
-    record = run_scenario(mini).record
-    assert sorted(record["derived"]) == [
-        "wall_coarse_apply_speedup[2x2/c2/expl mkl]",
-        "wall_coarse_factor_speedup[2x2/c2/expl mkl]",
-    ]
-    assert all(value > 0.0 for value in record["derived"].values())
 
 
 def test_expected_invariant_violation_raises():
@@ -224,10 +214,10 @@ class TestExecutionAxis:
         scenario = registry.get("smoke_heat_2d")
         q = np.ones(3)
         qs = {
-            ((2, 1), 2, DualOperatorApproach.IMPLICIT_MKL, None, "dense", "fp64"): q,
+            ((2, 1), 2, DualOperatorApproach.IMPLICIT_MKL, None, "fp64"): q,
             (
                 (2, 1), 2, DualOperatorApproach.IMPLICIT_MKL,
-                ExecutionSpec("threads", 2), "dense", "fp64",
+                ExecutionSpec("threads", 2), "fp64",
             ): 2.0 * q,
         }
         with pytest.raises(InvariantViolation, match="threads2"):

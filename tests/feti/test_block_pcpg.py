@@ -260,13 +260,13 @@ def test_block_projection_kwargs_are_bitwise_equal_to_per_column():
 
 
 def test_block_projection_kwargs_with_real_projector():
-    """The solver's wiring: a hierarchical Projector's apply_block feeding
-    pcpg_block reproduces the per-column projector applies bitwise."""
+    """The solver's wiring: the Projector's apply_block feeding pcpg_block
+    reproduces the per-column projector applies bitwise."""
     from repro.api.workload import build_problem
     from repro.feti.projector import build_projector
 
     problem = build_problem(Workload("heat", 2, (4, 4), 3, n_clusters=4))
-    projector = build_projector(problem, mode="hierarchical")
+    projector = build_projector(problem)
     n = problem.n_lambda
     F = _random_spd(n, 23)
     rng = np.random.default_rng(24)

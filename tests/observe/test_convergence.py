@@ -103,6 +103,8 @@ def test_traced_solve_span_tree_covers_phases():
     child_names = [c["name"] for c in root["children"]]
     for expected in ("preparation", "preprocessing", "coarse_setup", "pcpg"):
         assert expected in child_names, f"missing {expected} in {child_names}"
+    coarse_setup = next(c for c in root["children"] if c["name"] == "coarse_setup")
+    assert coarse_setup["attrs"] == {"n_kernel": 4}  # one kernel mode per subdomain
     preprocessing = next(c for c in root["children"] if c["name"] == "preprocessing")
     assert any(g["name"] == "factorize" for g in preprocessing["children"])
     pcpg = next(c for c in root["children"] if c["name"] == "pcpg")

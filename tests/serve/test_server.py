@@ -84,7 +84,7 @@ def test_invalid_requests_get_actionable_400s(client):
     with pytest.raises(ServeError, match="unknown request field") as exc_info:
         client._request("POST", "/v1/solve", {"workloads": "heat-2d-quick"})
     assert exc_info.value.status == 400
-    for removed in ({"batched": False}, {"blocked": True}):
+    for removed in ({"batched": False}, {"blocked": True}, {"coarse": "dense"}):
         (field,) = removed
         with pytest.raises(ServeError, match=f"unknown solver-spec.*'{field}'") as exc_info:
             client.solve("heat-2d-quick", spec={"approach": "expl mkl", **removed})
@@ -223,7 +223,7 @@ def test_metrics_accumulate_coarse_seconds(client):
     pool = doc["session_pool"]
     assert "coarse_applies" in pool
     assert "coarse_seconds" in pool
-    assert "hierarchical_projectors" in pool
+    assert "hierarchical_projectors" not in pool
 
 
 def test_solution_payload_reports_coarse_seconds(client):
