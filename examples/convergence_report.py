@@ -4,8 +4,9 @@
 the solver records the first ``N`` residual norms and attaches a
 :class:`~repro.observe.convergence.ConvergenceReport` to the returned
 :class:`~repro.feti.solver.FetiSolution`.  This example solves the same
-workload at two tolerances, prints both textual reports, then re-runs one
-solve under a :func:`~repro.observe.trace.trace` context and shows the span
+workload at two tolerances, prints both textual reports, compares the three
+preconditioners by iteration count and the free Lanczos estimate of
+``κ(P M P F)`` every solve carries, then re-runs one solve under a :func:`~repro.observe.trace.trace` context and shows the span
 tree the observability layer assembles — the same tree ``repro-bench run
 --trace`` writes for every measured grid point.
 
@@ -39,6 +40,16 @@ def main() -> None:
             solution = session.solve(workload)
         print(solution.convergence.describe())
         print()
+
+    print("=== Why that many iterations: the condition estimate per preconditioner ===\n")
+    with Session() as session:
+        for kind in ("none", "lumped", "dirichlet"):
+            report = session.solve(workload, SolverSpec(preconditioner=kind)).convergence
+            print(
+                f"  {kind:<10} {report.iterations:3d} iterations   "
+                f"κ(PMPF) ≈ {report.condition_estimate:6.2f}"
+            )
+    print()
 
     print("=== Reduced-precision factors add defect-correction rounds ===\n")
     with Session(SolverSpec(precision="fp32_ir", residual_history=64)) as session:

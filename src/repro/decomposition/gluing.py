@@ -68,8 +68,12 @@ class SubdomainGluing:
         Signed Boolean constraint matrix, shape ``(len(lambda_ids), ndofs)``.
     dof_multiplicity:
         For every local DOF, the number of subdomains sharing the underlying
-        physical DOF (1 for interior DOFs).  Used by the scaled
-        preconditioners.
+        physical DOF (1 for interior DOFs).  It is the diagonal ``D`` of the
+        preconditioners' scaled gluing matrix ``B_D = (B D⁻¹ Bᵀ)⁻¹ B D⁻¹``
+        (:mod:`repro.feti.preconditioner`).  ``B D⁻¹`` alone is not a valid
+        scaling here: the ``m`` copies of a shared DOF are chained by
+        ``m − 1`` non-redundant rows and a shared Dirichlet DOF has one row
+        per copy, so ``B D⁻¹ Bᵀ`` is block tridiagonal, not the identity.
     """
 
     lambda_ids: np.ndarray

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from repro.observe.trace import trace_event, trace_span
 
@@ -33,6 +34,10 @@ class PcpgResult:
     residual_history: list[float] = field(default_factory=list)
     #: Defect-correction rounds the solve ran (fp32_ir precision policy).
     defect_rounds: int = 0
+    #: Estimate of ``κ(P M P F)`` on ``range(P)`` from the iteration's own
+    #: ``δₖ`` / ``βₖ`` (``None`` when no iteration ran or ``M`` lost
+    #: positivity); a lower bound that tightens as the solve converges.
+    condition_estimate: float | None = None
 
     @property
     def relative_residual(self) -> float:
@@ -40,6 +45,27 @@ class PcpgResult:
         if not self.residual_norms or self.residual_norms[0] == 0.0:
             return 0.0
         return self.residual_norms[-1] / self.residual_norms[0]
+
+
+def _lanczos_condition(deltas: Sequence[float], betas: Sequence[float]) -> float | None:
+    """``λmax / λmin`` of the Lanczos tridiagonal the CG coefficients define.
+
+    ``k`` conjugate-gradient steps with step lengths ``δ₀ … δₖ₋₁`` and
+    direction coefficients ``β₀ … βₖ₋₂`` are ``k`` Lanczos steps on the
+    preconditioned operator, whose tridiagonal has the diagonal
+    ``1/δⱼ + βⱼ₋₁/δⱼ₋₁`` and the off-diagonal ``√βⱼ / δⱼ``; its extreme
+    eigenvalues (Ritz values) converge to the operator's from inside.
+    """
+    if not deltas:
+        return None
+    delta = np.asarray(deltas)
+    beta = np.asarray(betas[: delta.size - 1])
+    if (delta <= 0.0).any() or (beta < 0.0).any():
+        return None
+    diagonal = 1.0 / delta
+    diagonal[1:] += beta / delta[:-1]
+    ritz = eigvalsh_tridiagonal(diagonal, np.sqrt(beta) / delta[:-1])
+    return float(ritz[-1] / ritz[0]) if ritz[0] > 0.0 else None
 
 
 def pcpg(
@@ -113,6 +139,8 @@ def pcpg(
 
     converged = False
     k = 0
+    deltas: list[float] = []
+    betas: list[float] = []
     # Scratch buffer for the axpy updates: the dual vectors are the hot-path
     # arrays of the whole solve, so the loop avoids allocating fresh
     # temporaries for ``delta * p`` / ``delta * q`` every iteration.
@@ -127,6 +155,7 @@ def pcpg(
                 # silently.
                 break
             delta = wy / pq
+            deltas.append(delta)
             np.multiply(p, delta, out=scratch)
             lam += scratch
             np.multiply(q, delta, out=scratch)
@@ -145,6 +174,7 @@ def pcpg(
                 k += 1
                 break
             beta = wy_next / wy
+            betas.append(beta)
             p *= beta
             p += y_next
             w, y, wy = w_next, y_next, wy_next
@@ -158,6 +188,7 @@ def pcpg(
         residual_norms=norms,
         final_residual=r,
         residual_history=norms[:residual_history],
+        condition_estimate=_lanczos_condition(deltas, betas),
     )
 
 
@@ -238,6 +269,8 @@ def pcpg_block(
     iterations = [0] * n_cols
     converged = [False] * n_cols
     norms: list[list[float]] = [[] for _ in range(n_cols)]
+    deltas: list[list[float]] = [[] for _ in range(n_cols)]
+    betas: list[list[float]] = [[] for _ in range(n_cols)]
 
     def over_columns(name, apply, apply_block, columns: list[np.ndarray]) -> list[np.ndarray]:
         """``apply`` over columns, fused into one stacked call if available."""
@@ -291,6 +324,7 @@ def pcpg_block(
                     iterations[j] = k
                     continue
                 delta = wy[j] / pq
+                deltas[j].append(delta)
                 np.multiply(p[j], delta, out=scratch[j])
                 lam[j] += scratch[j]
                 np.multiply(q, delta, out=scratch[j])
@@ -315,6 +349,7 @@ def pcpg_block(
                     iterations[j] = k + 1
                     continue
                 beta = wy_next / wy[j]
+                betas[j].append(beta)
                 p[j] *= beta
                 p[j] += y_next
                 wy[j] = wy_next
@@ -331,6 +366,7 @@ def pcpg_block(
             residual_norms=norms[j],
             final_residual=r[j],
             residual_history=norms[j][:residual_history],
+            condition_estimate=_lanczos_condition(deltas[j], betas[j]),
         )
         for j in range(n_cols)
     ]

@@ -1,8 +1,8 @@
 """Per-solve convergence telemetry.
 
 A :class:`ConvergenceReport` condenses what the PCPG loop saw — iteration
-count, residual trajectory, defect-correction rounds — into a frozen,
-JSON-friendly record attached to ``FetiSolution.convergence`` whenever
+count, residual trajectory, condition estimate, defect-correction rounds —
+into a frozen, JSON-friendly record attached to ``FetiSolution.convergence`` whenever
 ``SolverSpec(residual_history=N)`` opts in.  The module is deliberately
 dependency-free (duck-typed against ``PcpgResult``) so ``repro.observe``
 never imports solver code.
@@ -33,6 +33,10 @@ class ConvergenceReport:
     history_truncated: bool = False
     #: Number of right-hand-side columns the solve covered (block solves).
     columns: int = 1
+    #: Lanczos estimate of ``κ(P M P F)`` from the PCPG coefficients (``None``
+    #: when no iteration ran).  CG needs about ``√κ · ln(2/tolerance) / 2``
+    #: iterations, so this is the "why that many" next to ``iterations``.
+    condition_estimate: float | None = None
 
     @classmethod
     def from_pcpg(cls, result: Any, tolerance: float, columns: int = 1) -> "ConvergenceReport":
@@ -52,6 +56,7 @@ class ConvergenceReport:
             residual_history=history,
             history_truncated=bool(history) and len(history) < len(norms),
             columns=int(columns),
+            condition_estimate=getattr(result, "condition_estimate", None),
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -66,6 +71,7 @@ class ConvergenceReport:
             "residual_history": list(self.residual_history),
             "history_truncated": self.history_truncated,
             "columns": self.columns,
+            "condition_estimate": self.condition_estimate,
         }
 
     def describe(self) -> str:
@@ -77,6 +83,8 @@ class ConvergenceReport:
             f"  residual: {self.initial_norm:.6e} -> {self.final_norm:.6e} "
             f"(relative {self.relative_residual:.3e})",
         ]
+        if self.condition_estimate is not None:
+            lines.append(f"  condition estimate κ(PMPF): {self.condition_estimate:.2f}")
         if self.defect_rounds:
             lines.append(f"  defect-correction rounds: {self.defect_rounds}")
         if self.residual_history:

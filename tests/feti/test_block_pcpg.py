@@ -71,6 +71,7 @@ def test_block_matches_scalar_bitwise_on_synthetic_problem():
         assert s.converged and b.converged
         assert s.residual_norms == b.residual_norms
         assert np.array_equal(s.final_residual, b.final_residual)
+        assert s.condition_estimate == b.condition_estimate > 1.0
 
 
 def test_columns_converge_independently():

@@ -124,3 +124,34 @@ def test_indefinite_operator_detected():
 def test_result_dataclass_fields():
     result = PcpgResult(lam=np.zeros(3), iterations=0, converged=True)
     assert result.relative_residual == 0.0
+    assert result.condition_estimate is None
+
+
+def test_condition_estimate_matches_dense_spectrum_on_range_of_projector():
+    """The Lanczos estimate is ``κ(P M P F)`` restricted to ``range(P)``."""
+    n = 40
+    rng = np.random.default_rng(7)
+    F = np.diag(np.logspace(0, 3, n))
+    M = _make_spd(n, seed=8)
+    G = rng.standard_normal((n, 4))
+    P = np.eye(n) - G @ np.linalg.solve(G.T @ G, G.T)
+    result = pcpg(
+        lambda x: F @ x, lambda x: P @ x, lambda x: M @ x,
+        rng.standard_normal(n), np.zeros(n), tolerance=1e-12, max_iterations=200,
+    )
+    assert result.converged
+    Q = np.linalg.eigh(P)[1][:, 4:]  # orthonormal basis of range(P)
+    spectrum = np.linalg.eigvals((Q.T @ M @ Q) @ (Q.T @ F @ Q)).real
+    assert result.condition_estimate == pytest.approx(spectrum.max() / spectrum.min(), rel=0.1)
+
+
+def test_condition_estimate_needs_an_iteration_and_a_positive_preconditioner():
+    n = 10
+    F = _make_spd(n)
+    at_solution = pcpg(lambda x: F @ x, _identity, _identity, np.zeros(n), np.zeros(n))
+    assert at_solution.condition_estimate is None
+    one_step = pcpg(lambda x: 2.0 * x, _identity, _identity, np.ones(n), np.zeros(n))
+    assert one_step.iterations == 1
+    assert one_step.condition_estimate == 1.0
+    negative = pcpg(lambda x: F @ x, _identity, lambda x: -x, np.ones(n), np.zeros(n))
+    assert negative.condition_estimate is None

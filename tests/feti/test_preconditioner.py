@@ -15,7 +15,7 @@ from repro.feti.preconditioner import (
 )
 from repro.feti.problem import FetiProblem
 from repro.feti.solver import FetiSolver, MultiStepDriver, PreconditionerKind
-from tests.oracles.preconditioner import dirichlet_apply, lumped_apply
+from tests.oracles.preconditioner import dense_B, dirichlet_apply, lumped_apply
 
 KINDS = [
     (LumpedPreconditioner, lumped_apply),
@@ -76,14 +76,16 @@ def test_all_preconditioners_converge_to_same_solution(heat_problem_2d, kind):
 
 
 def test_preconditioning_reduces_iterations(elasticity_problem_2d):
-    """The lumped preconditioner should not need more iterations than none."""
+    """Strictly: lumped beats none, dirichlet is no worse than lumped."""
     def run(kind):
         opts = SolverSpec(
             preconditioner=kind, tolerance=1e-8, max_iterations=400
         )
         return FetiSolver(elasticity_problem_2d, opts).solve().iterations
 
-    assert run(PreconditionerKind.LUMPED) <= run(PreconditionerKind.NONE) + 2
+    none, lumped, dirichlet = (run(kind) for kind in PreconditionerKind)
+    assert lumped < none
+    assert dirichlet <= lumped
 
 
 @pytest.mark.parametrize("workload", ORACLE_WORKLOADS, ids=Workload.describe)
@@ -95,6 +97,28 @@ def test_assembled_matches_per_subdomain_oracle(workload, cls, oracle):
     expected = oracle(problem, x)
     assert pre.matrix.shape == (problem.n_lambda, problem.n_lambda)
     assert np.linalg.norm(pre.apply(x) - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize(
+    "workload",
+    [*ORACLE_WORKLOADS, Workload("elasticity", 3, (2, 2, 2), 4)],
+    ids=Workload.describe,
+)
+def test_scaled_gluing_algebra(workload):
+    """``B_D Bᵀ = I``, Dirichlet rows untouched, ``M`` symmetric and ``≥ 0``."""
+    problem = build_problem(workload)
+    n = problem.n_lambda
+    B = dense_B(problem)
+    x = np.random.default_rng(6).standard_normal(n)
+    for cls in (LumpedPreconditioner, DirichletPreconditioner):
+        pre = cls(problem)
+        M = pre.matrix
+        assert abs(M - M.T).max() <= 1e-12 * abs(M).max()
+        assert x @ pre.apply(x) >= 0.0
+    B_D = pre._B_D  # the scaling is the same for both kinds
+    assert np.abs(B_D @ B.T - np.eye(n)).max() <= 1e-14
+    dirichlet_rows = slice(problem.gluing.n_gluing, n)
+    assert np.array_equal(B_D[dirichlet_rows].toarray(), B[dirichlet_rows])
 
 
 @pytest.mark.parametrize("cls", [LumpedPreconditioner, DirichletPreconditioner])
@@ -141,15 +165,13 @@ def test_session_restores_preconditioner_after_custom_update():
         assert np.array_equal(pre.apply(x), pristine)
 
 
-#: The benchmark's four configurations at the pristine loads.  A scaling fix
-#: (ROADMAP item 1, first half) is expected to move these, on purpose.  The
-#: heat 3D counts sit on a rounding edge (88-90 across load factors): a change
-#: that only re-rounds an operator may move them by one, and should say so.
+#: The benchmark's four configurations at the pristine loads, under the
+#: default lumped preconditioner with the non-redundant scaling ``B_D``.
 PINNED_ITERATIONS = [
-    (Workload("heat", 2, (8, 8), 8, n_clusters=4), {"approach": "expl modern", "assembly": "table2"}, 106),
-    (Workload("heat", 2, (4, 4), 8, n_clusters=2), {"approach": "expl mkl"}, 77),
-    (Workload("heat", 3, (2, 2, 1), 12), {"approach": "expl mkl"}, 89),
-    (Workload("heat", 3, (2, 2, 1), 12), {"approach": "impl mkl"}, 90),
+    (Workload("heat", 2, (8, 8), 8, n_clusters=4), {"approach": "expl modern", "assembly": "table2"}, 21),
+    (Workload("heat", 2, (4, 4), 8, n_clusters=2), {"approach": "expl mkl"}, 20),
+    (Workload("heat", 3, (2, 2, 1), 12), {"approach": "expl mkl"}, 25),
+    (Workload("heat", 3, (2, 2, 1), 12), {"approach": "impl mkl"}, 25),
 ]
 
 

@@ -55,7 +55,8 @@ def test_convergence_report_contents():
         report.final_norm / report.initial_norm
     )
     assert report.columns == 1
-    json.dumps(report.to_dict())
+    assert report.condition_estimate == solution.pcpg.condition_estimate > 1.0
+    assert json.loads(json.dumps(report.to_dict()))["condition_estimate"] == report.condition_estimate
 
 
 def test_report_describe_lists_history():
@@ -63,6 +64,7 @@ def test_report_describe_lists_history():
         solution = session.solve(WORKLOAD)
     text = solution.convergence.describe()
     assert "converged" in text
+    assert "condition estimate" in text
     assert "residual history" in text
     assert "iter   0" in text
 

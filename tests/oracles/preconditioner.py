@@ -1,33 +1,59 @@
-"""Test oracle: the per-subdomain preconditioner loop.
+"""Test oracle: the dual preconditioners, dense scaling and a subdomain loop.
 
-``M w = Σᵢ scatter(B̃ᵢ,s Opᵢ B̃ᵢ,sᵀ gather(w))`` with ``B̃ᵢ,s = B̃ᵢ Dᵢ⁻¹``,
-one subdomain at a time, reading the stiffness live.  This is the
-implementation :mod:`repro.feti.preconditioner` had before it assembled
-``M`` explicitly; it shares no code with the assembled path (no global
-``B``, no block-diagonal operator, column-by-column Schur solves).
+``M w = Σᵢ B_D,ᵢ Opᵢ B_D,ᵢᵀ w`` where ``B_D,ᵢ`` is subdomain ``i``'s column
+block of the non-redundant scaled gluing matrix
+``B_D = (B D⁻¹ Bᵀ)⁻¹ B D⁻¹``.  Everything is done the slow, obvious way so
+the oracle shares no code with :mod:`repro.feti.preconditioner`: the global
+``B`` is filled block by block into a dense array (no ``global_B``), ``B_D``
+comes from one dense ``np.linalg.solve`` (no block detection, no batched
+inverses), the operators are applied one subdomain at a time reading the
+stiffness live (no block-diagonal operator, no assembled ``M``), and the
+Schur complements are solved column by column.  Dense ``n_λ``-sized arrays
+limit it to ``n_λ`` of about a thousand.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.feti.problem import FetiProblem, SubdomainProblem
 
-__all__ = ["lumped_apply", "dirichlet_apply"]
+__all__ = ["dense_B", "dense_B_D", "lumped_apply", "dirichlet_apply"]
 
 
-def _scaled_B(sub: SubdomainProblem) -> sp.csr_matrix:
-    return (sub.B @ sp.diags(1.0 / sub.dof_multiplicity)).tocsr()
+def _column_blocks(problem: FetiProblem) -> list[slice]:
+    offsets = np.concatenate([[0], np.cumsum([sub.ndofs for sub in problem.subdomains])])
+    return [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+def dense_B(problem: FetiProblem) -> np.ndarray:
+    """The global ``B = [B̃₁ … B̃_N]`` as a dense ``(n_λ, Σ ndofs)`` array."""
+    blocks = _column_blocks(problem)
+    B = np.zeros((problem.n_lambda, blocks[-1].stop))
+    for sub, block in zip(problem.subdomains, blocks):
+        B[sub.lambda_ids, block] = sub.B.toarray()
+    return B
+
+
+def dense_B_D(problem: FetiProblem) -> np.ndarray:
+    """``(B D⁻¹ Bᵀ)⁻¹ B D⁻¹`` by one dense solve."""
+    B = dense_B(problem)
+    multiplicity = np.concatenate([sub.dof_multiplicity for sub in problem.subdomains])
+    # Only the constrained columns of ``B D⁻¹`` are nonzero: solve for those.
+    constrained = np.flatnonzero(np.abs(B).sum(axis=0))
+    B_Dinv = B[:, constrained] / multiplicity[constrained]
+    B_D = np.zeros_like(B)
+    B_D[:, constrained] = np.linalg.solve(B_Dinv @ B[:, constrained].T, B_Dinv)
+    return B_D
 
 
 def lumped_apply(problem: FetiProblem, w: np.ndarray) -> np.ndarray:
-    """``Σᵢ B̃ᵢ,s Kᵢ B̃ᵢ,sᵀ w``, subdomain by subdomain."""
+    """``Σᵢ B_D,ᵢ Kᵢ B_D,ᵢᵀ w``, subdomain by subdomain."""
+    B_D = dense_B_D(problem)
     out = np.zeros_like(w)
-    for sub in problem.subdomains:
-        Bs = _scaled_B(sub)
-        np.add.at(out, sub.lambda_ids, Bs @ (sub.K @ (Bs.T @ w[sub.lambda_ids])))
+    for sub, block in zip(problem.subdomains, _column_blocks(problem)):
+        out += B_D[:, block] @ (sub.K @ (B_D[:, block].T @ w))
     return out
 
 
@@ -46,15 +72,15 @@ def _schur_complement(sub: SubdomainProblem, boundary: np.ndarray) -> np.ndarray
 
 
 def dirichlet_apply(problem: FetiProblem, w: np.ndarray) -> np.ndarray:
-    """``Σᵢ B̃ᵢ,s Sᵢ B̃ᵢ,sᵀ w`` with ``Sᵢ`` on the constrained DOFs."""
+    """``Σᵢ B_D,ᵢ Sᵢ B_D,ᵢᵀ w`` with ``Sᵢ`` on the constrained DOFs."""
+    B_D = dense_B_D(problem)
     out = np.zeros_like(w)
-    for sub in problem.subdomains:
+    for sub, block in zip(problem.subdomains, _column_blocks(problem)):
         if sub.B.nnz == 0:
             continue
         boundary = np.unique(sub.B.indices)
-        Bs = _scaled_B(sub)
-        local = Bs.T @ w[sub.lambda_ids]
+        local = B_D[:, block].T @ w
         full = np.zeros(sub.ndofs)
         full[boundary] = _schur_complement(sub, boundary) @ local[boundary]
-        np.add.at(out, sub.lambda_ids, Bs @ full)
+        out += B_D[:, block] @ full
     return out
