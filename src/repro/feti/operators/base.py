@@ -2,10 +2,11 @@
 
 The base class owns the phase bookkeeping (simulated + wall time, recorded in
 a :class:`~repro.analysis.timing.TimingLedger`), the grouping of subdomains
-by cluster, and the generic pieces every approach needs: access to a CPU-side
-factorization for computing ``d = B K⁺ f − c`` and for recovering the primal
-solution, and the scatter/gather between the global dual vector and the
-per-subdomain local dual vectors.
+by cluster, and the generic pieces every approach needs: ``K⁺`` on all
+subdomains at once (one stacked solve per sparsity pattern over the CPU-side
+factorizations) for ``d = B K⁺ f − c`` and the primal recovery, and the
+scatter/gather between the global dual vector and the per-subdomain local
+dual vectors.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.feti.problem import FetiProblem, SubdomainProblem
 from repro.memory.precision import PrecisionPolicy, resolve_precision
 from repro.observe.trace import trace_span
 from repro.sparse.cache import PatternCache
-from repro.sparse.solvers import SparseSolverBase
+from repro.sparse.solvers import SolverStack, SparseSolverBase
 
 __all__ = ["DualOperatorBase"]
 
@@ -76,6 +77,11 @@ class DualOperatorBase(abc.ABC):
         #: by stacked column count (see :meth:`_planned`).
         self._apply_plans: dict[int, tuple[float, dict[str, float]]] = {}
         self._plan_lock = threading.Lock()
+        #: This round's ``K⁺``: per pattern group, the flat indices of its
+        #: members' DOFs in the concatenated primal vector and their stacked
+        #: factors.  Built by the first solve after a preprocessing, dropped
+        #: with the apply plans.
+        self._kplus_stacks: list[tuple[np.ndarray, SolverStack]] | None = None
         self._cluster_subdomains: dict[int, list[SubdomainProblem]] = {}
         #: Per-subdomain CPU factorizations (populated by subclasses); used
         #: for the dual right-hand side and the primal recovery.
@@ -87,9 +93,8 @@ class DualOperatorBase(abc.ABC):
     def subdomains_of_cluster(self, cluster_id: int) -> list[SubdomainProblem]:
         """Subdomains owned by one cluster (cached: the grouping is static).
 
-        The apply phase runs once per PCPG iteration; without the cache every
-        call re-scans all subdomains per cluster, which is exactly the
-        per-subdomain interpreter overhead the batched engine removes.
+        Read by the preparation / preprocessing bookkeeping and the timeline
+        plans, once per round; no apply walks it.
         """
         subs = self._cluster_subdomains.get(cluster_id)
         if subs is None:
@@ -168,11 +173,16 @@ class DualOperatorBase(abc.ABC):
         if not self._prepared:
             self.prepare()
         wall0 = time.perf_counter()
-        self._apply_plans = {}
+        self._drop_round_state()
         with trace_span("preprocessing", approach=self.approach.value):
             sim, breakdown = self._preprocess_impl()
         self._preprocessed = True
         return self._record("preprocessing", sim, breakdown, wall0)
+
+    def _drop_round_state(self) -> None:
+        """Forget what was derived from the current numeric factors."""
+        self._apply_plans = {}
+        self._kplus_stacks = None
 
     def _record(
         self, name: str, sim: float, breakdown: dict[str, float], wall0: float
@@ -358,30 +368,61 @@ class DualOperatorBase(abc.ABC):
     # ------------------------------------------------------------------ #
     # K⁺ access (dual RHS and primal recovery)                            #
     # ------------------------------------------------------------------ #
-    def kplus_solve(self, index: int, rhs: np.ndarray) -> np.ndarray:
-        """Apply the generalized inverse ``Kᵢ⁺`` of one subdomain."""
-        solver = self._cpu_solvers.get(index)
-        if solver is None or not solver.is_factorized:
-            raise RuntimeError(
-                "no CPU factorization available; run preprocess() first"
+    def _kplus(self, rhs: np.ndarray) -> np.ndarray:
+        """``Kᵢ⁺`` on every block of a concatenated primal vector.
+
+        One stacked supernodal sweep per group of subdomains sharing a
+        symbolic analysis (:class:`~repro.sparse.solvers.SolverStack`),
+        refined under a refining precision policy; the per-subdomain loop is
+        the oracle (``tests/oracles/kplus.py``).
+        """
+        stacks = self._kplus_stacks
+        if stacks is None:
+            with self._plan_lock:
+                stacks = self._kplus_stacks
+                if stacks is None:
+                    stacks = self._kplus_stacks = self._build_kplus_stacks()
+        out = np.empty_like(rhs)
+        for dofs, stack in stacks:
+            out[dofs] = stack.solve(rhs[dofs])
+        return out
+
+    def _build_kplus_stacks(self) -> list[tuple[np.ndarray, SolverStack]]:
+        offsets = self.batch_engine.primal_offsets
+        groups: dict[int, tuple[list[int], list[SparseSolverBase]]] = {}
+        for position, sub in enumerate(self.problem.subdomains):
+            solver = self._cpu_solvers.get(sub.index)
+            if solver is None or not solver.is_factorized:
+                raise RuntimeError(
+                    "no CPU factorization available; run preprocess() first"
+                )
+            positions, solvers = groups.setdefault(id(solver.symbolic), ([], []))
+            positions.append(position)
+            solvers.append(solver)
+        return [
+            (
+                offsets[positions][:, None] + np.arange(solvers[0].symbolic.n),
+                SolverStack(solvers),
             )
-        return solver.solve(rhs)
+            for positions, solvers in groups.values()
+        ]
 
     def apply_accurate(self, lam: np.ndarray) -> np.ndarray:
         """Reference application ``q = F λ`` through the refined CPU solves.
 
         Whatever a backend stores for its fast applies (fp32 ``local_F``
         packs, device factors), this routes the operator through
-        :meth:`kplus_solve` — iterative refinement included under a
-        refining precision policy — so the residuals it feeds are accurate
+        ``B̃ K⁺ B̃ᵀ`` on the CPU factors — iterative refinement included under
+        a refining precision policy — so the residuals it feeds are accurate
         to fp64 level.  The dual-level defect correction of ``fp32_ir``
         uses it a handful of times per solve, outside the PCPG iterations
         whose phases the benchmarks time.
         """
         q = np.zeros(self.problem.n_lambda)
-        for sub in self.problem.subdomains:
-            z = self.kplus_solve(sub.index, sub.Bt @ lam[sub.lambda_ids])
-            np.add.at(q, sub.lambda_ids, sub.B @ z)
+        if self.problem.subdomains:
+            engine = self.batch_engine
+            z = self._kplus(engine.Bt @ engine.global_map.gather(np.asarray(lam)))
+            engine.global_map.scatter_add(q, engine.B @ z)
         return q
 
     def dual_rhs(self) -> np.ndarray:
@@ -390,22 +431,21 @@ class DualOperatorBase(abc.ABC):
         subdomains = self.problem.subdomains
         if not subdomains:
             return d
-        contributions = np.concatenate(
-            [sub.B @ self.kplus_solve(sub.index, sub.f) for sub in subdomains]
-        )
-        self.batch_engine.global_map.scatter_add(d, contributions)
+        engine = self.batch_engine
+        f = np.concatenate([sub.f for sub in subdomains])
+        engine.global_map.scatter_add(d, engine.B @ self._kplus(f))
         return d
 
     def primal_solution(self, lam: np.ndarray, alpha: np.ndarray) -> list[np.ndarray]:
-        """Recover ``uᵢ = Kᵢ⁺ (fᵢ − B̃ᵢᵀ λ) + Rᵢ αᵢ``."""
-        offsets = self.problem.kernel_offsets
-        out = []
-        for sub in self.problem.subdomains:
-            rhs = sub.f - sub.Bt @ lam[sub.lambda_ids]
-            u = self.kplus_solve(sub.index, rhs)
-            a = alpha[offsets[sub.index] : offsets[sub.index + 1]]
-            out.append(u + sub.kernel @ a)
-        return out
+        """Recover ``uᵢ = Kᵢ⁺ (fᵢ − B̃ᵢᵀ λ) + Rᵢ αᵢ`` (views of one vector)."""
+        subdomains = self.problem.subdomains
+        if not subdomains:
+            return []
+        engine = self.batch_engine
+        f = np.concatenate([sub.f for sub in subdomains])
+        u = self._kplus(f - engine.Bt @ engine.global_map.gather(lam))
+        u += engine.R @ alpha
+        return np.split(u, engine.primal_offsets[1:-1])
 
     # ------------------------------------------------------------------ #
     # Resident-storage accounting and tiering (repro.memory)              #
@@ -423,7 +463,12 @@ class DualOperatorBase(abc.ABC):
         batched packs, ``local_F`` dicts, device-resident ``F̃ᵢ``); and
         ``arena`` the padded apply-scratch buffers the batched engine keeps
         warm.  The session's :class:`~repro.memory.ledger.FactorLedger`
-        records these per cache entry.
+        records these per cache entry.  Stacking the factors for the ``K⁺``
+        solves moves no bytes (the factors become views of their stack); the
+        stack's inverse diagonal blocks (``Σ w²`` per subdomain over its
+        supernode widths, a quarter to a half of the panels on the 2-D
+        workloads) are derived data of a warm entry — rebuilt by the first
+        solve of a round, dropped by :meth:`demote_storage` — and not counted.
         """
         factor = sum(s.storage_nbytes() for s in self._cpu_solvers.values())
         pack = self._extra_pack_nbytes()
@@ -449,7 +494,7 @@ class DualOperatorBase(abc.ABC):
         packs are dropped outright (re-preprocessing recreates them), so a
         demoted entry keeps only its structure and half-size factors warm.
         """
-        self._apply_plans = {}
+        self._drop_round_state()
         for solver in self._cpu_solvers.values():
             solver.demote_storage()
         if self._batch_engine is not None:

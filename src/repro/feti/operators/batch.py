@@ -26,8 +26,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.decomposition.gluing import flat_scatter_maps
 
@@ -303,6 +305,31 @@ class SubdomainBatchEngine:
     def cluster(self, cluster_id: int) -> ClusterBatch:
         """The batched structures of one cluster."""
         return self.clusters[cluster_id]
+
+    # The gluing and the kernels are static across Algorithm-2 steps, so the
+    # products around the stacked ``K⁺`` solve are one SpMV each: rows in
+    # ``global_map`` order, columns in the concatenated primal ordering
+    # (``problem.subdomains`` order; needs at least one subdomain).
+    @cached_property
+    def B(self) -> sp.csr_matrix:
+        """Block-diagonal ``B̃``: concatenated primal → concatenated local duals."""
+        return sp.block_diag([s.B for s in self.problem.subdomains], format="csr")
+
+    @cached_property
+    def Bt(self) -> sp.csr_matrix:
+        """Block-diagonal ``B̃ᵀ``, stored CSR."""
+        return self.B.T.tocsr()
+
+    @cached_property
+    def R(self) -> sp.csr_matrix:
+        """Block-diagonal kernel bases: ``α`` → concatenated ``Rᵢ αᵢ``."""
+        return sp.block_diag([s.kernel for s in self.problem.subdomains], format="csr")
+
+    @cached_property
+    def primal_offsets(self) -> np.ndarray:
+        """Offsets of every subdomain inside the concatenated primal vector."""
+        sizes = [s.ndofs for s in self.problem.subdomains]
+        return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
 
     def install_dense_block(
         self, cluster_id: int, subdomain_index: int, block: np.ndarray

@@ -95,54 +95,13 @@ class ImplicitCpuDualOperator(DualOperatorBase):
         return self._merge_cluster_times(cluster_times), breakdown
 
     def _apply_numerics(self, lam: np.ndarray) -> np.ndarray:
-        """Vectorized scatter/gather around the per-subdomain solves.
+        """``B̃ K⁺ B̃ᵀ`` on all subdomains at once, on every executor.
 
-        The triangular solves remain per-subdomain (their sparsity patterns
-        differ), but the dual-vector traffic runs as single vectorized
-        operations per cluster.  With a threads executor the per-subdomain
-        solve loop is chunked into contiguous spans running as in-process
-        futures — each span writes disjoint slices of the concatenated
-        result, so the sharded loop is bit-identical to the serial one.
+        Two block-diagonal SpMVs around one stacked pair of triangular sweeps
+        per sparsity pattern — the accurate CPU apply *is* this backend's
+        apply.
         """
-        q = np.zeros_like(lam)
-        for cluster, subs in self.iter_clusters():
-            if not subs:
-                continue
-            batch = self.batch_engine.cluster(cluster.cluster_id)
-            p_concat = batch.dual_map.gather(lam)
-            q_concat = np.empty_like(p_concat)
-
-            def solve_span(lo: int, hi: int, subs=subs, batch=batch,
-                           p_concat=p_concat, q_concat=q_concat) -> None:
-                for i in range(lo, hi):
-                    sub = subs[i]
-                    solver = self._cpu_solvers[sub.index]
-                    local = batch.dual_map.slice_of(i)
-                    z = solver.solve(sub.Bt @ p_concat[local])
-                    q_concat[local] = sub.B @ z
-
-            executor = self.executor
-            if executor.backend == "threads" and executor.workers > 1:
-                from repro.runtime.apply import min_shard_items
-                from repro.runtime.shard import balanced_spans
-
-                if len(subs) >= min_shard_items():
-                    spans = balanced_spans(len(subs), executor.workers)
-                    futures = [
-                        executor.submit(solve_span, lo, hi) for lo, hi in spans
-                    ]
-                    for future in futures:
-                        future.result()
-                else:
-                    solve_span(0, len(subs))
-            else:
-                # Serial reference; the process backend also solves in
-                # the parent — the sparse factors live here, and
-                # shipping two triangular solves per subdomain through
-                # IPC would cost more than it saves.
-                solve_span(0, len(subs))
-            batch.dual_map.scatter_add(q, q_concat)
-        return q
+        return self.apply_accurate(lam)
 
     def _plan_apply(self) -> tuple[float, dict[str, float]]:
         """Two SpMVs + two TRSVs per subdomain on the round-robin thread clocks.

@@ -18,9 +18,10 @@ scalar per-column factorization and solves they replaced are the test oracle
 subdomains with the same sparsity pattern.
 
 On top of the factorization the package provides sparse triangular solves
-(vector and multi-RHS), a Schur-complement engine that exploits the sparsity
-of the right-hand side block (the analogue of PARDISO's augmented incomplete
-factorization), and two facades reproducing the relevant API differences of
+(vector, multi-RHS, and one sweep over a stack of same-pattern factors —
+:func:`solve_stacked` / :class:`SolverStack`), a Schur-complement engine
+that exploits the sparsity of the right-hand side block (the analogue of
+PARDISO's augmented incomplete factorization), and two facades reproducing the relevant API differences of
 the CPU libraries: :class:`CholmodLikeSolver` (factors can be extracted and
 shipped to the GPU) and :class:`PardisoLikeSolver` (factors cannot be
 extracted, but a fast Schur complement is available).
@@ -41,6 +42,7 @@ from repro.sparse.triangular import (
     sparse_trsv_upper,
     sparse_trsm_lower,
     sparse_trsm_upper,
+    solve_stacked,
 )
 from repro.sparse.schur import schur_complement
 from repro.sparse.cache import PatternCache, global_pattern_cache, structural_key
@@ -49,6 +51,7 @@ from repro.sparse.solvers import (
     CholmodLikeSolver,
     FactorExtractionError,
     PardisoLikeSolver,
+    SolverStack,
     SparseSolverBase,
 )
 
@@ -67,6 +70,7 @@ __all__ = [
     "sparse_trsv_upper",
     "sparse_trsm_lower",
     "sparse_trsm_upper",
+    "solve_stacked",
     "schur_complement",
     "PatternCache",
     "global_pattern_cache",
@@ -77,4 +81,5 @@ __all__ = [
     "PardisoLikeSolver",
     "FactorExtractionError",
     "SparseSolverBase",
+    "SolverStack",
 ]

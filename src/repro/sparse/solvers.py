@@ -30,10 +30,12 @@ from repro.sparse.ordering import OrderingMethod
 from repro.sparse.schur import rhs_sparsity_fill, schur_complement
 from repro.sparse.symbolic import SymbolicFactor, symbolic_cholesky
 from repro.sparse.triangular import (
+    solve_stacked,
     sparse_trsm_lower,
     sparse_trsm_upper,
     sparse_trsv_lower,
     sparse_trsv_upper,
+    stacked_diagonal_inverses,
 )
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
     "SparseSolverBase",
     "CholmodLikeSolver",
     "PardisoLikeSolver",
+    "SolverStack",
 ]
 
 
@@ -321,3 +324,95 @@ class PardisoLikeSolver(SparseSolverBase):
 
     def _exploit_rhs_sparsity(self) -> bool:
         return True
+
+
+def _rows_as_stack(rows: list[np.ndarray]) -> np.ndarray | None:
+    """``rows`` as one 2-D array without copying, when they already are one.
+
+    True for factors adopted from a shard's batched panels (threads: one
+    ``(k, panel_entries)`` array, processes: a view of the shared arena) as
+    long as the rows are consecutive in the array they are views of.
+    """
+    first = rows[0]
+    base = first.base
+    if not (isinstance(base, np.ndarray) and base.flags.c_contiguous):
+        return None
+
+    def address(a: np.ndarray) -> int:
+        return a.__array_interface__["data"][0]
+
+    consecutive = all(
+        r.dtype == base.dtype
+        and r.shape == first.shape
+        and r.flags.c_contiguous
+        and address(r) == address(first) + i * first.nbytes
+        for i, r in enumerate(rows)
+    )
+    flat = base.reshape(-1)
+    offset, rest = divmod(address(first) - address(base), base.itemsize)
+    stop = offset + len(rows) * first.size
+    if not consecutive or rest or offset < 0 or stop > flat.size:
+        return None
+    return flat[offset:stop].reshape(len(rows), first.size)
+
+
+class SolverStack:
+    """Factorized solvers sharing one symbolic analysis, solved as one stack.
+
+    The members' dense factor panels become one ``(k, panel_entries)`` array:
+    adopted zero-copy where they already are consecutive rows of one, copied
+    otherwise — and then every member's factor is re-pointed at its row, so
+    the panels are never resident twice.  The diagonal-block inverses of
+    :func:`~repro.sparse.triangular.solve_stacked` are formed here, once.  A
+    stack is valid for the numeric factorizations it was built from: drop it
+    whenever a member is re-factorized or demoted.
+    """
+
+    def __init__(self, solvers: "list[SparseSolverBase]") -> None:
+        factors = [solver._require_factor() for solver in solvers]
+        self.symbolic = factors[0].symbolic
+        self.precision = solvers[0].precision
+        rows = [factor.panel_values() for factor in factors]
+        #: Block-diagonal retained matrices (refining policies only): the
+        #: residual of the whole stack is one sparse product.
+        self._matrix: sp.csr_matrix | None = None
+        matrices = [solver._matrix for solver in solvers]
+        refines = self.precision.refine and all(m is not None for m in matrices)
+        if len(rows) == 1:
+            # A stack of one: a view of the factor's own panels, no inverses
+            # (``solve_stacked`` runs the single-factor kernels).
+            self.panels = rows[0][None, :]
+            self.inverses = None
+            if refines:
+                self._matrix = matrices[0]
+            return
+        self.panels = _rows_as_stack(rows)
+        if self.panels is None:
+            self.panels = np.stack(rows)
+            for factor, row in zip(factors, self.panels):
+                factor._panel_values = row
+        self.inverses = stacked_diagonal_inverses(self.symbolic, self.panels)
+        if refines:
+            self._matrix = sp.block_diag(matrices, format="csr")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``(k, n)`` solutions of ``Kᵢ xᵢ = bᵢ``, refined per the policy.
+
+        The refinement is :meth:`SparseSolverBase._refine` on the stack: one
+        residual and one sweep per round, each member leaving the iteration
+        at its own fp64-level residual.
+        """
+        b = np.asarray(rhs, dtype=float)
+        x = solve_stacked(self.symbolic, self.panels, b, self.inverses)
+        if self._matrix is None:
+            return x
+        norm_b = np.abs(b).max(axis=1, initial=0.0)
+        active = norm_b > 0.0
+        for _ in range(max(1, self.precision.refine_steps)):
+            r = b - (self._matrix @ x.reshape(-1)).reshape(b.shape)
+            active &= np.abs(r).max(axis=1, initial=0.0) > 1e-14 * norm_b
+            if not active.any():
+                break
+            correction = solve_stacked(self.symbolic, self.panels, r, self.inverses)
+            x[active] += correction[active]
+        return x

@@ -12,6 +12,10 @@ per off-panel block, so the Python-level loop runs once per supernode
 instead of once per column.  The scalar per-column loops these replaced are
 the test oracle (``tests/oracles/sparse.py``).
 
+A *stack* of factors sharing one symbolic analysis is solved by
+:func:`solve_stacked`: the same sweep with the factor index as the leading
+batch axis, so the interpreted work does not grow with the stack.
+
 For sparse right-hand sides the forward solve supports skipping leading zero
 rows.  The multi-RHS kernel honors **per-column** first-nonzero rows by
 sorting the columns and activating them as the elimination reaches their
@@ -36,6 +40,7 @@ from repro.sparse.symbolic import (
     MAX_SUPERNODE,
     RELAX_PADDING,
     SupernodePartition,
+    SymbolicFactor,
     _panel_positions,
 )
 
@@ -44,6 +49,8 @@ __all__ = [
     "sparse_trsv_upper",
     "sparse_trsm_lower",
     "sparse_trsm_upper",
+    "stacked_diagonal_inverses",
+    "solve_stacked",
     "PreparedCscFactor",
     "prepare_csc_factor",
 ]
@@ -216,6 +223,93 @@ def sparse_trsm_upper(factor: CholeskyFactor, B: np.ndarray) -> np.ndarray:
         return X
     _csc_upper_inplace(s.col_ptr, s.row_idx, factor.values, X)
     return X
+
+
+# --------------------------------------------------------------------- #
+# Stacked same-pattern factors                                           #
+# --------------------------------------------------------------------- #
+def stacked_diagonal_inverses(
+    symbolic: SymbolicFactor, panels: np.ndarray
+) -> list[np.ndarray]:
+    """Per supernode, the ``(k, w, w)`` inverses of the stack's diagonal blocks.
+
+    One batched ``np.linalg.inv`` per supernode, always in fp64 (fp32-stored
+    panels are upcast first): with them every diagonal-block step of
+    :func:`solve_stacked` is a batched product instead of ``k`` LAPACK calls.
+    Callers that solve repeatedly form them once per numeric factorization.
+    """
+    part = symbolic.supernodes
+    k = panels.shape[0]
+    inverses = []
+    for s in range(part.n_supernodes):
+        w, h = int(part.widths[s]), int(part.heights[s])
+        pv = panels[:, part.panel_off[s] : part.panel_off[s + 1]].reshape(k, h, w)
+        inverses.append(np.linalg.inv(pv[:, :w].astype(np.float64)))
+    return inverses
+
+
+def solve_stacked(
+    symbolic: SymbolicFactor,
+    panels: np.ndarray,
+    rhs: np.ndarray,
+    inverses: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """Solve ``Aᵢ xᵢ = bᵢ`` for ``k`` factors sharing one symbolic analysis.
+
+    Parameters
+    ----------
+    symbolic:
+        The shared analysis (permutation and supernode partition).
+    panels:
+        ``(k, panel_entries)`` stacked dense-panel factor storage (what
+        :func:`repro.runtime.kernels.batched_factor_panels` produces, or the
+        stacked ``CholeskyFactor.panel_values()`` of ``k`` factors).
+    rhs:
+        ``(k, n)`` right-hand sides in the original ordering.
+    inverses:
+        :func:`stacked_diagonal_inverses` of ``panels`` when the caller keeps
+        them; formed here otherwise.
+
+    One forward and one backward supernodal sweep for the whole stack: per
+    supernode a batched product with the inverse diagonal blocks and one
+    ``np.matmul`` over the ``(k, h − w, w)`` off-diagonal blocks, the
+    permutation applied once to the ``(k, n)`` stack.  A stack of **one** runs
+    the single-factor panel kernels instead — batching buys nothing there and
+    the result stays bit-identical to ``SparseSolverBase.solve``.
+    """
+    part = symbolic.supernodes
+    perm = symbolic.perm
+    k = panels.shape[0]
+    y = np.asarray(rhs, dtype=float)[:, perm]
+    if k == 1:
+        _panel_solve_lower(part, panels[0], y[0])
+        _panel_solve_upper(part, panels[0], y[0])
+    elif k > 1:
+        if inverses is None:
+            inverses = stacked_diagonal_inverses(symbolic, panels)
+        snode_ptr, panel_off = part.snode_ptr, part.panel_off
+        widths, heights = part.widths, part.heights
+        y3 = y[:, :, None]
+        blocks = []
+        for s in range(part.n_supernodes):
+            j0, j1 = int(snode_ptr[s]), int(snode_ptr[s + 1])
+            w, h = int(widths[s]), int(heights[s])
+            pv = panels[:, panel_off[s] : panel_off[s + 1]].reshape(k, h, w)
+            below = pv[:, w:] if h > w else None
+            blocks.append((j0, j1, below))
+            yj = np.matmul(inverses[s], y3[:, j0:j1])
+            y3[:, j0:j1] = yj
+            if below is not None:
+                y3[:, part.below_rows[s]] -= np.matmul(below, yj)
+        for s in range(part.n_supernodes - 1, -1, -1):
+            j0, j1, below = blocks[s]
+            xj = y3[:, j0:j1]
+            if below is not None:
+                xj = xj - np.matmul(below.transpose(0, 2, 1), y3[:, part.below_rows[s]])
+            y3[:, j0:j1] = np.matmul(inverses[s].transpose(0, 2, 1), xj)
+    x = np.empty_like(y)
+    x[:, perm] = y
+    return x
 
 
 # --------------------------------------------------------------------- #

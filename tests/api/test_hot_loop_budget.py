@@ -4,9 +4,11 @@ Wall-clock numbers live in ``benchmarks/perf``; these are the call counts
 behind them.  The discrete-event GPU simulator (streams, stream lookup,
 thread clocks) runs during the first apply after a preprocessing — where the
 timeline plan is made — and never again in that round; a long-lived
-session's timing ledger does not grow with the number of solves; and a
+session's timing ledger does not grow with the number of solves; a
 projector apply is two sparse products and one Cholesky solve, never an
-executor dispatch.
+executor dispatch; and outside ``preprocess()`` nothing is solved or
+multiplied one subdomain at a time: ``K⁺`` is one stacked sweep per sparsity
+pattern.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
+import pytest
 import scipy.linalg
 import scipy.sparse as sp
+
+import repro.sparse.solvers as sparse_solvers
 
 from repro.analysis.timing import ThreadClocks
 from repro.api import Session, SolverSpec, Workload
@@ -25,6 +30,7 @@ from repro.feti.operators.base import DualOperatorBase
 from repro.feti.projector import Projector, build_projector
 from repro.gpu.stream import Stream
 from repro.runtime.executor import ThreadExecutor
+from repro.sparse.solvers import SparseSolverBase
 
 #: 4×4 subdomains, 2 clusters: eight subdomains share each cluster's streams.
 W = Workload("heat", 2, (4, 4), 4, n_clusters=2)
@@ -182,3 +188,50 @@ def test_serial_projector_apply_is_two_products_and_one_solve(monkeypatch):
     monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted_matmul)
     projector.apply(np.ones(projector.n_lambda))
     assert counts == {"csr @ x": 2, "cho_solve": 1}
+
+
+@pytest.mark.parametrize(
+    "approach, assembly", [("expl mkl", None), ("expl modern", "table2"), ("impl mkl", None)]
+)
+def test_warm_solve_runs_one_stacked_sweep_per_pattern_and_no_subdomain_loop(
+    monkeypatch, approach, assembly
+):
+    spec = SolverSpec(approach=approach, assembly=assembly, execution="serial")
+    counts: Counter[str] = Counter()
+    with Session(spec, memory_budget="unlimited") as session:
+        assert session.solve(W).converged
+        operator = session.solver(W).operator
+        per_subdomain = {
+            id(matrix)
+            for sub in operator.problem.subdomains
+            for matrix in (sub.K, sub.K_reg, sub.B, sub.Bt)
+        }
+        n_pattern_groups = len({id(s.symbolic) for s in operator._cpu_solvers.values()})
+        assert n_pattern_groups == 1  # 16 subdomains, one K_reg pattern
+
+        def counted(owner, name, label, when=lambda *args: True):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[label] += bool(when(*args))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(SparseSolverBase, "solve", "facade solve")
+        counted(SparseSolverBase, "solve_many", "facade solve")
+        for cls in (sp.csr_matrix, sp.csc_matrix):
+            counted(
+                cls, "__matmul__", "subdomain product",
+                when=lambda self, other: id(self) in per_subdomain,
+            )
+        counted(sparse_solvers, "solve_stacked", "stacked sweep")
+
+        applies = operator.ledger.count("apply")
+        warm = session.solve(W)
+        applies = operator.ledger.count("apply") - applies
+    assert warm.converged and applies == warm.iterations + 1
+    assert counts["facade solve"] == 0 and counts["subdomain product"] == 0
+    # Dual right-hand side + primal recovery; the implicit apply adds its own.
+    sweeps = 2 + (applies if approach.startswith("impl") else 0)
+    assert counts["stacked sweep"] == sweeps * n_pattern_groups

@@ -3,7 +3,7 @@
 For every approach the apply must produce the same dual vectors as the
 per-subdomain loop oracle (``tests/oracles/apply.py``) run on the same
 preprocessed operator, charge the same simulated time, agree with the fp64
-``B K⁺ Bᵀ`` reference, and the index-map / block-packing primitives must
+``B K⁺ Bᵀ`` reference (the per-subdomain loop of ``tests/oracles/kplus.py``), and the index-map / block-packing primitives must
 round-trip exactly.
 """
 
@@ -21,7 +21,8 @@ from repro.feti.config import (
 from repro.feti.operators import make_dual_operator
 from repro.feti.operators.batch import BatchedDenseApply, FlatIndexMap
 
-from tests.oracles.apply import looped_apply, looped_dual_rhs
+from tests.oracles.apply import looped_apply
+from tests.oracles.kplus import looped_apply_accurate, looped_dual_rhs
 
 
 # --------------------------------------------------------------------- #
@@ -146,8 +147,10 @@ def test_apply_matches_the_fp64_reference_operator(
     )
     operator.preprocess()
     x = np.random.default_rng(17).standard_normal(heat_problem_2d.n_lambda)
+    reference = looped_apply_accurate(operator, x)
+    np.testing.assert_allclose(operator.apply(x), reference, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(
-        operator.apply(x), operator.apply_accurate(x), rtol=1e-10, atol=1e-10
+        operator.apply_accurate(x), reference, rtol=1e-12, atol=1e-12
     )
 
 
@@ -212,7 +215,7 @@ def test_batched_gpu_apply_matches_looped_for_nondefault_configs(
     x = np.random.default_rng(23).standard_normal(heat_problem_2d.n_lambda)
     _assert_apply_matches_oracle(operator, x)
     np.testing.assert_allclose(
-        operator.apply(x), operator.apply_accurate(x), rtol=1e-10, atol=1e-10
+        operator.apply(x), looped_apply_accurate(operator, x), rtol=1e-10, atol=1e-10
     )
 
 

@@ -23,7 +23,13 @@ from repro.feti.operators.implicit_cpu import ImplicitCpuDualOperator
 from repro.feti.operators.implicit_gpu import ImplicitGpuDualOperator
 from repro.gpu import cublas, cusparse
 
-__all__ = ["looped_apply", "looped_apply_multi", "looped_dual_rhs", "use_looped_apply"]
+from tests.oracles.kplus import (
+    looped_apply_accurate,
+    looped_dual_rhs,
+    looped_primal_solution,
+)
+
+__all__ = ["looped_apply", "looped_apply_multi", "use_looped_apply"]
 
 Applied = tuple[np.ndarray, float, dict[str, float]]
 
@@ -57,18 +63,14 @@ def looped_apply_multi(operator: DualOperatorBase, lam_block: np.ndarray) -> App
     return np.column_stack(columns), sim, breakdown
 
 
-def looped_dual_rhs(operator: DualOperatorBase) -> np.ndarray:
-    """``d = B K⁺ f − c``, one ``np.add.at`` per subdomain."""
-    d = -np.array(operator.problem.c, dtype=float, copy=True)
-    for sub in operator.problem.subdomains:
-        np.add.at(d, sub.lambda_ids, sub.B @ operator.kplus_solve(sub.index, sub.f))
-    return d
-
-
 def use_looped_apply(operator: DualOperatorBase) -> None:
     """Make ``operator`` run the oracle loops (a whole solve on the oracle)."""
     operator._apply_impl = lambda lam: looped_apply(operator, lam)
     operator.dual_rhs = lambda: looped_dual_rhs(operator)
+    operator.primal_solution = lambda lam, alpha: looped_primal_solution(
+        operator, lam, alpha
+    )
+    operator.apply_accurate = lambda lam: looped_apply_accurate(operator, lam)
 
 
 # --------------------------------------------------------------------- #
