@@ -128,13 +128,17 @@ def regularize_stiffness(
     else:  # pragma: no cover - cannot happen on structured meshes
         raise RuntimeError("could not find fixing nodes giving a full-rank basis")
 
-    # M = E_J R_J: nonzero only on the fixing DOFs.
+    # M = E_J R_J: nonzero only on the fixing DOFs.  K_reg lives on
+    # pattern(K) ∪ the fixing block *by index*: a sparse ``+`` would drop
+    # the sums that happen to come out as exact zeros, which makes the
+    # pattern depend on the values.
     block = R_J @ R_J.T  # (n_fix_dofs, n_fix_dofs)
     n = K.shape[0]
-    rows = np.repeat(fixing_dofs, fixing_dofs.size)
-    cols = np.tile(fixing_dofs, fixing_dofs.size)
-    reg = sp.coo_matrix((rho * block.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    K_reg = (K + reg).tocsr()
+    Kc = K.tocoo()
+    rows = np.concatenate([Kc.row, np.repeat(fixing_dofs, fixing_dofs.size)])
+    cols = np.concatenate([Kc.col, np.tile(fixing_dofs, fixing_dofs.size)])
+    vals = np.concatenate([Kc.data, rho * block.ravel()])
+    K_reg = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     K_reg.sum_duplicates()
     return RegularizedStiffness(
         K_reg=K_reg, kernel=kernel, fixing_dofs=fixing_dofs, rho=rho

@@ -68,6 +68,17 @@ def _lanczos_condition(deltas: Sequence[float], betas: Sequence[float]) -> float
     return float(ritz[-1] / ritz[0]) if ritz[0] > 0.0 else None
 
 
+def _exact_start(w: np.ndarray, d: np.ndarray, tolerance: float) -> bool:
+    """Whether ``λ₀`` already solves the problem: ``‖P(d − F λ₀)‖ ≤ tol · ‖d‖``.
+
+    The loop measures progress against its own initial residual; when
+    ``λ₀ = G (GᵀG)⁻¹ e`` is exact, that residual is rounding noise and
+    ``tolerance`` times it is out of reach, so the start is judged against
+    the right-hand side instead.
+    """
+    return bool(np.linalg.norm(w) <= tolerance * np.linalg.norm(d))
+
+
 def pcpg(
     apply_F: Callable[[np.ndarray], np.ndarray],
     apply_P: Callable[[np.ndarray], np.ndarray],
@@ -97,7 +108,9 @@ def pcpg(
         Feasible initial iterate (``Gᵀ λ₀ = e``).
     tolerance:
         Relative tolerance on the projected-preconditioned residual norm
-        ``sqrt(wᵀ y)`` with respect to its initial value.
+        ``sqrt(wᵀ y)`` with respect to its initial value.  A ``λ₀`` whose
+        projected residual is already within ``tolerance · ‖d‖`` counts as
+        converged in zero iterations.
     max_iterations:
         Hard iteration cap.
     absolute_tolerance:
@@ -127,7 +140,7 @@ def pcpg(
     wy = float(w @ y)
     norm0 = np.sqrt(abs(wy))
     norms = [norm0]
-    if norm0 <= absolute_tolerance:
+    if norm0 <= absolute_tolerance or _exact_start(w, d, tolerance):
         return PcpgResult(
             lam=lam,
             iterations=0,
@@ -301,7 +314,7 @@ def pcpg_block(
         norm0 = np.sqrt(abs(wy[j]))
         norms[j].append(norm0)
         tol[j] = max(tolerance * norm0, absolute_tolerance)
-        if norm0 <= absolute_tolerance:
+        if norm0 <= absolute_tolerance or _exact_start(w[j], d_columns[j], tolerance):
             converged[j] = True
         else:
             active.append(j)

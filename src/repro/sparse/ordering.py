@@ -87,7 +87,10 @@ def compute_ordering(
         raise ValueError("pattern must be square")
     if method is OrderingMethod.NATURAL:
         return np.arange(n, dtype=np.int64)
+    # Ones on the stored pattern: a stored zero is structure like any other
+    # entry, and ``A + Aᵀ`` on the values would drop it.
     csr = sp.csr_matrix(pattern)
+    csr = sp.csr_matrix((np.ones(csr.nnz), csr.indices, csr.indptr), shape=csr.shape)
     csr = (csr + csr.T).tocsr()
     if method is OrderingMethod.RCM:
         return np.asarray(reverse_cuthill_mckee(csr, symmetric_mode=True), dtype=np.int64)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.api import Workload
+from repro.api.workload import build_problem
 from repro.decomposition import decompose_box, regularize_stiffness, select_fixing_nodes
 from repro.fem.elasticity import LinearElasticityProblem
 from repro.fem.heat import HeatTransferProblem
@@ -17,6 +21,14 @@ CASES = [
     ("heat", 3, 2),
     ("elasticity", 2, 1),
     ("elasticity", 3, 1),
+]
+
+#: Every physics, dimension and element order of the workload zoo.
+ZOO = [
+    (name, dim, order)
+    for name in ("heat", "elasticity")
+    for dim in (2, 3)
+    for order in (1, 2)
 ]
 
 
@@ -40,19 +52,21 @@ def test_regularized_matrix_is_spd(name, dim, order):
     assert abs(reg.K_reg - reg.K_reg.T).max() < 1e-12
 
 
-@pytest.mark.parametrize(("name", "dim", "order"), CASES)
+@pytest.mark.parametrize(("name", "dim", "order"), ZOO)
 def test_regularization_gives_exact_generalized_inverse(name, dim, order):
-    """``K K_reg⁻¹ K == K`` — the property the FETI derivation relies on."""
-    mesh = structured_mesh(dim, 2, order=order)
+    """``K K_reg⁻¹ K == K`` — the property the FETI derivation relies on.
+
+    On the pruned ``K`` of a subdomain with ``h = 1/6`` (coordinates that
+    are not binary fractions, where the pruning has noise to remove).
+    """
+    mesh = decompose_box(dim, 2, 3, order=order).subdomains[-1].mesh
     physics = _physics(name)
-    K = physics.assemble_stiffness(mesh).toarray()
+    K = physics.assemble_stiffness(mesh)
     R = physics.kernel_basis(mesh)
-    reg = regularize_stiffness(
-        physics.assemble_stiffness(mesh), R, mesh, _dofs_per_node(name, dim)
-    )
-    K_reg = reg.K_reg.toarray()
-    error = np.abs(K @ np.linalg.solve(K_reg, K) - K).max()
-    assert error < 1e-9 * np.abs(K).max()
+    reg = regularize_stiffness(K, R, mesh, _dofs_per_node(name, dim))
+    K = K.toarray()
+    error = np.abs(K @ np.linalg.solve(reg.K_reg.toarray(), K) - K).max()
+    assert error < 1e-10 * np.abs(K).max()
 
 
 def test_regularization_preserves_sparsity():
@@ -100,3 +114,54 @@ def test_regularization_within_decomposition_workflow():
     mask = np.ones(K.shape[0], dtype=bool)
     mask[reg.fixing_dofs] = False
     assert np.abs(residual[mask]).max() < 1e-10
+
+
+def test_regularized_pattern_is_k_union_the_fixing_block_by_index():
+    """Nothing value-dependent decides what ``K_reg`` stores.
+
+    A stored zero of ``K`` survives (a sparse ``+`` would drop it), and so
+    does every position of the fixing block.
+    """
+    mesh = structured_mesh(3, 2, order=1)
+    physics = LinearElasticityProblem()
+    K = physics.assemble_stiffness(mesh)
+    row_of = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    K.data[np.flatnonzero(K.indices != row_of)[0]] = 0.0  # one stored zero coupling
+    reg = regularize_stiffness(K, physics.kernel_basis(mesh), mesh, 3)
+    fixing = reg.fixing_dofs
+    K_coo, reg_coo = K.tocoo(), reg.K_reg.tocoo()
+    expected = set(zip(K_coo.row.tolist(), K_coo.col.tolist()))
+    expected |= {(int(i), int(j)) for i in fixing for j in fixing}
+    assert set(zip(reg_coo.row.tolist(), reg_coo.col.tolist())) == expected
+    assert reg.K_reg.nnz == len(expected) and reg.K_reg.has_canonical_format
+
+
+#: sha256 of the concatenated ``data`` / ``indices`` / ``indptr`` of every
+#: subdomain's ``K_reg``.  Their coordinates are binary fractions, so the
+#: couplings that cancel in theory were exact zeros already — pruning at
+#: assembly and regularizing by index must not change a bit of these two
+#: workloads of record (the warm heat 2D solve and the served request).
+K_REG_SHA256 = {
+    (8, 8, 4): (
+        "86f0775fff6b8b93944ed156b898fa9ab984c9d83ec04bdb0e84a3ed45f46f09",
+        "e6045fd20b24dd7070bd3bec49e03ee3572f2f29be3c68006d9c6936269efead",
+        "27b44b723fd9c775c16b703c02c74082dc5042c041625f73e2854db4ba44bd5b",
+    ),
+    (4, 4, 2): (
+        "e79b57f75aa1d2bef4006ac7097296b1cad5e1ccebf61863eecab998fb899f4c",
+        "e536ec6290399edb78ef881cbb80bbbe52ec05c4f87c286f1bea1fd6dbd74b3a",
+        "1de2a5a7ebf70a0f1d0227c03248e1466de3bb818bbc4cef35e59ac8e559fba6",
+    ),
+}
+
+
+@pytest.mark.parametrize(("nx", "ny", "clusters"), list(K_REG_SHA256))
+def test_heat_2d_k_reg_of_record_is_bit_identical(nx, ny, clusters):
+    problem = build_problem(Workload("heat", 2, (nx, ny), 8, n_clusters=clusters))
+    digests = []
+    for field in ("data", "indices", "indptr"):
+        h = hashlib.sha256()
+        for sub in problem.subdomains:
+            h.update(getattr(sub.K_reg, field).tobytes())
+        digests.append(h.hexdigest())
+    assert tuple(digests) == K_REG_SHA256[(nx, ny, clusters)]

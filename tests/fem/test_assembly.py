@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro.decomposition import decompose_box
+from repro.fem import assembly
 from repro.fem.assembly import (
+    PRUNE_TOLERANCE,
     assemble_elasticity_load,
     assemble_elasticity_stiffness,
     assemble_scalar_load,
@@ -119,6 +123,47 @@ def test_elasticity_load_resultant(dim):
         assert f[d::dim].sum() == pytest.approx(force[d] * mesh.total_volume())
     with pytest.raises(ValueError):
         assemble_elasticity_load(mesh, body_force=(1.0,) * (dim + 1))
+
+
+# --------------------------------------------------------------------- #
+# Cancellation noise is not stored                                       #
+# --------------------------------------------------------------------- #
+ZOO = [
+    (physics, dim, order)
+    for physics in ("heat", "elasticity")
+    for dim in (2, 3)
+    for order in (1, 2)
+]
+
+
+@pytest.mark.parametrize(("physics", "dim", "order"), ZOO)
+def test_assembly_stores_exactly_the_entries_above_the_noise_threshold(
+    physics, dim, order, monkeypatch
+):
+    """Pruned: every ``|aᵢⱼ| ≤ 1e-12 sqrt(|aᵢᵢ aⱼⱼ|)``; kept bit for bit: the rest.
+
+    The subdomain has ``h = 1/6``, so its coordinates are not binary
+    fractions and the couplings that cancel in theory come out as rounding
+    noise rather than exact zeros.
+    """
+    mesh = decompose_box(dim, 2, 3, order=order).subdomains[-1].mesh
+    assemble = assemble_scalar_stiffness if physics == "heat" else assemble_elasticity_stiffness
+    K = assemble(mesh)
+    monkeypatch.setattr(assembly, "PRUNE_TOLERANCE", -1.0)  # keep every nonzero sum
+    raw = assemble(mesh).tocoo()
+    scale = np.sqrt(np.abs(raw.diagonal()))
+    relative = np.abs(raw.data) / (scale[raw.row] * scale[raw.col])
+    noise = relative <= PRUNE_TOLERANCE
+    kept = sp.csr_matrix(
+        (raw.data[~noise], (raw.row[~noise], raw.col[~noise])), shape=raw.shape
+    )
+    assert np.array_equal(K.indptr, kept.indptr)
+    assert np.array_equal(K.indices, kept.indices)
+    assert np.array_equal(K.data, kept.data)
+    # Orders of magnitude between the two populations, not a fine line.
+    assert relative[noise].max(initial=0.0) < 1e-15 < 1e-3 < relative[~noise].min()
+    if (physics, dim, order) == ("heat", 3, 1):
+        assert noise.any()  # the Kuhn-split cancellations this guards against
 
 
 def test_element_geometry_determinants():

@@ -150,3 +150,22 @@ def test_dirichlet_values_respected(small_machine_config):
     # with zero source and a single Dirichlet face the solution is constant 5
     for u in solution.primal:
         assert np.allclose(u, 5.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("approach", list(DualOperatorApproach), ids=lambda a: a.value)
+def test_an_exact_initial_iterate_converges_in_zero_iterations(approach, small_machine_config):
+    """``λ₀ = G (GᵀG)⁻¹ e`` solves the constant-temperature problem outright.
+
+    Its projected residual is rounding noise, so PCPG must stop before the
+    first iteration instead of chasing ``tolerance`` times that noise —
+    scalar and block solves alike.
+    """
+    heat = HeatTransferProblem(source=0.0)
+    problem = FetiProblem.from_physics(
+        heat, decompose_box(2, 2, 3, order=1), dirichlet_faces=("xmin",), dirichlet_value=5.0
+    )
+    solver = FetiSolver(problem, _options(approach, small_machine_config))
+    solutions = [solver.solve(), *solver.solve_many([None, None])]
+    for solution in solutions:
+        assert solution.converged and solution.pcpg.iterations == 0
+        assert np.abs(np.concatenate(solution.primal) - 5.0).max() < 1e-12

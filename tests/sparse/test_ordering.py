@@ -57,6 +57,25 @@ def test_amd_on_arrow_matrix_beats_natural():
     assert amd.nnz == 2 * n - 1  # no fill-in with the hub eliminated last
 
 
+@pytest.mark.parametrize("method", [OrderingMethod.RCM, OrderingMethod.AMD])
+def test_stored_zeros_order_like_any_other_entry(fem_matrix, method):
+    """Values never reach the ordering: the process backend re-derives an
+    analysis from the pattern alone and must land on the same one."""
+    A = fem_matrix.tocoo()
+    hub = np.arange(1, A.shape[0])  # stored zeros: a dense first row and column
+    arrow = sp.coo_matrix(
+        (
+            np.concatenate([A.data, np.zeros(2 * hub.size)]),
+            (np.concatenate([A.row, 0 * hub, hub]), np.concatenate([A.col, hub, 0 * hub])),
+        ),
+        shape=A.shape,
+    ).tocsr()
+    arrow.sum_duplicates()
+    assert (arrow.data == 0.0).any()
+    ones = sp.csr_matrix((np.ones(arrow.nnz), arrow.indices, arrow.indptr), shape=arrow.shape)
+    assert np.array_equal(compute_ordering(arrow, method), compute_ordering(ones, method))
+
+
 def test_non_square_rejected():
     with pytest.raises(ValueError):
         compute_ordering(sp.csr_matrix(np.ones((2, 3))), OrderingMethod.RCM)

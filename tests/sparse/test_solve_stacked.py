@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.api import Session, SolverSpec, Workload
 from repro.api.workload import build_problem
@@ -37,8 +38,8 @@ from tests.oracles.kplus import (
     looped_primal_solution,
 )
 
-#: The workloads of ISSUE 23's kernel table; the last has four ``K_reg``
-#: patterns, so every group there is a stack of one.
+#: Workloads of the stacked-kernel table in the README.  Every one of them
+#: has one ``K_reg`` pattern, so all its subdomains form one stack.
 WORKLOADS = {
     "heat2d-8x8x8": Workload("heat", 2, (8, 8), 8, n_clusters=4),
     "heat2d-4x4x8": Workload("heat", 2, (4, 4), 8, n_clusters=2),
@@ -47,7 +48,6 @@ WORKLOADS = {
     "elasticity3d-2x2x2x4": Workload("elasticity", 3, (2, 2, 2), 4),
     "heat3d-2x2x1x12": Workload("heat", 3, (2, 2, 1), 12),
 }
-GROUPS_OF_ONE = "heat3d-2x2x1x12"
 
 #: Largest relative difference to the oracle.  Without refinement the two
 #: paths do the same arithmetic up to the diagonal-block step (measured 2e-16
@@ -55,6 +55,10 @@ GROUPS_OF_ONE = "heat3d-2x2x1x12"
 #: the residual ``b − K x`` is a cancellation, so a last-bit difference in
 #: ``x`` comes back as ``eps · cond(K)`` in the correction (measured ≤ 2e-12).
 TOLERANCE = {"fp64": 1e-13, "fp32": 1e-13, "fp32_ir": 1e-11}
+#: Per-workload exceptions to :data:`TOLERANCE`.  Heat 3D ``(2,2,1)x12`` has
+#: ``cond(K_reg)`` = 1.2e7, so its refined floor ``eps · cond`` sits above
+#: the common bound (measured 1.6e-11).
+WIDER_TOLERANCE = {("heat3d-2x2x1x12", "fp32_ir"): 1e-10}
 
 
 def _preprocessed(problem, precision="fp64", approach=DualOperatorApproach.IMPLICIT_MKL):
@@ -81,8 +85,8 @@ def _stacked_and_looped(operator, seed=5):
     yield "apply", operator.apply(lam), reference
 
 
-def _assert_matches_oracle(operator, exact=False):
-    tolerance = TOLERANCE[operator.precision.name]
+def _assert_matches_oracle(operator, exact=False, tolerance=None):
+    tolerance = tolerance or TOLERANCE[operator.precision.name]
     for name, got, ref in _stacked_and_looped(operator):
         if exact:
             assert np.array_equal(got, ref), name
@@ -104,14 +108,37 @@ def _pattern_groups(operator) -> list[int]:
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_stacked_consumers_match_the_per_subdomain_oracle(name, precision):
     operator = _preprocessed(build_problem(WORKLOADS[name]), precision)
-    groups = _pattern_groups(operator)
-    if name == GROUPS_OF_ONE:
-        # A stack of one runs the single-factor kernels: same bits.
-        assert groups == [1, 1, 1, 1]
-        _assert_matches_oracle(operator, exact=True)
-    else:
-        assert groups == [operator.problem.n_subdomains]
-        _assert_matches_oracle(operator)
+    assert _pattern_groups(operator) == [operator.problem.n_subdomains]
+    _assert_matches_oracle(operator, tolerance=WIDER_TOLERANCE.get((name, precision)))
+
+
+def _distinct_patterns_problem() -> FetiProblem:
+    """Four heat 3D subdomains whose ``K_reg`` patterns all differ.
+
+    Subdomain ``i`` stores one explicit zero coupling ``(0, n − 1 − i)``: the
+    values (and so the answers) are untouched, but the pattern cache sees a
+    different shape per subdomain.
+    """
+    problem = FetiProblem.from_physics(
+        HeatTransferProblem(), decompose_box(3, (2, 2, 1), 3, order=1)
+    )
+    for i, sub in enumerate(problem.subdomains):
+        K = sub.K_reg.tocoo()
+        j = K.shape[0] - 1 - i
+        rows = np.concatenate([K.row, [0, j]])
+        cols = np.concatenate([K.col, [j, 0]])
+        vals = np.concatenate([K.data, [0.0, 0.0]])
+        sub.K_reg = sp.coo_matrix((vals, (rows, cols)), shape=K.shape).tocsr()
+        sub.K_reg.sum_duplicates()
+    return problem
+
+
+@pytest.mark.parametrize("precision", PRECISION_NAMES)
+def test_stacks_of_one_are_bit_identical_to_the_oracle(precision):
+    """A stack of one runs the single-factor kernels: the oracle's own bits."""
+    operator = _preprocessed(_distinct_patterns_problem(), precision)
+    assert _pattern_groups(operator) == [1, 1, 1, 1]
+    _assert_matches_oracle(operator, exact=True)
 
 
 def test_one_group_spans_subdomains_with_different_gluing():

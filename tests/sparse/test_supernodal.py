@@ -113,8 +113,12 @@ def test_partition_covers_all_columns_and_pattern():
 
 
 def test_update_maps_are_factored_and_come_in_all_three_forms():
-    """``(rows, cols)`` is slice/slice, array/slice or (R, 1)-array/array."""
-    part = symbolic_cholesky(_fem_matrix(HeatTransferProblem(), 3)).supernodes
+    """``(rows, cols)`` is slice/slice, array/slice or (R, 1)-array/array.
+
+    Heat stencils only give slice/slice updates; the denser elasticity
+    pattern needs all three.
+    """
+    part = symbolic_cholesky(_fem_matrix(LinearElasticityProblem(), 2, 4)).supernodes
     forms = set()
     for j, updates in enumerate(part.updates):
         h, w = int(part.heights[j]), int(part.widths[j])
