@@ -549,10 +549,12 @@ def run_preprocessing(
             for _, subs in clusters:
                 for sub in subs:
                     solver = solvers[sub.index]
-                    solver.factorize(sub.K_reg)
+                    with trace_span("factorize", subdomain=sub.index):
+                        solver.factorize(sub.K_reg)
                     out = SubdomainPreprocessed()
                     if need_schur:
-                        out.local_F = solver.schur_complement(sub.B)
+                        with trace_span("schur_assembly", subdomain=sub.index):
+                            out.local_F = solver.schur_complement(sub.B)
                     if need_rhs_fill:
                         out.rhs_fill = solver.rhs_fill(sub.B)
                     round_.outputs[sub.index] = out

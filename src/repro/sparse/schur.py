@@ -11,6 +11,12 @@ in-package Cholesky factorization:
     ``S = B̃ K_reg⁻¹ B̃ᵀ = Wᵀ W``,  ``W = L⁻¹ P B̃ᵀ``,
 
 where ``P`` is the fill-reducing permutation of the factorization.
+
+The columns of ``W`` are ordered by the first nonzero row of ``P B̃ᵀ``.  The
+forward solve keeps every column exactly zero above that row, so neither it
+nor the product ``WᵀW`` touches the structurally zero part of ``W`` (the
+paper's Table I *pruning*); ``S`` is re-ordered back to ``B̃``'s rows at the
+end.
 """
 
 from __future__ import annotations
@@ -21,7 +27,12 @@ import scipy.sparse as sp
 from repro.sparse.numeric import CholeskyFactor
 from repro.sparse.triangular import solve_lower_inplace
 
-__all__ = ["schur_complement", "rhs_sparsity_fill", "column_first_rows"]
+__all__ = ["SCHUR_CHUNK", "schur_complement", "rhs_sparsity_fill", "column_first_rows"]
+
+#: Columns per block of the pruned ``WᵀW`` product.  Narrower blocks skip
+#: more zero rows, wider ones run larger GEMMs; 32-96 measure within 9% of
+#: each other on a 2 197-DOF heat 3D subdomain.
+SCHUR_CHUNK = 64
 
 
 def column_first_rows(Bt: sp.csc_matrix, row_map: np.ndarray | None = None) -> np.ndarray:
@@ -80,15 +91,17 @@ def schur_complement(
     B:
         The subdomain gluing matrix ``B̃`` of shape ``(n_dual, ndofs)``.
     exploit_rhs_sparsity:
-        Skip the leading zero rows of every right-hand-side column during the
-        forward solve (the augmented-incomplete-factorization behaviour).
-        Disabling it gives the plain TRSM path (the CHOLMOD-based explicit
-        CPU approach) — the numerical result is identical.
+        Skip the leading zero rows of every right-hand-side column (the
+        augmented-incomplete-factorization behaviour).  Disabling it runs
+        the same kernel with every column starting at row 0 — the plain TRSM
+        of the CHOLMOD-based explicit CPU approach — and gives the same
+        ``S`` to rounding.
 
     Returns
     -------
     numpy.ndarray
-        The dense symmetric matrix ``S`` of shape ``(n_dual, n_dual)``.
+        The dense, exactly symmetric matrix ``S`` of shape
+        ``(n_dual, n_dual)``.
     """
     s = factor.symbolic
     Bc = sp.csr_matrix(B)
@@ -96,26 +109,44 @@ def schur_complement(
     inv_perm = np.empty(s.n, dtype=np.int64)
     inv_perm[s.perm] = np.arange(s.n, dtype=np.int64)
     rows = inv_perm[Bc.indices]  # permuted row of every nonzero of B̃ᵀ
-    cols = np.repeat(np.arange(n_dual, dtype=np.int64), np.diff(Bc.indptr))
+
+    starts = np.zeros(n_dual, dtype=np.int64)
+    if exploit_rhs_sparsity:
+        starts[:] = s.n  # an empty row of B̃ is never activated
+        starts[np.diff(Bc.indptr) > 0] = column_first_rows(Bc.T, row_map=inv_perm)
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    rank = np.empty(n_dual, dtype=np.int64)
+    rank[order] = np.arange(n_dual, dtype=np.int64)
+    cols = rank[np.repeat(np.arange(n_dual, dtype=np.int64), np.diff(Bc.indptr))]
 
     # W = P B̃ᵀ is scattered straight into the buffer the solve runs in, its
-    # columns already sorted by first nonzero row when that sparsity is
-    # exploited (the solve activates a growing column prefix).
-    rank = sorted_starts = None
-    if exploit_rhs_sparsity and n_dual:
-        starts = np.full(n_dual, s.n, dtype=np.int64)
-        starts[np.diff(Bc.indptr) > 0] = column_first_rows(Bc.T, row_map=inv_perm)
-        order = np.argsort(starts, kind="stable")
-        sorted_starts = starts[order]
-        rank = np.empty(n_dual, dtype=np.int64)
-        rank[order] = np.arange(n_dual, dtype=np.int64)
-        cols = rank[cols]
+    # columns already in start order.
     W = np.zeros((s.n, n_dual))
     np.add.at(W, (rows, cols), Bc.data)
-    solve_lower_inplace(factor, W, sorted_starts=sorted_starts)
-    if rank is not None:
-        # Back to B̃'s column order before the product: WᵀW summed in another
-        # column order differs in the last bit, and the heat 3D iteration
-        # counts sit on exactly that edge.
-        W = np.take(W, rank, axis=1)
-    return W.T @ W
+    solve_lower_inplace(factor, W, sorted_starts=starts)
+    S = _pruned_gram(W, starts)
+    del W  # the panel goes before the re-ordering allocates its temporary
+    # Back to B̃'s order: rows into a temporary, columns into S's own buffer
+    # (``clip`` because ``raise`` would buffer the output; ``rank`` is a
+    # permutation, so nothing is clipped).
+    return np.take(np.take(S, rank, axis=0), rank, axis=1, out=S, mode="clip")
+
+
+def _pruned_gram(W: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``WᵀW`` of a panel whose column ``c`` is zero above row ``starts[c]``.
+
+    ``starts`` ascends, so every column of the block ``[c0, c1)`` is zero
+    above ``starts[c0]``: its rows ``c0:c1`` of ``S`` are one GEMM over the
+    rows from there on, which is exact, not an approximation.  The upper
+    triangle is a copy of the lower one, so ``S`` is exactly symmetric.
+    """
+    n_dual = W.shape[1]
+    S = np.empty((n_dual, n_dual))
+    for c0 in range(0, n_dual, SCHUR_CHUNK):
+        c1 = min(c0 + SCHUR_CHUNK, n_dual)
+        r = int(starts[c0])
+        np.matmul(W[r:, c0:c1].T, W[r:, :c1], out=S[c0:c1, :c1])
+    for i in range(1, n_dual):  # column by column: no temporary
+        S[:i, i] = S[i, :i]
+    return S

@@ -71,6 +71,9 @@ def _panel_solve_lower(
     With ``sorted_starts`` (ascending first-nonzero rows of the columns of a
     2-D ``y``) only the already-activated column prefix participates in each
     panel, which is how the per-column right-hand-side sparsity is exploited.
+    That prefix is a strided slice, so its diagonal-block step is a GEMM with
+    the block's ``dtrtri`` inverse (as in :func:`solve_stacked`) rather than a
+    ``dtrtrs``, which would copy the slice in and out.
     """
     snode_ptr, panel_off = part.snode_ptr, part.panel_off
     widths, heights = part.widths, part.heights
@@ -92,7 +95,8 @@ def _panel_solve_lower(
             a = int(np.searchsorted(sorted_starts, j1 - 1, side="right"))
             if a == 0:
                 continue
-            yj, _ = dtrtrs(pv[:w], y[j0:j1, :a], lower=1)
+            inverse, _ = dtrtri(pv[:w], lower=1)
+            yj = inverse @ y[j0:j1, :a]
             y[j0:j1, :a] = yj
             if h > w:
                 y[part.below_rows[s], :a] -= pv[w:] @ yj

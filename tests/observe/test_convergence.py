@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 
+# The operators import the preprocessing runtime on first use; importing it
+# here keeps that one-off cost out of the preprocessing spans under test.
+import repro.runtime.preprocess  # noqa: F401
 from repro.api import Session, SolverSpec, Workload
 from repro.observe.convergence import ConvergenceReport
 from repro.observe.trace import trace
@@ -129,6 +132,37 @@ def test_traced_solve_span_tree_covers_phases():
     doc = tracer.to_chrome()
     assert doc["traceEvents"], "chrome export must not be empty"
     json.dumps(doc)
+
+
+def _preprocessing_layers(approach: str) -> tuple[dict, list[dict]]:
+    """A traced serial heat 3D solve: its preprocessing span and per-subdomain layers."""
+    workload = Workload("heat", 3, (2, 2, 1), 12)
+    spec = SolverSpec(approach=approach, execution="serial")
+    with trace() as tracer:
+        with Session(spec) as session:
+            session.solve(workload)
+    (root,) = tracer.to_tree()
+    (preprocessing,) = [c for c in root["children"] if c["name"] == "preprocessing"]
+    (loop,) = preprocessing["children"]
+    assert loop["name"] == "factorize" and loop["attrs"]["backend"] == "serial"
+    return preprocessing, loop["children"]
+
+
+def test_explicit_preprocessing_names_factorization_and_schur_assembly():
+    preprocessing, layers = _preprocessing_layers("expl mkl")
+    names = [(c["name"], c["attrs"]["subdomain"]) for c in layers]
+    assert names == [
+        (name, i) for i in range(4) for name in ("factorize", "schur_assembly")
+    ]
+    covered = sum(c["duration_us"] for c in layers)
+    assert covered >= 0.9 * preprocessing["duration_us"]
+
+
+def test_implicit_preprocessing_assembles_no_schur_complement():
+    _, layers = _preprocessing_layers("impl mkl")
+    assert [(c["name"], c["attrs"]["subdomain"]) for c in layers] == [
+        ("factorize", i) for i in range(4)
+    ]
 
 
 def test_traced_block_solve_covers_project_and_precondition():

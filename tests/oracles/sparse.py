@@ -105,7 +105,8 @@ def _forward(indptr, indices, data, b: np.ndarray, start_row: int = 0) -> np.nda
     for j in range(start_row, indptr.shape[0] - 1):
         p0, p1 = indptr[j], indptr[j + 1]
         y[j] /= data[p0]
-        y[indices[p0 + 1 : p1]] -= data[p0 + 1 : p1] * y[j]
+        # one column of L against every right-hand side of a 2-D ``b``
+        y[indices[p0 + 1 : p1]] -= np.multiply.outer(data[p0 + 1 : p1], y[j])
     return y
 
 
@@ -167,9 +168,14 @@ def csc_solve_upper(L: sp.spmatrix, B: np.ndarray) -> np.ndarray:
 
 
 def schur_complement(factor: CholeskyFactor, B: sp.spmatrix) -> np.ndarray:
-    """``B K⁻¹ Bᵀ = Wᵀ W`` with ``W = L⁻¹ P Bᵀ`` solved column by column."""
-    rhs = sp.csr_matrix(B)[:, factor.symbolic.perm].toarray().T
-    W = trsm_lower(factor, rhs)
+    """``B K⁻¹ Bᵀ = Wᵀ W`` with ``W = L⁻¹ P Bᵀ``, in ``B``'s own column order.
+
+    The forward solve walks ``L`` one column at a time, over every row of
+    every right-hand side at once: no panels, no start rows, no pruning.
+    """
+    s = factor.symbolic
+    rhs = sp.csr_matrix(B)[:, s.perm].toarray().T
+    W = _forward(s.col_ptr, s.row_idx, factor.values, rhs)
     return W.T @ W
 
 

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.api import Workload
+from repro.api.workload import build_problem
+from repro.fem.heat import HeatTransferProblem
 from repro.sparse import numeric_cholesky, schur_complement, symbolic_cholesky
-from repro.sparse.schur import rhs_sparsity_fill
+from repro.sparse.schur import SCHUR_CHUNK, rhs_sparsity_fill
 
-from tests.conftest import random_spd_matrix
+from tests.conftest import fem_stiffness, random_spd_matrix
+from tests.oracles import sparse as scalar
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +103,15 @@ def test_schur_scatters_empty_rows_and_duplicate_entries(factorized, exploit):
         assert np.array_equal(got, want)
 
 
-def test_schur_assembly_allocates_two_panels_not_five(factorized):
-    """One solve buffer plus its re-ordered copy; no dense ``B̃`` round trips."""
+def test_schur_assembly_allocates_one_panel_and_two_outputs(factorized):
+    """The solve buffer ``W`` once plus ``S`` and its re-ordered copy.
+
+    No re-ordered copy of ``W`` and no dense ``B̃`` round trips.  Measured
+    peak: 42 192 bytes, reached in the forward solve (``W`` plus one
+    supernode's update temporaries); the bound is ``W`` (16 000) + two
+    ``n_λ²`` outputs (25 600) + 2 kB of index arrays, below the 3 panels
+    (48 000) the kernel needed when it re-ordered ``W``.
+    """
     import tracemalloc
 
     _, factor = factorized
@@ -108,9 +119,68 @@ def test_schur_assembly_allocates_two_panels_not_five(factorized):
     n_dual = 40
     B = sp.random(n_dual, 50, density=0.04, random_state=rng).tocsr()
     panel = 50 * n_dual * 8
+    outputs = 2 * n_dual * n_dual * 8
     schur_complement(factor, B)  # warm: panel values, BLAS buffers
     tracemalloc.start()
     schur_complement(factor, B)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert peak < 3 * panel
+    assert peak < panel + outputs + 2048 < 3 * panel
+
+
+def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+def _check_against_oracle(factor, B) -> np.ndarray:
+    """The pruned ``S`` against the scalar oracle, its symmetry and the plain path."""
+    S = schur_complement(factor, B)
+    assert _relative_gap(S, scalar.schur_complement(factor, B)) <= 1e-13
+    assert np.array_equal(S, S.T)
+    plain = schur_complement(factor, B, exploit_rhs_sparsity=False)
+    assert np.array_equal(plain, plain.T)
+    assert _relative_gap(plain, S) <= 1e-14
+    return S
+
+
+@pytest.mark.parametrize(
+    "workload",
+    [
+        Workload("heat", 3, (2, 2, 1), 12),
+        Workload("elasticity", 3, (2, 2, 2), 4),
+        Workload("heat", 2, (2, 2), 8, order=2),
+    ],
+    ids=["heat3d-221x12", "elasticity3d-222x4", "heat2d-p2-22x8"],
+)
+def test_pruned_schur_matches_the_scalar_oracle_on_every_subdomain(workload):
+    for sub in build_problem(workload).subdomains:
+        factor = numeric_cholesky(sub.K_reg, symbolic_cholesky(sub.K_reg))
+        _check_against_oracle(factor, sub.B)
+
+
+@pytest.fixture(scope="module")
+def fem_factor():
+    A = fem_stiffness(HeatTransferProblem(), 3, cells=5)  # 216 DOFs, supernodal
+    factor = numeric_cholesky(A, symbolic_cholesky(A))
+    assert factor.symbolic.supernodes is not None
+    return factor
+
+
+@pytest.mark.parametrize(
+    "n_dual",
+    [1, SCHUR_CHUNK - 1, SCHUR_CHUNK, SCHUR_CHUNK + 1, 2 * SCHUR_CHUNK + 1],
+)
+def test_pruned_schur_across_block_boundaries(fem_factor, n_dual):
+    """Signed gluing rows with tied first rows and a never-activated row."""
+    n = fem_factor.symbolic.n
+    rng = np.random.default_rng(n_dual)
+    dofs = rng.integers(0, n, size=(n_dual, 2))
+    dofs[-1] = dofs[0]  # the same first row as row 0: a tied start
+    signs = rng.choice([-1.0, 1.0], size=(n_dual, 2))
+    keep = np.ones(n_dual, dtype=bool)
+    if n_dual > 1:
+        keep[n_dual // 2] = False  # an empty row: start = n, never activated
+    indptr = np.concatenate(([0], np.cumsum(2 * keep)))
+    B = sp.csr_matrix((signs[keep].ravel(), dofs[keep].ravel(), indptr), shape=(n_dual, n))
+    S = _check_against_oracle(fem_factor, B)
+    assert not S[~keep].any() and not S[:, ~keep].any()
