@@ -34,9 +34,9 @@ from repro.runtime import ShardPlan
 #: The 64-subdomain workload of the ``parallel_scaling`` bench scenario.
 WORKLOAD = Workload(physics="heat", dim=2, subdomains=(8, 8), cells=8)
 
-#: The sweep: the serial reference plus sharded worker pools.  Threads share
-#: the parent's memory; processes move factor panels and packed local_F
-#: blocks through multiprocessing.shared_memory.
+#: The sweep: serial (one shard per cluster) plus sharded worker pools.
+#: Threads share the parent's memory; processes move factor panels and
+#: local_F blocks through multiprocessing.shared_memory.
 BACKENDS = [None, "threads:2", "threads:4", "processes:2", "processes:4"]
 
 
@@ -72,9 +72,10 @@ def sweep_worker_counts() -> None:
         label = backend or "serial"
         print(f"{label:<12} {wall * 1e3:>11.1f} ms {serial / wall:>7.2f}x")
     print(
-        "\n(threads shard the batched kernels in-process; processes add "
-        "worker isolation\n and shared-memory transport — their advantage "
-        "grows with the host's core count)"
+        "\n(every executor runs the same stacked kernels; threads split the "
+        "shards in-process,\n processes add worker isolation and "
+        "shared-memory transport — their advantage\n grows with the host's "
+        "core count)"
     )
 
 

@@ -128,21 +128,17 @@ class DualOperatorBase(abc.ABC):
         return self._executor
 
     def run_feti_preprocessing(
-        self,
-        *,
-        need_schur: bool = False,
-        exploit_rhs_sparsity: bool = True,
-        need_rhs_fill: bool = False,
+        self, *, need_schur: bool = False, need_rhs_fill: bool = False
     ):
         """Factorize every subdomain (and optionally assemble ``F̃ᵢ``).
 
-        The single entry point of the runtime layer: with a serial executor
-        this is the historical per-subdomain loop; with a parallel one the
-        work is sharded by cluster topology and dispatched as overlapping
-        futures (see :mod:`repro.runtime.preprocess`).  On return every
-        solver in ``self._cpu_solvers`` is numerically factorized; the
-        returned round maps subdomain indices to their Schur blocks /
-        cost-model inputs.
+        The single entry point of the runtime layer: the subdomains are
+        sharded by cluster topology (one shard per cluster and worker), and
+        every shard factors its same-pattern subdomains as one stack before
+        assembling each ``F̃ᵢ`` with its solver facade (see
+        :mod:`repro.runtime.preprocess`).  On return every solver in
+        ``self._cpu_solvers`` is numerically factorized; the returned round
+        maps subdomain indices to their Schur blocks / cost-model inputs.
         """
         from repro.runtime.preprocess import run_preprocessing
 
@@ -151,7 +147,6 @@ class DualOperatorBase(abc.ABC):
             [(c.cluster_id, subs) for c, subs in self.iter_clusters()],
             self._cpu_solvers,
             need_schur=need_schur,
-            exploit_rhs_sparsity=exploit_rhs_sparsity,
             need_rhs_fill=need_rhs_fill,
         )
         self._preprocess_round = round_

@@ -274,24 +274,12 @@ class SubdomainBatchEngine:
     structures.
     """
 
-    def __init__(
-        self, problem, machine, subdomain_indices=None, dense_dtype=np.float64
-    ) -> None:
+    def __init__(self, problem, machine, dense_dtype=np.float64) -> None:
         self.problem = problem
         self.clusters: dict[int, ClusterBatch] = {}
         dense_dtype = np.dtype(dense_dtype)
-        #: Optional restriction to a subset of subdomains (a shard of the
-        #: :class:`repro.runtime.shard.ShardPlan`): the per-cluster batches
-        #: then cover only the selected subdomains, so shard-local engines
-        #: never alias another worker's scatter/gather state.
-        selected = None if subdomain_indices is None else set(subdomain_indices)
         for cluster in machine.clusters:
-            subs = [
-                s
-                for s in problem.subdomains
-                if s.cluster == cluster.cluster_id
-                and (selected is None or s.index in selected)
-            ]
+            subs = [s for s in problem.subdomains if s.cluster == cluster.cluster_id]
             self.clusters[cluster.cluster_id] = ClusterBatch(
                 cluster_id=cluster.cluster_id,
                 subdomain_indices=[s.index for s in subs],

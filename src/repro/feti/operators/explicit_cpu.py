@@ -81,14 +81,10 @@ class ExplicitCpuDualOperator(DualOperatorBase):
         return self._merge_cluster_times(cluster_times), breakdown
 
     def _preprocess_impl(self) -> tuple[float, dict[str, float]]:
-        # Factorization + Schur assembly of every subdomain via the runtime:
-        # the serial reference loop, or sharded futures whose packed local_F
-        # blocks come back as (shared-memory) views.
-        round_ = self.run_feti_preprocessing(
-            need_schur=True,
-            exploit_rhs_sparsity=self.library is CpuLibrary.MKL_PARDISO,
-            need_rhs_fill=True,
-        )
+        # Factorization + Schur assembly of every subdomain via the runtime
+        # (under the process backend local_F comes back as shared-memory
+        # views).
+        round_ = self.run_feti_preprocessing(need_schur=True, need_rhs_fill=True)
         breakdown: dict[str, float] = {"schur_complement": 0.0}
         cluster_times = []
         for cluster, subs in self.iter_clusters():

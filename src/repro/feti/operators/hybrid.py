@@ -87,11 +87,9 @@ class HybridDualOperator(ExplicitGpuDualOperator):
         return self._merge_cluster_times(cluster_times), breakdown
 
     def _preprocess_impl(self) -> tuple[float, dict[str, float]]:
-        # CPU assembly of every F̃ᵢ via the runtime (sharded futures under a
-        # parallel executor); only the host-to-device copy stays below.
-        round_ = self.run_feti_preprocessing(
-            need_schur=True, exploit_rhs_sparsity=True, need_rhs_fill=True
-        )
+        # CPU assembly of every F̃ᵢ via the runtime; only the host-to-device
+        # copy stays below.
+        round_ = self.run_feti_preprocessing(need_schur=True, need_rhs_fill=True)
         breakdown = {"schur_complement": 0.0, "upload_F": 0.0}
         cluster_times = []
         for cluster, subs in self.iter_clusters():

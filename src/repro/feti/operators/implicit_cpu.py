@@ -77,8 +77,8 @@ class ImplicitCpuDualOperator(DualOperatorBase):
         return self._merge_cluster_times(cluster_times), breakdown
 
     def _preprocess_impl(self) -> tuple[float, dict[str, float]]:
-        # Numeric factorization of every subdomain: serial reference loop or
-        # sharded futures, depending on the operator's executor.
+        # Numeric factorization of every subdomain: one stacked factorization
+        # per shard and pattern, on the operator's executor.
         self.run_feti_preprocessing()
         breakdown: dict[str, float] = {"numeric_factorization": 0.0}
         cluster_times = []

@@ -11,14 +11,14 @@ never had: real host-side parallelism.  It is organized as four pieces:
 :mod:`repro.runtime.shard`
     :class:`ShardPlan`: the partition of a problem's subdomains into
     per-worker shards that respect the cluster topology.
-:mod:`repro.runtime.preprocess` (+ :mod:`repro.runtime.kernels`,
-:mod:`repro.runtime.shm`)
-    The sharded preprocessing engine every dual-operator backend runs its
-    FETI preprocessing through: same-pattern subdomains of a shard are
-    factored as one stacked problem, shards run as overlapping futures, and
-    the process backend moves factor panels and packed ``local_F`` blocks
-    through ``multiprocessing.shared_memory`` (zero-copy adoption by the
-    parent's solvers).
+:mod:`repro.runtime.preprocess` (+ :mod:`repro.runtime.shm`)
+    The one preprocessing path every dual-operator backend and every
+    executor runs its FETI preprocessing through: same-pattern subdomains
+    of a shard are factored as one stack, each ``F̃ᵢ`` is assembled by its
+    solver facade, shards run as futures (inline under ``serial``), and the
+    process backend moves factor panels and ``local_F`` blocks through
+    ``multiprocessing.shared_memory`` (zero-copy adoption by the parent's
+    solvers).
 :mod:`repro.runtime.queue`
     :class:`SolveQueue`: the concurrent serving path — many ``(workload,
     spec, rhs)`` requests against one :class:`repro.api.Session`, scheduled

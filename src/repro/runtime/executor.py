@@ -322,7 +322,7 @@ def _warm_worker(value: Any) -> Any:
     """
     import numpy as _np
 
-    import repro.runtime.kernels  # noqa: F401 - imported for its side effects
+    import repro.runtime.preprocess  # noqa: F401 - imported for its side effects
 
     a = _np.ones((48, 48))
     for _ in range(20):

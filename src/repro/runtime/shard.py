@@ -6,13 +6,10 @@ cluster models one MPI process in the paper, so its subdomains share
 per-cluster resources (:class:`~repro.cluster.topology.ClusterResources`)
 and must stay together for the simulated-time bookkeeping to be meaningful.
 
-Within a shard the preprocessing runs *batched* (see
-:mod:`repro.runtime.kernels`): same-pattern subdomains are factored as one
-stacked problem and their local dual operators are assembled with padded
-stacked kernels.  Each shard can also carry its own
-:class:`~repro.feti.operators.batch.SubdomainBatchEngine` restricted to its
-subdomains, so shard-local scatter/gather state never aliases another
-worker's.
+Every executor plans shards — the serial one has one worker, so one shard
+per cluster.  Within a shard the preprocessing factors the subdomains that
+share a symbolic analysis as one stack, then assembles each local dual
+operator on its own (see :mod:`repro.runtime.preprocess`).
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.topology import Machine
-    from repro.feti.operators.batch import SubdomainBatchEngine
     from repro.feti.problem import FetiProblem
 
 __all__ = ["Shard", "ShardPlan", "balanced_spans"]
@@ -62,9 +58,6 @@ def balanced_spans(n: int, parts: int) -> list[tuple[int, int]]:
     return spans
 
 
-_balanced_chunks = balanced_spans  # historical internal name
-
-
 class ShardPlan:
     """The shard decomposition of a problem for a given worker count."""
 
@@ -89,7 +82,7 @@ class ShardPlan:
             raise ValueError(f"workers must be >= 1, got {workers}")
         shards: list[Shard] = []
         for cluster_id, indices in clusters:
-            for lo, hi in _balanced_chunks(len(indices), workers):
+            for lo, hi in balanced_spans(len(indices), workers):
                 if hi == lo:
                     continue
                 shards.append(
@@ -124,16 +117,6 @@ class ShardPlan:
     def shards_of_cluster(self, cluster_id: int) -> list[Shard]:
         """The shards covering one cluster, in position order."""
         return [s for s in self.shards if s.cluster_id == cluster_id]
-
-    def engine_for(
-        self, shard: Shard, problem: "FetiProblem", machine: "Machine"
-    ) -> "SubdomainBatchEngine":
-        """A shard-private batched engine restricted to the shard's subdomains."""
-        from repro.feti.operators.batch import SubdomainBatchEngine
-
-        return SubdomainBatchEngine(
-            problem, machine, subdomain_indices=shard.subdomain_indices
-        )
 
     def describe(self) -> str:
         """Human-readable shard layout (for logs and the example script)."""

@@ -1,13 +1,13 @@
 """Shared-memory transport of the process executor.
 
-The preprocessing results of a shard — the stacked factor values (``(k,
-nnz(L))`` float64 "factor panels") and the padded pack of assembled local
-dual operators (``(k, λ_max, λ_max)`` ``local_F`` blocks) — are bulk arrays.
+The preprocessing results of a shard — the stacked factor panels (``(k,
+panel_entries)`` float64) and the assembled local dual operators (one
+``(n_λ, n_λ)`` ``local_F`` block per subdomain) — are bulk arrays.
 Pickling them back through the process pool's result pipe would copy every
 byte twice; instead the parent allocates one ``multiprocessing.shared_memory``
 arena per preprocessing round, the workers write their slots directly, and
-the parent's solvers adopt NumPy *views* into the arena.  The only pickled
-result is per-subdomain scalar metadata.
+the parent's solvers adopt NumPy *views* into the arena.  No array is
+pickled back.
 
 The transport is symmetric since the apply-phase sharding landed: bulk
 *inputs* (stacked stiffness values, packed gluing matrices, the padded

@@ -1,7 +1,8 @@
 """Numeric sparse Cholesky factorization (supernodal, left-looking).
 
 Given the pattern produced by :func:`repro.sparse.symbolic.symbolic_cholesky`
-this module computes the values of ``L`` such that ``P A Pᵀ = L Lᵀ``.
+this module computes the values of ``L`` such that ``P A Pᵀ = L Lᵀ`` — for a
+whole stack of matrices sharing that pattern at once.
 
 The factorization is **supernodal left-looking**: every supernode is a dense
 trapezoidal panel initialized with one vectorized scatter of the (one-pass)
@@ -12,7 +13,9 @@ where the rows/columns are contiguous), and finished with a dense Cholesky of
 its diagonal block plus one triangular solve for the off-panel block.  The
 Python-level work is proportional to the number of supernodal updates, not to
 ``nnz(L)``, and all arithmetic runs through BLAS-3 calls — the structure
-production libraries (CHOLMOD, PARDISO) use.
+production libraries (CHOLMOD, PARDISO) use.  :func:`stacked_cholesky` runs
+every update as one ``np.matmul`` over the stack; only the dense finish of a
+panel is per matrix.  :func:`numeric_cholesky` is its stack of one.
 
 The classic left-looking *column* algorithm it replaced is the test oracle
 (``tests/oracles/sparse.py::numeric_scalar``); both produce the same factor up
@@ -22,15 +25,22 @@ loop driven by flat per-update scatter arrays and must agree bit for bit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from repro.sparse.symbolic import SymbolicFactor, _canonical_csc, _panel_positions
+from repro.sparse.symbolic import SymbolicFactor
 
-__all__ = ["CholeskyFactor", "numeric_cholesky"]
+__all__ = [
+    "CholeskyFactor",
+    "NotPositiveDefiniteError",
+    "numeric_cholesky",
+    "stacked_cholesky",
+    "stacked_values",
+]
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -55,6 +65,17 @@ class CholeskyFactor:
 
     #: Lazily built dense-panel copy of the values (see ``panel_values``).
     _panel_values: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_panels(cls, symbolic: SymbolicFactor, panels: np.ndarray) -> "CholeskyFactor":
+        """Wrap one row of :func:`stacked_cholesky` (or a view of one) as a factor.
+
+        ``values`` is gathered from the panels; the panel storage itself is
+        adopted zero-copy, so the panel solves read straight from the row.
+        """
+        return cls(
+            symbolic=symbolic, values=panels[symbolic.supernodes.lpos], _panel_values=panels
+        )
 
     @property
     def n(self) -> int:
@@ -103,119 +124,124 @@ class CholeskyFactor:
         return self._panel_values
 
 
-def _permuted_lower(
-    A: sp.spmatrix, s: SymbolicFactor
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Values of ``tril(P A Pᵀ)`` in CSC order, built in one pass.
+def stacked_values(matrices: Sequence[sp.spmatrix], symbolic: SymbolicFactor) -> np.ndarray:
+    """The ``(k, nnz)`` canonical-CSC values of matrices with the analysed pattern.
 
-    When ``A`` has exactly the pattern the symbolic analysis was computed
-    for (the common case, and always true on a pattern-cache hit) the cached
-    permutation map turns ``A``'s data into the permuted layout with a
-    single take.  Otherwise — e.g. a structurally smaller matrix reusing a
-    superset pattern — the map is rebuilt generically from ``A`` itself.
+    The analysed pattern is structurally symmetric, so a matrix that has it
+    stores the same index arrays in canonical CSR form as in CSC form: the
+    matrices are checked and stacked as CSR, and one map puts the whole stack
+    into CSC order.
 
-    Returns ``(data, indptr, rows, cached)``.
+    Raises
+    ------
+    ValueError
+        If a matrix does not have exactly the pattern ``symbolic`` describes.
     """
-    csc = _canonical_csc(A)
-    if (
-        s.a_lower_map is not None
-        and csc.nnz == s.a_indices.shape[0]
-        and np.array_equal(csc.indptr, s.a_indptr)
-        and np.array_equal(csc.indices, s.a_indices)
-    ):
-        return csc.data[s.a_lower_map], s.a_lower_indptr, s.a_lower_rows, True
-
-    n = s.n
-    inv_perm = np.empty(n, dtype=np.int64)
-    inv_perm[s.perm] = np.arange(n, dtype=np.int64)
-    rows = np.asarray(csc.indices, dtype=np.int64)
-    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(csc.indptr))
-    pr, pc = inv_perm[rows], inv_perm[cols]
-    low = pr >= pc
-    lr, lc = pr[low], pc[low]
-    order = np.lexsort((lr, lc))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(lc, minlength=n)))).astype(
-        np.int64
-    )
-    return csc.data[np.flatnonzero(low)[order]], indptr, lr[order], False
+    csrs = []
+    for A in matrices:
+        csr = A.tocsr()
+        if not csr.has_sorted_indices:
+            csr = csr.copy()
+            csr.sort_indices()
+        if not (
+            np.array_equal(csr.indptr, symbolic.a_indptr)
+            and np.array_equal(csr.indices, symbolic.a_indices)
+        ):
+            raise ValueError(
+                "matrix does not have the pattern the symbolic analysis was computed for"
+            )
+        csrs.append(csr)
+    # Convert the positions 0..nnz-1 once: the CSR -> CSC map of the pattern.
+    first = csrs[0]
+    positions = np.arange(first.nnz, dtype=np.int64)
+    to_csc = sp.csr_matrix((positions, first.indices, first.indptr), shape=first.shape)
+    return np.stack([csr.data for csr in csrs])[:, to_csc.tocsc().data]
 
 
 def numeric_cholesky(A: sp.spmatrix, symbolic: SymbolicFactor) -> CholeskyFactor:
     """Compute the numeric Cholesky factor of ``A`` using a symbolic pattern.
 
+    The stack of one of :func:`stacked_cholesky`.
+
     Parameters
     ----------
     A:
-        Symmetric positive definite matrix with (a subset of) the pattern the
+        Symmetric positive definite matrix with exactly the pattern the
         symbolic factorization was computed for.
     symbolic:
         Result of :func:`repro.sparse.symbolic.symbolic_cholesky`.
 
     Raises
     ------
+    ValueError
+        If ``A`` does not have the analysed pattern, or the analysis carries
+        no supernode partition.
     NotPositiveDefiniteError
         If a pivot is not strictly positive.
     """
-    if symbolic.supernodes is None:
+    panels = stacked_cholesky(stacked_values([A], symbolic), symbolic)
+    return CholeskyFactor.from_panels(symbolic, panels[0])
+
+
+def stacked_cholesky(values: np.ndarray, symbolic: SymbolicFactor) -> np.ndarray:
+    """Factor ``k`` SPD matrices sharing one symbolic analysis, as one stack.
+
+    Parameters
+    ----------
+    values:
+        ``(k, nnz)`` canonical-CSC values of the matrices
+        (:func:`stacked_values`).
+    symbolic:
+        Their shared symbolic factorization.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(k, panel_entries)`` dense-panel factor storage, one row per
+        matrix; :meth:`CholeskyFactor.from_panels` wraps a row.  Every row is
+        bitwise the factor of its matrix alone: the stacked GEMMs and the
+        per-matrix dense finish do the same arithmetic as a stack of one.
+
+    Raises
+    ------
+    ValueError
+        If the analysis carries no supernode partition.
+    NotPositiveDefiniteError
+        If a pivot is not strictly positive (the message names the matrix).
+    """
+    part = symbolic.supernodes
+    if part is None:
         raise ValueError("the symbolic factor carries no supernode partition")
-    return _numeric_supernodal(symbolic, *_permuted_lower(A, symbolic))
+    k = values.shape[0]
+    flat = np.zeros((k, part.panel_entries))
+    flat[:, part.ainit_pos] = values[:, symbolic.a_lower_map]
 
+    offsets = part.panel_off.tolist()
+    widths, heights = part.widths.tolist(), part.heights.tolist()
+    # Each supernode's (k, h, w) panel stack, viewed once: a panel is read by
+    # every later update it contributes to.
+    panels = [
+        flat[:, offsets[j] : offsets[j + 1]].reshape(k, heights[j], widths[j])
+        for j in range(part.n_supernodes)
+    ]
+    for j, pj in enumerate(panels):
+        w, h = widths[j], heights[j]
+        for d, i0, i1, rows, cols in part.updates[j]:
+            below = panels[d][:, widths[d] + i0 :]
+            pj[:, rows, cols] -= np.matmul(below, below[:, : i1 - i0].transpose(0, 2, 1))
 
-def _numeric_supernodal(
-    s: SymbolicFactor,
-    adata: np.ndarray,
-    aptr: np.ndarray,
-    arows: np.ndarray,
-    cached: bool,
-) -> CholeskyFactor:
-    """Supernodal left-looking factorization over dense panels."""
-    part = s.supernodes
-    flat = np.zeros(part.panel_entries)
-
-    if cached and part.ainit_pos is not None:
-        flat[part.ainit_pos] = adata
-    else:
-        # Generic scatter for matrices whose pattern is a strict subset of
-        # the analysed one: locate every column's rows inside its panel.
-        snode_ptr, widths = part.snode_ptr, part.widths
-        for j in range(s.n):
-            sl = slice(aptr[j], aptr[j + 1])
-            rows = arows[sl]
-            if rows.shape[0] == 0:
-                continue
-            sn = int(part.col_to_snode[j])
-            j0, j1 = int(snode_ptr[sn]), int(snode_ptr[sn + 1])
-            w = int(widths[sn])
-            loc = _panel_positions(rows, j0, j1, w, part.below_rows[sn])
-            flat[part.panel_off[sn] + loc * w + (j - j0)] = adata[sl]
-
-    snode_ptr = part.snode_ptr
-    widths, heights, panel_off = part.widths, part.heights, part.panel_off
-    for j in range(part.n_supernodes):
-        j0, j1 = int(snode_ptr[j]), int(snode_ptr[j + 1])
-        w, h = int(widths[j]), int(heights[j])
-        pv = flat[panel_off[j] : panel_off[j + 1]].reshape(h, w)
-
-        for k, i0, i1, rows, cols in part.updates[j]:
-            wk = int(widths[k])
-            pk = flat[panel_off[k] : panel_off[k + 1]].reshape(-1, wk)
-            pv[rows, cols] -= pk[wk + i0 :] @ pk[wk + i0 : wk + i1].T
-
-        # Dense Cholesky of the diagonal block (LAPACK potrf references only
-        # the lower triangle, so junk above the diagonal is harmless), then
-        # one triangular solve for the whole off-panel block.
-        ltop, info = dpotrf(pv[:w, :w], lower=1, clean=1)
-        if info != 0:
-            raise NotPositiveDefiniteError(
-                f"non-positive pivot encountered in supernode columns {j0}:{j1}"
-            )
-        pv[:w, :w] = ltop
-        if h > w:
-            sol, info = dtrtrs(ltop, pv[w:, :].T, lower=1)
-            pv[w:, :] = sol.T
-
-    values = flat[part.lpos]
-    # The working panels are already the factor's dense-panel form (potrf
-    # with clean=1 zeroed the diagonal blocks' upper triangles), so hand
-    # them to the factor and spare every panel solve the rebuild.
-    return CholeskyFactor(symbolic=s, values=values, _panel_values=flat)
+        # Dense Cholesky of each diagonal block (LAPACK potrf references only
+        # the lower triangle, so junk above the diagonal is harmless; clean=1
+        # zeroes it), then one triangular solve for the off-panel block.
+        for i, pv in enumerate(pj):
+            ltop, info = dpotrf(pv[:w, :w], lower=1, clean=1)
+            if info != 0:
+                j0, j1 = part.snode_ptr[j : j + 2]
+                raise NotPositiveDefiniteError(
+                    f"non-positive pivot in matrix {i}, supernode columns {j0}:{j1}"
+                )
+            pv[:w, :w] = ltop
+            if h > w:
+                sol, info = dtrtrs(ltop, pv[w:, :].T, lower=1)
+                pv[w:, :] = sol.T
+    return flat

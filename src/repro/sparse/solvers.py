@@ -329,9 +329,10 @@ class PardisoLikeSolver(SparseSolverBase):
 def _rows_as_stack(rows: list[np.ndarray]) -> np.ndarray | None:
     """``rows`` as one 2-D array without copying, when they already are one.
 
-    True for factors adopted from a shard's batched panels (threads: one
-    ``(k, panel_entries)`` array, processes: a view of the shared arena) as
-    long as the rows are consecutive in the array they are views of.
+    True for factors adopted from a preprocessing group's stacked panels (one
+    ``(k, panel_entries)`` array, or a view of the shared arena under the
+    process backend) as long as the rows are consecutive in the array they
+    are views of.
     """
     first = rows[0]
     base = first.base

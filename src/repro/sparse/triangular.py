@@ -277,7 +277,7 @@ def solve_stacked(
         The shared analysis (permutation and supernode partition).
     panels:
         ``(k, panel_entries)`` stacked dense-panel factor storage (what
-        :func:`repro.runtime.kernels.batched_factor_panels` produces, or the
+        :func:`repro.sparse.numeric.stacked_cholesky` produces, or the
         stacked ``CholeskyFactor.panel_values()`` of ``k`` factors).
     rhs:
         ``(k, n)`` right-hand sides in the original ordering.

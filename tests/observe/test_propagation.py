@@ -92,7 +92,7 @@ def test_traced_session_solve_with_process_backend():
     assert solution.pcpg.converged
     factorize = tracer.find("factorize")
     assert factorize, "expected factorize spans from the process workers"
-    assert any(s.attrs.get("backend") == "processes" for s in factorize)
+    assert all(s.pid != os.getpid() for s in factorize)
     # the whole tree hangs off session.solve — no orphaned worker spans
     tree = tracer.to_tree()
     roots = [node["name"] for node in tree]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.api.workload import Workload, build_problem
@@ -65,22 +64,6 @@ def test_for_problem_uses_the_machine_topology():
     covered = sorted(i for s in plan.shards for i in s.subdomain_indices)
     assert covered == [s.index for s in problem.subdomains]
     assert "2 worker(s)" in plan.describe()
-
-
-def test_shard_engine_is_restricted_to_the_shard():
-    problem = build_problem(Workload("heat", 2, (2, 2), 3))
-    machine = Machine.for_decomposition(
-        problem.decomposition, MachineConfig(threads_per_cluster=2, streams_per_cluster=2)
-    )
-    plan = ShardPlan.for_problem(problem, machine, workers=2)
-    shard = plan.shards[0]
-    engine = plan.engine_for(shard, problem, machine)
-    batch = engine.cluster(shard.cluster_id)
-    assert batch.subdomain_indices == list(shard.subdomain_indices)
-    # The shard-local dual map covers exactly the shard's lambda ids.
-    subs = {s.index: s for s in problem.subdomains}
-    expected = np.concatenate([subs[i].lambda_ids for i in shard.subdomain_indices])
-    assert np.array_equal(batch.dual_map.flat_ids, expected)
 
 
 def test_shards_of_cluster_orders_by_position():

@@ -2,19 +2,28 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from repro.api.workload import Workload, build_problem
+from repro.decomposition import regularize_stiffness
 from repro.fem.elasticity import LinearElasticityProblem
 from repro.fem.heat import HeatTransferProblem
 from repro.fem.mesh import structured_mesh
-from repro.decomposition import regularize_stiffness
 from repro.sparse import OrderingMethod, numeric_cholesky, symbolic_cholesky
-from repro.sparse.numeric import NotPositiveDefiniteError
+from repro.sparse.numeric import (
+    CholeskyFactor,
+    NotPositiveDefiniteError,
+    stacked_cholesky,
+    stacked_values,
+)
 
-from tests.conftest import random_spd_matrix
+from tests.conftest import fem_stiffness, random_spd_matrix
+from tests.oracles import sparse as scalar
 
 
 @pytest.mark.parametrize("ordering", list(OrderingMethod))
@@ -111,3 +120,70 @@ def test_property_diagonal_dominant_band_matrix(n, seed):
     f = numeric_cholesky(A, s)
     L = f.to_csc().toarray()
     assert np.allclose(L @ L.T, A.toarray(), atol=1e-10)
+
+
+# --------------------------------------------------------------------- #
+# The stacked kernel (numeric_cholesky is its stack of one)              #
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def heat_stack():
+    """All 64 same-pattern subdomains of the 8x8 heat workload, stacked."""
+    subs = build_problem(Workload("heat", 2, (8, 8), 8)).subdomains
+    matrices = [s.K_reg for s in subs]
+    symbolic = symbolic_cholesky(matrices[0])
+    return matrices, symbolic, stacked_values(matrices, symbolic)
+
+
+def test_stacked_values_are_the_canonical_csc_values(heat_stack):
+    matrices, _, values = heat_stack
+    for A, row in zip(matrices, values):
+        assert np.array_equal(row, A.tocsc().data)
+
+
+def test_stacked_values_reject_another_pattern(heat_stack):
+    _, symbolic, _ = heat_stack
+    with pytest.raises(ValueError, match="pattern"):
+        stacked_values([sp.identity(symbolic.n, format="csr")], symbolic)
+
+
+def test_stacked_rows_equal_the_matrices_factored_alone(heat_stack):
+    matrices, symbolic, values = heat_stack
+    panels = stacked_cholesky(values, symbolic)
+    for A, row in zip(matrices, panels):
+        got = CholeskyFactor.from_panels(symbolic, row)
+        assert np.array_equal(got.values, numeric_cholesky(A, symbolic).values)
+        # The row is adopted zero-copy as the factor's dense-panel storage.
+        assert np.shares_memory(got.panel_values(), panels)
+
+
+def test_stacked_factor_matches_the_flat_scatter_oracle_bitwise():
+    """Factored update maps (slices and index pairs) == the flat scatter arrays."""
+    base = sp.csc_matrix(fem_stiffness(HeatTransferProblem(), 3))
+    base.sort_indices()
+    symbolic = symbolic_cholesky(base)
+    ref = scalar.symbolic_reference(base)
+    scales = np.array([1.0, 2.5, 0.3])
+    panels = stacked_cholesky(scales[:, None] * base.data, symbolic)
+    for scale, got in zip(scales, panels):
+        assert np.array_equal(got, scalar.numeric_reference(base * scale, ref))
+
+
+def test_stack_of_one_matches_the_flat_scatter_oracle_bitwise(heat_stack):
+    matrices, symbolic, values = heat_stack
+    oracle = scalar.numeric_reference(matrices[5], scalar.symbolic_reference(matrices[5]))
+    assert np.array_equal(stacked_cholesky(values[5:6], symbolic)[0], oracle)
+    assert np.array_equal(numeric_cholesky(matrices[5], symbolic).panel_values(), oracle)
+
+
+def test_stacked_factor_requires_a_supernode_partition(heat_stack):
+    _, symbolic, values = heat_stack
+    with pytest.raises(ValueError, match="supernode partition"):
+        stacked_cholesky(values, replace(symbolic, supernodes=None))
+
+
+def test_stacked_factor_names_the_non_spd_member(heat_stack):
+    _, symbolic, values = heat_stack
+    bad = values.copy()
+    bad[3] = -bad[3]
+    with pytest.raises(NotPositiveDefiniteError, match="matrix 3"):
+        stacked_cholesky(bad, symbolic)

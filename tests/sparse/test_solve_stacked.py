@@ -25,9 +25,9 @@ from repro.feti.operators import make_dual_operator
 from repro.feti.problem import FetiProblem
 from repro.feti.solver import FetiSolver, MultiStepDriver
 from repro.memory.precision import PRECISION_NAMES
-from repro.runtime.kernels import factor_from_panels
 from repro.sparse import triangular
 from repro.sparse.cache import PatternCache
+from repro.sparse.numeric import CholeskyFactor
 from repro.sparse.solvers import CholmodLikeSolver, PardisoLikeSolver, SolverStack
 from repro.sparse.triangular import solve_stacked, stacked_diagonal_inverses
 
@@ -236,7 +236,7 @@ def test_panels_viewing_a_foreign_buffer_are_adopted_zero_copy():
     arena = np.frombuffer(bytearray(panels.tobytes()), dtype=float).reshape(panels.shape)
     assert not arena.flags.owndata
     for solver, row in zip(solvers, arena):
-        solver.adopt_factor(factor_from_panels(solver.symbolic, row))
+        solver.adopt_factor(CholeskyFactor.from_panels(solver.symbolic, row))
     stack = SolverStack(solvers)
     assert np.shares_memory(stack.panels, arena)
     b = np.random.default_rng(3).standard_normal((3, n))
@@ -244,9 +244,9 @@ def test_panels_viewing_a_foreign_buffer_are_adopted_zero_copy():
     assert np.abs(stack.solve(b) - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
-@pytest.mark.parametrize("execution", ["threads:2", "processes:2"])
+@pytest.mark.parametrize("execution", ["serial", "threads:2", "processes:2"])
 def test_sharded_preprocessing_hands_over_its_panel_stacks(execution):
-    """A shard's batched panels are adopted as views, whatever backs them."""
+    """A shard's stacked panels are adopted as views, whatever backs them."""
     w = WORKLOADS["heat2d-4x4x8"]
     spec = SolverSpec(approach="impl mkl", execution=execution)
     with Session(spec, memory_budget="unlimited") as session:
