@@ -22,6 +22,7 @@ from functools import lru_cache
 from typing import Any
 
 from repro.feti.problem import FetiProblem
+from repro.observe.trace import trace_span
 
 __all__ = [
     "ApiError",
@@ -379,22 +380,27 @@ def build_problem(workload: Workload) -> FetiProblem:
     The cache is shared process-wide: every Session, bench scenario and
     figure benchmark asking for the same workload gets the same problem
     instance.  Callers that mutate load vectors (the multi-step schedule)
-    must restore them — :meth:`repro.api.session.Session.run` does.
+    must restore them — :meth:`repro.api.session.Session.run` does.  A
+    build is one ``problem_build`` span (``subdomains``, ``shapes``) around
+    the decomposition and the ``gluing`` / ``assembly`` spans.
     """
     from repro.decomposition import decompose_box
 
-    decomposition = decompose_box(
-        workload.dim,
-        workload.subdomains,
-        workload.cells,
-        order=workload.order,
-        n_clusters=workload.n_clusters,
-    )
-    return FetiProblem.from_physics(
-        _make_physics(workload),
-        decomposition,
-        dirichlet_faces=workload.dirichlet_faces,
-    )
+    with trace_span("problem_build", subdomains=workload.n_subdomains) as span:
+        decomposition = decompose_box(
+            workload.dim,
+            workload.subdomains,
+            workload.cells,
+            order=workload.order,
+            n_clusters=workload.n_clusters,
+        )
+        if span is not None:
+            span.attrs["shapes"] = len(decomposition.shape_groups())
+        return FetiProblem.from_physics(
+            _make_physics(workload),
+            decomposition,
+            dirichlet_faces=workload.dirichlet_faces,
+        )
 
 
 # --------------------------------------------------------------------- #

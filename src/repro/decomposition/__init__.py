@@ -12,6 +12,8 @@ from repro.decomposition.partition import BoxDecomposition, Subdomain, decompose
 from repro.decomposition.gluing import GluingData, SubdomainGluing, build_gluing
 from repro.decomposition.kernel import (
     RegularizedStiffness,
+    fixing_dofs_for,
+    regularize_stack,
     regularize_stiffness,
     select_fixing_nodes,
 )
@@ -24,6 +26,8 @@ __all__ = [
     "SubdomainGluing",
     "build_gluing",
     "RegularizedStiffness",
+    "fixing_dofs_for",
+    "regularize_stack",
     "regularize_stiffness",
     "select_fixing_nodes",
 ]

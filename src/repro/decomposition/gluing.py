@@ -19,7 +19,6 @@ local dual operators ``F̃ᵢ``.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -149,27 +148,23 @@ class GluingData:
         ).tocsr()
 
 
-def _global_dirichlet_nodes(
-    decomposition: BoxDecomposition,
+def _on_dirichlet_faces(
+    coords: np.ndarray,
+    box_size: Sequence[float],
     faces: Sequence[str],
     tol: float = 1e-12,
-) -> list[np.ndarray]:
-    """Per-subdomain node indices lying on the *global* box faces."""
-    dim = decomposition.dim
-    lo = np.zeros(dim)
-    hi = np.asarray(decomposition.box_size, dtype=float)
-    result = []
-    for sub in decomposition.subdomains:
-        coords = sub.mesh.coords
-        mask = np.zeros(coords.shape[0], dtype=bool)
-        for face in faces:
-            axis = {"x": 0, "y": 1, "z": 2}[face[0]]
-            if axis >= dim:
-                raise ValueError(f"face {face!r} invalid for a {dim}D problem")
-            value = lo[axis] if face.endswith("min") else hi[axis]
-            mask |= np.abs(coords[:, axis] - value) <= tol
-        result.append(np.nonzero(mask)[0])
-    return result
+) -> np.ndarray:
+    """Which of the ``(nnodes, dim)`` coordinates lie on the *global* box faces."""
+    dim = coords.shape[1]
+    hi = np.asarray(box_size, dtype=float)
+    mask = np.zeros(coords.shape[0], dtype=bool)
+    for face in faces:
+        axis = {"x": 0, "y": 1, "z": 2}[face[0]]
+        if axis >= dim:
+            raise ValueError(f"face {face!r} invalid for a {dim}D problem")
+        value = 0.0 if face.endswith("min") else hi[axis]
+        mask |= np.abs(coords[:, axis] - value) <= tol
+    return mask
 
 
 def build_gluing(
@@ -179,6 +174,17 @@ def build_gluing(
     dirichlet_value: float = 0.0,
 ) -> GluingData:
     """Build the Total-FETI constraints of a decomposition.
+
+    Interface nodes are matched by one stable ``lexsort`` over the lattice
+    keys of every subdomain's nodes, taken in ``(subdomain, local node)``
+    order.  Multipliers are numbered as follows:
+
+    * gluing rows first, one group of equal keys at a time, the groups in
+      order of their first ``(subdomain, local node)``; inside a group of
+      ``m`` copies (sorted by subdomain), component-major, then the ``m − 1``
+      consecutive pairs;
+    * then the Dirichlet rows, per subdomain, per node in ascending order,
+      per component.
 
     Parameters
     ----------
@@ -193,93 +199,96 @@ def build_gluing(
     dirichlet_value:
         Prescribed value on the Dirichlet faces (entered into ``c``).
     """
+    dpn = dofs_per_node
     subdomains = decomposition.subdomains
     n_subdomains = len(subdomains)
+    sizes = np.array([s.mesh.nnodes for s in subdomains], dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    owner = np.repeat(np.arange(n_subdomains), sizes)
+    local = np.arange(starts[-1]) - starts[owner]
+    lattice = np.concatenate([s.mesh.lattice for s in subdomains])
+    dirichlet = _on_dirichlet_faces(
+        np.concatenate([s.mesh.coords for s in subdomains]),
+        decomposition.box_size,
+        dirichlet_faces,
+    )
 
-    # --- match interface nodes through their lattice coordinates ---------- #
-    shared: dict[bytes, list[tuple[int, int]]] = defaultdict(list)
-    for sub in subdomains:
-        lattice = np.ascontiguousarray(sub.mesh.lattice)
-        for local, key in enumerate(lattice):
-            shared[key.tobytes()].append((sub.index, local))
+    # --- match interface nodes through their lattice keys ----------------- #
+    # A stable sort keeps each group of equal keys in (subdomain, local) order.
+    order = np.lexsort(lattice.T[::-1])
+    ordered = lattice[order]
+    opens = np.ones(order.size, dtype=bool)
+    opens[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group_start = np.flatnonzero(opens)
+    group_size = np.diff(np.append(group_start, order.size))
+    group = np.cumsum(opens) - 1  # group of every sorted position
+    multiplicity = np.empty(order.size, dtype=np.int64)
+    multiplicity[order] = group_size[group]
 
-    dirichlet_nodes = _global_dirichlet_nodes(decomposition, dirichlet_faces)
-    dirichlet_sets = [set(nodes.tolist()) for nodes in dirichlet_nodes]
+    # Glued groups: shared, and not Dirichlet in every copy (each copy gets
+    # its own Dirichlet row below, which already enforces equality).
+    all_dirichlet = np.logical_and.reduceat(dirichlet[order], group_start)
+    glued = (group_size > 1) & ~all_dirichlet
+    # Number the glued groups by first occurrence, dpn · (m − 1) rows each.
+    glued_ids = np.flatnonzero(glued)
+    glued_ids = glued_ids[np.argsort(order[group_start[glued_ids]])]
+    counts = dpn * (group_size[glued_ids] - 1)
+    base = np.zeros(group_start.size, dtype=np.int64)
+    base[glued_ids] = np.cumsum(counts) - counts
+    n_gluing = int(counts.sum())
 
-    # Per-subdomain triplet buffers.
-    rows: list[list[int]] = [[] for _ in range(n_subdomains)]
-    cols: list[list[int]] = [[] for _ in range(n_subdomains)]
-    vals: list[list[float]] = [[] for _ in range(n_subdomains)]
-    multiplicity = [np.ones(s.mesh.nnodes, dtype=np.int64) for s in subdomains]
-
-    lambda_subdomains: list[tuple[int, ...]] = []
-    c_values: list[float] = []
-    next_lambda = 0
-
-    # --- gluing rows ------------------------------------------------------ #
-    for copies in shared.values():
-        if len(copies) < 2:
-            continue
-        copies = sorted(copies)
-        owners = tuple(s for s, _ in copies)
-        for s, local in copies:
-            multiplicity[s][local] = len(copies)
-        # Skip gluing for Dirichlet-constrained nodes: each copy receives its
-        # own Dirichlet row below, which already enforces equality.
-        if all((local in dirichlet_sets[s]) for s, local in copies):
-            continue
-        for comp in range(dofs_per_node):
-            for (s_a, n_a), (s_b, n_b) in zip(copies[:-1], copies[1:]):
-                lam = next_lambda
-                next_lambda += 1
-                rows[s_a].append(lam)
-                cols[s_a].append(dofs_per_node * n_a + comp)
-                vals[s_a].append(1.0)
-                rows[s_b].append(lam)
-                cols[s_b].append(dofs_per_node * n_b + comp)
-                vals[s_b].append(-1.0)
-                lambda_subdomains.append((s_a, s_b))
-                c_values.append(0.0)
-    n_gluing = next_lambda
+    # One gluing pair per consecutive copy (p, p + 1) of a glued group.
+    p = np.flatnonzero(~opens[1:])
+    p = p[glued[group[p]]]
+    g = group[p]
+    pair = (p - group_start[g])[:, None]
+    comp = np.arange(dpn)[None, :]
+    lam_glue = (base[g][:, None] + comp * (group_size[g] - 1)[:, None] + pair).ravel()
+    a, b = order[p], order[p + 1]
 
     # --- Dirichlet rows ---------------------------------------------------- #
-    for sub, nodes in zip(subdomains, dirichlet_nodes):
-        s = sub.index
-        for local in np.sort(nodes):
-            for comp in range(dofs_per_node):
-                lam = next_lambda
-                next_lambda += 1
-                rows[s].append(lam)
-                cols[s].append(dofs_per_node * int(local) + comp)
-                vals[s].append(1.0)
-                lambda_subdomains.append((s,))
-                c_values.append(dirichlet_value)
-    n_dirichlet = next_lambda - n_gluing
+    d = np.flatnonzero(dirichlet)
+    lam_dir = n_gluing + np.arange(d.size * dpn)
 
     # --- per-subdomain local matrices -------------------------------------- #
-    per_subdomain: list[SubdomainGluing] = []
-    for sub in subdomains:
-        s = sub.index
-        ndofs = sub.mesh.nnodes * dofs_per_node
-        lam_ids = np.unique(np.asarray(rows[s], dtype=np.int64))
-        if lam_ids.size:
-            local_row = np.searchsorted(lam_ids, np.asarray(rows[s], dtype=np.int64))
-            B = sp.coo_matrix(
-                (np.asarray(vals[s]), (local_row, np.asarray(cols[s]))),
-                shape=(lam_ids.size, ndofs),
-            ).tocsr()
-        else:
-            B = sp.csr_matrix((0, ndofs))
-        dof_mult = np.repeat(multiplicity[s], dofs_per_node).astype(float)
-        per_subdomain.append(
-            SubdomainGluing(lambda_ids=lam_ids, B=B, dof_multiplicity=dof_mult)
+    def entries(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.repeat(owner[nodes], dpn), (dpn * local[nodes][:, None] + comp).ravel()
+
+    (s_a, col_a), (s_b, col_b), (s_d, col_d) = entries(a), entries(b), entries(d)
+    sub = np.concatenate([s_a, s_b, s_d])
+    lam = np.concatenate([lam_glue, lam_glue, lam_dir])
+    col = np.concatenate([col_a, col_b, col_d])
+    val = np.concatenate([np.ones(s_a.size), -np.ones(s_b.size), np.ones(s_d.size)])
+    by_sub = np.lexsort((lam, sub))
+    lam, col, val = lam[by_sub], col[by_sub], val[by_sub]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(sub, minlength=n_subdomains))])
+    # Every multiplier touches a subdomain once: B̃ᵢ has one entry per row.
+    per_subdomain = [
+        SubdomainGluing(
+            lambda_ids=lam[lo:hi],
+            B=sp.csr_matrix(
+                (val[lo:hi], col[lo:hi], np.arange(hi - lo + 1)),
+                shape=(hi - lo, int(n_nodes) * dpn),
+            ),
+            dof_multiplicity=np.repeat(multiplicity[start:start + n_nodes], dpn).astype(float),
         )
+        for lo, hi, start, n_nodes in zip(bounds[:-1], bounds[1:], starts[:-1], sizes)
+    ]
+
+    owners_by_lam = np.empty((n_gluing, 2), dtype=np.int64)
+    owners_by_lam[lam_glue, 0] = s_a
+    owners_by_lam[lam_glue, 1] = s_b
+    lambda_subdomains: list[tuple[int, ...]] = list(map(tuple, owners_by_lam.tolist()))
+    lambda_subdomains += [(s,) for s in s_d.tolist()]
+    n_lambda = n_gluing + int(lam_dir.size)
+    c = np.zeros(n_lambda)
+    c[n_gluing:] = dirichlet_value
 
     return GluingData(
-        n_lambda=next_lambda,
+        n_lambda=n_lambda,
         n_gluing=n_gluing,
-        n_dirichlet=n_dirichlet,
-        c=np.asarray(c_values, dtype=float),
+        n_dirichlet=n_lambda - n_gluing,
+        c=c,
         per_subdomain=per_subdomain,
         lambda_subdomains=lambda_subdomains,
         dofs_per_node=dofs_per_node,

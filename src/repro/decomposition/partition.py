@@ -4,10 +4,11 @@ The paper decomposes a square / cube domain into up to 2000 subdomains and
 groups them into clusters; one MPI process handles a cluster (and one GPU),
 and OpenMP threads handle the subdomains inside it.  Because the global mesh
 is structured, the decomposition is structured too: the grid of cells is
-split into an axis-aligned grid of subdomains, and every subdomain generates
-its own independent mesh (the "tearing" of Total FETI).  Interface nodes are
-duplicated between neighbouring subdomains and matched later through their
-integer lattice coordinates.
+split into an axis-aligned grid of subdomains, and every subdomain gets its
+own independent mesh (the "tearing" of Total FETI) — one generated template
+per subdomain shape, translated.  Interface nodes are duplicated between
+neighbouring subdomains and matched later through their integer lattice
+coordinates.
 """
 
 from __future__ import annotations
@@ -80,6 +81,17 @@ class BoxDecomposition:
     def cluster_members(self, cluster: int) -> list[Subdomain]:
         """Subdomains owned by a cluster."""
         return [s for s in self.subdomains if s.cluster == cluster]
+
+    def shape_groups(self) -> list[list[Subdomain]]:
+        """Subdomains grouped by shape, in index order within each group.
+
+        Members of a group share one connectivity array (one mesh template,
+        translated), so they can be assembled as one stack.
+        """
+        groups: dict[int, list[Subdomain]] = {}
+        for sub in self.subdomains:
+            groups.setdefault(id(sub.mesh.cells), []).append(sub)
+        return list(groups.values())
 
     @property
     def dofs_per_subdomain(self) -> int:
@@ -155,32 +167,46 @@ def decompose_box(
     sub_box = np.array(size) / np.array(subs, dtype=float)
 
     per_cluster = n_subdomains // n_clusters
-    subdomains: list[Subdomain] = []
     positions = np.stack(
         np.meshgrid(*[np.arange(s) for s in subs], indexing="ij"), axis=-1
     ).reshape(-1, dim)
-    for index, pos in enumerate(positions):
-        origin = pos * sub_box
-        # Lattice offset of this subdomain's origin: each cell spans two
-        # lattice units per direction.
-        lattice_offset = tuple(int(2 * p * c) for p, c in zip(pos, cells))
-        mesh = structured_mesh(
-            dim,
-            cells,
-            order=order,
-            origin=tuple(origin),
-            box_size=tuple(sub_box),
-            global_cell_size=tuple(global_cell_size),
-            lattice_offset=lattice_offset,
+    # Every subdomain has one shape: generate its mesh once, at the origin,
+    # and translate it.  ``origin + local`` and ``lattice + offset`` are the
+    # expressions ``structured_mesh`` evaluates for a subdomain (an even
+    # lattice offset commutes with the mid-edge ``(a + b) // 2``), so each
+    # member is bit for bit the mesh it would generate; all share ``cells``.
+    template = structured_mesh(
+        dim,
+        cells,
+        order=order,
+        origin=(0.0,) * dim,
+        box_size=tuple(sub_box),
+        global_cell_size=tuple(global_cell_size),
+        lattice_offset=(0,) * dim,
+    )
+    origins = positions * sub_box
+    # Each cell spans two lattice units per direction.
+    offsets = 2 * positions * np.asarray(cells, dtype=np.int64)
+    coords = origins[:, None, :] + template.coords[None, :, :]
+    lattice = offsets[:, None, :] + template.lattice[None, :, :]
+    subdomains = [
+        Subdomain(
+            index=index,
+            grid_position=tuple(int(p) for p in positions[index]),
+            mesh=Mesh(
+                dim=dim,
+                order=order,
+                coords=coords[index],
+                cells=template.cells,
+                lattice=lattice[index],
+                origin=origins[index],
+                box_size=template.box_size,
+                ncells_per_dim=template.ncells_per_dim,
+            ),
+            cluster=index // per_cluster,
         )
-        subdomains.append(
-            Subdomain(
-                index=index,
-                grid_position=tuple(int(p) for p in pos),
-                mesh=mesh,
-                cluster=index // per_cluster,
-            )
-        )
+        for index in range(n_subdomains)
+    ]
 
     return BoxDecomposition(
         dim=dim,

@@ -1,14 +1,30 @@
-"""Vectorized finite-element assembly kernels.
+"""Finite-element assembly, one subdomain shape at a time.
 
-All element matrices of a mesh are computed at once with ``einsum`` (no
-Python-level loop over elements) and scattered into a COO triplet list that
-SciPy converts to CSR, without the sums that are cancellation noise (see
-:data:`PRUNE_TOLERANCE`).  This follows the NumPy vectorization idiom: compute
-per-element Jacobians, physical shape-function gradients, and element
-matrices as stacked 3-D arrays.
+Same-shape meshes — one connectivity, translated coordinates, which is what
+:func:`repro.decomposition.decompose_box` produces — are assembled as one
+*stack* of ``k`` members, never one mesh at a time:
+
+* :class:`ElementStack` computes the affine geometry of all ``k · ncells``
+  elements once, with the closed-form (adjugate) 2×2 / 3×3 inverse and
+  determinant, and the stiffness and load kernels share it;
+* each element kernel (:func:`scalar_stiffness_kernel`, ...) is one
+  batched product (``matmul``) over all ``k · ncells`` elements;
+* :class:`ScatterMap` records once per shape where every element-matrix
+  entry lands in the CSR arrays; the ``(k, nnz)`` values of all members come
+  from one ``bincount`` through it, and so do the ``(k, ndofs)`` loads;
+* :meth:`ScatterMap.prune` drops the cancellation noise
+  (:data:`PRUNE_TOLERANCE`) with one mask computed from the stacked values
+  and required equal for every member, so the members share one stored
+  pattern (:class:`CsrStack`).
+
+The single-mesh ``assemble_*`` functions are the ``k = 1`` call of the same
+kernels.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,7 +33,17 @@ from repro.fem.mesh import Mesh
 from repro.fem.quadrature import simplex_quadrature
 
 __all__ = [
+    "PRUNE_TOLERANCE",
+    "PatternMismatchError",
+    "CsrStack",
+    "ElementStack",
+    "ScatterMap",
     "element_geometry",
+    "scalar_stiffness_kernel",
+    "scalar_load_kernel",
+    "elasticity_stiffness_kernel",
+    "elasticity_load_kernel",
+    "elasticity_dof_map",
     "assemble_scalar_stiffness",
     "assemble_scalar_load",
     "assemble_elasticity_stiffness",
@@ -25,40 +51,88 @@ __all__ = [
 ]
 
 
-def element_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Affine geometry of every cell.
+def element_geometry(coords: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Affine geometry of every cell of a stack of same-shape meshes.
+
+    Parameters
+    ----------
+    coords:
+        Node coordinates of the ``k`` members, shape ``(k, nnodes, dim)``.
+    cells:
+        The shared connectivity, shape ``(ncells, nodes_per_cell)``.
 
     Returns
     -------
     inv_jac:
-        Inverse Jacobians, shape ``(ncells, dim, dim)`` (reference → physical).
+        Inverse Jacobians, shape ``(k, ncells, dim, dim)`` (reference →
+        physical), from the adjugate: exact wherever the adjugate and the
+        determinant are, e.g. on binary-fraction coordinates.
     det_jac:
-        Absolute Jacobian determinants, shape ``(ncells,)``.
+        Absolute Jacobian determinants, shape ``(k, ncells)``.
     """
-    dim = mesh.dim
-    verts = mesh.coords[mesh.cells[:, : dim + 1]]  # (ncells, dim+1, dim)
-    jac = np.swapaxes(verts[:, 1:, :] - verts[:, :1, :], 1, 2)  # (ncells, dim, dim)
-    det = np.linalg.det(jac)
-    inv_jac = np.linalg.inv(jac)
-    return inv_jac, np.abs(det)
+    dim = coords.shape[-1]
+    x = np.moveaxis(coords, -1, 0)  # components first: (dim, k, nnodes)
+    v0 = x[:, :, cells[:, 0]]
+    # The Jacobian's columns are the edges from vertex 0, one array per
+    # component: e[j][d] is component d of edge j, shape (k, ncells).
+    e = [x[:, :, cells[:, j + 1]] - v0 for j in range(dim)]
+    if dim == 2:
+        (ax, ay), (bx, by) = e
+        det = ax * by - bx * ay
+        adj = [[by, -bx], [-ay, ax]]
+    else:
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = e
+        # Rows of the adjugate: e1 × e2, e2 × e0, e0 × e1.
+        adj = [
+            [by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx],
+            [cy * az - cz * ay, cz * ax - cx * az, cx * ay - cy * ax],
+            [ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx],
+        ]
+        det = ax * adj[0][0] + ay * adj[0][1] + az * adj[0][2]
+    inv_jac = np.array(adj)  # (dim, dim, k, ncells)
+    inv_jac /= det
+    return np.moveaxis(inv_jac, (0, 1), (-2, -1)), np.abs(det)
 
 
-def _physical_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shape functions, physical gradients and quadrature weights.
+class ElementStack:
+    """``k`` same-shape meshes: one connectivity, geometry computed once.
 
-    Returns ``(shape, grads, wdet)`` where ``shape`` has shape
-    ``(nq, nnodes)``, ``grads`` has shape ``(ncells, nq, nnodes, dim)`` and
-    ``wdet`` has shape ``(ncells, nq)`` (quadrature weight times |det J|).
+    Attributes
+    ----------
+    cells:
+        The connectivity every member shares, ``(ncells, nodes_per_cell)``.
+    coords:
+        Node coordinates of the members, ``(k, nnodes, dim)``.
+    shape:
+        Shape functions at the quadrature points, ``(nq, nodes_per_cell)``.
+    grads:
+        Physical shape-function gradients, ``(k · ncells, nq, nodes_per_cell,
+        dim)``; the elements of member ``i`` are rows ``i·ncells …``.
+    wdet:
+        Quadrature weight times ``|det J|``, ``(k · ncells, nq)``.
     """
-    ref = mesh.reference_element
-    quad = simplex_quadrature(mesh.dim, ref.quadrature_degree)
-    shape = ref.shape_functions(quad.points)  # (nq, nnodes)
-    ref_grads = ref.shape_gradients(quad.points)  # (nq, nnodes, dim)
-    inv_jac, det = element_geometry(mesh)
-    # dN/dx = dN/dxi * dxi/dx = ref_grads @ inv_jac
-    grads = np.einsum("qnd,cde->cqne", ref_grads, inv_jac, optimize=True)
-    wdet = det[:, None] * quad.weights[None, :]
-    return shape, grads, wdet
+
+    def __init__(self, meshes: Sequence[Mesh]) -> None:
+        first = meshes[0]
+        cells = first.cells
+        for i, mesh in enumerate(meshes[1:], start=1):
+            if mesh.cells is not cells and not np.array_equal(mesh.cells, cells):
+                raise ValueError(f"stack member {i} does not share member 0's connectivity")
+        ref = first.reference_element
+        quad = simplex_quadrature(first.dim, ref.quadrature_degree)
+        self.k = len(meshes)
+        self.dim = first.dim
+        self.nnodes = first.nnodes
+        self.cells = cells
+        self.coords = np.stack([m.coords for m in meshes])
+        self.shape = ref.shape_functions(quad.points)  # (nq, nnodes)
+        inv_jac, det = element_geometry(self.coords, cells)
+        ref_grads = ref.shape_gradients(quad.points)  # (nq, nnodes, dim)
+        # dN/dx = dN/dxi · dxi/dx = ref_grads @ inv_jac
+        nq, m, dim = ref_grads.shape
+        grads = np.matmul(ref_grads.reshape(nq * m, dim), inv_jac)  # (k, ncells, nq·m, dim)
+        self.grads = grads.reshape(-1, nq, m, dim)
+        self.wdet = det.reshape(-1, 1) * quad.weights[None, :]
 
 
 #: Entries with ``|aᵢⱼ| ≤ PRUNE_TOLERANCE · sqrt(|aᵢᵢ aⱼⱼ|)`` are cancellation
@@ -72,56 +146,166 @@ def _physical_gradients(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 PRUNE_TOLERANCE = 1e-12
 
 
-def _scatter(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int
-) -> sp.csr_matrix:
-    mat = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
-    out = mat.tocsr()
-    out.sum_duplicates()
-    scale = np.sqrt(np.abs(out.diagonal()))
-    row_scale = np.repeat(scale, np.diff(out.indptr))
-    out.data[np.abs(out.data) <= PRUNE_TOLERANCE * row_scale * scale[out.indices]] = 0.0
-    out.eliminate_zeros()
-    return out
+class PatternMismatchError(ValueError):
+    """Members of one stack would store different patterns after pruning."""
+
+
+@dataclass
+class CsrStack:
+    """``k`` square CSR matrices of one pattern.
+
+    ``values`` is ``(k, nnz)``; every member's CSR views its row and all of
+    them share one ``indices`` / ``indptr`` pair.
+    """
+
+    values: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @classmethod
+    def from_keys(cls, values: np.ndarray, keys: np.ndarray, n: int) -> "CsrStack":
+        """The stack storing ``(k, nnz)`` values at sorted ``row · n + col`` keys."""
+        dtype = np.int32 if max(n, keys.size) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(n + 1, dtype=dtype)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return cls(values, (keys % n).astype(dtype), indptr)
+
+    @property
+    def n(self) -> int:
+        """Rows (and columns) of every member."""
+        return int(self.indptr.shape[0] - 1)
+
+    def keys(self) -> np.ndarray:
+        """``row · n + col`` of every stored entry, sorted (the CSR order)."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        return rows * self.n + self.indices
+
+    def member(self, i: int) -> sp.csr_matrix:
+        """Member ``i`` as a CSR whose ``data`` is a view of ``values[i]``."""
+        matrix = sp.csr_matrix(
+            (self.values[i], self.indices, self.indptr), shape=(self.n, self.n), copy=False
+        )
+        # The constructor copies a view that is a small part of its base.
+        matrix.data = self.values[i]
+        return matrix
+
+    def members(self) -> list[sp.csr_matrix]:
+        """Every member, in stack order."""
+        return [self.member(i) for i in range(self.values.shape[0])]
+
+
+class ScatterMap:
+    """Where every element-matrix entry of one shape lands in the CSR arrays.
+
+    Built once per shape from the element DOF map: entry ``(c, i, j)`` of
+    the element matrices goes to stored position ``slot[c, i, j]`` of the
+    canonical (row-major, sorted, duplicate-free) pattern.
+
+    Parameters
+    ----------
+    dofs:
+        Element DOF map, ``(ncells, m)``.
+    n:
+        DOFs per member.
+    """
+
+    def __init__(self, dofs: np.ndarray, n: int) -> None:
+        ncells, m = dofs.shape
+        rows = np.repeat(dofs, m, axis=1).ravel()
+        cols = np.tile(dofs, m).ravel()
+        keys = rows * n + cols
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        first = np.empty(ordered.shape, dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        self.slot = np.empty(keys.shape, dtype=np.int64)
+        self.slot[order] = np.cumsum(first) - 1
+        self.keys = ordered[first]
+        self.n = int(n)
+        self.nnz = int(self.keys.shape[0])
+        self.dofs = dofs
+        self.rows = self.keys // n
+        self.cols = self.keys % n
+        self.diagonal = np.searchsorted(self.keys, np.arange(n, dtype=np.int64) * (n + 1))
+
+    def matrices(self, ke: np.ndarray) -> np.ndarray:
+        """Sum element matrices ``(k · ncells, m, m)`` into ``(k, nnz)`` values."""
+        k = ke.shape[0] // self.dofs.shape[0]
+        index = (self.slot.reshape(1, -1) + self.nnz * np.arange(k)[:, None]).ravel()
+        return np.bincount(index, weights=ke.ravel(), minlength=k * self.nnz).reshape(k, self.nnz)
+
+    def vectors(self, fe: np.ndarray) -> np.ndarray:
+        """Sum element vectors ``(k · ncells, m)`` into ``(k, n)`` loads."""
+        k = fe.shape[0] // self.dofs.shape[0]
+        index = (self.dofs.reshape(1, -1) + self.n * np.arange(k)[:, None]).ravel()
+        return np.bincount(index, weights=fe.ravel(), minlength=k * self.n).reshape(k, self.n)
+
+    def prune(self, values: np.ndarray, names: Sequence[object] | None = None) -> CsrStack:
+        """Drop the cancellation noise of ``(k, nnz)`` values: one pattern for all.
+
+        Raises :class:`PatternMismatchError`, naming the member (by
+        ``names``, default its stack position), if some member would keep a
+        different set of entries than member 0.
+        """
+        scale = np.sqrt(np.abs(values[:, self.diagonal]))
+        keep = np.abs(values) > PRUNE_TOLERANCE * scale[:, self.rows] * scale[:, self.cols]
+        bad = np.flatnonzero((keep != keep[0]).any(axis=1))
+        if bad.size:
+            label = names if names is not None else range(values.shape[0])
+            raise PatternMismatchError(
+                f"stack member {label[int(bad[0])]} prunes a different pattern than "
+                f"member {label[0]}: its subdomain shape does not fix its stored entries"
+            )
+        keep = keep[0]
+        # ``values[:, keep]`` comes out Fortran-ordered; members view rows.
+        return CsrStack.from_keys(np.ascontiguousarray(values[:, keep]), self.keys[keep], self.n)
 
 
 # ---------------------------------------------------------------------- #
 # Scalar diffusion (heat transfer)                                        #
 # ---------------------------------------------------------------------- #
+def scalar_stiffness_kernel(stack: ElementStack, conductivity: float = 1.0) -> np.ndarray:
+    """Element matrices of ``-div(kappa grad u)``, ``(k · ncells, m, m)``."""
+    ncells, nq, m, dim = stack.grads.shape
+    # Gradients as (element, node, quadrature point · component); a view for nq = 1.
+    g = stack.grads.transpose(0, 2, 1, 3).reshape(ncells, m, nq * dim)
+    gw = g * np.repeat(conductivity * stack.wdet, dim, axis=1)[:, None, :]
+    return np.matmul(gw, g.transpose(0, 2, 1))
+
+
+def scalar_load_kernel(stack: ElementStack, source: float | np.ndarray = 1.0) -> np.ndarray:
+    """Element loads of a heat source, ``(k · ncells, m)``.
+
+    ``source`` is a scalar or a per-node array (the same for every member,
+    interpolated through the shape functions).
+    """
+    shape, wdet = stack.shape, stack.wdet
+    if np.isscalar(source):
+        fq = float(source) * wdet
+    else:
+        source = np.asarray(source, dtype=float)
+        if source.shape != (stack.nnodes,):
+            raise ValueError("per-node source must have shape (nnodes,)")
+        nodal = np.einsum("qn,cn->cq", shape, source[stack.cells], optimize=True)
+        fq = wdet * np.tile(nodal, (stack.k, 1))
+    return fq @ shape
+
+
 def assemble_scalar_stiffness(mesh: Mesh, conductivity: float = 1.0) -> sp.csr_matrix:
-    """Assemble the stiffness matrix of ``-div(kappa grad u)``.
+    """Stiffness matrix of ``-div(kappa grad u)`` on one mesh (a stack of one).
 
     One DOF per node; the DOF numbering equals the node numbering.
     """
-    shape, grads, wdet = _physical_gradients(mesh)
-    ke = conductivity * np.einsum(
-        "cqnd,cqmd,cq->cnm", grads, grads, wdet, optimize=True
-    )  # (ncells, nnodes, nnodes)
-    cells = mesh.cells
-    rows = np.repeat(cells[:, :, None], cells.shape[1], axis=2)
-    cols = np.repeat(cells[:, None, :], cells.shape[1], axis=1)
-    return _scatter(rows, cols, ke, mesh.nnodes)
+    stack = ElementStack([mesh])
+    smap = ScatterMap(stack.cells, mesh.nnodes)
+    return smap.prune(smap.matrices(scalar_stiffness_kernel(stack, conductivity))).member(0)
 
 
 def assemble_scalar_load(mesh: Mesh, source: float | np.ndarray = 1.0) -> np.ndarray:
-    """Assemble the load vector for a volumetric heat source.
-
-    ``source`` may be a scalar or a per-node array (interpolated linearly
-    through the shape functions).
-    """
-    shape, _grads, wdet = _physical_gradients(mesh)
-    cells = mesh.cells
-    if np.isscalar(source):
-        fq = float(source) * np.ones((mesh.ncells, shape.shape[0]))
-    else:
-        source = np.asarray(source, dtype=float)
-        if source.shape != (mesh.nnodes,):
-            raise ValueError("per-node source must have shape (nnodes,)")
-        fq = np.einsum("qn,cn->cq", shape, source[cells], optimize=True)
-    fe = np.einsum("cq,qn->cn", wdet * fq, shape, optimize=True)
-    f = np.zeros(mesh.nnodes)
-    np.add.at(f, cells.ravel(), fe.ravel())
-    return f
+    """Load vector of a volumetric heat source on one mesh (a stack of one)."""
+    stack = ElementStack([mesh])
+    return ScatterMap(stack.cells, mesh.nnodes).vectors(scalar_load_kernel(stack, source))[0]
 
 
 # ---------------------------------------------------------------------- #
@@ -199,34 +383,41 @@ def elasticity_dof_map(cells: np.ndarray, dim: int) -> np.ndarray:
     return dofs
 
 
+def elasticity_stiffness_kernel(
+    stack: ElementStack, young: float = 1.0, poisson: float = 0.3
+) -> np.ndarray:
+    """Element matrices of linear elasticity (plane strain in 2D), ``(k · ncells, m, m)``."""
+    c = _elastic_moduli(stack.dim, young, poisson)
+    b = _strain_displacement(stack.grads, stack.dim)  # (elements, nq, nvoigt, m)
+    ncells, nq, nvoigt, m = b.shape
+    cbw = np.matmul(c, stack.wdet[:, :, None, None] * b).reshape(ncells, nq * nvoigt, m)
+    return np.matmul(b.reshape(ncells, nq * nvoigt, m).transpose(0, 2, 1), cbw)
+
+
+def elasticity_load_kernel(
+    stack: ElementStack, body_force: tuple[float, ...] | np.ndarray = (0.0, -1.0)
+) -> np.ndarray:
+    """Element loads of a constant body force, ``(k · ncells, m)``."""
+    force = np.asarray(body_force, dtype=float)
+    if force.shape != (stack.dim,):
+        raise ValueError(f"body_force must have {stack.dim} components")
+    # fe[c, n, d] = force[d] * sum_q wdet[c, q] * shape[q, n]
+    return ((stack.wdet @ stack.shape)[:, :, None] * force).reshape(stack.wdet.shape[0], -1)
+
+
 def assemble_elasticity_stiffness(
     mesh: Mesh, young: float = 1.0, poisson: float = 0.3
 ) -> sp.csr_matrix:
-    """Assemble the linear-elasticity stiffness matrix (plane strain in 2D)."""
-    _shape, grads, wdet = _physical_gradients(mesh)
-    dim = mesh.dim
-    c = _elastic_moduli(dim, young, poisson)
-    b = _strain_displacement(grads, dim)
-    ke = np.einsum("cqvi,vw,cqwj,cq->cij", b, c, b, wdet, optimize=True)
-    dofs = elasticity_dof_map(mesh.cells, dim)
-    ndofs = mesh.nnodes * dim
-    rows = np.repeat(dofs[:, :, None], dofs.shape[1], axis=2)
-    cols = np.repeat(dofs[:, None, :], dofs.shape[1], axis=1)
-    return _scatter(rows, cols, ke, ndofs)
+    """Linear-elasticity stiffness matrix on one mesh (a stack of one)."""
+    stack = ElementStack([mesh])
+    smap = ScatterMap(elasticity_dof_map(stack.cells, mesh.dim), mesh.nnodes * mesh.dim)
+    return smap.prune(smap.matrices(elasticity_stiffness_kernel(stack, young, poisson))).member(0)
 
 
 def assemble_elasticity_load(
     mesh: Mesh, body_force: tuple[float, ...] | np.ndarray = (0.0, -1.0)
 ) -> np.ndarray:
-    """Assemble the load vector for a constant body force."""
-    shape, _grads, wdet = _physical_gradients(mesh)
-    dim = mesh.dim
-    force = np.asarray(body_force, dtype=float)
-    if force.shape != (dim,):
-        raise ValueError(f"body_force must have {dim} components")
-    # fe[c, n, d] = force[d] * sum_q wdet[c, q] * shape[q, n]
-    fe = np.einsum("cq,qn,d->cnd", wdet, shape, force, optimize=True)
-    dofs = elasticity_dof_map(mesh.cells, dim).reshape(mesh.ncells, -1)
-    f = np.zeros(mesh.nnodes * dim)
-    np.add.at(f, dofs.ravel(), fe.reshape(mesh.ncells, -1).ravel())
-    return f
+    """Load vector of a constant body force on one mesh (a stack of one)."""
+    stack = ElementStack([mesh])
+    smap = ScatterMap(elasticity_dof_map(stack.cells, mesh.dim), mesh.nnodes * mesh.dim)
+    return smap.vectors(elasticity_load_kernel(stack, body_force))[0]

@@ -1,8 +1,9 @@
 """Steady-state heat transfer (scalar Laplace) problem definition.
 
 This is one of the two physics the paper benchmarks ("heat transfer ... in
-2D and 3D").  A problem instance knows how to assemble a subdomain's
-stiffness matrix and load vector and exposes the metadata the decomposition
+2D and 3D").  A problem instance provides the element kernels of a stack of
+same-shape subdomain meshes (:mod:`repro.fem.assembly`), their kernel bases,
+single-mesh assembly (a stack of one), and the metadata the decomposition
 layer needs (DOFs per node, kernel dimension of a floating subdomain).
 """
 
@@ -13,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.fem.assembly import assemble_scalar_load, assemble_scalar_stiffness
+from repro.fem.assembly import (
+    ElementStack,
+    assemble_scalar_load,
+    assemble_scalar_stiffness,
+    scalar_load_kernel,
+    scalar_stiffness_kernel,
+)
 from repro.fem.mesh import Mesh
 
 __all__ = ["HeatTransferProblem"]
@@ -46,6 +53,33 @@ class HeatTransferProblem:
         """Total DOFs of a mesh."""
         return mesh.nnodes * self.dofs_per_node
 
+    # ------------------------------------------------------------------ #
+    # A stack of same-shape meshes                                        #
+    # ------------------------------------------------------------------ #
+    def element_dofs(self, mesh: Mesh) -> np.ndarray:
+        """Element DOF map: one DOF per node, numbered like the nodes."""
+        return mesh.cells
+
+    def stiffness_kernel(self, stack: ElementStack) -> np.ndarray:
+        """Element stiffness matrices of every element of the stack."""
+        return scalar_stiffness_kernel(stack, conductivity=self.conductivity)
+
+    def load_kernel(self, stack: ElementStack) -> np.ndarray:
+        """Element load vectors of every element of the stack."""
+        return scalar_load_kernel(stack, source=self.source)
+
+    def kernel_bases(self, coords: np.ndarray) -> np.ndarray:
+        """Orthonormal kernel bases of ``k`` floating subdomains, ``(k, ndofs, 1)``.
+
+        For pure Neumann heat transfer the kernel is spanned by the constant
+        temperature field.
+        """
+        k, n = coords.shape[:2]
+        return np.full((k, n, 1), 1.0 / np.sqrt(n))
+
+    # ------------------------------------------------------------------ #
+    # One mesh (a stack of one)                                           #
+    # ------------------------------------------------------------------ #
     def assemble_stiffness(self, mesh: Mesh) -> sp.csr_matrix:
         """Subdomain stiffness matrix (singular for a floating subdomain)."""
         return assemble_scalar_stiffness(mesh, conductivity=self.conductivity)
@@ -55,12 +89,5 @@ class HeatTransferProblem:
         return assemble_scalar_load(mesh, source=self.source)
 
     def kernel_basis(self, mesh: Mesh) -> np.ndarray:
-        """Basis of the stiffness-matrix kernel of a floating subdomain.
-
-        For pure Neumann heat transfer the kernel is spanned by the constant
-        temperature field.  The basis is returned orthonormalized, shape
-        ``(ndofs, 1)``.
-        """
-        n = self.ndofs(mesh)
-        basis = np.full((n, 1), 1.0 / np.sqrt(n))
-        return basis
+        """Orthonormal kernel basis of one floating subdomain, ``(ndofs, 1)``."""
+        return self.kernel_bases(mesh.coords[None])[0]

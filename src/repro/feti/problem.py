@@ -20,10 +20,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.decomposition.gluing import GluingData, build_gluing
-from repro.decomposition.kernel import RegularizedStiffness, regularize_stiffness
-from repro.decomposition.partition import BoxDecomposition
+from repro.decomposition.kernel import fixing_dofs_for, regularize_stack
+from repro.decomposition.partition import BoxDecomposition, Subdomain
+from repro.fem.assembly import ElementStack, ScatterMap
 from repro.fem.mesh import Mesh
 from repro.feti.problem_helpers import dofs_per_node_of as _dofs_per_node
+from repro.observe.trace import trace_span
 
 __all__ = ["SubdomainProblem", "FetiProblem"]
 
@@ -73,6 +75,45 @@ class SubdomainProblem:
         np.add.at(global_dual, self.lambda_ids, local)
 
 
+def _build_shape(
+    physics: object,
+    group: list[Subdomain],
+    gluing: GluingData,
+    dofs_per_node: int,
+) -> list[SubdomainProblem]:
+    """Assemble every subdomain of one shape as one stack.
+
+    One element geometry and one scatter map for the shape; ``K``, ``K_reg``
+    and ``f`` of all members come out as ``(k, ·)`` stacks, and each
+    member's ``K`` / ``K_reg`` is a CSR viewing its row of the stack.
+    """
+    meshes = [sub.mesh for sub in group]
+    stack = ElementStack(meshes)
+    smap = ScatterMap(physics.element_dofs(meshes[0]), physics.ndofs(meshes[0]))
+    K = smap.prune(smap.matrices(physics.stiffness_kernel(stack)), [s.index for s in group])
+    f = smap.vectors(physics.load_kernel(stack))
+    kernels = physics.kernel_bases(stack.coords)
+    del stack, smap  # the element workspaces; only the stacks are kept
+    fixing_dofs = fixing_dofs_for(meshes[0], kernels, dofs_per_node)
+    K_reg, _rho = regularize_stack(K, kernels, fixing_dofs)
+    return [
+        SubdomainProblem(
+            index=sub.index,
+            cluster=sub.cluster,
+            mesh=sub.mesh,
+            K=K_i,
+            K_reg=K_reg_i,
+            kernel=kernels[i],
+            fixing_dofs=fixing_dofs,
+            f=f[i],
+            B=gluing.per_subdomain[sub.index].B,
+            lambda_ids=gluing.per_subdomain[sub.index].lambda_ids,
+            dof_multiplicity=gluing.per_subdomain[sub.index].dof_multiplicity,
+        )
+        for i, (sub, K_i, K_reg_i) in enumerate(zip(group, K.members(), K_reg.members()))
+    ]
+
+
 @dataclass
 class FetiProblem:
     """The assembled Total FETI problem.
@@ -100,12 +141,16 @@ class FetiProblem:
     ) -> "FetiProblem":
         """Assemble the torn system for a physics on a decomposition.
 
+        The subdomains are built one shape at a time
+        (:meth:`~repro.decomposition.partition.BoxDecomposition.shape_groups`),
+        inside an ``assembly`` span; the gluing is one ``gluing`` span.
+
         Parameters
         ----------
         physics:
             A problem object from :mod:`repro.fem` (heat transfer or linear
-            elasticity); it must provide ``assemble_stiffness``,
-            ``assemble_load`` and ``kernel_basis``.
+            elasticity); it must provide ``ndofs``, ``element_dofs``,
+            ``stiffness_kernel``, ``load_kernel`` and ``kernel_bases``.
         decomposition:
             The structured box decomposition.
         dirichlet_faces:
@@ -114,35 +159,19 @@ class FetiProblem:
         """
         first_mesh = decomposition.subdomains[0].mesh
         dofs_per_node = _dofs_per_node(physics, first_mesh)
-        gluing = build_gluing(
-            decomposition,
-            dofs_per_node=dofs_per_node,
-            dirichlet_faces=dirichlet_faces,
-            dirichlet_value=dirichlet_value,
-        )
+        with trace_span("gluing"):
+            gluing = build_gluing(
+                decomposition,
+                dofs_per_node=dofs_per_node,
+                dirichlet_faces=dirichlet_faces,
+                dirichlet_value=dirichlet_value,
+            )
+        groups = decomposition.shape_groups()
         subdomains: list[SubdomainProblem] = []
-        for sub, sub_glue in zip(decomposition.subdomains, gluing.per_subdomain):
-            K = physics.assemble_stiffness(sub.mesh)
-            f = physics.assemble_load(sub.mesh)
-            kernel = physics.kernel_basis(sub.mesh)
-            reg: RegularizedStiffness = regularize_stiffness(
-                K, kernel, sub.mesh, dofs_per_node
-            )
-            subdomains.append(
-                SubdomainProblem(
-                    index=sub.index,
-                    cluster=sub.cluster,
-                    mesh=sub.mesh,
-                    K=K,
-                    K_reg=reg.K_reg,
-                    kernel=kernel,
-                    fixing_dofs=reg.fixing_dofs,
-                    f=f,
-                    B=sub_glue.B,
-                    lambda_ids=sub_glue.lambda_ids,
-                    dof_multiplicity=sub_glue.dof_multiplicity,
-                )
-            )
+        with trace_span("assembly", subdomains=decomposition.n_subdomains, shapes=len(groups)):
+            for group in groups:
+                subdomains += _build_shape(physics, group, gluing, dofs_per_node)
+        subdomains.sort(key=lambda sub: sub.index)
         return cls(
             physics=physics,
             decomposition=decomposition,

@@ -70,3 +70,35 @@ def test_summary_and_helpers():
     text = dec.summary()
     assert "8 subdomains" in text
     assert dec.dofs_per_subdomain == dec.subdomains[0].mesh.nnodes
+
+
+@pytest.mark.parametrize(
+    ("dim", "subs", "cells", "order"),
+    [(2, (8, 8), 8, 1), (2, (3, 2), 3, 2), (3, (2, 2, 1), 4, 1), (3, 2, (2, 3, 2), 2)],
+)
+def test_members_are_the_translated_template_bit_for_bit(dim, subs, cells, order):
+    """One ``structured_mesh`` per shape, every member exactly its own mesh."""
+    from repro.fem.mesh import structured_mesh
+
+    dec = decompose_box(dim, subs, cells, order=order)
+    n_subs = np.asarray(dec.subdomains_per_dim)
+    n_cells = np.asarray(dec.cells_per_subdomain)
+    sub_box = 1.0 / n_subs
+    global_cell = 1.0 / (n_subs * n_cells)
+    (group,) = dec.shape_groups()
+    assert [s.index for s in group] == list(range(dec.n_subdomains))
+    for sub in dec.subdomains:
+        pos = np.asarray(sub.grid_position)
+        own = structured_mesh(
+            dim,
+            dec.cells_per_subdomain,
+            order=order,
+            origin=tuple(pos * sub_box),
+            box_size=tuple(sub_box),
+            global_cell_size=tuple(global_cell),
+            lattice_offset=tuple(int(2 * p * c) for p, c in zip(pos, n_cells)),
+        )
+        for field in ("coords", "lattice", "cells", "origin", "box_size"):
+            got, want = getattr(sub.mesh, field), getattr(own, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+        assert sub.mesh.cells is group[0].mesh.cells
