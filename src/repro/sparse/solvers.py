@@ -35,7 +35,7 @@ from repro.sparse.triangular import (
     sparse_trsm_upper,
     sparse_trsv_lower,
     sparse_trsv_upper,
-    stacked_diagonal_inverses,
+    stacked_sweep_plan,
 )
 
 __all__ = [
@@ -363,10 +363,11 @@ class SolverStack:
     The members' dense factor panels become one ``(k, panel_entries)`` array:
     adopted zero-copy where they already are consecutive rows of one, copied
     otherwise — and then every member's factor is re-pointed at its row, so
-    the panels are never resident twice.  The diagonal-block inverses of
-    :func:`~repro.sparse.triangular.solve_stacked` are formed here, once.  A
-    stack is valid for the numeric factorizations it was built from: drop it
-    whenever a member is re-factorized or demoted.
+    the panels are never resident twice.  The sweep plan of
+    :func:`~repro.sparse.triangular.solve_stacked` (diagonal-block inverses,
+    off-diagonal panel views, row slices) is built here, once.  A stack is
+    valid for the numeric factorizations it was built from: drop it whenever
+    a member is re-factorized or demoted.
     """
 
     def __init__(self, solvers: "list[SparseSolverBase]") -> None:
@@ -380,10 +381,10 @@ class SolverStack:
         matrices = [solver._matrix for solver in solvers]
         refines = self.precision.refine and all(m is not None for m in matrices)
         if len(rows) == 1:
-            # A stack of one: a view of the factor's own panels, no inverses
+            # A stack of one: a view of the factor's own panels, no plan
             # (``solve_stacked`` runs the single-factor kernels).
             self.panels = rows[0][None, :]
-            self.inverses = None
+            self.plan = None
             if refines:
                 self._matrix = matrices[0]
             return
@@ -392,7 +393,7 @@ class SolverStack:
             self.panels = np.stack(rows)
             for factor, row in zip(factors, self.panels):
                 factor._panel_values = row
-        self.inverses = stacked_diagonal_inverses(self.symbolic, self.panels)
+        self.plan = stacked_sweep_plan(self.symbolic, self.panels)
         if refines:
             self._matrix = sp.block_diag(matrices, format="csr")
 
@@ -404,7 +405,7 @@ class SolverStack:
         at its own fp64-level residual.
         """
         b = np.asarray(rhs, dtype=float)
-        x = solve_stacked(self.symbolic, self.panels, b, self.inverses)
+        x = solve_stacked(self.symbolic, self.panels, b, self.plan)
         if self._matrix is None:
             return x
         norm_b = np.abs(b).max(axis=1, initial=0.0)
@@ -414,6 +415,6 @@ class SolverStack:
             active &= np.abs(r).max(axis=1, initial=0.0) > 1e-14 * norm_b
             if not active.any():
                 break
-            correction = solve_stacked(self.symbolic, self.panels, r, self.inverses)
+            correction = solve_stacked(self.symbolic, self.panels, r, self.plan)
             x[active] += correction[active]
         return x

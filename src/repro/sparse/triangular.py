@@ -14,7 +14,10 @@ the test oracle (``tests/oracles/sparse.py``).
 
 A *stack* of factors sharing one symbolic analysis is solved by
 :func:`solve_stacked`: the same sweep with the factor index as the leading
-batch axis, so the interpreted work does not grow with the stack.
+batch axis, so the interpreted work does not grow with the stack.  It runs
+from a :func:`stacked_sweep_plan` built once per stack, which addresses each
+supernode's below-diagonal rows by a basic slice wherever they are one
+contiguous run.
 
 For sparse right-hand sides the forward solve supports skipping leading zero
 rows.  The multi-RHS kernel honors **per-column** first-nonzero rows by
@@ -50,6 +53,7 @@ __all__ = [
     "sparse_trsm_lower",
     "sparse_trsm_upper",
     "stacked_diagonal_inverses",
+    "stacked_sweep_plan",
     "solve_stacked",
     "PreparedCscFactor",
     "prepare_csc_factor",
@@ -263,11 +267,49 @@ def stacked_diagonal_inverses(
     return inverses
 
 
+def _row_index(rows: np.ndarray) -> slice | np.ndarray:
+    """``rows`` as a basic slice when they are one contiguous ascending run.
+
+    Indexing with the slice views the rows instead of gathering a copy, and
+    an in-place update through it needs no scatter back; any other set of
+    rows (empty included) is returned as the index array it is.
+    """
+    if rows.size and bool((np.diff(rows) == 1).all()):
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
+def stacked_sweep_plan(symbolic: SymbolicFactor, panels: np.ndarray) -> list[tuple]:
+    """The per-supernode steps of :func:`solve_stacked` on ``k > 1`` stacked factors.
+
+    Step ``s`` is ``(j0, j1, below, rows, inverse)``: the supernode's columns
+    ``j0:j1``, its ``(k, h − w, w)`` off-diagonal blocks (a view of
+    ``panels``; ``None`` without below rows), the row index of those blocks
+    (a basic slice where the rows are one contiguous run, see
+    :func:`_row_index`) and the ``(k, w, w)`` diagonal-block inverses of
+    :func:`stacked_diagonal_inverses`.  Built once per stack, so the sweep
+    does no per-call index arithmetic; the plan views the panels and is valid
+    only as long as they hold the factorization it was built from.
+    """
+    part = symbolic.supernodes
+    k = panels.shape[0]
+    plan = []
+    for s, inverse in enumerate(stacked_diagonal_inverses(symbolic, panels)):
+        j0, j1 = int(part.snode_ptr[s]), int(part.snode_ptr[s + 1])
+        w, h = j1 - j0, int(part.heights[s])
+        below = rows = None
+        if h > w:
+            pv = panels[:, part.panel_off[s] : part.panel_off[s + 1]].reshape(k, h, w)
+            below, rows = pv[:, w:], _row_index(part.below_rows[s])
+        plan.append((j0, j1, below, rows, inverse))
+    return plan
+
+
 def solve_stacked(
     symbolic: SymbolicFactor,
     panels: np.ndarray,
     rhs: np.ndarray,
-    inverses: list[np.ndarray] | None = None,
+    plan: list[tuple] | None = None,
 ) -> np.ndarray:
     """Solve ``Aᵢ xᵢ = bᵢ`` for ``k`` factors sharing one symbolic analysis.
 
@@ -281,16 +323,17 @@ def solve_stacked(
         stacked ``CholeskyFactor.panel_values()`` of ``k`` factors).
     rhs:
         ``(k, n)`` right-hand sides in the original ordering.
-    inverses:
-        :func:`stacked_diagonal_inverses` of ``panels`` when the caller keeps
-        them; formed here otherwise.
+    plan:
+        :func:`stacked_sweep_plan` of ``panels`` when the caller keeps it;
+        built here otherwise.
 
     One forward and one backward supernodal sweep for the whole stack: per
     supernode a batched product with the inverse diagonal blocks and one
-    ``np.matmul`` over the ``(k, h − w, w)`` off-diagonal blocks, the
-    permutation applied once to the ``(k, n)`` stack.  A stack of **one** runs
-    the single-factor panel kernels instead — batching buys nothing there and
-    the result stays bit-identical to ``SparseSolverBase.solve``.
+    ``np.matmul`` over the ``(k, h − w, w)`` off-diagonal blocks, whose rows
+    of the ``(k, n, 1)`` stack are a view wherever they are contiguous; the
+    permutation is applied once to the ``(k, n)`` stack.  A stack of **one**
+    runs the single-factor panel kernels instead — batching buys nothing
+    there and the result stays bit-identical to ``SparseSolverBase.solve``.
     """
     part = symbolic.supernodes
     perm = symbolic.perm
@@ -300,28 +343,19 @@ def solve_stacked(
         _panel_solve_lower(part, panels[0], y[0])
         _panel_solve_upper(part, panels[0], y[0])
     elif k > 1:
-        if inverses is None:
-            inverses = stacked_diagonal_inverses(symbolic, panels)
-        snode_ptr, panel_off = part.snode_ptr, part.panel_off
-        widths, heights = part.widths, part.heights
+        if plan is None:
+            plan = stacked_sweep_plan(symbolic, panels)
         y3 = y[:, :, None]
-        blocks = []
-        for s in range(part.n_supernodes):
-            j0, j1 = int(snode_ptr[s]), int(snode_ptr[s + 1])
-            w, h = int(widths[s]), int(heights[s])
-            pv = panels[:, panel_off[s] : panel_off[s + 1]].reshape(k, h, w)
-            below = pv[:, w:] if h > w else None
-            blocks.append((j0, j1, below))
-            yj = np.matmul(inverses[s], y3[:, j0:j1])
+        for j0, j1, below, rows, inverse in plan:
+            yj = np.matmul(inverse, y3[:, j0:j1])
             y3[:, j0:j1] = yj
             if below is not None:
-                y3[:, part.below_rows[s]] -= np.matmul(below, yj)
-        for s in range(part.n_supernodes - 1, -1, -1):
-            j0, j1, below = blocks[s]
+                y3[:, rows] -= np.matmul(below, yj)
+        for j0, j1, below, rows, inverse in reversed(plan):
             xj = y3[:, j0:j1]
             if below is not None:
-                xj = xj - np.matmul(below.transpose(0, 2, 1), y3[:, part.below_rows[s]])
-            y3[:, j0:j1] = np.matmul(inverses[s].transpose(0, 2, 1), xj)
+                xj = xj - np.matmul(below.transpose(0, 2, 1), y3[:, rows])
+            y3[:, j0:j1] = np.matmul(inverse.transpose(0, 2, 1), xj)
     x = np.empty_like(y)
     x[:, perm] = y
     return x

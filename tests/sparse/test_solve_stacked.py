@@ -5,7 +5,9 @@ built on them (``dual_rhs``, ``primal_solution``, ``apply_accurate``, the
 implicit CPU apply) must reproduce ``tests/oracles/kplus.py`` — one
 ``SparseSolverBase.solve`` and one ``scipy.sparse`` product per subdomain — on
 the *current* numeric factors, under every precision policy, and spend
-interpreted steps per supernode, not per subdomain.
+interpreted steps per supernode, not per subdomain.  The sweep itself, run
+from its plan, must be bitwise the fancy-indexed sweep of
+``tests/oracles/sweep.py``.
 """
 
 from __future__ import annotations
@@ -25,11 +27,16 @@ from repro.feti.operators import make_dual_operator
 from repro.feti.problem import FetiProblem
 from repro.feti.solver import FetiSolver, MultiStepDriver
 from repro.memory.precision import PRECISION_NAMES
+from repro.sparse import solvers as sparse_solvers
 from repro.sparse import triangular
 from repro.sparse.cache import PatternCache
 from repro.sparse.numeric import CholeskyFactor
 from repro.sparse.solvers import CholmodLikeSolver, PardisoLikeSolver, SolverStack
-from repro.sparse.triangular import solve_stacked, stacked_diagonal_inverses
+from repro.sparse.triangular import (
+    _row_index,
+    solve_stacked,
+    stacked_diagonal_inverses,
+)
 
 from tests.conftest import fem_stiffness
 from tests.oracles.kplus import (
@@ -37,6 +44,7 @@ from tests.oracles.kplus import (
     looped_dual_rhs,
     looped_primal_solution,
 )
+from tests.oracles.sweep import fancy_index_solve_stacked
 
 #: Workloads of the stacked-kernel table in the README.  Every one of them
 #: has one ``K_reg`` pattern, so all its subdomains form one stack.
@@ -185,10 +193,10 @@ def test_stack_of_two_matches_the_facade(precision):
     reference = np.stack([s.solve(row) for s, row in zip(solvers, b)])
     x = SolverStack(solvers).solve(b)
     assert np.abs(x - reference).max() <= TOLERANCE[precision] * np.abs(reference).max()
-    # The kernel alone, without the cached inverses, agrees too.
+    # The kernel alone, without the cached plan, agrees too.
     stack = SolverStack(solvers)
     raw = solve_stacked(stack.symbolic, stack.panels, b)
-    assert np.array_equal(raw, solve_stacked(stack.symbolic, stack.panels, b, stack.inverses))
+    assert np.array_equal(raw, solve_stacked(stack.symbolic, stack.panels, b, stack.plan))
 
 
 def test_empty_stack_solves_to_an_empty_result():
@@ -206,6 +214,70 @@ def test_zero_right_hand_sides_stay_zero_under_refinement():
     x = SolverStack(solvers).solve(b)
     assert not x[0].any() and not x[2].any()
     assert np.allclose(x[1], solvers[1].solve(b[1]), rtol=1e-13, atol=0.0)
+
+
+# --------------------------------------------------------------------- #
+# The sweep plan: bitwise the fancy-indexed sweep it replaced            #
+# --------------------------------------------------------------------- #
+#: ``(workload, precision)`` of every planned-sweep check.  Under RCM every
+#: below-row set of the heat patterns is one contiguous run (all slices);
+#: elasticity 3D mixes slices and index arrays.
+PLAN_CASES = {
+    "heat3d-2x2x1x12": (Workload("heat", 3, (2, 2, 1), 12), "fp64"),
+    "heat3d-3x3x3x4": (Workload("heat", 3, (3, 3, 3), 4), "fp64"),
+    "heat2d-8x8x8": (WORKLOADS["heat2d-8x8x8"], "fp64"),
+    "elasticity3d-3x3x3x4": (Workload("elasticity", 3, (3, 3, 3), 4), "fp64"),
+    "heat3d-2x2x1x12-fp32": (Workload("heat", 3, (2, 2, 1), 12), "fp32"),
+}
+
+
+@pytest.mark.parametrize("name", PLAN_CASES)
+def test_planned_sweep_is_bitwise_the_fancy_index_sweep(name):
+    workload, precision = PLAN_CASES[name]
+    operator = _preprocessed(build_problem(workload), precision)
+    operator.dual_rhs()  # builds the stacks
+    ((dofs, stack),) = operator._kplus_stacks
+    symbolic, panels = stack.symbolic, stack.panels
+    assert panels.dtype == operator.precision.storage_dtype
+    rows = [step[3] for step in stack.plan if step[2] is not None]
+    slices = sum(isinstance(index, slice) for index in rows)
+    if name.startswith("elasticity"):
+        assert 0 < slices < len(rows)
+    else:
+        assert slices == len(rows) > 0
+    rhs = np.random.default_rng(7).standard_normal(dofs.shape)
+    inverses = stacked_diagonal_inverses(symbolic, panels)
+    reference = fancy_index_solve_stacked(symbolic, panels, rhs, inverses)
+    assert np.array_equal(solve_stacked(symbolic, panels, rhs, stack.plan), reference)
+    # No cached plan on one side, no cached inverses on the other.
+    assert np.array_equal(
+        solve_stacked(symbolic, panels, rhs),
+        fancy_index_solve_stacked(symbolic, panels, rhs),
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([5], slice(5, 6)),
+        ([0, 1], slice(0, 2)),
+        ([2, 3, 4, 5], slice(2, 6)),
+        ([], None),
+        ([2, 4], None),
+        ([1, 2, 4], None),
+        ([3, 2], None),
+        ([5, 3, 7], None),
+    ],
+)
+def test_row_index_is_a_slice_exactly_for_a_contiguous_run(rows, expected):
+    rows = np.asarray(rows, dtype=np.int64)
+    index = _row_index(rows)
+    if expected is None:
+        assert index is rows
+    else:
+        assert index == expected
+    y = np.arange(30.0).reshape(3, 10)
+    assert np.array_equal(y[:, index], y[:, rows])
 
 
 # --------------------------------------------------------------------- #
@@ -268,27 +340,83 @@ def _fresh_problem() -> FetiProblem:
     return FetiProblem.from_physics(HeatTransferProblem(), decomposition)
 
 
+def _fresh_heat3d_problem() -> FetiProblem:
+    """Four 125-DOF heat 3D subdomains: every below-row run is contiguous."""
+    decomposition = decompose_box(3, (2, 2, 1), 4, order=1)
+    return FetiProblem.from_physics(HeatTransferProblem(), decomposition)
+
+
+FRESH_PROBLEMS = {"heat2d-4x4x8": _fresh_problem, "heat3d-2x2x1x4": _fresh_heat3d_problem}
+#: ``K`` and ``K_reg`` are multiplied by ``STEP_SCALES[s]`` before step ``s``.
+STEP_SCALES = (4.0, 0.5, 3.0)
+
+
+@pytest.mark.parametrize("name", FRESH_PROBLEMS)
 @pytest.mark.parametrize("approach", ["impl mkl", "expl mkl"])
-def test_stack_follows_a_rescaled_stiffness_across_steps(approach):
-    solver = FetiSolver(_fresh_problem(), SolverSpec(approach=approach))
+def test_stack_follows_a_rescaled_stiffness_across_steps(approach, name):
+    problem = FRESH_PROBLEMS[name]()
+    solver = FetiSolver(problem, SolverSpec(approach=approach))
     operator = solver.operator
-    scale = 4.0
+    dual_rhs, stacks = [], []
+
+    def check_step():
+        """The step just solved, against the matrices it was solved with."""
+        u_ref, _ = problem.saddle_point_solution()
+        u = np.concatenate(driver.last_solution.primal)
+        assert np.abs(u - u_ref).max() <= 1e-6 * np.abs(u_ref).max()
+        _assert_matches_oracle(operator)
+        dual_rhs.append(operator.dual_rhs())
+        ((_, stack),) = operator._kplus_stacks
+        assert all(stack is not old for old in stacks)
+        stacks.append(stack)
+        # The plan views this step's factors, nothing older.
+        for row, sub in zip(stack.panels, problem.subdomains):
+            assert np.shares_memory(row, operator._cpu_solvers[sub.index]._factor.panel_values())
+        for _, _, below, rows, _ in stack.plan:
+            assert below is None or np.shares_memory(below, stack.panels)
+            assert below is None or isinstance(rows, slice)
 
     def update(step, problem):
-        if step == 1:
-            for sub in problem.subdomains:
-                sub.K = sub.K * scale
-                sub.K_reg = sub.K_reg * scale
+        if step:
+            check_step()
+        for sub in problem.subdomains:
+            sub.K = sub.K * STEP_SCALES[step]
+            sub.K_reg = sub.K_reg * STEP_SCALES[step]
 
     driver = MultiStepDriver(solver, update)
-    driver.run(1)
-    d_before = operator.dual_rhs()
-    driver = MultiStepDriver(solver, update)
-    driver.run(2)
-    c = operator.problem.c
-    # K → 4 K  means  B K⁺ f → B K⁺ f / 4: the second step's factors.
-    assert np.allclose(operator.dual_rhs() + c, (d_before + c) / scale, rtol=1e-12)
-    _assert_matches_oracle(operator)
+    driver.run(len(STEP_SCALES))
+    check_step()
+    c = problem.c
+    # K → s K  means  B K⁺ f → B K⁺ f / s: every step's own factors.
+    for step in range(1, len(STEP_SCALES)):
+        expected = (dual_rhs[step - 1] + c) / STEP_SCALES[step]
+        assert np.allclose(dual_rhs[step] + c, expected, rtol=1e-12)
+
+
+def test_plan_is_built_once_per_pattern_group_per_preprocessing(monkeypatch):
+    builds = 0
+    original = triangular.stacked_sweep_plan
+
+    def counted(*args):
+        nonlocal builds
+        builds += 1
+        return original(*args)
+
+    # Counted where the stack builds it and where a planless sweep would.
+    monkeypatch.setattr(sparse_solvers, "stacked_sweep_plan", counted)
+    monkeypatch.setattr(triangular, "stacked_sweep_plan", counted)
+    w = WORKLOADS["heat2d-4x4x8"]
+    with Session(SolverSpec(approach="impl mkl"), memory_budget="unlimited") as session:
+        assert session.solve(w).converged
+        operator = session.solver(w).operator
+        groups = len({id(s.symbolic) for s in operator._cpu_solvers.values()})
+        assert builds == groups == 1
+        for _ in range(3):
+            assert session.solve(w).converged  # warm: no preprocessing
+        assert builds == groups
+        steps = 2
+        session.run_steps(w, steps)  # one preprocessing per step
+        assert builds == groups * (1 + steps)
 
 
 def test_no_stack_without_a_factorization():
@@ -344,7 +472,7 @@ def _line_events_in_solve_stacked(stack: SolverStack, rhs: np.ndarray) -> int:
     previous = sys.gettrace()
     sys.settrace(global_trace)
     try:
-        solve_stacked(stack.symbolic, stack.panels, rhs, stack.inverses)
+        solve_stacked(stack.symbolic, stack.panels, rhs, stack.plan)
     finally:
         sys.settrace(previous)
     return count
@@ -358,4 +486,7 @@ def test_interpreted_steps_scale_with_supernodes_not_with_the_stack():
         events[k] = _line_events_in_solve_stacked(stack, np.ones((k, n)))
         n_supernodes = stack.symbolic.supernodes.n_supernodes
     assert events[16] == events[64] > 0
-    assert events[64] <= 20 * n_supernodes + 20
+    # The planned sweep measures 121 events on these 11 supernodes (8 per
+    # supernode, 2 more per below-row update, 13 around the loops).  One
+    # more statement per supernode and call breaks the bound.
+    assert events[64] <= 10 * n_supernodes + 18
