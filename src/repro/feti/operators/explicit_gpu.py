@@ -142,14 +142,16 @@ class ExplicitGpuDualOperator(DualOperatorBase):
     def _demote_pack_storage(self, dtype: np.dtype) -> None:
         # Safe while the entry is stale: _ensure_pack_dtype() restores the
         # policy's storage dtype before the next assembly writes into it,
-        # and the device factor values are re-uploaded wholesale.
+        # and the device factor values (and the host factor they mirror)
+        # are re-uploaded wholesale.
         for state in self._state.values():
             if state.device_F is not None and state.device_F.array.dtype != dtype:
                 state.device_F.array = state.device_F.array.astype(dtype)
             m = state.device_factor
-            if m is not None and m.matrix.dtype != dtype:
-                m.matrix = m.matrix.astype(dtype)
-                m._prepared_tri = None
+            if m is not None:
+                m.factor = None
+                if m.matrix.dtype != dtype:
+                    m.matrix = m.matrix.astype(dtype)
 
     def _ensure_pack_dtype(self, state: _GpuState) -> None:
         """Restore a demoted ``F̃ᵢ`` buffer to the policy's storage dtype."""
@@ -332,9 +334,9 @@ class ExplicitGpuDualOperator(DualOperatorBase):
                 breakdown["numeric_factorization"] += fact_cost + extract_cost
 
                 factor = solver.extract_factor()
-                lower_csr = factor.to_csc().tocsr()
                 op = device.update_sparse_values(
-                    state.device_factor, lower_csr, stream, clocks.now(i)
+                    state.device_factor, factor.to_csc().tocsr(), stream, clocks.now(i),
+                    factor=factor,
                 )
                 clocks.advance(i, device.cost_model.submission_overhead_cpu)
                 breakdown["factor_upload"] += op.duration

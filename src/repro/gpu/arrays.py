@@ -3,18 +3,25 @@
 Device objects wrap ordinary NumPy / SciPy arrays (the numerics are exact)
 together with the metadata the cost model needs: memory order, byte size and
 the memory-pool allocation backing them.  The wrappers are intentionally
-thin — kernels read ``.array`` / ``.matrix`` directly.
+thin — kernels read ``.array`` / ``.matrix`` directly.  A device copy of a
+Cholesky factor also keeps the host
+:class:`~repro.sparse.numeric.CholeskyFactor` it mirrors (``.factor``): the
+simulated sparse triangular solves run on that factor's supernode panels.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.gpu.memory import Allocation
+
+if TYPE_CHECKING:
+    from repro.sparse.numeric import CholeskyFactor
 
 __all__ = ["MatrixOrder", "DeviceVector", "DeviceDenseMatrix", "DeviceCsrMatrix"]
 
@@ -93,13 +100,10 @@ class DeviceCsrMatrix:
     order: MatrixOrder = MatrixOrder.ROW_MAJOR
     allocation: Allocation | None = None
     label: str = ""
-    #: Optional reference to the in-package Cholesky factor this matrix was
-    #: built from (lets the simulated kernels reuse its solve routines).
-    factor: object | None = field(default=None, repr=False)
-    #: Cached prepared triangular factor of the simulated TRSV/TRSM kernels
-    #: (see :func:`repro.gpu.cusparse.prepared_lower_factor`); invalidated by
-    #: :meth:`repro.gpu.device.Device.update_sparse_values`.
-    _prepared_tri: object | None = field(default=None, repr=False, compare=False)
+    #: The host Cholesky factor whose ``L`` this matrix holds, set by every
+    #: value upload (``factor=``); :func:`repro.gpu.cusparse.trsm` solves
+    #: with it and refuses a matrix without one.
+    factor: CholeskyFactor | None = field(default=None, repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:

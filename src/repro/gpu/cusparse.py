@@ -9,7 +9,11 @@ The module models both cuSPARSE generations the paper compares:
   and requires very large persistent buffers.
 
 As with :mod:`repro.gpu.cublas`, every function computes exact numerics and
-submits one operation with an analytic duration to the given stream.
+submits one operation with an analytic duration to the given stream.  The
+sparse triangular solves do not re-derive the factor from the device copy's
+CSR values: like the paper, which copies CHOLMOD's ``L`` to the device, they
+solve with the host :class:`~repro.sparse.numeric.CholeskyFactor` the copy
+mirrors (``DeviceCsrMatrix.factor``), on its supernode panels.
 """
 
 from __future__ import annotations
@@ -17,18 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.gpu.arrays import DeviceCsrMatrix, DeviceDenseMatrix, DeviceVector, MatrixOrder
 from repro.gpu.costmodel import CudaVersion
 from repro.gpu.device import Device
 from repro.gpu.memory import Allocation, MemoryPool, TemporaryArena
 from repro.gpu.stream import Stream, StreamOperation
-from repro.sparse.triangular import PreparedCscFactor, prepare_csc_factor
+from repro.sparse.triangular import sparse_trsm_lower, sparse_trsm_upper
 
 __all__ = [
     "SparseTrsmPlan",
-    "prepared_lower_factor",
     "trsm_analysis",
     "trsm",
     "spmm",
@@ -37,18 +39,6 @@ __all__ = [
     "scatter",
     "gather",
 ]
-
-
-def prepared_lower_factor(matrix: DeviceCsrMatrix) -> PreparedCscFactor:
-    """The device matrix's lower triangle, prepared for triangular solves.
-
-    The conversion to sorted CSC and the supernode-panel detection run once
-    per value upload instead of on every TRSV/TRSM call; the cache is
-    invalidated whenever the factor values are re-uploaded.
-    """
-    if matrix._prepared_tri is None:
-        matrix._prepared_tri = prepare_csc_factor(sp.tril(matrix.matrix))
-    return matrix._prepared_tri
 
 
 @dataclass
@@ -132,19 +122,28 @@ def trsm(
 ) -> StreamOperation:
     """Sparse triangular solve ``op(L) X = B`` performed in place on ``rhs``.
 
-    The factor is interpreted as lower triangular; ``transpose=True`` solves
-    with ``Lᵀ``.  A temporary workspace is taken from the arena for the
-    duration of the kernel (blocking if necessary), mirroring the paper's
-    temporary-memory allocator usage.
+    ``factor`` is the device copy of a Cholesky factor ``L`` (permuted
+    ordering, as is ``rhs``); ``transpose=True`` solves with ``Lᵀ``.  The
+    numerics run on the host factor it mirrors.  A temporary workspace is
+    taken from the arena for the duration of the kernel (blocking if
+    necessary), mirroring the paper's temporary-memory allocator usage.
+
+    Raises
+    ------
+    ValueError
+        If ``factor`` carries no host factor (it was uploaded or updated
+        without ``factor=``).
     """
+    if factor.factor is None:
+        raise ValueError(
+            f"device matrix {factor.label or '<unlabelled>'} mirrors no host "
+            "CholeskyFactor; upload it with factor="
+        )
     workspace = None
     if arena is not None and plan.temporary_bytes > 0:
         workspace = arena.allocate(plan.temporary_bytes, label="cusparse-trsm-buffer")
-    lower = prepared_lower_factor(factor)
-    if transpose:
-        rhs.array[...] = lower.solve_upper(rhs.array)
-    else:
-        rhs.array[...] = lower.solve_lower(rhs.array)
+    solve = sparse_trsm_upper if transpose else sparse_trsm_lower
+    rhs.array[...] = solve(factor.factor, rhs.array)
     n, nrhs = rhs.shape
     duration = device.cost_model.sparse_trsm(
         plan.factor_nnz, n, nrhs, plan.version, plan.csc_factor, plan.col_major_rhs

@@ -13,6 +13,7 @@ one GPU to one cluster / MPI process).  It owns
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,6 +22,9 @@ from repro.gpu.arrays import DeviceCsrMatrix, DeviceDenseMatrix, DeviceVector, M
 from repro.gpu.costmodel import CudaVersion, GpuCostModel
 from repro.gpu.memory import MemoryPool, TemporaryArena
 from repro.gpu.stream import Stream, StreamOperation
+
+if TYPE_CHECKING:
+    from repro.sparse.numeric import CholeskyFactor
 
 __all__ = ["DeviceProperties", "Device"]
 
@@ -167,9 +171,13 @@ class Device:
         order: MatrixOrder = MatrixOrder.ROW_MAJOR,
         pool: MemoryPool | TemporaryArena | None = None,
         label: str = "",
-        factor: object | None = None,
+        factor: CholeskyFactor | None = None,
     ) -> tuple[DeviceCsrMatrix, StreamOperation]:
-        """Copy a host sparse matrix (CSR or CSC view) to the device."""
+        """Copy a host sparse matrix (CSR or CSC view) to the device.
+
+        ``factor`` is the host Cholesky factor when ``matrix`` is its ``L``:
+        the device copy keeps it for the sparse triangular solves.
+        """
         csr = sp.csr_matrix(matrix)
         device_matrix = DeviceCsrMatrix(
             matrix=csr, order=order, label=label, factor=factor
@@ -189,14 +197,16 @@ class Device:
         matrix: sp.spmatrix,
         stream: Stream,
         submit_time: float,
+        factor: CholeskyFactor | None = None,
     ) -> StreamOperation:
         """Re-upload only the numerical values of a sparse matrix.
 
         Used every time step for the factors: the pattern stays on the
-        device, only the values are copied again.
+        device, only the values are copied again, and the copy now mirrors
+        ``factor`` (the host factor of the new values, or none).
         """
         device_matrix.matrix = sp.csr_matrix(matrix)
-        device_matrix._prepared_tri = None  # values changed: re-prepare solves
+        device_matrix.factor = factor
         nbytes = 8 * device_matrix.nnz
         return stream.submit(
             f"h2d-values:{device_matrix.label}", self.cost_model.transfer(nbytes), submit_time

@@ -112,15 +112,13 @@ def demote_factor(factor, dtype: np.dtype):
     """Demote a :class:`~repro.sparse.numeric.CholeskyFactor` in place.
 
     Both the CSC-aligned values and the dense-panel storage are converted
-    (the panels are built first when the pattern has a supernode partition,
-    so the panel triangular solves never rebuild them in fp64 later).
-    Returns the factor for chaining.  A no-op for matching dtypes.
+    (the panels are built first when absent, so the panel triangular solves
+    never rebuild them in fp64 later).  Returns the factor for chaining.  A
+    no-op for matching dtypes.
     """
     if factor is None or np.dtype(dtype) == np.dtype(np.float64):
         return factor
-    panels = factor.panel_values()  # builds from values when absent
-    if panels is not None:
-        factor._panel_values = demote_array(panels, dtype)
+    factor._panel_values = demote_array(factor.panel_values(), dtype)
     factor.values = demote_array(factor.values, dtype)
     return factor
 

@@ -10,8 +10,9 @@ production libraries the paper uses (CHOLMOD, MKL PARDISO):
   step of the multi-step simulation).
 
 The symbolic phase additionally produces a relaxed **supernode partition**
-of the factor pattern; the numeric phase and the triangular kernels always
-run over the resulting dense panels (GEMM/POTRF-style NumPy calls).  The
+of the factor pattern; the numeric phase and every triangular kernel — the
+simulated cuSPARSE solves of :mod:`repro.gpu` included — run over the
+resulting dense panels (GEMM/POTRF-style NumPy calls).  The
 scalar per-column factorization and solves they replaced are the test oracle
 (``tests/oracles/sparse.py``).  A structural **pattern cache**
 (:mod:`repro.sparse.cache`) shares one symbolic analysis across all
@@ -36,8 +37,6 @@ from repro.sparse.symbolic import (
 )
 from repro.sparse.numeric import CholeskyFactor, numeric_cholesky
 from repro.sparse.triangular import (
-    PreparedCscFactor,
-    prepare_csc_factor,
     sparse_trsv_lower,
     sparse_trsv_upper,
     sparse_trsm_lower,
@@ -64,8 +63,6 @@ __all__ = [
     "detect_supernodes",
     "CholeskyFactor",
     "numeric_cholesky",
-    "PreparedCscFactor",
-    "prepare_csc_factor",
     "sparse_trsv_lower",
     "sparse_trsv_upper",
     "sparse_trsm_lower",

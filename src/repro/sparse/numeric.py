@@ -106,17 +106,14 @@ class CholeskyFactor:
         s = self.symbolic
         return self.values[s.col_ptr[:-1]]
 
-    def panel_values(self) -> np.ndarray | None:
+    def panel_values(self) -> np.ndarray:
         """Values scattered into the flat dense-panel storage (built once).
 
         Padding positions hold exact zeros, so the panel triangular solves
         of :mod:`repro.sparse.triangular` operate on clean panels however
-        the factor's values were produced.  Returns ``None`` when
-        the symbolic factorization carries no supernode partition.
+        the factor's values were produced.
         """
         part = self.symbolic.supernodes
-        if part is None:
-            return None
         if self._panel_values is None:
             flat = np.zeros(part.panel_entries)
             flat[part.lpos] = self.values
@@ -174,8 +171,7 @@ def numeric_cholesky(A: sp.spmatrix, symbolic: SymbolicFactor) -> CholeskyFactor
     Raises
     ------
     ValueError
-        If ``A`` does not have the analysed pattern, or the analysis carries
-        no supernode partition.
+        If ``A`` does not have the analysed pattern.
     NotPositiveDefiniteError
         If a pivot is not strictly positive.
     """
@@ -204,14 +200,10 @@ def stacked_cholesky(values: np.ndarray, symbolic: SymbolicFactor) -> np.ndarray
 
     Raises
     ------
-    ValueError
-        If the analysis carries no supernode partition.
     NotPositiveDefiniteError
         If a pivot is not strictly positive (the message names the matrix).
     """
     part = symbolic.supernodes
-    if part is None:
-        raise ValueError("the symbolic factor carries no supernode partition")
     k = values.shape[0]
     flat = np.zeros((k, part.panel_entries))
     flat[:, part.ainit_pos] = values[:, symbolic.a_lower_map]

@@ -1,13 +1,15 @@
 """Fill-reducing orderings for sparse Cholesky.
 
 The paper's CPU libraries use METIS nested dissection; offline we provide
-three orderings with the same role:
+two orderings:
 
 * ``NATURAL`` — identity permutation (useful for tests and as a baseline),
 * ``RCM`` — reverse Cuthill-McKee (bandwidth reduction, SciPy's csgraph),
-* ``AMD`` — a straightforward minimum-degree elimination ordering.
+  the ordering of every factor the package computes.
 
-All orderings operate on the symmetric nonzero pattern only.
+Both operate on the symmetric nonzero pattern only.  Any other permutation
+(the tests' minimum-degree oracle, say) goes straight to
+:func:`repro.sparse.symbolic.symbolic_cholesky` as ``perm=``.
 """
 
 from __future__ import annotations
@@ -26,39 +28,6 @@ class OrderingMethod(enum.Enum):
 
     NATURAL = "natural"
     RCM = "rcm"
-    AMD = "amd"
-
-
-def _minimum_degree(pattern: sp.csr_matrix) -> np.ndarray:
-    """A simple (non-approximate) minimum-degree ordering.
-
-    Quadratic in the worst case; intended for the moderate subdomain sizes
-    used in tests and benchmarks, not for production-scale matrices.
-    """
-    n = pattern.shape[0]
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    coo = pattern.tocoo()
-    for i, j in zip(coo.row, coo.col):
-        if i != j:
-            adjacency[int(i)].add(int(j))
-            adjacency[int(j)].add(int(i))
-    eliminated = np.zeros(n, dtype=bool)
-    perm = np.empty(n, dtype=np.int64)
-    degrees = np.array([len(a) for a in adjacency], dtype=np.int64)
-    for k in range(n):
-        # Pick the lowest-degree non-eliminated vertex (ties: lowest index).
-        masked = np.where(eliminated, np.iinfo(np.int64).max, degrees)
-        v = int(np.argmin(masked))
-        perm[k] = v
-        eliminated[v] = True
-        neighbours = [u for u in adjacency[v] if not eliminated[u]]
-        # Eliminating v connects its remaining neighbours into a clique.
-        for u in neighbours:
-            adjacency[u].discard(v)
-            adjacency[u].update(w for w in neighbours if w != u)
-            degrees[u] = len(adjacency[u])
-        adjacency[v] = set()
-    return perm
 
 
 def compute_ordering(
@@ -92,6 +61,4 @@ def compute_ordering(
     csr = sp.csr_matrix(pattern)
     csr = sp.csr_matrix((np.ones(csr.nnz), csr.indices, csr.indptr), shape=csr.shape)
     csr = (csr + csr.T).tocsr()
-    if method is OrderingMethod.RCM:
-        return np.asarray(reverse_cuthill_mckee(csr, symmetric_mode=True), dtype=np.int64)
-    return _minimum_degree(csr)
+    return np.asarray(reverse_cuthill_mckee(csr, symmetric_mode=True), dtype=np.int64)

@@ -14,6 +14,8 @@ differences that shape the paper's comparison (Section V):
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -212,10 +214,13 @@ class SparseSolverBase:
         Used on *cold* cache entries only: the session marks the entry
         stale at the same time, so the demoted factor is never read by a
         solve — it just halves the entry's resident bytes until the next
-        touch re-factorizes it in the spec's own precision.
+        touch re-factorizes it in the spec's own precision.  The demoted
+        factor is a new object: the fp64 one is freed once its other holders
+        (a device copy mirroring it, say) let go of it, and none of them is
+        left solving with fp32 values it did not ask for.
         """
         if self._factor is not None:
-            self._factor = demote_factor(self._factor, np.dtype(np.float32))
+            self._factor = demote_factor(replace(self._factor), np.dtype(np.float32))
 
     def extract_factor(self) -> CholeskyFactor:
         """Return the numeric factor (for shipping to the GPU).

@@ -144,6 +144,9 @@ class SymbolicFactor:
         CSC pattern of ``L`` including the unit diagonal position; row
         indices in every column are strictly increasing and start with the
         diagonal.
+    supernodes:
+        Supernode partition and dense-panel layout: the one structure every
+        numeric factorization and triangular solve of the package runs on.
     """
 
     n: int
@@ -151,6 +154,7 @@ class SymbolicFactor:
     parent: np.ndarray
     col_ptr: np.ndarray
     row_idx: np.ndarray
+    supernodes: SupernodePartition
 
     @property
     def nnz(self) -> int:
@@ -164,10 +168,6 @@ class SymbolicFactor:
 
     #: ``nnz(L)`` divided by the nnz of the lower triangle of ``A`` (fill-in).
     fill_ratio: float = 1.0
-
-    #: Supernode partition and dense-panel layout (always set by
-    #: :func:`symbolic_cholesky`).
-    supernodes: SupernodePartition | None = None
 
     # Pattern of the analysed matrix in canonical CSC order, and the one-pass
     # permutation map turning its data into the permuted lower-triangular CSC
@@ -274,17 +274,6 @@ def detect_supernodes(
             exact = int(col_counts[j + 1])
     boundaries.append(n)
     return np.asarray(boundaries, dtype=np.int64)
-
-
-def _panel_positions(
-    rows: np.ndarray, j0: int, j1: int, width: int, below: np.ndarray
-) -> np.ndarray:
-    """Local panel row indices of (sorted) global pattern rows ``>= j0``."""
-    split = int(np.searchsorted(rows, j1))
-    loc = np.empty(rows.shape[0], dtype=np.int64)
-    loc[:split] = rows[:split] - j0
-    loc[split:] = width + np.searchsorted(below, rows[split:])
-    return loc
 
 
 def _build_partition(

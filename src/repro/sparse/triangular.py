@@ -25,27 +25,19 @@ sorting the columns and activating them as the elimination reaches their
 first row, which mirrors how PARDISO's augmented incomplete factorization
 exploits the sparsity of ``B̃ᵢ`` during Schur-complement assembly.
 
-The simulated cuSPARSE kernels receive plain SciPy matrices instead of a
-:class:`~repro.sparse.numeric.CholeskyFactor`; :class:`PreparedCscFactor`
-converts/sorts one once and detects panels from its pattern (scalar CSC loops
-where the pattern does not coarsen), so repeated solves with the same factor
-stop paying the conversion cost.
+This is the only triangular-solve engine of the package: the simulated
+cuSPARSE ``TRSM`` (:func:`repro.gpu.cusparse.trsm`) solves with the host
+factor its device copy mirrors, exactly as the paper ships CHOLMOD's ``L`` to
+the GPU instead of re-deriving it there.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from repro.sparse.numeric import CholeskyFactor
-from repro.sparse.symbolic import (
-    MAX_SUPERNODE,
-    RELAX_PADDING,
-    SupernodePartition,
-    SymbolicFactor,
-    _panel_positions,
-)
+from repro.sparse.symbolic import SupernodePartition, SymbolicFactor
 
 __all__ = [
     "sparse_trsv_lower",
@@ -55,8 +47,6 @@ __all__ = [
     "stacked_diagonal_inverses",
     "stacked_sweep_plan",
     "solve_stacked",
-    "PreparedCscFactor",
-    "prepare_csc_factor",
 ]
 
 
@@ -140,23 +130,17 @@ def sparse_trsv_lower(
         is valid because the forward substitution leaves them identically
         zero.
     """
-    s = factor.symbolic
     y = np.array(b, dtype=float, copy=True)
-    if s.supernodes is not None:
-        _panel_solve_lower(s.supernodes, factor.panel_values(), y, start_row=start_row)
-    else:
-        _csc_lower_inplace(s.col_ptr, s.row_idx, factor.values, y, start_row=start_row)
+    _panel_solve_lower(
+        factor.symbolic.supernodes, factor.panel_values(), y, start_row=start_row
+    )
     return y
 
 
 def sparse_trsv_upper(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     """Solve ``Lᵀ x = b`` for a single right-hand side."""
-    s = factor.symbolic
     x = np.array(b, dtype=float, copy=True)
-    if s.supernodes is not None:
-        _panel_solve_upper(s.supernodes, factor.panel_values(), x)
-    else:
-        _csc_upper_inplace(s.col_ptr, s.row_idx, factor.values, x)
+    _panel_solve_upper(factor.symbolic.supernodes, factor.panel_values(), x)
     return x
 
 
@@ -208,28 +192,20 @@ def solve_lower_inplace(
     ``sorted_starts`` the columns of ``Y`` must already be ordered by
     ascending first nonzero row (``sorted_starts[c]`` for column ``c``).
     """
-    s = factor.symbolic
-    if s.supernodes is not None:
-        _panel_solve_lower(
-            s.supernodes, factor.panel_values(), Y, sorted_starts=sorted_starts
-        )
-    else:
-        _csc_lower_inplace(
-            s.col_ptr, s.row_idx, factor.values, Y, sorted_starts=sorted_starts
-        )
+    _panel_solve_lower(
+        factor.symbolic.supernodes,
+        factor.panel_values(),
+        Y,
+        sorted_starts=sorted_starts,
+    )
 
 
 def sparse_trsm_upper(factor: CholeskyFactor, B: np.ndarray) -> np.ndarray:
     """Solve ``Lᵀ X = B`` for a dense multi-column right-hand side."""
-    s = factor.symbolic
     X = np.array(B, dtype=float, copy=True)
-    if X.ndim != 2 or X.shape[0] != s.n:
+    if X.ndim != 2 or X.shape[0] != factor.n:
         raise ValueError("B must have shape (n, nrhs)")
-    part = s.supernodes
-    if part is not None:
-        _panel_solve_upper(part, factor.panel_values(), X)
-        return X
-    _csc_upper_inplace(s.col_ptr, s.row_idx, factor.values, X)
+    _panel_solve_upper(factor.symbolic.supernodes, factor.panel_values(), X)
     return X
 
 
@@ -359,182 +335,3 @@ def solve_stacked(
     x = np.empty_like(y)
     x[:, perm] = y
     return x
-
-
-# --------------------------------------------------------------------- #
-# Scalar CSC loops (shared by the factor and generic variants)           #
-# --------------------------------------------------------------------- #
-def _csc_lower_inplace(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    Y: np.ndarray,
-    start_row: int = 0,
-    sorted_starts: np.ndarray | None = None,
-) -> None:
-    """Scalar in-place forward solve on (1-D or 2-D) ``Y``.
-
-    With ``sorted_starts`` the columns of a 2-D ``Y`` (pre-sorted by first
-    nonzero row) are activated as the elimination reaches their first row.
-    """
-    n = indptr.shape[0] - 1
-    if sorted_starts is not None:
-        nrhs = Y.shape[1]
-        active = 0
-        first = int(sorted_starts[0]) if nrhs else n
-        for j in range(first, n):
-            while active < nrhs and sorted_starts[active] <= j:
-                active += 1
-            if active == 0:
-                continue
-            p0, p1 = indptr[j], indptr[j + 1]
-            yj = Y[j, :active] / data[p0]
-            Y[j, :active] = yj
-            if p1 > p0 + 1:
-                Y[indices[p0 + 1 : p1], :active] -= np.outer(data[p0 + 1 : p1], yj)
-        return
-    for j in range(start_row, n):
-        p0, p1 = indptr[j], indptr[j + 1]
-        yj = Y[j] / data[p0]
-        Y[j] = yj
-        if p1 > p0 + 1:
-            if Y.ndim == 1:
-                Y[indices[p0 + 1 : p1]] -= data[p0 + 1 : p1] * yj
-            else:
-                Y[indices[p0 + 1 : p1], :] -= np.outer(data[p0 + 1 : p1], yj)
-
-
-def _csc_upper_inplace(
-    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, X: np.ndarray
-) -> None:
-    """Scalar in-place backward solve on (1-D or 2-D) ``X``."""
-    n = indptr.shape[0] - 1
-    for j in range(n - 1, -1, -1):
-        p0, p1 = indptr[j], indptr[j + 1]
-        if p1 > p0 + 1:
-            X[j] -= data[p0 + 1 : p1] @ X[indices[p0 + 1 : p1]]
-        X[j] /= data[p0]
-
-
-# --------------------------------------------------------------------- #
-# Generic CSC variants with a prepared/cached factor                     #
-# --------------------------------------------------------------------- #
-class PreparedCscFactor:
-    """A lower-triangular factor prepared for repeated triangular solves.
-
-    Preparing converts the matrix to sorted CSC once (the conversion the
-    simulated cuSPARSE TRSM used to repeat on every call) and detects
-    supernode panels directly from the CSC pattern: columns chain while each
-    is the first below-diagonal row of its predecessor and the dense panel
-    over the running below-row union stays within the padding tolerance.
-    Panels are kept only when they actually coarsen the pattern (mean width
-    ≥ ~1.5 columns); otherwise the scalar loops run on the cached arrays.
-    """
-
-    def __init__(
-        self,
-        L: sp.spmatrix,
-        relax: float = RELAX_PADDING,
-        max_width: int = MAX_SUPERNODE,
-    ) -> None:
-        Lc = L.tocsc() if sp.issparse(L) else sp.csc_matrix(L)
-        if not Lc.has_sorted_indices:
-            Lc = Lc.copy()
-            Lc.sort_indices()
-        if Lc.shape[0] != Lc.shape[1]:
-            raise ValueError("factor must be square")
-        self.n = int(Lc.shape[0])
-        self.indptr = np.asarray(Lc.indptr, dtype=np.int64)
-        self.indices = np.asarray(Lc.indices, dtype=np.int64)
-        self.data = np.asarray(Lc.data, dtype=float)
-        self.partition: SupernodePartition | None = None
-        self.panel_data: np.ndarray | None = None
-        if self.n:
-            self._build_panels(relax, max_width)
-
-    # ------------------------------------------------------------------ #
-    def _build_panels(self, relax: float, max_width: int) -> None:
-        indptr, indices, n = self.indptr, self.indices, self.n
-        boundaries = [0]
-        below_list: list[np.ndarray] = []
-        union = indices[indptr[0] + 1 : indptr[1]]
-        exact = int(indptr[1] - indptr[0])
-        for j in range(n - 1):
-            rows_next = indices[indptr[j + 1] + 1 : indptr[j + 2]]
-            width = j + 2 - boundaries[-1]
-            merge = union.shape[0] > 0 and union[0] == j + 1 and width <= max_width
-            if merge:
-                cand = np.union1d(union[1:], rows_next)
-                exact_next = exact + int(indptr[j + 2] - indptr[j + 1])
-                panel = width * (width + 1) // 2 + width * cand.shape[0]
-                if panel - exact_next > relax * panel:
-                    merge = False
-            if merge:
-                union = cand
-                exact = exact_next
-            else:
-                boundaries.append(j + 1)
-                below_list.append(union)
-                union = rows_next
-                exact = int(indptr[j + 2] - indptr[j + 1])
-        boundaries.append(n)
-        below_list.append(union)
-
-        snode_ptr = np.asarray(boundaries, dtype=np.int64)
-        nsuper = snode_ptr.shape[0] - 1
-        if nsuper > 0.75 * n:  # panels would barely coarsen the column loop
-            return
-        widths = np.diff(snode_ptr)
-        heights = widths + np.array([b.shape[0] for b in below_list], dtype=np.int64)
-        panel_off = np.concatenate(([0], np.cumsum(heights * widths))).astype(np.int64)
-        col_to_snode = np.repeat(np.arange(nsuper, dtype=np.int64), widths)
-
-        lpos = np.empty(self.indices.shape[0], dtype=np.int64)
-        for s in range(nsuper):
-            j0, j1 = int(snode_ptr[s]), int(snode_ptr[s + 1])
-            w = int(widths[s])
-            below = below_list[s]
-            off = int(panel_off[s])
-            for c, j in enumerate(range(j0, j1)):
-                rows = indices[indptr[j] : indptr[j + 1]]
-                loc = _panel_positions(rows, j0, j1, w, below)
-                lpos[indptr[j] : indptr[j + 1]] = off + loc * w + c
-        flat = np.zeros(int(panel_off[-1]))
-        flat[lpos] = self.data
-        self.partition = SupernodePartition(
-            snode_ptr=snode_ptr,
-            col_to_snode=col_to_snode,
-            widths=widths,
-            heights=heights,
-            panel_off=panel_off,
-            below_rows=below_list,
-            lpos=lpos,
-            updates=[[] for _ in range(nsuper)],
-        )
-        self.panel_data = flat
-
-    # ------------------------------------------------------------------ #
-    def solve_lower(self, B: np.ndarray, start_row: int = 0) -> np.ndarray:
-        """Solve ``L Y = B`` (1-D or 2-D right-hand side)."""
-        Y = np.array(B, dtype=float, copy=True)
-        if self.partition is not None:
-            _panel_solve_lower(self.partition, self.panel_data, Y, start_row=start_row)
-        else:
-            _csc_lower_inplace(
-                self.indptr, self.indices, self.data, Y, start_row=start_row
-            )
-        return Y
-
-    def solve_upper(self, B: np.ndarray) -> np.ndarray:
-        """Solve ``Lᵀ X = B`` (1-D or 2-D right-hand side)."""
-        X = np.array(B, dtype=float, copy=True)
-        if self.partition is not None:
-            _panel_solve_upper(self.partition, self.panel_data, X)
-        else:
-            _csc_upper_inplace(self.indptr, self.indices, self.data, X)
-        return X
-
-
-def prepare_csc_factor(L: sp.spmatrix) -> PreparedCscFactor:
-    """Prepare (convert, sort, panel-detect) a lower-triangular factor once."""
-    return PreparedCscFactor(L)

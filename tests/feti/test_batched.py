@@ -16,6 +16,8 @@ from repro.decomposition.gluing import flat_scatter_maps
 from repro.feti.config import (
     AssemblyConfig,
     DualOperatorApproach,
+    FactorStorage,
+    Path,
     ScatterGatherDevice,
 )
 from repro.feti.operators import make_dual_operator
@@ -213,6 +215,33 @@ def test_batched_gpu_apply_matches_looped_for_nondefault_configs(
     )
     operator.preprocess()
     x = np.random.default_rng(23).standard_normal(heat_problem_2d.n_lambda)
+    _assert_apply_matches_oracle(operator, x)
+    np.testing.assert_allclose(
+        operator.apply(x), looped_apply_accurate(operator, x), rtol=1e-10, atol=1e-10
+    )
+
+
+@pytest.mark.parametrize("path", list(Path))
+@pytest.mark.parametrize(
+    "approach",
+    [DualOperatorApproach.EXPLICIT_GPU_LEGACY, DualOperatorApproach.EXPLICIT_GPU_MODERN],
+)
+def test_sparse_factor_storage_matches_looped_and_reference(
+    heat_problem_2d, small_machine_config, approach, path
+):
+    """The cuSPARSE-TRSM assembly (solves on the host factor): values AND timing."""
+    operator = make_dual_operator(
+        approach,
+        heat_problem_2d,
+        machine_config=small_machine_config,
+        assembly_config=AssemblyConfig(
+            path=path,
+            forward_factor_storage=FactorStorage.SPARSE,
+            backward_factor_storage=FactorStorage.SPARSE,
+        ),
+    )
+    operator.preprocess()
+    x = np.random.default_rng(29).standard_normal(heat_problem_2d.n_lambda)
     _assert_apply_matches_oracle(operator, x)
     np.testing.assert_allclose(
         operator.apply(x), looped_apply_accurate(operator, x), rtol=1e-10, atol=1e-10

@@ -8,6 +8,9 @@ import scipy.sparse as sp
 
 from repro.gpu import CudaVersion, Device, DeviceProperties, MatrixOrder, cusparse
 from repro.gpu.arrays import DeviceCsrMatrix, DeviceDenseMatrix, DeviceVector
+from repro.sparse import numeric_cholesky, sparse_trsm_lower, symbolic_cholesky
+
+from tests.conftest import random_spd_matrix
 
 
 @pytest.fixture(params=[CudaVersion.LEGACY, CudaVersion.MODERN])
@@ -30,23 +33,34 @@ def lower_factor():
     return sp.csr_matrix(L)
 
 
-def test_trsm_analysis_and_solve(device, lower_factor):
+def test_trsm_analysis_and_solve(device):
+    """The device copy of ``L`` solves with the host factor it mirrors."""
+    rng = np.random.default_rng(0)
+    A = random_spd_matrix(30, 0.2, rng)
+    factor = numeric_cholesky(A, symbolic_cholesky(A))
+    L = factor.to_csc()
     stream = device.streams[0]
-    n = lower_factor.shape[0]
-    dL, _ = device.upload_sparse(lower_factor, stream, 0.0, label="L")
+    dL, _ = device.upload_sparse(L.tocsr(), stream, 0.0, label="L", factor=factor)
     plan, op = cusparse.trsm_analysis(device, stream, dL, nrhs=5, submit_time=0.0)
     assert op.duration > 0
     arena = device.allocate_temporary_arena()
-    rng = np.random.default_rng(0)
-    B = rng.standard_normal((n, 5))
+    B = rng.standard_normal((factor.n, 5))
     rhs = DeviceDenseMatrix(array=B.copy())
     cusparse.trsm(device, stream, plan, dL, rhs, 0.0, arena=arena)
-    assert np.allclose(lower_factor @ rhs.array, B, atol=1e-10)
+    assert np.array_equal(rhs.array, sparse_trsm_lower(factor, B))
+    assert np.allclose(L @ rhs.array, B, atol=1e-10)
     cusparse.trsm(device, stream, plan, dL, rhs, 0.0, transpose=True, arena=arena)
+    assert np.allclose(L @ (L.T @ rhs.array), B, atol=1e-10)
     # temporary workspace fully released after the kernels
     assert arena.used_bytes == 0
     if device.cuda_version is CudaVersion.MODERN:
         assert plan.persistent_bytes > 0
+
+    # New values without their host factor: the copy mirrors nothing.
+    device.update_sparse_values(dL, 2.0 * L.tocsr(), stream, 0.0)
+    with pytest.raises(ValueError, match="mirrors no host CholeskyFactor"):
+        cusparse.trsm(device, stream, plan, dL, rhs, 0.0, arena=arena)
+    assert arena.used_bytes == 0
     plan.release()
 
 

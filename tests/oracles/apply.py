@@ -5,8 +5,8 @@ became *numerics + one planned timeline*: one subdomain at a time it gathers
 ``λᵢ``, runs that subdomain's kernels (a dense GEMV, or SpMV → TRSV → TRSV →
 SpMV), scatters ``qᵢ`` back **and** replays the simulated thread clocks /
 device streams — on every call.  It takes a preprocessed operator, reads the
-state the preprocessing left behind (``local_F``, device ``F̃ᵢ``, device
-factors, the simulated ``p``/``q`` vectors) and shares no code with the
+state the preprocessing left behind (``local_F``, device ``F̃ᵢ``, the
+subdomain solvers' factors, the simulated ``p``/``q`` vectors) and shares no code with the
 engine's flat index maps, packed block stacks or cached plans, which makes it
 the oracle for both the values and the plan (``tests/feti/test_apply_plan.py``).
 """
@@ -143,17 +143,19 @@ def _implicit_gpu(op: ImplicitGpuDualOperator, lam: np.ndarray) -> Applied:
             breakdown["spmv"] += stream_op.duration
             clocks.advance(i, overhead)
 
-            rhs = state.work_vec.array
-            lower = cusparse.prepared_lower_factor(state.device_factor)
+            # The work vector holds B̃ᵢᵀ pᵢ in the factor's permuted order; the
+            # two TRSVs are one solve with the subdomain's own CPU solver.
+            work = state.work_vec.array
+            rhs = np.empty_like(work)
+            rhs[state.perm] = work
+            work[...] = op._cpu_solvers[sub.index].solve(rhs)[state.perm]
             trsv = cost.sparse_trsm(
                 state.device_factor.nnz, sub.ndofs, 1, device.cuda_version
             )
-            rhs[...] = lower.solve_lower(rhs)
             stream_op = stream.submit("cusparse.trsv_fwd", trsv, clocks.now(i))
             breakdown["trsv"] += stream_op.duration
             clocks.advance(i, overhead)
 
-            rhs[...] = lower.solve_upper(rhs)
             stream_op = stream.submit("cusparse.trsv_bwd", trsv, clocks.now(i))
             breakdown["trsv"] += stream_op.duration
             clocks.advance(i, overhead)

@@ -32,7 +32,6 @@ from repro.sparse.symbolic import (
     RELAX_PADDING,
     SymbolicFactor,
     _canonical_csc,
-    _panel_positions,
     detect_supernodes,
 )
 
@@ -200,6 +199,17 @@ def _etree_from_arrays(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.nd
                     break
                 k = knext
     return parent
+
+
+def _panel_positions(
+    rows: np.ndarray, j0: int, j1: int, width: int, below: np.ndarray
+) -> np.ndarray:
+    """Local panel row indices of (sorted) global pattern rows ``>= j0``."""
+    split = int(np.searchsorted(rows, j1))
+    loc = np.empty(rows.shape[0], dtype=np.int64)
+    loc[:split] = rows[:split] - j0
+    loc[split:] = width + np.searchsorted(below, rows[split:])
+    return loc
 
 
 def elimination_tree(lower: sp.csr_matrix) -> np.ndarray:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,14 +22,15 @@ from repro.sparse.numeric import (
 
 from tests.conftest import fem_stiffness, random_spd_matrix
 from tests.oracles import sparse as scalar
+from tests.oracles.ordering import ORDERINGS, analysis_kwargs
 
 
-@pytest.mark.parametrize("ordering", list(OrderingMethod))
+@pytest.mark.parametrize("ordering", ORDERINGS)
 @pytest.mark.parametrize("n,density", [(10, 0.3), (60, 0.08), (150, 0.03)])
 def test_factorization_reconstructs_matrix(ordering, n, density):
     rng = np.random.default_rng(n)
     A = random_spd_matrix(n, density, rng)
-    s = symbolic_cholesky(A, ordering=ordering)
+    s = symbolic_cholesky(A, **analysis_kwargs(A, ordering))
     f = numeric_cholesky(A, s)
     L = f.to_csc().toarray()
     Ap = A.toarray()[np.ix_(s.perm, s.perm)]
@@ -173,12 +172,6 @@ def test_stack_of_one_matches_the_flat_scatter_oracle_bitwise(heat_stack):
     oracle = scalar.numeric_reference(matrices[5], scalar.symbolic_reference(matrices[5]))
     assert np.array_equal(stacked_cholesky(values[5:6], symbolic)[0], oracle)
     assert np.array_equal(numeric_cholesky(matrices[5], symbolic).panel_values(), oracle)
-
-
-def test_stacked_factor_requires_a_supernode_partition(heat_stack):
-    _, symbolic, values = heat_stack
-    with pytest.raises(ValueError, match="supernode partition"):
-        stacked_cholesky(values, replace(symbolic, supernodes=None))
 
 
 def test_stacked_factor_names_the_non_spd_member(heat_stack):

@@ -3,14 +3,13 @@
 Covers supernode detection on hand-built elimination trees, equality of the
 supernodal factorization and of every panel triangular kernel with the scalar
 per-column oracle (``tests/oracles/sparse.py``) across heat/elasticity 2D/3D
-patterns, the per-column ``start_rows`` grouping, the prepared generic CSC
-factor, and the structural pattern cache.
+patterns, the per-column ``start_rows`` grouping, and the structural pattern
+cache.
 """
 
 from __future__ import annotations
 
 import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,13 +20,10 @@ from hypothesis import given, settings, strategies as st
 from repro.fem.elasticity import LinearElasticityProblem
 from repro.fem.heat import HeatTransferProblem
 from repro.sparse import (
-    CholeskyFactor,
     OrderingMethod,
     PatternCache,
-    PreparedCscFactor,
     detect_supernodes,
     numeric_cholesky,
-    prepare_csc_factor,
     sparse_trsm_lower,
     sparse_trsm_upper,
     sparse_trsv_lower,
@@ -203,27 +199,6 @@ def test_property_blocked_equals_scalar_on_random_spd(n, seed):
     assert np.allclose(sparse_trsv_upper(fb, b), scalar.trsv_upper(fs, b))
 
 
-def test_partition_less_factor_solves_through_the_csc_loops():
-    """A factor handed over without panels still solves (and cannot factorize)."""
-    rng = np.random.default_rng(11)
-    A = random_spd_matrix(40, 0.1, rng)
-    s = symbolic_cholesky(A)
-    f = numeric_cholesky(A, s)
-    bare = CholeskyFactor(symbolic=replace(s, supernodes=None), values=f.values)
-    assert bare.panel_values() is None
-    b = rng.standard_normal(40)
-    B = rng.standard_normal((40, 3))
-    starts = np.array([0, 7, 3])
-    for j, st0 in enumerate(starts):
-        B[:st0, j] = 0.0
-    assert np.allclose(sparse_trsv_lower(bare, b), scalar.trsv_lower(f, b))
-    assert np.allclose(sparse_trsv_upper(bare, b), scalar.trsv_upper(f, b))
-    assert np.allclose(sparse_trsm_lower(bare, B, start_rows=starts), scalar.trsm_lower(f, B))
-    assert np.allclose(sparse_trsm_upper(bare, B), scalar.trsm_upper(f, B))
-    with pytest.raises(ValueError, match="supernode partition"):
-        numeric_cholesky(A, bare.symbolic)
-
-
 def test_trsm_per_column_start_rows_groups_columns():
     rng = np.random.default_rng(5)
     A = _fem_matrix(HeatTransferProblem(), 2)
@@ -246,57 +221,6 @@ def test_trsm_start_rows_requires_one_entry_per_column():
     f = numeric_cholesky(A, s)
     with pytest.raises(ValueError, match="one entry per column"):
         sparse_trsm_lower(f, np.zeros((s.n, 3)), start_rows=np.array([0, 1]))
-
-
-# --------------------------------------------------------------------- #
-# Prepared generic CSC factors                                           #
-# --------------------------------------------------------------------- #
-def test_prepared_csc_factor_matches_unprepared_and_scipy():
-    rng = np.random.default_rng(6)
-    n = 40
-    L = sp.tril(sp.random(n, n, density=0.15, random_state=rng)) + sp.diags(
-        2.0 + rng.random(n)
-    )
-    L = sp.csc_matrix(L)
-    prepared = prepare_csc_factor(L)
-    b = rng.standard_normal(n)
-    B = rng.standard_normal((n, 4))
-    ref = spla.spsolve_triangular(L.tocsr(), b, lower=True)
-    assert np.allclose(prepared.solve_lower(b), ref)
-    assert np.allclose(prepared.solve_upper(b), spla.spsolve_triangular(L.T.tocsr(), b, lower=False))
-    # 2-D right-hand sides against the scalar oracle on the plain matrix
-    assert np.allclose(prepared.solve_lower(B), scalar.csc_solve_lower(L, B))
-    assert np.allclose(prepared.solve_upper(B), scalar.csc_solve_upper(L, B))
-
-
-def test_prepared_csc_factor_panels_on_banded_factor():
-    """A Cholesky factor's CSC form produces usable panels generically."""
-    A = _fem_matrix(HeatTransferProblem(), 2)
-    s = symbolic_cholesky(A)
-    f = numeric_cholesky(A, s)
-    L = f.to_csc()
-    prepared = prepare_csc_factor(L)
-    assert prepared.partition is not None  # banded factors do coarsen
-    rng = np.random.default_rng(7)
-    B = rng.standard_normal((s.n, 3))
-    assert np.allclose(prepared.solve_lower(B), scalar.csc_solve_lower(L, B))
-    assert np.allclose(prepared.solve_upper(B), scalar.csc_solve_upper(L, B))
-
-
-def test_prepared_csc_factor_keeps_the_scalar_loops_when_panels_do_not_coarsen():
-    """A diagonal-plus-scattered pattern has no chains: the CSC loops run."""
-    rng = np.random.default_rng(14)
-    n = 30
-    L = sp.csc_matrix(
-        sp.tril(sp.random(n, n, density=0.05, random_state=rng), k=-2)
-        + sp.diags(2.0 + rng.random(n))
-    )
-    prepared = PreparedCscFactor(L)
-    assert prepared.partition is None
-    B = rng.standard_normal((n, 3))
-    assert np.allclose(prepared.solve_lower(B), scalar.csc_solve_lower(L, B))
-    assert np.allclose(prepared.solve_upper(B), scalar.csc_solve_upper(L, B))
-    assert np.allclose(prepared.solve_lower(B[:, 0]), scalar.csc_solve_lower(L, B[:, 0]))
 
 
 # --------------------------------------------------------------------- #

@@ -3,7 +3,9 @@
 Besides the structural properties of the factor pattern, the array-form
 analysis is held bit-identical — every field of ``SymbolicFactor`` and
 ``SupernodePartition`` — to the per-entry pure-Python analysis it replaced
-(``tests/oracles/sparse.py::symbolic_reference``) on a zoo of patterns.
+(``tests/oracles/sparse.py::symbolic_reference``) on a zoo of patterns, under
+both package orderings and under the minimum-degree permutation of
+``tests/oracles/ordering.py`` (passed as ``perm=``).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.sparse import OrderingMethod, numeric_cholesky, symbolic_cholesky
 
 from tests.conftest import fem_stiffness, random_spd_matrix
 from tests.oracles import sparse as oracle
+from tests.oracles.ordering import ORDERINGS, analysis_kwargs
 
 
 def _dense_cholesky_pattern(A: np.ndarray) -> np.ndarray:
@@ -152,10 +155,10 @@ _FEM = {
     "elasticity-3d": (LinearElasticityProblem(), 3, 3),
 }
 FEM_ZOO = [
-    pytest.param(*case, ordering, id=f"{name}-{ordering.value}")
+    pytest.param(*case, ordering, id=f"{name}-{ordering}")
     for name, case in _FEM.items()
-    for ordering in OrderingMethod
-    if ordering is not OrderingMethod.AMD or name != "heat-3d-c8"
+    for ordering in ORDERINGS
+    if ordering != "amd" or name != "heat-3d-c8"
 ]
 
 SMALL_ZOO = [
@@ -181,13 +184,14 @@ def _assert_bit_identical(A, **kwargs):
 def test_analysis_is_bit_identical_to_the_oracle_on_fem_patterns(
     physics, dim, cells, ordering
 ):
-    _assert_bit_identical(fem_stiffness(physics, dim, cells), ordering=ordering)
+    A = fem_stiffness(physics, dim, cells)
+    _assert_bit_identical(A, **analysis_kwargs(A, ordering))
 
 
-@pytest.mark.parametrize("ordering", list(OrderingMethod))
+@pytest.mark.parametrize("ordering", ORDERINGS)
 @pytest.mark.parametrize("A", SMALL_ZOO)
 def test_analysis_is_bit_identical_to_the_oracle_on_special_patterns(A, ordering):
-    s = _assert_bit_identical(A, ordering=ordering)
+    s = _assert_bit_identical(A, **analysis_kwargs(A, ordering))
     assert s.supernodes.snode_ptr[-1] == A.shape[0]
 
 
@@ -205,7 +209,7 @@ def test_analysis_is_bit_identical_on_random_spd_patterns(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 60))
     A = random_spd_matrix(n, float(rng.uniform(0.03, 0.4)), rng)
-    _assert_bit_identical(A, ordering=list(OrderingMethod)[seed % 3])
+    _assert_bit_identical(A, **analysis_kwargs(A, ORDERINGS[seed % 3]))
 
 
 def test_block_diagonal_pattern_has_a_forest_with_several_roots():
@@ -229,9 +233,10 @@ def test_one_triangle_storage_is_rejected():
     assert symbolic_cholesky(full, ordering="natural").nnz == 5
 
 
-@pytest.mark.parametrize("ordering", list(OrderingMethod))
+@pytest.mark.parametrize("ordering", ORDERINGS)
 def test_empty_matrix_analyses_to_zero_supernodes(ordering):
-    s = symbolic_cholesky(sp.csr_matrix((0, 0)), ordering=ordering)
+    empty = sp.csr_matrix((0, 0))
+    s = symbolic_cholesky(empty, **analysis_kwargs(empty, ordering))
     assert s.n == 0 and s.nnz == 0 and s.col_ptr.tolist() == [0]
     part = s.supernodes
     assert part.n_supernodes == 0 and part.panel_entries == 0
