@@ -662,18 +662,3 @@ class Session:
             "coarse_seconds": coarse_seconds,
             **self.tier.stats(),
         }
-
-    def publish_metrics(self, registry) -> None:
-        """Publish the session's counters into a :class:`~repro.observe.
-        metrics.MetricsRegistry` (one gauge per ``cache_stats`` entry,
-        prefixed ``repro_session_``; the tier publishes its own
-        ``repro_tier_*`` metrics)."""
-        stats = self.cache_stats()
-        tier_keys = set(self.tier.stats())
-        for key, value in stats.items():
-            if key in tier_keys or not isinstance(value, (int, float)):
-                continue
-            registry.gauge(
-                f"repro_session_{key}", f"Session cache_stats counter {key}"
-            ).set(float(value))
-        self.tier.publish_metrics(registry)

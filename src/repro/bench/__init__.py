@@ -2,8 +2,9 @@
 
 * :mod:`repro.bench.registry` — named, parameterized workloads (heat /
   elasticity × 2D / 3D × subdomain grids × dual-operator approaches);
-* :mod:`repro.bench.runner` — executes a scenario's sweep grid and emits a
-  schema-versioned, environment-stamped ``BENCH_<scenario>.json`` record;
+* :mod:`repro.bench.runner` — measures a scenario's units (grid points, or
+  the phase/service scenarios' own units) and emits a schema-versioned,
+  environment-stamped ``BENCH_<scenario>.json`` record;
 * :mod:`repro.bench.baseline` — diffs fresh records against committed
   baselines with configurable tolerances and CI exit-code semantics;
 * :mod:`repro.bench.cli` — the ``repro-bench`` console script

@@ -1,8 +1,8 @@
 """The ``apply_phase`` scenario: sequential vs stacked multi-RHS applies.
 
-PR 7 parallelized the solve phase end to end; this scenario isolates its
-hottest kernel — the dual-operator apply — and measures the two ways a
-multi-RHS block can be driven through it, per runtime backend:
+The scenario isolates the solve phase's hottest kernel — the dual-operator
+apply — and measures the two ways a multi-RHS block can be driven through
+it, with one unit per entry of the ``execution`` axis:
 
 * **sequential** — ``k`` scalar ``operator.apply(column)`` calls, the
   bit-exact reference path (and what a naive caller would write);
@@ -12,11 +12,11 @@ multi-RHS block can be driven through it, per runtime backend:
 Simulated apply seconds come from the operator's timing ledger and are
 deterministic, so the comparator gates them at the usual rtol.  Wall
 seconds are recorded (best-of-``rounds``) but not comparator-gated; the
-run itself enforces the PR's structural floor instead: on the process
-backend the stacked path must beat ``k`` sequential applies by strictly
-more than the committed speedup floor, because each sequential apply pays
-a pool span dispatch while the stacked block runs as one parent GEMM on
-the already-uploaded arena pack.  The run also re-checks the numerical
+run itself enforces a structural floor instead: on every process backend
+the stacked path must beat ``k`` sequential applies by strictly more than
+the committed speedup floor, because each sequential apply pays a pool
+span dispatch while the stacked block runs as one parent GEMM on the
+already-uploaded arena pack.  The run also re-checks the numerical
 contract (stacked ≤ 1e-12 of sequential, relative) on every backend.
 """
 
@@ -28,17 +28,14 @@ from typing import Any
 
 import numpy as np
 
+from repro.api.session import Session
+from repro.api.spec import SolverSpec
 from repro.api.workload import Workload
 from repro.bench.registry import Scenario, register
+from repro.bench.runner import InvariantViolation
+from repro.runtime.executor import ExecutionSpec
 
-__all__ = ["ApplyPhaseScenario", "APPLY_PHASE_BACKENDS"]
-
-#: ``(point prefix, SolverSpec execution string)`` per measured backend.
-APPLY_PHASE_BACKENDS: tuple[tuple[str, str | None], ...] = (
-    ("serial", None),
-    ("threads4", "threads:4"),
-    ("processes4", "processes:4"),
-)
+__all__ = ["ApplyPhaseScenario"]
 
 #: Seed of the deterministic multi-RHS block (fixed forever: the block is
 #: part of the measured workload, so baselines depend on it).
@@ -47,93 +44,25 @@ _BLOCK_SEED = 20250806
 
 @dataclass
 class ApplyPhaseScenario(Scenario):
-    """Sequential vs stacked block applies across runtime backends."""
+    """Sequential vs stacked block applies across runtime backends.
 
-    backends: tuple[tuple[str, str | None], ...] = APPLY_PHASE_BACKENDS
+    One unit per entry of the ``execution`` axis, named by its short form
+    (``serial``, ``threads4``, ``processes4``); each unit measures the
+    ``<backend>/sequential`` then the ``<backend>/stacked`` point.
+    """
+
     n_rhs: int = 8
     rounds: int = 3
-    #: The process-backend stacked speedup every run must strictly exceed.
+    #: The stacked speedup every process backend must strictly exceed.
     min_processes_speedup: float = 1.39
 
-    def n_points(self) -> int:
-        return 2 * len(self.backends)
+    def units(self) -> dict[str, ExecutionSpec | None]:
+        return {ExecutionSpec.of(e).describe(): e for e in self.execution}
 
-    def run_record(
-        self, check_invariants: bool = True, point_timeout: float | None = None
-    ) -> dict[str, Any]:
-        """Measure every backend and build the schema-v2 record.
-
-        ``point_timeout`` is accepted for hook-signature compatibility but
-        unused: the applies are short, in-process, and cannot wedge the way
-        an HTTP request can.
-        """
-        from repro.bench.runner import SCHEMA_VERSION as RECORD_SCHEMA_VERSION
-        from repro.bench.runner import environment_stamp
-
-        points: list[dict[str, Any]] = []
-        derived: dict[str, float] = {}
-        for prefix, execution in self.backends:
-            measured = self._measure_backend(execution)
-            if check_invariants:
-                self._check_backend(prefix, measured)
-            for variant in ("sequential", "stacked"):
-                m = measured[variant]
-                points.append(
-                    {
-                        "key": f"{prefix}/{variant}",
-                        "invariants": {
-                            "n_lambda": measured["n_lambda"],
-                            "n_rhs": self.n_rhs,
-                        },
-                        "simulated": {
-                            "apply_seconds": m["simulated_seconds"],
-                        },
-                        "wall": {
-                            "wall_seconds": m["wall_seconds"],
-                            "per_column_seconds": m["wall_seconds"] / self.n_rhs,
-                        },
-                    }
-                )
-            speedup = (
-                measured["sequential"]["wall_seconds"]
-                / measured["stacked"]["wall_seconds"]
-            )
-            derived[f"wall_apply_stacked_speedup[{prefix}]"] = speedup
-        return {
-            "schema_version": RECORD_SCHEMA_VERSION,
-            "benchmark": self.name,
-            "scenario": {
-                "description": self.description,
-                "physics": self.base.physics,
-                "dim": self.base.dim,
-                "order": self.base.order,
-                "n_clusters": self.base.n_clusters,
-                "tags": sorted(self.tags),
-                "n_applies": self.n_applies,
-            },
-            "apply_phase": {
-                "approach": self.approaches[0].value,
-                "n_rhs": self.n_rhs,
-                "rounds": self.rounds,
-                "backends": [prefix for prefix, _ in self.backends],
-                "min_processes_speedup": self.min_processes_speedup,
-            },
-            "environment": environment_stamp(),
-            "points": points,
-            "derived": derived,
-        }
-
-    # ------------------------------------------------------------------ #
-    def _measure_backend(self, execution: str | None) -> dict[str, Any]:
+    def measure(self, execution: ExecutionSpec | None) -> list[dict[str, Any]]:
         """Wall + simulated seconds of both variants on one backend."""
-        from repro.api import Session, SolverSpec
-
-        approach = self.approaches[0].value
-        spec = (
-            SolverSpec(approach=approach, execution=execution)
-            if execution is not None
-            else SolverSpec(approach=approach)
-        )
+        backend = ExecutionSpec.of(execution).describe()
+        spec = SolverSpec(approach=self.approaches[0], execution=execution)
         with Session(spec) as session:
             operator = session.operator_for(self.base)
             operator.prepare()
@@ -149,7 +78,7 @@ class ApplyPhaseScenario(Scenario):
             stacked_ref = operator.apply_multi(block, stacked=True)
 
             ledger = operator.ledger
-            measured: dict[str, Any] = {"n_lambda": int(n_lambda)}
+            rows = []
             for variant in ("sequential", "stacked"):
                 best_wall = float("inf")
                 ledger.mark("apply", "apply_multi")
@@ -161,40 +90,47 @@ class ApplyPhaseScenario(Scenario):
                     else:
                         operator.apply_multi(block, stacked=True)
                     best_wall = min(best_wall, time.perf_counter() - start)
-                simulated = ledger.since_mark() / self.rounds
-                measured[variant] = {
-                    "wall_seconds": best_wall,
-                    "simulated_seconds": simulated,
-                }
-            denom = max(float(np.linalg.norm(seq_ref)), 1e-300)
-            measured["stacked_rel_error"] = float(
-                np.linalg.norm(stacked_ref - seq_ref) / denom
-            )
-        return measured
+                rows.append(
+                    {
+                        "key": f"{backend}/{variant}",
+                        "invariants": {"n_lambda": int(n_lambda), "n_rhs": self.n_rhs},
+                        "simulated": {"apply_seconds": ledger.since_mark() / self.rounds},
+                        "wall": {
+                            "wall_seconds": best_wall,
+                            "per_column_seconds": best_wall / self.n_rhs,
+                        },
+                    }
+                )
+        denom = max(float(np.linalg.norm(seq_ref)), 1e-300)
+        rows[1]["stacked_rel_error"] = float(np.linalg.norm(stacked_ref - seq_ref) / denom)
+        rows[1]["speedup"] = rows[0]["wall"]["wall_seconds"] / rows[1]["wall"]["wall_seconds"]
+        return rows
 
-    def _check_backend(self, prefix: str, measured: dict[str, Any]) -> None:
+    def check(self, rows: list[dict[str, Any]]) -> None:
         """The run-time invariants (the comparator does not gate derived)."""
-        from repro.bench.runner import InvariantViolation
-
-        rel = measured["stacked_rel_error"]
-        if not rel <= 1e-12:
-            raise InvariantViolation(
-                f"scenario {self.name!r}: {prefix} stacked apply_multi is "
-                f"{rel:.3e} relative from {self.n_rhs} sequential applies "
-                "(contract: <= 1e-12)"
-            )
-        if prefix == "processes4":
-            speedup = (
-                measured["sequential"]["wall_seconds"]
-                / measured["stacked"]["wall_seconds"]
-            )
-            if not speedup > self.min_processes_speedup:
+        for stacked in rows[1::2]:
+            backend = stacked["key"].partition("/")[0]
+            rel = stacked["stacked_rel_error"]
+            if not rel <= 1e-12:
+                raise InvariantViolation(
+                    f"scenario {self.name!r}: {backend} stacked apply_multi is "
+                    f"{rel:.3e} relative from {self.n_rhs} sequential applies "
+                    "(contract: <= 1e-12)"
+                )
+            speedup = stacked["speedup"]
+            if backend.startswith("processes") and not speedup > self.min_processes_speedup:
                 raise InvariantViolation(
                     f"scenario {self.name!r}: process-backend stacked apply "
                     f"speedup {speedup:.2f}x is not strictly above the "
                     f"{self.min_processes_speedup}x floor — the fused block "
                     "path no longer amortizes the per-apply span dispatch"
                 )
+
+    def derived(self, rows: list[dict[str, Any]]) -> dict[str, float]:
+        return {
+            f"wall_apply_stacked_speedup[{r['key'].partition('/')[0]}]": r["speedup"]
+            for r in rows[1::2]
+        }
 
 
 def _register_default() -> None:
@@ -209,6 +145,7 @@ def _register_default() -> None:
             ),
             base=Workload("heat", 2, (8, 8), 8),
             approaches=(DualOperatorApproach("expl mkl"),),
+            execution=(None, ExecutionSpec("threads", 4), ExecutionSpec("processes", 4)),
             tags=frozenset({"runtime", "scaling", "wall"}),
             expected={"n_subdomains": 64, "dofs_per_subdomain": 81},
         )

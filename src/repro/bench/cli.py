@@ -114,17 +114,19 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECONDS",
         help=(
-            "per-point wall-clock budget; a point that does not finish "
-            "(e.g. a hung pool worker) aborts the run with exit code 2"
+            "per-unit wall-clock budget (a unit is one grid point, or one "
+            "backend / approach / service boot of a phase scenario); a unit "
+            "that does not finish (e.g. a hung pool worker) aborts the run "
+            "with exit code 2"
         ),
     )
     p_run.add_argument(
         "--trace",
         metavar="PATH",
         help=(
-            "trace every freshly measured grid point and write one JSON "
-            "document holding the per-point span trees (keyed by point key) "
-            "plus a combined Chrome trace-event stream to PATH"
+            "trace every freshly measured unit and write one JSON document "
+            "holding the per-unit span trees (keyed <scenario>:<unit>) plus "
+            "a combined Chrome trace-event stream to PATH"
         ),
     )
 
@@ -356,15 +358,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _print_speedup_summary(result.record)
     if trace_sink is not None:
         trace_path = _write_trace(trace_sink, args.trace)
-        print(f"  wrote {trace_path} ({len(trace_sink)} traced point(s))")
+        print(f"  wrote {trace_path} ({len(trace_sink)} traced unit(s))")
     return 0
 
 
 def _write_trace(trace_sink: dict, path: str):
-    """Serialize collected per-point tracers into one JSON document.
+    """Serialize collected per-unit tracers into one JSON document.
 
-    The document carries both views: ``points`` maps each measured point's
-    key to its nested span tree, and ``traceEvents`` concatenates every
+    The document carries both views: ``points`` maps each measured unit's
+    ``<scenario>:<unit>`` name to its nested span tree, and ``traceEvents`` concatenates every
     tracer's Chrome trace events so the whole run loads in
     ``chrome://tracing`` / Perfetto as-is.
     """

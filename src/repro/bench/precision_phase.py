@@ -14,12 +14,14 @@ a multi-subdomain workload across backend classes:
   factors it iterated on, so self-measured residuals look perfect; only an
   independent fp64 operator exposes the accuracy actually delivered.
 
-Wall seconds and residuals are recorded but not comparator-gated; the run
-itself enforces the PR's structural floors instead: storing fp32 factors
-must shrink factor bytes by the committed minimum ratio, and ``fp32_ir``
-must land within the committed factor of the fp64 residual on every
-measured approach (the paper-level claim that refinement recovers double
-precision from single-precision storage).
+The scenario has one unit per approach: the unit solves one fp64
+reference, then measures one point per entry of the ``precision`` axis
+against it.  Wall seconds and residuals are recorded but not
+comparator-gated; the run itself enforces structural floors instead:
+storing fp32 factors must shrink factor bytes by the committed minimum
+ratio, and ``fp32_ir`` must land within the committed factor of the fp64
+residual on every measured approach (the paper-level claim that refinement
+recovers double precision from single-precision storage).
 """
 
 from __future__ import annotations
@@ -30,13 +32,14 @@ from typing import Any
 
 import numpy as np
 
+from repro.api.session import Session
+from repro.api.spec import SolverSpec
 from repro.api.workload import Workload
 from repro.bench.registry import Scenario, register
+from repro.bench.runner import RUNNER_MACHINE, InvariantViolation
+from repro.feti.config import DualOperatorApproach
 
 __all__ = ["PrecisionPhaseScenario"]
-
-#: Precision policies measured, reference first.
-_PRECISIONS = ("fp64", "fp32", "fp32_ir")
 
 
 @dataclass
@@ -50,24 +53,14 @@ class PrecisionPhaseScenario(Scenario):
     #: Ceiling on ``residual(fp32_ir) / residual(fp64)`` per approach.
     max_ir_residual_ratio: float = 10.0
 
-    def n_points(self) -> int:
-        return len(self.approaches) * len(self.precision)
+    def units(self) -> dict[str, DualOperatorApproach]:
+        return {approach.value: approach for approach in self.approaches}
 
-    def run_record(
-        self, check_invariants: bool = True, point_timeout: float | None = None
-    ) -> dict[str, Any]:
-        """Measure every (approach, precision) pair and build the record.
+    def measure(self, approach: DualOperatorApproach) -> list[dict[str, Any]]:
+        """One point per precision, each solved in a fresh session and
+        measured against one independent fp64 reference operator."""
 
-        ``point_timeout`` is accepted for hook-signature compatibility but
-        unused: the solves are short and in-process.
-        """
-        from repro.api.session import Session
-        from repro.api.spec import SolverSpec
-        from repro.bench.runner import RUNNER_MACHINE
-        from repro.bench.runner import SCHEMA_VERSION as RECORD_SCHEMA_VERSION
-        from repro.bench.runner import environment_stamp
-
-        def spec_for(approach: Any, precision: str) -> SolverSpec:
+        def spec_for(precision: str) -> SolverSpec:
             return SolverSpec(
                 approach=approach,
                 threads_per_cluster=RUNNER_MACHINE.threads_per_cluster,
@@ -75,136 +68,105 @@ class PrecisionPhaseScenario(Scenario):
                 precision=precision,
             )
 
-        points: list[dict[str, Any]] = []
-        derived: dict[str, float] = {}
-        residuals: dict[tuple[str, str], float] = {}
-        storage: dict[tuple[str, str], dict[str, int]] = {}
+        rows = []
+        with Session(spec_for("fp64")) as ref_session:
+            ref_solver = ref_session.solver(self.base)
+            ref_session.solve(self.base)  # prepares + preprocesses
+            d_ref = ref_solver.operator.dual_rhs()
+            for precision in self.precision:
+                # Every precision (fp64 included) runs in a fresh session,
+                # so each point pays the same cache costs.
+                with Session(spec_for(precision)) as session:
+                    solver = session.solver(self.base)
+                    start = time.perf_counter()
+                    solution = session.solve(self.base)
+                    wall = time.perf_counter() - start
+                    storage = {k: int(v) for k, v in solver.operator.storage_nbytes().items()}
+                residual = np.linalg.norm(
+                    ref_solver.projector.apply(d_ref - ref_solver.operator.apply(solution.lam))
+                )
+                rows.append(
+                    {
+                        "key": f"{approach.value}/{precision}",
+                        "invariants": {
+                            "n_lambda": int(len(solution.lam)),
+                            "n_subdomains": int(ref_solver.problem.n_subdomains),
+                        },
+                        "simulated": {
+                            "factor_bytes": storage["factor"],
+                            "pack_bytes": storage["pack"],
+                            "arena_bytes": storage["arena"],
+                            "resident_bytes": sum(storage.values()),
+                        },
+                        "wall": {
+                            "solve_seconds": wall,
+                            "true_residual": float(residual),
+                            "iterations": float(solution.iterations),
+                            "converged": float(solution.converged),
+                        },
+                    }
+                )
+        return rows
 
-        for approach in self.approaches:
-            name = approach.value
-            # The independent fp64 reference operator every precision's
-            # multipliers are measured against.
-            with Session(spec_for(approach, "fp64")) as ref_session:
-                ref_solver = ref_session.solver(self.base)
-                ref_session.solve(self.base)  # prepares + preprocesses
-                d_ref = ref_solver.operator.dual_rhs()
-                apply_P = ref_solver.projector.apply
-
-                def true_residual(lam: np.ndarray) -> float:
-                    return float(
-                        np.linalg.norm(apply_P(d_ref - ref_solver.operator.apply(lam)))
-                    )
-
-                for precision in _PRECISIONS:
-                    # Every precision (fp64 included) runs in a fresh
-                    # session, so each point pays the same cache costs.
-                    with Session(spec_for(approach, precision)) as session:
-                        solver = session.solver(self.base)
-                        start = time.perf_counter()
-                        solution = session.solve(self.base)
-                        wall = time.perf_counter() - start
-                        report = solver.operator.storage_nbytes()
-                    residual = true_residual(solution.lam)
-                    residuals[(name, precision)] = residual
-                    storage[(name, precision)] = {k: int(v) for k, v in report.items()}
-                    points.append(
-                        {
-                            "key": f"{name}/{precision}",
-                            "invariants": {
-                                "n_lambda": int(len(solution.lam)),
-                                "n_subdomains": int(
-                                    ref_solver.problem.n_subdomains
-                                ),
-                            },
-                            "simulated": {
-                                "factor_bytes": storage[(name, precision)]["factor"],
-                                "pack_bytes": storage[(name, precision)]["pack"],
-                                "arena_bytes": storage[(name, precision)]["arena"],
-                                "resident_bytes": sum(
-                                    storage[(name, precision)].values()
-                                ),
-                            },
-                            "wall": {
-                                "solve_seconds": wall,
-                                "true_residual": residual,
-                                "iterations": float(solution.iterations),
-                                "converged": float(solution.converged),
-                            },
-                        }
-                    )
-
-            fp64_factor = storage[(name, "fp64")]["factor"]
-            fp32_factor = storage[(name, "fp32")]["factor"]
-            if fp32_factor > 0:
-                derived[f"factor_bytes_reduction[{name}]"] = fp64_factor / fp32_factor
-            fp64_total = sum(storage[(name, "fp64")].values())
-            fp32_total = sum(storage[(name, "fp32")].values())
-            if fp32_total > 0:
-                derived[f"resident_bytes_reduction[{name}]"] = fp64_total / fp32_total
-
-        if check_invariants:
-            self._check_invariants(residuals, storage)
-
-        return {
-            "schema_version": RECORD_SCHEMA_VERSION,
-            "benchmark": self.name,
-            "scenario": {
-                "description": self.description,
-                "physics": self.base.physics,
-                "dim": self.base.dim,
-                "order": self.base.order,
-                "n_clusters": self.base.n_clusters,
-                "tags": sorted(self.tags),
-                "n_applies": self.n_applies,
-            },
-            "precision_phase": {
-                "precisions": list(_PRECISIONS),
-                "min_factor_bytes_reduction": self.min_factor_bytes_reduction,
-                "max_ir_residual_ratio": self.max_ir_residual_ratio,
-            },
-            "environment": environment_stamp(),
-            "points": points,
-            "derived": derived,
-        }
-
-    # ------------------------------------------------------------------ #
-    def _check_invariants(
-        self,
-        residuals: dict[tuple[str, str], float],
-        storage: dict[tuple[str, str], dict[str, int]],
-    ) -> None:
+    def check(self, rows: list[dict[str, Any]]) -> None:
         """The run-time invariants (the comparator does not gate residuals)."""
-        from repro.bench.runner import InvariantViolation
+        for name, by_precision in _by_approach(rows).items():
+            fp64, fp32, ir = (by_precision.get(p) for p in ("fp64", "fp32", "fp32_ir"))
+            if fp64 is not None and ir is not None:
+                fp64_res = fp64["wall"]["true_residual"]
+                ir_res = ir["wall"]["true_residual"]
+                # The absolute floor keeps a pathologically tiny fp64 residual
+                # from failing an fp32_ir run that is itself at noise level.
+                if not ir_res <= max(self.max_ir_residual_ratio * fp64_res, 1e-11):
+                    raise InvariantViolation(
+                        f"scenario {self.name!r}: {name}/fp32_ir true residual "
+                        f"{ir_res:.3e} exceeds {self.max_ir_residual_ratio}x the "
+                        f"fp64 residual {fp64_res:.3e} — iterative refinement no "
+                        "longer recovers double-precision accuracy"
+                    )
+            if fp64 is not None and fp32 is not None:
+                fp32_factor = fp32["simulated"]["factor_bytes"]
+                ratio = (
+                    fp64["simulated"]["factor_bytes"] / fp32_factor
+                    if fp32_factor
+                    else float("inf")
+                )
+                if not ratio >= self.min_factor_bytes_reduction:
+                    raise InvariantViolation(
+                        f"scenario {self.name!r}: {name}/fp32 factor bytes shrink "
+                        f"only {ratio:.2f}x vs fp64 (floor: "
+                        f"{self.min_factor_bytes_reduction}x) — the storage policy "
+                        "is no longer demoting the factor values"
+                    )
 
-        for approach in self.approaches:
-            name = approach.value
-            fp64_res = residuals[(name, "fp64")]
-            ir_res = residuals[(name, "fp32_ir")]
-            # The absolute floor keeps a pathologically tiny fp64 residual
-            # from failing an fp32_ir run that is itself at noise level.
-            ceiling = max(self.max_ir_residual_ratio * fp64_res, 1e-11)
-            if not ir_res <= ceiling:
-                raise InvariantViolation(
-                    f"scenario {self.name!r}: {name}/fp32_ir true residual "
-                    f"{ir_res:.3e} exceeds {self.max_ir_residual_ratio}x the "
-                    f"fp64 residual {fp64_res:.3e} — iterative refinement no "
-                    "longer recovers double-precision accuracy"
+    def derived(self, rows: list[dict[str, Any]]) -> dict[str, float]:
+        derived: dict[str, float] = {}
+        for name, by_precision in _by_approach(rows).items():
+            if "fp64" not in by_precision or "fp32" not in by_precision:
+                continue
+            fp64 = by_precision["fp64"]["simulated"]
+            fp32 = by_precision["fp32"]["simulated"]
+            if fp32["factor_bytes"] > 0:
+                derived[f"factor_bytes_reduction[{name}]"] = (
+                    fp64["factor_bytes"] / fp32["factor_bytes"]
                 )
-            fp64_factor = storage[(name, "fp64")]["factor"]
-            fp32_factor = storage[(name, "fp32")]["factor"]
-            ratio = fp64_factor / fp32_factor if fp32_factor else float("inf")
-            if not ratio >= self.min_factor_bytes_reduction:
-                raise InvariantViolation(
-                    f"scenario {self.name!r}: {name}/fp32 factor bytes shrink "
-                    f"only {ratio:.2f}x vs fp64 (floor: "
-                    f"{self.min_factor_bytes_reduction}x) — the storage policy "
-                    "is no longer demoting the factor values"
+            if fp32["resident_bytes"] > 0:
+                derived[f"resident_bytes_reduction[{name}]"] = (
+                    fp64["resident_bytes"] / fp32["resident_bytes"]
                 )
+        return derived
+
+
+def _by_approach(rows: list[dict[str, Any]]) -> dict[str, dict[str, dict[str, Any]]]:
+    """``{approach: {precision: point}}`` of the measured points."""
+    table: dict[str, dict[str, dict[str, Any]]] = {}
+    for row in rows:
+        name, _, precision = row["key"].rpartition("/")
+        table.setdefault(name, {})[precision] = row
+    return table
 
 
 def _register_default() -> None:
-    from repro.feti.config import DualOperatorApproach
-
     register(
         PrecisionPhaseScenario(
             name="precision_phase",
@@ -218,7 +180,7 @@ def _register_default() -> None:
                 DualOperatorApproach("impl cholmod"),
                 DualOperatorApproach("expl modern"),
             ),
-            precision=_PRECISIONS,
+            precision=("fp64", "fp32", "fp32_ir"),
             tags=frozenset({"quick", "wall", "memory", "precision"}),
             expected={"n_subdomains": 16, "kernel_dim": 1},
         )

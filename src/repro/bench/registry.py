@@ -10,21 +10,30 @@ and the CLI one shared source of scenario truth.
 
 A scenario's sweep grid always has five axes (``subdomains``, ``cells``,
 ``approach``, ``execution``, ``precision``); axes not explicitly swept are
-pinned to the base workload values, so a scenario record is a cartesian
-product executed with :func:`repro.analysis.sweep.sweep_configurations`.
+pinned to the base workload values.  A scenario is a list of measurement
+units, each measured by one method, and :func:`repro.bench.runner.
+run_scenario` is the one loop over them.  The base :class:`Scenario`
+measures the operator grid, one unit per grid point; the phase and service
+scenarios (:mod:`repro.bench.apply_phase`, :mod:`repro.bench.precision_phase`,
+:mod:`repro.bench.serve_load`) override ``units`` / ``measure`` / ``check``
+/ ``derived`` and nothing else.
 
-Since PR 4 a scenario's base workload *is* a :class:`repro.api.Workload` —
-the same declarative, JSON-serializable object the Session API and
+A scenario's base workload *is* a :class:`repro.api.Workload` — the same
+declarative, JSON-serializable object the Session API and
 ``repro-bench run --workload`` consume.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+import numpy as np
+
 from repro.api.workload import PHYSICS, Workload
 from repro.api.workload import build_problem as build_feti_problem
+from repro.bench.runner import InvariantViolation, measure_point, point_key
 from repro.feti.config import DualOperatorApproach
 from repro.feti.problem import FetiProblem
 from repro.runtime.executor import ExecutionSpec
@@ -134,6 +143,110 @@ class Scenario:
         for values in self.grid().values():
             n *= len(values)
         return n
+
+    def units(self) -> dict[str, Any]:
+        """The measurement units of one run, keyed by a stable unit name.
+
+        The operator grid has one unit per grid point — the axis values by
+        name — keyed by its :func:`~repro.bench.runner.point_key`.
+        """
+        grid = self.grid()
+        points = (dict(zip(grid, values)) for values in itertools.product(*grid.values()))
+        return {point_key(**point): point for point in points}
+
+    def measure(self, unit: dict[str, Any]) -> list[dict[str, Any]]:
+        """The record rows of one unit: here the one point of a grid point.
+
+        The row carries the record point (``key``, axis labels,
+        ``invariants`` / ``simulated`` / ``wall``) and, for the sweep and
+        the checks, every :class:`~repro.bench.runner.PointMeasurement`
+        field flat — the applied operator ``q`` included.
+        """
+        m = measure_point(
+            self.spec_with(unit["subdomains"], unit["cells"]),
+            unit["approach"],
+            self.n_applies,
+            unit["execution"],
+            unit["precision"],
+        )
+        return [
+            {
+                "key": point_key(**unit),
+                **unit,
+                **vars(m),
+                "invariants": {
+                    "n_subdomains": m.n_subdomains,
+                    "n_lambda": m.n_lambda,
+                    "dofs_per_subdomain": m.dofs_per_subdomain,
+                    "kernel_dim": m.kernel_dim,
+                },
+                "simulated": {
+                    "preparation_seconds": m.sim_preparation_seconds,
+                    "preprocessing_seconds": m.sim_preprocessing_seconds,
+                    "apply_seconds": m.sim_apply_seconds,
+                },
+                "wall": {
+                    "preprocessing_seconds": m.wall_preprocessing_seconds,
+                    "apply_seconds": m.wall_apply_seconds,
+                    "coarse_factor_seconds": m.wall_coarse_factor_seconds,
+                    "coarse_apply_seconds": m.wall_coarse_apply_seconds,
+                },
+            }
+        ]
+
+    def check(self, rows: list[dict[str, Any]]) -> None:
+        """Every approach — and every runtime backend — of one workload must
+        compute the same dual operator (parallel results identical to serial).
+
+        Reduced-precision points intentionally round the stored operator, so
+        they are held to a looser tolerance against the workload's fp64
+        reference instead of the tight cross-approach bound.
+        """
+        workloads: dict[tuple[Any, ...], list[dict[str, Any]]] = {}
+        for row in rows:
+            workloads.setdefault((row["subdomains"], row["cells"]), []).append(row)
+        for group in workloads.values():
+            # Prefer an fp64 point as the workload's reference operator.
+            ref = next((r for r in group if r["precision"] == "fp64"), group[0])
+            for row in group:
+                rtol, atol = (1e-7, 1e-8) if row["precision"] == "fp64" else (1e-4, 1e-6)
+                if not np.allclose(row["q"], ref["q"], rtol=rtol, atol=atol):
+                    raise InvariantViolation(
+                        f"scenario {self.name!r}: {row['key']} diverges from "
+                        f"{ref['key']} (max |Δ| = "
+                        f"{np.max(np.abs(row['q'] - ref['q'])):.3e})"
+                    )
+
+    def derived(self, rows: list[dict[str, Any]]) -> dict[str, float]:
+        """Wall-clock speedups the scenario's own axes pair up.
+
+        ``wall_preprocessing_speedup[.../<executor>]`` compares every sharded
+        execution backend against the serial point of the same workload on
+        the preparation+preprocessing wall-clock time.  Reduced-precision
+        points never pair with the fp64 reference (the ``precision_phase``
+        scenario derives their comparisons).
+        """
+
+        def stem(row: dict[str, Any]) -> str:
+            grid = "x".join(str(s) for s in row["subdomains"])
+            return f"{grid}/c{row['cells']}/{row['approach'].value}"
+
+        fp64 = [r for r in rows if r["precision"] == "fp64"]
+        serial = {
+            stem(r): r["wall_preprocessing_seconds"]
+            for r in fp64
+            if r["execution"] is None or not r["execution"].parallel
+        }
+        return {
+            f"wall_preprocessing_speedup[{stem(r)}/{r['execution'].describe()}]": (
+                serial[stem(r)] / r["wall_preprocessing_seconds"]
+            )
+            for r in fp64
+            if r["execution"] is not None
+            and r["execution"].parallel
+            and stem(r) in serial
+            and r["wall_preprocessing_seconds"] > 0.0
+        }
 
     def spec_with(
         self, subdomains: tuple[int, ...] | None = None, cells: int | None = None

@@ -1,17 +1,20 @@
-"""Scenario runner: execute a registered workload and emit a benchmark record.
+"""Scenario runner: measure a registered scenario and emit its benchmark record.
 
-The runner executes a scenario's cartesian grid with
-:func:`repro.analysis.sweep.sweep_configurations`, measures each grid point
-once (simulated preprocessing/application time from the operator's
-:class:`~repro.analysis.timing.TimingLedger`, wall-clock time around the real
-numerics), verifies the scenario's invariants (declared problem shape, and
-that every approach of a grid point computes the same operator), and emits a
-schema-versioned, environment-stamped ``BENCH_<scenario>.json`` record that
-the baseline comparator can diff across runs and machines.
+A scenario is a list of measurement units (``Scenario.units``), each
+measured by one method (``Scenario.measure``) into record rows.
+:func:`run_scenario` is the one loop over them for every scenario: it logs
+each unit, runs it under the optional per-unit watchdog and tracer, then
+runs the scenario's ``check`` and builds the one schema-versioned,
+environment-stamped ``BENCH_<scenario>.json`` record that the baseline
+comparator can diff across runs and machines.
 
-Point measurements are cached per (workload, approach, n_applies, ...),
-so scenarios that share grid points — e.g. the Figure-5 sweep feeding
-Figures 6 and 7 — never re-measure.
+The base :class:`~repro.bench.registry.Scenario` measures the operator grid:
+one unit per grid point, measured once by :func:`measure_point` (simulated
+preprocessing/application time from the operator's
+:class:`~repro.analysis.timing.TimingLedger`, wall-clock time around the
+real numerics).  Point measurements are cached per (workload, approach,
+n_applies, ...), so scenarios that share grid points — e.g. the Figure-5
+sweep feeding Figures 6 and 7 — never re-measure.
 
 Every measurement is constructed through :mod:`repro.api`: one
 :class:`~repro.api.session.Session` per grid point, so each point owns a
@@ -21,32 +24,38 @@ built problems stay shared through the workload-level problem cache.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import platform
 import re
 import subprocess
 import time
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro._version import __version__
-from repro.analysis.sweep import SweepResult, sweep_configurations
+from repro.analysis.sweep import SweepResult
 from repro.api.session import Session
 from repro.api.spec import SolverSpec
 from repro.api.workload import Workload
-from repro.bench.registry import Scenario
 from repro.cluster.topology import MachineConfig
 from repro.feti.config import DualOperatorApproach
 from repro.feti.projector import build_projector
 from repro.observe.log import get_logger
-from repro.observe.trace import Tracer, capture_context, run_with_context, trace
+from repro.observe.trace import Tracer, trace
 from repro.runtime.executor import ExecutionSpec
+
+if TYPE_CHECKING:
+    from repro.bench.registry import Scenario
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -73,6 +82,14 @@ SCHEMA_VERSION = 2
 #: concurrency structure as the paper's 16/16 configuration.
 RUNNER_MACHINE = MachineConfig(threads_per_cluster=4, streams_per_cluster=4)
 
+#: The fields of a measured row that its record point keeps, in record order.
+#: A row may carry more — the grid's flat sweep columns and operator output,
+#: a phase scenario's gate inputs — for ``check``, ``derived`` and the sweep.
+_POINT_FIELDS = (
+    "key", "subdomains", "cells", "approach", "execution", "precision",
+    "invariants", "simulated", "wall",
+)
+
 #: Seed of the deterministic dual vector applied at every grid point.
 _APPLY_SEED = 20250729
 
@@ -84,7 +101,7 @@ class InvariantViolation(AssertionError):
 
 
 class PointTimeout(RuntimeError):
-    """One grid point exceeded the per-point wall-clock budget.
+    """One measurement unit exceeded the per-unit wall-clock budget.
 
     Raised by :func:`run_scenario` when ``point_timeout`` is set — a hung
     pool worker then fails the run fast instead of stalling CI until the
@@ -218,7 +235,11 @@ def point_key(
 
 @dataclass
 class ScenarioResult:
-    """Everything one scenario run produced."""
+    """Everything one scenario run produced.
+
+    ``sweep`` holds the measured rows (for the grid: the axis values plus
+    every :class:`PointMeasurement` field), ``record`` the JSON record.
+    """
 
     scenario: Scenario
     sweep: SweepResult
@@ -231,166 +252,91 @@ def run_scenario(
     point_timeout: float | None = None,
     trace_sink: dict[str, Tracer] | None = None,
 ) -> ScenarioResult:
-    """Execute a scenario's full grid and build its benchmark record.
+    """Measure every unit of a scenario and build its benchmark record.
 
-    ``point_timeout`` bounds every grid point's wall-clock time: a point
-    that does not finish (e.g. a hung pool worker) raises
-    :class:`PointTimeout` instead of stalling the run — CI's benchmark gate
-    sets it so a wedged runtime worker fails fast.
+    ``point_timeout`` bounds every unit's wall-clock time: a unit that does
+    not finish (e.g. a hung pool worker) raises :class:`PointTimeout`
+    instead of stalling the run — CI's benchmark gate sets it so a wedged
+    runtime worker fails fast.
 
-    ``trace_sink`` (a mutable mapping) opts into per-point tracing: every
-    *freshly measured* grid point runs under its own
-    :class:`~repro.observe.trace.Tracer` which lands in the sink keyed by
-    the point's :func:`point_key` string.  Points answered from the
-    measurement cache produce no spans and are skipped, so the sink holds
-    exactly the work this run actually did.
+    ``trace_sink`` (a mutable mapping) opts into per-unit tracing: every
+    unit runs under its own :class:`~repro.observe.trace.Tracer`, which
+    lands in the sink keyed ``<scenario>:<unit>`` (a grid unit is named by
+    its :func:`point_key`).  Grid points answered from the measurement
+    cache produce no spans and are skipped, so the sink holds exactly the
+    work this run actually did.
 
-    Scenarios that measure something other than the operator grid (e.g. the
-    ``serve_load`` service scenario) provide their own ``run_record`` hook;
-    the runner delegates to it and wraps the record unchanged.
+    ``check_invariants`` checks the declared ``expected`` shape of the base
+    problem and runs the scenario's own ``check`` after the last unit.
     """
-    run_record = getattr(scenario, "run_record", None)
-    if run_record is not None:
-        record = run_record(
-            check_invariants=check_invariants, point_timeout=point_timeout
-        )
-        empty = SweepResult(parameters=list(scenario.grid()))
-        return ScenarioResult(scenario=scenario, sweep=empty, record=record)
-
-    _log.info(
-        "scenario_start", scenario=scenario.name, points=scenario.n_points()
-    )
-    qs: dict[tuple[Any, ...], np.ndarray] = {}
-
-    def measure(
-        subdomains: tuple[int, ...],
-        cells: int,
-        approach: DualOperatorApproach,
-        execution: ExecutionSpec | None,
-        precision: str,
-    ) -> dict[str, Any]:
-        spec = scenario.spec_with(subdomains, cells)
-        args = (spec, approach, scenario.n_applies, execution, precision)
-        key = point_key(subdomains, cells, approach, execution, precision)
-
-        def run() -> PointMeasurement:
-            if point_timeout is not None:
-                return _measure_with_timeout(args, point_timeout, key)
-            return measure_point(*args)
-
-        if trace_sink is not None:
-            with trace(f"bench:{key}") as tracer:
-                m = run()
-            # A cached point re-runs nothing, so its tracer stays empty —
-            # keep only tracers that actually saw the measured numerics.
-            if len(tracer):
-                trace_sink[key] = tracer
+    units = scenario.units()
+    _log.info("scenario_start", scenario=scenario.name, units=len(units))
+    rows: list[dict[str, Any]] = []
+    for unit_key, unit in units.items():
+        name = f"{scenario.name}:{unit_key}"
+        start = time.perf_counter()
+        if trace_sink is None:
+            measured = _measure_unit(scenario, unit, name, point_timeout)
         else:
-            m = run()
+            with trace(f"bench:{name}") as tracer:
+                measured = _measure_unit(scenario, unit, name, point_timeout)
+            # A cached grid point re-runs nothing, so its tracer stays
+            # empty — keep only tracers that actually saw measured work.
+            if len(tracer):
+                trace_sink[name] = tracer
         _log.debug(
-            "point_measured",
+            "unit_measured",
             scenario=scenario.name,
-            key=key,
-            wall_preprocessing_seconds=m.wall_preprocessing_seconds,
-            wall_apply_seconds=m.wall_apply_seconds,
+            unit=unit_key,
+            points=len(measured),
+            wall_seconds=time.perf_counter() - start,
         )
-        qs[(subdomains, cells, approach, execution, precision)] = m.q
-        return {
-            "key": key,
-            "n_subdomains": m.n_subdomains,
-            "n_lambda": m.n_lambda,
-            "dofs_per_subdomain": m.dofs_per_subdomain,
-            "kernel_dim": m.kernel_dim,
-            "sim_preparation_seconds": m.sim_preparation_seconds,
-            "sim_preprocessing_seconds": m.sim_preprocessing_seconds,
-            "sim_apply_seconds": m.sim_apply_seconds,
-            "wall_preprocessing_seconds": m.wall_preprocessing_seconds,
-            "wall_apply_seconds": m.wall_apply_seconds,
-            "wall_coarse_factor_seconds": m.wall_coarse_factor_seconds,
-            "wall_coarse_apply_seconds": m.wall_coarse_apply_seconds,
-        }
-
-    sweep = sweep_configurations(scenario.grid(), measure)
+        rows += measured
     if check_invariants:
-        _check_operator_consistency(scenario, qs)
         _check_expected(scenario)
-    record = _build_record(scenario, sweep)
-    _log.info(
-        "scenario_done", scenario=scenario.name, measured=len(sweep.records)
-    )
+        scenario.check(rows)
+    record: dict[str, Any] = {
+        "schema_version": SCHEMA_VERSION,
+        "benchmark": scenario.name,
+        "scenario": _scenario_block(scenario),
+        "environment": environment_stamp(),
+        "points": [{k: row[k] for k in _POINT_FIELDS if k in row} for row in rows],
+    }
+    derived = scenario.derived(rows)
+    if derived:
+        record["derived"] = derived
+    _log.info("scenario_done", scenario=scenario.name, measured=len(rows))
+    sweep = SweepResult(parameters=list(scenario.grid()), records=rows)
+    record = json.loads(json.dumps(record, default=_plain))
     return ScenarioResult(scenario=scenario, sweep=sweep, record=record)
 
 
-def _measure_with_timeout(args: tuple, timeout: float, key: str) -> PointMeasurement:
-    """Run one point measurement under a wall-clock budget.
+def _measure_unit(
+    scenario: Scenario, unit: Any, name: str, timeout: float | None
+) -> list[dict[str, Any]]:
+    """Measure one unit, under a wall-clock budget when ``timeout`` is set.
 
-    The measurement runs on a watchdog thread so the caller can give up
-    after ``timeout`` seconds.  The abandoned measurement (and any pool it
-    started) is left to the interpreter's cleanup — the point of the budget
-    is to fail the CI job fast, not to recover.
+    The budgeted measurement runs on a watchdog thread, in a copy of the
+    caller's context (a traced run attributes its spans like an untimed
+    one), so the caller can give up after ``timeout`` seconds.  The
+    abandoned measurement (and any pool or server it started) is left to
+    the interpreter's cleanup — the point of the budget is to fail the CI
+    job fast, not to recover.
     """
-    from concurrent.futures import ThreadPoolExecutor
-    from concurrent.futures import TimeoutError as FutureTimeout
-
+    if timeout is None:
+        return scenario.measure(unit)
     watchdog = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bench-watchdog")
-    # Hand the active trace context (if any) to the watchdog thread so a
-    # traced budgeted run attributes its spans like an untimed one.
-    state = capture_context()
-    if state is not None:
-        future = watchdog.submit(run_with_context, state, measure_point, *args)
-    else:
-        future = watchdog.submit(measure_point, *args)
+    future = watchdog.submit(contextvars.copy_context().run, scenario.measure, unit)
     try:
-        result = future.result(timeout=timeout)
+        return future.result(timeout=timeout)
     except FutureTimeout:
-        future.cancel()
-        # wait=False: never block on the wedged measurement thread — the
-        # budget exists to fail the job fast.
-        watchdog.shutdown(wait=False)
         raise PointTimeout(
-            f"grid point {key} exceeded the per-point timeout of "
+            f"unit {name} exceeded the per-unit timeout of "
             f"{timeout:g} s (hung worker?)"
         ) from None
-    watchdog.shutdown(wait=True)
-    return result
-
-
-def _check_operator_consistency(
-    scenario: Scenario, qs: dict[tuple[Any, ...], np.ndarray]
-) -> None:
-    """Every approach — and every runtime backend — of one workload must
-    compute the same dual operator (parallel results identical to serial).
-
-    Reduced-precision points intentionally round the stored operator, so
-    they are held to a looser tolerance against the workload's fp64
-    reference instead of the tight cross-approach bound.
-    """
-    reference: dict[tuple[Any, ...], tuple[Any, ...]] = {}
-    for (subdomains, cells, *point), _q in qs.items():
-        workload = (subdomains, cells)
-        # Prefer an fp64 point as the workload's reference operator.
-        if point[-1] == "fp64" and (
-            workload not in reference or reference[workload][-1] != "fp64"
-        ):
-            reference[workload] = tuple(point)
-    for (subdomains, cells, *point), q in qs.items():
-        workload = (subdomains, cells)
-        if workload not in reference:
-            reference[workload] = tuple(point)
-            continue
-        ref_point = reference[workload]
-        if tuple(point) == ref_point:
-            continue
-        ref_q = qs[(*workload, *ref_point)]
-        precision = point[-1]
-        rtol, atol = (1e-7, 1e-8) if precision == "fp64" else (1e-4, 1e-6)
-        if not np.allclose(q, ref_q, rtol=rtol, atol=atol):
-            raise InvariantViolation(
-                f"scenario {scenario.name!r}: "
-                f"{point_key(subdomains, cells, *point)} diverges from "
-                f"{point_key(subdomains, cells, *ref_point)} "
-                f"(max |Δ| = {np.max(np.abs(q - ref_q)):.3e})"
-            )
+    finally:
+        # wait=False: never block on a wedged measurement thread.
+        watchdog.shutdown(wait=False)
 
 
 def _check_expected(scenario: Scenario) -> None:
@@ -417,91 +363,35 @@ def _check_expected(scenario: Scenario) -> None:
             )
 
 
-def _build_record(scenario: Scenario, sweep: SweepResult) -> dict[str, Any]:
-    points = []
-    for r in sweep.records:
-        execution = r["execution"]
-        points.append(
-            {
-                "key": r["key"],
-                "subdomains": list(r["subdomains"]),
-                "cells": int(r["cells"]),
-                "approach": r["approach"].value,
-                "execution": None if execution is None else execution.to_dict(),
-                "precision": str(r["precision"]),
-                "invariants": {
-                    "n_subdomains": r["n_subdomains"],
-                    "n_lambda": r["n_lambda"],
-                    "dofs_per_subdomain": r["dofs_per_subdomain"],
-                    "kernel_dim": r["kernel_dim"],
-                },
-                "simulated": {
-                    "preparation_seconds": r["sim_preparation_seconds"],
-                    "preprocessing_seconds": r["sim_preprocessing_seconds"],
-                    "apply_seconds": r["sim_apply_seconds"],
-                },
-                "wall": {
-                    "preprocessing_seconds": r["wall_preprocessing_seconds"],
-                    "apply_seconds": r["wall_apply_seconds"],
-                    "coarse_factor_seconds": r["wall_coarse_factor_seconds"],
-                    "coarse_apply_seconds": r["wall_coarse_apply_seconds"],
-                },
-            }
-        )
-    record: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "benchmark": scenario.name,
-        "scenario": {
-            "description": scenario.description,
-            "physics": scenario.base.physics,
-            "dim": scenario.base.dim,
-            "order": scenario.base.order,
-            "n_clusters": scenario.base.n_clusters,
-            "tags": sorted(scenario.tags),
-            "n_applies": scenario.n_applies,
+def _scenario_block(scenario: Scenario) -> dict[str, Any]:
+    """The record's ``scenario`` section: the base workload, plus every
+    field a scenario subclass declares (its sizes and gate thresholds)."""
+    from repro.bench.registry import Scenario
+
+    base_fields = {f.name for f in fields(Scenario)}
+    return {
+        "description": scenario.description,
+        "physics": scenario.base.physics,
+        "dim": scenario.base.dim,
+        "order": scenario.base.order,
+        "n_clusters": scenario.base.n_clusters,
+        "tags": sorted(scenario.tags),
+        "n_applies": scenario.n_applies,
+        **{
+            f.name: getattr(scenario, f.name)
+            for f in fields(scenario)
+            if f.name not in base_fields
         },
-        "environment": environment_stamp(),
-        "points": points,
     }
-    derived = _derived_metrics(sweep)
-    if derived:
-        record["derived"] = derived
-    return record
 
 
-def _derived_metrics(sweep: SweepResult) -> dict[str, float]:
-    """Wall-clock speedups a scenario's own axes pair up.
-
-    ``wall_preprocessing_speedup[.../<executor>]`` compares every sharded
-    execution backend against the serial point of the same workload on the
-    preparation+preprocessing wall-clock time.
-    """
-    derived: dict[str, float] = {}
-    by_execution: dict[str, dict[Any, float]] = {}
-    for r in sweep.records:
-        if r["precision"] != "fp64":
-            # Reduced-precision points never pair with the fp64 reference:
-            # their own comparisons live in the precision_phase scenario's
-            # dedicated record sections.
-            continue
-        execution = r["execution"]
-        if execution is not None and not execution.parallel:
-            execution = None
-        stem = (
-            "x".join(str(s) for s in r["subdomains"])
-            + f"/c{r['cells']}/{r['approach'].value}"
-        )
-        by_execution.setdefault(stem, {})[execution] = r["wall_preprocessing_seconds"]
-    for stem, walls in by_execution.items():
-        serial_wall = walls.get(None)
-        if serial_wall is None:
-            continue
-        for execution, wall in walls.items():
-            if execution is None or wall <= 0.0:
-                continue
-            key = f"wall_preprocessing_speedup[{stem}/{execution.describe()}]"
-            derived[key] = serial_wall / wall
-    return derived
+def _plain(value: Any) -> Any:
+    """JSON form of the Python labels a row carries (``json.dumps`` default)."""
+    if isinstance(value, ExecutionSpec):
+        return value.to_dict()
+    if isinstance(value, Enum):
+        return value.value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 # --------------------------------------------------------------------- #

@@ -8,12 +8,13 @@ request runs a real solve) and a **warm** pass (the identical mix again, so
 every request is a result-cache hit) — and records p50/p95/p99 latency and
 throughput for both passes.
 
-Record shape: two points, ``cold`` and ``warm``.  Simulated solve metrics
-(ledger preprocessing/apply seconds, PCPG iterations — deterministic
-replays) are comparator-gated at the usual rtol; wall-clock latencies and
-throughput are recorded but not gated by default.  The run itself enforces
-the serving invariants: zero errors, a fully-hit warm pass, and warm p50
-strictly below cold p50 (a cache hit must beat a real solve).
+The scenario is a single unit: it boots one server and measures two
+points, ``cold`` and ``warm``.  Simulated solve metrics (ledger
+preprocessing/apply seconds, PCPG iterations — deterministic replays) are
+comparator-gated at the usual rtol; wall-clock latencies and throughput are
+recorded but not gated by default.  The run itself enforces the serving
+invariants: zero errors, a fully-hit warm pass, and warm p50 strictly below
+cold p50 (a cache hit must beat a real solve).
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from typing import Any
 
 from repro.api.workload import Workload
 from repro.bench.registry import Scenario, register
+from repro.bench.runner import InvariantViolation
+from repro.serve.loadgen import LoadReport, run_load
+from repro.serve.server import ServeConfig, ServerThread
 
 __all__ = ["ServeScenario", "SERVE_PRESETS", "SERVE_RHS_FACTORS"]
 
@@ -45,10 +49,6 @@ class ServeScenario(Scenario):
     queue_limit: int = 8
     serve_spec: str | None = None
 
-    def n_points(self) -> int:
-        # One cold and one warm pass over the full mix.
-        return 2
-
     def request_mix(self) -> list[dict[str, Any]]:
         """The kwargs of every request in one pass (cold == warm)."""
         mix = []
@@ -60,23 +60,12 @@ class ServeScenario(Scenario):
                 mix.append(entry)
         return mix
 
-    def run_record(
-        self, check_invariants: bool = True, point_timeout: float | None = None
-    ) -> dict[str, Any]:
-        """Boot a service, drive the cold and warm passes, build the record.
+    def units(self) -> dict[str, None]:
+        return {"cold+warm": None}
 
-        ``point_timeout`` bounds each *request* (the serve layer answers
-        ``504`` past it), so a wedged solve fails the run as an invariant
-        violation instead of hanging the bench job.
-        """
-        from repro.bench.runner import SCHEMA_VERSION as RECORD_SCHEMA_VERSION
-        from repro.bench.runner import environment_stamp
-        from repro.serve.loadgen import run_load
-        from repro.serve.server import ServeConfig, ServerThread
-
+    def measure(self, unit: None) -> list[dict[str, Any]]:
+        """Boot a service and drive the cold and the warm pass through it."""
         mix = self.request_mix()
-        if point_timeout is not None:
-            mix = [{**entry, "timeout": point_timeout} for entry in mix]
         config = ServeConfig(
             port=0,
             spec=self.serve_spec,
@@ -84,81 +73,33 @@ class ServeScenario(Scenario):
             queue_limit=self.queue_limit,
         )
         with ServerThread(config) as server:
-            host, port = config.host, server.port
-            cold = run_load(host, port, mix, clients=self.clients, keep_replies=True)
-            warm = run_load(host, port, mix, clients=self.clients, keep_replies=True)
-            with_metrics = server.server.metrics.snapshot()
-            pool_stats = server.server.pool.stats()
-            cache_stats = server.server.cache.stats()
+            cold = run_load(config.host, server.port, mix, clients=self.clients, keep_replies=True)
+            warm = run_load(config.host, server.port, mix, clients=self.clients, keep_replies=True)
+        return [_point("cold", cold), _point("warm", warm)]
 
-        if check_invariants:
-            self._check_passes(cold, warm, len(mix))
-
-        points = [
-            self._point("cold", cold, expect_hits=0),
-            self._point("warm", warm, expect_hits=len(mix)),
-        ]
-        derived: dict[str, float] = {}
-        cold_p50 = cold.latency_percentiles().get("p50")
-        warm_p50 = warm.latency_percentiles().get("p50")
-        if cold_p50 and warm_p50:
-            derived["serve_warm_speedup[p50]"] = cold_p50 / warm_p50
-        return {
-            "schema_version": RECORD_SCHEMA_VERSION,
-            "benchmark": self.name,
-            "scenario": {
-                "description": self.description,
-                "physics": self.base.physics,
-                "dim": self.base.dim,
-                "order": self.base.order,
-                "n_clusters": self.base.n_clusters,
-                "tags": sorted(self.tags),
-                "n_applies": self.n_applies,
-            },
-            "serve": {
-                "presets": list(self.presets),
-                "rhs_factors": list(self.rhs_factors),
-                "clients": self.clients,
-                "concurrency": self.concurrency,
-                "queue_limit": self.queue_limit,
-                "requests_per_pass": len(self.request_mix()),
-                "counters": with_metrics["counters"],
-                "result_cache": cache_stats,
-                "session_pool": {
-                    "sessions": pool_stats["sessions"],
-                    "evictions": pool_stats["evictions"],
-                },
-            },
-            "environment": environment_stamp(),
-            "points": points,
-            "derived": derived,
-        }
-
-    # ------------------------------------------------------------------ #
-    def _check_passes(self, cold: Any, warm: Any, n_requests: int) -> None:
+    def check(self, rows: list[dict[str, Any]]) -> None:
         """The serving invariants every run must satisfy."""
-        from repro.bench.runner import InvariantViolation
-
-        for label, report, hits in (("cold", cold, 0), ("warm", warm, n_requests)):
-            if report.errors or report.timeouts_504:
+        n_requests = len(self.request_mix())
+        for row, hits in zip(rows, (0, n_requests)):
+            label, invariants = row["key"], row["invariants"]
+            if invariants["errors"] or row["timeouts_504"]:
                 raise InvariantViolation(
                     f"scenario {self.name!r}: {label} pass had "
-                    f"{report.errors} error(s) and {report.timeouts_504} "
+                    f"{invariants['errors']} error(s) and {row['timeouts_504']} "
                     "timeout(s); a healthy service completes the whole mix"
                 )
-            if report.completed != n_requests:
+            if invariants["requests"] != n_requests:
                 raise InvariantViolation(
                     f"scenario {self.name!r}: {label} pass completed "
-                    f"{report.completed}/{n_requests} requests"
+                    f"{invariants['requests']}/{n_requests} requests"
                 )
-            if report.cache_hits != hits:
+            if invariants["cache_hits"] != hits:
                 raise InvariantViolation(
                     f"scenario {self.name!r}: {label} pass hit the result "
-                    f"cache {report.cache_hits} time(s), expected {hits} — "
+                    f"cache {invariants['cache_hits']} time(s), expected {hits} — "
                     "the fingerprint keying is broken"
                 )
-        cold_p50 = cold.latency_percentiles()["p50"]
-        warm_p50 = warm.latency_percentiles()["p50"]
+        cold_p50, warm_p50 = (row["wall"]["p50_seconds"] for row in rows)
         if not warm_p50 < cold_p50:
             raise InvariantViolation(
                 f"scenario {self.name!r}: warm (cache-hit) p50 "
@@ -166,36 +107,45 @@ class ServeScenario(Scenario):
                 f"{cold_p50 * 1e3:.2f} ms — the result cache buys nothing"
             )
 
-    def _point(self, key: str, report: Any, expect_hits: int) -> dict[str, Any]:
-        percentiles = report.latency_percentiles()
-        simulated = {
-            "preprocessing_seconds": 0.0,
-            "dual_apply_seconds": 0.0,
-            "pcpg_iterations": 0.0,
-        }
-        for reply in report.replies:
-            result = reply.get("result", {})
-            simulated["preprocessing_seconds"] += result.get("preprocessing_seconds", 0.0)
-            simulated["dual_apply_seconds"] += result.get("dual_apply_seconds", 0.0)
-            simulated["pcpg_iterations"] += float(result.get("iterations", 0))
-        return {
-            "key": key,
-            "invariants": {
-                "requests": report.completed,
-                "errors": report.errors,
-                "cache_hits": report.cache_hits,
-            },
-            "simulated": simulated,
-            "wall": {
-                "p50_seconds": percentiles.get("p50"),
-                "p95_seconds": percentiles.get("p95"),
-                "p99_seconds": percentiles.get("p99"),
-                "mean_seconds": percentiles.get("mean"),
-                "max_seconds": percentiles.get("max"),
-                "throughput_per_second": report.throughput,
-                "wall_seconds": report.wall_seconds,
-            },
-        }
+    def derived(self, rows: list[dict[str, Any]]) -> dict[str, float]:
+        cold_p50, warm_p50 = (row["wall"]["p50_seconds"] for row in rows)
+        if not (cold_p50 and warm_p50):
+            return {}
+        return {"serve_warm_speedup[p50]": cold_p50 / warm_p50}
+
+
+def _point(key: str, report: LoadReport) -> dict[str, Any]:
+    """The record point of one pass (plus its 504 count for the check)."""
+    percentiles = report.latency_percentiles()
+    simulated = {
+        "preprocessing_seconds": 0.0,
+        "dual_apply_seconds": 0.0,
+        "pcpg_iterations": 0.0,
+    }
+    for reply in report.replies:
+        result = reply.get("result", {})
+        simulated["preprocessing_seconds"] += result.get("preprocessing_seconds", 0.0)
+        simulated["dual_apply_seconds"] += result.get("dual_apply_seconds", 0.0)
+        simulated["pcpg_iterations"] += float(result.get("iterations", 0))
+    return {
+        "key": key,
+        "invariants": {
+            "requests": report.completed,
+            "errors": report.errors,
+            "cache_hits": report.cache_hits,
+        },
+        "simulated": simulated,
+        "wall": {
+            "p50_seconds": percentiles.get("p50"),
+            "p95_seconds": percentiles.get("p95"),
+            "p99_seconds": percentiles.get("p99"),
+            "mean_seconds": percentiles.get("mean"),
+            "max_seconds": percentiles.get("max"),
+            "throughput_per_second": report.throughput,
+            "wall_seconds": report.wall_seconds,
+        },
+        "timeouts_504": report.timeouts_504,
+    }
 
 
 def _register_default() -> None:

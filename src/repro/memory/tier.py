@@ -193,25 +193,3 @@ class FactorTier:
             "evictions": evictions,
             "refactorizations": refactorizations,
         }
-
-    def publish_metrics(self, registry) -> None:
-        """Publish the tier counters into a :class:`~repro.observe.metrics.
-        MetricsRegistry` under the ``repro_tier_*`` names scraped by
-        ``/v1/metrics/prometheus``."""
-        stats = self.stats()
-        gauges = {
-            "memory_budget_bytes": "Configured factor-memory budget (0 = unbounded)",
-            "resident_bytes": "Factor bytes currently resident",
-            "peak_resident_bytes": "Peak resident factor bytes",
-            "resident_entries": "Factor-tier entries tracked in the LRU",
-            "demoted_entries": "Entries currently demoted to fp32 storage",
-        }
-        counters = {
-            "demotions": "Factor demotions to fp32 storage",
-            "evictions": "Factor evictions from the tier",
-            "refactorizations": "Lazy re-factorizations of demoted/evicted entries",
-        }
-        for key, help_text in gauges.items():
-            registry.gauge(f"repro_tier_{key}", help_text).set(float(stats[key] or 0))
-        for key, help_text in counters.items():
-            registry.gauge(f"repro_tier_{key}_total", help_text).set(float(stats[key]))

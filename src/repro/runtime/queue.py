@@ -431,24 +431,6 @@ class SolveQueue:
         """Requests submitted but not yet finished."""
         return sum(1 for t in self._tickets if not t.done)
 
-    def publish_metrics(self, registry) -> None:
-        """Publish queue counters into a :class:`~repro.observe.metrics.
-        MetricsRegistry` (called by metrics endpoints at scrape time)."""
-        with self._submit_lock:
-            tickets = len(self._tickets)
-            coalesced = self.coalesced_batches
-            pending = sum(1 for t in self._tickets if not t.done)
-        registry.gauge(
-            "repro_queue_requests_total", "Requests submitted to the solve queue"
-        ).set(tickets)
-        registry.gauge(
-            "repro_queue_coalesced_batches_total",
-            "Drained batches that coalesced more than one request",
-        ).set(coalesced)
-        registry.gauge(
-            "repro_queue_pending", "Requests submitted but not yet finished"
-        ).set(pending)
-
     # ------------------------------------------------------------------ #
     def _drain(self, workload, spec) -> None:
         """Drain one coalescing key's pending batch and solve it.

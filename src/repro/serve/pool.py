@@ -203,9 +203,7 @@ class SessionPool:
             registry.gauge(
                 f"repro_pool_{key}", f"Session-pool aggregate {key}"
             ).set(float(stats[key]))
-        # The PR-9 tier counters, aggregated across every pooled session —
-        # named like FactorTier.publish_metrics so dashboards see one
-        # family whether they scrape a session or a service.
+        # The factor-tier counters, aggregated across every pooled session.
         registry.gauge(
             "repro_tier_resident_bytes", "Factor bytes currently resident"
         ).set(float(stats["resident_bytes"]))

@@ -1,0 +1,98 @@
+"""Tests of the ``apply_phase`` scenario (sequential vs stacked applies)."""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from repro.api.workload import Workload
+from repro.bench import registry
+from repro.bench.apply_phase import ApplyPhaseScenario
+from repro.bench.runner import InvariantViolation, run_scenario
+from repro.runtime.executor import ExecutionSpec
+
+
+def _shrunken(**overrides):
+    """A fast copy of the registered scenario (tiny mesh, two backends)."""
+    defaults = dict(
+        base=Workload("heat", 2, (2, 2), 3),
+        execution=(None, ExecutionSpec("threads", 2)),
+        n_rhs=2,
+        expected={"n_subdomains": 4},
+    )
+    defaults.update(overrides)
+    return dataclasses.replace(
+        registry.get("apply_phase"), name="apply_phase_test", **defaults
+    )
+
+
+def _stacked(backend, speedup=2.0, rel_error=0.0):
+    """A synthetic measured stacked point carrying what the gates read."""
+    return {
+        "key": f"{backend}/stacked",
+        "stacked_rel_error": rel_error,
+        "speedup": speedup,
+    }
+
+
+@pytest.fixture(scope="module")
+def result():
+    return run_scenario(_shrunken())
+
+
+def test_one_unit_per_execution_entry_two_points_each(result):
+    keys = [p["key"] for p in result.record["points"]]
+    assert keys == [
+        "serial/sequential", "serial/stacked",
+        "threads2/sequential", "threads2/stacked",
+    ]
+    for point in result.record["points"]:
+        assert set(point) == {"key", "invariants", "simulated", "wall"}
+        assert point["invariants"]["n_rhs"] == 2
+        assert point["simulated"]["apply_seconds"] > 0.0
+        assert point["wall"]["per_column_seconds"] == pytest.approx(
+            point["wall"]["wall_seconds"] / 2
+        )
+    assert set(result.record["derived"]) == {
+        "wall_apply_stacked_speedup[serial]",
+        "wall_apply_stacked_speedup[threads2]",
+    }
+    assert result.record["scenario"]["n_rhs"] == 2
+
+
+def test_stacked_applies_match_sequential_ones(result):
+    stacked = [r for r in result.sweep.records if r["key"].endswith("/stacked")]
+    assert len(stacked) == 2
+    for row in stacked:
+        assert row["stacked_rel_error"] <= 1e-12
+
+
+def test_processes_speedup_floor_gates_every_process_backend():
+    scenario = _shrunken()
+    slow = _stacked("processes2", speedup=1.2)
+    with pytest.raises(InvariantViolation, match="1.39x floor"):
+        scenario.check([{"key": "processes2/sequential"}, slow])
+    # The floor is a process-backend claim: threads are not held to it.
+    scenario.check([{"key": "threads2/sequential"}, _stacked("threads2", speedup=1.2)])
+    scenario.check([{"key": "processes8/sequential"}, _stacked("processes8")])
+
+
+def test_rel_error_gate_flags_a_diverging_stacked_apply():
+    with pytest.raises(InvariantViolation, match="contract"):
+        _shrunken().check([{"key": "serial/sequential"}, _stacked("serial", rel_error=1e-9)])
+
+
+def test_registered_scenario_sweeps_its_execution_axis():
+    scenario = registry.get("apply_phase")
+    assert isinstance(scenario, ApplyPhaseScenario)
+    assert scenario.axes()["execution"] == ["serial", "threads4", "processes4"]
+    assert list(scenario.units()) == ["serial", "threads4", "processes4"]
+    assert scenario.n_points() == 3
+
+
+def test_executor_override_reaches_the_execution_axis():
+    scenario = dataclasses.replace(
+        registry.get("apply_phase"), execution=(ExecutionSpec("threads", 2),)
+    )
+    assert list(scenario.units()) == ["threads2"]

@@ -70,6 +70,12 @@ def test_list_json_shows_the_precision_axis(capsys):
     assert payload[0]["axes"]["precision"] == ["fp64", "fp32", "fp32_ir"]
 
 
+def test_list_json_shows_the_backends_apply_phase_runs(capsys):
+    assert main(["list", "apply_phase", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload[0]["axes"]["execution"] == ["serial", "threads4", "processes4"]
+
+
 def test_run_workload_rejects_unknown_sources_and_combinations(tmp_path, capsys):
     assert main(["run", "--workload", "no-such-preset", "-o", str(tmp_path)]) == 2
     assert "registered presets" in capsys.readouterr().err

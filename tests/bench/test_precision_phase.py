@@ -18,6 +18,7 @@ def _shrunken(**overrides):
     defaults = dict(
         base=Workload("heat", 2, (2, 2), 4),
         approaches=(DualOperatorApproach("expl mkl"),),
+        expected={"n_subdomains": 4},
     )
     defaults.update(overrides)
     return dataclasses.replace(
@@ -27,7 +28,16 @@ def _shrunken(**overrides):
 
 @pytest.fixture(scope="module")
 def record():
-    return _shrunken().run_record()
+    return run_scenario(_shrunken()).record
+
+
+def _point(key, true_residual=1e-10, factor_bytes=200):
+    """A synthetic measured point carrying just what the gates read."""
+    return {
+        "key": key,
+        "wall": {"true_residual": true_residual},
+        "simulated": {"factor_bytes": factor_bytes, "resident_bytes": factor_bytes},
+    }
 
 
 def test_record_shape_and_point_set(record):
@@ -43,9 +53,8 @@ def test_record_shape_and_point_set(record):
             "solve_seconds", "true_residual", "iterations", "converged",
         }
         assert point["wall"]["converged"] == 1.0
-    block = record["precision_phase"]
-    assert block["precisions"] == ["fp64", "fp32", "fp32_ir"]
-    assert block["min_factor_bytes_reduction"] == pytest.approx(1.7)
+    assert record["scenario"]["min_factor_bytes_reduction"] == pytest.approx(1.7)
+    assert record["scenario"]["max_ir_residual_ratio"] == pytest.approx(10.0)
 
 
 def test_fp32_halves_factor_bytes_exactly(record):
@@ -65,30 +74,38 @@ def test_ir_recovers_fp64_level_residuals(record):
 
 
 def test_residual_gate_flags_a_refinement_regression():
-    scenario = _shrunken()
-    residuals = {("expl mkl", "fp64"): 1e-10, ("expl mkl", "fp32_ir"): 1e-6}
-    storage = {
-        ("expl mkl", "fp64"): {"factor": 200},
-        ("expl mkl", "fp32"): {"factor": 100},
-    }
+    rows = [
+        _point("expl mkl/fp64", true_residual=1e-10, factor_bytes=200),
+        _point("expl mkl/fp32", factor_bytes=100),
+        _point("expl mkl/fp32_ir", true_residual=1e-6, factor_bytes=100),
+    ]
     with pytest.raises(InvariantViolation, match="refinement"):
-        scenario._check_invariants(residuals, storage)
+        _shrunken().check(rows)
 
 
 def test_bytes_gate_flags_a_storage_policy_regression():
-    scenario = _shrunken()
-    residuals = {("expl mkl", "fp64"): 1e-10, ("expl mkl", "fp32_ir"): 1e-10}
-    storage = {
-        ("expl mkl", "fp64"): {"factor": 200},
-        ("expl mkl", "fp32"): {"factor": 200},  # demotion stopped working
-    }
+    rows = [
+        _point("expl mkl/fp64", factor_bytes=200),
+        _point("expl mkl/fp32", factor_bytes=200),  # demotion stopped working
+        _point("expl mkl/fp32_ir", factor_bytes=100),
+    ]
     with pytest.raises(InvariantViolation, match="factor bytes"):
-        scenario._check_invariants(residuals, storage)
+        _shrunken().check(rows)
 
 
-def test_run_scenario_delegates_to_run_record():
-    result = run_scenario(_shrunken())
-    assert result.record["benchmark"] == "precision_phase_test"
+def test_gates_skip_precisions_the_axis_does_not_measure():
+    """A ``--precision fp32`` run has no fp64 reference to gate against."""
+    scenario = _shrunken(precision=("fp32",))
+    assert list(scenario.units()) == ["expl mkl"]
+    scenario.check([_point("expl mkl/fp32", factor_bytes=200)])
+    assert scenario.derived([_point("expl mkl/fp32", factor_bytes=200)]) == {}
+
+
+def test_traced_run_puts_its_units_in_the_trace_sink():
+    sink = {}
+    run_scenario(_shrunken(precision=("fp64",)), trace_sink=sink)
+    assert list(sink) == ["precision_phase_test:expl mkl"]
+    assert len(sink["precision_phase_test:expl mkl"]) > 0
 
 
 def test_registered_scenario_is_quick_gated():
@@ -98,3 +115,4 @@ def test_registered_scenario_is_quick_gated():
     assert scenario.precision == ("fp64", "fp32", "fp32_ir")
     assert scenario.axes()["precision"] == ["fp64", "fp32", "fp32_ir"]
     assert scenario.n_points() == 9
+    assert list(scenario.units()) == ["expl mkl", "impl cholmod", "expl modern"]

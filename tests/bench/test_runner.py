@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from repro.bench.registry import Scenario, Workload
 from repro.bench.runner import (
     SCHEMA_VERSION,
     InvariantViolation,
+    PointTimeout,
     load_record,
     measure_point,
     point_key,
@@ -204,39 +207,67 @@ class TestExecutionAxis:
         assert serial == sharded
 
     def test_operator_consistency_covers_execution_variants(self):
-        # run_scenario's invariant check pairs every execution variant of a
-        # workload against one reference; a divergence would have raised in
-        # the fixture above.  Exercise the checker directly with a forced
+        # The grid's check pairs every execution variant of a workload
+        # against one reference; a divergence would have raised in the
+        # fixture above.  Exercise the check directly with a forced
         # divergence to prove the execution axis participates.
-        from repro.bench.runner import _check_operator_consistency
         from repro.runtime.executor import ExecutionSpec
 
         scenario = registry.get("smoke_heat_2d")
         q = np.ones(3)
-        qs = {
-            ((2, 1), 2, DualOperatorApproach.IMPLICIT_MKL, None, "fp64"): q,
-            (
-                (2, 1), 2, DualOperatorApproach.IMPLICIT_MKL,
-                ExecutionSpec("threads", 2), "fp64",
-            ): 2.0 * q,
-        }
+
+        def row(execution, q):
+            labels = {
+                "subdomains": (2, 1), "cells": 2,
+                "approach": DualOperatorApproach.IMPLICIT_MKL,
+                "execution": execution, "precision": "fp64",
+            }
+            return {"key": point_key(**labels), **labels, "q": q}
+
+        rows = [row(None, q), row(ExecutionSpec("threads", 2), 2.0 * q)]
         with pytest.raises(InvariantViolation, match="threads2"):
-            _check_operator_consistency(scenario, qs)
+            scenario.check(rows)
+
+
+@dataclass
+class _NappingScenario(Scenario):
+    """A scenario with its own units, whose one unit blocks until released."""
+
+    def units(self):
+        return {"nap": None}
+
+    def measure(self, unit):
+        _RELEASE.wait(30.0)
+        return []
+
+
+_RELEASE = threading.Event()
 
 
 class TestPointTimeout:
     def test_hung_point_raises_point_timeout(self, monkeypatch):
-        import time as time_mod
-
-        from repro.bench import runner as runner_mod
-
         def hang(*args, **kwargs):
-            time_mod.sleep(30.0)
+            _RELEASE.wait(30.0)
 
-        monkeypatch.setattr(runner_mod, "measure_point", hang)
+        monkeypatch.setattr(registry, "measure_point", hang)
         scenario = registry.get("smoke_heat_2d")
-        with pytest.raises(runner_mod.PointTimeout, match="timeout"):
-            run_scenario(scenario, check_invariants=False, point_timeout=0.2)
+        _RELEASE.clear()
+        try:
+            with pytest.raises(PointTimeout, match="timeout"):
+                run_scenario(scenario, check_invariants=False, point_timeout=0.2)
+        finally:
+            _RELEASE.set()
+
+    def test_own_units_of_a_scenario_run_under_the_budget(self):
+        scenario = _NappingScenario(
+            name="napping", description="sleeps", base=Workload("heat", 2, (2, 1), 2)
+        )
+        _RELEASE.clear()
+        try:
+            with pytest.raises(PointTimeout, match="napping:nap"):
+                run_scenario(scenario, point_timeout=0.2)
+        finally:
+            _RELEASE.set()
 
     def test_fast_points_pass_under_a_budget(self):
         scenario = registry.get("smoke_heat_2d")

@@ -1,4 +1,4 @@
-"""Tests of the serve_load bench scenario and its runner dispatch."""
+"""Tests of the serve_load bench scenario."""
 
 import pytest
 
@@ -16,7 +16,9 @@ def test_serve_load_is_registered_and_quick():
     scenario = registry.get("serve_load")
     assert isinstance(scenario, ServeScenario)
     assert "quick" in scenario.tags
-    assert scenario.n_points() == 2
+    # One unit boots one server and measures both passes.
+    assert scenario.n_points() == 1
+    assert list(scenario.units()) == ["cold+warm"]
     assert len(scenario.request_mix()) == len(scenario.presets) * len(
         scenario.rhs_factors
     )
@@ -25,7 +27,8 @@ def test_serve_load_is_registered_and_quick():
 def test_record_has_cold_and_warm_points(result):
     keys = [p["key"] for p in result.record["points"]]
     assert keys == ["cold", "warm"]
-    n_requests = result.record["serve"]["requests_per_pass"]
+    n_requests = len(registry.get("serve_load").request_mix())
+    assert result.record["scenario"]["presets"] == ["heat-2d-quick", "elasticity-2d-quick"]
     for point in result.record["points"]:
         assert point["invariants"]["requests"] == n_requests
         assert point["invariants"]["errors"] == 0
