@@ -56,7 +56,6 @@ _LAZY_EXPORTS: dict[str, str] = {
     "solver_presets": "repro.api.spec",
     "RunResult": "repro.api.session",
     "Session": "repro.api.session",
-    "SessionStats": "repro.api.session",
 }
 
 __all__ = sorted(_LAZY_EXPORTS)

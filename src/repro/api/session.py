@@ -41,6 +41,7 @@ from repro.feti.solver import FetiSolution, FetiSolver, MultiStepDriver, StepRec
 from repro.memory.ledger import measure_solver
 from repro.memory.precision import resolve_precision
 from repro.memory.tier import FactorTier, parse_budget
+from repro.observe.metrics import MetricsRegistry
 from repro.observe.trace import trace_span
 from repro.runtime.executor import ExecutionSpec, Executor, make_executor
 from repro.sparse.cache import PatternCache
@@ -48,22 +49,7 @@ from repro.sparse.cache import PatternCache
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.queue import SolveQueue
 
-__all__ = ["Session", "SessionStats", "RunResult"]
-
-
-@dataclass
-class SessionStats:
-    """Counters of the work a session performed and the work it avoided."""
-
-    problems_built: int = 0
-    solvers_built: int = 0
-    solver_reuses: int = 0
-    solves: int = 0
-    steps: int = 0
-    #: Number of multi-RHS block solves (:meth:`Session.solve_many` calls).
-    stacked_solves: int = 0
-    #: Total right-hand-side columns those block solves carried.
-    stacked_columns: int = 0
+__all__ = ["Session", "RunResult"]
 
 
 @dataclass
@@ -123,10 +109,21 @@ class Session:
         self.pattern_cache = pattern_cache if pattern_cache is not None else PatternCache()
         if memory_budget is None:
             memory_budget = os.environ.get("REPRO_MEMORY_BUDGET")
+        #: The session's counters; its tier and its queues count into it too.
+        #: They are named for the ``/v1/metrics/prometheus`` family they sum
+        #: into across a serve tier's session pool.
+        self.metrics = MetricsRegistry()
         #: The budget-aware factor tier (LRU demotion/eviction state machine
         #: plus the byte-accurate ledger of every cached solver's storage).
-        self.tier = FactorTier(parse_budget(memory_budget))
-        self.stats = SessionStats()
+        self.tier = FactorTier(parse_budget(memory_budget), self.metrics)
+        counter = self.metrics.counter
+        self._solves = counter("repro_pool_solves", "Right-hand sides solved")
+        self._steps = counter("repro_pool_steps", "Multi-step schedule steps")
+        self._solver_reuses = counter("repro_pool_solver_reuses", "Prepared-solver reuses")
+        self._stacked_solves = counter("repro_pool_stacked_solves", "Multi-RHS block solves")
+        self._stacked_columns = counter(
+            "repro_pool_stacked_columns", "Right-hand sides of the block solves"
+        )
         self._problems: dict[Workload, FetiProblem] = {}
         self._base_loads: dict[Workload, list[np.ndarray]] = {}
         self._solvers: dict[tuple[Workload, SolverSpec], FetiSolver] = {}
@@ -144,7 +141,7 @@ class Session:
         #: Re-entrant lock guarding every session cache, so the ``threads``
         #: execution backend (and :class:`~repro.runtime.queue.SolveQueue`
         #: traffic) can share one session without corrupting the problem /
-        #: solver maps or the stats counters.
+        #: solver maps.
         self._cache_lock = threading.RLock()
         #: Per-workload execution locks: a workload's problem (its load
         #: vectors) and its prepared solvers are stateful, so concurrent
@@ -179,12 +176,9 @@ class Session:
             f"{type(workload).__name__}"
         )
 
-    def _resolve_spec(self, spec: SolverSpec | str | None) -> SolverSpec:
-        return self.spec if spec is None else SolverSpec.of(spec)
-
     def resolve_spec(self, spec: SolverSpec | str | None) -> SolverSpec:
         """Normalize a per-call spec (``None`` = the session default)."""
-        return self._resolve_spec(spec)
+        return self.spec if spec is None else SolverSpec.of(spec)
 
     def workload_lock(self, workload: Workload | str | Mapping[str, Any]) -> threading.RLock:
         """The session-wide execution lock of one workload.
@@ -212,7 +206,7 @@ class Session:
         ExecutionSpec`; pools are created on first use and shut down by
         :meth:`close` (or the session's context-manager exit).
         """
-        s = self._resolve_spec(spec)
+        s = self.resolve_spec(spec)
         execution = s.resolve_execution()
         with self._cache_lock:
             if self._closed:
@@ -269,7 +263,6 @@ class Session:
                 problem = build_problem(w)
                 self._problems[w] = problem
                 self._base_loads[w] = [sub.f.copy() for sub in problem.subdomains]
-                self.stats.problems_built += 1
             return problem
 
     def base_loads(self, workload: Workload | str | Mapping[str, Any]) -> list[np.ndarray]:
@@ -286,7 +279,7 @@ class Session:
     ) -> FetiSolver:
         """The (session-cached) prepared solver of ``(workload, spec)``."""
         w = self.resolve_workload(workload)
-        s = self._resolve_spec(spec)
+        s = self.resolve_spec(spec)
         key = (w, s)
         with self._cache_lock:
             solver = self._solvers.get(key)
@@ -298,14 +291,13 @@ class Session:
                     executor=self.executor_for(s),
                 )
                 self._solvers[key] = solver
-                self.stats.solvers_built += 1
                 if key in self._evicted_keys:
                     # The tier evicted this entry earlier; this rebuild is
                     # the lazy re-factorization the eviction deferred.
                     self._evicted_keys.discard(key)
                     self.tier.count_refactorization()
             else:
-                self.stats.solver_reuses += 1
+                self._solver_reuses.inc()
                 self.tier.touch(key)
             return solver
 
@@ -413,12 +405,12 @@ class Session:
         solver stale (see :meth:`run_steps`).
         """
         w = self.resolve_workload(workload)
-        s = self._resolve_spec(spec)
+        s = self.resolve_spec(spec)
         with trace_span("session.solve", workload=w.describe(), approach=s.approach.value):
             with self.workload_lock(w):
                 solver = self.solver(w, s)
+                self._solves.inc()
                 with self._cache_lock:
-                    self.stats.solves += 1
                     stale = (w, s) in self._stale_solvers
                 solution = solver.solve(reuse_preprocessing=not stale)
                 # Account only after the solve succeeded: if it raises, the
@@ -454,7 +446,7 @@ class Session:
             sequential :meth:`solve` calls.
         """
         w = self.resolve_workload(workload)
-        s = self._resolve_spec(spec)
+        s = self.resolve_spec(spec)
         with trace_span(
             "session.solve",
             workload=w.describe(),
@@ -463,10 +455,9 @@ class Session:
         ):
             with self.workload_lock(w):
                 solver = self.solver(w, s)
+                self._solves.inc(len(loads_columns))
+                self.note_stacked_solve(len(loads_columns))
                 with self._cache_lock:
-                    self.stats.solves += len(loads_columns)
-                    self.stats.stacked_solves += 1
-                    self.stats.stacked_columns += len(loads_columns)
                     stale = (w, s) in self._stale_solvers
                 solutions = solver.solve_many(
                     loads_columns, stacked=stacked, reuse_preprocessing=not stale
@@ -482,9 +473,8 @@ class Session:
         own counters are invisible here, but the parent session is the one
         ``/v1/metrics`` reports on.
         """
-        with self._cache_lock:
-            self.stats.stacked_solves += 1
-            self.stats.stacked_columns += columns
+        self._stacked_solves.inc()
+        self._stacked_columns.inc(columns)
 
     def _run_schedule(
         self,
@@ -504,7 +494,7 @@ class Session:
         the workload is marked stale so its next solve re-runs the numeric
         preprocessing instead of reusing the schedule's last factorization.
         """
-        s = self._resolve_spec(spec)
+        s = self.resolve_spec(spec)
         with self.workload_lock(w):
             return self._run_schedule_locked(w, s, n_steps, update)
 
@@ -560,9 +550,8 @@ class Session:
                     self._stale_solvers.update(
                         key for key in self._solvers if key[0] == w
                     )
-        with self._cache_lock:
-            self.stats.steps += n
-            self.stats.solves += n
+        self._steps.inc(n)
+        self._solves.inc(n)
         self._record_usage((w, s), solver)
         return list(records), driver.last_solution
 
@@ -623,7 +612,7 @@ class Session:
         """
         from repro.feti.autotune import exhaustive_parameter_search
 
-        s = self._resolve_spec(spec)
+        s = self.resolve_spec(spec)
         return exhaustive_parameter_search(
             self.problem(workload),
             cuda_library,
@@ -632,33 +621,31 @@ class Session:
         )
 
     def cache_stats(self) -> dict[str, Any]:
-        """Cache effectiveness of the session (for logs and assertions)."""
-        coarse_applies = 0
-        coarse_solves = 0
-        coarse_seconds = 0.0
+        """Cache effectiveness of the session (for logs and assertions).
+
+        A view: the counters of :attr:`metrics` plus point-in-time reads of
+        the pattern cache, the tier's ledger and the projectors.
+        """
         with self._cache_lock:
+            problems = len(self._problems)
             solvers = list(self._solvers.values())
-        for solver in solvers:
-            projector = solver._projector  # noqa: SLF001 - never force the lazy build
-            if projector is None:
-                continue
-            coarse_applies += projector.applies
-            coarse_solves += projector.solves
-            coarse_seconds += projector.seconds + projector.factor_seconds
+        # Never force a projector's lazy build.
+        projectors = [s._projector for s in solvers if s._projector is not None]  # noqa: SLF001
+        resident_entries, demoted_entries = self.tier.entries()
         return {
             "symbolic_analyses": self.pattern_cache.misses,
             "pattern_hits": self.pattern_cache.hits,
             "pattern_hit_rate": self.pattern_cache.hit_rate,
             "pattern_bytes": self.pattern_cache.nbytes,
-            "problems": len(self._problems),
-            "solvers": len(self._solvers),
-            "solver_reuses": self.stats.solver_reuses,
-            "solves": self.stats.solves,
-            "steps": self.stats.steps,
-            "stacked_solves": self.stats.stacked_solves,
-            "stacked_columns": self.stats.stacked_columns,
-            "coarse_applies": coarse_applies,
-            "coarse_solves": coarse_solves,
-            "coarse_seconds": coarse_seconds,
-            **self.tier.stats(),
+            "problems": problems,
+            "solvers": len(solvers),
+            "coarse_applies": sum(p.applies for p in projectors),
+            "coarse_solves": sum(p.solves for p in projectors),
+            "coarse_seconds": sum((p.seconds + p.factor_seconds for p in projectors), 0.0),
+            "memory_budget_bytes": self.tier.budget_bytes,
+            "resident_bytes": self.tier.ledger.resident_bytes,
+            "peak_resident_bytes": self.tier.ledger.peak_bytes,
+            "resident_entries": resident_entries,
+            "demoted_entries": demoted_entries,
+            **self.metrics.values("repro_pool_", "repro_tier_"),
         }

@@ -123,13 +123,3 @@ class Projector:
         self.seconds += time.perf_counter() - start
         self.solves += 1
         return out
-
-    # ------------------------------------------------------------------ #
-    def stats(self) -> dict[str, float | int]:
-        """Cumulative coarse-problem counters of this projector."""
-        return {
-            "applies": self.applies,
-            "solves": self.solves,
-            "seconds": self.seconds,
-            "factor_seconds": self.factor_seconds,
-        }

@@ -28,6 +28,7 @@ from collections import OrderedDict
 from typing import Hashable
 
 from repro.memory.ledger import EntryBytes, FactorLedger
+from repro.observe.metrics import MetricsRegistry
 
 __all__ = ["BudgetError", "parse_budget", "FactorTier"]
 
@@ -86,34 +87,39 @@ def parse_budget(budget: int | float | str | None) -> int | None:
 class FactorTier:
     """LRU tier state machine over the session's cached solver entries."""
 
-    def __init__(self, budget_bytes: int | None = None) -> None:
+    def __init__(
+        self, budget_bytes: int | None = None, metrics: MetricsRegistry | None = None
+    ) -> None:
         self.budget_bytes = budget_bytes
         self.ledger = FactorLedger()
         self._lock = threading.Lock()
         #: key -> (state, demotable); insertion order is LRU (oldest first).
         self._lru: OrderedDict[Hashable, tuple[str, bool]] = OrderedDict()
-        self._demotions = 0
-        self._evictions = 0
-        self._refactorizations = 0
+        #: The registry the tier counts into (its session's).
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._demotions = self.metrics.counter(
+            "repro_tier_demotions_total", "Factor demotions to fp32 storage"
+        )
+        self._evictions = self.metrics.counter(
+            "repro_tier_evictions_total", "Factor evictions from the tier"
+        )
+        self._refactorizations = self.metrics.counter(
+            "repro_tier_refactorizations_total",
+            "Lazy re-factorizations of demoted/evicted entries",
+        )
 
     # ------------------------------------------------------------------ #
-    @property
-    def demotions(self) -> int:
-        return self._demotions
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions
-
-    @property
-    def refactorizations(self) -> int:
-        return self._refactorizations
-
     def state(self, key: Hashable) -> str | None:
         """The tier state of one entry (``None`` when untracked)."""
         with self._lock:
             entry = self._lru.get(key)
             return entry[0] if entry is not None else None
+
+    def entries(self) -> tuple[int, int]:
+        """How many entries are tracked, and how many of them are demoted."""
+        with self._lock:
+            states = [state for state, _ in self._lru.values()]
+        return len(states), states.count(DEMOTED)
 
     # ------------------------------------------------------------------ #
     def record(self, key: Hashable, entry: EntryBytes, demotable: bool) -> None:
@@ -160,36 +166,15 @@ class FactorTier:
             if key in self._lru:
                 demotable = self._lru[key][1]
                 self._lru[key] = (DEMOTED, demotable)
-            self._demotions += 1
+        self._demotions.inc()
 
     def mark_evicted(self, key: Hashable) -> None:
         """Record an eviction: the entry leaves the ledger and the LRU."""
         self.ledger.forget(key)
         with self._lock:
             self._lru.pop(key, None)
-            self._evictions += 1
+        self._evictions.inc()
 
     def count_refactorization(self) -> None:
         """One lazy re-factorization (rebuild of a demoted/evicted entry)."""
-        with self._lock:
-            self._refactorizations += 1
-
-    # ------------------------------------------------------------------ #
-    def stats(self) -> dict[str, int | None]:
-        """Counters for ``Session.cache_stats()`` / ``/v1/metrics``."""
-        with self._lock:
-            demoted = sum(1 for state, _ in self._lru.values() if state == DEMOTED)
-            tracked = len(self._lru)
-            demotions = self._demotions
-            evictions = self._evictions
-            refactorizations = self._refactorizations
-        return {
-            "memory_budget_bytes": self.budget_bytes,
-            "resident_bytes": self.ledger.resident_bytes,
-            "peak_resident_bytes": self.ledger.peak_bytes,
-            "resident_entries": tracked,
-            "demoted_entries": demoted,
-            "demotions": demotions,
-            "evictions": evictions,
-            "refactorizations": refactorizations,
-        }
+        self._refactorizations.inc()

@@ -1,10 +1,23 @@
 """Central metrics registry: counters, gauges, histograms.
 
-One :class:`MetricsRegistry` replaces the bespoke stat dicts that grew in
-``Session.cache_stats()``, ``FactorTier``, ``SolveQueue`` and
-``ServeMetrics``: producers publish into named metrics, consumers render
-either a plain dict (:meth:`MetricsRegistry.snapshot`) or Prometheus text
-exposition (:meth:`MetricsRegistry.render_prometheus`).
+Every counter of the package is one metric of a :class:`MetricsRegistry`,
+incremented where its event happens: a ``Session`` owns one (its solves and
+stacked solves, its ``FactorTier``'s demotions, its ``SolveQueue``'s
+requests), and so do the serve tier's ``SolveServer``, ``SessionPool`` and
+``ResultCache``.  A metric's name is its Prometheus family, e.g.
+``repro_tier_demotions_total``.
+
+Views read registries and keep no copies:
+
+* :meth:`MetricsRegistry.values` is the dict view: the family name without
+  its scope prefix and ``_total`` suffix is the key
+  (``values("repro_tier_")`` → ``{"demotions": …}``).  ``cache_stats()``,
+  ``/v1/metrics`` and ``SessionPool.stats()`` are built from it.
+* :meth:`MetricsRegistry.fold` sums same-named metrics of many registries
+  into a new one (the session pool's totals).
+* :meth:`MetricsRegistry.render_prometheus` is the text exposition.
+
+Folds happen only when a view is read; producers do O(1) increments.
 
 Thread-safety: every mutation takes the owning metric's registry lock, so
 concurrent publishers (serve worker threads, the queue's request pool)
@@ -81,14 +94,10 @@ class _Metric:
         raise NotImplementedError
 
 
-class Counter(_Metric):
-    """Monotonically increasing value (optionally per label set)."""
-
-    kind = "counter"
+class _Scalar(_Metric):
+    """One float per label set: the counters and the gauges."""
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
         key = _label_key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
@@ -97,17 +106,28 @@ class Counter(_Metric):
         with self._lock:
             return self._series.get(_label_key(labels), 0.0)
 
-    def total(self) -> float:
-        """Sum across all label sets."""
-        with self._lock:
-            return sum(self._series.values())
-
     def _samples(self) -> list[tuple[str, tuple[tuple[str, str], ...], float]]:
         with self._lock:
             return [(self.name, key, value) for key, value in sorted(self._series.items())]
 
 
-class Gauge(_Metric):
+class Counter(_Scalar):
+    """Monotonically increasing value (optionally per label set)."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: str) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up")
+        super().inc(amount, **labels)
+
+    def total(self) -> float:
+        """Sum across all label sets."""
+        with self._lock:
+            return sum(self._series.values())
+
+
+class Gauge(_Scalar):
     """A value that can go up and down (resident bytes, pool size, ...)."""
 
     kind = "gauge"
@@ -116,21 +136,8 @@ class Gauge(_Metric):
         with self._lock:
             self._series[_label_key(labels)] = float(value)
 
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
-
     def dec(self, amount: float = 1.0, **labels: str) -> None:
         self.inc(-amount, **labels)
-
-    def value(self, **labels: str) -> float:
-        with self._lock:
-            return self._series.get(_label_key(labels), 0.0)
-
-    def _samples(self) -> list[tuple[str, tuple[tuple[str, str], ...], float]]:
-        with self._lock:
-            return [(self.name, key, value) for key, value in sorted(self._series.items())]
 
 
 class Histogram(_Metric):
@@ -222,12 +229,39 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get_or_create(Histogram, name, help_text, buckets=buckets)
 
-    def get(self, name: str) -> _Metric | None:
-        with self._lock:
-            return self._metrics.get(name)
+    @classmethod
+    def fold(cls, registries: "list[MetricsRegistry]") -> "MetricsRegistry":
+        """A new registry holding the sums of the registries' counters and
+        gauges, series by series (histograms are not folded).  A metric
+        without samples folds to an explicit 0, so the view exposes it."""
+        out = cls()
+        for registry in registries:
+            with registry._lock:
+                metrics = list(registry._metrics.values())
+            for metric in metrics:
+                if not isinstance(metric, _Scalar):
+                    continue
+                target = out._get_or_create(type(metric), metric.name, metric.help)
+                for _, key, value in metric._samples() or [(metric.name, (), 0.0)]:
+                    target.inc(value, **dict(key))
+        return out
+
+    def values(self, *scopes: str) -> dict[str, int | float]:
+        """Unlabelled counter and gauge values of the metrics named
+        ``<scope><key>[_total]``, keyed by ``<key>`` (the first matching scope
+        wins); integral values come back as ``int``."""
+        out: dict[str, int | float] = {}
+        for name, value in self.snapshot().items():
+            scope = next((s for s in scopes if name.startswith(s)), None)
+            if scope is not None and isinstance(value, float):
+                key = name[len(scope):].removesuffix("_total")
+                out[key] = int(value) if value.is_integer() else value
+        return out
 
     def render_prometheus(self) -> str:
-        """Prometheus text exposition format v0.0.4 (trailing newline)."""
+        """Prometheus text exposition format v0.0.4: one line per comment
+        or sample, each ending in a newline, so the renders of registries
+        with disjoint names concatenate into one exposition."""
         with self._lock:
             metrics = sorted(self._metrics.values(), key=lambda m: m.name)
         lines: list[str] = []
@@ -240,7 +274,7 @@ class MetricsRegistry:
             lines.append(f"# TYPE {metric.name} {metric.kind}")
             for sample_name, key, value in samples:
                 lines.append(f"{sample_name}{_format_labels(key)} {_format_value(value)}")
-        return "\n".join(lines) + "\n"
+        return "".join(line + "\n" for line in lines)
 
     def snapshot(self) -> dict[str, Any]:
         """Plain-dict view: ``{name: value}`` (labelled series nested)."""

@@ -301,14 +301,18 @@ class SolveQueue:
     def __init__(
         self, session: "Session", executor: Executor | None = None
     ) -> None:
+        import itertools
         import threading
         import weakref
         from concurrent.futures import ThreadPoolExecutor
 
         self.session = session
         self.executor = executor if executor is not None else session.executor()
-        self._tickets: list[SolveTicket] = []
-        #: Guards ticket bookkeeping and the pending-batch map (submissions
+        self._request_ids = itertools.count()
+        #: Requests submitted and not yet finished.  The queue keeps no
+        #: reference to a request once its future completes.
+        self._in_flight = 0
+        #: Guards the in-flight count and the pending-batch map (submissions
         #: may come from any number of caller threads concurrently).
         self._submit_lock = threading.Lock()
         #: Requests enqueued but not yet drained, grouped by their
@@ -316,8 +320,15 @@ class SolveQueue:
         #: whole batch under the workload's session lock and runs it as a
         #: single (possibly multi-RHS) solve.
         self._pending: dict[tuple, list[tuple[Any, Future]]] = {}
-        #: Count of drained batches that actually coalesced (>1 request).
-        self.coalesced_batches = 0
+        # The queue counts into its session's registry, so every queue of a
+        # session adds to the same two counters.
+        self._requests = session.metrics.counter(
+            "repro_queue_requests_total", "Requests submitted to the solve queues"
+        )
+        self._coalesced_batches = session.metrics.counter(
+            "repro_queue_coalesced_batches_total",
+            "Drained batches that coalesced more than one request",
+        )
         #: Request-level pool of the threads and processes backends.
         #: Requests must not run on the session's shard executor itself: a
         #: request blocks on the shard futures of its preprocessing, so
@@ -362,29 +373,21 @@ class SolveQueue:
         earlier solve of that workload holds its lock are coalesced into a
         single multi-RHS block solve when the lock frees.
         """
+        self._requests.inc()
+        request_id = next(self._request_ids)
         w = None
         try:
             w = self.session.resolve_workload(workload)
             s = self.session.resolve_spec(spec)
             request_rhs = _normalize_rhs(rhs)
         except Exception as exc:
-            with self._submit_lock:
-                ticket = SolveTicket(
-                    request_id=len(self._tickets),
-                    workload=w,
-                    future=_failed_future(exc),
-                )
-                self._tickets.append(ticket)
-            return ticket
+            return SolveTicket(request_id, w, _failed_future(exc))
 
         future: Future = Future()
-        key = (w, s)
         with self._submit_lock:
-            ticket = SolveTicket(
-                request_id=len(self._tickets), workload=w, future=future
-            )
-            self._tickets.append(ticket)
-            self._pending.setdefault(key, []).append((request_rhs, future))
+            self._in_flight += 1
+            self._pending.setdefault((w, s), []).append((request_rhs, future))
+        future.add_done_callback(self._finished)
 
         if self._request_pool is not None:
             # One drain task per submission: the first to win the workload
@@ -401,7 +404,7 @@ class SolveQueue:
             # reference behaviour) — unless a concurrent submitter already
             # drained it while holding the workload lock.
             self._drain(w, s)
-        return ticket
+        return SolveTicket(request_id, w, future)
 
     def map(
         self,
@@ -422,14 +425,14 @@ class SolveQueue:
                 tickets.append(self.submit(request))
         return [t.result() for t in tickets]
 
-    def gather(self) -> list[QueueSolution]:
-        """Wait for every submitted request (submission order)."""
-        return [t.result() for t in self._tickets]
-
     @property
     def pending(self) -> int:
         """Requests submitted but not yet finished."""
-        return sum(1 for t in self._tickets if not t.done)
+        return self._in_flight
+
+    def _finished(self, _future: Future) -> None:
+        with self._submit_lock:
+            self._in_flight -= 1
 
     # ------------------------------------------------------------------ #
     def _drain(self, workload, spec) -> None:
@@ -462,8 +465,7 @@ class SolveQueue:
                     continue
                 valid.append((rhs, future))
             if len(valid) > 1:
-                with self._submit_lock:
-                    self.coalesced_batches += 1
+                self._coalesced_batches.inc()
             try:
                 if not valid:
                     return

@@ -15,11 +15,7 @@ operator on its own (see :mod:`repro.runtime.preprocess`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.topology import Machine
-    from repro.feti.problem import FetiProblem
+from typing import Sequence
 
 __all__ = ["Shard", "ShardPlan", "balanced_spans"]
 
@@ -30,8 +26,6 @@ class Shard:
 
     shard_id: int
     cluster_id: int
-    #: Loop positions inside the cluster's subdomain list (contiguous).
-    positions: tuple[int, ...]
     #: Global ``SubdomainProblem.index`` values of the shard's subdomains.
     subdomain_indices: tuple[int, ...]
 
@@ -89,34 +83,10 @@ class ShardPlan:
                     Shard(
                         shard_id=len(shards),
                         cluster_id=int(cluster_id),
-                        positions=tuple(range(lo, hi)),
                         subdomain_indices=tuple(int(i) for i in indices[lo:hi]),
                     )
                 )
         return cls(shards, workers)
-
-    @classmethod
-    def for_problem(
-        cls, problem: "FetiProblem", machine: "Machine", workers: int
-    ) -> "ShardPlan":
-        """Plan shards for a problem using the machine's cluster topology."""
-        clusters = []
-        for cluster in machine.clusters:
-            subs = [
-                s.index for s in problem.subdomains if s.cluster == cluster.cluster_id
-            ]
-            clusters.append((cluster.cluster_id, subs))
-        return cls.for_clusters(clusters, workers)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def n_shards(self) -> int:
-        """Number of shards in the plan."""
-        return len(self.shards)
-
-    def shards_of_cluster(self, cluster_id: int) -> list[Shard]:
-        """The shards covering one cluster, in position order."""
-        return [s for s in self.shards if s.cluster_id == cluster_id]
 
     def describe(self) -> str:
         """Human-readable shard layout (for logs and the example script)."""
@@ -126,4 +96,4 @@ class ShardPlan:
         layout = ", ".join(
             f"cluster {c}: {sizes}" for c, sizes in sorted(per_cluster.items())
         )
-        return f"{self.n_shards} shard(s) over {self.workers} worker(s) ({layout})"
+        return f"{len(self.shards)} shard(s) over {self.workers} worker(s) ({layout})"

@@ -30,7 +30,6 @@ from __future__ import annotations
 from repro.serve.cache import ResultCache
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.loadgen import LoadReport, run_load
-from repro.serve.metrics import ServeMetrics
 from repro.serve.pool import SessionPool
 from repro.serve.protocol import (
     ProtocolError,
@@ -48,7 +47,6 @@ __all__ = [
     "ServeClient",
     "ServeConfig",
     "ServeError",
-    "ServeMetrics",
     "ServerThread",
     "SessionPool",
     "SolveRequest",

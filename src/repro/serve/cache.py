@@ -4,7 +4,8 @@ An LRU over fully rendered response payloads, keyed by the
 ``(workload, spec, rhs)`` content hash of
 :func:`repro.serve.protocol.request_fingerprint`.  A hit returns the stored
 payload without touching a session (and without consuming an admission
-slot); hit/miss counters feed ``GET /v1/metrics``.
+slot); its hit/miss counters live in :attr:`ResultCache.metrics` and
+:meth:`ResultCache.view` adds the point-in-time gauges to them.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from typing import Any
+
+from repro.observe.metrics import MetricsRegistry
 
 __all__ = ["ResultCache"]
 
@@ -32,19 +35,20 @@ class ResultCache:
         self.max_entries = max_entries
         self._entries: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+        self.metrics = MetricsRegistry()
+        self._hits = self.metrics.counter("repro_result_cache_hits", "Result-cache hits")
+        self._misses = self.metrics.counter(
+            "repro_result_cache_misses", "Result-cache misses"
+        )
 
     def get(self, key: str) -> dict[str, Any] | None:
         """The payload stored under ``key``, or ``None`` (counts hit/miss)."""
         with self._lock:
             payload = self._entries.get(key)
-            if payload is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return payload
+            if payload is not None:
+                self._entries.move_to_end(key)
+        (self._misses if payload is None else self._hits).inc()
+        return payload
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
         """Store a payload (evicting the LRU entry when full)."""
@@ -60,15 +64,19 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
+    def view(self) -> MetricsRegistry:
+        """The counters plus the entry count, capacity and hit rate."""
+        view = MetricsRegistry.fold([self.metrics])
+        hits, misses = self._hits.value(), self._misses.value()
+        view.gauge("repro_result_cache_entries", "Result-cache entries").set(len(self))
+        view.gauge("repro_result_cache_max_entries", "Result-cache capacity").set(
+            self.max_entries
+        )
+        view.gauge("repro_result_cache_hit_rate", "Result-cache hit rate").set(
+            hits / (hits + misses) if hits + misses else 0.0
+        )
+        return view
+
     def stats(self) -> dict[str, Any]:
-        """Counters for ``GET /v1/metrics``."""
-        with self._lock:
-            hits, misses, size = self.hits, self.misses, len(self._entries)
-        total = hits + misses
-        return {
-            "entries": size,
-            "max_entries": self.max_entries,
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": (hits / total) if total else 0.0,
-        }
+        """The ``result_cache`` section of ``GET /v1/metrics``."""
+        return self.view().values("repro_result_cache_")

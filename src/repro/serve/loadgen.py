@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.metrics import percentile
+from repro.serve.metrics import latency_summary
 
 __all__ = ["LoadReport", "run_load"]
 
@@ -46,16 +46,7 @@ class LoadReport:
 
     def latency_percentiles(self) -> dict[str, float]:
         """p50/p95/p99/mean/max over completed-request latencies."""
-        if not self.latencies:
-            return {}
-        window = sorted(self.latencies)
-        return {
-            "p50": percentile(window, 50),
-            "p95": percentile(window, 95),
-            "p99": percentile(window, 99),
-            "mean": sum(window) / len(window),
-            "max": window[-1],
-        }
+        return latency_summary(self.latencies)
 
     def to_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {

@@ -1,28 +1,14 @@
-"""Service metrics: request counters and latency percentiles.
+"""Latency percentiles of the serve tier.
 
-Since PR 10 the counters and totals live in a central
-:class:`~repro.observe.metrics.MetricsRegistry` (under ``repro_serve_*``
-names), which is what ``GET /v1/metrics/prometheus`` renders; this class
-keeps the original short-name API (``count``/``add``/``counter``/``total``)
-and the exact ``snapshot()`` document shape of ``GET /v1/metrics``.
-
-The latency window is a bounded deque of recent request latencies;
-percentiles are computed on demand (nearest-rank on the sorted window),
-while the registry-side histogram carries the cumulative-bucket view.  All
-methods are thread-safe — solve worker threads record while the asyncio
-loop snapshots.
+The serve tier's counters live in :class:`~repro.observe.metrics.
+MetricsRegistry` instances (see :mod:`repro.observe.metrics`); what stays
+here is the nearest-rank summary of a latency window, shared by
+``GET /v1/metrics`` and the load generator's report.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import deque
-from typing import Any
-
-from repro.observe.metrics import Counter, MetricsRegistry
-
-__all__ = ["ServeMetrics", "percentile"]
+__all__ = ["latency_summary", "percentile"]
 
 
 def percentile(sorted_values: list[float], q: float) -> float:
@@ -33,85 +19,15 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
-def _prometheus_name(name: str) -> str:
-    """Map a short serve counter name onto its registry metric name."""
-    base = f"repro_serve_{name}"
-    return base if base.endswith("_total") else f"{base}_total"
-
-
-class ServeMetrics:
-    """Counters + a sliding latency window for one service instance."""
-
-    def __init__(self, window: int = 2048, registry: MetricsRegistry | None = None) -> None:
-        #: The central registry the counters publish into (rendered by
-        #: ``GET /v1/metrics/prometheus``; endpoints may add more metrics).
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._lock = threading.Lock()
-        self._counters: dict[str, Counter] = {}
-        self._totals: dict[str, Counter] = {}
-        self._latencies: deque[float] = deque(maxlen=window)
-        self._started = time.monotonic()
-        self._latency_histogram = self.registry.histogram(
-            "repro_serve_request_latency_seconds",
-            "Wall latency of answered solve requests",
-        )
-
-    def _metric(self, store: dict[str, Counter], name: str, what: str) -> Counter:
-        with self._lock:
-            metric = store.get(name)
-            if metric is None:
-                metric = self.registry.counter(
-                    _prometheus_name(name), f"Serve {what} {name!r}"
-                )
-                store[name] = metric
-            return metric
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Increment a named counter."""
-        self._metric(self._counters, name, "counter").inc(n)
-
-    def add(self, name: str, value: float) -> None:
-        """Accumulate a named float total (e.g. cumulative coarse seconds)."""
-        self._metric(self._totals, name, "total").inc(float(value))
-
-    def total(self, name: str) -> float:
-        """Current value of a float total (0.0 when never accumulated)."""
-        return float(self._metric(self._totals, name, "total").value())
-
-    def observe_latency(self, seconds: float) -> None:
-        """Record one request's wall latency into the window."""
-        with self._lock:
-            self._latencies.append(seconds)
-        self._latency_histogram.observe(seconds)
-
-    def counter(self, name: str) -> int:
-        """Current value of a counter (0 when never incremented)."""
-        return int(self._metric(self._counters, name, "counter").value())
-
-    @property
-    def uptime_seconds(self) -> float:
-        """Seconds since this metrics instance (≈ the service) started."""
-        return time.monotonic() - self._started
-
-    def snapshot(self) -> dict[str, Any]:
-        """The metrics document served by ``GET /v1/metrics``."""
-        with self._lock:
-            counters = {name: int(m.value()) for name, m in self._counters.items()}
-            totals = {name: float(m.value()) for name, m in self._totals.items()}
-            window = sorted(self._latencies)
-            uptime = time.monotonic() - self._started
-        latency: dict[str, Any] = {"window": len(window)}
-        if window:
-            latency.update(
-                p50=percentile(window, 50),
-                p95=percentile(window, 95),
-                p99=percentile(window, 99),
-                mean=sum(window) / len(window),
-                max=window[-1],
-            )
-        return {
-            "uptime_seconds": uptime,
-            "counters": counters,
-            "totals": totals,
-            "latency_seconds": latency,
-        }
+def latency_summary(latencies: list[float]) -> dict[str, float]:
+    """p50/p95/p99/mean/max of a latency window (``{}`` when empty)."""
+    if not latencies:
+        return {}
+    window = sorted(latencies)
+    return {
+        "p50": percentile(window, 50),
+        "p95": percentile(window, 95),
+        "p99": percentile(window, 99),
+        "mean": sum(window) / len(window),
+        "max": window[-1],
+    }

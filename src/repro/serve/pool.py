@@ -22,20 +22,28 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.api import Session, SolverSpec, Workload
+from repro.observe.metrics import MetricsRegistry
 from repro.runtime.queue import SolveQueue
 from repro.serve.protocol import pattern_key
 
 __all__ = ["SessionPool", "PoolEntry"]
 
+#: Pool gauge family -> the ``cache_stats()`` key it sums over live sessions.
+_LIVE_SUMS = {
+    "repro_pool_coarse_applies": "coarse_applies",
+    "repro_pool_coarse_solves": "coarse_solves",
+    "repro_pool_coarse_seconds": "coarse_seconds",
+    "repro_tier_resident_bytes": "resident_bytes",
+}
+
 
 @dataclass
 class PoolEntry:
-    """One pooled pattern: its session, solve queue and usage counters."""
+    """One pooled pattern: its session and solve queue."""
 
     key: tuple
     session: Session
     queue: SolveQueue
-    requests: int = 0
 
     def solve(self, workload: Workload, spec: SolverSpec | None, rhs: Any):
         """Run one request through the entry's queue (blocking).
@@ -83,7 +91,12 @@ class SessionPool:
         self.max_sessions = max_sessions
         self._entries: OrderedDict[tuple, PoolEntry] = OrderedDict()
         self._lock = threading.Lock()
-        self.evictions = 0
+        self.metrics = MetricsRegistry()
+        self._evictions = self.metrics.counter(
+            "repro_pool_evictions", "Sessions evicted from the pool"
+        )
+        #: The counters of every evicted session, folded at eviction.
+        self._retired = MetricsRegistry()
 
     def entry_for(self, workload: Workload) -> PoolEntry:
         """The pooled entry serving a workload's pattern (created on miss)."""
@@ -97,9 +110,11 @@ class SessionPool:
                 self._entries[key] = entry
                 if len(self._entries) > self.max_sessions:
                     _, evicted = self._entries.popitem(last=False)
-                    self.evictions += 1
+                    self._evictions.inc()
+                    self._retired = MetricsRegistry.fold(
+                        [self._retired, evicted.session.metrics]
+                    )
             self._entries.move_to_end(key)
-            entry.requests += 1
         if evicted is not None:
             evicted.queue.close()
             evicted.session.close()
@@ -124,109 +139,45 @@ class SessionPool:
         with self._lock:
             return len(self._entries)
 
-    def stats(self) -> dict[str, Any]:
-        """Aggregated per-pattern cache statistics for ``GET /v1/metrics``."""
-        with self._lock:
-            entries = list(self._entries.items())
-            evictions = self.evictions
-        patterns = []
-        stacked_solves = 0
-        stacked_columns = 0
-        coarse_applies = 0
-        coarse_solves = 0
-        coarse_seconds = 0.0
-        resident_bytes = 0
-        tier_demotions = 0
-        tier_evictions = 0
-        tier_refactorizations = 0
-        for key, entry in entries:
-            stats = entry.session.cache_stats()
-            stacked_solves += stats["stacked_solves"]
-            stacked_columns += stats["stacked_columns"]
-            coarse_applies += stats["coarse_applies"]
-            coarse_solves += stats["coarse_solves"]
-            coarse_seconds += stats["coarse_seconds"]
-            resident_bytes += stats["resident_bytes"]
-            tier_demotions += stats["demotions"]
-            tier_evictions += stats["evictions"]
-            tier_refactorizations += stats["refactorizations"]
-            patterns.append(
-                {
-                    "pattern": list(key[:2]) + [list(key[2]), *key[3:6], list(key[6])],
-                    "requests": entry.requests,
-                    "symbolic_analyses": stats["symbolic_analyses"],
-                    "pattern_hits": stats["pattern_hits"],
-                    "solves": stats["solves"],
-                    "solver_reuses": stats["solver_reuses"],
-                    "stacked_solves": stats["stacked_solves"],
-                    "stacked_columns": stats["stacked_columns"],
-                    "coarse_applies": stats["coarse_applies"],
-                    "coarse_seconds": stats["coarse_seconds"],
-                    "resident_bytes": stats["resident_bytes"],
-                    "demotions": stats["demotions"],
-                    "tier_evictions": stats["evictions"],
-                    "refactorizations": stats["refactorizations"],
-                }
-            )
-        return {
-            "sessions": len(entries),
-            "max_sessions": self.max_sessions,
-            "evictions": evictions,
-            "stacked_solves": stacked_solves,
-            "stacked_columns": stacked_columns,
-            "coarse_applies": coarse_applies,
-            "coarse_solves": coarse_solves,
-            "coarse_seconds": coarse_seconds,
-            "resident_bytes": resident_bytes,
-            "demotions": tier_demotions,
-            "tier_evictions": tier_evictions,
-            "refactorizations": tier_refactorizations,
-            "patterns": patterns,
-        }
+    def _fold(self) -> tuple[MetricsRegistry, list[dict[str, Any]]]:
+        """The pool's registry view and its per-pattern rows.
 
-    def publish_metrics(self, registry) -> None:
-        """Publish pool-aggregated counters into a :class:`~repro.observe.
-        metrics.MetricsRegistry` (the ``repro_pool_*`` and ``repro_tier_*``
-        families of ``GET /v1/metrics/prometheus``)."""
-        stats = self.stats()
-        pool_keys = (
-            "sessions",
-            "max_sessions",
-            "evictions",
-            "stacked_solves",
-            "stacked_columns",
-            "coarse_applies",
-            "coarse_solves",
-            "coarse_seconds",
-        )
-        for key in pool_keys:
-            registry.gauge(
-                f"repro_pool_{key}", f"Session-pool aggregate {key}"
-            ).set(float(stats[key]))
-        # The factor-tier counters, aggregated across every pooled session.
-        registry.gauge(
-            "repro_tier_resident_bytes", "Factor bytes currently resident"
-        ).set(float(stats["resident_bytes"]))
-        registry.gauge(
-            "repro_tier_demotions_total", "Factor demotions to fp32 storage"
-        ).set(float(stats["demotions"]))
-        registry.gauge(
-            "repro_tier_evictions_total", "Factor evictions from the tier"
-        ).set(float(stats["tier_evictions"]))
-        registry.gauge(
-            "repro_tier_refactorizations_total",
-            "Lazy re-factorizations of demoted/evicted entries",
-        ).set(float(stats["refactorizations"]))
-        # Queue counters are summed across entries here (one gauge family
-        # per service) instead of letting each queue set them in turn.
+        Counters sum over the pool's own registry, the sessions it evicted
+        and the live sessions, so no ``_total`` falls when a session goes.
+        Gauges are point-in-time sums of the live sessions' ``cache_stats()``.
+        """
         with self._lock:
             entries = list(self._entries.values())
-        requests = sum(len(e.queue._tickets) for e in entries)
-        coalesced = sum(e.queue.coalesced_batches for e in entries)
-        registry.gauge(
-            "repro_queue_requests_total", "Requests submitted to the solve queues"
-        ).set(float(requests))
-        registry.gauge(
-            "repro_queue_coalesced_batches_total",
-            "Drained batches that coalesced more than one request",
-        ).set(float(coalesced))
+            view = MetricsRegistry.fold(
+                [self.metrics, self._retired, *(e.session.metrics for e in entries)]
+            )
+        rows = [
+            {
+                "pattern": list(e.key[:2]) + [list(e.key[2]), *e.key[3:6], list(e.key[6])],
+                **e.session.cache_stats(),
+                **e.session.metrics.values("repro_queue_"),
+            }
+            for e in entries
+        ]
+        view.gauge("repro_pool_sessions", "Pooled sessions").set(len(entries))
+        view.gauge("repro_pool_max_sessions", "Session-pool capacity").set(self.max_sessions)
+        for family, key in _LIVE_SUMS.items():
+            view.gauge(family, f"Sum of {key} over the pooled sessions").set(
+                sum(row[key] for row in rows)
+            )
+        return view, rows
+
+    def view(self) -> MetricsRegistry:
+        """The ``repro_pool_*`` / ``repro_tier_*`` / ``repro_queue_*``
+        families of ``GET /v1/metrics/prometheus``."""
+        return self._fold()[0]
+
+    def stats(self) -> dict[str, Any]:
+        """The ``session_pool`` section of ``GET /v1/metrics``: the same
+        view, keyed by family name without ``repro_[pool_]`` or ``_total``,
+        and one ``cache_stats()`` row per pattern."""
+        view, rows = self._fold()
+        doc = view.values("repro_pool_", "repro_")
+        # The one key that keeps its ``cache_stats()`` name.
+        doc["resident_bytes"] = doc.pop("tier_resident_bytes")
+        return {**doc, "patterns": rows}

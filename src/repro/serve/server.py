@@ -14,16 +14,19 @@ Endpoints
 ---------
 ``POST /v1/solve``
     Body: the :mod:`repro.serve.protocol` envelope.  Responses: ``200``
-    (result), ``400`` (validation), ``429`` (saturated, with
-    ``Retry-After``), ``504`` (timeout), ``500`` (internal).
+    (result), ``400`` (validation, or a ``Content-Length`` that is not a
+    non-negative integer), ``413`` (body over 64 MiB), ``429`` (saturated,
+    with ``Retry-After``), ``504`` (timeout), ``500`` (internal).
 ``GET /v1/health``
     Liveness + pool occupancy; always cheap, never touches a session.
 ``GET /v1/metrics``
     Counters, latency percentiles (p50/p95/p99 over a sliding window),
     result-cache hit/miss statistics and per-pattern session cache stats.
 ``GET /v1/metrics/prometheus``
-    The same counters in Prometheus text exposition format (version 0.0.4),
-    including the session-pool, factor-tier and solve-queue gauges.
+    The same registries in Prometheus text exposition format (version
+    0.0.4): the server's ``repro_serve_*`` families, the session pool's
+    ``repro_pool_*`` / ``repro_tier_*`` / ``repro_queue_*`` and the result
+    cache's ``repro_result_cache_*``.
 
 Every response carries an ``X-Repro-Request-Id`` header (echoed from the
 request header of the same name when present and well-formed, generated
@@ -38,6 +41,7 @@ import asyncio
 import json
 import threading
 import uuid
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -47,9 +51,10 @@ from typing import Any
 
 from repro.api import SolverSpec
 from repro.observe.log import get_logger
+from repro.observe.metrics import MetricsRegistry
 from repro.observe.trace import capture_context, run_with_context, trace_span
 from repro.serve.cache import ResultCache
-from repro.serve.metrics import ServeMetrics
+from repro.serve.metrics import latency_summary
 from repro.serve.pool import SessionPool
 from repro.serve.protocol import (
     SCHEMA_VERSION,
@@ -142,11 +147,19 @@ class SolveServer:
         self.config = config or ServeConfig()
         self.pool = SessionPool(self.config.spec, max_sessions=self.config.pool_size)
         self.cache = ResultCache(self.config.cache_size)
-        self.metrics = ServeMetrics()
+        #: The server's ``repro_serve_*`` counters and latency histogram.
+        self.metrics = MetricsRegistry()
+        self._latency = self.metrics.histogram(
+            "repro_serve_request_latency_seconds", "Wall latency of answered solve requests"
+        )
+        #: The window ``/v1/metrics`` takes its latency percentiles from.
+        self._latencies: deque[float] = deque(maxlen=2048)
+        self._started = monotonic()
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.concurrency, thread_name_prefix="repro-serve"
         )
         self._in_flight = 0
+        #: Guards the in-flight count and the latency window.
         self._admission_lock = threading.Lock()
         self._server: asyncio.AbstractServer | None = None
         #: Actual bound port (differs from config when ``port=0``).
@@ -188,7 +201,14 @@ class SolveServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ProtocolError as exc:
+                    # The body cannot be framed: answer, then close.
+                    self._count(f"http_rejected_{exc.status}")
+                    payload = error_payload(str(exc), exc.status)
+                    await self._respond(writer, exc.status, payload, keep_alive=False)
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -234,6 +254,9 @@ class SolveServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes] | None:
+        """The next request on the connection (``None`` when it closed or
+        sent no parseable request line); raises :class:`ProtocolError` for
+        a bad ``Content-Length``."""
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError:
@@ -251,9 +274,12 @@ class SolveServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not fullmatch(r"[0-9]+", declared):
+            raise ProtocolError(f"Content-Length {declared!r} is not a non-negative integer")
+        length = int(declared)
         if length > _MAX_BODY:
-            return None
+            raise ProtocolError(f"request body of {length} bytes is over {_MAX_BODY} bytes", 413)
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path.split("?", 1)[0], headers, body
 
@@ -293,7 +319,7 @@ class SolveServer:
         # (cached / solved / rejected-429 / ...) and its workload pattern.
         if info is None:
             info = {}
-        self.metrics.count("requests_total")
+        self._count("requests")
         if path == "/v1/health":
             if method != "GET":
                 return 405, error_payload(f"{method} not allowed on {path}", 405)
@@ -310,7 +336,7 @@ class SolveServer:
             if method != "POST":
                 return 405, error_payload(f"{method} not allowed on {path}", 405)
             return await self._solve(body, info)
-        self.metrics.count("errors_404")
+        self._count("errors_404")
         info["disposition"] = "not-found"
         return 404, error_payload(f"unknown path {path!r}", 404)
 
@@ -324,30 +350,37 @@ class SolveServer:
             "queue_limit": self.config.queue_limit,
         }
 
+    def _count(self, name: str, amount: float = 1) -> None:
+        self.metrics.counter(f"repro_serve_{name}_total", f"Serve counter {name!r}").inc(amount)
+
+    def _observe_latency(self, seconds: float) -> None:
+        with self._admission_lock:
+            self._latencies.append(seconds)
+        self._latency.observe(seconds)
+
     def _metrics(self) -> dict[str, Any]:
-        doc = self.metrics.snapshot()
-        doc["schema_version"] = SCHEMA_VERSION
-        doc["result_cache"] = self.cache.stats()
-        doc["session_pool"] = self.pool.stats()
-        doc["in_flight"] = self._in_flight
-        return doc
+        with self._admission_lock:
+            window = list(self._latencies)
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "uptime_seconds": monotonic() - self._started,
+            "counters": self.metrics.values("repro_serve_"),
+            "latency_seconds": {"window": len(window), **latency_summary(window)},
+            "result_cache": self.cache.stats(),
+            "session_pool": self.pool.stats(),
+            "in_flight": self._in_flight,
+        }
 
     def _metrics_prometheus(self) -> str:
-        registry = self.metrics.registry
-        registry.gauge(
-            "repro_serve_uptime_seconds", "Seconds since the service started"
-        ).set(self.metrics.uptime_seconds)
-        registry.gauge(
-            "repro_serve_in_flight", "Admitted-but-unfinished solve requests"
-        ).set(float(self._in_flight))
-        for key, value in self.cache.stats().items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            registry.gauge(
-                f"repro_result_cache_{key}", f"Result-cache {key}"
-            ).set(float(value))
-        self.pool.publish_metrics(registry)
-        return registry.render_prometheus()
+        now = MetricsRegistry()
+        now.gauge("repro_serve_uptime_seconds", "Seconds since the service started").set(
+            monotonic() - self._started
+        )
+        now.gauge("repro_serve_in_flight", "Admitted-but-unfinished solve requests").set(
+            self._in_flight
+        )
+        registries = (self.metrics, now, self.pool.view(), self.cache.view())
+        return "".join(r.render_prometheus() for r in registries)
 
     # ------------------------------------------------------------------ #
     # The solve endpoint                                                  #
@@ -369,11 +402,11 @@ class SolveServer:
         if info is None:
             info = {}
         started = monotonic()
-        self.metrics.count("solve_requests")
+        self._count("solve_requests")
         try:
             request = parse_solve_request(body)
         except ProtocolError as exc:
-            self.metrics.count("solve_rejected_400")
+            self._count("solve_rejected_400")
             info["disposition"] = f"invalid-{exc.status}"
             return exc.status, error_payload(str(exc), exc.status)
 
@@ -382,15 +415,15 @@ class SolveServer:
         fingerprint = request_fingerprint(request.workload, spec, request.rhs)
         cached = self.cache.get(fingerprint)
         if cached is not None:
-            self.metrics.count("solve_cache_hits")
+            self._count("solve_cache_hits")
             elapsed = monotonic() - started
-            self.metrics.observe_latency(elapsed)
+            self._observe_latency(elapsed)
             info["disposition"] = "cached"
             return 200, {**cached, "cached": True, "solve_seconds": elapsed}
-        self.metrics.count("solve_cache_misses")
+        self._count("solve_cache_misses")
 
         if not self._admit():
-            self.metrics.count("solve_rejected_429")
+            self._count("solve_rejected_429")
             info["disposition"] = "rejected-429"
             return 429, error_payload(
                 f"solve queue is full ({self.config.queue_limit} in flight); "
@@ -416,7 +449,7 @@ class SolveServer:
         try:
             solution = await asyncio.wait_for(asyncio.shield(future), timeout)
         except asyncio.TimeoutError:
-            self.metrics.count("solve_timeouts_504")
+            self._count("solve_timeouts_504")
             info["disposition"] = "timeout-504"
             # The worker thread keeps running under the session's workload
             # locks; retrieve its eventual outcome so nothing warns on GC.
@@ -428,17 +461,17 @@ class SolveServer:
             )
         except Exception as exc:  # noqa: BLE001 - mapped to wire statuses
             status = 400 if isinstance(exc, (ValueError, TypeError, KeyError)) else 500
-            self.metrics.count(f"solve_errors_{status}")
+            self._count(f"solve_errors_{status}")
             info["disposition"] = f"error-{status}"
             return status, error_payload(f"solve failed: {exc}", status)
 
         elapsed = monotonic() - started
         info["disposition"] = "solved"
-        self.metrics.count("solve_completed")
-        self.metrics.observe_latency(elapsed)
-        # Cumulative coarse-problem wall seconds across completed solves —
-        # lands under "totals" in /v1/metrics next to the pool's counters.
-        self.metrics.add("coarse_seconds", solution.coarse_seconds)
+        self._count("solve_completed")
+        self._observe_latency(elapsed)
+        # The solutions' own coarse seconds; ``session_pool.coarse_seconds``
+        # is the projectors' cumulative time, factorizations included.
+        self._count("solve_coarse_seconds", solution.coarse_seconds)
         payload = solution_payload(
             solution,
             solve_seconds=elapsed,

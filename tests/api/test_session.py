@@ -47,8 +47,9 @@ def test_repeated_solve_reuses_the_prepared_solver():
     # One preparation and one preprocessing across both solves.
     assert solver.operator.ledger.count("preparation") == 1
     assert solver.operator.ledger.count("preprocessing") == 1
-    assert session.stats.solvers_built == 1
-    assert session.stats.solver_reuses >= 1
+    stats = session.cache_stats()
+    assert stats["solvers"] == 1
+    assert stats["solver_reuses"] >= 1
     np.testing.assert_allclose(first.lam, again.lam, atol=1e-10)
 
 
@@ -56,7 +57,7 @@ def test_per_call_spec_override_builds_a_second_solver():
     session = Session(SolverSpec(approach="impl mkl"))
     q_impl = session.solve(W_SMALL)
     q_expl = session.solve(W_SMALL, SolverSpec(approach="expl mkl"))
-    assert session.stats.solvers_built == 2
+    assert session.cache_stats()["solvers"] == 2
     np.testing.assert_allclose(q_impl.lam, q_expl.lam, atol=1e-8)
     operator = session.operator_for(W_SMALL, "cpu-explicit")
     assert operator is session.operator_for(W_SMALL, "cpu-explicit")

@@ -109,11 +109,10 @@ def test_projector_stats_count_applies_and_solves():
     x = np.ones(problem.n_lambda)
     projector.apply(x)
     projector.coarse_solve(np.ones(projector.n_kernel))
-    stats = projector.stats()
-    assert stats["applies"] == 1
-    assert stats["solves"] == 1  # apply()'s internal solve is not standalone
-    assert stats["seconds"] >= 0.0
-    assert stats["factor_seconds"] > 0.0
+    assert projector.applies == 1
+    assert projector.solves == 1  # apply()'s internal solve is not standalone
+    assert projector.seconds >= 0.0
+    assert projector.factor_seconds > 0.0
 
 
 def test_multicluster_solve_meets_the_saddle_point_oracle():

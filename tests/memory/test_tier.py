@@ -49,11 +49,15 @@ def _kb(n: int) -> EntryBytes:
     return EntryBytes(factor_bytes=n * 1024)
 
 
+def _counts(tier: FactorTier) -> dict[str, int]:
+    return tier.metrics.values("repro_tier_")
+
+
 def test_tier_without_budget_never_reports_over():
     tier = FactorTier(None)
     tier.record("a", _kb(1024), demotable=True)
     assert not tier.over_budget()
-    assert tier.stats()["memory_budget_bytes"] is None
+    assert tier.budget_bytes is None
 
 
 def test_victim_walk_is_lru_coldest_first():
@@ -79,7 +83,7 @@ def test_demote_then_evict_state_machine():
     assert (key, action) == ("a", "demote")
     tier.mark_demoted("a", _kb(1))
     assert tier.state("a") == "demoted"
-    assert tier.demotions == 1
+    assert _counts(tier)["demotions"] == 1
     assert tier.ledger.resident_bytes == 1024  # halved measurement recorded
 
     # A demoted entry's next action is eviction, not a second demotion.
@@ -88,7 +92,7 @@ def test_demote_then_evict_state_machine():
     assert tier.next_victim({"b"}) == ("a", "evict")
     tier.mark_evicted("a")
     assert tier.state("a") is None
-    assert tier.evictions == 1
+    assert _counts(tier)["evictions"] == 1
     assert tier.ledger.resident_bytes == 2 * 1024
 
 
@@ -104,18 +108,20 @@ def test_refactorization_counter_and_stats():
     tier.record("a", _kb(4), demotable=True)
     tier.mark_demoted("a", _kb(2))
     tier.count_refactorization()
-    stats = tier.stats()
-    assert stats == {
-        "memory_budget_bytes": 10 * 1024,
-        "resident_bytes": 2 * 1024,
-        "peak_resident_bytes": 4 * 1024,
-        "resident_entries": 1,
-        "demoted_entries": 1,
-        "demotions": 1,
-        "evictions": 0,
-        "refactorizations": 1,
-    }
+    assert _counts(tier) == {"demotions": 1, "evictions": 0, "refactorizations": 1}
+    assert (tier.ledger.resident_bytes, tier.ledger.peak_bytes) == (2 * 1024, 4 * 1024)
+    assert tier.entries() == (1, 1)
     # Re-recording (the lazy re-factorization re-measuring) restores FULL.
     tier.record("a", _kb(4), demotable=True)
     assert tier.state("a") == "full"
-    assert tier.stats()["demoted_entries"] == 0
+    assert tier.entries() == (1, 0)
+
+
+def test_tier_counts_into_the_registry_it_is_given():
+    from repro.observe.metrics import MetricsRegistry
+
+    registry = MetricsRegistry()
+    tier = FactorTier(budget_bytes=1024, metrics=registry)
+    tier.record("a", _kb(2), demotable=False)
+    tier.mark_evicted("a")
+    assert "repro_tier_evictions_total 1" in registry.render_prometheus()

@@ -85,14 +85,30 @@ def test_map_preserves_submission_order():
     np.testing.assert_allclose(results[2].lam, 3.0 * results[0].lam, rtol=1e-6, atol=1e-9)
 
 
-def test_gather_returns_all_tickets_in_order():
-    with Session() as session:
+def test_queue_holds_no_finished_request():
+    """A served request's solution is reachable only through its ticket:
+    the queue keeps no reference once the request finished."""
+    import gc
+    import tracemalloc
+    import weakref
+
+    with Session(SolverSpec(approach="expl mkl")) as session:
         queue = session.queue()
-        queue.submit(HEAT)
-        queue.submit(HEAT_SMALL)
-        results = queue.gather()
-    assert len(results) == 2
-    assert queue.pending == 0
+        queue.submit(HEAT, rhs=0.5).result()  # warm the caches before measuring
+        refs = []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(200):
+                refs.append(weakref.ref(queue.submit(HEAT, rhs=1.0 + i).result()))
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert queue.pending == 0
+        assert session.metrics.values("repro_queue_")["requests"] == 201
+    assert not [r for r in refs if r() is not None]
+    assert growth < 1_000_000, growth
 
 
 def test_per_call_spec_override():
@@ -273,7 +289,7 @@ def test_same_pattern_requests_coalesce_into_one_stacked_solve():
     with Session() as session:
         queue = session.queue()
         reference = queue.submit(HEAT).result()
-        before = session.stats.stacked_solves
+        before = session.cache_stats()["stacked_solves"]
         lock = session.workload_lock(HEAT)
         lock.acquire()
         try:
@@ -301,9 +317,10 @@ def test_same_pattern_requests_coalesce_into_one_stacked_solve():
         for t in threads:
             t.join(timeout=120)
         pairs = [(scale, ticket.result(timeout=120)) for scale, ticket in tickets]
-        assert session.stats.stacked_solves == before + 1
-        assert session.stats.stacked_columns == 3
-        assert queue.coalesced_batches == 1
+        stats = session.cache_stats()
+        assert stats["stacked_solves"] == before + 1
+        assert stats["stacked_columns"] == 3
+        assert session.metrics.values("repro_queue_")["coalesced_batches"] == 1
     for scale, result in pairs:
         assert result.converged
         np.testing.assert_allclose(
@@ -317,8 +334,8 @@ def test_distinct_patterns_do_not_coalesce():
         queue.submit(HEAT).result()
         queue.submit(ELASTICITY).result()
         queue.submit(HEAT, rhs=2.0).result()
-        assert session.stats.stacked_solves == 0
-        assert queue.coalesced_batches == 0
+        assert session.cache_stats()["stacked_solves"] == 0
+        assert session.metrics.values("repro_queue_")["coalesced_batches"] == 0
 
 
 def test_failing_column_fails_only_its_own_ticket_in_a_batch():

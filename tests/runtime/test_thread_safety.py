@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -105,8 +106,14 @@ def test_session_caches_survive_concurrent_solves():
         except BaseException as exc:  # noqa: BLE001 - surfaced below
             errors.append(exc)
 
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        list(pool.map(hammer, range(n_threads)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            list(pool.map(hammer, range(n_threads)))
+    finally:
+        sys.setswitchinterval(interval)
+    queue.close()
     session.close()
 
     assert not errors
@@ -117,6 +124,10 @@ def test_session_caches_survive_concurrent_solves():
     assert stats["problems"] == len(workloads)
     # One prepared solver per workload (the session spec is shared).
     assert stats["solvers"] == len(workloads)
+    # The registry counters lose no increment, and the queue holds nothing.
+    assert stats["solves"] == n_threads * rounds
+    assert session.metrics.values("repro_queue_")["requests"] == n_threads * rounds
+    assert queue.pending == 0
 
 
 def test_closed_session_refuses_new_executors():

@@ -153,3 +153,112 @@ def test_404_and_405_still_carry_request_id(server):
         assert response.status == 405
     finally:
         conn.close()
+
+
+# --------------------------------------------------------------------- #
+# One vocabulary: /v1/metrics and the Prometheus scrape read the same    #
+# registries                                                             #
+# --------------------------------------------------------------------- #
+def _samples(text: str) -> dict[str, float]:
+    """The unlabelled samples of an exposition, by name."""
+    return {
+        name: float(value)
+        for name, value in re.findall(r"^([a-zA-Z_:][a-zA-Z0-9_:]*) (\S+)$", text, re.MULTILINE)
+    }
+
+
+def _coalesce_three(server, client_port: int) -> None:
+    """Three same-pattern requests queued behind a held workload lock drain
+    as one coalesced batch."""
+    import threading
+    import time
+
+    from repro.api import Workload
+
+    workload = Workload.from_preset("heat-2d-quick")
+    entry = server.server.pool.entry_for(workload)
+    lock = entry.session.workload_lock(workload)
+
+    def one(rhs: float) -> None:
+        with ServeClient(port=client_port, timeout=120) as c:
+            c.solve("heat-2d-quick", rhs=rhs)
+
+    threads = [threading.Thread(target=one, args=(20.0 + j,)) for j in range(3)]
+    with lock:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30
+        while entry.queue.pending < 3 and time.monotonic() < deadline:
+            time.sleep(0.02)
+    for t in threads:
+        t.join(timeout=120)
+
+
+def test_metrics_json_and_prometheus_are_one_vocabulary():
+    from repro.api import Workload
+
+    with ServerThread(ServeConfig(port=0, concurrency=3, queue_limit=8)) as server:
+        with ServeClient(port=server.port) as client:
+            client.solve("heat-2d-quick", rhs=1.0)
+            client.solve("heat-2d-quick", rhs=1.0)  # result-cache hit
+            client.solve("elasticity-2d-quick", spec="cpu-explicit")
+            heat = Workload.from_preset("heat-2d-quick")
+            server.server.pool.entry_for(heat).session.solve_many(heat, [None, None])
+            _coalesce_three(server, server.port)
+            doc = client.metrics()
+            text = client.metrics_prometheus()
+    samples = _samples(text)
+    pool = doc["session_pool"]
+    assert pool["stacked_solves"] == samples["repro_pool_stacked_solves"] >= 2
+    assert pool["stacked_columns"] == samples["repro_pool_stacked_columns"] >= 5
+    assert pool["resident_bytes"] == samples["repro_tier_resident_bytes"] > 0
+    assert doc["counters"]["solve_completed"] == samples["repro_serve_solve_completed_total"] == 5
+    assert pool["queue_coalesced_batches"] == samples["repro_queue_coalesced_batches_total"] == 1
+    assert doc["result_cache"]["hits"] == samples["repro_result_cache_hits"] == 1
+    types = dict(re.findall(r"^# TYPE (\S+) (\S+)$", text, re.MULTILINE))
+    totals = {name: kind for name, kind in types.items() if name.endswith("_total")}
+    assert "repro_tier_demotions_total" in totals
+    assert set(totals.values()) == {"counter"}, totals
+
+
+def test_an_evicted_session_lowers_no_total():
+    with ServerThread(ServeConfig(port=0, pool_size=1)) as server:
+        with ServeClient(port=server.port) as client:
+            client.solve("heat-2d-quick", rhs=1.0)
+            client.solve("heat-2d-quick", rhs=2.0)
+            before = _samples(client.metrics_prometheus())
+            client.solve("elasticity-2d-quick", spec="cpu-explicit")  # evicts heat
+            after = _samples(client.metrics_prometheus())
+    assert after["repro_pool_evictions"] == 1
+    assert after["repro_pool_sessions"] == 1
+    assert after["repro_queue_requests_total"] == 3
+    lowered = {
+        name: (value, after.get(name))
+        for name, value in before.items()
+        if name.endswith("_total") and after.get(name, 0.0) < value
+    }
+    assert not lowered
+
+
+def test_bad_content_length_is_answered_and_counted(server):
+    import socket
+
+    def raw(length: str) -> bytes:
+        head = f"POST /v1/solve HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(head.encode("latin-1"))
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    assert raw("abc").startswith(b"HTTP/1.1 400 ")
+    assert raw("-5").startswith(b"HTTP/1.1 400 ")
+    too_big = raw(str(64 * 1024 * 1024 + 1))
+    assert too_big.startswith(b"HTTP/1.1 413 ")
+    assert b"Connection: close" in too_big
+    with ServeClient(port=server.port) as client:
+        assert client.health()["status"] == "ok"
+        counters = client.metrics()["counters"]
+    assert counters["http_rejected_400"] == 2
+    assert counters["http_rejected_413"] == 1

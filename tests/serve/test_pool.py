@@ -42,9 +42,10 @@ def test_lru_eviction_closes_the_evicted_session():
         pool.entry_for(ELASTICITY)
         pool.entry_for(HEAT)  # refresh heat so elasticity is the LRU
         pool.entry_for(coarse)  # third pattern: evicts elasticity
-        assert pool.evictions == 1
+        stats = pool.stats()
+        assert stats["evictions"] == 1
         assert len(pool) == 2
-        keys = {entry["pattern"][0] for entry in pool.stats()["patterns"]}
+        keys = {entry["pattern"][0] for entry in stats["patterns"]}
         assert keys == {"heat"}
 
 
