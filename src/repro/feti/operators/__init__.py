@@ -25,7 +25,6 @@ from repro.feti.config import AssemblyConfig, DualOperatorApproach
 from repro.feti.operators.base import DualOperatorBase
 from repro.feti.operators.batch import (
     BatchedDenseApply,
-    ClusterBatch,
     FlatIndexMap,
     SubdomainBatchEngine,
 )
@@ -40,7 +39,6 @@ from repro.sparse.costmodel import CpuLibrary
 __all__ = [
     "DualOperatorBase",
     "SubdomainBatchEngine",
-    "ClusterBatch",
     "FlatIndexMap",
     "BatchedDenseApply",
     "ImplicitCpuDualOperator",

@@ -112,9 +112,7 @@ class DualOperatorBase(abc.ABC):
         """The batched subdomain execution engine (built once, lazily)."""
         if self._batch_engine is None:
             self._batch_engine = SubdomainBatchEngine(
-                self.problem,
-                self.machine,
-                dense_dtype=self.precision.storage_dtype,
+                self.problem, dense_dtype=self.precision.storage_dtype
             )
         return self._batch_engine
 
@@ -256,33 +254,35 @@ class DualOperatorBase(abc.ABC):
     # ------------------------------------------------------------------ #
     # Sharded dense apply                                                 #
     # ------------------------------------------------------------------ #
-    def dense_matvec(self, batch, p_concat: np.ndarray) -> np.ndarray:
-        """One cluster's packed dense apply, sharded on the runtime executor.
+    def _apply_packed_dense(self, lam: np.ndarray) -> np.ndarray:
+        """``q = Σ F̃ᵢ λᵢ`` over the one pack: one take, GEMV and ``bincount``.
 
-        The single interception point of the apply-phase sharding: every
-        explicit backend (and the GPU scatter paths) funnels its batched
-        GEMV through here, so threads/processes chunk the block pack while
+        Every explicit backend applies through here, and the batched GEMV
+        is the single interception point of the apply-phase sharding
+        (:mod:`repro.runtime.apply`): threads/processes chunk the pack while
         the serial executor stays the bit-equal reference.
         """
         from repro.runtime.apply import sharded_matvec
 
-        return sharded_matvec(batch.require_dense(), p_concat, self.executor)
-
-    def _apply_packed_dense(self, lam: np.ndarray) -> np.ndarray:
-        """``q = Σ F̃ᵢ λᵢ``: one take, one batched GEMV, one ``np.add.at`` per cluster."""
+        engine = self.batch_engine
         q = np.zeros_like(lam)
-        for cluster, subs in self.iter_clusters():
-            if subs:
-                batch = self.batch_engine.cluster(cluster.cluster_id)
-                q_concat = self.dense_matvec(batch, batch.dual_map.gather(lam))
-                batch.dual_map.scatter_add(q, q_concat)
+        p_concat = engine.global_map.gather(lam)
+        engine.global_map.scatter_add(
+            q, sharded_matvec(engine.require_dense(), p_concat, self.executor)
+        )
         return q
 
-    def dense_matvec_multi(self, batch, p_stack: np.ndarray) -> np.ndarray:
-        """The multi-RHS analogue of :meth:`dense_matvec` (stacked GEMM)."""
+    def _apply_packed_dense_multi(self, lam_block: np.ndarray) -> np.ndarray:
+        """The stacked multi-RHS analogue of :meth:`_apply_packed_dense` (GEMM)."""
         from repro.runtime.apply import sharded_matvec_multi
 
-        return sharded_matvec_multi(batch.require_dense(), p_stack, self.executor)
+        engine = self.batch_engine
+        q = np.zeros_like(lam_block)
+        p_stack = engine.global_map.gather_multi(lam_block)
+        engine.global_map.scatter_add_multi(
+            q, sharded_matvec_multi(engine.require_dense(), p_stack, self.executor)
+        )
+        return q
 
     # ------------------------------------------------------------------ #
     # Abstract pieces                                                     #
@@ -439,7 +439,7 @@ class DualOperatorBase(abc.ABC):
         engine = self.batch_engine
         f = np.concatenate([sub.f for sub in subdomains])
         u = self._kplus(f - engine.Bt @ engine.global_map.gather(lam))
-        u += engine.R @ alpha
+        u += self.problem.R @ alpha
         return np.split(u, engine.primal_offsets[1:-1])
 
     # ------------------------------------------------------------------ #
@@ -468,11 +468,10 @@ class DualOperatorBase(abc.ABC):
         factor = sum(s.storage_nbytes() for s in self._cpu_solvers.values())
         pack = self._extra_pack_nbytes()
         arena = 0
-        if self._batch_engine is not None:
-            for batch in self._batch_engine.clusters.values():
-                if batch.dense is not None:
-                    pack += int(batch.dense.blocks.nbytes)
-                    arena += int(batch.dense._p_pad.nbytes)
+        dense = self._batch_engine.dense if self._batch_engine is not None else None
+        if dense is not None:
+            pack += int(dense.blocks.nbytes)
+            arena += int(dense._p_pad.nbytes)
         return {"factor": int(factor), "pack": int(pack), "arena": int(arena)}
 
     def _extra_pack_nbytes(self) -> int:
@@ -493,8 +492,7 @@ class DualOperatorBase(abc.ABC):
         for solver in self._cpu_solvers.values():
             solver.demote_storage()
         if self._batch_engine is not None:
-            for batch in self._batch_engine.clusters.values():
-                batch.dense = None
+            self._batch_engine.dense = None
         self._demote_pack_storage(np.dtype(np.float32))
 
     def _demote_pack_storage(self, dtype: np.dtype) -> None:

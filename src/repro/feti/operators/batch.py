@@ -11,11 +11,11 @@ as a handful of vectorized NumPy operations regardless of the subdomain count:
   subdomains flattened into fancy-index arrays (built from
   :func:`repro.decomposition.gluing.flat_scatter_maps`), so ``local_dual`` /
   ``accumulate_dual`` over all subdomains become a single ``take`` and a
-  single ``np.add.at``;
+  single ``np.bincount``;
 * :class:`BatchedDenseApply` — equal/padded-shape dense ``local_F`` blocks
   packed into one 3-D array, applied with a single batched GEMV
   (``np.matmul`` over the leading axis);
-* :class:`SubdomainBatchEngine` — per-cluster grouping of the above.
+* :class:`SubdomainBatchEngine` — the above over every subdomain at once.
 
 The engine is numerics only: the simulated time of an apply is the
 backend's timeline plan, replayed once per preprocessing round (see
@@ -25,7 +25,6 @@ backend's timeline plan, replayed once per preprocessing round (see
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +32,7 @@ import scipy.sparse as sp
 
 from repro.decomposition.gluing import flat_scatter_maps
 
-__all__ = ["FlatIndexMap", "BatchedDenseApply", "ClusterBatch", "SubdomainBatchEngine"]
+__all__ = ["FlatIndexMap", "BatchedDenseApply", "SubdomainBatchEngine"]
 
 
 class FlatIndexMap:
@@ -90,8 +89,12 @@ class FlatIndexMap:
         return source.take(self.flat_ids)
 
     def scatter_add(self, target: np.ndarray, values: np.ndarray) -> None:
-        """Accumulate concatenated local contributions into ``target``."""
-        np.add.at(target, self.flat_ids, values)
+        """Accumulate concatenated local contributions into a 1-D ``target``.
+
+        One ``np.bincount``: it sums every id's contributions in flat order,
+        as ``np.add.at`` would, and adds the sums to ``target`` at once.
+        """
+        target += np.bincount(self.flat_ids, weights=values, minlength=target.shape[0])
 
     def gather_multi(self, source: np.ndarray) -> np.ndarray:
         """Row-wise gather of a stacked ``(n_global, k)`` multi-RHS block."""
@@ -230,69 +233,32 @@ class BatchedDenseApply:
         return self.map.unpad_multi(Q)
 
 
-@dataclass
-class ClusterBatch:
-    """Batched structures of one cluster's subdomains."""
+class SubdomainBatchEngine:
+    """Batched execution engine over a FETI problem's subdomains.
 
-    cluster_id: int
-    #: Indices (``SubdomainProblem.index``) of the cluster's subdomains, in
-    #: the iteration order of the per-cluster loops.
-    subdomain_indices: list[int]
-    #: Scatter/gather between the global dual vector and the concatenated
-    #: per-subdomain local dual vectors.
-    dual_map: FlatIndexMap
-    #: Packed dense blocks (installed by explicit backends after assembly).
-    dense: BatchedDenseApply | None = None
-    #: Optional secondary map (e.g. positions inside a cluster-wide device
-    #: dual vector for the GPU scatter/gather path).
-    aux_map: FlatIndexMap | None = None
-    #: Storage dtype of dense packs created by :meth:`require_dense`.
-    dense_dtype: np.dtype = field(default_factory=lambda: np.dtype(np.float64))
+    One flat scatter/gather map over every subdomain and, for the explicit
+    approaches, one pack of their ``F̃ᵢ`` over that map: an apply is one
+    ``take``, one padded batched GEMV and one ``bincount`` scatter, however
+    many clusters the subdomains are spread over.  Both follow
+    ``problem.subdomains``, which is in subdomain-index order.
+    """
 
-    def position_of(self, subdomain_index: int) -> int:
-        """Loop position of a subdomain inside this cluster."""
-        cached = getattr(self, "_positions", None)
-        if cached is None:
-            cached = {s: i for i, s in enumerate(self.subdomain_indices)}
-            self._positions = cached
-        return cached[subdomain_index]
+    def __init__(self, problem, dense_dtype=np.float64) -> None:
+        self.problem = problem
+        #: Storage dtype of the pack created by :meth:`require_dense`.
+        self.dense_dtype = np.dtype(dense_dtype)
+        #: Scatter/gather over all subdomains; the flat arrays come from the
+        #: gluing data's cached maps.
+        self.global_map = FlatIndexMap.from_flat(*problem.gluing.scatter_maps())
+        #: Packed dense blocks (installed by the explicit backends after
+        #: assembly, dropped by a storage demotion).
+        self.dense: BatchedDenseApply | None = None
 
     def require_dense(self) -> BatchedDenseApply:
         """The packed dense blocks, creating the pack on first use."""
         if self.dense is None:
-            self.dense = BatchedDenseApply(self.dual_map, dtype=self.dense_dtype)
+            self.dense = BatchedDenseApply(self.global_map, dtype=self.dense_dtype)
         return self.dense
-
-
-class SubdomainBatchEngine:
-    """Batched execution engine over a FETI problem's subdomains.
-
-    Groups the subdomains by cluster (mirroring
-    :meth:`~repro.feti.operators.base.DualOperatorBase.iter_clusters`) and
-    precomputes the flat scatter/gather maps once; the dual operators then
-    run their apply phases through the per-cluster :class:`ClusterBatch`
-    structures.
-    """
-
-    def __init__(self, problem, machine, dense_dtype=np.float64) -> None:
-        self.problem = problem
-        self.clusters: dict[int, ClusterBatch] = {}
-        dense_dtype = np.dtype(dense_dtype)
-        for cluster in machine.clusters:
-            subs = [s for s in problem.subdomains if s.cluster == cluster.cluster_id]
-            self.clusters[cluster.cluster_id] = ClusterBatch(
-                cluster_id=cluster.cluster_id,
-                subdomain_indices=[s.index for s in subs],
-                dual_map=FlatIndexMap([s.lambda_ids for s in subs]),
-                dense_dtype=dense_dtype,
-            )
-        #: Scatter/gather over *all* subdomains (used by ``dual_rhs``); the
-        #: flat arrays come from the gluing data's cached maps.
-        self.global_map = FlatIndexMap.from_flat(*problem.gluing.scatter_maps())
-
-    def cluster(self, cluster_id: int) -> ClusterBatch:
-        """The batched structures of one cluster."""
-        return self.clusters[cluster_id]
 
     # The gluing and the kernels are static across Algorithm-2 steps, so the
     # products around the stacked ``K⁺`` solve are one SpMV each: rows in
@@ -309,19 +275,11 @@ class SubdomainBatchEngine:
         return self.B.T.tocsr()
 
     @cached_property
-    def R(self) -> sp.csr_matrix:
-        """Block-diagonal kernel bases: ``α`` → concatenated ``Rᵢ αᵢ``."""
-        return sp.block_diag([s.kernel for s in self.problem.subdomains], format="csr")
-
-    @cached_property
     def primal_offsets(self) -> np.ndarray:
         """Offsets of every subdomain inside the concatenated primal vector."""
         sizes = [s.ndofs for s in self.problem.subdomains]
         return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
 
-    def install_dense_block(
-        self, cluster_id: int, subdomain_index: int, block: np.ndarray
-    ) -> None:
-        """Pack one assembled ``F̃ᵢ`` into its cluster's 3-D block array."""
-        batch = self.clusters[cluster_id]
-        batch.require_dense().set_block(batch.position_of(subdomain_index), block)
+    def install_dense_block(self, subdomain_index: int, block: np.ndarray) -> None:
+        """Pack one assembled ``F̃ᵢ`` at its subdomain's position."""
+        self.require_dense().set_block(subdomain_index, block)

@@ -105,9 +105,7 @@ class ExplicitCpuDualOperator(DualOperatorBase):
                 )
                 clocks.advance(i, cost)
                 breakdown["schur_complement"] += cost
-                self.batch_engine.install_dense_block(
-                    cluster.cluster_id, sub.index, self.local_F[sub.index]
-                )
+                self.batch_engine.install_dense_block(sub.index, self.local_F[sub.index])
             cluster_times.append(clocks.elapsed)
         return self._merge_cluster_times(cluster_times), breakdown
 
@@ -135,20 +133,13 @@ class ExplicitCpuDualOperator(DualOperatorBase):
     def _apply_multi_stacked(
         self, lam_block: np.ndarray
     ) -> tuple[np.ndarray, float, dict[str, float]]:
-        """Stacked multi-RHS apply: one batched GEMM per cluster.
+        """Stacked multi-RHS apply: one batched GEMM over the one pack.
 
         The wall win comes from amortizing the scatter/gather and the kernel
         launch over every column; the timeline is planned per column count.
         """
-        q = np.zeros_like(lam_block)
-        for cluster, subs in self.iter_clusters():
-            if subs:
-                batch = self.batch_engine.cluster(cluster.cluster_id)
-                q_stack = self.dense_matvec_multi(
-                    batch, batch.dual_map.gather_multi(lam_block)
-                )
-                batch.dual_map.scatter_add_multi(q, q_stack)
         k = int(lam_block.shape[1])
+        q = self._apply_packed_dense_multi(lam_block)
         return q, *self._planned(k, lambda: self._plan_apply(k))
 
     def _extra_pack_nbytes(self) -> int:

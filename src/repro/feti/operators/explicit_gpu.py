@@ -39,7 +39,6 @@ from repro.feti.config import (
     ScatterGatherDevice,
 )
 from repro.feti.operators.base import DualOperatorBase
-from repro.feti.operators.batch import FlatIndexMap
 from repro.feti.problem import FetiProblem
 from repro.gpu import cublas, cusparse
 from repro.gpu.arrays import (
@@ -265,9 +264,9 @@ class ExplicitGpuDualOperator(DualOperatorBase):
     def _setup_cluster_apply(self, cluster: ClusterResources, subs) -> None:
         """Build the cluster-wide apply structures (shared with the hybrid).
 
-        Allocates the cluster dual vectors of the GPU scatter/gather path,
-        computes every subdomain's positions inside them and flattens those
-        positions into one fancy-index map.
+        Allocates the cluster dual vectors of the GPU scatter/gather path and
+        computes every subdomain's positions inside them: the simulated
+        device state the GPU-scatter timeline and its oracle address.
         """
         device = cluster.device
         cluster_lambdas = (
@@ -291,10 +290,6 @@ class ExplicitGpuDualOperator(DualOperatorBase):
             self._state[sub.index].cluster_positions = np.searchsorted(
                 cluster_lambdas, sub.lambda_ids
             )
-        batch = self.batch_engine.cluster(cluster.cluster_id)
-        batch.aux_map = FlatIndexMap(
-            [self._state[s.index].cluster_positions for s in subs]
-        )
 
     # ------------------------------------------------------------------ #
     # Preprocessing (the accelerated explicit assembly)                   #
@@ -412,9 +407,7 @@ class ExplicitGpuDualOperator(DualOperatorBase):
                 if dense_factor is not None:
                     dense_factor.release()
 
-                self.batch_engine.install_dense_block(
-                    cluster.cluster_id, sub.index, state.device_F.array
-                )
+                self.batch_engine.install_dense_block(sub.index, state.device_F.array)
             end = device.synchronize(clocks.max_time)
             cluster_times.append(end)
         return self._merge_cluster_times(cluster_times), breakdown
@@ -463,28 +456,11 @@ class ExplicitGpuDualOperator(DualOperatorBase):
     def _apply_numerics(self, lam: np.ndarray) -> np.ndarray:
         """All per-subdomain GEMVs as one batched MV over the packed ``F̃ᵢ``.
 
-        The CPU scatter/gather path is one ``take`` / ``np.add.at`` over the
-        flattened ``lambda_ids``; the GPU path routes through the cluster-wide
-        device dual vectors and the flattened cluster-position maps.
+        Both scatter/gather settings compute the same sums, so they share
+        the one-pack apply; where the scatter runs shows only in the planned
+        timeline (:meth:`_plan_gpu_scatter` / :meth:`_plan_cpu_scatter`).
         """
-        if self.config.scatter_gather is not ScatterGatherDevice.GPU:
-            return self._apply_packed_dense(lam)
-        q = np.zeros_like(lam)
-        for cluster, subs in self.iter_clusters():
-            if not subs:
-                continue
-            batch = self.batch_engine.cluster(cluster.cluster_id)
-            cstate = self._cluster_state[cluster.cluster_id]
-            assert cstate.dual_in is not None and cstate.dual_out is not None
-            assert batch.aux_map is not None
-            cstate.dual_in.array[...] = lam[cstate.lambda_ids]
-            cstate.dual_out.array[...] = 0.0
-            q_concat = self.dense_matvec(
-                batch, batch.aux_map.gather(cstate.dual_in.array)
-            )
-            batch.aux_map.scatter_add(cstate.dual_out.array, q_concat)
-            np.add.at(q, cstate.lambda_ids, cstate.dual_out.array)
-        return q
+        return self._apply_packed_dense(lam)
 
     def _plan_gpu_scatter(self) -> tuple[float, dict[str, float]]:
         """Timeline of the GPU scatter/gather apply (stream submissions only)."""

@@ -122,7 +122,7 @@ class HybridDualOperator(ExplicitGpuDualOperator):
                 )
                 clocks.advance(i, device.cost_model.submission_overhead_cpu)
                 breakdown["upload_F"] += op.duration
-                self.batch_engine.install_dense_block(cluster.cluster_id, sub.index, F)
+                self.batch_engine.install_dense_block(sub.index, F)
             end = device.synchronize(clocks.max_time)
             cluster_times.append(end)
         return self._merge_cluster_times(cluster_times), breakdown

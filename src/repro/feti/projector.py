@@ -4,12 +4,14 @@
 constraints (equation (8) of the paper); its Gram matrix ``GᵀG`` is the
 *coarse problem* — one row/column per kernel mode.  It is factorized once,
 by one dense Cholesky, and an application of ``P`` is two sparse products
-(``Gᵀ x``, ``G u``) around one Cholesky solve.  The projector is serial on
-every execution backend: the products are a few microseconds of sparse
-kernel, far below the cost of dispatching them.
+(``Gᵀ x``, ``G u``) around one LAPACK ``dpotrs`` on the stored factor — the
+routine ``scipy.linalg.cho_solve`` ends in, without its per-call argument
+checks.  The projector is serial on every execution backend: the products
+are a few microseconds of sparse kernel, far below the cost of dispatching
+them.
 
 ``apply_block`` projects a whole block of PCPG columns in two stacked
-sparse products (per-column coarse solves keep it bitwise equal to
+sparse products around one multi-RHS ``dpotrs`` (bitwise equal to
 column-by-column application).
 """
 
@@ -21,6 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.feti.problem import FetiProblem
@@ -66,10 +69,17 @@ class Projector:
         self.solves = 0
 
     # ------------------------------------------------------------------ #
+    def _potrs(self, rhs: np.ndarray) -> np.ndarray:
+        """``(GᵀG)⁻¹ rhs`` for one column or an ``(n_kernel, k)`` block."""
+        out, info = dpotrs(self._cho[0], rhs, lower=self._cho[1])
+        if info != 0:
+            raise ValueError(f"dpotrs failed on the coarse problem (info={info})")
+        return out
+
     def coarse_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(Gᵀ G) x = rhs``."""
         start = time.perf_counter()
-        out = sla.cho_solve(self._cho, rhs)
+        out = self._potrs(rhs)
         self.seconds += time.perf_counter() - start
         self.solves += 1
         return out
@@ -77,8 +87,7 @@ class Projector:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply ``P x = x − G (GᵀG)⁻¹ Gᵀ x``."""
         start = time.perf_counter()
-        u = sla.cho_solve(self._cho, self.Gt @ x)
-        out = x - self.G @ u
+        out = x - self.G @ self._potrs(self.Gt @ x)
         self.seconds += time.perf_counter() - start
         self.applies += 1
         return out
@@ -91,19 +100,13 @@ class Projector:
         The two sparse products run stacked (``csr_matvecs`` accumulates
         each output row over the same nonzeros in the same order as the
         single-column kernel, so the stacked products are bitwise equal to
-        per-column matvecs); the small coarse solves stay per column, which
-        keeps the whole block application bitwise equal to column-by-column
-        :meth:`apply`.
+        per-column matvecs), and so does the coarse solve: the two
+        triangular solves of a multi-RHS ``dpotrs`` treat every column
+        alike, which keeps the whole block application bitwise equal to
+        column-by-column :meth:`apply`.
         """
         start = time.perf_counter()
-        Z = self.Gt @ np.ascontiguousarray(X)
-        U = np.column_stack(
-            [
-                sla.cho_solve(self._cho, np.ascontiguousarray(Z[:, j]))
-                for j in range(Z.shape[1])
-            ]
-        )
-        out = X - self.G @ U
+        out = X - self.G @ self._potrs(self.Gt @ np.ascontiguousarray(X))
         self.seconds += time.perf_counter() - start
         self.applies += X.shape[1]
         return out
@@ -111,7 +114,7 @@ class Projector:
     def initial_lambda(self, e: np.ndarray) -> np.ndarray:
         """Feasible initial iterate ``λ₀ = G (GᵀG)⁻¹ e`` (``Gᵀ λ₀ = e``)."""
         start = time.perf_counter()
-        out = self.G @ sla.cho_solve(self._cho, e)
+        out = self.G @ self._potrs(e)
         self.seconds += time.perf_counter() - start
         self.solves += 1
         return out
@@ -119,7 +122,7 @@ class Projector:
     def alpha(self, d_minus_F_lambda: np.ndarray) -> np.ndarray:
         """Kernel amplitudes ``α = −(GᵀG)⁻¹ Gᵀ (d − F λ)`` (equation (9))."""
         start = time.perf_counter()
-        out = -sla.cho_solve(self._cho, self.Gt @ d_minus_F_lambda)
+        out = -self._potrs(self.Gt @ d_minus_F_lambda)
         self.seconds += time.perf_counter() - start
         self.solves += 1
         return out

@@ -1,9 +1,9 @@
 """Sharded execution of the batched dense dual-operator apply.
 
-PR 5 parallelized preprocessing only; every PCPG apply still ran as one
-serial batched GEMV in the parent.  This module shards that GEMV — the
-``np.matmul`` over a cluster's padded ``(n, λ_max, λ_max)`` block pack —
-across the runtime executor's workers:
+This module shards the explicit apply's one batched GEMV — the
+``np.matmul`` over the padded ``(n_subdomains, λ_max, λ_max)`` pack of
+every subdomain's ``F̃ᵢ``, all clusters in one — across the runtime
+executor's workers:
 
 ``serial``
     Falls through to :meth:`~repro.feti.operators.batch.BatchedDenseApply.
@@ -48,9 +48,10 @@ __all__ = ["min_shard_items", "sharded_matvec", "sharded_matvec_multi"]
 def min_shard_items() -> int:
     """Smallest block pack worth sharding (``REPRO_APPLY_MIN_BATCH``).
 
-    Below this many subdomains per cluster the dispatch overhead (futures,
-    and for processes one IPC round-trip per span) exceeds the kernel time,
-    so the apply falls through to the serial batched reference.
+    Below this many subdomains in the pack (every cluster's together) the
+    dispatch overhead (futures, and for processes one IPC round-trip per
+    span) exceeds the kernel time, so the apply falls through to the serial
+    batched reference.
     """
     raw = os.environ.get("REPRO_APPLY_MIN_BATCH", "").strip()
     try:
@@ -64,7 +65,7 @@ def sharded_matvec(
     p_concat: np.ndarray,
     executor: "Executor | None",
 ) -> np.ndarray:
-    """One cluster's batched dense apply, sharded on the executor.
+    """The batched dense apply over the one pack, sharded on the executor.
 
     Returns exactly what ``dense.matvec(p_concat)`` returns; the executor
     only decides *where* the per-span ``matmul`` runs.

@@ -5,10 +5,10 @@ behind them.  The discrete-event GPU simulator (streams, stream lookup,
 thread clocks) runs during the first apply after a preprocessing — where the
 timeline plan is made — and never again in that round; a long-lived
 session's timing ledger does not grow with the number of solves; a
-projector apply is two sparse products and one Cholesky solve, never an
-executor dispatch; and outside ``preprocess()`` nothing is solved or
-multiplied one subdomain at a time: ``K⁺`` is one stacked sweep per sparsity
-pattern.
+projector apply (a block apply too, whatever its width) is two sparse
+products and one LAPACK ``dpotrs``, never an executor dispatch; and outside
+``preprocess()`` nothing is solved or multiplied one subdomain at a time:
+``K⁺`` is one stacked sweep per sparsity pattern.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 
+import repro.feti.projector as projector_module
 import repro.sparse.solvers as sparse_solvers
 
 from repro.analysis.timing import ThreadClocks
@@ -174,20 +174,21 @@ def test_projector_never_dispatches_to_the_executor(monkeypatch):
 def test_serial_projector_apply_is_two_products_and_one_solve(monkeypatch):
     projector = build_projector(build_problem(W_LARGE))
     counts: Counter[str] = Counter()
-    cho_solve, matmul = scipy.linalg.cho_solve, sp.csr_matrix.__matmul__
+    dpotrs, matmul = projector_module.dpotrs, sp.csr_matrix.__matmul__
 
     def counted_solve(*args, **kwargs):
-        counts["cho_solve"] += 1
-        return cho_solve(*args, **kwargs)
+        counts["dpotrs"] += 1
+        return dpotrs(*args, **kwargs)
 
     def counted_matmul(self, other):
         counts["csr @ x"] += 1
         return matmul(self, other)
 
-    monkeypatch.setattr(scipy.linalg, "cho_solve", counted_solve)
+    monkeypatch.setattr(projector_module, "dpotrs", counted_solve)
     monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted_matmul)
     projector.apply(np.ones(projector.n_lambda))
-    assert counts == {"csr @ x": 2, "cho_solve": 1}
+    projector.apply_block(np.ones((projector.n_lambda, 3)))
+    assert counts == {"csr @ x": 4, "dpotrs": 2}
 
 
 @pytest.mark.parametrize(

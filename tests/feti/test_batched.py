@@ -9,9 +9,12 @@ round-trip exactly.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.api import Session, SolverSpec, Workload
 from repro.decomposition.gluing import flat_scatter_maps
 from repro.feti.config import (
     AssemblyConfig,
@@ -22,6 +25,7 @@ from repro.feti.config import (
 )
 from repro.feti.operators import make_dual_operator
 from repro.feti.operators.batch import BatchedDenseApply, FlatIndexMap
+from repro.runtime.executor import SerialExecutor
 
 from tests.oracles.apply import looped_apply
 from tests.oracles.kplus import looped_apply_accurate, looped_dual_rhs
@@ -168,27 +172,104 @@ def test_batched_dual_rhs_matches_looped(heat_problem_2d, small_machine_config):
     )
 
 
-def test_engine_groups_subdomains_by_cluster(heat_problem_2d, small_machine_config):
+def test_engine_packs_every_subdomain_in_one_map(heat_problem_2d, small_machine_config):
     operator = make_dual_operator(
         DualOperatorApproach.EXPLICIT_MKL,
         heat_problem_2d,
         machine_config=small_machine_config,
     )
     engine = operator.batch_engine
-    grouped = []
-    for cluster, subs in operator.iter_clusters():
-        batch = engine.cluster(cluster.cluster_id)
-        assert batch.subdomain_indices == [s.index for s in subs]
-        assert batch.dual_map.n_items == len(subs)
-        assert batch.dual_map.total == sum(s.n_lambda for s in subs)
-        for i, sub in enumerate(subs):
-            assert batch.position_of(sub.index) == i
-        grouped.extend(batch.subdomain_indices)
-    assert sorted(grouped) == [s.index for s in heat_problem_2d.subdomains]
-    # The global map mirrors the gluing data's cached flat arrays.
+    assert engine.dense is None  # created by the first preprocessing
+    # The global map mirrors the gluing data's cached flat arrays, in
+    # subdomain-index order.
     flat, offsets = heat_problem_2d.gluing.scatter_maps()
     np.testing.assert_array_equal(engine.global_map.flat_ids, flat)
     np.testing.assert_array_equal(engine.global_map.offsets, offsets)
+    assert [s.index for s in heat_problem_2d.subdomains] == list(
+        range(engine.global_map.n_items)
+    )
+    operator.preprocess()
+    dense = engine.dense
+    assert dense is not None and dense.map is engine.global_map
+    for sub in heat_problem_2d.subdomains:
+        n = sub.n_lambda
+        assert np.array_equal(dense.blocks[sub.index, :n, :n], operator.local_F[sub.index])
+
+
+#: Many small subdomains over several clusters: the one pack spans clusters.
+ONE_PACK_WORKLOADS = [
+    pytest.param(Workload("heat", 2, (8, 8), 8, n_clusters=4), id="heat-2d-c4"),
+    pytest.param(Workload("elasticity", 2, (4, 4), 8, n_clusters=2), id="elasticity-2d-c2"),
+]
+
+#: Every explicit approach, and both scatter/gather settings of the GPU ones.
+EXPLICIT_SPECS = [
+    pytest.param(SolverSpec(approach="expl mkl"), id="expl-mkl"),
+    pytest.param(SolverSpec(approach="expl cholmod"), id="expl-cholmod"),
+    *(
+        pytest.param(
+            SolverSpec(approach=approach, assembly={"scatter_gather": scatter}),
+            id=f"{approach.replace(' ', '-')}-{scatter}-scatter",
+        )
+        for approach in ("expl legacy", "expl modern")
+        for scatter in ("gpu", "cpu")
+    ),
+    pytest.param(SolverSpec(approach="expl modern", assembly="table2"), id="expl-modern-table2"),
+    pytest.param(SolverSpec(approach="expl hybrid"), id="expl-hybrid"),
+]
+
+
+def _per_cluster_packs(operator, lam):
+    """The apply as one padded pack per cluster, one ``np.add.at`` each.
+
+    The layout the one pack replaced, rebuilt from the pack's own blocks:
+    every cluster of the workloads below holds a subdomain of the largest
+    ``n_λ``, so both layouts pad alike and run the same per-item products.
+    """
+    blocks = operator.batch_engine.dense.blocks
+    q = np.zeros_like(lam)
+    for _, subs in operator.iter_clusters():
+        index_map = FlatIndexMap([s.lambda_ids for s in subs])
+        assert index_map.max_size == blocks.shape[1]
+        pack = BatchedDenseApply(index_map, dtype=blocks.dtype)
+        for i, sub in enumerate(subs):
+            pack.set_block(i, blocks[sub.index, : sub.n_lambda, : sub.n_lambda])
+        np.add.at(q, index_map.flat_ids, pack.matvec(index_map.gather(lam)))
+    return q
+
+
+@pytest.mark.parametrize("workload", ONE_PACK_WORKLOADS)
+@pytest.mark.parametrize("spec", EXPLICIT_SPECS)
+def test_one_pack_apply_is_bitwise_the_per_cluster_apply(workload, spec, monkeypatch):
+    """One pack over every cluster.
+
+    Bitwise the per-cluster packs it replaced, and within rounding of the
+    per-subdomain loop (whose unpadded GEMVs sum in another order); the
+    stacked apply within 1e-12 of the loop; the ``threads:2`` sharded apply
+    bitwise serial.
+    """
+    monkeypatch.setenv("REPRO_APPLY_MIN_BATCH", "1")
+    with Session(replace(spec, execution="threads:2"), memory_budget="unlimited") as session:
+        operator = session.operator_for(workload)
+        operator.prepare()
+        operator.preprocess()
+        assert operator.batch_engine.dense.map.n_items == operator.problem.n_subdomains
+        rng = np.random.default_rng(31)
+        lam = rng.standard_normal(operator.problem.n_lambda)
+        block = rng.standard_normal((operator.problem.n_lambda, 3))
+        sharded = operator.apply(lam)
+        operator._executor = SerialExecutor()
+        serial = operator.apply(lam)
+        looped, _, _ = looped_apply(operator, lam)
+        stacked = operator.apply_multi(block, stacked=True)
+        columns = np.column_stack(
+            [looped_apply(operator, block[:, j].copy())[0] for j in range(3)]
+        )
+        per_cluster = _per_cluster_packs(operator, lam)
+    assert np.array_equal(serial, per_cluster)
+    assert np.array_equal(sharded, serial)
+    assert np.linalg.norm(serial - looped) <= 1e-14 * np.linalg.norm(looped)
+    assert np.linalg.norm(stacked - columns) <= 1e-12 * np.linalg.norm(columns)
 
 
 def test_gluing_scatter_maps_cached(heat_problem_2d):

@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.workload import Workload, build_problem
 from repro.decomposition import decompose_box
 from repro.feti.problem import FetiProblem
+
+from tests.oracles.coarse import looped_compute_e
 
 
 def test_subdomain_data_shapes(heat_problem_2d):
@@ -46,6 +49,27 @@ def test_G_and_e_shapes_and_values(heat_problem_2d):
     e = problem.compute_e()
     assert e.shape == (problem.total_kernel_dim,)
     assert e[0] == pytest.approx(float((sub.kernel.T @ sub.f)[0]))
+
+
+@pytest.mark.parametrize(
+    "workload",
+    [
+        Workload("heat", 2, (8, 8), 8, n_clusters=4),
+        Workload("elasticity", 3, (2, 2, 1), 2, n_clusters=2),
+    ],
+    ids=["heat-2d-c4", "elasticity-3d-c2"],
+)
+def test_compute_e_matches_the_per_subdomain_oracle(workload):
+    problem = build_problem(workload)
+    e = problem.compute_e()
+    reference = looped_compute_e(problem)
+    assert e.shape == reference.shape
+    assert np.max(np.abs(e - reference)) <= 1e-14 * np.max(np.abs(reference))
+    # The batched product runs the loop's per-subdomain BLAS calls: bitwise,
+    # which keeps λ bitwise too.
+    assert np.array_equal(e, reference)
+    # The kernel basis is built once and shared with the primal recovery.
+    assert problem.kernel_stack is problem.kernel_stack and problem.R is problem.R
 
 
 def test_G_has_full_column_rank(heat_problem_2d, heat_problem_3d):

@@ -225,10 +225,8 @@ def test_processes_multi_apply_reuses_arena_across_widths(monkeypatch):
             want = ref_op.apply_multi(block, stacked=True)
             denom = max(np.linalg.norm(want), 1e-300)
             assert np.linalg.norm(got - want) / denom <= 1e-12
-            batch = operator.batch_engine.cluster(
-                next(iter(operator.batch_engine.clusters))
-            )
-            states.append(getattr(batch.require_dense(), "_process_multi_state", None))
+            dense = operator.batch_engine.dense
+            states.append(getattr(dense, "_process_multi_state", None))
         reference.close()
     assert states[0] is not None
     assert states[1] is not states[0]  # k=5 exceeded the initial cap of 4
