@@ -125,9 +125,7 @@ class DualOperatorBase(abc.ABC):
             self._executor = shared_executor()
         return self._executor
 
-    def run_feti_preprocessing(
-        self, *, need_schur: bool = False, need_rhs_fill: bool = False
-    ):
+    def run_feti_preprocessing(self, *, need_schur: bool = False):
         """Factorize every subdomain (and optionally assemble ``F̃ᵢ``).
 
         The single entry point of the runtime layer: the subdomains are
@@ -136,7 +134,7 @@ class DualOperatorBase(abc.ABC):
         assembling each ``F̃ᵢ`` with its solver facade (see
         :mod:`repro.runtime.preprocess`).  On return every solver in
         ``self._cpu_solvers`` is numerically factorized; the returned round
-        maps subdomain indices to their Schur blocks / cost-model inputs.
+        maps subdomain indices to their ``F̃ᵢ``.
         """
         from repro.runtime.preprocess import run_preprocessing
 
@@ -145,7 +143,6 @@ class DualOperatorBase(abc.ABC):
             [(c.cluster_id, subs) for c, subs in self.iter_clusters()],
             self._cpu_solvers,
             need_schur=need_schur,
-            need_rhs_fill=need_rhs_fill,
         )
         self._preprocess_round = round_
         return round_
@@ -448,22 +445,21 @@ class DualOperatorBase(abc.ABC):
     def storage_nbytes(self) -> dict[str, int]:
         """Byte-accurate resident *numeric* storage, split by kind.
 
-        ``factor`` counts the per-subdomain numeric factors (values +
-        supernodal panels + any matrix retained for refinement) — not the
-        symbolic analyses they point to: those index arrays are shared across
-        cache entries through the pattern cache, so they sit outside the
-        per-entry budget and are reported as ``pattern_bytes`` in
-        ``Session.cache_stats()`` (:attr:`repro.sparse.PatternCache.nbytes`);
-        ``pack`` the assembled/packed dense dual-operator blocks (the 3-D
-        batched packs, ``local_F`` dicts, device-resident ``F̃ᵢ``); and
-        ``arena`` the padded apply-scratch buffers the batched engine keeps
-        warm.  The session's :class:`~repro.memory.ledger.FactorLedger`
-        records these per cache entry.  Stacking the factors for the ``K⁺``
-        solves moves no bytes (the factors become views of their stack); the
-        stack's inverse diagonal blocks (``Σ w²`` per subdomain over its
-        supernode widths, a quarter to a half of the panels on the 2-D
-        workloads) are derived data of a warm entry — rebuilt by the first
-        solve of a round, dropped by :meth:`demote_storage` — and not counted.
+        ``factor`` counts the per-subdomain numeric factors (supernodal
+        panels + the inverses of their diagonal blocks, ``Σ w²`` entries per
+        subdomain over its supernode widths, + any matrix retained for
+        refinement) — not the symbolic analyses they point to: those index
+        arrays are shared across cache entries through the pattern cache, so
+        they sit outside the per-entry budget and are reported as
+        ``pattern_bytes`` in ``Session.cache_stats()``
+        (:attr:`repro.sparse.PatternCache.nbytes`); ``pack`` the
+        assembled/packed dense dual-operator blocks (the one batched pack,
+        which the explicit CPU operator's ``local_F`` only views, and the
+        device-resident ``F̃ᵢ``); and ``arena`` the padded apply-scratch
+        buffers the batched engine keeps warm.  The session's
+        :class:`~repro.memory.ledger.FactorLedger` records these per cache
+        entry.  Stacking the factors for the ``K⁺`` solves moves no bytes:
+        the factors become views of their stack.
         """
         factor = sum(s.storage_nbytes() for s in self._cpu_solvers.values())
         pack = self._extra_pack_nbytes()

@@ -17,7 +17,6 @@ from repro.cluster.topology import Machine
 from repro.feti.config import DualOperatorApproach
 from repro.feti.operators.base import DualOperatorBase
 from repro.feti.problem import FetiProblem
-from repro.memory.precision import demote_array
 from repro.sparse.costmodel import CpuLibrary
 from repro.sparse.solvers import CholmodLikeSolver, PardisoLikeSolver
 
@@ -59,9 +58,26 @@ class ExplicitCpuDualOperator(DualOperatorBase):
             )
             for s in problem.subdomains
         }
-        #: The assembled dense local dual operators, filled by preprocess()
-        #: (stored at the precision policy's dtype; the applies promote).
-        self.local_F: dict[int, np.ndarray] = {}
+        #: The cost model's right-hand-side fill of every subdomain: a
+        #: function of ``B̃ᵢ`` and the ordering only, so set once by prepare().
+        self._rhs_fill: dict[int, float] = {}
+
+    @property
+    def local_F(self) -> dict[int, np.ndarray]:
+        """The assembled ``F̃ᵢ`` by subdomain: read-only views of the one pack.
+
+        At the precision policy's storage dtype; empty before the first
+        preprocessing and after a storage demotion (which drops the pack).
+        """
+        dense = self.batch_engine.dense
+        if dense is None:
+            return {}
+        views = {}
+        for sub in self.problem.subdomains:
+            view = dense.blocks[sub.index, : sub.n_lambda, : sub.n_lambda]
+            view.flags.writeable = False
+            views[sub.index] = view
+        return views
 
     # ------------------------------------------------------------------ #
     def _prepare_impl(self) -> tuple[float, dict[str, float]]:
@@ -72,6 +88,7 @@ class ExplicitCpuDualOperator(DualOperatorBase):
             for i, sub in enumerate(subs):
                 solver = self._cpu_solvers[sub.index]
                 symbolic = solver.analyze(sub.K_reg)
+                self._rhs_fill[sub.index] = solver.rhs_fill(sub.B)
                 cost = cluster.cpu.symbolic_factorization(
                     int(sub.K_reg.nnz), symbolic.nnz
                 )
@@ -81,31 +98,29 @@ class ExplicitCpuDualOperator(DualOperatorBase):
         return self._merge_cluster_times(cluster_times), breakdown
 
     def _preprocess_impl(self) -> tuple[float, dict[str, float]]:
-        # Factorization + Schur assembly of every subdomain via the runtime
-        # (under the process backend local_F comes back as shared-memory
-        # views).
-        round_ = self.run_feti_preprocessing(need_schur=True, need_rhs_fill=True)
+        # Factorization + Schur assembly of every subdomain via the runtime;
+        # each F̃ᵢ goes straight into the pack (under the process backend it
+        # comes back as a shared-memory view).
+        round_ = self.run_feti_preprocessing(need_schur=True)
         breakdown: dict[str, float] = {"schur_complement": 0.0}
         cluster_times = []
         for cluster, subs in self.iter_clusters():
             clocks = self.new_thread_clocks(cluster)
             for i, sub in enumerate(subs):
                 solver = self._cpu_solvers[sub.index]
-                self.local_F[sub.index] = demote_array(
-                    round_[sub.index].local_F, self.precision.storage_dtype
-                )
-                rhs_fill = round_[sub.index].rhs_fill
                 cost = cluster.cpu.schur_complement(
                     solver.factor_nnz,
                     solver.factorization_flops(),
                     sub.n_lambda,
-                    rhs_fill,
+                    self._rhs_fill[sub.index],
                     self.library,
                     ndofs=sub.ndofs,
                 )
                 clocks.advance(i, cost)
                 breakdown["schur_complement"] += cost
-                self.batch_engine.install_dense_block(sub.index, self.local_F[sub.index])
+                self.batch_engine.install_dense_block(
+                    sub.index, round_.local_F.pop(sub.index)
+                )
             cluster_times.append(clocks.elapsed)
         return self._merge_cluster_times(cluster_times), breakdown
 
@@ -141,11 +156,3 @@ class ExplicitCpuDualOperator(DualOperatorBase):
         k = int(lam_block.shape[1])
         q = self._apply_packed_dense_multi(lam_block)
         return q, *self._planned(k, lambda: self._plan_apply(k))
-
-    def _extra_pack_nbytes(self) -> int:
-        return sum(int(F.nbytes) for F in self.local_F.values())
-
-    def _demote_pack_storage(self, dtype: np.dtype) -> None:
-        self.local_F = {
-            index: demote_array(F, dtype) for index, F in self.local_F.items()
-        }

@@ -59,6 +59,9 @@ class HybridDualOperator(ExplicitGpuDualOperator):
         }
         self._state = {s.index: _GpuState() for s in problem.subdomains}
         self._cluster_state: dict[int, _ClusterState] = {}
+        #: The cost model's right-hand-side fill of every subdomain (set once
+        #: by prepare(): it depends on ``B̃ᵢ`` and the ordering only).
+        self._rhs_fill: dict[int, float] = {}
 
     # ------------------------------------------------------------------ #
     def _prepare_impl(self) -> tuple[float, dict[str, float]]:
@@ -71,6 +74,7 @@ class HybridDualOperator(ExplicitGpuDualOperator):
             for i, sub in enumerate(subs):
                 solver = self._cpu_solvers[sub.index]
                 symbolic = solver.analyze(sub.K_reg)
+                self._rhs_fill[sub.index] = solver.rhs_fill(sub.B)
                 cost = cluster.cpu.symbolic_factorization(
                     int(sub.K_reg.nnz), symbolic.nnz
                 )
@@ -89,7 +93,7 @@ class HybridDualOperator(ExplicitGpuDualOperator):
     def _preprocess_impl(self) -> tuple[float, dict[str, float]]:
         # CPU assembly of every F̃ᵢ via the runtime; only the host-to-device
         # copy stays below.
-        round_ = self.run_feti_preprocessing(need_schur=True, need_rhs_fill=True)
+        round_ = self.run_feti_preprocessing(need_schur=True)
         breakdown = {"schur_complement": 0.0, "upload_F": 0.0}
         cluster_times = []
         for cluster, subs in self.iter_clusters():
@@ -101,12 +105,12 @@ class HybridDualOperator(ExplicitGpuDualOperator):
                 solver = self._cpu_solvers[sub.index]
                 state = self._state[sub.index]
                 self._ensure_pack_dtype(state)
-                F = round_[sub.index].local_F
+                F = round_.local_F.pop(sub.index)
                 cost = cluster.cpu.schur_complement(
                     solver.factor_nnz,
                     solver.factorization_flops(),
                     sub.n_lambda,
-                    round_[sub.index].rhs_fill,
+                    self._rhs_fill[sub.index],
                     CpuLibrary.MKL_PARDISO,
                     ndofs=sub.ndofs,
                 )

@@ -5,11 +5,11 @@ The :class:`FactorLedger` mirrors the accounting idioms of
 *actual* NumPy buffers a prepared :class:`~repro.feti.solver.FetiSolver`
 keeps resident, split into three classes:
 
-* **factor bytes** — supernodal factor values + dense-panel storage of every
+* **factor bytes** — the dense panels and diagonal-block inverses of every
   per-subdomain sparse solver (plus the retained fp64 matrix when the
   precision policy refines);
-* **pack bytes** — the packed dense dual-operator blocks: ``local_F``
-  copies, simulated device matrices, and the batched engine's block stacks;
+* **pack bytes** — the packed dense dual-operator blocks: simulated device
+  matrices and the batched engine's block stacks;
 * **arena bytes** — reusable scratch workspaces (padded gather/scatter
   buffers of the batched apply engine).
 

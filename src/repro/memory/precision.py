@@ -1,12 +1,12 @@
 """Precision policies for factor storage: fp64, fp32 and fp32 + refinement.
 
-Storing the triangular factors (and the packed ``local_F`` dual-operator
-blocks) in single precision halves the resident bytes of a prepared solver —
-the classic mixed-precision direct-solver play.  The numeric factorization
-always runs in fp64; a policy then *demotes* the stored arrays to fp32, and
-every downstream kernel upcasts on use (``float32 @ float64`` promotes to
-``float64``, and the LAPACK wrappers convert on entry), so no compute path
-ever needs a second code variant.
+Storing the triangular factors (panels and diagonal-block inverses) and the
+packed ``F̃ᵢ`` dual-operator blocks in single precision halves the resident
+bytes of a prepared solver — the classic mixed-precision direct-solver play.
+The numeric factorization always runs in fp64; a policy then *demotes* the
+stored arrays to fp32, and every downstream kernel upcasts on use
+(``float32 @ float64`` promotes to ``float64``), so no compute path ever
+needs a second code variant.
 
 Three named policies exist:
 
@@ -111,24 +111,19 @@ def demote_array(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
 def demote_factor(factor, dtype: np.dtype):
     """Demote a :class:`~repro.sparse.numeric.CholeskyFactor` in place.
 
-    Both the CSC-aligned values and the dense-panel storage are converted
-    (the panels are built first when absent, so the panel triangular solves
-    never rebuild them in fp64 later).  Returns the factor for chaining.  A
-    no-op for matching dtypes.
+    The panels and the diagonal-block inverses are converted together, so
+    every solve reads the same storage dtype.  Returns the factor for
+    chaining.  A no-op for matching dtypes.
     """
     if factor is None or np.dtype(dtype) == np.dtype(np.float64):
         return factor
-    factor._panel_values = demote_array(factor.panel_values(), dtype)
-    factor.values = demote_array(factor.values, dtype)
+    factor.panels = demote_array(factor.panels, dtype)
+    factor.inverses = demote_array(factor.inverses, dtype)
     return factor
 
 
 def factor_nbytes(factor) -> int:
-    """Resident bytes of a numeric factor (values + built panel storage)."""
+    """Resident bytes of a numeric factor (panels + diagonal-block inverses)."""
     if factor is None:
         return 0
-    nbytes = int(factor.values.nbytes)
-    panels = factor._panel_values
-    if panels is not None:
-        nbytes += int(panels.nbytes)
-    return nbytes
+    return int(factor.panels.nbytes + factor.inverses.nbytes)

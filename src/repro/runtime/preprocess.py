@@ -20,9 +20,9 @@ and ``threads`` run the groups on the parent's own solvers.  ``processes``
 runs them in pool workers on throwaway facades of the same class and
 precision: the parent writes the stacked values and the gluing matrices into
 input slots of the round's :class:`~repro.runtime.shm.SharedArena`, the
-workers write the factor panels and every ``F̃ᵢ`` into output slots, and the
-parent's solvers adopt them as views.  No bulk value crosses the pool's
-pipes, only slot descriptors, the pattern's index arrays and, on a pattern's
+workers write the factors (panels and diagonal-block inverses) and every
+``F̃ᵢ`` into output slots, and the parent's solvers adopt them as views.  No
+bulk value crosses the pool's pipes, only slot descriptors, the pattern's index arrays and, on a pattern's
 first round, its symbolic analysis.  Each worker keeps its own
 :class:`~repro.sparse.cache.PatternCache`, so a pattern's symbolic analysis
 is derived at most once per worker.
@@ -51,34 +51,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sparse.solvers import SparseSolverBase
     from repro.sparse.symbolic import SymbolicFactor
 
-__all__ = ["SubdomainPreprocessed", "PreprocessRound", "run_preprocessing"]
-
-
-@dataclass
-class SubdomainPreprocessed:
-    """Per-subdomain outputs the operator's bookkeeping loop consumes."""
-
-    #: Assembled local dual operator (``None`` unless ``need_schur``); a
-    #: zero-copy view of an arena slot under the process backend.
-    local_F: np.ndarray | None = None
-    #: RHS sparsity fill of the cost model (``None`` unless requested).
-    rhs_fill: float | None = None
+__all__ = ["PreprocessRound", "run_preprocessing"]
 
 
 @dataclass
 class PreprocessRound:
-    """One preprocessing round: outputs plus the buffers backing them.
+    """One preprocessing round: every ``F̃ᵢ`` plus the buffers backing them.
 
-    The operator holds the most recent round, keeping the process backend's
-    shared-memory arena (and therefore the factor panels and ``local_F``
-    views) alive until the next round replaces it.
+    ``local_F`` maps subdomain indices to their ``F̃ᵢ`` (empty unless
+    ``need_schur``; zero-copy arena views under the process backend).  The
+    operator pops each one into its pack, so no ``F̃ᵢ`` outlives its
+    installation.  The operator holds the most recent round, keeping the
+    process backend's shared-memory arena (and therefore the adopted factors)
+    alive until the next round replaces it.
     """
 
-    outputs: dict[int, SubdomainPreprocessed] = field(default_factory=dict)
+    local_F: dict[int, np.ndarray] = field(default_factory=dict)
     arena: SharedArena | None = None
-
-    def __getitem__(self, subdomain_index: int) -> SubdomainPreprocessed:
-        return self.outputs[subdomain_index]
 
 
 # --------------------------------------------------------------------- #
@@ -113,16 +102,17 @@ def _shard_groups(
 def _adopt(
     symbolic: "SymbolicFactor",
     panels: np.ndarray,
+    inverses: np.ndarray,
     solvers: Sequence["SparseSolverBase"],
     matrices: Sequence[sp.spmatrix],
 ) -> None:
-    """Install row ``i`` of the stacked panels as solver ``i``'s factor.
+    """Install row ``i`` of the stacked factors as solver ``i``'s factor.
 
     The matrix rides along for refining precision policies, which keep it
     for their residual sweeps.
     """
-    for solver, row, K in zip(solvers, panels, matrices):
-        solver.adopt_factor(CholeskyFactor.from_panels(symbolic, row), matrix=K)
+    for solver, row, inverse, K in zip(solvers, panels, inverses, matrices):
+        solver.adopt_factor(CholeskyFactor(symbolic, row, inverse), matrix=K)
 
 
 def _preprocess_group(
@@ -132,24 +122,24 @@ def _preprocess_group(
     matrices: Sequence[sp.spmatrix],
     Bs: Sequence[sp.spmatrix],
     indices: Sequence[int],
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """One group's preprocessing, whichever executor runs it.
 
     One stacked factorization of the ``(k, nnz)`` ``values``, adopted by the
     member solvers, then ``F̃ᵢ = solver.schur_complement(B̃ᵢ)`` per member
     (``Bs`` is empty unless the approach assembles ``F̃ᵢ``).  Returns the
-    ``(k, panel_entries)`` panels and the ``F̃ᵢ``.
+    stacked panels and diagonal-block inverses, and the ``F̃ᵢ``.
     """
     with trace_span("factorize", subdomains=len(solvers)):
-        panels = stacked_cholesky(values, symbolic)
-        _adopt(symbolic, panels, solvers, matrices)
+        panels, inverses = stacked_cholesky(values, symbolic)
+        _adopt(symbolic, panels, inverses, solvers, matrices)
     # Largest F̃ᵢ first: each member's ``n x n_λ`` workspace then fits in the
     # memory the previous, larger one released, instead of growing the heap.
     local_F = [None] * len(Bs)
     for i in sorted(range(len(Bs)), key=lambda i: -Bs[i].shape[0]):
         with trace_span("schur_assembly", subdomain=indices[i]):
             local_F[i] = solvers[i].schur_complement(Bs[i])
-    return panels, local_F
+    return panels, inverses, local_F
 
 
 def _run_shard(groups: list[_Group], need_schur: bool) -> list[list[np.ndarray]]:
@@ -157,7 +147,7 @@ def _run_shard(groups: list[_Group], need_schur: bool) -> list[list[np.ndarray]]
     out = []
     for g in groups:
         matrices = [s.K_reg for s in g.subs]
-        _, local_F = _preprocess_group(
+        *_, local_F = _preprocess_group(
             g.symbolic,
             stacked_values(matrices, g.symbolic),
             g.solvers,
@@ -236,7 +226,7 @@ def _run_shard_process(payload: dict) -> None:
     """Process shard task: the groups on worker-local facades, via the arena.
 
     The stacked values and the gluing matrices are read as zero-copy views
-    of the arena; the panels and every ``F̃ᵢ`` are written back into it.
+    of the arena; the factors and every ``F̃ᵢ`` are written back into it.
     Each member gets a fresh facade of the parent solver's class and
     precision, so ``schur_complement`` does exactly what the parent's would.
     """
@@ -251,7 +241,7 @@ def _run_shard_process(payload: dict) -> None:
                 for row in values
             ]
             facade, precision = g["facade"]
-            panels, local_F = _preprocess_group(
+            panels, inverses, local_F = _preprocess_group(
                 symbolic,
                 values,
                 [facade(pattern_cache=False, precision=precision) for _ in matrices],
@@ -260,6 +250,7 @@ def _run_shard_process(payload: dict) -> None:
                 g["indices"],
             )
             write_slot(buf, g["panels"], panels)
+            write_slot(buf, g["inverses"], inverses)
             for slot, F in zip(g["local_F"], local_F):
                 write_slot(buf, slot, F)
     finally:
@@ -270,7 +261,7 @@ def _group_payload(
     g: _Group, arena: SharedArena, writes: _Writes, need_schur: bool, seeded_keys: set
 ) -> dict:
     """One group's worker payload: slot descriptors, no bulk values."""
-    solver = g.solvers[0]
+    solver, part = g.solvers[0], g.symbolic.supernodes
     values = stacked_values([s.K_reg for s in g.subs], g.symbolic)
     values_slot = arena.allocate_of(values)
     writes.append((values_slot, values))
@@ -285,7 +276,8 @@ def _group_payload(
         "ordering": solver.ordering.value,
         "facade": (type(solver), solver.precision),
         "values": values_slot,
-        "panels": arena.allocate((len(g.subs), g.symbolic.supernodes.panel_entries)),
+        "panels": arena.allocate((len(g.subs), part.panel_entries)),
+        "inverses": arena.allocate((len(g.subs), part.inverse_entries)),
         "Bs": [_sparse_to_slots(arena, writes, s.B) for s in g.subs] if need_schur else [],
         "local_F": [arena.allocate((s.n_lambda,) * 2) for s in g.subs] if need_schur else [],
         "indices": [s.index for s in g.subs],
@@ -298,7 +290,7 @@ def _run_in_processes(
     round_: PreprocessRound,
     need_schur: bool,
 ) -> list[list[list[np.ndarray]]]:
-    """Run every shard in the pool; adopt the panels and ``F̃ᵢ`` as arena views."""
+    """Run every shard in the pool; adopt the factors and ``F̃ᵢ`` as arena views."""
     arena = SharedArena()
     writes: _Writes = []
     payloads = [
@@ -323,7 +315,8 @@ def _run_in_processes(
         shard_F = []
         for g, p in zip(groups, payload_groups):
             matrices = [s.K_reg for s in g.subs]
-            _adopt(g.symbolic, arena.view(p["panels"]), g.solvers, matrices)
+            factors = arena.view(p["panels"]), arena.view(p["inverses"])
+            _adopt(g.symbolic, *factors, g.solvers, matrices)
             shard_F.append([arena.view(slot) for slot in p["local_F"]])
             # Every worker has now either cached or re-derived the analysis.
             executor.seeded_keys.add(p["symbolic_key"])
@@ -340,21 +333,19 @@ def run_preprocessing(
     solvers: Mapping[int, "SparseSolverBase"],
     *,
     need_schur: bool = False,
-    need_rhs_fill: bool = False,
 ) -> PreprocessRound:
     """Factorize every subdomain (and optionally assemble ``F̃ᵢ``) via shards.
 
     On return every solver in ``solvers`` carries a numeric factorization
-    for the current stiffness values; the returned round maps subdomain
-    indices to their :class:`SubdomainPreprocessed` outputs and owns any
-    shared-memory buffers backing them.
+    for the current stiffness values; the returned round holds every
+    ``F̃ᵢ`` and owns any shared-memory buffers backing them.
     """
     subdomains = {s.index: s for _, subs in clusters for s in subs}
     plan = ShardPlan.for_clusters(
         [(cid, [s.index for s in subs]) for cid, subs in clusters], executor.workers
     )
     shard_groups = [_shard_groups(shard, subdomains, solvers) for shard in plan.shards]
-    round_ = PreprocessRound({index: SubdomainPreprocessed() for index in subdomains})
+    round_ = PreprocessRound()
     if executor.backend == "processes":
         local_F = _run_in_processes(executor, shard_groups, round_, need_schur)
     else:
@@ -365,8 +356,5 @@ def run_preprocessing(
     for groups, shard_F in zip(shard_groups, local_F):
         for g, group_F in zip(groups, shard_F):
             for sub, F in zip(g.subs, group_F):
-                round_[sub.index].local_F = F
-    if need_rhs_fill:
-        for index, out in round_.outputs.items():
-            out.rhs_fill = solvers[index].rhs_fill(subdomains[index].B)
+                round_.local_F[sub.index] = F
     return round_

@@ -10,12 +10,14 @@ permuted matrix values, updated by one GEMM per contributing descendant
 supernode (subtracted from ``panel[rows, cols]``, the factored block position
 of :attr:`~repro.sparse.symbolic.SupernodePartition.updates` — a basic slice
 where the rows/columns are contiguous), and finished with a dense Cholesky of
-its diagonal block plus one triangular solve for the off-panel block.  The
+its diagonal block, the triangular inverse of that factor (kept for every later
+solve) and one GEMM with the inverse for the off-panel block.  The
 Python-level work is proportional to the number of supernodal updates, not to
 ``nnz(L)``, and all arithmetic runs through BLAS-3 calls — the structure
 production libraries (CHOLMOD, PARDISO) use.  :func:`stacked_cholesky` runs
-every update as one ``np.matmul`` over the stack; only the dense finish of a
-panel is per matrix.  :func:`numeric_cholesky` is its stack of one.
+every update and every off-panel block as one ``np.matmul`` over the stack;
+only the ``potrf`` / ``trtri`` of a diagonal block is per matrix.
+:func:`numeric_cholesky` is its stack of one.
 
 The classic left-looking *column* algorithm it replaced is the test oracle
 (``tests/oracles/sparse.py::numeric_scalar``); both produce the same factor up
@@ -26,11 +28,11 @@ loop driven by flat per-update scatter arrays and must agree bit for bit.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from repro.sparse.symbolic import SymbolicFactor
 
@@ -49,33 +51,30 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
 
 @dataclass
 class CholeskyFactor:
-    """A numeric Cholesky factor sharing the symbolic pattern.
+    """A numeric Cholesky factor: dense supernode panels and their inverses.
+
+    The factorization computes both, and every triangular solve of the
+    package reads them: no value of ``L`` is stored twice and no diagonal
+    block is inverted twice.  The CSC values of ``L`` are gathered from the
+    panels on demand (:meth:`to_csc`, :meth:`diagonal`).
 
     Attributes
     ----------
     symbolic:
-        The symbolic factorization (pattern, permutation, elimination tree).
-    values:
-        Factor values aligned with ``symbolic.row_idx`` (CSC order, diagonal
-        entry first in every column).
+        The symbolic factorization (pattern, permutation, supernodes).
+    panels:
+        ``(panel_entries,)`` dense-panel storage of ``L``
+        (:attr:`~repro.sparse.symbolic.SupernodePartition.panel_off` layout;
+        padding positions hold exact zeros).
+    inverses:
+        ``(inverse_entries,)`` inverses of the panels' factored diagonal
+        blocks (:attr:`~repro.sparse.symbolic.SupernodePartition.inv_off`
+        layout; exact zeros above the diagonal).
     """
 
     symbolic: SymbolicFactor
-    values: np.ndarray
-
-    #: Lazily built dense-panel copy of the values (see ``panel_values``).
-    _panel_values: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def from_panels(cls, symbolic: SymbolicFactor, panels: np.ndarray) -> "CholeskyFactor":
-        """Wrap one row of :func:`stacked_cholesky` (or a view of one) as a factor.
-
-        ``values`` is gathered from the panels; the panel storage itself is
-        adopted zero-copy, so the panel solves read straight from the row.
-        """
-        return cls(
-            symbolic=symbolic, values=panels[symbolic.supernodes.lpos], _panel_values=panels
-        )
+    panels: np.ndarray
+    inverses: np.ndarray
 
     @property
     def n(self) -> int:
@@ -91,34 +90,19 @@ class CholeskyFactor:
         """The factor ``L`` as a SciPy CSC matrix (in permuted ordering)."""
         s = self.symbolic
         return sp.csc_matrix(
-            (self.values, s.row_idx.copy(), s.col_ptr.copy()), shape=(s.n, s.n)
+            (self.panels[s.supernodes.lpos], s.row_idx.copy(), s.col_ptr.copy()),
+            shape=(s.n, s.n),
         )
 
     def to_csr_upper(self) -> sp.csr_matrix:
         """The factor ``U = Lᵀ`` as CSR (same memory layout as CSC of ``L``)."""
-        s = self.symbolic
-        return sp.csr_matrix(
-            (self.values, s.row_idx.copy(), s.col_ptr.copy()), shape=(s.n, s.n)
-        )
+        L = self.to_csc()
+        return sp.csr_matrix((L.data, L.indices, L.indptr), shape=L.shape)
 
     def diagonal(self) -> np.ndarray:
         """Diagonal entries of ``L``."""
         s = self.symbolic
-        return self.values[s.col_ptr[:-1]]
-
-    def panel_values(self) -> np.ndarray:
-        """Values scattered into the flat dense-panel storage (built once).
-
-        Padding positions hold exact zeros, so the panel triangular solves
-        of :mod:`repro.sparse.triangular` operate on clean panels however
-        the factor's values were produced.
-        """
-        part = self.symbolic.supernodes
-        if self._panel_values is None:
-            flat = np.zeros(part.panel_entries)
-            flat[part.lpos] = self.values
-            self._panel_values = flat
-        return self._panel_values
+        return self.panels[s.supernodes.lpos[s.col_ptr[:-1]]]
 
 
 def stacked_values(matrices: Sequence[sp.spmatrix], symbolic: SymbolicFactor) -> np.ndarray:
@@ -175,11 +159,13 @@ def numeric_cholesky(A: sp.spmatrix, symbolic: SymbolicFactor) -> CholeskyFactor
     NotPositiveDefiniteError
         If a pivot is not strictly positive.
     """
-    panels = stacked_cholesky(stacked_values([A], symbolic), symbolic)
-    return CholeskyFactor.from_panels(symbolic, panels[0])
+    panels, inverses = stacked_cholesky(stacked_values([A], symbolic), symbolic)
+    return CholeskyFactor(symbolic, panels[0], inverses[0])
 
 
-def stacked_cholesky(values: np.ndarray, symbolic: SymbolicFactor) -> np.ndarray:
+def stacked_cholesky(
+    values: np.ndarray, symbolic: SymbolicFactor
+) -> tuple[np.ndarray, np.ndarray]:
     """Factor ``k`` SPD matrices sharing one symbolic analysis, as one stack.
 
     Parameters
@@ -192,23 +178,27 @@ def stacked_cholesky(values: np.ndarray, symbolic: SymbolicFactor) -> np.ndarray
 
     Returns
     -------
-    numpy.ndarray
-        ``(k, panel_entries)`` dense-panel factor storage, one row per
-        matrix; :meth:`CholeskyFactor.from_panels` wraps a row.  Every row is
-        bitwise the factor of its matrix alone: the stacked GEMMs and the
-        per-matrix dense finish do the same arithmetic as a stack of one.
+    tuple of numpy.ndarray
+        ``(k, panel_entries)`` dense panels and ``(k, inverse_entries)``
+        diagonal-block inverses, one row per matrix:
+        ``CholeskyFactor(symbolic, panels[i], inverses[i])`` is matrix ``i``'s
+        factor.  Every row is bitwise the factor of its matrix alone: the
+        stacked GEMMs and the per-matrix LAPACK calls do the same arithmetic
+        as a stack of one.
 
     Raises
     ------
     NotPositiveDefiniteError
-        If a pivot is not strictly positive (the message names the matrix).
+        If a diagonal block is not positive definite (the message names the
+        matrix and the supernode).
     """
     part = symbolic.supernodes
     k = values.shape[0]
     flat = np.zeros((k, part.panel_entries))
     flat[:, part.ainit_pos] = values[:, symbolic.a_lower_map]
+    inverses = np.empty((k, part.inverse_entries))
 
-    offsets = part.panel_off.tolist()
+    offsets, inv_off = part.panel_off.tolist(), part.inv_off.tolist()
     widths, heights = part.widths.tolist(), part.heights.tolist()
     # Each supernode's (k, h, w) panel stack, viewed once: a panel is read by
     # every later update it contributes to.
@@ -224,16 +214,21 @@ def stacked_cholesky(values: np.ndarray, symbolic: SymbolicFactor) -> np.ndarray
 
         # Dense Cholesky of each diagonal block (LAPACK potrf references only
         # the lower triangle, so junk above the diagonal is harmless; clean=1
-        # zeroes it), then one triangular solve for the off-panel block.
+        # zeroes it) and the triangular inverse of its factor, which keeps
+        # those zeros.  The off-panel block is then L21 = A21 L11⁻ᵀ, one
+        # batched product over the stack.
+        inverse = inverses[:, inv_off[j] : inv_off[j + 1]].reshape(k, w, w)
         for i, pv in enumerate(pj):
             ltop, info = dpotrf(pv[:w, :w], lower=1, clean=1)
+            if info == 0:
+                inverse[i], info = dtrtri(ltop, lower=1)
             if info != 0:
                 j0, j1 = part.snode_ptr[j : j + 2]
                 raise NotPositiveDefiniteError(
-                    f"non-positive pivot in matrix {i}, supernode columns {j0}:{j1}"
+                    f"matrix {i} is not positive definite: info {info} in "
+                    f"supernode {j} (columns {j0}:{j1})"
                 )
             pv[:w, :w] = ltop
-            if h > w:
-                sol, info = dtrtrs(ltop, pv[w:, :].T, lower=1)
-                pv[w:, :] = sol.T
-    return flat
+        if h > w:
+            pj[:, w:] = np.matmul(pj[:, w:], inverse.transpose(0, 2, 1))
+    return flat, inverses

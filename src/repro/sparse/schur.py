@@ -34,6 +34,12 @@ __all__ = ["SCHUR_CHUNK", "schur_complement", "rhs_sparsity_fill", "column_first
 #: each other on a 2 197-DOF heat 3D subdomain.
 SCHUR_CHUNK = 64
 
+#: Rows of ``S`` mirrored into their columns per step.  The rows above a
+#: tile never overlap it, so only the tile's own diagonal block is buffered.
+_MIRROR_TILE = 32
+#: Where a diagonal tile of ``S`` takes the transpose of its lower triangle.
+_STRICT_UPPER = np.triu(np.ones((_MIRROR_TILE, _MIRROR_TILE), dtype=bool), 1)
+
 
 def column_first_rows(Bt: sp.csc_matrix, row_map: np.ndarray | None = None) -> np.ndarray:
     """Smallest (optionally re-mapped) row index of every nonempty column.
@@ -139,7 +145,9 @@ def _pruned_gram(W: np.ndarray, starts: np.ndarray) -> np.ndarray:
     ``starts`` ascends, so every column of the block ``[c0, c1)`` is zero
     above ``starts[c0]``: its rows ``c0:c1`` of ``S`` are one GEMM over the
     rows from there on, which is exact, not an approximation.  The upper
-    triangle is a copy of the lower one, so ``S`` is exactly symmetric.
+    triangle is a copy of the lower one, so ``S`` is exactly symmetric: each
+    block row is mirrored into its block column as soon as it is computed,
+    with no temporary larger than one ``_MIRROR_TILE``² tile.
     """
     n_dual = W.shape[1]
     S = np.empty((n_dual, n_dual))
@@ -147,6 +155,9 @@ def _pruned_gram(W: np.ndarray, starts: np.ndarray) -> np.ndarray:
         c1 = min(c0 + SCHUR_CHUNK, n_dual)
         r = int(starts[c0])
         np.matmul(W[r:, c0:c1].T, W[r:, :c1], out=S[c0:c1, :c1])
-    for i in range(1, n_dual):  # column by column: no temporary
-        S[:i, i] = S[i, :i]
+        for t0 in range(c0, c1, _MIRROR_TILE):
+            t1 = min(t0 + _MIRROR_TILE, c1)
+            S[:t0, t0:t1] = S[t0:t1, :t0].T
+            tile = S[t0:t1, t0:t1]
+            np.copyto(tile, tile.T, where=_STRICT_UPPER[: t1 - t0, : t1 - t0])
     return S

@@ -334,13 +334,13 @@ class PardisoLikeSolver(SparseSolverBase):
 def _rows_as_stack(rows: list[np.ndarray]) -> np.ndarray | None:
     """``rows`` as one 2-D array without copying, when they already are one.
 
-    True for factors adopted from a preprocessing group's stacked panels (one
-    ``(k, panel_entries)`` array, or a view of the shared arena under the
+    True for factors adopted from a preprocessing group's stacked panels and
+    inverses (one ``(k, m)`` array, or a view of the shared arena under the
     process backend) as long as the rows are consecutive in the array they
-    are views of.
+    are views of, and for a single row of any origin.
     """
     first = rows[0]
-    base = first.base
+    base = first if first.base is None else first.base
     if not (isinstance(base, np.ndarray) and base.flags.c_contiguous):
         return None
 
@@ -362,45 +362,49 @@ def _rows_as_stack(rows: list[np.ndarray]) -> np.ndarray | None:
     return flat[offset:stop].reshape(len(rows), first.size)
 
 
+def _stacked(factors: list[CholeskyFactor], name: str) -> np.ndarray:
+    """The factors' ``name`` arrays (``panels`` / ``inverses``) as one stack.
+
+    Adopted zero-copy where they already are consecutive rows of one array;
+    copied otherwise, and then every factor is re-pointed at its row of the
+    copy, so the storage is never resident twice.
+    """
+    rows = [getattr(factor, name) for factor in factors]
+    stack = _rows_as_stack(rows)
+    if stack is None:
+        stack = np.stack(rows)
+        for factor, row in zip(factors, stack):
+            setattr(factor, name, row)
+    return stack
+
+
 class SolverStack:
     """Factorized solvers sharing one symbolic analysis, solved as one stack.
 
-    The members' dense factor panels become one ``(k, panel_entries)`` array:
-    adopted zero-copy where they already are consecutive rows of one, copied
-    otherwise — and then every member's factor is re-pointed at its row, so
-    the panels are never resident twice.  The sweep plan of
-    :func:`~repro.sparse.triangular.solve_stacked` (diagonal-block inverses,
-    off-diagonal panel views, row slices) is built here, once.  A stack is
-    valid for the numeric factorizations it was built from: drop it whenever
-    a member is re-factorized or demoted.
+    The members' dense panels and diagonal-block inverses become one
+    ``(k, panel_entries)`` and one ``(k, inverse_entries)`` array (see
+    :func:`_stacked`), and the sweep plan of
+    :func:`~repro.sparse.triangular.solve_stacked` (views of both, row
+    slices) is built here, once.  A stack is valid for the numeric
+    factorizations it was built from: drop it whenever a member is
+    re-factorized or demoted.
     """
 
     def __init__(self, solvers: "list[SparseSolverBase]") -> None:
         factors = [solver._require_factor() for solver in solvers]
         self.symbolic = factors[0].symbolic
         self.precision = solvers[0].precision
-        rows = [factor.panel_values() for factor in factors]
+        self.panels = _stacked(factors, "panels")
+        self.inverses = _stacked(factors, "inverses")
+        self.plan = stacked_sweep_plan(self.symbolic, self.panels, self.inverses)
         #: Block-diagonal retained matrices (refining policies only): the
         #: residual of the whole stack is one sparse product.
         self._matrix: sp.csr_matrix | None = None
         matrices = [solver._matrix for solver in solvers]
-        refines = self.precision.refine and all(m is not None for m in matrices)
-        if len(rows) == 1:
-            # A stack of one: a view of the factor's own panels, no plan
-            # (``solve_stacked`` runs the single-factor kernels).
-            self.panels = rows[0][None, :]
-            self.plan = None
-            if refines:
-                self._matrix = matrices[0]
-            return
-        self.panels = _rows_as_stack(rows)
-        if self.panels is None:
-            self.panels = np.stack(rows)
-            for factor, row in zip(factors, self.panels):
-                factor._panel_values = row
-        self.plan = stacked_sweep_plan(self.symbolic, self.panels)
-        if refines:
-            self._matrix = sp.block_diag(matrices, format="csr")
+        if self.precision.refine and all(m is not None for m in matrices):
+            self._matrix = (
+                matrices[0] if len(matrices) == 1 else sp.block_diag(matrices, format="csr")
+            )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``(k, n)`` solutions of ``Kᵢ xᵢ = bᵢ``, refined per the policy.
@@ -410,7 +414,7 @@ class SolverStack:
         at its own fp64-level residual.
         """
         b = np.asarray(rhs, dtype=float)
-        x = solve_stacked(self.symbolic, self.panels, b, self.plan)
+        x = self._sweep(b)
         if self._matrix is None:
             return x
         norm_b = np.abs(b).max(axis=1, initial=0.0)
@@ -420,6 +424,8 @@ class SolverStack:
             active &= np.abs(r).max(axis=1, initial=0.0) > 1e-14 * norm_b
             if not active.any():
                 break
-            correction = solve_stacked(self.symbolic, self.panels, r, self.plan)
-            x[active] += correction[active]
+            x[active] += self._sweep(r)[active]
         return x
+
+    def _sweep(self, rhs: np.ndarray) -> np.ndarray:
+        return solve_stacked(self.symbolic, self.panels, self.inverses, rhs, self.plan)

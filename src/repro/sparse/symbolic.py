@@ -70,6 +70,10 @@ class SupernodePartition:
     last column, which by elimination-tree nestedness contains the below
     rows of every column of the chain).
 
+    ``inv_off`` lays out the inverses of the diagonal blocks the same way:
+    supernode ``s``'s row-major ``(widths[s], widths[s])`` inverse starts at
+    ``inv_off[s]`` of a factor's inverse storage.
+
     ``lpos`` maps every stored entry of ``L`` (CSC order) to its flat
     position in the concatenated panel storage; ``ainit_pos`` does the same
     for the entries of the permuted lower triangle of the analysed matrix,
@@ -93,6 +97,7 @@ class SupernodePartition:
     widths: np.ndarray
     heights: np.ndarray
     panel_off: np.ndarray
+    inv_off: np.ndarray
     below_rows: list[np.ndarray]
     lpos: np.ndarray
     updates: list[list[tuple[int, int, int, np.ndarray | slice, np.ndarray | slice]]]
@@ -107,6 +112,11 @@ class SupernodePartition:
     def panel_entries(self) -> int:
         """Total entries of the concatenated dense panels (incl. padding)."""
         return int(self.panel_off[-1])
+
+    @property
+    def inverse_entries(self) -> int:
+        """Total entries of the diagonal-block inverses (``Σ widths²``)."""
+        return int(self.inv_off[-1])
 
     @property
     def mean_width(self) -> float:
@@ -352,6 +362,7 @@ def _build_partition(
         widths=widths,
         heights=heights,
         panel_off=panel_off,
+        inv_off=np.concatenate(([0], np.cumsum(widths * widths))).astype(np.int64),
         below_rows=below_rows,
         lpos=lpos,
         updates=updates,

@@ -2,14 +2,15 @@
 
 These are the CPU counterparts of the cuSPARSE ``TRSV``/``TRSM`` kernels used
 by the paper.  The factor is given as a :class:`~repro.sparse.numeric.CholeskyFactor`
-(CSC storage of ``L``, equivalently CSR storage of ``U = Lᵀ``); both the
-forward solve with ``L`` and the backward solve with ``Lᵀ`` traverse the same
-arrays, so no transposition is ever materialized.
+(its dense supernode panels and the inverses of their diagonal blocks); both
+the forward solve with ``L`` and the backward solve with ``Lᵀ`` traverse the
+same arrays, so no transposition is ever materialized.
 
 Every kernel dispatches over the **supernode panels** of the symbolic
-analysis: one dense triangular solve per panel diagonal block plus one GEMM
-per off-panel block, so the Python-level loop runs once per supernode
-instead of once per column.  The scalar per-column loops these replaced are
+analysis: one product with the stored inverse of the panel's diagonal block
+plus one GEMM per off-panel block, so the Python-level loop runs once per
+supernode instead of once per column, and no kernel calls LAPACK: the
+factorization inverted every diagonal block once.  The scalar per-column loops these replaced are
 the test oracle (``tests/oracles/sparse.py``).
 
 A *stack* of factors sharing one symbolic analysis is solved by
@@ -34,17 +35,15 @@ the GPU instead of re-deriving it there.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from repro.sparse.numeric import CholeskyFactor
-from repro.sparse.symbolic import SupernodePartition, SymbolicFactor
+from repro.sparse.symbolic import SymbolicFactor
 
 __all__ = [
     "sparse_trsv_lower",
     "sparse_trsv_upper",
     "sparse_trsm_lower",
     "sparse_trsm_upper",
-    "stacked_diagonal_inverses",
     "stacked_sweep_plan",
     "solve_stacked",
 ]
@@ -54,22 +53,20 @@ __all__ = [
 # Shared panel solvers                                                   #
 # --------------------------------------------------------------------- #
 def _panel_solve_lower(
-    part: SupernodePartition,
-    data: np.ndarray,
+    factor: CholeskyFactor,
     y: np.ndarray,
     start_row: int = 0,
     sorted_starts: np.ndarray | None = None,
 ) -> None:
     """In-place forward solve ``L y = b`` over supernode panels.
 
+    Each diagonal-block step is a product with the factor's stored inverse.
     With ``sorted_starts`` (ascending first-nonzero rows of the columns of a
     2-D ``y``) only the already-activated column prefix participates in each
     panel, which is how the per-column right-hand-side sparsity is exploited.
-    That prefix is a strided slice, so its diagonal-block step is a GEMM with
-    the block's ``dtrtri`` inverse (as in :func:`solve_stacked`) rather than a
-    ``dtrtrs``, which would copy the slice in and out.
     """
-    snode_ptr, panel_off = part.snode_ptr, part.panel_off
+    part = factor.symbolic.supernodes
+    snode_ptr, panel_off, inv_off = part.snode_ptr, part.panel_off, part.inv_off
     widths, heights = part.widths, part.heights
     s0 = (
         int(np.searchsorted(snode_ptr[1:], start_row, side="right"))
@@ -79,9 +76,10 @@ def _panel_solve_lower(
     for s in range(s0, part.n_supernodes):
         j0, j1 = int(snode_ptr[s]), int(snode_ptr[s + 1])
         w, h = int(widths[s]), int(heights[s])
-        pv = data[panel_off[s] : panel_off[s + 1]].reshape(h, w)
+        pv = factor.panels[panel_off[s] : panel_off[s + 1]].reshape(h, w)
+        inverse = factor.inverses[inv_off[s] : inv_off[s + 1]].reshape(w, w)
         if sorted_starts is None:
-            yj, _ = dtrtrs(pv[:w], y[j0:j1], lower=1)
+            yj = inverse @ y[j0:j1]
             y[j0:j1] = yj
             if h > w:
                 y[part.below_rows[s]] -= pv[w:] @ yj
@@ -89,26 +87,25 @@ def _panel_solve_lower(
             a = int(np.searchsorted(sorted_starts, j1 - 1, side="right"))
             if a == 0:
                 continue
-            inverse, _ = dtrtri(pv[:w], lower=1)
             yj = inverse @ y[j0:j1, :a]
             y[j0:j1, :a] = yj
             if h > w:
                 y[part.below_rows[s], :a] -= pv[w:] @ yj
 
 
-def _panel_solve_upper(
-    part: SupernodePartition, data: np.ndarray, x: np.ndarray
-) -> None:
+def _panel_solve_upper(factor: CholeskyFactor, x: np.ndarray) -> None:
     """In-place backward solve ``Lᵀ x = b`` over supernode panels."""
-    snode_ptr, panel_off = part.snode_ptr, part.panel_off
+    part = factor.symbolic.supernodes
+    snode_ptr, panel_off, inv_off = part.snode_ptr, part.panel_off, part.inv_off
     widths, heights = part.widths, part.heights
     for s in range(part.n_supernodes - 1, -1, -1):
         j0, j1 = int(snode_ptr[s]), int(snode_ptr[s + 1])
         w, h = int(widths[s]), int(heights[s])
-        pv = data[panel_off[s] : panel_off[s + 1]].reshape(h, w)
+        pv = factor.panels[panel_off[s] : panel_off[s + 1]].reshape(h, w)
+        inverse = factor.inverses[inv_off[s] : inv_off[s + 1]].reshape(w, w)
         if h > w:
             x[j0:j1] -= pv[w:].T @ x[part.below_rows[s]]
-        x[j0:j1], _ = dtrtrs(pv[:w], x[j0:j1], lower=1, trans=1)
+        x[j0:j1] = inverse.T @ x[j0:j1]
 
 
 # --------------------------------------------------------------------- #
@@ -131,16 +128,14 @@ def sparse_trsv_lower(
         zero.
     """
     y = np.array(b, dtype=float, copy=True)
-    _panel_solve_lower(
-        factor.symbolic.supernodes, factor.panel_values(), y, start_row=start_row
-    )
+    _panel_solve_lower(factor, y, start_row=start_row)
     return y
 
 
 def sparse_trsv_upper(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
     """Solve ``Lᵀ x = b`` for a single right-hand side."""
     x = np.array(b, dtype=float, copy=True)
-    _panel_solve_upper(factor.symbolic.supernodes, factor.panel_values(), x)
+    _panel_solve_upper(factor, x)
     return x
 
 
@@ -192,12 +187,7 @@ def solve_lower_inplace(
     ``sorted_starts`` the columns of ``Y`` must already be ordered by
     ascending first nonzero row (``sorted_starts[c]`` for column ``c``).
     """
-    _panel_solve_lower(
-        factor.symbolic.supernodes,
-        factor.panel_values(),
-        Y,
-        sorted_starts=sorted_starts,
-    )
+    _panel_solve_lower(factor, Y, sorted_starts=sorted_starts)
 
 
 def sparse_trsm_upper(factor: CholeskyFactor, B: np.ndarray) -> np.ndarray:
@@ -205,44 +195,13 @@ def sparse_trsm_upper(factor: CholeskyFactor, B: np.ndarray) -> np.ndarray:
     X = np.array(B, dtype=float, copy=True)
     if X.ndim != 2 or X.shape[0] != factor.n:
         raise ValueError("B must have shape (n, nrhs)")
-    _panel_solve_upper(factor.symbolic.supernodes, factor.panel_values(), X)
+    _panel_solve_upper(factor, X)
     return X
 
 
 # --------------------------------------------------------------------- #
 # Stacked same-pattern factors                                           #
 # --------------------------------------------------------------------- #
-def stacked_diagonal_inverses(
-    symbolic: SymbolicFactor, panels: np.ndarray
-) -> list[np.ndarray]:
-    """Per supernode, the ``(k, w, w)`` inverses of the stack's diagonal blocks.
-
-    Always in fp64 (fp32-stored panels are upcast first): with them every
-    diagonal-block step of :func:`solve_stacked` is a batched product instead
-    of ``k`` LAPACK calls.  Callers that solve repeatedly form them once per
-    numeric factorization.  Each block is inverted by LAPACK's triangular
-    inverse (``dtrtri``, a sixth of the flops of a general inverse): one call
-    per factor still beats one batched ``np.linalg.inv`` per supernode on the
-    stacks of every workload of record (widths 2-8 with ``k`` = 16 / 64, up
-    to 32 with ``k`` = 4).
-    """
-    part = symbolic.supernodes
-    k = panels.shape[0]
-    inverses = []
-    for s in range(part.n_supernodes):
-        w, h = int(part.widths[s]), int(part.heights[s])
-        pv = panels[:, part.panel_off[s] : part.panel_off[s + 1]].reshape(k, h, w)
-        blocks = pv[:, :w].astype(np.float64)
-        # dtrtri leaves the upper triangle as it finds it: exact zeros, as
-        # in every panel diagonal block.
-        for block in blocks:
-            block[...], info = dtrtri(block, lower=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"singular diagonal block in supernode {s}")
-        inverses.append(blocks)
-    return inverses
-
-
 def _row_index(rows: np.ndarray) -> slice | np.ndarray:
     """``rows`` as a basic slice when they are one contiguous ascending run.
 
@@ -255,24 +214,27 @@ def _row_index(rows: np.ndarray) -> slice | np.ndarray:
     return rows
 
 
-def stacked_sweep_plan(symbolic: SymbolicFactor, panels: np.ndarray) -> list[tuple]:
-    """The per-supernode steps of :func:`solve_stacked` on ``k > 1`` stacked factors.
+def stacked_sweep_plan(
+    symbolic: SymbolicFactor, panels: np.ndarray, inverses: np.ndarray
+) -> list[tuple]:
+    """The per-supernode steps of :func:`solve_stacked` on ``k`` stacked factors.
 
     Step ``s`` is ``(j0, j1, below, rows, inverse)``: the supernode's columns
     ``j0:j1``, its ``(k, h − w, w)`` off-diagonal blocks (a view of
     ``panels``; ``None`` without below rows), the row index of those blocks
     (a basic slice where the rows are one contiguous run, see
-    :func:`_row_index`) and the ``(k, w, w)`` diagonal-block inverses of
-    :func:`stacked_diagonal_inverses`.  Built once per stack, so the sweep
-    does no per-call index arithmetic; the plan views the panels and is valid
-    only as long as they hold the factorization it was built from.
+    :func:`_row_index`) and the ``(k, w, w)`` diagonal-block inverses (a view
+    of ``inverses``).  Built once per stack, so the sweep does no per-call
+    index arithmetic; the plan views the factors and is valid only as long as
+    they hold the factorization it was built from.
     """
     part = symbolic.supernodes
     k = panels.shape[0]
     plan = []
-    for s, inverse in enumerate(stacked_diagonal_inverses(symbolic, panels)):
+    for s in range(part.n_supernodes):
         j0, j1 = int(part.snode_ptr[s]), int(part.snode_ptr[s + 1])
         w, h = j1 - j0, int(part.heights[s])
+        inverse = inverses[:, part.inv_off[s] : part.inv_off[s + 1]].reshape(k, w, w)
         below = rows = None
         if h > w:
             pv = panels[:, part.panel_off[s] : part.panel_off[s + 1]].reshape(k, h, w)
@@ -284,6 +246,7 @@ def stacked_sweep_plan(symbolic: SymbolicFactor, panels: np.ndarray) -> list[tup
 def solve_stacked(
     symbolic: SymbolicFactor,
     panels: np.ndarray,
+    inverses: np.ndarray,
     rhs: np.ndarray,
     plan: list[tuple] | None = None,
 ) -> np.ndarray:
@@ -293,45 +256,39 @@ def solve_stacked(
     ----------
     symbolic:
         The shared analysis (permutation and supernode partition).
-    panels:
-        ``(k, panel_entries)`` stacked dense-panel factor storage (what
-        :func:`repro.sparse.numeric.stacked_cholesky` produces, or the
-        stacked ``CholeskyFactor.panel_values()`` of ``k`` factors).
+    panels, inverses:
+        ``(k, panel_entries)`` and ``(k, inverse_entries)`` stacked factor
+        storage (what :func:`repro.sparse.numeric.stacked_cholesky`
+        produces, or the stacked ``panels`` / ``inverses`` of ``k`` factors).
     rhs:
         ``(k, n)`` right-hand sides in the original ordering.
     plan:
-        :func:`stacked_sweep_plan` of ``panels`` when the caller keeps it;
+        :func:`stacked_sweep_plan` of the factors when the caller keeps it;
         built here otherwise.
 
     One forward and one backward supernodal sweep for the whole stack: per
     supernode a batched product with the inverse diagonal blocks and one
     ``np.matmul`` over the ``(k, h − w, w)`` off-diagonal blocks, whose rows
     of the ``(k, n, 1)`` stack are a view wherever they are contiguous; the
-    permutation is applied once to the ``(k, n)`` stack.  A stack of **one**
-    runs the single-factor panel kernels instead — batching buys nothing
-    there and the result stays bit-identical to ``SparseSolverBase.solve``.
+    permutation is applied once to the ``(k, n)`` stack.  A stack of one
+    does the single-factor kernels' arithmetic, so its result is bitwise
+    ``SparseSolverBase.solve``'s.
     """
-    part = symbolic.supernodes
     perm = symbolic.perm
-    k = panels.shape[0]
+    if plan is None:
+        plan = stacked_sweep_plan(symbolic, panels, inverses)
     y = np.asarray(rhs, dtype=float)[:, perm]
-    if k == 1:
-        _panel_solve_lower(part, panels[0], y[0])
-        _panel_solve_upper(part, panels[0], y[0])
-    elif k > 1:
-        if plan is None:
-            plan = stacked_sweep_plan(symbolic, panels)
-        y3 = y[:, :, None]
-        for j0, j1, below, rows, inverse in plan:
-            yj = np.matmul(inverse, y3[:, j0:j1])
-            y3[:, j0:j1] = yj
-            if below is not None:
-                y3[:, rows] -= np.matmul(below, yj)
-        for j0, j1, below, rows, inverse in reversed(plan):
-            xj = y3[:, j0:j1]
-            if below is not None:
-                xj = xj - np.matmul(below.transpose(0, 2, 1), y3[:, rows])
-            y3[:, j0:j1] = np.matmul(inverse.transpose(0, 2, 1), xj)
+    y3 = y[:, :, None]
+    for j0, j1, below, rows, inverse in plan:
+        yj = np.matmul(inverse, y3[:, j0:j1])
+        y3[:, j0:j1] = yj
+        if below is not None:
+            y3[:, rows] -= np.matmul(below, yj)
+    for j0, j1, below, rows, inverse in reversed(plan):
+        xj = y3[:, j0:j1]
+        if below is not None:
+            xj = xj - np.matmul(below.transpose(0, 2, 1), y3[:, rows])
+        y3[:, j0:j1] = np.matmul(inverse.transpose(0, 2, 1), xj)
     x = np.empty_like(y)
     x[:, perm] = y
     return x

@@ -69,4 +69,4 @@ def test_demotion_releases_the_factor_the_device_copy_mirrors(spec):
 
     operator.preprocess()
     assert device_factor.factor is solver.extract_factor()
-    assert device_factor.factor.values.dtype == np.float64
+    assert device_factor.factor.panels.dtype == np.float64

@@ -52,18 +52,19 @@ def test_demote_array_is_a_noop_at_matching_dtype():
     assert demoted.flags.c_contiguous
 
 
-def test_demote_factor_converts_values_and_panels(spd):
+def test_demote_factor_converts_panels_and_inverses(spd):
     solver = CholmodLikeSolver()
     solver.factorize(spd)
     factor = solver.extract_factor()
     fp64_bytes = factor_nbytes(factor)
-    assert factor.values.dtype == np.float64
+    assert factor.panels.dtype == factor.inverses.dtype == np.float64
+    assert fp64_bytes == 8 * (
+        factor.symbolic.supernodes.panel_entries + factor.symbolic.supernodes.inverse_entries
+    )
 
     demote_factor(factor, np.dtype(np.float32))
-    assert factor.values.dtype == np.float32
-    panels = factor.panel_values()
-    assert panels is not None and panels.dtype == np.float32
-    # Values and panel storage both halve.
+    assert factor.panels.dtype == factor.inverses.dtype == np.float32
+    # Panel and inverse storage both halve.
     assert factor_nbytes(factor) * 2 == fp64_bytes
 
 
@@ -71,9 +72,9 @@ def test_demote_factor_noops_for_fp64_and_none(spd):
     solver = CholmodLikeSolver()
     solver.factorize(spd)
     factor = solver.extract_factor()
-    values = factor.values
+    panels, inverses = factor.panels, factor.inverses
     assert demote_factor(factor, np.dtype(np.float64)) is factor
-    assert factor.values is values  # untouched
+    assert factor.panels is panels and factor.inverses is inverses  # untouched
     assert demote_factor(None, np.dtype(np.float32)) is None
     assert factor_nbytes(None) == 0
 
@@ -83,7 +84,7 @@ def test_solver_stores_fp32_factors_under_demoting_policies(spd, precision):
     solver = CholmodLikeSolver(precision=precision)
     solver.factorize(spd)
     factor = solver.extract_factor()
-    assert factor.values.dtype == np.float32
+    assert factor.panels.dtype == factor.inverses.dtype == np.float32
     reference = CholmodLikeSolver()
     reference.factorize(spd)
     # fp32 storage halves the factor; fp32_ir additionally retains the fp64

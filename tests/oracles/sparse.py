@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.lapack import dpotrf, dtrtri
 
-from repro.sparse.numeric import CholeskyFactor
 from repro.sparse.ordering import OrderingMethod, compute_ordering
 from repro.sparse.symbolic import (
     MAX_SUPERNODE,
@@ -42,6 +41,7 @@ __all__ = [
     "numeric_reference",
     "update_scatter",
     "assert_matches_reference",
+    "ScalarFactor",
     "numeric_scalar",
     "trsv_lower",
     "trsv_upper",
@@ -53,7 +53,19 @@ __all__ = [
 ]
 
 
-def numeric_scalar(A: sp.spmatrix, s: SymbolicFactor) -> CholeskyFactor:
+@dataclass
+class ScalarFactor:
+    """A factor as the column algorithm stores it: CSC values of ``L`` only."""
+
+    symbolic: SymbolicFactor
+    values: np.ndarray
+
+    def to_csc(self) -> sp.csc_matrix:
+        s = self.symbolic
+        return sp.csc_matrix((self.values, s.row_idx, s.col_ptr), shape=(s.n, s.n))
+
+
+def numeric_scalar(A: sp.spmatrix, s: SymbolicFactor) -> ScalarFactor:
     """Left-looking column Cholesky of ``P A Pᵀ`` on the pattern of ``s``.
 
     Column ``j`` starts as the lower triangle of the permuted ``A``'s column
@@ -84,7 +96,7 @@ def numeric_scalar(A: sp.spmatrix, s: SymbolicFactor) -> CholeskyFactor:
         colvals = scratch[pattern] / np.sqrt(diag)
         colvals[0] = np.sqrt(diag)
         values[col_ptr[j] : col_ptr[j + 1]] = colvals
-    return CholeskyFactor(symbolic=s, values=values)
+    return ScalarFactor(symbolic=s, values=values)
 
 
 def _row_structure(
@@ -124,24 +136,28 @@ def _columnwise(solve, B: np.ndarray) -> np.ndarray:
     return np.column_stack([solve(B[:, j]) for j in range(B.shape[1])])
 
 
-def trsv_lower(factor: CholeskyFactor, b: np.ndarray, start_row: int = 0) -> np.ndarray:
-    """``L y = b``, one column of ``L`` at a time."""
+def trsv_lower(factor, b: np.ndarray, start_row: int = 0) -> np.ndarray:
+    """``L y = b``, one column of ``L`` at a time.
+
+    ``factor`` is a :class:`ScalarFactor` or a production ``CholeskyFactor``:
+    either way only the CSC values of :meth:`to_csc` are read.
+    """
     s = factor.symbolic
-    return _forward(s.col_ptr, s.row_idx, factor.values, b, start_row)
+    return _forward(s.col_ptr, s.row_idx, factor.to_csc().data, b, start_row)
 
 
-def trsv_upper(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
+def trsv_upper(factor, b: np.ndarray) -> np.ndarray:
     """``Lᵀ x = b``, one column of ``L`` at a time."""
     s = factor.symbolic
-    return _backward(s.col_ptr, s.row_idx, factor.values, b)
+    return _backward(s.col_ptr, s.row_idx, factor.to_csc().data, b)
 
 
-def trsm_lower(factor: CholeskyFactor, B: np.ndarray) -> np.ndarray:
+def trsm_lower(factor, B: np.ndarray) -> np.ndarray:
     """``L Y = B``, one right-hand side at a time."""
     return _columnwise(lambda b: trsv_lower(factor, b), B)
 
 
-def trsm_upper(factor: CholeskyFactor, B: np.ndarray) -> np.ndarray:
+def trsm_upper(factor, B: np.ndarray) -> np.ndarray:
     """``Lᵀ X = B``, one right-hand side at a time."""
     return _columnwise(lambda b: trsv_upper(factor, b), B)
 
@@ -166,7 +182,7 @@ def csc_solve_upper(L: sp.spmatrix, B: np.ndarray) -> np.ndarray:
     return _columnwise(lambda b: _backward(Lc.indptr, Lc.indices, Lc.data, b), B)
 
 
-def schur_complement(factor: CholeskyFactor, B: sp.spmatrix) -> np.ndarray:
+def schur_complement(factor, B: sp.spmatrix) -> np.ndarray:
     """``B K⁻¹ Bᵀ = Wᵀ W`` with ``W = L⁻¹ P Bᵀ``, in ``B``'s own column order.
 
     The forward solve walks ``L`` one column at a time, over every row of
@@ -174,7 +190,7 @@ def schur_complement(factor: CholeskyFactor, B: sp.spmatrix) -> np.ndarray:
     """
     s = factor.symbolic
     rhs = sp.csr_matrix(B)[:, s.perm].toarray().T
-    W = _forward(s.col_ptr, s.row_idx, factor.values, rhs)
+    W = _forward(s.col_ptr, s.row_idx, factor.to_csc().data, rhs)
     return W.T @ W
 
 
@@ -441,16 +457,21 @@ def assert_matches_reference(symbolic: SymbolicFactor, ref: ReferenceAnalysis) -
             same(f"updates[{j}] from {old[0]}", update_scatter(new, h, w), old[3])
 
 
-def numeric_reference(A: sp.spmatrix, ref: ReferenceAnalysis) -> np.ndarray:
+def numeric_reference(
+    A: sp.spmatrix, ref: ReferenceAnalysis
+) -> tuple[np.ndarray, np.ndarray]:
     """Supernodal left-looking factor panels driven by the flat scatter maps.
 
     ``A`` must have exactly the analysed pattern.  Returns the flat panel
-    storage (the ``_panel_values`` of the production factor).
+    storage and the diagonal-block inverses (the ``panels`` and ``inverses``
+    of the production factor), each block finished one supernode at a time:
+    ``potrf``, ``trtri``, then ``L21 = A21 L11⁻ᵀ``.
     """
     adata = _canonical_csc(A).data[ref.a_lower_map]
     flat = np.zeros(int(ref.panel_off[-1]))
     flat[ref.ainit_pos] = adata
     widths, heights, panel_off = ref.widths, ref.heights, ref.panel_off
+    inverses = []
     for j in range(widths.shape[0]):
         w, h = int(widths[j]), int(heights[j])
         pflat = flat[panel_off[j] : panel_off[j + 1]]
@@ -464,8 +485,9 @@ def numeric_reference(A: sp.spmatrix, ref: ReferenceAnalysis) -> np.ndarray:
         ltop, info = dpotrf(pv[:w, :w], lower=1, clean=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"non-positive pivot in supernode {j}")
+        inverse = np.ascontiguousarray(dtrtri(ltop, lower=1)[0])
         pv[:w, :w] = ltop
         if h > w:
-            sol, info = dtrtrs(ltop, pv[w:, :].T, lower=1)
-            pv[w:, :] = sol.T
-    return flat
+            pv[w:, :] = pv[w:, :] @ inverse.T
+        inverses.append(inverse.ravel())
+    return flat, np.concatenate(inverses) if inverses else np.zeros(0)

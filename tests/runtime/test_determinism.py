@@ -2,7 +2,8 @@
 
 Every executor runs one preprocessing path: the same stacked factorization
 and the same per-subdomain Schur assembly on the same values.  So the
-factors and every ``F̃ᵢ`` are bitwise equal across serial, threads and
+factors (panels and diagonal-block inverses) and every ``F̃ᵢ`` are bitwise
+equal across serial, threads and
 processes, and so are the ``threads`` solutions of all nine dual-operator
 approaches.  :data:`TIGHT` is left for the process backend, whose sharded
 apply may differ from the serial one by machine rounding (≤ 1e-12),
@@ -94,26 +95,32 @@ def test_parallel_executors_reproduce_serial_solutions(
 
 
 def _preprocessed(approach, workload, backend):
-    """Factor values and ``F̃ᵢ`` of one preprocessing round, by subdomain."""
+    """Factors (panels, inverses) and packed ``F̃ᵢ`` of one round, by subdomain."""
     operator = _solver(approach, workload, backend).operator
     operator.prepare()
     operator.preprocess()
-    values = {i: s._factor.values.copy() for i, s in operator._cpu_solvers.items()}
-    local_F = {
-        i: out.local_F.copy() for i, out in operator._preprocess_round.outputs.items()
+    factors = {
+        i: (s._factor.panels.copy(), s._factor.inverses.copy())
+        for i, s in operator._cpu_solvers.items()
     }
-    return values, local_F
+    blocks = operator.batch_engine.dense.blocks
+    local_F = {
+        sub.index: blocks[sub.index, : sub.n_lambda, : sub.n_lambda].copy()
+        for sub in operator.problem.subdomains
+    }
+    return factors, local_F
 
 
 @pytest.mark.parametrize("wname", sorted(WORKLOADS))
 @pytest.mark.parametrize("approach", CPU_EXPLICIT)
 def test_factors_and_local_F_are_bitwise_equal_across_executors(approach, wname):
-    values, local_F = _preprocessed(approach, WORKLOADS[wname], "serial")
+    factors, local_F = _preprocessed(approach, WORKLOADS[wname], "serial")
     for backend in ("threads:2", "processes:2"):
-        got_values, got_F = _preprocessed(approach, WORKLOADS[wname], backend)
-        assert got_values.keys() == values.keys() and got_F.keys() == local_F.keys()
-        for i, v in values.items():
-            assert np.array_equal(got_values[i], v), (backend, i)
+        got_factors, got_F = _preprocessed(approach, WORKLOADS[wname], backend)
+        assert got_factors.keys() == factors.keys() and got_F.keys() == local_F.keys()
+        for i, (panels, inverses) in factors.items():
+            assert np.array_equal(got_factors[i][0], panels), (backend, i)
+            assert np.array_equal(got_factors[i][1], inverses), (backend, i)
         for i, F in local_F.items():
             assert np.array_equal(got_F[i], F), (backend, i)
 

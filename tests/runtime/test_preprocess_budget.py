@@ -3,14 +3,19 @@
 Every executor runs one preprocessing path.  A cold serial ``Session.solve``
 factors each cluster's same-pattern subdomains as one stack — one
 ``stacked_cholesky`` per ``(cluster, pattern)`` group — and never goes through
-the per-subdomain ``SparseSolverBase.factorize``.
+the per-subdomain ``SparseSolverBase.factorize``.  Inside it every diagonal
+block is factored (``dpotrf``) and inverted (``dtrtri``) exactly once: the
+Schur assembly and every later solve read the stored inverses, and no
+triangular solve calls LAPACK at all (``dtrtrs``).
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 import pytest
+import scipy.linalg.lapack
 
 import repro.runtime.preprocess as preprocess
 import repro.sparse.numeric as numeric
@@ -23,6 +28,9 @@ BUDGETS = {
     "heat2d-8x8x8-c4": (Workload("heat", 2, (8, 8), 8, n_clusters=4), 4),
     "heat3d-2x2x1x12": (Workload("heat", 3, (2, 2, 1), 12), 1),
 }
+
+#: The LAPACK kernels of a supernodal factorization and its solves.
+LAPACK = ("dpotrf", "dtrtri", "dtrtrs")
 
 
 @pytest.mark.parametrize("approach", ["expl mkl", "impl mkl"])
@@ -49,3 +57,41 @@ def test_cold_serial_solve_factors_once_per_cluster_and_pattern(
     with Session(spec, memory_budget="unlimited") as session:
         assert session.solve(workload).converged
     assert calls == {"stacked_cholesky": groups}
+
+
+def _count_lapack(monkeypatch) -> Counter:
+    """Count the :data:`LAPACK` calls of every loaded ``repro`` module."""
+    calls: Counter[str] = Counter()
+
+    def counted(name, kernel):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        return call
+
+    modules = [m for n, m in sys.modules.items() if n.startswith("repro")]
+    for module in [scipy.linalg.lapack, *modules]:
+        for name in LAPACK:
+            kernel = getattr(module, name, None)
+            if kernel is not None:
+                monkeypatch.setattr(module, name, counted(name, kernel))
+    return calls
+
+
+@pytest.mark.parametrize("approach", ["expl mkl", "impl mkl"])
+@pytest.mark.parametrize("name", sorted(BUDGETS))
+def test_every_diagonal_block_is_inverted_once_per_factorization(
+    monkeypatch, name, approach
+):
+    workload, _ = BUDGETS[name]
+    calls = _count_lapack(monkeypatch)
+    spec = SolverSpec(approach=approach, execution="serial")
+    with Session(spec, memory_budget="unlimited") as session:
+        assert session.solve(workload).converged
+        solvers = session.solver(workload).operator._cpu_solvers.values()
+        # Σ over groups of k × n_supernodes: one per supernode per subdomain.
+        blocks = sum(solver.symbolic.supernodes.n_supernodes for solver in solvers)
+        assert calls == {"dpotrf": blocks, "dtrtri": blocks}
+        assert session.solve(workload).converged  # warm: reads the inverses
+    assert calls == {"dpotrf": blocks, "dtrtri": blocks}

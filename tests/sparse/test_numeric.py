@@ -84,7 +84,8 @@ def test_refactorization_with_new_values_same_pattern():
     f1 = numeric_cholesky(A, s)
     A2 = (2.5 * A).tocsr()
     f2 = numeric_cholesky(A2, s)
-    assert np.allclose(f2.values, np.sqrt(2.5) * f1.values)
+    assert np.allclose(f2.to_csc().data, np.sqrt(2.5) * f1.to_csc().data)
+    assert np.allclose(f2.inverses, f1.inverses / np.sqrt(2.5))
 
 
 @settings(max_examples=25, deadline=None)
@@ -147,12 +148,15 @@ def test_stacked_values_reject_another_pattern(heat_stack):
 
 def test_stacked_rows_equal_the_matrices_factored_alone(heat_stack):
     matrices, symbolic, values = heat_stack
-    panels = stacked_cholesky(values, symbolic)
-    for A, row in zip(matrices, panels):
-        got = CholeskyFactor.from_panels(symbolic, row)
-        assert np.array_equal(got.values, numeric_cholesky(A, symbolic).values)
-        # The row is adopted zero-copy as the factor's dense-panel storage.
-        assert np.shares_memory(got.panel_values(), panels)
+    panels, inverses = stacked_cholesky(values, symbolic)
+    for A, row, inverse in zip(matrices, panels, inverses):
+        alone = numeric_cholesky(A, symbolic)
+        assert np.array_equal(row, alone.panels)
+        assert np.array_equal(inverse, alone.inverses)
+        # The rows are the factor's storage, adopted zero-copy.
+        got = CholeskyFactor(symbolic, row, inverse)
+        assert np.shares_memory(got.panels, panels) and np.shares_memory(got.inverses, inverses)
+        assert np.array_equal(got.to_csc().data, row[symbolic.supernodes.lpos])
 
 
 def test_stacked_factor_matches_the_flat_scatter_oracle_bitwise():
@@ -162,21 +166,51 @@ def test_stacked_factor_matches_the_flat_scatter_oracle_bitwise():
     symbolic = symbolic_cholesky(base)
     ref = scalar.symbolic_reference(base)
     scales = np.array([1.0, 2.5, 0.3])
-    panels = stacked_cholesky(scales[:, None] * base.data, symbolic)
-    for scale, got in zip(scales, panels):
-        assert np.array_equal(got, scalar.numeric_reference(base * scale, ref))
+    panels, inverses = stacked_cholesky(scales[:, None] * base.data, symbolic)
+    for scale, row, inverse in zip(scales, panels, inverses):
+        want_panels, want_inverses = scalar.numeric_reference(base * scale, ref)
+        assert np.array_equal(row, want_panels)
+        assert np.array_equal(inverse, want_inverses)
 
 
 def test_stack_of_one_matches_the_flat_scatter_oracle_bitwise(heat_stack):
     matrices, symbolic, values = heat_stack
     oracle = scalar.numeric_reference(matrices[5], scalar.symbolic_reference(matrices[5]))
-    assert np.array_equal(stacked_cholesky(values[5:6], symbolic)[0], oracle)
-    assert np.array_equal(numeric_cholesky(matrices[5], symbolic).panel_values(), oracle)
+    for got, want in zip(stacked_cholesky(values[5:6], symbolic), oracle):
+        assert np.array_equal(got[0], want)
+    factor = numeric_cholesky(matrices[5], symbolic)
+    assert np.array_equal(factor.panels, oracle[0])
+    assert np.array_equal(factor.inverses, oracle[1])
 
 
 def test_stacked_factor_names_the_non_spd_member(heat_stack):
     _, symbolic, values = heat_stack
     bad = values.copy()
     bad[3] = -bad[3]
-    with pytest.raises(NotPositiveDefiniteError, match="matrix 3"):
+    with pytest.raises(NotPositiveDefiniteError, match="matrix 3 .* supernode 0 "):
         stacked_cholesky(bad, symbolic)
+
+
+@pytest.mark.parametrize(
+    ("physics", "dim"),
+    [
+        (HeatTransferProblem(), 2),
+        (HeatTransferProblem(), 3),
+        (LinearElasticityProblem(), 2),
+        (LinearElasticityProblem(), 3),
+    ],
+)
+def test_stored_inverses_invert_the_diagonal_blocks(physics, dim):
+    """Every stored inverse times its factored diagonal block is ``I``."""
+    A = fem_stiffness(physics, dim)
+    s = symbolic_cholesky(A)
+    f = numeric_cholesky(A, s)
+    part = s.supernodes
+    assert f.inverses.shape == (part.inverse_entries,)
+    assert part.inverse_entries == int((part.widths**2).sum())
+    for j in range(part.n_supernodes):
+        w, h = int(part.widths[j]), int(part.heights[j])
+        block = f.panels[part.panel_off[j] : part.panel_off[j + 1]].reshape(h, w)[:w]
+        inverse = f.inverses[part.inv_off[j] : part.inv_off[j + 1]].reshape(w, w)
+        assert not np.triu(inverse, 1).any()
+        assert np.abs(inverse @ block - np.eye(w)).max() <= 1e-13

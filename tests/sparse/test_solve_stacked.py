@@ -32,11 +32,7 @@ from repro.sparse import triangular
 from repro.sparse.cache import PatternCache
 from repro.sparse.numeric import CholeskyFactor
 from repro.sparse.solvers import CholmodLikeSolver, PardisoLikeSolver, SolverStack
-from repro.sparse.triangular import (
-    _row_index,
-    solve_stacked,
-    stacked_diagonal_inverses,
-)
+from repro.sparse.triangular import _row_index, solve_stacked
 
 from tests.conftest import fem_stiffness
 from tests.oracles.kplus import (
@@ -195,16 +191,16 @@ def test_stack_of_two_matches_the_facade(precision):
     assert np.abs(x - reference).max() <= TOLERANCE[precision] * np.abs(reference).max()
     # The kernel alone, without the cached plan, agrees too.
     stack = SolverStack(solvers)
-    raw = solve_stacked(stack.symbolic, stack.panels, b)
-    assert np.array_equal(raw, solve_stacked(stack.symbolic, stack.panels, b, stack.plan))
+    raw = solve_stacked(stack.symbolic, stack.panels, stack.inverses, b)
+    assert np.array_equal(raw, stack._sweep(b))
 
 
 def test_empty_stack_solves_to_an_empty_result():
     (solver,), n = _factorized(1)
     symbolic = solver.symbolic
     panels = np.zeros((0, symbolic.supernodes.panel_entries))
-    assert solve_stacked(symbolic, panels, np.zeros((0, n))).shape == (0, n)
-    assert stacked_diagonal_inverses(symbolic, panels)[0].shape[0] == 0
+    inverses = np.zeros((0, symbolic.supernodes.inverse_entries))
+    assert solve_stacked(symbolic, panels, inverses, np.zeros((0, n))).shape == (0, n)
 
 
 def test_zero_right_hand_sides_stay_zero_under_refinement():
@@ -237,8 +233,8 @@ def test_planned_sweep_is_bitwise_the_fancy_index_sweep(name):
     operator = _preprocessed(build_problem(workload), precision)
     operator.dual_rhs()  # builds the stacks
     ((dofs, stack),) = operator._kplus_stacks
-    symbolic, panels = stack.symbolic, stack.panels
-    assert panels.dtype == operator.precision.storage_dtype
+    symbolic, panels, inverses = stack.symbolic, stack.panels, stack.inverses
+    assert panels.dtype == inverses.dtype == operator.precision.storage_dtype
     rows = [step[3] for step in stack.plan if step[2] is not None]
     slices = sum(isinstance(index, slice) for index in rows)
     if name.startswith("elasticity"):
@@ -246,14 +242,10 @@ def test_planned_sweep_is_bitwise_the_fancy_index_sweep(name):
     else:
         assert slices == len(rows) > 0
     rhs = np.random.default_rng(7).standard_normal(dofs.shape)
-    inverses = stacked_diagonal_inverses(symbolic, panels)
-    reference = fancy_index_solve_stacked(symbolic, panels, rhs, inverses)
-    assert np.array_equal(solve_stacked(symbolic, panels, rhs, stack.plan), reference)
-    # No cached plan on one side, no cached inverses on the other.
-    assert np.array_equal(
-        solve_stacked(symbolic, panels, rhs),
-        fancy_index_solve_stacked(symbolic, panels, rhs),
-    )
+    reference = fancy_index_solve_stacked(symbolic, panels, inverses, rhs)
+    assert np.array_equal(solve_stacked(symbolic, panels, inverses, rhs, stack.plan), reference)
+    # Without the cached plan too.
+    assert np.array_equal(solve_stacked(symbolic, panels, inverses, rhs), reference)
 
 
 @pytest.mark.parametrize(
@@ -287,12 +279,14 @@ def test_stacking_repoints_the_factors_at_the_stack():
     solvers, _ = _factorized(4)
     before = sum(s.storage_nbytes() for s in solvers)
     stack = SolverStack(solvers)
-    for row, solver in zip(stack.panels, solvers):
-        assert np.shares_memory(row, solver._factor.panel_values())
+    for row, inverse, solver in zip(stack.panels, stack.inverses, solvers):
+        assert np.shares_memory(row, solver._factor.panels)
+        assert np.shares_memory(inverse, solver._factor.inverses)
     assert sum(s.storage_nbytes() for s in solvers) == before
     # Re-stacking the same factors (or a run of them) copies nothing.
-    assert np.shares_memory(SolverStack(solvers).panels, stack.panels)
-    assert np.shares_memory(SolverStack(solvers[1:3]).panels, stack.panels[1:3])
+    for again in (SolverStack(solvers), SolverStack(solvers[1:3])):
+        assert np.shares_memory(again.panels, stack.panels)
+        assert np.shares_memory(again.inverses, stack.inverses)
     # A non-consecutive selection has to copy — and stays correct.
     picked = [solvers[2], solvers[0]]
     b = np.random.default_rng(2).standard_normal((2, stack.symbolic.n))
@@ -304,13 +298,18 @@ def test_stacking_repoints_the_factors_at_the_stack():
 def test_panels_viewing_a_foreign_buffer_are_adopted_zero_copy():
     """The process backend's factors: rows of a view of a shared-memory buffer."""
     solvers, n = _factorized(3)
-    panels = np.stack([s._factor.panel_values() for s in solvers])
-    arena = np.frombuffer(bytearray(panels.tobytes()), dtype=float).reshape(panels.shape)
-    assert not arena.flags.owndata
-    for solver, row in zip(solvers, arena):
-        solver.adopt_factor(CholeskyFactor.from_panels(solver.symbolic, row))
+
+    def foreign(name):
+        rows = np.stack([getattr(s._factor, name) for s in solvers])
+        return np.frombuffer(bytearray(rows.tobytes()), dtype=float).reshape(rows.shape)
+
+    panels, inverses = foreign("panels"), foreign("inverses")
+    assert not panels.flags.owndata and not inverses.flags.owndata
+    for solver, row, inverse in zip(solvers, panels, inverses):
+        solver.adopt_factor(CholeskyFactor(solver.symbolic, row, inverse))
     stack = SolverStack(solvers)
-    assert np.shares_memory(stack.panels, arena)
+    assert np.shares_memory(stack.panels, panels)
+    assert np.shares_memory(stack.inverses, inverses)
     b = np.random.default_rng(3).standard_normal((3, n))
     reference = np.stack([s.solve(row) for s, row in zip(solvers, b)])
     assert np.abs(stack.solve(b) - reference).max() <= 1e-13 * np.abs(reference).max()
@@ -371,8 +370,9 @@ def test_stack_follows_a_rescaled_stiffness_across_steps(approach, name):
         stacks.append(stack)
         # The plan views this step's factors, nothing older.
         for row, sub in zip(stack.panels, problem.subdomains):
-            assert np.shares_memory(row, operator._cpu_solvers[sub.index]._factor.panel_values())
-        for _, _, below, rows, _ in stack.plan:
+            assert np.shares_memory(row, operator._cpu_solvers[sub.index]._factor.panels)
+        for _, _, below, rows, inverse in stack.plan:
+            assert np.shares_memory(inverse, stack.inverses)
             assert below is None or np.shares_memory(below, stack.panels)
             assert below is None or isinstance(rows, slice)
 
@@ -433,7 +433,7 @@ def test_stack_is_dropped_by_demote_storage():
     d64 = operator.dual_rhs()
     operator.demote_storage()
     d32 = operator.dual_rhs()
-    assert operator._cpu_solvers[0]._factor.panel_values().dtype == np.float32
+    assert operator._cpu_solvers[0]._factor.panels.dtype == np.float32
     assert 1e-9 < np.abs(d32 - d64).max() / np.abs(d64).max() < 1e-5
     _assert_matches_oracle(operator)
 
@@ -472,7 +472,7 @@ def _line_events_in_solve_stacked(stack: SolverStack, rhs: np.ndarray) -> int:
     previous = sys.gettrace()
     sys.settrace(global_trace)
     try:
-        solve_stacked(stack.symbolic, stack.panels, rhs, stack.plan)
+        stack._sweep(rhs)
     finally:
         sys.settrace(previous)
     return count

@@ -174,9 +174,11 @@ def _assert_bit_identical(A, **kwargs):
     s = symbolic_cholesky(A, **kwargs)
     ref = oracle.symbolic_reference(A, **kwargs)
     oracle.assert_matches_reference(s, ref)
-    # ... and therefore factors to the very same panels.
+    # ... and therefore factors to the very same panels and inverses.
     factor = numeric_cholesky(A, s)
-    assert np.array_equal(factor.panel_values(), oracle.numeric_reference(A, ref))
+    panels, inverses = oracle.numeric_reference(A, ref)
+    assert np.array_equal(factor.panels, panels)
+    assert np.array_equal(factor.inverses, inverses)
     return s
 
 
@@ -242,7 +244,8 @@ def test_empty_matrix_analyses_to_zero_supernodes(ordering):
     assert part.n_supernodes == 0 and part.panel_entries == 0
     assert part.below_rows == [] and part.updates == []
     factor = numeric_cholesky(sp.csr_matrix((0, 0)), s)
-    assert factor.values.shape == (0,)
+    assert factor.panels.shape == factor.inverses.shape == (0,)
+    assert factor.to_csc().shape == (0, 0)
 
 
 def test_nbytes_counts_every_index_array():
