@@ -5,16 +5,19 @@ simulated machine: a :class:`~repro.api.SolverSpec` declares an ``execution``
 backend (``serial`` | ``threads`` | ``processes``) and a worker count, the
 session shards every FETI preprocessing across the workers by cluster
 topology, and a :class:`~repro.runtime.SolveQueue` schedules many concurrent
-solve requests against one session.
+solve requests against one session.  The solve phase is not sharded: the
+dual-operator apply is one batched GEMV in the caller's process on every
+backend.
 
-This script drives all three parallel layers:
+This script drives the two parallel layers and the block-solve path
+between them:
 
 1. a worker-count sweep of the preprocessing wall time on the 64-subdomain
    scenario (the data behind the committed ``BENCH_parallel_scaling.json``
    baseline),
 2. a multi-RHS block solve via :meth:`Session.solve_many` — one stacked
-   PCPG iteration answering many load cases at once (the data behind the
-   ``BENCH_apply_phase.json`` baseline), and
+   PCPG iteration answering many load cases at once, serially (the data
+   behind the ``BENCH_apply_phase.json`` baseline), and
 3. a burst of queued solve requests — the "many users" serving path, where
    the :class:`~repro.runtime.SolveQueue` coalesces same-pattern requests
    into one stacked solve.

@@ -2,22 +2,20 @@
 
 The scenario isolates the solve phase's hottest kernel — the dual-operator
 apply — and measures the two ways a multi-RHS block can be driven through
-it, with one unit per entry of the ``execution`` axis:
+it:
 
 * **sequential** — ``k`` scalar ``operator.apply(column)`` calls, the
   bit-exact reference path (and what a naive caller would write);
 * **stacked** — one ``operator.apply_multi(block, stacked=True)`` call,
   the fused-GEMM path used by ``Session.solve_many`` throughput callers.
 
-Simulated apply seconds come from the operator's timing ledger and are
-deterministic, so the comparator gates them at the usual rtol.  Wall
-seconds are recorded (best-of-``rounds``) but not comparator-gated; the
-run itself enforces a structural floor instead: on every process backend
-the stacked path must beat ``k`` sequential applies by strictly more than
-the committed speedup floor, because each sequential apply pays a pool
-span dispatch while the stacked block runs as one parent GEMM on the
-already-uploaded arena pack.  The run also re-checks the numerical
-contract (stacked ≤ 1e-12 of sequential, relative) on every backend.
+The apply runs in the caller's process on every executor, so the
+registered scenario measures one serial unit (an ``execution`` override
+changes only where the preprocessing runs).  Simulated apply seconds come
+from the operator's timing ledger and are deterministic, so the comparator
+gates them at the usual rtol.  Wall seconds are recorded
+(best-of-``rounds``) but not comparator-gated.  The run re-checks the
+numerical contract: stacked ≤ 1e-12 of sequential, relative.
 """
 
 from __future__ import annotations
@@ -44,17 +42,15 @@ _BLOCK_SEED = 20250806
 
 @dataclass
 class ApplyPhaseScenario(Scenario):
-    """Sequential vs stacked block applies across runtime backends.
+    """Sequential vs stacked block applies of one preprocessed operator.
 
     One unit per entry of the ``execution`` axis, named by its short form
-    (``serial``, ``threads4``, ``processes4``); each unit measures the
+    (``serial`` for the registered scenario); each unit measures the
     ``<backend>/sequential`` then the ``<backend>/stacked`` point.
     """
 
     n_rhs: int = 8
     rounds: int = 3
-    #: The stacked speedup every process backend must strictly exceed.
-    min_processes_speedup: float = 1.39
 
     def units(self) -> dict[str, ExecutionSpec | None]:
         return {ExecutionSpec.of(e).describe(): e for e in self.execution}
@@ -72,8 +68,7 @@ class ApplyPhaseScenario(Scenario):
             block = rng.standard_normal((n_lambda, self.n_rhs))
             columns = [np.ascontiguousarray(block[:, j]) for j in range(self.n_rhs)]
 
-            # Warm both paths untimed: the first process-backend apply spawns
-            # the worker pool and uploads the arena pack.
+            # Warm both paths untimed: the first apply plans the timeline.
             seq_ref = np.column_stack([operator.apply(col) for col in columns])
             stacked_ref = operator.apply_multi(block, stacked=True)
 
@@ -107,7 +102,7 @@ class ApplyPhaseScenario(Scenario):
         return rows
 
     def check(self, rows: list[dict[str, Any]]) -> None:
-        """The run-time invariants (the comparator does not gate derived)."""
+        """The numerical contract of the stacked apply, on every unit."""
         for stacked in rows[1::2]:
             backend = stacked["key"].partition("/")[0]
             rel = stacked["stacked_rel_error"]
@@ -116,14 +111,6 @@ class ApplyPhaseScenario(Scenario):
                     f"scenario {self.name!r}: {backend} stacked apply_multi is "
                     f"{rel:.3e} relative from {self.n_rhs} sequential applies "
                     "(contract: <= 1e-12)"
-                )
-            speedup = stacked["speedup"]
-            if backend.startswith("processes") and not speedup > self.min_processes_speedup:
-                raise InvariantViolation(
-                    f"scenario {self.name!r}: process-backend stacked apply "
-                    f"speedup {speedup:.2f}x is not strictly above the "
-                    f"{self.min_processes_speedup}x floor — the fused block "
-                    "path no longer amortizes the per-apply span dispatch"
                 )
 
     def derived(self, rows: list[dict[str, Any]]) -> dict[str, float]:
@@ -141,12 +128,11 @@ def _register_default() -> None:
             name="apply_phase",
             description=(
                 "multi-RHS dual-operator applies: k sequential scalar applies "
-                "vs one stacked GEMM block, per runtime backend"
+                "vs one stacked GEMM block"
             ),
             base=Workload("heat", 2, (8, 8), 8),
             approaches=(DualOperatorApproach("expl mkl"),),
-            execution=(None, ExecutionSpec("threads", 4), ExecutionSpec("processes", 4)),
-            tags=frozenset({"runtime", "scaling", "wall"}),
+            tags=frozenset({"wall"}),
             expected={"n_subdomains": 64, "dofs_per_subdomain": 81},
         )
     )

@@ -249,35 +249,27 @@ class DualOperatorBase(abc.ABC):
         return None
 
     # ------------------------------------------------------------------ #
-    # Sharded dense apply                                                 #
+    # Packed dense apply                                                  #
     # ------------------------------------------------------------------ #
     def _apply_packed_dense(self, lam: np.ndarray) -> np.ndarray:
         """``q = Σ F̃ᵢ λᵢ`` over the one pack: one take, GEMV and ``bincount``.
 
-        Every explicit backend applies through here, and the batched GEMV
-        is the single interception point of the apply-phase sharding
-        (:mod:`repro.runtime.apply`): threads/processes chunk the pack while
-        the serial executor stays the bit-equal reference.
+        Every explicit backend applies through here, in the caller's
+        process whatever the executor: the executor runs preprocessing only.
         """
-        from repro.runtime.apply import sharded_matvec
-
         engine = self.batch_engine
         q = np.zeros_like(lam)
         p_concat = engine.global_map.gather(lam)
-        engine.global_map.scatter_add(
-            q, sharded_matvec(engine.require_dense(), p_concat, self.executor)
-        )
+        engine.global_map.scatter_add(q, engine.require_dense().matvec(p_concat))
         return q
 
     def _apply_packed_dense_multi(self, lam_block: np.ndarray) -> np.ndarray:
         """The stacked multi-RHS analogue of :meth:`_apply_packed_dense` (GEMM)."""
-        from repro.runtime.apply import sharded_matvec_multi
-
         engine = self.batch_engine
         q = np.zeros_like(lam_block)
         p_stack = engine.global_map.gather_multi(lam_block)
         engine.global_map.scatter_add_multi(
-            q, sharded_matvec_multi(engine.require_dense(), p_stack, self.executor)
+            q, engine.require_dense().matvec_multi(p_stack)
         )
         return q
 

@@ -167,9 +167,6 @@ class BatchedDenseApply:
         #: change only the storage, not the interface.
         self.blocks = np.zeros((index_map.n_items, m, m), dtype=dtype)
         self._p_pad = np.zeros((index_map.n_items, m, 1))
-        #: Bumped on every block refresh; the process-backend apply sharding
-        #: re-uploads the pack to its shared arena only when this changes.
-        self.version = 0
 
     def set_block(self, item: int, block: np.ndarray) -> None:
         """Install (or refresh) one subdomain's dense block."""
@@ -179,7 +176,6 @@ class BatchedDenseApply:
                 f"block {item} has shape {block.shape}, expected ({n}, {n})"
             )
         self.blocks[item, :n, :n] = block
-        self.version += 1
 
     def matvec(self, p_concat: np.ndarray) -> np.ndarray:
         """One batched GEMV over all blocks.
@@ -191,33 +187,6 @@ class BatchedDenseApply:
         """
         self._p_pad.reshape(-1)[self.map.pad_positions] = p_concat
         Q = np.matmul(self.blocks, self._p_pad)
-        return self.map.unpad(Q.reshape(self.map.n_items, self.map.max_size))
-
-    def matvec_chunked(
-        self, p_concat: np.ndarray, spans: "Sequence[tuple[int, int]]", submit
-    ) -> np.ndarray:
-        """The batched GEMV split over contiguous block spans.
-
-        ``submit(fn)`` schedules one span's ``np.matmul`` (a thread-pool
-        submit, or an inline call for the serial fallback) and returns a
-        future.  Each span computes exactly the per-item products of the
-        full-pack :meth:`matvec` — batched ``matmul`` applies the blocks
-        independently along the leading axis, so the chunked result is
-        bit-identical to the unchunked one regardless of span boundaries.
-        """
-        self._p_pad.reshape(-1)[self.map.pad_positions] = p_concat
-        Q = np.empty_like(self._p_pad)
-        blocks, p_pad = self.blocks, self._p_pad
-
-        def run(lo: int, hi: int):
-            def task() -> None:
-                np.matmul(blocks[lo:hi], p_pad[lo:hi], out=Q[lo:hi])
-
-            return task
-
-        futures = [submit(run(lo, hi)) for lo, hi in spans]
-        for future in futures:
-            future.result()
         return self.map.unpad(Q.reshape(self.map.n_items, self.map.max_size))
 
     def matvec_multi(self, p_stack: np.ndarray) -> np.ndarray:

@@ -1,7 +1,11 @@
-"""repro.runtime — sharded parallel execution of the FETI pipeline.
+"""repro.runtime — host-side parallel preprocessing and request serving.
 
-The runtime adds the layer the paper's premise implies but the earlier PRs
-never had: real host-side parallelism.  It is organized as four pieces:
+The executors run two things in parallel: the FETI preprocessing (factor
+and assemble ``F̃ᵢ`` per shard) and the requests of a :class:`SolveQueue`.
+The dual-operator apply is not among them: on every executor it is one
+batched ``matmul`` over the ``F̃ᵢ`` pack in the caller's process
+(:class:`repro.feti.operators.batch.BatchedDenseApply`).  The runtime is
+organized as four pieces:
 
 :mod:`repro.runtime.executor`
     :class:`ExecutionSpec` (the declarative ``backend`` + ``workers``
@@ -45,7 +49,6 @@ _LAZY_EXPORTS: dict[str, str] = {
     "ShardPlan": "repro.runtime.shard",
     "SharedArena": "repro.runtime.shm",
     "PreprocessRound": "repro.runtime.preprocess",
-    "SubdomainPreprocessed": "repro.runtime.preprocess",
     "run_preprocessing": "repro.runtime.preprocess",
     "QueueSolution": "repro.runtime.queue",
     "SolveQueue": "repro.runtime.queue",

@@ -38,8 +38,7 @@ class Shard:
 def balanced_spans(n: int, parts: int) -> list[tuple[int, int]]:
     """Split ``range(n)`` into ``min(parts, n)`` contiguous near-equal spans.
 
-    The common span decomposition of the runtime: shard planning uses it for
-    subdomain slices, the apply-phase sharding for block-pack chunks.
+    Shard planning cuts each cluster's subdomain list with it.
     """
     parts = max(1, min(parts, n))
     base, extra = divmod(n, parts)

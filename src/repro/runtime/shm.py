@@ -9,13 +9,14 @@ arena per preprocessing round, the workers write their slots directly, and
 the parent's solvers adopt NumPy *views* into the arena.  No array is
 pickled back.
 
-The transport is symmetric since the apply-phase sharding landed: bulk
-*inputs* (stacked stiffness values, packed gluing matrices, the padded
-``local_F`` pack and the dual vectors of the sharded apply) are written by
-the parent into input slots and attached zero-copy by the workers, so a
-process-backend round-trip pickles only slot descriptors and scalars in
-either direction.  Slots are dtype-aware (``float64`` panels next to
-``int32``/``int64`` index maps) and 8-byte aligned.
+The transport runs both ways within a round: bulk *inputs* (the stacked
+stiffness values and the gluing matrices ``B̃ᵢ``) are written by the parent
+into input slots and attached zero-copy by the workers, so a shard task
+pickles only slot descriptors, index arrays and scalars in either
+direction.  Slots are dtype-aware (``float64`` panels next to
+``int32``/``int64`` index maps) and 8-byte aligned.  Only preprocessing
+uses the arena: the dual-operator apply always runs in the caller's
+process.
 
 CPython 3.11/3.12 quirk: attaching a :class:`~multiprocessing.shared_memory.
 SharedMemory` segment registers it with the process's resource tracker, which
@@ -36,7 +37,6 @@ import numpy as np
 __all__ = [
     "SharedArena",
     "ArenaSlot",
-    "attach_cached",
     "attach_view",
     "slot_view",
     "write_slot",
@@ -66,14 +66,14 @@ class ArenaSlot:
 
 
 class SharedArena:
-    """A parent-owned shared-memory block carved into float64 slots.
+    """A parent-owned shared-memory block carved into typed slots.
 
-    Use :meth:`allocate` while laying out the round's outputs, then
-    :meth:`create` once to back the layout with a shared segment.  The
-    parent reads slots through :meth:`view`; workers receive ``(name,
-    slot)`` pairs and write through :func:`write_slot`.  The segment is
-    unlinked when :meth:`release` is called or the arena is garbage
-    collected, whichever comes first.
+    Use :meth:`allocate` while laying out the round's inputs and outputs,
+    then :meth:`create` once to back the layout with a shared segment.  The
+    parent reads and writes slots through :meth:`view`; workers receive
+    ``(name, slot)`` pairs, read through :func:`slot_view` and write through
+    :func:`write_slot`.  The segment is unlinked when :meth:`release` is
+    called or the arena is garbage collected, whichever comes first.
     """
 
     def __init__(self) -> None:
@@ -144,10 +144,6 @@ class SharedArena:
         )
         return flat.reshape(slot.shape)
 
-    def write(self, slot: ArenaSlot, values: np.ndarray) -> None:
-        """Parent-side write (used by the serial/threads fallbacks)."""
-        self.view(slot)[...] = values
-
     def release(self) -> None:
         """Close and unlink the segment (idempotent).
 
@@ -189,33 +185,6 @@ def attach_view(name: str) -> tuple[shared_memory.SharedMemory, memoryview]:
     """
     shm = shared_memory.SharedMemory(name=name)
     return shm, shm.buf
-
-
-#: Worker-local cache of attached segments, keyed by OS name.  The apply
-#: phase dispatches one tiny task per shard per PCPG iteration; re-attaching
-#: the arena on every task would put a syscall + mmap on the hot path, so
-#: workers keep the handful of live arenas mapped and evict oldest-first.
-_ATTACH_CACHE: dict[str, shared_memory.SharedMemory] = {}
-_ATTACH_CACHE_CAP = 8
-
-
-def attach_cached(name: str) -> memoryview:
-    """Attach an arena by name, reusing a worker-local mapping if present."""
-    shm = _ATTACH_CACHE.get(name)
-    if shm is None:
-        shm, _ = attach_view(name)
-        _ATTACH_CACHE[name] = shm
-        while len(_ATTACH_CACHE) > _ATTACH_CACHE_CAP:
-            oldest = next(iter(_ATTACH_CACHE))
-            if oldest == name:  # never evict the segment just attached
-                break
-            stale = _ATTACH_CACHE.pop(oldest)
-            try:
-                stale.close()
-            except BufferError:  # a view is still alive somewhere
-                _ATTACH_CACHE[oldest] = stale
-                break
-    return shm.buf
 
 
 def slot_view(buf: memoryview, slot: ArenaSlot) -> np.ndarray:

@@ -27,13 +27,9 @@ def _shrunken(**overrides):
     )
 
 
-def _stacked(backend, speedup=2.0, rel_error=0.0):
-    """A synthetic measured stacked point carrying what the gates read."""
-    return {
-        "key": f"{backend}/stacked",
-        "stacked_rel_error": rel_error,
-        "speedup": speedup,
-    }
+def _stacked(backend, rel_error=0.0):
+    """A synthetic measured stacked point carrying what the gate reads."""
+    return {"key": f"{backend}/stacked", "stacked_rel_error": rel_error}
 
 
 @pytest.fixture(scope="module")
@@ -68,27 +64,17 @@ def test_stacked_applies_match_sequential_ones(result):
         assert row["stacked_rel_error"] <= 1e-12
 
 
-def test_processes_speedup_floor_gates_every_process_backend():
-    scenario = _shrunken()
-    slow = _stacked("processes2", speedup=1.2)
-    with pytest.raises(InvariantViolation, match="1.39x floor"):
-        scenario.check([{"key": "processes2/sequential"}, slow])
-    # The floor is a process-backend claim: threads are not held to it.
-    scenario.check([{"key": "threads2/sequential"}, _stacked("threads2", speedup=1.2)])
-    scenario.check([{"key": "processes8/sequential"}, _stacked("processes8")])
-
-
 def test_rel_error_gate_flags_a_diverging_stacked_apply():
     with pytest.raises(InvariantViolation, match="contract"):
         _shrunken().check([{"key": "serial/sequential"}, _stacked("serial", rel_error=1e-9)])
 
 
-def test_registered_scenario_sweeps_its_execution_axis():
+def test_registered_scenario_is_one_serial_unit():
     scenario = registry.get("apply_phase")
     assert isinstance(scenario, ApplyPhaseScenario)
-    assert scenario.axes()["execution"] == ["serial", "threads4", "processes4"]
-    assert list(scenario.units()) == ["serial", "threads4", "processes4"]
-    assert scenario.n_points() == 3
+    assert scenario.axes()["execution"] == ["serial"]
+    assert list(scenario.units()) == ["serial"]
+    assert scenario.n_points() == 1
 
 
 def test_executor_override_reaches_the_execution_axis():

@@ -73,7 +73,7 @@ def test_list_json_shows_the_precision_axis(capsys):
 def test_list_json_shows_the_backends_apply_phase_runs(capsys):
     assert main(["list", "apply_phase", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload[0]["axes"]["execution"] == ["serial", "threads4", "processes4"]
+    assert payload[0]["axes"]["execution"] == ["serial"]
 
 
 def test_run_workload_rejects_unknown_sources_and_combinations(tmp_path, capsys):

@@ -9,7 +9,6 @@ round-trip exactly.
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from repro.feti.config import (
 )
 from repro.feti.operators import make_dual_operator
 from repro.feti.operators.batch import BatchedDenseApply, FlatIndexMap
-from repro.runtime.executor import SerialExecutor
 
 from tests.oracles.apply import looped_apply
 from tests.oracles.kplus import looped_apply_accurate, looped_dual_rhs
@@ -240,16 +238,14 @@ def _per_cluster_packs(operator, lam):
 
 @pytest.mark.parametrize("workload", ONE_PACK_WORKLOADS)
 @pytest.mark.parametrize("spec", EXPLICIT_SPECS)
-def test_one_pack_apply_is_bitwise_the_per_cluster_apply(workload, spec, monkeypatch):
+def test_one_pack_apply_is_bitwise_the_per_cluster_apply(workload, spec):
     """One pack over every cluster.
 
     Bitwise the per-cluster packs it replaced, and within rounding of the
     per-subdomain loop (whose unpadded GEMVs sum in another order); the
-    stacked apply within 1e-12 of the loop; the ``threads:2`` sharded apply
-    bitwise serial.
+    stacked apply within 1e-12 of the loop.
     """
-    monkeypatch.setenv("REPRO_APPLY_MIN_BATCH", "1")
-    with Session(replace(spec, execution="threads:2"), memory_budget="unlimited") as session:
+    with Session(spec, memory_budget="unlimited") as session:
         operator = session.operator_for(workload)
         operator.prepare()
         operator.preprocess()
@@ -257,18 +253,15 @@ def test_one_pack_apply_is_bitwise_the_per_cluster_apply(workload, spec, monkeyp
         rng = np.random.default_rng(31)
         lam = rng.standard_normal(operator.problem.n_lambda)
         block = rng.standard_normal((operator.problem.n_lambda, 3))
-        sharded = operator.apply(lam)
-        operator._executor = SerialExecutor()
-        serial = operator.apply(lam)
+        applied = operator.apply(lam)
         looped, _, _ = looped_apply(operator, lam)
         stacked = operator.apply_multi(block, stacked=True)
         columns = np.column_stack(
             [looped_apply(operator, block[:, j].copy())[0] for j in range(3)]
         )
         per_cluster = _per_cluster_packs(operator, lam)
-    assert np.array_equal(serial, per_cluster)
-    assert np.array_equal(sharded, serial)
-    assert np.linalg.norm(serial - looped) <= 1e-14 * np.linalg.norm(looped)
+    assert np.array_equal(applied, per_cluster)
+    assert np.linalg.norm(applied - looped) <= 1e-14 * np.linalg.norm(looped)
     assert np.linalg.norm(stacked - columns) <= 1e-12 * np.linalg.norm(columns)
 
 

@@ -3,11 +3,9 @@
 Every executor runs one preprocessing path: the same stacked factorization
 and the same per-subdomain Schur assembly on the same values.  So the
 factors (panels and diagonal-block inverses) and every ``F̃ᵢ`` are bitwise
-equal across serial, threads and
-processes, and so are the ``threads`` solutions of all nine dual-operator
-approaches.  :data:`TIGHT` is left for the process backend, whose sharded
-apply may differ from the serial one by machine rounding (≤ 1e-12),
-orders of magnitude below the solver tolerance.
+equal across serial, threads and processes.  The solve phase runs in the
+caller's process on every executor, so the solutions of all nine
+dual-operator approaches are bitwise equal too.
 """
 
 from __future__ import annotations
@@ -25,10 +23,6 @@ WORKLOADS = {
     "heat-2d": Workload("heat", 2, (2, 2), 4),
     "elasticity-3d": Workload("elasticity", 3, (2, 1, 1), 2),
 }
-
-#: The process backend's sharded apply may differ from the serial one by
-#: machine rounding, amplified through the PCPG iteration.
-TIGHT = dict(rtol=1e-9, atol=1e-11)
 
 #: The approaches that assemble ``F̃ᵢ`` with the CPU solver facades.
 CPU_EXPLICIT = [
@@ -81,10 +75,7 @@ def test_parallel_executors_reproduce_serial_solutions(
     pairs = [(solution.lam, reference.lam), (solution.alpha, reference.alpha)]
     pairs += list(zip(solution.primal, reference.primal))
     for got, ref in pairs:
-        if backend.startswith("threads"):
-            assert np.array_equal(got, ref)
-        else:
-            np.testing.assert_allclose(got, ref, **TIGHT)
+        assert np.array_equal(got, ref)
     # The simulated-time semantics are exactly the serial ones: sharding
     # changes wall-clock execution, never the modeled machine.
     assert (
@@ -164,7 +155,7 @@ def test_session_declared_execution_reproduces_serial(serial_solutions):
     with Session(SolverSpec(approach=approach, execution="processes:2")) as session:
         solution = session.solve(workload)
     reference = serial_solutions[(approach, "heat-2d")]
-    np.testing.assert_allclose(solution.lam, reference.lam, **TIGHT)
+    assert np.array_equal(solution.lam, reference.lam)
 
 
 def test_symbolic_is_shipped_once_per_pattern_per_executor():

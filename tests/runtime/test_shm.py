@@ -26,8 +26,8 @@ def test_typed_slots_round_trip_and_stay_aligned():
     assert floats.offset == 24 and floats.offset % 8 == 0
     arena.create()
     try:
-        arena.write(ints, np.arange(5, dtype=np.int32))
-        arena.write(floats, np.full((2, 2), 0.5))
+        arena.view(ints)[...] = np.arange(5, dtype=np.int32)
+        arena.view(floats)[...] = np.full((2, 2), 0.5)
         assert arena.view(ints).dtype == np.int32
         assert np.array_equal(arena.view(ints), np.arange(5))
         assert np.array_equal(arena.view(floats), np.full((2, 2), 0.5))
@@ -42,7 +42,7 @@ def test_allocate_of_matches_array_shape_and_dtype():
     assert slot.shape == (3, 4) and slot.dtype == "int64"
     arena.create()
     try:
-        arena.write(slot, source)
+        arena.view(slot)[...] = source
         assert np.array_equal(arena.view(slot), source)
     finally:
         arena.release()
@@ -53,7 +53,7 @@ def test_parent_write_and_view_round_trip():
     slot = arena.allocate((3, 3))
     arena.create()
     values = np.arange(9.0).reshape(3, 3)
-    arena.write(slot, values)
+    arena.view(slot)[...] = values
     assert np.array_equal(arena.view(slot), values)
     arena.release()
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
@@ -30,3 +33,18 @@ def test_dir_lists_lazy_names():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError):
         _ = repro.not_a_real_symbol
+
+
+PACKAGES = sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    if info.ispkg
+)
+
+
+@pytest.mark.parametrize("name", ["repro", *PACKAGES])
+def test_every_name_in_all_resolves(name):
+    """``from <package> import *`` works: each ``__all__`` entry exists."""
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
