@@ -27,6 +27,7 @@ from repro.feti.problem import FetiProblem, SubdomainProblem
 from repro.memory.precision import PrecisionPolicy, resolve_precision
 from repro.observe.trace import trace_span
 from repro.sparse.cache import PatternCache
+from repro.sparse.schur import SchurScatter
 from repro.sparse.solvers import SolverStack, SparseSolverBase
 
 __all__ = ["DualOperatorBase"]
@@ -86,6 +87,10 @@ class DualOperatorBase(abc.ABC):
         #: Per-subdomain CPU factorizations (populated by subclasses); used
         #: for the dual right-hand side and the primal recovery.
         self._cpu_solvers: dict[int, SparseSolverBase] = {}
+        #: How every ``B̃ᵢ`` enters the Schur assembly under its solver's
+        #: analysis (explicit approaches only): a function of the mesh and
+        #: the ordering, so the explicit ``_prepare_impl`` builds it once.
+        self._schur_scatters: dict[int, SchurScatter] = {}
 
     # ------------------------------------------------------------------ #
     # Cluster helpers                                                     #
@@ -131,10 +136,11 @@ class DualOperatorBase(abc.ABC):
         The single entry point of the runtime layer: the subdomains are
         sharded by cluster topology (one shard per cluster and worker), and
         every shard factors its same-pattern subdomains as one stack before
-        assembling each ``F̃ᵢ`` with its solver facade (see
-        :mod:`repro.runtime.preprocess`).  On return every solver in
-        ``self._cpu_solvers`` is numerically factorized; the returned round
-        maps subdomain indices to their ``F̃ᵢ``.
+        assembling the ``F̃ᵢ`` of each interface class as one stack, from the
+        scatters ``_prepare_impl`` built (see :mod:`repro.runtime.preprocess`).
+        On return every solver in ``self._cpu_solvers`` is numerically
+        factorized; the returned round maps subdomain indices to their
+        ``F̃ᵢ``.
         """
         from repro.runtime.preprocess import run_preprocessing
 
@@ -142,7 +148,7 @@ class DualOperatorBase(abc.ABC):
             self.executor,
             [(c.cluster_id, subs) for c, subs in self.iter_clusters()],
             self._cpu_solvers,
-            need_schur=need_schur,
+            scatters=self._schur_scatters if need_schur else None,
         )
         self._preprocess_round = round_
         return round_

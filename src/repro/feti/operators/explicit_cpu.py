@@ -89,6 +89,7 @@ class ExplicitCpuDualOperator(DualOperatorBase):
                 solver = self._cpu_solvers[sub.index]
                 symbolic = solver.analyze(sub.K_reg)
                 self._rhs_fill[sub.index] = solver.rhs_fill(sub.B)
+                self._schur_scatters[sub.index] = solver.schur_scatter(sub.B)
                 cost = cluster.cpu.symbolic_factorization(
                     int(sub.K_reg.nnz), symbolic.nnz
                 )

@@ -19,6 +19,14 @@ Persistent device memory holds the sparse factors, ``B̃ᵢ``, ``F̃ᵢ`` and th
 dual vectors; dense factor copies, dense right-hand sides and kernel
 workspaces are taken from the blocking temporary arena for the duration of
 each subdomain's assembly, exactly as described in Section IV-A.
+
+The numbers of ``F̃ᵢ`` come from the runtime's preprocessing round, as for
+every explicit approach: the interface-class Schur assembly on the
+CHOLMOD-like factors.  The device kernels of the assembly are
+**cost-only**: each is submitted to its subdomain's stream with its
+cost-model duration and holds its temporary buffers in the arena while it
+runs, but computes nothing.  :mod:`repro.gpu` keeps their numerics for its
+own tests and for the implicit GPU apply.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from repro.feti.config import (
 )
 from repro.feti.operators.base import DualOperatorBase
 from repro.feti.problem import FetiProblem
-from repro.gpu import cublas, cusparse
+from repro.gpu import cusparse
 from repro.gpu.arrays import (
     DeviceCsrMatrix,
     DeviceDenseMatrix,
@@ -66,7 +74,6 @@ def _matrix_order(order: FactorOrder | RhsOrder) -> MatrixOrder:
 class _GpuState:
     """Per-subdomain persistent device structures."""
 
-    perm: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     device_B: DeviceCsrMatrix | None = None
     device_factor: DeviceCsrMatrix | None = None
     device_F: DeviceDenseMatrix | None = None
@@ -165,6 +172,8 @@ class ExplicitGpuDualOperator(DualOperatorBase):
         cfg = self.config
         breakdown = {"symbolic": 0.0, "persistent_upload": 0.0, "analysis": 0.0}
         cluster_times = []
+        #: The factor pattern every device copy of ``L`` holds, per analysis.
+        patterns: dict[int, sp.csr_matrix] = {}
         for cluster, subs in self.iter_clusters():
             device = cluster.device
             device.reset_timeline()
@@ -175,28 +184,31 @@ class ExplicitGpuDualOperator(DualOperatorBase):
                 solver = self._cpu_solvers[sub.index]
 
                 symbolic = solver.analyze(sub.K_reg)
+                self._schur_scatters[sub.index] = solver.schur_scatter(sub.B)
                 cost = cluster.cpu.symbolic_factorization(
                     int(sub.K_reg.nnz), symbolic.nnz
                 )
                 clocks.advance(i, cost)
                 breakdown["symbolic"] += cost
-                state.perm = symbolic.perm
 
-                B_perm = sub.B[:, symbolic.perm].tocsr()
+                # The device copies of B̃ᵢ and L are their byte sizes: the
+                # assembly they would feed is cost-only (see _preprocess_impl).
                 state.device_B, op = device.upload_sparse(
-                    B_perm, stream, clocks.now(i), label=f"B[{sub.index}]"
+                    sub.B, stream, clocks.now(i), label=f"B[{sub.index}]"
                 )
                 clocks.advance(i, device.cost_model.submission_overhead_cpu)
                 breakdown["persistent_upload"] += op.duration
 
-                pattern = sp.csc_matrix(
-                    (
-                        np.zeros(symbolic.nnz),
-                        symbolic.row_idx.copy(),
-                        symbolic.col_ptr.copy(),
-                    ),
-                    shape=(symbolic.n, symbolic.n),
-                ).tocsr()
+                pattern = patterns.get(id(symbolic))
+                if pattern is None:
+                    pattern = patterns[id(symbolic)] = sp.csc_matrix(
+                        (
+                            np.zeros(symbolic.nnz),
+                            symbolic.row_idx.copy(),
+                            symbolic.col_ptr.copy(),
+                        ),
+                        shape=(symbolic.n, symbolic.n),
+                    ).tocsr()
                 factor_order = _matrix_order(cfg.forward_factor_order)
                 state.device_factor, op = device.upload_sparse(
                     pattern, stream, clocks.now(i),
@@ -295,149 +307,126 @@ class ExplicitGpuDualOperator(DualOperatorBase):
     # Preprocessing (the accelerated explicit assembly)                   #
     # ------------------------------------------------------------------ #
     def _preprocess_impl(self) -> tuple[float, dict[str, float]]:
-        # CPU-side numeric factorizations via the runtime (sharded futures
-        # under a parallel executor); the simulated device assembly below
-        # consumes the adopted factors.
-        self.run_feti_preprocessing()
+        # The numerics come from the runtime round (the stacked factorization
+        # and the interface-class assembly on the CHOLMOD-like factors); the
+        # loop below replays the device assembly's kernels for the timeline:
+        # the same stream submissions, durations and temporary-arena traffic.
+        round_ = self.run_feti_preprocessing(need_schur=True)
         cfg = self.config
-        breakdown = {
-            "numeric_factorization": 0.0,
-            "factor_upload": 0.0,
-            "sparse_to_dense": 0.0,
-            "trsm": 0.0,
-            "syrk": 0.0,
-            "spmm": 0.0,
-        }
+        breakdown = dict.fromkeys(
+            ("numeric_factorization", "factor_upload", "sparse_to_dense", "trsm", "syrk", "spmm"),
+            0.0,
+        )
+        need_dense = cfg.forward_factor_storage is FactorStorage.DENSE or (
+            cfg.path is Path.TRSM and cfg.backward_factor_storage is FactorStorage.DENSE
+        )
         cluster_times = []
         for cluster, subs in self.iter_clusters():
             device = cluster.device
             device.reset_timeline()
             arena = device.require_temporary()
+            cost = device.cost_model
             clocks = self.new_thread_clocks(cluster)
+            # CPU cost of factorization + extraction: a function of the pattern.
+            factor_costs: dict[int, float] = {}
             for i, sub in enumerate(subs):
                 stream = cluster.stream_for(i)
                 state = self._state[sub.index]
                 solver = self._cpu_solvers[sub.index]
                 self._ensure_pack_dtype(state)
 
-                # CPU cost: numeric factorization + factor extraction.
-                fact_cost = cluster.cpu.numeric_factorization(
-                    solver.factorization_flops(), solver.factor_nnz, CpuLibrary.CHOLMOD
-                )
-                extract_cost = cluster.cpu.factor_extraction(solver.factor_nnz)
-                clocks.advance(i, fact_cost + extract_cost)
-                breakdown["numeric_factorization"] += fact_cost + extract_cost
+                def kernel(key: str, label: str, duration: float) -> None:
+                    op = stream.submit(label, duration, clocks.now(i))
+                    clocks.advance(i, cost.submission_overhead_cpu)
+                    breakdown[key] += op.duration
 
-                factor = solver.extract_factor()
-                op = device.update_sparse_values(
-                    state.device_factor, factor.to_csc().tocsr(), stream, clocks.now(i),
-                    factor=factor,
-                )
-                clocks.advance(i, device.cost_model.submission_overhead_cpu)
-                breakdown["factor_upload"] += op.duration
+                pattern = id(solver.symbolic)
+                if pattern not in factor_costs:
+                    factor_costs[pattern] = cluster.cpu.numeric_factorization(
+                        solver.factorization_flops(), solver.factor_nnz, CpuLibrary.CHOLMOD
+                    ) + cluster.cpu.factor_extraction(solver.factor_nnz)
+                clocks.advance(i, factor_costs[pattern])
+                breakdown["numeric_factorization"] += factor_costs[pattern]
+
+                # The device copy of L names the host factor it mirrors and
+                # keeps its byte size at the factor's storage dtype.
+                L = state.device_factor
+                L.factor = solver.extract_factor()
+                if L.matrix.dtype != L.factor.panels.dtype:
+                    L.matrix = L.matrix.astype(L.factor.panels.dtype)
+                kernel("factor_upload", f"h2d-values:{L.label}", cost.transfer(8 * L.nnz))
 
                 # Temporary buffers: dense RHS (and dense factor if needed).
                 ndofs, n_lambda = sub.ndofs, sub.n_lambda
-                rhs_alloc = arena.allocate(8 * ndofs * n_lambda, "dense-rhs")
-                rhs = DeviceDenseMatrix(
-                    array=np.zeros((ndofs, n_lambda)),
-                    order=_matrix_order(cfg.rhs_order),
-                    allocation=rhs_alloc,
-                )
-                op = cusparse.sparse_to_dense(
-                    device, stream, state.device_B, rhs, clocks.now(i), transpose=True
-                )
-                clocks.advance(i, device.cost_model.submission_overhead_cpu)
-                breakdown["sparse_to_dense"] += op.duration
-
-                dense_factor: DeviceDenseMatrix | None = None
-                need_dense = (
-                    cfg.forward_factor_storage is FactorStorage.DENSE
-                    or (
-                        cfg.path is Path.TRSM
-                        and cfg.backward_factor_storage is FactorStorage.DENSE
-                    )
+                temporaries = [arena.allocate(8 * ndofs * n_lambda, "dense-rhs")]
+                kernel(
+                    "sparse_to_dense",
+                    "cusparse.sparse_to_dense",
+                    cost.sparse_to_dense(ndofs, n_lambda, state.device_B.nnz),
                 )
                 if need_dense:
-                    dense_alloc = arena.allocate(8 * ndofs * ndofs, "dense-factor")
-                    dense_factor = DeviceDenseMatrix(
-                        array=np.zeros((ndofs, ndofs)),
-                        order=_matrix_order(cfg.forward_factor_order),
-                        allocation=dense_alloc,
+                    temporaries.append(arena.allocate(8 * ndofs * ndofs, "dense-factor"))
+                    kernel(
+                        "sparse_to_dense",
+                        "cusparse.sparse_to_dense",
+                        cost.sparse_to_dense(ndofs, ndofs, L.nnz),
                     )
-                    op = cusparse.sparse_to_dense(
-                        device, stream, state.device_factor, dense_factor, clocks.now(i)
-                    )
-                    clocks.advance(i, device.cost_model.submission_overhead_cpu)
-                    breakdown["sparse_to_dense"] += op.duration
 
-                # Forward solve: W = L⁻¹ (B̃ᵢᵀ, permuted & dense).
-                op = self._triangular_solve(
-                    cluster, stream, state, rhs, dense_factor,
-                    storage=cfg.forward_factor_storage, transpose=False,
-                    plan=state.forward_plan, submit_time=clocks.now(i), arena=arena,
+                # Forward solve W = L⁻¹ B̃ᵢᵀ, then F̃ᵢ = WᵀW (SYRK) or
+                # Z = L⁻ᵀ W and F̃ᵢ = B̃ᵢ Z (TRSM).
+                self._triangular_solve(
+                    kernel, cost, arena, state.forward_plan, cfg.forward_factor_storage,
+                    ndofs, n_lambda,
                 )
-                clocks.advance(i, device.cost_model.submission_overhead_cpu)
-                breakdown["trsm"] += op.duration
-
-                assert state.device_F is not None
                 if cfg.path is Path.SYRK:
-                    op = cublas.syrk(
-                        device, stream, rhs, state.device_F, clocks.now(i), transpose=True
-                    )
-                    clocks.advance(i, device.cost_model.submission_overhead_cpu)
-                    breakdown["syrk"] += op.duration
+                    kernel("syrk", "cublas.syrk", cost.syrk(n_lambda, ndofs))
                 else:
-                    # Backward solve: Z = L⁻ᵀ W, then F̃ᵢ = B̃ᵢ Z.
-                    op = self._triangular_solve(
-                        cluster, stream, state, rhs, dense_factor,
-                        storage=cfg.backward_factor_storage, transpose=True,
-                        plan=state.backward_plan, submit_time=clocks.now(i), arena=arena,
+                    self._triangular_solve(
+                        kernel, cost, arena, state.backward_plan, cfg.backward_factor_storage,
+                        ndofs, n_lambda,
                     )
-                    clocks.advance(i, device.cost_model.submission_overhead_cpu)
-                    breakdown["trsm"] += op.duration
-                    op = cusparse.spmm(
-                        device, stream, state.device_B, rhs, state.device_F, clocks.now(i)
-                    )
-                    clocks.advance(i, device.cost_model.submission_overhead_cpu)
-                    breakdown["spmm"] += op.duration
+                    kernel("spmm", "cusparse.spmm", cost.spmm(state.device_B.nnz, n_lambda))
 
                 # Temporary buffers are only needed until the kernels finish.
-                rhs.release()
-                if dense_factor is not None:
-                    dense_factor.release()
+                for allocation in temporaries:
+                    allocation.release()
 
-                self.batch_engine.install_dense_block(sub.index, state.device_F.array)
+                F = round_.local_F.pop(sub.index)
+                state.device_F.array[...] = F
+                self.batch_engine.install_dense_block(sub.index, F)
             end = device.synchronize(clocks.max_time)
             cluster_times.append(end)
         return self._merge_cluster_times(cluster_times), breakdown
 
+    @staticmethod
     def _triangular_solve(
-        self,
-        cluster: ClusterResources,
-        stream,
-        state: _GpuState,
-        rhs: DeviceDenseMatrix,
-        dense_factor: DeviceDenseMatrix | None,
-        storage: FactorStorage,
-        transpose: bool,
-        plan: SparseTrsmPlan | None,
-        submit_time: float,
+        kernel,
+        cost,
         arena,
-    ):
-        """One triangular solve of the assembly, sparse or dense."""
-        device = cluster.device
+        plan: SparseTrsmPlan | None,
+        storage: FactorStorage,
+        ndofs: int,
+        n_lambda: int,
+    ) -> None:
+        """One triangular solve of the assembly: dense cuBLAS or sparse cuSPARSE.
+
+        The sparse solve holds its temporary workspace for the kernel's
+        duration.
+        """
         if storage is FactorStorage.DENSE:
-            assert dense_factor is not None
-            return cublas.trsm(
-                device, stream, dense_factor, rhs, submit_time,
-                lower=True, transpose=transpose,
-            )
-        assert plan is not None and state.device_factor is not None
-        return cusparse.trsm(
-            device, stream, plan, state.device_factor, rhs, submit_time,
-            transpose=transpose, arena=arena,
+            kernel("trsm", "cublas.trsm", cost.dense_trsm(ndofs, n_lambda))
+            return
+        assert plan is not None
+        workspace = None
+        if plan.temporary_bytes > 0:
+            workspace = arena.allocate(plan.temporary_bytes, label="cusparse-trsm-buffer")
+        duration = cost.sparse_trsm(
+            plan.factor_nnz, ndofs, n_lambda, plan.version, plan.csc_factor,
+            plan.col_major_rhs,
         )
+        kernel("trsm", "cusparse.trsm", duration)
+        if workspace is not None:
+            workspace.release()
 
     # ------------------------------------------------------------------ #
     # Application                                                         #

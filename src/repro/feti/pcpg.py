@@ -162,10 +162,10 @@ def pcpg(
         with trace_span("iteration", k=k + 1):
             q = apply_F(p)
             pq = float(p @ q)
-            if pq <= 0.0:
-                # Loss of positive definiteness on the constraint subspace —
-                # stop and report non-convergence rather than diverging
-                # silently.
+            if not pq > 0.0:
+                # Loss of positive definiteness on the constraint subspace,
+                # or a NaN from non-finite data — stop and report
+                # non-convergence rather than iterating to the cap.
                 break
             delta = wy / pq
             deltas.append(delta)
@@ -331,9 +331,9 @@ def pcpg_block(
             for pos, j in enumerate(active):
                 q = np.ascontiguousarray(q_block[:, pos])
                 pq = float(p[j] @ q)
-                if pq <= 0.0:
-                    # Loss of positive definiteness on this column only — the
-                    # remaining columns keep iterating.
+                if not pq > 0.0:
+                    # Loss of positive definiteness (or a NaN) on this column
+                    # only — the remaining columns keep iterating.
                     iterations[j] = k
                     continue
                 delta = wy[j] / pq

@@ -11,24 +11,29 @@ whatever the executor:
 2. Within a shard, the subdomains sharing a symbolic analysis form a group,
    and every group runs :func:`_preprocess_group`: one
    :func:`~repro.sparse.numeric.stacked_cholesky` of the group's ``(k, nnz)``
-   values, then ``solver.schur_complement(B̃ᵢ)`` per member.  The solver
-   facade (PARDISO- or CHOLMOD-like) is the one place that decides how the
-   sparsity of ``B̃ᵢ`` is exploited.
+   values, then one :func:`~repro.sparse.solvers.schur_complements` per
+   interface class of the group (the members whose ``P B̃ᵢᵀ`` have the same
+   sorted column first rows, :func:`~repro.sparse.schur.interface_classes`).
+   The classes come from the operator's
+   :class:`~repro.sparse.schur.SchurScatter` of every ``B̃ᵢ``, built once
+   when it was prepared: its solver facade (PARDISO- or CHOLMOD-like) is the
+   one place that decides how the sparsity of ``B̃ᵢ`` is exploited.
 
 The backends differ only in where the inputs and outputs live.  ``serial``
 and ``threads`` run the groups on the parent's own solvers.  ``processes``
 runs them in pool workers on throwaway facades of the same class and
-precision: the parent writes the stacked values and the gluing matrices into
-input slots of the round's :class:`~repro.runtime.shm.SharedArena`, the
-workers write the factors (panels and diagonal-block inverses) and every
-``F̃ᵢ`` into output slots, and the parent's solvers adopt them as views.  No
-bulk value crosses the pool's pipes, only slot descriptors, the pattern's index arrays and, on a pattern's
-first round, its symbolic analysis.  Each worker keeps its own
-:class:`~repro.sparse.cache.PatternCache`, so a pattern's symbolic analysis
-is derived at most once per worker.
+precision: the parent writes the stacked values into input slots of the
+round's :class:`~repro.runtime.shm.SharedArena`, the workers write the
+factors (panels and diagonal-block inverses) and every ``F̃ᵢ`` into output
+slots, and the parent's solvers adopt them as views.  No bulk value crosses
+the pool's pipes, only slot descriptors, index arrays (the pattern's and the
+``B̃ᵢ`` scatters) and, on a pattern's first round, its symbolic analysis.
+Each worker keeps its own :class:`~repro.sparse.cache.PatternCache`, so a
+pattern's symbolic analysis is derived at most once per worker.
 
-Every backend runs the same group function on the same values, so the
-factors and every ``F̃ᵢ`` are bitwise equal across executors.
+Every backend runs the same group function on the same values, and a
+member's ``F̃ᵢ`` does not depend on which other members share its class, so
+the factors and every ``F̃ᵢ`` are bitwise equal across executors.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ from repro.runtime.shard import Shard, ShardPlan
 from repro.runtime.shm import SharedArena, attach_view, slot_view, write_slot
 from repro.sparse.cache import PatternCache, structural_key
 from repro.sparse.numeric import CholeskyFactor, stacked_cholesky, stacked_values
+from repro.sparse.schur import SchurScatter, interface_classes
+from repro.sparse.solvers import schur_complements
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.feti.problem import SubdomainProblem
@@ -58,8 +65,8 @@ __all__ = ["PreprocessRound", "run_preprocessing"]
 class PreprocessRound:
     """One preprocessing round: every ``F̃ᵢ`` plus the buffers backing them.
 
-    ``local_F`` maps subdomain indices to their ``F̃ᵢ`` (empty unless
-    ``need_schur``; zero-copy arena views under the process backend).  The
+    ``local_F`` maps subdomain indices to their ``F̃ᵢ`` (empty unless the
+    round assembled them; zero-copy arena views under the process backend).  The
     operator pops each one into its pack, so no ``F̃ᵢ`` outlives its
     installation.  The operator holds the most recent round, keeping the
     process backend's shared-memory arena (and therefore the adopted factors)
@@ -71,7 +78,7 @@ class PreprocessRound:
 
 
 # --------------------------------------------------------------------- #
-# One group: a stacked factorization, then F̃ᵢ per member                #
+# One group: a stacked factorization, then F̃ᵢ per interface class       #
 # --------------------------------------------------------------------- #
 @dataclass
 class _Group:
@@ -120,29 +127,34 @@ def _preprocess_group(
     values: np.ndarray,
     solvers: Sequence["SparseSolverBase"],
     matrices: Sequence[sp.spmatrix],
-    Bs: Sequence[sp.spmatrix],
-    indices: Sequence[int],
+    scatters: Sequence[SchurScatter],
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """One group's preprocessing, whichever executor runs it.
 
     One stacked factorization of the ``(k, nnz)`` ``values``, adopted by the
-    member solvers, then ``F̃ᵢ = solver.schur_complement(B̃ᵢ)`` per member
-    (``Bs`` is empty unless the approach assembles ``F̃ᵢ``).  Returns the
-    stacked panels and diagonal-block inverses, and the ``F̃ᵢ``.
+    member solvers, then one stacked assembly per interface class of the
+    members' ``scatters`` (empty unless the approach assembles ``F̃ᵢ``).
+    Returns the stacked panels and diagonal-block inverses, and the ``F̃ᵢ``
+    in member order.
     """
     with trace_span("factorize", subdomains=len(solvers)):
         panels, inverses = stacked_cholesky(values, symbolic)
         _adopt(symbolic, panels, inverses, solvers, matrices)
-    # Largest F̃ᵢ first: each member's ``n x n_λ`` workspace then fits in the
-    # memory the previous, larger one released, instead of growing the heap.
-    local_F = [None] * len(Bs)
-    for i in sorted(range(len(Bs)), key=lambda i: -Bs[i].shape[0]):
-        with trace_span("schur_assembly", subdomain=indices[i]):
-            local_F[i] = solvers[i].schur_complement(Bs[i])
+    local_F = [None] * len(scatters)
+    for members in interface_classes(scatters):
+        n_lambda = scatters[members[0]].n_dual
+        with trace_span("schur_assembly", subdomains=len(members), n_lambda=n_lambda):
+            F = schur_complements(
+                [solvers[i] for i in members], [scatters[i] for i in members]
+            )
+        for i, Fi in zip(members, F):
+            local_F[i] = Fi
     return panels, inverses, local_F
 
 
-def _run_shard(groups: list[_Group], need_schur: bool) -> list[list[np.ndarray]]:
+def _run_shard(
+    groups: list[_Group], scatters: Mapping[int, SchurScatter]
+) -> list[list[np.ndarray]]:
     """In-process shard task (serial, threads): the parent's own solvers."""
     out = []
     for g in groups:
@@ -152,8 +164,7 @@ def _run_shard(groups: list[_Group], need_schur: bool) -> list[list[np.ndarray]]
             stacked_values(matrices, g.symbolic),
             g.solvers,
             matrices,
-            [s.B for s in g.subs] if need_schur else [],
-            [s.index for s in g.subs],
+            [scatters[s.index] for s in g.subs] if scatters else [],
         )
         out.append(local_F)
     return out
@@ -174,29 +185,6 @@ _WORKER_SYMBOLIC: dict[tuple, Any] = {}
 #: Pending parent-side input writes: ``(slot, values)`` pairs recorded while
 #: the arena layout is still open, flushed once ``create()`` has run.
 _Writes = list  # list[tuple[ArenaSlot, np.ndarray]]
-
-
-def _sparse_to_slots(arena: SharedArena, writes: _Writes, A: sp.spmatrix) -> dict:
-    """Lay one CSR matrix out as three arena input slots (+ its shape)."""
-    csr = sp.csr_matrix(A)
-    ref = {"shape": tuple(csr.shape)}
-    for name in ("data", "indices", "indptr"):
-        array = np.asarray(getattr(csr, name))
-        ref[name] = arena.allocate_of(array)
-        writes.append((ref[name], array))
-    return ref
-
-
-def _sparse_from_slots(buf: memoryview, ref: dict) -> sp.csr_matrix:
-    """Rebuild a CSR matrix over arena views (worker side, zero-copy data)."""
-    return sp.csr_matrix(
-        (
-            slot_view(buf, ref["data"]),
-            slot_view(buf, ref["indices"]),
-            slot_view(buf, ref["indptr"]),
-        ),
-        shape=ref["shape"],
-    )
 
 
 def _worker_symbolic(group: dict):
@@ -225,10 +213,10 @@ def _worker_symbolic(group: dict):
 def _run_shard_process(payload: dict) -> None:
     """Process shard task: the groups on worker-local facades, via the arena.
 
-    The stacked values and the gluing matrices are read as zero-copy views
-    of the arena; the factors and every ``F̃ᵢ`` are written back into it.
-    Each member gets a fresh facade of the parent solver's class and
-    precision, so ``schur_complement`` does exactly what the parent's would.
+    The stacked values are read as a zero-copy view of the arena; the
+    factors and every ``F̃ᵢ`` are written back into it.  Each member gets a
+    fresh facade of the parent solver's class and precision, so the class
+    assembly reads factors stored exactly as the parent's are.
     """
     shm, buf = attach_view(payload["arena"])
     try:
@@ -246,8 +234,7 @@ def _run_shard_process(payload: dict) -> None:
                 values,
                 [facade(pattern_cache=False, precision=precision) for _ in matrices],
                 matrices,
-                [_sparse_from_slots(buf, ref) for ref in g["Bs"]],
-                g["indices"],
+                g["scatters"],
             )
             write_slot(buf, g["panels"], panels)
             write_slot(buf, g["inverses"], inverses)
@@ -258,9 +245,13 @@ def _run_shard_process(payload: dict) -> None:
 
 
 def _group_payload(
-    g: _Group, arena: SharedArena, writes: _Writes, need_schur: bool, seeded_keys: set
+    g: _Group,
+    arena: SharedArena,
+    writes: _Writes,
+    scatters: Mapping[int, SchurScatter],
+    seeded_keys: set,
 ) -> dict:
-    """One group's worker payload: slot descriptors, no bulk values."""
+    """One group's worker payload: slot descriptors and index arrays, no bulk values."""
     solver, part = g.solvers[0], g.symbolic.supernodes
     values = stacked_values([s.K_reg for s in g.subs], g.symbolic)
     values_slot = arena.allocate_of(values)
@@ -278,9 +269,8 @@ def _group_payload(
         "values": values_slot,
         "panels": arena.allocate((len(g.subs), part.panel_entries)),
         "inverses": arena.allocate((len(g.subs), part.inverse_entries)),
-        "Bs": [_sparse_to_slots(arena, writes, s.B) for s in g.subs] if need_schur else [],
-        "local_F": [arena.allocate((s.n_lambda,) * 2) for s in g.subs] if need_schur else [],
-        "indices": [s.index for s in g.subs],
+        "scatters": [scatters[s.index] for s in g.subs] if scatters else [],
+        "local_F": [arena.allocate((s.n_lambda,) * 2) for s in g.subs] if scatters else [],
     }
 
 
@@ -288,13 +278,13 @@ def _run_in_processes(
     executor: Executor,
     shard_groups: list[list[_Group]],
     round_: PreprocessRound,
-    need_schur: bool,
+    scatters: Mapping[int, SchurScatter],
 ) -> list[list[list[np.ndarray]]]:
     """Run every shard in the pool; adopt the factors and ``F̃ᵢ`` as arena views."""
     arena = SharedArena()
     writes: _Writes = []
     payloads = [
-        [_group_payload(g, arena, writes, need_schur, executor.seeded_keys) for g in groups]
+        [_group_payload(g, arena, writes, scatters, executor.seeded_keys) for g in groups]
         for groups in shard_groups
     ]
     # The layout is frozen once every shard has allocated its slots: back
@@ -332,14 +322,18 @@ def run_preprocessing(
     clusters: Sequence[tuple[int, Sequence["SubdomainProblem"]]],
     solvers: Mapping[int, "SparseSolverBase"],
     *,
-    need_schur: bool = False,
+    scatters: Mapping[int, SchurScatter] | None = None,
 ) -> PreprocessRound:
-    """Factorize every subdomain (and optionally assemble ``F̃ᵢ``) via shards.
+    """Factorize every subdomain (and assemble ``F̃ᵢ`` given ``scatters``) via shards.
 
-    On return every solver in ``solvers`` carries a numeric factorization
-    for the current stiffness values; the returned round holds every
-    ``F̃ᵢ`` and owns any shared-memory buffers backing them.
+    ``scatters`` maps every subdomain index to the
+    :class:`~repro.sparse.schur.SchurScatter` of its ``B̃ᵢ`` under its
+    solver's analysis; without it the round only factorizes.  On return
+    every solver in ``solvers`` carries a numeric factorization for the
+    current stiffness values; the returned round holds every ``F̃ᵢ`` and
+    owns any shared-memory buffers backing them.
     """
+    scatters = scatters or {}
     subdomains = {s.index: s for _, subs in clusters for s in subs}
     plan = ShardPlan.for_clusters(
         [(cid, [s.index for s in subs]) for cid, subs in clusters], executor.workers
@@ -347,10 +341,10 @@ def run_preprocessing(
     shard_groups = [_shard_groups(shard, subdomains, solvers) for shard in plan.shards]
     round_ = PreprocessRound()
     if executor.backend == "processes":
-        local_F = _run_in_processes(executor, shard_groups, round_, need_schur)
+        local_F = _run_in_processes(executor, shard_groups, round_, scatters)
     else:
         futures = [
-            executor.submit(_run_shard, groups, need_schur) for groups in shard_groups
+            executor.submit(_run_shard, groups, scatters) for groups in shard_groups
         ]
         local_F = [future.result() for future in futures]
     for groups, shard_F in zip(shard_groups, local_F):

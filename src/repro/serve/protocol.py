@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -70,24 +71,47 @@ class SolveRequest:
 
 
 def _normalize_wire_rhs(rhs: Any) -> float | list | None:
+    """The ``rhs`` field as the queue takes it; every number must be finite.
+
+    Python's ``json`` accepts ``NaN`` and ``Infinity``: a non-finite load
+    would only fail after a solve had run to its iteration cap, so it is a
+    400 here instead.
+    """
     if rhs is None:
         return None
     if isinstance(rhs, bool):
         raise ProtocolError("rhs must be a number or a list of load vectors, got a bool")
     if isinstance(rhs, (int, float)):
-        return float(rhs)
+        value = float(rhs)
+        if not math.isfinite(value):
+            raise ProtocolError(f"rhs must be finite, got {rhs!r}")
+        return value
     if isinstance(rhs, list):
         try:
-            return [[float(x) for x in vec] for vec in rhs]
+            vectors = [[float(x) for x in vec] for vec in rhs]
         except (TypeError, ValueError):
             raise ProtocolError(
                 "rhs must be a list of per-subdomain load vectors "
                 "(lists of numbers) when not a scalar"
             ) from None
+        if not all(np.isfinite(vec).all() for vec in vectors):
+            raise ProtocolError("rhs load vectors must hold finite numbers only")
+        return vectors
     raise ProtocolError(
         f"rhs must be null, a scalar load factor, or a list of load "
         f"vectors, got {type(rhs).__name__}"
     )
+
+
+def _envelope_timeout(timeout: Any) -> float | None:
+    """The ``timeout`` field: absent, or a positive finite JSON number."""
+    if timeout is None:
+        return None
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
+        raise ProtocolError(f"timeout must be a number, got {timeout!r}")
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ProtocolError(f"timeout must be positive and finite, got {timeout!r}")
+    return float(timeout)
 
 
 def parse_solve_request(body: bytes | str) -> SolveRequest:
@@ -146,21 +170,16 @@ def parse_solve_request(body: bytes | str) -> SolveRequest:
         detail = str(exc).strip("'\"")
         raise ProtocolError(f"invalid spec: {detail}") from None
 
-    timeout = envelope.get("timeout")
-    if timeout is not None:
-        try:
-            timeout = float(timeout)
-        except (TypeError, ValueError):
-            raise ProtocolError(f"timeout must be a number, got {timeout!r}") from None
-        if not timeout > 0:
-            raise ProtocolError(f"timeout must be positive, got {timeout!r}")
+    return_primal = envelope.get("return_primal", False)
+    if not isinstance(return_primal, bool):
+        raise ProtocolError(f"return_primal must be a JSON boolean, got {return_primal!r}")
 
     return SolveRequest(
         workload=workload,
         spec=spec,
         rhs=_normalize_wire_rhs(envelope.get("rhs")),
-        return_primal=bool(envelope.get("return_primal", False)),
-        timeout=timeout,
+        return_primal=return_primal,
+        timeout=_envelope_timeout(envelope.get("timeout")),
     )
 
 

@@ -22,7 +22,9 @@ On top of the factorization the package provides sparse triangular solves
 (vector, multi-RHS, and one sweep over a stack of same-pattern factors —
 :func:`solve_stacked` / :class:`SolverStack`), a Schur-complement engine
 that exploits the sparsity of the right-hand side block (the analogue of
-PARDISO's augmented incomplete factorization), and two facades reproducing the relevant API differences of
+PARDISO's augmented incomplete factorization) and assembles every
+interface class of same-pattern subdomains as one stack
+(:func:`stacked_schur_complement`), and two facades reproducing the relevant API differences of
 the CPU libraries: :class:`CholmodLikeSolver` (factors can be extracted and
 shipped to the GPU) and :class:`PardisoLikeSolver` (factors cannot be
 extracted, but a fast Schur complement is available).
@@ -43,7 +45,7 @@ from repro.sparse.triangular import (
     sparse_trsm_upper,
     solve_stacked,
 )
-from repro.sparse.schur import schur_complement
+from repro.sparse.schur import SchurScatter, schur_scatter, stacked_schur_complement
 from repro.sparse.cache import PatternCache, global_pattern_cache, structural_key
 from repro.sparse.costmodel import CpuCostModel, CpuLibrary
 from repro.sparse.solvers import (
@@ -68,7 +70,9 @@ __all__ = [
     "sparse_trsm_lower",
     "sparse_trsm_upper",
     "solve_stacked",
-    "schur_complement",
+    "SchurScatter",
+    "schur_scatter",
+    "stacked_schur_complement",
     "PatternCache",
     "global_pattern_cache",
     "structural_key",

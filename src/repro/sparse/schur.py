@@ -17,17 +17,40 @@ forward solve keeps every column exactly zero above that row, so neither it
 nor the product ``WᵀW`` touches the structurally zero part of ``W`` (the
 paper's Table I *pruning*); ``S`` is re-ordered back to ``B̃``'s rows at the
 end.
+
+The assembly runs once per **interface class**, not once per subdomain.
+Subdomains sharing a symbolic analysis whose ``P B̃ᵢᵀ`` have the same sorted
+column first rows — on a box grid, the corner / edge / face / interior
+positions crossed with the Dirichlet faces — share ``n_dual`` and the
+supernode at which every column joins the sweep, so
+:func:`stacked_schur_complement` sweeps their ``(k, n, n_dual)`` panels and
+multiplies them out as one stack.  Everything about ``B̃ᵢ`` that the
+assembly needs (:class:`SchurScatter`: the class key, the activation
+schedule, the scatter into ``W``, the way back to ``B̃ᵢ``'s rows) depends on
+the mesh and the ordering only and is built once, by :func:`schur_scatter`.
+The per-subdomain kernel this replaced is the test oracle
+(``tests/oracles/schur.py``); every member's ``F̃ᵢ`` is bitwise its result.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 
-from repro.sparse.numeric import CholeskyFactor
-from repro.sparse.triangular import solve_lower_inplace
+from repro.sparse.symbolic import SymbolicFactor
 
-__all__ = ["SCHUR_CHUNK", "schur_complement", "rhs_sparsity_fill", "column_first_rows"]
+__all__ = [
+    "SCHUR_CHUNK",
+    "SchurScatter",
+    "column_first_rows",
+    "interface_classes",
+    "rhs_sparsity_fill",
+    "schur_scatter",
+    "stacked_schur_complement",
+]
 
 #: Columns per block of the pruned ``WᵀW`` product.  Narrower blocks skip
 #: more zero rows, wider ones run larger GEMMs; 32-96 measure within 9% of
@@ -41,13 +64,15 @@ _MIRROR_TILE = 32
 _STRICT_UPPER = np.triu(np.ones((_MIRROR_TILE, _MIRROR_TILE), dtype=bool), 1)
 
 
-def column_first_rows(Bt: sp.csc_matrix, row_map: np.ndarray | None = None) -> np.ndarray:
+def column_first_rows(Bt: sp.spmatrix, row_map: np.ndarray | None = None) -> np.ndarray:
     """Smallest (optionally re-mapped) row index of every nonempty column.
 
-    Returns an ``int64`` array with one entry per *nonempty* column of the
-    CSC matrix, computed with one segmented reduction instead of a Python
-    loop per column.  ``row_map`` re-maps row indices (e.g. into the
-    permuted ordering) before taking the minimum.
+    ``Bt`` is a CSC matrix, or the CSR matrix of its transpose, which stores
+    the same arrays: the result is then one entry per nonempty *row* of the
+    CSR matrix, which is how the assembly reads ``B̃`` without transposing
+    it.  Returns an ``int64`` array, computed with one segmented reduction
+    instead of a Python loop per column.  ``row_map`` re-maps row indices
+    (e.g. into the permuted ordering) before taking the minimum.
     """
     counts = np.diff(Bt.indptr)
     nonempty = counts > 0
@@ -61,6 +86,12 @@ def column_first_rows(Bt: sp.csc_matrix, row_map: np.ndarray | None = None) -> n
     return np.minimum.reduceat(np.asarray(rows, dtype=np.int64), starts)
 
 
+def _inverse_permutation(perm: np.ndarray) -> np.ndarray:
+    inv_perm = np.empty(perm.shape[0], dtype=np.int64)
+    inv_perm[perm] = np.arange(perm.shape[0], dtype=np.int64)
+    return inv_perm
+
+
 def rhs_sparsity_fill(B: sp.spmatrix, perm: np.ndarray) -> float:
     """Average fraction of forward-solve rows that cannot be skipped.
 
@@ -70,94 +101,223 @@ def rhs_sparsity_fill(B: sp.spmatrix, perm: np.ndarray) -> float:
     model uses to represent how much work the augmented incomplete
     factorization saves.
     """
-    Bt = sp.csc_matrix(sp.csr_matrix(B).T)
-    n = Bt.shape[0]
-    if Bt.shape[1] == 0 or n == 0:
+    Bc = B.tocsr()
+    n = Bc.shape[1]
+    if Bc.shape[0] == 0 or n == 0:
         return 1.0
-    inv_perm = np.empty_like(perm)
-    inv_perm[perm] = np.arange(perm.shape[0])
-    firsts = column_first_rows(Bt, row_map=inv_perm)
+    firsts = column_first_rows(Bc, row_map=_inverse_permutation(perm))
     if firsts.size == 0:
         return 1.0
     return float(np.mean((n - firsts) / n))
 
 
-def schur_complement(
-    factor: CholeskyFactor,
-    B: sp.spmatrix,
-    exploit_rhs_sparsity: bool = True,
-) -> np.ndarray:
-    """Assemble ``S = B̃ K_reg⁻¹ B̃ᵀ`` explicitly on the CPU.
+@dataclass(frozen=True)
+class SchurScatter:
+    """How one ``B̃ᵢ`` enters the assembly under one symbolic analysis.
 
-    Parameters
+    ``B̃ᵢ`` and the ordering are fixed by the mesh, so a scatter is built
+    once per subdomain (when the operator is prepared) and read by every
+    preprocessing after that.
+
+    Attributes
     ----------
-    factor:
-        Cholesky factorization of the regularized stiffness matrix
-        (``P K_reg Pᵀ = L Lᵀ``).
-    B:
-        The subdomain gluing matrix ``B̃`` of shape ``(n_dual, ndofs)``.
-    exploit_rhs_sparsity:
-        Skip the leading zero rows of every right-hand-side column (the
-        augmented-incomplete-factorization behaviour).  Disabling it runs
-        the same kernel with every column starting at row 0 — the plain TRSM
-        of the CHOLMOD-based explicit CPU approach — and gives the same
-        ``S`` to rounding.
-
-    Returns
-    -------
-    numpy.ndarray
-        The dense, exactly symmetric matrix ``S`` of shape
-        ``(n_dual, n_dual)``.
+    starts:
+        ``(n_dual,)`` first row of every column of ``P B̃ᵢᵀ``, ascending
+        (``n`` for an empty row, which never joins the sweep; all zero
+        without right-hand-side pruning).  The **interface class** key:
+        members with equal ``starts`` share ``n_dual`` and the supernode at
+        which each column joins the sweep.
+    active:
+        ``(n_supernodes,)`` columns the forward sweep has activated by the
+        last column of each supernode (non-decreasing).
+    flat:
+        Position of every stored entry of ``B̃ᵢ`` in the ``(n, n_dual)``
+        panel ``W`` (row ``P``-permuted, column in start order).
+    data:
+        The entries' values.
+    rank:
+        ``(n_dual,)`` start-order position of every row of ``B̃ᵢ``, or
+        ``None`` where that is the identity (every class without pruning).
+    key:
+        The interface-class key: the bytes of ``starts``.
     """
-    s = factor.symbolic
-    Bc = sp.csr_matrix(B)
+
+    starts: np.ndarray
+    active: np.ndarray
+    flat: np.ndarray
+    data: np.ndarray
+    rank: np.ndarray | None
+    key: bytes
+
+    @property
+    def n_dual(self) -> int:
+        """Rows of ``B̃ᵢ`` (the side of ``F̃ᵢ``)."""
+        return int(self.starts.shape[0])
+
+
+def schur_scatter(
+    symbolic: SymbolicFactor, B: sp.spmatrix, exploit_rhs_sparsity: bool = True
+) -> SchurScatter:
+    """The :class:`SchurScatter` of ``B`` under ``symbolic``.
+
+    ``exploit_rhs_sparsity=False`` starts every column at row 0: the plain
+    TRSM of the CHOLMOD-based explicit CPU approach, whose classes are then
+    the members of equal ``n_dual``.
+    """
+    s = symbolic
+    Bc = B.tocsr()
     n_dual = Bc.shape[0]
-    inv_perm = np.empty(s.n, dtype=np.int64)
-    inv_perm[s.perm] = np.arange(s.n, dtype=np.int64)
-    rows = inv_perm[Bc.indices]  # permuted row of every nonzero of B̃ᵀ
+    inv_perm = _inverse_permutation(s.perm)
 
     starts = np.zeros(n_dual, dtype=np.int64)
     if exploit_rhs_sparsity:
         starts[:] = s.n  # an empty row of B̃ is never activated
-        starts[np.diff(Bc.indptr) > 0] = column_first_rows(Bc.T, row_map=inv_perm)
+        starts[np.diff(Bc.indptr) > 0] = column_first_rows(Bc, row_map=inv_perm)
     order = np.argsort(starts, kind="stable")
     starts = starts[order]
     rank = np.empty(n_dual, dtype=np.int64)
     rank[order] = np.arange(n_dual, dtype=np.int64)
     cols = rank[np.repeat(np.arange(n_dual, dtype=np.int64), np.diff(Bc.indptr))]
+    return SchurScatter(
+        starts=starts,
+        active=np.searchsorted(starts, s.supernodes.snode_ptr[1:] - 1, side="right"),
+        flat=inv_perm[Bc.indices] * n_dual + cols,
+        data=np.array(Bc.data, dtype=float),
+        rank=None if (order[1:] > order[:-1]).all() else rank,
+        key=starts.tobytes(),
+    )
 
-    # W = P B̃ᵀ is scattered straight into the buffer the solve runs in, its
+
+def interface_classes(scatters: Sequence[SchurScatter]) -> list[list[int]]:
+    """Positions of ``scatters`` grouped by class key, largest ``n_dual`` first.
+
+    Classes keep the order of their first member within one ``n_dual``.
+    Largest first: each class's ``W`` then fits in the memory the previous,
+    larger one released, instead of growing the heap.
+    """
+    classes: dict[bytes, list[int]] = {}
+    for i, scatter in enumerate(scatters):
+        classes.setdefault(scatter.key, []).append(i)
+    return sorted(classes.values(), key=lambda members: -scatters[members[0]].n_dual)
+
+
+def stacked_schur_complement(
+    symbolic: SymbolicFactor,
+    panels: np.ndarray,
+    inverses: np.ndarray,
+    scatters: Sequence[SchurScatter],
+) -> np.ndarray:
+    """``F̃ᵢ = B̃ᵢ Kᵢ⁻¹ B̃ᵢᵀ`` of the ``k`` members of one interface class.
+
+    Parameters
+    ----------
+    symbolic:
+        The members' shared symbolic analysis.
+    panels, inverses:
+        ``(k, panel_entries)`` and ``(k, inverse_entries)`` factor storage,
+        row ``i`` for ``scatters[i]`` (any storage dtype; the arithmetic
+        runs in fp64).
+    scatters:
+        The members' :class:`SchurScatter`, all with equal ``starts``.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(k, n_dual, n_dual)``: row ``i`` is member ``i``'s exactly
+        symmetric ``F̃ᵢ`` in ``B̃ᵢ``'s row order.
+
+    One forward sweep over the ``(k, n, n_dual)`` stack of panels
+    ``W = L⁻¹ P B̃ᵀ`` (per supernode, a batched product with the stored
+    inverses over the columns activated so far, and one batched GEMM for the
+    rows below), then one batched pruned ``WᵀW``.  Every ``np.matmul`` runs
+    the BLAS call of one member per member, so each ``F̃ᵢ`` is bitwise what
+    a class of one gives.
+
+    Raises
+    ------
+    ValueError
+        If the scatters do not form one class.
+    """
+    starts, key = scatters[0].starts, scatters[0].key
+    if any(scatter.key != key for scatter in scatters[1:]):
+        raise ValueError("the scatters do not form one interface class")
+    k, n_dual = len(scatters), starts.shape[0]
+    # P B̃ᵀ is scattered straight into the buffer the sweep runs in, its
     # columns already in start order.
-    W = np.zeros((s.n, n_dual))
-    np.add.at(W, (rows, cols), Bc.data)
-    solve_lower_inplace(factor, W, sorted_starts=starts)
+    W = np.zeros((k, symbolic.n, n_dual))
+    for member, scatter in zip(W.reshape(k, -1), scatters):
+        np.add.at(member, scatter.flat, scatter.data)
+    _forward_sweep(symbolic, panels, inverses, W, scatters[0].active)
     S = _pruned_gram(W, starts)
-    del W  # the panel goes before the re-ordering allocates its temporary
+    del W  # the panels go before the re-ordering allocates its temporary
     # Back to B̃'s order: rows into a temporary, columns into S's own buffer
     # (``clip`` because ``raise`` would buffer the output; ``rank`` is a
     # permutation, so nothing is clipped).
-    return np.take(np.take(S, rank, axis=0), rank, axis=1, out=S, mode="clip")
+    for Si, scatter in zip(S, scatters):
+        if scatter.rank is not None:
+            rank = scatter.rank
+            np.take(np.take(Si, rank, axis=0), rank, axis=1, out=Si, mode="clip")
+    return S
+
+
+def _forward_sweep(
+    symbolic: SymbolicFactor,
+    panels: np.ndarray,
+    inverses: np.ndarray,
+    W: np.ndarray,
+    active: np.ndarray,
+) -> None:
+    """Overwrite the ``(k, n, n_dual)`` stack ``W`` with ``L⁻¹ W``, pruned.
+
+    Supernode ``s`` updates only the ``active[s]`` columns that have joined
+    the sweep; the others are still exactly zero on and above its rows.  A
+    supernode's below rows (ascending, distinct) are addressed by a basic
+    slice wherever they are one contiguous run, so the update is in place.
+    """
+    part = symbolic.supernodes
+    k = W.shape[0]
+    snode_ptr, heights = part.snode_ptr.tolist(), part.heights.tolist()
+    panel_off, inv_off = part.panel_off.tolist(), part.inv_off.tolist()
+    for s in range(int(np.searchsorted(active, 0, side="right")), part.n_supernodes):
+        a = int(active[s])
+        j0, j1 = snode_ptr[s], snode_ptr[s + 1]
+        w, h = j1 - j0, heights[s]
+        inverse = inverses[:, inv_off[s] : inv_off[s + 1]].reshape(k, w, w)
+        yj = np.matmul(inverse, W[:, j0:j1, :a])
+        W[:, j0:j1, :a] = yj
+        if h > w:
+            rows = part.below_rows[s]
+            r0, r1 = int(rows[0]), int(rows[-1]) + 1
+            if r1 - r0 == h - w:
+                rows = slice(r0, r1)
+            below = panels[:, panel_off[s] : panel_off[s + 1]].reshape(k, h, w)[:, w:]
+            W[:, rows, :a] -= np.matmul(below, yj)
 
 
 def _pruned_gram(W: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """``WᵀW`` of a panel whose column ``c`` is zero above row ``starts[c]``.
+    """``WᵢᵀWᵢ`` of a panel stack whose column ``c`` is zero above row ``starts[c]``.
 
     ``starts`` ascends, so every column of the block ``[c0, c1)`` is zero
-    above ``starts[c0]``: its rows ``c0:c1`` of ``S`` are one GEMM over the
-    rows from there on, which is exact, not an approximation.  The upper
-    triangle is a copy of the lower one, so ``S`` is exactly symmetric: each
-    block row is mirrored into its block column as soon as it is computed,
-    with no temporary larger than one ``_MIRROR_TILE``² tile.
+    above ``starts[c0]``: its rows ``c0:c1`` of ``S`` are one batched GEMM
+    over the rows from there on, which is exact, not an approximation.  The
+    upper triangle is a copy of the lower one, so every ``Sᵢ`` is exactly
+    symmetric: each block row is mirrored into its block column as soon as
+    it is computed, with no temporary larger than one ``_MIRROR_TILE``² tile
+    per member.
     """
-    n_dual = W.shape[1]
-    S = np.empty((n_dual, n_dual))
+    k, _, n_dual = W.shape
+    S = np.empty((k, n_dual, n_dual))
     for c0 in range(0, n_dual, SCHUR_CHUNK):
         c1 = min(c0 + SCHUR_CHUNK, n_dual)
         r = int(starts[c0])
-        np.matmul(W[r:, c0:c1].T, W[r:, :c1], out=S[c0:c1, :c1])
+        np.matmul(W[:, r:, c0:c1].transpose(0, 2, 1), W[:, r:, :c1], out=S[:, c0:c1, :c1])
         for t0 in range(c0, c1, _MIRROR_TILE):
             t1 = min(t0 + _MIRROR_TILE, c1)
-            S[:t0, t0:t1] = S[t0:t1, :t0].T
-            tile = S[t0:t1, t0:t1]
-            np.copyto(tile, tile.T, where=_STRICT_UPPER[: t1 - t0, : t1 - t0])
+            S[:, :t0, t0:t1] = S[:, t0:t1, :t0].transpose(0, 2, 1)
+            tile = S[:, t0:t1, t0:t1]
+            np.copyto(
+                tile,
+                tile.transpose(0, 2, 1),
+                where=_STRICT_UPPER[: t1 - t0, : t1 - t0],
+            )
     return S

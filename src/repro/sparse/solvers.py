@@ -14,6 +14,7 @@ differences that shape the paper's comparison (Section V):
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +30,12 @@ from repro.sparse.cache import PatternCache, global_pattern_cache
 from repro.sparse.costmodel import CpuLibrary
 from repro.sparse.numeric import CholeskyFactor, numeric_cholesky
 from repro.sparse.ordering import OrderingMethod
-from repro.sparse.schur import rhs_sparsity_fill, schur_complement
+from repro.sparse.schur import (
+    SchurScatter,
+    rhs_sparsity_fill,
+    schur_scatter,
+    stacked_schur_complement,
+)
 from repro.sparse.symbolic import SymbolicFactor, symbolic_cholesky
 from repro.sparse.triangular import (
     solve_stacked,
@@ -46,6 +52,7 @@ __all__ = [
     "CholmodLikeSolver",
     "PardisoLikeSolver",
     "SolverStack",
+    "schur_complements",
 ]
 
 
@@ -298,12 +305,22 @@ class SparseSolverBase:
         """Fraction of TRSM work left after exploiting the sparsity of ``B``."""
         return rhs_sparsity_fill(B, self.symbolic.perm)
 
-    def schur_complement(self, B: sp.spmatrix) -> np.ndarray:
-        """Assemble ``B K⁻¹ Bᵀ`` explicitly (in the original ordering)."""
-        factor = self._require_factor()
-        return schur_complement(
-            factor, B, exploit_rhs_sparsity=self._exploit_rhs_sparsity()
+    def schur_scatter(self, B: sp.spmatrix) -> SchurScatter:
+        """How ``B`` enters this facade's Schur assembly (built once per ``B``).
+
+        The facade decides whether the assembly exploits the sparsity of
+        ``B``; the scatter's key names the interface class it joins.
+        """
+        return schur_scatter(
+            self.symbolic, B, exploit_rhs_sparsity=self._exploit_rhs_sparsity()
         )
+
+    def schur_complement(self, B: sp.spmatrix) -> np.ndarray:
+        """Assemble ``B K⁻¹ Bᵀ`` explicitly (in the original ordering).
+
+        A class of one of :func:`schur_complements`.
+        """
+        return schur_complements([self], [self.schur_scatter(B)])[0]
 
     def _exploit_rhs_sparsity(self) -> bool:
         return False
@@ -376,6 +393,25 @@ def _stacked(factors: list[CholeskyFactor], name: str) -> np.ndarray:
         for factor, row in zip(factors, stack):
             setattr(factor, name, row)
     return stack
+
+
+def schur_complements(
+    solvers: Sequence[SparseSolverBase], scatters: Sequence[SchurScatter]
+) -> np.ndarray:
+    """``(k, n_dual, n_dual)`` ``F̃ᵢ`` of one interface class of factorized solvers.
+
+    The members share one symbolic analysis and their scatters one key.  The
+    stored factors (at the policy's storage dtype) are read as one stack: a
+    zero-copy view where they are consecutive rows of one array, a gathered
+    copy otherwise (the factors themselves are left where they are).
+    """
+    factors = [solver._require_factor() for solver in solvers]
+    stacks = []
+    for name in ("panels", "inverses"):
+        rows = [getattr(factor, name) for factor in factors]
+        stack = _rows_as_stack(rows)
+        stacks.append(np.stack(rows) if stack is None else stack)
+    return stacked_schur_complement(factors[0].symbolic, *stacks, scatters)
 
 
 class SolverStack:

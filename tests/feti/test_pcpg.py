@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.feti.pcpg import PcpgResult, pcpg
+from repro.api import Session, SolverSpec, Workload
+from repro.feti.pcpg import PcpgResult, pcpg, pcpg_block
 
 
 def _identity(x):
@@ -119,6 +120,35 @@ def test_indefinite_operator_detected():
     F = -np.eye(n)
     result = pcpg(lambda x: F @ x, _identity, _identity, np.ones(n), np.zeros(n))
     assert not result.converged
+
+
+def test_a_nan_curvature_stops_the_iteration():
+    """``pᵀFp`` is NaN, not ``<= 0``: the loop must still stop at once."""
+    n = 10
+    calls = []
+
+    def apply_F(x):
+        calls.append(1)
+        return np.full_like(x, np.nan) if len(calls) > 1 else x
+
+    result = pcpg(apply_F, _identity, _identity, np.ones(n), np.zeros(n))
+    assert not result.converged and result.iterations == 0 and len(calls) == 2
+    (column,) = pcpg_block(
+        lambda X: np.full_like(X, np.nan), _identity, _identity, [np.ones(n)], [np.zeros(n)]
+    )
+    assert not column.converged and column.iterations == 0
+
+
+@pytest.mark.parametrize("approach", ["expl mkl", "impl mkl"])
+def test_session_solve_with_nan_loads_fails_fast_without_raising(approach):
+    workload = Workload("heat", 2, (2, 2), 4)
+    session = Session(SolverSpec(approach=approach))
+    session.problem(workload).subdomains[0].f[0] = np.nan
+    solution = session.solve(workload)
+    assert not solution.converged and solution.iterations <= 1
+    assert solution.pcpg.condition_estimate is None
+    for column in session.solve_many(workload, [None, None]):
+        assert not column.converged and column.iterations <= 1
 
 
 def test_result_dataclass_fields():

@@ -1,0 +1,73 @@
+"""Test oracle: the pruned Schur assembly one subdomain at a time.
+
+What the explicit CPU approaches ran before the interface-class kernel: one
+``F̃ᵢ = B̃ᵢ Kᵢ⁻¹ B̃ᵢᵀ = Wᵀ W`` per subdomain, with ``W = L⁻¹ P B̃ᵢᵀ`` built
+from ``B̃ᵢ`` on every call, swept by the single-factor panel kernel
+(:func:`repro.sparse.triangular.solve_lower_inplace`) and multiplied out in
+2-D blocks.  :func:`repro.sparse.schur.stacked_schur_complement` must give
+**bitwise** this result for every member of every class, whatever the class
+size, because a stacked ``np.matmul`` runs the same BLAS call per member.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from repro.sparse.numeric import CholeskyFactor
+from repro.sparse.schur import SCHUR_CHUNK, column_first_rows
+from repro.sparse.triangular import solve_lower_inplace
+
+__all__ = ["schur_complement"]
+
+_MIRROR_TILE = 32
+_STRICT_UPPER = np.triu(np.ones((_MIRROR_TILE, _MIRROR_TILE), dtype=bool), 1)
+
+
+def schur_complement(
+    factor: CholeskyFactor, B: sp.spmatrix, exploit_rhs_sparsity: bool = True
+) -> np.ndarray:
+    """``S = B̃ K_reg⁻¹ B̃ᵀ`` of one subdomain, columns pruned at their first row.
+
+    ``exploit_rhs_sparsity=False`` starts every column at row 0 (the plain
+    TRSM of the CHOLMOD-like facade).
+    """
+    s = factor.symbolic
+    Bc = sp.csr_matrix(B)
+    n_dual = Bc.shape[0]
+    inv_perm = np.empty(s.n, dtype=np.int64)
+    inv_perm[s.perm] = np.arange(s.n, dtype=np.int64)
+    rows = inv_perm[Bc.indices]
+
+    starts = np.zeros(n_dual, dtype=np.int64)
+    if exploit_rhs_sparsity:
+        starts[:] = s.n
+        starts[np.diff(Bc.indptr) > 0] = column_first_rows(Bc.T, row_map=inv_perm)
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    rank = np.empty(n_dual, dtype=np.int64)
+    rank[order] = np.arange(n_dual, dtype=np.int64)
+    cols = rank[np.repeat(np.arange(n_dual, dtype=np.int64), np.diff(Bc.indptr))]
+
+    W = np.zeros((s.n, n_dual))
+    np.add.at(W, (rows, cols), Bc.data)
+    solve_lower_inplace(factor, W, sorted_starts=starts)
+    S = _pruned_gram(W, starts)
+    del W
+    return np.take(np.take(S, rank, axis=0), rank, axis=1, out=S, mode="clip")
+
+
+def _pruned_gram(W: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``WᵀW`` in ``SCHUR_CHUNK``-column blocks, each from its first nonzero row."""
+    n_dual = W.shape[1]
+    S = np.empty((n_dual, n_dual))
+    for c0 in range(0, n_dual, SCHUR_CHUNK):
+        c1 = min(c0 + SCHUR_CHUNK, n_dual)
+        r = int(starts[c0])
+        np.matmul(W[r:, c0:c1].T, W[r:, :c1], out=S[c0:c1, :c1])
+        for t0 in range(c0, c1, _MIRROR_TILE):
+            t1 = min(t0 + _MIRROR_TILE, c1)
+            S[:t0, t0:t1] = S[t0:t1, :t0].T
+            tile = S[t0:t1, t0:t1]
+            np.copyto(tile, tile.T, where=_STRICT_UPPER[: t1 - t0, : t1 - t0])
+    return S

@@ -1,9 +1,10 @@
 """Determinism of the parallel runtime.
 
 Every executor runs one preprocessing path: the same stacked factorization
-and the same per-subdomain Schur assembly on the same values.  So the
-factors (panels and diagonal-block inverses) and every ``F̃ᵢ`` are bitwise
-equal across serial, threads and processes.  The solve phase runs in the
+and the same interface-class Schur assembly on the same values (a member's
+``F̃ᵢ`` does not depend on which shard's class it joins).  So the factors
+(panels and diagonal-block inverses) and every ``F̃ᵢ`` are bitwise equal
+across serial, threads and processes.  The solve phase runs in the
 caller's process on every executor, so the solutions of all nine
 dual-operator approaches are bitwise equal too.
 """
@@ -22,13 +23,18 @@ from repro.runtime.executor import shared_executor
 WORKLOADS = {
     "heat-2d": Workload("heat", 2, (2, 2), 4),
     "elasticity-3d": Workload("elasticity", 3, (2, 1, 1), 2),
+    # 16 subdomains in interface classes of up to 4: a parallel executor
+    # splits the cluster into shards, and so every class across them.
+    "heat-2d-classes": Workload("heat", 2, (4, 4), 3),
 }
 
-#: The approaches that assemble ``F̃ᵢ`` with the CPU solver facades.
-CPU_EXPLICIT = [
+#: Approaches whose ``F̃ᵢ`` come from the runtime round: the CPU facades'
+#: and, through the CHOLMOD-like facade, the simulated GPU assembly's.
+EXPLICIT = [
     DualOperatorApproach.EXPLICIT_MKL,
     DualOperatorApproach.EXPLICIT_CHOLMOD,
     DualOperatorApproach.EXPLICIT_HYBRID,
+    DualOperatorApproach.EXPLICIT_GPU_MODERN,
 ]
 
 
@@ -103,7 +109,7 @@ def _preprocessed(approach, workload, backend):
 
 
 @pytest.mark.parametrize("wname", sorted(WORKLOADS))
-@pytest.mark.parametrize("approach", CPU_EXPLICIT)
+@pytest.mark.parametrize("approach", EXPLICIT)
 def test_factors_and_local_F_are_bitwise_equal_across_executors(approach, wname):
     factors, local_F = _preprocessed(approach, WORKLOADS[wname], "serial")
     for backend in ("threads:2", "processes:2"):

@@ -7,6 +7,10 @@ the per-subdomain ``SparseSolverBase.factorize``.  Inside it every diagonal
 block is factored (``dpotrf``) and inverted (``dtrtri``) exactly once: the
 Schur assembly and every later solve read the stored inverses, and no
 triangular solve calls LAPACK at all (``dtrtrs``).
+
+The explicit approaches assemble ``F̃ᵢ`` once per ``(cluster, pattern,
+interface class)``, and the simulated GPU assembly only replays its kernels'
+costs: its preprocessing calls no numeric kernel of :mod:`repro.gpu`.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import repro.runtime.preprocess as preprocess
 import repro.sparse.numeric as numeric
 
 from repro.api import Session, SolverSpec, Workload
+from repro.gpu import cublas, cusparse
 from repro.sparse.solvers import SparseSolverBase
 
 #: ``(workload, (cluster, pattern) groups)``: every workload has one pattern.
@@ -95,3 +100,61 @@ def test_every_diagonal_block_is_inverted_once_per_factorization(
         assert calls == {"dpotrf": blocks, "dtrtri": blocks}
         assert session.solve(workload).converged  # warm: reads the inverses
     assert calls == {"dpotrf": blocks, "dtrtri": blocks}
+
+
+#: ``(workload, approach) -> class assemblies`` of a cold serial solve.  The
+#: CHOLMOD-like facade of the GPU approaches starts every column at row 0,
+#: so its classes are the members of equal ``n_λ``: fewer, larger classes.
+CLASS_BUDGETS = {
+    ("heat2d-8x8x8-c4", "expl mkl"): 17,
+    ("heat2d-8x8x8-c4", "expl modern"): 12,
+    ("heat3d-2x2x1x12", "expl mkl"): 4,
+    ("heat3d-2x2x1x12", "expl modern"): 4,
+}
+
+#: The numeric kernels the simulated GPU assembly used to run.
+GPU_KERNELS = [
+    (cusparse, "trsm"),
+    (cusparse, "sparse_to_dense"),
+    (cusparse, "spmm"),
+    (cublas, "trsm"),
+    (cublas, "syrk"),
+]
+
+
+@pytest.mark.parametrize(("name", "approach"), sorted(CLASS_BUDGETS))
+def test_cold_serial_solve_assembles_once_per_interface_class(monkeypatch, name, approach):
+    workload, _ = BUDGETS[name]
+    assemblies = []
+    kernel_calls: Counter[str] = Counter()
+    schur_complements = preprocess.schur_complements
+
+    def counted_assembly(solvers, scatters):
+        assemblies.append(len(solvers))
+        return schur_complements(solvers, scatters)
+
+    monkeypatch.setattr(preprocess, "schur_complements", counted_assembly)
+    for module, kernel in GPU_KERNELS:
+        label = f"{module.__name__.rsplit('.', 1)[-1]}.{kernel}"
+
+        def counted(*args, _label=label, _kernel=getattr(module, kernel), **kwargs):
+            kernel_calls[_label] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, kernel, counted)
+    assembly = "table2" if approach == "expl modern" else None
+    spec = SolverSpec(approach=approach, assembly=assembly, execution="serial")
+    with Session(spec, memory_budget="unlimited") as session:
+        assert session.solve(workload).converged
+        operator = session.solver(workload).operator
+        # One class per distinct (cluster, pattern, key), every member in one.
+        classes = {
+            (sub.cluster, id(operator._cpu_solvers[sub.index].symbolic),
+             operator._schur_scatters[sub.index].key)
+            for sub in operator.problem.subdomains
+        }
+        assert len(assemblies) == len(classes) == CLASS_BUDGETS[(name, approach)]
+        assert sum(assemblies) == operator.problem.n_subdomains
+        operator.preprocess()  # a warm round: the same classes again
+    assert len(assemblies) == 2 * CLASS_BUDGETS[(name, approach)]
+    assert kernel_calls == {}

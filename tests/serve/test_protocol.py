@@ -103,6 +103,38 @@ def test_parse_validates_the_timeout():
         parse_solve_request(_body(workload="heat-2d-quick", timeout="fast"))
 
 
+@pytest.mark.parametrize(
+    "raw_rhs",
+    ["NaN", "Infinity", "-Infinity", "[[1.0, NaN]]", "[[1.0], [2.0, Infinity]]"],
+)
+def test_parse_rejects_non_finite_rhs(raw_rhs):
+    """Python's ``json`` reads ``NaN`` / ``Infinity``: they must not reach a solve."""
+    body = f'{{"workload": "heat-2d-quick", "rhs": {raw_rhs}}}'
+    with pytest.raises(ProtocolError, match="finite") as exc_info:
+        parse_solve_request(body)
+    assert exc_info.value.status == 400
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("return_primal", "false", "return_primal must be a JSON boolean"),
+        ("return_primal", 1, "return_primal must be a JSON boolean"),
+        ("return_primal", None, "return_primal must be a JSON boolean"),
+        ("timeout", True, "timeout must be a number"),
+        ("timeout", "1.5", "timeout must be a number"),
+        ("timeout", float("inf"), "timeout must be positive and finite"),
+        ("timeout", float("nan"), "timeout must be positive and finite"),
+    ],
+)
+def test_parse_checks_envelope_field_types_instead_of_coercing(field, value, message):
+    with pytest.raises(ProtocolError, match=message) as exc_info:
+        parse_solve_request(_body(workload="heat-2d-quick", **{field: value}))
+    assert exc_info.value.status == 400
+    ok = parse_solve_request(_body(workload="heat-2d-quick", return_primal=True, timeout=2))
+    assert ok.return_primal is True and ok.timeout == 2.0
+
+
 # --------------------------------------------------------------------- #
 # Keys                                                                   #
 # --------------------------------------------------------------------- #

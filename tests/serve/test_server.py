@@ -91,6 +91,18 @@ def test_invalid_requests_get_actionable_400s(client):
         assert exc_info.value.status == 400
 
 
+def test_non_finite_rhs_is_a_400_before_any_solve(client):
+    """A ``NaN`` load is refused at parse time, not after a capped solve."""
+    for rhs in (float("nan"), [[1.0, float("inf")]]):
+        with pytest.raises(ServeError, match="finite") as exc_info:
+            client.solve("heat-2d-quick", rhs=rhs)
+        assert exc_info.value.status == 400
+    doc = client.metrics()
+    assert doc["counters"]["solve_rejected_400"] == 2
+    assert doc["counters"].get("solve_completed", 0) == 0
+    assert doc["session_pool"]["sessions"] == 0
+
+
 def test_result_cache_serves_repeat_requests(client):
     first = client.solve("heat-2d-quick", rhs=2.0)
     second = client.solve("heat-2d-quick", rhs=2.0)

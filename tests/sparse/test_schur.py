@@ -1,4 +1,10 @@
-"""Tests of the Schur-complement (explicit dual operator) assembly on the CPU."""
+"""Tests of the Schur-complement (explicit dual operator) assembly on the CPU.
+
+The package kernel assembles one interface class at a time
+(:func:`~repro.sparse.schur.stacked_schur_complement`); most checks here run
+it on a class of one, and the class tests hold every member of a stacked
+class **bitwise** to the per-subdomain oracle (``tests/oracles/schur.py``).
+"""
 
 from __future__ import annotations
 
@@ -9,11 +15,27 @@ import scipy.sparse as sp
 from repro.api import Workload
 from repro.api.workload import build_problem
 from repro.fem.heat import HeatTransferProblem
-from repro.sparse import numeric_cholesky, schur_complement, symbolic_cholesky
-from repro.sparse.schur import SCHUR_CHUNK, rhs_sparsity_fill
+from repro.sparse import (
+    numeric_cholesky,
+    schur_scatter,
+    stacked_schur_complement,
+    symbolic_cholesky,
+)
+from repro.sparse.cache import PatternCache
+from repro.sparse.numeric import CholeskyFactor, stacked_cholesky, stacked_values
+from repro.sparse.ordering import OrderingMethod
+from repro.sparse.schur import SCHUR_CHUNK, interface_classes, rhs_sparsity_fill
 
 from tests.conftest import fem_stiffness, random_spd_matrix
+from tests.oracles import schur as per_member
 from tests.oracles import sparse as scalar
+
+
+def schur_complement(factor, B, exploit_rhs_sparsity=True):
+    """The package kernel on a class of one."""
+    scatter = schur_scatter(factor.symbolic, B, exploit_rhs_sparsity)
+    panels, inverses = factor.panels[None], factor.inverses[None]
+    return stacked_schur_complement(factor.symbolic, panels, inverses, [scatter])[0]
 
 
 @pytest.fixture(scope="module")
@@ -106,11 +128,10 @@ def test_schur_scatters_empty_rows_and_duplicate_entries(factorized, exploit):
 def test_schur_assembly_allocates_one_panel_and_two_outputs(factorized):
     """The solve buffer ``W`` once plus ``S`` and its re-ordered copy.
 
-    No re-ordered copy of ``W`` and no dense ``B̃`` round trips.  Measured
-    peak: 42 192 bytes, reached in the forward solve (``W`` plus one
-    supernode's update temporaries); the bound is ``W`` (16 000) + two
-    ``n_λ²`` outputs (25 600) + 2 kB of index arrays, below the 3 panels
-    (48 000) the kernel needed when it re-ordered ``W``.
+    No re-ordered copy of ``W`` and no dense ``B̃`` round trips; the scatter
+    of ``B̃`` is built once, outside the assembly.  The bound is ``W``
+    (16 000 bytes) + two ``n_λ²`` outputs (25 600) + 2 kB of index arrays,
+    below the 3 panels (48 000) the kernel needed when it re-ordered ``W``.
     """
     import tracemalloc
 
@@ -120,9 +141,11 @@ def test_schur_assembly_allocates_one_panel_and_two_outputs(factorized):
     B = sp.random(n_dual, 50, density=0.04, random_state=rng).tocsr()
     panel = 50 * n_dual * 8
     outputs = 2 * n_dual * n_dual * 8
-    schur_complement(factor, B)  # warm: panel values, BLAS buffers
+    scatter = schur_scatter(factor.symbolic, B)
+    stack = factor.symbolic, factor.panels[None], factor.inverses[None], [scatter]
+    stacked_schur_complement(*stack)  # warm: panel values, BLAS buffers
     tracemalloc.start()
-    schur_complement(factor, B)
+    stacked_schur_complement(*stack)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < panel + outputs + 2048 < 3 * panel
@@ -184,3 +207,81 @@ def test_pruned_schur_across_block_boundaries(fem_factor, n_dual):
     B = sp.csr_matrix((signs[keep].ravel(), dofs[keep].ravel(), indptr), shape=(n_dual, n))
     S = _check_against_oracle(fem_factor, B)
     assert not S[~keep].any() and not S[:, ~keep].any()
+
+
+def test_the_kernel_on_a_class_of_one_is_bitwise_the_per_member_oracle(fem_factor):
+    rng = np.random.default_rng(12)
+    n = fem_factor.symbolic.n
+    B = sp.csr_matrix(
+        (rng.choice([-1.0, 1.0], 30), rng.permutation(n)[:30], np.arange(31)), shape=(30, n)
+    )
+    for exploit in (True, False):
+        assert np.array_equal(
+            schur_complement(fem_factor, B, exploit),
+            per_member.schur_complement(fem_factor, B, exploit),
+        )
+
+
+def _classes(workload, exploit):
+    """Every (pattern, interface class) of a workload: factors and scatters."""
+    cache = PatternCache()
+    groups: dict[int, tuple] = {}
+    for sub in build_problem(workload).subdomains:
+        symbolic = cache.symbolic_for(sub.K_reg, OrderingMethod.RCM)
+        groups.setdefault(id(symbolic), (symbolic, []))[1].append(sub)
+    for symbolic, subs in groups.values():
+        panels, inverses = stacked_cholesky(
+            stacked_values([s.K_reg for s in subs], symbolic), symbolic
+        )
+        scatters = [schur_scatter(symbolic, s.B, exploit) for s in subs]
+        for members in interface_classes(scatters):
+            yield symbolic, panels[members], inverses[members], [
+                (subs[i].B, scatters[i]) for i in members
+            ]
+
+
+@pytest.mark.parametrize("exploit", [True, False], ids=["pruned", "plain"])
+@pytest.mark.parametrize(
+    "workload",
+    [
+        Workload("heat", 2, (4, 4), 8),
+        Workload("elasticity", 2, (3, 3), 4, dirichlet_faces=("xmin", "ymax")),
+        Workload("heat", 3, (3, 3, 2), 3),
+    ],
+    ids=["heat2d-44x8", "elasticity2d-33x4-2faces", "heat3d-332x3"],
+)
+def test_every_member_of_a_stacked_class_is_bitwise_the_oracle(workload, exploit):
+    sizes = []
+    for symbolic, panels, inverses, members in _classes(workload, exploit):
+        scatters = [scatter for _, scatter in members]
+        F = stacked_schur_complement(symbolic, panels, inverses, scatters)
+        assert F.shape == (len(members), scatters[0].n_dual, scatters[0].n_dual)
+        for i, (B, _) in enumerate(members):
+            factor = CholeskyFactor(symbolic, panels[i], inverses[i])
+            assert np.array_equal(F[i], per_member.schur_complement(factor, B, exploit))
+        sizes.append(len(members))
+    assert max(sizes) > 1  # the workload really stacks
+
+
+def test_classes_share_sorted_first_rows_and_order_largest_first():
+    workload = Workload("heat", 2, (4, 4), 8)
+    classes = list(_classes(workload, True))
+    n_duals = [members[0][1].n_dual for *_, members in classes]
+    assert n_duals == sorted(n_duals, reverse=True)
+    for *_, members in classes:
+        keys = {scatter.key for _, scatter in members}
+        assert len(keys) == 1
+    # Without pruning every column starts at row 0: classes are equal n_λ.
+    plain = list(_classes(workload, False))
+    assert len(plain) == len({members[0][1].n_dual for *_, members in plain})
+
+
+def test_a_stack_of_two_classes_is_refused(fem_factor):
+    n = fem_factor.symbolic.n
+    one = sp.csr_matrix(([1.0], [0], [0, 1]), shape=(1, n))
+    other = sp.csr_matrix(([1.0], [n - 1], [0, 1]), shape=(1, n))
+    scatters = [schur_scatter(fem_factor.symbolic, B) for B in (one, other)]
+    panels = np.stack([fem_factor.panels] * 2)
+    inverses = np.stack([fem_factor.inverses] * 2)
+    with pytest.raises(ValueError, match="one interface class"):
+        stacked_schur_complement(fem_factor.symbolic, panels, inverses, scatters)
