@@ -435,7 +435,8 @@ class DualOperatorBase(abc.ABC):
         f = np.concatenate([sub.f for sub in subdomains])
         u = self._kplus(f - engine.Bt @ engine.global_map.gather(lam))
         u += self.problem.R @ alpha
-        return np.split(u, engine.primal_offsets[1:-1])
+        bounds = engine.primal_offsets.tolist()
+        return [u[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     # ------------------------------------------------------------------ #
     # Resident-storage accounting and tiering (repro.memory)              #

@@ -87,13 +87,16 @@ def _normalize_wire_rhs(rhs: Any) -> float | list | None:
             raise ProtocolError(f"rhs must be finite, got {rhs!r}")
         return value
     if isinstance(rhs, list):
-        try:
-            vectors = [[float(x) for x in vec] for vec in rhs]
-        except (TypeError, ValueError):
+        if not all(
+            isinstance(vec, list)
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec)
+            for vec in rhs
+        ):
             raise ProtocolError(
                 "rhs must be a list of per-subdomain load vectors "
                 "(lists of numbers) when not a scalar"
-            ) from None
+            )
+        vectors = [[float(x) for x in vec] for vec in rhs]
         if not all(np.isfinite(vec).all() for vec in vectors):
             raise ProtocolError("rhs load vectors must hold finite numbers only")
         return vectors

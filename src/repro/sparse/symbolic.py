@@ -14,7 +14,22 @@ per-column scatter loops, mirroring the supernodal techniques of the
 production libraries: **supernode detection** — maximal parent-chains of
 columns whose (nested) patterns are merged into dense trapezoidal panels,
 with a relaxed amalgamation criterion that tolerates a bounded fraction of
-explicit-zero padding (CHOLMOD's relaxed supernodes).
+explicit-zero padding.  The bound is graded by panel width, as in CHOLMOD's
+relaxed supernodes (Chen, Davis, Hager and Rajamanickam, *Algorithm 887*,
+ACM TOMS 2008):
+
+========  ==============  =============================================
+columns   max. padding    source
+========  ==============  =============================================
+≤ 4       any             CHOLMOD ``nrelax0 = 4``
+≤ 16      80 %            CHOLMOD ``nrelax1 = 16``, ``zrelax0 = 0.8``
+17 - 32   25 %            this package (:data:`MAX_SUPERNODE` caps it)
+========  ==============  =============================================
+
+A small subdomain's factor (tens of columns) thus becomes a handful of
+panels, so every sweep over it makes a handful of NumPy calls; the padding
+costs bytes, not calls.  The tiers only shape the panels: ``nnz(L)``, and so
+every cost-model figure derived from it, depends on the pattern alone.
 
 All of it — including the one-pass permutation maps that turn the original
 matrix values into the permuted lower-triangular CSC layout — depends only on
@@ -50,12 +65,23 @@ __all__ = [
     "symbolic_cholesky",
 ]
 
-#: Default relaxed-amalgamation tolerance: a supernode may contain up to this
-#: fraction of explicit-zero padding entries.
-RELAX_PADDING = 0.25
-
 #: Default cap on supernode width (columns per dense panel).
 MAX_SUPERNODE = 32
+
+#: Default relaxed-amalgamation schedule (the module docstring's tier table):
+#: ``(width, tolerance)`` tiers, ascending in width.  A merged panel of at
+#: most ``width`` columns may contain up to ``tolerance`` explicit-zero
+#: padding; a panel wider than every tier gets the last tier's tolerance.
+#: The first two tiers are CHOLMOD's default relaxed amalgamation.
+RELAX_PADDING: tuple[tuple[int, float], ...] = (
+    (4, 1.0),
+    (16, 0.8),
+    (MAX_SUPERNODE, 0.25),
+)
+
+#: A padding policy: one uniform tolerance, or a tier schedule like
+#: :data:`RELAX_PADDING`.
+Relax = float | tuple[tuple[int, float], ...]
 
 
 @dataclass
@@ -233,17 +259,29 @@ def _index_nbytes(obj) -> int:
 def detect_supernodes(
     parent: np.ndarray,
     col_counts: np.ndarray,
-    relax: float = RELAX_PADDING,
+    relax: Relax = RELAX_PADDING,
     max_width: int = MAX_SUPERNODE,
 ) -> np.ndarray:
     """Partition columns into supernodes (maximal relaxed parent-chains).
 
     Column ``j + 1`` extends the current chain when it is the elimination-tree
     parent of ``j`` (which guarantees the below-chain patterns are nested) and
-    the dense panel of the merged chain would contain at most ``relax``
-    explicit-zero padding.  The *strict* criterion — merge only when
-    ``col_counts[j] == col_counts[j + 1] + 1`` — is the special case
-    ``relax=0.0``.
+    the dense panel of the merged chain would contain at most its tolerance
+    of explicit-zero padding.  The default tolerance is graded by the width
+    of the merged panel (:data:`RELAX_PADDING`, CHOLMOD's tiers):
+
+    ========  ==============
+    columns   max. padding
+    ========  ==============
+    ≤ 4       any
+    ≤ 16      80 %
+    wider     25 %
+    ========  ==============
+
+    Small panels are merged almost unconditionally because a sweep over
+    them pays per call, not per flop.  A float ``relax`` is one uniform
+    tolerance for every width; the *strict* criterion — merge only when
+    ``col_counts[j] == col_counts[j + 1] + 1`` — is ``relax=0.0``.
 
     Parameters
     ----------
@@ -252,7 +290,8 @@ def detect_supernodes(
     col_counts:
         Entries per column of ``L`` including the diagonal.
     relax:
-        Maximal tolerated fraction of padding entries per panel.
+        Maximal tolerated fraction of padding entries per panel: one float,
+        or ``(width, tolerance)`` tiers ascending in width.
     max_width:
         Maximal columns per supernode.
 
@@ -264,6 +303,7 @@ def detect_supernodes(
     n = parent.shape[0]
     if n == 0:
         return np.zeros(1, dtype=np.int64)
+    tolerance = _tolerances(relax, max_width)
     boundaries = [0]
     exact = int(col_counts[0])
     j0 = 0
@@ -274,7 +314,7 @@ def detect_supernodes(
             nbelow = int(col_counts[j + 1]) - 1
             panel = width * (width + 1) // 2 + width * nbelow
             exact_next = exact + int(col_counts[j + 1])
-            if panel - exact_next > relax * panel:
+            if panel - exact_next > tolerance[width] * panel:
                 merge = False
         if merge:
             exact = exact_next
@@ -284,6 +324,16 @@ def detect_supernodes(
             exact = int(col_counts[j + 1])
     boundaries.append(n)
     return np.asarray(boundaries, dtype=np.int64)
+
+
+def _tolerances(relax: Relax, max_width: int) -> list[float]:
+    """Padding tolerance of a merged panel, indexed by its width ``0..max_width``."""
+    if isinstance(relax, (int, float)):
+        return [float(relax)] * (max_width + 1)
+    return [
+        next((tol for limit, tol in relax if width <= limit), relax[-1][1])
+        for width in range(max_width + 1)
+    ]
 
 
 def _build_partition(
@@ -465,7 +515,7 @@ def symbolic_cholesky(
     A: sp.spmatrix,
     ordering: OrderingMethod | str = OrderingMethod.RCM,
     perm: np.ndarray | None = None,
-    relax: float = RELAX_PADDING,
+    relax: Relax = RELAX_PADDING,
     max_supernode: int = MAX_SUPERNODE,
 ) -> SymbolicFactor:
     """Symbolic Cholesky factorization of an SPD matrix.
@@ -480,7 +530,8 @@ def symbolic_cholesky(
     perm:
         Optional externally computed permutation.
     relax:
-        Relaxed-amalgamation padding tolerance (see :func:`detect_supernodes`).
+        Relaxed-amalgamation padding policy: the width-graded default, or
+        one uniform float tolerance (see :func:`detect_supernodes`).
     max_supernode:
         Maximal columns per supernode.
 

@@ -29,6 +29,7 @@ from repro.sparse.ordering import OrderingMethod, compute_ordering
 from repro.sparse.symbolic import (
     MAX_SUPERNODE,
     RELAX_PADDING,
+    Relax,
     SymbolicFactor,
     _canonical_csc,
     detect_supernodes,
@@ -271,7 +272,7 @@ def symbolic_reference(
     A: sp.spmatrix,
     ordering: OrderingMethod | str = OrderingMethod.RCM,
     perm: np.ndarray | None = None,
-    relax: float = RELAX_PADDING,
+    relax: Relax = RELAX_PADDING,
     max_supernode: int = MAX_SUPERNODE,
 ) -> ReferenceAnalysis:
     """The symbolic analysis, one interpreted step per factor entry."""

@@ -94,6 +94,25 @@ def test_parse_normalizes_rhs_variants():
         parse_solve_request(_body(workload="heat-2d-quick", rhs=[["x"]]))
 
 
+@pytest.mark.parametrize(
+    "rhs",
+    [
+        pytest.param(["12", "3"], id="strings"),
+        pytest.param([[True, 2]], id="bool-entry"),
+        pytest.param([[1.0, None]], id="null-entry"),
+        pytest.param([{"1": 0}], id="object"),
+        pytest.param(["1"], id="one-string"),
+        pytest.param([3.0], id="bare-number"),
+        pytest.param([[1.0, [2.0]]], id="nested-list"),
+    ],
+)
+def test_parse_rejects_load_vectors_that_are_not_lists_of_numbers(rhs):
+    """Strings are not iterated, bools and object keys are not coerced."""
+    with pytest.raises(ProtocolError, match="lists of numbers") as exc_info:
+        parse_solve_request(_body(workload="heat-2d-quick", rhs=rhs))
+    assert exc_info.value.status == 400
+
+
 def test_parse_validates_the_timeout():
     ok = parse_solve_request(_body(workload="heat-2d-quick", timeout=1.5))
     assert ok.timeout == 1.5

@@ -103,6 +103,18 @@ def test_non_finite_rhs_is_a_400_before_any_solve(client):
     assert doc["session_pool"]["sessions"] == 0
 
 
+def test_non_numeric_rhs_vectors_are_a_400_before_any_session(client):
+    """A string, bool or object inside ``rhs`` builds no session."""
+    for rhs in (["12", "3"], [[True, 2]], [{"1": 0}]):
+        with pytest.raises(ServeError, match="rhs") as exc_info:
+            client.solve("heat-2d-quick", rhs=rhs)
+        assert exc_info.value.status == 400
+    doc = client.metrics()
+    assert doc["counters"]["solve_rejected_400"] == 3
+    assert doc["counters"].get("solve_completed", 0) == 0
+    assert doc["session_pool"]["sessions"] == 0
+
+
 def test_result_cache_serves_repeat_requests(client):
     first = client.solve("heat-2d-quick", rhs=2.0)
     second = client.solve("heat-2d-quick", rhs=2.0)

@@ -32,10 +32,13 @@ from repro.sparse import (
     symbolic_cholesky,
 )
 from repro.sparse.solvers import CholmodLikeSolver, PardisoLikeSolver
+from repro.sparse.symbolic import MAX_SUPERNODE
 
 from tests.conftest import fem_stiffness as _fem_matrix
 from tests.conftest import random_spd_matrix
 from tests.oracles import sparse as scalar
+from tests.oracles.ordering import ORDERINGS, analysis_kwargs
+from tests.sparse.test_symbolic import FEM_ZOO, SMALL_ZOO
 
 
 FEM_CASES = [
@@ -90,6 +93,71 @@ def test_detect_supernodes_honors_max_width():
     ptr = detect_supernodes(parent, counts, relax=0.0, max_width=4)
     assert ptr.tolist() == [0, 4, 8, 10]
     assert np.all(np.diff(ptr) <= 4)
+
+
+# --------------------------------------------------------------------- #
+# The default padding policy: CHOLMOD's width-graded tiers               #
+# --------------------------------------------------------------------- #
+def _tier_tolerance(width: int) -> float:
+    """The documented schedule: any padding up to 4 columns, 80% up to 16, 25% above."""
+    return 1.0 if width <= 4 else 0.8 if width <= 16 else 0.25
+
+
+def _assert_within_tiers(s) -> None:
+    part = s.supernodes
+    counts = s.column_counts
+    for j0, j1 in zip(part.snode_ptr[:-1], part.snode_ptr[1:]):
+        width = int(j1 - j0)
+        nbelow = int(counts[j1 - 1]) - 1
+        panel = width * (width + 1) // 2 + width * nbelow
+        padding = panel - int(counts[j0:j1].sum())
+        assert 1 <= width <= MAX_SUPERNODE
+        assert padding <= _tier_tolerance(width) * panel
+
+
+@pytest.mark.parametrize(("physics", "dim", "cells", "ordering"), FEM_ZOO)
+def test_default_partition_keeps_every_supernode_within_its_tier_on_fem_patterns(
+    physics, dim, cells, ordering
+):
+    A = _fem_matrix(physics, dim, cells)
+    _assert_within_tiers(symbolic_cholesky(A, **analysis_kwargs(A, ordering)))
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("A", SMALL_ZOO)
+def test_default_partition_keeps_every_supernode_within_its_tier_on_special_patterns(
+    A, ordering
+):
+    _assert_within_tiers(symbolic_cholesky(A, **analysis_kwargs(A, ordering)))
+
+
+def test_default_tiers_grade_the_padding_by_panel_width():
+    """A chain whose merged panel is ``(w - 1) / (w + 3)`` padding at width ``w``.
+
+    That is 43% at 4 columns, 79% at 16 and 80% at 17: the default merges 16
+    columns, then the remaining four (any padding up to 4 columns), where a
+    uniform 25% stops at 2 columns.
+    """
+    n = 20
+    parent = np.concatenate([np.arange(1, n), [-1]])
+    counts = np.concatenate([np.full(n - 1, 2), [1]])
+    assert detect_supernodes(parent, counts).tolist() == [0, 16, 20]
+    uniform = detect_supernodes(parent, counts, relax=0.25)
+    assert uniform.tolist() == list(range(0, n + 1, 2))
+
+
+def test_heat_2d_subdomain_of_the_warm_solve_has_at_most_six_supernodes():
+    """One 8x8-cell heat 2D subdomain (81 DOFs, the ``(8,8)x8`` workloads)."""
+    s = symbolic_cholesky(_fem_matrix(HeatTransferProblem(), 2, 8))
+    assert s.n == 81 and s.nnz == 597
+    assert s.supernodes.n_supernodes <= 6  # 15 under a flat 25% tolerance
+
+
+def test_heat_3d_factor_pattern_does_not_depend_on_the_policy():
+    """``nnz(L)`` of one ``(2,2,1)x12`` heat 3D subdomain: a pattern count only."""
+    s = symbolic_cholesky(_fem_matrix(HeatTransferProblem(), 3, 12))
+    assert s.nnz == 213_252
+    assert s.supernodes.lpos.shape == (213_252,)
 
 
 def test_partition_covers_all_columns_and_pattern():
