@@ -2,7 +2,7 @@
 
 The :mod:`repro.runtime` subsystem adds host-side parallelism on top of the
 simulated machine: a :class:`~repro.api.SolverSpec` declares an ``execution``
-backend (``serial`` | ``threads`` | ``processes``) and a worker count, the
+backend (``serial`` | ``threads``) and a worker count, the
 session shards every FETI preprocessing across the workers by cluster
 topology, and a :class:`~repro.runtime.SolveQueue` schedules many concurrent
 solve requests against one session.  The solve phase is not sharded: the
@@ -37,10 +37,8 @@ from repro.runtime import ShardPlan
 #: The 64-subdomain workload of the ``parallel_scaling`` bench scenario.
 WORKLOAD = Workload(physics="heat", dim=2, subdomains=(8, 8), cells=8)
 
-#: The sweep: serial (one shard per cluster) plus sharded worker pools.
-#: Threads share the parent's memory; processes move factor panels and
-#: local_F blocks through multiprocessing.shared_memory.
-BACKENDS = [None, "threads:2", "threads:4", "processes:2", "processes:4"]
+#: The sweep: serial (one shard per cluster) plus sharded thread pools.
+BACKENDS = [None, "threads:2", "threads:4"]
 
 
 def preprocessing_wall_seconds(execution: str | None) -> float:
@@ -51,8 +49,6 @@ def preprocessing_wall_seconds(execution: str | None) -> float:
         streams_per_cluster=4,
         execution=execution,
     )
-    # The session warms the worker pool at construction, so the measured
-    # region sees steady-state workers (as a serving deployment would).
     with Session(spec) as session:
         operator = session.operator_for(WORKLOAD)
         start = time.perf_counter()
@@ -76,9 +72,9 @@ def sweep_worker_counts() -> None:
         print(f"{label:<12} {wall * 1e3:>11.1f} ms {serial / wall:>7.2f}x")
     print(
         "\n(every executor runs the same stacked kernels; threads split the "
-        "shards in-process,\n processes add worker isolation and "
-        "shared-memory transport — their advantage\n grows with the host's "
-        "core count)"
+        "shards in-process and\n overlap inside the GIL-free BLAS kernels — "
+        "a win only once subdomains\n are large enough, and never beyond "
+        "the host's core count)"
     )
 
 

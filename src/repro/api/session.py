@@ -154,10 +154,6 @@ class Session:
         #: created on demand, closed by :meth:`close`.
         self._executors: dict[ExecutionSpec, Executor] = {}
         self._closed = False
-        # Warm the default spec's executor now: worker pools start before
-        # any measured phase, so pool start-up never lands inside a
-        # benchmark's preprocessing wall time.
-        self.executor().warm()
 
     # ------------------------------------------------------------------ #
     # Resolution                                                          #
@@ -456,7 +452,8 @@ class Session:
             with self.workload_lock(w):
                 solver = self.solver(w, s)
                 self._solves.inc(len(loads_columns))
-                self.note_stacked_solve(len(loads_columns))
+                self._stacked_solves.inc()
+                self._stacked_columns.inc(len(loads_columns))
                 with self._cache_lock:
                     stale = (w, s) in self._stale_solvers
                 solutions = solver.solve_many(
@@ -464,17 +461,6 @@ class Session:
                 )
                 self._after_solve((w, s), solver)
                 return solutions
-
-    def note_stacked_solve(self, columns: int) -> None:
-        """Record a multi-RHS block solve that ran on this session's behalf.
-
-        Used by :class:`~repro.runtime.queue.SolveQueue` when a coalesced
-        batch runs inside a *worker* session (process backend): the worker's
-        own counters are invisible here, but the parent session is the one
-        ``/v1/metrics`` reports on.
-        """
-        self._stacked_solves.inc()
-        self._stacked_columns.inc(columns)
 
     def _run_schedule(
         self,

@@ -150,7 +150,7 @@ class SolverSpec:
     execution:
         The runtime backend the preprocessing shards and queued solves run
         on: an :class:`~repro.runtime.executor.ExecutionSpec`, a backend
-        string (``"processes"``, ``"threads:4"``), a ``{"backend", "workers"}``
+        string (``"threads"``, ``"threads:4"``), a ``{"backend", "workers"}``
         dict, or ``None`` for the process-wide default (``REPRO_EXECUTOR`` /
         ``REPRO_WORKERS``, serial when unset).
     precision:

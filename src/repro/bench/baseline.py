@@ -18,7 +18,10 @@ classifies every metric difference:
 * **derived** record-level metrics (the executor wall speedups)
   are ratios of measurements and never gated — drifts beyond the simulated
   rtol are surfaced as non-blocking *info* rows so the CI summary shows how
-  the speedups moved.
+  the speedups moved;
+* the records' ``environment.cpu_count`` must agree for their wall and
+  derived numbers to be comparable — a difference is one non-blocking
+  *info* row, so the summary says so.
 
 Exit-code semantics (used by ``repro-bench compare`` and CI):
 ``0`` — no blocking differences; ``1`` — at least one regression/mismatch;
@@ -232,6 +235,7 @@ def compare_records(
     if report.differences:
         return report
 
+    _compare_cpu_count(name, baseline, fresh, report)
     base_points = {p["key"]: p for p in baseline.get("points", [])}
     fresh_points = {p["key"]: p for p in fresh.get("points", [])}
     for key in sorted(base_points.keys() | fresh_points.keys()):
@@ -252,6 +256,26 @@ def compare_records(
         _compare_point(name, key, bp, fp, tol, report)
     _compare_derived(name, baseline, fresh, tol, report)
     return report
+
+
+def _compare_cpu_count(
+    name: str, baseline: dict[str, Any], fresh: dict[str, Any], report: ComparisonReport
+) -> None:
+    """One non-blocking row when the records ran on different core counts."""
+    bv = baseline.get("environment", {}).get("cpu_count")
+    fv = fresh.get("environment", {}).get("cpu_count")
+    if bv != fv:
+        report.differences.append(
+            Difference(
+                scenario=name,
+                point="-",
+                metric="environment.cpu_count",
+                baseline=None if bv is None else float(bv),
+                fresh=None if fv is None else float(fv),
+                kind="info",
+                blocking=False,
+            )
+        )
 
 
 def _compare_derived(

@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--executor",
-        choices=["serial", "threads", "processes"],
+        choices=["serial", "threads"],
         help=(
             "force one runtime execution backend for every measured point "
             "(replaces the scenarios' own execution axis; point keys gain "

@@ -71,8 +71,8 @@ class Scenario:
         Runtime execution backends to sweep (the ``execution`` axis):
         ``None`` is the serial reference, an
         :class:`~repro.runtime.executor.ExecutionSpec` selects a sharded
-        worker pool — sweeping e.g. ``(None, ExecutionSpec("threads", 4),
-        ExecutionSpec("processes", 4))`` measures the wall-clock scaling of
+        worker pool — sweeping e.g. ``(None, ExecutionSpec("threads", 2),
+        ExecutionSpec("threads", 4))`` measures the wall-clock scaling of
         the preprocessing phase over worker counts.
     precision:
         Factor-storage precisions to sweep (the ``precision`` axis):
@@ -412,8 +412,6 @@ def _register_defaults() -> None:
                 None,
                 ExecutionSpec("threads", 2),
                 ExecutionSpec("threads", 4),
-                ExecutionSpec("processes", 2),
-                ExecutionSpec("processes", 4),
             ),
             n_applies=2,
             tags=frozenset({"quick", "wall", "runtime", "scaling"}),

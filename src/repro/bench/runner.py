@@ -144,8 +144,7 @@ def measure_point(
     :class:`~repro.api.session.Session` with a private pattern cache, so it
     pays its own symbolic-analysis cost.  ``execution`` selects the runtime
     backend of the point (``None`` = the serial reference); the session
-    warms the worker pool at construction — before the timed region — and
-    shuts it down when the measurement is done.  The coarse problem is
+    shuts its thread pool down when the measurement is done.  The coarse problem is
     benchmarked alongside the operator: the projector build (G^T G
     factorization) and ``n_applies`` projector applications are timed on the
     same workload.  ``precision`` selects the factor-storage policy
@@ -221,7 +220,7 @@ def point_key(
     removed ``batched`` sweep axis and stays so every committed baseline
     keeps pairing by key.  The ``execution=None`` / ``precision="fp64"``
     defaults add nothing; sharded runtime points are suffixed with the
-    executor short form (e.g. ``/processes4``) and reduced-precision points
+    executor short form (e.g. ``/threads4``) and reduced-precision points
     with the policy name (e.g. ``/fp32_ir``).
     """
     grid = "x".join(str(s) for s in subdomains)

@@ -66,10 +66,6 @@ class DualOperatorBase(abc.ABC):
         #: on first use.  A :class:`repro.api.Session` passes the executor
         #: it owns.
         self._executor = executor
-        #: The most recent preprocessing round: keeps the shared-memory
-        #: buffers backing adopted factor panels and ``local_F`` views
-        #: alive until the next round replaces them.
-        self._preprocess_round = None
         self.ledger = TimingLedger()
         self._prepared = False
         self._preprocessed = False
@@ -139,19 +135,17 @@ class DualOperatorBase(abc.ABC):
         assembling the ``F̃ᵢ`` of each interface class as one stack, from the
         scatters ``_prepare_impl`` built (see :mod:`repro.runtime.preprocess`).
         On return every solver in ``self._cpu_solvers`` is numerically
-        factorized; the returned round maps subdomain indices to their
+        factorized; the returned dict maps subdomain indices to their
         ``F̃ᵢ``.
         """
         from repro.runtime.preprocess import run_preprocessing
 
-        round_ = run_preprocessing(
+        return run_preprocessing(
             self.executor,
             [(c.cluster_id, subs) for c, subs in self.iter_clusters()],
             self._cpu_solvers,
             scatters=self._schur_scatters if need_schur else None,
         )
-        self._preprocess_round = round_
-        return round_
 
     # ------------------------------------------------------------------ #
     # Phase template methods                                              #

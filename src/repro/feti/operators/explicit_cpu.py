@@ -100,9 +100,8 @@ class ExplicitCpuDualOperator(DualOperatorBase):
 
     def _preprocess_impl(self) -> tuple[float, dict[str, float]]:
         # Factorization + Schur assembly of every subdomain via the runtime;
-        # each F̃ᵢ goes straight into the pack (under the process backend it
-        # comes back as a shared-memory view).
-        round_ = self.run_feti_preprocessing(need_schur=True)
+        # each F̃ᵢ goes straight into the pack.
+        local_F = self.run_feti_preprocessing(need_schur=True)
         breakdown: dict[str, float] = {"schur_complement": 0.0}
         cluster_times = []
         for cluster, subs in self.iter_clusters():
@@ -120,7 +119,7 @@ class ExplicitCpuDualOperator(DualOperatorBase):
                 clocks.advance(i, cost)
                 breakdown["schur_complement"] += cost
                 self.batch_engine.install_dense_block(
-                    sub.index, round_.local_F.pop(sub.index)
+                    sub.index, local_F.pop(sub.index)
                 )
             cluster_times.append(clocks.elapsed)
         return self._merge_cluster_times(cluster_times), breakdown

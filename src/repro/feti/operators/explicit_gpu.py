@@ -311,7 +311,7 @@ class ExplicitGpuDualOperator(DualOperatorBase):
         # and the interface-class assembly on the CHOLMOD-like factors); the
         # loop below replays the device assembly's kernels for the timeline:
         # the same stream submissions, durations and temporary-arena traffic.
-        round_ = self.run_feti_preprocessing(need_schur=True)
+        local_F = self.run_feti_preprocessing(need_schur=True)
         cfg = self.config
         breakdown = dict.fromkeys(
             ("numeric_factorization", "factor_upload", "sparse_to_dense", "trsm", "syrk", "spmm"),
@@ -391,7 +391,7 @@ class ExplicitGpuDualOperator(DualOperatorBase):
                 for allocation in temporaries:
                     allocation.release()
 
-                F = round_.local_F.pop(sub.index)
+                F = local_F.pop(sub.index)
                 state.device_F.array[...] = F
                 self.batch_engine.install_dense_block(sub.index, F)
             end = device.synchronize(clocks.max_time)

@@ -94,7 +94,7 @@ class HybridDualOperator(ExplicitGpuDualOperator):
     def _preprocess_impl(self) -> tuple[float, dict[str, float]]:
         # CPU assembly of every F̃ᵢ via the runtime; only the host-to-device
         # copy stays below.
-        round_ = self.run_feti_preprocessing(need_schur=True)
+        local_F = self.run_feti_preprocessing(need_schur=True)
         breakdown = {"schur_complement": 0.0, "upload_F": 0.0}
         cluster_times = []
         for cluster, subs in self.iter_clusters():
@@ -106,7 +106,7 @@ class HybridDualOperator(ExplicitGpuDualOperator):
                 solver = self._cpu_solvers[sub.index]
                 state = self._state[sub.index]
                 self._ensure_pack_dtype(state)
-                F = round_.local_F.pop(sub.index)
+                F = local_F.pop(sub.index)
                 cost = cluster.cpu.schur_complement(
                     solver.factor_nnz,
                     solver.factorization_flops(),

@@ -1,4 +1,4 @@
-"""Span-based tracing with thread- and process-safe context propagation.
+"""Span-based tracing with thread-safe context propagation.
 
 The tracer answers *where a solve spent its time*: every layer wraps its
 phases in ``trace_span("factorize", subdomains=8)`` context managers, and a
@@ -16,10 +16,8 @@ Design constraints, in order:
    span lives in a :class:`contextvars.ContextVar`; worker threads do not
    inherit it, so the executors capture it at submission
    (:func:`capture_context`) and re-install it around the task
-   (:func:`run_with_context`).  Process workers run the task under a
-   worker-local tracer and ship their spans back with the result
-   (:func:`run_traced_process_task` / :meth:`Tracer.adopt`) — worker spans
-   keep their own ``pid`` but nest under the submitting request's span.
+   (:func:`run_with_context`), so worker spans nest under the submitting
+   request's span.
 3. **Independent of** :class:`~repro.api.spec.SolverSpec`.  Tracing is a
    process/context concern: enable it with the :func:`trace` context
    manager, or process-wide with the ``REPRO_TRACE`` environment variable
@@ -60,8 +58,7 @@ class Span:
     name: str
     span_id: int
     parent_id: int | None
-    #: Epoch microseconds (``time.time()`` based, comparable across
-    #: processes — fork workers report their own clock readings).
+    #: Epoch microseconds (``time.time()`` based).
     start_us: float
     duration_us: float = 0.0
     pid: int = 0
@@ -146,29 +143,6 @@ class Tracer:
         """Append one instant event."""
         with self._lock:
             self.events.append(event)
-
-    def adopt(self, spans: list[Span], events: list[SpanEvent], parent_id: int | None) -> None:
-        """Merge a worker-local tracer's output under ``parent_id``.
-
-        Worker span ids are remapped into this tracer's id space; worker
-        root spans (local ``parent_id is None``) are re-parented onto the
-        submitting context's span, which is what attributes process-worker
-        work to the request that dispatched it.
-        """
-        id_map = {span.span_id: self.next_id() for span in spans}
-        with self._lock:
-            for span in spans:
-                span.span_id = id_map[span.span_id]
-                span.parent_id = (
-                    parent_id if span.parent_id is None else id_map.get(span.parent_id, parent_id)
-                )
-                self.spans.append(span)
-            for event in events:
-                if event.span_id is not None:
-                    event.span_id = id_map.get(event.span_id, parent_id)
-                else:
-                    event.span_id = parent_id
-                self.events.append(event)
 
     # ------------------------------------------------------------------ #
     # Export                                                              #
@@ -406,9 +380,7 @@ def trace(name: str = "trace") -> _TraceHandle:
 def capture_context() -> tuple[Tracer, int | None] | None:
     """The submitting context's trace state (``None`` when tracing is off).
 
-    Thread executors pass the captured state to :func:`run_with_context`;
-    process executors ship only the parent span id (see
-    :func:`run_traced_process_task`).
+    Thread executors pass the captured state to :func:`run_with_context`.
     """
     if not _ACTIVE:
         return None
@@ -424,26 +396,6 @@ def run_with_context(
         return fn(*args, **kwargs)
     finally:
         _STATE.reset(token)
-
-
-def run_traced_process_task(
-    parent_id: int | None, fn, args: tuple, kwargs: dict
-) -> tuple[Any, list[Span], list[SpanEvent]]:
-    """Module-level process-worker wrapper: run ``fn`` under a local tracer.
-
-    Executed *in the worker*.  The worker's spans travel back with the
-    result; the parent side remaps them into its tracer via
-    :meth:`Tracer.adopt` with the captured ``parent_id``.
-    """
-    tracer = Tracer("worker")
-    token = _STATE.set((tracer, None))
-    _activate()
-    try:
-        result = fn(*args, **kwargs)
-    finally:
-        _deactivate()
-        _STATE.reset(token)
-    return result, tracer.spans, tracer.events
 
 
 # --------------------------------------------------------------------- #

@@ -9,20 +9,18 @@ organized as four pieces:
 
 :mod:`repro.runtime.executor`
     :class:`ExecutionSpec` (the declarative ``backend`` + ``workers``
-    description carried by :class:`repro.api.SolverSpec`) and the three
-    :class:`Executor` backends — ``serial``, ``threads``, ``processes`` —
-    plus the ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` environment defaults.
+    description carried by :class:`repro.api.SolverSpec`) and the two
+    :class:`Executor` backends — ``serial`` and ``threads`` — plus the
+    ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` environment defaults.
 :mod:`repro.runtime.shard`
     :class:`ShardPlan`: the partition of a problem's subdomains into
     per-worker shards that respect the cluster topology.
-:mod:`repro.runtime.preprocess` (+ :mod:`repro.runtime.shm`)
+:mod:`repro.runtime.preprocess`
     The one preprocessing path every dual-operator backend and every
     executor runs its FETI preprocessing through: same-pattern subdomains
-    of a shard are factored as one stack, each ``F̃ᵢ`` is assembled by its
-    solver facade, shards run as futures (inline under ``serial``), and the
-    process backend moves factor panels and ``local_F`` blocks through
-    ``multiprocessing.shared_memory`` (zero-copy adoption by the parent's
-    solvers).
+    of a shard are factored as one stack, the ``F̃ᵢ`` of each interface
+    class are assembled as one stack, and shards run as futures on the
+    caller's solvers (inline under ``serial``).
 :mod:`repro.runtime.queue`
     :class:`SolveQueue`: the concurrent serving path — many ``(workload,
     spec, rhs)`` requests against one :class:`repro.api.Session`, scheduled
@@ -41,14 +39,11 @@ _LAZY_EXPORTS: dict[str, str] = {
     "Executor": "repro.runtime.executor",
     "SerialExecutor": "repro.runtime.executor",
     "ThreadExecutor": "repro.runtime.executor",
-    "ProcessExecutor": "repro.runtime.executor",
     "make_executor": "repro.runtime.executor",
     "default_execution": "repro.runtime.executor",
     "shared_executor": "repro.runtime.executor",
     "Shard": "repro.runtime.shard",
     "ShardPlan": "repro.runtime.shard",
-    "SharedArena": "repro.runtime.shm",
-    "PreprocessRound": "repro.runtime.preprocess",
     "run_preprocessing": "repro.runtime.preprocess",
     "QueueSolution": "repro.runtime.queue",
     "SolveQueue": "repro.runtime.queue",

@@ -1,25 +1,17 @@
 """Execution backends of the parallel runtime.
 
 An :class:`Executor` runs *shard tasks* — self-contained callables produced
-by the preprocessing orchestrator and the solve queue — on one of three
-backends:
+by the preprocessing orchestrator — on one of two backends:
 
 ``serial``
-    Run inline in the calling thread.  The reference backend: no pools, no
-    shared memory, identical to the historical single-process behaviour.
+    Run inline in the calling thread.  The reference backend: no pools.
 ``threads``
     A ``concurrent.futures.ThreadPoolExecutor``.  Shard tasks operate on
-    the parent's objects directly; NumPy/BLAS release the GIL inside the
+    the caller's objects directly; NumPy/BLAS release the GIL inside the
     dense kernels, so shards overlap on multicore hosts.  Requires the
     shared caches to be thread-safe (they are: :class:`~repro.sparse.cache.
     PatternCache` and the :class:`~repro.api.session.Session` caches are
     lock-guarded).
-``processes``
-    A ``concurrent.futures.ProcessPoolExecutor`` (fork start method where
-    available).  Tasks must be module-level functions with picklable
-    arguments; bulk array results travel through
-    ``multiprocessing.shared_memory`` (see :mod:`repro.runtime.shm`) so
-    packed ``local_F`` blocks and factor panels are never pickled.
 
 The :class:`ExecutionSpec` value object is the declarative description used
 by :class:`repro.api.SolverSpec` (its ``execution`` field) and the bench
@@ -35,12 +27,12 @@ import atexit
 import os
 import threading
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Any
 
-from repro.observe.trace import capture_context, run_traced_process_task, run_with_context
+from repro.observe.trace import capture_context, run_with_context
 
 __all__ = [
     "BACKENDS",
@@ -49,14 +41,13 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "make_executor",
     "default_execution",
     "shared_executor",
 ]
 
-#: The recognized backend names, in increasing isolation order.
-BACKENDS = ("serial", "threads", "processes")
+#: The recognized backend names.
+BACKENDS = ("serial", "threads")
 
 
 class ExecutionError(ValueError):
@@ -90,7 +81,7 @@ class ExecutionSpec:
     Attributes
     ----------
     backend:
-        One of ``"serial"``, ``"threads"``, ``"processes"``.
+        One of ``"serial"``, ``"threads"``.
     workers:
         Worker count of the pool (and the shard fan-out of the
         preprocessing phase).  Forced to ``1`` for the serial backend.
@@ -109,7 +100,7 @@ class ExecutionSpec:
         if self.backend == "serial" and self.workers != 1:
             raise ExecutionError(
                 f"the serial backend runs exactly one worker, got workers={self.workers}; "
-                "pick backend='threads' or 'processes' for a worker pool"
+                "pick backend='threads' for a worker pool"
             )
 
     @property
@@ -124,8 +115,8 @@ class ExecutionSpec:
     def of(cls, value: "ExecutionSpec | str | Mapping[str, Any] | None") -> "ExecutionSpec":
         """Normalize ``None`` (serial), a spec, a mapping, or a string.
 
-        Strings accept an optional worker suffix: ``"processes"`` (the
-        host's CPU count), ``"processes:4"``, ``"threads:2"``.
+        Strings accept an optional worker suffix: ``"threads"`` (the
+        host's CPU count), ``"threads:2"``.
         """
         if value is None:
             return cls()
@@ -154,11 +145,11 @@ class ExecutionSpec:
         return {"backend": self.backend, "workers": self.workers}
 
     def describe(self) -> str:
-        """Short form used in benchmark point keys (e.g. ``processes4``)."""
+        """Short form used in benchmark point keys (e.g. ``threads4``)."""
         return self.backend if self.backend == "serial" else f"{self.backend}{self.workers}"
 
 
-def default_workers(backend: str = "processes") -> int:
+def default_workers(backend: str = "threads") -> int:
     """Default pool size of a parallel backend (serial is always 1)."""
     if backend == "serial":
         return 1
@@ -170,7 +161,7 @@ def default_execution() -> ExecutionSpec:
 
     ``REPRO_EXECUTOR`` selects the backend (default ``serial``) and
     ``REPRO_WORKERS`` the worker count, so CI can rerun the whole suite
-    under e.g. ``REPRO_EXECUTOR=processes REPRO_WORKERS=2`` without
+    under e.g. ``REPRO_EXECUTOR=threads REPRO_WORKERS=2`` without
     touching any call site.
     """
     backend = os.environ.get("REPRO_EXECUTOR", "").strip() or "serial"
@@ -196,11 +187,6 @@ class Executor(abc.ABC):
     def __init__(self, spec: ExecutionSpec) -> None:
         self.spec = spec
         self._closed = False
-        #: Symbolic-analysis keys already shipped to this executor's workers
-        #: (see :mod:`repro.runtime.preprocess`): the first round of a
-        #: pattern sends the full analysis, later rounds only its digest —
-        #: a worker that still misses it re-derives from the pattern arrays.
-        self.seeded_keys: set = set()
 
     @property
     def backend(self) -> str:
@@ -227,13 +213,6 @@ class Executor(abc.ABC):
         """
         futures = [self.submit(fn, payload) for payload in payloads]
         return [f.result() for f in futures]
-
-    def warm(self) -> None:
-        """Start the worker pool eagerly (no-op for inline backends).
-
-        Sessions call this at construction so pool start-up never lands
-        inside a measured preprocessing phase.
-        """
 
     def close(self) -> None:
         """Shut the backend down (idempotent)."""
@@ -306,145 +285,6 @@ class ThreadExecutor(Executor):
         super().close()
 
 
-def _identity(value: Any) -> Any:
-    """Module-level no-op used to warm process workers."""
-    return value
-
-
-def _warm_worker(value: Any) -> Any:
-    """Warm-up task run once per process worker at pool start.
-
-    Triggers the lazy one-time initialization a worker would otherwise pay
-    inside its first real task (BLAS thread-pool setup, kernel imports), so
-    the first measured preprocessing round sees steady-state workers.  The
-    small GEMM also keeps the task busy long enough for the pool to spread
-    the warm-up across all workers.
-    """
-    import numpy as _np
-
-    import repro.runtime.preprocess  # noqa: F401 - imported for its side effects
-
-    a = _np.ones((48, 48))
-    for _ in range(20):
-        a = a @ a * 1e-40 + 1.0
-    return value
-
-
-class ProcessExecutor(Executor):
-    """Process-pool execution with shared-memory array transport.
-
-    The pool prefers the ``fork`` start method (cheap, inherits the loaded
-    modules) and falls back to the platform default elsewhere.  The pool is
-    created lazily on first use; :meth:`warm` forces creation and round-trips
-    one task per worker so later phase timings never include start-up.
-    """
-
-    def __init__(self, spec: ExecutionSpec) -> None:
-        super().__init__(spec)
-        self._pool: ProcessPoolExecutor | None = None
-        self._lock = threading.Lock()
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._check_open()
-                import multiprocessing as mp
-
-                try:
-                    # Start the shared-memory resource tracker *before* the
-                    # workers exist, so every worker inherits it: attaching
-                    # an arena in a worker then only duplicates the parent's
-                    # registration instead of spawning a worker-local
-                    # tracker that would unlink the arena on worker exit.
-                    from multiprocessing import resource_tracker
-
-                    resource_tracker.ensure_running()
-                except Exception:  # pragma: no cover - platform dependent
-                    pass
-                # Import the task modules *before* forking: the workers then
-                # inherit them loaded instead of each paying the import cost
-                # on its first task (which would land inside a measured
-                # preprocessing phase).
-                import repro.api.session  # noqa: F401
-                import repro.runtime.preprocess  # noqa: F401
-                import repro.runtime.queue  # noqa: F401
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.spec.workers, mp_context=self._context(mp)
-                )
-            return self._pool
-
-    @staticmethod
-    def _context(mp):
-        """Pick a start method that is safe for the current process.
-
-        ``fork`` is the cheapest (workers inherit every loaded module) but
-        forking a *multi-threaded* parent can deadlock the children on locks
-        held mid-operation by other threads (BLAS pools, a live threads
-        executor).  So: fork only while single-threaded, else go through a
-        forkserver (its server is spawned clean and preloads the task
-        modules), and fall back to the platform default elsewhere.
-        """
-        methods = mp.get_all_start_methods()
-        if "fork" in methods and threading.active_count() == 1:
-            return mp.get_context("fork")
-        if "forkserver" in methods:
-            context = mp.get_context("forkserver")
-            try:
-                context.set_forkserver_preload(
-                    [
-                        "repro.runtime.preprocess",
-                        "repro.runtime.queue",
-                        "repro.api.session",
-                    ]
-                )
-            except Exception:  # pragma: no cover - preload is best-effort
-                pass
-            return context
-        return mp.get_context()
-
-    def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Future:
-        self._check_open()
-        pool = self._ensure_pool()
-        state = capture_context()
-        if state is None:
-            return pool.submit(fn, *args, **kwargs)
-        # Tracing is on: run the task under a worker-local tracer and ship
-        # the worker's spans back with the result, re-parented onto the
-        # submitting context so cross-process work attributes correctly.
-        tracer, parent_id = state
-        inner = pool.submit(run_traced_process_task, parent_id, fn, args, kwargs)
-        outer: Future = Future()
-
-        def _unwrap(f: Future) -> None:
-            if f.cancelled():
-                outer.cancel()
-                return
-            if not outer.set_running_or_notify_cancel():
-                return
-            exc = f.exception()
-            if exc is not None:
-                outer.set_exception(exc)
-                return
-            result, spans, events = f.result()
-            tracer.adopt(spans, events, parent_id)
-            outer.set_result(result)
-
-        inner.add_done_callback(_unwrap)
-        return outer
-
-    def warm(self) -> None:
-        pool = self._ensure_pool()
-        for f in [pool.submit(_warm_worker, i) for i in range(self.spec.workers)]:
-            f.result()
-
-    def close(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        super().close()
-
-
 def make_executor(
     spec: "ExecutionSpec | str | Mapping[str, Any] | None" = None,
 ) -> Executor:
@@ -452,9 +292,7 @@ def make_executor(
     resolved = ExecutionSpec.of(spec)
     if resolved.backend == "serial":
         return SerialExecutor(resolved)
-    if resolved.backend == "threads":
-        return ThreadExecutor(resolved)
-    return ProcessExecutor(resolved)
+    return ThreadExecutor(resolved)
 
 
 # --------------------------------------------------------------------- #

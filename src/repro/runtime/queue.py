@@ -9,12 +9,7 @@ queue schedules them across an executor:
   caches**: two requests for the same workload reuse its prepared solvers
   (serialized on the session's per-workload lock, because a workload's
   problem loads and its solvers' operators/ledgers are stateful), while
-  requests for different workloads overlap;
-* ``processes`` — requests run in pool workers, each owning a worker-local
-  :class:`Session` (and therefore its own pattern cache and prepared
-  solvers, warmed across requests).  Workloads and specs travel as their
-  JSON dictionaries; the returned :class:`QueueSolution` carries plain
-  arrays.
+  requests for different workloads overlap.
 
 Requests accept an optional ``rhs``: ``None`` solves the workload's declared
 loads, a scalar scales them, and a sequence of per-subdomain arrays replaces
@@ -31,10 +26,8 @@ different workloads (or specs) never coalesce and keep overlapping.
 **Error isolation contract**: a malformed or failing request surfaces its
 exception through *that request's* ticket only (``submit`` itself never
 raises) — a poison request cannot stall the queue, corrupt the session's
-shared caches, or affect requests submitted before or after it.  Process
-workers re-raise failures as :class:`QueueRequestError` carrying the
-worker-side traceback text, so a crashing request can never kill a pool
-worker with an unpicklable exception.
+shared caches, or affect requests submitted before or after it.  A failed
+request's ticket carries the original exception.
 """
 
 from __future__ import annotations
@@ -47,7 +40,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.observe.trace import capture_context, run_with_context
-from repro.runtime.executor import ExecutionSpec, Executor
+from repro.runtime.executor import Executor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Session
@@ -55,15 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.workload import Workload
     from repro.feti.solver import FetiSolution
 
-__all__ = ["QueueRequestError", "QueueSolution", "SolveTicket", "SolveQueue"]
-
-
-class QueueRequestError(RuntimeError):
-    """A queued request failed in a process worker.
-
-    Carries the worker-side traceback as plain text, so it is always
-    picklable regardless of what the original exception type was.
-    """
+__all__ = ["QueueSolution", "SolveTicket", "SolveQueue"]
 
 
 @dataclass
@@ -190,26 +175,6 @@ def _apply_rhs(problem, base_loads, rhs) -> None:
         sub.f = f
 
 
-# --------------------------------------------------------------------- #
-# Process-backend worker state                                           #
-# --------------------------------------------------------------------- #
-#: Worker-local sessions keyed by spec JSON; prepared solvers and pattern
-#: caches persist across the requests a worker serves.
-_WORKER_SESSIONS: dict[tuple, Any] = {}
-
-
-def _worker_session(spec_dict: Mapping[str, Any]):
-    from repro.api.session import Session
-    from repro.api.spec import SolverSpec
-
-    key = tuple(sorted((k, repr(v)) for k, v in spec_dict.items()))
-    session = _WORKER_SESSIONS.get(key)
-    if session is None:
-        session = Session(SolverSpec.from_dict(spec_dict))
-        _WORKER_SESSIONS[key] = session
-    return session
-
-
 def _solve_request_in_session(
     session: "Session", workload: "Workload", spec: "SolverSpec", rhs
 ) -> QueueSolution:
@@ -227,61 +192,6 @@ def _solve_request_in_session(
             sub.f = f
 
 
-def _process_solve(payload: tuple) -> QueueSolution:
-    """Module-level process task: solve one request in a worker session.
-
-    Failures re-raise as :class:`QueueRequestError` with the formatted
-    worker traceback: always picklable, so a poison request reports through
-    its own future instead of corrupting the pool's result channel, and the
-    worker (with its warmed session) survives to serve later requests.
-    """
-    import traceback
-
-    from repro.api.workload import Workload
-
-    workload_dict, spec_dict, rhs = payload
-    try:
-        session = _worker_session(spec_dict)
-        workload = Workload.from_dict(workload_dict)
-        return _solve_request_in_session(session, workload, session.spec, rhs)
-    except Exception as exc:
-        detail = traceback.format_exc()
-        raise QueueRequestError(
-            f"queued solve request failed in a process worker: {exc}\n{detail}"
-        ) from None
-
-
-def _process_solve_many(payload: tuple) -> list[QueueSolution]:
-    """Module-level process task: one coalesced batch, one block solve.
-
-    All right-hand sides of the batch run as a single multi-RHS block PCPG
-    inside the worker's warmed session — the preprocessing and the fused
-    apply kernels are paid once for the whole batch.
-    """
-    import traceback
-
-    from repro.api.workload import Workload
-
-    workload_dict, spec_dict, rhs_list = payload
-    try:
-        session = _worker_session(spec_dict)
-        workload = Workload.from_dict(workload_dict)
-        problem = session.problem(workload)
-        base = session.base_loads(workload)
-        loads_columns = [_loads_for(problem, base, rhs) for rhs in rhs_list]
-        # stacked=False keeps coalesced answers bitwise equal to sequential
-        # ones (reproducibility under load); see SolveQueue._run_batch_local.
-        solutions = session.solve_many(
-            workload, loads_columns, session.spec, stacked=False
-        )
-        return [QueueSolution.from_solution(s) for s in solutions]
-    except Exception as exc:
-        detail = traceback.format_exc()
-        raise QueueRequestError(
-            f"coalesced solve batch failed in a process worker: {exc}\n{detail}"
-        ) from None
-
-
 # --------------------------------------------------------------------- #
 # The queue                                                              #
 # --------------------------------------------------------------------- #
@@ -294,8 +204,7 @@ class SolveQueue:
         The owning session (problems, prepared solvers, pattern cache).
     executor:
         The backend the requests run on; defaults to the session's default
-        executor.  With the process backend the session's *configuration*
-        is shipped to the workers, which keep their own warmed sessions.
+        executor.
     """
 
     def __init__(
@@ -329,15 +238,14 @@ class SolveQueue:
             "repro_queue_coalesced_batches_total",
             "Drained batches that coalesced more than one request",
         )
-        #: Request-level pool of the threads and processes backends.
-        #: Requests must not run on the session's shard executor itself: a
-        #: request blocks on the shard futures of its preprocessing, so
-        #: sharing the pool would let enough concurrent requests starve
-        #: their own shards (deadlock).  The shard pool stays dedicated to
-        #: shards; this pool carries the blocking drain bodies (which, for
-        #: the process backend, dispatch to pool workers and wait).
+        #: Request-level pool of the threads backend.  Requests must not run
+        #: on the session's shard executor itself: a request blocks on the
+        #: shard futures of its preprocessing, so sharing the pool would let
+        #: enough concurrent requests starve their own shards (deadlock).
+        #: The shard pool stays dedicated to shards; this pool carries the
+        #: blocking drain bodies.
         self._request_pool: ThreadPoolExecutor | None = None
-        if self.executor.backend in ("threads", "processes"):
+        if self.executor.backend == "threads":
             self._request_pool = ThreadPoolExecutor(
                 max_workers=self.executor.workers, thread_name_prefix="repro-queue"
             )
@@ -450,9 +358,8 @@ class SolveQueue:
                 batch = self._pending.pop(key, [])
             if not batch:
                 return
-            # Parent-side validation: a bad rhs fails its own ticket (with
-            # the original exception type) and never reaches a worker or
-            # taints the rest of the batch.
+            # Validation before the solve: a bad rhs fails its own ticket
+            # and never taints the rest of the batch.
             problem = self.session.problem(workload)
             valid: list[tuple[Any, Future]] = []
             for rhs, future in batch:
@@ -469,17 +376,14 @@ class SolveQueue:
             try:
                 if not valid:
                     return
-                if self.executor.backend == "processes":
-                    self._run_batch_processes(workload, spec, valid)
-                else:
-                    self._run_batch_local(workload, spec, valid)
+                self._run_batch(workload, spec, valid)
             except Exception as exc:  # pragma: no cover - defensive
                 for _, future in valid:
                     if not future.done():
                         future.set_exception(exc)
 
-    def _run_batch_local(self, workload, spec, batch) -> None:
-        """Solve one drained batch in-process (serial / threads backends)."""
+    def _run_batch(self, workload, spec, batch) -> None:
+        """Solve one drained batch in the session."""
         if len(batch) == 1:
             rhs, future = batch[0]
             try:
@@ -506,29 +410,3 @@ class SolveQueue:
             return
         for (_, future), solution in zip(batch, solutions):
             future.set_result(QueueSolution.from_solution(solution))
-
-    def _run_batch_processes(self, workload, spec, batch) -> None:
-        """Ship one drained batch to a pool worker and wait for it."""
-        spec_dict = spec.to_dict()
-        # Workers solve serially: a nested pool inside a pool worker would
-        # oversubscribe the host (and break under env defaults).
-        spec_dict["execution"] = ExecutionSpec().to_dict()
-        rhs_list = [rhs for rhs, _ in batch]
-        try:
-            if len(batch) == 1:
-                task = self.executor.submit(
-                    _process_solve, (workload.to_dict(), spec_dict, rhs_list[0])
-                )
-                batch[0][1].set_result(task.result())
-            else:
-                task = self.executor.submit(
-                    _process_solve_many, (workload.to_dict(), spec_dict, rhs_list)
-                )
-                solutions = task.result()
-                self.session.note_stacked_solve(len(batch))
-                for (_, future), solution in zip(batch, solutions):
-                    future.set_result(solution)
-        except Exception as exc:
-            for _, future in batch:
-                if not future.done():
-                    future.set_exception(exc)

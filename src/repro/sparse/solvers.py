@@ -147,12 +147,12 @@ class SparseSolverBase:
     ) -> CholeskyFactor:
         """Install a numeric factor computed elsewhere (the sharded runtime).
 
-        The factor's values may be views into shared memory written by a
-        worker process; its symbolic analysis must describe the same
-        pattern this solver analysed (the runtime guarantees it by
-        re-deriving the analysis deterministically per pattern).  ``matrix``
-        is the factorized matrix — required by refining precision policies,
-        which keep it for residual computation.
+        The factor's values are typically rows of a preprocessing group's
+        stacked panels; its symbolic analysis must describe the same
+        pattern this solver analysed (the runtime factors each group with
+        its members' shared analysis).  ``matrix`` is the factorized matrix
+        — required by refining precision policies, which keep it for
+        residual computation.
         """
         if self._symbolic is None:
             self._symbolic = factor.symbolic
@@ -352,9 +352,8 @@ def _rows_as_stack(rows: list[np.ndarray]) -> np.ndarray | None:
     """``rows`` as one 2-D array without copying, when they already are one.
 
     True for factors adopted from a preprocessing group's stacked panels and
-    inverses (one ``(k, m)`` array, or a view of the shared arena under the
-    process backend) as long as the rows are consecutive in the array they
-    are views of, and for a single row of any origin.
+    inverses (one ``(k, m)`` array) as long as the rows are consecutive in
+    the array they are views of, and for a single row of any origin.
     """
     first = rows[0]
     base = first if first.base is None else first.base

@@ -219,9 +219,9 @@ class SymbolicFactor:
         """Bytes of every index array the analysis holds.
 
         Pattern, permutation maps, panel layout and update maps — what one
-        :class:`~repro.sparse.cache.PatternCache` entry keeps resident (and
-        what the process backend pickles once per shard).  ``below_rows`` are
-        views into ``row_idx`` until pickled and are counted as if owned.
+        :class:`~repro.sparse.cache.PatternCache` entry keeps resident.
+        ``below_rows`` are views into ``row_idx`` and are counted as if
+        owned.
         """
         return _index_nbytes(list(vars(self).values()))
 

@@ -277,8 +277,8 @@ class TestExecutionField:
     def test_strings_and_dicts_coerce(self):
         from repro.runtime.executor import ExecutionSpec
 
-        assert SolverSpec(execution="processes:4").execution == ExecutionSpec(
-            "processes", 4
+        assert SolverSpec(execution="threads:4").execution == ExecutionSpec(
+            "threads", 4
         )
         assert SolverSpec(
             execution={"backend": "threads", "workers": 2}
@@ -288,16 +288,19 @@ class TestExecutionField:
         with pytest.raises(SpecError, match="zero or negative"):
             SolverSpec(execution="threads:0")
         with pytest.raises(SpecError, match="zero or negative"):
-            SolverSpec(execution={"backend": "processes", "workers": -2})
+            SolverSpec(execution={"backend": "threads", "workers": -2})
 
-    def test_unknown_backend_fails_actionably(self):
-        with pytest.raises(SpecError, match="serial, threads, processes"):
-            SolverSpec(execution="gpu:2")
+    @pytest.mark.parametrize("execution", ["gpu:2", "processes", "processes:2"])
+    def test_unknown_backend_fails_actionably(self, execution):
+        with pytest.raises(SpecError, match="serial, threads"):
+            SolverSpec(execution=execution)
+        with pytest.raises(SpecError, match="serial, threads"):
+            SolverSpec.from_dict({"execution": execution})
 
     def test_json_round_trip_preserves_execution(self):
-        spec = SolverSpec(execution="processes:2")
+        spec = SolverSpec(execution="threads:2")
         data = spec.to_dict()
-        assert data["execution"] == {"backend": "processes", "workers": 2}
+        assert data["execution"] == {"backend": "threads", "workers": 2}
         assert SolverSpec.from_dict(data) == spec
         assert SolverSpec.from_dict(SolverSpec().to_dict()).execution is None
 

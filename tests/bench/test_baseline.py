@@ -59,6 +59,19 @@ def test_improvement_is_reported_but_not_blocking(record):
     assert diff.kind == "improvement"
 
 
+def test_cpu_count_difference_is_one_non_blocking_info_row(record):
+    """Wall and derived numbers from different core counts are not comparable."""
+    fresh = copy.deepcopy(record)
+    cores = record["environment"]["cpu_count"]
+    fresh["environment"]["cpu_count"] = cores + 1
+    report = compare_records(record, fresh)
+    assert report.exit_code == 0
+    (diff,) = report.differences
+    assert (diff.metric, diff.kind, diff.blocking) == ("environment.cpu_count", "info", False)
+    assert (diff.baseline, diff.fresh) == (cores, cores + 1)
+    assert "environment.cpu_count" in report.summary()
+
+
 def test_old_baselines_with_the_removed_axes_still_pair_by_key(record):
     """Committed baselines carry ``batched``/``blocked`` per point; fresh records do not."""
     old = copy.deepcopy(record)

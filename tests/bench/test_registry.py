@@ -122,8 +122,7 @@ def test_parallel_scaling_scenario_sweeps_worker_counts():
     scenario = registry.get("parallel_scaling")
     assert scenario.execution[0] is None  # the serial reference point
     parallel = [e for e in scenario.execution if e is not None]
-    assert ExecutionSpec("threads", 4) in parallel
-    assert ExecutionSpec("processes", 4) in parallel
+    assert parallel == [ExecutionSpec("threads", 2), ExecutionSpec("threads", 4)]
     assert {"quick", "runtime"} <= scenario.tags
     assert scenario.expected["n_subdomains"] == 64
 

@@ -110,9 +110,9 @@ def test_point_key_execution_suffix_preserves_historical_keys():
     serial = point_key((8, 8), 8, DualOperatorApproach.EXPLICIT_MKL, ExecutionSpec())
     assert serial == base
     sharded = point_key(
-        (8, 8), 8, DualOperatorApproach.EXPLICIT_MKL, ExecutionSpec("processes", 4)
+        (8, 8), 8, DualOperatorApproach.EXPLICIT_MKL, ExecutionSpec("threads", 4)
     )
-    assert sharded == "8x8/c8/expl mkl/batched/processes4"
+    assert sharded == "8x8/c8/expl mkl/batched/threads4"
 
 
 def test_point_key_precision_suffix_preserves_historical_keys():

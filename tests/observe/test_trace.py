@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.observe.trace import (
-    Tracer,
     capture_context,
     current_tracer,
     trace,
@@ -137,25 +136,6 @@ def test_find_and_len():
     assert len(tracer) == 4
     assert len(tracer.find("repeat")) == 3
     assert tracer.find("missing") == []
-
-
-def test_adopt_remaps_ids_under_parent():
-    with trace() as tracer:
-        with trace_span("parent"):
-            parent_id = capture_context()[1]
-    worker = Tracer()
-    # simulate a worker-local trace: ids collide with the parent tracer's
-    a_id = worker.next_id()
-    b_id = worker.next_id()
-    from repro.observe.trace import Span
-
-    a = Span(name="w-root", span_id=a_id, parent_id=None, start_us=1.0, duration_us=1.0)
-    b = Span(name="w-child", span_id=b_id, parent_id=a_id, start_us=1.5, duration_us=0.5)
-    tracer.adopt([a, b], [], parent_id)
-    by_name = {s.name: s for s in tracer.spans}
-    assert by_name["w-root"].parent_id == parent_id
-    assert by_name["w-child"].parent_id == by_name["w-root"].span_id
-    assert by_name["w-root"].span_id != a_id or by_name["w-child"].span_id != b_id
 
 
 def test_exception_still_records_span():

@@ -1,10 +1,11 @@
-"""The solve phase never dispatches: every apply runs in the caller's process.
+"""The solve phase never dispatches: every apply runs in the caller's thread.
 
 The executor parallelizes preprocessing only.  Preprocessing is bitwise
 equal across executors (``test_determinism.py``), so an operator
-preprocessed on ``threads:2`` or ``processes:2`` applies bitwise like the
-serial one, and a warm solve — applies, projector, preconditioner — makes
-no executor submit at all.
+preprocessed on a thread pool of any size applies bitwise like the serial
+one, and a
+warm solve — applies, projector, preconditioner — makes no executor submit
+at all.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ APPROACHES = [
     "expl modern",
     "expl hybrid",
 ]
-BACKENDS = ["threads:2", "processes:2"]
+#: Two workers split the 9 subdomains 5/4; three split them evenly 3/3/3.
+BACKENDS = ["threads:2", "threads:3"]
 
 HEAT = Workload("heat", 2, (3, 3), 6)
 

@@ -4,9 +4,10 @@ Every executor runs one preprocessing path: the same stacked factorization
 and the same interface-class Schur assembly on the same values (a member's
 ``F̃ᵢ`` does not depend on which shard's class it joins).  So the factors
 (panels and diagonal-block inverses) and every ``F̃ᵢ`` are bitwise equal
-across serial, threads and processes.  The solve phase runs in the
-caller's process on every executor, so the solutions of all nine
-dual-operator approaches are bitwise equal too.
+between serial and threads, whatever the worker count — even, uneven or
+more workers than a cluster has subdomains.  The solve phase runs in the caller's thread
+on every executor, so the solutions of all nine dual-operator approaches
+are bitwise equal too.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ EXPLICIT = [
     DualOperatorApproach.EXPLICIT_GPU_MODERN,
 ]
 
+#: Worker counts whose shard splits differ on every workload: two workers
+#: halve each cluster, three split it unevenly (4 → 2/1/1, 16 → 6/5/5, so
+#: interface classes straddle shards at different offsets), four give
+#: ``heat-2d`` one subdomain per shard and out-number ``elasticity-3d``'s two.
+THREAD_BACKENDS = ["threads:2", "threads:3", "threads:4"]
+
 
 def _solver(approach, workload, backend="serial"):
     """A fresh solver; pools are shared process-wide.
@@ -66,7 +73,7 @@ def serial_solutions():
     }
 
 
-@pytest.mark.parametrize("backend", ["threads:2", "processes:2"])
+@pytest.mark.parametrize("backend", THREAD_BACKENDS)
 @pytest.mark.parametrize("wname", sorted(WORKLOADS))
 @pytest.mark.parametrize("approach", list(DualOperatorApproach))
 def test_parallel_executors_reproduce_serial_solutions(
@@ -112,7 +119,7 @@ def _preprocessed(approach, workload, backend):
 @pytest.mark.parametrize("approach", EXPLICIT)
 def test_factors_and_local_F_are_bitwise_equal_across_executors(approach, wname):
     factors, local_F = _preprocessed(approach, WORKLOADS[wname], "serial")
-    for backend in ("threads:2", "processes:2"):
+    for backend in THREAD_BACKENDS:
         got_factors, got_F = _preprocessed(approach, WORKLOADS[wname], backend)
         assert got_factors.keys() == factors.keys() and got_F.keys() == local_F.keys()
         for i, (panels, inverses) in factors.items():
@@ -122,28 +129,13 @@ def test_factors_and_local_F_are_bitwise_equal_across_executors(approach, wname)
             assert np.array_equal(got_F[i], F), (backend, i)
 
 
-@pytest.mark.parametrize("wname", sorted(WORKLOADS))
-def test_threads_and_processes_are_bitwise_identical(wname):
-    """The two parallel backends run the same kernels on the same shards."""
-    workload = WORKLOADS[wname]
-    solutions = {
-        backend: _solve(DualOperatorApproach.EXPLICIT_MKL, workload, backend)
-        for backend in ("threads:2", "processes:2")
-    }
-    a, b = solutions["threads:2"], solutions["processes:2"]
-    assert np.array_equal(a.lam, b.lam)
-    assert np.array_equal(a.alpha, b.alpha)
-    for ga, gb in zip(a.primal, b.primal):
-        assert np.array_equal(ga, gb)
-
-
 def test_repeated_parallel_preprocessing_is_stable():
     """Re-running preprocess on the same operator reproduces the factors."""
     workload = WORKLOADS["heat-2d"]
     solver = FetiSolver(
         build_problem(workload),
         SolverSpec(approach=DualOperatorApproach.EXPLICIT_MKL),
-        executor=shared_executor("processes:2"),
+        executor=shared_executor("threads:2"),
     )
     operator = solver.operator
     operator.prepare()
@@ -158,28 +150,7 @@ def test_session_declared_execution_reproduces_serial(serial_solutions):
     """The Session path (spec-declared execution) matches serial too."""
     workload = WORKLOADS["heat-2d"]
     approach = DualOperatorApproach.EXPLICIT_MKL
-    with Session(SolverSpec(approach=approach, execution="processes:2")) as session:
+    with Session(SolverSpec(approach=approach, execution="threads:2")) as session:
         solution = session.solve(workload)
     reference = serial_solutions[(approach, "heat-2d")]
     assert np.array_equal(solution.lam, reference.lam)
-
-
-def test_symbolic_is_shipped_once_per_pattern_per_executor():
-    """Multi-round preprocessing re-sends only the analysis digest."""
-    workload = WORKLOADS["heat-2d"]
-    executor = shared_executor("processes:2")
-    solver = FetiSolver(
-        build_problem(workload),
-        SolverSpec(approach=DualOperatorApproach.EXPLICIT_MKL),
-        executor=executor,
-    )
-    operator = solver.operator
-    operator.prepare()
-    operator.preprocess()
-    seeded = set(executor.seeded_keys)
-    assert seeded  # the first round seeded the workers
-    first = {i: operator.local_F[i].copy() for i in sorted(operator.local_F)}
-    operator.preprocess()  # second round ships digests only
-    assert executor.seeded_keys >= seeded
-    for i, F in first.items():
-        assert np.array_equal(operator.local_F[i], F)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import functools
-import operator
 import os
 
 import pytest
@@ -12,7 +10,6 @@ from repro.runtime.executor import (
     BACKENDS,
     ExecutionError,
     ExecutionSpec,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     default_execution,
@@ -20,10 +17,8 @@ from repro.runtime.executor import (
 )
 
 
-# The process backend may start workers through a forkserver (fresh
-# interpreters), which can only unpickle functions from importable modules —
-# so the tasks shipped across backends are stdlib callables.
-_double = functools.partial(operator.mul, 2)
+def _double(x):
+    return 2 * x
 
 
 class TestExecutionSpec:
@@ -41,13 +36,14 @@ class TestExecutionSpec:
     @pytest.mark.parametrize("workers", [1.5, "two", None])
     def test_rejects_non_integer_workers(self, workers):
         with pytest.raises(ExecutionError):
-            ExecutionSpec("processes", workers)
+            ExecutionSpec("threads", workers)
 
-    def test_rejects_unknown_backend_listing_the_valid_ones(self):
-        with pytest.raises(ExecutionError) as err:
-            ExecutionSpec("cuda", 2)
-        for backend in BACKENDS:
-            assert backend in str(err.value)
+    @pytest.mark.parametrize("backend", ["cuda", "processes"])
+    def test_rejects_unknown_backend_listing_the_valid_ones(self, backend):
+        with pytest.raises(ExecutionError, match="serial, threads$") as err:
+            ExecutionSpec(backend, 2)
+        for name in BACKENDS:
+            assert name in str(err.value)
 
     def test_serial_backend_rejects_worker_pools(self):
         with pytest.raises(ExecutionError, match="serial"):
@@ -55,9 +51,9 @@ class TestExecutionSpec:
 
     def test_of_parses_backend_strings_with_worker_suffix(self):
         assert ExecutionSpec.of("threads:3") == ExecutionSpec("threads", 3)
-        assert ExecutionSpec.of("processes").backend == "processes"
+        assert ExecutionSpec.of("threads").backend == "threads"
         assert ExecutionSpec.of(None) == ExecutionSpec()
-        spec = ExecutionSpec("processes", 2)
+        spec = ExecutionSpec("threads", 2)
         assert ExecutionSpec.of(spec) is spec
 
     def test_of_rejects_unknown_mapping_fields(self):
@@ -65,12 +61,12 @@ class TestExecutionSpec:
             ExecutionSpec.of({"backend": "threads", "pool_size": 4})
 
     def test_dict_round_trip(self):
-        spec = ExecutionSpec("processes", 4)
+        spec = ExecutionSpec("threads", 4)
         assert ExecutionSpec.of(spec.to_dict()) == spec
 
     def test_describe_short_form(self):
         assert ExecutionSpec().describe() == "serial"
-        assert ExecutionSpec("processes", 4).describe() == "processes4"
+        assert ExecutionSpec("threads", 4).describe() == "threads4"
 
 
 class TestEnvironmentDefault:
@@ -85,15 +81,16 @@ class TestEnvironmentDefault:
         assert default_execution() == ExecutionSpec("threads", 3)
 
     def test_env_workers_default_to_cpu_count(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "processes")
+        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         spec = default_execution()
-        assert spec.backend == "processes"
+        assert spec.backend == "threads"
         assert spec.workers == max(1, os.cpu_count() or 1)
 
-    def test_invalid_env_backend_raises_actionably(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "gpu")
-        with pytest.raises(ExecutionError, match="REPRO_EXECUTOR"):
+    @pytest.mark.parametrize("backend", ["gpu", "processes"])
+    def test_invalid_env_backend_raises_actionably(self, monkeypatch, backend):
+        monkeypatch.setenv("REPRO_EXECUTOR", backend)
+        with pytest.raises(ExecutionError, match="REPRO_EXECUTOR.*serial, threads$"):
             default_execution()
 
 
@@ -102,10 +99,8 @@ class TestExecutors:
         assert isinstance(make_executor(None), SerialExecutor)
         with make_executor("threads:2") as ex:
             assert isinstance(ex, ThreadExecutor)
-        with make_executor("processes:2") as ex:
-            assert isinstance(ex, ProcessExecutor)
 
-    @pytest.mark.parametrize("backend", [None, "threads:2", "processes:2"])
+    @pytest.mark.parametrize("backend", [None, "threads:2"])
     def test_submit_and_map_round_trip(self, backend):
         with make_executor(backend) as ex:
             assert ex.submit(_double, 21).result() == 42
@@ -124,16 +119,10 @@ class TestExecutors:
             ex.submit(_double, 1)
 
     def test_close_is_idempotent(self):
-        ex = make_executor("processes:2")
-        ex.warm()
+        ex = make_executor("threads:2")
+        assert ex.submit(_double, 1).result() == 2
         ex.close()
         ex.close()
-
-    def test_process_warm_starts_the_pool_before_first_task(self):
-        with make_executor("processes:2") as ex:
-            ex.warm()
-            assert ex._pool is not None
-            assert ex.map_tasks(_double, [5]) == [10]
 
 
 def _raise():

@@ -12,7 +12,7 @@ HEAT = Workload("heat", 2, (2, 2), 4)
 HEAT_SMALL = Workload("heat", 2, (2, 1), 3)
 ELASTICITY = Workload("elasticity", 2, (2, 1), 3)
 
-BACKENDS = [None, "threads:2", "processes:2"]
+BACKENDS = [None, "threads:2"]
 
 
 def _reference(workload, spec=None):
@@ -119,15 +119,6 @@ def test_per_call_spec_override():
     np.testing.assert_allclose(result.lam, reference.lam, rtol=1e-9, atol=1e-11)
 
 
-def test_process_queue_requests_share_warm_worker_sessions():
-    """Repeated process requests must not rebuild worker state per call."""
-    with Session(SolverSpec(execution="processes:1")) as session:
-        queue = session.queue()
-        first = queue.submit(HEAT).result()
-        second = queue.submit(HEAT).result()
-    assert np.array_equal(first.lam, second.lam)
-
-
 def test_queue_solution_is_picklable():
     import pickle
 
@@ -179,33 +170,17 @@ def test_poison_request_does_not_stall_or_corrupt_later_requests(backend):
     np.testing.assert_allclose(again.lam, 2.0 * before.result().lam, rtol=1e-6, atol=1e-9)
 
 
-def test_process_poison_request_fails_parent_side_and_worker_survives():
-    """A bad rhs is rejected at drain time in the parent — the original
-    exception type reaches the ticket and no worker ever sees the poison."""
-    with Session(SolverSpec(execution="processes:1")) as session:
+def test_poison_rhs_fails_at_drain_time_with_its_own_exception():
+    """A bad rhs is rejected at drain time, before any solve — the original
+    exception type reaches the ticket and the queue keeps serving."""
+    with Session(SolverSpec(execution="threads:2")) as session:
         queue = session.queue()
         bad = queue.submit(HEAT, rhs=[np.zeros(3)])
         exc = bad.exception(timeout=120)
         assert isinstance(exc, ValueError)
         assert "load vectors" in str(exc)
-        # The single pool worker is unaffected by the rejected request.
         good = queue.submit(HEAT).result()
         assert good.converged
-
-
-def test_process_worker_failure_wraps_as_picklable_queue_request_error():
-    """Failures that do happen inside a worker re-raise as QueueRequestError
-    carrying the traceback text — picklable regardless of the original."""
-    import pickle
-
-    from repro.runtime.queue import QueueRequestError, _process_solve
-
-    payload = ({"physics": "no-such-physics"}, SolverSpec().to_dict(), None)
-    with pytest.raises(QueueRequestError) as info:
-        _process_solve(payload)
-    roundtripped = pickle.loads(pickle.dumps(info.value))
-    assert isinstance(roundtripped, QueueRequestError)
-    assert "no-such-physics" in str(roundtripped) or "physics" in str(roundtripped)
 
 
 def test_ticket_cancellation():
@@ -378,7 +353,7 @@ def test_failing_column_fails_only_its_own_ticket_in_a_batch():
             assert t.result().converged
 
 
-@pytest.mark.parametrize("backend", ["threads:2", "processes:2"])
+@pytest.mark.parametrize("backend", ["threads:2"])
 def test_coalesced_batches_match_sequential_results(backend):
     """Whatever batching the drain races produce, every ticket's solution
     must match its own sequential reference."""

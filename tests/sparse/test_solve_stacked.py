@@ -296,7 +296,7 @@ def test_stacking_repoints_the_factors_at_the_stack():
 
 
 def test_panels_viewing_a_foreign_buffer_are_adopted_zero_copy():
-    """The process backend's factors: rows of a view of a shared-memory buffer."""
+    """Factors whose rows view a buffer no array owns are stacked zero-copy."""
     solvers, n = _factorized(3)
 
     def foreign(name):
@@ -315,9 +315,9 @@ def test_panels_viewing_a_foreign_buffer_are_adopted_zero_copy():
     assert np.abs(stack.solve(b) - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
-@pytest.mark.parametrize("execution", ["serial", "threads:2", "processes:2"])
+@pytest.mark.parametrize("execution", ["serial", "threads:2"])
 def test_sharded_preprocessing_hands_over_its_panel_stacks(execution):
-    """A shard's stacked panels are adopted as views, whatever backs them."""
+    """A shard's stacked panels are adopted as views on every executor."""
     w = WORKLOADS["heat2d-4x4x8"]
     spec = SolverSpec(approach="impl mkl", execution=execution)
     with Session(spec, memory_budget="unlimited") as session:
