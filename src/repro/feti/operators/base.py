@@ -118,6 +118,25 @@ class DualOperatorBase(abc.ABC):
         return self._batch_engine
 
     @property
+    def local_F(self) -> dict[int, np.ndarray]:
+        """The assembled ``F̃ᵢ`` by subdomain: read-only views of the one pack.
+
+        Every explicit backend installs its ``F̃ᵢ`` there (at the precision
+        policy's storage dtype); empty for the implicit backends, before the
+        first preprocessing and after a storage demotion (which drops the
+        pack).
+        """
+        dense = self.batch_engine.dense
+        if dense is None:
+            return {}
+        views = {}
+        for sub in self.problem.subdomains:
+            view = dense.blocks[sub.index, : sub.n_lambda, : sub.n_lambda]
+            view.flags.writeable = False
+            views[sub.index] = view
+        return views
+
+    @property
     def executor(self):
         """The runtime executor of the preprocessing shards (lazy default)."""
         if self._executor is None:
@@ -395,7 +414,7 @@ class DualOperatorBase(abc.ABC):
         """Reference application ``q = F λ`` through the refined CPU solves.
 
         Whatever a backend stores for its fast applies (fp32 ``local_F``
-        packs, device factors), this routes the operator through
+        packs), this routes the operator through
         ``B̃ K⁺ B̃ᵀ`` on the CPU factors — iterative refinement included under
         a refining precision policy — so the residuals it feeds are accurate
         to fp64 level.  The dual-level defect correction of ``fp32_ir``
@@ -445,27 +464,22 @@ class DualOperatorBase(abc.ABC):
         arrays are shared across cache entries through the pattern cache, so
         they sit outside the per-entry budget and are reported as
         ``pattern_bytes`` in ``Session.cache_stats()``
-        (:attr:`repro.sparse.PatternCache.nbytes`); ``pack`` the
-        assembled/packed dense dual-operator blocks (the one batched pack,
-        which the explicit CPU operator's ``local_F`` only views, and the
-        device-resident ``F̃ᵢ``); and ``arena`` the padded apply-scratch
-        buffers the batched engine keeps warm.  The session's
+        (:attr:`repro.sparse.PatternCache.nbytes`); ``pack`` the one
+        batched pack of the assembled dense blocks (which ``local_F`` only
+        views); and ``arena`` the padded apply-scratch buffers the batched
+        engine keeps warm.  Only what the process holds counts: the
+        simulated GPU's device memory is byte sizes, not arrays.  The session's
         :class:`~repro.memory.ledger.FactorLedger` records these per cache
         entry.  Stacking the factors for the ``K⁺`` solves moves no bytes:
         the factors become views of their stack.
         """
         factor = sum(s.storage_nbytes() for s in self._cpu_solvers.values())
-        pack = self._extra_pack_nbytes()
-        arena = 0
+        pack = arena = 0
         dense = self._batch_engine.dense if self._batch_engine is not None else None
         if dense is not None:
             pack += int(dense.blocks.nbytes)
             arena += int(dense._p_pad.nbytes)
         return {"factor": int(factor), "pack": int(pack), "arena": int(arena)}
-
-    def _extra_pack_nbytes(self) -> int:
-        """Backend hook: packed storage outside the batched engine."""
-        return 0
 
     def demote_storage(self) -> None:
         """Halve the resident storage of a cold cache entry (fp64 → fp32).
@@ -482,10 +496,6 @@ class DualOperatorBase(abc.ABC):
             solver.demote_storage()
         if self._batch_engine is not None:
             self._batch_engine.dense = None
-        self._demote_pack_storage(np.dtype(np.float32))
-
-    def _demote_pack_storage(self, dtype: np.dtype) -> None:
-        """Backend hook: demote packed storage outside the batched engine."""
 
     # ------------------------------------------------------------------ #
     # Misc                                                                #

@@ -62,23 +62,6 @@ class ExplicitCpuDualOperator(DualOperatorBase):
         #: function of ``B̃ᵢ`` and the ordering only, so set once by prepare().
         self._rhs_fill: dict[int, float] = {}
 
-    @property
-    def local_F(self) -> dict[int, np.ndarray]:
-        """The assembled ``F̃ᵢ`` by subdomain: read-only views of the one pack.
-
-        At the precision policy's storage dtype; empty before the first
-        preprocessing and after a storage demotion (which drops the pack).
-        """
-        dense = self.batch_engine.dense
-        if dense is None:
-            return {}
-        views = {}
-        for sub in self.problem.subdomains:
-            view = dense.blocks[sub.index, : sub.n_lambda, : sub.n_lambda]
-            view.flags.writeable = False
-            views[sub.index] = view
-        return views
-
     # ------------------------------------------------------------------ #
     def _prepare_impl(self) -> tuple[float, dict[str, float]]:
         breakdown: dict[str, float] = {"symbolic": 0.0}

@@ -18,23 +18,24 @@ Section IV-B/C of the paper and is fully configurable through
 Persistent device memory holds the sparse factors, ``B̃ᵢ``, ``F̃ᵢ`` and the
 dual vectors; dense factor copies, dense right-hand sides and kernel
 workspaces are taken from the blocking temporary arena for the duration of
-each subdomain's assembly, exactly as described in Section IV-A.
+each subdomain's assembly, exactly as described in Section IV-A.  All of
+them are simulated allocations: byte sizes, not arrays.
 
 The numbers of ``F̃ᵢ`` come from the runtime's preprocessing round, as for
 every explicit approach: the interface-class Schur assembly on the
-CHOLMOD-like factors.  The device kernels of the assembly are
-**cost-only**: each is submitted to its subdomain's stream with its
-cost-model duration and holds its temporary buffers in the arena while it
-runs, but computes nothing.  :mod:`repro.gpu` keeps their numerics for its
-own tests and for the implicit GPU apply.
+CHOLMOD-like factors, installed in the one dense pack the apply reads.  The
+device kernels of the assembly and the apply are **cost-only**: each is
+submitted to its subdomain's stream with its cost-model duration (and
+holds its temporary buffers in the arena while it runs), but computes
+nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.cluster.topology import ClusterResources, Machine
 from repro.feti.config import (
@@ -49,15 +50,11 @@ from repro.feti.config import (
 from repro.feti.operators.base import DualOperatorBase
 from repro.feti.problem import FetiProblem
 from repro.gpu import cusparse
-from repro.gpu.arrays import (
-    DeviceCsrMatrix,
-    DeviceDenseMatrix,
-    DeviceVector,
-    MatrixOrder,
-)
+from repro.gpu.arrays import DeviceCsrMatrix, MatrixOrder
 from repro.gpu.cusparse import SparseTrsmPlan
+from repro.gpu.memory import Allocation
 from repro.sparse.costmodel import CpuLibrary
-from repro.sparse.solvers import CholmodLikeSolver
+from repro.sparse.solvers import CholmodLikeSolver, SparseSolverBase
 
 __all__ = ["ExplicitGpuDualOperator"]
 
@@ -76,27 +73,33 @@ class _GpuState:
 
     device_B: DeviceCsrMatrix | None = None
     device_factor: DeviceCsrMatrix | None = None
-    device_F: DeviceDenseMatrix | None = None
     forward_plan: SparseTrsmPlan | None = None
     backward_plan: SparseTrsmPlan | None = None
-    p_vec: DeviceVector | None = None
-    q_vec: DeviceVector | None = None
-    cluster_positions: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64)
-    )
+    F: Allocation | None = None
+    p: Allocation | None = None
+    q: Allocation | None = None
 
 
 @dataclass
 class _ClusterState:
     """Per-cluster persistent device structures (GPU scatter/gather path)."""
 
-    lambda_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    dual_in: DeviceVector | None = None
-    dual_out: DeviceVector | None = None
+    #: Distinct multipliers of the cluster: the length of its dual vectors.
+    n_lambda: int = 0
+    dual_in: Allocation | None = None
+    dual_out: Allocation | None = None
 
 
 class ExplicitGpuDualOperator(DualOperatorBase):
     """Explicit assembly and application of ``F̃ᵢ`` on the GPU."""
+
+    #: The approaches this class builds, and the CPU solver of their factors
+    #: (CHOLMOD: its ``L`` is what the device assembly would read).
+    approaches: ClassVar[tuple[DualOperatorApproach, ...]] = (
+        DualOperatorApproach.EXPLICIT_GPU_LEGACY,
+        DualOperatorApproach.EXPLICIT_GPU_MODERN,
+    )
+    solver_type: ClassVar[type[SparseSolverBase]] = CholmodLikeSolver
 
     def __init__(
         self,
@@ -116,14 +119,11 @@ class ExplicitGpuDualOperator(DualOperatorBase):
             executor=executor,
             precision=precision,
         )
-        if approach not in (
-            DualOperatorApproach.EXPLICIT_GPU_LEGACY,
-            DualOperatorApproach.EXPLICIT_GPU_MODERN,
-        ):
-            raise ValueError(f"not an explicit GPU approach: {approach}")
+        if approach not in self.approaches:
+            raise ValueError(f"not an approach of {type(self).__name__}: {approach}")
         self.approach = approach
         self._cpu_solvers = {
-            s.index: CholmodLikeSolver(
+            s.index: self.solver_type(
                 pattern_cache=self.pattern_cache,
                 precision=self.precision,
             )
@@ -133,47 +133,12 @@ class ExplicitGpuDualOperator(DualOperatorBase):
         self._cluster_state: dict[int, _ClusterState] = {}
 
     # ------------------------------------------------------------------ #
-    # Resident storage (repro.memory)                                     #
-    # ------------------------------------------------------------------ #
-    def _extra_pack_nbytes(self) -> int:
-        total = 0
-        for state in self._state.values():
-            if state.device_F is not None:
-                total += int(state.device_F.array.nbytes)
-            if state.device_factor is not None:
-                m = state.device_factor.matrix
-                total += int(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
-        return total
-
-    def _demote_pack_storage(self, dtype: np.dtype) -> None:
-        # Safe while the entry is stale: _ensure_pack_dtype() restores the
-        # policy's storage dtype before the next assembly writes into it,
-        # and the device factor values (and the host factor they mirror)
-        # are re-uploaded wholesale.
-        for state in self._state.values():
-            if state.device_F is not None and state.device_F.array.dtype != dtype:
-                state.device_F.array = state.device_F.array.astype(dtype)
-            m = state.device_factor
-            if m is not None:
-                m.factor = None
-                if m.matrix.dtype != dtype:
-                    m.matrix = m.matrix.astype(dtype)
-
-    def _ensure_pack_dtype(self, state: _GpuState) -> None:
-        """Restore a demoted ``F̃ᵢ`` buffer to the policy's storage dtype."""
-        want = self.precision.storage_dtype
-        if state.device_F is not None and state.device_F.array.dtype != want:
-            state.device_F.array = np.zeros(state.device_F.array.shape, dtype=want)
-
-    # ------------------------------------------------------------------ #
     # Preparation                                                         #
     # ------------------------------------------------------------------ #
     def _prepare_impl(self) -> tuple[float, dict[str, float]]:
         cfg = self.config
         breakdown = {"symbolic": 0.0, "persistent_upload": 0.0, "analysis": 0.0}
         cluster_times = []
-        #: The factor pattern every device copy of ``L`` holds, per analysis.
-        patterns: dict[int, sp.csr_matrix] = {}
         for cluster, subs in self.iter_clusters():
             device = cluster.device
             device.reset_timeline()
@@ -191,28 +156,19 @@ class ExplicitGpuDualOperator(DualOperatorBase):
                 clocks.advance(i, cost)
                 breakdown["symbolic"] += cost
 
-                # The device copies of B̃ᵢ and L are their byte sizes: the
-                # assembly they would feed is cost-only (see _preprocess_impl).
+                # The device copies of B̃ᵢ and L (the factor pattern) are
+                # their byte sizes: the assembly they would feed is cost-only
+                # (see _preprocess_impl).
                 state.device_B, op = device.upload_sparse(
-                    sub.B, stream, clocks.now(i), label=f"B[{sub.index}]"
+                    sub.B.shape, sub.B.nnz, stream, clocks.now(i), label=f"B[{sub.index}]"
                 )
                 clocks.advance(i, device.cost_model.submission_overhead_cpu)
                 breakdown["persistent_upload"] += op.duration
 
-                pattern = patterns.get(id(symbolic))
-                if pattern is None:
-                    pattern = patterns[id(symbolic)] = sp.csc_matrix(
-                        (
-                            np.zeros(symbolic.nnz),
-                            symbolic.row_idx.copy(),
-                            symbolic.col_ptr.copy(),
-                        ),
-                        shape=(symbolic.n, symbolic.n),
-                    ).tocsr()
-                factor_order = _matrix_order(cfg.forward_factor_order)
                 state.device_factor, op = device.upload_sparse(
-                    pattern, stream, clocks.now(i),
-                    order=factor_order, label=f"L[{sub.index}]",
+                    (symbolic.n, symbolic.n), symbolic.nnz, stream, clocks.now(i),
+                    order=_matrix_order(cfg.forward_factor_order),
+                    label=f"L[{sub.index}]",
                 )
                 clocks.advance(i, device.cost_model.submission_overhead_cpu)
                 breakdown["persistent_upload"] += op.duration
@@ -248,60 +204,32 @@ class ExplicitGpuDualOperator(DualOperatorBase):
             cluster_times.append(end)
         return self._merge_cluster_times(cluster_times), breakdown
 
-    def _allocate_apply_buffers(self, device, sub, state: _GpuState) -> None:
-        """Persistent ``F̃ᵢ`` and dual vectors of one subdomain (shared with the hybrid).
+    def _f_nbytes(self, sub) -> int:
+        """Bytes of one device ``F̃ᵢ`` (the dominant persistent allocation).
 
-        The ``F̃ᵢ`` buffer is the dominant persistent allocation and follows
-        the precision policy's storage dtype (half-size under fp32 storage).
+        At the precision policy's storage dtype, halved when only a triangle
+        is stored for the SYMV apply.
         """
-        f_dtype = self.precision.storage_dtype
-        f_bytes = f_dtype.itemsize * sub.n_lambda * sub.n_lambda
-        if self.config.apply_symmetric:
-            f_bytes //= 2
-        state.device_F = DeviceDenseMatrix(
-            array=np.zeros((sub.n_lambda, sub.n_lambda), dtype=f_dtype),
-            order=_matrix_order(self.config.rhs_order),
-            symmetric_triangle=self.config.apply_symmetric,
-            allocation=device.memory.allocate(f_bytes, f"F[{sub.index}]"),
-        )
-        state.p_vec = DeviceVector(
-            array=np.zeros(sub.n_lambda),
-            allocation=device.memory.allocate(8 * sub.n_lambda, "p"),
-        )
-        state.q_vec = DeviceVector(
-            array=np.zeros(sub.n_lambda),
-            allocation=device.memory.allocate(8 * sub.n_lambda, "q"),
-        )
+        f_bytes = self.precision.storage_dtype.itemsize * sub.n_lambda * sub.n_lambda
+        return f_bytes // 2 if self.config.apply_symmetric else f_bytes
+
+    def _allocate_apply_buffers(self, device, sub, state: _GpuState) -> None:
+        """Persistent ``F̃ᵢ`` and dual vectors of one subdomain (shared with the hybrid)."""
+        state.F = device.memory.allocate(self._f_nbytes(sub), f"F[{sub.index}]")
+        state.p = device.memory.allocate(8 * sub.n_lambda, "p")
+        state.q = device.memory.allocate(8 * sub.n_lambda, "q")
 
     def _setup_cluster_apply(self, cluster: ClusterResources, subs) -> None:
-        """Build the cluster-wide apply structures (shared with the hybrid).
-
-        Allocates the cluster dual vectors of the GPU scatter/gather path and
-        computes every subdomain's positions inside them: the simulated
-        device state the GPU-scatter timeline and its oracle address.
-        """
+        """The cluster dual vectors of the GPU scatter/gather path (shared with the hybrid)."""
         device = cluster.device
-        cluster_lambdas = (
-            np.unique(np.concatenate([s.lambda_ids for s in subs]))
-            if subs
-            else np.empty(0, dtype=np.int64)
+        n_lambda = (
+            np.unique(np.concatenate([s.lambda_ids for s in subs])).size if subs else 0
         )
-        cstate = _ClusterState(lambda_ids=cluster_lambdas)
-        if cluster_lambdas.size:
-            nbytes = 8 * cluster_lambdas.size
-            cstate.dual_in = DeviceVector(
-                array=np.zeros(cluster_lambdas.size),
-                allocation=device.memory.allocate(nbytes, "cluster-dual-in"),
-            )
-            cstate.dual_out = DeviceVector(
-                array=np.zeros(cluster_lambdas.size),
-                allocation=device.memory.allocate(nbytes, "cluster-dual-out"),
-            )
+        cstate = _ClusterState(n_lambda=int(n_lambda))
+        if n_lambda:
+            cstate.dual_in = device.memory.allocate(8 * n_lambda, "cluster-dual-in")
+            cstate.dual_out = device.memory.allocate(8 * n_lambda, "cluster-dual-out")
         self._cluster_state[cluster.cluster_id] = cstate
-        for sub in subs:
-            self._state[sub.index].cluster_positions = np.searchsorted(
-                cluster_lambdas, sub.lambda_ids
-            )
 
     # ------------------------------------------------------------------ #
     # Preprocessing (the accelerated explicit assembly)                   #
@@ -333,7 +261,6 @@ class ExplicitGpuDualOperator(DualOperatorBase):
                 stream = cluster.stream_for(i)
                 state = self._state[sub.index]
                 solver = self._cpu_solvers[sub.index]
-                self._ensure_pack_dtype(state)
 
                 def kernel(key: str, label: str, duration: float) -> None:
                     op = stream.submit(label, duration, clocks.now(i))
@@ -348,12 +275,7 @@ class ExplicitGpuDualOperator(DualOperatorBase):
                 clocks.advance(i, factor_costs[pattern])
                 breakdown["numeric_factorization"] += factor_costs[pattern]
 
-                # The device copy of L names the host factor it mirrors and
-                # keeps its byte size at the factor's storage dtype.
                 L = state.device_factor
-                L.factor = solver.extract_factor()
-                if L.matrix.dtype != L.factor.panels.dtype:
-                    L.matrix = L.matrix.astype(L.factor.panels.dtype)
                 kernel("factor_upload", f"h2d-values:{L.label}", cost.transfer(8 * L.nnz))
 
                 # Temporary buffers: dense RHS (and dense factor if needed).
@@ -391,9 +313,7 @@ class ExplicitGpuDualOperator(DualOperatorBase):
                 for allocation in temporaries:
                     allocation.release()
 
-                F = local_F.pop(sub.index)
-                state.device_F.array[...] = F
-                self.batch_engine.install_dense_block(sub.index, F)
+                self.batch_engine.install_dense_block(sub.index, local_F.pop(sub.index))
             end = device.synchronize(clocks.max_time)
             cluster_times.append(end)
         return self._merge_cluster_times(cluster_times), breakdown
@@ -465,9 +385,7 @@ class ExplicitGpuDualOperator(DualOperatorBase):
             cost = device.cost_model
             overhead = cost.submission_overhead_cpu
             main_stream = cluster.stream_for(0)
-            dual_transfer = cost.transfer(
-                8 * self._cluster_state[cluster.cluster_id].lambda_ids.size
-            )
+            dual_transfer = cost.transfer(8 * self._cluster_state[cluster.cluster_id].n_lambda)
             scatter_gather = cost.scatter_gather(sum(s.n_lambda for s in subs))
 
             # One H2D copy of the cluster-wide dual vector + one scatter kernel.

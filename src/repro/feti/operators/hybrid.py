@@ -6,19 +6,15 @@ assembled **on the CPU** with MKL PARDISO's augmented incomplete
 factorization and only copied to the GPU, where the application runs as
 GEMV/SYMV.  Preprocessing therefore follows the `expl mkl` trend plus the
 host-to-device copy of ``F̃ᵢ``, while the application matches the explicit
-GPU approaches.
+GPU approaches.  As there, the device holds byte sizes: the copy of ``F̃ᵢ``
+is a stream submission, and the apply reads the one dense pack.
 """
 
 from __future__ import annotations
 
 from repro.cluster.topology import Machine
 from repro.feti.config import AssemblyConfig, DualOperatorApproach
-from repro.feti.operators.base import DualOperatorBase
-from repro.feti.operators.explicit_gpu import (
-    ExplicitGpuDualOperator,
-    _ClusterState,
-    _GpuState,
-)
+from repro.feti.operators.explicit_gpu import ExplicitGpuDualOperator
 from repro.feti.problem import FetiProblem
 from repro.sparse.costmodel import CpuLibrary
 from repro.sparse.solvers import PardisoLikeSolver
@@ -29,6 +25,10 @@ __all__ = ["HybridDualOperator"]
 class HybridDualOperator(ExplicitGpuDualOperator):
     """CPU (MKL) assembly of ``F̃ᵢ``, GPU application."""
 
+    approaches = (DualOperatorApproach.EXPLICIT_HYBRID,)
+    #: MKL PARDISO's Schur complement assembles ``F̃ᵢ``; no factor is uploaded.
+    solver_type = PardisoLikeSolver
+
     def __init__(
         self,
         problem: FetiProblem,
@@ -38,27 +38,15 @@ class HybridDualOperator(ExplicitGpuDualOperator):
         executor=None,
         precision="fp64",
     ) -> None:
-        # Bypass the ExplicitGpuDualOperator constructor: the hybrid approach
-        # owns PARDISO-like CPU solvers and never uploads factors.
-        DualOperatorBase.__init__(
-            self,
+        super().__init__(
             problem,
             machine,
+            DualOperatorApproach.EXPLICIT_HYBRID,
             config,
             pattern_cache=pattern_cache,
             executor=executor,
             precision=precision,
         )
-        self.approach = DualOperatorApproach.EXPLICIT_HYBRID
-        self._cpu_solvers = {
-            s.index: PardisoLikeSolver(
-                pattern_cache=self.pattern_cache,
-                precision=self.precision,
-            )
-            for s in problem.subdomains
-        }
-        self._state = {s.index: _GpuState() for s in problem.subdomains}
-        self._cluster_state: dict[int, _ClusterState] = {}
         #: The cost model's right-hand-side fill of every subdomain (set once
         #: by prepare(): it depends on ``B̃ᵢ`` and the ordering only).
         self._rhs_fill: dict[int, float] = {}
@@ -104,9 +92,6 @@ class HybridDualOperator(ExplicitGpuDualOperator):
             for i, sub in enumerate(subs):
                 stream = cluster.stream_for(i)
                 solver = self._cpu_solvers[sub.index]
-                state = self._state[sub.index]
-                self._ensure_pack_dtype(state)
-                F = local_F.pop(sub.index)
                 cost = cluster.cpu.schur_complement(
                     solver.factor_nnz,
                     solver.factorization_flops(),
@@ -118,16 +103,12 @@ class HybridDualOperator(ExplicitGpuDualOperator):
                 clocks.advance(i, cost)
                 breakdown["schur_complement"] += cost
 
-                assert state.device_F is not None
-                state.device_F.array[...] = F
                 op = stream.submit(
-                    "h2d:F",
-                    device.cost_model.transfer(state.device_F.nbytes),
-                    clocks.now(i),
+                    "h2d:F", device.cost_model.transfer(self._f_nbytes(sub)), clocks.now(i)
                 )
                 clocks.advance(i, device.cost_model.submission_overhead_cpu)
                 breakdown["upload_F"] += op.duration
-                self.batch_engine.install_dense_block(sub.index, F)
+                self.batch_engine.install_dense_block(sub.index, local_F.pop(sub.index))
             end = device.synchronize(clocks.max_time)
             cluster_times.append(end)
         return self._merge_cluster_times(cluster_times), breakdown

@@ -4,24 +4,25 @@ The factors are computed on the CPU with the CHOLMOD-like solver (MKL
 PARDISO cannot export its factors), copied to the GPU during preprocessing,
 and every application performs SpMV → sparse TRSV → sparse TRSV → SpMV on
 the device.  The simulated timeline replays those kernels per subdomain
-stream; the numbers are those of the same factors' stacked ``K⁺`` sweep,
+stream, and the device copies of ``B̃ᵢ``, ``L`` and the vectors are byte
+sizes; the numbers are those of the same factors' stacked ``K⁺`` sweep,
 which the CPU implicit approaches run too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.cluster.topology import Machine
 from repro.feti.config import DualOperatorApproach
 from repro.feti.operators.base import DualOperatorBase
 from repro.feti.problem import FetiProblem
 from repro.gpu import cusparse
-from repro.gpu.arrays import DeviceCsrMatrix, DeviceVector
+from repro.gpu.arrays import DeviceCsrMatrix
 from repro.gpu.cusparse import SparseTrsmPlan
+from repro.gpu.memory import Allocation
 from repro.sparse.costmodel import CpuLibrary
 from repro.sparse.solvers import CholmodLikeSolver
 
@@ -35,10 +36,9 @@ class _GpuState:
     device_B: DeviceCsrMatrix | None = None
     device_factor: DeviceCsrMatrix | None = None
     plan: SparseTrsmPlan | None = None
-    p_vec: DeviceVector | None = None
-    q_vec: DeviceVector | None = None
-    work_vec: DeviceVector | None = None
-    perm: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    p: Allocation | None = None
+    q: Allocation | None = None
+    work: Allocation | None = None
 
 
 class ImplicitGpuDualOperator(DualOperatorBase):
@@ -75,27 +75,6 @@ class ImplicitGpuDualOperator(DualOperatorBase):
         }
         self._state = {s.index: _GpuState() for s in problem.subdomains}
 
-    def _extra_pack_nbytes(self) -> int:
-        # The device-resident factor copies (re-uploaded every preprocess)
-        # follow the precision policy: their values mirror the CPU factors.
-        total = 0
-        for state in self._state.values():
-            if state.device_factor is not None:
-                m = state.device_factor.matrix
-                total += int(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
-        return total
-
-    def _demote_pack_storage(self, dtype: np.dtype) -> None:
-        # Safe while the entry is stale: the next preprocess replaces the
-        # device matrix (and the host factor it mirrors) wholesale via
-        # update_sparse_values().
-        for state in self._state.values():
-            m = state.device_factor
-            if m is not None:
-                m.factor = None
-                if m.matrix.dtype != dtype:
-                    m.matrix = m.matrix.astype(dtype)
-
     # ------------------------------------------------------------------ #
     def _prepare_impl(self) -> tuple[float, dict[str, float]]:
         breakdown = {"symbolic": 0.0, "persistent_upload": 0.0, "analysis": 0.0}
@@ -115,28 +94,18 @@ class ImplicitGpuDualOperator(DualOperatorBase):
                 )
                 clocks.advance(i, cost)
                 breakdown["symbolic"] += cost
-                state.perm = symbolic.perm
 
-                # Persistent structures: B̃ᵢ (permuted columns), the factor
-                # pattern, and the subdomain dual vectors.
-                B_perm = sub.B[:, symbolic.perm].tocsr()
-                now = clocks.now(i)
+                # Persistent structures: B̃ᵢ (columns in the factor's order),
+                # the factor pattern, and the subdomain dual vectors.
                 state.device_B, op = device.upload_sparse(
-                    B_perm, stream, now, label=f"B[{sub.index}]"
+                    sub.B.shape, sub.B.nnz, stream, clocks.now(i), label=f"B[{sub.index}]"
                 )
                 clocks.advance(i, device.cost_model.submission_overhead_cpu)
                 breakdown["persistent_upload"] += op.duration
 
-                pattern = sp.csc_matrix(
-                    (
-                        np.zeros(symbolic.nnz),
-                        symbolic.row_idx.copy(),
-                        symbolic.col_ptr.copy(),
-                    ),
-                    shape=(symbolic.n, symbolic.n),
-                ).tocsr()
                 state.device_factor, op = device.upload_sparse(
-                    pattern, stream, clocks.now(i), label=f"L[{sub.index}]"
+                    (symbolic.n, symbolic.n), symbolic.nnz, stream, clocks.now(i),
+                    label=f"L[{sub.index}]",
                 )
                 clocks.advance(i, device.cost_model.submission_overhead_cpu)
                 breakdown["persistent_upload"] += op.duration
@@ -147,18 +116,9 @@ class ImplicitGpuDualOperator(DualOperatorBase):
                 clocks.advance(i, device.cost_model.submission_overhead_cpu)
                 breakdown["analysis"] += op.duration
 
-                state.p_vec = DeviceVector(
-                    array=np.zeros(sub.n_lambda),
-                    allocation=device.memory.allocate(8 * sub.n_lambda, "p"),
-                )
-                state.q_vec = DeviceVector(
-                    array=np.zeros(sub.n_lambda),
-                    allocation=device.memory.allocate(8 * sub.n_lambda, "q"),
-                )
-                state.work_vec = DeviceVector(
-                    array=np.zeros(sub.ndofs),
-                    allocation=device.memory.allocate(8 * sub.ndofs, "work"),
-                )
+                state.p = device.memory.allocate(8 * sub.n_lambda, "p")
+                state.q = device.memory.allocate(8 * sub.n_lambda, "q")
+                state.work = device.memory.allocate(8 * sub.ndofs, "work")
             if device.temporary is None:
                 device.allocate_temporary_arena()
             end = device.synchronize(clocks.max_time)
@@ -167,8 +127,8 @@ class ImplicitGpuDualOperator(DualOperatorBase):
 
     def _preprocess_impl(self) -> tuple[float, dict[str, float]]:
         # The CPU-side numeric factorizations run through the runtime
-        # (sharded futures under a parallel executor); the device uploads
-        # below consume the adopted factors.
+        # (sharded futures under a parallel executor); the loop below charges
+        # their extraction and the device uploads of their values.
         self.run_feti_preprocessing()
         breakdown = {"numeric_factorization": 0.0, "factor_extraction": 0.0, "upload": 0.0}
         cluster_times = []
@@ -189,11 +149,7 @@ class ImplicitGpuDualOperator(DualOperatorBase):
                 breakdown["numeric_factorization"] += fact_cost
                 breakdown["factor_extraction"] += extract_cost
 
-                factor = solver.extract_factor()
-                op = device.update_sparse_values(
-                    state.device_factor, factor.to_csc().tocsr(), stream, clocks.now(i),
-                    factor=factor,
-                )
+                op = device.update_sparse_values(state.device_factor, stream, clocks.now(i))
                 clocks.advance(i, device.cost_model.submission_overhead_cpu)
                 breakdown["upload"] += op.duration
             end = device.synchronize(clocks.max_time)
@@ -203,7 +159,7 @@ class ImplicitGpuDualOperator(DualOperatorBase):
     def _apply_numerics(self, lam: np.ndarray) -> np.ndarray:
         """``B̃ K⁺ B̃ᵀ`` as the CPU implicit approaches compute it.
 
-        The device factors mirror the CHOLMOD-like CPU factors, so the
+        The paper copies the CHOLMOD-like CPU factors to the device, so the
         stacked ``K⁺`` sweep over those factors is this backend's apply; the
         per-subdomain TRSVs exist only in the planned timeline.
         """

@@ -1,9 +1,11 @@
-"""Simulated CUDA runtime.
+"""Simulated CUDA runtime: a cost-and-memory model.
 
 The paper assembles and applies the explicit local dual operators on NVIDIA
 A100 GPUs through cuBLAS and cuSPARSE.  No GPU is available in this
-environment, so this package provides a *numerically exact, discrete-event
-simulated* CUDA runtime with the same structure:
+environment, so this package provides a *discrete-event simulated* CUDA
+runtime with the same structure.  It holds byte sizes, not arrays: every
+number of the FETI solver is computed on the CPU, and the GPU operators
+replay their kernels here for the simulated seconds and device memory only.
 
 * :mod:`repro.gpu.device` — the device with A100-like properties and a CUDA
   toolkit "version" (legacy 11.7 / modern 12.4) that changes the behaviour
@@ -12,31 +14,20 @@ simulated* CUDA runtime with the same structure:
   temporary-arena allocator of Section IV-A;
 * :mod:`repro.gpu.stream` — streams and events with simulated timelines
   (asynchronous submission, copy/compute overlap, CPU–GPU overlap);
-* :mod:`repro.gpu.arrays` — host/device array handles (dense row/col-major
-  matrices, CSR/CSC sparse matrices, vectors);
-* :mod:`repro.gpu.cublas` / :mod:`repro.gpu.cusparse` — the kernels used by
-  the assembly pipeline (TRSM, SYRK, GEMM, GEMV, SYMV; sparse TRSM, SpMM,
-  SpMV, sparse→dense conversion), each computing the exact result with NumPy
-  and charging an analytic cost to its stream;
+* :mod:`repro.gpu.arrays` — the sparse device-matrix handle (shape, nonzeros,
+  memory order and its allocation);
+* :mod:`repro.gpu.cusparse` — the sparse-TRSM analysis and the persistent /
+  temporary workspaces it sizes;
 * :mod:`repro.gpu.costmodel` — the kernel timing model (flops, bytes,
   launch overhead, PCIe transfers) for both CUDA library versions.
-
-Simulated times drive the benchmark figures; the numerical results are used
-by the FETI solver and verified against the CPU implementations in the test
-suite.
 """
 
 from repro.gpu.costmodel import CudaVersion, GpuCostModel
 from repro.gpu.device import Device, DeviceProperties
 from repro.gpu.memory import AllocationError, MemoryPool, TemporaryArena
 from repro.gpu.stream import Event, Stream
-from repro.gpu.arrays import (
-    DeviceCsrMatrix,
-    DeviceDenseMatrix,
-    DeviceVector,
-    MatrixOrder,
-)
-from repro.gpu import cublas, cusparse
+from repro.gpu.arrays import DeviceCsrMatrix, MatrixOrder
+from repro.gpu import cusparse
 
 __all__ = [
     "CudaVersion",
@@ -49,9 +40,6 @@ __all__ = [
     "Event",
     "Stream",
     "DeviceCsrMatrix",
-    "DeviceDenseMatrix",
-    "DeviceVector",
     "MatrixOrder",
-    "cublas",
     "cusparse",
 ]

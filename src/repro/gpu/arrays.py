@@ -1,29 +1,18 @@
-"""Host/device array handles of the simulated CUDA runtime.
+"""Device matrix handles of the simulated CUDA runtime.
 
-Device objects wrap ordinary NumPy / SciPy arrays (the numerics are exact)
-together with the metadata the cost model needs: memory order, byte size and
-the memory-pool allocation backing them.  The wrappers are intentionally
-thin — kernels read ``.array`` / ``.matrix`` directly.  A device copy of a
-Cholesky factor also keeps the host
-:class:`~repro.sparse.numeric.CholeskyFactor` it mirrors (``.factor``): the
-simulated sparse triangular solves run on that factor's supernode panels.
+A device matrix is what the cost model needs of it — shape, nonzeros,
+memory order and the memory-pool allocation backing it — never its values:
+the simulated GPU holds byte sizes, not arrays.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-import numpy as np
-import scipy.sparse as sp
+from dataclasses import dataclass
 
 from repro.gpu.memory import Allocation
 
-if TYPE_CHECKING:
-    from repro.sparse.numeric import CholeskyFactor
-
-__all__ = ["MatrixOrder", "DeviceVector", "DeviceDenseMatrix", "DeviceCsrMatrix"]
+__all__ = ["MatrixOrder", "DeviceCsrMatrix"]
 
 
 class MatrixOrder(enum.Enum):
@@ -34,61 +23,6 @@ class MatrixOrder(enum.Enum):
 
 
 @dataclass
-class DeviceVector:
-    """A dense vector resident in simulated device memory."""
-
-    array: np.ndarray
-    allocation: Allocation | None = None
-    label: str = ""
-
-    @property
-    def nbytes(self) -> int:
-        """Size in bytes."""
-        return int(self.array.nbytes)
-
-    @property
-    def size(self) -> int:
-        """Number of elements."""
-        return int(self.array.size)
-
-    def release(self) -> None:
-        """Release the backing allocation (if any)."""
-        if self.allocation is not None:
-            self.allocation.release()
-
-
-@dataclass
-class DeviceDenseMatrix:
-    """A dense matrix resident in simulated device memory.
-
-    ``order`` only affects the cost model (and the workspace sizes of the
-    sparse TRSM); the stored NumPy array is always C-ordered.
-    """
-
-    array: np.ndarray
-    order: MatrixOrder = MatrixOrder.COL_MAJOR
-    symmetric_triangle: bool = False
-    allocation: Allocation | None = None
-    label: str = ""
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Matrix shape."""
-        return tuple(self.array.shape)  # type: ignore[return-value]
-
-    @property
-    def nbytes(self) -> int:
-        """Size in bytes (half for triangle-only symmetric storage)."""
-        full = int(self.array.nbytes)
-        return full // 2 if self.symmetric_triangle else full
-
-    def release(self) -> None:
-        """Release the backing allocation (if any)."""
-        if self.allocation is not None:
-            self.allocation.release()
-
-
-@dataclass
 class DeviceCsrMatrix:
     """A sparse matrix resident in simulated device memory.
 
@@ -96,24 +30,11 @@ class DeviceCsrMatrix:
     which is the *factor order* parameter of the assembly configuration.
     """
 
-    matrix: sp.spmatrix
+    shape: tuple[int, int]
+    nnz: int
     order: MatrixOrder = MatrixOrder.ROW_MAJOR
     allocation: Allocation | None = None
     label: str = ""
-    #: The host Cholesky factor whose ``L`` this matrix holds, set by every
-    #: value upload (``factor=``); :func:`repro.gpu.cusparse.trsm` solves
-    #: with it and refuses a matrix without one.
-    factor: CholeskyFactor | None = field(default=None, repr=False)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Matrix shape."""
-        return tuple(self.matrix.shape)  # type: ignore[return-value]
-
-    @property
-    def nnz(self) -> int:
-        """Stored nonzeros."""
-        return int(self.matrix.nnz)
 
     @property
     def nbytes(self) -> int:

@@ -1,11 +1,11 @@
 """Analytic kernel cost model of the simulated GPU.
 
-Every kernel of :mod:`repro.gpu.cublas` and :mod:`repro.gpu.cusparse`
-computes its numerical result exactly and charges a simulated duration
-returned by this model.  The model is a roofline (flop-limited vs
-bandwidth-limited) with a fixed kernel launch overhead, with per-kernel
-efficiency factors chosen to reproduce the qualitative behaviour the paper
-reports on an A100:
+Every kernel the simulated GPU operators submit to a stream (the cuBLAS /
+cuSPARSE calls of the paper's pipelines) computes nothing and charges a
+simulated duration returned by this model.  The model is a roofline
+(flop-limited vs bandwidth-limited) with a fixed kernel launch overhead,
+with per-kernel efficiency factors chosen to reproduce the qualitative
+behaviour the paper reports on an A100:
 
 * dense TRSM / SYRK / GEMM run close to peak for large matrices and are
   launch-latency bound for small ones;

@@ -7,24 +7,17 @@ one GPU to one cluster / MPI process).  It owns
 * the persistent memory pool and — after the preparation phase — the
   temporary arena built from whatever memory is left,
 * a set of streams (the paper uses 16, one per OpenMP thread),
-* helpers for host↔device transfers.
+* the host↔device transfers of sparse matrices (their sizes and costs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-import numpy as np
-import scipy.sparse as sp
-
-from repro.gpu.arrays import DeviceCsrMatrix, DeviceDenseMatrix, DeviceVector, MatrixOrder
+from repro.gpu.arrays import DeviceCsrMatrix, MatrixOrder
 from repro.gpu.costmodel import CudaVersion, GpuCostModel
 from repro.gpu.memory import MemoryPool, TemporaryArena
 from repro.gpu.stream import Stream, StreamOperation
-
-if TYPE_CHECKING:
-    from repro.sparse.numeric import CholeskyFactor
 
 __all__ = ["DeviceProperties", "Device"]
 
@@ -121,66 +114,19 @@ class Device:
     # ------------------------------------------------------------------ #
     # Transfers                                                           #
     # ------------------------------------------------------------------ #
-    def upload_vector(
-        self,
-        array: np.ndarray,
-        stream: Stream,
-        submit_time: float,
-        pool: MemoryPool | TemporaryArena | None = None,
-        label: str = "",
-    ) -> tuple[DeviceVector, StreamOperation]:
-        """Copy a host vector to the device."""
-        array = np.asarray(array, dtype=float)
-        allocation = (pool or self.memory).allocate(array.nbytes, label=label)
-        op = stream.submit(
-            f"h2d:{label or 'vector'}", self.cost_model.transfer(array.nbytes), submit_time
-        )
-        return DeviceVector(array=array.copy(), allocation=allocation, label=label), op
-
-    def upload_dense(
-        self,
-        array: np.ndarray,
-        stream: Stream,
-        submit_time: float,
-        order: MatrixOrder = MatrixOrder.COL_MAJOR,
-        pool: MemoryPool | TemporaryArena | None = None,
-        label: str = "",
-        symmetric_triangle: bool = False,
-    ) -> tuple[DeviceDenseMatrix, StreamOperation]:
-        """Copy a host dense matrix to the device."""
-        array = np.asarray(array, dtype=float)
-        nbytes = array.nbytes // 2 if symmetric_triangle else array.nbytes
-        allocation = (pool or self.memory).allocate(nbytes, label=label)
-        op = stream.submit(
-            f"h2d:{label or 'dense'}", self.cost_model.transfer(nbytes), submit_time
-        )
-        mat = DeviceDenseMatrix(
-            array=array.copy(),
-            order=order,
-            symmetric_triangle=symmetric_triangle,
-            allocation=allocation,
-            label=label,
-        )
-        return mat, op
-
     def upload_sparse(
         self,
-        matrix: sp.spmatrix,
+        shape: tuple[int, int],
+        nnz: int,
         stream: Stream,
         submit_time: float,
         order: MatrixOrder = MatrixOrder.ROW_MAJOR,
         pool: MemoryPool | TemporaryArena | None = None,
         label: str = "",
-        factor: CholeskyFactor | None = None,
     ) -> tuple[DeviceCsrMatrix, StreamOperation]:
-        """Copy a host sparse matrix (CSR or CSC view) to the device.
-
-        ``factor`` is the host Cholesky factor when ``matrix`` is its ``L``:
-        the device copy keeps it for the sparse triangular solves.
-        """
-        csr = sp.csr_matrix(matrix)
+        """Copy a host sparse matrix of ``shape`` and ``nnz`` (CSR or CSC) to the device."""
         device_matrix = DeviceCsrMatrix(
-            matrix=csr, order=order, label=label, factor=factor
+            shape=(int(shape[0]), int(shape[1])), nnz=int(nnz), order=order, label=label
         )
         allocation = (pool or self.memory).allocate(device_matrix.nbytes, label=label)
         device_matrix.allocation = allocation
@@ -192,32 +138,14 @@ class Device:
         return device_matrix, op
 
     def update_sparse_values(
-        self,
-        device_matrix: DeviceCsrMatrix,
-        matrix: sp.spmatrix,
-        stream: Stream,
-        submit_time: float,
-        factor: CholeskyFactor | None = None,
+        self, device_matrix: DeviceCsrMatrix, stream: Stream, submit_time: float
     ) -> StreamOperation:
         """Re-upload only the numerical values of a sparse matrix.
 
         Used every time step for the factors: the pattern stays on the
-        device, only the values are copied again, and the copy now mirrors
-        ``factor`` (the host factor of the new values, or none).
+        device, only the values are copied again.
         """
-        device_matrix.matrix = sp.csr_matrix(matrix)
-        device_matrix.factor = factor
         nbytes = 8 * device_matrix.nnz
         return stream.submit(
             f"h2d-values:{device_matrix.label}", self.cost_model.transfer(nbytes), submit_time
         )
-
-    def download_vector(
-        self, vector: DeviceVector | np.ndarray, stream: Stream, submit_time: float, label: str = ""
-    ) -> tuple[np.ndarray, StreamOperation]:
-        """Copy a device vector back to the host."""
-        array = vector.array if isinstance(vector, DeviceVector) else np.asarray(vector)
-        op = stream.submit(
-            f"d2h:{label or 'vector'}", self.cost_model.transfer(array.nbytes), submit_time
-        )
-        return array.copy(), op

@@ -28,6 +28,7 @@ equal across executors.
 
 from __future__ import annotations
 
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -135,6 +136,9 @@ def run_preprocessing(
         executor.submit(_run_shard, _shard_groups(shard, subdomains, solvers), scatters)
         for shard in plan.shards
     ]
+    # Every shard finishes before the round reports, so a shard that raises
+    # fails the round with its own exception and leaves none running on.
+    wait(futures)
     local_F: dict[int, np.ndarray] = {}
     for future in futures:
         local_F.update(future.result())

@@ -478,7 +478,10 @@ class SolveServer:
             cached=False,
             return_primal=request.return_primal,
         )
-        self.cache.put(fingerprint, payload)
+        # A capped, non-converged solve is an answer, not the solution:
+        # only converged solutions are memoised.
+        if solution.converged:
+            self.cache.put(fingerprint, payload)
         return 200, payload
 
 

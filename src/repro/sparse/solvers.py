@@ -223,8 +223,8 @@ class SparseSolverBase:
         solve — it just halves the entry's resident bytes until the next
         touch re-factorizes it in the spec's own precision.  The demoted
         factor is a new object: the fp64 one is freed once its other holders
-        (a device copy mirroring it, say) let go of it, and none of them is
-        left solving with fp32 values it did not ask for.
+        (a ``K⁺`` stack, say) let go of it, and none of them is left solving
+        with fp32 values it did not ask for.
         """
         if self._factor is not None:
             self._factor = demote_factor(replace(self._factor), np.dtype(np.float32))

@@ -26,10 +26,10 @@ sorting the columns and activating them as the elimination reaches their
 first row, which mirrors how PARDISO's augmented incomplete factorization
 exploits the sparsity of ``B̃ᵢ`` during Schur-complement assembly.
 
-This is the only triangular-solve engine of the package: the simulated
-cuSPARSE ``TRSM`` (:func:`repro.gpu.cusparse.trsm`) solves with the host
-factor its device copy mirrors, exactly as the paper ships CHOLMOD's ``L`` to
-the GPU instead of re-deriving it there.
+This is the only triangular-solve engine of the package: the simulated GPU
+holds byte sizes, not factors, so the GPU approaches solve here too, on the
+CHOLMOD-like factors whose ``L`` the paper ships to the GPU instead of
+re-deriving it there.
 """
 
 from __future__ import annotations

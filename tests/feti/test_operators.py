@@ -189,6 +189,31 @@ def test_gpu_memory_is_actually_used(heat_problem_2d, small_machine_config):
         assert arena.used_bytes == 0  # everything released after preprocessing
 
 
+@pytest.mark.parametrize("approach", ["expl modern", "expl hybrid"])
+def test_symmetric_apply_stores_one_triangle_of_each_device_F(
+    approach, heat_problem_2d, small_machine_config
+):
+    """SYMV reads one triangle of ``F̃ᵢ``: its persistent device buffer is half the size."""
+    nbytes = {}
+    for symmetric in (False, True):
+        operator = make_dual_operator(
+            DualOperatorApproach(approach),
+            heat_problem_2d,
+            machine_config=small_machine_config,
+            assembly_config=AssemblyConfig(apply_symmetric=symmetric),
+        )
+        operator.prepare()
+        nbytes[symmetric] = {i: state.F.nbytes for i, state in operator._state.items()}
+
+    def pool_bytes(n):  # the device pool allocates in 256-byte granules
+        return -(-n // 256) * 256
+
+    for sub in heat_problem_2d.subdomains:
+        full = 8 * sub.n_lambda * sub.n_lambda
+        assert nbytes[False][sub.index] == pool_bytes(full)
+        assert nbytes[True][sub.index] == pool_bytes(full // 2)
+
+
 def test_explicit_approaches_apply_faster_than_implicit_on_gpu(
     heat_problem_3d, small_machine_config
 ):

@@ -1,10 +1,8 @@
-"""Tests of the simulated device (transfers, arena creation, streams)."""
+"""Tests of the simulated device (transfer sizes and costs, arena creation, streams)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.gpu import CudaVersion, Device, DeviceProperties, MatrixOrder
 
@@ -31,39 +29,30 @@ def test_lazy_default_streams():
     assert len(device.streams) == DeviceProperties().default_stream_count
 
 
-def test_upload_vector_and_download(device):
+def test_upload_sparse_allocates_and_charges_its_bytes(device):
     stream = device.create_streams(1)[0]
-    x = np.arange(10.0)
-    vec, op = device.upload_vector(x, stream, submit_time=0.0, label="x")
-    assert np.array_equal(vec.array, x)
-    assert vec.nbytes == 80
-    assert op.duration > 0
-    assert device.memory.used_bytes >= 80
-    back, op2 = device.download_vector(vec, stream, submit_time=op.end_time)
-    assert np.array_equal(back, x)
-    assert op2.start_time >= op.end_time
-
-
-def test_upload_dense_and_sparse(device):
-    stream = device.create_streams(1)[0]
-    a = np.eye(5)
-    mat, _ = device.upload_dense(a, stream, 0.0, order=MatrixOrder.ROW_MAJOR)
-    assert mat.shape == (5, 5)
-    s = sp.random(20, 30, density=0.1, random_state=np.random.default_rng(0))
-    smat, _ = device.upload_sparse(s, stream, 0.0, label="S")
+    smat, op = device.upload_sparse((20, 30), 60, stream, 0.0, label="S")
     assert smat.shape == (20, 30)
-    assert smat.nnz == s.nnz
-    assert smat.nbytes > 0
+    assert smat.nnz == 60
+    assert smat.nbytes == 12 * 60 + 8 * 21  # CSR: values + indices + row pointers
+    assert smat.allocation.nbytes >= smat.nbytes
+    assert device.memory.used_bytes == smat.allocation.nbytes
+    assert op.duration == pytest.approx(device.cost_model.transfer(smat.nbytes), rel=1e-12)
+    csc, _ = device.upload_sparse((20, 30), 60, stream, 0.0, order=MatrixOrder.COL_MAJOR)
+    assert csc.nbytes == 12 * 60 + 8 * 31  # CSC: column pointers
+    smat.release()
+    csc.release()
+    assert device.memory.used_bytes == 0
 
 
 def test_update_sparse_values_charges_only_values(device):
     stream = device.create_streams(1)[0]
-    s = sp.identity(50, format="csr")
-    smat, _ = device.upload_sparse(s, stream, 0.0)
+    smat, _ = device.upload_sparse((50, 50), 50, stream, 0.0, label="I")
     used_before = device.memory.used_bytes
-    op = device.update_sparse_values(smat, 2.0 * s, stream, 1.0)
+    op = device.update_sparse_values(smat, stream, 1.0)
     assert device.memory.used_bytes == used_before  # no new allocation
-    assert np.allclose(smat.matrix.diagonal(), 2.0)
+    assert op.name == "h2d-values:I"
+    assert op.duration == pytest.approx(device.cost_model.transfer(8 * smat.nnz), rel=1e-12)
     assert op.duration < device.cost_model.transfer(smat.nbytes)
 
 
@@ -89,11 +78,3 @@ def test_synchronize_and_reset_timeline(device):
     assert device.synchronize(1.0) == 5.0
     device.reset_timeline()
     assert device.synchronize(0.0) == 0.0
-
-
-def test_symmetric_triangle_upload_halves_bytes(device):
-    stream = device.create_streams(1)[0]
-    a = np.zeros((10, 10))
-    full, _ = device.upload_dense(a, stream, 0.0)
-    tri, _ = device.upload_dense(a, stream, 0.0, symmetric_triangle=True)
-    assert tri.nbytes == full.nbytes // 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.api import Session, SolverSpec, Workload
 from repro.memory.ledger import EntryBytes, FactorLedger, measure_solver
 
@@ -65,3 +67,28 @@ def test_fp32_entry_measures_smaller_than_fp64():
         half = measure_solver(fp32.solver(W))
     assert full.factor_bytes == 2 * half.factor_bytes
     assert half.total < full.total
+
+
+#: Every approach holds what its CPU counterpart holds: the simulated GPU's
+#: device memory is byte sizes, not host arrays.
+HOST_TWINS = {
+    approach: "expl mkl" if approach.startswith("expl") else "impl cholmod"
+    for approach in (
+        "expl mkl", "expl cholmod", "expl legacy", "expl modern", "expl hybrid",
+        "impl mkl", "impl cholmod", "impl legacy", "impl modern",
+    )
+}
+
+
+@pytest.mark.parametrize("precision", ["fp64", "fp32"])
+@pytest.mark.parametrize("approach", sorted(HOST_TWINS))
+def test_every_approach_reports_the_host_bytes_of_its_cpu_twin(approach, precision):
+    workload = Workload("heat", 2, (4, 4), 6, n_clusters=2)
+
+    def report(name):
+        spec = SolverSpec(approach=name, precision=precision)
+        with Session(spec, memory_budget="unlimited") as session:
+            assert session.solve(workload).converged
+            return session.solver(workload).operator.storage_nbytes()
+
+    assert report(approach) == report(HOST_TWINS[approach])

@@ -5,10 +5,11 @@ became *numerics + one planned timeline*: one subdomain at a time it gathers
 ``λᵢ``, runs that subdomain's kernels (a dense GEMV, or SpMV → TRSV → TRSV →
 SpMV), scatters ``qᵢ`` back **and** replays the simulated thread clocks /
 device streams — on every call.  It takes a preprocessed operator, reads the
-state the preprocessing left behind (``local_F``, device ``F̃ᵢ``, the
-subdomain solvers' factors, the simulated ``p``/``q`` vectors) and shares no code with the
-engine's flat index maps, packed block stacks or cached plans, which makes it
-the oracle for both the values and the plan (``tests/feti/test_apply_plan.py``).
+state the preprocessing left behind (``local_F`` and the subdomain solvers'
+factors — the simulated device holds byte sizes only, so the GPU kernels'
+numbers are NumPy's here) and shares no code with the engine's flat index
+maps, packed block stacks or cached plans, which makes it the oracle for
+both the values and the plan (``tests/feti/test_apply_plan.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.feti.operators.explicit_cpu import ExplicitCpuDualOperator
 from repro.feti.operators.explicit_gpu import ExplicitGpuDualOperator
 from repro.feti.operators.implicit_cpu import ImplicitCpuDualOperator
 from repro.feti.operators.implicit_gpu import ImplicitGpuDualOperator
-from repro.gpu import cublas, cusparse
 
 from tests.oracles.kplus import (
     looped_apply_accurate,
@@ -128,59 +128,37 @@ def _implicit_gpu(op: ImplicitGpuDualOperator, lam: np.ndarray) -> Applied:
         for i, sub in enumerate(subs):
             stream = cluster.stream_for(i)
             state = op._state[sub.index]
-
-            state.p_vec.array[...] = sub.local_dual(lam)
-            stream_op = stream.submit(
-                "h2d:p", cost.transfer(8 * sub.n_lambda), clocks.now(i)
-            )
-            breakdown["transfer"] += stream_op.duration
-            clocks.advance(i, overhead)
-
-            stream_op = cusparse.spmv(
-                device, stream, state.device_B, state.p_vec, state.work_vec,
-                clocks.now(i), transpose=True,
-            )
-            breakdown["spmv"] += stream_op.duration
-            clocks.advance(i, overhead)
-
-            # The work vector holds B̃ᵢᵀ pᵢ in the factor's permuted order; the
-            # two TRSVs are one solve with the subdomain's own CPU solver.
-            work = state.work_vec.array
-            rhs = np.empty_like(work)
-            rhs[state.perm] = work
-            work[...] = op._cpu_solvers[sub.index].solve(rhs)[state.perm]
+            spmv = cost.spmv(state.device_B.nnz)
             trsv = cost.sparse_trsm(
                 state.device_factor.nnz, sub.ndofs, 1, device.cuda_version
             )
-            stream_op = stream.submit("cusparse.trsv_fwd", trsv, clocks.now(i))
-            breakdown["trsv"] += stream_op.duration
-            clocks.advance(i, overhead)
-
-            stream_op = stream.submit("cusparse.trsv_bwd", trsv, clocks.now(i))
-            breakdown["trsv"] += stream_op.duration
-            clocks.advance(i, overhead)
-
-            stream_op = cusparse.spmv(
-                device, stream, state.device_B, state.work_vec, state.q_vec,
-                clocks.now(i), transpose=False,
-            )
-            breakdown["spmv"] += stream_op.duration
-            clocks.advance(i, overhead)
-
-            q_local, stream_op = device.download_vector(
-                state.q_vec, stream, clocks.now(i), label="q"
-            )
-            breakdown["transfer"] += stream_op.duration
-            clocks.advance(i, overhead)
+            # SpMV → TRSV → TRSV → SpMV: one solve with the subdomain's own
+            # CPU solver between the two products with B̃ᵢ.
+            p = sub.local_dual(lam)
+            q_local = sub.B @ op._cpu_solvers[sub.index].solve(sub.Bt @ p)
+            for key, label, duration in (
+                ("transfer", "h2d:p", cost.transfer(8 * sub.n_lambda)),
+                ("spmv", "cusparse.spmv", spmv),
+                ("trsv", "cusparse.trsv_fwd", trsv),
+                ("trsv", "cusparse.trsv_bwd", trsv),
+                ("spmv", "cusparse.spmv", spmv),
+                ("transfer", "d2h:q", cost.transfer(8 * sub.n_lambda)),
+            ):
+                stream_op = stream.submit(label, duration, clocks.now(i))
+                breakdown[key] += stream_op.duration
+                clocks.advance(i, overhead)
             sub.accumulate_dual(q, q_local)
         cluster_times.append(device.synchronize(clocks.max_time))
     return q, op._merge_cluster_times(cluster_times), breakdown
 
 
-def _mv(op: ExplicitGpuDualOperator, device, stream, state, submit_time: float):
-    """The GEMV or SYMV kernel of one subdomain."""
-    kernel = cublas.symv if op.config.apply_symmetric else cublas.gemv
-    return kernel(device, stream, state.device_F, state.p_vec, state.q_vec, submit_time)
+def _mv(op: ExplicitGpuDualOperator, cost, stream, sub, submit_time: float):
+    """The GEMV or SYMV kernel of one subdomain (its numbers: ``local_F[i] @ pᵢ``)."""
+    if op.config.apply_symmetric:
+        return stream.submit("cublas.symv", cost.symv(sub.n_lambda), submit_time)
+    return stream.submit(
+        "cublas.gemv", cost.gemv(sub.n_lambda, sub.n_lambda), submit_time
+    )
 
 
 def _explicit_cpu_scatter(op: ExplicitGpuDualOperator, lam: np.ndarray) -> Applied:
@@ -198,19 +176,15 @@ def _explicit_cpu_scatter(op: ExplicitGpuDualOperator, lam: np.ndarray) -> Appli
         overhead = device.cost_model.submission_overhead_cpu
         for i, sub in enumerate(subs):
             stream = cluster.stream_for(i)
-            state = op._state[sub.index]
-            state.p_vec.array[...] = sub.local_dual(lam)
-            stream_op = stream.submit(
-                "h2d:p", device.cost_model.transfer(8 * sub.n_lambda), clocks.now(i)
-            )
+            q_local = op.local_F[sub.index] @ sub.local_dual(lam)
+            transfer = device.cost_model.transfer(8 * sub.n_lambda)
+            stream_op = stream.submit("h2d:p", transfer, clocks.now(i))
             breakdown["transfer"] += stream_op.duration
             clocks.advance(i, overhead)
-            stream_op = _mv(op, device, stream, state, clocks.now(i))
+            stream_op = _mv(op, device.cost_model, stream, sub, clocks.now(i))
             breakdown["mv"] += stream_op.duration
             clocks.advance(i, overhead)
-            q_local, stream_op = device.download_vector(
-                state.q_vec, stream, clocks.now(i), label="q"
-            )
+            stream_op = stream.submit("d2h:q", transfer, clocks.now(i))
             breakdown["transfer"] += stream_op.duration
             clocks.advance(i, overhead)
             sub.accumulate_dual(q, q_local)
@@ -231,13 +205,14 @@ def _explicit_gpu_scatter(op: ExplicitGpuDualOperator, lam: np.ndarray) -> Appli
         device.reset_timeline()
         clocks = op.new_thread_clocks(cluster)
         cost = device.cost_model
-        cstate = op._cluster_state[cluster.cluster_id]
         main_stream = cluster.stream_for(0)
 
-        cstate.dual_in.array[...] = lam[cstate.lambda_ids]
-        cstate.dual_out.array[...] = 0.0
+        # The cluster dual vectors: the distinct multipliers of the cluster.
+        lambda_ids = np.unique(np.concatenate([s.lambda_ids for s in subs]))
+        dual_in = lam[lambda_ids]
+        dual_out = np.zeros(lambda_ids.size)
         stream_op = main_stream.submit(
-            "h2d:cluster-dual", cost.transfer(8 * cstate.lambda_ids.size), clocks.now(0)
+            "h2d:cluster-dual", cost.transfer(8 * lambda_ids.size), clocks.now(0)
         )
         breakdown["transfer"] += stream_op.duration
         total_local = sum(s.n_lambda for s in subs)
@@ -248,14 +223,14 @@ def _explicit_gpu_scatter(op: ExplicitGpuDualOperator, lam: np.ndarray) -> Appli
         clocks.advance(0, 2 * cost.submission_overhead_cpu)
 
         for i, sub in enumerate(subs):
-            state = op._state[sub.index]
-            state.p_vec.array[...] = cstate.dual_in.array[state.cluster_positions]
+            positions = np.searchsorted(lambda_ids, sub.lambda_ids)
+            q_local = op.local_F[sub.index] @ dual_in[positions]
             stream = cluster.stream_for(i)
             stream.wait_for(scatter_op.end_time)
-            stream_op = _mv(op, device, stream, state, clocks.now(i))
+            stream_op = _mv(op, cost, stream, sub, clocks.now(i))
             clocks.advance(i, cost.submission_overhead_cpu)
             breakdown["mv"] += stream_op.duration
-            np.add.at(cstate.dual_out.array, state.cluster_positions, state.q_vec.array)
+            np.add.at(dual_out, positions, q_local)
 
         main_stream.wait_for(max(s.tail for s in cluster.streams))
         gather_op = main_stream.submit(
@@ -264,10 +239,10 @@ def _explicit_gpu_scatter(op: ExplicitGpuDualOperator, lam: np.ndarray) -> Appli
         breakdown["scatter_gather"] += gather_op.duration
         stream_op = main_stream.submit(
             "d2h:cluster-dual",
-            cost.transfer(8 * cstate.lambda_ids.size),
+            cost.transfer(8 * lambda_ids.size),
             gather_op.end_time,
         )
         breakdown["transfer"] += stream_op.duration
-        np.add.at(q, cstate.lambda_ids, cstate.dual_out.array)
+        np.add.at(q, lambda_ids, dual_out)
         cluster_times.append(device.synchronize(clocks.max_time))
     return q, op._merge_cluster_times(cluster_times), breakdown

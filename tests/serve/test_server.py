@@ -127,6 +127,18 @@ def test_result_cache_serves_repeat_requests(client):
     assert counters["solve_cache_misses"] == 2
 
 
+def test_result_cache_does_not_memoise_non_converged_solves(client):
+    spec = {"approach": "expl mkl", "max_iterations": 1}
+    replies = [client.solve("heat-2d-quick", spec=spec, rhs=2.0) for _ in range(2)]
+    for reply in replies:
+        assert reply["result"]["converged"] is False
+        assert reply["cached"] is False
+    doc = client.metrics()
+    assert doc["counters"].get("solve_cache_hits", 0) == 0
+    assert doc["counters"]["solve_cache_misses"] == 2
+    assert doc["result_cache"]["entries"] == 0
+
+
 def test_same_pattern_requests_share_one_symbolic_analysis(client):
     """N same-pattern solves pay for exactly one symbolic analysis."""
     for factor in (1.0, 2.0, 3.0):  # distinct fingerprints: all real solves
