@@ -1,10 +1,11 @@
 """Simulated-time bookkeeping.
 
-The dual-operator implementations execute their numerics for real but charge
-analytic costs (CPU cost model + GPU discrete-event streams) to a simulated
-clock; these helpers keep that bookkeeping tidy:
+The dual operator computes its numbers along one of two numeric paths; the
+cost replays of :mod:`repro.feti.operators.replay` charge analytic costs
+(CPU cost model + GPU discrete-event streams) to a simulated clock from the
+subdomain shapes alone.  These helpers keep that bookkeeping tidy:
 
-* :class:`ThreadClocks` — per-virtual-thread CPU clocks for the parallel
+* :class:`ThreadClocks` — per-virtual-thread CPU clocks of the replays'
   subdomain loops (subdomains are assigned round-robin, exactly like the
   OpenMP loop of the paper with one CUDA stream per thread);
 * :class:`PhaseTiming` — the result of one phase (preparation, preprocessing
@@ -69,12 +70,6 @@ class ThreadClocks:
             chunk = costs[first :: self.n_threads]
             if chunk.size:
                 self.clocks[t] += float(chunk.sum())
-
-    def set_at_least(self, item_index: int, time: float) -> float:
-        """Raise the owning thread's clock to ``time`` if it is behind."""
-        t = self.thread_of(item_index)
-        self.clocks[t] = max(self.clocks[t], time)
-        return self.clocks[t]
 
     @property
     def elapsed(self) -> float:

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.api.spec import SolverSpec
 from repro.api.workload import Workload, build_problem, workload_preset
-from repro.feti.operators.base import DualOperatorBase
+from repro.feti.operators.base import DualOperator
 from repro.feti.problem import FetiProblem
 from repro.feti.solver import FetiSolution, FetiSolver, MultiStepDriver, StepRecord
 from repro.memory.ledger import measure_solver
@@ -301,7 +301,7 @@ class Session:
         self,
         workload: Workload | str | Mapping[str, Any],
         spec: SolverSpec | str | None = None,
-    ) -> DualOperatorBase:
+    ) -> DualOperator:
         """The dual operator of ``(workload, spec)`` (built once, not yet run).
 
         Used by callers that drive the three phases themselves (the bench

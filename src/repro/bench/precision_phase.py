@@ -6,7 +6,7 @@ the last adding iterative refinement).  This scenario measures the trade on
 a multi-subdomain workload across backend classes:
 
 * **resident bytes** — the byte-accurate factor/pack/arena split of every
-  prepared solver (:meth:`~repro.feti.operators.base.DualOperatorBase.
+  prepared solver (:meth:`~repro.feti.operators.base.DualOperator.
   storage_nbytes`), deterministic and therefore comparator-gated;
 * **true residual** — ``||P (d - F λ)||`` of the returned multipliers,
   measured against a *separate fp64 reference solver's* operator.  A

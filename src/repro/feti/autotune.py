@@ -18,8 +18,8 @@ RHS memory order            row-major               2D: col-major
 
 :func:`recommend_assembly_config` implements exactly this table;
 :func:`exhaustive_parameter_search` re-runs the sweep on a given problem with
-the simulated pipeline (used by the Table II benchmark to *regenerate* the
-table rather than hard-code it).
+the GPU-explicit cost replay (used by the Table II benchmark to *regenerate*
+the table rather than hard-code it).
 """
 
 from __future__ import annotations
@@ -148,31 +148,29 @@ def exhaustive_parameter_search(
     """Measure every assembly configuration on a problem (simulated times).
 
     Returns measurements sorted by total time (best first).  This is the
-    computation behind Table II and Figure 2.
+    computation behind Table II and Figure 2.  Only the cost replay runs:
+    the problem is analysed once, and every configuration is priced on a
+    fresh machine from that one shape table — no factorization, no
+    assembly.
     """
-    from repro.feti.operators import make_dual_operator
+    from repro.feti.operators import replay_for
 
     approach = (
         DualOperatorApproach.EXPLICIT_GPU_LEGACY
         if cuda_library is CudaLibraryVersion.LEGACY
         else DualOperatorApproach.EXPLICIT_GPU_MODERN
     )
+    shapes = None
     results = []
     for config in configs or _iter_configs():
-        operator = make_dual_operator(
-            approach, problem, machine_config=machine_config, assembly_config=config
-        )
-        operator.prepare()
-        operator.preprocess()
-        import numpy as np
-
-        lam = np.zeros(problem.n_lambda)
-        operator.apply(lam)
+        replay = replay_for(approach, problem, machine_config, config, shapes)
+        shapes = replay.shapes
+        replay.prepare()
         results.append(
             ConfigMeasurement(
                 config=config,
-                preprocessing_seconds=operator.preprocessing_time,
-                application_seconds=operator.application_time,
+                preprocessing_seconds=replay.preprocess()[0],
+                application_seconds=replay.apply()[0],
             )
         )
     results.sort(key=lambda m: m.total)

@@ -1,7 +1,7 @@
-"""The dual-operator zoo (Table III of the paper).
+"""The dual-operator zoo (Table III of the paper): two numeric paths, five replays.
 
-Every approach implements the same three-phase interface
-(:class:`~repro.feti.operators.base.DualOperatorBase`):
+Every approach is one :class:`~repro.feti.operators.base.DualOperator` with
+the same three phases:
 
 ``prepare()``
     symbolic factorizations, persistent GPU allocations, kernel analysis —
@@ -12,42 +12,75 @@ Every approach implements the same three-phase interface
 ``apply(λ)``
     the dual-operator application used inside every PCPG iteration.
 
-Numerically all nine approaches compute exactly the same operator; they
-differ in where the work happens (CPU / GPU), whether ``F̃ᵢ`` is assembled
-explicitly, and therefore in the simulated preprocessing and application
-times the benchmarks measure.
+An approach is three values.  Its numbers come from one of two numeric
+paths — ``explicit`` (the pack of assembled ``F̃ᵢ``) or implicit (the
+stacked ``K⁺`` sweep) — run with one of two solver facades (PARDISO-like or
+CHOLMOD-like).  Its simulated seconds and device bytes come from one of five
+cost replays (:mod:`repro.feti.operators.replay`: CPU explicit, CPU
+implicit, GPU explicit, GPU implicit, hybrid), which read the subdomain
+shapes only.  So approaches sharing a numeric path and a facade compute the
+same operator bit for bit, and a replay prices any problem from its
+symbolic analysis alone (:func:`replay_for`).
 """
 
 from __future__ import annotations
 
 from repro.cluster.topology import Machine, MachineConfig
 from repro.feti.config import AssemblyConfig, DualOperatorApproach
-from repro.feti.operators.base import DualOperatorBase
+from repro.feti.operators.base import DualOperator
 from repro.feti.operators.batch import (
     BatchedDenseApply,
     FlatIndexMap,
     SubdomainBatchEngine,
 )
-from repro.feti.operators.implicit_cpu import ImplicitCpuDualOperator
-from repro.feti.operators.explicit_cpu import ExplicitCpuDualOperator
-from repro.feti.operators.implicit_gpu import ImplicitGpuDualOperator
-from repro.feti.operators.explicit_gpu import ExplicitGpuDualOperator
-from repro.feti.operators.hybrid import HybridDualOperator
+from repro.feti.operators.replay import (
+    CostReplay,
+    CpuExplicitReplay,
+    CpuImplicitReplay,
+    GpuExplicitReplay,
+    GpuImplicitReplay,
+    HybridReplay,
+    ShapeTable,
+)
 from repro.feti.problem import FetiProblem
-from repro.sparse.costmodel import CpuLibrary
+from repro.sparse.solvers import CholmodLikeSolver, PardisoLikeSolver
 
 __all__ = [
-    "DualOperatorBase",
+    "DualOperator",
     "SubdomainBatchEngine",
     "FlatIndexMap",
     "BatchedDenseApply",
-    "ImplicitCpuDualOperator",
-    "ExplicitCpuDualOperator",
-    "ImplicitGpuDualOperator",
-    "ExplicitGpuDualOperator",
-    "HybridDualOperator",
+    "ShapeTable",
+    "CostReplay",
     "make_dual_operator",
+    "replay_for",
 ]
+
+_A = DualOperatorApproach
+#: Every Table-III approach as ``(explicit, solver facade, cost replay)``.
+#: MKL PARDISO cannot export its factors, so every approach that puts a
+#: factor on the GPU factorizes with the CHOLMOD-like facade.
+_APPROACHES = {
+    _A.IMPLICIT_MKL: (False, PardisoLikeSolver, CpuImplicitReplay),
+    _A.IMPLICIT_CHOLMOD: (False, CholmodLikeSolver, CpuImplicitReplay),
+    _A.IMPLICIT_GPU_LEGACY: (False, CholmodLikeSolver, GpuImplicitReplay),
+    _A.IMPLICIT_GPU_MODERN: (False, CholmodLikeSolver, GpuImplicitReplay),
+    _A.EXPLICIT_MKL: (True, PardisoLikeSolver, CpuExplicitReplay),
+    _A.EXPLICIT_CHOLMOD: (True, CholmodLikeSolver, CpuExplicitReplay),
+    _A.EXPLICIT_GPU_LEGACY: (True, CholmodLikeSolver, GpuExplicitReplay),
+    _A.EXPLICIT_GPU_MODERN: (True, CholmodLikeSolver, GpuExplicitReplay),
+    _A.EXPLICIT_HYBRID: (True, PardisoLikeSolver, HybridReplay),
+}
+
+
+def _machine(
+    approach: DualOperatorApproach, problem: FetiProblem, config: MachineConfig | None
+) -> Machine:
+    """A fresh machine for ``problem``, at the approach's CUDA generation."""
+    config = config or MachineConfig()
+    if approach.cuda_library is not None:
+        config = config.with_cuda(approach.cuda_library.cuda_version)
+    return Machine.for_decomposition(problem.decomposition, config)
 
 
 def make_dual_operator(
@@ -58,7 +91,7 @@ def make_dual_operator(
     pattern_cache=None,
     executor=None,
     precision: str = "fp64",
-) -> DualOperatorBase:
+) -> DualOperator:
     """Instantiate one of the nine Table-III dual-operator approaches.
 
     Parameters
@@ -89,46 +122,41 @@ def make_dual_operator(
         and packs), or ``"fp32_ir"`` (fp32 storage plus iterative
         refinement back to fp64-level residuals).
     """
-    config = machine_config or MachineConfig()
-    cuda = approach.cuda_library
-    if cuda is not None:
-        config = config.with_cuda(cuda.cuda_version)
-    machine = Machine.for_decomposition(problem.decomposition, config)
-    assembly = assembly_config or AssemblyConfig()
-    kwargs = {
-        "pattern_cache": pattern_cache,
-        "executor": executor,
-        "precision": precision,
-    }
+    if approach not in _APPROACHES:
+        raise ValueError(f"unknown approach: {approach}")
+    explicit, facade, replay = _APPROACHES[approach]
+    return DualOperator(
+        problem,
+        _machine(approach, problem, machine_config),
+        approach,
+        explicit=explicit,
+        facade=facade,
+        replay=replay,
+        config=assembly_config,
+        pattern_cache=pattern_cache,
+        executor=executor,
+        precision=precision,
+    )
 
-    if approach is DualOperatorApproach.IMPLICIT_MKL:
-        return ImplicitCpuDualOperator(
-            problem, machine, library=CpuLibrary.MKL_PARDISO, **kwargs
+
+def replay_for(
+    approach: DualOperatorApproach,
+    problem: FetiProblem,
+    machine_config: MachineConfig | None = None,
+    assembly_config: AssemblyConfig | None = None,
+    shapes: ShapeTable | None = None,
+) -> CostReplay:
+    """The approach's cost replay on a fresh machine, from the symbolic analysis alone.
+
+    No factorization and no Schur assembly: the replay's phases charge what
+    :func:`make_dual_operator`'s would.  ``shapes`` reuses a table built
+    for the same problem and facade (the exhaustive Table-I sweep prices
+    every configuration from one).
+    """
+    _, facade, replay = _APPROACHES[approach]
+    if shapes is None:
+        analyses = {sub.index: facade().analyze(sub.K_reg) for sub in problem.subdomains}
+        shapes = ShapeTable.from_analyses(
+            problem, analyses, facade.library, replay.reads_rhs_fill
         )
-    if approach is DualOperatorApproach.IMPLICIT_CHOLMOD:
-        return ImplicitCpuDualOperator(
-            problem, machine, library=CpuLibrary.CHOLMOD, **kwargs
-        )
-    if approach is DualOperatorApproach.EXPLICIT_MKL:
-        return ExplicitCpuDualOperator(
-            problem, machine, library=CpuLibrary.MKL_PARDISO, **kwargs
-        )
-    if approach is DualOperatorApproach.EXPLICIT_CHOLMOD:
-        return ExplicitCpuDualOperator(
-            problem, machine, library=CpuLibrary.CHOLMOD, **kwargs
-        )
-    if approach in (
-        DualOperatorApproach.IMPLICIT_GPU_LEGACY,
-        DualOperatorApproach.IMPLICIT_GPU_MODERN,
-    ):
-        return ImplicitGpuDualOperator(problem, machine, approach=approach, **kwargs)
-    if approach in (
-        DualOperatorApproach.EXPLICIT_GPU_LEGACY,
-        DualOperatorApproach.EXPLICIT_GPU_MODERN,
-    ):
-        return ExplicitGpuDualOperator(
-            problem, machine, approach=approach, config=assembly, **kwargs
-        )
-    if approach is DualOperatorApproach.EXPLICIT_HYBRID:
-        return HybridDualOperator(problem, machine, config=assembly, **kwargs)
-    raise ValueError(f"unknown approach: {approach}")
+    return replay(shapes, _machine(approach, problem, machine_config), assembly_config)

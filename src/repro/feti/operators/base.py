@@ -1,26 +1,34 @@
-"""Common machinery of the dual-operator implementations.
+"""The dual operator: two numeric paths, priced by a cost replay.
 
-The base class owns the phase bookkeeping (simulated + wall time, recorded in
-a :class:`~repro.analysis.timing.TimingLedger`), the grouping of subdomains
-by cluster, and the generic pieces every approach needs: ``K⁺`` on all
-subdomains at once (one stacked solve per sparsity pattern over the CPU-side
-factorizations) for ``d = B K⁺ f − c`` and the primal recovery, and the
-scatter/gather between the global dual vector and the per-subdomain local
-dual vectors.
+The nine Table-III approaches compute the same ``F = B̃ K⁺ B̃ᵀ`` along one of
+two numeric paths:
+
+* **explicit** — the runtime's preprocessing round factorizes every
+  subdomain and assembles its ``F̃ᵢ`` (one stacked Schur assembly per
+  interface class); the blocks go into one pack, and an apply is one
+  gather, one padded batched GEMV and one ``bincount``;
+* **implicit** — the round only factorizes; an apply is ``B̃ K⁺ B̃ᵀ`` with
+  one stacked supernodal ``K⁺`` sweep per sparsity pattern
+  (:meth:`DualOperator.apply_accurate`).
+
+The solver facade (PARDISO-like or CHOLMOD-like) is the other numeric
+parameter.  Where the work runs and what it costs — simulated seconds,
+device bytes — is the approach's cost replay
+(:mod:`repro.feti.operators.replay`), which ``prepare()`` builds from the
+symbolic analyses.  The operator also owns the phase bookkeeping (simulated
++ wall time, in a :class:`~repro.analysis.timing.TimingLedger`) and the
+``K⁺`` solves of ``d = B K⁺ f − c`` and the primal recovery.
 """
 
 from __future__ import annotations
 
-import abc
 import threading
 import time
-from collections.abc import Callable
-from typing import ClassVar
 
 import numpy as np
 
-from repro.analysis.timing import PhaseTiming, ThreadClocks, TimingLedger
-from repro.cluster.topology import ClusterResources, Machine
+from repro.analysis.timing import PhaseTiming, TimingLedger
+from repro.cluster.topology import Machine
 from repro.feti.config import AssemblyConfig, DualOperatorApproach
 from repro.feti.operators.batch import SubdomainBatchEngine
 from repro.feti.problem import FetiProblem, SubdomainProblem
@@ -30,19 +38,37 @@ from repro.sparse.cache import PatternCache
 from repro.sparse.schur import SchurScatter
 from repro.sparse.solvers import SolverStack, SparseSolverBase
 
-__all__ = ["DualOperatorBase"]
+__all__ = ["DualOperator"]
 
 
-class DualOperatorBase(abc.ABC):
-    """Abstract base of the nine dual-operator approaches."""
+class DualOperator:
+    """One Table-III approach: a numeric path plus the replay that prices it.
 
-    #: Which Table-III approach the concrete class implements.
-    approach: ClassVar[DualOperatorApproach]
+    Parameters
+    ----------
+    approach:
+        The Table-III approach (its name in ledgers and traces).
+    explicit:
+        Assemble ``F̃ᵢ`` and apply the pack (``True``), or apply ``B̃ K⁺ B̃ᵀ``
+        through the stacked ``K⁺`` sweep (``False``).
+    facade:
+        The :class:`~repro.sparse.solvers.SparseSolverBase` subclass that
+        analyses and factorizes every subdomain (its ``library`` is what the
+        cost model charges).
+    replay:
+        The :class:`~repro.feti.operators.replay.CostReplay` subclass of the
+        approach family; ``prepare()`` builds it with its ``build``.
+    """
 
     def __init__(
         self,
         problem: FetiProblem,
         machine: Machine,
+        approach: DualOperatorApproach,
+        *,
+        explicit: bool,
+        facade: type[SparseSolverBase],
+        replay: type,
         config: AssemblyConfig | None = None,
         pattern_cache: PatternCache | None = None,
         executor=None,
@@ -50,6 +76,8 @@ class DualOperatorBase(abc.ABC):
     ) -> None:
         self.problem = problem
         self.machine = machine
+        self.approach = approach
+        self.explicit = explicit
         self.config = config or AssemblyConfig()
         #: Factor/pack storage policy (see :mod:`repro.memory.precision`).
         #: All arithmetic still runs in fp64; the policy controls what the
@@ -66,6 +94,10 @@ class DualOperatorBase(abc.ABC):
         #: on first use.  A :class:`repro.api.Session` passes the executor
         #: it owns.
         self._executor = executor
+        self._facade = facade
+        self._replay_type = replay
+        #: The approach's cost replay, built by :meth:`prepare`.
+        self.replay = None
         self.ledger = TimingLedger()
         self._prepared = False
         self._preprocessed = False
@@ -80,33 +112,31 @@ class DualOperatorBase(abc.ABC):
         #: with the apply plans.
         self._kplus_stacks: list[tuple[np.ndarray, SolverStack]] | None = None
         self._cluster_subdomains: dict[int, list[SubdomainProblem]] = {}
-        #: Per-subdomain CPU factorizations (populated by subclasses); used
-        #: for the dual right-hand side and the primal recovery.
-        self._cpu_solvers: dict[int, SparseSolverBase] = {}
+        #: Per-subdomain CPU factorizations: every apply, the dual right-hand
+        #: side and the primal recovery read them.
+        self._cpu_solvers: dict[int, SparseSolverBase] = {
+            s.index: facade(pattern_cache=pattern_cache, precision=self.precision)
+            for s in problem.subdomains
+        }
         #: How every ``B̃ᵢ`` enters the Schur assembly under its solver's
         #: analysis (explicit approaches only): a function of the mesh and
-        #: the ordering, so the explicit ``_prepare_impl`` builds it once.
+        #: the ordering, so :meth:`prepare` builds it once.
         self._schur_scatters: dict[int, SchurScatter] = {}
 
     # ------------------------------------------------------------------ #
     # Cluster helpers                                                     #
     # ------------------------------------------------------------------ #
-    def subdomains_of_cluster(self, cluster_id: int) -> list[SubdomainProblem]:
-        """Subdomains owned by one cluster (cached: the grouping is static).
-
-        Read by the preparation / preprocessing bookkeeping and the timeline
-        plans, once per round; no apply walks it.
-        """
-        subs = self._cluster_subdomains.get(cluster_id)
-        if subs is None:
-            subs = [s for s in self.problem.subdomains if s.cluster == cluster_id]
-            self._cluster_subdomains[cluster_id] = subs
-        return subs
-
     def iter_clusters(self):
-        """Yield ``(resources, subdomains)`` for every cluster."""
+        """Yield ``(resources, subdomains)`` for every cluster.
+
+        The grouping is static, so it is built once; the preprocessing
+        shards by it.
+        """
+        if not self._cluster_subdomains:
+            for sub in self.problem.subdomains:
+                self._cluster_subdomains.setdefault(sub.cluster, []).append(sub)
         for cluster in self.machine.clusters:
-            yield cluster, self.subdomains_of_cluster(cluster.cluster_id)
+            yield cluster, self._cluster_subdomains.get(cluster.cluster_id, [])
 
     @property
     def batch_engine(self) -> SubdomainBatchEngine:
@@ -145,46 +175,62 @@ class DualOperatorBase(abc.ABC):
             self._executor = shared_executor()
         return self._executor
 
-    def run_feti_preprocessing(self, *, need_schur: bool = False):
-        """Factorize every subdomain (and optionally assemble ``F̃ᵢ``).
-
-        The single entry point of the runtime layer: the subdomains are
-        sharded by cluster topology (one shard per cluster and worker), and
-        every shard factors its same-pattern subdomains as one stack before
-        assembling the ``F̃ᵢ`` of each interface class as one stack, from the
-        scatters ``_prepare_impl`` built (see :mod:`repro.runtime.preprocess`).
-        On return every solver in ``self._cpu_solvers`` is numerically
-        factorized; the returned dict maps subdomain indices to their
-        ``F̃ᵢ``.
-        """
-        from repro.runtime.preprocess import run_preprocessing
-
-        return run_preprocessing(
-            self.executor,
-            [(c.cluster_id, subs) for c, subs in self.iter_clusters()],
-            self._cpu_solvers,
-            scatters=self._schur_scatters if need_schur else None,
-        )
-
     # ------------------------------------------------------------------ #
-    # Phase template methods                                              #
+    # Phases                                                              #
     # ------------------------------------------------------------------ #
     def prepare(self) -> PhaseTiming:
-        """Run the preparation phase (once per mesh)."""
+        """Run the preparation phase (once per mesh).
+
+        The symbolic analysis of every subdomain (and, on the explicit path,
+        how every ``B̃ᵢ`` enters the Schur assembly); the cost replay is
+        built from the analyses and charges the phase.
+        """
         wall0 = time.perf_counter()
         with trace_span("preparation", approach=self.approach.value):
-            sim, breakdown = self._prepare_impl()
+            analyses = {}
+            for sub in self.problem.subdomains:
+                solver = self._cpu_solvers[sub.index]
+                analyses[sub.index] = solver.analyze(sub.K_reg)
+                if self.explicit:
+                    self._schur_scatters[sub.index] = solver.schur_scatter(sub.B)
+            self.replay = self._replay_type.build(
+                self.problem,
+                analyses,
+                self._facade.library,
+                self.machine,
+                self.config,
+                self.precision.storage_dtype,
+            )
+            sim, breakdown = self.replay.prepare()
         self._prepared = True
         return self._record("preparation", sim, breakdown, wall0)
 
     def preprocess(self) -> PhaseTiming:
-        """Run the FETI preprocessing phase (once per time step)."""
+        """Run the FETI preprocessing phase (once per time step).
+
+        The single entry point of the runtime layer: the subdomains are
+        sharded by cluster topology (one shard per cluster and worker), and
+        every shard factors its same-pattern subdomains as one stack — then,
+        on the explicit path, assembles the ``F̃ᵢ`` of each interface class
+        as one stack (see :mod:`repro.runtime.preprocess`), which go into
+        the pack.
+        """
+        from repro.runtime.preprocess import run_preprocessing
+
         if not self._prepared:
             self.prepare()
         wall0 = time.perf_counter()
         self._drop_round_state()
         with trace_span("preprocessing", approach=self.approach.value):
-            sim, breakdown = self._preprocess_impl()
+            local_F = run_preprocessing(
+                self.executor,
+                [(c.cluster_id, subs) for c, subs in self.iter_clusters()],
+                self._cpu_solvers,
+                scatters=self._schur_scatters if self.explicit else None,
+            )
+            for sub in self.problem.subdomains if self.explicit else ():
+                self.batch_engine.install_dense_block(sub.index, local_F.pop(sub.index))
+            sim, breakdown = self.replay.preprocess()
         self._preprocessed = True
         return self._record("preprocessing", sim, breakdown, wall0)
 
@@ -224,13 +270,14 @@ class DualOperatorBase(abc.ABC):
         The default runs the scalar apply path once per column — bit-equal
         to ``k`` separate :meth:`apply` calls, which makes the block-PCPG
         iteration an exact lockstep of ``k`` scalar iterations.  With
-        ``stacked=True`` backends that support it (the explicit approaches)
-        run one batched GEMM over all columns instead, amortizing the
-        scatter/gather and kernel launches; results then agree with the
-        per-column path to machine rounding (≤1e-12 relative).
+        ``stacked=True`` every explicit approach runs one batched GEMM over
+        all columns instead, amortizing the scatter/gather and kernel
+        launches; results then agree with the per-column path to machine
+        rounding (≤1e-12 relative).  The implicit approaches loop either way.
 
-        One ``apply_multi`` phase is recorded per call, with simulated
-        seconds equal to the ``k`` per-column applies it replaces.
+        One ``apply_multi`` phase is recorded per call: the replay's
+        timeline of ``k`` stacked columns, or the sum of ``k`` per-column
+        applies.
         """
         if not self._preprocessed:
             raise RuntimeError("preprocess() must run before apply_multi()")
@@ -241,13 +288,16 @@ class DualOperatorBase(abc.ABC):
                 f"({self.problem.n_lambda}, k)"
             )
         wall0 = time.perf_counter()
-        with trace_span("apply_multi", columns=int(lam_block.shape[1]), stacked=stacked):
-            result = self._apply_multi_stacked(lam_block) if stacked else None
-            if result is None:
+        k = int(lam_block.shape[1])
+        with trace_span("apply_multi", columns=k, stacked=stacked):
+            if stacked and self.explicit:
+                out = self._apply_packed_dense_multi(lam_block)
+                sim, breakdown = self._planned(k)
+            else:
                 sim = 0.0
                 breakdown: dict[str, float] = {}
                 columns = []
-                for j in range(lam_block.shape[1]):
+                for j in range(k):
                     q, col_sim, col_breakdown = self._apply_impl(
                         np.ascontiguousarray(lam_block[:, j])
                     )
@@ -256,25 +306,46 @@ class DualOperatorBase(abc.ABC):
                     for key, value in col_breakdown.items():
                         breakdown[key] = breakdown.get(key, 0.0) + value
                 out = np.column_stack(columns) if columns else np.zeros_like(lam_block)
-            else:
-                out, sim, breakdown = result
         self._record("apply_multi", sim, breakdown, wall0)
         return out
 
-    def _apply_multi_stacked(
-        self, lam_block: np.ndarray
-    ) -> tuple[np.ndarray, float, dict[str, float]] | None:
-        """Backend hook for a truly stacked multi-RHS apply (``None`` = loop)."""
-        return None
+    def _apply_impl(self, lam: np.ndarray) -> tuple[np.ndarray, float, dict[str, float]]:
+        """Return (result, simulated seconds, breakdown) of one application.
+
+        Numerics plus the round's planned timeline — simulated time is a pure
+        function of the shapes and the machine, so the replay runs once per
+        :meth:`preprocess`, not per PCPG iteration (the breakdown mapping is
+        shared: read-only).  The per-subdomain loops that replay on every
+        apply are the oracle (``tests/oracles/apply.py``).
+        """
+        sim, breakdown = self._planned(1)
+        if self.explicit:
+            return self._apply_packed_dense(lam), sim, breakdown
+        return self.apply_accurate(lam), sim, breakdown
+
+    def _planned(self, columns: int) -> tuple[float, dict[str, float]]:
+        """This round's apply timeline for ``columns`` stacked right-hand sides.
+
+        Planned on first use, dropped by the next preprocessing.  The lock is
+        taken only while the plan is missing: replays drive the shared device
+        streams and must not interleave.
+        """
+        plan = self._apply_plans.get(columns)
+        if plan is None:
+            with self._plan_lock:
+                plan = self._apply_plans.get(columns)
+                if plan is None:
+                    plan = self._apply_plans[columns] = self.replay.apply(columns)
+        return plan
 
     # ------------------------------------------------------------------ #
-    # Packed dense apply                                                  #
+    # Packed dense apply (the explicit path)                              #
     # ------------------------------------------------------------------ #
     def _apply_packed_dense(self, lam: np.ndarray) -> np.ndarray:
         """``q = Σ F̃ᵢ λᵢ`` over the one pack: one take, GEMV and ``bincount``.
 
-        Every explicit backend applies through here, in the caller's
-        process whatever the executor: the executor runs preprocessing only.
+        In the caller's process whatever the executor: the executor runs
+        preprocessing only.
         """
         engine = self.batch_engine
         q = np.zeros_like(lam)
@@ -291,54 +362,6 @@ class DualOperatorBase(abc.ABC):
             q, engine.require_dense().matvec_multi(p_stack)
         )
         return q
-
-    # ------------------------------------------------------------------ #
-    # Abstract pieces                                                     #
-    # ------------------------------------------------------------------ #
-    @abc.abstractmethod
-    def _prepare_impl(self) -> tuple[float, dict[str, float]]:
-        """Return (simulated seconds, breakdown)."""
-
-    @abc.abstractmethod
-    def _preprocess_impl(self) -> tuple[float, dict[str, float]]:
-        """Return (simulated seconds, breakdown)."""
-
-    def _apply_impl(self, lam: np.ndarray) -> tuple[np.ndarray, float, dict[str, float]]:
-        """Return (result, simulated seconds, breakdown) of one application.
-
-        Numerics plus the round's planned timeline — simulated time is a pure
-        function of the preprocessed state, so the stream/clock replay runs
-        once per :meth:`preprocess`, not per PCPG iteration (the breakdown
-        mapping is shared: read-only).  The per-subdomain loops that replay
-        on every apply are the oracle (``tests/oracles/apply.py``).
-        """
-        sim, breakdown = self._planned(1, self._plan_apply)
-        return self._apply_numerics(lam), sim, breakdown
-
-    def _planned(
-        self, columns: int, planner: Callable[[], tuple[float, dict[str, float]]]
-    ) -> tuple[float, dict[str, float]]:
-        """This round's apply timeline for ``columns`` stacked right-hand sides.
-
-        Planned on first use, dropped by the next preprocessing.  The lock is
-        taken only while the plan is missing: replays drive the shared device
-        streams and must not interleave.
-        """
-        plan = self._apply_plans.get(columns)
-        if plan is None:
-            with self._plan_lock:
-                plan = self._apply_plans.get(columns)
-                if plan is None:
-                    plan = self._apply_plans[columns] = planner()
-        return plan
-
-    @abc.abstractmethod
-    def _apply_numerics(self, lam: np.ndarray) -> np.ndarray:
-        """Batched ``λ → q``: gather, batched kernels, scatter-add; no timing."""
-
-    @abc.abstractmethod
-    def _plan_apply(self) -> tuple[float, dict[str, float]]:
-        """Replay one apply's timeline; return (simulated seconds, breakdown)."""
 
     # ------------------------------------------------------------------ #
     # Timing accessors used by the benchmarks                             #
@@ -496,15 +519,3 @@ class DualOperatorBase(abc.ABC):
             solver.demote_storage()
         if self._batch_engine is not None:
             self._batch_engine.dense = None
-
-    # ------------------------------------------------------------------ #
-    # Misc                                                                #
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _merge_cluster_times(times: list[float]) -> float:
-        """Clusters run on different processes: the phase time is the max."""
-        return max(times) if times else 0.0
-
-    def new_thread_clocks(self, cluster: ClusterResources) -> ThreadClocks:
-        """Fresh per-thread clocks for a cluster's parallel subdomain loop."""
-        return ThreadClocks(cluster.n_threads)

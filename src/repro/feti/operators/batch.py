@@ -17,9 +17,9 @@ as a handful of vectorized NumPy operations regardless of the subdomain count:
   (``np.matmul`` over the leading axis);
 * :class:`SubdomainBatchEngine` — the above over every subdomain at once.
 
-The engine is numerics only: the simulated time of an apply is the
-backend's timeline plan, replayed once per preprocessing round (see
-:meth:`~repro.feti.operators.base.DualOperatorBase._apply_impl`).
+The engine is numerics only: the simulated time of an apply is the cost
+replay's timeline, planned once per preprocessing round (see
+:meth:`~repro.feti.operators.base.DualOperator._apply_impl`).
 """
 
 from __future__ import annotations

@@ -230,7 +230,7 @@ def pcpg_block(
     return ``F`` applied to each column.
 
     With a block operator that applies the columns one by one (the default
-    :meth:`~repro.feti.operators.base.DualOperatorBase.apply_multi` path)
+    :meth:`~repro.feti.operators.base.DualOperator.apply_multi` path)
     the iterates are **bitwise identical** to ``k`` sequential scalar
     solves; a stacked GEMM operator trades that for one fused kernel per
     iteration at ≤1e-12 relative difference.

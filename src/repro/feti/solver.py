@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.analysis.timing import PhaseTiming
 from repro.feti.operators import make_dual_operator
-from repro.feti.operators.base import DualOperatorBase
+from repro.feti.operators.base import DualOperator
 from repro.feti.pcpg import PcpgResult, pcpg, pcpg_block
 from repro.feti.preconditioner import (
     DirichletPreconditioner,
@@ -118,7 +118,7 @@ class FetiSolver:
             executor = shared_executor(spec.execution)
         #: Resolved factor-storage policy (see :mod:`repro.memory.precision`).
         self.precision = resolve_precision(spec.precision)
-        self.operator: DualOperatorBase = make_dual_operator(
+        self.operator: DualOperator = make_dual_operator(
             spec.approach,
             problem,
             machine_config=spec.machine_config(),
@@ -240,7 +240,7 @@ class FetiSolver:
         rounding, so the true residual stalls near 1e-7 relative no matter
         the tolerance.  The fix is classical defect correction on the dual
         system: measure ``r = d − F λ`` with the accurate operator
-        (:meth:`~repro.feti.operators.base.DualOperatorBase.apply_accurate`,
+        (:meth:`~repro.feti.operators.base.DualOperator.apply_accurate`,
         refined fp64 solves) and re-solve the correction equation
         ``F δ = r`` with the same cheap operator — ``G δ = 0`` holds for the
         correction, so ``λ + δ`` stays feasible.  Approaches whose applies
@@ -299,7 +299,7 @@ class FetiSolver:
         The preprocessing (factorizations, explicit assembly, GPU uploads)
         runs **once**; the dual-operator applications of all still-active
         columns are fused into one :meth:`~repro.feti.operators.base.
-        DualOperatorBase.apply_multi` call per iteration.  With the default
+        DualOperator.apply_multi` call per iteration.  With the default
         per-column apply the solutions are bitwise identical to sequential
         :meth:`solve` calls; ``stacked=True`` uses the operator's stacked
         GEMM path (one fused kernel per cluster per iteration, ≤1e-12

@@ -41,8 +41,3 @@ class DeviceCsrMatrix:
         """Approximate CSR/CSC byte size (values + indices + pointers)."""
         n_major = self.shape[0] if self.order is MatrixOrder.ROW_MAJOR else self.shape[1]
         return int(12 * self.nnz + 8 * (n_major + 1))
-
-    def release(self) -> None:
-        """Release the backing allocation (if any)."""
-        if self.allocation is not None:
-            self.allocation.release()

@@ -7,7 +7,7 @@ simulated duration returned by this model.  The model is a roofline
 with per-kernel efficiency factors chosen to reproduce the qualitative
 behaviour the paper reports on an A100:
 
-* dense TRSM / SYRK / GEMM run close to peak for large matrices and are
+* dense TRSM / SYRK run close to peak for large matrices and are
   launch-latency bound for small ones;
 * the **legacy** (CUDA 11.7) cuSPARSE TRSM uses a block algorithm and is
   reasonably fast, but needs an extra workspace of roughly the factor size
@@ -89,10 +89,6 @@ class GpuCostModel:
         """Host↔device copy of ``nbytes`` bytes."""
         return nbytes / self.pcie_bandwidth + self.pcie_latency
 
-    def device_copy(self, nbytes: int) -> float:
-        """Device-to-device copy."""
-        return 2.0 * nbytes / self.memory_bandwidth + self.kernel_launch_overhead
-
     # ------------------------------------------------------------------ #
     # Dense kernels (cuBLAS)                                              #
     # ------------------------------------------------------------------ #
@@ -108,12 +104,6 @@ class GpuCostModel:
         bytes_moved = 8.0 * (n * k + 0.5 * n * n)
         return self._roofline(flops, bytes_moved, self.dense_efficiency)
 
-    def gemm(self, m: int, n: int, k: int) -> float:
-        """General dense matrix-matrix multiplication."""
-        flops = 2.0 * m * n * k
-        bytes_moved = 8.0 * (m * k + k * n + m * n)
-        return self._roofline(flops, bytes_moved, self.dense_efficiency)
-
     def gemv(self, m: int, n: int) -> float:
         """Dense matrix-vector product (bandwidth bound)."""
         flops = 2.0 * m * n
@@ -125,11 +115,6 @@ class GpuCostModel:
         flops = 2.0 * n * n
         bytes_moved = 8.0 * (0.5 * n * n + 2.0 * n)
         return self._roofline(flops, bytes_moved, self.dense_efficiency)
-
-    def geam_transpose(self, rows: int, cols: int) -> float:
-        """Out-of-place transpose / reordering of a dense matrix."""
-        bytes_moved = 16.0 * rows * cols
-        return bytes_moved / self.memory_bandwidth + self.kernel_launch_overhead
 
     # ------------------------------------------------------------------ #
     # Sparse kernels (cuSPARSE)                                           #

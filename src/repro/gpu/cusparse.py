@@ -45,11 +45,6 @@ class SparseTrsmPlan:
     persistent_bytes: int = 0
     temporary_bytes: int = 0
 
-    def release(self) -> None:
-        """Release the persistent workspace."""
-        if self.persistent_buffer is not None:
-            self.persistent_buffer.release()
-
 
 def trsm_analysis(
     device: Device,

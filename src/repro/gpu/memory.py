@@ -41,12 +41,6 @@ class Allocation:
             self.released = True
             self.pool._release(self)  # noqa: SLF001 - cooperative release
 
-    def __enter__(self) -> "Allocation":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
-
 
 class MemoryPool:
     """Persistent device memory: allocate-once, free-at-exit.

@@ -1,4 +1,4 @@
-"""CUDA streams and events as discrete-event timelines.
+"""CUDA streams as discrete-event timelines.
 
 A :class:`Stream` is a FIFO queue of simulated operations.  Submitting an
 operation records when it can start (the later of the submitting thread's
@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-__all__ = ["StreamOperation", "Stream", "Event"]
+__all__ = ["StreamOperation", "Stream"]
 
 
 @dataclass(frozen=True)
@@ -90,29 +90,9 @@ class Stream:
         with self._lock:
             self.tail = max(self.tail, time)
 
-    def synchronize(self, cpu_time: float) -> float:
-        """Block the CPU until the stream drains; returns the new CPU time."""
-        with self._lock:
-            return max(cpu_time, self.tail)
-
     def reset(self) -> None:
         """Clear the timeline (used between benchmark repetitions)."""
         with self._lock:
             self.tail = 0.0
             self.operations.clear()
 
-
-@dataclass
-class Event:
-    """A recorded point on a stream's timeline."""
-
-    time: float = 0.0
-
-    def record(self, stream: Stream) -> "Event":
-        """Capture the current tail of ``stream``."""
-        self.time = stream.tail
-        return self
-
-    def synchronize(self, cpu_time: float) -> float:
-        """Block the CPU until the event; returns the new CPU time."""
-        return max(cpu_time, self.time)

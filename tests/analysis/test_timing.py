@@ -21,11 +21,10 @@ def test_thread_clocks_round_robin_and_elapsed():
     assert clocks.max_time == pytest.approx(3.0)
 
 
-def test_thread_clocks_origin_and_set_at_least():
+def test_thread_clocks_origin_and_validation():
     clocks = ThreadClocks(1, origin=10.0)
-    clocks.set_at_least(0, 12.0)
+    clocks.advance(0, 2.0)
     assert clocks.elapsed == pytest.approx(2.0)
-    clocks.set_at_least(0, 5.0)  # cannot go backwards
     assert clocks.now(0) == pytest.approx(12.0)
     with pytest.raises(ValueError):
         clocks.advance(0, -1.0)

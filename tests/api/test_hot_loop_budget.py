@@ -26,7 +26,7 @@ from repro.analysis.timing import ThreadClocks
 from repro.api import Session, SolverSpec, Workload
 from repro.api.workload import build_problem
 from repro.cluster.topology import ClusterResources
-from repro.feti.operators.base import DualOperatorBase
+from repro.feti.operators.base import DualOperator
 from repro.feti.projector import Projector, build_projector
 from repro.gpu.stream import Stream
 from repro.runtime.executor import ThreadExecutor
@@ -37,7 +37,7 @@ W = Workload("heat", 2, (4, 4), 4, n_clusters=2)
 SPEC = SolverSpec(approach="expl modern", assembly="table2")
 
 _SIMULATOR = (
-    (Stream, ("submit", "wait_for", "synchronize", "reset")),
+    (Stream, ("submit", "wait_for", "reset")),
     (ClusterResources, ("stream_for",)),
     (ThreadClocks, ("advance", "advance_many")),
 )
@@ -67,7 +67,7 @@ def test_simulator_runs_in_the_first_apply_of_a_round_only(monkeypatch):
         for name in names:
             count(cls, name)
 
-    preprocess, apply_impl = DualOperatorBase.preprocess, DualOperatorBase._apply_impl
+    preprocess, apply_impl = DualOperator.preprocess, DualOperator._apply_impl
 
     def tracking_preprocess(self):
         fresh_round[0] = True
@@ -80,8 +80,8 @@ def test_simulator_runs_in_the_first_apply_of_a_round_only(monkeypatch):
         fresh_round[0] = False
         return result
 
-    monkeypatch.setattr(DualOperatorBase, "preprocess", tracking_preprocess)
-    monkeypatch.setattr(DualOperatorBase, "_apply_impl", tracking_apply_impl)
+    monkeypatch.setattr(DualOperator, "preprocess", tracking_preprocess)
+    monkeypatch.setattr(DualOperator, "_apply_impl", tracking_apply_impl)
 
     session = _session()
     cold = session.solve(W)

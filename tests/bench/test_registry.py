@@ -7,13 +7,13 @@ import pytest
 from repro.bench import registry
 from repro.bench.registry import Scenario, Workload
 from repro.feti.config import DualOperatorApproach
-from repro.feti.operators import (
-    ExplicitCpuDualOperator,
-    ExplicitGpuDualOperator,
-    HybridDualOperator,
-    ImplicitCpuDualOperator,
-    ImplicitGpuDualOperator,
-    make_dual_operator,
+from repro.feti.operators import replay_for
+from repro.feti.operators.replay import (
+    CpuExplicitReplay,
+    CpuImplicitReplay,
+    GpuExplicitReplay,
+    GpuImplicitReplay,
+    HybridReplay,
 )
 from repro.feti.problem import FetiProblem
 
@@ -30,19 +30,19 @@ def test_registry_covers_both_physics_and_dimensionalities():
     assert {s.base.dim for s in selected} == {2, 3}
 
 
-def test_quick_scenarios_cover_all_five_operator_backends():
-    """The CI gate set exercises every operator backend class."""
+def test_quick_scenarios_cover_all_five_replays():
+    """The CI gate set exercises every cost replay."""
     quick = registry.scenarios("quick")
     assert len(quick) >= 5
     approaches = {a for s in quick for a in s.approaches}
     problem = registry.get("smoke_heat_2d").build_problem()
-    backends = {type(make_dual_operator(a, problem)) for a in approaches}
-    assert backends == {
-        ImplicitCpuDualOperator,
-        ExplicitCpuDualOperator,
-        ImplicitGpuDualOperator,
-        ExplicitGpuDualOperator,
-        HybridDualOperator,
+    replays = {type(replay_for(a, problem)) for a in approaches}
+    assert replays == {
+        CpuImplicitReplay,
+        CpuExplicitReplay,
+        GpuImplicitReplay,
+        GpuExplicitReplay,
+        HybridReplay,
     }
 
 

@@ -24,7 +24,7 @@ from repro.feti.config import (
     DualOperatorApproach,
     ScatterGatherDevice,
 )
-from repro.feti.operators import make_dual_operator
+from repro.feti.operators import BatchedDenseApply, make_dual_operator
 from repro.feti.problem import FetiProblem
 
 from tests.oracles.apply import looped_apply, looped_apply_multi
@@ -93,7 +93,7 @@ def test_planned_apply_equals_the_replaying_loop(
             _assert_same_timeline(planned.ledger.last("apply"), sim, breakdown, approach)
             # The plan *is* what a replay returns, bit for bit, and every
             # planned apply shares its one breakdown mapping.
-            assert planned._plan_apply() == planned._apply_plans[1]
+            assert planned.replay.apply() == planned._apply_plans[1]
             assert planned.ledger.last("apply").breakdown is planned._apply_plans[1][1]
     assert planned.ledger.total("apply") == looped_total
 
@@ -109,6 +109,25 @@ def test_planned_apply_equals_the_replaying_loop(
     stacked = planned.ledger.last("apply_multi")
     assert stacked.simulated_seconds == pytest.approx(sim, rel=_CPU_SUM_RTOL)
     assert list(stacked.breakdown) == list(breakdown)
+
+
+@pytest.mark.parametrize("approach", [a for a in APPROACHES if a.is_explicit])
+def test_stacked_apply_multi_is_one_pack_gemm(problem, machine_config, approach, monkeypatch):
+    """``stacked=True`` runs one batched GEMM on every explicit approach; the loop none."""
+    operator = _operator(problem, machine_config, approach, ScatterGatherDevice.GPU)
+    widths = []
+    matvec_multi = BatchedDenseApply.matvec_multi
+
+    def spy(self, p_stack):
+        widths.append(p_stack.shape[1])
+        return matvec_multi(self, p_stack)
+
+    monkeypatch.setattr(BatchedDenseApply, "matvec_multi", spy)
+    block = np.random.default_rng(11).standard_normal((problem.n_lambda, 3))
+    for _ in range(2):
+        operator.apply_multi(block, stacked=True)
+    operator.apply_multi(block)
+    assert widths == [3, 3]
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
@@ -170,20 +189,20 @@ def test_first_apply_from_many_threads_plans_once(problem, machine_config, monke
     )
 
     replays = []
-    plan_apply = operator._plan_apply
+    plan_apply = operator.replay.apply
 
-    def counting_plan_apply():
+    def counting_plan_apply(columns=1):
         replays.append(threading.get_ident())
-        return plan_apply()
+        return plan_apply(columns)
 
-    monkeypatch.setattr(operator, "_plan_apply", counting_plan_apply)
+    monkeypatch.setattr(operator.replay, "apply", counting_plan_apply)
     n_threads = 8
     barrier = threading.Barrier(n_threads)
     plans: list = [None] * n_threads
 
     def worker(slot: int) -> None:
         barrier.wait(timeout=10)
-        plans[slot] = operator._planned(1, operator._plan_apply)
+        plans[slot] = operator._planned(1)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

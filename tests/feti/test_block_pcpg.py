@@ -59,7 +59,7 @@ def test_block_matches_scalar_bitwise_on_synthetic_problem():
     ]
 
     def apply_per_column(B):
-        # Mirror of the default DualOperatorBase.apply_multi: one scalar
+        # Mirror of the default DualOperator.apply_multi: one scalar
         # (GEMV) apply per contiguous column — a fused GEMM would round
         # differently and break bitwise equality.
         return np.column_stack([F @ np.ascontiguousarray(B[:, j]) for j in range(B.shape[1])])

@@ -57,7 +57,7 @@ def test_demotion_releases_the_fp64_factor(spec):
         assert operator.config.forward_factor_storage is FactorStorage.SPARSE
     solver = operator._cpu_solvers[operator.problem.subdomains[0].index]
     before = weakref.ref(solver.extract_factor())
-    device_factor = operator._state[operator.problem.subdomains[0].index].device_factor
+    device_factor = operator.replay.device_state[operator.problem.subdomains[0].index].device_factor
     nbytes = device_factor.nbytes
 
     operator.demote_storage()

@@ -22,7 +22,7 @@ from repro.feti.config import (
     ScatterGatherDevice,
 )
 from repro.feti.operators import make_dual_operator
-from repro.feti.operators.explicit_cpu import ExplicitCpuDualOperator
+from repro.feti.operators.replay import CpuExplicitReplay
 
 from tests.oracles.kplus import kplus_solve
 
@@ -113,8 +113,9 @@ def test_explicit_cpu_local_operators_match_schur(heat_problem_2d, small_machine
         heat_problem_2d,
         machine_config=small_machine_config,
     )
-    assert isinstance(operator, ExplicitCpuDualOperator)
+    assert operator.approach is DualOperatorApproach.EXPLICIT_MKL and operator.explicit
     operator.preprocess()
+    assert isinstance(operator.replay, CpuExplicitReplay)
     sub = heat_problem_2d.subdomains[0]
     F_local = operator.local_F[sub.index]
     expected = sub.B @ spla.spsolve(sub.K_reg.tocsc(), sub.B.T.toarray())
@@ -203,7 +204,8 @@ def test_symmetric_apply_stores_one_triangle_of_each_device_F(
             assembly_config=AssemblyConfig(apply_symmetric=symmetric),
         )
         operator.prepare()
-        nbytes[symmetric] = {i: state.F.nbytes for i, state in operator._state.items()}
+        states = operator.replay.device_state
+        nbytes[symmetric] = {i: state.F.nbytes for i, state in states.items()}
 
     def pool_bytes(n):  # the device pool allocates in 256-byte granules
         return -(-n // 256) * 256

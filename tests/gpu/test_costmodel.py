@@ -14,17 +14,14 @@ def model():
 
 def test_all_costs_positive(model):
     assert model.transfer(1024) > 0
-    assert model.device_copy(1024) > 0
     assert model.dense_trsm(100, 10) > 0
     assert model.syrk(100, 200) > 0
-    assert model.gemm(50, 60, 70) > 0
     assert model.gemv(100, 100) > 0
     assert model.symv(100) > 0
     assert model.spmm(1000, 10) > 0
     assert model.spmv(1000) > 0
     assert model.sparse_to_dense(100, 100, 500) > 0
     assert model.scatter_gather(100) > 0
-    assert model.geam_transpose(10, 20) > 0
 
 
 def test_launch_overhead_floor(model):

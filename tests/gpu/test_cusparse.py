@@ -35,9 +35,9 @@ def test_trsm_analysis_sizes_and_allocates_the_workspaces(device):
     if device.cuda_version is CudaVersion.MODERN:
         assert plan.persistent_bytes > 0
         assert device.memory.used_bytes == used + plan.persistent_buffer.nbytes
+        plan.persistent_buffer.release()
     else:
         assert plan.persistent_buffer is None
-    plan.release()
     assert device.memory.used_bytes == used
 
 
@@ -68,6 +68,7 @@ def test_the_sparse_assembly_holds_its_trsm_workspace_only_while_it_runs():
         arena = cluster.device.require_temporary()
         assert arena.used_bytes == 0
         assert arena.peak_bytes >= max(
-            8 * s.ndofs * s.n_lambda + operator._state[s.index].forward_plan.temporary_bytes
+            8 * s.ndofs * s.n_lambda
+            + operator.replay.device_state[s.index].forward_plan.temporary_bytes
             for s in subs
         )

@@ -40,8 +40,8 @@ def test_upload_sparse_allocates_and_charges_its_bytes(device):
     assert op.duration == pytest.approx(device.cost_model.transfer(smat.nbytes), rel=1e-12)
     csc, _ = device.upload_sparse((20, 30), 60, stream, 0.0, order=MatrixOrder.COL_MAJOR)
     assert csc.nbytes == 12 * 60 + 8 * 31  # CSC: column pointers
-    smat.release()
-    csc.release()
+    smat.allocation.release()
+    csc.allocation.release()
     assert device.memory.used_bytes == 0
 
 

@@ -40,13 +40,6 @@ def test_pool_exhaustion_raises():
         pool.allocate(1)
 
 
-def test_pool_context_manager():
-    pool = MemoryPool(4096)
-    with pool.allocate(1024):
-        assert pool.used_bytes == 1024
-    assert pool.used_bytes == 0
-
-
 def test_pool_invalid_sizes():
     with pytest.raises(ValueError):
         MemoryPool(0)

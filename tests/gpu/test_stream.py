@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.gpu.stream import Event, Stream
+from repro.gpu.stream import Stream
 
 
 def test_fifo_ordering_within_a_stream():
@@ -47,23 +47,19 @@ def test_cpu_gpu_overlap_pattern():
     assert ends[-1] == pytest.approx(7.0)
 
 
-def test_wait_for_and_events():
+def test_wait_for():
     s0, s1 = Stream(index=0), Stream(index=1)
     op = s0.submit("producer", duration=4.0, submit_time=0.0)
-    event = Event().record(s0)
-    assert event.time == 4.0
-    s1.wait_for(event.time)
+    s1.wait_for(s0.tail)
     consumer = s1.submit("consumer", duration=1.0, submit_time=0.0)
     assert consumer.start_time == 4.0
-    assert event.synchronize(0.0) == 4.0
     assert op.duration == 4.0
 
 
-def test_synchronize_and_reset():
+def test_reset():
     stream = Stream(keep_log=True)
     stream.submit("k", duration=2.5, submit_time=1.0)
-    assert stream.synchronize(0.0) == 3.5
-    assert stream.synchronize(10.0) == 10.0
+    assert stream.tail == 3.5
     stream.reset()
     assert stream.tail == 0.0
     assert stream.operations == []

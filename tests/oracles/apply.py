@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.timing import ThreadClocks
 from repro.feti.config import ScatterGatherDevice
-from repro.feti.operators.base import DualOperatorBase
-from repro.feti.operators.explicit_cpu import ExplicitCpuDualOperator
-from repro.feti.operators.explicit_gpu import ExplicitGpuDualOperator
-from repro.feti.operators.implicit_cpu import ImplicitCpuDualOperator
-from repro.feti.operators.implicit_gpu import ImplicitGpuDualOperator
+from repro.feti.operators.base import DualOperator
+from repro.feti.operators.replay import (
+    CpuExplicitReplay,
+    CpuImplicitReplay,
+    GpuExplicitReplay,
+    GpuImplicitReplay,
+)
 
 from tests.oracles.kplus import (
     looped_apply_accurate,
@@ -34,22 +37,23 @@ __all__ = ["looped_apply", "looped_apply_multi", "use_looped_apply"]
 Applied = tuple[np.ndarray, float, dict[str, float]]
 
 
-def looped_apply(operator: DualOperatorBase, lam: np.ndarray) -> Applied:
+def looped_apply(operator: DualOperator, lam: np.ndarray) -> Applied:
     """``(q, simulated seconds, breakdown)`` of one per-subdomain apply."""
-    if isinstance(operator, ExplicitCpuDualOperator):
+    replay = operator.replay
+    if isinstance(replay, CpuExplicitReplay):
         return _explicit_cpu(operator, lam)
-    if isinstance(operator, ImplicitCpuDualOperator):
+    if isinstance(replay, CpuImplicitReplay):
         return _implicit_cpu(operator, lam)
-    if isinstance(operator, ImplicitGpuDualOperator):
+    if isinstance(replay, GpuImplicitReplay):
         return _implicit_gpu(operator, lam)
-    if isinstance(operator, ExplicitGpuDualOperator):  # the hybrid included
+    if isinstance(replay, GpuExplicitReplay):  # the hybrid included
         if operator.config.scatter_gather is ScatterGatherDevice.GPU:
             return _explicit_gpu_scatter(operator, lam)
         return _explicit_cpu_scatter(operator, lam)
-    raise TypeError(f"no looped oracle for {type(operator).__name__}")
+    raise TypeError(f"no looped oracle for {type(replay).__name__}")
 
 
-def looped_apply_multi(operator: DualOperatorBase, lam_block: np.ndarray) -> Applied:
+def looped_apply_multi(operator: DualOperator, lam_block: np.ndarray) -> Applied:
     """Column-by-column :func:`looped_apply`; times and breakdowns add up."""
     sim = 0.0
     breakdown: dict[str, float] = {}
@@ -63,7 +67,7 @@ def looped_apply_multi(operator: DualOperatorBase, lam_block: np.ndarray) -> App
     return np.column_stack(columns), sim, breakdown
 
 
-def use_looped_apply(operator: DualOperatorBase) -> None:
+def use_looped_apply(operator: DualOperator) -> None:
     """Make ``operator`` run the oracle loops (a whole solve on the oracle)."""
     operator._apply_impl = lambda lam: looped_apply(operator, lam)
     operator.dual_rhs = lambda: looped_dual_rhs(operator)
@@ -76,12 +80,12 @@ def use_looped_apply(operator: DualOperatorBase) -> None:
 # --------------------------------------------------------------------- #
 # CPU backends                                                           #
 # --------------------------------------------------------------------- #
-def _explicit_cpu(op: ExplicitCpuDualOperator, lam: np.ndarray) -> Applied:
+def _explicit_cpu(op: DualOperator, lam: np.ndarray) -> Applied:
     q = np.zeros_like(lam)
     breakdown: dict[str, float] = {"gemv": 0.0}
     cluster_times = []
     for cluster, subs in op.iter_clusters():
-        clocks = op.new_thread_clocks(cluster)
+        clocks = ThreadClocks(cluster.n_threads)
         for i, sub in enumerate(subs):
             q_local = op.local_F[sub.index] @ sub.local_dual(lam)
             sub.accumulate_dual(q, q_local)
@@ -89,15 +93,15 @@ def _explicit_cpu(op: ExplicitCpuDualOperator, lam: np.ndarray) -> Applied:
             clocks.advance(i, cost)
             breakdown["gemv"] += cost
         cluster_times.append(clocks.elapsed)
-    return q, op._merge_cluster_times(cluster_times), breakdown
+    return q, max(cluster_times), breakdown
 
 
-def _implicit_cpu(op: ImplicitCpuDualOperator, lam: np.ndarray) -> Applied:
+def _implicit_cpu(op: DualOperator, lam: np.ndarray) -> Applied:
     q = np.zeros_like(lam)
     breakdown: dict[str, float] = {"spmv": 0.0, "trsv": 0.0}
     cluster_times = []
     for cluster, subs in op.iter_clusters():
-        clocks = op.new_thread_clocks(cluster)
+        clocks = ThreadClocks(cluster.n_threads)
         for i, sub in enumerate(subs):
             solver = op._cpu_solvers[sub.index]
             z = solver.solve(sub.Bt @ sub.local_dual(lam))
@@ -108,13 +112,13 @@ def _implicit_cpu(op: ImplicitCpuDualOperator, lam: np.ndarray) -> Applied:
             breakdown["spmv"] += spmv_cost
             breakdown["trsv"] += trsv_cost
         cluster_times.append(clocks.elapsed)
-    return q, op._merge_cluster_times(cluster_times), breakdown
+    return q, max(cluster_times), breakdown
 
 
 # --------------------------------------------------------------------- #
 # GPU backends                                                           #
 # --------------------------------------------------------------------- #
-def _implicit_gpu(op: ImplicitGpuDualOperator, lam: np.ndarray) -> Applied:
+def _implicit_gpu(op: DualOperator, lam: np.ndarray) -> Applied:
     """H2D, SpMV, two TRSVs, SpMV and D2H per subdomain on its stream."""
     q = np.zeros_like(lam)
     breakdown = {"transfer": 0.0, "spmv": 0.0, "trsv": 0.0}
@@ -122,12 +126,12 @@ def _implicit_gpu(op: ImplicitGpuDualOperator, lam: np.ndarray) -> Applied:
     for cluster, subs in op.iter_clusters():
         device = cluster.device
         device.reset_timeline()
-        clocks = op.new_thread_clocks(cluster)
+        clocks = ThreadClocks(cluster.n_threads)
         cost = device.cost_model
         overhead = cost.submission_overhead_cpu
         for i, sub in enumerate(subs):
             stream = cluster.stream_for(i)
-            state = op._state[sub.index]
+            state = op.replay.device_state[sub.index]
             spmv = cost.spmv(state.device_B.nnz)
             trsv = cost.sparse_trsm(
                 state.device_factor.nnz, sub.ndofs, 1, device.cuda_version
@@ -149,10 +153,10 @@ def _implicit_gpu(op: ImplicitGpuDualOperator, lam: np.ndarray) -> Applied:
                 clocks.advance(i, overhead)
             sub.accumulate_dual(q, q_local)
         cluster_times.append(device.synchronize(clocks.max_time))
-    return q, op._merge_cluster_times(cluster_times), breakdown
+    return q, max(cluster_times), breakdown
 
 
-def _mv(op: ExplicitGpuDualOperator, cost, stream, sub, submit_time: float):
+def _mv(op: DualOperator, cost, stream, sub, submit_time: float):
     """The GEMV or SYMV kernel of one subdomain (its numbers: ``local_F[i] @ pᵢ``)."""
     if op.config.apply_symmetric:
         return stream.submit("cublas.symv", cost.symv(sub.n_lambda), submit_time)
@@ -161,7 +165,7 @@ def _mv(op: ExplicitGpuDualOperator, cost, stream, sub, submit_time: float):
     )
 
 
-def _explicit_cpu_scatter(op: ExplicitGpuDualOperator, lam: np.ndarray) -> Applied:
+def _explicit_cpu_scatter(op: DualOperator, lam: np.ndarray) -> Applied:
     """H2D of ``pᵢ``, GEMV/SYMV, D2H of ``qᵢ`` per subdomain on its stream."""
     q = np.zeros_like(lam)
     breakdown = {"transfer": 0.0, "mv": 0.0}
@@ -172,7 +176,7 @@ def _explicit_cpu_scatter(op: ExplicitGpuDualOperator, lam: np.ndarray) -> Appli
             continue
         device = cluster.device
         device.reset_timeline()
-        clocks = op.new_thread_clocks(cluster)
+        clocks = ThreadClocks(cluster.n_threads)
         overhead = device.cost_model.submission_overhead_cpu
         for i, sub in enumerate(subs):
             stream = cluster.stream_for(i)
@@ -189,10 +193,10 @@ def _explicit_cpu_scatter(op: ExplicitGpuDualOperator, lam: np.ndarray) -> Appli
             clocks.advance(i, overhead)
             sub.accumulate_dual(q, q_local)
         cluster_times.append(device.synchronize(clocks.max_time))
-    return q, op._merge_cluster_times(cluster_times), breakdown
+    return q, max(cluster_times), breakdown
 
 
-def _explicit_gpu_scatter(op: ExplicitGpuDualOperator, lam: np.ndarray) -> Applied:
+def _explicit_gpu_scatter(op: DualOperator, lam: np.ndarray) -> Applied:
     """One cluster-wide H2D + scatter kernel, the MVs, one gather + D2H."""
     q = np.zeros_like(lam)
     breakdown = {"transfer": 0.0, "scatter_gather": 0.0, "mv": 0.0}
@@ -203,7 +207,7 @@ def _explicit_gpu_scatter(op: ExplicitGpuDualOperator, lam: np.ndarray) -> Appli
             continue
         device = cluster.device
         device.reset_timeline()
-        clocks = op.new_thread_clocks(cluster)
+        clocks = ThreadClocks(cluster.n_threads)
         cost = device.cost_model
         main_stream = cluster.stream_for(0)
 
@@ -245,4 +249,4 @@ def _explicit_gpu_scatter(op: ExplicitGpuDualOperator, lam: np.ndarray) -> Appli
         breakdown["transfer"] += stream_op.duration
         np.add.at(q, lambda_ids, dual_out)
         cluster_times.append(device.synchronize(clocks.max_time))
-    return q, op._merge_cluster_times(cluster_times), breakdown
+    return q, max(cluster_times), breakdown

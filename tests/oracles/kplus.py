@@ -1,6 +1,6 @@
 """Test oracle: ``K⁺`` one subdomain and one vector at a time.
 
-What ``DualOperatorBase`` ran before the stacked solve: every ``Kᵢ⁺ b`` is one
+What ``DualOperator`` ran before the stacked solve: every ``Kᵢ⁺ b`` is one
 ``SparseSolverBase.solve`` on that subdomain's own factorization (refinement
 per the solver's precision policy included), every product around it one
 ``scipy.sparse`` matmul on that subdomain's ``B̃ᵢ`` / ``B̃ᵢᵀ`` / ``Rᵢ``, every
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.feti.operators.base import DualOperatorBase
+from repro.feti.operators.base import DualOperator
 
 __all__ = [
     "kplus_solve",
@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-def kplus_solve(operator: DualOperatorBase, index: int, rhs: np.ndarray) -> np.ndarray:
+def kplus_solve(operator: DualOperator, index: int, rhs: np.ndarray) -> np.ndarray:
     """Apply the generalized inverse ``Kᵢ⁺`` of one subdomain."""
     solver = operator._cpu_solvers.get(index)
     if solver is None or not solver.is_factorized:
@@ -31,7 +31,7 @@ def kplus_solve(operator: DualOperatorBase, index: int, rhs: np.ndarray) -> np.n
     return solver.solve(rhs)
 
 
-def looped_dual_rhs(operator: DualOperatorBase) -> np.ndarray:
+def looped_dual_rhs(operator: DualOperator) -> np.ndarray:
     """``d = B K⁺ f − c``, one ``np.add.at`` per subdomain."""
     d = -np.array(operator.problem.c, dtype=float, copy=True)
     for sub in operator.problem.subdomains:
@@ -40,7 +40,7 @@ def looped_dual_rhs(operator: DualOperatorBase) -> np.ndarray:
 
 
 def looped_primal_solution(
-    operator: DualOperatorBase, lam: np.ndarray, alpha: np.ndarray
+    operator: DualOperator, lam: np.ndarray, alpha: np.ndarray
 ) -> list[np.ndarray]:
     """``uᵢ = Kᵢ⁺ (fᵢ − B̃ᵢᵀ λ) + Rᵢ αᵢ``, subdomain by subdomain."""
     offsets = operator.problem.kernel_offsets
@@ -51,7 +51,7 @@ def looped_primal_solution(
     return out
 
 
-def looped_apply_accurate(operator: DualOperatorBase, lam: np.ndarray) -> np.ndarray:
+def looped_apply_accurate(operator: DualOperator, lam: np.ndarray) -> np.ndarray:
     """``q = Σ B̃ᵢ Kᵢ⁺ B̃ᵢᵀ λᵢ`` through the (refined) per-subdomain solves.
 
     Also the values of the implicit CPU apply; its oracle with the simulated
