@@ -4,10 +4,13 @@ A 2D cantilever under a time-varying body force is solved over several time
 steps.  The schedule is part of the :class:`~repro.api.Workload` itself:
 ``steps=4`` with ``load_ramp=0.5`` scales the loads per step while the mesh
 (and therefore every sparsity pattern) stays fixed, so the symbolic
-factorizations and the persistent GPU structures are prepared once and every
-step re-runs only the numeric factorization, the explicit assembly of the
-local dual operators ``F̃ᵢ`` on the simulated GPU, and the PCPG solve —
-exactly the structure of the paper's multi-step use case.
+factorizations and the persistent GPU structures are prepared once.  A step
+re-runs the numeric factorization and the explicit assembly of the local dual
+operators ``F̃ᵢ`` on the simulated GPU only when its update changed a
+stiffness value — the paper's use case, where ``K`` changes every step.  This
+ramp changes only the loads, so step 0 preprocesses and every later step
+reuses its factors and ``F̃ᵢ`` and runs just the PCPG solve (the
+``preprocessed`` column).
 
 The ``elasticity-2d-multistep`` workload preset registers this exact
 configuration; here it is written out in full.
@@ -49,6 +52,7 @@ def main() -> None:
                 record.step,
                 record.iterations,
                 "yes" if record.converged else "no",
+                "yes" if record.preprocessed else "no",
                 f"{record.preprocessing_seconds * 1e3:.3f}",
                 f"{record.apply_seconds * 1e3:.3f}",
                 f"{record.dual_operator_seconds * 1e3:.3f}",
@@ -56,7 +60,7 @@ def main() -> None:
         )
     print(
         format_table(
-            ["step", "PCPG iters", "converged", "preprocessing [ms]",
+            ["step", "PCPG iters", "converged", "preprocessed", "preprocessing [ms]",
              "applications [ms]", "dual operator total [ms]"],
             rows,
             title="Multi-step simulation (simulated dual-operator times)",

@@ -397,8 +397,9 @@ class Session:
         Repeated calls with the same workload and spec reuse the prepared
         solver — symbolic analysis, numeric factorization and the assembled
         dual operator are not recomputed.  The preprocessing is re-run only
-        when a schedule with a custom matrix-mutating ``update`` marked the
-        solver stale (see :meth:`run_steps`).
+        when the solver is stale: a schedule's last step factored stiffness
+        values other than the restored ones (see :meth:`run_steps`), or the
+        memory tier demoted its factors.
         """
         w = self.resolve_workload(workload)
         s = self.resolve_spec(spec)
@@ -476,9 +477,10 @@ class Session:
         run.  The built-in load ramp only touches the load vectors; a
         custom ``update`` may additionally change stiffness *values*
         (``K``/``K_reg``, pattern fixed — the MultiStepDriver contract), so
-        those are snapshotted and restored too, and every cached solver of
-        the workload is marked stale so its next solve re-runs the numeric
-        preprocessing instead of reusing the schedule's last factorization.
+        those are snapshotted and restored too.  The schedule's solver is
+        marked stale — its next solve re-runs the numeric preprocessing —
+        exactly when the values its last step factored differ from the
+        restored ones.
         """
         s = self.resolve_spec(spec)
         with self.workload_lock(w):
@@ -493,14 +495,12 @@ class Session:
     ) -> tuple[list[StepRecord], FetiSolution | None]:
         solver = self.solver(w, s)
         problem = self.problem(w)
-        # The driver re-runs the preprocessing on every step, so a demoted
-        # entry re-factorizes immediately; consume its markers up front
-        # (a custom update's ``finally`` below re-marks staleness anyway).
+        # The driver always preprocesses the first step of a run, so a
+        # demoted entry re-factorizes immediately; consume its marker up
+        # front (the ``finally`` below decides staleness).
         with self._cache_lock:
             refactorized = (w, s) in self._demoted_keys
             self._demoted_keys.discard((w, s))
-            if refactorized:
-                self._stale_solvers.discard((w, s))
         if refactorized:
             self.tier.count_refactorization()
         n = int(n_steps) if n_steps is not None else w.steps
@@ -532,10 +532,11 @@ class Session:
                     sub.K, sub.K_reg = K, K_reg
                     K.data[:] = K_data
                     K_reg.data[:] = K_reg_data
-                with self._cache_lock:
-                    self._stale_solvers.update(
-                        key for key in self._solvers if key[0] == w
-                    )
+            with self._cache_lock:
+                if driver.factors_current():
+                    self._stale_solvers.discard((w, s))
+                else:
+                    self._stale_solvers.add((w, s))
         self._steps.inc(n)
         self._solves.inc(n)
         self._record_usage((w, s), solver)
@@ -554,7 +555,9 @@ class Session:
         applied: step ``s`` solves with loads ``(1 + load_ramp * s) * f``
         scaled from the pristine base loads.  The loads are restored to
         their pristine values afterwards, so repeated runs and later
-        ``solve`` calls are deterministic.
+        ``solve`` calls are deterministic.  A step preprocesses only when
+        its update changed a stiffness value (the first step always does);
+        each record's ``preprocessed`` says which steps did.
         """
         w = self.resolve_workload(workload)
         records, _ = self._run_schedule(w, spec, n_steps, update)

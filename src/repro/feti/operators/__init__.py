@@ -8,7 +8,7 @@ the same three phases:
     run once per mesh;
 ``preprocess()``
     numeric factorization and (for explicit approaches) the assembly of the
-    local dual operators ``F̃ᵢ`` — run once per time step;
+    local dual operators ``F̃ᵢ`` — run once per time step that changed ``K``;
 ``apply(λ)``
     the dual-operator application used inside every PCPG iteration.
 

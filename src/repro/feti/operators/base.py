@@ -206,7 +206,7 @@ class DualOperator:
         return self._record("preparation", sim, breakdown, wall0)
 
     def preprocess(self) -> PhaseTiming:
-        """Run the FETI preprocessing phase (once per time step).
+        """Run the FETI preprocessing phase (once per time step that changed ``K``).
 
         The single entry point of the runtime layer: the subdomains are
         sharded by cluster topology (one shard per cluster and worker), and

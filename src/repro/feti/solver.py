@@ -4,7 +4,8 @@
 approach), the coarse projector, a dual preconditioner and the PCPG
 iteration, and recovers the primal solution.  :class:`MultiStepDriver`
 implements Algorithm 2 of the paper: preparation once, then per time step a
-FETI preprocessing followed by the PCPG solve, with the dual-operator timing
+FETI preprocessing (skipped when the step left every ``Kᵢ`` unchanged)
+followed by the PCPG solve, with the dual-operator timing
 collected per phase so that the amortization analysis of Figures 6/7 can be
 computed from a real run.
 """
@@ -425,6 +426,10 @@ class StepRecord:
     step: int
     iterations: int
     converged: bool
+    #: Whether this step ran the FETI preprocessing (factorization and
+    #: ``F̃ᵢ`` assembly) or reused the factors of an earlier step.
+    preprocessed: bool
+    #: Simulated preprocessing of this step; ``0.0`` when it was reused.
     preprocessing_seconds: float
     apply_seconds: float
 
@@ -436,6 +441,12 @@ class StepRecord:
 
 class MultiStepDriver:
     """Algorithm 2: a multi-step simulation with per-step FETI preprocessing.
+
+    A step preprocesses only when its ``update`` changed a stiffness value:
+    the driver compares every subdomain's ``K.data`` and ``K_reg.data``
+    with the values its last preprocessing factored, and a load-only step
+    reuses those factors and ``F̃ᵢ``.  The first step of every :meth:`run`
+    always preprocesses.
 
     Parameters
     ----------
@@ -460,21 +471,43 @@ class MultiStepDriver:
         self.records: list[StepRecord] = []
         #: Full solution of the most recent step (records keep only timings).
         self.last_solution: FetiSolution | None = None
+        # (K.data, K_reg.data) per subdomain as of the last preprocessing.
+        self._factored: list[tuple[np.ndarray, np.ndarray]] | None = None
+
+    def factors_current(self) -> bool:
+        """Whether every ``Kᵢ`` / ``K_reg,ᵢ`` still holds the values the
+        driver's last preprocessing factored (``False`` before one ran)."""
+        return self._factored is not None and all(
+            np.array_equal(sub.K.data, K) and np.array_equal(sub.K_reg.data, K_reg)
+            for sub, (K, K_reg) in zip(self.solver.problem.subdomains, self._factored)
+        )
 
     def run(self, n_steps: int) -> list[StepRecord]:
         """Run ``n_steps`` time steps and return their records."""
         self.solver.prepare()
+        subdomains = self.solver.problem.subdomains
+        self._factored = None
         for step in range(n_steps):
             if self.update is not None:
                 self.update(step, self.solver.problem)
-            solution = self.solver.solve()
+            reuse = self.factors_current()
+            if not reuse:
+                self._factored = None  # a failed preprocessing leaves no record
+            solution = self.solver.solve(reuse_preprocessing=reuse)
+            if not reuse:
+                self._factored = [
+                    (sub.K.data.copy(), sub.K_reg.data.copy()) for sub in subdomains
+                ]
             self.last_solution = solution
             self.records.append(
                 StepRecord(
                     step=step,
                     iterations=solution.iterations,
                     converged=solution.converged,
-                    preprocessing_seconds=solution.preprocessing.simulated_seconds,
+                    preprocessed=not reuse,
+                    preprocessing_seconds=(
+                        0.0 if reuse else solution.preprocessing.simulated_seconds
+                    ),
                     apply_seconds=solution.dual_apply_seconds,
                 )
             )

@@ -89,10 +89,11 @@ def test_run_executes_the_declared_schedule_and_restores_loads():
     # Loads are restored to their pristine values after the schedule.
     for sub, f0 in zip(problem.subdomains, base):
         np.testing.assert_array_equal(sub.f, f0)
-    # Preparation ran once; each step re-ran only the numeric preprocessing.
+    # Preparation ran once; the load-only steps after the first reused its
+    # numeric preprocessing.
     solver = session.solver(workload)
     assert solver.operator.ledger.count("preparation") == 1
-    assert solver.operator.ledger.count("preprocessing") == 3
+    assert solver.operator.ledger.count("preprocessing") == 1
 
     # Re-running is deterministic: the ramp scales from pristine loads.
     again = session.run(workload)
@@ -118,9 +119,9 @@ def test_run_uses_the_last_step_solution_without_an_extra_solve():
     session = Session(SolverSpec(approach="expl mkl"))
     result = session.run(workload)
     solver = session.solver(workload)
-    # Exactly the three scheduled preprocessings/solves ran — the returned
-    # solution is the final step's, not a duplicate fourth solve.
-    assert solver.operator.ledger.count("preprocessing") == 3
+    # Exactly the first step's preprocessing ran (the ramp changes only the
+    # loads) — the returned solution is the final step's, not a fourth solve.
+    assert solver.operator.ledger.count("preprocessing") == 1
     assert result.solution is not None
     assert result.solution.iterations == result.records[-1].iterations
 
@@ -151,6 +152,28 @@ def test_custom_matrix_update_is_restored_and_invalidates_preprocessing():
     # ...and an independent session sees the pristine problem too.
     fresh = np.concatenate(Session(SolverSpec(approach="expl mkl")).solve(workload).primal)
     np.testing.assert_allclose(fresh, reference, atol=1e-9)
+
+
+def test_a_load_only_custom_update_leaves_the_solver_warm():
+    """The schedule's last factorization is of the pristine values, so the
+    next solve reuses it — and is still the saddle-point solution."""
+    workload = Workload("heat", 2, (2, 1), 3, steps=3)
+    session = Session(SolverSpec(approach="expl mkl"))
+    problem = session.problem(workload)
+    base = session.base_loads(workload)
+
+    def ramp(step: int, p) -> None:
+        for sub, f0 in zip(p.subdomains, base):
+            sub.f = (1.0 + step) * f0
+
+    records = session.run_steps(workload, update=ramp)
+    assert [r.preprocessed for r in records] == [True, False, False]
+    ledger = session.solver(workload).operator.ledger
+    assert ledger.count("preprocessing") == 1
+    solution = session.solve(workload)
+    assert ledger.count("preprocessing") == 1
+    u_ref, _ = problem.saddle_point_solution()
+    np.testing.assert_allclose(np.concatenate(solution.primal), u_ref, atol=1e-9)
 
 
 def test_ramped_final_solution_scales_with_the_last_step():

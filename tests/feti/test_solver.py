@@ -125,10 +125,17 @@ def test_multistep_driver_runs_algorithm_2(heat_problem_3d, small_machine_config
     def update(step, problem):
         # change numerical values (not the pattern), as in the paper's use case
         for sub in problem.subdomains:
+            sub.K = sub.K * (1.0 + 0.1 * step)
+            sub.K_reg = sub.K_reg * (1.0 + 0.1 * step)
             sub.f = sub.f * (1.0 + 0.1 * step)
 
     driver = MultiStepDriver(solver, update=update)
-    records = driver.run(3)
+    pristine = [(sub.K, sub.K_reg, sub.f) for sub in heat_problem_3d.subdomains]
+    try:
+        records = driver.run(3)
+    finally:  # the fixture is shared by the whole session
+        for sub, (K, K_reg, f) in zip(heat_problem_3d.subdomains, pristine):
+            sub.K, sub.K_reg, sub.f = K, K_reg, f
     assert len(records) == 3
     assert all(r.converged for r in records)
     assert all(r.preprocessing_seconds > 0 for r in records)

@@ -169,3 +169,25 @@ def test_hammer_concurrent_solves_under_budget_stay_bitwise_identical():
     assert stats["refactorizations"] <= stats["demotions"] + stats["evictions"]
     assert stats["resident_entries"] == stats["solvers"]
     assert 0 < stats["resident_bytes"] <= stats["peak_resident_bytes"]
+
+
+def test_a_demoted_entry_refactors_once_at_the_first_step_of_a_run(monkeypatch):
+    """Under ``REPRO_MEMORY_BUDGET=1M`` the second workload demotes the first;
+    a load-only run of the first re-factorizes at step 0 only and returns
+    bitwise the fp64 answer of an unconstrained session."""
+    schedule = Workload("heat", 2, (4, 4), 8, steps=3, load_ramp=0.5)
+    other = Workload("heat", 2, (4, 4), 8, n_clusters=2)
+    with Session(SPEC, memory_budget="unlimited") as session:
+        reference = session.run(schedule)
+    monkeypatch.setenv("REPRO_MEMORY_BUDGET", "1M")
+    with Session(SPEC) as session:
+        session.solve(schedule)
+        session.solve(other)
+        stats = session.cache_stats()
+        assert (stats["demotions"], stats["evictions"]) == (1, 0)
+        assert stats["demoted_entries"] == 1
+        result = session.run(schedule)
+        assert session.cache_stats()["refactorizations"] == stats["refactorizations"] + 1
+    assert [r.preprocessed for r in result.records] == [True, False, False]
+    assert session.solver(schedule).operator.ledger.count("preprocessing") == 2
+    _assert_bitwise_equal(result.solution, reference.solution)
