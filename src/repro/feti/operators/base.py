@@ -8,7 +8,7 @@ two numeric paths:
   interface class); the blocks go into one pack, and an apply is one
   gather, one padded batched GEMV and one ``bincount``;
 * **implicit** — the round only factorizes; an apply is ``B̃ K⁺ B̃ᵀ`` with
-  one stacked supernodal ``K⁺`` sweep per sparsity pattern
+  one banded ``K⁺`` solve per sparsity pattern
   (:meth:`DualOperator.apply_accurate`).
 
 The solver facade (PARDISO-like or CHOLMOD-like) is the other numeric
@@ -107,9 +107,9 @@ class DualOperator:
         self._apply_plans: dict[int, tuple[float, dict[str, float]]] = {}
         self._plan_lock = threading.Lock()
         #: This round's ``K⁺``: per pattern group, the flat indices of its
-        #: members' DOFs in the concatenated primal vector and their stacked
-        #: factors.  Built by the first solve after a preprocessing, dropped
-        #: with the apply plans.
+        #: members' DOFs in the concatenated primal vector and the stack of
+        #: their factors' bands.  Built by the first solve after a
+        #: preprocessing, dropped with the apply plans.
         self._kplus_stacks: list[tuple[np.ndarray, SolverStack]] | None = None
         self._cluster_subdomains: dict[int, list[SubdomainProblem]] = {}
         #: Per-subdomain CPU factorizations: every apply, the dual right-hand
@@ -397,7 +397,7 @@ class DualOperator:
     def _kplus(self, rhs: np.ndarray) -> np.ndarray:
         """``Kᵢ⁺`` on every block of a concatenated primal vector.
 
-        One stacked supernodal sweep per group of subdomains sharing a
+        One banded solve (two BLAS calls) per group of subdomains sharing a
         symbolic analysis (:class:`~repro.sparse.solvers.SolverStack`),
         refined under a refining precision policy; the per-subdomain loop is
         the oracle (``tests/oracles/kplus.py``).
@@ -480,10 +480,13 @@ class DualOperator:
     def storage_nbytes(self) -> dict[str, int]:
         """Byte-accurate resident *numeric* storage, split by kind.
 
-        ``factor`` counts the per-subdomain numeric factors (supernodal
-        panels + the inverses of their diagonal blocks, ``Σ w²`` entries per
-        subdomain over its supernode widths, + any matrix retained for
-        refinement) — not the symbolic analyses they point to: those index
+        ``factor`` counts the per-subdomain numeric factors (+ any matrix
+        retained for refinement) in the form they hold: the supernodal
+        panels + the inverses of their diagonal blocks (``Σ w²`` entries per
+        subdomain over its supernode widths) from the factorization until
+        the round's first ``K⁺`` solve, the ``n x (kd + 1)`` band of ``L``
+        after it, since building the ``K⁺`` stacks releases the panels — not
+        the symbolic analyses they point to: those index
         arrays are shared across cache entries through the pattern cache, so
         they sit outside the per-entry budget and are reported as
         ``pattern_bytes`` in ``Session.cache_stats()``
@@ -493,8 +496,7 @@ class DualOperator:
         engine keeps warm.  Only what the process holds counts: the
         simulated GPU's device memory is byte sizes, not arrays.  The session's
         :class:`~repro.memory.ledger.FactorLedger` records these per cache
-        entry.  Stacking the factors for the ``K⁺`` solves moves no bytes:
-        the factors become views of their stack.
+        entry.  Each factor views its row of its pattern group's band.
         """
         factor = sum(s.storage_nbytes() for s in self._cpu_solvers.values())
         pack = arena = 0

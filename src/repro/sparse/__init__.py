@@ -10,18 +10,19 @@ production libraries the paper uses (CHOLMOD, MKL PARDISO):
   step of the multi-step simulation).
 
 The symbolic phase additionally produces a relaxed **supernode partition**
-of the factor pattern; the numeric phase and every triangular kernel — the
-simulated cuSPARSE solves of :mod:`repro.gpu` included — run over the
-resulting dense panels (GEMM/POTRF-style NumPy calls).  The
-scalar per-column factorization and solves they replaced are the test oracle
-(``tests/oracles/sparse.py``).  A structural **pattern cache**
-(:mod:`repro.sparse.cache`) shares one symbolic analysis across all
-subdomains with the same sparsity pattern.
+of the factor pattern; the numeric phase and the Schur assembly run over the
+resulting dense panels (GEMM/POTRF-style NumPy calls).  Every solve runs on
+``L`` as a **band** instead: the RCM ordering is a banded ordering, and a
+stack of same-pattern factors is one block-diagonal band that one BLAS
+``dtbsv`` per direction solves.  The scalar per-column factorization and
+solves are the test oracle (``tests/oracles/sparse.py``).  A structural
+**pattern cache** (:mod:`repro.sparse.cache`) shares one symbolic analysis
+across all subdomains with the same sparsity pattern.
 
-On top of the factorization the package provides sparse triangular solves
-(vector, multi-RHS, and one sweep over a stack of same-pattern factors —
-:func:`solve_stacked` / :class:`SolverStack`), a Schur-complement engine
-that exploits the sparsity of the right-hand side block (the analogue of
+On top of the factorization the package provides the banded solve of a
+stack of same-pattern factors (:func:`solve_banded` / :class:`SolverStack`,
+whose stack of one every single solve is), a Schur-complement engine that
+exploits the sparsity of the right-hand side block (the analogue of
 PARDISO's augmented incomplete factorization) and assembles every
 interface class of same-pattern subdomains as one stack
 (:func:`stacked_schur_complement`), and two facades reproducing the relevant API differences of
@@ -38,13 +39,7 @@ from repro.sparse.symbolic import (
     detect_supernodes,
 )
 from repro.sparse.numeric import CholeskyFactor, numeric_cholesky
-from repro.sparse.triangular import (
-    sparse_trsv_lower,
-    sparse_trsv_upper,
-    sparse_trsm_lower,
-    sparse_trsm_upper,
-    solve_stacked,
-)
+from repro.sparse.triangular import solve_banded
 from repro.sparse.schur import SchurScatter, schur_scatter, stacked_schur_complement
 from repro.sparse.cache import PatternCache, global_pattern_cache, structural_key
 from repro.sparse.costmodel import CpuCostModel, CpuLibrary
@@ -65,11 +60,7 @@ __all__ = [
     "detect_supernodes",
     "CholeskyFactor",
     "numeric_cholesky",
-    "sparse_trsv_lower",
-    "sparse_trsv_upper",
-    "sparse_trsm_lower",
-    "sparse_trsm_upper",
-    "solve_stacked",
+    "solve_banded",
     "SchurScatter",
     "schur_scatter",
     "stacked_schur_complement",

@@ -10,14 +10,15 @@ permuted matrix values, updated by one GEMM per contributing descendant
 supernode (subtracted from ``panel[rows, cols]``, the factored block position
 of :attr:`~repro.sparse.symbolic.SupernodePartition.updates` — a basic slice
 where the rows/columns are contiguous), and finished with a dense Cholesky of
-its diagonal block, the triangular inverse of that factor (kept for every later
-solve) and one GEMM with the inverse for the off-panel block.  The
+its diagonal block, the triangular inverse of that factor (kept for the Schur
+assembly) and one GEMM with the inverse for the off-panel block.  The
 Python-level work is proportional to the number of supernodal updates, not to
 ``nnz(L)``, and all arithmetic runs through BLAS-3 calls — the structure
 production libraries (CHOLMOD, PARDISO) use.  :func:`stacked_cholesky` runs
 every update and every off-panel block as one ``np.matmul`` over the stack;
 only the ``potrf`` / ``trtri`` of a diagonal block is per matrix.
-:func:`numeric_cholesky` is its stack of one.
+:func:`numeric_cholesky` is its stack of one.  The solves read ``L`` as a band
+instead (:func:`stacked_band`, built from the panels once per factorization).
 
 The classic left-looking *column* algorithm it replaced is the test oracle
 (``tests/oracles/sparse.py::numeric_scalar``); both produce the same factor up
@@ -40,6 +41,7 @@ __all__ = [
     "CholeskyFactor",
     "NotPositiveDefiniteError",
     "numeric_cholesky",
+    "stacked_band",
     "stacked_cholesky",
     "stacked_values",
 ]
@@ -51,12 +53,17 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
 
 @dataclass
 class CholeskyFactor:
-    """A numeric Cholesky factor: dense supernode panels and their inverses.
+    """A numeric Cholesky factor, held in one of two forms.
 
-    The factorization computes both, and every triangular solve of the
-    package reads them: no value of ``L`` is stored twice and no diagonal
-    block is inverted twice.  The CSC values of ``L`` are gathered from the
-    panels on demand (:meth:`to_csc`, :meth:`diagonal`).
+    The factorization produces the *panel form*: the dense supernode panels
+    and the inverses of their diagonal blocks, which the Schur assembly
+    sweeps.  Every triangular solve reads the *band form*: ``L`` as the
+    ``(n, kd + 1)`` lower band of :meth:`SymbolicFactor.band_index`.  The
+    first solve after a factorization moves a factor to band form
+    (:class:`~repro.sparse.solvers.SolverStack`) and releases its panels
+    and inverses, so no value of ``L`` is resident twice.  The CSC values
+    of ``L`` are gathered from whichever form is held, on demand
+    (:meth:`to_csc`, :meth:`diagonal`).
 
     Attributes
     ----------
@@ -65,16 +72,21 @@ class CholeskyFactor:
     panels:
         ``(panel_entries,)`` dense-panel storage of ``L``
         (:attr:`~repro.sparse.symbolic.SupernodePartition.panel_off` layout;
-        padding positions hold exact zeros).
+        padding positions hold exact zeros); ``None`` in band form.
     inverses:
         ``(inverse_entries,)`` inverses of the panels' factored diagonal
         blocks (:attr:`~repro.sparse.symbolic.SupernodePartition.inv_off`
-        layout; exact zeros above the diagonal).
+        layout; exact zeros above the diagonal); ``None`` in band form.
+    band:
+        ``(n, kd + 1)`` band storage of ``L`` (exact zeros outside its
+        pattern), typically a row of a stack's block-diagonal band; ``None``
+        in panel form.
     """
 
     symbolic: SymbolicFactor
-    panels: np.ndarray
-    inverses: np.ndarray
+    panels: np.ndarray | None
+    inverses: np.ndarray | None
+    band: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -89,9 +101,12 @@ class CholeskyFactor:
     def to_csc(self) -> sp.csc_matrix:
         """The factor ``L`` as a SciPy CSC matrix (in permuted ordering)."""
         s = self.symbolic
+        if self.band is None:
+            values = self.panels[s.supernodes.lpos]
+        else:
+            values = self.band.reshape(-1)[s.band_index()[1]]
         return sp.csc_matrix(
-            (self.panels[s.supernodes.lpos], s.row_idx.copy(), s.col_ptr.copy()),
-            shape=(s.n, s.n),
+            (values, s.row_idx.copy(), s.col_ptr.copy()), shape=(s.n, s.n)
         )
 
     def to_csr_upper(self) -> sp.csr_matrix:
@@ -101,6 +116,8 @@ class CholeskyFactor:
 
     def diagonal(self) -> np.ndarray:
         """Diagonal entries of ``L``."""
+        if self.band is not None:
+            return self.band[:, 0].copy()
         s = self.symbolic
         return self.panels[s.supernodes.lpos[s.col_ptr[:-1]]]
 
@@ -232,3 +249,23 @@ def stacked_cholesky(
         if h > w:
             pj[:, w:] = np.matmul(pj[:, w:], inverse.transpose(0, 2, 1))
     return flat, inverses
+
+
+def stacked_band(symbolic: SymbolicFactor, panels: np.ndarray) -> np.ndarray:
+    """The ``(k, n, kd + 1)`` lower bands of ``k`` stacked panel-form factors.
+
+    Row ``i`` holds factor ``i``'s ``L`` in the layout of
+    :meth:`SymbolicFactor.band_index`, at the panels' dtype:
+    ``band[i].ravel()[positions] = panels[i][lpos]``, one member at a time
+    so the gathered values never exist for the whole stack at once.  Every
+    position outside ``L``'s pattern is an exact zero, the ones past a
+    member's last row included, so the rows read as one ``(k·n, kd + 1)``
+    array are the band of the block-diagonal matrix of the stack.
+    """
+    kd, positions = symbolic.band_index()
+    k = panels.shape[0]
+    band = np.zeros((k, symbolic.n, kd + 1), dtype=panels.dtype)
+    lpos = symbolic.supernodes.lpos
+    for row, values in zip(band.reshape(k, -1), panels):
+        row[positions] = values[lpos]
+    return band

@@ -28,7 +28,7 @@ from repro.memory.precision import (
 )
 from repro.sparse.cache import PatternCache, global_pattern_cache
 from repro.sparse.costmodel import CpuLibrary
-from repro.sparse.numeric import CholeskyFactor, numeric_cholesky
+from repro.sparse.numeric import CholeskyFactor, numeric_cholesky, stacked_band
 from repro.sparse.ordering import OrderingMethod
 from repro.sparse.schur import (
     SchurScatter,
@@ -37,14 +37,7 @@ from repro.sparse.schur import (
     stacked_schur_complement,
 )
 from repro.sparse.symbolic import SymbolicFactor, symbolic_cholesky
-from repro.sparse.triangular import (
-    solve_stacked,
-    sparse_trsm_lower,
-    sparse_trsm_upper,
-    sparse_trsv_lower,
-    sparse_trsv_upper,
-    stacked_sweep_plan,
-)
+from repro.sparse.triangular import solve_banded, solve_banded_many
 
 __all__ = [
     "FactorExtractionError",
@@ -109,6 +102,8 @@ class SparseSolverBase:
         self._symbolic: SymbolicFactor | None = None
         self._factor: CholeskyFactor | None = None
         self._matrix: sp.csr_matrix | None = None
+        #: This factorization's stack of one (built by the first solve).
+        self._stack: SolverStack | None = None
 
     # ------------------------------------------------------------------ #
     # Phases                                                              #
@@ -125,7 +120,7 @@ class SparseSolverBase:
             self._symbolic = self._pattern_cache.symbolic_for(K, self.ordering)
         else:
             self._symbolic = symbolic_cholesky(K, ordering=self.ordering)
-        self._factor = None
+        self._factor = self._stack = None
         return self._symbolic
 
     def factorize(self, K: sp.spmatrix) -> CholeskyFactor:
@@ -139,6 +134,7 @@ class SparseSolverBase:
             self.analyze(K)
         assert self._symbolic is not None
         self._factor = numeric_cholesky(K, self._symbolic)
+        self._stack = None
         self._install_precision(K)
         return self._factor
 
@@ -157,6 +153,7 @@ class SparseSolverBase:
         if self._symbolic is None:
             self._symbolic = factor.symbolic
         self._factor = factor
+        self._stack = None
         self._install_precision(matrix)
         return self._factor
 
@@ -228,6 +225,7 @@ class SparseSolverBase:
         """
         if self._factor is not None:
             self._factor = demote_factor(replace(self._factor), np.dtype(np.float32))
+            self._stack = None
 
     def extract_factor(self) -> CholeskyFactor:
         """Return the numeric factor (for shipping to the GPU).
@@ -246,57 +244,46 @@ class SparseSolverBase:
     # ------------------------------------------------------------------ #
     # Solves                                                              #
     # ------------------------------------------------------------------ #
-    def _triangular_solve(self, b: np.ndarray) -> np.ndarray:
-        """One forward+backward substitution pass (original ordering)."""
-        factor = self._require_factor()
-        perm = factor.symbolic.perm
-        if b.ndim == 1:
-            xp = sparse_trsv_upper(factor, sparse_trsv_lower(factor, b[perm]))
-        else:
-            xp = sparse_trsm_upper(factor, sparse_trsm_lower(factor, b[perm, :]))
-        x = np.empty_like(xp)
-        x[perm] = xp
-        return x
+    def _stack_of_one(self) -> SolverStack:
+        """The solver as a :class:`SolverStack` of one, built once per factorization."""
+        stack = self._stack
+        if stack is None:
+            stack = self._stack = SolverStack([self])
+        return stack
 
     def solve(self, b: np.ndarray, refine: bool | None = None) -> np.ndarray:
         """Solve ``K x = b`` for one right-hand side (original ordering).
 
-        Under a refining precision policy the stored (fp32) factor acts as
-        the inner solver of a fixed-point iteration on the retained fp64
-        matrix: ``x += K⁻̃¹ (b − K x)`` until the residual reaches fp64
-        level, so half-size factor storage still yields fp64-accurate
-        solves.  ``refine`` overrides the policy (e.g. the PCPG loop's
-        cheap operator applies pass ``False``).
+        The solver's stack of one (:meth:`SolverStack.solve`).  Under a
+        refining precision policy the stored (fp32) factor acts as the inner
+        solver of a fixed-point iteration on the retained fp64 matrix:
+        ``x += K⁻̃¹ (b − K x)`` until the residual reaches fp64 level, so
+        half-size factor storage still yields fp64-accurate solves.
+        ``refine`` overrides the policy.
         """
-        x = self._triangular_solve(np.asarray(b, dtype=float))
-        if refine is None:
-            refine = self.precision.refine
-        if refine and self._matrix is not None:
-            x = self._refine(np.asarray(b, dtype=float), x)
-        return x
+        return self._stack_of_one().solve(np.asarray(b, dtype=float)[None], refine)[0]
 
     def solve_many(self, B: np.ndarray, refine: bool | None = None) -> np.ndarray:
-        """Solve ``K X = B`` for a dense multi-column right-hand side."""
-        X = self._triangular_solve(np.asarray(B, dtype=float))
+        """Solve ``K X = B`` for a dense multi-column right-hand side.
+
+        The band of the solver's stack of one, solved by LAPACK ``dtbtrs``.
+        """
+        B = np.asarray(B, dtype=float)
+        perm, band = self.symbolic.perm, self._stack_of_one().band[0]
+        X = solve_banded_many(perm, band, B)
         if refine is None:
             refine = self.precision.refine
-        if refine and self._matrix is not None:
-            X = self._refine(np.asarray(B, dtype=float), X)
-        return X
-
-    def _refine(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Iterative refinement sweeps with the stored factor as inner solver."""
-        K = self._matrix
-        assert K is not None
-        norm_b = float(np.max(np.abs(b))) if b.size else 0.0
+        if not refine or self._matrix is None:
+            return X
+        norm_b = float(np.max(np.abs(B))) if B.size else 0.0
         if norm_b == 0.0:
-            return x
+            return X
         for _ in range(max(1, self.precision.refine_steps)):
-            r = b - K @ x
-            if float(np.max(np.abs(r))) <= 1e-14 * norm_b:
+            R = B - self._matrix @ X
+            if float(np.max(np.abs(R))) <= 1e-14 * norm_b:
                 break
-            x = x + self._triangular_solve(r)
-        return x
+            X = X + solve_banded_many(perm, band, R)
+        return X
 
     # ------------------------------------------------------------------ #
     # Explicit dual operator on the CPU                                   #
@@ -349,11 +336,12 @@ class PardisoLikeSolver(SparseSolverBase):
 
 
 def _rows_as_stack(rows: list[np.ndarray]) -> np.ndarray | None:
-    """``rows`` as one 2-D array without copying, when they already are one.
+    """``rows`` as one array without copying, when they already are one.
 
     True for factors adopted from a preprocessing group's stacked panels and
-    inverses (one ``(k, m)`` array) as long as the rows are consecutive in
-    the array they are views of, and for a single row of any origin.
+    inverses (one ``(k, m)`` array) or re-pointed at a stack's band (one
+    ``(k, n, kd + 1)`` array) as long as the rows are consecutive in the
+    array they are views of, and for a single row of any origin.
     """
     first = rows[0]
     base = first if first.base is None else first.base
@@ -375,23 +363,40 @@ def _rows_as_stack(rows: list[np.ndarray]) -> np.ndarray | None:
     stop = offset + len(rows) * first.size
     if not consecutive or rest or offset < 0 or stop > flat.size:
         return None
-    return flat[offset:stop].reshape(len(rows), first.size)
+    return flat[offset:stop].reshape(len(rows), *first.shape)
 
 
-def _stacked(factors: list[CholeskyFactor], name: str) -> np.ndarray:
-    """The factors' ``name`` arrays (``panels`` / ``inverses``) as one stack.
-
-    Adopted zero-copy where they already are consecutive rows of one array;
-    copied otherwise, and then every factor is re-pointed at its row of the
-    copy, so the storage is never resident twice.
-    """
-    rows = [getattr(factor, name) for factor in factors]
+def _stacked(rows: list[np.ndarray]) -> np.ndarray:
+    """``rows`` as one array: a zero-copy view where possible, a copy otherwise."""
     stack = _rows_as_stack(rows)
-    if stack is None:
+    return np.stack(rows) if stack is None else stack
+
+
+def _band_stack(factors: list[CholeskyFactor]) -> tuple[np.ndarray, bool]:
+    """The factors' ``(k, n, kd + 1)`` band stack, and whether it is new.
+
+    Band-form factors whose bands are consecutive rows of one array are
+    adopted zero-copy.  Otherwise the stack is built — from the panels of
+    panel-form factors (one :func:`~repro.sparse.numeric.stacked_band`), by
+    copying bands — and every factor is re-pointed at its row of it and
+    releases its panels and inverses, so ``L`` is never resident twice.
+    """
+    symbolic = factors[0].symbolic
+    if all(f.band is not None for f in factors):
+        stack = _rows_as_stack([f.band for f in factors])
+        if stack is not None:
+            return stack, False
+    if any(f.band is not None for f in factors):
+        rows = [
+            f.band if f.band is not None else stacked_band(symbolic, f.panels[None])[0]
+            for f in factors
+        ]
         stack = np.stack(rows)
-        for factor, row in zip(factors, stack):
-            setattr(factor, name, row)
-    return stack
+    else:
+        stack = stacked_band(symbolic, _stacked([f.panels for f in factors]))
+    for factor, row in zip(factors, stack):
+        factor.band, factor.panels, factor.inverses = row, None, None
+    return stack, True
 
 
 def schur_complements(
@@ -400,38 +405,49 @@ def schur_complements(
     """``(k, n_dual, n_dual)`` ``F̃ᵢ`` of one interface class of factorized solvers.
 
     The members share one symbolic analysis and their scatters one key.  The
-    stored factors (at the policy's storage dtype) are read as one stack: a
-    zero-copy view where they are consecutive rows of one array, a gathered
-    copy otherwise (the factors themselves are left where they are).
+    stored panel-form factors (at the policy's storage dtype) are read as
+    one stack: a zero-copy view where they are consecutive rows of one
+    array, a gathered copy otherwise (the factors themselves are left where
+    they are).
+
+    Raises
+    ------
+    RuntimeError
+        If a factor is in band form: a solve has released its panels since
+        it was factorized.
     """
     factors = [solver._require_factor() for solver in solvers]
-    stacks = []
-    for name in ("panels", "inverses"):
-        rows = [getattr(factor, name) for factor in factors]
-        stack = _rows_as_stack(rows)
-        stacks.append(np.stack(rows) if stack is None else stack)
-    return stacked_schur_complement(factors[0].symbolic, *stacks, scatters)
+    if any(factor.panels is None for factor in factors):
+        raise RuntimeError(
+            "the Schur assembly reads the factor's panels, which its first solve "
+            "released for the band; call factorize() again first"
+        )
+    panels = _stacked([factor.panels for factor in factors])
+    inverses = _stacked([factor.inverses for factor in factors])
+    return stacked_schur_complement(factors[0].symbolic, panels, inverses, scatters)
 
 
 class SolverStack:
-    """Factorized solvers sharing one symbolic analysis, solved as one stack.
+    """Factorized solvers sharing one symbolic analysis, solved as one band.
 
-    The members' dense panels and diagonal-block inverses become one
-    ``(k, panel_entries)`` and one ``(k, inverse_entries)`` array (see
-    :func:`_stacked`), and the sweep plan of
-    :func:`~repro.sparse.triangular.solve_stacked` (views of both, row
-    slices) is built here, once.  A stack is valid for the numeric
-    factorizations it was built from: drop it whenever a member is
-    re-factorized or demoted.
+    The members' factors become one ``(k, n, kd + 1)`` band stack (see
+    :func:`_band_stack`; each factor is re-pointed at its row), which
+    :func:`~repro.sparse.triangular.solve_banded` solves with one BLAS call
+    per direction.  A stack is valid for the numeric factorizations it was
+    built from: drop it whenever a member is re-factorized or demoted.
     """
 
     def __init__(self, solvers: "list[SparseSolverBase]") -> None:
         factors = [solver._require_factor() for solver in solvers]
         self.symbolic = factors[0].symbolic
         self.precision = solvers[0].precision
-        self.panels = _stacked(factors, "panels")
-        self.inverses = _stacked(factors, "inverses")
-        self.plan = stacked_sweep_plan(self.symbolic, self.panels, self.inverses)
+        self.band, repointed = _band_stack(factors)
+        if repointed:
+            for solver in solvers:  # their stacks of one hold the old bands
+                solver._stack = None
+        #: The shared permutation of every member, offset into the stack.
+        n = self.symbolic.n
+        self._perm = (np.arange(len(factors))[:, None] * n + self.symbolic.perm).reshape(-1)
         #: Block-diagonal retained matrices (refining policies only): the
         #: residual of the whole stack is one sparse product.
         self._matrix: sp.csr_matrix | None = None
@@ -441,16 +457,17 @@ class SolverStack:
                 matrices[0] if len(matrices) == 1 else sp.block_diag(matrices, format="csr")
             )
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, refine: bool | None = None) -> np.ndarray:
         """``(k, n)`` solutions of ``Kᵢ xᵢ = bᵢ``, refined per the policy.
 
-        The refinement is :meth:`SparseSolverBase._refine` on the stack: one
-        residual and one sweep per round, each member leaving the iteration
-        at its own fp64-level residual.
+        Refinement (unless ``refine`` is ``False``) is a fixed-point
+        iteration on the retained matrices: one residual and one sweep per
+        round, each member leaving the iteration at its own fp64-level
+        residual.
         """
         b = np.asarray(rhs, dtype=float)
         x = self._sweep(b)
-        if self._matrix is None:
+        if self._matrix is None or refine is False:
             return x
         norm_b = np.abs(b).max(axis=1, initial=0.0)
         active = norm_b > 0.0
@@ -463,4 +480,4 @@ class SolverStack:
         return x
 
     def _sweep(self, rhs: np.ndarray) -> np.ndarray:
-        return solve_stacked(self.symbolic, self.panels, self.inverses, rhs, self.plan)
+        return solve_banded(self._perm, self.band, rhs)

@@ -9,8 +9,9 @@ PARDISO) use and the reason the paper can re-run only the numeric
 factorization in every time step.
 
 On top of the column pattern the analysis produces the structure that lets
-the numeric phase and the triangular solves run on dense panels instead of
-per-column scatter loops, mirroring the supernodal techniques of the
+the numeric phase and the Schur assembly run on dense panels instead of
+per-column scatter loops (the solves read ``L`` as a band instead,
+:meth:`SymbolicFactor.band_index`), mirroring the supernodal techniques of the
 production libraries: **supernode detection** — maximal parent-chains of
 columns whose (nested) patterns are merged into dense trapezoidal panels,
 with a relaxed amalgamation criterion that tolerates a bounded fraction of
@@ -181,8 +182,8 @@ class SymbolicFactor:
         indices in every column are strictly increasing and start with the
         diagonal.
     supernodes:
-        Supernode partition and dense-panel layout: the one structure every
-        numeric factorization and triangular solve of the package runs on.
+        Supernode partition and dense-panel layout: the structure every
+        numeric factorization and Schur assembly of the package runs on.
     """
 
     n: int
@@ -224,6 +225,22 @@ class SymbolicFactor:
         owned.
         """
         return _index_nbytes(list(vars(self).values()))
+
+    def band_index(self) -> tuple[int, np.ndarray]:
+        """``L`` as a lower band: its half-width and the position of every entry.
+
+        The half-width is ``kd = max(row − col)`` over the pattern (the
+        bandwidth the ordering leaves; RCM is a banded ordering), and entry
+        ``e`` of ``L``'s CSC order, column ``c`` and row ``r``, sits at flat
+        position ``c·(kd + 1) + (r − c)`` of a C-order ``(n, kd + 1)``
+        array: row ``c`` holds column ``c`` from its diagonal down.  Derived
+        on each call, ``O(nnz(L))`` inside NumPy; a factor's band is built
+        once per factorization (:func:`repro.sparse.numeric.stacked_band`).
+        """
+        cols = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.col_ptr))
+        offsets = self.row_idx - cols
+        kd = int(offsets.max(initial=0))
+        return kd, cols * (kd + 1) + offsets
 
     def factor_density(self) -> float:
         """Fraction of the lower triangle of ``L`` that is nonzero."""

@@ -8,7 +8,8 @@ session's timing ledger does not grow with the number of solves; a
 projector apply (a block apply too, whatever its width) is two sparse
 products and one LAPACK ``dpotrs``, never an executor dispatch; and outside
 ``preprocess()`` nothing is solved or multiplied one subdomain at a time:
-``K⁺`` is one stacked sweep per sparsity pattern.
+a ``K⁺`` application is two banded BLAS calls (``dtbsv`` with ``L`` and
+with ``Lᵀ``) per sparsity pattern, over all of its subdomains at once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import pytest
 import scipy.sparse as sp
 
 import repro.feti.projector as projector_module
-import repro.sparse.solvers as sparse_solvers
+import repro.sparse.triangular as triangular
 
 from repro.analysis.timing import ThreadClocks
 from repro.api import Session, SolverSpec, Workload
@@ -194,7 +195,7 @@ def test_serial_projector_apply_is_two_products_and_one_solve(monkeypatch):
 @pytest.mark.parametrize(
     "approach, assembly", [("expl mkl", None), ("expl modern", "table2"), ("impl mkl", None)]
 )
-def test_warm_solve_runs_one_stacked_sweep_per_pattern_and_no_subdomain_loop(
+def test_warm_solve_runs_two_banded_calls_per_pattern_and_no_subdomain_loop(
     monkeypatch, approach, assembly
 ):
     spec = SolverSpec(approach=approach, assembly=assembly, execution="serial")
@@ -226,7 +227,7 @@ def test_warm_solve_runs_one_stacked_sweep_per_pattern_and_no_subdomain_loop(
                 cls, "__matmul__", "subdomain product",
                 when=lambda self, other: id(self) in per_subdomain,
             )
-        counted(sparse_solvers, "solve_stacked", "stacked sweep")
+        counted(triangular, "dtbsv", "banded call")
 
         applies = operator.ledger.count("apply")
         warm = session.solve(W)
@@ -234,5 +235,5 @@ def test_warm_solve_runs_one_stacked_sweep_per_pattern_and_no_subdomain_loop(
     assert warm.converged and applies == warm.iterations + 1
     assert counts["facade solve"] == 0 and counts["subdomain product"] == 0
     # Dual right-hand side + primal recovery; the implicit apply adds its own.
-    sweeps = 2 + (applies if approach.startswith("impl") else 0)
-    assert counts["stacked sweep"] == sweeps * n_pattern_groups
+    kplus = 2 + (applies if approach.startswith("impl") else 0)
+    assert counts["banded call"] == 2 * kplus * n_pattern_groups

@@ -172,14 +172,19 @@ def test_hammer_concurrent_solves_under_budget_stay_bitwise_identical():
 
 
 def test_a_demoted_entry_refactors_once_at_the_first_step_of_a_run(monkeypatch):
-    """Under ``REPRO_MEMORY_BUDGET=1M`` the second workload demotes the first;
+    """Under ``REPRO_MEMORY_BUDGET=400K`` the second workload demotes the first;
     a load-only run of the first re-factorizes at step 0 only and returns
-    bitwise the fp64 answer of an unconstrained session."""
+    bitwise the fp64 answer of an unconstrained session.
+
+    Each entry holds 256 000 B once its factors are bands (103 680 B of
+    them), so the two fit in 1M and exceed 400K; the demoted one keeps its
+    half-size factors only.
+    """
     schedule = Workload("heat", 2, (4, 4), 8, steps=3, load_ramp=0.5)
     other = Workload("heat", 2, (4, 4), 8, n_clusters=2)
     with Session(SPEC, memory_budget="unlimited") as session:
         reference = session.run(schedule)
-    monkeypatch.setenv("REPRO_MEMORY_BUDGET", "1M")
+    monkeypatch.setenv("REPRO_MEMORY_BUDGET", "400K")
     with Session(SPEC) as session:
         session.solve(schedule)
         session.solve(other)

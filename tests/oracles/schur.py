@@ -3,8 +3,9 @@
 What the explicit CPU approaches ran before the interface-class kernel: one
 ``F̃ᵢ = B̃ᵢ Kᵢ⁻¹ B̃ᵢᵀ = Wᵀ W`` per subdomain, with ``W = L⁻¹ P B̃ᵢᵀ`` built
 from ``B̃ᵢ`` on every call, swept by the single-factor panel kernel
-(:func:`repro.sparse.triangular.solve_lower_inplace`) and multiplied out in
-2-D blocks.  :func:`repro.sparse.schur.stacked_schur_complement` must give
+(:func:`solve_lower_inplace`, the forward solve the package ran over the
+panels before its solves moved to the band) and multiplied out in 2-D
+blocks.  :func:`repro.sparse.schur.stacked_schur_complement` must give
 **bitwise** this result for every member of every class, whatever the class
 size, because a stacked ``np.matmul`` runs the same BLAS call per member.
 """
@@ -16,9 +17,8 @@ import scipy.sparse as sp
 
 from repro.sparse.numeric import CholeskyFactor
 from repro.sparse.schur import SCHUR_CHUNK, column_first_rows
-from repro.sparse.triangular import solve_lower_inplace
 
-__all__ = ["schur_complement"]
+__all__ = ["schur_complement", "solve_lower_inplace"]
 
 _MIRROR_TILE = 32
 _STRICT_UPPER = np.triu(np.ones((_MIRROR_TILE, _MIRROR_TILE), dtype=bool), 1)
@@ -55,6 +55,39 @@ def schur_complement(
     S = _pruned_gram(W, starts)
     del W
     return np.take(np.take(S, rank, axis=0), rank, axis=1, out=S, mode="clip")
+
+
+def solve_lower_inplace(
+    factor: CholeskyFactor, Y: np.ndarray, sorted_starts: np.ndarray | None = None
+) -> None:
+    """Overwrite the ``(n, nrhs)`` block ``Y`` with ``L⁻¹ Y`` over the panels.
+
+    Each diagonal-block step is a product with the factor's stored inverse.
+    With ``sorted_starts`` (ascending first-nonzero rows of the columns of
+    ``Y``) only the already-activated column prefix joins each panel, which
+    is how the per-column right-hand-side sparsity is exploited.
+    """
+    part = factor.symbolic.supernodes
+    snode_ptr, panel_off, inv_off = part.snode_ptr, part.panel_off, part.inv_off
+    widths, heights = part.widths, part.heights
+    for s in range(part.n_supernodes):
+        j0, j1 = int(snode_ptr[s]), int(snode_ptr[s + 1])
+        w, h = int(widths[s]), int(heights[s])
+        pv = factor.panels[panel_off[s] : panel_off[s + 1]].reshape(h, w)
+        inverse = factor.inverses[inv_off[s] : inv_off[s + 1]].reshape(w, w)
+        if sorted_starts is None:
+            yj = inverse @ Y[j0:j1]
+            Y[j0:j1] = yj
+            if h > w:
+                Y[part.below_rows[s]] -= pv[w:] @ yj
+        else:
+            a = int(np.searchsorted(sorted_starts, j1 - 1, side="right"))
+            if a == 0:
+                continue
+            yj = inverse @ Y[j0:j1, :a]
+            Y[j0:j1, :a] = yj
+            if h > w:
+                Y[part.below_rows[s], :a] -= pv[w:] @ yj
 
 
 def _pruned_gram(W: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ factors each cluster's same-pattern subdomains as one stack — one
 ``stacked_cholesky`` per ``(cluster, pattern)`` group — and never goes through
 the per-subdomain ``SparseSolverBase.factorize``.  Inside it every diagonal
 block is factored (``dpotrf``) and inverted (``dtrtri``) exactly once: the
-Schur assembly and every later solve read the stored inverses, and no
-triangular solve calls LAPACK at all (``dtrtrs``).
+Schur assembly reads the stored inverses, and no solve calls LAPACK at all
+(``dtrtrs``): the ``K⁺`` solves are BLAS ``dtbsv`` on the factor's band.
 
 The explicit approaches assemble ``F̃ᵢ`` once per ``(cluster, pattern,
 interface class)``; the simulated GPU assembly only replays its kernels'
@@ -97,7 +97,7 @@ def test_every_diagonal_block_is_inverted_once_per_factorization(
         # Σ over groups of k × n_supernodes: one per supernode per subdomain.
         blocks = sum(solver.symbolic.supernodes.n_supernodes for solver in solvers)
         assert calls == {"dpotrf": blocks, "dtrtri": blocks}
-        assert session.solve(workload).converged  # warm: reads the inverses
+        assert session.solve(workload).converged  # warm: solves on the band
     assert calls == {"dpotrf": blocks, "dtrtri": blocks}
 
 

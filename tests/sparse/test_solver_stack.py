@@ -1,13 +1,13 @@
 """The stacked ``K⁺`` solve against the per-subdomain oracle.
 
-``solve_stacked`` / ``SolverStack`` (sparse layer) and the operator methods
-built on them (``dual_rhs``, ``primal_solution``, ``apply_accurate``, the
-implicit CPU apply) must reproduce ``tests/oracles/kplus.py`` — one
-``SparseSolverBase.solve`` and one ``scipy.sparse`` product per subdomain — on
-the *current* numeric factors, under every precision policy, and spend
-interpreted steps per supernode, not per subdomain.  The sweep itself, run
-from its plan, must be bitwise the fancy-indexed sweep of
-``tests/oracles/sweep.py``.
+``SolverStack`` (sparse layer: one block-diagonal band per pattern group,
+two BLAS calls per solve) and the operator methods built on it
+(``dual_rhs``, ``primal_solution``, ``apply_accurate``, the implicit CPU
+apply) must reproduce ``tests/oracles/kplus.py`` — one
+``SparseSolverBase.solve`` and one ``scipy.sparse`` product per subdomain —
+on the *current* numeric factors, under every precision policy, keep every
+member independent of the others, and hold ``L`` once: as the band, with
+the panels released.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ from repro.feti.config import DualOperatorApproach
 from repro.feti.operators import make_dual_operator
 from repro.feti.problem import FetiProblem
 from repro.feti.solver import FetiSolver, MultiStepDriver
-from repro.memory.precision import PRECISION_NAMES
-from repro.sparse import solvers as sparse_solvers
+from repro.memory.precision import PRECISION_NAMES, factor_nbytes
 from repro.sparse import triangular
 from repro.sparse.cache import PatternCache
 from repro.sparse.numeric import CholeskyFactor
 from repro.sparse.solvers import CholmodLikeSolver, PardisoLikeSolver, SolverStack
-from repro.sparse.triangular import _row_index, solve_stacked
+from repro.sparse.symbolic import SymbolicFactor
 
 from tests.conftest import fem_stiffness
 from tests.oracles.kplus import (
@@ -40,7 +39,6 @@ from tests.oracles.kplus import (
     looped_dual_rhs,
     looped_primal_solution,
 )
-from tests.oracles.sweep import fancy_index_solve_stacked
 
 #: Workloads of the stacked-kernel table in the README.  Every one of them
 #: has one ``K_reg`` pattern, so all its subdomains form one stack.
@@ -54,8 +52,8 @@ WORKLOADS = {
 }
 
 #: Largest relative difference to the oracle.  Without refinement the two
-#: paths do the same arithmetic up to the diagonal-block step (measured 2e-16
-#: … 2e-15).  Refined solves end at their own fp64 floor ``eps · cond(K)``:
+#: paths run the same banded solve, the stack over more members (measured
+#: ≤ 1e-15).  Refined solves end at their own fp64 floor ``eps · cond(K)``:
 #: the residual ``b − K x`` is a cancellation, so a last-bit difference in
 #: ``x`` comes back as ``eps · cond(K)`` in the correction (measured ≤ 2e-12).
 TOLERANCE = {"fp64": 1e-13, "fp32": 1e-13, "fp32_ir": 1e-11}
@@ -164,7 +162,7 @@ def test_explicit_backends_share_the_stacked_solve(approach):
 
 
 # --------------------------------------------------------------------- #
-# The kernel itself: k = 0, 1, 2                                         #
+# The stack itself                                                       #
 # --------------------------------------------------------------------- #
 def _factorized(n_solvers, scale=lambda i: 1.0 + 0.25 * i, cls=PardisoLikeSolver, **kwargs):
     K = fem_stiffness(HeatTransferProblem(), 2, 6)
@@ -189,18 +187,43 @@ def test_stack_of_two_matches_the_facade(precision):
     reference = np.stack([s.solve(row) for s, row in zip(solvers, b)])
     x = SolverStack(solvers).solve(b)
     assert np.abs(x - reference).max() <= TOLERANCE[precision] * np.abs(reference).max()
-    # The kernel alone, without the cached plan, agrees too.
-    stack = SolverStack(solvers)
-    raw = solve_stacked(stack.symbolic, stack.panels, stack.inverses, b)
-    assert np.array_equal(raw, stack._sweep(b))
 
 
-def test_empty_stack_solves_to_an_empty_result():
-    (solver,), n = _factorized(1)
-    symbolic = solver.symbolic
-    panels = np.zeros((0, symbolic.supernodes.panel_entries))
-    inverses = np.zeros((0, symbolic.supernodes.inverse_entries))
-    assert solve_stacked(symbolic, panels, inverses, np.zeros((0, n))).shape == (0, n)
+#: ``(workload, precision)`` of the member-against-stack-of-one checks.
+MEMBER_CASES = {
+    "heat2d-8x8x8": (WORKLOADS["heat2d-8x8x8"], "fp64"),
+    "heat3d-2x2x1x12": (WORKLOADS["heat3d-2x2x1x12"], "fp64"),
+    "elasticity3d-3x3x3x4": (Workload("elasticity", 3, (3, 3, 3), 4), "fp64"),
+    "heat3d-2x2x1x12-fp32": (WORKLOADS["heat3d-2x2x1x12"], "fp32"),
+}
+
+
+@pytest.mark.parametrize("name", MEMBER_CASES)
+def test_a_member_of_the_stack_is_its_stack_of_one(name):
+    """The block-diagonal band couples no two members.
+
+    Every member solves as its own stack of one does (≤ 1e-15 relative:
+    BLAS may block the two bands differently), and a changed right-hand
+    side of one member leaves every other member's solution bitwise equal.
+    """
+    workload, precision = MEMBER_CASES[name]
+    operator = _preprocessed(build_problem(workload), precision)
+    operator.dual_rhs()  # builds the stacks
+    ((dofs, stack),) = operator._kplus_stacks
+    assert stack.band.dtype == operator.precision.storage_dtype
+    k, n = dofs.shape
+    rng = np.random.default_rng(7)
+    rhs = rng.standard_normal((k, n))
+    x = stack.solve(rhs)
+    for i, sub in enumerate(operator.problem.subdomains):
+        alone = operator._cpu_solvers[sub.index].solve(rhs[i])
+        assert np.abs(x[i] - alone).max() <= 1e-15 * np.abs(alone).max(), i
+    changed = rhs.copy()
+    changed[k // 2] = rng.standard_normal(n)
+    y = stack.solve(changed)
+    others = np.arange(k) != k // 2
+    assert np.array_equal(y[others], x[others])
+    assert not np.array_equal(y[k // 2], x[k // 2])
 
 
 def test_zero_right_hand_sides_stay_zero_under_refinement():
@@ -213,121 +236,93 @@ def test_zero_right_hand_sides_stay_zero_under_refinement():
 
 
 # --------------------------------------------------------------------- #
-# The sweep plan: bitwise the fancy-indexed sweep it replaced            #
+# L is never resident twice: the band replaces the panels                #
 # --------------------------------------------------------------------- #
-#: ``(workload, precision)`` of every planned-sweep check.  Under RCM every
-#: below-row set of the heat patterns is one contiguous run (all slices);
-#: elasticity 3D mixes slices and index arrays.
-PLAN_CASES = {
-    "heat3d-2x2x1x12": (Workload("heat", 3, (2, 2, 1), 12), "fp64"),
-    "heat3d-3x3x3x4": (Workload("heat", 3, (3, 3, 3), 4), "fp64"),
-    "heat2d-8x8x8": (WORKLOADS["heat2d-8x8x8"], "fp64"),
-    "elasticity3d-3x3x3x4": (Workload("elasticity", 3, (3, 3, 3), 4), "fp64"),
-    "heat3d-2x2x1x12-fp32": (Workload("heat", 3, (2, 2, 1), 12), "fp32"),
-}
-
-
-@pytest.mark.parametrize("name", PLAN_CASES)
-def test_planned_sweep_is_bitwise_the_fancy_index_sweep(name):
-    workload, precision = PLAN_CASES[name]
-    operator = _preprocessed(build_problem(workload), precision)
-    operator.dual_rhs()  # builds the stacks
-    ((dofs, stack),) = operator._kplus_stacks
-    symbolic, panels, inverses = stack.symbolic, stack.panels, stack.inverses
-    assert panels.dtype == inverses.dtype == operator.precision.storage_dtype
-    rows = [step[3] for step in stack.plan if step[2] is not None]
-    slices = sum(isinstance(index, slice) for index in rows)
-    if name.startswith("elasticity"):
-        assert 0 < slices < len(rows)
-    else:
-        assert slices == len(rows) > 0
-    rhs = np.random.default_rng(7).standard_normal(dofs.shape)
-    reference = fancy_index_solve_stacked(symbolic, panels, inverses, rhs)
-    assert np.array_equal(solve_stacked(symbolic, panels, inverses, rhs, stack.plan), reference)
-    # Without the cached plan too.
-    assert np.array_equal(solve_stacked(symbolic, panels, inverses, rhs), reference)
-
-
-@pytest.mark.parametrize(
-    "rows, expected",
-    [
-        ([5], slice(5, 6)),
-        ([0, 1], slice(0, 2)),
-        ([2, 3, 4, 5], slice(2, 6)),
-        ([], None),
-        ([2, 4], None),
-        ([1, 2, 4], None),
-        ([3, 2], None),
-        ([5, 3, 7], None),
-    ],
-)
-def test_row_index_is_a_slice_exactly_for_a_contiguous_run(rows, expected):
-    rows = np.asarray(rows, dtype=np.int64)
-    index = _row_index(rows)
-    if expected is None:
-        assert index is rows
-    else:
-        assert index == expected
-    y = np.arange(30.0).reshape(3, 10)
-    assert np.array_equal(y[:, index], y[:, rows])
-
-
-# --------------------------------------------------------------------- #
-# The panels are never resident twice                                    #
-# --------------------------------------------------------------------- #
-def test_stacking_repoints_the_factors_at_the_stack():
-    solvers, _ = _factorized(4)
-    before = sum(s.storage_nbytes() for s in solvers)
+@pytest.mark.parametrize("precision", PRECISION_NAMES)
+def test_stacking_repoints_the_factors_at_the_band(precision):
+    solvers, n = _factorized(4, precision=precision)
     stack = SolverStack(solvers)
-    for row, inverse, solver in zip(stack.panels, stack.inverses, solvers):
-        assert np.shares_memory(row, solver._factor.panels)
-        assert np.shares_memory(inverse, solver._factor.inverses)
-    assert sum(s.storage_nbytes() for s in solvers) == before
+    dtype = np.dtype(np.float32 if precision != "fp64" else np.float64)
+    assert stack.band.dtype == dtype
+    for row, solver in zip(stack.band, solvers):
+        factor = solver._factor
+        assert factor.band is not None and np.shares_memory(row, factor.band)
+        assert factor.panels is None and factor.inverses is None
+    retained = sum(s.storage_nbytes() - factor_nbytes(s._factor) for s in solvers)
+    assert sum(s.storage_nbytes() for s in solvers) == stack.band.nbytes + retained
     # Re-stacking the same factors (or a run of them) copies nothing.
     for again in (SolverStack(solvers), SolverStack(solvers[1:3])):
-        assert np.shares_memory(again.panels, stack.panels)
-        assert np.shares_memory(again.inverses, stack.inverses)
+        assert np.shares_memory(again.band, stack.band)
     # A non-consecutive selection has to copy — and stays correct.
     picked = [solvers[2], solvers[0]]
-    b = np.random.default_rng(2).standard_normal((2, stack.symbolic.n))
+    b = np.random.default_rng(2).standard_normal((2, n))
     reference = np.stack([s.solve(row) for s, row in zip(picked, b)])
     x = SolverStack(picked).solve(b)
-    assert np.abs(x - reference).max() <= 1e-13 * np.abs(reference).max()
+    assert np.abs(x - reference).max() <= TOLERANCE[precision] * np.abs(reference).max()
 
 
-def test_panels_viewing_a_foreign_buffer_are_adopted_zero_copy():
-    """Factors whose rows view a buffer no array owns are stacked zero-copy."""
+def test_a_group_stack_takes_over_the_bands_of_stacks_of_one():
+    """Members solved alone first hold their own bands; the group copies them.
+
+    The copy re-points every member at its row and drops the members'
+    stacks of one, so the old bands are not kept alive beside the new one.
+    """
     solvers, n = _factorized(3)
-
-    def foreign(name):
-        rows = np.stack([getattr(s._factor, name) for s in solvers])
-        return np.frombuffer(bytearray(rows.tobytes()), dtype=float).reshape(rows.shape)
-
-    panels, inverses = foreign("panels"), foreign("inverses")
-    assert not panels.flags.owndata and not inverses.flags.owndata
-    for solver, row, inverse in zip(solvers, panels, inverses):
-        solver.adopt_factor(CholeskyFactor(solver.symbolic, row, inverse))
+    b = np.random.default_rng(4).standard_normal((3, n))
+    alone = [solvers[0].solve(b[0]), solvers[2].solve(b[2])]
+    old = solvers[0]._factor.band
     stack = SolverStack(solvers)
-    assert np.shares_memory(stack.panels, panels)
-    assert np.shares_memory(stack.inverses, inverses)
+    assert not np.shares_memory(stack.band, old)
+    assert all(s._stack is None for s in solvers)
+    assert np.shares_memory(solvers[0]._stack_of_one().band, stack.band)
+    x = stack.solve(b)
+    assert np.abs(x[0] - alone[0]).max() <= 1e-15 * np.abs(alone[0]).max()
+    assert np.abs(x[2] - alone[1]).max() <= 1e-15 * np.abs(alone[1]).max()
+
+
+def test_bands_viewing_a_foreign_buffer_are_adopted_zero_copy():
+    """Factors whose bands view a buffer no array owns are stacked zero-copy."""
+    solvers, n = _factorized(3)
+    SolverStack(solvers)
+    rows = np.stack([s._factor.band for s in solvers])
+    band = np.frombuffer(bytearray(rows.tobytes()), dtype=float).reshape(rows.shape)
+    assert not band.flags.owndata
+    for solver, row in zip(solvers, band):
+        solver.adopt_factor(CholeskyFactor(solver.symbolic, None, None, row))
+    stack = SolverStack(solvers)
+    assert np.shares_memory(stack.band, band)
     b = np.random.default_rng(3).standard_normal((3, n))
     reference = np.stack([s.solve(row) for s, row in zip(solvers, b)])
     assert np.abs(stack.solve(b) - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 @pytest.mark.parametrize("execution", ["serial", "threads:2"])
-def test_sharded_preprocessing_hands_over_its_panel_stacks(execution):
-    """A shard's stacked panels are adopted as views on every executor."""
+def test_after_the_first_solve_the_factor_bytes_are_the_bands(execution):
+    """On every executor the round's first ``K⁺`` solve releases the panels."""
     w = WORKLOADS["heat2d-4x4x8"]
     spec = SolverSpec(approach="impl mkl", execution=execution)
     with Session(spec, memory_budget="unlimited") as session:
         solution = session.solve(w)
         operator = session.solver(w).operator
-        factor_bytes = operator.storage_nbytes()["factor"]
+        ((_, stack),) = operator._kplus_stacks
+        assert operator.storage_nbytes()["factor"] == stack.band.nbytes
+        for solver in operator._cpu_solvers.values():
+            assert solver._factor.panels is None and solver._factor.inverses is None
         _assert_matches_oracle(operator)
-        assert operator.storage_nbytes()["factor"] == factor_bytes
+        assert operator.storage_nbytes()["factor"] == stack.band.nbytes
     u_ref, _ = build_problem(w).saddle_point_solution()
     assert np.allclose(np.concatenate(solution.primal), u_ref, atol=1e-7)
+
+
+def test_schur_assembly_of_a_band_form_factor_names_factorize():
+    (solver,), n = _factorized(1)
+    B = sp.csr_matrix(([1.0, -1.0], ([0, 1], [0, n - 1])), shape=(2, n))
+    before = solver.schur_complement(B)
+    solver.solve(np.ones(n))
+    with pytest.raises(RuntimeError, match=r"factorize\(\)"):
+        solver.schur_complement(B)
+    solver.factorize(fem_stiffness(HeatTransferProblem(), 2, 6))
+    assert np.array_equal(solver.schur_complement(B), before)
 
 
 # --------------------------------------------------------------------- #
@@ -340,7 +335,7 @@ def _fresh_problem() -> FetiProblem:
 
 
 def _fresh_heat3d_problem() -> FetiProblem:
-    """Four 125-DOF heat 3D subdomains: every below-row run is contiguous."""
+    """Four 125-DOF heat 3D subdomains."""
     decomposition = decompose_box(3, (2, 2, 1), 4, order=1)
     return FetiProblem.from_physics(HeatTransferProblem(), decomposition)
 
@@ -367,14 +362,11 @@ def test_stack_follows_a_rescaled_stiffness_across_steps(approach, name):
         dual_rhs.append(operator.dual_rhs())
         ((_, stack),) = operator._kplus_stacks
         assert all(stack is not old for old in stacks)
+        assert all(not np.shares_memory(stack.band, old.band) for old in stacks)
         stacks.append(stack)
-        # The plan views this step's factors, nothing older.
-        for row, sub in zip(stack.panels, problem.subdomains):
-            assert np.shares_memory(row, operator._cpu_solvers[sub.index]._factor.panels)
-        for _, _, below, rows, inverse in stack.plan:
-            assert np.shares_memory(inverse, stack.inverses)
-            assert below is None or np.shares_memory(below, stack.panels)
-            assert below is None or isinstance(rows, slice)
+        # The band is this step's factors, nothing older.
+        for row, sub in zip(stack.band, problem.subdomains):
+            assert np.shares_memory(row, operator._cpu_solvers[sub.index]._factor.band)
 
     def update(step, problem):
         if step:
@@ -394,18 +386,16 @@ def test_stack_follows_a_rescaled_stiffness_across_steps(approach, name):
         assert np.allclose(dual_rhs[step] + c, expected, rtol=1e-12)
 
 
-def test_plan_is_built_once_per_pattern_group_per_preprocessing(monkeypatch):
+def test_band_is_built_once_per_pattern_group_per_preprocessing(monkeypatch):
     builds = 0
-    original = triangular.stacked_sweep_plan
+    original = SymbolicFactor.band_index
 
-    def counted(*args):
+    def counted(self):
         nonlocal builds
         builds += 1
-        return original(*args)
+        return original(self)
 
-    # Counted where the stack builds it and where a planless sweep would.
-    monkeypatch.setattr(sparse_solvers, "stacked_sweep_plan", counted)
-    monkeypatch.setattr(triangular, "stacked_sweep_plan", counted)
+    monkeypatch.setattr(SymbolicFactor, "band_index", counted)
     w = WORKLOADS["heat2d-4x4x8"]
     with Session(SolverSpec(approach="impl mkl"), memory_budget="unlimited") as session:
         assert session.solve(w).converged
@@ -434,7 +424,7 @@ def test_stack_is_dropped_by_demote_storage():
     d64 = operator.dual_rhs()
     operator.demote_storage()
     d32 = operator.dual_rhs()
-    assert operator._cpu_solvers[0]._factor.panels.dtype == np.float32
+    assert operator._cpu_solvers[0]._factor.band.dtype == np.float32
     assert 1e-9 < np.abs(d32 - d64).max() / np.abs(d64).max() < 1e-5
     _assert_matches_oracle(operator)
 
@@ -455,39 +445,48 @@ def test_stack_survives_budget_pressure(monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# Budget: interpreted steps per supernode, none per stacked factor       #
+# Budget: two BLAS calls per stack, whatever its size                    #
 # --------------------------------------------------------------------- #
-def _line_events_in_solve_stacked(stack: SolverStack, rhs: np.ndarray) -> int:
+def _counted_sweep(stack: SolverStack, rhs: np.ndarray, monkeypatch) -> tuple[int, int]:
+    """``(BLAS calls, interpreted line events in the kernel)`` of one sweep."""
+    calls = 0
+    dtbsv = triangular.dtbsv
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return dtbsv(*args, **kwargs)
+
     filename = triangular.__file__
-    count = 0
+    events = 0
 
     def local_trace(frame, event, arg):
-        nonlocal count
+        nonlocal events
         if event == "line":
-            count += 1
+            events += 1
         return local_trace
 
     def global_trace(frame, event, arg):
         return local_trace if frame.f_code.co_filename == filename else None
 
-    previous = sys.gettrace()
-    sys.settrace(global_trace)
-    try:
-        stack._sweep(rhs)
-    finally:
-        sys.settrace(previous)
-    return count
+    with monkeypatch.context() as patch:
+        patch.setattr(triangular, "dtbsv", counted)
+        previous = sys.gettrace()
+        sys.settrace(global_trace)
+        try:
+            stack._sweep(rhs)
+        finally:
+            sys.settrace(previous)
+    return calls, events
 
 
-def test_interpreted_steps_scale_with_supernodes_not_with_the_stack():
-    events = {}
-    for k in (16, 64):
+def test_a_sweep_is_two_blas_calls_whatever_the_stack(monkeypatch):
+    counts = {}
+    for k in (1, 16, 64):
         solvers, n = _factorized(k, scale=lambda i: 1.0 + 0.01 * i)
-        stack = SolverStack(solvers)
-        events[k] = _line_events_in_solve_stacked(stack, np.ones((k, n)))
-        n_supernodes = stack.symbolic.supernodes.n_supernodes
-    assert events[16] == events[64] > 0
-    # The planned sweep measures 121 events on these 11 supernodes (8 per
-    # supernode, 2 more per below-row update, 13 around the loops).  One
-    # more statement per supernode and call breaks the bound.
-    assert events[64] <= 10 * n_supernodes + 18
+        counts[k] = _counted_sweep(SolverStack(solvers), np.ones((k, n)), monkeypatch)
+    assert counts[1] == counts[16] == counts[64]
+    calls, events = counts[64]
+    assert calls == 2
+    # 11 interpreted lines (measured): no loop over members or supernodes.
+    assert 0 < events <= 11

@@ -1,10 +1,11 @@
 """Tests of the supernodal sparse kernel layer.
 
 Covers supernode detection on hand-built elimination trees, equality of the
-supernodal factorization and of every panel triangular kernel with the scalar
-per-column oracle (``tests/oracles/sparse.py``) across heat/elasticity 2D/3D
-patterns, the per-column ``start_rows`` grouping, and the structural pattern
-cache.
+supernodal factorization with the scalar per-column oracle
+(``tests/oracles/sparse.py``) across heat/elasticity 2D/3D patterns, the
+per-column ``start_rows`` grouping of the panel forward sweep the Schur
+oracle runs (``tests/oracles/schur.py``), and the structural pattern cache.
+The banded solves have their own tests (``test_triangular.py``).
 """
 
 from __future__ import annotations
@@ -24,13 +25,11 @@ from repro.sparse import (
     PatternCache,
     detect_supernodes,
     numeric_cholesky,
-    sparse_trsm_lower,
-    sparse_trsm_upper,
-    sparse_trsv_lower,
-    sparse_trsv_upper,
+    solve_banded,
     structural_key,
     symbolic_cholesky,
 )
+from repro.sparse.numeric import stacked_band
 from repro.sparse.solvers import CholmodLikeSolver, PardisoLikeSolver
 from repro.sparse.symbolic import MAX_SUPERNODE
 
@@ -38,6 +37,7 @@ from tests.conftest import fem_stiffness as _fem_matrix
 from tests.conftest import random_spd_matrix
 from tests.oracles import sparse as scalar
 from tests.oracles.ordering import ORDERINGS, analysis_kwargs
+from tests.oracles.schur import solve_lower_inplace
 from tests.sparse.test_symbolic import FEM_ZOO, SMALL_ZOO
 
 
@@ -227,28 +227,20 @@ def test_blocked_factorization_matches_scalar_on_fem_patterns(physics, dim):
 
 
 @pytest.mark.parametrize(("physics", "dim"), FEM_CASES)
-def test_blocked_triangular_kernels_match_scalar_and_scipy(physics, dim):
+def test_band_solve_matches_scalar_and_scipy(physics, dim):
     A = _fem_matrix(physics, dim)
     s = symbolic_cholesky(A)
     f = numeric_cholesky(A, s)
-    rng = np.random.default_rng(dim)
-    b = rng.standard_normal(s.n)
-    B = rng.standard_normal((s.n, 5))
+    b = np.random.default_rng(dim).standard_normal(s.n)
     L = f.to_csc()
-
-    y_ref = spla.spsolve_triangular(L.tocsr(), b, lower=True)
-    assert np.allclose(sparse_trsv_lower(f, b), y_ref)
-    assert np.allclose(scalar.trsv_lower(f, b), y_ref)
-
-    x_ref = spla.spsolve_triangular(L.T.tocsr(), b, lower=False)
-    assert np.allclose(sparse_trsv_upper(f, b), x_ref)
-    assert np.allclose(scalar.trsv_upper(f, b), x_ref)
-
-    Yb = sparse_trsm_lower(f, B)
-    assert np.allclose(Yb, scalar.trsm_lower(f, B))
-    Xb = sparse_trsm_upper(f, Yb)
-    assert np.allclose(Xb, scalar.trsm_upper(f, Yb))
-    assert np.allclose(L.toarray() @ Yb, B)
+    y_ref = spla.spsolve_triangular(L.tocsr(), b[s.perm], lower=True)
+    x_ref = np.empty(s.n)
+    x_ref[s.perm] = spla.spsolve_triangular(L.T.tocsr(), y_ref, lower=False)
+    x_scalar = np.empty(s.n)
+    x_scalar[s.perm] = scalar.trsv_upper(f, scalar.trsv_lower(f, b[s.perm]))
+    assert np.allclose(x_scalar, x_ref)
+    band = stacked_band(s, f.panels[None])
+    assert np.allclose(solve_banded(s.perm, band, b[None])[0], x_ref)
 
 
 @settings(max_examples=25, deadline=None)
@@ -267,32 +259,28 @@ def test_property_blocked_equals_scalar_on_random_spd(n, seed):
         fb.to_csc().data, fs.values, atol=1e-10 * max(1.0, np.abs(fs.values).max())
     )
     b = rng.standard_normal(n)
-    assert np.allclose(sparse_trsv_lower(fb, b), scalar.trsv_lower(fs, b))
-    assert np.allclose(sparse_trsv_upper(fb, b), scalar.trsv_upper(fs, b))
+    x = np.empty(n)
+    x[s.perm] = scalar.trsv_upper(fs, scalar.trsv_lower(fs, b[s.perm]))
+    assert np.allclose(solve_banded(s.perm, stacked_band(s, fb.panels[None]), b[None])[0], x)
 
 
-def test_trsm_per_column_start_rows_groups_columns():
+def test_panel_sweep_start_rows_group_columns():
+    """The Schur oracle's forward sweep skips each column's leading zeros."""
     rng = np.random.default_rng(5)
     A = _fem_matrix(HeatTransferProblem(), 2)
     s = symbolic_cholesky(A)
     f = numeric_cholesky(A, s)
     nrhs = 9
-    starts = rng.integers(0, s.n, size=nrhs)
-    starts[0], starts[-1] = s.n - 1, 0  # extreme groups
+    starts = np.sort(rng.integers(0, s.n, size=nrhs))
+    starts[0], starts[-1] = 0, s.n - 1  # extreme groups
     B = np.zeros((s.n, nrhs))
     for j, st0 in enumerate(starts):
         B[st0:, j] = rng.standard_normal(s.n - int(st0))
-    dense = sparse_trsm_lower(f, B)
-    assert np.allclose(sparse_trsm_lower(f, B, start_rows=starts), dense)
+    dense, pruned = B.copy(), B.copy()
+    solve_lower_inplace(f, dense)
+    solve_lower_inplace(f, pruned, sorted_starts=starts)
+    assert np.allclose(pruned, dense)
     assert np.allclose(scalar.trsm_lower(f, B), dense)
-
-
-def test_trsm_start_rows_requires_one_entry_per_column():
-    A = _fem_matrix(HeatTransferProblem(), 2)
-    s = symbolic_cholesky(A)
-    f = numeric_cholesky(A, s)
-    with pytest.raises(ValueError, match="one entry per column"):
-        sparse_trsm_lower(f, np.zeros((s.n, 3)), start_rows=np.array([0, 1]))
 
 
 # --------------------------------------------------------------------- #
@@ -358,8 +346,9 @@ def test_blocked_solvers_share_the_cache_and_match_scalar():
         b = rng.standard_normal(A.shape[0])
         x = np.empty_like(b)
         x[s.perm] = scalar.trsv_upper(oracle, scalar.trsv_lower(oracle, b[s.perm]))
-        assert np.allclose(solver.solve(b), x)
+        # The Schur assembly reads the panels, which the first solve releases.
         assert np.allclose(solver.schur_complement(B), scalar.schur_complement(oracle, B))
+        assert np.allclose(solver.solve(b), x)
         # the facade without sparsity exploitation assembles the same operator
         plain = CholmodLikeSolver(pattern_cache=cache)
         plain.factorize(Ai)
