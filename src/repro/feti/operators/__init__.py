@@ -13,8 +13,9 @@ the same three phases:
     the dual-operator application used inside every PCPG iteration.
 
 An approach is three values.  Its numbers come from one of two numeric
-paths — ``explicit`` (the pack of assembled ``F̃ᵢ``) or implicit (the
-stacked ``K⁺`` sweep) — run with one of two solver facades (PARDISO-like or
+paths — ``explicit`` (the assembled ``F̃ᵢ``, small ones in one padded pack,
+large ones applied by SYMV) or implicit (one banded ``K⁺`` solve per
+sparsity pattern) — run with one of two solver facades (PARDISO-like or
 CHOLMOD-like).  Its simulated seconds and device bytes come from one of five
 cost replays (:mod:`repro.feti.operators.replay`: CPU explicit, CPU
 implicit, GPU explicit, GPU implicit, hybrid), which read the subdomain

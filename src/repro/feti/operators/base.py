@@ -5,8 +5,10 @@ two numeric paths:
 
 * **explicit** — the runtime's preprocessing round factorizes every
   subdomain and assembles its ``F̃ᵢ`` (one stacked Schur assembly per
-  interface class); the blocks go into one pack, and an apply is one
-  gather, one padded batched GEMV and one ``bincount``;
+  interface class); an apply is one gather, one padded batched GEMV over
+  the blocks of fewer than ``SYMV_MIN_ROWS`` rows, one ``dsymv`` on each
+  larger block (held unpadded, as the assembly left it) and one
+  ``bincount`` (:class:`~repro.feti.operators.batch.BatchedDenseApply`);
 * **implicit** — the round only factorizes; an apply is ``B̃ K⁺ B̃ᵀ`` with
   one banded ``K⁺`` solve per sparsity pattern
   (:meth:`DualOperator.apply_accurate`).
@@ -49,8 +51,9 @@ class DualOperator:
     approach:
         The Table-III approach (its name in ledgers and traces).
     explicit:
-        Assemble ``F̃ᵢ`` and apply the pack (``True``), or apply ``B̃ K⁺ B̃ᵀ``
-        through the stacked ``K⁺`` sweep (``False``).
+        Assemble ``F̃ᵢ`` and apply them as dense blocks (``True``), or apply
+        ``B̃ K⁺ B̃ᵀ`` through one banded ``K⁺`` solve per sparsity pattern
+        (``False``).
     facade:
         The :class:`~repro.sparse.solvers.SparseSolverBase` subclass that
         analyses and factorizes every subdomain (its ``library`` is what the
@@ -79,9 +82,9 @@ class DualOperator:
         self.approach = approach
         self.explicit = explicit
         self.config = config or AssemblyConfig()
-        #: Factor/pack storage policy (see :mod:`repro.memory.precision`).
+        #: Factor/``F̃ᵢ`` storage policy (see :mod:`repro.memory.precision`).
         #: All arithmetic still runs in fp64; the policy controls what the
-        #: resident factors and packed ``F̃ᵢ`` blocks are stored as, and
+        #: resident factors and ``F̃ᵢ`` blocks are stored as, and
         #: whether solves are iteratively refined back to fp64 residuals.
         self.precision = resolve_precision(precision)
         #: Caller-owned pattern cache for the sparse symbolic analysis (a
@@ -149,22 +152,18 @@ class DualOperator:
 
     @property
     def local_F(self) -> dict[int, np.ndarray]:
-        """The assembled ``F̃ᵢ`` by subdomain: read-only views of the one pack.
+        """The assembled ``F̃ᵢ`` by subdomain: read-only views of the stored blocks.
 
-        Every explicit backend installs its ``F̃ᵢ`` there (at the precision
-        policy's storage dtype); empty for the implicit backends, before the
-        first preprocessing and after a storage demotion (which drops the
-        pack).
+        Every explicit backend installs its ``F̃ᵢ`` in the batch engine (at
+        the precision policy's storage dtype): a small block in the padded
+        pack, a large one as itself.  Empty for the implicit backends, before
+        the first preprocessing and after a storage demotion (which drops
+        the blocks).
         """
-        dense = self.batch_engine.dense
-        if dense is None:
+        engine = self.batch_engine
+        if engine.dense is None:
             return {}
-        views = {}
-        for sub in self.problem.subdomains:
-            view = dense.blocks[sub.index, : sub.n_lambda, : sub.n_lambda]
-            view.flags.writeable = False
-            views[sub.index] = view
-        return views
+        return {sub.index: engine.dense_block(sub.index) for sub in self.problem.subdomains}
 
     @property
     def executor(self):
@@ -212,8 +211,8 @@ class DualOperator:
         sharded by cluster topology (one shard per cluster and worker), and
         every shard factors its same-pattern subdomains as one stack — then,
         on the explicit path, assembles the ``F̃ᵢ`` of each interface class
-        as one stack (see :mod:`repro.runtime.preprocess`), which go into
-        the pack.
+        as one stack (see :mod:`repro.runtime.preprocess`), which the batch
+        engine installs.
         """
         from repro.runtime.preprocess import run_preprocessing
 
@@ -271,8 +270,9 @@ class DualOperator:
         to ``k`` separate :meth:`apply` calls, which makes the block-PCPG
         iteration an exact lockstep of ``k`` scalar iterations.  With
         ``stacked=True`` every explicit approach runs one batched GEMM over
-        all columns instead, amortizing the scatter/gather and kernel
-        launches; results then agree with the per-column path to machine
+        all columns of the packed blocks and one GEMM per large block
+        instead, amortizing the scatter/gather and kernel launches; results
+        then agree with the per-column path to machine
         rounding (≤1e-12 relative).  The implicit approaches loop either way.
 
         One ``apply_multi`` phase is recorded per call: the replay's
@@ -339,28 +339,24 @@ class DualOperator:
         return plan
 
     # ------------------------------------------------------------------ #
-    # Packed dense apply (the explicit path)                              #
+    # Dense apply (the explicit path)                                     #
     # ------------------------------------------------------------------ #
     def _apply_packed_dense(self, lam: np.ndarray) -> np.ndarray:
-        """``q = Σ F̃ᵢ λᵢ`` over the one pack: one take, GEMV and ``bincount``.
+        """``q = Σ F̃ᵢ λᵢ``: one take, the pack's GEMV, a SYMV per large block, one ``bincount``.
 
         In the caller's process whatever the executor: the executor runs
         preprocessing only.
         """
-        engine = self.batch_engine
+        dense = self.batch_engine.require_dense()
         q = np.zeros_like(lam)
-        p_concat = engine.global_map.gather(lam)
-        engine.global_map.scatter_add(q, engine.require_dense().matvec(p_concat))
+        dense.map.scatter_add(q, dense.matvec(dense.map.gather(lam)))
         return q
 
     def _apply_packed_dense_multi(self, lam_block: np.ndarray) -> np.ndarray:
         """The stacked multi-RHS analogue of :meth:`_apply_packed_dense` (GEMM)."""
-        engine = self.batch_engine
+        dense = self.batch_engine.require_dense()
         q = np.zeros_like(lam_block)
-        p_stack = engine.global_map.gather_multi(lam_block)
-        engine.global_map.scatter_add_multi(
-            q, engine.require_dense().matvec_multi(p_stack)
-        )
+        dense.map.scatter_add_multi(q, dense.matvec_multi(dense.map.gather_multi(lam_block)))
         return q
 
     # ------------------------------------------------------------------ #
@@ -437,7 +433,7 @@ class DualOperator:
         """Reference application ``q = F λ`` through the refined CPU solves.
 
         Whatever a backend stores for its fast applies (fp32 ``local_F``
-        packs), this routes the operator through
+        blocks), this routes the operator through
         ``B̃ K⁺ B̃ᵀ`` on the CPU factors — iterative refinement included under
         a refining precision policy — so the residuals it feeds are accurate
         to fp64 level.  The dual-level defect correction of ``fp32_ir``
@@ -490,10 +486,12 @@ class DualOperator:
         arrays are shared across cache entries through the pattern cache, so
         they sit outside the per-entry budget and are reported as
         ``pattern_bytes`` in ``Session.cache_stats()``
-        (:attr:`repro.sparse.PatternCache.nbytes`); ``pack`` the one
-        batched pack of the assembled dense blocks (which ``local_F`` only
-        views); and ``arena`` the padded apply-scratch buffers the batched
-        engine keeps warm.  Only what the process holds counts: the
+        (:attr:`repro.sparse.PatternCache.nbytes`); ``pack`` the assembled
+        ``F̃ᵢ`` (which ``local_F`` only views): the padded pack of the blocks
+        of fewer than ``SYMV_MIN_ROWS`` rows plus every larger block,
+        unpadded, ``n_λᵢ²`` entries each; and ``arena`` the padded
+        apply-scratch vector of the pack, which the batched engine keeps
+        warm.  Only what the process holds counts: the
         simulated GPU's device memory is byte sizes, not arrays.  The session's
         :class:`~repro.memory.ledger.FactorLedger` records these per cache
         entry.  Each factor views its row of its pattern group's band.
@@ -502,7 +500,7 @@ class DualOperator:
         pack = arena = 0
         dense = self._batch_engine.dense if self._batch_engine is not None else None
         if dense is not None:
-            pack += int(dense.blocks.nbytes)
+            pack += dense.nbytes
             arena += int(dense._p_pad.nbytes)
         return {"factor": int(factor), "pack": int(pack), "arena": int(arena)}
 
@@ -512,9 +510,10 @@ class DualOperator:
         Called by the session's tiering only on entries it marks stale in
         the same step: the demoted factors are never read by a solve — the
         next touch re-runs the numeric preprocessing, which rebuilds every
-        factor and pack at the spec's own precision.  The batched dense
-        packs are dropped outright (re-preprocessing recreates them), so a
-        demoted entry keeps only its structure and half-size factors warm.
+        factor and ``F̃ᵢ`` at the spec's own precision.  The dense blocks,
+        packed and large, are dropped outright (re-preprocessing recreates
+        them), so a demoted entry keeps only its structure and half-size
+        factors warm.
         """
         self._drop_round_state()
         for solver in self._cpu_solvers.values():

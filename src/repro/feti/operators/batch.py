@@ -12,9 +12,11 @@ as a handful of vectorized NumPy operations regardless of the subdomain count:
   :func:`repro.decomposition.gluing.flat_scatter_maps`), so ``local_dual`` /
   ``accumulate_dual`` over all subdomains become a single ``take`` and a
   single ``np.bincount``;
-* :class:`BatchedDenseApply` — equal/padded-shape dense ``local_F`` blocks
-  packed into one 3-D array, applied with a single batched GEMV
-  (``np.matmul`` over the leading axis);
+* :class:`BatchedDenseApply` — every subdomain's dense ``F̃ᵢ``: the blocks of
+  fewer than :data:`SYMV_MIN_ROWS` rows zero-padded into one 3-D pack and
+  applied with a single batched GEMV (``np.matmul`` over the leading axis),
+  each larger block held unpadded and applied with one BLAS ``dsymv`` on its
+  stored triangle, as the paper applies ``F̃ᵢ``;
 * :class:`SubdomainBatchEngine` — the above over every subdomain at once.
 
 The engine is numerics only: the simulated time of an apply is the cost
@@ -29,10 +31,21 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dsymv
 
 from repro.decomposition.gluing import flat_scatter_maps
 
-__all__ = ["FlatIndexMap", "BatchedDenseApply", "SubdomainBatchEngine"]
+__all__ = ["SYMV_MIN_ROWS", "FlatIndexMap", "BatchedDenseApply", "SubdomainBatchEngine"]
+
+#: Blocks of at least this many rows leave the padded pack and are applied by
+#: one ``dsymv`` each.  Measured per block on one BLAS thread of a 2-core Xeon
+#: VM (best of 7), the stacked GEMV (in cache) beats a lone SYMV up to 80
+#: rows, by 1.9-4.6x (each SYMV call costs ~0.75 µs of overhead), and loses
+#: from 96 rows on: 0.87x at 96, 0.60x at 512.  Heat 3D ``(2,2,1)x12``
+#: (blocks of 325-494 rows): one apply 301-316 µs in the pack, 133-137 µs
+#: with SYMV; heat 2D ``(8,8)x8`` (64 blocks of 17-34 rows): 28 µs in the
+#: pack, 69 µs with SYMV on every block.
+SYMV_MIN_ROWS = 96
 
 
 class FlatIndexMap:
@@ -101,8 +114,15 @@ class FlatIndexMap:
         return source.take(self.flat_ids, axis=0)
 
     def scatter_add_multi(self, target: np.ndarray, values: np.ndarray) -> None:
-        """Row-wise accumulate of stacked ``(total, k)`` local contributions."""
-        np.add.at(target, self.flat_ids, values)
+        """Row-wise accumulate of stacked ``(total, k)`` local contributions.
+
+        One ``np.bincount`` per column, the kernel of :meth:`scatter_add`.
+        Into a zero ``target`` it is bitwise ``np.add.at``: both sum every
+        id's contributions in flat order.
+        """
+        n = target.shape[0]
+        for j in range(values.shape[1]):
+            target[:, j] += np.bincount(self.flat_ids, weights=values[:, j], minlength=n)
 
     def split(self, values: np.ndarray) -> list[np.ndarray]:
         """Per-subdomain views into a concatenated array."""
@@ -150,23 +170,58 @@ class FlatIndexMap:
 
 
 class BatchedDenseApply:
-    """Padded pack of per-subdomain dense square blocks + batched GEMV.
+    """Every subdomain's dense square block ``F̃ᵢ``, applied as one product.
 
-    The blocks (the assembled local dual operators ``F̃ᵢ``) are stored in one
-    contiguous ``(n_items, max, max)`` array, zero-padded, so the apply phase
-    is a single batched matrix-vector product instead of ``n_items`` small
-    GEMVs issued from Python.
+    Items follow ``index_map``, which must list every block of fewer than
+    :data:`SYMV_MIN_ROWS` rows before the larger ones.  The small blocks are
+    stored in one contiguous ``(n_packed, max, max)`` array, zero-padded, so
+    they apply as a single batched GEMV instead of ``n_packed`` small GEMVs
+    issued from Python.  Each large block is held once, unpadded, as it was
+    installed (no copy when it is C-contiguous at the storage dtype: the
+    Schur assembly's output is), and applied by one ``dsymv`` on its stored
+    triangle: the blocks are exactly symmetric, and padding them into the
+    pack would stream the square of the largest block for every one of them.
     """
 
     def __init__(self, index_map: FlatIndexMap, dtype=np.float64) -> None:
         self.map = index_map
-        m = index_map.max_size
-        #: Storage dtype of the packed blocks (fp32 under a demoting
-        #: precision policy).  The dual vectors and every result stay fp64:
-        #: ``np.matmul`` promotes the mixed product, so half-size packs
-        #: change only the storage, not the interface.
-        self.blocks = np.zeros((index_map.n_items, m, m), dtype=dtype)
-        self._p_pad = np.zeros((index_map.n_items, m, 1))
+        large = index_map.sizes >= SYMV_MIN_ROWS
+        #: Number of blocks in the padded pack: the map's first items.
+        self.n_packed = n_packed = int(np.count_nonzero(~large))
+        if large[:n_packed].any():
+            raise ValueError(
+                f"blocks of {SYMV_MIN_ROWS} rows or more must follow the packed ones"
+            )
+        #: Length of the packed blocks' prefix of a concatenated dual vector.
+        self.split = int(index_map.offsets[n_packed])
+        #: The packed blocks' scatter/gather (the whole map when none is large).
+        self.pack_map = (
+            index_map
+            if n_packed == index_map.n_items
+            else FlatIndexMap.from_flat(
+                index_map.flat_ids[: self.split], index_map.offsets[: n_packed + 1]
+            )
+        )
+        m = self.pack_map.max_size
+        #: The padded pack.  Its dtype is every block's storage dtype (fp32
+        #: under a demoting precision policy).  The dual vectors and every
+        #: result stay fp64: ``np.matmul`` promotes the mixed product and a
+        #: large block is up-cast on use, so half-size storage changes only
+        #: the storage, not the interface.
+        self.blocks = np.zeros((n_packed, m, m), dtype=dtype)
+        self._p_pad = np.zeros((n_packed, m, 1))
+        #: The large blocks, in map order after the packed ones.
+        self.large: list[np.ndarray | None] = [None] * (index_map.n_items - n_packed)
+        self._large_slices = [
+            index_map.slice_of(item) for item in range(n_packed, index_map.n_items)
+        ]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stored blocks: the padded pack plus the large blocks."""
+        return int(self.blocks.nbytes) + sum(
+            int(block.nbytes) for block in self.large if block is not None
+        )
 
     def set_block(self, item: int, block: np.ndarray) -> None:
         """Install (or refresh) one subdomain's dense block."""
@@ -175,22 +230,47 @@ class BatchedDenseApply:
             raise ValueError(
                 f"block {item} has shape {block.shape}, expected ({n}, {n})"
             )
-        self.blocks[item, :n, :n] = block
+        if item < self.n_packed:
+            self.blocks[item, :n, :n] = block
+        else:
+            self.large[item - self.n_packed] = np.ascontiguousarray(block, dtype=self.blocks.dtype)
+
+    def block(self, item: int) -> np.ndarray:
+        """A read-only, unpadded view of one installed block."""
+        if item < self.n_packed:
+            n = int(self.map.sizes[item])
+            view = self.blocks[item, :n, :n]
+        else:
+            view = self.large[item - self.n_packed].view()
+        view.flags.writeable = False
+        return view
 
     def matvec(self, p_concat: np.ndarray) -> np.ndarray:
-        """One batched GEMV over all blocks.
+        """``F̃ᵢ pᵢ`` of every block: one batched GEMV plus one SYMV per large block.
 
         ``p_concat`` holds the concatenated local dual vectors; returns the
         concatenated local results.  The persistent padded buffer keeps its
         padding lanes at zero (they are never written), so only the data
-        lanes are refreshed per call.
+        lanes are refreshed per call.  ``dsymv`` reads ``block.T``, the
+        F-contiguous view of the C-contiguous block: any other layout makes
+        f2py copy the block on every call.
         """
-        self._p_pad.reshape(-1)[self.map.pad_positions] = p_concat
+        if not self.large:
+            return self._pack_matvec(p_concat)
+        q = np.empty_like(p_concat)
+        if self.n_packed:
+            q[: self.split] = self._pack_matvec(p_concat[: self.split])
+        for rows, block in zip(self._large_slices, self.large):
+            q[rows] = dsymv(1.0, block.astype(np.float64, copy=False).T, p_concat[rows])
+        return q
+
+    def _pack_matvec(self, p_concat: np.ndarray) -> np.ndarray:
+        self._p_pad.reshape(-1)[self.pack_map.pad_positions] = p_concat
         Q = np.matmul(self.blocks, self._p_pad)
-        return self.map.unpad(Q.reshape(self.map.n_items, self.map.max_size))
+        return self.pack_map.unpad(Q.reshape(self.n_packed, self.pack_map.max_size))
 
     def matvec_multi(self, p_stack: np.ndarray) -> np.ndarray:
-        """Stacked multi-RHS apply: one batched GEMM over all blocks.
+        """Stacked multi-RHS apply: one batched GEMM plus one GEMM per large block.
 
         ``p_stack`` holds the concatenated local dual vectors of ``k``
         right-hand sides as a ``(total, k)`` block; returns the matching
@@ -198,35 +278,57 @@ class BatchedDenseApply:
         launch over every column — the request-level analogue of the
         per-subdomain batching of :meth:`matvec`.
         """
-        Q = np.matmul(self.blocks, self.map.pad_multi(p_stack))
-        return self.map.unpad_multi(Q)
+        if not self.large:
+            return self._pack_matvec_multi(p_stack)
+        Q = np.empty_like(p_stack)
+        if self.n_packed:
+            Q[: self.split] = self._pack_matvec_multi(p_stack[: self.split])
+        for rows, block in zip(self._large_slices, self.large):
+            np.matmul(block.astype(np.float64, copy=False), p_stack[rows], out=Q[rows])
+        return Q
+
+    def _pack_matvec_multi(self, p_stack: np.ndarray) -> np.ndarray:
+        Q = np.matmul(self.blocks, self.pack_map.pad_multi(p_stack))
+        return self.pack_map.unpad_multi(Q)
 
 
 class SubdomainBatchEngine:
     """Batched execution engine over a FETI problem's subdomains.
 
     One flat scatter/gather map over every subdomain and, for the explicit
-    approaches, one pack of their ``F̃ᵢ`` over that map: an apply is one
-    ``take``, one padded batched GEMV and one ``bincount`` scatter, however
-    many clusters the subdomains are spread over.  Both follow
-    ``problem.subdomains``, which is in subdomain-index order.
+    approaches, one :class:`BatchedDenseApply` of their ``F̃ᵢ``: an apply is
+    one ``take``, one padded batched GEMV over the small blocks, one
+    ``dsymv`` per large block and one ``bincount`` scatter, however many
+    clusters the subdomains are spread over.  ``global_map`` follows
+    ``problem.subdomains``, which is in subdomain-index order; ``dense_map``
+    is the same map with the small blocks' subdomains moved first.
     """
 
     def __init__(self, problem, dense_dtype=np.float64) -> None:
         self.problem = problem
-        #: Storage dtype of the pack created by :meth:`require_dense`.
+        #: Storage dtype of the blocks created by :meth:`require_dense`.
         self.dense_dtype = np.dtype(dense_dtype)
         #: Scatter/gather over all subdomains; the flat arrays come from the
         #: gluing data's cached maps.
         self.global_map = FlatIndexMap.from_flat(*problem.gluing.scatter_maps())
-        #: Packed dense blocks (installed by the explicit backends after
-        #: assembly, dropped by a storage demotion).
+        # Subdomains of small blocks first, then the large ones, each in
+        # index order: the dense apply's order.
+        order = np.argsort(self.global_map.sizes >= SYMV_MIN_ROWS, kind="stable")
+        self._dense_item = np.argsort(order)
+        #: The dense apply's scatter/gather (``global_map`` itself when the
+        #: order above is the index order).
+        self.dense_map = self.global_map
+        if np.any(order != np.arange(order.size)):
+            ids = self.global_map.split(self.global_map.flat_ids)
+            self.dense_map = FlatIndexMap([ids[i] for i in order])
+        #: Dense blocks (installed by the explicit backends after assembly,
+        #: dropped by a storage demotion).
         self.dense: BatchedDenseApply | None = None
 
     def require_dense(self) -> BatchedDenseApply:
-        """The packed dense blocks, creating the pack on first use."""
+        """The dense blocks, creating their (empty) storage on first use."""
         if self.dense is None:
-            self.dense = BatchedDenseApply(self.global_map, dtype=self.dense_dtype)
+            self.dense = BatchedDenseApply(self.dense_map, dtype=self.dense_dtype)
         return self.dense
 
     # The gluing and the kernels are static across Algorithm-2 steps, so the
@@ -250,5 +352,9 @@ class SubdomainBatchEngine:
         return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
 
     def install_dense_block(self, subdomain_index: int, block: np.ndarray) -> None:
-        """Pack one assembled ``F̃ᵢ`` at its subdomain's position."""
-        self.require_dense().set_block(subdomain_index, block)
+        """Install one assembled ``F̃ᵢ`` at its subdomain's item."""
+        self.require_dense().set_block(int(self._dense_item[subdomain_index]), block)
+
+    def dense_block(self, subdomain_index: int) -> np.ndarray:
+        """One installed ``F̃ᵢ``: a read-only view, unpadded."""
+        return self.dense.block(int(self._dense_item[subdomain_index]))

@@ -8,8 +8,9 @@ keeps resident, split into three classes:
 * **factor bytes** — the dense panels and diagonal-block inverses of every
   per-subdomain sparse solver (plus the retained fp64 matrix when the
   precision policy refines);
-* **pack bytes** — the packed dense dual-operator blocks: simulated device
-  matrices and the batched engine's block stacks;
+* **pack bytes** — the dense dual-operator blocks ``F̃ᵢ`` the batched
+  engine holds: its padded pack of the small ones plus every large one,
+  unpadded;
 * **arena bytes** — reusable scratch workspaces (padded gather/scatter
   buffers of the batched apply engine).
 

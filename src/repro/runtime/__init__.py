@@ -2,8 +2,8 @@
 
 The executors run two things in parallel: the FETI preprocessing (factor
 and assemble ``F̃ᵢ`` per shard) and the requests of a :class:`SolveQueue`.
-The dual-operator apply is not among them: on every executor it is one
-batched ``matmul`` over the ``F̃ᵢ`` pack in the caller's process
+The dual-operator apply is not among them: on every executor it runs over
+the stored ``F̃ᵢ`` in the caller's process
 (:class:`repro.feti.operators.batch.BatchedDenseApply`).  The runtime is
 organized as four pieces:
 

@@ -23,10 +23,11 @@ from repro.feti.config import (
     ScatterGatherDevice,
 )
 from repro.feti.operators import make_dual_operator
-from repro.feti.operators.batch import BatchedDenseApply, FlatIndexMap
+from repro.feti.operators.batch import SYMV_MIN_ROWS, BatchedDenseApply, FlatIndexMap
 
 from tests.oracles.apply import looped_apply
 from tests.oracles.kplus import looped_apply_accurate, looped_dual_rhs
+from tests.oracles.schur import schur_complement
 
 
 # --------------------------------------------------------------------- #
@@ -72,6 +73,20 @@ def test_flat_index_map_scatter_add_matches_np_add_at():
     np.testing.assert_allclose(batched, looped, atol=1e-15)
 
 
+def test_scatter_add_multi_is_bitwise_np_add_at():
+    """One ``bincount`` per column sums in flat order, as ``np.add.at`` does."""
+    rng = np.random.default_rng(6)
+    ids = [rng.integers(0, 9, size=n) for n in (12, 5, 20)]  # many repeats
+    index_map = FlatIndexMap(ids)
+    for k in (1, 3, 8):
+        values = rng.standard_normal((index_map.total, k))
+        batched = np.zeros((9, k))
+        index_map.scatter_add_multi(batched, values)
+        looped = np.zeros((9, k))
+        np.add.at(looped, index_map.flat_ids, values)
+        assert np.array_equal(batched, looped)
+
+
 def test_flat_index_map_pad_unpad_roundtrip():
     ids = [np.arange(4), np.arange(2), np.arange(6)]
     index_map = FlatIndexMap(ids)
@@ -84,21 +99,47 @@ def test_flat_index_map_pad_unpad_roundtrip():
     np.testing.assert_array_equal(index_map.unpad(padded), values)
 
 
-def test_batched_dense_apply_matches_per_block_gemv():
+def _symmetric(rng, n, dtype=np.float64):
+    a = rng.standard_normal((n, n))
+    return (a + a.T).astype(dtype)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(4, 1, 7, 3), (4, 1, SYMV_MIN_ROWS - 1, 3, SYMV_MIN_ROWS, 130), (SYMV_MIN_ROWS, 101)],
+    ids=["all-packed", "both", "all-large"],
+)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batched_dense_apply_matches_per_block_gemv(sizes, dtype):
+    """Packed and large blocks alike: ``F̃ᵢ pᵢ`` per block, in fp64 arithmetic."""
     rng = np.random.default_rng(5)
-    sizes = (4, 1, 7, 3)
-    ids = [rng.choice(40, size=n, replace=False) for n in sizes]
+    ids = [rng.choice(400, size=n, replace=False) for n in sizes]
     index_map = FlatIndexMap(ids)
-    dense = BatchedDenseApply(index_map)
-    blocks = [rng.standard_normal((n, n)) for n in sizes]
+    dense = BatchedDenseApply(index_map, dtype=dtype)
+    assert dense.n_packed == sum(n < SYMV_MIN_ROWS for n in sizes)
+    blocks = [_symmetric(rng, n, dtype) for n in sizes]
     for i, block in enumerate(blocks):
         dense.set_block(i, block)
+        assert np.array_equal(dense.block(i), block)
+        assert not dense.block(i).flags.writeable
+    for i in range(dense.n_packed, len(sizes)):
+        assert dense.block(i).base is blocks[i]  # held as installed: no copy
+    assert dense.nbytes == dense.blocks.nbytes + sum(
+        b.nbytes for b in blocks[dense.n_packed :]
+    )
+    wide = [b.astype(np.float64) for b in blocks]
     p = rng.standard_normal(index_map.total)
     q = dense.matvec(p)
+    assert q.dtype == np.float64
     expected = np.concatenate(
-        [blocks[i] @ p[index_map.slice_of(i)] for i in range(len(sizes))]
+        [wide[i] @ p[index_map.slice_of(i)] for i in range(len(sizes))]
     )
-    np.testing.assert_allclose(q, expected, atol=1e-12)
+    np.testing.assert_allclose(q, expected, rtol=1e-13, atol=1e-12)
+    P = rng.standard_normal((index_map.total, 3))
+    expected = np.concatenate(
+        [wide[i] @ P[index_map.slice_of(i)] for i in range(len(sizes))]
+    )
+    np.testing.assert_allclose(dense.matvec_multi(P), expected, rtol=1e-13, atol=1e-12)
 
 
 def test_batched_dense_apply_rejects_wrong_block_shape():
@@ -106,6 +147,12 @@ def test_batched_dense_apply_rejects_wrong_block_shape():
     dense = BatchedDenseApply(index_map)
     with pytest.raises(ValueError):
         dense.set_block(0, np.zeros((2, 2)))
+
+
+def test_batched_dense_apply_wants_the_packed_blocks_first():
+    index_map = FlatIndexMap([np.arange(SYMV_MIN_ROWS), np.arange(3)])
+    with pytest.raises(ValueError, match="must follow"):
+        BatchedDenseApply(index_map)
 
 
 # --------------------------------------------------------------------- #
@@ -188,10 +235,13 @@ def test_engine_packs_every_subdomain_in_one_map(heat_problem_2d, small_machine_
     )
     operator.preprocess()
     dense = engine.dense
+    # Every block is small: one pack over the global map, which local_F views.
     assert dense is not None and dense.map is engine.global_map
+    assert dense.n_packed == heat_problem_2d.n_subdomains and not dense.large
     for sub in heat_problem_2d.subdomains:
-        n = sub.n_lambda
-        assert np.array_equal(dense.blocks[sub.index, :n, :n], operator.local_F[sub.index])
+        F = operator.local_F[sub.index]
+        assert F.shape == (sub.n_lambda, sub.n_lambda) and not F.flags.writeable
+        assert np.shares_memory(F, dense.blocks)
 
 
 #: Many small subdomains over several clusters: the one pack spans clusters.
@@ -220,18 +270,20 @@ EXPLICIT_SPECS = [
 def _per_cluster_packs(operator, lam):
     """The apply as one padded pack per cluster, one ``np.add.at`` each.
 
-    The layout the one pack replaced, rebuilt from the pack's own blocks:
-    every cluster of the workloads below holds a subdomain of the largest
-    ``n_λ``, so both layouts pad alike and run the same per-item products.
+    The layout the one pack replaced, rebuilt from ``local_F``: every
+    cluster of the workloads below holds a subdomain of the largest ``n_λ``
+    (and every block is small), so both layouts pad alike and run the same
+    per-item products.
     """
-    blocks = operator.batch_engine.dense.blocks
+    local_F = operator.local_F
+    max_size = max(F.shape[0] for F in local_F.values())
     q = np.zeros_like(lam)
     for _, subs in operator.iter_clusters():
         index_map = FlatIndexMap([s.lambda_ids for s in subs])
-        assert index_map.max_size == blocks.shape[1]
-        pack = BatchedDenseApply(index_map, dtype=blocks.dtype)
+        assert index_map.max_size == max_size < SYMV_MIN_ROWS
+        pack = BatchedDenseApply(index_map, dtype=local_F[subs[0].index].dtype)
         for i, sub in enumerate(subs):
-            pack.set_block(i, blocks[sub.index, : sub.n_lambda, : sub.n_lambda])
+            pack.set_block(i, local_F[sub.index])
         np.add.at(q, index_map.flat_ids, pack.matvec(index_map.gather(lam)))
     return q
 
@@ -261,6 +313,39 @@ def test_one_pack_apply_is_bitwise_the_per_cluster_apply(workload, spec):
         )
         per_cluster = _per_cluster_packs(operator, lam)
     assert np.array_equal(applied, per_cluster)
+    assert np.linalg.norm(applied - looped) <= 1e-14 * np.linalg.norm(looped)
+    assert np.linalg.norm(stacked - columns) <= 1e-12 * np.linalg.norm(columns)
+
+
+@pytest.mark.parametrize("approach, exploit", [("expl mkl", True), ("expl modern", False)])
+def test_blocks_on_both_sides_of_the_symv_threshold(approach, exploit):
+    """Heat 3D ``(3,3,3)x4`` has blocks of 61-122 rows: packed and large ones.
+
+    The apply within rounding of the per-subdomain loop, the stacked apply
+    within 1e-12 of per-column applies, and every ``local_F[i]`` read-only
+    and bitwise the per-subdomain Schur oracle.
+    """
+    workload = Workload("heat", 3, (3, 3, 3), 4)
+    with Session(SolverSpec(approach=approach), memory_budget="unlimited") as session:
+        operator = session.operator_for(workload)
+        operator.prepare()
+        operator.preprocess()
+        dense = operator.batch_engine.dense
+        sizes = [sub.n_lambda for sub in operator.problem.subdomains]
+        assert 0 < dense.n_packed == sum(n < SYMV_MIN_ROWS for n in sizes) < len(sizes)
+        assert len(dense.large) == len(sizes) - dense.n_packed
+        for sub in operator.problem.subdomains:
+            F = operator.local_F[sub.index]
+            assert not F.flags.writeable
+            want = schur_complement(operator._cpu_solvers[sub.index]._factor, sub.B, exploit)
+            assert np.array_equal(F, want), sub.index
+        rng = np.random.default_rng(37)
+        lam = rng.standard_normal(operator.problem.n_lambda)
+        block = rng.standard_normal((operator.problem.n_lambda, 3))
+        applied = operator.apply(lam)
+        looped, _, _ = looped_apply(operator, lam)
+        stacked = operator.apply_multi(block, stacked=True)
+        columns = operator.apply_multi(block)
     assert np.linalg.norm(applied - looped) <= 1e-14 * np.linalg.norm(looped)
     assert np.linalg.norm(stacked - columns) <= 1e-12 * np.linalg.norm(columns)
 

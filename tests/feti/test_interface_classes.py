@@ -5,7 +5,7 @@ members whose ``P B̃ᵢᵀ`` share their sorted column first rows).  The zoo
 crosses heat and elasticity, 2D and 3D, one and two Dirichlet faces, so the
 classes range from corner singletons to stacks of interior subdomains.
 
-Every explicit approach packs **bitwise** the per-subdomain kernel of
+Every explicit approach holds **bitwise** the per-subdomain kernel of
 ``tests/oracles/schur.py`` on its own factors: ``expl mkl`` and ``expl
 hybrid`` with the PARDISO-like pruning, ``expl cholmod`` without it, and
 ``expl legacy`` / ``expl modern``, whose simulated device assembly is
@@ -61,14 +61,13 @@ def test_packed_local_F_is_the_per_subdomain_oracle(name, approach):
     operator = solver.operator
     operator.prepare()
     operator.preprocess()
-    blocks = operator.batch_engine.dense.blocks
+    local_F = operator.local_F
     sizes: dict[bytes, int] = {}
     for sub in operator.problem.subdomains:
         scatter = operator._schur_scatters[sub.index]
         sizes[scatter.key] = sizes.get(scatter.key, 0) + 1
         want = schur_complement(operator._cpu_solvers[sub.index]._factor, sub.B, exploit)
-        got = blocks[sub.index, : sub.n_lambda, : sub.n_lambda]
-        assert np.array_equal(got, want), sub.index
+        assert np.array_equal(local_F[sub.index], want), sub.index
     if not exploit:
         # Every column starts at row 0: a class is the members of one n_λ.
         n_lambdas = {sub.n_lambda for sub in operator.problem.subdomains}

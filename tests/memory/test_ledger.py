@@ -92,3 +92,27 @@ def test_every_approach_reports_the_host_bytes_of_its_cpu_twin(approach, precisi
             return session.solver(workload).operator.storage_nbytes()
 
     assert report(approach) == report(HOST_TWINS[approach])
+
+
+@pytest.mark.parametrize(
+    "workload, expected",
+    [
+        # Four blocks of 325-494 rows, every one above SYMV_MIN_ROWS: no
+        # pack, each F̃ᵢ held once, unpadded (Σ n_λᵢ² · 8 B).
+        (Workload("heat", 3, (2, 2, 1), 12), {"factor": 9420736, "pack": 5562128, "arena": 0}),
+        # 64 blocks of at most 34 rows: one padded pack, 64 x 34² x 8 B.
+        (
+            Workload("heat", 2, (8, 8), 8, n_clusters=4),
+            {"factor": 414720, "pack": 591872, "arena": 17408},
+        ),
+    ],
+    ids=["heat-3d-large-blocks", "heat-2d-packed"],
+)
+def test_explicit_storage_is_one_unpadded_copy_of_each_large_block(workload, expected):
+    with Session(SolverSpec(approach="expl mkl"), memory_budget="unlimited") as session:
+        assert session.solve(workload).converged
+        operator = session.solver(workload).operator
+        assert operator.storage_nbytes() == expected
+        operator.demote_storage()
+        report = operator.storage_nbytes()
+    assert report["pack"] == report["arena"] == 0

@@ -99,7 +99,7 @@ def test_parallel_executors_reproduce_serial_solutions(
 
 
 def _preprocessed(approach, workload, backend):
-    """Factors (panels, inverses) and packed ``F̃ᵢ`` of one round, by subdomain."""
+    """Factors (panels, inverses) and ``F̃ᵢ`` of one round, by subdomain."""
     operator = _solver(approach, workload, backend).operator
     operator.prepare()
     operator.preprocess()
@@ -107,11 +107,7 @@ def _preprocessed(approach, workload, backend):
         i: (s._factor.panels.copy(), s._factor.inverses.copy())
         for i, s in operator._cpu_solvers.items()
     }
-    blocks = operator.batch_engine.dense.blocks
-    local_F = {
-        sub.index: blocks[sub.index, : sub.n_lambda, : sub.n_lambda].copy()
-        for sub in operator.problem.subdomains
-    }
+    local_F = {i: F.copy() for i, F in operator.local_F.items()}
     return factors, local_F
 
 
