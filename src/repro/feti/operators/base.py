@@ -443,8 +443,8 @@ class DualOperator:
         q = np.zeros(self.problem.n_lambda)
         if self.problem.subdomains:
             engine = self.batch_engine
-            z = self._kplus(engine.Bt @ engine.global_map.gather(np.asarray(lam)))
-            engine.global_map.scatter_add(q, engine.B @ z)
+            z = self._kplus(engine.Bt_product(engine.global_map.gather(np.asarray(lam))))
+            engine.global_map.scatter_add(q, engine.B_product(z))
         return q
 
     def dual_rhs(self) -> np.ndarray:
@@ -455,7 +455,7 @@ class DualOperator:
             return d
         engine = self.batch_engine
         f = np.concatenate([sub.f for sub in subdomains])
-        engine.global_map.scatter_add(d, engine.B @ self._kplus(f))
+        engine.global_map.scatter_add(d, engine.B_product(self._kplus(f)))
         return d
 
     def primal_solution(self, lam: np.ndarray, alpha: np.ndarray) -> list[np.ndarray]:
@@ -465,7 +465,7 @@ class DualOperator:
             return []
         engine = self.batch_engine
         f = np.concatenate([sub.f for sub in subdomains])
-        u = self._kplus(f - engine.Bt @ engine.global_map.gather(lam))
+        u = self._kplus(f - engine.Bt_product(engine.global_map.gather(lam)))
         u += self.problem.R @ alpha
         bounds = engine.primal_offsets.tolist()
         return [u[a:b] for a, b in zip(bounds[:-1], bounds[1:])]

@@ -34,6 +34,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dsymv
 
 from repro.decomposition.gluing import flat_scatter_maps
+from repro.sparse.spmv import CsrProduct
 
 __all__ = ["SYMV_MIN_ROWS", "FlatIndexMap", "BatchedDenseApply", "SubdomainBatchEngine"]
 
@@ -344,6 +345,16 @@ class SubdomainBatchEngine:
     def Bt(self) -> sp.csr_matrix:
         """Block-diagonal ``B̃ᵀ``, stored CSR."""
         return self.B.T.tocsr()
+
+    @cached_property
+    def B_product(self) -> CsrProduct:
+        """``z ↦ B̃ z``, the CSR kernel bound once."""
+        return CsrProduct(self.B)
+
+    @cached_property
+    def Bt_product(self) -> CsrProduct:
+        """``y ↦ B̃ᵀ y``, the CSR kernel bound once."""
+        return CsrProduct(self.Bt)
 
     @cached_property
     def primal_offsets(self) -> np.ndarray:

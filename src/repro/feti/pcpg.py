@@ -9,6 +9,7 @@ explicit, CPU, GPU and hybrid variant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,10 +35,19 @@ class PcpgResult:
     residual_history: list[float] = field(default_factory=list)
     #: Defect-correction rounds the solve ran (fp32_ir precision policy).
     defect_rounds: int = 0
-    #: Estimate of ``κ(P M P F)`` on ``range(P)`` from the iteration's own
-    #: ``δₖ`` / ``βₖ`` (``None`` when no iteration ran or ``M`` lost
-    #: positivity); a lower bound that tightens as the solve converges.
-    condition_estimate: float | None = None
+    #: The iteration's step lengths ``δₖ`` and direction coefficients ``βₖ``.
+    deltas: list[float] = field(default_factory=list, repr=False)
+    betas: list[float] = field(default_factory=list, repr=False)
+
+    @cached_property
+    def condition_estimate(self) -> float | None:
+        """Estimate of ``κ(P M P F)`` on ``range(P)`` from ``δₖ`` / ``βₖ``.
+
+        ``None`` when no iteration ran or ``M`` lost positivity; a lower
+        bound that tightens as the solve converges.  Computed (one LAPACK
+        call) on first read: no solve pays for an estimate nobody reads.
+        """
+        return _lanczos_condition(self.deltas, self.betas)
 
     @property
     def relative_residual(self) -> float:
@@ -201,7 +211,8 @@ def pcpg(
         residual_norms=norms,
         final_residual=r,
         residual_history=norms[:residual_history],
-        condition_estimate=_lanczos_condition(deltas, betas),
+        deltas=deltas,
+        betas=betas,
     )
 
 
@@ -379,7 +390,8 @@ def pcpg_block(
             residual_norms=norms[j],
             final_residual=r[j],
             residual_history=norms[j][:residual_history],
-            condition_estimate=_lanczos_condition(deltas[j], betas[j]),
+            deltas=deltas[j],
+            betas=betas[j],
         )
         for j in range(n_cols)
     ]

@@ -6,8 +6,9 @@ used for the preconditioner:
 ``M = Σᵢ Rᵢᵀ (B̃_D,ᵢ Opᵢ B̃_D,ᵢᵀ) Rᵢ = B_D · blockdiag(Opᵢ) · B_Dᵀ``
 
 is one ``n_λ × n_λ`` CSR matrix built by two global sparse products, so
-``apply`` is one SpMV and ``apply_block`` one SpMM.  ``Opᵢ`` is the
-stiffness ``Kᵢ`` (:class:`LumpedPreconditioner`) or its Schur complement
+``apply`` is one SpMV and ``apply_block`` one SpMM, both through the CSR
+kernel bound once per assembly (:class:`~repro.sparse.spmv.CsrProduct`).
+``Opᵢ`` is the stiffness ``Kᵢ`` (:class:`LumpedPreconditioner`) or its Schur complement
 ``Sᵢ`` on the constrained DOFs (:class:`DirichletPreconditioner`: a dense
 block per subdomain, the ``Σ n_λᵢ²`` footprint the explicit ``F`` also pays).
 
@@ -41,6 +42,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from repro.feti.problem import FetiProblem
+from repro.sparse.spmv import CsrProduct
 
 __all__ = [
     "PreconditionerKind",
@@ -140,14 +142,16 @@ class _AssembledPreconditioner:
         """Reassemble ``M`` from the current stiffness values, in place."""
         #: The assembled preconditioner (``n_λ × n_λ`` CSR).
         self.matrix = self._B_D @ self._operator() @ self._B_Dt
+        #: ``w ↦ M w``, the kernel bound to this assembly.
+        self.product = CsrProduct(self.matrix)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """Apply ``M w`` (one SpMV)."""
-        return self.matrix @ w
+        return self.product(w)
 
     def apply_block(self, W: np.ndarray) -> np.ndarray:
         """Apply ``M`` to every column (one SpMM, bitwise equal to per-column)."""
-        return self.matrix @ W
+        return self.product(W)
 
     __call__ = apply
 

@@ -6,9 +6,10 @@ constraints (equation (8) of the paper); its Gram matrix ``GᵀG`` is the
 by one dense Cholesky, and an application of ``P`` is two sparse products
 (``Gᵀ x``, ``G u``) around one LAPACK ``dpotrs`` on the stored factor — the
 routine ``scipy.linalg.cho_solve`` ends in, without its per-call argument
-checks.  The projector is serial on every execution backend: the products
-are a few microseconds of sparse kernel, far below the cost of dispatching
-them.
+checks.  The products skip ``A @ x``'s dispatch the same way: each runs the
+CSR kernel bound once (:class:`~repro.sparse.spmv.CsrProduct`).  The
+projector is serial on every execution backend: the products are a few
+microseconds of sparse kernel, far below the cost of dispatching them.
 
 ``apply_block`` projects a whole block of PCPG columns in two stacked
 sparse products around one multi-RHS ``dpotrs`` (bitwise equal to
@@ -24,6 +25,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrs
+
+from repro.sparse.spmv import CsrProduct
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.feti.problem import FetiProblem
@@ -48,8 +51,11 @@ class Projector:
     """
 
     def __init__(self, G: sp.spmatrix) -> None:
-        self.G = sp.csr_matrix(G)
+        self.G = sp.csr_matrix(G, dtype=float)
         self.Gt = sp.csr_matrix(self.G.T)
+        #: ``u ↦ G u`` and ``x ↦ Gᵀ x``, the kernels bound once.
+        self.G_product = CsrProduct(self.G)
+        self.Gt_product = CsrProduct(self.Gt)
         self.n_lambda, self.n_kernel = self.G.shape
         if self.n_kernel == 0:
             raise ValueError("G has no columns; the coarse problem is empty")
@@ -87,7 +93,7 @@ class Projector:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply ``P x = x − G (GᵀG)⁻¹ Gᵀ x``."""
         start = time.perf_counter()
-        out = x - self.G @ self._potrs(self.Gt @ x)
+        out = x - self.G_product(self._potrs(self.Gt_product(x)))
         self.seconds += time.perf_counter() - start
         self.applies += 1
         return out
@@ -106,7 +112,7 @@ class Projector:
         column-by-column :meth:`apply`.
         """
         start = time.perf_counter()
-        out = X - self.G @ self._potrs(self.Gt @ np.ascontiguousarray(X))
+        out = X - self.G_product(self._potrs(self.Gt_product(np.ascontiguousarray(X))))
         self.seconds += time.perf_counter() - start
         self.applies += X.shape[1]
         return out
@@ -114,7 +120,7 @@ class Projector:
     def initial_lambda(self, e: np.ndarray) -> np.ndarray:
         """Feasible initial iterate ``λ₀ = G (GᵀG)⁻¹ e`` (``Gᵀ λ₀ = e``)."""
         start = time.perf_counter()
-        out = self.G @ self._potrs(e)
+        out = self.G_product(self._potrs(e))
         self.seconds += time.perf_counter() - start
         self.solves += 1
         return out
@@ -122,7 +128,7 @@ class Projector:
     def alpha(self, d_minus_F_lambda: np.ndarray) -> np.ndarray:
         """Kernel amplitudes ``α = −(GᵀG)⁻¹ Gᵀ (d − F λ)`` (equation (9))."""
         start = time.perf_counter()
-        out = -self._potrs(self.Gt @ d_minus_F_lambda)
+        out = -self._potrs(self.Gt_product(d_minus_F_lambda))
         self.seconds += time.perf_counter() - start
         self.solves += 1
         return out

@@ -33,10 +33,20 @@ class ConvergenceReport:
     history_truncated: bool = False
     #: Number of right-hand-side columns the solve covered (block solves).
     columns: int = 1
-    #: Lanczos estimate of ``κ(P M P F)`` from the PCPG coefficients (``None``
-    #: when no iteration ran).  CG needs about ``√κ · ln(2/tolerance) / 2``
-    #: iterations, so this is the "why that many" next to ``iterations``.
-    condition_estimate: float | None = None
+    #: The ``PcpgResult``-shaped object the report condenses; its condition
+    #: estimate is read through it, on demand.
+    source: Any = field(default=None, repr=False, compare=False)
+
+    @property
+    def condition_estimate(self) -> float | None:
+        """Lanczos estimate of ``κ(P M P F)`` from the PCPG coefficients.
+
+        ``None`` when no iteration ran.  CG needs about
+        ``√κ · ln(2/tolerance) / 2`` iterations, so this is the "why that
+        many" next to ``iterations``.  Read from :attr:`source`, which
+        computes it on first read and keeps it.
+        """
+        return getattr(self.source, "condition_estimate", None)
 
     @classmethod
     def from_pcpg(cls, result: Any, tolerance: float, columns: int = 1) -> "ConvergenceReport":
@@ -56,7 +66,7 @@ class ConvergenceReport:
             residual_history=history,
             history_truncated=bool(history) and len(history) < len(norms),
             columns=int(columns),
-            condition_estimate=getattr(result, "condition_estimate", None),
+            source=result,
         )
 
     def to_dict(self) -> dict[str, Any]:

@@ -41,12 +41,18 @@ class ResultCache:
             "repro_result_cache_misses", "Result-cache misses"
         )
 
-    def get(self, key: str) -> dict[str, Any] | None:
-        """The payload stored under ``key``, or ``None`` (counts hit/miss)."""
-        with self._lock:
-            payload = self._entries.get(key)
-            if payload is not None:
-                self._entries.move_to_end(key)
+    def get(self, key: str | None) -> dict[str, Any] | None:
+        """The payload stored under ``key``, or ``None`` (counts hit/miss).
+
+        ``None`` is the key of a request a disabled cache never hashed: a
+        miss, counted without a lookup.
+        """
+        payload = None
+        if key is not None:
+            with self._lock:
+                payload = self._entries.get(key)
+                if payload is not None:
+                    self._entries.move_to_end(key)
         (self._misses if payload is None else self._hits).inc()
         return payload
 

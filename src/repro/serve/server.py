@@ -412,7 +412,10 @@ class SolveServer:
 
         info["pattern"] = "/".join(str(part) for part in pattern_key(request.workload))
         spec = request.spec if request.spec is not None else self.pool.spec
-        fingerprint = request_fingerprint(request.workload, spec, request.rhs)
+        # A disabled cache (capacity 0) is a miss without a key: no hash.
+        fingerprint = None
+        if self.cache.max_entries:
+            fingerprint = request_fingerprint(request.workload, spec, request.rhs)
         cached = self.cache.get(fingerprint)
         if cached is not None:
             self._count("solve_cache_hits")

@@ -40,6 +40,7 @@ from repro.sparse.symbolic import (
 )
 from repro.sparse.numeric import CholeskyFactor, numeric_cholesky
 from repro.sparse.triangular import solve_banded
+from repro.sparse.spmv import CsrProduct
 from repro.sparse.schur import SchurScatter, schur_scatter, stacked_schur_complement
 from repro.sparse.cache import PatternCache, global_pattern_cache, structural_key
 from repro.sparse.costmodel import CpuCostModel, CpuLibrary
@@ -61,6 +62,7 @@ __all__ = [
     "CholeskyFactor",
     "numeric_cholesky",
     "solve_banded",
+    "CsrProduct",
     "SchurScatter",
     "schur_scatter",
     "stacked_schur_complement",

@@ -4,9 +4,12 @@ Wall-clock numbers live in ``benchmarks/perf``; these are the call counts
 behind them.  The discrete-event GPU simulator (streams, stream lookup,
 thread clocks) runs during the first apply after a preprocessing — where the
 timeline plan is made — and never again in that round; a long-lived
-session's timing ledger does not grow with the number of solves; a
-projector apply (a block apply too, whatever its width) is two sparse
-products and one LAPACK ``dpotrs``, never an executor dispatch; and outside
+session's timing ledger does not grow with the number of solves; a solve
+whose condition estimate nobody reads never computes it; a projector apply
+(a block apply too, whatever its width) is two sparse products and one
+LAPACK ``dpotrs``, never an executor dispatch; every sparse product of a
+warm solve runs a bound CSR kernel (:class:`~repro.sparse.spmv.CsrProduct`);
+and outside
 ``preprocess()`` nothing is solved or multiplied one subdomain at a time:
 a ``K⁺`` application is two banded BLAS calls (``dtbsv`` with ``L`` and
 with ``Lᵀ``) per sparsity pattern, over all of its subdomains at once.
@@ -15,6 +18,7 @@ with ``Lᵀ``) per sparsity pattern, over all of its subdomains at once.
 from __future__ import annotations
 
 from collections import Counter
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from repro.feti.projector import Projector, build_projector
 from repro.gpu.stream import Stream
 from repro.runtime.executor import ThreadExecutor
 from repro.sparse.solvers import SparseSolverBase
+from repro.sparse.spmv import CsrProduct
 
 #: 4×4 subdomains, 2 clusters: eight subdomains share each cluster's streams.
 W = Workload("heat", 2, (4, 4), 4, n_clusters=2)
@@ -125,6 +130,43 @@ def test_warm_solves_do_not_grow_the_timing_ledger():
     assert ledger.last("apply").breakdown is session.solver(W).operator._apply_plans[1][1]
 
 
+#: κ estimates of two warm solves as computed before the estimate became
+#: lazy (at the end of every solve), as ``repr`` strings of the floats.
+_KAPPA = [
+    (W, SPEC, "2.28516403531633"),
+    (
+        Workload("heat", 3, (2, 2, 1), 2, dirichlet_faces=("zmin",)),
+        SolverSpec(preconditioner="dirichlet"),
+        "1.4412233612285197",
+    ),
+]
+
+
+@pytest.mark.parametrize("workload, spec, kappa", _KAPPA)
+def test_condition_estimate_runs_lapack_on_first_read_only(monkeypatch, workload, spec, kappa):
+    pcpg_module = import_module("repro.feti.pcpg")
+    estimate = pcpg_module.eigvalsh_tridiagonal
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(pcpg_module, "eigvalsh_tridiagonal", counted)
+    with Session(spec, memory_budget="unlimited") as session:
+        session.solve(workload)
+        warm = session.solve(workload)
+    assert warm.converged and calls == [0]
+    report = warm.convergence
+    assert repr(report.condition_estimate) == kappa
+    assert calls == [1]
+    # Read once, kept: the report, its dict, its text and the result agree.
+    assert warm.pcpg.condition_estimate is report.condition_estimate
+    assert report.to_dict()["condition_estimate"] == float(kappa)
+    assert "condition estimate κ(PMPF)" in report.describe()
+    assert calls == [1]
+
+
 #: 8×8 subdomains, 4 clusters, ``n_λ = 1024``: the projector's sparse products
 #: are as large as any workload of record makes them.
 W_LARGE = Workload("heat", 2, (8, 8), 8, n_clusters=4)
@@ -175,18 +217,18 @@ def test_projector_never_dispatches_to_the_executor(monkeypatch):
 def test_serial_projector_apply_is_two_products_and_one_solve(monkeypatch):
     projector = build_projector(build_problem(W_LARGE))
     counts: Counter[str] = Counter()
-    dpotrs, matmul = projector_module.dpotrs, sp.csr_matrix.__matmul__
+    dpotrs, product = projector_module.dpotrs, CsrProduct.__call__
 
     def counted_solve(*args, **kwargs):
         counts["dpotrs"] += 1
         return dpotrs(*args, **kwargs)
 
-    def counted_matmul(self, other):
+    def counted_product(self, x):
         counts["csr @ x"] += 1
-        return matmul(self, other)
+        return product(self, x)
 
     monkeypatch.setattr(projector_module, "dpotrs", counted_solve)
-    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(CsrProduct, "__call__", counted_product)
     projector.apply(np.ones(projector.n_lambda))
     projector.apply_block(np.ones((projector.n_lambda, 3)))
     assert counts == {"csr @ x": 4, "dpotrs": 2}
@@ -222,11 +264,17 @@ def test_warm_solve_runs_two_banded_calls_per_pattern_and_no_subdomain_loop(
 
         counted(SparseSolverBase, "solve", "facade solve")
         counted(SparseSolverBase, "solve_many", "facade solve")
+        # Every sparse product runs through ``@`` or a bound CSR kernel.
         for cls in (sp.csr_matrix, sp.csc_matrix):
             counted(
                 cls, "__matmul__", "subdomain product",
                 when=lambda self, other: id(self) in per_subdomain,
             )
+        counted(
+            CsrProduct, "__call__", "subdomain product",
+            when=lambda self, x: id(self.matrix) in per_subdomain,
+        )
+        counted(CsrProduct, "__call__", "bound product")
         counted(triangular, "dtbsv", "banded call")
 
         applies = operator.ledger.count("apply")
@@ -234,6 +282,11 @@ def test_warm_solve_runs_two_banded_calls_per_pattern_and_no_subdomain_loop(
         applies = operator.ledger.count("apply") - applies
     assert warm.converged and applies == warm.iterations + 1
     assert counts["facade solve"] == 0 and counts["subdomain product"] == 0
+    # Every product is a bound kernel: per PCPG step two projections of two
+    # products each and one preconditioner product (+ B̃ᵀ and B̃ around the
+    # implicit apply's K⁺); per solve B̃ (dual rhs), G (λ₀), Gᵀ (α), B̃ᵀ (u).
+    per_apply = 5 + (2 if approach.startswith("impl") else 0)
+    assert counts["bound product"] == per_apply * applies + 4
     # Dual right-hand side + primal recovery; the implicit apply adds its own.
     kplus = 2 + (applies if approach.startswith("impl") else 0)
     assert counts["banded call"] == 2 * kplus * n_pattern_groups

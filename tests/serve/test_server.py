@@ -8,12 +8,17 @@ a few tens of milliseconds.
 
 import threading
 import time
+from importlib import import_module
 
 import pytest
 
+import repro.serve.server as server_module
 from repro.api import Workload
 from repro.serve import ServeClient, ServeConfig, ServeError, ServerThread
 from repro.serve.server import SolveServer
+
+#: The module (``repro.feti.pcpg`` the attribute is the function).
+pcpg_module = import_module("repro.feti.pcpg")
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -137,6 +142,41 @@ def test_result_cache_does_not_memoise_non_converged_solves(client):
     assert doc["counters"].get("solve_cache_hits", 0) == 0
     assert doc["counters"]["solve_cache_misses"] == 2
     assert doc["result_cache"]["entries"] == 0
+
+
+def _count_calls(monkeypatch, module, name) -> list[int]:
+    """Count the calls of ``module.name`` (a one-element list)."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_disabled_result_cache_never_hashes_a_request(monkeypatch):
+    fingerprints = _count_calls(monkeypatch, server_module, "request_fingerprint")
+    with ServerThread(ServeConfig(port=0, cache_size=0)) as server:
+        with ServeClient(port=server.port) as client:
+            replies = [client.solve("heat-2d-quick", rhs=2.0) for _ in range(2)]
+            doc = client.metrics()
+    assert [reply["cached"] for reply in replies] == [False, False]
+    assert replies[1]["result"]["lam"] == replies[0]["result"]["lam"]
+    assert fingerprints == [0]
+    # Every uncached solve still counts as a miss, on both counters.
+    assert doc["counters"]["solve_cache_misses"] == 2
+    assert doc["result_cache"]["misses"] == 2 and doc["result_cache"]["entries"] == 0
+
+
+def test_served_request_never_estimates_the_condition_number(monkeypatch, client):
+    """No reply carries ``κ``, so no served solve pays LAPACK for it."""
+    estimates = _count_calls(monkeypatch, pcpg_module, "eigvalsh_tridiagonal")
+    for factor in (2.0, 3.0):
+        assert client.solve("heat-2d-quick", rhs=factor)["result"]["converged"]
+    assert estimates == [0]
 
 
 def test_same_pattern_requests_share_one_symbolic_analysis(client):
