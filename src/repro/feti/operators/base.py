@@ -477,12 +477,8 @@ class DualOperator:
         """Byte-accurate resident *numeric* storage, split by kind.
 
         ``factor`` counts the per-subdomain numeric factors (+ any matrix
-        retained for refinement) in the form they hold: the supernodal
-        panels + the inverses of their diagonal blocks (``Σ w²`` entries per
-        subdomain over its supernode widths) from the factorization until
-        the round's first ``K⁺`` solve, the ``n x (kd + 1)`` band of ``L``
-        after it, since building the ``K⁺`` stacks releases the panels — not
-        the symbolic analyses they point to: those index
+        retained for refinement), the ``n x (kd + 1)`` band of ``L`` each —
+        not the symbolic analyses they point to: those index
         arrays are shared across cache entries through the pattern cache, so
         they sit outside the per-entry budget and are reported as
         ``pattern_bytes`` in ``Session.cache_stats()``

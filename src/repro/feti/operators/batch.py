@@ -216,6 +216,11 @@ class BatchedDenseApply:
         self._large_slices = [
             index_map.slice_of(item) for item in range(n_packed, index_map.n_items)
         ]
+        #: Whether the next apply visits the large blocks last to first.
+        #: Successive applies alternate, so each starts on the block the
+        #: previous one ended on, which is still in cache; every block writes
+        #: its own rows, so the result does not depend on the order.
+        self._backward = False
 
     @property
     def nbytes(self) -> int:
@@ -261,9 +266,17 @@ class BatchedDenseApply:
         q = np.empty_like(p_concat)
         if self.n_packed:
             q[: self.split] = self._pack_matvec(p_concat[: self.split])
-        for rows, block in zip(self._large_slices, self.large):
+        for rows, block in self._large_blocks():
             q[rows] = dsymv(1.0, block.astype(np.float64, copy=False).T, p_concat[rows])
         return q
+
+    def _large_blocks(self) -> list[tuple[slice, np.ndarray]]:
+        """The large blocks with their rows, in this apply's direction."""
+        pairs = list(zip(self._large_slices, self.large))
+        if self._backward:
+            pairs.reverse()
+        self._backward = not self._backward
+        return pairs
 
     def _pack_matvec(self, p_concat: np.ndarray) -> np.ndarray:
         self._p_pad.reshape(-1)[self.pack_map.pad_positions] = p_concat
@@ -284,7 +297,7 @@ class BatchedDenseApply:
         Q = np.empty_like(p_stack)
         if self.n_packed:
             Q[: self.split] = self._pack_matvec_multi(p_stack[: self.split])
-        for rows, block in zip(self._large_slices, self.large):
+        for rows, block in self._large_blocks():
             np.matmul(block.astype(np.float64, copy=False), p_stack[rows], out=Q[rows])
         return Q
 

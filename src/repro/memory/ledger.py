@@ -5,7 +5,7 @@ The :class:`FactorLedger` mirrors the accounting idioms of
 *actual* NumPy buffers a prepared :class:`~repro.feti.solver.FetiSolver`
 keeps resident, split into three classes:
 
-* **factor bytes** — the dense panels and diagonal-block inverses of every
+* **factor bytes** — the ``n x (kd + 1)`` band of ``L`` of every
   per-subdomain sparse solver (plus the retained fp64 matrix when the
   precision policy refines);
 * **pack bytes** — the dense dual-operator blocks ``F̃ᵢ`` the batched

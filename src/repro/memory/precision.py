@@ -1,7 +1,7 @@
 """Precision policies for factor storage: fp64, fp32 and fp32 + refinement.
 
-Storing the triangular factors (the panels and diagonal-block inverses the
-factorization produces, or the band every solve reads) and the packed
+Storing the triangular factors (the band of ``L`` the factorization
+produces and every solve reads) and the packed
 ``F̃ᵢ`` dual-operator blocks in single precision halves the resident
 bytes of a prepared solver — the classic mixed-precision direct-solver play.
 The numeric factorization always runs in fp64; a policy then *demotes* the
@@ -111,26 +111,16 @@ def demote_array(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
 
 
 def demote_factor(factor, dtype: np.dtype):
-    """Demote a :class:`~repro.sparse.numeric.CholeskyFactor` in place.
+    """Demote a :class:`~repro.sparse.numeric.CholeskyFactor`'s band in place.
 
-    Whichever form the factor holds is converted: its band, or its panels
-    and diagonal-block inverses together, so every kernel reads one storage
-    dtype.  Returns the factor for chaining.  A no-op for matching dtypes.
+    Returns the factor for chaining.  A no-op for matching dtypes.
     """
     if factor is None or np.dtype(dtype) == np.dtype(np.float64):
         return factor
-    if factor.band is not None:
-        factor.band = demote_array(factor.band, dtype)
-    else:
-        factor.panels = demote_array(factor.panels, dtype)
-        factor.inverses = demote_array(factor.inverses, dtype)
+    factor.band = demote_array(factor.band, dtype)
     return factor
 
 
 def factor_nbytes(factor) -> int:
-    """Resident bytes of a numeric factor: its band, or panels + inverses."""
-    if factor is None:
-        return 0
-    if factor.band is not None:
-        return int(factor.band.nbytes)
-    return int(factor.panels.nbytes + factor.inverses.nbytes)
+    """Resident bytes of a numeric factor: its band."""
+    return 0 if factor is None else int(factor.band.nbytes)

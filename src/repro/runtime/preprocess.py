@@ -10,7 +10,9 @@ whatever the executor:
    per cluster, inline in its ``submit``.
 2. Within a shard, the subdomains sharing a symbolic analysis form a group,
    and every group gets one :func:`~repro.sparse.numeric.stacked_cholesky`
-   of its ``(k, nnz)`` values, adopted by the member solvers, then one
+   of its ``(k, nnz)`` values — one LAPACK ``dpbtrf`` on the group's
+   ``(k·n, kd + 1)`` block-diagonal band, the band the ``K⁺`` solves read —
+   whose rows the member solvers adopt, then one
    :func:`~repro.sparse.solvers.schur_complements` per interface class of
    the group (the members whose ``P B̃ᵢᵀ`` have the same sorted column first
    rows, :func:`~repro.sparse.schur.interface_classes`).  The classes come
@@ -21,9 +23,12 @@ whatever the executor:
 
 Shards run on the caller's own solvers, inline under ``serial`` and as
 thread-pool futures under ``threads``.  Every executor runs the same shard
-function on the same values, and a member's ``F̃ᵢ`` does not depend on which
-other members share its class, so the factors and every ``F̃ᵢ`` are bitwise
-equal across executors.
+function on the same values, a member's factor does not depend on where its
+group's stack puts it and its ``F̃ᵢ`` not on which other members share its
+class, so the factors and every ``F̃ᵢ`` are bitwise equal across executors.
+A member that is not positive definite fails its shard with a
+:class:`~repro.sparse.numeric.NotPositiveDefiniteError` naming its subdomain
+index and the column of the failing pivot.
 """
 
 from __future__ import annotations
@@ -37,7 +42,12 @@ import numpy as np
 from repro.observe.trace import trace_span
 from repro.runtime.executor import Executor
 from repro.runtime.shard import Shard, ShardPlan
-from repro.sparse.numeric import CholeskyFactor, stacked_cholesky, stacked_values
+from repro.sparse.numeric import (
+    CholeskyFactor,
+    NotPositiveDefiniteError,
+    stacked_cholesky,
+    stacked_values,
+)
 from repro.sparse.schur import SchurScatter, interface_classes
 from repro.sparse.solvers import schur_complements
 
@@ -80,7 +90,7 @@ def _run_shard(
 ) -> dict[int, np.ndarray]:
     """One shard task: per group, a stacked factorization, then ``F̃ᵢ`` per class.
 
-    The members' solvers adopt row ``i`` of the stacked factors (with the
+    The members' solvers adopt row ``i`` of the stacked bands (with the
     matrix, which refining precision policies keep for their residual
     sweeps).  Returns the ``F̃ᵢ`` by subdomain index — empty without
     ``scatters``.
@@ -89,11 +99,12 @@ def _run_shard(
     for g in groups:
         matrices = [s.K_reg for s in g.subs]
         with trace_span("factorize", subdomains=len(g.solvers)):
-            panels, inverses = stacked_cholesky(
-                stacked_values(matrices, g.symbolic), g.symbolic
-            )
-            for solver, row, inverse, K in zip(g.solvers, panels, inverses, matrices):
-                solver.adopt_factor(CholeskyFactor(g.symbolic, row, inverse), matrix=K)
+            try:
+                bands = stacked_cholesky(stacked_values(matrices, g.symbolic), g.symbolic)
+            except NotPositiveDefiniteError as err:
+                raise NotPositiveDefiniteError(g.subs[err.member].index, err.column) from None
+            for solver, band, K in zip(g.solvers, bands, matrices):
+                solver.adopt_factor(CholeskyFactor(g.symbolic, band), matrix=K)
         if not scatters:
             continue
         group_scatters = [scatters[s.index] for s in g.subs]

@@ -4,20 +4,20 @@ A from-scratch sparse Cholesky factorization with the same structure as the
 production libraries the paper uses (CHOLMOD, MKL PARDISO):
 
 * a **symbolic** phase — fill-reducing ordering, elimination tree, column
-  counts and the full factor pattern (run once per mesh, reused across time
-  steps), and
+  counts and the factor pattern by a bitset merge of the column structures
+  (run once per mesh, reused across time steps), and
 * a **numeric** phase — filling the factor with values (repeated every time
   step of the multi-step simulation).
 
-The symbolic phase additionally produces a relaxed **supernode partition**
-of the factor pattern; the numeric phase and the Schur assembly run over the
-resulting dense panels (GEMM/POTRF-style NumPy calls).  Every solve runs on
-``L`` as a **band** instead: the RCM ordering is a banded ordering, and a
-stack of same-pattern factors is one block-diagonal band that one BLAS
-``dtbsv`` per direction solves.  The scalar per-column factorization and
-solves are the test oracle (``tests/oracles/sparse.py``).  A structural
-**pattern cache** (:mod:`repro.sparse.cache`) shares one symbolic analysis
-across all subdomains with the same sparsity pattern.
+The RCM ordering is a banded ordering and the fill stays inside the band, so
+``L`` is held in one form from the factorization on: its ``(n, kd + 1)``
+**band**.  A stack of same-pattern matrices is one block-diagonal band that
+one LAPACK ``dpbtrf`` factors and one BLAS ``dtbsv`` per direction solves.
+The explicit Schur assembly alone tiles ``L`` into a relaxed **supernode
+partition**, built lazily and gathered from the band.  The scalar per-column
+factorization and solves are the test oracle (``tests/oracles/sparse.py``).
+A structural **pattern cache** (:mod:`repro.sparse.cache`) shares one
+symbolic analysis across all subdomains with the same sparsity pattern.
 
 On top of the factorization the package provides the banded solve of a
 stack of same-pattern factors (:func:`solve_banded` / :class:`SolverStack`,

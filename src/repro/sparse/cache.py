@@ -3,9 +3,9 @@
 Domain decompositions of regular grids — the workload of every registry
 scenario — produce many subdomains whose regularized stiffness matrices
 share one sparsity pattern.  Everything the sparse layer derives from the
-pattern (fill-reducing ordering, elimination tree, factor pattern,
-supernode partition, dense-panel scatter maps, and the one-pass
-permutation map for the matrix values) is therefore computed once per
+pattern (fill-reducing ordering, elimination tree, column structures,
+the one-pass permutation and band maps for the matrix values, and the
+supernode partition once an explicit approach builds it) is therefore computed once per
 *structural key* and shared across subdomains, which removes the dominant
 per-subdomain cost of the preparation phase.
 
@@ -15,10 +15,10 @@ subdomains with equal patterns but different stiffness values hit the same
 entry.  The cache is bounded LRU and thread-safe; the solver facades use the
 process-global instance by default.
 
-An entry holds index arrays only — pattern, permutation maps, panel layout
-and the factored ``(rows, cols)`` update maps, about twice the bytes of the
-factor panels on a 3D subdomain — and :attr:`PatternCache.nbytes` reports
-their total (``pattern_bytes`` in ``Session.cache_stats()``).
+An entry holds index arrays only — pattern, permutation and band maps, one
+bitset per column, and the panel layout where it was built — and
+:attr:`PatternCache.nbytes` reports their total (``pattern_bytes`` in
+``Session.cache_stats()``).
 """
 
 from __future__ import annotations

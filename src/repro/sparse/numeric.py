@@ -1,29 +1,23 @@
-"""Numeric sparse Cholesky factorization (supernodal, left-looking).
+"""Numeric sparse Cholesky factorization on the factor's band.
 
 Given the pattern produced by :func:`repro.sparse.symbolic.symbolic_cholesky`
 this module computes the values of ``L`` such that ``P A Pᵀ = L Lᵀ`` — for a
 whole stack of matrices sharing that pattern at once.
 
-The factorization is **supernodal left-looking**: every supernode is a dense
-trapezoidal panel initialized with one vectorized scatter of the (one-pass)
-permuted matrix values, updated by one GEMM per contributing descendant
-supernode (subtracted from ``panel[rows, cols]``, the factored block position
-of :attr:`~repro.sparse.symbolic.SupernodePartition.updates` — a basic slice
-where the rows/columns are contiguous), and finished with a dense Cholesky of
-its diagonal block, the triangular inverse of that factor (kept for the Schur
-assembly) and one GEMM with the inverse for the off-panel block.  The
-Python-level work is proportional to the number of supernodal updates, not to
-``nnz(L)``, and all arithmetic runs through BLAS-3 calls — the structure
-production libraries (CHOLMOD, PARDISO) use.  :func:`stacked_cholesky` runs
-every update and every off-panel block as one ``np.matmul`` over the stack;
-only the ``potrf`` / ``trtri`` of a diagonal block is per matrix.
-:func:`numeric_cholesky` is its stack of one.  The solves read ``L`` as a band
-instead (:func:`stacked_band`, built from the panels once per factorization).
+Under the analysis' banded (RCM) ordering ``L`` fills exactly inside the band
+of ``P A Pᵀ``, so the factor is held as its ``(n, kd + 1)`` lower band
+(:meth:`~repro.sparse.symbolic.SymbolicFactor.band_index`).
+:func:`stacked_cholesky` scatters the ``k`` matrices' values into one
+``(k, n, kd + 1)`` stack of bands — read as ``(k·n, kd + 1)`` it is the band
+of their block-diagonal matrix, the entries coupling two members exact
+zeros — and factors it with **one** LAPACK ``dpbtrf``.  That stack is what
+the ``K⁺`` solves read (:mod:`repro.sparse.triangular`) and what the Schur
+assembly gathers its supernode panels from (:mod:`repro.sparse.schur`).
+:func:`numeric_cholesky` is its stack of one.
 
-The classic left-looking *column* algorithm it replaced is the test oracle
-(``tests/oracles/sparse.py::numeric_scalar``); both produce the same factor up
-to floating-point roundoff.  ``numeric_reference`` in the same module is this
-loop driven by flat per-update scatter arrays and must agree bit for bit.
+The classic left-looking *column* algorithm is the test oracle
+(``tests/oracles/sparse.py::numeric_scalar``); both produce the same factor
+up to floating-point roundoff.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dpbtrf
 
 from repro.sparse.symbolic import SymbolicFactor
 
@@ -41,52 +35,55 @@ __all__ = [
     "CholeskyFactor",
     "NotPositiveDefiniteError",
     "numeric_cholesky",
-    "stacked_band",
     "stacked_cholesky",
     "stacked_values",
 ]
 
+#: Reference LAPACK's ``dpbtrf`` factors a band wider than 64 in blocks of 32
+#: columns counted from the first row of the whole stack (``ILAENV``), and
+#: narrower bands column by column.  A member's sums then depend on where
+#: its first row falls in that blocking, so on a wide band every member
+#: starts on a multiple of :data:`_DPBTRF_BLOCK` rows (identity rows fill the
+#: gaps) and each member's factor is bitwise the same wherever it is stacked.
+_DPBTRF_BLOCK = 32
+_DPBTRF_UNBLOCKED_KD = 64
+
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
-    """Raised when a non-positive pivot is encountered."""
+    """A matrix of a stack has a non-positive pivot.
+
+    ``member`` is its position in the stack, ``column`` the column of the
+    failing pivot in the matrix's own (unpermuted) ordering.
+    """
+
+    def __init__(self, member: int, column: int) -> None:
+        super().__init__(member, column)
+        self.member, self.column = member, column
+
+    def __str__(self) -> str:
+        return (
+            f"matrix {self.member} is not positive definite: non-positive pivot "
+            f"at its column {self.column}"
+        )
 
 
 @dataclass
 class CholeskyFactor:
-    """A numeric Cholesky factor, held in one of two forms.
-
-    The factorization produces the *panel form*: the dense supernode panels
-    and the inverses of their diagonal blocks, which the Schur assembly
-    sweeps.  Every triangular solve reads the *band form*: ``L`` as the
-    ``(n, kd + 1)`` lower band of :meth:`SymbolicFactor.band_index`.  The
-    first solve after a factorization moves a factor to band form
-    (:class:`~repro.sparse.solvers.SolverStack`) and releases its panels
-    and inverses, so no value of ``L`` is resident twice.  The CSC values
-    of ``L`` are gathered from whichever form is held, on demand
-    (:meth:`to_csc`, :meth:`diagonal`).
+    """A numeric Cholesky factor: ``L`` as its lower band.
 
     Attributes
     ----------
     symbolic:
-        The symbolic factorization (pattern, permutation, supernodes).
-    panels:
-        ``(panel_entries,)`` dense-panel storage of ``L``
-        (:attr:`~repro.sparse.symbolic.SupernodePartition.panel_off` layout;
-        padding positions hold exact zeros); ``None`` in band form.
-    inverses:
-        ``(inverse_entries,)`` inverses of the panels' factored diagonal
-        blocks (:attr:`~repro.sparse.symbolic.SupernodePartition.inv_off`
-        layout; exact zeros above the diagonal); ``None`` in band form.
+        The symbolic factorization (pattern, permutation, bandwidth).
     band:
-        ``(n, kd + 1)`` band storage of ``L`` (exact zeros outside its
-        pattern), typically a row of a stack's block-diagonal band; ``None``
-        in panel form.
+        ``(n, kd + 1)`` band storage of ``L``: row ``c`` holds column ``c``
+        from its diagonal down, exact zeros outside ``L``'s pattern.  Usually
+        a row of its pattern group's ``(k, n, kd + 1)`` stack.  The CSC values
+        of ``L`` are gathered from it on demand (:meth:`to_csc`).
     """
 
     symbolic: SymbolicFactor
-    panels: np.ndarray | None
-    inverses: np.ndarray | None
-    band: np.ndarray | None = None
+    band: np.ndarray
 
     @property
     def n(self) -> int:
@@ -101,13 +98,8 @@ class CholeskyFactor:
     def to_csc(self) -> sp.csc_matrix:
         """The factor ``L`` as a SciPy CSC matrix (in permuted ordering)."""
         s = self.symbolic
-        if self.band is None:
-            values = self.panels[s.supernodes.lpos]
-        else:
-            values = self.band.reshape(-1)[s.band_index()[1]]
-        return sp.csc_matrix(
-            (values, s.row_idx.copy(), s.col_ptr.copy()), shape=(s.n, s.n)
-        )
+        values = self.band.reshape(-1)[s.band_index()[1]]
+        return sp.csc_matrix((values, s.row_idx, s.col_ptr.copy()), shape=(s.n, s.n))
 
     def to_csr_upper(self) -> sp.csr_matrix:
         """The factor ``U = Lᵀ`` as CSR (same memory layout as CSC of ``L``)."""
@@ -116,10 +108,7 @@ class CholeskyFactor:
 
     def diagonal(self) -> np.ndarray:
         """Diagonal entries of ``L``."""
-        if self.band is not None:
-            return self.band[:, 0].copy()
-        s = self.symbolic
-        return self.panels[s.supernodes.lpos[s.col_ptr[:-1]]]
+        return self.band[:, 0].copy()
 
 
 def stacked_values(matrices: Sequence[sp.spmatrix], symbolic: SymbolicFactor) -> np.ndarray:
@@ -176,14 +165,11 @@ def numeric_cholesky(A: sp.spmatrix, symbolic: SymbolicFactor) -> CholeskyFactor
     NotPositiveDefiniteError
         If a pivot is not strictly positive.
     """
-    panels, inverses = stacked_cholesky(stacked_values([A], symbolic), symbolic)
-    return CholeskyFactor(symbolic, panels[0], inverses[0])
+    return CholeskyFactor(symbolic, stacked_cholesky(stacked_values([A], symbolic), symbolic)[0])
 
 
-def stacked_cholesky(
-    values: np.ndarray, symbolic: SymbolicFactor
-) -> tuple[np.ndarray, np.ndarray]:
-    """Factor ``k`` SPD matrices sharing one symbolic analysis, as one stack.
+def stacked_cholesky(values: np.ndarray, symbolic: SymbolicFactor) -> np.ndarray:
+    """Factor ``k`` SPD matrices sharing one symbolic analysis, as one band.
 
     Parameters
     ----------
@@ -195,77 +181,38 @@ def stacked_cholesky(
 
     Returns
     -------
-    tuple of numpy.ndarray
-        ``(k, panel_entries)`` dense panels and ``(k, inverse_entries)``
-        diagonal-block inverses, one row per matrix:
-        ``CholeskyFactor(symbolic, panels[i], inverses[i])`` is matrix ``i``'s
-        factor.  Every row is bitwise the factor of its matrix alone: the
-        stacked GEMMs and the per-matrix LAPACK calls do the same arithmetic
-        as a stack of one.
+    numpy.ndarray
+        The C-order ``(k, n, kd + 1)`` bands: ``CholeskyFactor(symbolic,
+        band[i])`` is matrix ``i``'s factor, bitwise the factor of that
+        matrix alone.
 
     Raises
     ------
     NotPositiveDefiniteError
-        If a diagonal block is not positive definite (the message names the
-        matrix and the supernode).
+        If a pivot is not positive: the first failing matrix, with the
+        column of the pivot in its original ordering.
     """
-    part = symbolic.supernodes
-    k = values.shape[0]
-    flat = np.zeros((k, part.panel_entries))
-    flat[:, part.ainit_pos] = values[:, symbolic.a_lower_map]
-    inverses = np.empty((k, part.inverse_entries))
-
-    offsets, inv_off = part.panel_off.tolist(), part.inv_off.tolist()
-    widths, heights = part.widths.tolist(), part.heights.tolist()
-    # Each supernode's (k, h, w) panel stack, viewed once: a panel is read by
-    # every later update it contributes to.
-    panels = [
-        flat[:, offsets[j] : offsets[j + 1]].reshape(k, heights[j], widths[j])
-        for j in range(part.n_supernodes)
-    ]
-    for j, pj in enumerate(panels):
-        w, h = widths[j], heights[j]
-        for d, i0, i1, rows, cols in part.updates[j]:
-            below = panels[d][:, widths[d] + i0 :]
-            pj[:, rows, cols] -= np.matmul(below, below[:, : i1 - i0].transpose(0, 2, 1))
-
-        # Dense Cholesky of each diagonal block (LAPACK potrf references only
-        # the lower triangle, so junk above the diagonal is harmless; clean=1
-        # zeroes it) and the triangular inverse of its factor, which keeps
-        # those zeros.  The off-panel block is then L21 = A21 L11⁻ᵀ, one
-        # batched product over the stack.
-        inverse = inverses[:, inv_off[j] : inv_off[j + 1]].reshape(k, w, w)
-        for i, pv in enumerate(pj):
-            ltop, info = dpotrf(pv[:w, :w], lower=1, clean=1)
-            if info == 0:
-                inverse[i], info = dtrtri(ltop, lower=1)
-            if info != 0:
-                j0, j1 = part.snode_ptr[j : j + 2]
-                raise NotPositiveDefiniteError(
-                    f"matrix {i} is not positive definite: info {info} in "
-                    f"supernode {j} (columns {j0}:{j1})"
-                )
-            pv[:w, :w] = ltop
-        if h > w:
-            pj[:, w:] = np.matmul(pj[:, w:], inverse.transpose(0, 2, 1))
-    return flat, inverses
-
-
-def stacked_band(symbolic: SymbolicFactor, panels: np.ndarray) -> np.ndarray:
-    """The ``(k, n, kd + 1)`` lower bands of ``k`` stacked panel-form factors.
-
-    Row ``i`` holds factor ``i``'s ``L`` in the layout of
-    :meth:`SymbolicFactor.band_index`, at the panels' dtype:
-    ``band[i].ravel()[positions] = panels[i][lpos]``, one member at a time
-    so the gathered values never exist for the whole stack at once.  Every
-    position outside ``L``'s pattern is an exact zero, the ones past a
-    member's last row included, so the rows read as one ``(k·n, kd + 1)``
-    array are the band of the block-diagonal matrix of the stack.
-    """
-    kd, positions = symbolic.band_index()
-    k = panels.shape[0]
-    band = np.zeros((k, symbolic.n, kd + 1), dtype=panels.dtype)
-    lpos = symbolic.supernodes.lpos
-    for row, values in zip(band.reshape(k, -1), panels):
-        row[positions] = values[lpos]
-    return band
+    s = symbolic
+    k, n, width = values.shape[0], s.n, s.kd + 1
+    stride = n
+    if s.kd > _DPBTRF_UNBLOCKED_KD:
+        stride = -(-n // _DPBTRF_BLOCK) * _DPBTRF_BLOCK
+    flat = np.zeros(k * stride * width)
+    rows = flat.reshape(k, stride, width)
+    rows[:, n:, 0] = 1.0
+    rows.reshape(k, -1)[:, s.a_band_pos] = values[:, s.a_lower_map]
+    if flat.size:
+        factored, info = dpbtrf(rows.reshape(k * stride, width).T, lower=1, overwrite_ab=1)
+        # The F-contiguous fp64 view is factored in place, never copied.
+        assert info >= 0 and np.shares_memory(factored, flat)
+        del factored
+        if info > 0:
+            member, column = divmod(info - 1, stride)
+            raise NotPositiveDefiniteError(member, int(s.perm[column]))
+    del rows
+    if stride != n:  # drop the identity rows in place
+        size = n * width
+        for i in range(1, k):
+            flat[i * size : (i + 1) * size] = flat[i * stride * width :][:size]
+        flat.resize(k * size, refcheck=False)
+    return flat.reshape(k, n, width)

@@ -39,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dtrtri
 
-from repro.sparse.symbolic import SymbolicFactor
+from repro.sparse.symbolic import SupernodePartition, SymbolicFactor
 
 __all__ = [
     "SCHUR_CHUNK",
@@ -203,8 +204,7 @@ def interface_classes(scatters: Sequence[SchurScatter]) -> list[list[int]]:
 
 def stacked_schur_complement(
     symbolic: SymbolicFactor,
-    panels: np.ndarray,
-    inverses: np.ndarray,
+    bands: Sequence[np.ndarray],
     scatters: Sequence[SchurScatter],
 ) -> np.ndarray:
     """``F̃ᵢ = B̃ᵢ Kᵢ⁻¹ B̃ᵢᵀ`` of the ``k`` members of one interface class.
@@ -213,10 +213,9 @@ def stacked_schur_complement(
     ----------
     symbolic:
         The members' shared symbolic analysis.
-    panels, inverses:
-        ``(k, panel_entries)`` and ``(k, inverse_entries)`` factor storage,
-        row ``i`` for ``scatters[i]`` (any storage dtype; the arithmetic
-        runs in fp64).
+    bands:
+        The members' ``(n, kd + 1)`` factor bands, ``bands[i]`` for
+        ``scatters[i]`` (any storage dtype; the arithmetic runs in fp64).
     scatters:
         The members' :class:`SchurScatter`, all with equal ``starts``.
 
@@ -226,12 +225,14 @@ def stacked_schur_complement(
         ``(k, n_dual, n_dual)``: row ``i`` is member ``i``'s exactly
         symmetric ``F̃ᵢ`` in ``B̃ᵢ``'s row order.
 
-    One forward sweep over the ``(k, n, n_dual)`` stack of panels
-    ``W = L⁻¹ P B̃ᵀ`` (per supernode, a batched product with the stored
-    inverses over the columns activated so far, and one batched GEMM for the
-    rows below), then one batched pruned ``WᵀW``.  Every ``np.matmul`` runs
-    the BLAS call of one member per member, so each ``F̃ᵢ`` is bitwise what
-    a class of one gives.
+    The members' supernode panels are gathered from their bands one
+    supernode at a time (:class:`~repro.sparse.symbolic.SupernodePartition`'s
+    position maps).  One forward sweep over the ``(k, n, n_dual)`` stack
+    ``W = L⁻¹ P B̃ᵀ`` (per supernode, a batched product with the inverses of
+    the diagonal blocks over the columns activated so far, and one batched
+    GEMM for the rows below), then one batched pruned ``WᵀW``.  Every batched
+    call runs the BLAS call of one member per member, so each ``F̃ᵢ`` is
+    bitwise what a class of one gives.
 
     Raises
     ------
@@ -247,9 +248,9 @@ def stacked_schur_complement(
     W = np.zeros((k, symbolic.n, n_dual))
     for member, scatter in zip(W.reshape(k, -1), scatters):
         np.add.at(member, scatter.flat, scatter.data)
-    _forward_sweep(symbolic, panels, inverses, W, scatters[0].active)
+    _forward_sweep(symbolic.supernodes, bands, W, scatters[0].active)
     S = _pruned_gram(W, starts)
-    del W  # the panels go before the re-ordering allocates its temporary
+    del W  # before the re-ordering allocates its temporary
     # Back to B̃'s order: rows into a temporary, columns into S's own buffer
     # (``clip`` because ``raise`` would buffer the output; ``rank`` is a
     # permutation, so nothing is clipped).
@@ -261,37 +262,64 @@ def stacked_schur_complement(
 
 
 def _forward_sweep(
-    symbolic: SymbolicFactor,
-    panels: np.ndarray,
-    inverses: np.ndarray,
+    part: SupernodePartition,
+    bands: Sequence[np.ndarray],
     W: np.ndarray,
     active: np.ndarray,
 ) -> None:
     """Overwrite the ``(k, n, n_dual)`` stack ``W`` with ``L⁻¹ W``, pruned.
 
     Supernode ``s`` updates only the ``active[s]`` columns that have joined
-    the sweep; the others are still exactly zero on and above its rows.  A
-    supernode's below rows (ascending, distinct) are addressed by a basic
-    slice wherever they are one contiguous run, so the update is in place.
+    the sweep; the others are still exactly zero on and above its rows, and
+    the supernodes before the first active one are skipped outright.  Its
+    fp64 panels are gathered from the members' bands when the sweep reaches
+    it, so at most one panel per member exists at a time, and each diagonal
+    block is overwritten with its inverse (LAPACK ``dtrtri``, one call per
+    member).  A supernode's below rows (ascending, distinct) are addressed by
+    a basic slice wherever they are one contiguous run, so the update is in
+    place.
     """
-    part = symbolic.supernodes
-    k = W.shape[0]
+    flats = [band.reshape(-1) for band in bands]
     snode_ptr, heights = part.snode_ptr.tolist(), part.heights.tolist()
-    panel_off, inv_off = part.panel_off.tolist(), part.inv_off.tolist()
+    # panel_pos ascends, so each supernode's entries are one run of the maps.
+    entry_off = np.searchsorted(part.panel_pos, part.panel_off).tolist()
     for s in range(int(np.searchsorted(active, 0, side="right")), part.n_supernodes):
         a = int(active[s])
         j0, j1 = snode_ptr[s], snode_ptr[s + 1]
         w, h = j1 - j0, heights[s]
-        inverse = inverses[:, inv_off[s] : inv_off[s + 1]].reshape(k, w, w)
-        yj = np.matmul(inverse, W[:, j0:j1, :a])
+        panel = _gather_panel(part, flats, s, slice(entry_off[s], entry_off[s + 1]))
+        # Inverted in place: LAPACK overwrites a Fortran-order copy.
+        block = np.empty((w, w), order="F")
+        for diagonal in panel[:, :w]:
+            block[...] = diagonal
+            inverse, _ = dtrtri(block, lower=1, overwrite_c=1)
+            assert inverse is block
+            diagonal[...] = block
+        del block, inverse
+        yj = np.matmul(panel[:, :w], W[:, j0:j1, :a])
         W[:, j0:j1, :a] = yj
         if h > w:
             rows = part.below_rows[s]
             r0, r1 = int(rows[0]), int(rows[-1]) + 1
             if r1 - r0 == h - w:
                 rows = slice(r0, r1)
-            below = panels[:, panel_off[s] : panel_off[s + 1]].reshape(k, h, w)[:, w:]
-            W[:, rows, :a] -= np.matmul(below, yj)
+            W[:, rows, :a] -= np.matmul(panel[:, w:], yj)
+
+
+def _gather_panel(
+    part: SupernodePartition, flats: Sequence[np.ndarray], s: int, entries: slice
+) -> np.ndarray:
+    """The members' fp64 ``(k, heights[s], widths[s])`` panels of supernode ``s``.
+
+    ``entries`` is the supernode's run of the position maps; the index
+    temporaries are freed on return, before the sweep's products exist.
+    """
+    local = part.panel_pos[entries] - part.panel_off[s]
+    source = part.band_pos[entries]
+    panel = np.zeros((len(flats), int(part.heights[s]), int(part.widths[s])))
+    for row, flat in zip(panel.reshape(len(flats), -1), flats):
+        row[local] = flat[source]
+    return panel
 
 
 def _pruned_gram(W: np.ndarray, starts: np.ndarray) -> np.ndarray:

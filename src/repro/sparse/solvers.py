@@ -28,7 +28,7 @@ from repro.memory.precision import (
 )
 from repro.sparse.cache import PatternCache, global_pattern_cache
 from repro.sparse.costmodel import CpuLibrary
-from repro.sparse.numeric import CholeskyFactor, numeric_cholesky, stacked_band
+from repro.sparse.numeric import CholeskyFactor, numeric_cholesky
 from repro.sparse.ordering import OrderingMethod
 from repro.sparse.schur import (
     SchurScatter,
@@ -113,7 +113,7 @@ class SparseSolverBase:
 
         With a pattern cache every subdomain sharing the sparsity pattern
         reuses one symbolic factorization (ordering, elimination tree,
-        supernodes, scatter maps); the analysis then runs once per pattern
+        column structures, band maps); the analysis then runs once per pattern
         instead of once per subdomain.
         """
         if self._pattern_cache is not None:
@@ -143,8 +143,8 @@ class SparseSolverBase:
     ) -> CholeskyFactor:
         """Install a numeric factor computed elsewhere (the sharded runtime).
 
-        The factor's values are typically rows of a preprocessing group's
-        stacked panels; its symbolic analysis must describe the same
+        The factor's band is typically a row of a preprocessing group's
+        stacked bands; its symbolic analysis must describe the same
         pattern this solver analysed (the runtime factors each group with
         its members' shared analysis).  ``matrix`` is the factorized matrix
         — required by refining precision policies, which keep it for
@@ -338,8 +338,7 @@ class PardisoLikeSolver(SparseSolverBase):
 def _rows_as_stack(rows: list[np.ndarray]) -> np.ndarray | None:
     """``rows`` as one array without copying, when they already are one.
 
-    True for factors adopted from a preprocessing group's stacked panels and
-    inverses (one ``(k, m)`` array) or re-pointed at a stack's band (one
+    True for factors adopted from a preprocessing group's stacked bands (one
     ``(k, n, kd + 1)`` array) as long as the rows are consecutive in the
     array they are views of, and for a single row of any origin.
     """
@@ -366,36 +365,20 @@ def _rows_as_stack(rows: list[np.ndarray]) -> np.ndarray | None:
     return flat[offset:stop].reshape(len(rows), *first.shape)
 
 
-def _stacked(rows: list[np.ndarray]) -> np.ndarray:
-    """``rows`` as one array: a zero-copy view where possible, a copy otherwise."""
-    stack = _rows_as_stack(rows)
-    return np.stack(rows) if stack is None else stack
-
-
 def _band_stack(factors: list[CholeskyFactor]) -> tuple[np.ndarray, bool]:
     """The factors' ``(k, n, kd + 1)`` band stack, and whether it is new.
 
-    Band-form factors whose bands are consecutive rows of one array are
-    adopted zero-copy.  Otherwise the stack is built — from the panels of
-    panel-form factors (one :func:`~repro.sparse.numeric.stacked_band`), by
-    copying bands — and every factor is re-pointed at its row of it and
-    releases its panels and inverses, so ``L`` is never resident twice.
+    Bands that are consecutive rows of one array are adopted zero-copy.
+    Otherwise they are copied into a new stack and every factor is
+    re-pointed at its row of it, so ``L`` is never resident twice.
     """
-    symbolic = factors[0].symbolic
-    if all(f.band is not None for f in factors):
-        stack = _rows_as_stack([f.band for f in factors])
-        if stack is not None:
-            return stack, False
-    if any(f.band is not None for f in factors):
-        rows = [
-            f.band if f.band is not None else stacked_band(symbolic, f.panels[None])[0]
-            for f in factors
-        ]
-        stack = np.stack(rows)
-    else:
-        stack = stacked_band(symbolic, _stacked([f.panels for f in factors]))
+    bands = [f.band for f in factors]
+    stack = _rows_as_stack(bands)
+    if stack is not None:
+        return stack, False
+    stack = np.stack(bands)
     for factor, row in zip(factors, stack):
-        factor.band, factor.panels, factor.inverses = row, None, None
+        factor.band = row
     return stack, True
 
 
@@ -404,27 +387,13 @@ def schur_complements(
 ) -> np.ndarray:
     """``(k, n_dual, n_dual)`` ``F̃ᵢ`` of one interface class of factorized solvers.
 
-    The members share one symbolic analysis and their scatters one key.  The
-    stored panel-form factors (at the policy's storage dtype) are read as
-    one stack: a zero-copy view where they are consecutive rows of one
-    array, a gathered copy otherwise (the factors themselves are left where
-    they are).
-
-    Raises
-    ------
-    RuntimeError
-        If a factor is in band form: a solve has released its panels since
-        it was factorized.
+    The members share one symbolic analysis and their scatters one key; their
+    factor bands (at the policy's storage dtype) are read where they are.
     """
     factors = [solver._require_factor() for solver in solvers]
-    if any(factor.panels is None for factor in factors):
-        raise RuntimeError(
-            "the Schur assembly reads the factor's panels, which its first solve "
-            "released for the band; call factorize() again first"
-        )
-    panels = _stacked([factor.panels for factor in factors])
-    inverses = _stacked([factor.inverses for factor in factors])
-    return stacked_schur_complement(factors[0].symbolic, panels, inverses, scatters)
+    return stacked_schur_complement(
+        factors[0].symbolic, [factor.band for factor in factors], scatters
+    )
 
 
 class SolverStack:

@@ -8,16 +8,32 @@ this pattern, which is exactly the split production solvers (CHOLMOD,
 PARDISO) use and the reason the paper can re-run only the numeric
 factorization in every time step.
 
-On top of the column pattern the analysis produces the structure that lets
-the numeric phase and the Schur assembly run on dense panels instead of
-per-column scatter loops (the solves read ``L`` as a band instead,
-:meth:`SymbolicFactor.band_index`), mirroring the supernodal techniques of the
-production libraries: **supernode detection** — maximal parent-chains of
-columns whose (nested) patterns are merged into dense trapezoidal panels,
-with a relaxed amalgamation criterion that tolerates a bounded fraction of
-explicit-zero padding.  The bound is graded by panel width, as in CHOLMOD's
-relaxed supernodes (Chen, Davis, Hager and Rajamanickam, *Algorithm 887*,
-ACM TOMS 2008):
+The fill-reducing ordering (RCM by default) is a *banded* ordering, and
+under it the fill stays inside the band (George and Liu): ``L`` has the
+half-bandwidth ``kd = max(row − col)`` of the permuted lower triangle of
+``A``.  The numeric factor is therefore held as the ``(n, kd + 1)`` band
+(:meth:`SymbolicFactor.band_index`), scattered from ``A``'s values through
+one position map (``a_band_pos``) and factored by LAPACK.
+
+The exact pattern of ``L`` — which ``nnz(L)``, the factorization flops and
+every cost-model figure derived from them read — comes from a **bitset
+merge**: column ``j``'s below-diagonal structure is one Python ``int`` (bit
+``i`` is row ``j + 1 + i``), its elimination-tree parent is the lowest set
+bit, and it ORs its structure, minus that bit, into its parent's (Liu 1990:
+``struct(L[:, j]) = struct(A[j:, j]) ∪ ⋃ struct(L[:, c]) \\ {c}`` over the
+children ``c``).  The interpreter takes ``O(n)`` steps of word-parallel
+integer arithmetic; everything proportional to ``nnz(L)`` happens inside
+NumPy calls.  The envelope alone would not do: on elasticity patterns it
+overcounts ``nnz(L)``.
+
+The **supernode partition** — maximal relaxed parent-chains of columns whose
+nested patterns are merged into dense trapezoidal panels — is only the tiling
+of the explicit approaches' Schur sweep (:mod:`repro.sparse.schur`), so it is
+built lazily, from the column structures, on first access of
+:attr:`SymbolicFactor.supernodes`.  Its relaxed amalgamation tolerates a
+bounded fraction of explicit-zero padding, graded by panel width as in
+CHOLMOD's relaxed supernodes (Chen, Davis, Hager and Rajamanickam,
+*Algorithm 887*, ACM TOMS 2008):
 
 ========  ==============  =============================================
 columns   max. padding    source
@@ -27,32 +43,18 @@ columns   max. padding    source
 17 - 32   25 %            this package (:data:`MAX_SUPERNODE` caps it)
 ========  ==============  =============================================
 
-A small subdomain's factor (tens of columns) thus becomes a handful of
-panels, so every sweep over it makes a handful of NumPy calls; the padding
-costs bytes, not calls.  The tiers only shape the panels: ``nnz(L)``, and so
-every cost-model figure derived from it, depends on the pattern alone.
-
-All of it — including the one-pass permutation maps that turn the original
-matrix values into the permuted lower-triangular CSC layout — depends only on
-the pattern, so :mod:`repro.sparse.cache` can share one
-:class:`SymbolicFactor` across every subdomain with the same sparsity.
-
-The analysis runs in **array form**: the interpreter takes ``O(n)`` steps (one
-sorted union per column for the factor pattern, which discovers the
-elimination tree on the way; one pass over the columns for the supernode
-split; one tuple per left-looking update) and everything proportional to
-``nnz(L)`` happens inside NumPy calls — the panel positions of all entries of
-``L``, of ``A`` and of all update blocks come from one ``searchsorted`` each.
-What it keeps is ``O(nnz(L))`` index entries: an update stores the two factors
-``(rows, cols)`` of its block position, never the ``rows x cols`` product.
-The per-entry pure-Python analysis this replaced (Liu's path-compressed tree,
-row patterns by tree reach, one flat scatter array per update) lives on as
-the bit-identity oracle ``tests/oracles/sparse.py::symbolic_reference``.
+All of it depends only on the pattern, so :mod:`repro.sparse.cache` can share
+one :class:`SymbolicFactor` across every subdomain with the same sparsity.
+The per-entry pure-Python analysis (Liu's path-compressed tree, row patterns
+by tree reach) lives on as the oracle
+``tests/oracles/sparse.py::symbolic_reference``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,45 +92,27 @@ class SupernodePartition:
     """Supernodes of a factor pattern, with their dense-panel layout.
 
     Supernode ``s`` owns the column range ``snode_ptr[s]:snode_ptr[s + 1]``
-    and is stored as a dense row-major trapezoidal panel of shape
-    ``(heights[s], widths[s])``: the first ``widths[s]`` panel rows are the
-    triangular diagonal block, the remaining rows correspond to
-    ``below_rows[s]`` (the strictly-below-panel pattern of the supernode's
-    last column, which by elimination-tree nestedness contains the below
-    rows of every column of the chain).
+    and is a dense row-major trapezoidal panel of shape ``(heights[s],
+    widths[s])``: the first ``widths[s]`` panel rows are the triangular
+    diagonal block, the remaining rows correspond to ``below_rows[s]`` (the
+    strictly-below-panel pattern of the supernode's last column, which by
+    elimination-tree nestedness contains the below rows of every column of
+    the chain).
 
-    ``inv_off`` lays out the inverses of the diagonal blocks the same way:
-    supernode ``s``'s row-major ``(widths[s], widths[s])`` inverse starts at
-    ``inv_off[s]`` of a factor's inverse storage.
-
-    ``lpos`` maps every stored entry of ``L`` (CSC order) to its flat
-    position in the concatenated panel storage; ``ainit_pos`` does the same
-    for the entries of the permuted lower triangle of the analysed matrix,
-    so the numeric factorization initializes all panels with one vectorized
-    scatter.
-
-    ``updates[j]`` lists the left-looking contributions into supernode ``j``
-    as ``(k, i0, i1, rows, cols)``, ascending in ``k``: the below-rows
-    ``i0:i1`` of an earlier supernode ``k`` fall inside panel ``j``'s column
-    range, and the GEMM contribution ``(below rows i0: of k) x (below rows
-    i0:i1 of k)ᵀ`` is subtracted from ``panel_j[rows, cols]`` (``panel_j``
-    of shape ``(heights[j], widths[j])``).  ``rows`` / ``cols`` are the two
-    factors of the block's position — a ``slice`` where the range is
-    contiguous, an index array otherwise (``rows`` shaped ``(R, 1)`` when
-    both are arrays, so the pair always addresses an ``R x C`` block) — which
-    keeps the maps at ``O(R + C)`` per update instead of ``O(R * C)``.
+    The panels are gathered from a factor's band: the ``e``-th entry of
+    ``L`` in panel order sits at flat position ``band_pos[e]`` of the
+    ``(n, kd + 1)`` band and ``panel_pos[e]`` (ascending) of the concatenated
+    panels (``panel_off`` layout), so a gather writes the panels front to
+    back; every other panel position is padding and holds an exact zero.
     """
 
     snode_ptr: np.ndarray
-    col_to_snode: np.ndarray
     widths: np.ndarray
     heights: np.ndarray
     panel_off: np.ndarray
-    inv_off: np.ndarray
     below_rows: list[np.ndarray]
-    lpos: np.ndarray
-    updates: list[list[tuple[int, int, int, np.ndarray | slice, np.ndarray | slice]]]
-    ainit_pos: np.ndarray | None = None
+    band_pos: np.ndarray
+    panel_pos: np.ndarray
 
     @property
     def n_supernodes(self) -> int:
@@ -140,25 +124,14 @@ class SupernodePartition:
         """Total entries of the concatenated dense panels (incl. padding)."""
         return int(self.panel_off[-1])
 
-    @property
-    def inverse_entries(self) -> int:
-        """Total entries of the diagonal-block inverses (``Σ widths²``)."""
-        return int(self.inv_off[-1])
-
-    @property
-    def mean_width(self) -> float:
-        """Average columns per supernode."""
-        n = self.n_supernodes
-        return float(self.col_to_snode.shape[0] / n) if n else 0.0
-
     def padding_ratio(self) -> float:
         """Fraction of panel entries that are explicit-zero padding."""
         total = self.panel_entries
-        return 1.0 - self.lpos.shape[0] / total if total else 0.0
+        return 1.0 - self.panel_pos.shape[0] / total if total else 0.0
 
     @property
     def nbytes(self) -> int:
-        """Bytes of every index array of the partition, update maps included."""
+        """Bytes of every index array of the partition."""
         return _index_nbytes(list(vars(self).values()))
 
 
@@ -177,70 +150,85 @@ class SymbolicFactor:
         Fill-reducing permutation (``A`` is reordered as ``A[perm][:, perm]``).
     parent:
         Elimination tree (parent of each column, ``-1`` for roots).
-    col_ptr, row_idx:
-        CSC pattern of ``L`` including the unit diagonal position; row
-        indices in every column are strictly increasing and start with the
-        diagonal.
-    supernodes:
-        Supernode partition and dense-panel layout: the structure every
-        numeric factorization and Schur assembly of the package runs on.
+    col_ptr:
+        Column pointers of ``L``'s CSC pattern (diagonal included); the row
+        indices are :attr:`row_idx`, derived on demand.
+    masks:
+        Below-diagonal structure of every column of ``L``: bit ``i`` of
+        ``masks[j]`` is row ``j + 1 + i``.
+    kd:
+        Half-bandwidth of ``L`` (and of the permuted ``A``).
     """
 
     n: int
     perm: np.ndarray
     parent: np.ndarray
     col_ptr: np.ndarray
-    row_idx: np.ndarray
-    supernodes: SupernodePartition
+    masks: list[int] = field(repr=False)
+    kd: int
+    #: ``nnz(L)`` divided by the nnz of the lower triangle of ``A`` (fill-in).
+    fill_ratio: float = 1.0
+    # Pattern of the analysed matrix in canonical CSC order, the canonical
+    # data positions of the entries of the permuted lower triangle, and the
+    # band position of every one of them.
+    a_indptr: np.ndarray | None = field(default=None, repr=False)
+    a_indices: np.ndarray | None = field(default=None, repr=False)
+    a_lower_map: np.ndarray | None = field(default=None, repr=False)
+    a_band_pos: np.ndarray | None = field(default=None, repr=False)
+    #: Supernode policy of the lazily built :attr:`supernodes`.
+    relax: Relax = field(default=RELAX_PADDING, repr=False)
+    max_supernode: int = field(default=MAX_SUPERNODE, repr=False)
 
     @property
     def nnz(self) -> int:
         """Number of stored entries of ``L`` (including the diagonal)."""
-        return int(self.row_idx.shape[0])
+        return int(self.col_ptr[-1])
 
     @property
     def column_counts(self) -> np.ndarray:
         """Entries per column of ``L`` (including the diagonal)."""
         return np.diff(self.col_ptr)
 
-    #: ``nnz(L)`` divided by the nnz of the lower triangle of ``A`` (fill-in).
-    fill_ratio: float = 1.0
-
-    # Pattern of the analysed matrix in canonical CSC order, and the one-pass
-    # permutation map turning its data into the permuted lower-triangular CSC
-    # layout (the fix for the former double fancy-index permutation).
-    a_indptr: np.ndarray | None = field(default=None, repr=False)
-    a_indices: np.ndarray | None = field(default=None, repr=False)
-    a_lower_indptr: np.ndarray | None = field(default=None, repr=False)
-    a_lower_rows: np.ndarray | None = field(default=None, repr=False)
-    a_lower_map: np.ndarray | None = field(default=None, repr=False)
-
     @property
     def nbytes(self) -> int:
-        """Bytes of every index array the analysis holds.
+        """Bytes the analysis holds: index arrays and column structures.
 
-        Pattern, permutation maps, panel layout and update maps — what one
-        :class:`~repro.sparse.cache.PatternCache` entry keeps resident.
-        ``below_rows`` are views into ``row_idx`` and are counted as if
-        owned.
+        What one :class:`~repro.sparse.cache.PatternCache` entry keeps
+        resident, the supernode partition included once it has been built.
         """
-        return _index_nbytes(list(vars(self).values()))
+        masks = sum(map(sys.getsizeof, self.masks))
+        return masks + _index_nbytes([v for k, v in vars(self).items() if k != "masks"])
+
+    def band_pattern(self) -> np.ndarray:
+        """``(n, kd + 1)`` booleans: row ``c`` is column ``c`` of ``L`` from its diagonal."""
+        n, kd = self.n, self.kd
+        width = (kd + 7) // 8
+        blob = b"".join(m.to_bytes(width, "little") for m in self.masks)
+        packed = np.frombuffer(blob, dtype=np.uint8).reshape(n, width)
+        pattern = np.ones((n, kd + 1), dtype=bool)
+        pattern[:, 1:] = np.unpackbits(packed, axis=1, count=kd, bitorder="little")
+        return pattern
 
     def band_index(self) -> tuple[int, np.ndarray]:
         """``L`` as a lower band: its half-width and the position of every entry.
 
-        The half-width is ``kd = max(row − col)`` over the pattern (the
-        bandwidth the ordering leaves; RCM is a banded ordering), and entry
-        ``e`` of ``L``'s CSC order, column ``c`` and row ``r``, sits at flat
-        position ``c·(kd + 1) + (r − c)`` of a C-order ``(n, kd + 1)``
+        Entry ``e`` of ``L``'s CSC order, column ``c`` and row ``r``, sits at
+        flat position ``c·(kd + 1) + (r − c)`` of a C-order ``(n, kd + 1)``
         array: row ``c`` holds column ``c`` from its diagonal down.  Derived
-        on each call, ``O(nnz(L))`` inside NumPy; a factor's band is built
-        once per factorization (:func:`repro.sparse.numeric.stacked_band`).
+        on each call, ``O(n·kd)`` inside NumPy.
         """
-        cols = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.col_ptr))
-        offsets = self.row_idx - cols
-        kd = int(offsets.max(initial=0))
-        return kd, cols * (kd + 1) + offsets
+        return self.kd, np.flatnonzero(self.band_pattern())
+
+    @property
+    def row_idx(self) -> np.ndarray:
+        """Row indices of ``L``'s CSC pattern, ascending per column (derived)."""
+        positions = self.band_index()[1]
+        return positions // (self.kd + 1) + positions % (self.kd + 1)
+
+    @cached_property
+    def supernodes(self) -> SupernodePartition:
+        """The supernode partition, built on first access (explicit approaches)."""
+        return _build_partition(self)
 
     def factor_density(self) -> float:
         """Fraction of the lower triangle of ``L`` that is nonzero."""
@@ -321,16 +309,17 @@ def detect_supernodes(
     if n == 0:
         return np.zeros(1, dtype=np.int64)
     tolerance = _tolerances(relax, max_width)
+    parent, col_counts = np.asarray(parent).tolist(), np.asarray(col_counts).tolist()
     boundaries = [0]
-    exact = int(col_counts[0])
+    exact = col_counts[0]
     j0 = 0
     for j in range(n - 1):
         width = j + 2 - j0
         merge = parent[j] == j + 1 and width <= max_width
         if merge:
-            nbelow = int(col_counts[j + 1]) - 1
+            nbelow = col_counts[j + 1] - 1
             panel = width * (width + 1) // 2 + width * nbelow
-            exact_next = exact + int(col_counts[j + 1])
+            exact_next = exact + col_counts[j + 1]
             if panel - exact_next > tolerance[width] * panel:
                 merge = False
         if merge:
@@ -338,7 +327,7 @@ def detect_supernodes(
         else:
             boundaries.append(j + 1)
             j0 = j + 1
-            exact = int(col_counts[j + 1])
+            exact = col_counts[j + 1]
     boundaries.append(n)
     return np.asarray(boundaries, dtype=np.int64)
 
@@ -353,87 +342,52 @@ def _tolerances(relax: Relax, max_width: int) -> list[float]:
     ]
 
 
-def _build_partition(
-    n: int,
-    col_ptr: np.ndarray,
-    row_idx: np.ndarray,
-    snode_ptr: np.ndarray,
-    a_lower_indptr: np.ndarray,
-    a_lower_rows: np.ndarray,
-) -> SupernodePartition:
-    """Derive the dense-panel layout and update maps of a supernode split.
+def _build_partition(s: SymbolicFactor) -> SupernodePartition:
+    """The supernode split of ``s`` with its panel layout and band gather maps.
 
-    Every map is built for all supernodes at once: a pattern row ``r`` of
-    supernode ``s`` sits either in the triangle (``r - j0``) or among the
-    below rows, where one ``searchsorted`` over the keys ``s * n + row`` of
-    all below rows (ascending by construction) finds it.
+    Every map is built for all supernodes at once, in panel order: panel
+    entry ``(ρ, c)`` of supernode ``k`` is column ``j0 + c`` of ``L`` at its
+    ``ρ``-th panel row (the supernode's own columns, then its below rows),
+    and it is an entry of ``L`` where that row lies inside the column's band
+    and its bit is set.
     """
-    nsuper = snode_ptr.shape[0] - 1
+    n, kd = s.n, s.kd
+    snode_ptr = detect_supernodes(
+        s.parent, s.column_counts, relax=s.relax, max_width=s.max_supernode
+    )
     widths = np.diff(snode_ptr)
-    snodes = np.arange(nsuper, dtype=np.int64)
-    col_to_snode = np.repeat(snodes, widths)
+    nsuper = widths.shape[0]
+    pattern = s.band_pattern()
     last = snode_ptr[1:] - 1
-    below_rows = [row_idx[a:b] for a, b in zip(col_ptr[last] + 1, col_ptr[last + 1])]
-    nbelow = col_ptr[last + 1] - col_ptr[last] - 1
+    owner, offset = np.nonzero(pattern[last, 1:])
+    below_all = last[owner] + 1 + offset
+    nbelow = np.bincount(owner, minlength=nsuper).astype(np.int64)
     heights = widths + nbelow
     panel_off = np.concatenate(([0], np.cumsum(heights * widths))).astype(np.int64)
 
-    below_ptr = np.concatenate(([0], np.cumsum(nbelow))).astype(np.int64)
-    below_all = row_idx[_ragged_arange(col_ptr[last] + 1, nbelow)]
-    below_src = np.repeat(snodes, nbelow)
-    below_key = below_src * n + below_all
-
-    def local_rows(sn: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Panel-local row of pattern row ``rows[i]`` in supernode ``sn[i]``."""
-        pos = np.searchsorted(below_key, sn * n + rows) - below_ptr[sn]
-        return np.where(rows < snode_ptr[sn + 1], rows - snode_ptr[sn], widths[sn] + pos)
-
-    def flat_positions(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Flat panel position of every entry of a CSC pattern inside ``L``'s."""
-        cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        sn = col_to_snode[cols]
-        return panel_off[sn] + local_rows(sn, rows) * widths[sn] + (cols - snode_ptr[sn])
-
-    lpos = flat_positions(col_ptr, row_idx)
-    ainit = flat_positions(a_lower_indptr, a_lower_rows)
-
-    # Left-looking updates: the below rows of supernode k split into runs by
-    # the supernode owning each row; the run i0:i1 that falls into supernode
-    # j's columns contributes (below rows i0: of k) x (below rows i0:i1 of k)
-    # to panel j.  The panel-local rows of all those blocks are looked up in
-    # one go; an update's local columns are the leading i1 - i0 of its rows.
-    target = col_to_snode[below_all]
-    first = np.ones(below_all.shape[0], dtype=bool)
-    first[1:] = (below_src[1:] != below_src[:-1]) | (target[1:] != target[:-1])
-    starts = np.flatnonzero(first)
-    src, dst = below_src[starts], target[starts]
-    ncols = np.diff(np.append(starts, below_all.shape[0]))
-    nrows = below_ptr[src + 1] - starts
-    rloc_all = local_rows(np.repeat(dst, nrows), below_all[_ragged_arange(starts, nrows)])
-    rloc_ptr = np.concatenate(([0], np.cumsum(nrows)))
-    updates: list[list[tuple]] = [[] for _ in range(nsuper)]
-    for k, j, i0, nc, r0, r1 in zip(
-        src.tolist(),
-        dst.tolist(),
-        (starts - below_ptr[src]).tolist(),
-        ncols.tolist(),
-        rloc_ptr[:-1].tolist(),
-        rloc_ptr[1:].tolist(),
-    ):
-        rloc = rloc_all[r0:r1]
-        updates[j].append((k, i0, i0 + nc, *_block_index(rloc, nc)))
-
+    row_ptr = np.concatenate(([0], np.cumsum(heights))).astype(np.int64)
+    panel_rows = np.empty(int(row_ptr[-1]), dtype=np.int64)
+    panel_rows[_ragged_arange(row_ptr[:-1], widths)] = np.arange(n)
+    panel_rows[_ragged_arange(row_ptr[:-1] + widths, nbelow)] = below_all
+    # Entry c of a panel row is column first + c, at offset (row - first) - c.
+    row_width = np.repeat(widths, heights)
+    first = np.repeat(snode_ptr[:-1], heights)
+    c = _ragged_arange(np.zeros_like(row_width), row_width)
+    cols = np.repeat(first, row_width) + c
+    offsets = np.repeat(panel_rows - first, row_width) - c
+    band = cols * (kd + 1) + offsets
+    inside = (offsets >= 0) & (offsets <= kd)
+    inside[inside] = pattern.reshape(-1)[band[inside]]
+    panel_pos = np.flatnonzero(inside)
+    below_ptr = np.concatenate(([0], np.cumsum(nbelow))).tolist()
     return SupernodePartition(
         snode_ptr=snode_ptr,
-        col_to_snode=col_to_snode,
         widths=widths,
         heights=heights,
         panel_off=panel_off,
-        inv_off=np.concatenate(([0], np.cumsum(widths * widths))).astype(np.int64),
-        below_rows=below_rows,
-        lpos=lpos,
-        updates=updates,
-        ainit_pos=ainit,
+        below_rows=[below_all[a:b] for a, b in zip(below_ptr[:-1], below_ptr[1:])],
+        band_pos=band[panel_pos],
+        panel_pos=panel_pos,
     )
 
 
@@ -441,26 +395,6 @@ def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(starts[i], starts[i] + lengths[i])`` over ``i``."""
     offsets = np.cumsum(lengths) - lengths
     return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()), dtype=np.int64)
-
-
-def _block_index(rloc: np.ndarray, ncols: int) -> tuple:
-    """``(rows, cols)`` such that ``panel[rows, cols]`` is an update's block.
-
-    ``rloc`` holds the strictly increasing panel-local rows of the block and
-    its leading ``ncols`` entries are the local columns.  Contiguous ranges
-    become slices (basic indexing, no index array kept); when both stay
-    index arrays the rows are shaped ``(R, 1)`` so that they broadcast
-    against the columns.
-    """
-
-    def compact(idx: np.ndarray):
-        lo, hi = int(idx[0]), int(idx[-1]) + 1
-        return slice(lo, hi) if hi - lo == idx.shape[0] else idx
-
-    rows, cols = compact(rloc), compact(rloc[:ncols])
-    if isinstance(cols, np.ndarray):
-        rows = rloc[:, None]
-    return rows, cols
 
 
 def _canonical_csc(A: sp.spmatrix) -> sp.csc_matrix:
@@ -472,42 +406,36 @@ def _canonical_csc(A: sp.spmatrix) -> sp.csc_matrix:
     return csc
 
 
-def _column_structures(
-    n: int, a_indptr: np.ndarray, a_rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elimination tree and CSC pattern of ``L`` by a bottom-up column merge.
+def _column_masks(
+    n: int, kd: int, lower_cols: np.ndarray, lower_rows: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
+    """Elimination tree and the below-diagonal structure of every column of ``L``.
 
-    ``struct(L[:, j]) = struct(A[j:, j]) ∪ ⋃ struct(L[:, c]) \\ {c}`` over the
-    elimination-tree children ``c`` of ``j`` (Liu 1990), and
-    ``parent(c) = min(struct(L[:, c]) \\ {c})`` — so the tree is discovered on
-    the way: every child of ``j`` is an earlier column and has left its
-    suffix in ``pending[j]`` by the time column ``j`` is merged.  One sorted
-    union per column; the interpreted work is ``O(n)``, not ``O(nnz(L))``.
-
-    ``a_indptr`` / ``a_rows`` are the CSC lower triangle of the permuted
-    matrix (sorted rows).  Returns ``(parent, col_ptr, row_idx)``.
+    The structure of the permuted lower triangle is packed into one
+    little-endian bit row per column (bit ``i`` = row ``j + 1 + i``) and read
+    as one ``int`` each.  Then, in column order, every column's parent is its
+    lowest set bit and its structure minus that bit, re-based at the parent,
+    is ORed into the parent's: each child is final before its parent is
+    read.
     """
+    width = (kd + 7) // 8
+    below = lower_rows > lower_cols
+    cols, offsets = lower_cols[below], lower_rows[below] - lower_cols[below] - 1
+    packed = np.bincount(
+        cols * width + (offsets >> 3),
+        weights=np.left_shift(1, offsets & 7),
+        minlength=n * width,
+    )
+    blob = packed.astype(np.uint8).tobytes()
+    step = max(width, 1)  # no bytes at all when kd == 0
+    masks = [int.from_bytes(blob[i : i + width], "little") for i in range(0, n * step, step)]
     parent = np.full(n, -1, dtype=np.int64)
-    diag = np.arange(n, dtype=np.int64)
-    structs: list[np.ndarray] = []
-    pending: dict[int, list[np.ndarray]] = {}
-    for j in range(n):
-        parts = pending.pop(j, [])
-        parts += (diag[j : j + 1], a_rows[a_indptr[j] : a_indptr[j + 1]])
-        # The parts are sorted runs, which the stable (merging) sort exploits.
-        merged = np.sort(np.concatenate(parts), kind="stable")
-        keep = np.ones(merged.shape[0], dtype=bool)
-        np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-        rows = merged[keep]
-        structs.append(rows)
-        if rows.shape[0] > 1:
-            p = int(rows[1])
-            parent[j] = p
-            pending.setdefault(p, []).append(rows[1:])
-    col_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([rows.shape[0] for rows in structs], out=col_ptr[1:])
-    row_idx = np.concatenate(structs) if structs else np.empty(0, dtype=np.int64)
-    return parent, col_ptr, row_idx
+    for j, mask in enumerate(masks):
+        if mask:
+            shift = (mask & -mask).bit_length()
+            parent[j] = p = j + shift
+            masks[p] |= mask >> shift
+    return parent, masks
 
 
 def _require_symmetric_pattern(csc: sp.csc_matrix) -> None:
@@ -547,8 +475,9 @@ def symbolic_cholesky(
     perm:
         Optional externally computed permutation.
     relax:
-        Relaxed-amalgamation padding policy: the width-graded default, or
-        one uniform float tolerance (see :func:`detect_supernodes`).
+        Relaxed-amalgamation padding policy of the supernode partition: the
+        width-graded default, or one uniform float tolerance (see
+        :func:`detect_supernodes`).
     max_supernode:
         Maximal columns per supernode.
 
@@ -573,9 +502,8 @@ def symbolic_cholesky(
         perm = np.empty(0, dtype=np.int64)
 
     # One-pass permutation: classify every stored entry of A by its permuted
-    # coordinates and lexsort once, which yields the permuted lower triangle
-    # as CSC (driving the column merge) together with the map from A's
-    # canonical CSC data into that layout (reused by every numeric
+    # coordinates, which yields the entries of the permuted lower triangle
+    # and where each sits in A's canonical CSC data (reused by every numeric
     # factorization of the same pattern).
     inv_perm = np.empty(n, dtype=np.int64)
     inv_perm[perm] = np.arange(n, dtype=np.int64)
@@ -584,33 +512,25 @@ def symbolic_cholesky(
     pr, pc = inv_perm[rows], inv_perm[cols]
     low_src = np.flatnonzero(pr >= pc)
     lr, lc = pr[low_src], pc[low_src]
-    order_csc = np.lexsort((lr, lc))
-    a_lower_indptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(lc, minlength=n)))
-    ).astype(np.int64)
-    a_lower_rows = lr[order_csc]
-    a_lower_map = low_src[order_csc]
 
-    parent, col_ptr, row_idx = _column_structures(n, a_lower_indptr, a_lower_rows)
-    snode_ptr = detect_supernodes(
-        parent, np.diff(col_ptr), relax=relax, max_width=max_supernode
-    )
-    partition = _build_partition(
-        n, col_ptr, row_idx, snode_ptr, a_lower_indptr, a_lower_rows
-    )
+    # Fill stays inside the envelope, so L has the bandwidth of P A Pᵀ.
+    kd = int((lr - lc).max(initial=0))
+    parent, masks = _column_masks(n, kd, lc, lr)
+    col_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(int.bit_count, masks), np.int64, n) + 1, out=col_ptr[1:])
 
-    lower_nnz = max(int(low_src.shape[0]), 1)
     return SymbolicFactor(
         n=n,
         perm=perm,
         parent=parent,
         col_ptr=col_ptr,
-        row_idx=row_idx,
-        fill_ratio=float(int(col_ptr[-1]) / lower_nnz),
-        supernodes=partition,
+        masks=masks,
+        kd=kd,
+        fill_ratio=float(int(col_ptr[-1]) / max(int(low_src.shape[0]), 1)),
         a_indptr=np.asarray(csc.indptr, dtype=np.int64),
         a_indices=rows,
-        a_lower_indptr=a_lower_indptr,
-        a_lower_rows=a_lower_rows,
-        a_lower_map=a_lower_map,
+        a_lower_map=low_src,
+        a_band_pos=lc * (kd + 1) + (lr - lc),
+        relax=relax,
+        max_supernode=max_supernode,
     )

@@ -5,7 +5,7 @@ ordering (George and Liu), so ``L`` lies inside a lower band of half-width
 ``kd = max(row − col)`` (:meth:`~repro.sparse.symbolic.SymbolicFactor.band_index`).
 A factor's band is a C-order ``(n, kd + 1)`` array whose row ``c`` holds
 column ``c`` from its diagonal down; a stack of ``k`` same-pattern factors is
-one ``(k, n, kd + 1)`` array (:func:`repro.sparse.numeric.stacked_band`).
+one ``(k, n, kd + 1)`` array (:func:`repro.sparse.numeric.stacked_cholesky`).
 Read as ``(k·n, kd + 1)`` and transposed, that stack is, without a copy, the
 F-contiguous LAPACK lower band of the block-diagonal matrix of its members:
 the entries that would couple two members are exact zeros.  So
@@ -16,10 +16,9 @@ one LAPACK ``dtbtrs`` per direction.  A band stored in fp32 is up-cast on
 use, so the arithmetic is fp64 under every precision policy.
 
 These are the package's only solve kernels.  The Schur assembly
-(:mod:`repro.sparse.schur`) sweeps the supernode panels instead: it runs in
-the preprocessing round, before any factor has taken band form.  The
-simulated GPU holds byte sizes, not factors, so the GPU approaches solve here
-too.  The scalar per-column solves are the test oracle
+(:mod:`repro.sparse.schur`) sweeps supernode panels instead, gathered from
+the same band.  The simulated GPU holds byte sizes, not factors, so the GPU
+approaches solve here too.  The scalar per-column solves are the test oracle
 (``tests/oracles/sparse.py``).
 """
 

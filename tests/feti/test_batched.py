@@ -414,3 +414,30 @@ def test_pad_reused_out_buffer_rezeroes_padding_lanes():
     # Stale values in the padding lanes must not survive a reuse.
     assert out[0, 2:].tolist() == [0.0, 0.0]
     np.testing.assert_array_equal(index_map.unpad(out), np.arange(6, dtype=float))
+
+
+def test_alternating_large_block_order_is_bitwise_the_forward_order():
+    """Successive applies visit the large blocks in opposite orders, same bits."""
+    rng = np.random.default_rng(41)
+    sizes = [3, 5, SYMV_MIN_ROWS, SYMV_MIN_ROWS + 7, SYMV_MIN_ROWS + 30]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    total = int(offsets[-1])
+    ids = [np.arange(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+    dense = BatchedDenseApply(FlatIndexMap(ids))
+    blocks = []
+    for item, n in enumerate(sizes):
+        block = rng.standard_normal((n, n))
+        blocks.append(block + block.T)
+        dense.set_block(item, blocks[-1])
+    p = rng.standard_normal(total)
+    P = rng.standard_normal((total, 3))
+    assert len(dense.large) == 3 and not dense._backward
+    forward = dense.matvec(p)
+    assert dense._backward
+    assert np.array_equal(dense.matvec(p), forward)  # backward
+    assert np.array_equal(dense.matvec(p), forward)  # forward again
+    forward_multi = dense.matvec_multi(P)  # backward
+    assert np.array_equal(dense.matvec_multi(P), forward_multi)
+    for block, rows in zip(blocks, ids):
+        assert np.allclose(forward[rows], block @ p[rows], rtol=0, atol=1e-12)
+        assert np.allclose(forward_multi[rows], block @ P[rows], rtol=0, atol=1e-12)

@@ -63,9 +63,9 @@ def test_demotion_releases_the_fp64_factor(spec):
     operator.demote_storage()
     gc.collect()
     assert before() is None
-    assert solver.extract_factor().band.dtype == np.float32  # the solves made it a band
+    assert solver.extract_factor().band.dtype == np.float32
 
     operator.preprocess()
-    assert solver.extract_factor().panels.dtype == np.float64
+    assert solver.extract_factor().band.dtype == np.float64
     # The device copy is a byte size: demotion and refactorization leave it be.
     assert device_factor.nbytes == nbytes

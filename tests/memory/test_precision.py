@@ -52,19 +52,16 @@ def test_demote_array_is_a_noop_at_matching_dtype():
     assert demoted.flags.c_contiguous
 
 
-def test_demote_factor_converts_panels_and_inverses(spd):
+def test_demote_factor_converts_the_band(spd):
     solver = CholmodLikeSolver()
     solver.factorize(spd)
     factor = solver.extract_factor()
     fp64_bytes = factor_nbytes(factor)
-    assert factor.panels.dtype == factor.inverses.dtype == np.float64
-    assert fp64_bytes == 8 * (
-        factor.symbolic.supernodes.panel_entries + factor.symbolic.supernodes.inverse_entries
-    )
+    assert factor.band.dtype == np.float64
+    assert fp64_bytes == 8 * factor.n * (factor.symbolic.kd + 1)
 
     demote_factor(factor, np.dtype(np.float32))
-    assert factor.panels.dtype == factor.inverses.dtype == np.float32
-    # Panel and inverse storage both halve.
+    assert factor.band.dtype == np.float32
     assert factor_nbytes(factor) * 2 == fp64_bytes
 
 
@@ -72,9 +69,9 @@ def test_demote_factor_noops_for_fp64_and_none(spd):
     solver = CholmodLikeSolver()
     solver.factorize(spd)
     factor = solver.extract_factor()
-    panels, inverses = factor.panels, factor.inverses
+    band = factor.band
     assert demote_factor(factor, np.dtype(np.float64)) is factor
-    assert factor.panels is panels and factor.inverses is inverses  # untouched
+    assert factor.band is band  # untouched
     assert demote_factor(None, np.dtype(np.float32)) is None
     assert factor_nbytes(None) == 0
 
@@ -84,7 +81,7 @@ def test_solver_stores_fp32_factors_under_demoting_policies(spd, precision):
     solver = CholmodLikeSolver(precision=precision)
     solver.factorize(spd)
     factor = solver.extract_factor()
-    assert factor.panels.dtype == factor.inverses.dtype == np.float32
+    assert factor.band.dtype == np.float32
     reference = CholmodLikeSolver()
     reference.factorize(spd)
     # fp32 storage halves the factor; fp32_ir additionally retains the fp64

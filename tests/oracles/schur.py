@@ -3,17 +3,20 @@
 What the explicit CPU approaches ran before the interface-class kernel: one
 ``F̃ᵢ = B̃ᵢ Kᵢ⁻¹ B̃ᵢᵀ = Wᵀ W`` per subdomain, with ``W = L⁻¹ P B̃ᵢᵀ`` built
 from ``B̃ᵢ`` on every call, swept by the single-factor panel kernel
-(:func:`solve_lower_inplace`, the forward solve the package ran over the
-panels before its solves moved to the band) and multiplied out in 2-D
-blocks.  :func:`repro.sparse.schur.stacked_schur_complement` must give
-**bitwise** this result for every member of every class, whatever the class
-size, because a stacked ``np.matmul`` runs the same BLAS call per member.
+(:func:`solve_lower_inplace`, which reads each supernode's panel straight
+out of the factor's band and inverts its diagonal block on the spot) and
+multiplied out in 2-D blocks.
+:func:`repro.sparse.schur.stacked_schur_complement` must give **bitwise**
+this result for every member of every class, whatever the class size,
+because a stacked ``np.matmul`` runs the same BLAS call per member and the
+diagonal blocks are inverted by the same ``dtrtri`` call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dtrtri
 
 from repro.sparse.numeric import CholeskyFactor
 from repro.sparse.schur import SCHUR_CHUNK, column_first_rows
@@ -57,37 +60,42 @@ def schur_complement(
     return np.take(np.take(S, rank, axis=0), rank, axis=1, out=S, mode="clip")
 
 
+def _panel(factor: CholeskyFactor, j0: int, j1: int, below: np.ndarray) -> np.ndarray:
+    """Supernode ``j0:j1``'s dense panel, read entry by entry out of the band."""
+    band, kd = factor.band, factor.symbolic.kd
+    rows = np.concatenate((np.arange(j0, j1), below))
+    cols = np.arange(j0, j1)
+    offsets = rows[:, None] - cols[None, :]
+    inside = (offsets >= 0) & (offsets <= kd)
+    panel = np.zeros(offsets.shape)
+    panel[inside] = band[np.broadcast_to(cols, offsets.shape)[inside], offsets[inside]]
+    return panel
+
+
 def solve_lower_inplace(
     factor: CholeskyFactor, Y: np.ndarray, sorted_starts: np.ndarray | None = None
 ) -> None:
     """Overwrite the ``(n, nrhs)`` block ``Y`` with ``L⁻¹ Y`` over the panels.
 
-    Each diagonal-block step is a product with the factor's stored inverse.
-    With ``sorted_starts`` (ascending first-nonzero rows of the columns of
-    ``Y``) only the already-activated column prefix joins each panel, which
-    is how the per-column right-hand-side sparsity is exploited.
+    Each diagonal-block step is a product with the inverse of the panel's
+    diagonal block.  With ``sorted_starts`` (ascending first-nonzero rows of
+    the columns of ``Y``) only the already-activated column prefix joins each
+    panel, which is how the per-column right-hand-side sparsity is exploited.
     """
     part = factor.symbolic.supernodes
-    snode_ptr, panel_off, inv_off = part.snode_ptr, part.panel_off, part.inv_off
-    widths, heights = part.widths, part.heights
     for s in range(part.n_supernodes):
-        j0, j1 = int(snode_ptr[s]), int(snode_ptr[s + 1])
-        w, h = int(widths[s]), int(heights[s])
-        pv = factor.panels[panel_off[s] : panel_off[s + 1]].reshape(h, w)
-        inverse = factor.inverses[inv_off[s] : inv_off[s + 1]].reshape(w, w)
-        if sorted_starts is None:
-            yj = inverse @ Y[j0:j1]
-            Y[j0:j1] = yj
-            if h > w:
-                Y[part.below_rows[s]] -= pv[w:] @ yj
-        else:
+        j0, j1 = int(part.snode_ptr[s]), int(part.snode_ptr[s + 1])
+        w = j1 - j0
+        a = Y.shape[1]
+        if sorted_starts is not None:
             a = int(np.searchsorted(sorted_starts, j1 - 1, side="right"))
             if a == 0:
                 continue
-            yj = inverse @ Y[j0:j1, :a]
-            Y[j0:j1, :a] = yj
-            if h > w:
-                Y[part.below_rows[s], :a] -= pv[w:] @ yj
+        pv = _panel(factor, j0, j1, part.below_rows[s])
+        yj = np.ascontiguousarray(dtrtri(pv[:w], lower=1)[0]) @ Y[j0:j1, :a]
+        Y[j0:j1, :a] = yj
+        if pv.shape[0] > w:
+            Y[part.below_rows[s], :a] -= pv[w:] @ yj
 
 
 def _pruned_gram(W: np.ndarray, starts: np.ndarray) -> np.ndarray:

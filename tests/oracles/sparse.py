@@ -3,18 +3,15 @@
 Two independent references for :mod:`repro.sparse`:
 
 * the classic left-looking *column* factorization and the per-column forward /
-  backward substitutions the package ran before everything moved onto
-  supernode panels.  They read only the factor's CSC pattern and values — no
-  supernode partition, no dense panels, no cached permutation maps — so they
-  check the supernodal factorization, the panel TRSV/TRSM kernels and the
-  Schur assembly;
+  backward substitutions.  They read only the factor's CSC pattern and values
+  — no band, no supernode partition, no cached permutation maps — so they
+  check the banded factorization and solves and the Schur assembly;
 * the pure-Python symbolic analysis :func:`symbolic_reference` (Liu's
-  elimination tree with path compression, row patterns by tree reach, one
-  ``_panel_positions`` call per column, one flat ``rows x cols`` scatter array
-  per left-looking update) that ``repro.sparse.symbolic`` ran before it went
-  to array form, with :func:`numeric_reference` consuming those flat scatter
-  maps.  The array-form analysis must reproduce every field of it bit for
-  bit, and factor to identical panels.
+  elimination tree with path compression, row patterns by tree reach) that
+  ``repro.sparse.symbolic`` ran before it went to array form, and then to a
+  bitset merge.  The production analysis must reproduce its elimination
+  tree, its factor pattern, its permutation maps and its supernode split bit
+  for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dtrtri
 
 from repro.sparse.ordering import OrderingMethod, compute_ordering
 from repro.sparse.symbolic import (
@@ -39,8 +35,6 @@ __all__ = [
     "ReferenceAnalysis",
     "elimination_tree",
     "symbolic_reference",
-    "numeric_reference",
-    "update_scatter",
     "assert_matches_reference",
     "ScalarFactor",
     "numeric_scalar",
@@ -218,17 +212,6 @@ def _etree_from_arrays(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.nd
     return parent
 
 
-def _panel_positions(
-    rows: np.ndarray, j0: int, j1: int, width: int, below: np.ndarray
-) -> np.ndarray:
-    """Local panel row indices of (sorted) global pattern rows ``>= j0``."""
-    split = int(np.searchsorted(rows, j1))
-    loc = np.empty(rows.shape[0], dtype=np.int64)
-    loc[:split] = rows[:split] - j0
-    loc[split:] = width + np.searchsorted(below, rows[split:])
-    return loc
-
-
 def elimination_tree(lower: sp.csr_matrix) -> np.ndarray:
     """Elimination tree of a symmetric matrix given its lower-triangular CSR.
 
@@ -241,7 +224,7 @@ def elimination_tree(lower: sp.csr_matrix) -> np.ndarray:
 
 @dataclass
 class ReferenceAnalysis:
-    """Every field of the per-entry analysis (pattern + panel layout)."""
+    """Every field of the per-entry analysis (pattern + supernode split)."""
 
     n: int
     perm: np.ndarray
@@ -256,16 +239,12 @@ class ReferenceAnalysis:
     a_lower_rows: np.ndarray
     a_lower_map: np.ndarray
     snode_ptr: np.ndarray
-    col_to_snode: np.ndarray
     widths: np.ndarray
     heights: np.ndarray
     panel_off: np.ndarray
     below_rows: list[np.ndarray]
+    #: Panel position of every entry of ``L`` (CSC order).
     lpos: np.ndarray
-    ainit_pos: np.ndarray
-    #: ``updates[j]`` = ``[(k, i0, i1, scatter), ...]`` with ``scatter`` the
-    #: flat ``rows x cols`` positions relative to panel ``j``.
-    updates: list[list[tuple[int, int, int, np.ndarray]]]
 
 
 def symbolic_reference(
@@ -352,51 +331,22 @@ def symbolic_reference(
         parent, col_counts, relax=relax, max_width=max_supernode
     )
 
-    # Dense-panel layout: one ``_panel_positions`` call per column.
+    # Dense-panel layout: every entry of L placed by a scan of its panel's rows.
     nsuper = snode_ptr.shape[0] - 1
     widths = np.diff(snode_ptr)
-    col_to_snode = np.repeat(np.arange(nsuper, dtype=np.int64), widths)
     below_rows: list[np.ndarray] = []
     for s in range(nsuper):
         last = snode_ptr[s + 1] - 1
         below_rows.append(row_idx[col_ptr[last] + 1 : col_ptr[last + 1]])
     heights = widths + np.array([b.shape[0] for b in below_rows], dtype=np.int64)
     panel_off = np.concatenate(([0], np.cumsum(heights * widths))).astype(np.int64)
-
     lpos = np.empty(row_idx.shape[0], dtype=np.int64)
-    ainit = np.empty(a_lower_rows.shape[0], dtype=np.int64)
     for s in range(nsuper):
-        j0, j1 = int(snode_ptr[s]), int(snode_ptr[s + 1])
-        w = int(widths[s])
-        below = below_rows[s]
-        off = int(panel_off[s])
+        j0, j1, w = int(snode_ptr[s]), int(snode_ptr[s + 1]), int(widths[s])
+        panel_rows = list(range(j0, j1)) + below_rows[s].tolist()
         for c, j in enumerate(range(j0, j1)):
-            rows_j = row_idx[col_ptr[j] : col_ptr[j + 1]]
-            loc = _panel_positions(rows_j, j0, j1, w, below)
-            lpos[col_ptr[j] : col_ptr[j + 1]] = off + loc * w + c
-            arows = a_lower_rows[a_lower_indptr[j] : a_lower_indptr[j + 1]]
-            aloc = _panel_positions(arows, j0, j1, w, below)
-            ainit[a_lower_indptr[j] : a_lower_indptr[j + 1]] = off + aloc * w + c
-
-    updates: list[list[tuple[int, int, int, np.ndarray]]] = [
-        [] for _ in range(nsuper)
-    ]
-    for k in range(nsuper):
-        bk = below_rows[k]
-        if bk.shape[0] == 0:
-            continue
-        targets = col_to_snode[bk]
-        cut = np.flatnonzero(np.diff(targets)) + 1
-        starts = np.concatenate(([0], cut))
-        ends = np.concatenate((cut, [bk.shape[0]]))
-        for a, b in zip(starts, ends):
-            j = int(targets[a])
-            j0, j1 = int(snode_ptr[j]), int(snode_ptr[j + 1])
-            w = int(widths[j])
-            rloc = _panel_positions(bk[a:], j0, j1, w, below_rows[j])
-            cloc = bk[a:b] - j0
-            scatter = (rloc[:, None] * w + cloc[None, :]).ravel()
-            updates[j].append((k, int(a), int(b), scatter))
+            for e in range(col_ptr[j], col_ptr[j + 1]):
+                lpos[e] = panel_off[s] + panel_rows.index(int(row_idx[e])) * w + c
 
     return ReferenceAnalysis(
         n=n,
@@ -412,83 +362,46 @@ def symbolic_reference(
         a_lower_rows=a_lower_rows,
         a_lower_map=a_lower_map,
         snode_ptr=snode_ptr,
-        col_to_snode=col_to_snode,
         widths=widths,
         heights=heights,
         panel_off=panel_off,
         below_rows=below_rows,
         lpos=lpos,
-        ainit_pos=ainit,
-        updates=updates,
     )
 
 
-def update_scatter(update: tuple, height: int, width: int) -> np.ndarray:
-    """Flat ``rows x cols`` scatter of an array-form ``(k, i0, i1, rows, cols)``."""
-    *_, rows, cols = update
-    rloc = np.arange(height)[rows].reshape(-1, 1)
-    return (rloc * width + np.arange(width)[cols]).ravel()
-
-
 def assert_matches_reference(symbolic: SymbolicFactor, ref: ReferenceAnalysis) -> None:
-    """Every field of an array-form analysis equals the per-entry one, bit for bit."""
+    """Every field of the production analysis equals the per-entry one, bit for bit."""
 
     def same(name: str, got: np.ndarray, want: np.ndarray) -> None:
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
-    part = symbolic.supernodes
     assert symbolic.n == ref.n
     for name in (
         "perm", "parent", "col_ptr", "row_idx",
-        "a_indptr", "a_indices", "a_lower_indptr", "a_lower_rows", "a_lower_map",
+        "a_indptr", "a_indices",
     ):  # fmt: skip
         same(name, getattr(symbolic, name), getattr(ref, name))
-    for name in (
-        "snode_ptr", "col_to_snode", "widths", "heights", "panel_off", "lpos", "ainit_pos"
-    ):  # fmt: skip
+    # The scatter of A into the band, entry by entry in band order (which is
+    # the reference's CSC order of the permuted lower triangle).
+    lower_cols = np.repeat(np.arange(ref.n, dtype=np.int64), np.diff(ref.a_lower_indptr))
+    order = np.argsort(symbolic.a_band_pos)
+    same("a_lower_map", symbolic.a_lower_map[order], ref.a_lower_map)
+    same(
+        "a_band_pos",
+        symbolic.a_band_pos[order],
+        lower_cols * (symbolic.kd + 1) + (ref.a_lower_rows - lower_cols),
+    )
+    part = symbolic.supernodes
+    for name in ("snode_ptr", "widths", "heights", "panel_off"):
         same(name, getattr(part, name), getattr(ref, name))
+    # The gather maps, entry by entry: band position -> panel position.
+    cols = np.repeat(np.arange(ref.n, dtype=np.int64), np.diff(ref.col_ptr))
+    offsets = ref.row_idx - cols
+    band_pos = cols * (int(offsets.max(initial=0)) + 1) + offsets
+    order = np.argsort(ref.lpos)
+    same("panel_pos", part.panel_pos, ref.lpos[order])
+    same("band_pos", part.band_pos, band_pos[order])
     assert len(part.below_rows) == len(ref.below_rows) == part.n_supernodes
     for s, (got, want) in enumerate(zip(part.below_rows, ref.below_rows)):
         same(f"below_rows[{s}]", got, want)
-    assert len(part.updates) == len(ref.updates) == part.n_supernodes
-    for j, (got, want) in enumerate(zip(part.updates, ref.updates)):
-        assert [u[:3] for u in got] == [u[:3] for u in want], f"updates[{j}]"
-        h, w = int(part.heights[j]), int(part.widths[j])
-        for new, old in zip(got, want):
-            same(f"updates[{j}] from {old[0]}", update_scatter(new, h, w), old[3])
-
-
-def numeric_reference(
-    A: sp.spmatrix, ref: ReferenceAnalysis
-) -> tuple[np.ndarray, np.ndarray]:
-    """Supernodal left-looking factor panels driven by the flat scatter maps.
-
-    ``A`` must have exactly the analysed pattern.  Returns the flat panel
-    storage and the diagonal-block inverses (the ``panels`` and ``inverses``
-    of the production factor), each block finished one supernode at a time:
-    ``potrf``, ``trtri``, then ``L21 = A21 L11⁻ᵀ``.
-    """
-    adata = _canonical_csc(A).data[ref.a_lower_map]
-    flat = np.zeros(int(ref.panel_off[-1]))
-    flat[ref.ainit_pos] = adata
-    widths, heights, panel_off = ref.widths, ref.heights, ref.panel_off
-    inverses = []
-    for j in range(widths.shape[0]):
-        w, h = int(widths[j]), int(heights[j])
-        pflat = flat[panel_off[j] : panel_off[j + 1]]
-        pv = pflat.reshape(h, w)
-        for k, i0, i1, scatter in ref.updates[j]:
-            wk = int(widths[k])
-            pk = flat[panel_off[k] : panel_off[k + 1]].reshape(-1, wk)
-            trailing = pk[wk + i0 :, :]
-            contrib = trailing @ pk[wk + i0 : wk + i1, :].T
-            pflat[scatter] -= contrib.ravel()
-        ltop, info = dpotrf(pv[:w, :w], lower=1, clean=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"non-positive pivot in supernode {j}")
-        inverse = np.ascontiguousarray(dtrtri(ltop, lower=1)[0])
-        pv[:w, :w] = ltop
-        if h > w:
-            pv[w:, :] = pv[w:, :] @ inverse.T
-        inverses.append(inverse.ravel())
-    return flat, np.concatenate(inverses) if inverses else np.zeros(0)

@@ -2,10 +2,11 @@
 
 Every executor runs one preprocessing path: the same stacked factorization
 and the same interface-class Schur assembly on the same values (a member's
-``F̃ᵢ`` does not depend on which shard's class it joins).  So the factors
-(panels and diagonal-block inverses) and every ``F̃ᵢ`` are bitwise equal
-between serial and threads, whatever the worker count — even, uneven or
-more workers than a cluster has subdomains.  The solve phase runs in the caller's thread
+factor does not depend on where its group's band stack puts it, nor its
+``F̃ᵢ`` on which shard's class it joins).  So the factors (the bands of
+``L``) and every ``F̃ᵢ`` are bitwise equal between serial and threads,
+whatever the worker count — even, uneven or more workers than a cluster has
+subdomains.  The solve phase runs in the caller's thread
 on every executor, so the solutions of all nine dual-operator approaches
 are bitwise equal too.
 """
@@ -27,6 +28,9 @@ WORKLOADS = {
     # 16 subdomains in interface classes of up to 4: a parallel executor
     # splits the cluster into shards, and so every class across them.
     "heat-2d-classes": Workload("heat", 2, (4, 4), 3),
+    # Bands wider than 64 (kd = 98): LAPACK's blocked dpbtrf, whose members
+    # the stack aligns, and shards that start the stack at other members.
+    "elasticity-3d-wide": Workload("elasticity", 3, (3, 1, 1), 4),
 }
 
 #: Approaches whose ``F̃ᵢ`` come from the runtime round: the CPU facades'
@@ -99,14 +103,11 @@ def test_parallel_executors_reproduce_serial_solutions(
 
 
 def _preprocessed(approach, workload, backend):
-    """Factors (panels, inverses) and ``F̃ᵢ`` of one round, by subdomain."""
+    """Factor bands and ``F̃ᵢ`` of one round, by subdomain."""
     operator = _solver(approach, workload, backend).operator
     operator.prepare()
     operator.preprocess()
-    factors = {
-        i: (s._factor.panels.copy(), s._factor.inverses.copy())
-        for i, s in operator._cpu_solvers.items()
-    }
+    factors = {i: s._factor.band.copy() for i, s in operator._cpu_solvers.items()}
     local_F = {i: F.copy() for i, F in operator.local_F.items()}
     return factors, local_F
 
@@ -118,9 +119,8 @@ def test_factors_and_local_F_are_bitwise_equal_across_executors(approach, wname)
     for backend in THREAD_BACKENDS:
         got_factors, got_F = _preprocessed(approach, WORKLOADS[wname], backend)
         assert got_factors.keys() == factors.keys() and got_F.keys() == local_F.keys()
-        for i, (panels, inverses) in factors.items():
-            assert np.array_equal(got_factors[i][0], panels), (backend, i)
-            assert np.array_equal(got_factors[i][1], inverses), (backend, i)
+        for i, band in factors.items():
+            assert np.array_equal(got_factors[i], band), (backend, i)
         for i, F in local_F.items():
             assert np.array_equal(got_F[i], F), (backend, i)
 

@@ -2,11 +2,13 @@
 
 Every executor runs one preprocessing path.  A cold serial ``Session.solve``
 factors each cluster's same-pattern subdomains as one stack — one
-``stacked_cholesky`` per ``(cluster, pattern)`` group — and never goes through
-the per-subdomain ``SparseSolverBase.factorize``.  Inside it every diagonal
-block is factored (``dpotrf``) and inverted (``dtrtri``) exactly once: the
-Schur assembly reads the stored inverses, and no solve calls LAPACK at all
-(``dtrtrs``): the ``K⁺`` solves are BLAS ``dtbsv`` on the factor's band.
+``stacked_cholesky`` per ``(cluster, pattern)`` group, which is one LAPACK
+``dpbtrf`` on the group's block-diagonal band — and never goes through the
+per-subdomain ``SparseSolverBase.factorize``.  The only other LAPACK kernel
+is the explicit approaches' ``dtrtri``: the Schur assembly inverts the
+diagonal block of every supernode its sweep visits once per member.  The
+``K⁺`` solves are BLAS ``dtbsv`` on the band (no ``dtrtrs``), and no
+``dpotrf`` runs at all.
 
 The explicit approaches assemble ``F̃ᵢ`` once per ``(cluster, pattern,
 interface class)``; the simulated GPU assembly only replays its kernels'
@@ -18,6 +20,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 import scipy.linalg.lapack
 
@@ -33,8 +36,8 @@ BUDGETS = {
     "heat3d-2x2x1x12": (Workload("heat", 3, (2, 2, 1), 12), 1),
 }
 
-#: The LAPACK kernels of a supernodal factorization and its solves.
-LAPACK = ("dpotrf", "dtrtri", "dtrtrs")
+#: The LAPACK kernels a factorization or a solve could call.
+LAPACK = ("dpbtrf", "dpotrf", "dtrtri", "dtrtrs")
 
 
 @pytest.mark.parametrize("approach", ["expl mkl", "impl mkl"])
@@ -85,20 +88,23 @@ def _count_lapack(monkeypatch) -> Counter:
 
 @pytest.mark.parametrize("approach", ["expl mkl", "impl mkl"])
 @pytest.mark.parametrize("name", sorted(BUDGETS))
-def test_every_diagonal_block_is_inverted_once_per_factorization(
-    monkeypatch, name, approach
-):
-    workload, _ = BUDGETS[name]
+def test_one_dpbtrf_per_group_and_one_dtrtri_per_swept_block(monkeypatch, name, approach):
+    workload, groups = BUDGETS[name]
     calls = _count_lapack(monkeypatch)
     spec = SolverSpec(approach=approach, execution="serial")
     with Session(spec, memory_budget="unlimited") as session:
         assert session.solve(workload).converged
-        solvers = session.solver(workload).operator._cpu_solvers.values()
-        # Σ over groups of k × n_supernodes: one per supernode per subdomain.
-        blocks = sum(solver.symbolic.supernodes.n_supernodes for solver in solvers)
-        assert calls == {"dpotrf": blocks, "dtrtri": blocks}
+        operator = session.solver(workload).operator
+        expected = {"dpbtrf": groups}
+        if operator.explicit:
+            # Σ over subdomains of the supernodes from the first active one.
+            expected["dtrtri"] = sum(
+                scatter.active.shape[0] - int(np.searchsorted(scatter.active, 0, side="right"))
+                for scatter in operator._schur_scatters.values()
+            )
+        assert calls == expected
         assert session.solve(workload).converged  # warm: solves on the band
-    assert calls == {"dpotrf": blocks, "dtrtri": blocks}
+    assert calls == expected
 
 
 #: ``(workload, approach) -> class assemblies`` of a cold serial solve.  The

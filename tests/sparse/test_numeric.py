@@ -85,7 +85,7 @@ def test_refactorization_with_new_values_same_pattern():
     A2 = (2.5 * A).tocsr()
     f2 = numeric_cholesky(A2, s)
     assert np.allclose(f2.to_csc().data, np.sqrt(2.5) * f1.to_csc().data)
-    assert np.allclose(f2.inverses, f1.inverses / np.sqrt(2.5))
+    assert np.allclose(f2.band, np.sqrt(2.5) * f1.band)
 
 
 @settings(max_examples=25, deadline=None)
@@ -148,47 +148,90 @@ def test_stacked_values_reject_another_pattern(heat_stack):
 
 def test_stacked_rows_equal_the_matrices_factored_alone(heat_stack):
     matrices, symbolic, values = heat_stack
-    panels, inverses = stacked_cholesky(values, symbolic)
-    for A, row, inverse in zip(matrices, panels, inverses):
+    band = stacked_cholesky(values, symbolic)
+    assert band.shape == (len(matrices), symbolic.n, symbolic.kd + 1)
+    assert band.flags.c_contiguous
+    _, positions = symbolic.band_index()
+    for A, row in zip(matrices, band):
         alone = numeric_cholesky(A, symbolic)
-        assert np.array_equal(row, alone.panels)
-        assert np.array_equal(inverse, alone.inverses)
+        assert np.array_equal(row, alone.band)
         # The rows are the factor's storage, adopted zero-copy.
-        got = CholeskyFactor(symbolic, row, inverse)
-        assert np.shares_memory(got.panels, panels) and np.shares_memory(got.inverses, inverses)
-        assert np.array_equal(got.to_csc().data, row[symbolic.supernodes.lpos])
+        got = CholeskyFactor(symbolic, row)
+        assert np.shares_memory(got.band, band)
+        assert np.array_equal(got.to_csc().data, row.reshape(-1)[positions])
 
 
-def test_stacked_factor_matches_the_flat_scatter_oracle_bitwise():
-    """Factored update maps (slices and index pairs) == the flat scatter arrays."""
-    base = sp.csc_matrix(fem_stiffness(HeatTransferProblem(), 3))
-    base.sort_indices()
-    symbolic = symbolic_cholesky(base)
-    ref = scalar.symbolic_reference(base)
-    scales = np.array([1.0, 2.5, 0.3])
-    panels, inverses = stacked_cholesky(scales[:, None] * base.data, symbolic)
-    for scale, row, inverse in zip(scales, panels, inverses):
-        want_panels, want_inverses = scalar.numeric_reference(base * scale, ref)
-        assert np.array_equal(row, want_panels)
-        assert np.array_equal(inverse, want_inverses)
+def _scaled_stack(A: sp.spmatrix, scales) -> tuple:
+    """``A`` scaled by each of ``scales``, stacked under one analysis."""
+    symbolic = symbolic_cholesky(A)
+    matrices = [(scale * A).tocsr() for scale in scales]
+    return matrices, symbolic, stacked_values(matrices, symbolic)
 
 
-def test_stack_of_one_matches_the_flat_scatter_oracle_bitwise(heat_stack):
-    matrices, symbolic, values = heat_stack
-    oracle = scalar.numeric_reference(matrices[5], scalar.symbolic_reference(matrices[5]))
-    for got, want in zip(stacked_cholesky(values[5:6], symbolic), oracle):
-        assert np.array_equal(got[0], want)
-    factor = numeric_cholesky(matrices[5], symbolic)
-    assert np.array_equal(factor.panels, oracle[0])
-    assert np.array_equal(factor.inverses, oracle[1])
+#: Elasticity 3D with 4 cells: 375 DOFs, kd = 98 > 64, so LAPACK's blocked
+#: ``dpbtrf`` runs and the members sit on 384-row strides.
+WIDE = fem_stiffness(LinearElasticityProblem(), 3, 4)
+
+
+def test_a_wide_band_member_is_bitwise_the_same_wherever_it_is_stacked():
+    matrices, symbolic, values = _scaled_stack(WIDE, [1.0, 2.5, 0.3, 7.0])
+    assert symbolic.kd > 64 and symbolic.n % 32
+    band = stacked_cholesky(values, symbolic)
+    for i in range(len(matrices)):
+        assert np.array_equal(stacked_cholesky(values[i:], symbolic)[0], band[i])
+        assert np.array_equal(stacked_cholesky(values[: i + 1], symbolic)[i], band[i])
+        assert np.array_equal(numeric_cholesky(matrices[i], symbolic).band, band[i])
+    # The identity rows between the members are gone from the result.
+    assert band.base is None or band.base.size == band.size
+
+
+@pytest.mark.parametrize(("physics", "dim"), [
+    (HeatTransferProblem(), 2),
+    (HeatTransferProblem(), 3),
+    (LinearElasticityProblem(), 2),
+    (LinearElasticityProblem(), 3),
+])  # fmt: skip
+def test_stacked_bands_match_the_scalar_column_oracle(physics, dim):
+    A = fem_stiffness(physics, dim)
+    matrices, symbolic, values = _scaled_stack(A, [1.0, 2.5, 0.3])
+    _, positions = symbolic.band_index()
+    for Ai, row in zip(matrices, stacked_cholesky(values, symbolic)):
+        want = scalar.numeric_scalar(Ai, symbolic).values
+        assert np.allclose(row.reshape(-1)[positions], want, atol=1e-12 * np.abs(want).max())
+        # Every band position outside L's pattern is an exact zero.
+        outside = np.ones(row.size, dtype=bool)
+        outside[positions] = False
+        assert not row.reshape(-1)[outside].any()
 
 
 def test_stacked_factor_names_the_non_spd_member(heat_stack):
     _, symbolic, values = heat_stack
     bad = values.copy()
     bad[3] = -bad[3]
-    with pytest.raises(NotPositiveDefiniteError, match="matrix 3 .* supernode 0 "):
+    with pytest.raises(NotPositiveDefiniteError, match="matrix 3 .* column") as info:
         stacked_cholesky(bad, symbolic)
+    # every pivot is negative: the first one fails, the permutation's first column
+    assert (info.value.member, info.value.column) == (3, symbolic.perm[0])
+
+
+@pytest.mark.parametrize("member", [0, 1, 2])
+def test_one_indefinite_member_of_three_is_named_with_its_original_column(member):
+    """A wide band (identity rows between members) maps ``info`` back exactly."""
+    matrices, symbolic, values = _scaled_stack(WIDE, [1.0, 2.0, 3.0])
+    column = 200  # a DOF in the matrix's own ordering
+    bad = values.copy()
+    diagonal = np.flatnonzero(
+        (WIDE.tocsc().indices == column)
+        & (np.repeat(np.arange(WIDE.shape[0]), np.diff(WIDE.tocsc().indptr)) == column)
+    )
+    bad[member, diagonal] = -1.0
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        stacked_cholesky(bad, symbolic)
+    assert (info.value.member, info.value.column) == (member, column)
+    assert f"matrix {member} " in str(info.value) and f"column {column}" in str(info.value)
+    # SPD values factor again under the same analysis.
+    assert np.array_equal(stacked_cholesky(values, symbolic)[member], numeric_cholesky(
+        matrices[member], symbolic).band)
 
 
 @pytest.mark.parametrize(
@@ -200,17 +243,18 @@ def test_stacked_factor_names_the_non_spd_member(heat_stack):
         (LinearElasticityProblem(), 3),
     ],
 )
-def test_stored_inverses_invert_the_diagonal_blocks(physics, dim):
-    """Every stored inverse times its factored diagonal block is ``I``."""
+def test_panels_gathered_from_the_band_are_the_dense_factor_blocks(physics, dim):
+    """The Schur sweep's tiling: panel ``s`` is ``L[rows_s, j0:j1]``, zero padded."""
     A = fem_stiffness(physics, dim)
     s = symbolic_cholesky(A)
     f = numeric_cholesky(A, s)
+    L = f.to_csc().toarray()
     part = s.supernodes
-    assert f.inverses.shape == (part.inverse_entries,)
-    assert part.inverse_entries == int((part.widths**2).sum())
+    panels = np.zeros(part.panel_entries)
+    panels[part.panel_pos] = f.band.reshape(-1)[part.band_pos]
+    assert part.panel_pos.shape == part.band_pos.shape == (s.nnz,)
     for j in range(part.n_supernodes):
-        w, h = int(part.widths[j]), int(part.heights[j])
-        block = f.panels[part.panel_off[j] : part.panel_off[j + 1]].reshape(h, w)[:w]
-        inverse = f.inverses[part.inv_off[j] : part.inv_off[j + 1]].reshape(w, w)
-        assert not np.triu(inverse, 1).any()
-        assert np.abs(inverse @ block - np.eye(w)).max() <= 1e-13
+        j0, j1 = int(part.snode_ptr[j]), int(part.snode_ptr[j + 1])
+        rows = np.concatenate((np.arange(j0, j1), part.below_rows[j]))
+        panel = panels[part.panel_off[j] : part.panel_off[j + 1]].reshape(len(rows), j1 - j0)
+        assert np.array_equal(panel, L[np.ix_(rows, np.arange(j0, j1))])

@@ -34,8 +34,7 @@ from tests.oracles import sparse as scalar
 def schur_complement(factor, B, exploit_rhs_sparsity=True):
     """The package kernel on a class of one."""
     scatter = schur_scatter(factor.symbolic, B, exploit_rhs_sparsity)
-    panels, inverses = factor.panels[None], factor.inverses[None]
-    return stacked_schur_complement(factor.symbolic, panels, inverses, [scatter])[0]
+    return stacked_schur_complement(factor.symbolic, [factor.band], [scatter])[0]
 
 
 @pytest.fixture(scope="module")
@@ -129,9 +128,10 @@ def test_schur_assembly_allocates_one_panel_and_two_outputs(factorized):
     """The solve buffer ``W`` once plus ``S`` and its re-ordered copy.
 
     No re-ordered copy of ``W`` and no dense ``B̃`` round trips; the scatter
-    of ``B̃`` is built once, outside the assembly.  The bound is ``W``
-    (16 000 bytes) + two ``n_λ²`` outputs (25 600) + 2 kB of index arrays,
-    below the 3 panels (48 000) the kernel needed when it re-ordered ``W``.
+    of ``B̃`` is built once, outside the assembly, and the sweep gathers one
+    supernode's panel from the band at a time.  The bound is ``W`` (16 000
+    bytes) + two ``n_λ²`` outputs (25 600) + 2 kB of index arrays, below the
+    3 panels (48 000) the kernel needed when it re-ordered ``W``.
     """
     import tracemalloc
 
@@ -142,8 +142,8 @@ def test_schur_assembly_allocates_one_panel_and_two_outputs(factorized):
     panel = 50 * n_dual * 8
     outputs = 2 * n_dual * n_dual * 8
     scatter = schur_scatter(factor.symbolic, B)
-    stack = factor.symbolic, factor.panels[None], factor.inverses[None], [scatter]
-    stacked_schur_complement(*stack)  # warm: panel values, BLAS buffers
+    stack = factor.symbolic, [factor.band], [scatter]
+    stacked_schur_complement(*stack)  # warm: BLAS buffers
     tracemalloc.start()
     stacked_schur_complement(*stack)
     _, peak = tracemalloc.get_traced_memory()
@@ -184,9 +184,7 @@ def test_pruned_schur_matches_the_scalar_oracle_on_every_subdomain(workload):
 @pytest.fixture(scope="module")
 def fem_factor():
     A = fem_stiffness(HeatTransferProblem(), 3, cells=5)  # 216 DOFs, supernodal
-    factor = numeric_cholesky(A, symbolic_cholesky(A))
-    assert factor.symbolic.supernodes is not None
-    return factor
+    return numeric_cholesky(A, symbolic_cholesky(A))
 
 
 @pytest.mark.parametrize(
@@ -230,14 +228,10 @@ def _classes(workload, exploit):
         symbolic = cache.symbolic_for(sub.K_reg, OrderingMethod.RCM)
         groups.setdefault(id(symbolic), (symbolic, []))[1].append(sub)
     for symbolic, subs in groups.values():
-        panels, inverses = stacked_cholesky(
-            stacked_values([s.K_reg for s in subs], symbolic), symbolic
-        )
+        bands = stacked_cholesky(stacked_values([s.K_reg for s in subs], symbolic), symbolic)
         scatters = [schur_scatter(symbolic, s.B, exploit) for s in subs]
         for members in interface_classes(scatters):
-            yield symbolic, panels[members], inverses[members], [
-                (subs[i].B, scatters[i]) for i in members
-            ]
+            yield symbolic, bands[members], [(subs[i].B, scatters[i]) for i in members]
 
 
 @pytest.mark.parametrize("exploit", [True, False], ids=["pruned", "plain"])
@@ -252,12 +246,12 @@ def _classes(workload, exploit):
 )
 def test_every_member_of_a_stacked_class_is_bitwise_the_oracle(workload, exploit):
     sizes = []
-    for symbolic, panels, inverses, members in _classes(workload, exploit):
+    for symbolic, bands, members in _classes(workload, exploit):
         scatters = [scatter for _, scatter in members]
-        F = stacked_schur_complement(symbolic, panels, inverses, scatters)
+        F = stacked_schur_complement(symbolic, bands, scatters)
         assert F.shape == (len(members), scatters[0].n_dual, scatters[0].n_dual)
         for i, (B, _) in enumerate(members):
-            factor = CholeskyFactor(symbolic, panels[i], inverses[i])
+            factor = CholeskyFactor(symbolic, bands[i])
             assert np.array_equal(F[i], per_member.schur_complement(factor, B, exploit))
         sizes.append(len(members))
     assert max(sizes) > 1  # the workload really stacks
@@ -281,7 +275,5 @@ def test_a_stack_of_two_classes_is_refused(fem_factor):
     one = sp.csr_matrix(([1.0], [0], [0, 1]), shape=(1, n))
     other = sp.csr_matrix(([1.0], [n - 1], [0, 1]), shape=(1, n))
     scatters = [schur_scatter(fem_factor.symbolic, B) for B in (one, other)]
-    panels = np.stack([fem_factor.panels] * 2)
-    inverses = np.stack([fem_factor.inverses] * 2)
     with pytest.raises(ValueError, match="one interface class"):
-        stacked_schur_complement(fem_factor.symbolic, panels, inverses, scatters)
+        stacked_schur_complement(fem_factor.symbolic, [fem_factor.band] * 2, scatters)

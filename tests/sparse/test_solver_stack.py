@@ -6,8 +6,8 @@ two BLAS calls per solve) and the operator methods built on it
 apply) must reproduce ``tests/oracles/kplus.py`` — one
 ``SparseSolverBase.solve`` and one ``scipy.sparse`` product per subdomain —
 on the *current* numeric factors, under every precision policy, keep every
-member independent of the others, and hold ``L`` once: as the band, with
-the panels released.
+member independent of the others, and hold ``L`` once: as the band the
+factorization produced.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.runtime.preprocess as preprocess
 from repro.api import Session, SolverSpec, Workload
 from repro.api.workload import build_problem
 from repro.decomposition import decompose_box
@@ -236,7 +237,7 @@ def test_zero_right_hand_sides_stay_zero_under_refinement():
 
 
 # --------------------------------------------------------------------- #
-# L is never resident twice: the band replaces the panels                #
+# L is never resident twice: the stacks adopt the factorization's bands  #
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("precision", PRECISION_NAMES)
 def test_stacking_repoints_the_factors_at_the_band(precision):
@@ -246,8 +247,7 @@ def test_stacking_repoints_the_factors_at_the_band(precision):
     assert stack.band.dtype == dtype
     for row, solver in zip(stack.band, solvers):
         factor = solver._factor
-        assert factor.band is not None and np.shares_memory(row, factor.band)
-        assert factor.panels is None and factor.inverses is None
+        assert np.shares_memory(row, factor.band)
     retained = sum(s.storage_nbytes() - factor_nbytes(s._factor) for s in solvers)
     assert sum(s.storage_nbytes() for s in solvers) == stack.band.nbytes + retained
     # Re-stacking the same factors (or a run of them) copies nothing.
@@ -288,7 +288,7 @@ def test_bands_viewing_a_foreign_buffer_are_adopted_zero_copy():
     band = np.frombuffer(bytearray(rows.tobytes()), dtype=float).reshape(rows.shape)
     assert not band.flags.owndata
     for solver, row in zip(solvers, band):
-        solver.adopt_factor(CholeskyFactor(solver.symbolic, None, None, row))
+        solver.adopt_factor(CholeskyFactor(solver.symbolic, row))
     stack = SolverStack(solvers)
     assert np.shares_memory(stack.band, band)
     b = np.random.default_rng(3).standard_normal((3, n))
@@ -298,7 +298,7 @@ def test_bands_viewing_a_foreign_buffer_are_adopted_zero_copy():
 
 @pytest.mark.parametrize("execution", ["serial", "threads:2"])
 def test_after_the_first_solve_the_factor_bytes_are_the_bands(execution):
-    """On every executor the round's first ``K⁺`` solve releases the panels."""
+    """On every executor the factors are bands from the factorization on."""
     w = WORKLOADS["heat2d-4x4x8"]
     spec = SolverSpec(approach="impl mkl", execution=execution)
     with Session(spec, memory_budget="unlimited") as session:
@@ -306,21 +306,21 @@ def test_after_the_first_solve_the_factor_bytes_are_the_bands(execution):
         operator = session.solver(w).operator
         ((_, stack),) = operator._kplus_stacks
         assert operator.storage_nbytes()["factor"] == stack.band.nbytes
-        for solver in operator._cpu_solvers.values():
-            assert solver._factor.panels is None and solver._factor.inverses is None
+        operator.preprocess()  # before any solve of the round
+        assert operator._kplus_stacks is None or not operator._kplus_stacks
+        assert operator.storage_nbytes()["factor"] == stack.band.nbytes
         _assert_matches_oracle(operator)
         assert operator.storage_nbytes()["factor"] == stack.band.nbytes
     u_ref, _ = build_problem(w).saddle_point_solution()
     assert np.allclose(np.concatenate(solution.primal), u_ref, atol=1e-7)
 
 
-def test_schur_assembly_of_a_band_form_factor_names_factorize():
+def test_schur_assembly_reads_the_band_before_and_after_a_solve():
     (solver,), n = _factorized(1)
     B = sp.csr_matrix(([1.0, -1.0], ([0, 1], [0, n - 1])), shape=(2, n))
     before = solver.schur_complement(B)
     solver.solve(np.ones(n))
-    with pytest.raises(RuntimeError, match=r"factorize\(\)"):
-        solver.schur_complement(B)
+    assert np.array_equal(solver.schur_complement(B), before)
     solver.factorize(fem_stiffness(HeatTransferProblem(), 2, 6))
     assert np.array_equal(solver.schur_complement(B), before)
 
@@ -387,27 +387,39 @@ def test_stack_follows_a_rescaled_stiffness_across_steps(approach, name):
 
 
 def test_band_is_built_once_per_pattern_group_per_preprocessing(monkeypatch):
-    builds = 0
-    original = SymbolicFactor.band_index
+    """One stacked factorization makes the band; nothing derives it again."""
+    builds, derived = 0, 0
+    factor, band_index = preprocess.stacked_cholesky, SymbolicFactor.band_index
 
-    def counted(self):
+    def counted(*args):
         nonlocal builds
         builds += 1
-        return original(self)
+        return factor(*args)
 
-    monkeypatch.setattr(SymbolicFactor, "band_index", counted)
+    def counted_index(self):
+        nonlocal derived
+        derived += 1
+        return band_index(self)
+
+    monkeypatch.setattr(preprocess, "stacked_cholesky", counted)
+    monkeypatch.setattr(SymbolicFactor, "band_index", counted_index)
     w = WORKLOADS["heat2d-4x4x8"]
-    with Session(SolverSpec(approach="impl mkl"), memory_budget="unlimited") as session:
+    spec = SolverSpec(approach="impl mkl", execution="serial")  # one shard per cluster
+    with Session(spec, memory_budget="unlimited") as session:
         assert session.solve(w).converged
         operator = session.solver(w).operator
-        groups = len({id(s.symbolic) for s in operator._cpu_solvers.values()})
-        assert builds == groups == 1
+        groups = len({
+            (sub.cluster, id(operator._cpu_solvers[sub.index].symbolic))
+            for sub in operator.problem.subdomains
+        })  # fmt: skip
+        assert builds == groups == 2  # one pattern in each of two clusters
         for _ in range(3):
             assert session.solve(w).converged  # warm: no preprocessing
         assert builds == groups
         steps = 2
         session.run_steps(w, steps)  # load-only: the first step preprocesses
         assert builds == groups * 2
+    assert derived == 0
 
 
 def test_no_stack_without_a_factorization():

@@ -1,7 +1,8 @@
 """Tests of the supernodal sparse kernel layer.
 
-Covers supernode detection on hand-built elimination trees, equality of the
-supernodal factorization with the scalar per-column oracle
+Covers supernode detection on hand-built elimination trees, the lazily built
+partition (the Schur sweep's tiling, never built by a solve), equality of
+the banded factorization with the scalar per-column oracle
 (``tests/oracles/sparse.py``) across heat/elasticity 2D/3D patterns, the
 per-column ``start_rows`` grouping of the panel forward sweep the Schur
 oracle runs (``tests/oracles/schur.py``), and the structural pattern cache.
@@ -29,7 +30,6 @@ from repro.sparse import (
     structural_key,
     symbolic_cholesky,
 )
-from repro.sparse.numeric import stacked_band
 from repro.sparse.solvers import CholmodLikeSolver, PardisoLikeSolver
 from repro.sparse.symbolic import MAX_SUPERNODE
 
@@ -157,7 +157,7 @@ def test_heat_3d_factor_pattern_does_not_depend_on_the_policy():
     """``nnz(L)`` of one ``(2,2,1)x12`` heat 3D subdomain: a pattern count only."""
     s = symbolic_cholesky(_fem_matrix(HeatTransferProblem(), 3, 12))
     assert s.nnz == 213_252
-    assert s.supernodes.lpos.shape == (213_252,)
+    assert s.supernodes.panel_pos.shape == (213_252,)
 
 
 def test_partition_covers_all_columns_and_pattern():
@@ -167,34 +167,27 @@ def test_partition_covers_all_columns_and_pattern():
     assert part is not None
     assert part.snode_ptr[0] == 0 and part.snode_ptr[-1] == s.n
     assert np.all(np.diff(part.snode_ptr) >= 1)
-    assert part.col_to_snode.shape == (s.n,)
-    # every stored entry of L has a unique panel position
-    assert part.lpos.shape == (s.nnz,)
-    assert np.unique(part.lpos).shape == (s.nnz,)
+    assert part.widths.sum() == s.n
+    # every stored entry of L has a unique panel position and its band position
+    assert part.panel_pos.shape == part.band_pos.shape == (s.nnz,)
+    assert np.unique(part.panel_pos).shape == (s.nnz,)
+    assert np.array_equal(np.sort(part.band_pos), s.band_index()[1])
+    assert (np.diff(part.panel_pos) > 0).all()  # the gather writes front to back
     assert part.panel_entries >= s.nnz
     assert 0.0 <= part.padding_ratio() < 1.0
-    assert part.mean_width >= 1.0
 
 
-def test_update_maps_are_factored_and_come_in_all_three_forms():
-    """``(rows, cols)`` is slice/slice, array/slice or (R, 1)-array/array.
-
-    Heat stencils only give slice/slice updates; the denser elasticity
-    pattern needs all three.
-    """
-    part = symbolic_cholesky(_fem_matrix(LinearElasticityProblem(), 2, 4)).supernodes
-    forms = set()
-    for j, updates in enumerate(part.updates):
-        h, w = int(part.heights[j]), int(part.widths[j])
-        assert [u[0] for u in updates] == sorted(u[0] for u in updates)
-        for k, i0, i1, rows, cols in updates:
-            assert k < j and 0 <= i0 < i1 <= part.below_rows[k].shape[0]
-            block = np.zeros((h, w))[rows, cols]
-            assert block.shape == (part.below_rows[k].shape[0] - i0, i1 - i0)
-            forms.add(tuple("slice" if isinstance(x, slice) else "array" for x in (rows, cols)))
-            if not isinstance(cols, slice):
-                assert rows.shape == (block.shape[0], 1) and cols.shape == (block.shape[1],)
-    assert forms == {("slice", "slice"), ("array", "slice"), ("array", "array")}
+def test_the_partition_is_built_on_first_access_only():
+    """An analysis and a banded factorization never need the supernodes."""
+    A = _fem_matrix(LinearElasticityProblem(), 2, 4)
+    s = symbolic_cholesky(A)
+    solver = CholmodLikeSolver(pattern_cache=False)
+    solver.analyze(A)
+    solver.factorize(A)
+    solver.solve(np.ones(A.shape[0]))
+    assert "supernodes" not in vars(s) and "supernodes" not in vars(solver.symbolic)
+    part = s.supernodes
+    assert s.supernodes is part and vars(s)["supernodes"] is part
 
 
 def test_pickled_analysis_still_factorizes():
@@ -202,11 +195,10 @@ def test_pickled_analysis_still_factorizes():
     A = _fem_matrix(HeatTransferProblem(), 3)
     s = symbolic_cholesky(A)
     shipped = pickle.loads(pickle.dumps(s))
+    assert shipped.nbytes == s.nbytes
     scalar.assert_matches_reference(shipped, scalar.symbolic_reference(A))
     shipped_factor, factor = numeric_cholesky(A, shipped), numeric_cholesky(A, s)
-    assert np.array_equal(shipped_factor.panels, factor.panels)
-    assert np.array_equal(shipped_factor.inverses, factor.inverses)
-    assert shipped.nbytes >= s.nbytes - sum(b.nbytes for b in s.supernodes.below_rows)
+    assert np.array_equal(shipped_factor.band, factor.band)
 
 
 # --------------------------------------------------------------------- #
@@ -239,8 +231,7 @@ def test_band_solve_matches_scalar_and_scipy(physics, dim):
     x_scalar = np.empty(s.n)
     x_scalar[s.perm] = scalar.trsv_upper(f, scalar.trsv_lower(f, b[s.perm]))
     assert np.allclose(x_scalar, x_ref)
-    band = stacked_band(s, f.panels[None])
-    assert np.allclose(solve_banded(s.perm, band, b[None])[0], x_ref)
+    assert np.allclose(solve_banded(s.perm, f.band[None], b[None])[0], x_ref)
 
 
 @settings(max_examples=25, deadline=None)
@@ -261,7 +252,7 @@ def test_property_blocked_equals_scalar_on_random_spd(n, seed):
     b = rng.standard_normal(n)
     x = np.empty(n)
     x[s.perm] = scalar.trsv_upper(fs, scalar.trsv_lower(fs, b[s.perm]))
-    assert np.allclose(solve_banded(s.perm, stacked_band(s, fb.panels[None]), b[None])[0], x)
+    assert np.allclose(solve_banded(s.perm, fb.band[None], b[None])[0], x)
 
 
 def test_panel_sweep_start_rows_group_columns():
@@ -346,9 +337,8 @@ def test_blocked_solvers_share_the_cache_and_match_scalar():
         b = rng.standard_normal(A.shape[0])
         x = np.empty_like(b)
         x[s.perm] = scalar.trsv_upper(oracle, scalar.trsv_lower(oracle, b[s.perm]))
-        # The Schur assembly reads the panels, which the first solve releases.
-        assert np.allclose(solver.schur_complement(B), scalar.schur_complement(oracle, B))
         assert np.allclose(solver.solve(b), x)
+        assert np.allclose(solver.schur_complement(B), scalar.schur_complement(oracle, B))
         # the facade without sparsity exploitation assembles the same operator
         plain = CholmodLikeSolver(pattern_cache=cache)
         plain.factorize(Ai)

@@ -1,18 +1,22 @@
 """Tests of the symbolic Cholesky analysis.
 
-Besides the structural properties of the factor pattern, the array-form
-analysis is held bit-identical — every field of ``SymbolicFactor`` and
-``SupernodePartition`` — to the per-entry pure-Python analysis it replaced
+Besides the structural properties of the factor pattern, the bitset analysis
+is held bit-identical — elimination tree, factor pattern, permutation maps and
+supernode split — to the per-entry pure-Python analysis
 (``tests/oracles/sparse.py::symbolic_reference``) on a zoo of patterns, under
 both package orderings and under the minimum-degree permutation of
-``tests/oracles/ordering.py`` (passed as ``perm=``).
+``tests/oracles/ordering.py`` (passed as ``perm=``), and on random patterns
+drawn by hypothesis.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from repro.fem.elasticity import LinearElasticityProblem
 from repro.fem.heat import HeatTransferProblem
@@ -174,11 +178,10 @@ def _assert_bit_identical(A, **kwargs):
     s = symbolic_cholesky(A, **kwargs)
     ref = oracle.symbolic_reference(A, **kwargs)
     oracle.assert_matches_reference(s, ref)
-    # ... and therefore factors to the very same panels and inverses.
-    factor = numeric_cholesky(A, s)
-    panels, inverses = oracle.numeric_reference(A, ref)
-    assert np.array_equal(factor.panels, panels)
-    assert np.array_equal(factor.inverses, inverses)
+    # ... and its band holds the column oracle's factor.
+    values = numeric_cholesky(A, s).to_csc().data
+    want = oracle.numeric_scalar(A, s).values
+    assert np.allclose(values, want, atol=1e-12 * np.abs(want).max(initial=1.0))
     return s
 
 
@@ -242,32 +245,78 @@ def test_empty_matrix_analyses_to_zero_supernodes(ordering):
     assert s.n == 0 and s.nnz == 0 and s.col_ptr.tolist() == [0]
     part = s.supernodes
     assert part.n_supernodes == 0 and part.panel_entries == 0
-    assert part.below_rows == [] and part.updates == []
+    assert part.below_rows == []
     factor = numeric_cholesky(sp.csr_matrix((0, 0)), s)
-    assert factor.panels.shape == factor.inverses.shape == (0,)
+    assert factor.band.shape == (0, 1)
     assert factor.to_csc().shape == (0, 0)
 
 
 def test_nbytes_counts_every_index_array():
     A = fem_stiffness(HeatTransferProblem(), 3, 4)
     s = symbolic_cholesky(A)
-    part = s.supernodes
-    arrays = [s.perm, s.parent, s.col_ptr, s.row_idx, s.a_indptr, s.a_indices,
-              s.a_lower_indptr, s.a_lower_rows, s.a_lower_map]  # fmt: skip
+    arrays = [s.perm, s.parent, s.col_ptr, s.a_indptr, s.a_indices, s.a_lower_map, s.a_band_pos]
     own = sum(a.nbytes for a in arrays)
-    maps = sum(
-        idx.nbytes
-        for updates in part.updates
-        for update in updates
-        for idx in update[3:]
-        if isinstance(idx, np.ndarray)
-    )
-    assert part.nbytes >= part.lpos.nbytes + part.ainit_pos.nbytes + maps
-    assert s.nbytes == own + part.nbytes
-    # the update maps are O(rows + cols), not O(rows x cols), per update
-    flat = sum(
-        oracle.update_scatter(u, int(part.heights[j]), int(part.widths[j])).nbytes
-        for j, updates in enumerate(part.updates)
-        for u in updates
-    )
-    assert maps < flat / 4
+    masks = sum(map(sys.getsizeof, s.masks))
+    assert s.nbytes == own + masks
+    # The supernode partition counts once it has been built.
+    part = s.supernodes
+    assert part.nbytes >= part.band_pos.nbytes + part.panel_pos.nbytes
+    assert s.nbytes == own + masks + part.nbytes
+
+
+# --------------------------------------------------------------------- #
+# Parent and column counts against the per-entry oracle (hypothesis)     #
+# --------------------------------------------------------------------- #
+@st.composite
+def symmetric_patterns(draw) -> sp.csr_matrix:
+    """A structurally symmetric pattern: up to three uncoupled random blocks."""
+    sizes = draw(st.lists(st.integers(0, 24), min_size=1, max_size=3))
+    density = draw(st.floats(0.0, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for size in sizes:
+        upper = np.triu(rng.random((size, size)) < density, 1)
+        blocks.append(sp.csr_matrix(upper | upper.T | np.eye(size, dtype=bool), dtype=float))
+    A = sp.block_diag(blocks, format="csr") if blocks else sp.csr_matrix((0, 0))
+    if draw(st.booleans()):  # interleave the blocks
+        perm = rng.permutation(A.shape[0])
+        A = A[perm][:, perm].tocsr()
+    return A
+
+
+def _assert_tree_and_counts(A, **kwargs) -> None:
+    s = symbolic_cholesky(A, **kwargs)
+    ref = oracle.symbolic_reference(A, perm=s.perm)
+    assert np.array_equal(s.parent, ref.parent)
+    assert np.array_equal(s.column_counts, np.diff(ref.col_ptr))
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=symmetric_patterns(), ordering=st.sampled_from(ORDERINGS))
+def test_property_tree_and_counts_equal_the_oracle(A, ordering):
+    _assert_tree_and_counts(A, **analysis_kwargs(A, ordering))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_tree_and_counts_of_the_smallest_patterns(n):
+    A = sp.identity(n, format="csr")
+    _assert_tree_and_counts(A, perm=np.arange(n))
+    s = symbolic_cholesky(A, perm=np.arange(n))
+    assert s.parent.tolist() == [-1] * n and s.column_counts.tolist() == [1] * n
+
+
+def _envelope_entries(A, s) -> int:
+    """Entries of the lower envelope of ``P A Pᵀ``: row ``i`` from its first column."""
+    PA = sp.coo_matrix(A.tocsr()[s.perm][:, s.perm])
+    first = np.arange(s.n)
+    np.minimum.at(first, PA.row, PA.col)
+    return int((np.arange(s.n) - first + 1).sum())
+
+
+@pytest.mark.parametrize(("dim", "cells"), [(2, 8), (3, 4)])
+def test_tree_and_counts_are_exact_where_the_envelope_overcounts(dim, cells):
+    """Elasticity under RCM: the envelope holds explicit zeros, the merge does not."""
+    A = fem_stiffness(LinearElasticityProblem(), dim, cells)
+    s = symbolic_cholesky(A)
+    assert _envelope_entries(A, s) > s.nnz
+    _assert_tree_and_counts(A)

@@ -1,10 +1,10 @@
 """The banded triangular solves against independent oracles.
 
 Every solve of the package runs on ``L`` stored as a lower band
-(``repro.sparse.triangular``).  The references here never read the band:
-``scipy.linalg.solve_triangular`` on the dense ``L`` the *panels* give
-(``to_csc()`` before the first solve), and the scalar per-column CSC solves
-of ``tests/oracles/sparse.py``.
+(``repro.sparse.triangular``).  The references here never hand the band to a
+kernel: ``scipy.linalg.solve_triangular`` on the dense ``L`` gathered by
+``to_csc()`` before the first solve, and the scalar per-column CSC solves of
+``tests/oracles/sparse.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.fem.heat import HeatTransferProblem
 from repro.memory.precision import PRECISION_NAMES
 from repro.sparse import numeric_cholesky, symbolic_cholesky
 from repro.sparse.cache import PatternCache
-from repro.sparse.numeric import stacked_band
+from repro.sparse.numeric import stacked_cholesky, stacked_values
 from repro.sparse.solvers import CholmodLikeSolver
 from repro.sparse.triangular import solve_banded, solve_banded_many
 
@@ -62,8 +62,8 @@ def test_band_solves_match_dense_triangular_solves(physics, dim, precision):
     K = fem_stiffness(physics, dim)
     solver = CholmodLikeSolver(pattern_cache=PatternCache(), precision=precision)
     factor = solver.factorize(K)
-    L_panels = factor.to_csc()
-    L = L_panels.toarray().astype(float)  # the stored (fp32) values, up-cast
+    L_before = factor.to_csc()
+    L = L_before.toarray().astype(float)  # the stored (fp32) values, up-cast
     perm = solver.symbolic.perm
     rng = np.random.default_rng(dim)
     b = rng.standard_normal(K.shape[0])
@@ -71,12 +71,11 @@ def test_band_solves_match_dense_triangular_solves(physics, dim, precision):
 
     assert _close(solver.solve(b, refine=False), _dense_solve(L, perm, b))
     assert _close(solver.solve_many(B, refine=False), _dense_solve(L, perm, B))
-    # The first solve moved the factor to band form, with the same values.
-    assert factor.panels is None and factor.inverses is None
+    # The solves read the factor's band where it is, at its storage dtype.
     assert factor.band.dtype == solver.precision.storage_dtype
-    L_band = factor.to_csc()
-    assert np.array_equal(L_band.data, L_panels.data)
-    assert np.array_equal(factor.diagonal(), L_panels.diagonal())
+    assert np.shares_memory(solver._stack_of_one().band, factor.band)
+    assert np.array_equal(factor.to_csc().data, L_before.data)
+    assert np.array_equal(factor.diagonal(), L_before.diagonal())
     if solver.precision.refine:
         reference = spla.spsolve(K.tocsc(), b)
         assert _close(solver.solve(b), reference, 1e-11)
@@ -89,7 +88,7 @@ def test_band_solves_match_the_scalar_csc_oracle(physics, dim):
     s = symbolic_cholesky(K)
     factor = numeric_cholesky(K, s)
     L = factor.to_csc()
-    band = stacked_band(s, factor.panels[None])
+    band = factor.band[None]
     b = np.random.default_rng(dim).standard_normal(s.n)
     reference = np.empty(s.n)
     reference[s.perm] = csc_solve_upper(L, csc_solve_lower(L, b[s.perm]))
@@ -117,8 +116,9 @@ def test_band_holds_exactly_the_pattern_of_L(physics, dim):
     assert kd == int((s.row_idx - cols).max())
     assert np.array_equal(positions // (kd + 1), cols)
     assert np.array_equal(positions % (kd + 1), s.row_idx - cols)
-    factor = numeric_cholesky(fem_stiffness(physics, dim), s)
-    band = stacked_band(s, np.stack([factor.panels, 2.0 * factor.panels]))
+    K = fem_stiffness(physics, dim)
+    factor = numeric_cholesky(K, s)
+    band = stacked_cholesky(stacked_values([K, 4.0 * K], s), s)
     assert band.shape == (2, s.n, kd + 1)
     assert np.count_nonzero(band[0]) == np.count_nonzero(factor.to_csc().data)
     assert np.array_equal(band[1], 2.0 * band[0])
@@ -152,7 +152,7 @@ def test_property_band_solves_invert_any_spd_matrix(n, nrhs, seed):
     rng = np.random.default_rng(seed)
     A = random_spd_matrix(n, 0.3, rng)
     s = symbolic_cholesky(A)
-    band = stacked_band(s, numeric_cholesky(A, s).panels[None])
+    band = numeric_cholesky(A, s).band[None]
     B = rng.standard_normal((n, nrhs))
     X = solve_banded_many(s.perm, band[0], B)
     scale = max(1.0, np.abs(A).max())
