@@ -334,9 +334,18 @@ class Session:
         self._record_usage(key, solver)
 
     def _record_usage(self, key: tuple[Workload, SolverSpec], solver: FetiSolver) -> None:
-        """Re-measure one entry's resident bytes and enforce the budget."""
-        demotable = not resolve_precision(key[1].precision).demotes
-        self.tier.record(key, measure_solver(solver), demotable=demotable)
+        """Account one entry's resident bytes and enforce the budget.
+
+        The entry is re-measured only when its storage version moved since
+        its last measurement (the solver was built, preprocessed or
+        demoted); otherwise only its recency is refreshed.
+        """
+        version = solver.operator.storage_version
+        if self.tier.measured(key, version):
+            self.tier.touch(key)
+        else:
+            demotable = not resolve_precision(key[1].precision).demotes
+            self.tier.record(key, measure_solver(solver), demotable, version)
         self._enforce_budget(key)
 
     def _enforce_budget(self, active_key: tuple[Workload, SolverSpec]) -> None:
@@ -374,7 +383,9 @@ class Session:
                         solver.operator.demote_storage()
                         self._stale_solvers.add(key)
                         self._demoted_keys.add(key)
-                        tier.mark_demoted(key, measure_solver(solver))
+                        tier.mark_demoted(
+                            key, measure_solver(solver), solver.operator.storage_version
+                        )
                     else:
                         del self._solvers[key]
                         self._stale_solvers.discard(key)

@@ -24,6 +24,7 @@ symbolic analyses.  The operator also owns the phase bookkeeping (simulated
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 
@@ -41,6 +42,9 @@ from repro.sparse.schur import SchurScatter
 from repro.sparse.solvers import SolverStack, SparseSolverBase
 
 __all__ = ["DualOperator"]
+
+#: Process-wide source of :attr:`DualOperator.storage_version` values.
+_STORAGE_VERSIONS = itertools.count()
 
 
 class DualOperator:
@@ -102,6 +106,11 @@ class DualOperator:
         #: The approach's cost replay, built by :meth:`prepare`.
         self.replay = None
         self.ledger = TimingLedger()
+        #: Changes (to a value no other operator holds) whenever the
+        #: resident storage may have: at construction, after every
+        #: preprocessing and on a demotion.  The session re-measures an
+        #: entry's bytes only when it moved.
+        self.storage_version = next(_STORAGE_VERSIONS)
         self._prepared = False
         self._preprocessed = False
         self._batch_engine: "SubdomainBatchEngine | None" = None
@@ -231,6 +240,7 @@ class DualOperator:
                 self.batch_engine.install_dense_block(sub.index, local_F.pop(sub.index))
             sim, breakdown = self.replay.preprocess()
         self._preprocessed = True
+        self.storage_version = next(_STORAGE_VERSIONS)
         return self._record("preprocessing", sim, breakdown, wall0)
 
     def _drop_round_state(self) -> None:
@@ -291,7 +301,7 @@ class DualOperator:
         k = int(lam_block.shape[1])
         with trace_span("apply_multi", columns=k, stacked=stacked):
             if stacked and self.explicit:
-                out = self._apply_packed_dense_multi(lam_block)
+                out = self.batch_engine.require_dense().apply_multi(lam_block)
                 sim, breakdown = self._planned(k)
             else:
                 sim = 0.0
@@ -320,7 +330,9 @@ class DualOperator:
         """
         sim, breakdown = self._planned(1)
         if self.explicit:
-            return self._apply_packed_dense(lam), sim, breakdown
+            # In the caller's process whatever the executor: the executor
+            # runs preprocessing only.
+            return self.batch_engine.require_dense().apply(lam), sim, breakdown
         return self.apply_accurate(lam), sim, breakdown
 
     def _planned(self, columns: int) -> tuple[float, dict[str, float]]:
@@ -337,27 +349,6 @@ class DualOperator:
                 if plan is None:
                     plan = self._apply_plans[columns] = self.replay.apply(columns)
         return plan
-
-    # ------------------------------------------------------------------ #
-    # Dense apply (the explicit path)                                     #
-    # ------------------------------------------------------------------ #
-    def _apply_packed_dense(self, lam: np.ndarray) -> np.ndarray:
-        """``q = Σ F̃ᵢ λᵢ``: one take, the pack's GEMV, a SYMV per large block, one ``bincount``.
-
-        In the caller's process whatever the executor: the executor runs
-        preprocessing only.
-        """
-        dense = self.batch_engine.require_dense()
-        q = np.zeros_like(lam)
-        dense.map.scatter_add(q, dense.matvec(dense.map.gather(lam)))
-        return q
-
-    def _apply_packed_dense_multi(self, lam_block: np.ndarray) -> np.ndarray:
-        """The stacked multi-RHS analogue of :meth:`_apply_packed_dense` (GEMM)."""
-        dense = self.batch_engine.require_dense()
-        q = np.zeros_like(lam_block)
-        dense.map.scatter_add_multi(q, dense.matvec_multi(dense.map.gather_multi(lam_block)))
-        return q
 
     # ------------------------------------------------------------------ #
     # Timing accessors used by the benchmarks                             #
@@ -516,3 +507,4 @@ class DualOperator:
             solver.demote_storage()
         if self._batch_engine is not None:
             self._batch_engine.dense = None
+        self.storage_version = next(_STORAGE_VERSIONS)

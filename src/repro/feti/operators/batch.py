@@ -75,20 +75,6 @@ class FlatIndexMap:
         self.offsets = offsets
         self.sizes = np.diff(offsets)
         self.n_items = int(self.sizes.shape[0])
-        self.max_size = int(self.sizes.max()) if self.n_items else 0
-        #: Flat positions of every concatenated entry inside the padded
-        #: ``(n_items, max_size)`` buffer: row ``i`` occupies columns
-        #: ``[0, sizes[i])``.  Lets pad/unpad run as single fancy-index ops.
-        rows = np.repeat(np.arange(self.n_items, dtype=np.int64), self.sizes)
-        cols = np.arange(self.flat_ids.shape[0], dtype=np.int64) - np.repeat(
-            self.offsets[:-1], self.sizes
-        )
-        self.pad_positions = rows * max(self.max_size, 1) + cols
-        #: Complement of ``pad_positions``: the padding lanes of the
-        #: ``(n_items, max_size)`` buffer that must stay zero.
-        occupied = np.zeros(self.n_items * self.max_size, dtype=bool)
-        occupied[self.pad_positions] = True
-        self.padding_lanes = np.nonzero(~occupied)[0]
 
     @property
     def total(self) -> int:
@@ -110,21 +96,6 @@ class FlatIndexMap:
         """
         target += np.bincount(self.flat_ids, weights=values, minlength=target.shape[0])
 
-    def gather_multi(self, source: np.ndarray) -> np.ndarray:
-        """Row-wise gather of a stacked ``(n_global, k)`` multi-RHS block."""
-        return source.take(self.flat_ids, axis=0)
-
-    def scatter_add_multi(self, target: np.ndarray, values: np.ndarray) -> None:
-        """Row-wise accumulate of stacked ``(total, k)`` local contributions.
-
-        One ``np.bincount`` per column, the kernel of :meth:`scatter_add`.
-        Into a zero ``target`` it is bitwise ``np.add.at``: both sum every
-        id's contributions in flat order.
-        """
-        n = target.shape[0]
-        for j in range(values.shape[1]):
-            target[:, j] += np.bincount(self.flat_ids, weights=values[:, j], minlength=n)
-
     def split(self, values: np.ndarray) -> list[np.ndarray]:
         """Per-subdomain views into a concatenated array."""
         return [
@@ -135,39 +106,6 @@ class FlatIndexMap:
     def slice_of(self, item: int) -> slice:
         """The concatenated-array slice of one subdomain."""
         return slice(int(self.offsets[item]), int(self.offsets[item + 1]))
-
-    # ------------------------------------------------------------------ #
-    # Padding (for the batched dense apply)                               #
-    # ------------------------------------------------------------------ #
-    def pad(self, concatenated: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Spread a concatenated array into the padded 2-D layout.
-
-        A reused ``out`` buffer has its padding lanes re-zeroed (only those:
-        the data lanes are fully overwritten), so stale values can never leak
-        into padded reductions.
-        """
-        if out is None:
-            out = np.zeros((self.n_items, self.max_size))
-        else:
-            out.reshape(-1)[self.padding_lanes] = 0.0
-        out.reshape(-1)[self.pad_positions] = concatenated
-        return out
-
-    def unpad(self, padded: np.ndarray) -> np.ndarray:
-        """Collect the padded 2-D layout back into a concatenated array."""
-        return padded.reshape(-1)[self.pad_positions]
-
-    def pad_multi(self, concatenated: np.ndarray) -> np.ndarray:
-        """Spread a stacked ``(total, k)`` block into ``(n_items, max, k)``."""
-        k = int(concatenated.shape[1])
-        out = np.zeros((self.n_items * self.max_size, k))
-        out[self.pad_positions] = concatenated
-        return out.reshape(self.n_items, self.max_size, k)
-
-    def unpad_multi(self, padded: np.ndarray) -> np.ndarray:
-        """Collect a padded ``(n_items, max, k)`` block back to ``(total, k)``."""
-        k = int(padded.shape[2])
-        return padded.reshape(self.n_items * self.max_size, k)[self.pad_positions]
 
 
 class BatchedDenseApply:
@@ -182,11 +120,22 @@ class BatchedDenseApply:
     Schur assembly's output is), and applied by one ``dsymv`` on its stored
     triangle: the blocks are exactly symmetric, and padding them into the
     pack would stream the square of the largest block for every one of them.
+
+    An apply maps ``λ`` (``n_lambda`` entries) to ``q = Σᵢ B̃ᵢᵀ F̃ᵢ B̃ᵢ λ``
+    in three steps: gather ``λ`` into the padded lanes (and the large
+    blocks' inputs); one batched GEMV plus one ``dsymv`` per large block,
+    all into one output buffer laid out as the padded lanes followed by the
+    large blocks' rows; one ``np.bincount`` of that buffer straight into
+    ``λ``-space, with every padding lane sent to an extra bin that is
+    dropped.  The data lanes come in concatenated order, so every ``λ``
+    entry sums its contributions in the order of a concatenated scatter.
     """
 
-    def __init__(self, index_map: FlatIndexMap, dtype=np.float64) -> None:
+    def __init__(self, index_map: FlatIndexMap, n_lambda: int, dtype=np.float64) -> None:
         self.map = index_map
-        large = index_map.sizes >= SYMV_MIN_ROWS
+        self.n_lambda = int(n_lambda)
+        sizes = index_map.sizes
+        large = sizes >= SYMV_MIN_ROWS
         #: Number of blocks in the padded pack: the map's first items.
         self.n_packed = n_packed = int(np.count_nonzero(~large))
         if large[:n_packed].any():
@@ -194,33 +143,35 @@ class BatchedDenseApply:
                 f"blocks of {SYMV_MIN_ROWS} rows or more must follow the packed ones"
             )
         #: Length of the packed blocks' prefix of a concatenated dual vector.
-        self.split = int(index_map.offsets[n_packed])
-        #: The packed blocks' scatter/gather (the whole map when none is large).
-        self.pack_map = (
-            index_map
-            if n_packed == index_map.n_items
-            else FlatIndexMap.from_flat(
-                index_map.flat_ids[: self.split], index_map.offsets[: n_packed + 1]
-            )
-        )
-        m = self.pack_map.max_size
+        self.split = split = int(index_map.offsets[n_packed])
+        m = int(sizes[:n_packed].max()) if n_packed else 0
+        lanes = n_packed * m
         #: The padded pack.  Its dtype is every block's storage dtype (fp32
         #: under a demoting precision policy).  The dual vectors and every
         #: result stay fp64: ``np.matmul`` promotes the mixed product and a
         #: large block is up-cast on use, so half-size storage changes only
         #: the storage, not the interface.
         self.blocks = np.zeros((n_packed, m, m), dtype=dtype)
+        #: The padded input lanes; the padding lanes are never written.
         self._p_pad = np.zeros((n_packed, m, 1))
+        #: Where each packed entry of a concatenated vector sits in the lanes.
+        self._pad_positions = np.arange(split) + np.repeat(
+            np.arange(n_packed) * m - index_map.offsets[:n_packed], sizes[:n_packed]
+        )
+        #: The output buffer's bins: a lane's ``λ`` id, ``n_lambda`` for a
+        #: padding lane, then the large blocks' ids.
+        out_ids = np.full(lanes + index_map.total - split, self.n_lambda, dtype=np.int64)
+        out_ids[self._pad_positions] = index_map.flat_ids[:split]
+        out_ids[lanes:] = index_map.flat_ids[split:]
+        self._out_ids = out_ids
         #: The large blocks, in map order after the packed ones.
         self.large: list[np.ndarray | None] = [None] * (index_map.n_items - n_packed)
-        self._large_slices = [
-            index_map.slice_of(item) for item in range(n_packed, index_map.n_items)
+        #: Per large block: its first row in a concatenated vector and in
+        #: the output buffer (``dsymv``'s ``offx`` / ``offy``).
+        self._large_offsets = [
+            (int(index_map.offsets[item]), lanes + int(index_map.offsets[item]) - split)
+            for item in range(n_packed, index_map.n_items)
         ]
-        #: Whether the next apply visits the large blocks last to first.
-        #: Successive applies alternate, so each starts on the block the
-        #: previous one ended on, which is still in cache; every block writes
-        #: its own rows, so the result does not depend on the order.
-        self._backward = False
 
     @property
     def nbytes(self) -> int:
@@ -251,59 +202,55 @@ class BatchedDenseApply:
         view.flags.writeable = False
         return view
 
-    def matvec(self, p_concat: np.ndarray) -> np.ndarray:
-        """``F̃ᵢ pᵢ`` of every block: one batched GEMV plus one SYMV per large block.
+    def apply(self, lam: np.ndarray) -> np.ndarray:
+        """``q = Σᵢ B̃ᵢᵀ F̃ᵢ B̃ᵢ λ``: one batched GEMV, one SYMV per large block.
 
-        ``p_concat`` holds the concatenated local dual vectors; returns the
-        concatenated local results.  The persistent padded buffer keeps its
-        padding lanes at zero (they are never written), so only the data
-        lanes are refreshed per call.  ``dsymv`` reads ``block.T``, the
-        F-contiguous view of the C-contiguous block: any other layout makes
-        f2py copy the block on every call.
+        ``dsymv`` reads ``block.T``, the F-contiguous view of the
+        C-contiguous block (any other layout makes f2py copy the block on
+        every call), and writes its rows of the output buffer in place.
         """
-        if not self.large:
-            return self._pack_matvec(p_concat)
-        q = np.empty_like(p_concat)
-        if self.n_packed:
-            q[: self.split] = self._pack_matvec(p_concat[: self.split])
-        for rows, block in self._large_blocks():
-            q[rows] = dsymv(1.0, block.astype(np.float64, copy=False).T, p_concat[rows])
-        return q
+        p = lam.take(self.map.flat_ids)
+        self._p_pad.reshape(-1)[self._pad_positions] = p[: self.split]
+        out = np.zeros(self._out_ids.shape[0])
+        np.matmul(self.blocks, self._p_pad, out=out[: self._p_pad.size].reshape(self._p_pad.shape))
+        for (offx, offy), block in zip(self._large_offsets, self.large):
+            dsymv(
+                1.0, block.astype(np.float64, copy=False).T, p,
+                offx=offx, y=out, offy=offy, overwrite_y=True,
+            )
+        return np.bincount(self._out_ids, weights=out, minlength=self.n_lambda + 1)[:-1]
 
-    def _large_blocks(self) -> list[tuple[slice, np.ndarray]]:
-        """The large blocks with their rows, in this apply's direction."""
-        pairs = list(zip(self._large_slices, self.large))
-        if self._backward:
-            pairs.reverse()
-        self._backward = not self._backward
-        return pairs
-
-    def _pack_matvec(self, p_concat: np.ndarray) -> np.ndarray:
-        self._p_pad.reshape(-1)[self.pack_map.pad_positions] = p_concat
-        Q = np.matmul(self.blocks, self._p_pad)
-        return self.pack_map.unpad(Q.reshape(self.n_packed, self.pack_map.max_size))
-
-    def matvec_multi(self, p_stack: np.ndarray) -> np.ndarray:
+    def apply_multi(self, lam_block: np.ndarray) -> np.ndarray:
         """Stacked multi-RHS apply: one batched GEMM plus one GEMM per large block.
 
-        ``p_stack`` holds the concatenated local dual vectors of ``k``
-        right-hand sides as a ``(total, k)`` block; returns the matching
-        ``(total, k)`` results.  Amortizes the scatter/gather and the kernel
+        ``lam_block`` holds ``k`` dual vectors as an ``(n_lambda, k)``
+        block; returns the matching ``(n_lambda, k)`` results, one
+        ``np.bincount`` per column.  Amortizes the gather and the kernel
         launch over every column — the request-level analogue of the
-        per-subdomain batching of :meth:`matvec`.
+        per-subdomain batching of :meth:`apply`.
         """
-        if not self.large:
-            return self._pack_matvec_multi(p_stack)
-        Q = np.empty_like(p_stack)
-        if self.n_packed:
-            Q[: self.split] = self._pack_matvec_multi(p_stack[: self.split])
-        for rows, block in self._large_blocks():
-            np.matmul(block.astype(np.float64, copy=False), p_stack[rows], out=Q[rows])
+        k = int(lam_block.shape[1])
+        P = lam_block.take(self.map.flat_ids, axis=0)
+        n_packed, m, _ = self.blocks.shape
+        P_pad = np.zeros((n_packed * m, k))
+        P_pad[self._pad_positions] = P[: self.split]
+        out = np.empty((self._out_ids.shape[0], k))
+        np.matmul(
+            self.blocks,
+            P_pad.reshape(n_packed, m, k),
+            out=out[: n_packed * m].reshape(n_packed, m, k),
+        )
+        for (offx, offy), block in zip(self._large_offsets, self.large):
+            rows = block.shape[0]
+            np.matmul(
+                block.astype(np.float64, copy=False),
+                P[offx : offx + rows],
+                out=out[offy : offy + rows],
+            )
+        Q = np.empty_like(lam_block)
+        for j in range(k):
+            Q[:, j] = np.bincount(self._out_ids, weights=out[:, j], minlength=self.n_lambda + 1)[:-1]
         return Q
-
-    def _pack_matvec_multi(self, p_stack: np.ndarray) -> np.ndarray:
-        Q = np.matmul(self.blocks, self.pack_map.pad_multi(p_stack))
-        return self.pack_map.unpad_multi(Q)
 
 
 class SubdomainBatchEngine:
@@ -342,7 +289,9 @@ class SubdomainBatchEngine:
     def require_dense(self) -> BatchedDenseApply:
         """The dense blocks, creating their (empty) storage on first use."""
         if self.dense is None:
-            self.dense = BatchedDenseApply(self.dense_map, dtype=self.dense_dtype)
+            self.dense = BatchedDenseApply(
+                self.dense_map, self.problem.n_lambda, dtype=self.dense_dtype
+            )
         return self.dense
 
     # The gluing and the kernels are static across Algorithm-2 steps, so the

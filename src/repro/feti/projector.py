@@ -3,16 +3,20 @@
 ``G = B R`` couples the subdomain kernel modes through the gluing
 constraints (equation (8) of the paper); its Gram matrix ``GᵀG`` is the
 *coarse problem* — one row/column per kernel mode.  It is factorized once,
-by one dense Cholesky, and an application of ``P`` is two sparse products
-(``Gᵀ x``, ``G u``) around one LAPACK ``dpotrs`` on the stored factor — the
-routine ``scipy.linalg.cho_solve`` ends in, without its per-call argument
-checks.  The products skip ``A @ x``'s dispatch the same way: each runs the
-CSR kernel bound once (:class:`~repro.sparse.spmv.CsrProduct`).  The
-projector is serial on every execution backend: the products are a few
-microseconds of sparse kernel, far below the cost of dispatching them.
+by one dense Cholesky, which is then inverted (LAPACK ``dpotri``) and kept
+as the exactly symmetric ``H = (GᵀG)⁻¹``.  Every coarse solve is one GEMV
+``H @ v``, so an application of ``P`` is two sparse products (``Gᵀ x``,
+``G u``) around one GEMV.  ``H`` holds the ``N²`` entries of the dense
+factor it replaces and the GEMV streams them once, as the two triangular
+solves of ``dpotrs`` did — without the LAPACK call's fixed cost, which at
+a few dozen subdomains was a third of a projection.  The products skip
+``A @ x``'s dispatch the same way: each runs the CSR kernel bound once
+(:class:`~repro.sparse.spmv.CsrProduct`).  The projector is serial on every
+execution backend: the products are a few microseconds of sparse kernel,
+far below the cost of dispatching them.
 
 ``apply_block`` projects a whole block of PCPG columns in two stacked
-sparse products around one multi-RHS ``dpotrs`` (bitwise equal to
+sparse products around one GEMV per column (bitwise equal to
 column-by-column application).
 """
 
@@ -24,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotri
 
 from repro.sparse.spmv import CsrProduct
 
@@ -64,8 +68,14 @@ class Projector:
         start = time.perf_counter()
         # G must have full column rank for (GᵀG)⁻¹ to exist — this is the
         # solvability condition of the coarse problem.
-        self._cho = sla.cho_factor(gtg)
-        #: Wall seconds spent factorizing the coarse problem.
+        upper, _ = sla.cho_factor(gtg)
+        inverse, info = dpotri(upper)
+        if info != 0:
+            raise ValueError(f"dpotri failed on the coarse problem (info={info})")
+        #: ``(GᵀG)⁻¹``, its upper triangle mirrored: every coarse solve is
+        #: one GEMV with it.
+        self.H = np.triu(inverse) + np.triu(inverse, 1).T
+        #: Wall seconds spent factorizing and inverting the coarse problem.
         self.factor_seconds = time.perf_counter() - start
         #: Cumulative wall seconds in applies / coarse solves.
         self.seconds = 0.0
@@ -75,17 +85,10 @@ class Projector:
         self.solves = 0
 
     # ------------------------------------------------------------------ #
-    def _potrs(self, rhs: np.ndarray) -> np.ndarray:
-        """``(GᵀG)⁻¹ rhs`` for one column or an ``(n_kernel, k)`` block."""
-        out, info = dpotrs(self._cho[0], rhs, lower=self._cho[1])
-        if info != 0:
-            raise ValueError(f"dpotrs failed on the coarse problem (info={info})")
-        return out
-
     def coarse_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(Gᵀ G) x = rhs``."""
         start = time.perf_counter()
-        out = self._potrs(rhs)
+        out = self.H @ rhs
         self.seconds += time.perf_counter() - start
         self.solves += 1
         return out
@@ -93,7 +96,7 @@ class Projector:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply ``P x = x − G (GᵀG)⁻¹ Gᵀ x``."""
         start = time.perf_counter()
-        out = x - self.G_product(self._potrs(self.Gt_product(x)))
+        out = x - self.G_product(self.H @ self.Gt_product(x))
         self.seconds += time.perf_counter() - start
         self.applies += 1
         return out
@@ -106,13 +109,13 @@ class Projector:
         The two sparse products run stacked (``csr_matvecs`` accumulates
         each output row over the same nonzeros in the same order as the
         single-column kernel, so the stacked products are bitwise equal to
-        per-column matvecs), and so does the coarse solve: the two
-        triangular solves of a multi-RHS ``dpotrs`` treat every column
-        alike, which keeps the whole block application bitwise equal to
-        column-by-column :meth:`apply`.
+        per-column matvecs); the coarse solve is the GEMV of :meth:`apply`
+        on each contiguous column, which keeps the whole block application
+        bitwise equal to column-by-column :meth:`apply`.
         """
         start = time.perf_counter()
-        out = X - self.G_product(self._potrs(self.Gt_product(np.ascontiguousarray(X))))
+        U = self.Gt_product(np.ascontiguousarray(X)).T.copy()
+        out = X - self.G_product(np.column_stack([self.H @ u for u in U]))
         self.seconds += time.perf_counter() - start
         self.applies += X.shape[1]
         return out
@@ -120,7 +123,7 @@ class Projector:
     def initial_lambda(self, e: np.ndarray) -> np.ndarray:
         """Feasible initial iterate ``λ₀ = G (GᵀG)⁻¹ e`` (``Gᵀ λ₀ = e``)."""
         start = time.perf_counter()
-        out = self.G_product(self._potrs(e))
+        out = self.G_product(self.H @ e)
         self.seconds += time.perf_counter() - start
         self.solves += 1
         return out
@@ -128,7 +131,7 @@ class Projector:
     def alpha(self, d_minus_F_lambda: np.ndarray) -> np.ndarray:
         """Kernel amplitudes ``α = −(GᵀG)⁻¹ Gᵀ (d − F λ)`` (equation (9))."""
         start = time.perf_counter()
-        out = -self._potrs(self.Gt_product(d_minus_F_lambda))
+        out = -(self.H @ self.Gt_product(d_minus_F_lambda))
         self.seconds += time.perf_counter() - start
         self.solves += 1
         return out

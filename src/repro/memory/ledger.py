@@ -69,8 +69,9 @@ def measure_solver(solver: Any) -> EntryBytes:
 class FactorLedger:
     """Track resident entry bytes with used/peak semantics.
 
-    Thread-safe: the session's budget enforcement re-measures entries after
-    every solve while other workloads may be solving concurrently.
+    Thread-safe: the session's budget enforcement re-measures entries (after
+    a solve that changed their storage) while other workloads may be
+    solving concurrently.
     """
 
     def __init__(self) -> None:

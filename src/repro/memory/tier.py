@@ -93,8 +93,9 @@ class FactorTier:
         self.budget_bytes = budget_bytes
         self.ledger = FactorLedger()
         self._lock = threading.Lock()
-        #: key -> (state, demotable); insertion order is LRU (oldest first).
-        self._lru: OrderedDict[Hashable, tuple[str, bool]] = OrderedDict()
+        #: key -> (state, demotable, storage version measured); insertion
+        #: order is LRU (oldest first).
+        self._lru: OrderedDict[Hashable, tuple[str, bool, int | None]] = OrderedDict()
         #: The registry the tier counts into (its session's).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._demotions = self.metrics.counter(
@@ -118,16 +119,29 @@ class FactorTier:
     def entries(self) -> tuple[int, int]:
         """How many entries are tracked, and how many of them are demoted."""
         with self._lock:
-            states = [state for state, _ in self._lru.values()]
+            states = [state for state, _, _ in self._lru.values()]
         return len(states), states.count(DEMOTED)
 
     # ------------------------------------------------------------------ #
-    def record(self, key: Hashable, entry: EntryBytes, demotable: bool) -> None:
-        """(Re-)measure an entry at full fidelity and mark it most recent."""
+    def record(
+        self, key: Hashable, entry: EntryBytes, demotable: bool, version: int | None = None
+    ) -> None:
+        """(Re-)measure an entry at full fidelity and mark it most recent.
+
+        ``version`` is the storage version the measurement was taken at
+        (:attr:`~repro.feti.operators.base.DualOperator.storage_version`);
+        ``None`` matches no version.
+        """
         self.ledger.record(key, entry)
         with self._lock:
-            self._lru[key] = (FULL, demotable)
+            self._lru[key] = (FULL, demotable, version)
             self._lru.move_to_end(key)
+
+    def measured(self, key: Hashable, version: int) -> bool:
+        """Whether the entry's last measurement was taken at ``version``."""
+        with self._lock:
+            entry = self._lru.get(key)
+            return entry is not None and entry[2] == version
 
     def touch(self, key: Hashable) -> None:
         """Refresh an entry's recency without re-measuring it."""
@@ -151,7 +165,7 @@ class FactorTier:
         rather than blocking the solve that needs the memory.
         """
         with self._lock:
-            for key, (state, demotable) in self._lru.items():
+            for key, (state, demotable, _) in self._lru.items():
                 if key in exclude:
                     continue
                 if state == FULL and demotable:
@@ -159,13 +173,12 @@ class FactorTier:
                 return key, "evict"
         return None
 
-    def mark_demoted(self, key: Hashable, entry: EntryBytes) -> None:
-        """Record a demotion: halved measurement, state ``demoted``."""
+    def mark_demoted(self, key: Hashable, entry: EntryBytes, version: int | None = None) -> None:
+        """Record a demotion: halved measurement (at ``version``), state ``demoted``."""
         self.ledger.record(key, entry)
         with self._lock:
             if key in self._lru:
-                demotable = self._lru[key][1]
-                self._lru[key] = (DEMOTED, demotable)
+                self._lru[key] = (DEMOTED, self._lru[key][1], version)
         self._demotions.inc()
 
     def mark_evicted(self, key: Hashable) -> None:

@@ -6,10 +6,11 @@ thread clocks) runs during the first apply after a preprocessing — where the
 timeline plan is made — and never again in that round; a long-lived
 session's timing ledger does not grow with the number of solves; a solve
 whose condition estimate nobody reads never computes it; a projector apply
-(a block apply too, whatever its width) is two sparse products and one
-LAPACK ``dpotrs``, never an executor dispatch; every sparse product of a
-warm solve runs a bound CSR kernel (:class:`~repro.sparse.spmv.CsrProduct`);
-and outside
+(a block apply too, whatever its width) is two sparse products around one
+GEMV per column with ``(GᵀG)⁻¹``, never a LAPACK call or an executor
+dispatch; a warm solve re-measures no resident bytes, while a solve that
+re-factors re-measures once; every sparse product of a warm solve runs a
+bound CSR kernel (:class:`~repro.sparse.spmv.CsrProduct`); and outside
 ``preprocess()`` nothing is solved or multiplied one subdomain at a time:
 a ``K⁺`` application is two banded BLAS calls (``dtbsv`` with ``L`` and
 with ``Lᵀ``) per sparsity pattern, over all of its subdomains at once.
@@ -17,14 +18,15 @@ with ``Lᵀ``) per sparsity pattern, over all of its subdomains at once.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from importlib import import_module
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 
-import repro.feti.projector as projector_module
 import repro.sparse.triangular as triangular
 
 from repro.analysis.timing import ThreadClocks
@@ -34,6 +36,7 @@ from repro.cluster.topology import ClusterResources
 from repro.feti.operators.base import DualOperator
 from repro.feti.projector import Projector, build_projector
 from repro.gpu.stream import Stream
+from repro.memory.ledger import measure_solver
 from repro.runtime.executor import ThreadExecutor
 from repro.sparse.solvers import SparseSolverBase
 from repro.sparse.spmv import CsrProduct
@@ -134,13 +137,15 @@ def test_warm_solves_do_not_grow_the_timing_ledger():
 #: lazy (at the end of every solve), as ``repr`` strings of the floats.
 #: Re-pinned when the factorization moved to LAPACK's banded Cholesky, whose
 #: factors differ from the supernodal ones in the last bits (κ moved by
-#: 6.8e-10 and 1.5e-16 relative).
+#: 6.8e-10 and 1.5e-16 relative), and again when the coarse solve became a
+#: GEMV with ``(GᵀG)⁻¹`` (8.5e-10 and 5.5e-16; the same bits serial and on
+#: ``threads:2``).
 _KAPPA = [
-    (W, SPEC, "2.2851640368828527"),
+    (W, SPEC, "2.2851640349405913"),
     (
         Workload("heat", 3, (2, 2, 1), 2, dirichlet_faces=("zmin",)),
         SolverSpec(preconditioner="dirichlet"),
-        "1.4412233612285195",
+        "1.4412233612285203",
     ),
 ]
 
@@ -217,24 +222,124 @@ def test_projector_never_dispatches_to_the_executor(monkeypatch):
     assert submits[0] == 0
 
 
-def test_serial_projector_apply_is_two_products_and_one_solve(monkeypatch):
+class _CountedMatrix(np.ndarray):
+    """An ``ndarray`` view that counts the products it is the left operand of."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        type(self).products += 1
+        return np.asarray(self) @ other
+
+
+def test_serial_projector_apply_is_two_products_around_one_gemv_per_column(monkeypatch):
+    """The coarse solve is one GEMV with ``(GᵀG)⁻¹``: no LAPACK call at all."""
     projector = build_projector(build_problem(W_LARGE))
     counts: Counter[str] = Counter()
-    dpotrs, product = projector_module.dpotrs, CsrProduct.__call__
-
-    def counted_solve(*args, **kwargs):
-        counts["dpotrs"] += 1
-        return dpotrs(*args, **kwargs)
+    product = CsrProduct.__call__
 
     def counted_product(self, x):
         counts["csr @ x"] += 1
         return product(self, x)
 
-    monkeypatch.setattr(projector_module, "dpotrs", counted_solve)
     monkeypatch.setattr(CsrProduct, "__call__", counted_product)
+    _count_dpotrs(monkeypatch, counts)
+    monkeypatch.setattr(_CountedMatrix, "products", 0)
+    projector.H = projector.H.view(_CountedMatrix)
     projector.apply(np.ones(projector.n_lambda))
     projector.apply_block(np.ones((projector.n_lambda, 3)))
-    assert counts == {"csr @ x": 4, "dpotrs": 2}
+    assert counts == {"csr @ x": 4}
+    assert _CountedMatrix.products == 1 + 3  # one GEMV per column
+
+
+def _count_dpotrs(monkeypatch, counts: Counter) -> None:
+    """Count LAPACK ``dpotrs`` calls (no module of the package binds its own)."""
+    dpotrs = lapack.dpotrs
+
+    def counted(*args, **kwargs):
+        counts["dpotrs"] += 1
+        return dpotrs(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dpotrs", counted)
+    assert not any(
+        hasattr(module, "dpotrs")
+        for name, module in list(sys.modules.items())
+        if name.startswith("repro")
+    )
+
+
+def _count_measurements(monkeypatch) -> Counter:
+    """Count ``storage_nbytes`` calls of operators and of per-subdomain factors."""
+    counts: Counter[str] = Counter()
+    for owner in (DualOperator, SparseSolverBase):
+        original = owner.storage_nbytes
+
+        def counted(self, _original=original, _label=owner.__name__):
+            counts[_label] += 1
+            return _original(self)
+
+        monkeypatch.setattr(owner, "storage_nbytes", counted)
+    return counts
+
+
+def _resident_bytes_are_fresh(session: Session) -> bool:
+    """The tier's ledger equals a fresh measurement of every live entry."""
+    live = list(session._solvers.values())  # noqa: SLF001
+    return session.cache_stats()["resident_bytes"] == sum(measure_solver(s).total for s in live)
+
+
+def test_warm_solve_measures_no_bytes_and_runs_no_dpotrs(monkeypatch):
+    """A warm solve neither re-measures its entry nor calls LAPACK's ``dpotrs``."""
+    with Session(SPEC, memory_budget="unlimited") as session:
+        session.solve(W_LARGE)
+        counts = _count_measurements(monkeypatch)
+        _count_dpotrs(monkeypatch, counts)
+        for _ in range(3):
+            assert session.solve(W_LARGE).converged
+        assert counts == {}
+        assert _resident_bytes_are_fresh(session)
+
+
+def _harden(step: int, problem) -> None:
+    for sub in problem.subdomains:
+        sub.K.data *= 1.0 + step
+        sub.K_reg.data *= 1.0 + step
+
+
+#: A CPU approach for the re-factoring solves below.
+SPEC_CPU = SolverSpec(approach="expl mkl")
+
+
+def test_solve_after_a_stiffness_schedule_remeasures_once(monkeypatch):
+    workload = Workload("heat", 2, (4, 4), 4, n_clusters=2, steps=2)
+    with Session(SPEC_CPU, memory_budget="unlimited") as session:
+        session.solve(workload)
+        session.run_steps(workload, update=_harden)  # leaves the entry stale
+        counts = _count_measurements(monkeypatch)
+        assert session.solve(workload).converged  # re-factors
+        n_subdomains = len(session.problem(workload).subdomains)
+        assert counts == {"DualOperator": 1, "SparseSolverBase": n_subdomains}
+        assert session.solve(workload).converged  # warm again
+        assert counts == {"DualOperator": 1, "SparseSolverBase": n_subdomains}
+        assert _resident_bytes_are_fresh(session)
+
+
+def test_solve_of_a_demoted_entry_remeasures_once(monkeypatch):
+    cold, hot = Workload("heat", 2, (2, 2), 3), Workload("heat", 2, (3, 1), 3)
+    with Session(SPEC_CPU, memory_budget="unlimited") as session:
+        session.solve(cold)
+        session.solve(hot)
+        # A ceiling the two entries together overflow demotes the colder one.
+        session.tier.budget_bytes = session.cache_stats()["resident_bytes"] - 1
+        assert session.solve(hot).converged
+        assert session.tier.state((cold, SPEC_CPU)) == "demoted"
+        session.tier.budget_bytes = None
+        counts = _count_measurements(monkeypatch)
+        assert session.solve(cold).converged  # re-factors
+        n_subdomains = len(session.problem(cold).subdomains)
+        assert counts == {"DualOperator": 1, "SparseSolverBase": n_subdomains}
+        assert session.tier.state((cold, SPEC_CPU)) == "full"
+        assert _resident_bytes_are_fresh(session)
 
 
 @pytest.mark.parametrize(

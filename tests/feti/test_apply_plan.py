@@ -116,13 +116,13 @@ def test_stacked_apply_multi_is_one_pack_gemm(problem, machine_config, approach,
     """``stacked=True`` runs one batched GEMM on every explicit approach; the loop none."""
     operator = _operator(problem, machine_config, approach, ScatterGatherDevice.GPU)
     widths = []
-    matvec_multi = BatchedDenseApply.matvec_multi
+    apply_multi = BatchedDenseApply.apply_multi
 
-    def spy(self, p_stack):
-        widths.append(p_stack.shape[1])
-        return matvec_multi(self, p_stack)
+    def spy(self, lam_block):
+        widths.append(lam_block.shape[1])
+        return apply_multi(self, lam_block)
 
-    monkeypatch.setattr(BatchedDenseApply, "matvec_multi", spy)
+    monkeypatch.setattr(BatchedDenseApply, "apply_multi", spy)
     block = np.random.default_rng(11).standard_normal((problem.n_lambda, 3))
     for _ in range(2):
         operator.apply_multi(block, stacked=True)

@@ -3,8 +3,9 @@
 For every approach the apply must produce the same dual vectors as the
 per-subdomain loop oracle (``tests/oracles/apply.py``) run on the same
 preprocessed operator, charge the same simulated time, agree with the fp64
-``B K⁺ Bᵀ`` reference (the per-subdomain loop of ``tests/oracles/kplus.py``), and the index-map / block-packing primitives must
-round-trip exactly.
+``B K⁺ Bᵀ`` reference (the per-subdomain loop of ``tests/oracles/kplus.py``),
+and the dense apply must be bitwise the concatenated-scatter path
+(``tests/oracles/scatter_apply.py``) for every pack composition.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.feti.operators.batch import SYMV_MIN_ROWS, BatchedDenseApply, FlatInd
 
 from tests.oracles.apply import looped_apply
 from tests.oracles.kplus import looped_apply_accurate, looped_dual_rhs
+from tests.oracles.scatter_apply import local_apply, scatter_apply, scatter_apply_multi
 from tests.oracles.schur import schur_complement
 
 
@@ -73,30 +75,8 @@ def test_flat_index_map_scatter_add_matches_np_add_at():
     np.testing.assert_allclose(batched, looped, atol=1e-15)
 
 
-def test_scatter_add_multi_is_bitwise_np_add_at():
-    """One ``bincount`` per column sums in flat order, as ``np.add.at`` does."""
-    rng = np.random.default_rng(6)
-    ids = [rng.integers(0, 9, size=n) for n in (12, 5, 20)]  # many repeats
-    index_map = FlatIndexMap(ids)
-    for k in (1, 3, 8):
-        values = rng.standard_normal((index_map.total, k))
-        batched = np.zeros((9, k))
-        index_map.scatter_add_multi(batched, values)
-        looped = np.zeros((9, k))
-        np.add.at(looped, index_map.flat_ids, values)
-        assert np.array_equal(batched, looped)
-
-
-def test_flat_index_map_pad_unpad_roundtrip():
-    ids = [np.arange(4), np.arange(2), np.arange(6)]
-    index_map = FlatIndexMap(ids)
-    values = np.arange(index_map.total, dtype=float) + 1.0
-    padded = index_map.pad(values)
-    assert padded.shape == (3, 6)
-    # Padding lanes stay zero.
-    assert padded[0, 4:].tolist() == [0.0, 0.0]
-    assert padded[1, 2:].tolist() == [0.0] * 4
-    np.testing.assert_array_equal(index_map.unpad(padded), values)
+#: The dual-space length of the synthetic packs below.
+N_LAMBDA = 400
 
 
 def _symmetric(rng, n, dtype=np.float64):
@@ -113,9 +93,9 @@ def _symmetric(rng, n, dtype=np.float64):
 def test_batched_dense_apply_matches_per_block_gemv(sizes, dtype):
     """Packed and large blocks alike: ``F̃ᵢ pᵢ`` per block, in fp64 arithmetic."""
     rng = np.random.default_rng(5)
-    ids = [rng.choice(400, size=n, replace=False) for n in sizes]
+    ids = [rng.choice(N_LAMBDA, size=n, replace=False) for n in sizes]
     index_map = FlatIndexMap(ids)
-    dense = BatchedDenseApply(index_map, dtype=dtype)
+    dense = BatchedDenseApply(index_map, N_LAMBDA, dtype=dtype)
     assert dense.n_packed == sum(n < SYMV_MIN_ROWS for n in sizes)
     blocks = [_symmetric(rng, n, dtype) for n in sizes]
     for i, block in enumerate(blocks):
@@ -128,23 +108,23 @@ def test_batched_dense_apply_matches_per_block_gemv(sizes, dtype):
         b.nbytes for b in blocks[dense.n_packed :]
     )
     wide = [b.astype(np.float64) for b in blocks]
-    p = rng.standard_normal(index_map.total)
-    q = dense.matvec(p)
-    assert q.dtype == np.float64
-    expected = np.concatenate(
-        [wide[i] @ p[index_map.slice_of(i)] for i in range(len(sizes))]
-    )
+    lam = rng.standard_normal(N_LAMBDA)
+    q = dense.apply(lam)
+    assert q.dtype == np.float64 and q.shape == (N_LAMBDA,)
+    expected = np.zeros(N_LAMBDA)
+    for block, rows in zip(wide, ids):
+        np.add.at(expected, rows, block @ lam[rows])
     np.testing.assert_allclose(q, expected, rtol=1e-13, atol=1e-12)
-    P = rng.standard_normal((index_map.total, 3))
-    expected = np.concatenate(
-        [wide[i] @ P[index_map.slice_of(i)] for i in range(len(sizes))]
-    )
-    np.testing.assert_allclose(dense.matvec_multi(P), expected, rtol=1e-13, atol=1e-12)
+    L = rng.standard_normal((N_LAMBDA, 3))
+    expected = np.zeros((N_LAMBDA, 3))
+    for block, rows in zip(wide, ids):
+        np.add.at(expected, rows, block @ L[rows])
+    np.testing.assert_allclose(dense.apply_multi(L), expected, rtol=1e-13, atol=1e-12)
 
 
 def test_batched_dense_apply_rejects_wrong_block_shape():
     index_map = FlatIndexMap([np.arange(3)])
-    dense = BatchedDenseApply(index_map)
+    dense = BatchedDenseApply(index_map, 3)
     with pytest.raises(ValueError):
         dense.set_block(0, np.zeros((2, 2)))
 
@@ -152,7 +132,38 @@ def test_batched_dense_apply_rejects_wrong_block_shape():
 def test_batched_dense_apply_wants_the_packed_blocks_first():
     index_map = FlatIndexMap([np.arange(SYMV_MIN_ROWS), np.arange(3)])
     with pytest.raises(ValueError, match="must follow"):
-        BatchedDenseApply(index_map)
+        BatchedDenseApply(index_map, SYMV_MIN_ROWS)
+
+
+#: Pack compositions of the bitwise test: every block small, every block
+#: large, and blocks on both sides of ``SYMV_MIN_ROWS``.
+COMPOSITIONS = [
+    pytest.param((20, 40, 33, 7), id="all-small"),
+    pytest.param((SYMV_MIN_ROWS, 120, 101), id="all-large"),
+    pytest.param((20, 40, 100, 120), id="mixed"),
+]
+
+
+@pytest.mark.parametrize("sizes", COMPOSITIONS)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_apply_is_bitwise_the_scatter_path(sizes, dtype):
+    """One output buffer and one ``bincount`` sum what the concatenated scatter did.
+
+    The same products, and every ``λ`` entry's contributions in the same
+    order, so ``q`` is bitwise the scatter path's, stacked or not; repeated
+    applies show the reused padded lanes carry nothing over.
+    """
+    rng = np.random.default_rng(43)
+    ids = [rng.choice(N_LAMBDA, size=n, replace=False) for n in sizes]  # ids overlap
+    dense = BatchedDenseApply(FlatIndexMap(ids), N_LAMBDA, dtype=dtype)
+    assert dense.n_packed == sum(n < SYMV_MIN_ROWS for n in sizes)
+    for item, n in enumerate(sizes):
+        dense.set_block(item, _symmetric(rng, n, dtype))
+    for _ in range(2):
+        lam = rng.standard_normal(N_LAMBDA)
+        assert np.array_equal(dense.apply(lam), scatter_apply(dense, lam))
+        L = rng.standard_normal((N_LAMBDA, 3))
+        assert np.array_equal(dense.apply_multi(L), scatter_apply_multi(dense, L))
 
 
 # --------------------------------------------------------------------- #
@@ -280,11 +291,11 @@ def _per_cluster_packs(operator, lam):
     q = np.zeros_like(lam)
     for _, subs in operator.iter_clusters():
         index_map = FlatIndexMap([s.lambda_ids for s in subs])
-        assert index_map.max_size == max_size < SYMV_MIN_ROWS
-        pack = BatchedDenseApply(index_map, dtype=local_F[subs[0].index].dtype)
+        assert int(index_map.sizes.max()) == max_size < SYMV_MIN_ROWS
+        pack = BatchedDenseApply(index_map, lam.shape[0], dtype=local_F[subs[0].index].dtype)
         for i, sub in enumerate(subs):
             pack.set_block(i, local_F[sub.index])
-        np.add.at(q, index_map.flat_ids, pack.matvec(index_map.gather(lam)))
+        np.add.at(q, index_map.flat_ids, local_apply(pack, index_map.gather(lam)))
     return q
 
 
@@ -321,7 +332,8 @@ def test_one_pack_apply_is_bitwise_the_per_cluster_apply(workload, spec):
 def test_blocks_on_both_sides_of_the_symv_threshold(approach, exploit):
     """Heat 3D ``(3,3,3)x4`` has blocks of 61-122 rows: packed and large ones.
 
-    The apply within rounding of the per-subdomain loop, the stacked apply
+    The apply (and the stacked one) bitwise the concatenated scatter path,
+    within rounding of the per-subdomain loop, the stacked apply
     within 1e-12 of per-column applies, and every ``local_F[i]`` read-only
     and bitwise the per-subdomain Schur oracle.
     """
@@ -346,6 +358,8 @@ def test_blocks_on_both_sides_of_the_symv_threshold(approach, exploit):
         looped, _, _ = looped_apply(operator, lam)
         stacked = operator.apply_multi(block, stacked=True)
         columns = operator.apply_multi(block)
+        assert np.array_equal(applied, scatter_apply(dense, lam))
+        assert np.array_equal(stacked, scatter_apply_multi(dense, block))
     assert np.linalg.norm(applied - looped) <= 1e-14 * np.linalg.norm(looped)
     assert np.linalg.norm(stacked - columns) <= 1e-12 * np.linalg.norm(columns)
 
@@ -407,37 +421,3 @@ def test_sparse_factor_storage_matches_looped_and_reference(
     )
 
 
-def test_pad_reused_out_buffer_rezeroes_padding_lanes():
-    index_map = FlatIndexMap([np.arange(2), np.arange(4)])
-    out = np.full((2, 4), 7.0)
-    index_map.pad(np.arange(6, dtype=float), out=out)
-    # Stale values in the padding lanes must not survive a reuse.
-    assert out[0, 2:].tolist() == [0.0, 0.0]
-    np.testing.assert_array_equal(index_map.unpad(out), np.arange(6, dtype=float))
-
-
-def test_alternating_large_block_order_is_bitwise_the_forward_order():
-    """Successive applies visit the large blocks in opposite orders, same bits."""
-    rng = np.random.default_rng(41)
-    sizes = [3, 5, SYMV_MIN_ROWS, SYMV_MIN_ROWS + 7, SYMV_MIN_ROWS + 30]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    total = int(offsets[-1])
-    ids = [np.arange(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
-    dense = BatchedDenseApply(FlatIndexMap(ids))
-    blocks = []
-    for item, n in enumerate(sizes):
-        block = rng.standard_normal((n, n))
-        blocks.append(block + block.T)
-        dense.set_block(item, blocks[-1])
-    p = rng.standard_normal(total)
-    P = rng.standard_normal((total, 3))
-    assert len(dense.large) == 3 and not dense._backward
-    forward = dense.matvec(p)
-    assert dense._backward
-    assert np.array_equal(dense.matvec(p), forward)  # backward
-    assert np.array_equal(dense.matvec(p), forward)  # forward again
-    forward_multi = dense.matvec_multi(P)  # backward
-    assert np.array_equal(dense.matvec_multi(P), forward_multi)
-    for block, rows in zip(blocks, ids):
-        assert np.allclose(forward[rows], block @ p[rows], rtol=0, atol=1e-12)
-        assert np.allclose(forward_multi[rows], block @ P[rows], rtol=0, atol=1e-12)

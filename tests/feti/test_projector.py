@@ -10,6 +10,8 @@ from repro.api import Session, SolverSpec
 from repro.api.workload import Workload, build_problem
 from repro.feti.projector import Projector, build_projector
 
+from tests.oracles.projector import DpotrsCoarse
+
 # heat / elasticity x 2D / 3D, each as one cluster and as several.
 WORKLOADS = [
     pytest.param(Workload("heat", 2, (2, 2), 3), id="heat-2d"),
@@ -124,3 +126,53 @@ def test_multicluster_solve_meets_the_saddle_point_oracle():
     u_ref, _ = session.problem(workload).saddle_point_solution()
     u = np.concatenate(solution.primal)
     assert np.linalg.norm(u - u_ref) <= 1e-6 * np.linalg.norm(u_ref)
+
+
+#: Many-subdomain coarse problems: heat 2D with N = 64 and 256 kernel modes,
+#: elasticity 2D with 192 (3 per subdomain) and elasticity 3D with 162 (6).
+COARSE_WORKLOADS = [
+    pytest.param(Workload("heat", 2, (8, 8), 8, n_clusters=4), id="heat-2d-64"),
+    pytest.param(Workload("heat", 2, (16, 16), 4), id="heat-2d-256"),
+    pytest.param(Workload("elasticity", 2, (8, 8), 4), id="elasticity-2d-192"),
+    pytest.param(Workload("elasticity", 3, (3, 3, 3), 4), id="elasticity-3d-162"),
+]
+
+
+def _relative(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("workload", COARSE_WORKLOADS)
+def test_coarse_gemv_matches_the_dpotrs_oracle(workload):
+    """Every coarse entry point within 1e-12 of the dense-factor ``dpotrs`` path."""
+    problem = build_problem(workload)
+    projector = build_projector(problem)
+    oracle = DpotrsCoarse(problem.assemble_G())
+    assert np.array_equal(projector.H, projector.H.T)
+    rng = np.random.default_rng(47)
+    x = rng.standard_normal(problem.n_lambda)
+    X = rng.standard_normal((problem.n_lambda, 3))
+    e = problem.compute_e()
+    assert _relative(projector.apply(x), oracle.apply(x)) <= 1e-12
+    assert _relative(projector.apply_block(X), oracle.apply_block(X)) <= 1e-12
+    assert _relative(projector.initial_lambda(e), oracle.initial_lambda(e)) <= 1e-12
+    assert _relative(projector.alpha(x), oracle.alpha(x)) <= 1e-12
+
+
+@pytest.mark.parametrize("workload", COARSE_WORKLOADS)
+def test_solution_meets_the_coarse_constraint(workload):
+    """``Gᵀλ = e`` to 1e-12 relative after a solve on the GEMV coarse path."""
+    with Session(SolverSpec(approach="expl mkl"), memory_budget="unlimited") as session:
+        solution = session.solve(workload)
+        problem = session.problem(workload)
+    assert solution.converged
+    e = problem.compute_e()
+    G = problem.assemble_G()
+    assert np.linalg.norm(G.T @ solution.lam - e) <= 1e-12 * np.linalg.norm(e)
+
+
+def test_rank_deficient_G_is_rejected_at_build():
+    """A kernel mode no constraint sees makes ``GᵀG`` singular: the build raises."""
+    G = sp.random(40, 5, density=0.3, random_state=7, format="csc")
+    with pytest.raises(np.linalg.LinAlgError):
+        Projector(sp.hstack([G, sp.csc_matrix((40, 1))]))
