@@ -39,7 +39,6 @@ from repro.feti.operators.base import DualOperator
 from repro.feti.problem import FetiProblem
 from repro.feti.solver import FetiSolution, FetiSolver, MultiStepDriver, StepRecord
 from repro.memory.ledger import measure_solver
-from repro.memory.precision import resolve_precision
 from repro.memory.tier import FactorTier, parse_budget
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.trace import trace_span
@@ -91,9 +90,10 @@ class Session:
         Ceiling on the resident factor/pack/arena bytes of all cached
         solvers (``"64M"``, ``1.5e9``, bytes, …; see
         :func:`repro.memory.tier.parse_budget`).  When exceeded, the
-        coldest entries are demoted to fp32 storage and then evicted;
-        both are transparent — the next solve of an affected entry lazily
-        re-runs its numeric factorization, so results never change.
+        coldest entries release their factors and ``F̃ᵢ`` (their structure
+        stays warm); this is transparent — the next solve of a released
+        entry lazily re-runs its numeric factorization, so results never
+        change.
         ``None`` (the default) consults the ``REPRO_MEMORY_BUDGET``
         environment variable; pass ``"unlimited"`` to ignore it.
     """
@@ -113,8 +113,8 @@ class Session:
         #: They are named for the ``/v1/metrics/prometheus`` family they sum
         #: into across a serve tier's session pool.
         self.metrics = MetricsRegistry()
-        #: The budget-aware factor tier (LRU demotion/eviction state machine
-        #: plus the byte-accurate ledger of every cached solver's storage).
+        #: The budget-aware factor tier (LRU release of cold entries plus
+        #: the byte-accurate ledger of every cached solver's storage).
         self.tier = FactorTier(parse_budget(memory_budget), self.metrics)
         counter = self.metrics.counter
         self._solves = counter("repro_pool_solves", "Right-hand sides solved")
@@ -127,17 +127,6 @@ class Session:
         self._problems: dict[Workload, FetiProblem] = {}
         self._base_loads: dict[Workload, list[np.ndarray]] = {}
         self._solvers: dict[tuple[Workload, SolverSpec], FetiSolver] = {}
-        #: Solvers whose numeric factorization may not match the (restored)
-        #: problem values — set after a schedule ran with a custom matrix-
-        #: mutating ``update``; cleared by the next solve, which re-runs the
-        #: preprocessing instead of reusing the stale one.
-        self._stale_solvers: set[tuple[Workload, SolverSpec]] = set()
-        #: Entries whose storage the tier demoted to fp32: also stale, but
-        #: their next re-preprocessing counts as a lazy re-factorization.
-        self._demoted_keys: set[tuple[Workload, SolverSpec]] = set()
-        #: Entries the tier evicted outright: rebuilding one counts as a
-        #: lazy re-factorization too.
-        self._evicted_keys: set[tuple[Workload, SolverSpec]] = set()
         #: Re-entrant lock guarding every session cache, so the ``threads``
         #: execution backend (and :class:`~repro.runtime.queue.SolveQueue`
         #: traffic) can share one session without corrupting the problem /
@@ -287,11 +276,6 @@ class Session:
                     executor=self.executor_for(s),
                 )
                 self._solvers[key] = solver
-                if key in self._evicted_keys:
-                    # The tier evicted this entry earlier; this rebuild is
-                    # the lazy re-factorization the eviction deferred.
-                    self._evicted_keys.discard(key)
-                    self.tier.count_refactorization()
             else:
                 self._solver_reuses.inc()
                 self.tier.touch(key)
@@ -318,80 +302,48 @@ class Session:
         """The resident-bytes ceiling (``None`` = unlimited)."""
         return self.tier.budget_bytes
 
-    def _after_solve(self, key: tuple[Workload, SolverSpec], solver: FetiSolver) -> None:
-        """Account a completed solve: clear staleness, measure, enforce.
-
-        Called with the workload lock held, after the solve succeeded — a
-        failed solve must keep its stale marker so the next attempt still
-        re-runs the preprocessing.
-        """
-        with self._cache_lock:
-            self._stale_solvers.discard(key)
-            refactorized = key in self._demoted_keys
-            self._demoted_keys.discard(key)
-        if refactorized:
-            self.tier.count_refactorization()
-        self._record_usage(key, solver)
-
     def _record_usage(self, key: tuple[Workload, SolverSpec], solver: FetiSolver) -> None:
         """Account one entry's resident bytes and enforce the budget.
 
-        The entry is re-measured only when its storage version moved since
-        its last measurement (the solver was built, preprocessed or
-        demoted); otherwise only its recency is refreshed.
+        Called with the workload lock held, after a solve or schedule
+        succeeded.  The entry is re-measured only when its storage version
+        moved since its last measurement (the solver was built,
+        preprocessed or released); otherwise only its recency is refreshed.
         """
         version = solver.operator.storage_version
         if self.tier.measured(key, version):
             self.tier.touch(key)
         else:
-            demotable = not resolve_precision(key[1].precision).demotes
-            self.tier.record(key, measure_solver(solver), demotable, version)
+            self.tier.record(key, measure_solver(solver), version)
         self._enforce_budget(key)
 
     def _enforce_budget(self, active_key: tuple[Workload, SolverSpec]) -> None:
-        """Demote/evict cold entries until the ledger fits the budget.
+        """Release cold entries until the ledger fits the budget.
 
-        Walks the tier's LRU cold end: a full fp64 entry is first demoted
-        (factor and pack storage to fp32, entry marked stale so the next
-        touch re-factorizes instead of reading rounded values), a demoted
-        or natively-fp32 entry is evicted.  The active entry and entries
-        whose workload lock is held by an in-flight solve are skipped —
-        the budget is then temporarily exceeded rather than corrupting a
-        running solve or blocking the one that needs the memory.
+        Walks the tier's LRU from the cold end over full entries: each
+        releases its factors and ``F̃ᵢ`` (0 budgeted bytes), so its next
+        solve re-factorizes.  The active entry and entries whose workload
+        lock is held by an in-flight solve are skipped — the budget is then
+        temporarily exceeded rather than corrupting a running solve or
+        blocking the one that needs the memory.
         """
         tier = self.tier
         if tier.budget_bytes is None:
             return
         exclude: set[tuple[Workload, SolverSpec]] = {active_key}
         while tier.over_budget():
-            victim = tier.next_victim(exclude)
-            if victim is None:
+            key = tier.next_victim(exclude)
+            if key is None:
                 return
-            key, action = victim
             lock = self.workload_lock(key[0])
             if not lock.acquire(blocking=False):
                 exclude.add(key)
                 continue
             try:
                 with self._cache_lock:
-                    solver = self._solvers.get(key)
-                    if solver is None:
-                        # Tracked but externally dropped; just forget it.
-                        tier.mark_evicted(key)
-                        continue
-                    if action == "demote":
-                        solver.operator.demote_storage()
-                        self._stale_solvers.add(key)
-                        self._demoted_keys.add(key)
-                        tier.mark_demoted(
-                            key, measure_solver(solver), solver.operator.storage_version
-                        )
-                    else:
-                        del self._solvers[key]
-                        self._stale_solvers.discard(key)
-                        self._demoted_keys.discard(key)
-                        self._evicted_keys.add(key)
-                        tier.mark_evicted(key)
+                    operator = self._solvers[key].operator
+                operator.release()
+                tier.mark_released(key, operator.storage_version)
             finally:
                 lock.release()
 
@@ -408,9 +360,10 @@ class Session:
         Repeated calls with the same workload and spec reuse the prepared
         solver — symbolic analysis, numeric factorization and the assembled
         dual operator are not recomputed.  The preprocessing is re-run only
-        when the solver is stale: a schedule's last step factored stiffness
-        values other than the restored ones (see :meth:`run_steps`), or the
-        memory tier demoted its factors.
+        when the operator released its factors: a schedule's last step
+        factored stiffness values other than the restored ones (see
+        :meth:`run_steps`), the memory tier released a cold entry, or an
+        earlier preprocessing raised.
         """
         w = self.resolve_workload(workload)
         s = self.resolve_spec(spec)
@@ -418,13 +371,8 @@ class Session:
             with self.workload_lock(w):
                 solver = self.solver(w, s)
                 self._solves.inc()
-                with self._cache_lock:
-                    stale = (w, s) in self._stale_solvers
-                solution = solver.solve(reuse_preprocessing=not stale)
-                # Account only after the solve succeeded: if it raises, the
-                # next solve must still see the solver as stale instead of
-                # reusing a factorization of mutated (or demoted) values.
-                self._after_solve((w, s), solver)
+                solution = solver.solve(reuse_preprocessing=True)
+                self._record_usage((w, s), solver)
                 return solution
 
     def solve_many(
@@ -466,12 +414,10 @@ class Session:
                 self._solves.inc(len(loads_columns))
                 self._stacked_solves.inc()
                 self._stacked_columns.inc(len(loads_columns))
-                with self._cache_lock:
-                    stale = (w, s) in self._stale_solvers
                 solutions = solver.solve_many(
-                    loads_columns, stacked=stacked, reuse_preprocessing=not stale
+                    loads_columns, stacked=stacked, reuse_preprocessing=True
                 )
-                self._after_solve((w, s), solver)
+                self._record_usage((w, s), solver)
                 return solutions
 
     def _run_schedule(
@@ -488,10 +434,10 @@ class Session:
         run.  The built-in load ramp only touches the load vectors; a
         custom ``update`` may additionally change stiffness *values*
         (``K``/``K_reg``, pattern fixed — the MultiStepDriver contract), so
-        those are snapshotted and restored too.  The schedule's solver is
-        marked stale — its next solve re-runs the numeric preprocessing —
-        exactly when the values its last step factored differ from the
-        restored ones.
+        those are snapshotted and restored too.  The schedule's operator
+        releases its factors — its next solve re-runs the numeric
+        preprocessing — exactly when the values its last step factored
+        differ from the restored ones.
         """
         s = self.resolve_spec(spec)
         with self.workload_lock(w):
@@ -506,14 +452,6 @@ class Session:
     ) -> tuple[list[StepRecord], FetiSolution | None]:
         solver = self.solver(w, s)
         problem = self.problem(w)
-        # The driver always preprocesses the first step of a run, so a
-        # demoted entry re-factorizes immediately; consume its marker up
-        # front (the ``finally`` below decides staleness).
-        with self._cache_lock:
-            refactorized = (w, s) in self._demoted_keys
-            self._demoted_keys.discard((w, s))
-        if refactorized:
-            self.tier.count_refactorization()
         n = int(n_steps) if n_steps is not None else w.steps
         base = self._base_loads[w]
         custom_update = update is not None
@@ -543,11 +481,8 @@ class Session:
                     sub.K, sub.K_reg = K, K_reg
                     K.data[:] = K_data
                     K_reg.data[:] = K_reg_data
-            with self._cache_lock:
-                if driver.factors_current():
-                    self._stale_solvers.discard((w, s))
-                else:
-                    self._stale_solvers.add((w, s))
+            if not driver.factors_current():
+                solver.operator.release()
         self._steps.inc(n)
         self._solves.inc(n)
         self._record_usage((w, s), solver)
@@ -631,7 +566,7 @@ class Session:
             solvers = list(self._solvers.values())
         # Never force a projector's lazy build.
         projectors = [s._projector for s in solvers if s._projector is not None]  # noqa: SLF001
-        resident_entries, demoted_entries = self.tier.entries()
+        resident_entries, released_entries = self.tier.entries()
         return {
             "symbolic_analyses": self.pattern_cache.misses,
             "pattern_hits": self.pattern_cache.hits,
@@ -646,6 +581,6 @@ class Session:
             "resident_bytes": self.tier.ledger.resident_bytes,
             "peak_resident_bytes": self.tier.ledger.peak_bytes,
             "resident_entries": resident_entries,
-            "demoted_entries": demoted_entries,
+            "released_entries": released_entries,
             **self.metrics.values("repro_pool_", "repro_tier_"),
         }

@@ -108,8 +108,8 @@ class DualOperator:
         self.ledger = TimingLedger()
         #: Changes (to a value no other operator holds) whenever the
         #: resident storage may have: at construction, after every
-        #: preprocessing and on a demotion.  The session re-measures an
-        #: entry's bytes only when it moved.
+        #: preprocessing and on a :meth:`release`.  The session re-measures
+        #: an entry's bytes only when it moved.
         self.storage_version = next(_STORAGE_VERSIONS)
         self._prepared = False
         self._preprocessed = False
@@ -166,7 +166,7 @@ class DualOperator:
         Every explicit backend installs its ``F̃ᵢ`` in the batch engine (at
         the precision policy's storage dtype): a small block in the padded
         pack, a large one as itself.  Empty for the implicit backends, before
-        the first preprocessing and after a storage demotion (which drops
+        the first preprocessing and after a :meth:`release` (which drops
         the blocks).
         """
         engine = self.batch_engine
@@ -228,7 +228,9 @@ class DualOperator:
         if not self._prepared:
             self.prepare()
         wall0 = time.perf_counter()
-        self._drop_round_state()
+        # The old numbers go first: a preprocessing that raises leaves the
+        # operator stale, and old and new factors are never resident together.
+        self._drop_factors()
         with trace_span("preprocessing", approach=self.approach.value):
             local_F = run_preprocessing(
                 self.executor,
@@ -243,10 +245,18 @@ class DualOperator:
         self.storage_version = next(_STORAGE_VERSIONS)
         return self._record("preprocessing", sim, breakdown, wall0)
 
-    def _drop_round_state(self) -> None:
-        """Forget what was derived from the current numeric factors."""
+    @property
+    def preprocessed(self) -> bool:
+        """Whether the factors and ``F̃ᵢ`` of a preprocessing are resident."""
+        return self._preprocessed
+
+    def _drop_factors(self) -> None:
+        """Forget the numeric factors and what was derived from them."""
+        self._preprocessed = False
         self._apply_plans = {}
         self._kplus_stacks = None
+        for solver in self._cpu_solvers.values():
+            solver.release()
 
     def _record(
         self, name: str, sim: float, breakdown: dict[str, float], wall0: float
@@ -491,20 +501,16 @@ class DualOperator:
             arena += int(dense._p_pad.nbytes)
         return {"factor": int(factor), "pack": int(pack), "arena": int(arena)}
 
-    def demote_storage(self) -> None:
-        """Halve the resident storage of a cold cache entry (fp64 → fp32).
+    def release(self) -> None:
+        """Drop every numeric factor and ``F̃ᵢ`` (a cold or stale cache entry).
 
-        Called by the session's tiering only on entries it marks stale in
-        the same step: the demoted factors are never read by a solve — the
-        next touch re-runs the numeric preprocessing, which rebuilds every
-        factor and ``F̃ᵢ`` at the spec's own precision.  The dense blocks,
-        packed and large, are dropped outright (re-preprocessing recreates
-        them), so a demoted entry keeps only its structure and half-size
-        factors warm.
+        The operator is no longer preprocessed: :meth:`apply` and
+        :meth:`dual_rhs` raise until the next :meth:`preprocess`, which
+        rebuilds the factors at the spec's own precision.  The structure
+        stays warm — problem, symbolic analyses, Schur scatters and the
+        cost replay with its simulated device byte sizes.
         """
-        self._drop_round_state()
-        for solver in self._cpu_solvers.values():
-            solver.demote_storage()
+        self._drop_factors()
         if self._batch_engine is not None:
             self._batch_engine.dense = None
         self.storage_version = next(_STORAGE_VERSIONS)

@@ -283,7 +283,7 @@ class SubdomainBatchEngine:
             ids = self.global_map.split(self.global_map.flat_ids)
             self.dense_map = FlatIndexMap([ids[i] for i in order])
         #: Dense blocks (installed by the explicit backends after assembly,
-        #: dropped by a storage demotion).
+        #: dropped when the operator releases its storage).
         self.dense: BatchedDenseApply | None = None
 
     def require_dense(self) -> BatchedDenseApply:

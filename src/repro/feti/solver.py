@@ -181,11 +181,12 @@ class FetiSolver:
         Parameters
         ----------
         reuse_preprocessing:
-            Skip the preprocessing phase if it already ran for the current
-            stiffness values (used by callers that manage Algorithm 2
-            themselves).
+            Skip the preprocessing phase while the operator still holds
+            the factors of one (used by callers that manage Algorithm 2
+            themselves, and by the session, which releases the factors of
+            an entry they no longer match).
         """
-        if reuse_preprocessing and self.operator.ledger.last("preprocessing"):
+        if reuse_preprocessing and self.operator.preprocessed:
             preprocessing = self.operator.ledger.last("preprocessing")
         else:
             preprocessing = self.preprocess()
@@ -318,7 +319,7 @@ class FetiSolver:
         reuse_preprocessing:
             As in :meth:`solve`.
         """
-        if reuse_preprocessing and self.operator.ledger.last("preprocessing"):
+        if reuse_preprocessing and self.operator.preprocessed:
             preprocessing = self.operator.ledger.last("preprocessing")
         else:
             preprocessing = self.preprocess()
@@ -484,7 +485,8 @@ class MultiStepDriver:
 
     def run(self, n_steps: int) -> list[StepRecord]:
         """Run ``n_steps`` time steps and return their records."""
-        self.solver.prepare()
+        if not self.solver._prepared:
+            self.solver.prepare()
         subdomains = self.solver.problem.subdomains
         self._factored = None
         for step in range(n_steps):

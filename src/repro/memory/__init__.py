@@ -8,10 +8,10 @@ Three layers:
   refinement recovering fp64-level residuals;
 * :mod:`repro.memory.ledger` — byte-accurate accounting of the factor /
   pack / arena storage every cached solver keeps resident;
-* :mod:`repro.memory.tier` — the LRU demote-then-evict state machine a
+* :mod:`repro.memory.tier` — the LRU release of cold entries a
   :class:`~repro.api.session.Session` runs under a configured memory
   ceiling (``memory_budget=`` / ``REPRO_MEMORY_BUDGET``), with transparent
-  lazy re-factorization of reclaimed entries.
+  lazy re-factorization of released entries.
 """
 
 from repro.memory.ledger import EntryBytes, FactorLedger, measure_solver

@@ -114,10 +114,3 @@ class FactorLedger:
             self._peak = max(self._peak, self._resident)
             self._entries[key] = entry
         return entry
-
-    def forget(self, key: Hashable) -> None:
-        """Drop an entry (eviction); unknown keys are ignored."""
-        with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._resident -= previous.total

@@ -1,23 +1,23 @@
-"""Budget-aware factor tiering: LRU demotion and eviction under a ceiling.
+"""Budget-aware factor tiering: LRU release under a ceiling.
 
 A :class:`FactorTier` tracks every cached ``(workload, spec)`` solver entry
 of a :class:`~repro.api.session.Session` in least-recently-used order and,
-whenever the ledger's resident bytes exceed the configured budget, walks the
-cold end of the LRU through a two-step state machine:
+whenever the ledger's resident bytes exceed the configured budget, releases
+entries from the cold end of the LRU.  An entry is in one of two states:
 
-* **full → demoted** — the entry's factor and pack storage is converted to
-  fp32 (resident bytes roughly halve) and the entry is marked stale: it
-  keeps its built structure (problem, symbolic analysis, projector) warm,
-  but the next touch re-runs the numeric factorization in the spec's own
-  precision, so demotion can never change a solve's results.
-* **demoted → evicted** — the solver is dropped entirely; the next touch
-  rebuilds it from the session caches (a full lazy re-factorization).
+* **full** — its numeric factors and assembled ``F̃ᵢ`` are resident and
+  measured in the ledger;
+* **released** — :meth:`~repro.feti.operators.base.DualOperator.release`
+  dropped them (0 budgeted bytes).  The entry keeps its built structure
+  warm (problem, symbolic analysis, projector, scatters, cost replay); its
+  operator is no longer preprocessed, so the next touch re-runs the numeric
+  factorization in the spec's own precision and a release can never change
+  a solve's results.  Re-measuring a released entry counts that lazy
+  re-factorization and makes it full again.
 
-Entries whose spec already stores fp32 factors skip the demotion step (they
-are half-size to begin with) and go straight to eviction.  The entry
-currently being solved is never selected as a victim, and the session only
-demotes entries whose workload lock is free — an in-flight solve always
-completes on the storage it started with.
+The entry currently being solved is never selected as a victim, and the
+session only releases entries whose workload lock is free — an in-flight
+solve always completes on the storage it started with.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from repro.observe.metrics import MetricsRegistry
 
 __all__ = ["BudgetError", "parse_budget", "FactorTier"]
 
-#: Entry states of the tier's LRU state machine.
+#: Entry states of the tier's LRU.
 FULL = "full"
-DEMOTED = "demoted"
+RELEASED = "released"
 
 _SUFFIX_BYTES = {
     "": 1,
@@ -85,7 +85,7 @@ def parse_budget(budget: int | float | str | None) -> int | None:
 
 
 class FactorTier:
-    """LRU tier state machine over the session's cached solver entries."""
+    """LRU of the session's cached solver entries, released under a budget."""
 
     def __init__(
         self, budget_bytes: int | None = None, metrics: MetricsRegistry | None = None
@@ -93,20 +93,17 @@ class FactorTier:
         self.budget_bytes = budget_bytes
         self.ledger = FactorLedger()
         self._lock = threading.Lock()
-        #: key -> (state, demotable, storage version measured); insertion
-        #: order is LRU (oldest first).
-        self._lru: OrderedDict[Hashable, tuple[str, bool, int | None]] = OrderedDict()
+        #: key -> (state, storage version measured); insertion order is LRU
+        #: (oldest first).
+        self._lru: OrderedDict[Hashable, tuple[str, int | None]] = OrderedDict()
         #: The registry the tier counts into (its session's).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._demotions = self.metrics.counter(
-            "repro_tier_demotions_total", "Factor demotions to fp32 storage"
-        )
-        self._evictions = self.metrics.counter(
-            "repro_tier_evictions_total", "Factor evictions from the tier"
+        self._releases = self.metrics.counter(
+            "repro_tier_releases_total", "Cold entries whose factors were released"
         )
         self._refactorizations = self.metrics.counter(
             "repro_tier_refactorizations_total",
-            "Lazy re-factorizations of demoted/evicted entries",
+            "Lazy re-factorizations of released entries",
         )
 
     # ------------------------------------------------------------------ #
@@ -117,31 +114,33 @@ class FactorTier:
             return entry[0] if entry is not None else None
 
     def entries(self) -> tuple[int, int]:
-        """How many entries are tracked, and how many of them are demoted."""
+        """How many entries are tracked, and how many of them are released."""
         with self._lock:
-            states = [state for state, _, _ in self._lru.values()]
-        return len(states), states.count(DEMOTED)
+            states = [state for state, _ in self._lru.values()]
+        return len(states), states.count(RELEASED)
 
     # ------------------------------------------------------------------ #
-    def record(
-        self, key: Hashable, entry: EntryBytes, demotable: bool, version: int | None = None
-    ) -> None:
+    def record(self, key: Hashable, entry: EntryBytes, version: int | None = None) -> None:
         """(Re-)measure an entry at full fidelity and mark it most recent.
 
         ``version`` is the storage version the measurement was taken at
         (:attr:`~repro.feti.operators.base.DualOperator.storage_version`);
-        ``None`` matches no version.
+        ``None`` matches no version.  Re-measuring a released entry counts
+        its lazy re-factorization.
         """
         self.ledger.record(key, entry)
         with self._lock:
-            self._lru[key] = (FULL, demotable, version)
+            previous = self._lru.get(key)
+            self._lru[key] = (FULL, version)
             self._lru.move_to_end(key)
+        if previous is not None and previous[0] == RELEASED:
+            self._refactorizations.inc()
 
     def measured(self, key: Hashable, version: int) -> bool:
         """Whether the entry's last measurement was taken at ``version``."""
         with self._lock:
             entry = self._lru.get(key)
-            return entry is not None and entry[2] == version
+            return entry is not None and entry[1] == version
 
     def touch(self, key: Hashable) -> None:
         """Refresh an entry's recency without re-measuring it."""
@@ -156,38 +155,23 @@ class FactorTier:
             and self.ledger.resident_bytes > self.budget_bytes
         )
 
-    def next_victim(self, exclude: set[Hashable]) -> tuple[Hashable, str] | None:
-        """The coldest reclaimable entry and the action to take on it.
+    def next_victim(self, exclude: set[Hashable]) -> Hashable | None:
+        """The coldest full entry not in ``exclude``.
 
-        Returns ``(key, "demote")`` for a full, demotable entry and
-        ``(key, "evict")`` otherwise; ``None`` when every tracked entry is
-        excluded (all in use) — the budget is then temporarily exceeded
-        rather than blocking the solve that needs the memory.
+        ``None`` when there is none (every full entry is in use) — the
+        budget is then temporarily exceeded rather than blocking the solve
+        that needs the memory.
         """
         with self._lock:
-            for key, (state, demotable, _) in self._lru.items():
-                if key in exclude:
-                    continue
-                if state == FULL and demotable:
-                    return key, "demote"
-                return key, "evict"
+            for key, (state, _) in self._lru.items():
+                if state == FULL and key not in exclude:
+                    return key
         return None
 
-    def mark_demoted(self, key: Hashable, entry: EntryBytes, version: int | None = None) -> None:
-        """Record a demotion: halved measurement (at ``version``), state ``demoted``."""
-        self.ledger.record(key, entry)
+    def mark_released(self, key: Hashable, version: int | None = None) -> None:
+        """Record a release: 0 bytes (at ``version``), state ``released``."""
+        self.ledger.record(key, EntryBytes())
         with self._lock:
             if key in self._lru:
-                self._lru[key] = (DEMOTED, self._lru[key][1], version)
-        self._demotions.inc()
-
-    def mark_evicted(self, key: Hashable) -> None:
-        """Record an eviction: the entry leaves the ledger and the LRU."""
-        self.ledger.forget(key)
-        with self._lock:
-            self._lru.pop(key, None)
-        self._evictions.inc()
-
-    def count_refactorization(self) -> None:
-        """One lazy re-factorization (rebuild of a demoted/evicted entry)."""
-        self._refactorizations.inc()
+                self._lru[key] = (RELEASED, version)
+        self._releases.inc()

@@ -2,16 +2,16 @@
 
 Every counter of the package is one metric of a :class:`MetricsRegistry`,
 incremented where its event happens: a ``Session`` owns one (its solves and
-stacked solves, its ``FactorTier``'s demotions, its ``SolveQueue``'s
+stacked solves, its ``FactorTier``'s releases, its ``SolveQueue``'s
 requests), and so do the serve tier's ``SolveServer``, ``SessionPool`` and
 ``ResultCache``.  A metric's name is its Prometheus family, e.g.
-``repro_tier_demotions_total``.
+``repro_tier_releases_total``.
 
 Views read registries and keep no copies:
 
 * :meth:`MetricsRegistry.values` is the dict view: the family name without
   its scope prefix and ``_total`` suffix is the key
-  (``values("repro_tier_")`` → ``{"demotions": …}``).  ``cache_stats()``,
+  (``values("repro_tier_")`` → ``{"releases": …}``).  ``cache_stats()``,
   ``/v1/metrics`` and ``SessionPool.stats()`` are built from it.
 * :meth:`MetricsRegistry.fold` sums same-named metrics of many registries
   into a new one (the session pool's totals).

@@ -15,7 +15,6 @@ differences that shape the paper's comparison (Section V):
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -212,20 +211,9 @@ class SparseSolverBase:
             )
         return nbytes
 
-    def demote_storage(self) -> None:
-        """Convert the resident factor to fp32 (session tiering).
-
-        Used on *cold* cache entries only: the session marks the entry
-        stale at the same time, so the demoted factor is never read by a
-        solve — it just halves the entry's resident bytes until the next
-        touch re-factorizes it in the spec's own precision.  The demoted
-        factor is a new object: the fp64 one is freed once its other holders
-        (a ``K⁺`` stack, say) let go of it, and none of them is left solving
-        with fp32 values it did not ask for.
-        """
-        if self._factor is not None:
-            self._factor = demote_factor(replace(self._factor), np.dtype(np.float32))
-            self._stack = None
+    def release(self) -> None:
+        """Drop the numeric factor (and any retained matrix); keep the analysis."""
+        self._factor = self._matrix = self._stack = None
 
     def extract_factor(self) -> CholeskyFactor:
         """Return the numeric factor (for shipping to the GPU).
@@ -403,7 +391,7 @@ class SolverStack:
     :func:`_band_stack`; each factor is re-pointed at its row), which
     :func:`~repro.sparse.triangular.solve_banded` solves with one BLAS call
     per direction.  A stack is valid for the numeric factorizations it was
-    built from: drop it whenever a member is re-factorized or demoted.
+    built from: drop it whenever a member is re-factorized or released.
     """
 
     def __init__(self, solvers: "list[SparseSolverBase]") -> None:

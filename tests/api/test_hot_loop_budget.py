@@ -53,7 +53,7 @@ _SIMULATOR = (
 
 
 def _session() -> Session:
-    # "unlimited": a REPRO_MEMORY_BUDGET in the environment must not demote
+    # "unlimited": a REPRO_MEMORY_BUDGET in the environment must not release
     # the entry between solves — these tests are about *warm* solves.
     return Session(SPEC, memory_budget="unlimited")
 
@@ -324,15 +324,15 @@ def test_solve_after_a_stiffness_schedule_remeasures_once(monkeypatch):
         assert _resident_bytes_are_fresh(session)
 
 
-def test_solve_of_a_demoted_entry_remeasures_once(monkeypatch):
+def test_solve_of_a_released_entry_remeasures_once(monkeypatch):
     cold, hot = Workload("heat", 2, (2, 2), 3), Workload("heat", 2, (3, 1), 3)
     with Session(SPEC_CPU, memory_budget="unlimited") as session:
         session.solve(cold)
         session.solve(hot)
-        # A ceiling the two entries together overflow demotes the colder one.
+        # A ceiling the two entries together overflow releases the colder one.
         session.tier.budget_bytes = session.cache_stats()["resident_bytes"] - 1
         assert session.solve(hot).converged
-        assert session.tier.state((cold, SPEC_CPU)) == "demoted"
+        assert session.tier.state((cold, SPEC_CPU)) == "released"
         session.tier.budget_bytes = None
         counts = _count_measurements(monkeypatch)
         assert session.solve(cold).converged  # re-factors

@@ -176,6 +176,30 @@ def test_a_load_only_custom_update_leaves_the_solver_warm():
     np.testing.assert_allclose(np.concatenate(solution.primal), u_ref, atol=1e-9)
 
 
+def test_a_stiffness_schedule_after_a_solve_prepares_once_on_the_gpu():
+    """``run_steps`` on an already-prepared solver reuses its preparation:
+    preparing again would allocate the simulated device's persistent
+    structures a second time (``AllocationError`` on ``expl modern``)."""
+    workload = Workload("heat", 2, (4, 4), 4, n_clusters=2)
+    session = Session(SolverSpec(approach="expl modern", assembly="table2"))
+    reference = session.solve(workload)
+
+    def harden_once(step: int, p) -> None:
+        if step == 1:
+            for sub in p.subdomains:
+                sub.K.data *= 2.0
+                sub.K_reg.data *= 2.0
+
+    records = session.run_steps(workload, 3, update=harden_once)
+    assert [r.preprocessed for r in records] == [True, True, False]
+    ledger = session.solver(workload).operator.ledger
+    assert ledger.count("preparation") == 1
+    # The schedule's last factors are of the hardened values: the next
+    # solve re-factors the restored ones.
+    assert not session.solver(workload).operator.preprocessed
+    assert np.array_equal(session.solve(workload).lam, reference.lam)
+
+
 def test_ramped_final_solution_scales_with_the_last_step():
     workload = Workload("heat", 2, (2, 1), 2, steps=3, load_ramp=0.5)
     session = Session(SolverSpec(approach="impl mkl"))

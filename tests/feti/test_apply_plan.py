@@ -131,7 +131,7 @@ def test_stacked_apply_multi_is_one_pack_gemm(problem, machine_config, approach,
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
-def test_preprocess_and_demotion_rebuild_the_plan(problem, machine_config, approach):
+def test_preprocess_and_release_rebuild_the_plan(problem, machine_config, approach):
     operator = _operator(problem, machine_config, approach, ScatterGatherDevice.GPU)
     x = np.random.default_rng(3).standard_normal(problem.n_lambda)
     operator.apply(x)
@@ -150,9 +150,9 @@ def test_preprocess_and_demotion_rebuild_the_plan(problem, machine_config, appro
     rebuilt = operator.ledger.last("apply")
     assert rebuilt.simulated_seconds == honest.simulated_seconds
     assert list(rebuilt.breakdown.items()) == list(honest.breakdown.items())
-    # and so does a demotion (followed by the re-preprocessing it forces).
+    # and so does a release (followed by the re-preprocessing it forces).
     poison()
-    operator.demote_storage()
+    operator.release()
     assert not operator._apply_plans
     operator.preprocess()
     operator.apply(x)

@@ -9,14 +9,10 @@ its results are bitwise those of ``impl cholmod``.
 
 from __future__ import annotations
 
-import gc
-import weakref
-
 import numpy as np
 import pytest
 
 from repro.api import Session, SolverSpec, Workload
-from repro.feti.config import FactorStorage
 
 WORKLOADS = [
     pytest.param(Workload("heat", 2, (4, 4), 8), id="heat-2d"),
@@ -30,7 +26,7 @@ def test_gpu_implicit_apply_is_the_cpu_implicit_apply_bitwise(workload, approach
     session = Session()
     x = np.random.default_rng(3).standard_normal(session.problem(workload).n_lambda)
     # The reference apply runs before the second solve: a memory budget may
-    # demote the cold entry once the GPU one is active.
+    # release the cold entry once the GPU one is active.
     reference = session.solve(workload, SolverSpec(approach="impl cholmod"))
     q_reference = session.operator_for(workload, SolverSpec(approach="impl cholmod")).apply(x)
     solution = session.solve(workload, SolverSpec(approach=approach))
@@ -38,34 +34,3 @@ def test_gpu_implicit_apply_is_the_cpu_implicit_apply_bitwise(workload, approach
     assert np.array_equal(q, q_reference)
     assert solution.iterations == reference.iterations
     assert np.array_equal(solution.lam, reference.lam)
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        pytest.param(SolverSpec(approach="expl legacy", assembly="table2"), id="expl-legacy"),
-        pytest.param(SolverSpec(approach="impl modern"), id="impl-modern"),
-    ],
-)
-def test_demotion_releases_the_fp64_factor(spec):
-    workload = Workload("heat", 2, (2, 2), 4)
-    session = Session(spec)
-    assert session.solve(workload).converged
-    operator = session.operator_for(workload)
-    if spec.approach.value == "expl legacy":
-        # 2-D table2 under the legacy API assembles through the sparse TRSMs.
-        assert operator.config.forward_factor_storage is FactorStorage.SPARSE
-    solver = operator._cpu_solvers[operator.problem.subdomains[0].index]
-    before = weakref.ref(solver.extract_factor())
-    device_factor = operator.replay.device_state[operator.problem.subdomains[0].index].device_factor
-    nbytes = device_factor.nbytes
-
-    operator.demote_storage()
-    gc.collect()
-    assert before() is None
-    assert solver.extract_factor().band.dtype == np.float32
-
-    operator.preprocess()
-    assert solver.extract_factor().band.dtype == np.float64
-    # The device copy is a byte size: demotion and refactorization leave it be.
-    assert device_factor.nbytes == nbytes

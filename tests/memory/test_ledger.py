@@ -35,12 +35,10 @@ def test_ledger_used_peak_semantics():
     assert ledger.resident_bytes == 1000
     assert ledger.peak_bytes == 1600  # peak survives the shrink
 
-    ledger.forget("b")
+    ledger.record("b", EntryBytes())  # a released entry
     assert ledger.resident_bytes == 400
-    ledger.forget("missing")  # unknown keys are ignored
-    assert ledger.resident_bytes == 400
-    assert ledger.entry("b") is None
-    assert ledger.entries() == {"a": EntryBytes(factor_bytes=400)}
+    assert ledger.entry("missing") is None
+    assert ledger.entries() == {"a": EntryBytes(factor_bytes=400), "b": EntryBytes()}
 
 
 def test_measure_solver_matches_the_operator_report_exactly():
@@ -113,6 +111,3 @@ def test_explicit_storage_is_one_unpadded_copy_of_each_large_block(workload, exp
         assert session.solve(workload).converged
         operator = session.solver(workload).operator
         assert operator.storage_nbytes() == expected
-        operator.demote_storage()
-        report = operator.storage_nbytes()
-    assert report["pack"] == report["arena"] == 0

@@ -110,13 +110,3 @@ def test_refinement_recovers_fp64_accuracy_from_fp32_factors(spd):
     res_raw = np.linalg.norm(spd @ ir.solve(b, refine=False) - b) / norm_b
     assert res_raw == pytest.approx(res_fp32, rel=1.0)
     assert res_raw > 1e-9
-
-
-def test_demote_storage_halves_resident_factor_bytes(spd):
-    solver = CholmodLikeSolver()
-    solver.factorize(spd)
-    before = solver.storage_nbytes()
-    solver.demote_storage()
-    assert solver.storage_nbytes() * 2 == before
-    solver.demote_storage()  # idempotent
-    assert solver.storage_nbytes() * 2 == before

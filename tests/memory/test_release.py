@@ -1,0 +1,101 @@
+"""A released dual operator holds no numeric bytes until its next preprocessing.
+
+:meth:`~repro.feti.operators.base.DualOperator.release` is the tier's one
+step: it drops every factor, ``F̃ᵢ`` and ``K⁺`` stack, keeps the structure
+(analyses, scatters, cost replay) and leaves the operator unusable until a
+preprocessing rebuilds the numbers — bitwise the ones it dropped.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from repro.api import Session, SolverSpec, Workload
+
+SPECS = [
+    pytest.param(SolverSpec(approach="expl mkl"), id="expl-mkl"),
+    pytest.param(SolverSpec(approach="impl mkl"), id="impl-mkl"),
+    pytest.param(SolverSpec(approach="expl modern", assembly="table2"), id="expl-modern"),
+]
+WORKLOAD = Workload("heat", 2, (4, 4), 4, n_clusters=2)
+
+
+def _device_bytes(operator) -> list[tuple[int, int]]:
+    """Used bytes and allocation count of every simulated device pool."""
+    return [
+        (c.device.memory.used_bytes, c.device.memory.allocation_count)
+        for c in operator.machine.clusters
+        if c.has_device
+    ]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_a_released_operator_holds_nothing_until_it_preprocesses(spec):
+    with Session(spec, memory_budget="unlimited") as session:
+        solution = session.solve(WORKLOAD)
+        operator = session.solver(WORKLOAD).operator
+        x = np.random.default_rng(0).standard_normal(operator.problem.n_lambda)
+        q, d = operator.apply(x), operator.dual_rhs()
+        device = _device_bytes(operator)
+        factor = weakref.ref(operator._cpu_solvers[0]._factor)
+        version = operator.storage_version
+
+        operator.release()
+        gc.collect()
+        assert operator.storage_nbytes() == {"factor": 0, "pack": 0, "arena": 0}
+        assert factor() is None  # no K⁺ stack or plan keeps the band alive
+        assert not operator.preprocessed
+        assert operator.storage_version != version
+        assert operator.local_F == {}
+        with pytest.raises(RuntimeError):
+            operator.apply(x)
+        with pytest.raises(RuntimeError):
+            operator.dual_rhs()
+        assert _device_bytes(operator) == device
+
+        # The session sees the stale operator and re-factors; the numbers
+        # are bitwise the released ones, the device byte sizes untouched.
+        again = session.solve(WORKLOAD)
+        assert operator.preprocessed
+        assert operator.ledger.count("preprocessing") == 2
+        assert operator.ledger.count("preparation") == 1
+        assert np.array_equal(operator.apply(x), q)
+        assert np.array_equal(operator.dual_rhs(), d)
+        assert _device_bytes(operator) == device
+    assert np.array_equal(again.lam, solution.lam)
+
+
+def test_a_failing_preprocessing_leaves_the_operator_stale(monkeypatch):
+    with Session(SolverSpec(approach="expl mkl"), memory_budget="unlimited") as session:
+        session.solve(WORKLOAD)
+        operator = session.solver(WORKLOAD).operator
+        replay = operator.replay
+
+        def boom():
+            raise RuntimeError("injected replay failure")
+
+        monkeypatch.setattr(replay, "preprocess", boom)
+        with pytest.raises(RuntimeError, match="injected"):
+            operator.preprocess()
+        assert not operator.preprocessed
+        monkeypatch.undo()
+        session.solve(WORKLOAD)
+        assert operator.ledger.count("preprocessing") == 2
+
+
+def test_a_block_solve_refactors_a_released_entry():
+    """``solve_many`` reuses a preprocessing only while the operator holds it."""
+    with Session(SolverSpec(approach="expl mkl"), memory_budget="unlimited") as session:
+        reference = session.solve_many(WORKLOAD, [None, None])
+        operator = session.solver(WORKLOAD).operator
+        operator.release()
+        again = session.solve_many(WORKLOAD, [None, None])
+        assert operator.ledger.count("preprocessing") == 2
+        session.solve_many(WORKLOAD, [None, None])
+        assert operator.ledger.count("preprocessing") == 2
+    for a, b in zip(again, reference):
+        assert np.array_equal(a.lam, b.lam)

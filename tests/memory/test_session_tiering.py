@@ -1,10 +1,10 @@
 """Tests of the session's budget-aware factor tiering.
 
 The contract under test: a memory ceiling changes *where bytes live*, never
-*what solves return*.  Demotion marks an entry stale so its next solve
-re-factorizes in the spec's own precision; eviction drops the solver so the
-next touch rebuilds it from the session caches.  Either way the results are
-bitwise identical to an unconstrained session.
+*what solves return*.  A release drops a cold entry's factors and ``F̃ᵢ``
+(0 budgeted bytes) and keeps its structure, so its next solve re-factorizes
+in the spec's own precision; the results are bitwise identical to an
+unconstrained session.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ def test_unconstrained_session_never_tiers(monkeypatch):
         stats = session.cache_stats()
     assert session.memory_budget_bytes is None
     assert stats["memory_budget_bytes"] is None
-    assert stats["demotions"] == 0
-    assert stats["evictions"] == 0
+    assert stats["releases"] == 0
     assert stats["refactorizations"] == 0
     assert stats["resident_bytes"] > 0
     assert stats["resident_entries"] == len(WORKLOADS)
@@ -62,17 +61,17 @@ def test_tier_counters_zero_before_any_solve():
     assert stats["resident_bytes"] == 0
     assert stats["peak_resident_bytes"] == 0
     assert stats["resident_entries"] == 0
-    assert stats["demoted_entries"] == 0
+    assert stats["released_entries"] == 0
 
 
-def test_budget_pressure_demotes_then_solves_identically():
+def test_budget_pressure_releases_then_solves_identically():
     reference = _reference_solutions()
     budget = int(1.2 * max(_entry_total(w) for w in WORKLOADS))
     with Session(SPEC, memory_budget=budget) as session:
         first = {w: session.solve(w) for w in WORKLOADS}
         stats_mid = session.cache_stats()
-        # Cold entries were demoted (or evicted once demoted) to fit.
-        assert stats_mid["demotions"] >= 1
+        # Cold entries were released to fit.
+        assert stats_mid["releases"] >= 1
         # Re-solving every workload re-factorizes the affected entries
         # lazily and still returns bitwise-identical fp64 solutions.
         second = {w: session.solve(w) for w in WORKLOADS}
@@ -84,34 +83,47 @@ def test_budget_pressure_demotes_then_solves_identically():
         _assert_bitwise_equal(second[w], reference[w])
 
 
-def test_starvation_budget_evicts_and_rebuilds_lazily():
+def _released_entries_hold_nothing(session: Session) -> bool:
+    return all(
+        measure_solver(solver).total == 0
+        for key, solver in session._solvers.items()  # noqa: SLF001
+        if session.tier.state(key) == "released"
+    )
+
+
+def test_starvation_budget_releases_every_cold_entry():
     reference = _reference_solutions()
     budget = int(0.9 * min(_entry_total(w) for w in WORKLOADS))
     with Session(SPEC, memory_budget=budget) as session:
-        for w in WORKLOADS:
-            _assert_bitwise_equal(session.solve(w), reference[w])
-        stats_mid = session.cache_stats()
-        assert stats_mid["evictions"] >= 1
-        # Only the most recent entry can be resident under this budget.
-        assert stats_mid["resident_entries"] <= 2
-        # A full second pass rebuilds each evicted solver from the session
-        # caches: same results, counted as lazy re-factorizations.
-        for w in WORKLOADS:
-            _assert_bitwise_equal(session.solve(w), reference[w])
-        stats = session.cache_stats()
-    assert stats["refactorizations"] >= 2
-    assert stats["evictions"] > stats_mid["evictions"] - 1
+        passes = []
+        for _ in range(2):
+            for w in WORKLOADS:
+                _assert_bitwise_equal(session.solve(w), reference[w])
+                stats = session.cache_stats()
+                # Only the active entry holds bytes: the ledger is its fresh
+                # measurement, and every other entry is released.
+                active = session.solver(w)
+                assert stats["resident_bytes"] == measure_solver(active).total > 0
+                assert stats["released_entries"] == stats["solvers"] - 1
+                assert _released_entries_hold_nothing(session)
+            passes.append(stats)
+    first, second = passes
+    assert (first["releases"], first["refactorizations"]) == (len(WORKLOADS) - 1, 0)
+    # The second pass re-factors every entry lazily, once each.
+    assert second["releases"] == 2 * len(WORKLOADS) - 1
+    assert second["refactorizations"] == len(WORKLOADS)
 
 
-def test_fp32_entries_skip_demotion_and_go_straight_to_eviction():
+def test_fp32_entries_are_released_like_fp64_ones():
     spec = SolverSpec(approach="expl mkl", precision="fp32")
+    reference = _reference_solutions(spec)
     budget = int(0.9 * min(_entry_total(w, spec) for w in WORKLOADS[:2]))
     with Session(spec, memory_budget=budget) as session:
-        session.solve(WORKLOADS[0])
-        session.solve(WORKLOADS[1])
+        for w in [WORKLOADS[0], WORKLOADS[1], WORKLOADS[0]]:
+            _assert_bitwise_equal(session.solve(w), reference[w])
         stats = session.cache_stats()
-    assert stats["demotions"] == 0  # already half-size: nothing to demote
-    assert stats["evictions"] >= 1
+        assert _released_entries_hold_nothing(session)
+    assert (stats["releases"], stats["refactorizations"]) == (2, 1)
 
 
 def test_budget_from_environment_and_explicit_override(monkeypatch):
@@ -131,7 +143,7 @@ def test_hammer_concurrent_solves_under_budget_stay_bitwise_identical():
     """Satellite: many threads against one budget-constrained session.
 
     Every thread mixes single solves and (per-column) block solves across
-    all workloads while the tier demotes and evicts under their feet; the
+    all workloads while the tier releases entries under their feet; the
     returned fp64 solutions must be bitwise identical to an unconstrained
     session's, and the counters must stay consistent.
     """
@@ -165,20 +177,19 @@ def test_hammer_concurrent_solves_under_budget_stay_bitwise_identical():
 
     assert not errors, errors
     # Counter consistency: every lazy re-factorization consumed exactly one
-    # earlier demotion or eviction, and the ledger tracks live solvers only.
-    assert stats["refactorizations"] <= stats["demotions"] + stats["evictions"]
+    # earlier release, and the ledger tracks live solvers only.
+    assert stats["refactorizations"] <= stats["releases"]
     assert stats["resident_entries"] == stats["solvers"]
     assert 0 < stats["resident_bytes"] <= stats["peak_resident_bytes"]
 
 
-def test_a_demoted_entry_refactors_once_at_the_first_step_of_a_run(monkeypatch):
-    """Under ``REPRO_MEMORY_BUDGET=400K`` the second workload demotes the first;
-    a load-only run of the first re-factorizes at step 0 only and returns
-    bitwise the fp64 answer of an unconstrained session.
+def test_a_released_entry_refactors_once_at_the_first_step_of_a_run(monkeypatch):
+    """Under ``REPRO_MEMORY_BUDGET=400K`` the second workload releases the
+    first; a load-only run of the first re-factorizes at step 0 only and
+    returns bitwise the fp64 answer of an unconstrained session.
 
     Each entry holds 256 000 B once its factors are bands (103 680 B of
-    them), so the two fit in 1M and exceed 400K; the demoted one keeps its
-    half-size factors only.
+    them), so the two fit in 1M and exceed 400K; the released one holds 0.
     """
     schedule = Workload("heat", 2, (4, 4), 8, steps=3, load_ramp=0.5)
     other = Workload("heat", 2, (4, 4), 8, n_clusters=2)
@@ -189,8 +200,9 @@ def test_a_demoted_entry_refactors_once_at_the_first_step_of_a_run(monkeypatch):
         session.solve(schedule)
         session.solve(other)
         stats = session.cache_stats()
-        assert (stats["demotions"], stats["evictions"]) == (1, 0)
-        assert stats["demoted_entries"] == 1
+        assert stats["releases"] == 1
+        assert stats["released_entries"] == 1
+        assert stats["resident_bytes"] == 256000
         result = session.run(schedule)
         assert session.cache_stats()["refactorizations"] == stats["refactorizations"] + 1
     assert [r.preprocessed for r in result.records] == [True, False, False]

@@ -55,66 +55,51 @@ def _counts(tier: FactorTier) -> dict[str, int]:
 
 def test_tier_without_budget_never_reports_over():
     tier = FactorTier(None)
-    tier.record("a", _kb(1024), demotable=True)
+    tier.record("a", _kb(1024))
     assert not tier.over_budget()
     assert tier.budget_bytes is None
 
 
 def test_victim_walk_is_lru_coldest_first():
     tier = FactorTier(budget_bytes=2 * 1024)
-    tier.record("a", _kb(2), demotable=True)
-    tier.record("b", _kb(2), demotable=True)
+    tier.record("a", _kb(2))
+    tier.record("b", _kb(2))
     assert tier.over_budget()
-    assert tier.next_victim(set()) == ("a", "demote")
+    assert tier.next_victim(set()) == "a"
     # Touching "a" makes "b" the coldest.
     tier.touch("a")
-    assert tier.next_victim(set()) == ("b", "demote")
+    assert tier.next_victim(set()) == "b"
     # The active entry is excluded.
-    assert tier.next_victim({"b"}) == ("a", "demote")
+    assert tier.next_victim({"b"}) == "a"
     assert tier.next_victim({"a", "b"}) is None
 
 
-def test_demote_then_evict_state_machine():
+def test_full_released_full_state_machine():
     tier = FactorTier(budget_bytes=1024)
-    tier.record("a", _kb(2), demotable=True)
+    tier.record("a", _kb(2), version=1)
     assert tier.state("a") == "full"
+    assert tier.measured("a", 1)
 
-    key, action = tier.next_victim(set())
-    assert (key, action) == ("a", "demote")
-    tier.mark_demoted("a", _kb(1))
-    assert tier.state("a") == "demoted"
-    assert _counts(tier)["demotions"] == 1
-    assert tier.ledger.resident_bytes == 1024  # halved measurement recorded
-
-    # A demoted entry's next action is eviction, not a second demotion.
-    tier.record("b", _kb(2), demotable=True)
-    tier.touch("b")  # keep "a" coldest
-    assert tier.next_victim({"b"}) == ("a", "evict")
-    tier.mark_evicted("a")
-    assert tier.state("a") is None
-    assert _counts(tier)["evictions"] == 1
-    assert tier.ledger.resident_bytes == 2 * 1024
-
-
-def test_non_demotable_entries_go_straight_to_eviction():
-    """A spec already storing fp32 factors has nothing left to demote."""
-    tier = FactorTier(budget_bytes=1024)
-    tier.record("fp32-entry", _kb(2), demotable=False)
-    assert tier.next_victim(set()) == ("fp32-entry", "evict")
-
-
-def test_refactorization_counter_and_stats():
-    tier = FactorTier(budget_bytes=10 * 1024)
-    tier.record("a", _kb(4), demotable=True)
-    tier.mark_demoted("a", _kb(2))
-    tier.count_refactorization()
-    assert _counts(tier) == {"demotions": 1, "evictions": 0, "refactorizations": 1}
-    assert (tier.ledger.resident_bytes, tier.ledger.peak_bytes) == (2 * 1024, 4 * 1024)
+    assert tier.next_victim(set()) == "a"
+    tier.mark_released("a", version=2)
+    assert tier.state("a") == "released"
+    assert tier.measured("a", 2)
+    assert tier.ledger.resident_bytes == 0  # a released entry holds nothing
+    assert tier.ledger.peak_bytes == 2 * 1024
     assert tier.entries() == (1, 1)
-    # Re-recording (the lazy re-factorization re-measuring) restores FULL.
-    tier.record("a", _kb(4), demotable=True)
+    assert _counts(tier) == {"releases": 1, "refactorizations": 0}
+    # A released entry is never a victim again.
+    assert tier.next_victim(set()) is None
+
+    # Re-measuring it (after its lazy re-factorization) makes it full and
+    # counts the re-factorization.
+    tier.record("a", _kb(2), version=3)
     assert tier.state("a") == "full"
     assert tier.entries() == (1, 0)
+    assert _counts(tier) == {"releases": 1, "refactorizations": 1}
+    # Re-measuring a full entry counts nothing.
+    tier.record("a", _kb(2), version=4)
+    assert _counts(tier) == {"releases": 1, "refactorizations": 1}
 
 
 def test_tier_counts_into_the_registry_it_is_given():
@@ -122,6 +107,6 @@ def test_tier_counts_into_the_registry_it_is_given():
 
     registry = MetricsRegistry()
     tier = FactorTier(budget_bytes=1024, metrics=registry)
-    tier.record("a", _kb(2), demotable=False)
-    tier.mark_evicted("a")
-    assert "repro_tier_evictions_total 1" in registry.render_prometheus()
+    tier.record("a", _kb(2))
+    tier.mark_released("a")
+    assert "repro_tier_releases_total 1" in registry.render_prometheus()

@@ -217,7 +217,7 @@ def test_metrics_json_and_prometheus_are_one_vocabulary():
     assert doc["result_cache"]["hits"] == samples["repro_result_cache_hits"] == 1
     types = dict(re.findall(r"^# TYPE (\S+) (\S+)$", text, re.MULTILINE))
     totals = {name: kind for name, kind in types.items() if name.endswith("_total")}
-    assert "repro_tier_demotions_total" in totals
+    assert "repro_tier_releases_total" in totals
     assert set(totals.values()) == {"counter"}, totals
 
 
