@@ -9,8 +9,9 @@ substrate the paper depends on:
 * :mod:`repro.decomposition` — domain decomposition into subdomains and
   clusters, Total-FETI gluing matrices ``B`` and kernel bases ``R``.
 * :mod:`repro.sparse` — a from-scratch sparse Cholesky solver with a
-  symbolic/numeric split, triangular solves and a Schur-complement engine,
-  wrapped in PARDISO-like and CHOLMOD-like facades.
+  symbolic/numeric split, triangular solves and a Schur-complement engine
+  that skips the zero part of ``B̃ᵢ`` (PARDISO's augmented incomplete
+  factorization), one solver for every approach.
 * :mod:`repro.gpu` — a simulated CUDA runtime (device memory, streams,
   cuBLAS/cuSPARSE-like kernels, legacy/modern cost models).
 * :mod:`repro.feti` — the paper's contribution: the dual-operator zoo

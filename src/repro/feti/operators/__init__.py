@@ -15,13 +15,14 @@ the same three phases:
 An approach is three values.  Its numbers come from one of two numeric
 paths — ``explicit`` (the assembled ``F̃ᵢ``, small ones in one padded pack,
 large ones applied by SYMV) or implicit (one banded ``K⁺`` solve per
-sparsity pattern) — run with one of two solver facades (PARDISO-like or
-CHOLMOD-like).  Its simulated seconds and device bytes come from one of five
-cost replays (:mod:`repro.feti.operators.replay`: CPU explicit, CPU
-implicit, GPU explicit, GPU implicit, hybrid), which read the subdomain
-shapes only.  So approaches sharing a numeric path and a facade compute the
-same operator bit for bit, and a replay prices any problem from its
-symbolic analysis alone (:func:`replay_for`).
+sparsity pattern) — both run by the one
+:class:`~repro.sparse.solvers.SparseSolver`.  The CPU library it stands for
+(MKL PARDISO or CHOLMOD) and one of five cost replays
+(:mod:`repro.feti.operators.replay`: CPU explicit, CPU implicit, GPU
+explicit, GPU implicit, hybrid) give its simulated seconds and device
+bytes; the replays read the subdomain shapes only.  So approaches sharing
+a numeric path compute the same operator bit for bit, and a replay prices
+any problem from its symbolic analysis alone (:func:`replay_for`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from repro.feti.operators.replay import (
     ShapeTable,
 )
 from repro.feti.problem import FetiProblem
-from repro.sparse.solvers import CholmodLikeSolver, PardisoLikeSolver
+from repro.sparse.costmodel import CpuLibrary
+from repro.sparse.solvers import SparseSolver
 
 __all__ = [
     "DualOperator",
@@ -58,19 +60,21 @@ __all__ = [
 ]
 
 _A = DualOperatorApproach
-#: Every Table-III approach as ``(explicit, solver facade, cost replay)``.
-#: MKL PARDISO cannot export its factors, so every approach that puts a
-#: factor on the GPU factorizes with the CHOLMOD-like facade.
+_MKL, _CHOLMOD = CpuLibrary.MKL_PARDISO, CpuLibrary.CHOLMOD
+#: Every Table-III approach as ``(explicit, CPU library, cost replay)``.  The
+#: library is what the replay charges the analysis, the factorization and
+#: the CPU Schur assembly at.  MKL PARDISO cannot export its factors, so
+#: every approach that puts a factor on the GPU is charged as CHOLMOD.
 _APPROACHES = {
-    _A.IMPLICIT_MKL: (False, PardisoLikeSolver, CpuImplicitReplay),
-    _A.IMPLICIT_CHOLMOD: (False, CholmodLikeSolver, CpuImplicitReplay),
-    _A.IMPLICIT_GPU_LEGACY: (False, CholmodLikeSolver, GpuImplicitReplay),
-    _A.IMPLICIT_GPU_MODERN: (False, CholmodLikeSolver, GpuImplicitReplay),
-    _A.EXPLICIT_MKL: (True, PardisoLikeSolver, CpuExplicitReplay),
-    _A.EXPLICIT_CHOLMOD: (True, CholmodLikeSolver, CpuExplicitReplay),
-    _A.EXPLICIT_GPU_LEGACY: (True, CholmodLikeSolver, GpuExplicitReplay),
-    _A.EXPLICIT_GPU_MODERN: (True, CholmodLikeSolver, GpuExplicitReplay),
-    _A.EXPLICIT_HYBRID: (True, PardisoLikeSolver, HybridReplay),
+    _A.IMPLICIT_MKL: (False, _MKL, CpuImplicitReplay),
+    _A.IMPLICIT_CHOLMOD: (False, _CHOLMOD, CpuImplicitReplay),
+    _A.IMPLICIT_GPU_LEGACY: (False, _CHOLMOD, GpuImplicitReplay),
+    _A.IMPLICIT_GPU_MODERN: (False, _CHOLMOD, GpuImplicitReplay),
+    _A.EXPLICIT_MKL: (True, _MKL, CpuExplicitReplay),
+    _A.EXPLICIT_CHOLMOD: (True, _CHOLMOD, CpuExplicitReplay),
+    _A.EXPLICIT_GPU_LEGACY: (True, _CHOLMOD, GpuExplicitReplay),
+    _A.EXPLICIT_GPU_MODERN: (True, _CHOLMOD, GpuExplicitReplay),
+    _A.EXPLICIT_HYBRID: (True, _MKL, HybridReplay),
 }
 
 
@@ -125,13 +129,13 @@ def make_dual_operator(
     """
     if approach not in _APPROACHES:
         raise ValueError(f"unknown approach: {approach}")
-    explicit, facade, replay = _APPROACHES[approach]
+    explicit, library, replay = _APPROACHES[approach]
     return DualOperator(
         problem,
         _machine(approach, problem, machine_config),
         approach,
         explicit=explicit,
-        facade=facade,
+        library=library,
         replay=replay,
         config=assembly_config,
         pattern_cache=pattern_cache,
@@ -151,13 +155,13 @@ def replay_for(
 
     No factorization and no Schur assembly: the replay's phases charge what
     :func:`make_dual_operator`'s would.  ``shapes`` reuses a table built
-    for the same problem and facade (the exhaustive Table-I sweep prices
+    for the same problem and library (the exhaustive Table-I sweep prices
     every configuration from one).
     """
-    _, facade, replay = _APPROACHES[approach]
+    _, library, replay = _APPROACHES[approach]
     if shapes is None:
-        analyses = {sub.index: facade().analyze(sub.K_reg) for sub in problem.subdomains}
-        shapes = ShapeTable.from_analyses(
-            problem, analyses, facade.library, replay.reads_rhs_fill
-        )
+        analyses = {
+            sub.index: SparseSolver().analyze(sub.K_reg) for sub in problem.subdomains
+        }
+        shapes = ShapeTable.from_analyses(problem, analyses, library, replay.reads_rhs_fill)
     return replay(shapes, _machine(approach, problem, machine_config), assembly_config)

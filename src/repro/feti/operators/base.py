@@ -13,13 +13,14 @@ two numeric paths:
   one banded ``K⁺`` solve per sparsity pattern
   (:meth:`DualOperator.apply_accurate`).
 
-The solver facade (PARDISO-like or CHOLMOD-like) is the other numeric
-parameter.  Where the work runs and what it costs — simulated seconds,
+Both paths run on one :class:`~repro.sparse.solvers.SparseSolver` per
+subdomain.  Where the work runs and what it costs — simulated seconds,
 device bytes — is the approach's cost replay
 (:mod:`repro.feti.operators.replay`), which ``prepare()`` builds from the
-symbolic analyses.  The operator also owns the phase bookkeeping (simulated
-+ wall time, in a :class:`~repro.analysis.timing.TimingLedger`) and the
-``K⁺`` solves of ``d = B K⁺ f − c`` and the primal recovery.
+symbolic analyses and the CPU library the approach stands for.  The
+operator also owns the phase bookkeeping (simulated + wall time, in a
+:class:`~repro.analysis.timing.TimingLedger`) and the ``K⁺`` solves of
+``d = B K⁺ f − c`` and the primal recovery.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from repro.feti.problem import FetiProblem, SubdomainProblem
 from repro.memory.precision import PrecisionPolicy, resolve_precision
 from repro.observe.trace import trace_span
 from repro.sparse.cache import PatternCache
+from repro.sparse.costmodel import CpuLibrary
 from repro.sparse.schur import SchurScatter
-from repro.sparse.solvers import SolverStack, SparseSolverBase
+from repro.sparse.solvers import SolverStack, SparseSolver
 
 __all__ = ["DualOperator"]
 
@@ -58,10 +60,9 @@ class DualOperator:
         Assemble ``F̃ᵢ`` and apply them as dense blocks (``True``), or apply
         ``B̃ K⁺ B̃ᵀ`` through one banded ``K⁺`` solve per sparsity pattern
         (``False``).
-    facade:
-        The :class:`~repro.sparse.solvers.SparseSolverBase` subclass that
-        analyses and factorizes every subdomain (its ``library`` is what the
-        cost model charges).
+    library:
+        The CPU library (MKL PARDISO or CHOLMOD) whose analysis,
+        factorization and Schur assembly the cost replay charges.
     replay:
         The :class:`~repro.feti.operators.replay.CostReplay` subclass of the
         approach family; ``prepare()`` builds it with its ``build``.
@@ -74,7 +75,7 @@ class DualOperator:
         approach: DualOperatorApproach,
         *,
         explicit: bool,
-        facade: type[SparseSolverBase],
+        library: CpuLibrary,
         replay: type,
         config: AssemblyConfig | None = None,
         pattern_cache: PatternCache | None = None,
@@ -101,7 +102,7 @@ class DualOperator:
         #: on first use.  A :class:`repro.api.Session` passes the executor
         #: it owns.
         self._executor = executor
-        self._facade = facade
+        self._library = library
         self._replay_type = replay
         #: The approach's cost replay, built by :meth:`prepare`.
         self.replay = None
@@ -126,8 +127,8 @@ class DualOperator:
         self._cluster_subdomains: dict[int, list[SubdomainProblem]] = {}
         #: Per-subdomain CPU factorizations: every apply, the dual right-hand
         #: side and the primal recovery read them.
-        self._cpu_solvers: dict[int, SparseSolverBase] = {
-            s.index: facade(pattern_cache=pattern_cache, precision=self.precision)
+        self._cpu_solvers: dict[int, SparseSolver] = {
+            s.index: SparseSolver(pattern_cache=pattern_cache, precision=self.precision)
             for s in problem.subdomains
         }
         #: How every ``B̃ᵢ`` enters the Schur assembly under its solver's
@@ -204,7 +205,7 @@ class DualOperator:
             self.replay = self._replay_type.build(
                 self.problem,
                 analyses,
-                self._facade.library,
+                self._library,
                 self.machine,
                 self.config,
                 self.precision.storage_dtype,
@@ -412,7 +413,7 @@ class DualOperator:
 
     def _build_kplus_stacks(self) -> list[tuple[np.ndarray, SolverStack]]:
         offsets = self.batch_engine.primal_offsets
-        groups: dict[int, tuple[list[int], list[SparseSolverBase]]] = {}
+        groups: dict[int, tuple[list[int], list[SparseSolver]]] = {}
         for position, sub in enumerate(self.problem.subdomains):
             solver = self._cpu_solvers.get(sub.index)
             if solver is None or not solver.is_factorized:

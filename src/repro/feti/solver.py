@@ -44,6 +44,13 @@ __all__ = [
     "MultiStepDriver",
 ]
 
+#: The preconditioner class of every :class:`PreconditionerKind`.
+_PRECONDITIONERS = {
+    PreconditionerKind.NONE: IdentityPreconditioner,
+    PreconditionerKind.LUMPED: LumpedPreconditioner,
+    PreconditionerKind.DIRICHLET: DirichletPreconditioner,
+}
+
 
 @dataclass
 class FetiSolution:
@@ -135,25 +142,30 @@ class FetiSolver:
     # ------------------------------------------------------------------ #
     @property
     def projector(self) -> Projector:
-        """The coarse projector (built lazily: callers that only need the
-        dual operator — e.g. the bench runner — never assemble ``G``)."""
+        """The coarse projector (built lazily, under a ``coarse_build`` span:
+        callers that only need the dual operator — e.g. the bench runner —
+        never assemble ``G``)."""
         if self._projector is None:
-            self._projector = build_projector(self.problem)
+            with trace_span("coarse_build"):
+                self._projector = build_projector(self.problem)
         return self._projector
 
     @property
     def preconditioner(self):
-        """The dual preconditioner selected by the spec (built lazily)."""
+        """The dual preconditioner selected by the spec (built lazily, under a
+        ``preconditioner_build`` span)."""
         if self._preconditioner is None:
-            kind = self.spec.preconditioner
-            if kind is PreconditionerKind.NONE:
-                cls = IdentityPreconditioner
-            elif kind is PreconditionerKind.LUMPED:
-                cls = LumpedPreconditioner
-            else:
-                cls = DirichletPreconditioner
-            self._preconditioner = cls(self.problem)
+            with trace_span("preconditioner_build"):
+                self._preconditioner = _PRECONDITIONERS[self.spec.preconditioner](self.problem)
         return self._preconditioner
+
+    def _pcpg_inputs(self) -> tuple[Projector, object]:
+        """The projector and the preconditioner, built before PCPG starts.
+
+        A cold solve's build spans are then children of the solve, not of
+        ``pcpg``; a warm solve finds both built and opens no span.
+        """
+        return self.projector, self.preconditioner
 
     def prepare(self) -> PhaseTiming:
         """Run the preparation phase of the dual operator."""
@@ -194,16 +206,17 @@ class FetiSolver:
         with trace_span("dual_rhs"):
             d = self.operator.dual_rhs()
             e = self.problem.compute_e()
-        coarse_before = self.projector.seconds
-        with trace_span("coarse_setup", n_kernel=self.projector.n_kernel):
-            lambda_0 = self.projector.initial_lambda(e)
+        projector, preconditioner = self._pcpg_inputs()
+        coarse_before = projector.seconds
+        with trace_span("coarse_setup", n_kernel=projector.n_kernel):
+            lambda_0 = projector.initial_lambda(e)
 
         self.operator.ledger.mark("apply")
         with trace_span("pcpg", tolerance=self.spec.tolerance):
             result = pcpg(
                 apply_F=self.operator.apply,
-                apply_P=self.projector.apply,
-                apply_M=self.preconditioner.apply,
+                apply_P=projector.apply,
+                apply_M=preconditioner.apply,
                 d=d,
                 lambda_0=lambda_0,
                 tolerance=self.spec.tolerance,
@@ -222,7 +235,7 @@ class FetiSolver:
                 if result.final_residual is not None
                 else d - self.operator.apply(result.lam)
             )
-            alpha = self.projector.alpha(residual)
+            alpha = projector.alpha(residual)
             primal = self.operator.primal_solution(result.lam, alpha)
         return FetiSolution(
             lam=result.lam,
@@ -231,7 +244,7 @@ class FetiSolver:
             pcpg=result,
             preprocessing=preprocessing,
             dual_apply_seconds=dual_apply_seconds,
-            coarse_seconds=self.projector.seconds - coarse_before,
+            coarse_seconds=projector.seconds - coarse_before,
             convergence=ConvergenceReport.from_pcpg(result, self.spec.tolerance),
         )
 
@@ -341,7 +354,8 @@ class FetiSolver:
 
         n_cols = len(loads_columns)
         self.operator.ledger.mark("apply", "apply_multi")
-        coarse_before = self.projector.seconds
+        projector, preconditioner = self._pcpg_inputs()
+        coarse_before = projector.seconds
         try:
             d_cols: list[np.ndarray] = []
             lambda_0_cols: list[np.ndarray] = []
@@ -349,7 +363,7 @@ class FetiSolver:
                 install(loads)
                 d_cols.append(self.operator.dual_rhs())
                 e = self.problem.compute_e()
-                lambda_0_cols.append(self.projector.initial_lambda(e))
+                lambda_0_cols.append(projector.initial_lambda(e))
 
             def apply_F_block(block: np.ndarray) -> np.ndarray:
                 return self.operator.apply_multi(block, stacked=stacked)
@@ -357,10 +371,10 @@ class FetiSolver:
             with trace_span("pcpg", columns=n_cols, stacked=stacked):
                 results = pcpg_block(
                     apply_F_block=apply_F_block,
-                    apply_P=self.projector.apply,
-                    apply_M=self.preconditioner.apply,
-                    apply_P_block=self.projector.apply_block,
-                    apply_M_block=self.preconditioner.apply_block,
+                    apply_P=projector.apply,
+                    apply_M=preconditioner.apply,
+                    apply_P_block=projector.apply_block,
+                    apply_M_block=preconditioner.apply_block,
                     d_columns=d_cols,
                     lambda_0_columns=lambda_0_cols,
                     tolerance=self.spec.tolerance,
@@ -388,14 +402,14 @@ class FetiSolver:
                     if result.final_residual is not None
                     else d - self.operator.apply(result.lam)
                 )
-                alpha = self.projector.alpha(residual)
+                alpha = projector.alpha(residual)
                 primal = self.operator.primal_solution(result.lam, alpha)
                 if not coarse_share_known:
                     # Coarse work (projections + coarse solves) is shared
                     # across the block like the fused applies; the alpha
                     # recoveries after this point are per-column noise.
                     coarse_share = (
-                        (self.projector.seconds - coarse_before) / n_cols
+                        (projector.seconds - coarse_before) / n_cols
                         if n_cols
                         else 0.0
                     )

@@ -17,9 +17,8 @@ whatever the executor:
    the group (the members whose ``P B̃ᵢᵀ`` have the same sorted column first
    rows, :func:`~repro.sparse.schur.interface_classes`).  The classes come
    from the operator's :class:`~repro.sparse.schur.SchurScatter` of every
-   ``B̃ᵢ``, built once when it was prepared: its solver facade (PARDISO- or
-   CHOLMOD-like) is the one place that decides how the sparsity of ``B̃ᵢ`` is
-   exploited.
+   ``B̃ᵢ``, built once when it was prepared: every column of ``P B̃ᵢᵀ``
+   joins the sweep at its first nonzero row, on every explicit approach.
 
 Shards run on the caller's own solvers, inline under ``serial`` and as
 thread-pool futures under ``threads``.  Every executor runs the same shard
@@ -53,7 +52,7 @@ from repro.sparse.solvers import schur_complements
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.feti.problem import SubdomainProblem
-    from repro.sparse.solvers import SparseSolverBase
+    from repro.sparse.solvers import SparseSolver
     from repro.sparse.symbolic import SymbolicFactor
 
 __all__ = ["run_preprocessing"]
@@ -65,13 +64,13 @@ class _Group:
 
     symbolic: "SymbolicFactor"
     subs: list["SubdomainProblem"] = field(default_factory=list)
-    solvers: list["SparseSolverBase"] = field(default_factory=list)
+    solvers: list["SparseSolver"] = field(default_factory=list)
 
 
 def _shard_groups(
     shard: Shard,
     subdomains: Mapping[int, "SubdomainProblem"],
-    solvers: Mapping[int, "SparseSolverBase"],
+    solvers: Mapping[int, "SparseSolver"],
 ) -> list[_Group]:
     """Group a shard's subdomains by symbolic analysis (order-preserving)."""
     groups: dict[int, _Group] = {}
@@ -125,7 +124,7 @@ def _run_shard(
 def run_preprocessing(
     executor: Executor,
     clusters: Sequence[tuple[int, Sequence["SubdomainProblem"]]],
-    solvers: Mapping[int, "SparseSolverBase"],
+    solvers: Mapping[int, "SparseSolver"],
     *,
     scatters: Mapping[int, SchurScatter] | None = None,
 ) -> dict[int, np.ndarray]:

@@ -25,10 +25,10 @@ whose stack of one every single solve is), a Schur-complement engine that
 exploits the sparsity of the right-hand side block (the analogue of
 PARDISO's augmented incomplete factorization) and assembles every
 interface class of same-pattern subdomains as one stack
-(:func:`stacked_schur_complement`), and two facades reproducing the relevant API differences of
-the CPU libraries: :class:`CholmodLikeSolver` (factors can be extracted and
-shipped to the GPU) and :class:`PardisoLikeSolver` (factors cannot be
-extracted, but a fast Schur complement is available).
+(:func:`stacked_schur_complement`), and one solver running all of it
+(:class:`SparseSolver`).  The paper's two CPU libraries differ only in
+what they cost (:class:`CpuLibrary`, charged by the cost model): every
+approach computes with the same solver.
 """
 
 from repro.sparse.ordering import OrderingMethod, compute_ordering
@@ -44,13 +44,7 @@ from repro.sparse.spmv import CsrProduct
 from repro.sparse.schur import SchurScatter, schur_scatter, stacked_schur_complement
 from repro.sparse.cache import PatternCache, global_pattern_cache, structural_key
 from repro.sparse.costmodel import CpuCostModel, CpuLibrary
-from repro.sparse.solvers import (
-    CholmodLikeSolver,
-    FactorExtractionError,
-    PardisoLikeSolver,
-    SolverStack,
-    SparseSolverBase,
-)
+from repro.sparse.solvers import SolverStack, SparseSolver
 
 __all__ = [
     "OrderingMethod",
@@ -71,9 +65,6 @@ __all__ = [
     "structural_key",
     "CpuCostModel",
     "CpuLibrary",
-    "CholmodLikeSolver",
-    "PardisoLikeSolver",
-    "FactorExtractionError",
-    "SparseSolverBase",
+    "SparseSolver",
     "SolverStack",
 ]

@@ -12,7 +12,7 @@ per-subdomain cost of the preparation phase.
 The key is a hash of the canonical CSC pattern (shape, ``indptr``,
 ``indices``) plus the ordering method; values never enter it, so two
 subdomains with equal patterns but different stiffness values hit the same
-entry.  The cache is bounded LRU and thread-safe; the solver facades use the
+entry.  The cache is bounded LRU and thread-safe; the solvers use the
 process-global instance by default.
 
 An entry holds index arrays only — pattern, permutation and band maps, one
@@ -114,5 +114,5 @@ _GLOBAL_CACHE = PatternCache()
 
 
 def global_pattern_cache() -> PatternCache:
-    """The process-global pattern cache shared by the solver facades."""
+    """The process-global pattern cache shared by the solvers."""
     return _GLOBAL_CACHE

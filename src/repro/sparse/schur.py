@@ -124,10 +124,9 @@ class SchurScatter:
     ----------
     starts:
         ``(n_dual,)`` first row of every column of ``P B̃ᵢᵀ``, ascending
-        (``n`` for an empty row, which never joins the sweep; all zero
-        without right-hand-side pruning).  The **interface class** key:
-        members with equal ``starts`` share ``n_dual`` and the supernode at
-        which each column joins the sweep.
+        (``n`` for an empty row, which never joins the sweep).  The
+        **interface class** key: members with equal ``starts`` share
+        ``n_dual`` and the supernode at which each column joins the sweep.
     active:
         ``(n_supernodes,)`` columns the forward sweep has activated by the
         last column of each supernode (non-decreasing).
@@ -138,7 +137,7 @@ class SchurScatter:
         The entries' values.
     rank:
         ``(n_dual,)`` start-order position of every row of ``B̃ᵢ``, or
-        ``None`` where that is the identity (every class without pruning).
+        ``None`` where that is the identity.
     key:
         The interface-class key: the bytes of ``starts``.
     """
@@ -156,24 +155,15 @@ class SchurScatter:
         return int(self.starts.shape[0])
 
 
-def schur_scatter(
-    symbolic: SymbolicFactor, B: sp.spmatrix, exploit_rhs_sparsity: bool = True
-) -> SchurScatter:
-    """The :class:`SchurScatter` of ``B`` under ``symbolic``.
-
-    ``exploit_rhs_sparsity=False`` starts every column at row 0: the plain
-    TRSM of the CHOLMOD-based explicit CPU approach, whose classes are then
-    the members of equal ``n_dual``.
-    """
+def schur_scatter(symbolic: SymbolicFactor, B: sp.spmatrix) -> SchurScatter:
+    """The :class:`SchurScatter` of ``B`` under ``symbolic``."""
     s = symbolic
     Bc = B.tocsr()
     n_dual = Bc.shape[0]
     inv_perm = _inverse_permutation(s.perm)
 
-    starts = np.zeros(n_dual, dtype=np.int64)
-    if exploit_rhs_sparsity:
-        starts[:] = s.n  # an empty row of B̃ is never activated
-        starts[np.diff(Bc.indptr) > 0] = column_first_rows(Bc, row_map=inv_perm)
+    starts = np.full(n_dual, s.n, dtype=np.int64)  # an empty row of B̃ is never activated
+    starts[np.diff(Bc.indptr) > 0] = column_first_rows(Bc, row_map=inv_perm)
     order = np.argsort(starts, kind="stable")
     starts = starts[order]
     rank = np.empty(n_dual, dtype=np.int64)

@@ -1,15 +1,14 @@
-"""Solver facades mirroring the CPU libraries used by the paper.
+"""The sparse SPD solver: one in-package Cholesky engine behind a phase API.
 
-Both facades wrap the same in-package Cholesky engine but reproduce the API
-differences that shape the paper's comparison (Section V):
-
-* :class:`CholmodLikeSolver` — like SuiteSparse CHOLMOD, the factor can be
-  extracted (and shipped to the GPU), but the explicit Schur complement does
-  not exploit the sparsity of the right-hand side.
-* :class:`PardisoLikeSolver` — like Intel MKL PARDISO, the factor cannot be
-  extracted (so it cannot feed the GPU assembly), but the explicit dual
-  operator can be assembled with the augmented incomplete factorization,
-  which skips the work made redundant by the sparsity of ``B̃ᵢ``.
+:class:`SparseSolver` analyses, factorizes and solves one subdomain matrix
+and assembles its explicit Schur complement with the pruned sweep
+(:mod:`repro.sparse.schur`, the analogue of MKL PARDISO's augmented
+incomplete factorization).  Which CPU library the paper's comparison puts
+behind an approach (Section V, Table III) is a cost, not a numeric path:
+the cost replays charge it from :attr:`ShapeTable.library
+<repro.feti.operators.replay.ShapeTable>`, so every approach computes with
+this one solver.  :class:`SolverStack` solves a group of same-pattern
+factorizations as one band.
 """
 
 from __future__ import annotations
@@ -26,45 +25,26 @@ from repro.memory.precision import (
     resolve_precision,
 )
 from repro.sparse.cache import PatternCache, global_pattern_cache
-from repro.sparse.costmodel import CpuLibrary
 from repro.sparse.numeric import CholeskyFactor, numeric_cholesky
 from repro.sparse.ordering import OrderingMethod
-from repro.sparse.schur import (
-    SchurScatter,
-    rhs_sparsity_fill,
-    schur_scatter,
-    stacked_schur_complement,
-)
+from repro.sparse.schur import SchurScatter, schur_scatter, stacked_schur_complement
 from repro.sparse.symbolic import SymbolicFactor, symbolic_cholesky
-from repro.sparse.triangular import solve_banded, solve_banded_many
+from repro.sparse.triangular import solve_banded
 
 __all__ = [
-    "FactorExtractionError",
-    "SparseSolverBase",
-    "CholmodLikeSolver",
-    "PardisoLikeSolver",
+    "SparseSolver",
     "SolverStack",
     "schur_complements",
 ]
 
 
-class FactorExtractionError(RuntimeError):
-    """Raised when a solver does not support extracting its factors."""
-
-
-class SparseSolverBase:
+class SparseSolver:
     """Sparse SPD solver with an explicit symbolic / numeric split.
 
-    Subclasses define :attr:`library` and :attr:`supports_factor_extraction`.
     The solver keeps the fill-reducing permutation internal: ``solve`` and
     ``schur_complement`` accept and return quantities in the original DOF
     ordering.
     """
-
-    #: Which CPU library the facade emulates (drives the cost model).
-    library: CpuLibrary
-    #: Whether :meth:`extract_factor` is available.
-    supports_factor_extraction: bool = True
 
     def __init__(
         self,
@@ -72,7 +52,7 @@ class SparseSolverBase:
         pattern_cache: PatternCache | bool | None = None,
         precision: str | PrecisionPolicy = "fp64",
     ) -> None:
-        """Create a solver facade.
+        """Create a solver.
 
         Parameters
         ----------
@@ -191,10 +171,6 @@ class SparseSolverBase:
         """Stored entries of the factor ``L``."""
         return self.symbolic.nnz
 
-    def factorization_flops(self) -> float:
-        """Estimated flops of one numeric factorization."""
-        return self.symbolic.factorization_flops()
-
     def _require_factor(self) -> CholeskyFactor:
         if self._factor is None:
             raise RuntimeError("factorize() has not been called")
@@ -214,20 +190,6 @@ class SparseSolverBase:
     def release(self) -> None:
         """Drop the numeric factor (and any retained matrix); keep the analysis."""
         self._factor = self._matrix = self._stack = None
-
-    def extract_factor(self) -> CholeskyFactor:
-        """Return the numeric factor (for shipping to the GPU).
-
-        Raises
-        ------
-        FactorExtractionError
-            If the emulated library does not expose its factors.
-        """
-        if not self.supports_factor_extraction:
-            raise FactorExtractionError(
-                f"{type(self).__name__} does not allow extraction of its factors"
-            )
-        return self._require_factor()
 
     # ------------------------------------------------------------------ #
     # Solves                                                              #
@@ -251,44 +213,15 @@ class SparseSolverBase:
         """
         return self._stack_of_one().solve(np.asarray(b, dtype=float)[None], refine)[0]
 
-    def solve_many(self, B: np.ndarray, refine: bool | None = None) -> np.ndarray:
-        """Solve ``K X = B`` for a dense multi-column right-hand side.
-
-        The band of the solver's stack of one, solved by LAPACK ``dtbtrs``.
-        """
-        B = np.asarray(B, dtype=float)
-        perm, band = self.symbolic.perm, self._stack_of_one().band[0]
-        X = solve_banded_many(perm, band, B)
-        if refine is None:
-            refine = self.precision.refine
-        if not refine or self._matrix is None:
-            return X
-        norm_b = float(np.max(np.abs(B))) if B.size else 0.0
-        if norm_b == 0.0:
-            return X
-        for _ in range(max(1, self.precision.refine_steps)):
-            R = B - self._matrix @ X
-            if float(np.max(np.abs(R))) <= 1e-14 * norm_b:
-                break
-            X = X + solve_banded_many(perm, band, R)
-        return X
-
     # ------------------------------------------------------------------ #
     # Explicit dual operator on the CPU                                   #
     # ------------------------------------------------------------------ #
-    def rhs_fill(self, B: sp.spmatrix) -> float:
-        """Fraction of TRSM work left after exploiting the sparsity of ``B``."""
-        return rhs_sparsity_fill(B, self.symbolic.perm)
-
     def schur_scatter(self, B: sp.spmatrix) -> SchurScatter:
-        """How ``B`` enters this facade's Schur assembly (built once per ``B``).
+        """How ``B`` enters the Schur assembly (built once per ``B``).
 
-        The facade decides whether the assembly exploits the sparsity of
-        ``B``; the scatter's key names the interface class it joins.
+        The scatter's key names the interface class it joins.
         """
-        return schur_scatter(
-            self.symbolic, B, exploit_rhs_sparsity=self._exploit_rhs_sparsity()
-        )
+        return schur_scatter(self.symbolic, B)
 
     def schur_complement(self, B: sp.spmatrix) -> np.ndarray:
         """Assemble ``B K⁻¹ Bᵀ`` explicitly (in the original ordering).
@@ -297,30 +230,10 @@ class SparseSolverBase:
         """
         return schur_complements([self], [self.schur_scatter(B)])[0]
 
-    def _exploit_rhs_sparsity(self) -> bool:
-        return False
 
-
-class CholmodLikeSolver(SparseSolverBase):
-    """SuiteSparse-CHOLMOD-like facade: factors can be extracted."""
-
-    library = CpuLibrary.CHOLMOD
-    supports_factor_extraction = True
-
-
-class PardisoLikeSolver(SparseSolverBase):
-    """Intel-MKL-PARDISO-like facade.
-
-    Factors stay internal (``extract_factor`` raises), but the explicit Schur
-    complement uses the augmented-incomplete-factorization strategy that
-    exploits the sparsity of the constraint block.
-    """
-
-    library = CpuLibrary.MKL_PARDISO
-    supports_factor_extraction = False
-
-    def _exploit_rhs_sparsity(self) -> bool:
-        return True
+#: Kept for ``benchmarks/perf/solve_bench.py``, which imports it; the next
+#: change to the benchmark imports :class:`SparseSolver` and drops this line.
+PardisoLikeSolver = SparseSolver
 
 
 def _rows_as_stack(rows: list[np.ndarray]) -> np.ndarray | None:
@@ -371,7 +284,7 @@ def _band_stack(factors: list[CholeskyFactor]) -> tuple[np.ndarray, bool]:
 
 
 def schur_complements(
-    solvers: Sequence[SparseSolverBase], scatters: Sequence[SchurScatter]
+    solvers: Sequence[SparseSolver], scatters: Sequence[SchurScatter]
 ) -> np.ndarray:
     """``(k, n_dual, n_dual)`` ``F̃ᵢ`` of one interface class of factorized solvers.
 
@@ -394,7 +307,7 @@ class SolverStack:
     built from: drop it whenever a member is re-factorized or released.
     """
 
-    def __init__(self, solvers: "list[SparseSolverBase]") -> None:
+    def __init__(self, solvers: "list[SparseSolver]") -> None:
         factors = [solver._require_factor() for solver in solvers]
         self.symbolic = factors[0].symbolic
         self.precision = solvers[0].precision

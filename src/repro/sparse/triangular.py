@@ -10,12 +10,10 @@ Read as ``(k·n, kd + 1)`` and transposed, that stack is, without a copy, the
 F-contiguous LAPACK lower band of the block-diagonal matrix of its members:
 the entries that would couple two members are exact zeros.  So
 :func:`solve_banded` solves every member of a stack with one BLAS ``dtbsv``
-per direction, however many members there are, and
-:func:`solve_banded_many` solves one factor for many right-hand sides with
-one LAPACK ``dtbtrs`` per direction.  A band stored in fp32 is up-cast on
-use, so the arithmetic is fp64 under every precision policy.
+per direction, however many members there are.  A band stored in fp32 is
+up-cast on use, so the arithmetic is fp64 under every precision policy.
 
-These are the package's only solve kernels.  The Schur assembly
+This is the package's only solve kernel.  The Schur assembly
 (:mod:`repro.sparse.schur`) sweeps supernode panels instead, gathered from
 the same band.  The simulated GPU holds byte sizes, not factors, so the GPU
 approaches solve here too.  The scalar per-column solves are the test oracle
@@ -26,9 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dtbtrs
 
-__all__ = ["solve_banded", "solve_banded_many"]
+__all__ = ["solve_banded"]
 
 
 def _lower_band(band: np.ndarray) -> np.ndarray:
@@ -66,14 +63,3 @@ def solve_banded(perm: np.ndarray, band: np.ndarray, rhs: np.ndarray) -> np.ndar
     x[perm] = y
     return x.reshape(k, n)
 
-
-def solve_banded_many(perm: np.ndarray, band: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve ``A X = B`` for one factor's ``(n, kd + 1)`` band and ``(n, nrhs)`` ``B``."""
-    Y = np.asfortranarray(np.asarray(B, dtype=float)[perm])
-    if Y.size:
-        ab = _lower_band(band[None])
-        Y, _ = dtbtrs(ab, Y, uplo="L", overwrite_b=1)
-        Y, _ = dtbtrs(ab, Y, uplo="L", trans="T", overwrite_b=1)
-    X = np.empty_like(Y)
-    X[perm] = Y
-    return X

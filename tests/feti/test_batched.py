@@ -328,8 +328,8 @@ def test_one_pack_apply_is_bitwise_the_per_cluster_apply(workload, spec):
     assert np.linalg.norm(stacked - columns) <= 1e-12 * np.linalg.norm(columns)
 
 
-@pytest.mark.parametrize("approach, exploit", [("expl mkl", True), ("expl modern", False)])
-def test_blocks_on_both_sides_of_the_symv_threshold(approach, exploit):
+@pytest.mark.parametrize("approach", ["expl mkl", "expl modern"])
+def test_blocks_on_both_sides_of_the_symv_threshold(approach):
     """Heat 3D ``(3,3,3)x4`` has blocks of 61-122 rows: packed and large ones.
 
     The apply (and the stacked one) bitwise the concatenated scatter path,
@@ -349,7 +349,7 @@ def test_blocks_on_both_sides_of_the_symv_threshold(approach, exploit):
         for sub in operator.problem.subdomains:
             F = operator.local_F[sub.index]
             assert not F.flags.writeable
-            want = schur_complement(operator._cpu_solvers[sub.index]._factor, sub.B, exploit)
+            want = schur_complement(operator._cpu_solvers[sub.index]._factor, sub.B)
             assert np.array_equal(F, want), sub.index
         rng = np.random.default_rng(37)
         lam = rng.standard_normal(operator.problem.n_lambda)

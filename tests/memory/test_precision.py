@@ -14,7 +14,7 @@ from repro.memory.precision import (
     factor_nbytes,
     resolve_precision,
 )
-from repro.sparse import CholmodLikeSolver
+from repro.sparse import SparseSolver
 
 from tests.conftest import random_spd_matrix
 
@@ -53,9 +53,9 @@ def test_demote_array_is_a_noop_at_matching_dtype():
 
 
 def test_demote_factor_converts_the_band(spd):
-    solver = CholmodLikeSolver()
+    solver = SparseSolver()
     solver.factorize(spd)
-    factor = solver.extract_factor()
+    factor = solver._factor
     fp64_bytes = factor_nbytes(factor)
     assert factor.band.dtype == np.float64
     assert fp64_bytes == 8 * factor.n * (factor.symbolic.kd + 1)
@@ -66,9 +66,9 @@ def test_demote_factor_converts_the_band(spd):
 
 
 def test_demote_factor_noops_for_fp64_and_none(spd):
-    solver = CholmodLikeSolver()
+    solver = SparseSolver()
     solver.factorize(spd)
-    factor = solver.extract_factor()
+    factor = solver._factor
     band = factor.band
     assert demote_factor(factor, np.dtype(np.float64)) is factor
     assert factor.band is band  # untouched
@@ -78,11 +78,11 @@ def test_demote_factor_noops_for_fp64_and_none(spd):
 
 @pytest.mark.parametrize("precision", ["fp32", "fp32_ir"])
 def test_solver_stores_fp32_factors_under_demoting_policies(spd, precision):
-    solver = CholmodLikeSolver(precision=precision)
+    solver = SparseSolver(precision=precision)
     solver.factorize(spd)
-    factor = solver.extract_factor()
+    factor = solver._factor
     assert factor.band.dtype == np.float32
-    reference = CholmodLikeSolver()
+    reference = SparseSolver()
     reference.factorize(spd)
     # fp32 storage halves the factor; fp32_ir additionally retains the fp64
     # matrix for refinement, so its resident bytes do not halve.
@@ -96,9 +96,9 @@ def test_refinement_recovers_fp64_accuracy_from_fp32_factors(spd):
     rng = np.random.default_rng(3)
     b = rng.standard_normal(spd.shape[0])
 
-    fp32 = CholmodLikeSolver(precision="fp32")
+    fp32 = SparseSolver(precision="fp32")
     fp32.factorize(spd)
-    ir = CholmodLikeSolver(precision="fp32_ir")
+    ir = SparseSolver(precision="fp32_ir")
     ir.factorize(spd)
 
     norm_b = np.linalg.norm(b)

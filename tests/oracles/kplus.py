@@ -1,7 +1,7 @@
 """Test oracle: ``K⁺`` one subdomain and one vector at a time.
 
 What ``DualOperator`` ran before the stacked solve: every ``Kᵢ⁺ b`` is one
-``SparseSolverBase.solve`` on that subdomain's own factorization (refinement
+``SparseSolver.solve`` on that subdomain's own factorization (refinement
 per the solver's precision policy included), every product around it one
 ``scipy.sparse`` matmul on that subdomain's ``B̃ᵢ`` / ``B̃ᵢᵀ`` / ``Rᵢ``, every
 scatter one ``np.add.at``.  The functions take a *preprocessed* operator and

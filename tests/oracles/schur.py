@@ -32,8 +32,8 @@ def schur_complement(
 ) -> np.ndarray:
     """``S = B̃ K_reg⁻¹ B̃ᵀ`` of one subdomain, columns pruned at their first row.
 
-    ``exploit_rhs_sparsity=False`` starts every column at row 0 (the plain
-    TRSM of the CHOLMOD-like facade).
+    ``exploit_rhs_sparsity=False`` starts every column at row 0 (a plain
+    TRSM, the sweep without pruning).
     """
     s = factor.symbolic
     Bc = sp.csr_matrix(B)

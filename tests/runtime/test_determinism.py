@@ -33,8 +33,8 @@ WORKLOADS = {
     "elasticity-3d-wide": Workload("elasticity", 3, (3, 1, 1), 4),
 }
 
-#: Approaches whose ``F̃ᵢ`` come from the runtime round: the CPU facades'
-#: and, through the CHOLMOD-like facade, the simulated GPU assembly's.
+#: Approaches whose ``F̃ᵢ`` come from the runtime round: every explicit
+#: approach's, the simulated GPU assembly's included (it is cost-only).
 EXPLICIT = [
     DualOperatorApproach.EXPLICIT_MKL,
     DualOperatorApproach.EXPLICIT_CHOLMOD,

@@ -31,9 +31,9 @@ from tests.oracles import schur as per_member
 from tests.oracles import sparse as scalar
 
 
-def schur_complement(factor, B, exploit_rhs_sparsity=True):
+def schur_complement(factor, B):
     """The package kernel on a class of one."""
-    scatter = schur_scatter(factor.symbolic, B, exploit_rhs_sparsity)
+    scatter = schur_scatter(factor.symbolic, B)
     return stacked_schur_complement(factor.symbolic, [factor.band], [scatter])[0]
 
 
@@ -45,12 +45,11 @@ def factorized():
     return A, numeric_cholesky(A, s)
 
 
-@pytest.mark.parametrize("exploit", [True, False])
-def test_schur_matches_dense_reference(factorized, exploit):
+def test_schur_matches_dense_reference(factorized):
     A, factor = factorized
     rng = np.random.default_rng(1)
     B = sp.random(8, 50, density=0.08, random_state=rng).tocsr()
-    S = schur_complement(factor, B, exploit_rhs_sparsity=exploit)
+    S = schur_complement(factor, B)
     S_ref = (B @ np.linalg.inv(A.toarray()) @ B.T.toarray())
     assert np.allclose(S, S_ref, atol=1e-8 * max(1.0, np.abs(S_ref).max()))
     assert np.allclose(S, S.T, atol=1e-10)
@@ -71,12 +70,13 @@ def test_schur_with_signed_boolean_constraints(factorized):
 
 
 def test_exploiting_sparsity_gives_identical_result(factorized):
+    """The pruned kernel against the oracle's sweep from row 0 (a plain TRSM)."""
     _, factor = factorized
     rng = np.random.default_rng(3)
     B = sp.random(5, 50, density=0.05, random_state=rng).tocsr()
     assert np.allclose(
-        schur_complement(factor, B, exploit_rhs_sparsity=True),
-        schur_complement(factor, B, exploit_rhs_sparsity=False),
+        schur_complement(factor, B),
+        per_member.schur_complement(factor, B, exploit_rhs_sparsity=False),
     )
 
 
@@ -101,8 +101,7 @@ def test_empty_constraint_block(factorized):
     assert S.shape == (0, 0)
 
 
-@pytest.mark.parametrize("exploit", [True, False])
-def test_schur_scatters_empty_rows_and_duplicate_entries(factorized, exploit):
+def test_schur_scatters_empty_rows_and_duplicate_entries(factorized):
     """``B̃`` goes into the solve buffer entry by entry: duplicates must add up."""
     A, factor = factorized
     # row 1 is empty (never activated); row 2 stores the entry (2, 7) twice
@@ -114,7 +113,7 @@ def test_schur_scatters_empty_rows_and_duplicate_entries(factorized, exploit):
     )
     assert not B.has_canonical_format
     before = (B.data.copy(), B.indices.copy(), B.indptr.copy())
-    S = schur_complement(factor, B, exploit_rhs_sparsity=exploit)
+    S = schur_complement(factor, B)
     dense = np.zeros((4, 50))
     np.add.at(dense, (rows, cols), vals)
     S_ref = dense @ np.linalg.inv(A.toarray()) @ dense.T
@@ -156,11 +155,11 @@ def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _check_against_oracle(factor, B) -> np.ndarray:
-    """The pruned ``S`` against the scalar oracle, its symmetry and the plain path."""
+    """The pruned ``S`` against the scalar oracle, its symmetry and the plain sweep."""
     S = schur_complement(factor, B)
     assert _relative_gap(S, scalar.schur_complement(factor, B)) <= 1e-13
     assert np.array_equal(S, S.T)
-    plain = schur_complement(factor, B, exploit_rhs_sparsity=False)
+    plain = per_member.schur_complement(factor, B, exploit_rhs_sparsity=False)
     assert np.array_equal(plain, plain.T)
     assert _relative_gap(plain, S) <= 1e-14
     return S
@@ -213,14 +212,12 @@ def test_the_kernel_on_a_class_of_one_is_bitwise_the_per_member_oracle(fem_facto
     B = sp.csr_matrix(
         (rng.choice([-1.0, 1.0], 30), rng.permutation(n)[:30], np.arange(31)), shape=(30, n)
     )
-    for exploit in (True, False):
-        assert np.array_equal(
-            schur_complement(fem_factor, B, exploit),
-            per_member.schur_complement(fem_factor, B, exploit),
-        )
+    assert np.array_equal(
+        schur_complement(fem_factor, B), per_member.schur_complement(fem_factor, B)
+    )
 
 
-def _classes(workload, exploit):
+def _classes(workload):
     """Every (pattern, interface class) of a workload: factors and scatters."""
     cache = PatternCache()
     groups: dict[int, tuple] = {}
@@ -229,12 +226,11 @@ def _classes(workload, exploit):
         groups.setdefault(id(symbolic), (symbolic, []))[1].append(sub)
     for symbolic, subs in groups.values():
         bands = stacked_cholesky(stacked_values([s.K_reg for s in subs], symbolic), symbolic)
-        scatters = [schur_scatter(symbolic, s.B, exploit) for s in subs]
+        scatters = [schur_scatter(symbolic, s.B) for s in subs]
         for members in interface_classes(scatters):
             yield symbolic, bands[members], [(subs[i].B, scatters[i]) for i in members]
 
 
-@pytest.mark.parametrize("exploit", [True, False], ids=["pruned", "plain"])
 @pytest.mark.parametrize(
     "workload",
     [
@@ -244,30 +240,27 @@ def _classes(workload, exploit):
     ],
     ids=["heat2d-44x8", "elasticity2d-33x4-2faces", "heat3d-332x3"],
 )
-def test_every_member_of_a_stacked_class_is_bitwise_the_oracle(workload, exploit):
+def test_every_member_of_a_stacked_class_is_bitwise_the_oracle(workload):
     sizes = []
-    for symbolic, bands, members in _classes(workload, exploit):
+    for symbolic, bands, members in _classes(workload):
         scatters = [scatter for _, scatter in members]
         F = stacked_schur_complement(symbolic, bands, scatters)
         assert F.shape == (len(members), scatters[0].n_dual, scatters[0].n_dual)
         for i, (B, _) in enumerate(members):
             factor = CholeskyFactor(symbolic, bands[i])
-            assert np.array_equal(F[i], per_member.schur_complement(factor, B, exploit))
+            assert np.array_equal(F[i], per_member.schur_complement(factor, B))
         sizes.append(len(members))
     assert max(sizes) > 1  # the workload really stacks
 
 
 def test_classes_share_sorted_first_rows_and_order_largest_first():
     workload = Workload("heat", 2, (4, 4), 8)
-    classes = list(_classes(workload, True))
+    classes = list(_classes(workload))
     n_duals = [members[0][1].n_dual for *_, members in classes]
     assert n_duals == sorted(n_duals, reverse=True)
     for *_, members in classes:
         keys = {scatter.key for _, scatter in members}
         assert len(keys) == 1
-    # Without pruning every column starts at row 0: classes are equal n_λ.
-    plain = list(_classes(workload, False))
-    assert len(plain) == len({members[0][1].n_dual for *_, members in plain})
 
 
 def test_a_stack_of_two_classes_is_refused(fem_factor):

@@ -4,7 +4,7 @@
 two BLAS calls per solve) and the operator methods built on it
 (``dual_rhs``, ``primal_solution``, ``apply_accurate``, the implicit CPU
 apply) must reproduce ``tests/oracles/kplus.py`` — one
-``SparseSolverBase.solve`` and one ``scipy.sparse`` product per subdomain —
+``SparseSolver.solve`` and one ``scipy.sparse`` product per subdomain —
 on the *current* numeric factors, under every precision policy, keep every
 member independent of the others, and hold ``L`` once: as the band the
 factorization produced.
@@ -31,7 +31,7 @@ from repro.memory.precision import PRECISION_NAMES, factor_nbytes
 from repro.sparse import triangular
 from repro.sparse.cache import PatternCache
 from repro.sparse.numeric import CholeskyFactor
-from repro.sparse.solvers import CholmodLikeSolver, PardisoLikeSolver, SolverStack
+from repro.sparse.solvers import SolverStack, SparseSolver
 from repro.sparse.symbolic import SymbolicFactor
 
 from tests.conftest import fem_stiffness
@@ -165,16 +165,16 @@ def test_explicit_backends_share_the_stacked_solve(approach):
 # --------------------------------------------------------------------- #
 # The stack itself                                                       #
 # --------------------------------------------------------------------- #
-def _factorized(n_solvers, scale=lambda i: 1.0 + 0.25 * i, cls=PardisoLikeSolver, **kwargs):
+def _factorized(n_solvers, scale=lambda i: 1.0 + 0.25 * i, **kwargs):
     K = fem_stiffness(HeatTransferProblem(), 2, 6)
     cache = PatternCache()
-    solvers = [cls(pattern_cache=cache, **kwargs) for _ in range(n_solvers)]
+    solvers = [SparseSolver(pattern_cache=cache, **kwargs) for _ in range(n_solvers)]
     for i, solver in enumerate(solvers):
         solver.factorize(K * scale(i))
     return solvers, K.shape[0]
 
 
-def test_stack_of_one_is_bit_identical_to_the_facade():
+def test_stack_of_one_is_bit_identical_to_the_solver():
     (solver,), n = _factorized(1)
     b = np.random.default_rng(0).standard_normal((1, n))
     x = SolverStack([solver]).solve(b)
@@ -182,8 +182,8 @@ def test_stack_of_one_is_bit_identical_to_the_facade():
 
 
 @pytest.mark.parametrize("precision", PRECISION_NAMES)
-def test_stack_of_two_matches_the_facade(precision):
-    solvers, n = _factorized(2, cls=CholmodLikeSolver, precision=precision)
+def test_stack_of_two_matches_the_solver(precision):
+    solvers, n = _factorized(2, precision=precision)
     b = np.random.default_rng(1).standard_normal((2, n))
     reference = np.stack([s.solve(row) for s, row in zip(solvers, b)])
     x = SolverStack(solvers).solve(b)

@@ -1,4 +1,4 @@
-"""Tests of the CHOLMOD-like / PARDISO-like solver facades."""
+"""Tests of the sparse solver's phase API."""
 
 from __future__ import annotations
 
@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.sparse import (
-    CholmodLikeSolver,
-    CpuLibrary,
-    FactorExtractionError,
-    PardisoLikeSolver,
-)
+from repro.sparse import SparseSolver
 
 from tests.conftest import random_spd_matrix
 
@@ -22,28 +17,24 @@ def spd():
     return random_spd_matrix(70, 0.07, rng)
 
 
-@pytest.mark.parametrize("solver_cls", [CholmodLikeSolver, PardisoLikeSolver])
-def test_solve_roundtrip(spd, solver_cls):
-    solver = solver_cls()
+def test_solve_roundtrip(spd):
+    solver = SparseSolver()
     solver.analyze(spd)
     solver.factorize(spd)
-    rng = np.random.default_rng(0)
-    b = rng.standard_normal(70)
+    b = np.random.default_rng(0).standard_normal(70)
     x = solver.solve(b)
     assert np.allclose(spd @ x, b, atol=1e-9)
-    X = solver.solve_many(rng.standard_normal((70, 3)))
-    assert X.shape == (70, 3)
 
 
 def test_factorize_without_analyze_runs_analysis(spd):
-    solver = CholmodLikeSolver()
+    solver = SparseSolver()
     solver.factorize(spd)
     assert solver.is_factorized
     assert solver.factor_nnz > 0
 
 
 def test_phase_order_errors(spd):
-    solver = CholmodLikeSolver()
+    solver = SparseSolver()
     with pytest.raises(RuntimeError):
         _ = solver.symbolic
     solver.analyze(spd)
@@ -52,46 +43,30 @@ def test_phase_order_errors(spd):
     assert not solver.is_factorized
 
 
-def test_cholmod_allows_extraction_pardiso_refuses(spd):
-    cholmod = CholmodLikeSolver()
-    cholmod.factorize(spd)
-    factor = cholmod.extract_factor()
+def test_factor_reproduces_the_permuted_matrix(spd):
+    solver = SparseSolver()
+    solver.factorize(spd)
+    factor = solver._factor
     L = factor.to_csc().toarray()
     Ap = spd.toarray()[np.ix_(factor.symbolic.perm, factor.symbolic.perm)]
     assert np.allclose(L @ L.T, Ap, atol=1e-9)
 
-    pardiso = PardisoLikeSolver()
-    pardiso.factorize(spd)
-    with pytest.raises(FactorExtractionError):
-        pardiso.extract_factor()
 
-
-def test_library_identifiers():
-    assert CholmodLikeSolver.library is CpuLibrary.CHOLMOD
-    assert PardisoLikeSolver.library is CpuLibrary.MKL_PARDISO
-    assert CholmodLikeSolver.supports_factor_extraction
-    assert not PardisoLikeSolver.supports_factor_extraction
-
-
-@pytest.mark.parametrize("solver_cls", [CholmodLikeSolver, PardisoLikeSolver])
-def test_schur_complement_consistency(spd, solver_cls):
-    """Both facades compute the same Schur complement (different algorithms)."""
+def test_schur_complement_matches_the_dense_reference(spd):
     rng = np.random.default_rng(5)
     B = sp.random(6, 70, density=0.05, random_state=rng).tocsr()
-    solver = solver_cls()
+    solver = SparseSolver()
     solver.factorize(spd)
     S = solver.schur_complement(B)
     S_ref = B @ np.linalg.inv(spd.toarray()) @ B.T.toarray()
     assert np.allclose(S, S_ref, atol=1e-8)
-    assert 0.0 < solver.rhs_fill(B) <= 1.0
 
 
 def test_refactorization_updates_solution(spd):
-    solver = CholmodLikeSolver()
+    solver = SparseSolver()
     solver.factorize(spd)
     b = np.ones(70)
     x1 = solver.solve(b)
     solver.factorize((2.0 * spd).tocsr())
     x2 = solver.solve(b)
     assert np.allclose(x2, 0.5 * x1)
-    assert solver.factorization_flops() > 0

@@ -30,7 +30,7 @@ from repro.sparse import (
     structural_key,
     symbolic_cholesky,
 )
-from repro.sparse.solvers import CholmodLikeSolver, PardisoLikeSolver
+from repro.sparse.solvers import SparseSolver
 from repro.sparse.symbolic import MAX_SUPERNODE
 
 from tests.conftest import fem_stiffness as _fem_matrix
@@ -181,7 +181,7 @@ def test_the_partition_is_built_on_first_access_only():
     """An analysis and a banded factorization never need the supernodes."""
     A = _fem_matrix(LinearElasticityProblem(), 2, 4)
     s = symbolic_cholesky(A)
-    solver = CholmodLikeSolver(pattern_cache=False)
+    solver = SparseSolver(pattern_cache=False)
     solver.analyze(A)
     solver.factorize(A)
     solver.solve(np.ones(A.shape[0]))
@@ -319,7 +319,7 @@ def test_blocked_solvers_share_the_cache_and_match_scalar():
     rng = np.random.default_rng(12)
     A = _fem_matrix(HeatTransferProblem(), 2)
     cache = PatternCache()
-    solvers = [PardisoLikeSolver(pattern_cache=cache) for _ in range(3)]
+    solvers = [SparseSolver(pattern_cache=cache) for _ in range(3)]
     matrices = []
     for solver in solvers:
         Ai = A.copy()
@@ -339,10 +339,6 @@ def test_blocked_solvers_share_the_cache_and_match_scalar():
         x[s.perm] = scalar.trsv_upper(oracle, scalar.trsv_lower(oracle, b[s.perm]))
         assert np.allclose(solver.solve(b), x)
         assert np.allclose(solver.schur_complement(B), scalar.schur_complement(oracle, B))
-        # the facade without sparsity exploitation assembles the same operator
-        plain = CholmodLikeSolver(pattern_cache=cache)
-        plain.factorize(Ai)
-        assert np.allclose(plain.schur_complement(B), scalar.schur_complement(oracle, B))
 
 
 def test_pattern_cache_false_skips_the_global_cache():
@@ -352,8 +348,8 @@ def test_pattern_cache_false_skips_the_global_cache():
     cache.clear()
     rng = np.random.default_rng(13)
     A = random_spd_matrix(20, 0.3, rng)
-    solver = PardisoLikeSolver(pattern_cache=False)
+    solver = SparseSolver(pattern_cache=False)
     solver.analyze(A)
     assert cache.hits == 0 and cache.misses == 0
-    PardisoLikeSolver().analyze(A)  # the default is the process-global cache
+    SparseSolver().analyze(A)  # the default is the process-global cache
     assert cache.misses == 1

@@ -24,8 +24,8 @@ from repro.memory.precision import PRECISION_NAMES
 from repro.sparse import numeric_cholesky, symbolic_cholesky
 from repro.sparse.cache import PatternCache
 from repro.sparse.numeric import stacked_cholesky, stacked_values
-from repro.sparse.solvers import CholmodLikeSolver
-from repro.sparse.triangular import solve_banded, solve_banded_many
+from repro.sparse.solvers import SparseSolver
+from repro.sparse.triangular import solve_banded
 
 from tests.conftest import fem_stiffness, random_spd_matrix
 from tests.oracles.sparse import csc_solve_lower, csc_solve_upper
@@ -60,17 +60,15 @@ def _close(got: np.ndarray, ref: np.ndarray, tolerance: float = TOLERANCE) -> bo
 @pytest.mark.parametrize(("physics", "dim"), FEM_CASES)
 def test_band_solves_match_dense_triangular_solves(physics, dim, precision):
     K = fem_stiffness(physics, dim)
-    solver = CholmodLikeSolver(pattern_cache=PatternCache(), precision=precision)
+    solver = SparseSolver(pattern_cache=PatternCache(), precision=precision)
     factor = solver.factorize(K)
     L_before = factor.to_csc()
     L = L_before.toarray().astype(float)  # the stored (fp32) values, up-cast
     perm = solver.symbolic.perm
     rng = np.random.default_rng(dim)
     b = rng.standard_normal(K.shape[0])
-    B = rng.standard_normal((K.shape[0], 4))
 
     assert _close(solver.solve(b, refine=False), _dense_solve(L, perm, b))
-    assert _close(solver.solve_many(B, refine=False), _dense_solve(L, perm, B))
     # The solves read the factor's band where it is, at its storage dtype.
     assert factor.band.dtype == solver.precision.storage_dtype
     assert np.shares_memory(solver._stack_of_one().band, factor.band)
@@ -79,7 +77,6 @@ def test_band_solves_match_dense_triangular_solves(physics, dim, precision):
     if solver.precision.refine:
         reference = spla.spsolve(K.tocsc(), b)
         assert _close(solver.solve(b), reference, 1e-11)
-        assert _close(solver.solve_many(B), spla.spsolve(K.tocsc(), B), 1e-11)
 
 
 @pytest.mark.parametrize(("physics", "dim"), FEM_CASES)
@@ -138,7 +135,6 @@ def test_empty_matrix_has_an_empty_band():
     s = symbolic_cholesky(sp.csr_matrix((0, 0)))
     assert s.band_index()[0] == 0
     assert solve_banded(s.perm, np.zeros((1, 0, 1)), np.zeros((1, 0))).shape == (1, 0)
-    assert solve_banded_many(s.perm, np.zeros((0, 1)), np.zeros((0, 3))).shape == (0, 3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -148,14 +144,17 @@ def test_empty_matrix_has_an_empty_band():
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_property_band_solves_invert_any_spd_matrix(n, nrhs, seed):
-    """Property: the banded solves invert ``A`` for any SPD pattern."""
+    """Property: the banded solves invert ``A`` for any SPD pattern.
+
+    ``nrhs`` copies of the factor form one stack: each member solves its
+    own right-hand side.
+    """
     rng = np.random.default_rng(seed)
     A = random_spd_matrix(n, 0.3, rng)
     s = symbolic_cholesky(A)
-    band = numeric_cholesky(A, s).band[None]
-    B = rng.standard_normal((n, nrhs))
-    X = solve_banded_many(s.perm, band[0], B)
+    band = np.repeat(numeric_cholesky(A, s).band[None], nrhs, axis=0)
+    perm = (np.arange(nrhs)[:, None] * n + s.perm).reshape(-1)
+    B = rng.standard_normal((nrhs, n))
+    X = solve_banded(perm, band, B)
     scale = max(1.0, np.abs(A).max())
-    assert np.allclose(A @ X, B, atol=1e-7 * scale)
-    x = solve_banded(s.perm, band, B[:, :1].T)[0]
-    assert np.allclose(A @ x, B[:, 0], atol=1e-7 * scale)
+    assert np.allclose(X @ A, B, atol=1e-7 * scale)
