@@ -27,7 +27,13 @@ import scipy.sparse as sp
 
 from repro.decomposition.partition import BoxDecomposition
 
-__all__ = ["SubdomainGluing", "GluingData", "build_gluing", "flat_scatter_maps"]
+__all__ = [
+    "SubdomainGluing",
+    "GluingEntries",
+    "GluingData",
+    "build_gluing",
+    "flat_scatter_maps",
+]
 
 
 def flat_scatter_maps(
@@ -54,7 +60,6 @@ def flat_scatter_maps(
     return flat, offsets
 
 
-@dataclass
 class SubdomainGluing:
     """Gluing information restricted to one subdomain.
 
@@ -65,6 +70,9 @@ class SubdomainGluing:
         subdomain; the rows of ``B`` follow this order.
     B:
         Signed Boolean constraint matrix, shape ``(len(lambda_ids), ndofs)``.
+        :func:`build_gluing` leaves it to be built on first read from the
+        subdomain's run of :class:`GluingEntries`; nothing on the solve path
+        reads it.
     dof_multiplicity:
         For every local DOF, the number of subdomains sharing the underlying
         physical DOF (1 for interior DOFs).  It is the diagonal ``D`` of the
@@ -75,14 +83,107 @@ class SubdomainGluing:
         per copy, so ``B D⁻¹ Bᵀ`` is block tridiagonal, not the identity.
     """
 
-    lambda_ids: np.ndarray
-    B: sp.csr_matrix
-    dof_multiplicity: np.ndarray
+    def __init__(
+        self,
+        lambda_ids: np.ndarray,
+        B: sp.csr_matrix | None = None,
+        dof_multiplicity: np.ndarray | None = None,
+        *,
+        entries: tuple[np.ndarray, np.ndarray, int] | None = None,
+    ) -> None:
+        if (B is None) == (entries is None):
+            raise ValueError("give either B or its entries (cols, vals, ndofs)")
+        self.lambda_ids = lambda_ids
+        self.dof_multiplicity = dof_multiplicity
+        self._B = B
+        #: ``(cols, vals, ndofs)``: row ``r`` of ``B`` is ``vals[r]`` at ``cols[r]``.
+        self._entries = entries
+
+    @property
+    def B(self) -> sp.csr_matrix:
+        """``B̃ᵢ`` (built on first read when the gluing gave its entries)."""
+        if self._B is None:
+            cols, vals, ndofs = self._entries
+            n = cols.shape[0]
+            self._B = sp.csr_matrix((vals, cols, np.arange(n + 1)), shape=(n, ndofs))
+        return self._B
 
     @property
     def n_lambda(self) -> int:
         """Number of multipliers connected to the subdomain."""
         return int(self.lambda_ids.shape[0])
+
+
+@dataclass(frozen=True)
+class GluingEntries:
+    """Every subdomain's ``B̃ᵢ`` as one list of entries.
+
+    A multiplier touches a subdomain once, so every row of ``B̃ᵢ`` holds
+    exactly one entry: entry ``e`` is row ``e − bounds[i]`` of the ``B̃ᵢ``
+    of the subdomain ``i`` whose run ``bounds[i]:bounds[i + 1]`` holds it,
+    with value ``val[e]`` at local DOF ``col[e]``.  The entries are sorted by
+    ``(subdomain, λ)``, so ``lam`` is also the concatenation of every
+    ``lambda_ids``.  Every global matrix made of the ``B̃ᵢ`` (``B``, the
+    block-diagonal ``B̃``, ``G = B R``) is one vectorized pass over them.
+    """
+
+    lam: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    #: ``(n_subdomains + 1,)`` run boundaries.
+    bounds: np.ndarray
+    #: ``(n_subdomains,)`` columns of every ``B̃ᵢ``.
+    ndofs: np.ndarray
+
+    @classmethod
+    def of(cls, per_subdomain: Sequence[SubdomainGluing]) -> "GluingEntries":
+        """The entries of given ``B̃ᵢ`` (each with one entry per row)."""
+        lam, col, val = [], [], []
+        for sub in per_subdomain:
+            B = sub.B.tocsr()
+            if not np.all(np.diff(B.indptr) == 1):
+                raise ValueError("every row of a B̃ᵢ must hold exactly one entry")
+            lam.append(np.asarray(sub.lambda_ids, dtype=np.int64))
+            col.append(B.indices.astype(np.int64))
+            val.append(np.asarray(B.data, dtype=float))
+        counts = [a.size for a in lam]
+        return cls(
+            lam=np.concatenate(lam) if lam else np.empty(0, dtype=np.int64),
+            col=np.concatenate(col) if col else np.empty(0, dtype=np.int64),
+            val=np.concatenate(val) if val else np.empty(0),
+            bounds=np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]).astype(np.int64),
+            ndofs=np.array([sub.B.shape[1] for sub in per_subdomain], dtype=np.int64),
+        )
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Entries (= rows) of every ``B̃ᵢ``."""
+        return np.diff(self.bounds)
+
+    @property
+    def subdomain(self) -> np.ndarray:
+        """The subdomain of every entry."""
+        return np.repeat(np.arange(self.ndofs.shape[0]), self.counts)
+
+    def rows_of(self, subdomains: Sequence[int]) -> tuple[sp.csr_matrix, np.ndarray]:
+        """The ``B̃ᵢ`` of ``subdomains`` stacked by rows, and their row bounds.
+
+        All of them must have the same number of columns (one symbolic
+        analysis); one CSR construction for the whole group.
+        """
+        subdomains = np.asarray(subdomains, dtype=np.int64)
+        ndofs = self.ndofs[subdomains]
+        if ndofs.size and np.any(ndofs != ndofs[0]):
+            raise ValueError("the stacked B̃ᵢ must have the same number of columns")
+        lo = self.bounds[subdomains]
+        sizes = self.bounds[subdomains + 1] - lo
+        bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        take = np.arange(bounds[-1]) + np.repeat(lo - bounds[:-1], sizes)
+        B = sp.csr_matrix(
+            (self.val[take], self.col[take], np.arange(bounds[-1] + 1)),
+            shape=(int(bounds[-1]), int(ndofs[0]) if ndofs.size else 0),
+        )
+        return B, bounds
 
 
 @dataclass
@@ -105,6 +206,9 @@ class GluingData:
         For every multiplier, the tuple of subdomain indices it touches.
     dofs_per_node:
         DOFs per mesh node used when the constraints were generated.
+    entries:
+        Every ``B̃ᵢ`` as one sorted entry list (:class:`GluingEntries`);
+        derived from ``per_subdomain`` when not given.
     """
 
     n_lambda: int
@@ -114,36 +218,36 @@ class GluingData:
     per_subdomain: list[SubdomainGluing]
     lambda_subdomains: list[tuple[int, ...]]
     dofs_per_node: int
+    entries: GluingEntries | None = None
+
+    def __post_init__(self) -> None:
+        if self.entries is None:
+            self.entries = GluingEntries.of(self.per_subdomain)
 
     def scatter_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached flat scatter/gather index maps over all subdomains.
+        """The flat scatter/gather index maps over all subdomains.
 
-        See :func:`flat_scatter_maps`; the result is computed once and reused
-        by the batched execution engine.
+        See :func:`flat_scatter_maps`: ``lambda_ids`` concatenated (the
+        entries' ``lam``) and the subdomains' offsets into it.
         """
-        cached = getattr(self, "_scatter_maps", None)
-        if cached is None:
-            cached = flat_scatter_maps([s.lambda_ids for s in self.per_subdomain])
-            self._scatter_maps = cached
-        return cached
+        return self.entries.lam, self.entries.bounds
 
     def global_B(self, ndofs_per_subdomain: Sequence[int]) -> sp.csr_matrix:
-        """Assemble the global ``B = [B_1, B_2, ..., B_N]`` (mainly for tests).
+        """The global ``B = [B_1, B_2, ..., B_N]``, one pass over the entries.
+
+        The lumped and Dirichlet preconditioners scale it
+        (:mod:`repro.feti.preconditioner`) and the saddle-point oracle
+        assembles it.
 
         Parameters
         ----------
         ndofs_per_subdomain:
             DOF counts of all subdomains (defines the column blocks).
         """
+        e = self.entries
         offsets = np.concatenate([[0], np.cumsum(ndofs_per_subdomain)])
-        rows, cols, vals = [], [], []
-        for i, sub in enumerate(self.per_subdomain):
-            coo = sub.B.tocoo()
-            rows.append(sub.lambda_ids[coo.row])
-            cols.append(coo.col + offsets[i])
-            vals.append(coo.data)
         return sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            (e.val, (e.lam, e.col + np.repeat(offsets[:-1], e.counts))),
             shape=(self.n_lambda, int(offsets[-1])),
         ).tocsr()
 
@@ -262,17 +366,20 @@ def build_gluing(
     by_sub = np.lexsort((lam, sub))
     lam, col, val = lam[by_sub], col[by_sub], val[by_sub]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(sub, minlength=n_subdomains))])
-    # Every multiplier touches a subdomain once: B̃ᵢ has one entry per row.
+    ndofs = sizes * dpn
+    entries = GluingEntries(lam=lam, col=col, val=val, bounds=bounds, ndofs=ndofs)
+    dof_multiplicity = np.repeat(multiplicity, dpn).astype(float)
+    # Every multiplier touches a subdomain once: B̃ᵢ has one entry per row,
+    # and is built from its run of the entries only when read.
     per_subdomain = [
         SubdomainGluing(
             lambda_ids=lam[lo:hi],
-            B=sp.csr_matrix(
-                (val[lo:hi], col[lo:hi], np.arange(hi - lo + 1)),
-                shape=(hi - lo, int(n_nodes) * dpn),
-            ),
-            dof_multiplicity=np.repeat(multiplicity[start:start + n_nodes], dpn).astype(float),
+            dof_multiplicity=dof_multiplicity[dpn * start:dpn * (start + n_nodes)],
+            entries=(col[lo:hi], val[lo:hi], int(n_nodes) * dpn),
         )
-        for lo, hi, start, n_nodes in zip(bounds[:-1], bounds[1:], starts[:-1], sizes)
+        for lo, hi, start, n_nodes in zip(
+            bounds[:-1].tolist(), bounds[1:].tolist(), starts[:-1].tolist(), sizes.tolist()
+        )
     ]
 
     owners_by_lam = np.empty((n_gluing, 2), dtype=np.int64)
@@ -292,4 +399,5 @@ def build_gluing(
         per_subdomain=per_subdomain,
         lambda_subdomains=lambda_subdomains,
         dofs_per_node=dofs_per_node,
+        entries=entries,
     )

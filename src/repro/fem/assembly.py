@@ -154,8 +154,12 @@ class PatternMismatchError(ValueError):
 class CsrStack:
     """``k`` square CSR matrices of one pattern.
 
-    ``values`` is ``(k, nnz)``; every member's CSR views its row and all of
-    them share one ``indices`` / ``indptr`` pair.
+    ``values`` is ``(k, nnz)``, one row per member, and all members share one
+    ``indices`` / ``indptr`` pair.  The stack is the storage: a problem
+    keeps one per shape group (:class:`~repro.feti.problem.ShapeGroup`) and
+    its consumers read the rows and the pattern directly.  :meth:`member`
+    builds a member's SciPy CSR (a view of its row) only for whoever reads
+    one.
     """
 
     values: np.ndarray

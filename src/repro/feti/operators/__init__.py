@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from repro.cluster.topology import Machine, MachineConfig
 from repro.feti.config import AssemblyConfig, DualOperatorApproach
-from repro.feti.operators.base import DualOperator
+from repro.feti.operators.base import DualOperator, analyze_problem
 from repro.feti.operators.batch import (
     BatchedDenseApply,
     FlatIndexMap,
@@ -160,8 +160,9 @@ def replay_for(
     """
     _, library, replay = _APPROACHES[approach]
     if shapes is None:
-        analyses = {
-            sub.index: SparseSolver().analyze(sub.K_reg) for sub in problem.subdomains
-        }
-        shapes = ShapeTable.from_analyses(problem, analyses, library, replay.reads_rhs_fill)
+        solvers = {sub.index: SparseSolver() for sub in problem.subdomains}
+        analyses, scatters = analyze_problem(problem, solvers, scatters=replay.reads_rhs_fill)
+        shapes = ShapeTable.from_analyses(
+            problem, analyses, library, replay.reads_rhs_fill, scatters
+        )
     return replay(shapes, _machine(approach, problem, machine_config), assembly_config)

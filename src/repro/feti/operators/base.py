@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -40,10 +41,37 @@ from repro.memory.precision import PrecisionPolicy, resolve_precision
 from repro.observe.trace import trace_span
 from repro.sparse.cache import PatternCache
 from repro.sparse.costmodel import CpuLibrary
-from repro.sparse.schur import SchurScatter
+from repro.sparse.schur import SchurScatter, schur_scatters
 from repro.sparse.solvers import SolverStack, SparseSolver
+from repro.sparse.symbolic import SymbolicFactor
 
-__all__ = ["DualOperator"]
+__all__ = ["DualOperator", "analyze_problem"]
+
+
+def analyze_problem(
+    problem: FetiProblem, solvers: Mapping[int, SparseSolver], *, scatters: bool
+) -> tuple[dict[int, SymbolicFactor], dict[int, SchurScatter]]:
+    """Every subdomain's symbolic analysis and, given ``scatters``, its Schur scatter.
+
+    Per stored pattern of ``K_reg`` (:meth:`FetiProblem.stiffness_patterns`:
+    one per shape group unless a matrix was assigned): each member's solver
+    analyses one CSR of the pattern — one pattern-cache lookup per
+    subdomain, one structural hash per pattern — and the members sharing an
+    analysis get their scatters from one
+    :func:`~repro.sparse.schur.schur_scatters` pass over the gluing entries.
+    No subdomain's ``K_reg`` or ``B̃ᵢ`` is built.
+    """
+    analyses: dict[int, SymbolicFactor] = {}
+    by_symbolic: dict[int, tuple[SymbolicFactor, list[int]]] = {}
+    for pattern, members in problem.stiffness_patterns("K_reg"):
+        for sub in members:
+            symbolic = analyses[sub.index] = solvers[sub.index].analyze(pattern)
+            by_symbolic.setdefault(id(symbolic), (symbolic, []))[1].append(sub.index)
+    out: dict[int, SchurScatter] = {}
+    for symbolic, indices in by_symbolic.values() if scatters else ():
+        B, bounds = problem.gluing.entries.rows_of(indices)
+        out.update(zip(indices, schur_scatters(symbolic, B, bounds)))
+    return analyses, out
 
 #: Process-wide source of :attr:`DualOperator.storage_version` values.
 _STORAGE_VERSIONS = itertools.count()
@@ -191,17 +219,15 @@ class DualOperator:
         """Run the preparation phase (once per mesh).
 
         The symbolic analysis of every subdomain (and, on the explicit path,
-        how every ``B̃ᵢ`` enters the Schur assembly); the cost replay is
-        built from the analyses and charges the phase.
+        how every ``B̃ᵢ`` enters the Schur assembly), both per stored
+        pattern (:func:`analyze_problem`); the cost replay is built from them and
+        charges the phase.
         """
         wall0 = time.perf_counter()
         with trace_span("preparation", approach=self.approach.value):
-            analyses = {}
-            for sub in self.problem.subdomains:
-                solver = self._cpu_solvers[sub.index]
-                analyses[sub.index] = solver.analyze(sub.K_reg)
-                if self.explicit:
-                    self._schur_scatters[sub.index] = solver.schur_scatter(sub.B)
+            analyses, self._schur_scatters = analyze_problem(
+                self.problem, self._cpu_solvers, scatters=self.explicit
+            )
             self.replay = self._replay_type.build(
                 self.problem,
                 analyses,
@@ -209,6 +235,7 @@ class DualOperator:
                 self.machine,
                 self.config,
                 self.precision.storage_dtype,
+                scatters=self._schur_scatters,
             )
             sim, breakdown = self.replay.prepare()
         self._prepared = True

@@ -300,8 +300,19 @@ class SubdomainBatchEngine:
     # (``problem.subdomains`` order; needs at least one subdomain).
     @cached_property
     def B(self) -> sp.csr_matrix:
-        """Block-diagonal ``B̃``: concatenated primal → concatenated local duals."""
-        return sp.block_diag([s.B for s in self.problem.subdomains], format="csr")
+        """Block-diagonal ``B̃``: concatenated primal → concatenated local duals.
+
+        Row ``e`` is gluing entry ``e`` (one entry per row of every ``B̃ᵢ``,
+        in ``global_map`` order), its column shifted by its subdomain's
+        primal offset: one CSR built from the entries, the matrix
+        ``sp.block_diag`` of the ``B̃ᵢ`` is.
+        """
+        e = self.problem.gluing.entries
+        cols = e.col + np.repeat(self.primal_offsets[:-1], e.counts)
+        return sp.csr_matrix(
+            (e.val, cols, np.arange(e.lam.shape[0] + 1)),
+            shape=(e.lam.shape[0], int(self.primal_offsets[-1])),
+        )
 
     @cached_property
     def Bt(self) -> sp.csr_matrix:

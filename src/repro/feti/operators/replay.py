@@ -31,7 +31,7 @@ from repro.gpu.arrays import DeviceCsrMatrix, MatrixOrder
 from repro.gpu.cusparse import SparseTrsmPlan
 from repro.gpu.memory import Allocation
 from repro.sparse.costmodel import CpuLibrary
-from repro.sparse.schur import rhs_sparsity_fill
+from repro.sparse.schur import SchurScatter
 from repro.sparse.symbolic import SymbolicFactor
 
 __all__ = [
@@ -101,24 +101,48 @@ class ShapeTable:
         analyses: Mapping[int, SymbolicFactor],
         library: CpuLibrary,
         rhs_fill: bool = False,
+        scatters: Mapping[int, SchurScatter] | None = None,
     ) -> "ShapeTable":
-        """The table of ``problem`` under its subdomains' symbolic analyses."""
-        patterns: dict[int, int] = {}
+        """The table of ``problem`` under its subdomains' symbolic analyses.
+
+        ``nnz(L)`` and the factorization flops are read once per analysis,
+        ``nnz(B̃ᵢ)`` from the gluing entries and ``rhs_fill`` (where the
+        replay reads it) from the Schur scatters
+        (:meth:`~repro.sparse.schur.SchurScatter.rhs_fill`), which
+        ``scatters`` must then hold: once per distinct ``starts`` and row
+        order.
+        """
+        patterns: dict[int, tuple[int, int, float]] = {}
+        fills: dict[tuple, float] = {}
+        b_nnz = problem.gluing.entries.counts.tolist()
         shapes = []
         for sub in problem.subdomains:
             symbolic = analyses[sub.index]
+            pattern = patterns.get(id(symbolic))
+            if pattern is None:
+                pattern = patterns[id(symbolic)] = (
+                    len(patterns), symbolic.nnz, symbolic.factorization_flops()
+                )
+            fill = 1.0
+            if rhs_fill:
+                # Equal starts in equal row order: the same mean, bit for bit.
+                scatter = scatters[sub.index]
+                order = None if scatter.rank is None else scatter.rank.tobytes()
+                fill = fills.get((symbolic.n, scatter.key, order))
+                if fill is None:
+                    fill = fills[symbolic.n, scatter.key, order] = scatter.rhs_fill(symbolic.n)
             shapes.append(
                 SubdomainShape(
                     index=sub.index,
                     cluster=sub.cluster,
                     ndofs=sub.ndofs,
                     n_lambda=sub.n_lambda,
-                    K_nnz=int(sub.K_reg.nnz),
-                    L_nnz=symbolic.nnz,
-                    flops=symbolic.factorization_flops(),
-                    B_nnz=int(sub.B.nnz),
-                    pattern=patterns.setdefault(id(symbolic), len(patterns)),
-                    rhs_fill=rhs_sparsity_fill(sub.B, symbolic.perm) if rhs_fill else 1.0,
+                    K_nnz=int(sub.csr_arrays("K_reg")[2][-1]),
+                    L_nnz=pattern[1],
+                    flops=pattern[2],
+                    B_nnz=int(b_nnz[sub.index]),
+                    pattern=pattern[0],
+                    rhs_fill=fill,
                 )
             )
         lambda_ids: dict[int, list[np.ndarray]] = {}
@@ -174,9 +198,16 @@ class CostReplay:
         machine: Machine,
         config: AssemblyConfig | None = None,
         storage_dtype=np.float64,
+        scatters: Mapping[int, SchurScatter] | None = None,
     ) -> "CostReplay":
-        """The replay of ``problem`` from its subdomains' symbolic analyses."""
-        shapes = ShapeTable.from_analyses(problem, analyses, library, cls.reads_rhs_fill)
+        """The replay of ``problem`` from its subdomains' symbolic analyses.
+
+        ``scatters`` (every subdomain's Schur scatter) is required where the
+        replay reads ``rhs_fill``.
+        """
+        shapes = ShapeTable.from_analyses(
+            problem, analyses, library, cls.reads_rhs_fill, scatters
+        )
         return cls(shapes, machine, config, storage_dtype)
 
     def clusters(self):

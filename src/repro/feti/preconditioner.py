@@ -160,17 +160,8 @@ class LumpedPreconditioner(_AssembledPreconditioner):
     """The lumped preconditioner ``M = Σᵢ B̃_D,ᵢ Kᵢ B̃_D,ᵢᵀ``."""
 
     def _operator(self) -> sp.csr_matrix:
-        # CSR block diagonal by concatenation (``sp.block_diag`` loops in
-        # Python over every block and is several times slower).
-        blocks = [sub.K.tocsr() for sub in self.problem.subdomains]
-        nnz_before = np.cumsum([0] + [b.nnz for b in blocks])
-        indptr = [b.indptr[1:] + start for b, start in zip(blocks, nnz_before)]
-        indices = [b.indices + start for b, start in zip(blocks, self._offsets)]
-        data = np.concatenate([b.data for b in blocks])
-        n = self._offsets[-1]
-        return sp.csr_matrix(
-            (data, np.concatenate(indices), np.concatenate([[0], *indptr])), shape=(n, n)
-        )
+        # One CSR block diagonal from the stiffness stacks' arrays.
+        return self.problem.block_diagonal("K")
 
 
 class DirichletPreconditioner(_AssembledPreconditioner):

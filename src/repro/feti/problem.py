@@ -9,42 +9,133 @@ iteration need:
   multipliers, and the DOF multiplicities used by the scaled preconditioners;
 * globally: the number of multipliers, the constraint right-hand side ``c``,
   the natural coarse matrix ``G = B R`` and ``e = Rᵀ f``.
+
+The values are held per **shape group** (:class:`ShapeGroup`): one
+:class:`~repro.fem.assembly.CsrStack` for ``K`` and one for ``K_reg``, and
+the gluing as one sorted entry list
+(:class:`~repro.decomposition.gluing.GluingEntries`).  A subdomain's
+``K`` / ``K_reg`` / ``B`` are SciPy matrices built on first read — tests,
+oracles and user code read them; the solve path reads the stacks
+(:meth:`SubdomainProblem.csr_arrays`, :meth:`FetiProblem.stiffness_patterns`)
+and the entries instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.decomposition.gluing import GluingData, build_gluing
+from repro.decomposition.gluing import GluingData, SubdomainGluing, build_gluing
 from repro.decomposition.kernel import fixing_dofs_for, regularize_stack
 from repro.decomposition.partition import BoxDecomposition, Subdomain
-from repro.fem.assembly import ElementStack, ScatterMap
+from repro.fem.assembly import CsrStack, ElementStack, ScatterMap
 from repro.fem.mesh import Mesh
 from repro.feti.problem_helpers import dofs_per_node_of as _dofs_per_node
 from repro.observe.trace import trace_span
 
-__all__ = ["SubdomainProblem", "FetiProblem"]
+__all__ = ["ShapeGroup", "SubdomainProblem", "FetiProblem"]
+
+#: The stiffness matrices a subdomain holds.
+_STIFFNESS = ("K", "K_reg")
 
 
 @dataclass
-class SubdomainProblem:
-    """All per-subdomain data of the torn system."""
+class ShapeGroup:
+    """The subdomains of one shape and their stacked stiffness values.
 
-    index: int
-    cluster: int
-    mesh: Mesh
-    K: sp.csr_matrix
-    K_reg: sp.csr_matrix
-    kernel: np.ndarray
-    fixing_dofs: np.ndarray
-    f: np.ndarray
-    B: sp.csr_matrix
-    lambda_ids: np.ndarray
-    dof_multiplicity: np.ndarray
+    Row ``i`` of ``K`` and ``K_reg`` belongs to subdomain ``indices[i]``.
+    """
+
+    indices: np.ndarray
+    K: CsrStack
+    K_reg: CsrStack
+
+
+class SubdomainProblem:
+    """All per-subdomain data of the torn system.
+
+    ``K`` and ``K_reg`` are CSR views of this subdomain's row of its
+    :class:`ShapeGroup`'s stacks, built on first read: a write through
+    ``.data`` lands in the stack.  Assigning another matrix (``sub.K_reg =
+    other``) is legal; the subdomain then holds that matrix, no longer a
+    view.  ``B`` is the gluing's ``B̃ᵢ``, built on first read as well.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        cluster: int,
+        mesh: Mesh,
+        group: ShapeGroup,
+        row: int,
+        kernel: np.ndarray,
+        fixing_dofs: np.ndarray,
+        f: np.ndarray,
+        gluing: SubdomainGluing,
+    ) -> None:
+        self.index = index
+        self.cluster = cluster
+        self.mesh = mesh
+        self.kernel = kernel
+        self.fixing_dofs = fixing_dofs
+        self.f = f
+        self.lambda_ids = gluing.lambda_ids
+        self.dof_multiplicity = gluing.dof_multiplicity
+        self._gluing = gluing
+        self._group = group
+        self._row = row
+        #: ``K`` / ``K_reg`` once read or assigned (absent: the stack row).
+        self._matrices: dict[str, sp.spmatrix] = {}
+
+    def _stiffness(self, name: str) -> sp.spmatrix:
+        matrix = self._matrices.get(name)
+        if matrix is None:
+            matrix = self._matrices[name] = getattr(self._group, name).member(self._row)
+        return matrix
+
+    @property
+    def K(self) -> sp.csr_matrix:
+        """The singular stiffness ``Kᵢ``."""
+        return self._stiffness("K")
+
+    @K.setter
+    def K(self, matrix: sp.spmatrix) -> None:
+        self._matrices["K"] = matrix
+
+    @property
+    def K_reg(self) -> sp.csr_matrix:
+        """The regularized stiffness ``K_reg,ᵢ`` (SPD, ``K_reg⁻¹`` a generalized inverse of ``K``)."""
+        return self._stiffness("K_reg")
+
+    @K_reg.setter
+    def K_reg(self, matrix: sp.spmatrix) -> None:
+        self._matrices["K_reg"] = matrix
+
+    def csr_arrays(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(data, indices, indptr)`` of ``K`` or ``K_reg``, building no matrix.
+
+        The arrays of the matrix the subdomain holds when it was read or
+        assigned (converted to canonical CSR where it is not), else its
+        row of the stack and the stack's shared pattern.
+        """
+        if name not in _STIFFNESS:
+            raise ValueError(f"no stiffness matrix {name!r}; expected one of {_STIFFNESS}")
+        matrix = self._matrices.get(name)
+        if matrix is None:
+            stack = getattr(self._group, name)
+            return stack.values[self._row], stack.indices, stack.indptr
+        if matrix.format != "csr" or not matrix.has_canonical_format:
+            matrix = sp.csr_matrix(matrix, copy=True)
+            matrix.sum_duplicates()
+        return matrix.data, matrix.indices, matrix.indptr
+
+    @property
+    def B(self) -> sp.csr_matrix:
+        """The local gluing matrix ``B̃ᵢ`` (rows follow ``lambda_ids``)."""
+        return self._gluing.B
 
     @cached_property
     def Bt(self) -> sp.csc_matrix:
@@ -54,7 +145,8 @@ class SubdomainProblem:
     @property
     def ndofs(self) -> int:
         """Primal DOFs of the subdomain."""
-        return int(self.K.shape[0])
+        matrix = self._matrices.get("K")
+        return int(matrix.shape[0]) if matrix is not None else self._group.K.n
 
     @property
     def n_lambda(self) -> int:
@@ -66,26 +158,18 @@ class SubdomainProblem:
         """Dimension of the stiffness kernel (1 for heat, 3/6 for elasticity)."""
         return int(self.kernel.shape[1])
 
-    def local_dual(self, global_dual: np.ndarray) -> np.ndarray:
-        """Scatter: restrict a global dual vector to this subdomain."""
-        return global_dual[self.lambda_ids]
-
-    def accumulate_dual(self, global_dual: np.ndarray, local: np.ndarray) -> None:
-        """Gather: add a local dual contribution into the global vector."""
-        np.add.at(global_dual, self.lambda_ids, local)
-
 
 def _build_shape(
     physics: object,
     group: list[Subdomain],
     gluing: GluingData,
     dofs_per_node: int,
-) -> list[SubdomainProblem]:
+) -> tuple[ShapeGroup, list[SubdomainProblem]]:
     """Assemble every subdomain of one shape as one stack.
 
     One element geometry and one scatter map for the shape; ``K``, ``K_reg``
-    and ``f`` of all members come out as ``(k, ·)`` stacks, and each
-    member's ``K`` / ``K_reg`` is a CSR viewing its row of the stack.
+    and ``f`` of all members come out as ``(k, ·)`` stacks.  The stiffness
+    stacks stay the :class:`ShapeGroup`'s; each member views its row.
     """
     meshes = [sub.mesh for sub in group]
     stack = ElementStack(meshes)
@@ -96,21 +180,20 @@ def _build_shape(
     del stack, smap  # the element workspaces; only the stacks are kept
     fixing_dofs = fixing_dofs_for(meshes[0], kernels, dofs_per_node)
     K_reg, _rho = regularize_stack(K, kernels, fixing_dofs)
-    return [
+    shape = ShapeGroup(np.array([sub.index for sub in group], dtype=np.int64), K, K_reg)
+    return shape, [
         SubdomainProblem(
             index=sub.index,
             cluster=sub.cluster,
             mesh=sub.mesh,
-            K=K_i,
-            K_reg=K_reg_i,
+            group=shape,
+            row=i,
             kernel=kernels[i],
             fixing_dofs=fixing_dofs,
             f=f[i],
-            B=gluing.per_subdomain[sub.index].B,
-            lambda_ids=gluing.per_subdomain[sub.index].lambda_ids,
-            dof_multiplicity=gluing.per_subdomain[sub.index].dof_multiplicity,
+            gluing=gluing.per_subdomain[sub.index],
         )
-        for i, (sub, K_i, K_reg_i) in enumerate(zip(group, K.members(), K_reg.members()))
+        for i, sub in enumerate(group)
     ]
 
 
@@ -127,6 +210,8 @@ class FetiProblem:
     gluing: GluingData
     subdomains: list[SubdomainProblem]
     dofs_per_node: int
+    #: The shape groups: every subdomain is a row of exactly one.
+    groups: list[ShapeGroup]
 
     # ------------------------------------------------------------------ #
     # Construction                                                        #
@@ -167,10 +252,13 @@ class FetiProblem:
                 dirichlet_value=dirichlet_value,
             )
         groups = decomposition.shape_groups()
+        shapes: list[ShapeGroup] = []
         subdomains: list[SubdomainProblem] = []
         with trace_span("assembly", subdomains=decomposition.n_subdomains, shapes=len(groups)):
             for group in groups:
-                subdomains += _build_shape(physics, group, gluing, dofs_per_node)
+                shape, members = _build_shape(physics, group, gluing, dofs_per_node)
+                shapes.append(shape)
+                subdomains += members
         subdomains.sort(key=lambda sub: sub.index)
         return cls(
             physics=physics,
@@ -178,6 +266,7 @@ class FetiProblem:
             gluing=gluing,
             subdomains=subdomains,
             dofs_per_node=dofs_per_node,
+            groups=shapes,
         )
 
     # ------------------------------------------------------------------ #
@@ -213,29 +302,70 @@ class FetiProblem:
         """Total number of kernel modes (columns of ``G``)."""
         return int(self.kernel_offsets[-1])
 
-    def assemble_G(self) -> sp.csr_matrix:
-        """The natural coarse-space matrix ``G = B R`` (``n_lambda × Σ dim ker``)."""
-        offsets = self.kernel_offsets
-        blocks_rows, blocks_cols, blocks_vals = [], [], []
+    def stiffness_patterns(self, name: str = "K_reg") -> list[tuple[sp.csr_matrix, list[SubdomainProblem]]]:
+        """The subdomains grouped by the stored pattern of ``K`` or ``K_reg``.
+
+        One group per distinct ``(indices, indptr)`` pair — the members of a
+        shape group's stack share theirs — with one CSR of that pattern (the
+        values of its first member), the members in index order.  A matrix
+        assigned to a subdomain forms its own group.  No member's matrix is
+        built.
+        """
+        groups: dict[tuple[int, int], tuple[sp.csr_matrix, list[SubdomainProblem]]] = {}
         for sub in self.subdomains:
-            local = sub.B @ sub.kernel  # (n_lambda_i, kernel_dim)
-            if local.size == 0:
-                continue
-            rows = np.repeat(sub.lambda_ids, sub.kernel_dim)
-            cols = np.tile(
-                np.arange(sub.kernel_dim) + offsets[sub.index], sub.n_lambda
-            )
-            blocks_rows.append(rows)
-            blocks_cols.append(cols)
-            blocks_vals.append(np.asarray(local).ravel())
-        if not blocks_rows:
+            data, indices, indptr = sub.csr_arrays(name)
+            key = (id(indices), id(indptr))
+            group = groups.get(key)
+            if group is None:
+                n = indptr.shape[0] - 1
+                pattern = sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
+                group = groups[key] = (pattern, [])
+            group[1].append(sub)
+        return list(groups.values())
+
+    def block_diagonal(self, name: str = "K") -> sp.csr_matrix:
+        """``blockdiag(Kᵢ)`` (or of ``K_reg,ᵢ``) in index order, one CSR.
+
+        Concatenated from every subdomain's CSR arrays
+        (:meth:`SubdomainProblem.csr_arrays`) in one pass: the same matrix
+        ``sp.block_diag`` gives, without a SciPy matrix per block.
+        """
+        arrays = [sub.csr_arrays(name) for sub in self.subdomains]
+        sizes = np.array([indptr.shape[0] - 1 for _, _, indptr in arrays], dtype=np.int64)
+        nnz = np.array([indptr[-1] for _, _, indptr in arrays], dtype=np.int64)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        before = np.concatenate([[0], np.cumsum(nnz)])
+        indptr = np.concatenate([[0]] + [p[1:] for _, _, p in arrays]).astype(np.int64)
+        indptr[1:] += np.repeat(before[:-1], sizes)
+        indices = np.concatenate([i[:k] for (_, i, _), k in zip(arrays, nnz.tolist())])
+        indices = indices.astype(np.int64) + np.repeat(offsets[:-1], nnz)
+        data = np.concatenate([d[:k] for (d, _, _), k in zip(arrays, nnz.tolist())])
+        n = int(offsets[-1])
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+    def assemble_G(self) -> sp.csr_matrix:
+        """The natural coarse-space matrix ``G = B R`` (``n_lambda × Σ dim ker``).
+
+        Every row of ``B̃ᵢ`` has one entry, so ``G[λ, offᵢ + m] = val ·
+        Rᵢ[col, m]``: one vectorized pass over the gluing entries, the
+        entries and their order those of the per-subdomain ``B̃ᵢ Rᵢ``
+        (``0.0 +`` as the sparse product accumulates, so a zero stays
+        ``+0.0``).
+        """
+        e = self.gluing.entries
+        dims = np.array(self.kernel_dims, dtype=np.int64)
+        if e.lam.size == 0:
             return sp.csr_matrix((self.n_lambda, self.total_kernel_dim))
+        if np.any(dims != dims[0]):
+            raise ValueError("every subdomain must have the same kernel dimension")
+        dim = int(dims[0])
+        owner = e.subdomain
+        local = e.val[:, None] * self.kernel_stack[owner, e.col, :]
+        local += 0.0
+        rows = np.repeat(e.lam, dim)
+        cols = (self.kernel_offsets[owner][:, None] + np.arange(dim)).ravel()
         return sp.coo_matrix(
-            (
-                np.concatenate(blocks_vals),
-                (np.concatenate(blocks_rows), np.concatenate(blocks_cols)),
-            ),
-            shape=(self.n_lambda, self.total_kernel_dim),
+            (local.ravel(), (rows, cols)), shape=(self.n_lambda, self.total_kernel_dim)
         ).tocsr()
 
     @cached_property
@@ -249,8 +379,17 @@ class FetiProblem:
 
     @cached_property
     def R(self) -> sp.csr_matrix:
-        """Block-diagonal kernel basis: ``α`` → concatenated ``Rᵢ αᵢ``."""
-        return sp.block_diag(list(self.kernel_stack), format="csr")
+        """Block-diagonal kernel basis: ``α`` → concatenated ``Rᵢ αᵢ``.
+
+        Every dense block stored whole, as ``sp.block_diag`` stores it, from
+        the kernel stack in one pass.
+        """
+        stack = self.kernel_stack
+        k, n, dim = stack.shape
+        cols = np.arange(k * dim, dtype=np.int64).reshape(k, 1, dim)
+        indices = np.broadcast_to(cols, stack.shape).ravel()
+        indptr = np.arange(0, k * n * dim + 1, dim, dtype=np.int64)
+        return sp.csr_matrix((stack.ravel(), indices, indptr), shape=(k * n, k * dim))
 
     def compute_e(self) -> np.ndarray:
         """The coarse right-hand side ``e = Rᵀ f`` as one batched product.
@@ -263,13 +402,14 @@ class FetiProblem:
         return np.matmul(self.kernel_stack.transpose(0, 2, 1), f).ravel()
 
     # ------------------------------------------------------------------ #
-    # Reference solutions (for tests)                                     #
+    # Reference solution (for tests and the benchmark's oracle)           #
     # ------------------------------------------------------------------ #
     def saddle_point_solution(self) -> tuple[np.ndarray, np.ndarray]:
         """Direct solution of the full torn saddle-point system.
 
         Returns the concatenated primal solution and the Lagrange multiplier
-        vector.  Intended for verification on small problems only.
+        vector.  Intended for verification on small problems only: an oracle,
+        it assembles from every subdomain's own ``Kᵢ``, not from the stacks.
         """
         import scipy.sparse.linalg as spla
 
@@ -281,22 +421,3 @@ class FetiProblem:
         rhs = np.concatenate([fbig, self.c])
         solution = spla.spsolve(system, rhs)
         return solution[:n], solution[n:]
-
-    def primal_solution(
-        self, lam: np.ndarray, alpha: np.ndarray
-    ) -> list[np.ndarray]:
-        """Recover the per-subdomain primal solutions ``uᵢ`` from ``(λ, α)``.
-
-        Implements ``u = K⁺ (f − Bᵀ λ) + R α`` using the exact generalized
-        inverse provided by the regularized stiffness matrices.
-        """
-        import scipy.sparse.linalg as spla
-
-        offsets = self.kernel_offsets
-        solutions = []
-        for sub in self.subdomains:
-            rhs = sub.f - sub.Bt @ lam[sub.lambda_ids]
-            u = spla.spsolve(sub.K_reg.tocsc(), rhs)
-            a = alpha[offsets[sub.index] : offsets[sub.index + 1]]
-            solutions.append(u + sub.kernel @ a)
-        return solutions

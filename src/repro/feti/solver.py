@@ -493,7 +493,8 @@ class MultiStepDriver:
         """Whether every ``Kᵢ`` / ``K_reg,ᵢ`` still holds the values the
         driver's last preprocessing factored (``False`` before one ran)."""
         return self._factored is not None and all(
-            np.array_equal(sub.K.data, K) and np.array_equal(sub.K_reg.data, K_reg)
+            np.array_equal(sub.csr_arrays("K")[0], K)
+            and np.array_equal(sub.csr_arrays("K_reg")[0], K_reg)
             for sub, (K, K_reg) in zip(self.solver.problem.subdomains, self._factored)
         )
 
@@ -512,7 +513,8 @@ class MultiStepDriver:
             solution = self.solver.solve(reuse_preprocessing=reuse)
             if not reuse:
                 self._factored = [
-                    (sub.K.data.copy(), sub.K_reg.data.copy()) for sub in subdomains
+                    (sub.csr_arrays("K")[0].copy(), sub.csr_arrays("K_reg")[0].copy())
+                    for sub in subdomains
                 ]
             self.last_solution = solution
             self.records.append(

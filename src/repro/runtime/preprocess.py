@@ -89,20 +89,25 @@ def _run_shard(
 ) -> dict[int, np.ndarray]:
     """One shard task: per group, a stacked factorization, then ``F̃ᵢ`` per class.
 
+    The group's values are read from its members' stiffness stack (one
+    ``(k, nnz)`` gather, :meth:`~repro.feti.problem.SubdomainProblem.csr_arrays`).
     The members' solvers adopt row ``i`` of the stacked bands (with the
-    matrix, which refining precision policies keep for their residual
-    sweeps).  Returns the ``F̃ᵢ`` by subdomain index — empty without
+    matrix only under a refining precision policy, which keeps it for its
+    residual sweeps).  Returns the ``F̃ᵢ`` by subdomain index — empty without
     ``scatters``.
     """
     local_F: dict[int, np.ndarray] = {}
     for g in groups:
-        matrices = [s.K_reg for s in g.subs]
         with trace_span("factorize", subdomains=len(g.solvers)):
+            values = stacked_values([s.csr_arrays("K_reg") for s in g.subs], g.symbolic)
             try:
-                bands = stacked_cholesky(stacked_values(matrices, g.symbolic), g.symbolic)
+                bands = stacked_cholesky(values, g.symbolic)
             except NotPositiveDefiniteError as err:
                 raise NotPositiveDefiniteError(g.subs[err.member].index, err.column) from None
-            for solver, band, K in zip(g.solvers, bands, matrices):
+            del values
+            for sub, solver, band in zip(g.subs, g.solvers, bands):
+                # Only a refining policy keeps the matrix (its residual sweeps).
+                K = sub.K_reg if solver.precision.refine else None
                 solver.adopt_factor(CholeskyFactor(g.symbolic, band), matrix=K)
         if not scatters:
             continue

@@ -41,7 +41,7 @@ from repro.sparse.symbolic import (
 from repro.sparse.numeric import CholeskyFactor, numeric_cholesky
 from repro.sparse.triangular import solve_banded
 from repro.sparse.spmv import CsrProduct
-from repro.sparse.schur import SchurScatter, schur_scatter, stacked_schur_complement
+from repro.sparse.schur import SchurScatter, schur_scatter, schur_scatters, stacked_schur_complement
 from repro.sparse.cache import PatternCache, global_pattern_cache, structural_key
 from repro.sparse.costmodel import CpuCostModel, CpuLibrary
 from repro.sparse.solvers import SolverStack, SparseSolver
@@ -59,6 +59,7 @@ __all__ = [
     "CsrProduct",
     "SchurScatter",
     "schur_scatter",
+    "schur_scatters",
     "stacked_schur_complement",
     "PatternCache",
     "global_pattern_cache",

@@ -12,8 +12,13 @@ per-subdomain cost of the preparation phase.
 The key is a hash of the canonical CSC pattern (shape, ``indptr``,
 ``indices``) plus the ordering method; values never enter it, so two
 subdomains with equal patterns but different stiffness values hit the same
-entry.  The cache is bounded LRU and thread-safe; the solvers use the
-process-global instance by default.
+entry.  The hash is computed once per distinct ``(indptr, indices)`` pair of
+arrays: the members of a shape group's stiffness stack share one pair
+(:class:`~repro.fem.assembly.CsrStack`), so a group of any size costs one
+hash, while every lookup still counts as a hit or a miss.  A pattern's
+index arrays are taken as immutable (SciPy replaces them, never edits them,
+when a sparsity changes).  The cache is bounded LRU and thread-safe; the
+solvers use the process-global instance by default.
 
 An entry holds index arrays only — pattern, permutation and band maps, one
 bitset per column, and the panel layout where it was built — and
@@ -51,6 +56,9 @@ class PatternCache:
     def __init__(self, maxsize: int = 256) -> None:
         self.maxsize = maxsize
         self._entries: OrderedDict[tuple, SymbolicFactor] = OrderedDict()
+        #: ``structural_key`` by the identity of a pattern's index arrays,
+        #: which each memo entry holds (so no id is reused while it is kept).
+        self._keys: OrderedDict[tuple[int, int], tuple] = OrderedDict()
         # Re-entrant so a cache consumer holding the lock can safely call
         # back into the cache (and so the threads execution backend can
         # hammer one shared cache from every worker at once).
@@ -74,7 +82,7 @@ class PatternCache:
         the cache key, so e.g. supernode-detection settings cannot collide.
         """
         method = OrderingMethod(ordering) if isinstance(ordering, str) else ordering
-        key = (method.value, tuple(sorted(kwargs.items())), *structural_key(A))
+        key = (method.value, tuple(sorted(kwargs.items())), *self._structural_key(A))
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -89,6 +97,24 @@ class PatternCache:
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
         return symbolic
+
+    def _structural_key(self, A: sp.spmatrix) -> tuple[int, int, str]:
+        """:func:`structural_key`, hashed once per ``(indptr, indices)`` pair."""
+        indptr, indices = getattr(A, "indptr", None), getattr(A, "indices", None)
+        if indptr is None or A.format not in ("csr", "csc"):
+            return structural_key(A)
+        pair = (id(indptr), id(indices))
+        with self._lock:
+            memo = self._keys.get(pair)
+        layout = (A.format, A.shape)
+        if memo is not None and memo[0] is indptr and memo[1] is indices and memo[2] == layout:
+            return memo[3]
+        key = structural_key(A)
+        with self._lock:
+            self._keys[pair] = (indptr, indices, layout, key)
+            while len(self._keys) > self.maxsize:
+                self._keys.popitem(last=False)
+        return key
 
     @property
     def nbytes(self) -> int:
@@ -106,6 +132,7 @@ class PatternCache:
         """Drop every entry and reset the statistics."""
         with self._lock:
             self._entries.clear()
+            self._keys.clear()
             self.hits = 0
             self.misses = 0
 

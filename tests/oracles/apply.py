@@ -31,6 +31,7 @@ from tests.oracles.kplus import (
     looped_dual_rhs,
     looped_primal_solution,
 )
+from tests.oracles.problem import accumulate_dual, local_dual
 
 __all__ = ["looped_apply", "looped_apply_multi", "use_looped_apply"]
 
@@ -87,8 +88,8 @@ def _explicit_cpu(op: DualOperator, lam: np.ndarray) -> Applied:
     for cluster, subs in op.iter_clusters():
         clocks = ThreadClocks(cluster.n_threads)
         for i, sub in enumerate(subs):
-            q_local = op.local_F[sub.index] @ sub.local_dual(lam)
-            sub.accumulate_dual(q, q_local)
+            q_local = op.local_F[sub.index] @ local_dual(sub, lam)
+            accumulate_dual(sub, q, q_local)
             cost = cluster.cpu.gemv(sub.n_lambda, sub.n_lambda)
             clocks.advance(i, cost)
             breakdown["gemv"] += cost
@@ -104,8 +105,8 @@ def _implicit_cpu(op: DualOperator, lam: np.ndarray) -> Applied:
         clocks = ThreadClocks(cluster.n_threads)
         for i, sub in enumerate(subs):
             solver = op._cpu_solvers[sub.index]
-            z = solver.solve(sub.Bt @ sub.local_dual(lam))
-            sub.accumulate_dual(q, sub.B @ z)
+            z = solver.solve(sub.Bt @ local_dual(sub, lam))
+            accumulate_dual(sub, q, sub.B @ z)
             spmv_cost = 2.0 * cluster.cpu.spmv(int(sub.B.nnz))
             trsv_cost = 2.0 * cluster.cpu.sparse_trsv(solver.factor_nnz)
             clocks.advance(i, spmv_cost + trsv_cost)
@@ -138,7 +139,7 @@ def _implicit_gpu(op: DualOperator, lam: np.ndarray) -> Applied:
             )
             # SpMV → TRSV → TRSV → SpMV: one solve with the subdomain's own
             # CPU solver between the two products with B̃ᵢ.
-            p = sub.local_dual(lam)
+            p = local_dual(sub, lam)
             q_local = sub.B @ op._cpu_solvers[sub.index].solve(sub.Bt @ p)
             for key, label, duration in (
                 ("transfer", "h2d:p", cost.transfer(8 * sub.n_lambda)),
@@ -151,7 +152,7 @@ def _implicit_gpu(op: DualOperator, lam: np.ndarray) -> Applied:
                 stream_op = stream.submit(label, duration, clocks.now(i))
                 breakdown[key] += stream_op.duration
                 clocks.advance(i, overhead)
-            sub.accumulate_dual(q, q_local)
+            accumulate_dual(sub, q, q_local)
         cluster_times.append(device.synchronize(clocks.max_time))
     return q, max(cluster_times), breakdown
 
@@ -180,7 +181,7 @@ def _explicit_cpu_scatter(op: DualOperator, lam: np.ndarray) -> Applied:
         overhead = device.cost_model.submission_overhead_cpu
         for i, sub in enumerate(subs):
             stream = cluster.stream_for(i)
-            q_local = op.local_F[sub.index] @ sub.local_dual(lam)
+            q_local = op.local_F[sub.index] @ local_dual(sub, lam)
             transfer = device.cost_model.transfer(8 * sub.n_lambda)
             stream_op = stream.submit("h2d:p", transfer, clocks.now(i))
             breakdown["transfer"] += stream_op.duration
@@ -191,7 +192,7 @@ def _explicit_cpu_scatter(op: DualOperator, lam: np.ndarray) -> Applied:
             stream_op = stream.submit("d2h:q", transfer, clocks.now(i))
             breakdown["transfer"] += stream_op.duration
             clocks.advance(i, overhead)
-            sub.accumulate_dual(q, q_local)
+            accumulate_dual(sub, q, q_local)
         cluster_times.append(device.synchronize(clocks.max_time))
     return q, max(cluster_times), breakdown
 

@@ -28,6 +28,7 @@ import repro.runtime.preprocess as preprocess
 import repro.sparse.numeric as numeric
 
 from repro.api import Session, SolverSpec, Workload
+from repro.api.workload import build_problem
 from repro.sparse.solvers import SparseSolver
 
 #: ``(workload, (cluster, pattern) groups)``: every workload has one pattern.
@@ -144,3 +145,77 @@ def test_cold_serial_solve_assembles_once_per_interface_class(monkeypatch, name,
         assert sum(assemblies) == operator.problem.n_subdomains
         operator.preprocess()  # a warm round: the same classes again
     assert len(assemblies) == 2 * CLASS_BUDGETS[(name, approach)]
+
+
+#: Cold solves whose set-up must cost the same count of objects: 64 and 256
+#: subdomains of one shape on four clusters.
+SIZES = {
+    "heat2d-8x8x8-c4": Workload("heat", 2, (8, 8), 8, n_clusters=4),
+    "heat2d-16x16x8-c4": Workload("heat", 2, (16, 16), 8, n_clusters=4),
+}
+
+
+def _count_setup_objects(monkeypatch, workload: Workload) -> tuple[Counter, dict[str, int]]:
+    """A cold serial ``expl mkl`` solve's sparse constructions, pattern hashes
+    and Schur-scatter passes, and the structure that may bound them."""
+    import scipy.sparse._compressed as compressed
+
+    import repro.feti.operators.base as base
+    import repro.sparse.cache as cache
+    import repro.sparse.schur as schur
+
+    calls: Counter[str] = Counter()
+
+    def counted(label, function):
+        def call(*args, **kwargs):
+            calls[label] += 1
+            return function(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(
+        compressed._cs_matrix, "__init__", counted("sparse matrix", compressed._cs_matrix.__init__)
+    )
+    monkeypatch.setattr(cache, "structural_key", counted("pattern hash", cache.structural_key))
+    scatters = counted("scatter pass", schur.schur_scatters)
+    monkeypatch.setattr(schur, "schur_scatters", scatters)
+    monkeypatch.setattr(base, "schur_scatters", scatters)
+    build_problem.cache_clear()  # cold: the problem too
+    spec = SolverSpec(approach="expl mkl", execution="serial")
+    with Session(spec, memory_budget="unlimited") as session:
+        assert session.solve(workload).converged
+        operator = session.solver(workload).operator
+        problem = operator.problem
+        structure = {
+            "shape groups": len(problem.groups),
+            "clusters": len({sub.cluster for sub in problem.subdomains}),
+            "interface classes": len(
+                {
+                    (sub.cluster, id(operator._cpu_solvers[sub.index].symbolic),
+                     operator._schur_scatters[sub.index].key)
+                    for sub in problem.subdomains
+                }
+            ),
+            "patterns": len({id(s.symbolic) for s in operator._cpu_solvers.values()}),
+        }
+    return calls, structure
+
+
+def test_cold_set_up_builds_per_group_not_per_subdomain(monkeypatch):
+    """Nothing before the first PCPG iteration is built once per subdomain.
+
+    The stiffness stays in its shape group's stacks, the gluing in one entry
+    list, every Schur scatter of a pattern comes from one pass and every
+    pattern is hashed once: 64 and 256 subdomains cost the same number of
+    SciPy sparse constructions, bounded by the structure (shape groups,
+    clusters, interface classes), not by the subdomain count.
+    """
+    counts = {}
+    for name, workload in SIZES.items():
+        calls, structure = _count_setup_objects(monkeypatch, workload)
+        assert calls["pattern hash"] == structure["patterns"] == 1, name
+        assert calls["scatter pass"] == structure["patterns"], name
+        bound = structure["shape groups"] + structure["clusters"] + structure["interface classes"]
+        assert 0 < calls["sparse matrix"] <= 3 * bound, (name, dict(calls), structure)
+        counts[name] = dict(calls)
+    assert counts["heat2d-8x8x8-c4"] == counts["heat2d-16x16x8-c4"]
