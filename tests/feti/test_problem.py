@@ -9,7 +9,7 @@ from repro.api.workload import Workload, build_problem
 from repro.decomposition import decompose_box
 from repro.feti.problem import FetiProblem
 
-from tests.oracles.coarse import looped_compute_e
+from tests.oracles.coarse import looped_assemble_G, looped_compute_e
 from tests.oracles.problem import accumulate_dual, local_dual, primal_solution
 
 
@@ -71,6 +71,40 @@ def test_compute_e_matches_the_per_subdomain_oracle(workload):
     assert np.array_equal(e, reference)
     # The kernel basis is built once and shared with the primal recovery.
     assert problem.kernel_stack is problem.kernel_stack and problem.R is problem.R
+
+
+def _same_csr(got, want) -> None:
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "workload",
+    [
+        Workload("heat", 2, (8, 8), 8, n_clusters=4),
+        Workload("elasticity", 3, (2, 2, 1), 2, n_clusters=2),
+    ],
+    ids=["heat-2d-c4", "elasticity-3d-c2"],
+)
+def test_global_matrices_are_bitwise_the_per_subdomain_assembly(workload):
+    """One pass over the stacks and the gluing entries builds, bit for bit,
+    what the per-subdomain matrices assemble to — ``-0.0`` included."""
+    import scipy.sparse as sp
+
+    from repro.feti.operators.batch import SubdomainBatchEngine
+
+    problem = build_problem(workload)
+    _same_csr(problem.assemble_G(), looped_assemble_G(problem))
+    _same_csr(
+        problem.R, sp.block_diag([sub.kernel for sub in problem.subdomains], format="csr")
+    )
+    for name in ("K", "K_reg"):
+        want = sp.block_diag([getattr(sub, name) for sub in problem.subdomains], format="csr")
+        _same_csr(problem.block_diagonal(name), want)
+    engine = SubdomainBatchEngine(problem)
+    _same_csr(engine.B, sp.block_diag([sub.B for sub in problem.subdomains], format="csr"))
 
 
 def test_G_has_full_column_rank(heat_problem_2d, heat_problem_3d):

@@ -18,6 +18,7 @@ from repro.fem.heat import HeatTransferProblem
 from repro.sparse import (
     numeric_cholesky,
     schur_scatter,
+    schur_scatters,
     stacked_schur_complement,
     symbolic_cholesky,
 )
@@ -121,6 +122,42 @@ def test_schur_scatters_empty_rows_and_duplicate_entries(factorized):
     assert np.all(S[1] == 0.0) and np.all(S[:, 1] == 0.0)
     for got, want in zip((B.data, B.indices, B.indptr), before):
         assert np.array_equal(got, want)
+
+
+def test_a_group_pass_gives_every_member_its_own_scatter(fem_factor):
+    """``schur_scatters`` over stacked ``B̃ᵢ`` equals each member's group of one.
+
+    Members of different sizes, with tied first rows, empty rows, two entries
+    in a row, rows out of start order and an empty member; ``rhs_fill`` off
+    the scatter is bitwise ``rhs_sparsity_fill``.
+    """
+    symbolic = fem_factor.symbolic
+    n = symbolic.n
+    rng = np.random.default_rng(7)
+    members = []
+    for n_dual, per_row in ((12, 1), (0, 1), (5, 2), (31, 1)):
+        cols = rng.integers(0, n, size=(n_dual, per_row))
+        nnz = np.full(n_dual, per_row)
+        if n_dual > 3:
+            cols[-1] = cols[0]  # a tied start
+            nnz[n_dual // 2] = 0  # an empty row
+        keep = np.repeat(nnz > 0, per_row)
+        indptr = np.concatenate(([0], np.cumsum(nnz)))
+        vals = rng.choice([-1.0, 1.0], size=int(indptr[-1]))
+        members.append(sp.csr_matrix((vals, cols.ravel()[keep], indptr), shape=(n_dual, n)))
+    bounds = np.concatenate(([0], np.cumsum([B.shape[0] for B in members])))
+    group = schur_scatters(symbolic, sp.vstack(members, format="csr"), bounds)
+    assert any(scatter.rank is not None for scatter in group)
+    for B, got in zip(members, group):
+        want = schur_scatter(symbolic, B)
+        assert got.key == want.key
+        for name in ("starts", "active", "flat", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert (got.rank is None) == (want.rank is None)
+        if got.rank is not None:
+            assert np.array_equal(got.rank, want.rank)
+        assert got.rhs_fill(n) == rhs_sparsity_fill(B, symbolic.perm)
 
 
 def test_schur_assembly_allocates_one_panel_and_two_outputs(factorized):
