@@ -51,12 +51,6 @@ def main() -> None:
             )
     print()
 
-    print("=== Reduced-precision factors add defect-correction rounds ===\n")
-    with Session(SolverSpec(precision="fp32_ir", residual_history=64)) as session:
-        solution = session.solve(workload)
-    print(solution.convergence.describe())
-    print()
-
     print("=== The span tree of one traced solve ===\n")
     with trace() as tracer:
         with Session(SolverSpec(residual_history=64)) as session:

@@ -157,8 +157,7 @@ class SolverSpec:
         Factor storage policy (see :mod:`repro.memory.precision`):
         ``"fp64"`` (the double-precision reference), ``"fp32"``
         (half-size factor and pack storage, solves carry the storage
-        rounding), or ``"fp32_ir"`` (fp32 storage plus iterative
-        refinement recovering fp64-level residuals).
+        rounding).
     residual_history:
         Number of per-iteration PCPG residual norms to retain on the
         result (``PcpgResult.residual_history`` and the
@@ -228,8 +227,7 @@ class SolverSpec:
             raise SpecError(
                 f"unknown precision {self.precision!r}; expected one of: "
                 f"{', '.join(repr(p) for p in PRECISION_NAMES)} "
-                "('fp32' stores factors in single precision, 'fp32_ir' adds "
-                "iterative refinement back to fp64-level residuals)"
+                "('fp32' stores factors in single precision)"
             )
         object.__setattr__(
             self, "residual_history", _whole_int("residual_history", self.residual_history)

@@ -40,6 +40,7 @@ from repro.bench.runner import (
     run_scenario,
     write_record,
 )
+from repro.memory.precision import PRECISION_NAMES
 
 __all__ = ["main", "build_parser"]
 
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--precision",
-        choices=["fp64", "fp32", "fp32_ir"],
+        choices=PRECISION_NAMES,
         help=(
             "force one factor-storage precision for every measured point "
             "(replaces the scenarios' own precision axis; non-fp64 point "

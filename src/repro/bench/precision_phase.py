@@ -1,8 +1,7 @@
 """The ``precision_phase`` scenario: mixed-precision factor storage.
 
-The :mod:`repro.memory` subsystem stores supernodal factors and packed
-``local_F`` blocks at a policy dtype (``fp64`` / ``fp32`` / ``fp32_ir``,
-the last adding iterative refinement).  This scenario measures the trade on
+The :mod:`repro.memory` subsystem stores the factor bands and packed
+``local_F`` blocks at a policy dtype (``fp64`` / ``fp32``).  This scenario measures the trade on
 a multi-subdomain workload across backend classes:
 
 * **resident bytes** — the byte-accurate factor/pack/arena split of every
@@ -17,11 +16,9 @@ a multi-subdomain workload across backend classes:
 The scenario has one unit per approach: the unit solves one fp64
 reference, then measures one point per entry of the ``precision`` axis
 against it.  Wall seconds and residuals are recorded but not
-comparator-gated; the run itself enforces structural floors instead:
+comparator-gated; the run itself enforces a structural floor instead:
 storing fp32 factors must shrink factor bytes by the committed minimum
-ratio, and ``fp32_ir`` must land within the committed factor of the fp64
-residual on every measured approach (the paper-level claim that refinement
-recovers double precision from single-precision storage).
+ratio on every measured approach.
 """
 
 from __future__ import annotations
@@ -50,8 +47,6 @@ class PrecisionPhaseScenario(Scenario):
     #: (exactly 2.0 is expected; the floor leaves headroom for retained
     #: metadata that does not halve).
     min_factor_bytes_reduction: float = 1.7
-    #: Ceiling on ``residual(fp32_ir) / residual(fp64)`` per approach.
-    max_ir_residual_ratio: float = 10.0
 
     def units(self) -> dict[str, DualOperatorApproach]:
         return {approach.value: approach for approach in self.approaches}
@@ -109,21 +104,9 @@ class PrecisionPhaseScenario(Scenario):
         return rows
 
     def check(self, rows: list[dict[str, Any]]) -> None:
-        """The run-time invariants (the comparator does not gate residuals)."""
+        """The run-time invariant (the comparator does not gate residuals)."""
         for name, by_precision in _by_approach(rows).items():
-            fp64, fp32, ir = (by_precision.get(p) for p in ("fp64", "fp32", "fp32_ir"))
-            if fp64 is not None and ir is not None:
-                fp64_res = fp64["wall"]["true_residual"]
-                ir_res = ir["wall"]["true_residual"]
-                # The absolute floor keeps a pathologically tiny fp64 residual
-                # from failing an fp32_ir run that is itself at noise level.
-                if not ir_res <= max(self.max_ir_residual_ratio * fp64_res, 1e-11):
-                    raise InvariantViolation(
-                        f"scenario {self.name!r}: {name}/fp32_ir true residual "
-                        f"{ir_res:.3e} exceeds {self.max_ir_residual_ratio}x the "
-                        f"fp64 residual {fp64_res:.3e} — iterative refinement no "
-                        "longer recovers double-precision accuracy"
-                    )
+            fp64, fp32 = (by_precision.get(p) for p in ("fp64", "fp32"))
             if fp64 is not None and fp32 is not None:
                 fp32_factor = fp32["simulated"]["factor_bytes"]
                 ratio = (
@@ -180,7 +163,7 @@ def _register_default() -> None:
                 DualOperatorApproach("impl cholmod"),
                 DualOperatorApproach("expl modern"),
             ),
-            precision=("fp64", "fp32", "fp32_ir"),
+            precision=("fp64", "fp32"),
             tags=frozenset({"quick", "wall", "memory", "precision"}),
             expected={"n_subdomains": 16, "kernel_dim": 1},
         )

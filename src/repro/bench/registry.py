@@ -77,8 +77,7 @@ class Scenario:
     precision:
         Factor-storage precisions to sweep (the ``precision`` axis):
         ``"fp64"`` is the reference, ``"fp32"`` stores factors and packed
-        dual-operator blocks in single precision, ``"fp32_ir"`` adds
-        iterative refinement that recovers fp64-level residuals.
+        dual-operator blocks in single precision.
     subdomain_grid:
         Optional sweep axis over subdomain grids (``base.subdomains`` if
         unset).

@@ -148,7 +148,7 @@ def measure_point(
     benchmarked alongside the operator: the projector build (G^T G
     factorization) and ``n_applies`` projector applications are timed on the
     same workload.  ``precision`` selects the factor-storage policy
-    (``fp64`` / ``fp32`` / ``fp32_ir``).
+    (``fp64`` / ``fp32``).
     """
     session = Session(
         SolverSpec(
@@ -221,7 +221,7 @@ def point_key(
     keeps pairing by key.  The ``execution=None`` / ``precision="fp64"``
     defaults add nothing; sharded runtime points are suffixed with the
     executor short form (e.g. ``/threads4``) and reduced-precision points
-    with the policy name (e.g. ``/fp32_ir``).
+    with the policy name (e.g. ``/fp32``).
     """
     grid = "x".join(str(s) for s in subdomains)
     key = f"{grid}/c{cells}/{approach.value}/batched"

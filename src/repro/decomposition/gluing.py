@@ -202,8 +202,6 @@ class GluingData:
         ``(n_lambda,)``.
     per_subdomain:
         One :class:`SubdomainGluing` per subdomain, ordered by index.
-    lambda_subdomains:
-        For every multiplier, the tuple of subdomain indices it touches.
     dofs_per_node:
         DOFs per mesh node used when the constraints were generated.
     entries:
@@ -216,7 +214,6 @@ class GluingData:
     n_dirichlet: int
     c: np.ndarray
     per_subdomain: list[SubdomainGluing]
-    lambda_subdomains: list[tuple[int, ...]]
     dofs_per_node: int
     entries: GluingEntries | None = None
 
@@ -382,11 +379,6 @@ def build_gluing(
         )
     ]
 
-    owners_by_lam = np.empty((n_gluing, 2), dtype=np.int64)
-    owners_by_lam[lam_glue, 0] = s_a
-    owners_by_lam[lam_glue, 1] = s_b
-    lambda_subdomains: list[tuple[int, ...]] = list(map(tuple, owners_by_lam.tolist()))
-    lambda_subdomains += [(s,) for s in s_d.tolist()]
     n_lambda = n_gluing + int(lam_dir.size)
     c = np.zeros(n_lambda)
     c[n_gluing:] = dirichlet_value
@@ -397,7 +389,6 @@ def build_gluing(
         n_dirichlet=n_lambda - n_gluing,
         c=c,
         per_subdomain=per_subdomain,
-        lambda_subdomains=lambda_subdomains,
         dofs_per_node=dofs_per_node,
         entries=entries,
     )

@@ -123,9 +123,8 @@ def make_dual_operator(
         (serial when unset).
     precision:
         Factor/pack storage policy (:mod:`repro.memory.precision`):
-        ``"fp64"`` (the reference), ``"fp32"`` (half-size resident factors
-        and packs), or ``"fp32_ir"`` (fp32 storage plus iterative
-        refinement back to fp64-level residuals).
+        ``"fp64"`` (the reference) or ``"fp32"`` (half-size resident
+        factors and packs).
     """
     if approach not in _APPROACHES:
         raise ValueError(f"unknown approach: {approach}")

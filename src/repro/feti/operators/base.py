@@ -117,8 +117,7 @@ class DualOperator:
         self.config = config or AssemblyConfig()
         #: Factor/``F̃ᵢ`` storage policy (see :mod:`repro.memory.precision`).
         #: All arithmetic still runs in fp64; the policy controls what the
-        #: resident factors and ``F̃ᵢ`` blocks are stored as, and
-        #: whether solves are iteratively refined back to fp64 residuals.
+        #: resident factors and ``F̃ᵢ`` blocks are stored as.
         self.precision = resolve_precision(precision)
         #: Caller-owned pattern cache for the sparse symbolic analysis (a
         #: :class:`repro.api.Session` passes its own); ``None`` keeps the
@@ -423,9 +422,8 @@ class DualOperator:
         """``Kᵢ⁺`` on every block of a concatenated primal vector.
 
         One banded solve (two BLAS calls) per group of subdomains sharing a
-        symbolic analysis (:class:`~repro.sparse.solvers.SolverStack`),
-        refined under a refining precision policy; the per-subdomain loop is
-        the oracle (``tests/oracles/kplus.py``).
+        symbolic analysis (:class:`~repro.sparse.solvers.SolverStack`); the
+        per-subdomain loop is the oracle (``tests/oracles/kplus.py``).
         """
         stacks = self._kplus_stacks
         if stacks is None:
@@ -459,15 +457,10 @@ class DualOperator:
         ]
 
     def apply_accurate(self, lam: np.ndarray) -> np.ndarray:
-        """Reference application ``q = F λ`` through the refined CPU solves.
+        """Application ``q = F λ`` as ``B̃ K⁺ B̃ᵀ`` on the CPU factors.
 
-        Whatever a backend stores for its fast applies (fp32 ``local_F``
-        blocks), this routes the operator through
-        ``B̃ K⁺ B̃ᵀ`` on the CPU factors — iterative refinement included under
-        a refining precision policy — so the residuals it feeds are accurate
-        to fp64 level.  The dual-level defect correction of ``fp32_ir``
-        uses it a handful of times per solve, outside the PCPG iterations
-        whose phases the benchmarks time.
+        The implicit approaches' apply; on an explicit operator it is the
+        reference the dense ``F̃ᵢ`` apply is checked against.
         """
         q = np.zeros(self.problem.n_lambda)
         if self.problem.subdomains:
@@ -505,8 +498,8 @@ class DualOperator:
     def storage_nbytes(self) -> dict[str, int]:
         """Byte-accurate resident *numeric* storage, split by kind.
 
-        ``factor`` counts the per-subdomain numeric factors (+ any matrix
-        retained for refinement), the ``n x (kd + 1)`` band of ``L`` each —
+        ``factor`` counts the per-subdomain numeric factors, the
+        ``n x (kd + 1)`` band of ``L`` each —
         not the symbolic analyses they point to: those index
         arrays are shared across cache entries through the pattern cache, so
         they sit outside the per-entry budget and are reported as

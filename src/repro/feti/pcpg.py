@@ -33,8 +33,6 @@ class PcpgResult:
     #: First ``SolverSpec.residual_history`` per-iteration norms (opt-in;
     #: empty when history capture is off).  Entry 0 is the initial residual.
     residual_history: list[float] = field(default_factory=list)
-    #: Defect-correction rounds the solve ran (fp32_ir precision policy).
-    defect_rounds: int = 0
     #: The iteration's step lengths ``δₖ`` and direction coefficients ``βₖ``.
     deltas: list[float] = field(default_factory=list, repr=False)
     betas: list[float] = field(default_factory=list, repr=False)

@@ -12,7 +12,7 @@ computed from a real run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ from repro.feti.preconditioner import (
 )
 from repro.feti.problem import FetiProblem
 from repro.feti.projector import Projector, build_projector
-from repro.memory.precision import resolve_precision
 from repro.observe.convergence import ConvergenceReport
 from repro.observe.trace import trace_span
 from repro.sparse.cache import PatternCache
@@ -66,9 +65,8 @@ class FetiSolution:
     #: Wall seconds of the coarse-problem work (projections, coarse solves)
     #: attributable to this solve.
     coarse_seconds: float = 0.0
-    #: Convergence telemetry of the PCPG solve (iteration count, residual
-    #: trajectory when ``SolverSpec.residual_history`` opts in, and
-    #: defect-correction rounds).
+    #: Convergence telemetry of the PCPG solve (iteration count, and the
+    #: residual trajectory when ``SolverSpec.residual_history`` opts in).
     convergence: ConvergenceReport | None = None
 
     @property
@@ -124,8 +122,6 @@ class FetiSolver:
             from repro.runtime.executor import shared_executor
 
             executor = shared_executor(spec.execution)
-        #: Resolved factor-storage policy (see :mod:`repro.memory.precision`).
-        self.precision = resolve_precision(spec.precision)
         self.operator: DualOperator = make_dual_operator(
             spec.approach,
             problem,
@@ -225,9 +221,6 @@ class FetiSolver:
                 residual_history=self.spec.residual_history,
             )
         dual_apply_seconds = self.operator.ledger.since_mark()
-        if self.precision.dual_refine_rounds:
-            with trace_span("defect_correction"):
-                result = self._dual_defect_correction(d, result)
 
         with trace_span("primal_recovery"):
             residual = (
@@ -246,60 +239,6 @@ class FetiSolver:
             dual_apply_seconds=dual_apply_seconds,
             coarse_seconds=projector.seconds - coarse_before,
             convergence=ConvergenceReport.from_pcpg(result, self.spec.tolerance),
-        )
-
-    def _dual_defect_correction(self, d: np.ndarray, result: PcpgResult) -> PcpgResult:
-        """Drive the true dual residual of fp32-stored operators to fp64 level.
-
-        With fp32-resident packs the fast PCPG applies carry single-precision
-        rounding, so the true residual stalls near 1e-7 relative no matter
-        the tolerance.  The fix is classical defect correction on the dual
-        system: measure ``r = d − F λ`` with the accurate operator
-        (:meth:`~repro.feti.operators.base.DualOperator.apply_accurate`,
-        refined fp64 solves) and re-solve the correction equation
-        ``F δ = r`` with the same cheap operator — ``G δ = 0`` holds for the
-        correction, so ``λ + δ`` stays feasible.  Approaches whose applies
-        already run through refined CPU solves (the implicit ones) pass the
-        first residual check and exit in zero correction rounds.
-        """
-        lam = result.lam
-        apply_P = self.projector.apply
-        norm0 = float(np.linalg.norm(apply_P(d)))
-        target = max(self.spec.tolerance * norm0, self.spec.absolute_tolerance)
-        residual = d - self.operator.apply_accurate(lam)
-        iterations = result.iterations
-        converged = result.converged
-        norms = list(result.residual_norms)
-        rounds = 0
-        for _ in range(self.precision.dual_refine_rounds):
-            if float(np.linalg.norm(apply_P(residual))) <= target:
-                converged = True
-                break
-            correction = pcpg(
-                apply_F=self.operator.apply,
-                apply_P=apply_P,
-                apply_M=self.preconditioner.apply,
-                d=residual,
-                lambda_0=np.zeros_like(lam),
-                tolerance=self.spec.tolerance,
-                max_iterations=self.spec.max_iterations,
-                absolute_tolerance=self.spec.absolute_tolerance,
-            )
-            lam = lam + correction.lam
-            iterations += correction.iterations
-            norms.extend(correction.residual_norms)
-            converged = correction.converged
-            residual = d - self.operator.apply_accurate(lam)
-            rounds += 1
-        return replace(
-            result,
-            lam=lam,
-            iterations=iterations,
-            converged=converged,
-            residual_norms=norms,
-            final_residual=residual,
-            residual_history=norms[: self.spec.residual_history],
-            defect_rounds=result.defect_rounds + rounds,
         )
 
     def solve_many(
@@ -383,11 +322,6 @@ class FetiSolver:
                     residual_history=self.spec.residual_history,
                 )
             total_apply_seconds = self.operator.ledger.since_mark()
-            if self.precision.dual_refine_rounds:
-                results = [
-                    self._dual_defect_correction(d, result)
-                    for d, result in zip(d_cols, results)
-                ]
             # The block applies are shared work: attribute an equal share of
             # the fused apply time to every column.
             apply_share = total_apply_seconds / n_cols if n_cols else 0.0

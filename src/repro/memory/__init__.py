@@ -3,9 +3,8 @@
 Three layers:
 
 * :mod:`repro.memory.precision` — named storage policies (``fp64`` /
-  ``fp32`` / ``fp32_ir``) selected by ``SolverSpec(precision=...)``:
-  fp32-resident factors and packed dual-operator blocks, with iterative
-  refinement recovering fp64-level residuals;
+  ``fp32``) selected by ``SolverSpec(precision=...)``: fp32-resident
+  factors and packed dual-operator blocks;
 * :mod:`repro.memory.ledger` — byte-accurate accounting of the factor /
   pack / arena storage every cached solver keeps resident;
 * :mod:`repro.memory.tier` — the LRU release of cold entries a

@@ -6,8 +6,7 @@ The :class:`FactorLedger` mirrors the accounting idioms of
 keeps resident, split into three classes:
 
 * **factor bytes** — the ``n x (kd + 1)`` band of ``L`` of every
-  per-subdomain sparse solver (plus the retained fp64 matrix when the
-  precision policy refines);
+  per-subdomain sparse solver;
 * **pack bytes** — the dense dual-operator blocks ``F̃ᵢ`` the batched
   engine holds: its padded pack of the small ones plus every large one,
   unpadded;

@@ -1,4 +1,4 @@
-"""Precision policies for factor storage: fp64, fp32 and fp32 + refinement.
+"""Precision policies for factor storage: fp64 and fp32.
 
 Storing the triangular factors (the band of ``L`` the factorization
 produces and every solve reads) and the packed
@@ -10,16 +10,11 @@ stored arrays to fp32, and every downstream kernel upcasts on use
 the band it hands to BLAS), so no compute path ever needs a second code
 variant.
 
-Three named policies exist:
+Two named policies exist:
 
 * ``fp64`` — the double-precision reference: nothing is demoted.
 * ``fp32`` — factors and packs stored in fp32; solves carry the ~1e-7
   relative rounding of the stored entries.
-* ``fp32_ir`` — fp32 storage plus **iterative refinement**: the original
-  fp64 matrix is retained for residual computation, local solves refine
-  ``K x = b`` with the fp32 factor as the inner solver, and the PCPG loop
-  wraps the fp32 operator in an outer defect correction — recovering
-  fp64-level dual residuals from half-size factor storage.
 """
 
 from __future__ import annotations
@@ -50,22 +45,10 @@ class PrecisionPolicy:
     storage_dtype:
         NumPy dtype of the *stored* factor values and packed blocks; the
         factorization itself always runs in fp64.
-    refine:
-        Whether solves recover fp64-level accuracy by iterative refinement
-        (requires retaining the original matrix for residual computation).
-    refine_steps:
-        Maximum refinement sweeps of one local ``K x = b`` solve.
-    dual_refine_rounds:
-        Maximum outer defect-correction rounds wrapped around the PCPG
-        solve (each round re-solves the projected residual system with the
-        cheap fp32 operator).
     """
 
     name: str
     storage_dtype: np.dtype
-    refine: bool = False
-    refine_steps: int = 0
-    dual_refine_rounds: int = 0
 
     @property
     def demotes(self) -> bool:
@@ -76,13 +59,6 @@ class PrecisionPolicy:
 PRECISIONS: dict[str, PrecisionPolicy] = {
     "fp64": PrecisionPolicy(name="fp64", storage_dtype=np.dtype(np.float64)),
     "fp32": PrecisionPolicy(name="fp32", storage_dtype=np.dtype(np.float32)),
-    "fp32_ir": PrecisionPolicy(
-        name="fp32_ir",
-        storage_dtype=np.dtype(np.float32),
-        refine=True,
-        refine_steps=3,
-        dual_refine_rounds=3,
-    ),
 }
 
 PRECISION_NAMES: tuple[str, ...] = tuple(PRECISIONS)

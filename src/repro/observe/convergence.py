@@ -1,8 +1,8 @@
 """Per-solve convergence telemetry.
 
 A :class:`ConvergenceReport` condenses what the PCPG loop saw — iteration
-count, residual trajectory, condition estimate, defect-correction rounds —
-into a frozen, JSON-friendly record attached to ``FetiSolution.convergence`` whenever
+count, residual trajectory, condition estimate — into a frozen,
+JSON-friendly record attached to ``FetiSolution.convergence`` whenever
 ``SolverSpec(residual_history=N)`` opts in.  The module is deliberately
 dependency-free (duck-typed against ``PcpgResult``) so ``repro.observe``
 never imports solver code.
@@ -26,7 +26,6 @@ class ConvergenceReport:
     initial_norm: float
     final_norm: float
     relative_residual: float
-    defect_rounds: int = 0
     #: First ``residual_history`` per-iteration norms (iteration 0 = initial).
     residual_history: tuple[float, ...] = field(default_factory=tuple)
     #: True when the solve ran more iterations than the history cap kept.
@@ -62,7 +61,6 @@ class ConvergenceReport:
             initial_norm=float(initial),
             final_norm=final,
             relative_residual=final / initial if initial > 0 else 0.0,
-            defect_rounds=int(getattr(result, "defect_rounds", 0)),
             residual_history=history,
             history_truncated=bool(history) and len(history) < len(norms),
             columns=int(columns),
@@ -77,7 +75,6 @@ class ConvergenceReport:
             "initial_norm": self.initial_norm,
             "final_norm": self.final_norm,
             "relative_residual": self.relative_residual,
-            "defect_rounds": self.defect_rounds,
             "residual_history": list(self.residual_history),
             "history_truncated": self.history_truncated,
             "columns": self.columns,
@@ -95,8 +92,6 @@ class ConvergenceReport:
         ]
         if self.condition_estimate is not None:
             lines.append(f"  condition estimate κ(PMPF): {self.condition_estimate:.2f}")
-        if self.defect_rounds:
-            lines.append(f"  defect-correction rounds: {self.defect_rounds}")
         if self.residual_history:
             suffix = " (truncated)" if self.history_truncated else ""
             lines.append(f"  residual history ({len(self.residual_history)} entries{suffix}):")

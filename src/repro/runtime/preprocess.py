@@ -91,10 +91,8 @@ def _run_shard(
 
     The group's values are read from its members' stiffness stack (one
     ``(k, nnz)`` gather, :meth:`~repro.feti.problem.SubdomainProblem.csr_arrays`).
-    The members' solvers adopt row ``i`` of the stacked bands (with the
-    matrix only under a refining precision policy, which keeps it for its
-    residual sweeps).  Returns the ``F̃ᵢ`` by subdomain index — empty without
-    ``scatters``.
+    The members' solvers adopt row ``i`` of the stacked bands.  Returns the
+    ``F̃ᵢ`` by subdomain index — empty without ``scatters``.
     """
     local_F: dict[int, np.ndarray] = {}
     for g in groups:
@@ -105,10 +103,8 @@ def _run_shard(
             except NotPositiveDefiniteError as err:
                 raise NotPositiveDefiniteError(g.subs[err.member].index, err.column) from None
             del values
-            for sub, solver, band in zip(g.subs, g.solvers, bands):
-                # Only a refining policy keeps the matrix (its residual sweeps).
-                K = sub.K_reg if solver.precision.refine else None
-                solver.adopt_factor(CholeskyFactor(g.symbolic, band), matrix=K)
+            for solver, band in zip(g.solvers, bands):
+                solver.adopt_factor(CholeskyFactor(g.symbolic, band))
         if not scatters:
             continue
         group_scatters = [scatters[s.index] for s in g.subs]

@@ -65,9 +65,7 @@ class SparseSolver:
         precision:
             Factor storage policy (see :mod:`repro.memory.precision`).  The
             factorization always runs in fp64; ``"fp32"`` demotes the stored
-            factor to single precision, and ``"fp32_ir"`` additionally
-            retains the matrix and refines every solve back to fp64-level
-            residuals.
+            factor to single precision.
         """
         self.ordering = (
             OrderingMethod(ordering) if isinstance(ordering, str) else ordering
@@ -80,7 +78,6 @@ class SparseSolver:
         )
         self._symbolic: SymbolicFactor | None = None
         self._factor: CholeskyFactor | None = None
-        self._matrix: sp.csr_matrix | None = None
         #: This factorization's stack of one (built by the first solve).
         self._stack: SolverStack | None = None
 
@@ -106,50 +103,30 @@ class SparseSolver:
         """Numeric factorization (re-run whenever the values change).
 
         The factorization itself always runs in fp64; the precision policy
-        then demotes the *stored* factor (and, when refining, retains the
-        matrix for residual computation in the refinement sweeps).
+        then demotes the *stored* factor.
         """
         if self._symbolic is None:
             self.analyze(K)
         assert self._symbolic is not None
-        self._factor = numeric_cholesky(K, self._symbolic)
+        self._factor = demote_factor(
+            numeric_cholesky(K, self._symbolic), self.precision.storage_dtype
+        )
         self._stack = None
-        self._install_precision(K)
         return self._factor
 
-    def adopt_factor(
-        self, factor: CholeskyFactor, matrix: sp.spmatrix | None = None
-    ) -> CholeskyFactor:
+    def adopt_factor(self, factor: CholeskyFactor) -> CholeskyFactor:
         """Install a numeric factor computed elsewhere (the sharded runtime).
 
         The factor's band is typically a row of a preprocessing group's
         stacked bands; its symbolic analysis must describe the same
         pattern this solver analysed (the runtime factors each group with
-        its members' shared analysis).  ``matrix`` is the factorized matrix
-        — required by refining precision policies, which keep it for
-        residual computation.
+        its members' shared analysis).
         """
         if self._symbolic is None:
             self._symbolic = factor.symbolic
-        self._factor = factor
+        self._factor = demote_factor(factor, self.precision.storage_dtype)
         self._stack = None
-        self._install_precision(matrix)
         return self._factor
-
-    def _install_precision(self, matrix: sp.spmatrix | None) -> None:
-        """Demote the stored factor / retain the matrix per the policy."""
-        policy = self.precision
-        if policy.refine:
-            if matrix is not None:
-                self._matrix = sp.csr_matrix(matrix)
-            elif self._matrix is None:
-                raise ValueError(
-                    f"precision {policy.name!r} refines solves and needs the "
-                    "factorized matrix; pass it to adopt_factor(..., matrix=K)"
-                )
-        if policy.demotes:
-            assert self._factor is not None
-            self._factor = demote_factor(self._factor, policy.storage_dtype)
 
     # ------------------------------------------------------------------ #
     # Introspection                                                       #
@@ -177,19 +154,12 @@ class SparseSolver:
         return self._factor
 
     def storage_nbytes(self) -> int:
-        """Resident bytes of the numeric factor (plus any retained matrix)."""
-        nbytes = factor_nbytes(self._factor)
-        if self._matrix is not None:
-            nbytes += int(
-                self._matrix.data.nbytes
-                + self._matrix.indices.nbytes
-                + self._matrix.indptr.nbytes
-            )
-        return nbytes
+        """Resident bytes of the numeric factor."""
+        return factor_nbytes(self._factor)
 
     def release(self) -> None:
-        """Drop the numeric factor (and any retained matrix); keep the analysis."""
-        self._factor = self._matrix = self._stack = None
+        """Drop the numeric factor; keep the analysis."""
+        self._factor = self._stack = None
 
     # ------------------------------------------------------------------ #
     # Solves                                                              #
@@ -201,17 +171,12 @@ class SparseSolver:
             stack = self._stack = SolverStack([self])
         return stack
 
-    def solve(self, b: np.ndarray, refine: bool | None = None) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``K x = b`` for one right-hand side (original ordering).
 
-        The solver's stack of one (:meth:`SolverStack.solve`).  Under a
-        refining precision policy the stored (fp32) factor acts as the inner
-        solver of a fixed-point iteration on the retained fp64 matrix:
-        ``x += K⁻̃¹ (b − K x)`` until the residual reaches fp64 level, so
-        half-size factor storage still yields fp64-accurate solves.
-        ``refine`` overrides the policy.
+        The solver's stack of one (:meth:`SolverStack.solve`).
         """
-        return self._stack_of_one().solve(np.asarray(b, dtype=float)[None], refine)[0]
+        return self._stack_of_one().solve(np.asarray(b, dtype=float)[None])[0]
 
     # ------------------------------------------------------------------ #
     # Explicit dual operator on the CPU                                   #
@@ -280,7 +245,6 @@ class SolverStack:
     def __init__(self, solvers: "list[SparseSolver]") -> None:
         factors = [solver._require_factor() for solver in solvers]
         self.symbolic = factors[0].symbolic
-        self.precision = solvers[0].precision
         self.band, repointed = _band_stack(factors)
         if repointed:
             for solver in solvers:  # their stacks of one hold the old bands
@@ -288,36 +252,7 @@ class SolverStack:
         #: The shared permutation of every member, offset into the stack.
         n = self.symbolic.n
         self._perm = (np.arange(len(factors))[:, None] * n + self.symbolic.perm).reshape(-1)
-        #: Block-diagonal retained matrices (refining policies only): the
-        #: residual of the whole stack is one sparse product.
-        self._matrix: sp.csr_matrix | None = None
-        matrices = [solver._matrix for solver in solvers]
-        if self.precision.refine and all(m is not None for m in matrices):
-            self._matrix = (
-                matrices[0] if len(matrices) == 1 else sp.block_diag(matrices, format="csr")
-            )
 
-    def solve(self, rhs: np.ndarray, refine: bool | None = None) -> np.ndarray:
-        """``(k, n)`` solutions of ``Kᵢ xᵢ = bᵢ``, refined per the policy.
-
-        Refinement (unless ``refine`` is ``False``) is a fixed-point
-        iteration on the retained matrices: one residual and one sweep per
-        round, each member leaving the iteration at its own fp64-level
-        residual.
-        """
-        b = np.asarray(rhs, dtype=float)
-        x = self._sweep(b)
-        if self._matrix is None or refine is False:
-            return x
-        norm_b = np.abs(b).max(axis=1, initial=0.0)
-        active = norm_b > 0.0
-        for _ in range(max(1, self.precision.refine_steps)):
-            r = b - (self._matrix @ x.reshape(-1)).reshape(b.shape)
-            active &= np.abs(r).max(axis=1, initial=0.0) > 1e-14 * norm_b
-            if not active.any():
-                break
-            x[active] += self._sweep(r)[active]
-        return x
-
-    def _sweep(self, rhs: np.ndarray) -> np.ndarray:
-        return solve_banded(self._perm, self.band, rhs)
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``(k, n)`` solutions of ``Kᵢ xᵢ = bᵢ``: one banded forward and backward sweep."""
+        return solve_banded(self._perm, self.band, np.asarray(rhs, dtype=float))

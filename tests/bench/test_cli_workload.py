@@ -67,7 +67,7 @@ def test_run_precision_override_stamps_every_point(tmp_path):
 def test_list_json_shows_the_precision_axis(capsys):
     assert main(["list", "precision_phase", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload[0]["axes"]["precision"] == ["fp64", "fp32", "fp32_ir"]
+    assert payload[0]["axes"]["precision"] == ["fp64", "fp32"]
 
 
 def test_list_json_shows_the_backends_apply_phase_runs(capsys):

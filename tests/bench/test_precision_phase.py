@@ -43,7 +43,7 @@ def _point(key, true_residual=1e-10, factor_bytes=200):
 def test_record_shape_and_point_set(record):
     assert record["benchmark"] == "precision_phase_test"
     keys = [p["key"] for p in record["points"]]
-    assert keys == ["expl mkl/fp64", "expl mkl/fp32", "expl mkl/fp32_ir"]
+    assert keys == ["expl mkl/fp64", "expl mkl/fp32"]
     for point in record["points"]:
         assert point["invariants"]["n_lambda"] > 0
         assert set(point["simulated"]) == {
@@ -54,7 +54,6 @@ def test_record_shape_and_point_set(record):
         }
         assert point["wall"]["converged"] == 1.0
     assert record["scenario"]["min_factor_bytes_reduction"] == pytest.approx(1.7)
-    assert record["scenario"]["max_ir_residual_ratio"] == pytest.approx(10.0)
 
 
 def test_fp32_halves_factor_bytes_exactly(record):
@@ -66,28 +65,10 @@ def test_fp32_halves_factor_bytes_exactly(record):
     assert record["derived"]["resident_bytes_reduction[expl mkl]"] > 1.7
 
 
-def test_ir_recovers_fp64_level_residuals(record):
-    by_key = {p["key"]: p for p in record["points"]}
-    fp64_res = by_key["expl mkl/fp64"]["wall"]["true_residual"]
-    ir_res = by_key["expl mkl/fp32_ir"]["wall"]["true_residual"]
-    assert ir_res <= max(10.0 * fp64_res, 1e-11)
-
-
-def test_residual_gate_flags_a_refinement_regression():
-    rows = [
-        _point("expl mkl/fp64", true_residual=1e-10, factor_bytes=200),
-        _point("expl mkl/fp32", factor_bytes=100),
-        _point("expl mkl/fp32_ir", true_residual=1e-6, factor_bytes=100),
-    ]
-    with pytest.raises(InvariantViolation, match="refinement"):
-        _shrunken().check(rows)
-
-
 def test_bytes_gate_flags_a_storage_policy_regression():
     rows = [
         _point("expl mkl/fp64", factor_bytes=200),
         _point("expl mkl/fp32", factor_bytes=200),  # demotion stopped working
-        _point("expl mkl/fp32_ir", factor_bytes=100),
     ]
     with pytest.raises(InvariantViolation, match="factor bytes"):
         _shrunken().check(rows)
@@ -112,7 +93,7 @@ def test_registered_scenario_is_quick_gated():
     scenario = registry.get("precision_phase")
     assert isinstance(scenario, PrecisionPhaseScenario)
     assert {"quick", "memory", "precision"} <= scenario.tags
-    assert scenario.precision == ("fp64", "fp32", "fp32_ir")
-    assert scenario.axes()["precision"] == ["fp64", "fp32", "fp32_ir"]
-    assert scenario.n_points() == 9
+    assert scenario.precision == ("fp64", "fp32")
+    assert scenario.axes()["precision"] == ["fp64", "fp32"]
+    assert scenario.n_points() == 6
     assert list(scenario.units()) == ["expl mkl", "impl cholmod", "expl modern"]

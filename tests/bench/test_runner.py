@@ -119,8 +119,8 @@ def test_point_key_precision_suffix_preserves_historical_keys():
     base = point_key((4, 4), 7, DualOperatorApproach.EXPLICIT_MKL)
     fp64 = point_key((4, 4), 7, DualOperatorApproach.EXPLICIT_MKL, precision="fp64")
     assert fp64 == base  # the default policy leaves old keys unchanged
-    fp32 = point_key((4, 4), 7, DualOperatorApproach.EXPLICIT_MKL, precision="fp32_ir")
-    assert fp32 == base + "/fp32_ir"
+    fp32 = point_key((4, 4), 7, DualOperatorApproach.EXPLICIT_MKL, precision="fp32")
+    assert fp32 == base + "/fp32"
 
 
 def test_measure_point_is_cached_and_deterministic():

@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 from repro.decomposition import build_gluing, decompose_box
 from repro.fem.heat import HeatTransferProblem
 from repro.fem.mesh import structured_mesh
+from tests.oracles import gluing as gluing_oracle
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +27,19 @@ def test_counts(simple_gluing):
     g = simple_gluing
     assert g.n_lambda == g.n_gluing + g.n_dirichlet
     assert g.n_lambda == g.c.shape[0]
-    assert len(g.lambda_subdomains) == g.n_lambda
     # xmin face: 2 subdomains x 3 boundary nodes = 6 Dirichlet rows
     assert g.n_dirichlet == 6
+
+
+def test_multiplier_owners_match_the_dict_build(simple_decomposition, simple_gluing):
+    g = simple_gluing
+    owners = gluing_oracle.lambda_owners(g)
+    assert len(owners) == g.n_lambda
+    # A gluing row ties two subdomains, a Dirichlet row belongs to one.
+    assert all(len(o) == 2 for o in owners[: g.n_gluing])
+    assert all(len(o) == 1 for o in owners[g.n_gluing :])
+    ref = gluing_oracle.build_gluing(simple_decomposition, 1, ("xmin",))
+    assert owners == ref.lambda_subdomains
 
 
 def test_local_matrices_are_signed_boolean(simple_gluing):

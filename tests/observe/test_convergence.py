@@ -72,13 +72,6 @@ def test_report_describe_lists_history():
     assert "iter   0" in text
 
 
-def test_defect_rounds_surface_for_fp32_ir():
-    with Session(SolverSpec(precision="fp32_ir", residual_history=100)) as session:
-        solution = session.solve(WORKLOAD)
-    assert solution.pcpg.defect_rounds == solution.convergence.defect_rounds
-    assert solution.convergence.defect_rounds >= 0
-
-
 def test_block_solve_reports_per_column():
     rng = np.random.default_rng(7)
     with Session(SolverSpec(residual_history=100)) as session:

@@ -5,13 +5,14 @@ each node's lattice key goes into a dict (insertion order = first
 occurrence), each shared key becomes ``m − 1`` chained rows per component,
 then every subdomain's Dirichlet nodes one row each, and every ``B̃ᵢ`` is
 one COO → CSR conversion.  It fixes the multiplier numbering the vectorized
-build must reproduce exactly.
+build must reproduce exactly, and lists every multiplier's owners.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,7 +20,25 @@ import scipy.sparse as sp
 from repro.decomposition.gluing import GluingData, SubdomainGluing
 from repro.decomposition.partition import BoxDecomposition
 
-__all__ = ["build_gluing"]
+__all__ = ["OracleGluing", "build_gluing", "lambda_owners"]
+
+
+@dataclass
+class OracleGluing(GluingData):
+    """The oracle's gluing plus, for every multiplier, the subdomains it touches."""
+
+    lambda_subdomains: list[tuple[int, ...]] = field(default_factory=list)
+
+
+def lambda_owners(gluing: GluingData) -> list[tuple[int, ...]]:
+    """Every multiplier's owning subdomains (ascending), read from ``gluing.entries``."""
+    entries = gluing.entries
+    sub = np.repeat(np.arange(entries.bounds.size - 1), np.diff(entries.bounds))
+    order = np.lexsort((sub, entries.lam))
+    owners: list[list[int]] = [[] for _ in range(gluing.n_lambda)]
+    for lam, s in zip(entries.lam[order].tolist(), sub[order].tolist()):
+        owners[lam].append(s)
+    return [tuple(o) for o in owners]
 
 
 def _global_dirichlet_nodes(
@@ -45,7 +64,7 @@ def build_gluing(
     dofs_per_node: int,
     dirichlet_faces: Sequence[str] = ("xmin",),
     dirichlet_value: float = 0.0,
-) -> GluingData:
+) -> OracleGluing:
     """The dict-based construction, field for field what it returned."""
     subdomains = decomposition.subdomains
     n_subdomains = len(subdomains)
@@ -116,7 +135,7 @@ def build_gluing(
         dof_mult = np.repeat(multiplicity[s], dofs_per_node).astype(float)
         per_subdomain.append(SubdomainGluing(lambda_ids=lam_ids, B=B, dof_multiplicity=dof_mult))
 
-    return GluingData(
+    return OracleGluing(
         n_lambda=next_lambda,
         n_gluing=n_gluing,
         n_dirichlet=next_lambda - n_gluing,

@@ -1,8 +1,7 @@
 """Test oracle: ``K⁺`` one subdomain and one vector at a time.
 
 What ``DualOperator`` ran before the stacked solve: every ``Kᵢ⁺ b`` is one
-``SparseSolver.solve`` on that subdomain's own factorization (refinement
-per the solver's precision policy included), every product around it one
+``SparseSolver.solve`` on that subdomain's own factorization, every product around it one
 ``scipy.sparse`` matmul on that subdomain's ``B̃ᵢ`` / ``B̃ᵢᵀ`` / ``Rᵢ``, every
 scatter one ``np.add.at``.  The functions take a *preprocessed* operator and
 read only ``operator._cpu_solvers`` and ``operator.problem`` — none of the
@@ -52,7 +51,7 @@ def looped_primal_solution(
 
 
 def looped_apply_accurate(operator: DualOperator, lam: np.ndarray) -> np.ndarray:
-    """``q = Σ B̃ᵢ Kᵢ⁺ B̃ᵢᵀ λᵢ`` through the (refined) per-subdomain solves.
+    """``q = Σ B̃ᵢ Kᵢ⁺ B̃ᵢᵀ λᵢ`` through the per-subdomain solves.
 
     Also the values of the implicit CPU apply; its oracle with the simulated
     timeline replayed is ``tests/oracles/apply.py::looped_apply``.

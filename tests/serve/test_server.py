@@ -96,6 +96,16 @@ def test_invalid_requests_get_actionable_400s(client):
         assert exc_info.value.status == 400
 
 
+def test_the_deleted_refinement_policy_is_a_400_before_any_session(client):
+    """A spec naming the removed ``fp32`` + refinement policy is refused, not a 500."""
+    with pytest.raises(ServeError, match="invalid spec.*'fp64', 'fp32'") as exc_info:
+        client.solve("heat-2d-quick", spec={"approach": "expl mkl", "precision": "fp32" + "_ir"})
+    assert exc_info.value.status == 400
+    doc = client.metrics()
+    assert doc["counters"]["solve_rejected_400"] == 1
+    assert doc["session_pool"]["sessions"] == 0
+
+
 def test_non_finite_rhs_is_a_400_before_any_solve(client):
     """A ``NaN`` load is refused at parse time, not after a capped solve."""
     for rhs in (float("nan"), [[1.0, float("inf")]]):

@@ -27,7 +27,7 @@ from repro.feti.config import DualOperatorApproach
 from repro.feti.operators import make_dual_operator
 from repro.feti.problem import FetiProblem
 from repro.feti.solver import FetiSolver, MultiStepDriver
-from repro.memory.precision import PRECISION_NAMES, factor_nbytes
+from repro.memory.precision import PRECISION_NAMES
 from repro.sparse import triangular
 from repro.sparse.cache import PatternCache
 from repro.sparse.numeric import CholeskyFactor
@@ -52,16 +52,10 @@ WORKLOADS = {
     "heat3d-2x2x1x12": Workload("heat", 3, (2, 2, 1), 12),
 }
 
-#: Largest relative difference to the oracle.  Without refinement the two
-#: paths run the same banded solve, the stack over more members (measured
-#: ≤ 1e-15).  Refined solves end at their own fp64 floor ``eps · cond(K)``:
-#: the residual ``b − K x`` is a cancellation, so a last-bit difference in
-#: ``x`` comes back as ``eps · cond(K)`` in the correction (measured ≤ 2e-12).
-TOLERANCE = {"fp64": 1e-13, "fp32": 1e-13, "fp32_ir": 1e-11}
-#: Per-workload exceptions to :data:`TOLERANCE`.  Heat 3D ``(2,2,1)x12`` has
-#: ``cond(K_reg)`` = 1.2e7, so its refined floor ``eps · cond`` sits above
-#: the common bound (measured 1.6e-11).
-WIDER_TOLERANCE = {("heat3d-2x2x1x12", "fp32_ir"): 1e-10}
+#: Largest relative difference to the oracle under every precision policy:
+#: the two paths run the same banded solve, the stack over more members
+#: (measured ≤ 1e-15).
+TOLERANCE = 1e-13
 
 
 def _preprocessed(problem, precision="fp64", approach=DualOperatorApproach.IMPLICIT_MKL):
@@ -88,13 +82,12 @@ def _stacked_and_looped(operator, seed=5):
     yield "apply", operator.apply(lam), reference
 
 
-def _assert_matches_oracle(operator, exact=False, tolerance=None):
-    tolerance = tolerance or TOLERANCE[operator.precision.name]
+def _assert_matches_oracle(operator, exact=False):
     for name, got, ref in _stacked_and_looped(operator):
         if exact:
             assert np.array_equal(got, ref), name
         else:
-            assert np.abs(got - ref).max() <= tolerance * np.abs(ref).max(), name
+            assert np.abs(got - ref).max() <= TOLERANCE * np.abs(ref).max(), name
 
 
 def _pattern_groups(operator) -> list[int]:
@@ -112,7 +105,7 @@ def _pattern_groups(operator) -> list[int]:
 def test_stacked_consumers_match_the_per_subdomain_oracle(name, precision):
     operator = _preprocessed(build_problem(WORKLOADS[name]), precision)
     assert _pattern_groups(operator) == [operator.problem.n_subdomains]
-    _assert_matches_oracle(operator, tolerance=WIDER_TOLERANCE.get((name, precision)))
+    _assert_matches_oracle(operator)
 
 
 def _distinct_patterns_problem() -> FetiProblem:
@@ -187,7 +180,7 @@ def test_stack_of_two_matches_the_solver(precision):
     b = np.random.default_rng(1).standard_normal((2, n))
     reference = np.stack([s.solve(row) for s, row in zip(solvers, b)])
     x = SolverStack(solvers).solve(b)
-    assert np.abs(x - reference).max() <= TOLERANCE[precision] * np.abs(reference).max()
+    assert np.abs(x - reference).max() <= TOLERANCE * np.abs(reference).max()
 
 
 #: ``(workload, precision)`` of the member-against-stack-of-one checks.
@@ -227,15 +220,6 @@ def test_a_member_of_the_stack_is_its_stack_of_one(name):
     assert not np.array_equal(y[k // 2], x[k // 2])
 
 
-def test_zero_right_hand_sides_stay_zero_under_refinement():
-    solvers, n = _factorized(3, precision="fp32_ir")
-    b = np.zeros((3, n))
-    b[1] = 1.0
-    x = SolverStack(solvers).solve(b)
-    assert not x[0].any() and not x[2].any()
-    assert np.allclose(x[1], solvers[1].solve(b[1]), rtol=1e-13, atol=0.0)
-
-
 # --------------------------------------------------------------------- #
 # L is never resident twice: the stacks adopt the factorization's bands  #
 # --------------------------------------------------------------------- #
@@ -243,13 +227,11 @@ def test_zero_right_hand_sides_stay_zero_under_refinement():
 def test_stacking_repoints_the_factors_at_the_band(precision):
     solvers, n = _factorized(4, precision=precision)
     stack = SolverStack(solvers)
-    dtype = np.dtype(np.float32 if precision != "fp64" else np.float64)
-    assert stack.band.dtype == dtype
+    assert stack.band.dtype == solvers[0].precision.storage_dtype
     for row, solver in zip(stack.band, solvers):
         factor = solver._factor
         assert np.shares_memory(row, factor.band)
-    retained = sum(s.storage_nbytes() - factor_nbytes(s._factor) for s in solvers)
-    assert sum(s.storage_nbytes() for s in solvers) == stack.band.nbytes + retained
+    assert sum(s.storage_nbytes() for s in solvers) == stack.band.nbytes
     # Re-stacking the same factors (or a run of them) copies nothing.
     for again in (SolverStack(solvers), SolverStack(solvers[1:3])):
         assert np.shares_memory(again.band, stack.band)
@@ -258,7 +240,7 @@ def test_stacking_repoints_the_factors_at_the_band(precision):
     b = np.random.default_rng(2).standard_normal((2, n))
     reference = np.stack([s.solve(row) for s, row in zip(picked, b)])
     x = SolverStack(picked).solve(b)
-    assert np.abs(x - reference).max() <= TOLERANCE[precision] * np.abs(reference).max()
+    assert np.abs(x - reference).max() <= TOLERANCE * np.abs(reference).max()
 
 
 def test_a_group_stack_takes_over_the_bands_of_stacks_of_one():
@@ -476,7 +458,7 @@ def _counted_sweep(stack: SolverStack, rhs: np.ndarray, monkeypatch) -> tuple[in
         previous = sys.gettrace()
         sys.settrace(global_trace)
         try:
-            stack._sweep(rhs)
+            stack.solve(rhs)
         finally:
             sys.settrace(previous)
     return calls, events
