@@ -51,6 +51,13 @@ def test_the_deleted_refinement_policy_is_rejected_by_name():
         SolverSpec(precision="fp32" + "_ir")
 
 
+def test_a_serialized_spec_naming_the_deleted_policy_is_rejected():
+    data = SolverSpec(approach="expl mkl", precision="fp32").to_dict()
+    data["precision"] = "fp32" + "_ir"
+    with pytest.raises(SpecError, match="expected one of: 'fp64', 'fp32'"):
+        SolverSpec.from_dict(data)
+
+
 def test_precision_participates_in_spec_identity():
     base = SolverSpec(approach="expl mkl")
     fp32 = SolverSpec(approach="expl mkl", precision="fp32")

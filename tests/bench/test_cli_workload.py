@@ -64,6 +64,14 @@ def test_run_precision_override_stamps_every_point(tmp_path):
     assert all(p["key"].endswith("/fp32") for p in record["points"])
 
 
+def test_run_precision_rejects_a_policy_outside_the_registry(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["run", "smoke_heat_2d", "--precision", "fp32" + "_ir", "-o", str(tmp_path)])
+    assert exc_info.value.code == 2
+    assert "choose from 'fp64', 'fp32'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_list_json_shows_the_precision_axis(capsys):
     assert main(["list", "precision_phase", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

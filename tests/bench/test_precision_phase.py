@@ -65,6 +65,14 @@ def test_fp32_halves_factor_bytes_exactly(record):
     assert record["derived"]["resident_bytes_reduction[expl mkl]"] > 1.7
 
 
+def test_fp32_point_keeps_fp64_iterations_above_the_fp64_residual(record):
+    """The measured rows: fp32 keeps fp64's iteration count, not its residual."""
+    by_key = {p["key"]: p["wall"] for p in record["points"]}
+    fp64, fp32 = by_key["expl mkl/fp64"], by_key["expl mkl/fp32"]
+    assert fp32["iterations"] == fp64["iterations"]
+    assert fp64["true_residual"] < fp32["true_residual"]
+
+
 def test_bytes_gate_flags_a_storage_policy_regression():
     rows = [
         _point("expl mkl/fp64", factor_bytes=200),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,15 @@ def test_registry_exposes_the_two_policies():
     assert not PRECISIONS["fp64"].demotes
     assert PRECISIONS["fp32"].demotes
     assert PRECISIONS["fp32"].storage_dtype == np.dtype(np.float32)
+
+
+def test_a_policy_is_its_storage_dtype_only():
+    """No policy carries a refinement knob: a policy names how ``L`` is stored."""
+    fields = {f.name for f in dataclasses.fields(PrecisionPolicy)}
+    assert fields == {"name", "storage_dtype"}
+    for name, policy in PRECISIONS.items():
+        assert policy.name == name
+        assert policy.demotes == (policy.storage_dtype != np.dtype(np.float64))
 
 
 def test_resolve_precision_names_policies_and_none():
@@ -82,3 +93,29 @@ def test_solver_stores_fp32_factors_under_the_fp32_policy(spd):
     reference.factorize(spd)
     # fp32 storage halves the factor: nothing else is resident beside it.
     assert solver.storage_nbytes() * 2 == reference.storage_nbytes()
+
+
+@pytest.mark.parametrize("precision", PRECISION_NAMES)
+def test_solver_storage_is_the_band_alone(spd, precision):
+    solver = SparseSolver(precision=precision)
+    assert solver.storage_nbytes() == 0
+    solver.factorize(spd)
+    band = solver._factor.band
+    assert band.dtype == PRECISIONS[precision].storage_dtype
+    assert solver.storage_nbytes() == band.nbytes == factor_nbytes(solver._factor)
+    solver.release()
+    assert solver.storage_nbytes() == 0
+
+
+def test_fp32_solves_stall_at_the_storage_rounding(spd):
+    """fp32 factors solve to ~1e-7, far above fp64's residual and far below 1."""
+    b = np.random.default_rng(3).standard_normal(spd.shape[0])
+    residuals = {}
+    for precision in PRECISION_NAMES:
+        solver = SparseSolver(precision=precision)
+        solver.factorize(spd)
+        x = solver.solve(b)
+        assert x.dtype == np.float64
+        residuals[precision] = np.linalg.norm(spd @ x - b) / np.linalg.norm(b)
+    assert residuals["fp64"] < 1e-12
+    assert 1e-9 < residuals["fp32"] < 1e-4

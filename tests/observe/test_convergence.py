@@ -72,6 +72,20 @@ def test_report_describe_lists_history():
     assert "iter   0" in text
 
 
+def test_fp32_report_matches_the_fp64_history_length():
+    """The report of an fp32 solve is one PCPG run, the length of fp64's."""
+    reports = {}
+    for precision in ("fp64", "fp32"):
+        spec = SolverSpec(precision=precision, residual_history=100)
+        with Session(spec) as session:
+            solution = session.solve(WORKLOAD)
+        assert solution.convergence.converged
+        assert len(solution.residual_history) == solution.iterations + 1
+        reports[precision] = solution.convergence.to_dict()
+    assert reports["fp32"]["iterations"] == reports["fp64"]["iterations"]
+    assert reports["fp32"].keys() == reports["fp64"].keys()
+
+
 def test_block_solve_reports_per_column():
     rng = np.random.default_rng(7)
     with Session(SolverSpec(residual_history=100)) as session:

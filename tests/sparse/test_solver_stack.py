@@ -183,6 +183,20 @@ def test_stack_of_two_matches_the_solver(precision):
     assert np.abs(x - reference).max() <= TOLERANCE * np.abs(reference).max()
 
 
+@pytest.mark.parametrize("precision", PRECISION_NAMES)
+def test_zero_right_hand_sides_stay_zero(precision):
+    """A zero member right-hand side solves to exact zeros beside nonzero ones."""
+    solvers, n = _factorized(3, precision=precision)
+    stack = SolverStack(solvers)
+    assert not stack.solve(np.zeros((3, n))).any()
+    b = np.zeros((3, n))
+    b[1] = np.random.default_rng(6).standard_normal(n)
+    x = stack.solve(b)
+    assert not x[0].any() and not x[2].any()
+    reference = solvers[1].solve(b[1])
+    assert np.abs(x[1] - reference).max() <= TOLERANCE * np.abs(reference).max()
+
+
 #: ``(workload, precision)`` of the member-against-stack-of-one checks.
 MEMBER_CASES = {
     "heat2d-8x8x8": (WORKLOADS["heat2d-8x8x8"], "fp64"),

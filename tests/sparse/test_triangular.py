@@ -88,6 +88,30 @@ def test_band_solves_match_the_scalar_csc_oracle(physics, dim):
     assert _close(solve_banded(s.perm, band, b[None])[0], reference)
 
 
+@pytest.mark.parametrize(("physics", "dim"), FEM_CASES)
+def test_fp32_band_solves_match_the_scalar_csc_oracle_on_the_stored_values(physics, dim):
+    """An fp32 band is swept in fp64 arithmetic on its rounded entries.
+
+    The oracle solves with ``L`` as stored (up-cast), so the fp32 sweep
+    meets it at fp64 accuracy; against the fp64 factor it is ~1e-7 away.
+    """
+    K = fem_stiffness(physics, dim)
+    solver = SparseSolver(pattern_cache=PatternCache(), precision="fp32")
+    factor = solver.factorize(K)
+    assert factor.band.dtype == np.float32
+    L = factor.to_csc().astype(float)
+    perm = solver.symbolic.perm
+    b = np.random.default_rng(dim).standard_normal(K.shape[0])
+    reference = np.empty_like(b)
+    reference[perm] = csc_solve_upper(L, csc_solve_lower(L, b[perm]))
+    x = solver.solve(b)
+    assert x.dtype == np.float64
+    assert _close(x, reference)
+    exact = spla.spsolve(sp.csc_matrix(K), b)
+    assert not _close(x, exact)
+    assert np.abs(x - exact).max() <= 1e-4 * np.abs(exact).max()
+
+
 def test_csc_solve_against_scipy():
     """The scalar CSC oracle itself, against SciPy's triangular solve."""
     rng = np.random.default_rng(5)
