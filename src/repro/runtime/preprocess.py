@@ -47,7 +47,7 @@ from repro.sparse.numeric import (
     stacked_cholesky,
     stacked_values,
 )
-from repro.sparse.schur import SchurScatter, interface_classes
+from repro.sparse.schur import SchurScatter, interface_classes, schur_workspace
 from repro.sparse.solvers import schur_complements
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -108,14 +108,22 @@ def _run_shard(
         if not scatters:
             continue
         group_scatters = [scatters[s.index] for s in g.subs]
-        for members in interface_classes(group_scatters):
+        classes = interface_classes(group_scatters)
+        # One sweep buffer serves the group's classes: its pages fault once.
+        workspace = schur_workspace(
+            g.symbolic.n * max(len(m) * group_scatters[m[0]].n_dual for m in classes)
+        )
+        for members in classes:
             n_lambda = group_scatters[members[0]].n_dual
             with trace_span("schur_assembly", subdomains=len(members), n_lambda=n_lambda):
                 F = schur_complements(
-                    [g.solvers[i] for i in members], [group_scatters[i] for i in members]
+                    [g.solvers[i] for i in members],
+                    [group_scatters[i] for i in members],
+                    workspace,
                 )
             for i, Fi in zip(members, F):
                 local_F[g.subs[i].index] = Fi
+        del workspace
     return local_F
 
 

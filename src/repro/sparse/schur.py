@@ -35,6 +35,7 @@ The per-subdomain kernel this replaced is the test oracle
 
 from __future__ import annotations
 
+import mmap
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -52,6 +53,7 @@ __all__ = [
     "rhs_sparsity_fill",
     "schur_scatter",
     "schur_scatters",
+    "schur_workspace",
     "stacked_schur_complement",
 ]
 
@@ -239,8 +241,9 @@ def interface_classes(scatters: Sequence[SchurScatter]) -> list[list[int]]:
     """Positions of ``scatters`` grouped by class key, largest ``n_dual`` first.
 
     Classes keep the order of their first member within one ``n_dual``.
-    Largest first: each class's ``W`` then fits in the memory the previous,
-    larger one released, instead of growing the heap.
+    Largest first: when each class maps its own ``W``, the largest is then
+    live beside the fewest finished ``F̃ᵢ`` (a shared
+    :func:`schur_workspace` holds the largest throughout).
     """
     classes: dict[bytes, list[int]] = {}
     for i, scatter in enumerate(scatters):
@@ -252,6 +255,7 @@ def stacked_schur_complement(
     symbolic: SymbolicFactor,
     bands: Sequence[np.ndarray],
     scatters: Sequence[SchurScatter],
+    workspace: np.ndarray | None = None,
 ) -> np.ndarray:
     """``F̃ᵢ = B̃ᵢ Kᵢ⁻¹ B̃ᵢᵀ`` of the ``k`` members of one interface class.
 
@@ -264,6 +268,10 @@ def stacked_schur_complement(
         ``scatters[i]`` (any storage dtype; the arithmetic runs in fp64).
     scatters:
         The members' :class:`SchurScatter`, all with equal ``starts``.
+    workspace:
+        A flat :func:`schur_workspace` of at least ``k * n * n_dual``
+        entries for the sweep to run in.  It is zeroed here, so one buffer
+        serves every class of a group; by default the call maps its own.
 
     Returns
     -------
@@ -289,14 +297,19 @@ def stacked_schur_complement(
     if any(scatter.key != key for scatter in scatters[1:]):
         raise ValueError("the scatters do not form one interface class")
     k, n_dual = len(scatters), starts.shape[0]
+    size = k * symbolic.n * n_dual
+    if workspace is None:
+        workspace = schur_workspace(size)
+    else:
+        workspace[:size] = 0.0
     # P B̃ᵀ is scattered straight into the buffer the sweep runs in, its
     # columns already in start order.
-    W = np.zeros((k, symbolic.n, n_dual))
+    W = workspace[:size].reshape(k, symbolic.n, n_dual)
     for member, scatter in zip(W.reshape(k, -1), scatters):
         np.add.at(member, scatter.flat, scatter.data)
     _forward_sweep(symbolic.supernodes, bands, W, scatters[0].active)
     S = _pruned_gram(W, starts)
-    del W  # before the re-ordering allocates its temporary
+    del W, workspace  # a buffer of the call's own goes before the re-ordering's temporary
     # Back to B̃'s order: rows into a temporary, columns into S's own buffer
     # (``clip`` because ``raise`` would buffer the output; ``rank`` is a
     # permutation, so nothing is clipped).
@@ -305,6 +318,23 @@ def stacked_schur_complement(
             rank = scatter.rank
             np.take(np.take(Si, rank, axis=0), rank, axis=1, out=Si, mode="clip")
     return S
+
+
+def schur_workspace(size: int) -> np.ndarray:
+    """``size`` zeroed fp64 entries on private anonymous pages, unmapped when freed.
+
+    The sweep's stack is the largest temporary of a preprocessing
+    (``n x n_dual`` fp64 a member: 8.3 MB for one 2 197-DOF heat 3D
+    subdomain).  glibc serves a block that size from the heap as soon as
+    the free of a large block has raised its dynamic mmap threshold, and
+    the heap then places it in whatever hole the earlier allocations left,
+    or grows: the peak resident set of a process that sets up one solver
+    after another swung by ~9 MB from run to run with the heap's layout.
+    Mapped, the stack is zero-filled by the kernel, populated in one call
+    and returned whole on free, so it leaves no hole behind either.
+    """
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, max(1, 8 * size), flags=flags), count=size)
 
 
 def _forward_sweep(

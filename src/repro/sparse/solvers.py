@@ -219,16 +219,19 @@ def _band_stack(factors: list[CholeskyFactor]) -> tuple[np.ndarray, bool]:
 
 
 def schur_complements(
-    solvers: Sequence[SparseSolver], scatters: Sequence[SchurScatter]
+    solvers: Sequence[SparseSolver],
+    scatters: Sequence[SchurScatter],
+    workspace: np.ndarray | None = None,
 ) -> np.ndarray:
     """``(k, n_dual, n_dual)`` ``F̃ᵢ`` of one interface class of factorized solvers.
 
     The members share one symbolic analysis and their scatters one key; their
     factor bands (at the policy's storage dtype) are read where they are.
+    ``workspace`` is the sweep's buffer (see :func:`stacked_schur_complement`).
     """
     factors = [solver._require_factor() for solver in solvers]
     return stacked_schur_complement(
-        factors[0].symbolic, [factor.band for factor in factors], scatters
+        factors[0].symbolic, [factor.band for factor in factors], scatters, workspace
     )
 
 

@@ -125,9 +125,9 @@ def test_cold_serial_solve_assembles_once_per_interface_class(monkeypatch, name,
     assemblies = []
     schur_complements = preprocess.schur_complements
 
-    def counted_assembly(solvers, scatters):
+    def counted_assembly(solvers, scatters, workspace):
         assemblies.append(len(solvers))
-        return schur_complements(solvers, scatters)
+        return schur_complements(solvers, scatters, workspace)
 
     monkeypatch.setattr(preprocess, "schur_complements", counted_assembly)
     assembly = "table2" if approach == "expl modern" else None

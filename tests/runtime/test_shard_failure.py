@@ -43,14 +43,14 @@ def test_a_failed_shard_raises_its_own_exception_and_the_session_recovers(
     lock = threading.Lock()
     raised, finished = [], []
 
-    def failing_once(solvers, scatters):
+    def failing_once(solvers, scatters, workspace):
         with lock:
             fail = not raised
             raised.append(fail)
         if fail:
             raise ShardFailure("injected")
         time.sleep(0.02)  # the healthy shard is still busy when the other fails
-        F = schur_complements(solvers, scatters)
+        F = schur_complements(solvers, scatters, workspace)
         finished.append(len(solvers))
         return F
 

@@ -187,6 +187,31 @@ def test_schur_assembly_allocates_one_panel_and_two_outputs(factorized):
     assert peak < panel + outputs + 2048 < 3 * panel
 
 
+def test_sweep_workspace_is_mapped_off_the_heap(factorized):
+    """``W`` is a private mapping of its own, not a heap block.
+
+    The heap's peak over an assembly is then ``S``, its re-ordered copy and
+    the index arrays only.  A heap ``W`` went into whatever hole earlier
+    allocations had left, so the peak resident set of repeated set-ups
+    followed the heap's layout from run to run.
+    """
+    import tracemalloc
+
+    _, factor = factorized
+    rng = np.random.default_rng(6)
+    n_dual = 40
+    B = sp.random(n_dual, 50, density=0.04, random_state=rng).tocsr()
+    outputs = 2 * n_dual * n_dual * 8
+    stack = factor.symbolic, [factor.band], [schur_scatter(factor.symbolic, B)]
+    stacked_schur_complement(*stack)  # warm: BLAS buffers
+    tracemalloc.start()
+    S = stacked_schur_complement(*stack)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < outputs + 2048
+    assert np.array_equal(S[0], schur_complement(factor, B))
+
+
 def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max() / np.abs(b).max())
 
