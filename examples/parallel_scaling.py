@@ -19,8 +19,8 @@ between them:
    PCPG iteration answering many load cases at once, serially (the data
    behind the ``BENCH_apply_phase.json`` baseline), and
 3. a burst of queued solve requests — the "many users" serving path, where
-   the :class:`~repro.runtime.SolveQueue` coalesces same-pattern requests
-   into one stacked solve.
+   the :class:`~repro.runtime.SolveQueue` answers every request with its
+   own scalar solve.
 
 Run with:  python examples/parallel_scaling.py
 """
@@ -81,10 +81,9 @@ def sweep_worker_counts() -> None:
 def block_solve_many_load_cases() -> None:
     """Session.solve_many: one block-PCPG iteration over stacked RHS columns.
 
-    The default (``stacked=False``) drives one scalar apply per column and
-    is **bitwise** identical to solving the cases one by one; ``stacked=True``
-    fuses the applies of all still-active columns into one GEMM per
-    iteration — the throughput path measured by ``BENCH_apply_phase.json``.
+    The applies of all still-active columns are fused into one GEMM per
+    iteration — the throughput path measured by ``BENCH_apply_phase.json``;
+    the answers agree with solving the cases one by one to rounding.
     """
     factors = [1.0 + 0.5 * k for k in range(6)]
     print(f"\nblock solve: {len(factors)} load cases in one stacked PCPG run:")
@@ -113,9 +112,9 @@ def block_solve_many_load_cases() -> None:
 def serve_a_request_burst() -> None:
     """The SolveQueue: many (workload, spec, rhs) requests, one session.
 
-    Same-``(workload, spec)`` requests that arrive while an earlier one
-    holds the session's workload lock are coalesced into a single block
-    solve — ``cache_stats()['stacked_solves']`` counts the batches.
+    Same-workload requests serialize on the session's workload lock and
+    each runs its own scalar solve, so an answer never depends on what
+    else was in flight: it is bitwise the answer of the same request alone.
     """
     print("\nconcurrent solve queue (8 requests, 2 workers):")
     with Session(SolverSpec(approach="expl mkl", execution="threads:2")) as session:
@@ -125,7 +124,7 @@ def serve_a_request_burst() -> None:
             queue.submit(WORKLOAD, rhs=1.0 + 0.25 * k) for k in range(8)
         ]
         results = [t.result() for t in tickets]
-        stacked = session.cache_stats()["stacked_solves"]
+        alone = queue.submit(WORKLOAD, rhs=1.75).result()
     reference = np.linalg.norm(results[0].lam)
     for k, result in enumerate(results):
         scale = 1.0 + 0.25 * k
@@ -135,10 +134,8 @@ def serve_a_request_burst() -> None:
             f"({norm / reference:.2f}x, {result.iterations} iterations)"
         )
     print("  (the dual problem is linear in the loads: |lambda| scales with them)")
-    print(
-        f"  coalesced stacked batches this burst: {stacked} "
-        "(timing-dependent; answers are identical either way)"
-    )
+    same = np.array_equal(alone.lam, results[3].lam)
+    print(f"  request 3 resubmitted alone: bitwise the same answer: {same}")
 
 
 def main() -> None:

@@ -380,26 +380,19 @@ class Session:
         workload: Workload | str | Mapping[str, Any],
         loads_columns: "list[list[np.ndarray] | None]",
         spec: SolverSpec | str | None = None,
-        *,
-        stacked: bool = True,
     ) -> list[FetiSolution]:
         """Solve one workload under many load cases in a single block PCPG.
 
-        The preprocessing runs once and the per-iteration dual-operator
-        applications of all columns are fused (see
-        :meth:`~repro.feti.solver.FetiSolver.solve_many`) — the batching
-        win that :class:`~repro.runtime.queue.SolveQueue` exploits when it
-        coalesces same-``(workload, spec)`` requests.
+        The preprocessing runs once and each iteration applies the dual
+        operator to all columns in one fused kernel (see
+        :meth:`~repro.feti.solver.FetiSolver.solve_many`); the answers
+        agree with sequential :meth:`solve` calls to rounding, not bitwise.
 
         Parameters
         ----------
         loads_columns:
             One entry per right-hand side: ``None`` for the workload's
             declared loads, or per-subdomain load vectors.
-        stacked:
-            Use the operator's fused multi-RHS kernel (default).  Pass
-            ``False`` for the per-column path that is bitwise equal to
-            sequential :meth:`solve` calls.
         """
         w = self.resolve_workload(workload)
         s = self.resolve_spec(spec)
@@ -414,9 +407,7 @@ class Session:
                 self._solves.inc(len(loads_columns))
                 self._stacked_solves.inc()
                 self._stacked_columns.inc(len(loads_columns))
-                solutions = solver.solve_many(
-                    loads_columns, stacked=stacked, reuse_preprocessing=True
-                )
+                solutions = solver.solve_many(loads_columns, reuse_preprocessing=True)
                 self._record_usage((w, s), solver)
                 return solutions
 

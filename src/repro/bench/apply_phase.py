@@ -6,7 +6,7 @@ it:
 
 * **sequential** — ``k`` scalar ``operator.apply(column)`` calls, the
   bit-exact reference path (and what a naive caller would write);
-* **stacked** — one ``operator.apply_multi(block, stacked=True)`` call,
+* **stacked** — one ``operator.apply_multi(block)`` call,
   the fused-GEMM path used by ``Session.solve_many`` throughput callers.
 
 The apply runs in the caller's process on every executor, so the
@@ -70,7 +70,7 @@ class ApplyPhaseScenario(Scenario):
 
             # Warm both paths untimed: the first apply plans the timeline.
             seq_ref = np.column_stack([operator.apply(col) for col in columns])
-            stacked_ref = operator.apply_multi(block, stacked=True)
+            stacked_ref = operator.apply_multi(block)
 
             ledger = operator.ledger
             rows = []
@@ -83,7 +83,7 @@ class ApplyPhaseScenario(Scenario):
                         for col in columns:
                             operator.apply(col)
                     else:
-                        operator.apply_multi(block, stacked=True)
+                        operator.apply_multi(block)
                     best_wall = min(best_wall, time.perf_counter() - start)
                 rows.append(
                     {

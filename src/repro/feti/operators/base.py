@@ -310,17 +310,14 @@ class DualOperator:
 
     __call__ = apply
 
-    def apply_multi(self, lam_block: np.ndarray, *, stacked: bool = False) -> np.ndarray:
+    def apply_multi(self, lam_block: np.ndarray) -> np.ndarray:
         """Apply ``F`` to ``k`` stacked dual vectors (``(n_lambda, k)``).
 
-        The default runs the scalar apply path once per column — bit-equal
-        to ``k`` separate :meth:`apply` calls, which makes the block-PCPG
-        iteration an exact lockstep of ``k`` scalar iterations.  With
-        ``stacked=True`` every explicit approach runs one batched GEMM over
-        all columns of the packed blocks and one GEMM per large block
-        instead, amortizing the scatter/gather and kernel launches; results
-        then agree with the per-column path to machine
-        rounding (≤1e-12 relative).  The implicit approaches loop either way.
+        Every explicit approach runs one batched GEMM over all columns of
+        the packed blocks and one GEMM per large block, amortizing the
+        scatter/gather over the columns; the results agree with ``k``
+        :meth:`apply` calls to machine rounding (≤1e-12 relative).  The
+        implicit approaches apply the columns one by one.
 
         One ``apply_multi`` phase is recorded per call: the replay's
         timeline of ``k`` stacked columns, or the sum of ``k`` per-column
@@ -336,8 +333,8 @@ class DualOperator:
             )
         wall0 = time.perf_counter()
         k = int(lam_block.shape[1])
-        with trace_span("apply_multi", columns=k, stacked=stacked):
-            if stacked and self.explicit:
+        with trace_span("apply_multi", columns=k):
+            if self.explicit:
                 out = self.batch_engine.require_dense().apply_multi(lam_block)
                 sim, breakdown = self._planned(k)
             else:

@@ -216,8 +216,8 @@ def pcpg(
 
 def pcpg_block(
     apply_F_block: Callable[[np.ndarray], np.ndarray],
-    apply_P: Callable[[np.ndarray], np.ndarray],
-    apply_M: Callable[[np.ndarray], np.ndarray],
+    apply_P_block: Callable[[np.ndarray], np.ndarray],
+    apply_M_block: Callable[[np.ndarray], np.ndarray],
     d_columns: Sequence[np.ndarray],
     lambda_0_columns: Sequence[np.ndarray],
     *,
@@ -225,24 +225,22 @@ def pcpg_block(
     max_iterations: int = 500,
     absolute_tolerance: float = 1e-300,
     callback: Callable[[int, int, float], None] | None = None,
-    apply_P_block: Callable[[np.ndarray], np.ndarray] | None = None,
-    apply_M_block: Callable[[np.ndarray], np.ndarray] | None = None,
     residual_history: int = 0,
 ) -> list[PcpgResult]:
     """Run Algorithm 1 on ``k`` right-hand sides in lockstep.
 
     The recursion of :func:`pcpg` is applied to every column independently
     — each column keeps its own ``wy``/``delta``/``beta`` scalars and its
-    own contiguous state vectors — but the dual-operator applications of
-    all still-active columns are fused into one block call per iteration:
-    ``apply_F_block`` receives an ``(n_lambda, k_active)`` matrix and must
-    return ``F`` applied to each column.
+    own contiguous state vectors — but the operator applications of all
+    still-active columns are fused into one block call per iteration: each
+    ``apply_*_block`` receives an ``(n_lambda, k_active)`` matrix and must
+    return the operator applied to each column.
 
-    With a block operator that applies the columns one by one (the default
-    :meth:`~repro.feti.operators.base.DualOperator.apply_multi` path)
-    the iterates are **bitwise identical** to ``k`` sequential scalar
-    solves; a stacked GEMM operator trades that for one fused kernel per
-    iteration at ≤1e-12 relative difference.
+    Block forms that apply their columns one by one make the iterates
+    **bitwise identical** to ``k`` sequential scalar solves; the solver's
+    fused GEMM :meth:`~repro.feti.operators.base.DualOperator.apply_multi`
+    trades that for one kernel per iteration at iteration-amplified
+    rounding differences.
 
     Columns converge (or break down) independently: a finished column is
     masked out of subsequent block applies, so late-converging columns do
@@ -250,26 +248,14 @@ def pcpg_block(
 
     Parameters
     ----------
-    apply_F_block:
-        The dual operator applied column-wise, ``Λ ↦ F Λ`` for an
-        ``(n_lambda, k_active)`` block.
-    apply_P, apply_M:
-        The coarse projector and the preconditioner (vector callables,
-        applied per column).
+    apply_F_block, apply_P_block, apply_M_block:
+        The dual operator, the coarse projector and the preconditioner,
+        each applied to an ``(n_lambda, k_active)`` block.
     d_columns, lambda_0_columns:
         Per-column dual right-hand sides and feasible initial iterates.
     callback:
         Optional ``callback(column, k, residual_norm)`` per column and
         iteration.
-    apply_P_block, apply_M_block:
-        Optional block forms of the projector / preconditioner: the
-        projections and preconditioner applications of all still-active
-        columns are fused into one stacked call per iteration, like the
-        dual-operator block apply.  A block form that applies its columns
-        independently (e.g. :meth:`~repro.feti.projector.Projector.
-        apply_block`) keeps the iterates bitwise identical to the
-        per-column callables.  ``None`` falls back to looping ``apply_P``
-        / ``apply_M`` over the columns.
     residual_history:
         Keep the first ``residual_history`` residual norms per column on
         ``PcpgResult.residual_history`` (0 keeps none).
@@ -284,8 +270,8 @@ def pcpg_block(
 
     # Per-column state lives in separate C-contiguous 1-D arrays (not the
     # columns of one matrix): dots and axpys on them run the exact same
-    # BLAS code paths as the scalar solver, which is what makes the
-    # per-column-apply mode bitwise equal to sequential solves.
+    # BLAS code paths as the scalar solver, so per-column block forms are
+    # bitwise equal to sequential solves.
     lam = [np.array(l0, dtype=float, copy=True) for l0 in lambda_0_columns]
     tol = [0.0] * n_cols
     iterations = [0] * n_cols
@@ -294,19 +280,19 @@ def pcpg_block(
     deltas: list[list[float]] = [[] for _ in range(n_cols)]
     betas: list[list[float]] = [[] for _ in range(n_cols)]
 
-    def over_columns(name, apply, apply_block, columns: list[np.ndarray]) -> list[np.ndarray]:
-        """``apply`` over columns, fused into one stacked call if available."""
+    def over_columns(name, apply_block, columns: list[np.ndarray]) -> list[np.ndarray]:
+        """``apply_block`` over the columns, split back into contiguous ones."""
         with trace_span(name, columns=len(columns)):
-            if apply_block is None or not columns:
-                return [apply(c) for c in columns]
+            if not columns:
+                return []
             block = apply_block(np.column_stack(columns))
             return [np.ascontiguousarray(block[:, i]) for i in range(len(columns))]
 
     def project(columns: list[np.ndarray]) -> list[np.ndarray]:
-        return over_columns("project", apply_P, apply_P_block, columns)
+        return over_columns("project", apply_P_block, columns)
 
     def precondition(columns: list[np.ndarray]) -> list[np.ndarray]:
-        return over_columns("precondition", apply_M, apply_M_block, columns)
+        return over_columns("precondition", apply_M_block, columns)
 
     r0_block = apply_F_block(np.column_stack(lam))
     r = [
@@ -353,8 +339,7 @@ def pcpg_block(
                 r[j] -= scratch[j]
                 updating.append(j)
             # Phase 2: the projections / preconditioner applications of all
-            # updated columns, fused into stacked calls where block forms
-            # exist.
+            # updated columns, fused into block calls.
             w_nexts = project([r[j] for j in updating])
             y_nexts = project(precondition(w_nexts))
             # Phase 3: per-column convergence checks and direction updates.

@@ -401,6 +401,21 @@ class FetiProblem:
         f = np.stack([s.f for s in self.subdomains])[:, :, None]
         return np.matmul(self.kernel_stack.transpose(0, 2, 1), f).ravel()
 
+    def check_loads(self, loads: list[np.ndarray]) -> None:
+        """Raise ``ValueError`` unless ``loads`` are one load vector per
+        subdomain, each of that subdomain's shape."""
+        if len(loads) != len(self.subdomains):
+            raise ValueError(
+                f"got {len(loads)} load vectors but the problem has "
+                f"{len(self.subdomains)} subdomains"
+            )
+        for sub, f in zip(self.subdomains, loads):
+            if np.shape(f) != sub.f.shape:
+                raise ValueError(
+                    f"the load vector of subdomain {sub.index} has shape "
+                    f"{np.shape(f)}, expected {sub.f.shape}"
+                )
+
     # ------------------------------------------------------------------ #
     # Reference solution (for tests and the benchmark's oracle)           #
     # ------------------------------------------------------------------ #

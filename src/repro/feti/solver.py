@@ -245,32 +245,31 @@ class FetiSolver:
         self,
         loads_columns: "Sequence[list[np.ndarray] | None]",
         *,
-        stacked: bool = False,
         reuse_preprocessing: bool = False,
     ) -> list[FetiSolution]:
         """Solve one problem under many load cases in a single block PCPG.
 
         The preprocessing (factorizations, explicit assembly, GPU uploads)
-        runs **once**; the dual-operator applications of all still-active
-        columns are fused into one :meth:`~repro.feti.operators.base.
-        DualOperator.apply_multi` call per iteration.  With the default
-        per-column apply the solutions are bitwise identical to sequential
-        :meth:`solve` calls; ``stacked=True`` uses the operator's stacked
-        GEMM path (one fused kernel per cluster per iteration, ≤1e-12
-        relative difference) where available.
+        runs **once**; each iteration applies ``F`` to all still-active
+        columns in one fused :meth:`~repro.feti.operators.base.
+        DualOperator.apply_multi` call (one GEMM over the pack and one per
+        large block on the explicit approaches), so the solutions agree with
+        sequential :meth:`solve` calls to iteration-amplified rounding.
 
         Parameters
         ----------
         loads_columns:
             One entry per right-hand side: either ``None`` (the problem's
             current load vectors) or a list of per-subdomain load vectors
-            in ``problem.subdomains`` order.
-        stacked:
-            Ask the operator for its stacked multi-RHS kernel instead of
-            the bitwise per-column loop.
+            in ``problem.subdomains`` order.  Every list is checked with
+            :meth:`~repro.feti.problem.FetiProblem.check_loads` before the
+            preprocessing.
         reuse_preprocessing:
             As in :meth:`solve`.
         """
+        for loads in loads_columns:
+            if loads is not None:
+                self.problem.check_loads(loads)
         if reuse_preprocessing and self.operator.preprocessed:
             preprocessing = self.operator.ledger.last("preprocessing")
         else:
@@ -280,16 +279,8 @@ class FetiSolver:
         base_f = [sub.f for sub in subdomains]
 
         def install(loads: "list[np.ndarray] | None") -> None:
-            if loads is None:
-                for sub, f0 in zip(subdomains, base_f):
-                    sub.f = f0
-            else:
-                if len(loads) != len(subdomains):
-                    raise ValueError(
-                        f"expected {len(subdomains)} load vectors, got {len(loads)}"
-                    )
-                for sub, f in zip(subdomains, loads):
-                    sub.f = f
+            for sub, f in zip(subdomains, base_f if loads is None else loads):
+                sub.f = f
 
         n_cols = len(loads_columns)
         self.operator.ledger.mark("apply", "apply_multi")
@@ -304,14 +295,9 @@ class FetiSolver:
                 e = self.problem.compute_e()
                 lambda_0_cols.append(projector.initial_lambda(e))
 
-            def apply_F_block(block: np.ndarray) -> np.ndarray:
-                return self.operator.apply_multi(block, stacked=stacked)
-
-            with trace_span("pcpg", columns=n_cols, stacked=stacked):
+            with trace_span("pcpg", columns=n_cols):
                 results = pcpg_block(
-                    apply_F_block=apply_F_block,
-                    apply_P=projector.apply,
-                    apply_M=preconditioner.apply,
+                    apply_F_block=self.operator.apply_multi,
                     apply_P_block=projector.apply_block,
                     apply_M_block=preconditioner.apply_block,
                     d_columns=d_cols,

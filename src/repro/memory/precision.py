@@ -50,11 +50,6 @@ class PrecisionPolicy:
     name: str
     storage_dtype: np.dtype
 
-    @property
-    def demotes(self) -> bool:
-        """Whether this policy stores factors below fp64."""
-        return self.storage_dtype != np.dtype(np.float64)
-
 
 PRECISIONS: dict[str, PrecisionPolicy] = {
     "fp64": PrecisionPolicy(name="fp64", storage_dtype=np.dtype(np.float64)),

@@ -11,17 +11,15 @@ queue schedules them across an executor:
   problem loads and its solvers' operators/ledgers are stateful), while
   requests for different workloads overlap.
 
+Every request is its own scalar solve, so its answer is bitwise the
+:meth:`~repro.api.session.Session.solve` of the same loads whatever else is
+in flight.  Many load cases of one workload known up front are one
+:meth:`~repro.api.session.Session.solve_many` call instead.
+
 Requests accept an optional ``rhs``: ``None`` solves the workload's declared
 loads, a scalar scales them, and a sequence of per-subdomain arrays replaces
 them outright — the problem's pristine loads are restored after every
 request, so queue traffic never leaks state between users.
-
-**Coalescing**: same-``(workload, spec)`` requests that queue up while an
-earlier solve of that workload is in flight are drained *as one batch* and
-solved by a single multi-RHS block PCPG (:meth:`~repro.api.session.Session.
-solve_many`) — the preprocessing and the per-iteration dual-operator
-kernels are shared across all coalesced right-hand sides.  Requests for
-different workloads (or specs) never coalesce and keep overlapping.
 
 **Error isolation contract**: a malformed or failing request surfaces its
 exception through *that request's* ticket only (``submit`` itself never
@@ -139,42 +137,6 @@ def _normalize_rhs(rhs: Any) -> float | list[np.ndarray] | None:
     )
 
 
-def _validate_rhs(problem, rhs) -> None:
-    """Shape-check a normalized rhs against a problem (raises ValueError)."""
-    if rhs is None or isinstance(rhs, float):
-        return
-    if len(rhs) != len(problem.subdomains):
-        raise ValueError(
-            f"rhs has {len(rhs)} load vectors but the problem has "
-            f"{len(problem.subdomains)} subdomains"
-        )
-    for sub, f in zip(problem.subdomains, rhs):
-        if f.shape != sub.f.shape:
-            raise ValueError(
-                f"rhs for subdomain {sub.index} has shape {f.shape}, "
-                f"expected {sub.f.shape}"
-            )
-
-
-def _loads_for(problem, base_loads, rhs) -> "list[np.ndarray] | None":
-    """A request's concrete per-subdomain load vectors (``None`` = declared)."""
-    _validate_rhs(problem, rhs)
-    if rhs is None:
-        return None
-    if isinstance(rhs, float):
-        return [rhs * f for f in base_loads]
-    return [np.array(f, dtype=float, copy=True) for f in rhs]
-
-
-def _apply_rhs(problem, base_loads, rhs) -> None:
-    """Install a request's loads onto a (locked) problem."""
-    values = _loads_for(problem, base_loads, rhs)
-    if values is None:
-        values = [f.copy() for f in base_loads]
-    for sub, f in zip(problem.subdomains, values):
-        sub.f = f
-
-
 def _solve_request_in_session(
     session: "Session", workload: "Workload", spec: "SolverSpec", rhs
 ) -> QueueSolution:
@@ -182,14 +144,19 @@ def _solve_request_in_session(
     if rhs is None:
         return QueueSolution.from_solution(session.solve(workload, spec))
     problem = session.problem(workload)
-    base = [f.copy() for f in session.base_loads(workload)]
+    base = session.base_loads(workload)
+    if isinstance(rhs, float):
+        loads = [rhs * f for f in base]
+    else:
+        problem.check_loads(rhs)
+        loads = [np.array(f, dtype=float, copy=True) for f in rhs]
     try:
-        _apply_rhs(problem, base, rhs)
-        solution = session.solve(workload, spec)
-        return QueueSolution.from_solution(solution)
+        for sub, f in zip(problem.subdomains, loads):
+            sub.f = f
+        return QueueSolution.from_solution(session.solve(workload, spec))
     finally:
         for sub, f in zip(problem.subdomains, base):
-            sub.f = f
+            sub.f = f.copy()
 
 
 # --------------------------------------------------------------------- #
@@ -221,29 +188,20 @@ class SolveQueue:
         #: Requests submitted and not yet finished.  The queue keeps no
         #: reference to a request once its future completes.
         self._in_flight = 0
-        #: Guards the in-flight count and the pending-batch map (submissions
-        #: may come from any number of caller threads concurrently).
+        #: Guards the in-flight count (submissions may come from any number
+        #: of caller threads concurrently).
         self._submit_lock = threading.Lock()
-        #: Requests enqueued but not yet drained, grouped by their
-        #: coalescing key ``(workload, spec)``.  A drain pops one key's
-        #: whole batch under the workload's session lock and runs it as a
-        #: single (possibly multi-RHS) solve.
-        self._pending: dict[tuple, list[tuple[Any, Future]]] = {}
         # The queue counts into its session's registry, so every queue of a
-        # session adds to the same two counters.
+        # session adds to the same counter.
         self._requests = session.metrics.counter(
             "repro_queue_requests_total", "Requests submitted to the solve queues"
-        )
-        self._coalesced_batches = session.metrics.counter(
-            "repro_queue_coalesced_batches_total",
-            "Drained batches that coalesced more than one request",
         )
         #: Request-level pool of the threads backend.  Requests must not run
         #: on the session's shard executor itself: a request blocks on the
         #: shard futures of its preprocessing, so sharing the pool would let
         #: enough concurrent requests starve their own shards (deadlock).
         #: The shard pool stays dedicated to shards; this pool carries the
-        #: blocking drain bodies.
+        #: blocking request bodies.
         self._request_pool: ThreadPoolExecutor | None = None
         if self.executor.backend == "threads":
             self._request_pool = ThreadPoolExecutor(
@@ -276,10 +234,6 @@ class SolveQueue:
         Never raises: a malformed workload/spec/rhs is reported through the
         returned ticket's future, so one bad request in a submission batch
         cannot prevent the others from being enqueued.
-
-        Requests for the same ``(workload, spec)`` that pile up while an
-        earlier solve of that workload holds its lock are coalesced into a
-        single multi-RHS block solve when the lock frees.
         """
         self._requests.inc()
         request_id = next(self._request_ids)
@@ -294,24 +248,22 @@ class SolveQueue:
         future: Future = Future()
         with self._submit_lock:
             self._in_flight += 1
-            self._pending.setdefault((w, s), []).append((request_rhs, future))
         future.add_done_callback(self._finished)
 
         if self._request_pool is not None:
-            # One drain task per submission: the first to win the workload
-            # lock takes the whole pending batch, later ones find it empty.
-            # The drain runs on a pool thread, so the submitter's trace
+            # The request runs on a pool thread, so the submitter's trace
             # context (if any) is re-installed around it explicitly.
             state = capture_context()
             if state is not None:
-                self._request_pool.submit(run_with_context, state, self._drain, w, s)
+                self._request_pool.submit(
+                    run_with_context, state, self._run, w, s, request_rhs, future
+                )
             else:
-                self._request_pool.submit(self._drain, w, s)
+                self._request_pool.submit(self._run, w, s, request_rhs, future)
         else:
             # Serial backend: the request runs inline at submission (the
-            # reference behaviour) — unless a concurrent submitter already
-            # drained it while holding the workload lock.
-            self._drain(w, s)
+            # reference behaviour).
+            self._run(w, s, request_rhs, future)
         return SolveTicket(request_id, w, future)
 
     def map(
@@ -343,70 +295,21 @@ class SolveQueue:
             self._in_flight -= 1
 
     # ------------------------------------------------------------------ #
-    def _drain(self, workload, spec) -> None:
-        """Drain one coalescing key's pending batch and solve it.
+    def _run(self, workload, spec, rhs, future: Future) -> None:
+        """Solve one request under the session's workload lock.
 
         The lock is the *session's* per-workload lock, so requests from any
         number of queues — and direct session.solve calls — serialize on
-        one workload's shared state while different workloads overlap.  The
-        pending batch is popped only after the lock is won: everything that
-        queued up behind the previous solve drains as one block solve.
+        one workload's shared state while different workloads overlap.  A
+        request waiting for the lock can still be cancelled; its rhs is
+        checked against the problem once the lock is won, before the solve.
         """
-        key = (workload, spec)
         with self.session.workload_lock(workload):
-            with self._submit_lock:
-                batch = self._pending.pop(key, [])
-            if not batch:
+            if not future.set_running_or_notify_cancel():
                 return
-            # Validation before the solve: a bad rhs fails its own ticket
-            # and never taints the rest of the batch.
-            problem = self.session.problem(workload)
-            valid: list[tuple[Any, Future]] = []
-            for rhs, future in batch:
-                if not future.set_running_or_notify_cancel():
-                    continue
-                try:
-                    _validate_rhs(problem, rhs)
-                except Exception as exc:
-                    future.set_exception(exc)
-                    continue
-                valid.append((rhs, future))
-            if len(valid) > 1:
-                self._coalesced_batches.inc()
             try:
-                if not valid:
-                    return
-                self._run_batch(workload, spec, valid)
-            except Exception as exc:  # pragma: no cover - defensive
-                for _, future in valid:
-                    if not future.done():
-                        future.set_exception(exc)
-
-    def _run_batch(self, workload, spec, batch) -> None:
-        """Solve one drained batch in the session."""
-        if len(batch) == 1:
-            rhs, future = batch[0]
-            try:
-                future.set_result(
-                    _solve_request_in_session(self.session, workload, spec, rhs)
-                )
+                result = _solve_request_in_session(self.session, workload, spec, rhs)
             except Exception as exc:
                 future.set_exception(exc)
-            return
-        problem = self.session.problem(workload)
-        base = self.session.base_loads(workload)
-        loads_columns = [_loads_for(problem, base, rhs) for rhs, _ in batch]
-        try:
-            # stacked=False: the per-column block path is bitwise identical
-            # to sequential solves, so a request's answer never depends on
-            # how much traffic it happened to coalesce with.  Callers that
-            # want the fused-GEMM kernels use Session.solve_many directly.
-            solutions = self.session.solve_many(
-                workload, loads_columns, spec, stacked=False
-            )
-        except Exception as exc:
-            for _, future in batch:
-                future.set_exception(exc)
-            return
-        for (_, future), solution in zip(batch, solutions):
-            future.set_result(QueueSolution.from_solution(solution))
+            else:
+                future.set_result(result)

@@ -48,10 +48,8 @@ class PoolEntry:
     def solve(self, workload: Workload, spec: SolverSpec | None, rhs: Any):
         """Run one request through the entry's queue (blocking).
 
-        Submission is thread-safe, and same-``(workload, spec)`` requests
-        that pile up behind an in-flight solve coalesce into one multi-RHS
-        block solve — the serve tier's concurrent handler threads get the
-        stacked-solve batching for free.
+        Submission is thread-safe: the serve tier's concurrent handler
+        threads serialize on the workload's session lock.
         """
         ticket = self.queue.submit(workload, spec, rhs)
         return ticket.result()

@@ -102,18 +102,17 @@ def test_planned_apply_equals_the_replaying_loop(
     np.testing.assert_allclose(
         planned.apply_multi(block), Q_looped, rtol=1e-12, atol=1e-12
     )
-    _assert_same_timeline(planned.ledger.last("apply_multi"), sim, breakdown, approach)
-    np.testing.assert_allclose(
-        planned.apply_multi(block, stacked=True), Q_looped, rtol=1e-12, atol=1e-12
-    )
-    stacked = planned.ledger.last("apply_multi")
-    assert stacked.simulated_seconds == pytest.approx(sim, rel=_CPU_SUM_RTOL)
-    assert list(stacked.breakdown) == list(breakdown)
+    multi = planned.ledger.last("apply_multi")
+    if approach.is_explicit:
+        assert multi.simulated_seconds == pytest.approx(sim, rel=_CPU_SUM_RTOL)
+        assert list(multi.breakdown) == list(breakdown)
+    else:
+        _assert_same_timeline(multi, sim, breakdown, approach)
 
 
 @pytest.mark.parametrize("approach", [a for a in APPROACHES if a.is_explicit])
-def test_stacked_apply_multi_is_one_pack_gemm(problem, machine_config, approach, monkeypatch):
-    """``stacked=True`` runs one batched GEMM on every explicit approach; the loop none."""
+def test_apply_multi_is_one_pack_gemm(problem, machine_config, approach, monkeypatch):
+    """``apply_multi`` runs one batched GEMM on every explicit approach."""
     operator = _operator(problem, machine_config, approach, ScatterGatherDevice.GPU)
     widths = []
     apply_multi = BatchedDenseApply.apply_multi
@@ -125,8 +124,7 @@ def test_stacked_apply_multi_is_one_pack_gemm(problem, machine_config, approach,
     monkeypatch.setattr(BatchedDenseApply, "apply_multi", spy)
     block = np.random.default_rng(11).standard_normal((problem.n_lambda, 3))
     for _ in range(2):
-        operator.apply_multi(block, stacked=True)
-    operator.apply_multi(block)
+        operator.apply_multi(block)
     assert widths == [3, 3]
 
 

@@ -318,7 +318,7 @@ def test_one_pack_apply_is_bitwise_the_per_cluster_apply(workload, spec):
         block = rng.standard_normal((operator.problem.n_lambda, 3))
         applied = operator.apply(lam)
         looped, _, _ = looped_apply(operator, lam)
-        stacked = operator.apply_multi(block, stacked=True)
+        stacked = operator.apply_multi(block)
         columns = np.column_stack(
             [looped_apply(operator, block[:, j].copy())[0] for j in range(3)]
         )
@@ -356,8 +356,8 @@ def test_blocks_on_both_sides_of_the_symv_threshold(approach):
         block = rng.standard_normal((operator.problem.n_lambda, 3))
         applied = operator.apply(lam)
         looped, _, _ = looped_apply(operator, lam)
-        stacked = operator.apply_multi(block, stacked=True)
-        columns = operator.apply_multi(block)
+        stacked = operator.apply_multi(block)
+        columns = np.column_stack([operator.apply(block[:, j].copy()) for j in range(3)])
         assert np.array_equal(applied, scatter_apply(dense, lam))
         assert np.array_equal(stacked, scatter_apply_multi(dense, block))
     assert np.linalg.norm(applied - looped) <= 1e-14 * np.linalg.norm(looped)

@@ -29,8 +29,7 @@ def spd():
 
 def test_registry_exposes_the_two_policies():
     assert PRECISION_NAMES == ("fp64", "fp32")
-    assert not PRECISIONS["fp64"].demotes
-    assert PRECISIONS["fp32"].demotes
+    assert PRECISIONS["fp64"].storage_dtype == np.dtype(np.float64)
     assert PRECISIONS["fp32"].storage_dtype == np.dtype(np.float32)
 
 
@@ -40,7 +39,7 @@ def test_a_policy_is_its_storage_dtype_only():
     assert fields == {"name", "storage_dtype"}
     for name, policy in PRECISIONS.items():
         assert policy.name == name
-        assert policy.demotes == (policy.storage_dtype != np.dtype(np.float64))
+        assert policy.storage_dtype == np.dtype(f"float{name[2:]}")
 
 
 def test_resolve_precision_names_policies_and_none():

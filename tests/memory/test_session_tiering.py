@@ -142,12 +142,14 @@ def test_budget_from_environment_and_explicit_override(monkeypatch):
 def test_hammer_concurrent_solves_under_budget_stay_bitwise_identical():
     """Satellite: many threads against one budget-constrained session.
 
-    Every thread mixes single solves and (per-column) block solves across
+    Every thread mixes single solves and two-column block solves across
     all workloads while the tier releases entries under their feet; the
     returned fp64 solutions must be bitwise identical to an unconstrained
     session's, and the counters must stay consistent.
     """
     reference = _reference_solutions()
+    with Session(SPEC, memory_budget="unlimited") as session:
+        block_reference = {w: session.solve_many(w, [None, None]) for w in WORKLOADS}
     budget = int(1.2 * max(_entry_total(w) for w in WORKLOADS))
     errors: list[BaseException] = []
 
@@ -158,13 +160,13 @@ def test_hammer_concurrent_solves_under_budget_stay_bitwise_identical():
                 for round_ in range(2):
                     for w in WORKLOADS:
                         if (seed + round_) % 2:
-                            solutions = session.solve_many(
-                                w, [None, None], stacked=False
-                            )
+                            solutions = session.solve_many(w, [None, None])
+                            references = block_reference[w]
                         else:
                             solutions = [session.solve(w)]
-                        for solution in solutions:
-                            _assert_bitwise_equal(solution, reference[w])
+                            references = [reference[w]]
+                        for solution, ref in zip(solutions, references):
+                            _assert_bitwise_equal(solution, ref)
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 

@@ -33,7 +33,7 @@ HEAT = Workload("heat", 2, (3, 3), 6)
 
 
 def _applies(approach, execution=None):
-    """``apply`` and stacked ``apply_multi`` of one freshly preprocessed operator."""
+    """``apply`` and ``apply_multi`` of one freshly preprocessed operator."""
     spec = SolverSpec(approach=approach, execution=execution or "serial")
     with Session(spec) as session:
         operator = session.operator_for(HEAT)
@@ -42,7 +42,7 @@ def _applies(approach, execution=None):
         rng = np.random.default_rng(42)
         lam = rng.standard_normal(operator.problem.n_lambda)
         block = rng.standard_normal((operator.problem.n_lambda, 3))
-        return operator.apply(lam), operator.apply_multi(block, stacked=True)
+        return operator.apply(lam), operator.apply_multi(block)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -90,8 +90,8 @@ def test_warm_solve_makes_no_executor_submit(spec_name, backend, monkeypatch):
     assert warm.lam.tobytes() == reference.lam.tobytes()
 
 
-@pytest.mark.parametrize("approach", ["expl mkl", "expl modern", "expl hybrid"])
-def test_apply_multi_default_is_bitwise_k_applies(approach):
+@pytest.mark.parametrize("approach", ["impl mkl", "impl cholmod", "impl modern"])
+def test_implicit_apply_multi_is_bitwise_k_applies(approach):
     with Session(SolverSpec(approach=approach)) as session:
         operator = session.operator_for(HEAT)
         operator.prepare()
@@ -106,7 +106,7 @@ def test_apply_multi_default_is_bitwise_k_applies(approach):
 
 
 @pytest.mark.parametrize("approach", ["expl mkl", "expl cholmod", "expl hybrid"])
-def test_apply_multi_stacked_within_1e12_of_per_column(approach):
+def test_explicit_apply_multi_within_1e12_of_k_applies(approach):
     with Session(SolverSpec(approach=approach)) as session:
         operator = session.operator_for(HEAT)
         operator.prepare()
@@ -114,8 +114,10 @@ def test_apply_multi_stacked_within_1e12_of_per_column(approach):
         n = session.problem(HEAT).n_lambda
         rng = np.random.default_rng(8)
         block = rng.standard_normal((n, 4))
-        plain = operator.apply_multi(block)
-        stacked = operator.apply_multi(block, stacked=True)
+        plain = np.column_stack(
+            [operator.apply(np.ascontiguousarray(block[:, j])) for j in range(4)]
+        )
+        stacked = operator.apply_multi(block)
         denom = max(np.linalg.norm(plain), 1e-300)
         assert np.linalg.norm(stacked - plain) / denom <= 1e-12
 

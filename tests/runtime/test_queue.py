@@ -256,115 +256,107 @@ def test_two_queues_share_the_session_workload_lock():
 
 
 # --------------------------------------------------------------------- #
-# Coalescing                                                             #
+# Bursts: every request its own scalar solve                             #
 # --------------------------------------------------------------------- #
-def test_same_pattern_requests_coalesce_into_one_stacked_solve():
-    """K same-(workload, spec) requests queued behind a held workload lock
-    drain as one multi-RHS block solve."""
-    with Session() as session:
-        queue = session.queue()
-        reference = queue.submit(HEAT).result()
-        before = session.cache_stats()["stacked_solves"]
-        lock = session.workload_lock(HEAT)
-        lock.acquire()
+def _solve_at(session, workload, scale):
+    """``Session.solve`` with the declared loads scaled by ``scale``."""
+    problem = session.problem(workload)
+    base = session.base_loads(workload)
+    with session.workload_lock(workload):
+        for sub, f in zip(problem.subdomains, base):
+            sub.f = scale * f
         try:
-            import threading
-
-            tickets = []
-            threads = [
-                threading.Thread(
-                    target=lambda s=s: tickets.append((s, queue.submit(HEAT, rhs=s)))
-                )
-                for s in (1.0, 2.0, 3.0)
-            ]
-            for t in threads:
-                t.start()
-            # Submitters are serial-backend: each blocks inside its own
-            # drain, waiting on the workload lock we hold.
-            deadline = 50
-            while queue.pending < 3 and deadline:
-                import time
-
-                time.sleep(0.05)
-                deadline -= 1
+            return session.solve(workload)
         finally:
-            lock.release()
+            for sub, f in zip(problem.subdomains, base):
+                sub.f = f.copy()
+
+
+def _burst_behind_held_lock(session, queue, payloads):
+    """Submit ``payloads`` from concurrent threads while the workload lock
+    is held, release it once all are pending; tickets in payload order."""
+    import threading
+    import time
+
+    tickets = [None] * len(payloads)
+
+    def submit(i):
+        tickets[i] = queue.submit(HEAT, rhs=payloads[i])
+
+    threads = [threading.Thread(target=submit, args=(i,)) for i in range(len(payloads))]
+    with session.workload_lock(HEAT):
         for t in threads:
-            t.join(timeout=120)
-        pairs = [(scale, ticket.result(timeout=120)) for scale, ticket in tickets]
-        stats = session.cache_stats()
-        assert stats["stacked_solves"] == before + 1
-        assert stats["stacked_columns"] == 3
-        assert session.metrics.values("repro_queue_")["coalesced_batches"] == 1
-    for scale, result in pairs:
+            t.start()
+        # Serial submitters block inside their own request, threads-backend
+        # ones on a pool thread: either way they wait on the lock held here.
+        deadline = time.monotonic() + 30
+        while queue.pending < len(payloads) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert queue.pending == len(payloads)
+    for t in threads:
+        t.join(timeout=120)
+    return tickets
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_burst_behind_a_held_lock_is_bitwise_sequential_solves(backend):
+    """Same-workload requests that pile up behind an in-flight solve each
+    get their own scalar solve: bitwise ``Session.solve`` at their loads."""
+    spec = SolverSpec(execution=backend) if backend else SolverSpec()
+    scales = (1.0, 2.0, 3.0)
+    with Session(spec) as session:
+        queue = session.queue()
+        tickets = _burst_behind_held_lock(session, queue, list(scales))
+        results = [t.result(timeout=120) for t in tickets]
+        references = [_solve_at(session, HEAT, scale) for scale in scales]
+        assert session.cache_stats()["stacked_solves"] == 0
+        queue.close()
+    for result, reference in zip(results, references):
         assert result.converged
-        np.testing.assert_allclose(
-            result.lam, scale * reference.lam, rtol=1e-6, atol=1e-9
-        )
+        assert result.lam.tobytes() == reference.lam.tobytes()
+        assert result.iterations == reference.iterations
 
 
-def test_distinct_patterns_do_not_coalesce():
+def test_queue_traffic_runs_no_stacked_solve():
     with Session() as session:
         queue = session.queue()
         queue.submit(HEAT).result()
         queue.submit(ELASTICITY).result()
         queue.submit(HEAT, rhs=2.0).result()
         assert session.cache_stats()["stacked_solves"] == 0
-        assert session.metrics.values("repro_queue_")["coalesced_batches"] == 0
+        assert session.metrics.values("repro_queue_") == {"requests": 3}
 
 
-def test_failing_column_fails_only_its_own_ticket_in_a_batch():
-    """A bad rhs inside a coalesced batch is rejected parent-side: its
-    ticket carries the original ValueError, the rest of the batch solves."""
-    import threading
-
-    with Session() as session:
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_bad_rhs_in_a_burst_fails_only_its_own_ticket(backend):
+    """A bad rhs among concurrent requests carries its ValueError on its own
+    ticket; the others solve bitwise as if it were not there."""
+    spec = SolverSpec(execution=backend) if backend else SolverSpec()
+    with Session(spec) as session:
         queue = session.queue()
-        reference = queue.submit(HEAT).result()
-        lock = session.workload_lock(HEAT)
-        lock.acquire()
-        tickets = []
-        try:
-            payloads = [2.0, [np.zeros(3)], 3.0]
-            threads = [
-                threading.Thread(
-                    target=lambda r=r: tickets.append(queue.submit(HEAT, rhs=r))
-                )
-                for r in payloads
-            ]
-            for t in threads:
-                t.start()
-            deadline = 50
-            while queue.pending < 3 and deadline:
-                import time
-
-                time.sleep(0.05)
-                deadline -= 1
-        finally:
-            lock.release()
-        for t in threads:
-            t.join(timeout=120)
-        by_exception = [t for t in tickets if t.exception(timeout=120) is not None]
-        assert len(by_exception) == 1
-        assert isinstance(by_exception[0].exception(), ValueError)
-        good = [t for t in tickets if t.exception() is None]
-        assert len(good) == 2
-        for t in good:
-            assert t.result().converged
-
-
-@pytest.mark.parametrize("backend", ["threads:2"])
-def test_coalesced_batches_match_sequential_results(backend):
-    """Whatever batching the drain races produce, every ticket's solution
-    must match its own sequential reference."""
-    with Session(SolverSpec(execution=backend)) as session:
-        queue = session.queue()
-        base = queue.submit(HEAT).result()
-        tickets = [queue.submit(HEAT, rhs=float(s)) for s in (1.0, 2.0, 3.0, 4.0)]
-        results = [t.result(timeout=300) for t in tickets]
+        tickets = _burst_behind_held_lock(session, queue, [2.0, [np.zeros(3)], 3.0])
+        bad = tickets[1].exception(timeout=120)
+        assert isinstance(bad, ValueError) and "load vectors" in str(bad)
+        good = [tickets[0].result(timeout=120), tickets[2].result(timeout=120)]
+        references = [_solve_at(session, HEAT, scale) for scale in (2.0, 3.0)]
+        assert session.cache_stats()["stacked_solves"] == 0
         queue.close()
-    for scale, result in zip((1.0, 2.0, 3.0, 4.0), results):
+    for result, reference in zip(good, references):
+        assert result.lam.tobytes() == reference.lam.tobytes()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_free_running_burst_matches_sequential_results(backend):
+    """Whatever order a burst's requests win the workload lock in, every
+    ticket's solution is bitwise its own sequential solve."""
+    scales = (1.0, 2.0, 3.0, 4.0)
+    with Session(SolverSpec(execution=backend) if backend else SolverSpec()) as session:
+        queue = session.queue()
+        tickets = [queue.submit(HEAT, rhs=scale) for scale in scales]
+        results = [t.result(timeout=300) for t in tickets]
+        references = [_solve_at(session, HEAT, scale) for scale in scales]
+        assert session.cache_stats()["stacked_solves"] == 0
+        queue.close()
+    for result, reference in zip(results, references):
         assert result.converged
-        np.testing.assert_allclose(
-            result.lam, scale * base.lam, rtol=1e-6, atol=1e-9
-        )
+        assert result.lam.tobytes() == reference.lam.tobytes()

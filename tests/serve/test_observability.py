@@ -167,33 +167,6 @@ def _samples(text: str) -> dict[str, float]:
     }
 
 
-def _coalesce_three(server, client_port: int) -> None:
-    """Three same-pattern requests queued behind a held workload lock drain
-    as one coalesced batch."""
-    import threading
-    import time
-
-    from repro.api import Workload
-
-    workload = Workload.from_preset("heat-2d-quick")
-    entry = server.server.pool.entry_for(workload)
-    lock = entry.session.workload_lock(workload)
-
-    def one(rhs: float) -> None:
-        with ServeClient(port=client_port, timeout=120) as c:
-            c.solve("heat-2d-quick", rhs=rhs)
-
-    threads = [threading.Thread(target=one, args=(20.0 + j,)) for j in range(3)]
-    with lock:
-        for t in threads:
-            t.start()
-        deadline = time.monotonic() + 30
-        while entry.queue.pending < 3 and time.monotonic() < deadline:
-            time.sleep(0.02)
-    for t in threads:
-        t.join(timeout=120)
-
-
 def test_metrics_json_and_prometheus_are_one_vocabulary():
     from repro.api import Workload
 
@@ -203,17 +176,19 @@ def test_metrics_json_and_prometheus_are_one_vocabulary():
             client.solve("heat-2d-quick", rhs=1.0)  # result-cache hit
             client.solve("elasticity-2d-quick", spec="cpu-explicit")
             heat = Workload.from_preset("heat-2d-quick")
-            server.server.pool.entry_for(heat).session.solve_many(heat, [None, None])
-            _coalesce_three(server, server.port)
+            session = server.server.pool.entry_for(heat).session
+            session.solve_many(heat, [None, None])
+            session.solve_many(heat, [None, None, None])
+            for j in range(3):
+                client.solve("heat-2d-quick", rhs=20.0 + j)
             doc = client.metrics()
             text = client.metrics_prometheus()
     samples = _samples(text)
     pool = doc["session_pool"]
-    assert pool["stacked_solves"] == samples["repro_pool_stacked_solves"] >= 2
-    assert pool["stacked_columns"] == samples["repro_pool_stacked_columns"] >= 5
+    assert pool["stacked_solves"] == samples["repro_pool_stacked_solves"] == 2
+    assert pool["stacked_columns"] == samples["repro_pool_stacked_columns"] == 5
     assert pool["resident_bytes"] == samples["repro_tier_resident_bytes"] > 0
     assert doc["counters"]["solve_completed"] == samples["repro_serve_solve_completed_total"] == 5
-    assert pool["queue_coalesced_batches"] == samples["repro_queue_coalesced_batches_total"] == 1
     assert doc["result_cache"]["hits"] == samples["repro_result_cache_hits"] == 1
     types = dict(re.findall(r"^# TYPE (\S+) (\S+)$", text, re.MULTILINE))
     totals = {name: kind for name, kind in types.items() if name.endswith("_total")}
