@@ -1,11 +1,12 @@
-"""Parallel runtime: shard the preprocessing across workers and serve a queue.
+"""Parallel runtime: split the preprocessing across workers and serve a queue.
 
 The :mod:`repro.runtime` subsystem adds host-side parallelism on top of the
 simulated machine: a :class:`~repro.api.SolverSpec` declares an ``execution``
 backend (``serial`` | ``threads``) and a worker count, the
-session shards every FETI preprocessing across the workers by cluster
-topology, and a :class:`~repro.runtime.SolveQueue` schedules many concurrent
-solve requests against one session.  The solve phase is not sharded: the
+session cuts every FETI preprocessing into one contiguous span of its
+pattern groups' members per worker, and a :class:`~repro.runtime.SolveQueue`
+schedules many concurrent solve requests against one session.  The solve
+phase is not split: the
 dual-operator apply is one batched GEMV in the caller's process on every
 backend.
 
@@ -32,12 +33,11 @@ import time
 import numpy as np
 
 from repro.api import Session, SolverSpec, Workload
-from repro.runtime import ShardPlan
 
 #: The 64-subdomain workload of the ``parallel_scaling`` bench scenario.
 WORKLOAD = Workload(physics="heat", dim=2, subdomains=(8, 8), cells=8)
 
-#: The sweep: serial (one shard per cluster) plus sharded thread pools.
+#: The sweep: serial (one task over every pattern group) plus thread pools.
 BACKENDS = [None, "threads:2", "threads:4"]
 
 
@@ -59,8 +59,9 @@ def preprocessing_wall_seconds(execution: str | None) -> float:
 
 def sweep_worker_counts() -> None:
     print(f"workload: {WORKLOAD.describe()}")
-    plan = ShardPlan.for_clusters([(0, list(range(WORKLOAD.n_subdomains)))], 4)
-    print(f"shard plan at 4 workers: {plan.describe()}\n")
+    # One pattern group: the 4 spans cut its member list like np.array_split.
+    spans = [len(span) for span in np.array_split(np.arange(WORKLOAD.n_subdomains), 4)]
+    print(f"preprocessing spans at 4 workers: {spans} subdomains\n")
 
     serial = None
     print(f"{'executor':<12} {'preprocessing':>14} {'speedup':>8}")
@@ -71,8 +72,8 @@ def sweep_worker_counts() -> None:
         label = backend or "serial"
         print(f"{label:<12} {wall * 1e3:>11.1f} ms {serial / wall:>7.2f}x")
     print(
-        "\n(every executor runs the same stacked kernels; threads split the "
-        "shards in-process and\n overlap inside the GIL-free BLAS kernels — "
+        "\n(every executor runs the same stacked kernels; threads run the "
+        "spans in-process and\n overlap inside the GIL-free BLAS kernels — "
         "a win only once subdomains\n are large enough, and never beyond "
         "the host's core count)"
     )

@@ -18,7 +18,7 @@ substrate the paper depends on:
   (implicit/explicit × CPU/GPU plus hybrid), PCPG, projector,
   preconditioners, the multi-step driver and the assembly auto-tuner.
 * :mod:`repro.cluster` — cluster topology and the threaded subdomain loop.
-* :mod:`repro.analysis` — timing ledger, sweep engine, amortization and
+* :mod:`repro.analysis` — timing ledger, sweep records, amortization and
   reporting helpers used by the benchmark harness.
 * :mod:`repro.api` — the declarative Workload / SolverSpec / Session layer:
   the single entry point that examples, benches and sweeps configure runs
@@ -46,7 +46,6 @@ _LAZY_EXPORTS: dict[str, str] = {
     "PreconditionerKind": "repro.feti.preconditioner",
     # The parallel runtime (PR 5).
     "ExecutionSpec": "repro.runtime.executor",
-    "ShardPlan": "repro.runtime.shard",
     "SolveQueue": "repro.runtime.queue",
     # Engine-level types.
     "AssemblyConfig": "repro.feti.config",

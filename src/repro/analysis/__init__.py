@@ -1,7 +1,7 @@
 """Analysis and benchmark-harness helpers.
 
 Timing ledger for simulated/wall time, virtual-thread clocks for the
-parallel subdomain loops, the parameter sweep engine used by the Table II
+parallel subdomain loops, the parameter-sweep records used by the Table II
 auto-tuning experiment, amortization/speedup analytics behind Figures 6 and
 7, and plain-text rendering of the tables and figure series the benchmarks
 regenerate.
@@ -16,7 +16,7 @@ from repro.analysis.amortization import (
     total_time,
 )
 from repro.analysis.reporting import format_table, format_series
-from repro.analysis.sweep import SweepResult, sweep_configurations
+from repro.analysis.sweep import SweepResult
 
 __all__ = [
     "PhaseTiming",
@@ -30,5 +30,4 @@ __all__ = [
     "format_table",
     "format_series",
     "SweepResult",
-    "sweep_configurations",
 ]

@@ -1,20 +1,18 @@
-"""Generic parameter-sweep engine used by the benchmark harness.
+"""The records of one parameter sweep, for the benchmark harness.
 
 The evaluation section of the paper is a collection of sweeps: over
 subdomain sizes (Figures 3–7), over dual-operator approaches (Figure 5),
-over assembly configurations (Figure 2, Table II).  This module provides a
-small, dependency-free sweep runner that executes a measurement callable for
-every point of a cartesian grid and collects the results as records that the
-reporting helpers can render.
+over assembly configurations (Figure 2, Table II).  A :class:`SweepResult`
+holds one record per measured point and selects the rows, series and
+columns the reporting helpers render.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
-__all__ = ["SweepResult", "sweep_configurations"]
+__all__ = ["SweepResult"]
 
 
 @dataclass
@@ -40,32 +38,3 @@ class SweepResult:
     def column(self, name: str) -> list[Any]:
         """All values of one column."""
         return [r[name] for r in self.records]
-
-
-def sweep_configurations(
-    grid: dict[str, list[Any]],
-    measure: Callable[..., dict[str, Any]],
-    skip: Callable[..., bool] | None = None,
-) -> SweepResult:
-    """Run ``measure(**point)`` for every point of a cartesian grid.
-
-    Parameters
-    ----------
-    grid:
-        Mapping from parameter name to the values to sweep.
-    measure:
-        Callable returning a dict of measured quantities; the sweep point's
-        parameters are merged into the record automatically.
-    skip:
-        Optional predicate to skip invalid grid points.
-    """
-    names = list(grid)
-    result = SweepResult(parameters=names)
-    for values in itertools.product(*(grid[n] for n in names)):
-        point = dict(zip(names, values))
-        if skip is not None and skip(**point):
-            continue
-        record = dict(point)
-        record.update(measure(**point))
-        result.records.append(record)
-    return result

@@ -370,8 +370,8 @@ class Session:
         with trace_span("session.solve", workload=w.describe(), approach=s.approach.value):
             with self.workload_lock(w):
                 solver = self.solver(w, s)
-                self._solves.inc()
                 solution = solver.solve(reuse_preprocessing=True)
+                self._solves.inc()
                 self._record_usage((w, s), solver)
                 return solution
 
@@ -404,10 +404,10 @@ class Session:
         ):
             with self.workload_lock(w):
                 solver = self.solver(w, s)
+                solutions = solver.solve_many(loads_columns, reuse_preprocessing=True)
                 self._solves.inc(len(loads_columns))
                 self._stacked_solves.inc()
                 self._stacked_columns.inc(len(loads_columns))
-                solutions = solver.solve_many(loads_columns, reuse_preprocessing=True)
                 self._record_usage((w, s), solver)
                 return solutions
 

@@ -393,7 +393,7 @@ def _write_trace(trace_sink: dict, path: str):
 def _print_speedup_summary(record: dict) -> None:
     """Preprocessing-vs-apply summary of one record (shown in the CI gate log).
 
-    Prints the derived wall-clock speedups (sharded executors vs serial)
+    Prints the derived wall-clock speedups (thread-pool executors vs serial)
     and the preprocessing/apply wall ratio of every measured point, so the
     benchmark-gate job log shows at a glance which phase dominates and what
     the optimized paths buy.

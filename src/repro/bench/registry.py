@@ -70,7 +70,7 @@ class Scenario:
     execution:
         Runtime execution backends to sweep (the ``execution`` axis):
         ``None`` is the serial reference, an
-        :class:`~repro.runtime.executor.ExecutionSpec` selects a sharded
+        :class:`~repro.runtime.executor.ExecutionSpec` selects a thread
         worker pool — sweeping e.g. ``(None, ExecutionSpec("threads", 2),
         ExecutionSpec("threads", 4))`` measures the wall-clock scaling of
         the preprocessing phase over worker counts.
@@ -219,7 +219,7 @@ class Scenario:
     def derived(self, rows: list[dict[str, Any]]) -> dict[str, float]:
         """Wall-clock speedups the scenario's own axes pair up.
 
-        ``wall_preprocessing_speedup[.../<executor>]`` compares every sharded
+        ``wall_preprocessing_speedup[.../<executor>]`` compares every parallel
         execution backend against the serial point of the same workload on
         the preparation+preprocessing wall-clock time.  Reduced-precision
         points never pair with the fp64 reference (the ``precision_phase``

@@ -219,7 +219,7 @@ def point_key(
     The ``/batched`` segment is a fixed part of the stem: it dates from the
     removed ``batched`` sweep axis and stays so every committed baseline
     keeps pairing by key.  The ``execution=None`` / ``precision="fp64"``
-    defaults add nothing; sharded runtime points are suffixed with the
+    defaults add nothing; thread-pool points are suffixed with the
     executor short form (e.g. ``/threads4``) and reduced-precision points
     with the policy name (e.g. ``/fp32``).
     """

@@ -13,7 +13,7 @@ coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,10 +77,6 @@ class BoxDecomposition:
     def n_subdomains(self) -> int:
         """Total number of subdomains."""
         return len(self.subdomains)
-
-    def cluster_members(self, cluster: int) -> list[Subdomain]:
-        """Subdomains owned by a cluster."""
-        return [s for s in self.subdomains if s.cluster == cluster]
 
     def shape_groups(self) -> list[list[Subdomain]]:
         """Subdomains grouped by shape, in index order within each group.

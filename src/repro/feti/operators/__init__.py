@@ -118,7 +118,7 @@ def make_dual_operator(
         ``None`` keeps the sparse layer's process-global cache.
     executor:
         Runtime :class:`~repro.runtime.executor.Executor` the preprocessing
-        shards run on (a :class:`repro.api.Session` passes the one it
+        runs on (a :class:`repro.api.Session` passes the one it
         owns); ``None`` resolves to the ``REPRO_EXECUTOR`` process default
         (serial when unset).
     precision:
@@ -160,7 +160,7 @@ def replay_for(
     _, library, replay = _APPROACHES[approach]
     if shapes is None:
         solvers = {sub.index: SparseSolver() for sub in problem.subdomains}
-        analyses, scatters = analyze_problem(problem, solvers, scatters=replay.reads_rhs_fill)
+        analyses, _, scatters = analyze_problem(problem, solvers, scatters=replay.reads_rhs_fill)
         shapes = ShapeTable.from_analyses(
             problem, analyses, library, replay.reads_rhs_fill, scatters
         )

@@ -50,28 +50,34 @@ __all__ = ["DualOperator", "analyze_problem"]
 
 def analyze_problem(
     problem: FetiProblem, solvers: Mapping[int, SparseSolver], *, scatters: bool
-) -> tuple[dict[int, SymbolicFactor], dict[int, SchurScatter]]:
-    """Every subdomain's symbolic analysis and, given ``scatters``, its Schur scatter.
+) -> tuple[dict[int, SymbolicFactor], list[list[SubdomainProblem]], dict[int, SchurScatter]]:
+    """Every subdomain's symbolic analysis, the pattern groups and, given ``scatters``, the Schur scatters.
 
     Per stored pattern of ``K_reg`` (:meth:`FetiProblem.stiffness_patterns`:
     one per shape group unless a matrix was assigned): each member's solver
     analyses one CSR of the pattern — one pattern-cache lookup per
-    subdomain, one structural hash per pattern — and the members sharing an
-    analysis get their scatters from one
+    subdomain, one structural hash per pattern.  A *pattern group* is the
+    subdomains sharing one analysis, in index order (the groups ordered by
+    their first member); its members get their scatters from one
     :func:`~repro.sparse.schur.schur_scatters` pass over the gluing entries.
     No subdomain's ``K_reg`` or ``B̃ᵢ`` is built.
     """
     analyses: dict[int, SymbolicFactor] = {}
-    by_symbolic: dict[int, tuple[SymbolicFactor, list[int]]] = {}
+    by_symbolic: dict[int, list[SubdomainProblem]] = {}
     for pattern, members in problem.stiffness_patterns("K_reg"):
         for sub in members:
             symbolic = analyses[sub.index] = solvers[sub.index].analyze(pattern)
-            by_symbolic.setdefault(id(symbolic), (symbolic, []))[1].append(sub.index)
+            by_symbolic.setdefault(id(symbolic), []).append(sub)
+    groups = sorted(
+        (sorted(subs, key=lambda sub: sub.index) for subs in by_symbolic.values()),
+        key=lambda subs: subs[0].index,
+    )
     out: dict[int, SchurScatter] = {}
-    for symbolic, indices in by_symbolic.values() if scatters else ():
+    for subs in groups if scatters else ():
+        indices = [sub.index for sub in subs]
         B, bounds = problem.gluing.entries.rows_of(indices)
-        out.update(zip(indices, schur_scatters(symbolic, B, bounds)))
-    return analyses, out
+        out.update(zip(indices, schur_scatters(analyses[indices[0]], B, bounds)))
+    return analyses, groups, out
 
 #: Process-wide source of :attr:`DualOperator.storage_version` values.
 _STORAGE_VERSIONS = itertools.count()
@@ -123,7 +129,7 @@ class DualOperator:
         #: :class:`repro.api.Session` passes its own); ``None`` keeps the
         #: sparse layer's default (the process-global cache).
         self.pattern_cache = pattern_cache
-        #: Runtime executor the preprocessing shards run on (a
+        #: Runtime executor the preprocessing runs on (a
         #: :class:`repro.runtime.executor.Executor`); ``None`` resolves to
         #: the process-wide default (``REPRO_EXECUTOR``, serial when unset)
         #: on first use.  A :class:`repro.api.Session` passes the executor
@@ -151,7 +157,10 @@ class DualOperator:
         #: their factors' bands.  Built by the first solve after a
         #: preprocessing, dropped with the apply plans.
         self._kplus_stacks: list[tuple[np.ndarray, SolverStack]] | None = None
-        self._cluster_subdomains: dict[int, list[SubdomainProblem]] = {}
+        #: The subdomains sharing one symbolic analysis, per analysis
+        #: (:func:`analyze_problem`): found by :meth:`prepare`, the unit of the
+        #: preprocessing and of the ``K⁺`` stacks.
+        self._pattern_groups: list[list[SubdomainProblem]] = []
         #: Per-subdomain CPU factorizations: every apply, the dual right-hand
         #: side and the primal recovery read them.
         self._cpu_solvers: dict[int, SparseSolver] = {
@@ -162,21 +171,6 @@ class DualOperator:
         #: analysis (explicit approaches only): a function of the mesh and
         #: the ordering, so :meth:`prepare` builds it once.
         self._schur_scatters: dict[int, SchurScatter] = {}
-
-    # ------------------------------------------------------------------ #
-    # Cluster helpers                                                     #
-    # ------------------------------------------------------------------ #
-    def iter_clusters(self):
-        """Yield ``(resources, subdomains)`` for every cluster.
-
-        The grouping is static, so it is built once; the preprocessing
-        shards by it.
-        """
-        if not self._cluster_subdomains:
-            for sub in self.problem.subdomains:
-                self._cluster_subdomains.setdefault(sub.cluster, []).append(sub)
-        for cluster in self.machine.clusters:
-            yield cluster, self._cluster_subdomains.get(cluster.cluster_id, [])
 
     @property
     def batch_engine(self) -> SubdomainBatchEngine:
@@ -204,7 +198,7 @@ class DualOperator:
 
     @property
     def executor(self):
-        """The runtime executor of the preprocessing shards (lazy default)."""
+        """The runtime executor of the preprocessing (lazy default)."""
         if self._executor is None:
             from repro.runtime.executor import shared_executor
 
@@ -217,14 +211,14 @@ class DualOperator:
     def prepare(self) -> PhaseTiming:
         """Run the preparation phase (once per mesh).
 
-        The symbolic analysis of every subdomain (and, on the explicit path,
-        how every ``B̃ᵢ`` enters the Schur assembly), both per stored
-        pattern (:func:`analyze_problem`); the cost replay is built from them and
-        charges the phase.
+        The symbolic analysis of every subdomain, the pattern groups (and, on
+        the explicit path, how every ``B̃ᵢ`` enters the Schur assembly), per
+        stored pattern (:func:`analyze_problem`); the cost replay is built
+        from them and charges the phase.
         """
         wall0 = time.perf_counter()
         with trace_span("preparation", approach=self.approach.value):
-            analyses, self._schur_scatters = analyze_problem(
+            analyses, self._pattern_groups, self._schur_scatters = analyze_problem(
                 self.problem, self._cpu_solvers, scatters=self.explicit
             )
             self.replay = self._replay_type.build(
@@ -243,12 +237,11 @@ class DualOperator:
     def preprocess(self) -> PhaseTiming:
         """Run the FETI preprocessing phase (once per time step that changed ``K``).
 
-        The single entry point of the runtime layer: the subdomains are
-        sharded by cluster topology (one shard per cluster and worker), and
-        every shard factors its same-pattern subdomains as one stack — then,
-        on the explicit path, assembles the ``F̃ᵢ`` of each interface class
-        as one stack (see :mod:`repro.runtime.preprocess`), which the batch
-        engine installs.
+        The single entry point of the runtime layer: every pattern group is
+        factored as one stack (cut into per-worker spans on a thread pool)
+        — then, on the explicit path, the ``F̃ᵢ`` of each interface class
+        are assembled as one stack (see :mod:`repro.runtime.preprocess`),
+        which the batch engine installs.
         """
         from repro.runtime.preprocess import run_preprocessing
 
@@ -261,7 +254,7 @@ class DualOperator:
         with trace_span("preprocessing", approach=self.approach.value):
             local_F = run_preprocessing(
                 self.executor,
-                [(c.cluster_id, subs) for c, subs in self.iter_clusters()],
+                self._pattern_groups,
                 self._cpu_solvers,
                 scatters=self._schur_scatters if self.explicit else None,
             )
@@ -404,14 +397,6 @@ class DualOperator:
         """Mean simulated seconds of one dual-operator application."""
         return self.ledger.mean("apply")
 
-    def preprocessing_time_per_subdomain(self) -> float:
-        """Preprocessing time divided by the number of subdomains."""
-        return self.preprocessing_time / max(1, self.problem.n_subdomains)
-
-    def application_time_per_subdomain(self) -> float:
-        """Application time divided by the number of subdomains."""
-        return self.application_time / max(1, self.problem.n_subdomains)
-
     # ------------------------------------------------------------------ #
     # K⁺ access (dual RHS and primal recovery)                            #
     # ------------------------------------------------------------------ #
@@ -434,23 +419,16 @@ class DualOperator:
         return out
 
     def _build_kplus_stacks(self) -> list[tuple[np.ndarray, SolverStack]]:
+        if not self._preprocessed:
+            raise RuntimeError("no CPU factorization available; run preprocess() first")
         offsets = self.batch_engine.primal_offsets
-        groups: dict[int, tuple[list[int], list[SparseSolver]]] = {}
-        for position, sub in enumerate(self.problem.subdomains):
-            solver = self._cpu_solvers.get(sub.index)
-            if solver is None or not solver.is_factorized:
-                raise RuntimeError(
-                    "no CPU factorization available; run preprocess() first"
-                )
-            positions, solvers = groups.setdefault(id(solver.symbolic), ([], []))
-            positions.append(position)
-            solvers.append(solver)
         return [
             (
-                offsets[positions][:, None] + np.arange(solvers[0].symbolic.n),
-                SolverStack(solvers),
+                offsets[[sub.index for sub in subs]][:, None]
+                + np.arange(self._cpu_solvers[subs[0].index].symbolic.n),
+                SolverStack([self._cpu_solvers[sub.index] for sub in subs]),
             )
-            for positions, solvers in groups.values()
+            for subs in self._pattern_groups
         ]
 
     def apply_accurate(self, lam: np.ndarray) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Execution backends of the parallel runtime.
 
-An :class:`Executor` runs *shard tasks* — self-contained callables produced
-by the preprocessing orchestrator — on one of two backends:
+An :class:`Executor` runs *tasks* — the preprocessing's spans of pattern
+groups (:mod:`repro.runtime.preprocess`) and a :class:`~repro.runtime.queue.
+SolveQueue`'s requests — on one of two backends:
 
 ``serial``
     Run inline in the calling thread.  The reference backend: no pools.
 ``threads``
-    A ``concurrent.futures.ThreadPoolExecutor``.  Shard tasks operate on
-    the caller's objects directly; NumPy/BLAS release the GIL inside the
-    dense kernels, so shards overlap on multicore hosts.  Requires the
+    A ``concurrent.futures.ThreadPoolExecutor``.  Tasks operate on the
+    caller's objects directly; NumPy/BLAS release the GIL inside the
+    dense kernels, so spans overlap on multicore hosts.  Requires the
     shared caches to be thread-safe (they are: :class:`~repro.sparse.cache.
     PatternCache` and the :class:`~repro.api.session.Session` caches are
     lock-guarded).
@@ -26,7 +27,7 @@ import abc
 import atexit
 import os
 import threading
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -83,8 +84,8 @@ class ExecutionSpec:
     backend:
         One of ``"serial"``, ``"threads"``.
     workers:
-        Worker count of the pool (and the shard fan-out of the
-        preprocessing phase).  Forced to ``1`` for the serial backend.
+        Worker count of the pool (and the number of spans the
+        preprocessing cuts its pattern groups into).  Forced to ``1`` for the serial backend.
     """
 
     backend: str = "serial"
@@ -105,7 +106,7 @@ class ExecutionSpec:
 
     @property
     def parallel(self) -> bool:
-        """Whether this spec describes a sharded (multi-worker) execution."""
+        """Whether this spec describes a multi-worker execution."""
         return self.workers > 1
 
     # ------------------------------------------------------------------ #
@@ -182,7 +183,7 @@ def default_execution() -> ExecutionSpec:
 # Executors                                                              #
 # --------------------------------------------------------------------- #
 class Executor(abc.ABC):
-    """A backend that runs shard tasks and returns futures."""
+    """A backend that runs tasks and returns futures."""
 
     def __init__(self, spec: ExecutionSpec) -> None:
         self.spec = spec
@@ -195,24 +196,12 @@ class Executor(abc.ABC):
 
     @property
     def workers(self) -> int:
-        """Worker count (= shard fan-out of the preprocessing phase)."""
+        """Worker count (= the preprocessing's span count)."""
         return self.spec.workers
 
     @abc.abstractmethod
     def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Future:
         """Schedule one task; returns its future."""
-
-    def map_tasks(
-        self, fn: Callable[..., Any], payloads: Sequence[Any]
-    ) -> list[Any]:
-        """Dispatch ``fn(payload)`` for every payload, gather in order.
-
-        All tasks are submitted before the first result is awaited, so they
-        overlap on parallel backends; results keep the payload order
-        (determinism does not depend on completion order).
-        """
-        futures = [self.submit(fn, payload) for payload in payloads]
-        return [f.result() for f in futures]
 
     def close(self) -> None:
         """Shut the backend down (idempotent)."""
@@ -250,7 +239,7 @@ class ThreadExecutor(Executor):
 
     Submissions *from one of the pool's own workers* run inline instead of
     being enqueued: a task that blocks on nested futures (a queued solve
-    waiting on its preprocessing shards) would otherwise starve itself when
+    waiting on its preprocessing spans) would otherwise starve itself when
     every worker is occupied by a blocking parent — the classic bounded-pool
     self-deadlock.
     """

@@ -197,11 +197,11 @@ class SolveQueue:
             "repro_queue_requests_total", "Requests submitted to the solve queues"
         )
         #: Request-level pool of the threads backend.  Requests must not run
-        #: on the session's shard executor itself: a request blocks on the
-        #: shard futures of its preprocessing, so sharing the pool would let
-        #: enough concurrent requests starve their own shards (deadlock).
-        #: The shard pool stays dedicated to shards; this pool carries the
-        #: blocking request bodies.
+        #: on the session's preprocessing executor itself: a request blocks
+        #: on the span futures of its preprocessing, so sharing the pool
+        #: would let enough concurrent requests starve their own spans
+        #: (deadlock).  The executor's pool stays dedicated to spans; this
+        #: pool carries the blocking request bodies.
         self._request_pool: ThreadPoolExecutor | None = None
         if self.executor.backend == "threads":
             self._request_pool = ThreadPoolExecutor(

@@ -102,11 +102,6 @@ class CholeskyFactor:
         values = self.band.reshape(-1)[s.band_index()[1]]
         return sp.csc_matrix((values, s.row_idx, s.col_ptr.copy()), shape=(s.n, s.n))
 
-    def to_csr_upper(self) -> sp.csr_matrix:
-        """The factor ``U = Lᵀ`` as CSR (same memory layout as CSC of ``L``)."""
-        L = self.to_csc()
-        return sp.csr_matrix((L.data, L.indices, L.indptr), shape=L.shape)
-
     def diagonal(self) -> np.ndarray:
         """Diagonal entries of ``L``."""
         return self.band[:, 0].copy()

@@ -115,7 +115,7 @@ class SparseSolver:
         return self._factor
 
     def adopt_factor(self, factor: CholeskyFactor) -> CholeskyFactor:
-        """Install a numeric factor computed elsewhere (the sharded runtime).
+        """Install a numeric factor computed elsewhere (the preprocessing runtime).
 
         The factor's band is typically a row of a preprocessing group's
         stacked bands; its symbolic analysis must describe the same

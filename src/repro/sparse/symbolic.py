@@ -124,11 +124,6 @@ class SupernodePartition:
         """Total entries of the concatenated dense panels (incl. padding)."""
         return int(self.panel_off[-1])
 
-    def padding_ratio(self) -> float:
-        """Fraction of panel entries that are explicit-zero padding."""
-        total = self.panel_entries
-        return 1.0 - self.panel_pos.shape[0] / total if total else 0.0
-
     @property
     def nbytes(self) -> int:
         """Bytes of every index array of the partition."""
@@ -230,11 +225,6 @@ class SymbolicFactor:
         """The supernode partition, built on first access (explicit approaches)."""
         return _build_partition(self)
 
-    def factor_density(self) -> float:
-        """Fraction of the lower triangle of ``L`` that is nonzero."""
-        total = self.n * (self.n + 1) / 2.0
-        return self.nnz / total if total else 1.0
-
     def factorization_flops(self) -> float:
         """Approximate flop count of the numeric factorization.
 
@@ -244,10 +234,6 @@ class SymbolicFactor:
         """
         counts = self.column_counts.astype(float)
         return float(np.sum(counts * counts))
-
-    def solve_flops(self, nrhs: int = 1) -> float:
-        """Approximate flops of a forward+backward solve with ``nrhs`` RHS."""
-        return 4.0 * self.nnz * float(nrhs)
 
 
 def _index_nbytes(obj) -> int:

@@ -1,55 +1,15 @@
-"""Tests of the sweep engine and the plain-text reporting."""
+"""Tests of the sweep records and the plain-text reporting."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.reporting import format_series, format_table
-from repro.analysis.sweep import sweep_configurations
-
-
-def test_sweep_runs_full_grid_and_merges_records():
-    result = sweep_configurations(
-        {"a": [1, 2], "b": ["x", "y"]},
-        measure=lambda a, b: {"value": a * 10 + (1 if b == "y" else 0)},
-    )
-    assert len(result.records) == 4
-    assert result.parameters == ["a", "b"]
-    assert result.filter(a=2, b="y")[0]["value"] == 21
-    assert result.column("value") == [10, 11, 20, 21]
-
-
-def test_sweep_skip_predicate():
-    result = sweep_configurations(
-        {"a": [1, 2, 3]},
-        measure=lambda a: {"sq": a * a},
-        skip=lambda a: a == 2,
-    )
-    assert [r["a"] for r in result.records] == [1, 3]
-
-
-def test_sweep_cartesian_grid_ordering():
-    """Points are emitted in cartesian order with the last axis fastest."""
-    result = sweep_configurations(
-        {"a": [1, 2], "b": ["x", "y"], "c": [True, False]},
-        measure=lambda a, b, c: {},
-    )
-    assert [(r["a"], r["b"], r["c"]) for r in result.records] == [
-        (1, "x", True),
-        (1, "x", False),
-        (1, "y", True),
-        (1, "y", False),
-        (2, "x", True),
-        (2, "x", False),
-        (2, "y", True),
-        (2, "y", False),
-    ]
+from repro.analysis.sweep import SweepResult
 
 
 def test_sweep_filter_and_column_edge_cases():
-    result = sweep_configurations(
-        {"a": [1, 2]}, measure=lambda a: {"value": a * 2}
-    )
+    result = SweepResult(["a"], [{"a": 1, "value": 2}, {"a": 2, "value": 4}])
     # filter on an unknown value or key matches nothing (no KeyError)
     assert result.filter(a=99) == []
     assert result.filter(nonexistent=1) == []
@@ -62,9 +22,10 @@ def test_sweep_filter_and_column_edge_cases():
 
 
 def test_sweep_series_extraction_sorted():
-    result = sweep_configurations(
-        {"n": [4, 2, 8], "mode": ["m"]},
-        measure=lambda n, mode: {"t": float(n) ** 2},
+    result = SweepResult(
+        ["n", "mode"],
+        [{"n": n, "mode": "m", "t": float(n) ** 2} for n in (4, 2, 8)]
+        + [{"n": 3, "mode": "other", "t": 0.0}],
     )
     series = result.series("n", "t", mode="m")
     assert series == [(2, 4.0), (4, 16.0), (8, 64.0)]

@@ -401,7 +401,7 @@ def test_warm_solve_runs_two_banded_calls_per_pattern_and_no_subdomain_loop(
 
 
 #: The heat 3D workload of record: four 2 197-DOF subdomains, one pattern,
-#: one cluster — one ``(cluster, pattern)`` group.
+#: one cluster — one pattern group.
 W_COLD = Workload("heat", 3, (2, 2, 1), 12)
 
 
@@ -423,14 +423,11 @@ def test_cold_solve_is_one_dpbtrf_per_group_and_no_supernodes(monkeypatch, appro
 
     counted(numeric, "dpbtrf")
     counted(symbolic, "_build_partition")
-    spec = SolverSpec(approach=approach, execution="serial")  # one shard per cluster
+    spec = SolverSpec(approach=approach, execution="serial")  # one task over every pattern group
     with Session(spec, memory_budget="unlimited") as session:
         assert session.solve(W_COLD).converged
         operator = session.solver(W_COLD).operator
-        groups = {
-            (sub.cluster, id(operator._cpu_solvers[sub.index].symbolic))
-            for sub in operator.problem.subdomains
-        }
+        groups = {id(s.symbolic) for s in operator._cpu_solvers.values()}
         assert len(groups) == 1
         assert (calls["dpbtrf"], calls["_build_partition"]) == (len(groups), partitions)
         assert session.solve(W_COLD).converged  # warm: nothing factored or tiled

@@ -109,10 +109,10 @@ def test_point_key_execution_suffix_preserves_historical_keys():
     # The serial execution spec leaves the key unchanged (old records pair).
     serial = point_key((8, 8), 8, DualOperatorApproach.EXPLICIT_MKL, ExecutionSpec())
     assert serial == base
-    sharded = point_key(
+    threaded = point_key(
         (8, 8), 8, DualOperatorApproach.EXPLICIT_MKL, ExecutionSpec("threads", 4)
     )
-    assert sharded == "8x8/c8/expl mkl/batched/threads4"
+    assert threaded == "8x8/c8/expl mkl/batched/threads4"
 
 
 def test_point_key_precision_suffix_preserves_historical_keys():
@@ -203,8 +203,8 @@ class TestExecutionAxis:
     def test_simulated_metrics_are_identical_across_executors(self, scaling_result):
         points = {p["key"]: p for p in scaling_result.record["points"]}
         serial = points["2x2/c3/expl mkl/batched"]["simulated"]
-        sharded = points["2x2/c3/expl mkl/batched/threads2"]["simulated"]
-        assert serial == sharded
+        threaded = points["2x2/c3/expl mkl/batched/threads2"]["simulated"]
+        assert serial == threaded
 
     def test_operator_consistency_covers_execution_variants(self):
         # The grid's check pairs every execution variant of a workload

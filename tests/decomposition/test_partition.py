@@ -29,7 +29,7 @@ def test_subdomains_tile_the_box():
 
 def test_cluster_assignment_balanced():
     dec = decompose_box(2, (4, 2), 2, n_clusters=4)
-    sizes = [len(dec.cluster_members(c)) for c in range(4)]
+    sizes = [sum(s.cluster == c for s in dec.subdomains) for c in range(4)]
     assert sizes == [2, 2, 2, 2]
     assert dec.n_clusters == 4
 

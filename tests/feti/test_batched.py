@@ -27,6 +27,7 @@ from repro.feti.operators import make_dual_operator
 from repro.feti.operators.batch import SYMV_MIN_ROWS, BatchedDenseApply, FlatIndexMap
 
 from tests.oracles.apply import looped_apply
+from tests.oracles.clusters import iter_clusters
 from tests.oracles.kplus import looped_apply_accurate, looped_dual_rhs
 from tests.oracles.scatter_apply import local_apply, scatter_apply, scatter_apply_multi
 from tests.oracles.schur import schur_complement
@@ -289,7 +290,7 @@ def _per_cluster_packs(operator, lam):
     local_F = operator.local_F
     max_size = max(F.shape[0] for F in local_F.values())
     q = np.zeros_like(lam)
-    for _, subs in operator.iter_clusters():
+    for _, subs in iter_clusters(operator):
         index_map = FlatIndexMap([s.lambda_ids for s in subs])
         assert int(index_map.sizes.max()) == max_size < SYMV_MIN_ROWS
         pack = BatchedDenseApply(index_map, lam.shape[0], dtype=local_F[subs[0].index].dtype)

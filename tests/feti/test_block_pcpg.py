@@ -265,6 +265,19 @@ def test_session_solve_many_counts_stacked_stats():
         assert stats["solves"] == 3
 
 
+def test_a_rejected_solve_many_counts_no_solves():
+    """The solve counters move only once a block solve has returned."""
+    workload = Workload("heat", 2, (2, 2), 4)
+    counters = ("solves", "stacked_solves", "stacked_columns")
+    with Session() as session:
+        loads = [f.copy() for f in session.base_loads(workload)]
+        loads[0] = loads[0][:-1]
+        before = {name: session.cache_stats()[name] for name in counters}
+        with pytest.raises(ValueError, match="subdomain 0"):
+            session.solve_many(workload, [None, loads])
+        assert {name: session.cache_stats()[name] for name in counters} == before
+
+
 def _per_column(apply):
     """The block form of a vector callable: one call per contiguous column."""
     return lambda X: np.column_stack(

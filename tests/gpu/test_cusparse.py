@@ -8,6 +8,8 @@ from repro.api import Session, SolverSpec, Workload
 from repro.feti.config import FactorStorage
 from repro.gpu import CudaVersion, Device, DeviceProperties, MatrixOrder, cusparse
 
+from tests.oracles.clusters import iter_clusters
+
 
 @pytest.fixture(params=[CudaVersion.LEGACY, CudaVersion.MODERN])
 def device(request):
@@ -64,7 +66,7 @@ def test_the_sparse_assembly_holds_its_trsm_workspace_only_while_it_runs():
         operator = session.operator_for(workload)
     # 2-D table2 under the legacy API assembles through the sparse TRSMs.
     assert operator.config.forward_factor_storage is FactorStorage.SPARSE
-    for cluster, subs in operator.iter_clusters():
+    for cluster, subs in iter_clusters(operator):
         arena = cluster.device.require_temporary()
         assert arena.used_bytes == 0
         assert arena.peak_bytes >= max(

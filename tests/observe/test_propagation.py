@@ -47,7 +47,7 @@ def test_traced_session_solve_with_thread_backend():
         with Session(spec) as session:
             solution = session.solve(workload)
     assert solution.pcpg.converged
-    assert tracer.find("factorize"), "expected factorize spans from the shards"
+    assert tracer.find("factorize"), "expected factorize spans from the preprocessing"
     # the whole tree hangs off session.solve — no orphaned worker spans
     tree = tracer.to_tree()
     roots = [node["name"] for node in tree]

@@ -26,6 +26,7 @@ from repro.feti.operators.replay import (
     GpuImplicitReplay,
 )
 
+from tests.oracles.clusters import iter_clusters
 from tests.oracles.kplus import (
     looped_apply_accurate,
     looped_dual_rhs,
@@ -85,7 +86,7 @@ def _explicit_cpu(op: DualOperator, lam: np.ndarray) -> Applied:
     q = np.zeros_like(lam)
     breakdown: dict[str, float] = {"gemv": 0.0}
     cluster_times = []
-    for cluster, subs in op.iter_clusters():
+    for cluster, subs in iter_clusters(op):
         clocks = ThreadClocks(cluster.n_threads)
         for i, sub in enumerate(subs):
             q_local = op.local_F[sub.index] @ local_dual(sub, lam)
@@ -101,7 +102,7 @@ def _implicit_cpu(op: DualOperator, lam: np.ndarray) -> Applied:
     q = np.zeros_like(lam)
     breakdown: dict[str, float] = {"spmv": 0.0, "trsv": 0.0}
     cluster_times = []
-    for cluster, subs in op.iter_clusters():
+    for cluster, subs in iter_clusters(op):
         clocks = ThreadClocks(cluster.n_threads)
         for i, sub in enumerate(subs):
             solver = op._cpu_solvers[sub.index]
@@ -124,7 +125,7 @@ def _implicit_gpu(op: DualOperator, lam: np.ndarray) -> Applied:
     q = np.zeros_like(lam)
     breakdown = {"transfer": 0.0, "spmv": 0.0, "trsv": 0.0}
     cluster_times = []
-    for cluster, subs in op.iter_clusters():
+    for cluster, subs in iter_clusters(op):
         device = cluster.device
         device.reset_timeline()
         clocks = ThreadClocks(cluster.n_threads)
@@ -171,7 +172,7 @@ def _explicit_cpu_scatter(op: DualOperator, lam: np.ndarray) -> Applied:
     q = np.zeros_like(lam)
     breakdown = {"transfer": 0.0, "mv": 0.0}
     cluster_times = []
-    for cluster, subs in op.iter_clusters():
+    for cluster, subs in iter_clusters(op):
         if not subs:
             cluster_times.append(0.0)
             continue
@@ -202,7 +203,7 @@ def _explicit_gpu_scatter(op: DualOperator, lam: np.ndarray) -> Applied:
     q = np.zeros_like(lam)
     breakdown = {"transfer": 0.0, "scatter_gather": 0.0, "mv": 0.0}
     cluster_times = []
-    for cluster, subs in op.iter_clusters():
+    for cluster, subs in iter_clusters(op):
         if not subs:
             cluster_times.append(0.0)
             continue

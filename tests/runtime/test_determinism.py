@@ -3,10 +3,10 @@
 Every executor runs one preprocessing path: the same stacked factorization
 and the same interface-class Schur assembly on the same values (a member's
 factor does not depend on where its group's band stack puts it, nor its
-``F̃ᵢ`` on which shard's class it joins).  So the factors (the bands of
+``F̃ᵢ`` on which span's class it joins).  So the factors (the bands of
 ``L``) and every ``F̃ᵢ`` are bitwise equal between serial and threads,
-whatever the worker count — even, uneven or more workers than a cluster has
-subdomains.  The solve phase runs in the caller's thread
+whatever the worker count — even, uneven or more workers than a pattern
+group has subdomains.  The solve phase runs in the caller's thread
 on every executor, so the solutions of all nine dual-operator approaches
 are bitwise equal too.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.runtime.preprocess as preprocess
 from repro.api import Session, SolverSpec, Workload
 from repro.api.workload import build_problem
 from repro.feti.config import DualOperatorApproach
@@ -26,10 +27,10 @@ WORKLOADS = {
     "heat-2d": Workload("heat", 2, (2, 2), 4),
     "elasticity-3d": Workload("elasticity", 3, (2, 1, 1), 2),
     # 16 subdomains in interface classes of up to 4: a parallel executor
-    # splits the cluster into shards, and so every class across them.
+    # splits the pattern group into spans, and so every class across them.
     "heat-2d-classes": Workload("heat", 2, (4, 4), 3),
     # Bands wider than 64 (kd = 98): LAPACK's blocked dpbtrf, whose members
-    # the stack aligns, and shards that start the stack at other members.
+    # the stack aligns, and spans that start the stack at other members.
     "elasticity-3d-wide": Workload("elasticity", 3, (3, 1, 1), 4),
 }
 
@@ -42,10 +43,10 @@ EXPLICIT = [
     DualOperatorApproach.EXPLICIT_GPU_MODERN,
 ]
 
-#: Worker counts whose shard splits differ on every workload: two workers
-#: halve each cluster, three split it unevenly (4 → 2/1/1, 16 → 6/5/5, so
-#: interface classes straddle shards at different offsets), four give
-#: ``heat-2d`` one subdomain per shard and out-number ``elasticity-3d``'s two.
+#: Worker counts whose span splits differ on every workload: two workers
+#: halve each pattern group, three split it unevenly (4 → 2/1/1, 16 → 6/5/5,
+#: so interface classes straddle spans at different offsets), four give
+#: ``heat-2d`` one subdomain per span and out-number ``elasticity-3d``'s two.
 THREAD_BACKENDS = ["threads:2", "threads:3", "threads:4"]
 
 
@@ -93,13 +94,28 @@ def test_parallel_executors_reproduce_serial_solutions(
     pairs += list(zip(solution.primal, reference.primal))
     for got, ref in pairs:
         assert np.array_equal(got, ref)
-    # The simulated-time semantics are exactly the serial ones: sharding
-    # changes wall-clock execution, never the modeled machine.
+    # The simulated-time semantics are exactly the serial ones: the spans
+    # change wall-clock execution, never the modeled machine.
     assert (
         solution.preprocessing.simulated_seconds
         == reference.preprocessing.simulated_seconds
     )
     assert solution.dual_apply_seconds == reference.dual_apply_seconds
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 10])
+def test_spans_cut_the_group_ordered_members_contiguously(workers):
+    """``≤ workers`` near-equal spans, each its groups' runs, in member order."""
+    groups = [list("abcd"), list("e"), list("fg")]
+    spans = preprocess._spans(groups, workers)
+    assert len(spans) == min(workers, 7)
+    assert [m for span in spans for run in span for m in run] == list("abcdefg")
+    sizes = [sum(map(len, span)) for span in spans]
+    assert max(sizes) - min(sizes) <= 1
+    for span in spans:  # a run never mixes two groups
+        assert all(any(set(run) <= set(g) for g in groups) for run in span)
+    if workers == 1:
+        assert spans == [groups]  # serial: one task over every group
 
 
 def _preprocessed(approach, workload, backend):
@@ -112,12 +128,19 @@ def _preprocessed(approach, workload, backend):
     return factors, local_F
 
 
-@pytest.mark.parametrize("wname", sorted(WORKLOADS))
+#: The factor check also runs on four clusters of one pattern group: the
+#: serial round stacks the 64 members as one band, the spans cut it across
+#: cluster boundaries.
+FACTOR_WORKLOADS = {**WORKLOADS, "heat-2d-c4": Workload("heat", 2, (8, 8), 8, n_clusters=4)}
+
+
+@pytest.mark.parametrize("wname", sorted(FACTOR_WORKLOADS))
 @pytest.mark.parametrize("approach", EXPLICIT)
 def test_factors_and_local_F_are_bitwise_equal_across_executors(approach, wname):
-    factors, local_F = _preprocessed(approach, WORKLOADS[wname], "serial")
+    workload = FACTOR_WORKLOADS[wname]
+    factors, local_F = _preprocessed(approach, workload, "serial")
     for backend in THREAD_BACKENDS:
-        got_factors, got_F = _preprocessed(approach, WORKLOADS[wname], backend)
+        got_factors, got_F = _preprocessed(approach, workload, backend)
         assert got_factors.keys() == factors.keys() and got_F.keys() == local_F.keys()
         for i, band in factors.items():
             assert np.array_equal(got_factors[i], band), (backend, i)

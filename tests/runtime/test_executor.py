@@ -101,10 +101,9 @@ class TestExecutors:
             assert isinstance(ex, ThreadExecutor)
 
     @pytest.mark.parametrize("backend", [None, "threads:2"])
-    def test_submit_and_map_round_trip(self, backend):
+    def test_submit_round_trip(self, backend):
         with make_executor(backend) as ex:
             assert ex.submit(_double, 21).result() == 42
-            assert ex.map_tasks(_double, [1, 2, 3]) == [2, 4, 6]
 
     def test_serial_submit_captures_exceptions_in_the_future(self):
         ex = SerialExecutor()
@@ -132,8 +131,8 @@ def _raise():
 def test_thread_executor_reentrant_submit_runs_inline():
     """A pool worker submitting to its own pool must not starve itself.
 
-    This is how a queued solve's nested preprocessing shards stay safe even
-    when requests and shards share one executor: re-entrant submissions run
+    This is how a queued solve's nested preprocessing spans stay safe even
+    when requests and spans share one executor: re-entrant submissions run
     inline instead of queueing behind their blocked parent.
     """
     with make_executor("threads:1") as ex:

@@ -1,7 +1,7 @@
-"""A shard that raises on a pool thread fails its round with its own exception.
+"""A span that raises on a pool thread fails its round with its own exception.
 
 The executor adds no wrapper: the cold ``Session.solve`` that ran the round
-raises the shard's exception type once every other shard has finished, and
+raises the span's exception type once every other span has finished, and
 the session stays usable — its next solve preprocesses again and answers
 bitwise like a serial session.  A subdomain that is not positive definite
 fails its group's factorization with the subdomain and the pivot's column,
@@ -28,12 +28,12 @@ from repro.sparse.numeric import NotPositiveDefiniteError
 WORKLOAD = Workload("heat", 2, (4, 4), 6, n_clusters=2)
 
 
-class ShardFailure(Exception):
-    """Raised by exactly one shard's Schur assembly."""
+class SpanFailure(Exception):
+    """Raised by exactly one span's Schur assembly."""
 
 
 @pytest.mark.parametrize("approach", ["expl mkl", "expl modern"])
-def test_a_failed_shard_raises_its_own_exception_and_the_session_recovers(
+def test_a_failed_span_raises_its_own_exception_and_the_session_recovers(
     approach, monkeypatch
 ):
     with Session(SolverSpec(approach=approach, execution="serial")) as serial:
@@ -48,8 +48,8 @@ def test_a_failed_shard_raises_its_own_exception_and_the_session_recovers(
             fail = not raised
             raised.append(fail)
         if fail:
-            raise ShardFailure("injected")
-        time.sleep(0.02)  # the healthy shard is still busy when the other fails
+            raise SpanFailure("injected")
+        time.sleep(0.02)  # the healthy span is still busy when the other fails
         F = schur_complements(solvers, scatters, workspace)
         finished.append(len(solvers))
         return F
@@ -57,10 +57,10 @@ def test_a_failed_shard_raises_its_own_exception_and_the_session_recovers(
     spec = SolverSpec(approach=approach, execution="threads:2")
     with Session(spec, memory_budget="unlimited") as session:
         monkeypatch.setattr(preprocess, "schur_complements", failing_once)
-        with pytest.raises(ShardFailure, match="injected"):
+        with pytest.raises(SpanFailure, match="injected"):
             session.solve(WORKLOAD)
         assert raised[0] is True
-        assert len(finished) == len(raised) - 1 > 0  # no shard runs on
+        assert len(finished) == len(raised) - 1 > 0  # no span runs on
         monkeypatch.undo()
 
         solution = session.solve(WORKLOAD)

@@ -59,16 +59,6 @@ def test_factorization_of_regularized_fem_matrices(physics, dim, order):
     assert np.allclose(L @ L.T, Ap, atol=1e-10 * np.abs(Ap).max())
 
 
-def test_upper_factor_view_is_transpose():
-    rng = np.random.default_rng(5)
-    A = random_spd_matrix(30, 0.15, rng)
-    s = symbolic_cholesky(A)
-    f = numeric_cholesky(A, s)
-    assert np.allclose(f.to_csr_upper().toarray(), f.to_csc().toarray().T)
-    assert f.n == 30
-    assert f.nnz == s.nnz
-
-
 def test_indefinite_matrix_raises():
     A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
     s = symbolic_cholesky(A)

@@ -28,10 +28,11 @@ from repro.feti.operators import make_dual_operator
 from repro.feti.problem import FetiProblem
 from repro.feti.solver import FetiSolver, MultiStepDriver
 from repro.memory.precision import PRECISION_NAMES
+from repro.runtime.executor import shared_executor
 from repro.sparse import triangular
 from repro.sparse.cache import PatternCache
 from repro.sparse.numeric import CholeskyFactor
-from repro.sparse.solvers import SolverStack, SparseSolver
+from repro.sparse.solvers import SolverStack, SparseSolver, _band_stack
 from repro.sparse.symbolic import SymbolicFactor
 
 from tests.conftest import fem_stiffness
@@ -400,15 +401,12 @@ def test_band_is_built_once_per_pattern_group_per_preprocessing(monkeypatch):
     monkeypatch.setattr(preprocess, "stacked_cholesky", counted)
     monkeypatch.setattr(SymbolicFactor, "band_index", counted_index)
     w = WORKLOADS["heat2d-4x4x8"]
-    spec = SolverSpec(approach="impl mkl", execution="serial")  # one shard per cluster
+    spec = SolverSpec(approach="impl mkl", execution="serial")  # one task over every group
     with Session(spec, memory_budget="unlimited") as session:
         assert session.solve(w).converged
         operator = session.solver(w).operator
-        groups = len({
-            (sub.cluster, id(operator._cpu_solvers[sub.index].symbolic))
-            for sub in operator.problem.subdomains
-        })  # fmt: skip
-        assert builds == groups == 2  # one pattern in each of two clusters
+        groups = len({id(s.symbolic) for s in operator._cpu_solvers.values()})
+        assert builds == groups == 1  # one pattern across both clusters
         for _ in range(3):
             assert session.solve(w).converged  # warm: no preprocessing
         assert builds == groups
@@ -416,6 +414,32 @@ def test_band_is_built_once_per_pattern_group_per_preprocessing(monkeypatch):
         session.run_steps(w, steps)  # load-only: the first step preprocesses
         assert builds == groups * 2
     assert derived == 0
+
+
+@pytest.mark.parametrize("name", ["heat2d-8x8x8", "heat2d-4x4x8"])
+def test_a_serial_round_stacks_a_group_across_clusters_zero_copy(name):
+    """The ``K⁺`` stack of a serial round is its group's one band, not a copy.
+
+    The round factors every cluster's members of a pattern group in one
+    stack, so the stack adopts that band as it is, whatever the clusters.
+    """
+    operator = make_dual_operator(
+        DualOperatorApproach.IMPLICIT_MKL,
+        build_problem(WORKLOADS[name]),
+        pattern_cache=PatternCache(),
+        executor=shared_executor("serial"),
+    )
+    operator.preprocess()
+    assert len({sub.cluster for sub in operator.problem.subdomains}) > 1
+    solvers = [operator._cpu_solvers[sub.index] for sub in operator.problem.subdomains]
+    factors = [solver._factor for solver in solvers]
+    band, new = _band_stack(factors)
+    assert not new
+    assert all(np.shares_memory(band, factor.band) for factor in factors)
+    operator.dual_rhs()  # builds the stacks
+    ((_, stack),) = operator._kplus_stacks
+    assert all(np.shares_memory(stack.band, factor.band) for factor in factors)
+    assert all(solver._factor is factor for solver, factor in zip(solvers, factors))
 
 
 def test_no_stack_without_a_factorization():

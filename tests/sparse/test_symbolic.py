@@ -81,7 +81,6 @@ def test_column_counts_consistent(spd_small):
     s = symbolic_cholesky(spd_small)
     assert s.column_counts.sum() == s.nnz
     assert s.nnz == s.row_idx.shape[0]
-    assert 0.0 < s.factor_density() <= 1.0
     assert s.fill_ratio >= 1.0
 
 
@@ -95,7 +94,6 @@ def test_flop_estimates_positive_and_monotone():
         heat.assemble_stiffness(mesh_large) + sp.identity(mesh_large.nnodes)
     )
     assert 0 < s_small.factorization_flops() < s_large.factorization_flops()
-    assert s_small.solve_flops(1) < s_small.solve_flops(10)
 
 
 def test_tridiagonal_has_no_fill():
