@@ -53,6 +53,23 @@ def test_repeated_solve_reuses_the_prepared_solver():
     np.testing.assert_allclose(first.lam, again.lam, atol=1e-10)
 
 
+def test_a_failed_solve_counts_no_solve(monkeypatch):
+    """The solve counter moves only once a solve has returned."""
+    import repro.runtime.preprocess as preprocess
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    with Session(SolverSpec(approach="expl mkl")) as session:
+        with monkeypatch.context() as patch:
+            patch.setattr(preprocess, "schur_complements", failing)
+            with pytest.raises(RuntimeError, match="injected"):
+                session.solve(W_SMALL)
+        assert session.cache_stats()["solves"] == 0
+        assert session.solve(W_SMALL).converged  # the next solve preprocesses again
+        assert session.cache_stats()["solves"] == 1
+
+
 def test_per_call_spec_override_builds_a_second_solver():
     session = Session(SolverSpec(approach="impl mkl"))
     q_impl = session.solve(W_SMALL)

@@ -69,6 +69,25 @@ def test_cold_serial_solve_factors_once_per_pattern_group(
     assert calls == {"stacked_cholesky": groups}
 
 
+@pytest.mark.parametrize("execution, tasks", [("serial", 1), ("threads:2", 2), ("threads:3", 3)])
+def test_a_cold_round_runs_one_task_per_worker(monkeypatch, execution, tasks):
+    """Serial runs one task over every group; ``threads:n`` cuts the four
+    clusters' one group into ``n`` spans, not one task per cluster."""
+    workload, _ = BUDGETS["heat2d-8x8x8-c4"]
+    spans: list[int] = []
+    run_span = preprocess._run_span
+
+    def counted(groups, *args):
+        spans.append(sum(map(len, groups)))
+        return run_span(groups, *args)
+
+    monkeypatch.setattr(preprocess, "_run_span", counted)
+    spec = SolverSpec(approach="expl mkl", execution=execution)
+    with Session(spec, memory_budget="unlimited") as session:
+        assert session.solve(workload).converged
+    assert len(spans) == tasks and sum(spans) == workload.n_subdomains
+
+
 def _count_lapack(monkeypatch) -> Counter:
     """Count the :data:`LAPACK` calls of every loaded ``repro`` module."""
     calls: Counter[str] = Counter()
