@@ -15,8 +15,8 @@ the same three phases:
 An approach is three values.  Its numbers come from one of two numeric
 paths — ``explicit`` (the assembled ``F̃ᵢ``, small ones in one padded pack,
 large ones applied by SYMV) or implicit (one banded ``K⁺`` solve per
-sparsity pattern) — both run by the one
-:class:`~repro.sparse.solvers.SparseSolver`.  The CPU library it stands for
+sparsity pattern) — both run on the same factor bands, one per pattern
+group (:class:`~repro.sparse.group.PatternGroup`).  The CPU library it stands for
 (MKL PARDISO or CHOLMOD) and one of five cost replays
 (:mod:`repro.feti.operators.replay`: CPU explicit, CPU implicit, GPU
 explicit, GPU implicit, hybrid) give its simulated seconds and device
@@ -46,7 +46,6 @@ from repro.feti.operators.replay import (
 )
 from repro.feti.problem import FetiProblem
 from repro.sparse.costmodel import CpuLibrary
-from repro.sparse.solvers import SparseSolver
 
 __all__ = [
     "DualOperator",
@@ -159,8 +158,7 @@ def replay_for(
     """
     _, library, replay = _APPROACHES[approach]
     if shapes is None:
-        solvers = {sub.index: SparseSolver() for sub in problem.subdomains}
-        analyses, _, scatters = analyze_problem(problem, solvers, scatters=replay.reads_rhs_fill)
+        analyses, _, scatters = analyze_problem(problem, scatters=replay.reads_rhs_fill)
         shapes = ShapeTable.from_analyses(
             problem, analyses, library, replay.reads_rhs_fill, scatters
         )

@@ -13,11 +13,12 @@ two numeric paths:
   one banded ``K⁺`` solve per sparsity pattern
   (:meth:`DualOperator.apply_accurate`).
 
-Both paths run on one :class:`~repro.sparse.solvers.SparseSolver` per
-subdomain.  Where the work runs and what it costs — simulated seconds,
-device bytes — is the approach's cost replay
-(:mod:`repro.feti.operators.replay`), which ``prepare()`` builds from the
-symbolic analyses and the CPU library the approach stands for.  The
+Both paths run on the operator's pattern groups
+(:class:`~repro.sparse.group.PatternGroup`: the subdomains sharing one
+symbolic analysis), which own the factor bands.  Where the work runs and
+what it costs — simulated seconds, device bytes — is the approach's cost
+replay (:mod:`repro.feti.operators.replay`), which ``prepare()`` builds
+from the symbolic analyses and the CPU library the approach stands for.  The
 operator also owns the phase bookkeeping (simulated + wall time, in a
 :class:`~repro.analysis.timing.TimingLedger`) and the ``K⁺`` solves of
 ``d = B K⁺ f − c`` and the primal recovery.
@@ -28,7 +29,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -36,47 +36,53 @@ from repro.analysis.timing import PhaseTiming, TimingLedger
 from repro.cluster.topology import Machine
 from repro.feti.config import AssemblyConfig, DualOperatorApproach
 from repro.feti.operators.batch import SubdomainBatchEngine
-from repro.feti.problem import FetiProblem, SubdomainProblem
+from repro.feti.problem import FetiProblem
 from repro.memory.precision import PrecisionPolicy, resolve_precision
 from repro.observe.trace import trace_span
-from repro.sparse.cache import PatternCache
+from repro.sparse.cache import PatternCache, global_pattern_cache
 from repro.sparse.costmodel import CpuLibrary
+from repro.sparse.group import PatternGroup
+from repro.sparse.ordering import OrderingMethod
 from repro.sparse.schur import SchurScatter, schur_scatters
-from repro.sparse.solvers import SolverStack, SparseSolver
 from repro.sparse.symbolic import SymbolicFactor
 
 __all__ = ["DualOperator", "analyze_problem"]
 
 
 def analyze_problem(
-    problem: FetiProblem, solvers: Mapping[int, SparseSolver], *, scatters: bool
-) -> tuple[dict[int, SymbolicFactor], list[list[SubdomainProblem]], dict[int, SchurScatter]]:
+    problem: FetiProblem, pattern_cache: PatternCache | None = None, *, scatters: bool
+) -> tuple[dict[int, SymbolicFactor], list[PatternGroup], dict[int, SchurScatter]]:
     """Every subdomain's symbolic analysis, the pattern groups and, given ``scatters``, the Schur scatters.
 
     Per stored pattern of ``K_reg`` (:meth:`FetiProblem.stiffness_patterns`:
-    one per shape group unless a matrix was assigned): each member's solver
-    analyses one CSR of the pattern — one pattern-cache lookup per
-    subdomain, one structural hash per pattern.  A *pattern group* is the
-    subdomains sharing one analysis, in index order (the groups ordered by
-    their first member); its members get their scatters from one
-    :func:`~repro.sparse.schur.schur_scatters` pass over the gluing entries.
-    No subdomain's ``K_reg`` or ``B̃ᵢ`` is built.
+    one per shape group unless a matrix was assigned), every member looks one
+    CSR of the pattern up in ``pattern_cache`` (``None``: the process-global
+    cache) under the RCM ordering — one lookup per subdomain, one structural
+    hash per pattern.  A pattern group is the subdomains sharing one
+    analysis, in index order (the groups ordered by their first member); its
+    members get their scatters from one
+    :func:`~repro.sparse.schur.schur_scatters` pass over the gluing entries,
+    which the group keeps too.  No subdomain's ``K_reg`` or ``B̃ᵢ`` is built.
     """
+    cache = global_pattern_cache() if pattern_cache is None else pattern_cache
     analyses: dict[int, SymbolicFactor] = {}
-    by_symbolic: dict[int, list[SubdomainProblem]] = {}
+    by_symbolic: dict[int, list[int]] = {}
     for pattern, members in problem.stiffness_patterns("K_reg"):
         for sub in members:
-            symbolic = analyses[sub.index] = solvers[sub.index].analyze(pattern)
-            by_symbolic.setdefault(id(symbolic), []).append(sub)
-    groups = sorted(
-        (sorted(subs, key=lambda sub: sub.index) for subs in by_symbolic.values()),
-        key=lambda subs: subs[0].index,
-    )
+            symbolic = analyses[sub.index] = cache.symbolic_for(pattern, OrderingMethod.RCM)
+            by_symbolic.setdefault(id(symbolic), []).append(sub.index)
+    offsets = np.cumsum([0] + [sub.ndofs for sub in problem.subdomains])
+    groups: list[PatternGroup] = []
     out: dict[int, SchurScatter] = {}
-    for subs in groups if scatters else ():
-        indices = [sub.index for sub in subs]
-        B, bounds = problem.gluing.entries.rows_of(indices)
-        out.update(zip(indices, schur_scatters(analyses[indices[0]], B, bounds)))
+    for indices in sorted(map(sorted, by_symbolic.values())):
+        symbolic = analyses[indices[0]]
+        group_scatters: list[SchurScatter] = []
+        if scatters:
+            B, bounds = problem.gluing.entries.rows_of(indices)
+            group_scatters = schur_scatters(symbolic, B, bounds)
+            out.update(zip(indices, group_scatters))
+        dofs = offsets[indices][:, None] + np.arange(symbolic.n)
+        groups.append(PatternGroup(symbolic, indices, dofs, group_scatters))
     return analyses, groups, out
 
 #: Process-wide source of :attr:`DualOperator.storage_version` values.
@@ -152,25 +158,11 @@ class DualOperator:
         #: by stacked column count (see :meth:`_planned`).
         self._apply_plans: dict[int, tuple[float, dict[str, float]]] = {}
         self._plan_lock = threading.Lock()
-        #: This round's ``K⁺``: per pattern group, the flat indices of its
-        #: members' DOFs in the concatenated primal vector and the stack of
-        #: their factors' bands.  Built by the first solve after a
-        #: preprocessing, dropped with the apply plans.
-        self._kplus_stacks: list[tuple[np.ndarray, SolverStack]] | None = None
-        #: The subdomains sharing one symbolic analysis, per analysis
-        #: (:func:`analyze_problem`): found by :meth:`prepare`, the unit of the
-        #: preprocessing and of the ``K⁺`` stacks.
-        self._pattern_groups: list[list[SubdomainProblem]] = []
-        #: Per-subdomain CPU factorizations: every apply, the dual right-hand
-        #: side and the primal recovery read them.
-        self._cpu_solvers: dict[int, SparseSolver] = {
-            s.index: SparseSolver(pattern_cache=pattern_cache, precision=self.precision)
-            for s in problem.subdomains
-        }
-        #: How every ``B̃ᵢ`` enters the Schur assembly under its solver's
-        #: analysis (explicit approaches only): a function of the mesh and
-        #: the ordering, so :meth:`prepare` builds it once.
-        self._schur_scatters: dict[int, SchurScatter] = {}
+        #: The subdomains sharing one symbolic analysis, with their Schur
+        #: scatters on the explicit path (:func:`analyze_problem`): found by
+        #: :meth:`prepare`, the unit of the preprocessing, and the owners of
+        #: the factor bands every ``K⁺`` solve reads.
+        self._groups: list[PatternGroup] = []
 
     @property
     def batch_engine(self) -> SubdomainBatchEngine:
@@ -218,8 +210,8 @@ class DualOperator:
         """
         wall0 = time.perf_counter()
         with trace_span("preparation", approach=self.approach.value):
-            analyses, self._pattern_groups, self._schur_scatters = analyze_problem(
-                self.problem, self._cpu_solvers, scatters=self.explicit
+            analyses, self._groups, scatters = analyze_problem(
+                self.problem, self.pattern_cache, scatters=self.explicit
             )
             self.replay = self._replay_type.build(
                 self.problem,
@@ -228,7 +220,7 @@ class DualOperator:
                 self.machine,
                 self.config,
                 self.precision.storage_dtype,
-                scatters=self._schur_scatters,
+                scatters=scatters,
             )
             sim, breakdown = self.replay.prepare()
         self._prepared = True
@@ -254,9 +246,9 @@ class DualOperator:
         with trace_span("preprocessing", approach=self.approach.value):
             local_F = run_preprocessing(
                 self.executor,
-                self._pattern_groups,
-                self._cpu_solvers,
-                scatters=self._schur_scatters if self.explicit else None,
+                self._groups,
+                self.problem.subdomains,
+                self.precision.storage_dtype,
             )
             for sub in self.problem.subdomains if self.explicit else ():
                 self.batch_engine.install_dense_block(sub.index, local_F.pop(sub.index))
@@ -274,9 +266,8 @@ class DualOperator:
         """Forget the numeric factors and what was derived from them."""
         self._preprocessed = False
         self._apply_plans = {}
-        self._kplus_stacks = None
-        for solver in self._cpu_solvers.values():
-            solver.release()
+        for group in self._groups:
+            group.release()
 
     def _record(
         self, name: str, sim: float, breakdown: dict[str, float], wall0: float
@@ -403,33 +394,16 @@ class DualOperator:
     def _kplus(self, rhs: np.ndarray) -> np.ndarray:
         """``Kᵢ⁺`` on every block of a concatenated primal vector.
 
-        One banded solve (two BLAS calls) per group of subdomains sharing a
-        symbolic analysis (:class:`~repro.sparse.solvers.SolverStack`); the
-        per-subdomain loop is the oracle (``tests/oracles/kplus.py``).
+        One banded solve (two BLAS calls) on each pattern group's band
+        (:meth:`~repro.sparse.group.PatternGroup.solve`); the per-subdomain
+        loop is the oracle (``tests/oracles/kplus.py``).
         """
-        stacks = self._kplus_stacks
-        if stacks is None:
-            with self._plan_lock:
-                stacks = self._kplus_stacks
-                if stacks is None:
-                    stacks = self._kplus_stacks = self._build_kplus_stacks()
-        out = np.empty_like(rhs)
-        for dofs, stack in stacks:
-            out[dofs] = stack.solve(rhs[dofs])
-        return out
-
-    def _build_kplus_stacks(self) -> list[tuple[np.ndarray, SolverStack]]:
         if not self._preprocessed:
             raise RuntimeError("no CPU factorization available; run preprocess() first")
-        offsets = self.batch_engine.primal_offsets
-        return [
-            (
-                offsets[[sub.index for sub in subs]][:, None]
-                + np.arange(self._cpu_solvers[subs[0].index].symbolic.n),
-                SolverStack([self._cpu_solvers[sub.index] for sub in subs]),
-            )
-            for subs in self._pattern_groups
-        ]
+        out = np.empty_like(rhs)
+        for group in self._groups:
+            group.solve(rhs, out)
+        return out
 
     def apply_accurate(self, lam: np.ndarray) -> np.ndarray:
         """Application ``q = F λ`` as ``B̃ K⁺ B̃ᵀ`` on the CPU factors.
@@ -473,8 +447,8 @@ class DualOperator:
     def storage_nbytes(self) -> dict[str, int]:
         """Byte-accurate resident *numeric* storage, split by kind.
 
-        ``factor`` counts the per-subdomain numeric factors, the
-        ``n x (kd + 1)`` band of ``L`` each —
+        ``factor`` counts the numeric factors: each pattern group's
+        ``(k, n, kd + 1)`` band of its members' ``L`` —
         not the symbolic analyses they point to: those index
         arrays are shared across cache entries through the pattern cache, so
         they sit outside the per-entry budget and are reported as
@@ -487,9 +461,9 @@ class DualOperator:
         warm.  Only what the process holds counts: the
         simulated GPU's device memory is byte sizes, not arrays.  The session's
         :class:`~repro.memory.ledger.FactorLedger` records these per cache
-        entry.  Each factor views its row of its pattern group's band.
+        entry.
         """
-        factor = sum(s.storage_nbytes() for s in self._cpu_solvers.values())
+        factor = sum(group.storage_nbytes() for group in self._groups)
         pack = arena = 0
         dense = self._batch_engine.dense if self._batch_engine is not None else None
         if dense is not None:

@@ -5,8 +5,8 @@ The :class:`FactorLedger` mirrors the accounting idioms of
 *actual* NumPy buffers a prepared :class:`~repro.feti.solver.FetiSolver`
 keeps resident, split into three classes:
 
-* **factor bytes** — the ``n x (kd + 1)`` band of ``L`` of every
-  per-subdomain sparse solver;
+* **factor bytes** — the ``(k, n, kd + 1)`` band of ``L`` of every
+  pattern group (:class:`~repro.sparse.group.PatternGroup`);
 * **pack bytes** — the dense dual-operator blocks ``F̃ᵢ`` the batched
   engine holds: its padded pack of the small ones plus every large one,
   unpadded;

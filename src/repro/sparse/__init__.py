@@ -20,15 +20,17 @@ A structural **pattern cache** (:mod:`repro.sparse.cache`) shares one
 symbolic analysis across all subdomains with the same sparsity pattern.
 
 On top of the factorization the package provides the banded solve of a
-stack of same-pattern factors (:func:`solve_banded` / :class:`SolverStack`,
-whose stack of one every single solve is), a Schur-complement engine that
-exploits the sparsity of the right-hand side block (the analogue of
-PARDISO's augmented incomplete factorization) and assembles every
-interface class of same-pattern subdomains as one stack
-(:func:`stacked_schur_complement`), and one solver running all of it
-(:class:`SparseSolver`).  The paper's two CPU libraries differ only in
-what they cost (:class:`CpuLibrary`, charged by the cost model): every
-approach computes with the same solver.
+stack of same-pattern factors (:func:`solve_banded`), a Schur-complement
+engine that exploits the sparsity of the right-hand side block (the
+analogue of PARDISO's augmented incomplete factorization) and assembles
+every interface class of same-pattern subdomains as one stack
+(:func:`stacked_schur_complement`), and the **pattern group**
+(:class:`PatternGroup`): the subdomains sharing one analysis, the only
+owner of their factor band, solved as one stack.  :class:`SparseSolver` is
+the single-matrix facade over the same kernels (a stack of one).  The
+paper's two CPU libraries differ only in what they cost
+(:class:`CpuLibrary`, charged by the cost model): every approach computes
+with the same kernels.
 """
 
 from repro.sparse.ordering import OrderingMethod, compute_ordering
@@ -44,7 +46,8 @@ from repro.sparse.spmv import CsrProduct
 from repro.sparse.schur import SchurScatter, schur_scatter, schur_scatters, stacked_schur_complement
 from repro.sparse.cache import PatternCache, global_pattern_cache, structural_key
 from repro.sparse.costmodel import CpuCostModel, CpuLibrary
-from repro.sparse.solvers import SolverStack, SparseSolver
+from repro.sparse.group import PatternGroup
+from repro.sparse.solvers import SparseSolver
 
 __all__ = [
     "OrderingMethod",
@@ -66,6 +69,6 @@ __all__ = [
     "structural_key",
     "CpuCostModel",
     "CpuLibrary",
+    "PatternGroup",
     "SparseSolver",
-    "SolverStack",
 ]

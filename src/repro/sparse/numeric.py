@@ -112,8 +112,8 @@ def rows_as_stack(rows: Sequence[np.ndarray]) -> np.ndarray | None:
 
     They are when they are consecutive, equally shaped, C-contiguous rows of
     one C-contiguous array (the members of a stack: a
-    :class:`~repro.fem.assembly.CsrStack`'s values, a preprocessing group's
-    bands), and a single row of any origin is.  ``None`` otherwise.
+    :class:`~repro.fem.assembly.CsrStack`'s values), and a single row of any
+    origin is.  ``None`` otherwise.
     """
     first = rows[0]
     base = first if first.base is None else first.base
@@ -221,7 +221,9 @@ def numeric_cholesky(A: sp.spmatrix, symbolic: SymbolicFactor) -> CholeskyFactor
     return CholeskyFactor(symbolic, stacked_cholesky(stacked_values([A], symbolic), symbolic)[0])
 
 
-def stacked_cholesky(values: np.ndarray, symbolic: SymbolicFactor) -> np.ndarray:
+def stacked_cholesky(
+    values: np.ndarray, symbolic: SymbolicFactor, out: np.ndarray | None = None
+) -> np.ndarray:
     """Factor ``k`` SPD matrices sharing one symbolic analysis, as one band.
 
     Parameters
@@ -231,13 +233,18 @@ def stacked_cholesky(values: np.ndarray, symbolic: SymbolicFactor) -> np.ndarray
         (:func:`stacked_values`).
     symbolic:
         Their shared symbolic factorization.
+    out:
+        A C-contiguous ``(k, n, kd + 1)`` array for the bands (rows of a
+        larger band, of any float dtype).  An fp64 one is factored in place
+        unless the band needs alignment rows (``kd > 64``); otherwise the
+        bands are factored in a buffer of their own and written into it.
 
     Returns
     -------
     numpy.ndarray
-        The C-order ``(k, n, kd + 1)`` bands: ``CholeskyFactor(symbolic,
-        band[i])`` is matrix ``i``'s factor, bitwise the factor of that
-        matrix alone.
+        The C-order ``(k, n, kd + 1)`` bands (``out`` when given):
+        ``CholeskyFactor(symbolic, band[i])`` is matrix ``i``'s factor,
+        bitwise the factor of that matrix alone.
 
     Raises
     ------
@@ -250,7 +257,13 @@ def stacked_cholesky(values: np.ndarray, symbolic: SymbolicFactor) -> np.ndarray
     stride = n
     if s.kd > _DPBTRF_UNBLOCKED_KD:
         stride = -(-n // _DPBTRF_BLOCK) * _DPBTRF_BLOCK
-    flat = np.zeros(k * stride * width)
+    fp64_rows = out is not None and out.dtype == np.float64 and out.flags.c_contiguous
+    in_place = fp64_rows and stride == n
+    if in_place:
+        flat = out.reshape(-1)
+        flat.fill(0.0)
+    else:
+        flat = np.zeros(k * stride * width)
     rows = flat.reshape(k, stride, width)
     rows[:, n:, 0] = 1.0
     rows.reshape(k, -1)[:, s.a_band_pos] = values[:, s.a_lower_map]
@@ -262,6 +275,10 @@ def stacked_cholesky(values: np.ndarray, symbolic: SymbolicFactor) -> np.ndarray
         if info > 0:
             member, column = divmod(info - 1, stride)
             raise NotPositiveDefiniteError(member, int(s.perm[column]))
+    if out is not None:
+        if not in_place:
+            out[...] = rows[:, :n]
+        return out
     del rows
     if stride != n:  # drop the identity rows in place
         size = n * width

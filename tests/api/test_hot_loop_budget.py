@@ -38,6 +38,7 @@ from repro.feti.projector import Projector, build_projector
 from repro.gpu.stream import Stream
 from repro.memory.ledger import measure_solver
 from repro.runtime.executor import ThreadExecutor
+from repro.sparse.group import PatternGroup
 from repro.sparse.solvers import SparseSolver
 from repro.sparse.spmv import CsrProduct
 
@@ -270,9 +271,9 @@ def _count_dpotrs(monkeypatch, counts: Counter) -> None:
 
 
 def _count_measurements(monkeypatch) -> Counter:
-    """Count ``storage_nbytes`` calls of operators and of per-subdomain factors."""
+    """Count ``storage_nbytes`` calls of operators and of their pattern groups."""
     counts: Counter[str] = Counter()
-    for owner in (DualOperator, SparseSolver):
+    for owner in (DualOperator, PatternGroup):
         original = owner.storage_nbytes
 
         def counted(self, _original=original, _label=owner.__name__):
@@ -318,10 +319,10 @@ def test_solve_after_a_stiffness_schedule_remeasures_once(monkeypatch):
         session.run_steps(workload, update=_harden)  # leaves the entry stale
         counts = _count_measurements(monkeypatch)
         assert session.solve(workload).converged  # re-factors
-        n_subdomains = len(session.problem(workload).subdomains)
-        assert counts == {"DualOperator": 1, "SparseSolver": n_subdomains}
+        n_groups = len(session.solver(workload).operator._groups)
+        assert counts == {"DualOperator": 1, "PatternGroup": n_groups}
         assert session.solve(workload).converged  # warm again
-        assert counts == {"DualOperator": 1, "SparseSolver": n_subdomains}
+        assert counts == {"DualOperator": 1, "PatternGroup": n_groups}
         assert _resident_bytes_are_fresh(session)
 
 
@@ -337,8 +338,8 @@ def test_solve_of_a_released_entry_remeasures_once(monkeypatch):
         session.tier.budget_bytes = None
         counts = _count_measurements(monkeypatch)
         assert session.solve(cold).converged  # re-factors
-        n_subdomains = len(session.problem(cold).subdomains)
-        assert counts == {"DualOperator": 1, "SparseSolver": n_subdomains}
+        n_groups = len(session.solver(cold).operator._groups)
+        assert counts == {"DualOperator": 1, "PatternGroup": n_groups}
         assert session.tier.state((cold, SPEC_CPU)) == "full"
         assert _resident_bytes_are_fresh(session)
 
@@ -359,7 +360,7 @@ def test_warm_solve_runs_two_banded_calls_per_pattern_and_no_subdomain_loop(
             for sub in operator.problem.subdomains
             for matrix in (sub.K, sub.K_reg, sub.B, sub.Bt)
         }
-        n_pattern_groups = len({id(s.symbolic) for s in operator._cpu_solvers.values()})
+        n_pattern_groups = len(operator._groups)
         assert n_pattern_groups == 1  # 16 subdomains, one K_reg pattern
 
         def counted(owner, name, label, when=lambda *args: True):
@@ -407,7 +408,10 @@ W_COLD = Workload("heat", 3, (2, 2, 1), 12)
 
 @pytest.mark.parametrize(("approach", "partitions"), [("impl mkl", 0), ("expl mkl", 1)])
 def test_cold_solve_is_one_dpbtrf_per_group_and_no_supernodes(monkeypatch, approach, partitions):
-    """The implicit cold path never tiles ``L``; the explicit one once per pattern."""
+    """The implicit cold path never tiles ``L``; the explicit one once per pattern.
+
+    Neither constructs a single-matrix ``SparseSolver``: the groups own the factors.
+    """
     numeric = import_module("repro.sparse.numeric")
     symbolic = import_module("repro.sparse.symbolic")
     calls: Counter[str] = Counter()
@@ -423,12 +427,14 @@ def test_cold_solve_is_one_dpbtrf_per_group_and_no_supernodes(monkeypatch, appro
 
     counted(numeric, "dpbtrf")
     counted(symbolic, "_build_partition")
+    counted(SparseSolver, "__init__")
     spec = SolverSpec(approach=approach, execution="serial")  # one task over every pattern group
     with Session(spec, memory_budget="unlimited") as session:
         assert session.solve(W_COLD).converged
         operator = session.solver(W_COLD).operator
-        groups = {id(s.symbolic) for s in operator._cpu_solvers.values()}
+        groups = operator._groups
         assert len(groups) == 1
         assert (calls["dpbtrf"], calls["_build_partition"]) == (len(groups), partitions)
+        assert calls["__init__"] == 0  # no single-matrix solver on the solve path
         assert session.solve(W_COLD).converged  # warm: nothing factored or tiled
     assert (calls["dpbtrf"], calls["_build_partition"]) == (len(groups), partitions)

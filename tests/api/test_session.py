@@ -13,8 +13,8 @@ W_SMALL = Workload("heat", 2, (2, 1), 3)
 W_SCALED = Workload("heat", 2, (2, 1), 3, material=Material(conductivity=2.0))
 
 
-def _cpu_solvers(session, workload):
-    return list(session.solver(workload).operator._cpu_solvers.values())
+def _groups(session, workload):
+    return session.solver(workload).operator._groups
 
 
 def test_two_same_pattern_workloads_share_one_symbolic_analysis():
@@ -30,7 +30,7 @@ def test_two_same_pattern_workloads_share_one_symbolic_analysis():
     assert stats["pattern_hits"] == 3
     # ... and the bytes of that one analysis are reported next to the counts
     # (outside the per-entry factor budget: analyses are shared across entries).
-    (symbolic,) = {id(s.symbolic): s.symbolic for s in _cpu_solvers(session, W_SMALL)}.values()
+    (symbolic,) = [group.symbolic for group in _groups(session, W_SMALL)]
     assert stats["pattern_bytes"] == session.pattern_cache.nbytes == symbolic.nbytes > 0
     assert stats["resident_bytes"] == session.tier.ledger.resident_bytes  # semantics unchanged
     # Scaling the conductivity scales the solution down by the same factor.
@@ -62,7 +62,7 @@ def test_a_failed_solve_counts_no_solve(monkeypatch):
 
     with Session(SolverSpec(approach="expl mkl")) as session:
         with monkeypatch.context() as patch:
-            patch.setattr(preprocess, "schur_complements", failing)
+            patch.setattr(preprocess, "stacked_schur_complement", failing)
             with pytest.raises(RuntimeError, match="injected"):
                 session.solve(W_SMALL)
         assert session.cache_stats()["solves"] == 0

@@ -28,7 +28,7 @@ from repro.feti.operators.batch import SYMV_MIN_ROWS, BatchedDenseApply, FlatInd
 
 from tests.oracles.apply import looped_apply
 from tests.oracles.clusters import iter_clusters
-from tests.oracles.kplus import looped_apply_accurate, looped_dual_rhs
+from tests.oracles.kplus import looped_apply_accurate, looped_dual_rhs, member_factor
 from tests.oracles.scatter_apply import local_apply, scatter_apply, scatter_apply_multi
 from tests.oracles.schur import schur_complement
 
@@ -350,7 +350,7 @@ def test_blocks_on_both_sides_of_the_symv_threshold(approach):
         for sub in operator.problem.subdomains:
             F = operator.local_F[sub.index]
             assert not F.flags.writeable
-            want = schur_complement(operator._cpu_solvers[sub.index]._factor, sub.B)
+            want = schur_complement(member_factor(operator, sub.index), sub.B)
             assert np.array_equal(F, want), sub.index
         rng = np.random.default_rng(37)
         lam = rng.standard_normal(operator.problem.n_lambda)

@@ -22,6 +22,7 @@ from repro.api.workload import build_problem
 from repro.feti.solver import FetiSolver
 from repro.runtime.executor import shared_executor
 
+from tests.oracles.kplus import member_factor
 from tests.oracles.schur import schur_complement
 
 ZOO = {
@@ -62,7 +63,7 @@ def test_packed_local_F_is_the_per_subdomain_oracle(name):
     operator = _preprocessed(name, "expl mkl")
     local_F = operator.local_F
     for sub in operator.problem.subdomains:
-        want = schur_complement(operator._cpu_solvers[sub.index]._factor, sub.B)
+        want = schur_complement(member_factor(operator, sub.index), sub.B)
         assert np.array_equal(local_F[sub.index], want), sub.index
 
 
@@ -94,5 +95,5 @@ def test_the_zoo_stacks_members(name):
         executor=shared_executor("serial"),
     )
     solver.operator.prepare()
-    keys = [scatter.key for scatter in solver.operator._schur_scatters.values()]
+    keys = [scatter.key for group in solver.operator._groups for scatter in group.scatters]
     assert len(set(keys)) < len(keys)

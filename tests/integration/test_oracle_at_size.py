@@ -5,7 +5,8 @@ problem's shape-group stacks and gluing entries in vectorized passes.  These
 checks read neither: ``Gᵀλ = e`` with ``G = B R`` assembled from the global
 gluing matrix and the per-subdomain kernel blocks (``e`` from the
 per-subdomain oracle), and the primal against a direct sparse solve of the
-whole saddle-point system — on 256 heat subdomains and 64 elasticity ones.
+whole saddle-point system — on 256 heat 2D subdomains and on 64 subdomains
+each of elasticity 2D, heat 3D and elasticity 3D.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from tests.oracles.coarse import looped_compute_e
 CASES = {
     "heat2d-16x16x8-c4": (Workload("heat", 2, (16, 16), 8, n_clusters=4), 256),
     "elasticity2d-8x8x8": (Workload("elasticity", 2, (8, 8), 8), 64),
+    "heat3d-4x4x4x3": (Workload("heat", 3, (4, 4, 4), 3), 64),
+    "elasticity3d-4x4x4x2": (Workload("elasticity", 3, (4, 4, 4), 2), 64),
 }
 
 

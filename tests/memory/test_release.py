@@ -1,8 +1,8 @@
 """A released dual operator holds no numeric bytes until its next preprocessing.
 
 :meth:`~repro.feti.operators.base.DualOperator.release` is the tier's one
-step: it drops every factor, ``F̃ᵢ`` and ``K⁺`` stack, keeps the structure
-(analyses, scatters, cost replay) and leaves the operator unusable until a
+step: it drops every pattern group's factor band and every ``F̃ᵢ``, keeps the
+structure (groups, analyses, scatters, cost replay) and leaves the operator unusable until a
 preprocessing rebuilds the numbers — bitwise the ones it dropped.
 """
 
@@ -41,13 +41,14 @@ def test_a_released_operator_holds_nothing_until_it_preprocesses(spec):
         x = np.random.default_rng(0).standard_normal(operator.problem.n_lambda)
         q, d = operator.apply(x), operator.dual_rhs()
         device = _device_bytes(operator)
-        factor = weakref.ref(operator._cpu_solvers[0]._factor)
+        (group,) = operator._groups
+        band = weakref.ref(group.band)
         version = operator.storage_version
 
         operator.release()
         gc.collect()
         assert operator.storage_nbytes() == {"factor": 0, "pack": 0, "arena": 0}
-        assert factor() is None  # no K⁺ stack or plan keeps the band alive
+        assert band() is None  # no group, solve or plan keeps the band alive
         assert not operator.preprocessed
         assert operator.storage_version != version
         assert operator.local_F == {}

@@ -5,9 +5,10 @@ became *numerics + one planned timeline*: one subdomain at a time it gathers
 ``λᵢ``, runs that subdomain's kernels (a dense GEMV, or SpMV → TRSV → TRSV →
 SpMV), scatters ``qᵢ`` back **and** replays the simulated thread clocks /
 device streams — on every call.  It takes a preprocessed operator, reads the
-state the preprocessing left behind (``local_F`` and the subdomain solvers'
-factors — the simulated device holds byte sizes only, so the GPU kernels'
-numbers are NumPy's here) and shares no code with the engine's flat index
+state the preprocessing left behind (``local_F`` and the subdomains' rows of
+their pattern groups' factor bands, solved by ``tests/oracles/kplus.py`` —
+the simulated device holds byte sizes only, so the GPU kernels' numbers are
+NumPy's and SciPy's here) and shares no code with the engine's flat index
 maps, packed block stacks or cached plans, which makes it the oracle for
 both the values and the plan (``tests/feti/test_apply_plan.py``).
 """
@@ -28,9 +29,11 @@ from repro.feti.operators.replay import (
 
 from tests.oracles.clusters import iter_clusters
 from tests.oracles.kplus import (
+    kplus_solve,
     looped_apply_accurate,
     looped_dual_rhs,
     looped_primal_solution,
+    member_factor,
 )
 from tests.oracles.problem import accumulate_dual, local_dual
 
@@ -105,11 +108,10 @@ def _implicit_cpu(op: DualOperator, lam: np.ndarray) -> Applied:
     for cluster, subs in iter_clusters(op):
         clocks = ThreadClocks(cluster.n_threads)
         for i, sub in enumerate(subs):
-            solver = op._cpu_solvers[sub.index]
-            z = solver.solve(sub.Bt @ local_dual(sub, lam))
+            z = kplus_solve(op, sub.index, sub.Bt @ local_dual(sub, lam))
             accumulate_dual(sub, q, sub.B @ z)
             spmv_cost = 2.0 * cluster.cpu.spmv(int(sub.B.nnz))
-            trsv_cost = 2.0 * cluster.cpu.sparse_trsv(solver.factor_nnz)
+            trsv_cost = 2.0 * cluster.cpu.sparse_trsv(member_factor(op, sub.index).nnz)
             clocks.advance(i, spmv_cost + trsv_cost)
             breakdown["spmv"] += spmv_cost
             breakdown["trsv"] += trsv_cost
@@ -139,9 +141,9 @@ def _implicit_gpu(op: DualOperator, lam: np.ndarray) -> Applied:
                 state.device_factor.nnz, sub.ndofs, 1, device.cuda_version
             )
             # SpMV → TRSV → TRSV → SpMV: one solve with the subdomain's own
-            # CPU solver between the two products with B̃ᵢ.
+            # CPU factor between the two products with B̃ᵢ.
             p = local_dual(sub, lam)
-            q_local = sub.B @ op._cpu_solvers[sub.index].solve(sub.Bt @ p)
+            q_local = sub.B @ kplus_solve(op, sub.index, sub.Bt @ p)
             for key, label, duration in (
                 ("transfer", "h2d:p", cost.transfer(8 * sub.n_lambda)),
                 ("spmv", "cusparse.spmv", spmv),

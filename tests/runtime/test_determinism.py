@@ -13,6 +13,8 @@ are bitwise equal too.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -105,17 +107,20 @@ def test_parallel_executors_reproduce_serial_solutions(
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 10])
 def test_spans_cut_the_group_ordered_members_contiguously(workers):
-    """``≤ workers`` near-equal spans, each its groups' runs, in member order."""
+    """``≤ workers`` near-equal spans, each its groups' runs, in member order.
+
+    A run is ``(group, start, stop)``: members ``start:stop`` of one group.
+    """
     groups = [list("abcd"), list("e"), list("fg")]
     spans = preprocess._spans(groups, workers)
     assert len(spans) == min(workers, 7)
-    assert [m for span in spans for run in span for m in run] == list("abcdefg")
-    sizes = [sum(map(len, span)) for span in spans]
+    runs = [run for span in spans for run in span]
+    assert [m for g, start, stop in runs for m in groups[g][start:stop]] == list("abcdefg")
+    assert all(0 <= start < stop <= len(groups[g]) for g, start, stop in runs)
+    sizes = [sum(stop - start for _, start, stop in span) for span in spans]
     assert max(sizes) - min(sizes) <= 1
-    for span in spans:  # a run never mixes two groups
-        assert all(any(set(run) <= set(g) for g in groups) for run in span)
-    if workers == 1:
-        assert spans == [groups]  # serial: one task over every group
+    if workers == 1:  # serial: one task over every group, whole
+        assert spans == [[(g, 0, len(group)) for g, group in enumerate(groups)]]
 
 
 def _preprocessed(approach, workload, backend):
@@ -123,7 +128,9 @@ def _preprocessed(approach, workload, backend):
     operator = _solver(approach, workload, backend).operator
     operator.prepare()
     operator.preprocess()
-    factors = {i: s._factor.band.copy() for i, s in operator._cpu_solvers.items()}
+    factors = {
+        i: row.copy() for group in operator._groups for i, row in zip(group.members, group.band)
+    }
     local_F = {i: F.copy() for i, F in operator.local_F.items()}
     return factors, local_F
 
@@ -146,6 +153,47 @@ def test_factors_and_local_F_are_bitwise_equal_across_executors(approach, wname)
             assert np.array_equal(got_factors[i], band), (backend, i)
         for i, F in local_F.items():
             assert np.array_equal(got_F[i], F), (backend, i)
+
+
+#: Factor bytes of ``heat-2d-c4``'s one group: 64 x 81 x (kd 9 + 1) x 8 B.
+HEAT_2D_C4_FACTOR_BYTES = 414_720
+
+
+@pytest.mark.parametrize("backend", ["serial", *THREAD_BACKENDS])
+def test_a_solve_after_any_round_reads_the_factorizations_own_band(monkeypatch, backend):
+    """No ``K⁺`` solve copies a band, whatever cut the spans made.
+
+    After a preprocessing and one ``dual_rhs()`` the group's band is made of
+    the arrays ``stacked_cholesky`` returned (every run of a group cut
+    across spans is factored into its rows of the band), and the factor
+    bytes are the serial round's.
+    """
+    returned = []
+    factor = preprocess.stacked_cholesky
+
+    def recorded(*args, **kwargs):
+        band = factor(*args, **kwargs)
+        returned.append(band)
+        return band
+
+    monkeypatch.setattr(preprocess, "stacked_cholesky", recorded)
+    workload = FACTOR_WORKLOADS["heat-2d-c4"]
+    operator = _solver(DualOperatorApproach.IMPLICIT_MKL, workload, backend).operator
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the spans' tasks interleave as often as they can
+    try:
+        operator.preprocess()
+    finally:
+        sys.setswitchinterval(interval)
+    d = operator.dual_rhs()
+    (group,) = operator._groups
+    assert sum(band.shape[0] for band in returned) == len(group) == workload.n_subdomains
+    assert all(np.shares_memory(group.band, band) for band in returned)
+    assert operator.storage_nbytes()["factor"] == HEAT_2D_C4_FACTOR_BYTES
+    serial = _solver(DualOperatorApproach.IMPLICIT_MKL, workload).operator
+    serial.preprocess()
+    assert np.array_equal(group.band, serial._groups[0].band)
+    assert np.array_equal(d, serial.dual_rhs())
 
 
 def test_repeated_parallel_preprocessing_is_stable():

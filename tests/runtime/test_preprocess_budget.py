@@ -3,13 +3,12 @@
 Every executor runs one preprocessing path.  A cold serial ``Session.solve``
 factors the subdomains sharing one symbolic analysis as one stack, whatever
 cluster they belong to — one ``stacked_cholesky`` per pattern group, which
-is one LAPACK ``dpbtrf`` on the group's block-diagonal band — and never
-goes through the
-per-subdomain ``SparseSolver.factorize``.  The only other LAPACK kernel
-is the explicit approaches' ``dtrtri``: the Schur assembly inverts the
-diagonal block of every supernode its sweep visits once per member.  The
-``K⁺`` solves are BLAS ``dtbsv`` on the band (no ``dtrtrs``), and no
-``dpotrf`` runs at all.
+is one LAPACK ``dpbtrf`` on the group's block-diagonal band — and
+constructs no single-matrix ``SparseSolver``, let alone factorizes one.
+The only other LAPACK kernel is the explicit approaches' ``dtrtri``: the
+Schur assembly inverts the diagonal block of every supernode its sweep
+visits once per member.  The ``K⁺`` solves are BLAS ``dtbsv`` on the band
+(no ``dtrtrs``), and no ``dpotrf`` runs at all.
 
 The explicit approaches assemble ``F̃ᵢ`` once per ``(pattern, interface
 class)``; the simulated GPU assembly only replays its kernels'
@@ -50,11 +49,16 @@ def test_cold_serial_solve_factors_once_per_pattern_group(
 ):
     workload, groups = BUDGETS[name]
     calls: Counter[str] = Counter()
-    stacked, factorize = numeric.stacked_cholesky, SparseSolver.factorize
+    stacked = numeric.stacked_cholesky
+    construct, factorize = SparseSolver.__init__, SparseSolver.factorize
 
     def counted_stacked(*args, **kwargs):
         calls["stacked_cholesky"] += 1
         return stacked(*args, **kwargs)
+
+    def counted_construct(self, *args, **kwargs):
+        calls["SparseSolver"] += 1
+        construct(self, *args, **kwargs)
 
     def counted_factorize(self, K):
         calls["SparseSolver.factorize"] += 1
@@ -62,6 +66,7 @@ def test_cold_serial_solve_factors_once_per_pattern_group(
 
     monkeypatch.setattr(preprocess, "stacked_cholesky", counted_stacked)
     monkeypatch.setattr(numeric, "stacked_cholesky", counted_stacked)
+    monkeypatch.setattr(SparseSolver, "__init__", counted_construct)
     monkeypatch.setattr(SparseSolver, "factorize", counted_factorize)
     spec = SolverSpec(approach=approach, execution="serial")
     with Session(spec, memory_budget="unlimited") as session:
@@ -77,9 +82,9 @@ def test_a_cold_round_runs_one_task_per_worker(monkeypatch, execution, tasks):
     spans: list[int] = []
     run_span = preprocess._run_span
 
-    def counted(groups, *args):
-        spans.append(sum(map(len, groups)))
-        return run_span(groups, *args)
+    def counted(runs, *args):
+        spans.append(sum(stop - start for _, start, stop in runs))
+        return run_span(runs, *args)
 
     monkeypatch.setattr(preprocess, "_run_span", counted)
     spec = SolverSpec(approach="expl mkl", execution=execution)
@@ -122,7 +127,8 @@ def test_one_dpbtrf_per_group_and_one_dtrtri_per_swept_block(monkeypatch, name, 
             # Σ over subdomains of the supernodes from the first active one.
             expected["dtrtri"] = sum(
                 scatter.active.shape[0] - int(np.searchsorted(scatter.active, 0, side="right"))
-                for scatter in operator._schur_scatters.values()
+                for group in operator._groups
+                for scatter in group.scatters
             )
         assert calls == expected
         assert session.solve(workload).converged  # warm: solves on the band
@@ -144,13 +150,13 @@ CLASS_BUDGETS = {
 def test_cold_serial_solve_assembles_once_per_interface_class(monkeypatch, name, approach):
     workload, _ = BUDGETS[name]
     assemblies = []
-    schur_complements = preprocess.schur_complements
+    assemble = preprocess.stacked_schur_complement
 
-    def counted_assembly(solvers, scatters, workspace):
-        assemblies.append(len(solvers))
-        return schur_complements(solvers, scatters, workspace)
+    def counted_assembly(symbolic, bands, scatters, workspace):
+        assemblies.append(len(bands))
+        return assemble(symbolic, bands, scatters, workspace)
 
-    monkeypatch.setattr(preprocess, "schur_complements", counted_assembly)
+    monkeypatch.setattr(preprocess, "stacked_schur_complement", counted_assembly)
     assembly = "table2" if approach == "expl modern" else None
     spec = SolverSpec(approach=approach, assembly=assembly, execution="serial")
     with Session(spec, memory_budget="unlimited") as session:
@@ -158,8 +164,9 @@ def test_cold_serial_solve_assembles_once_per_interface_class(monkeypatch, name,
         operator = session.solver(workload).operator
         # One class per distinct (pattern, key), every member in one.
         classes = {
-            (id(operator._cpu_solvers[sub.index].symbolic), operator._schur_scatters[sub.index].key)
-            for sub in operator.problem.subdomains
+            (id(group.symbolic), scatter.key)
+            for group in operator._groups
+            for scatter in group.scatters
         }
         assert len(assemblies) == len(classes) == CLASS_BUDGETS[(name, approach)]
         assert sum(assemblies) == operator.problem.n_subdomains
@@ -212,7 +219,7 @@ def _count_setup_objects(monkeypatch, workload: Workload) -> tuple[Counter, int]
     with Session(spec, memory_budget="unlimited") as session:
         assert session.solve(workload).converged
         operator = session.solver(workload).operator
-        patterns = len({id(s.symbolic) for s in operator._cpu_solvers.values()})
+        patterns = len(operator._groups)
     return calls, patterns
 
 

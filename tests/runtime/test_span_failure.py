@@ -39,24 +39,24 @@ def test_a_failed_span_raises_its_own_exception_and_the_session_recovers(
     with Session(SolverSpec(approach=approach, execution="serial")) as serial:
         reference = serial.solve(WORKLOAD)
 
-    schur_complements = preprocess.schur_complements
+    assemble = preprocess.stacked_schur_complement
     lock = threading.Lock()
     raised, finished = [], []
 
-    def failing_once(solvers, scatters, workspace):
+    def failing_once(symbolic, bands, scatters, workspace):
         with lock:
             fail = not raised
             raised.append(fail)
         if fail:
             raise SpanFailure("injected")
         time.sleep(0.02)  # the healthy span is still busy when the other fails
-        F = schur_complements(solvers, scatters, workspace)
-        finished.append(len(solvers))
+        F = assemble(symbolic, bands, scatters, workspace)
+        finished.append(len(bands))
         return F
 
     spec = SolverSpec(approach=approach, execution="threads:2")
     with Session(spec, memory_budget="unlimited") as session:
-        monkeypatch.setattr(preprocess, "schur_complements", failing_once)
+        monkeypatch.setattr(preprocess, "stacked_schur_complement", failing_once)
         with pytest.raises(SpanFailure, match="injected"):
             session.solve(WORKLOAD)
         assert raised[0] is True

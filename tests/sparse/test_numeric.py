@@ -12,7 +12,7 @@ from repro.decomposition import regularize_stiffness
 from repro.fem.elasticity import LinearElasticityProblem
 from repro.fem.heat import HeatTransferProblem
 from repro.fem.mesh import structured_mesh
-from repro.sparse import OrderingMethod, numeric_cholesky, symbolic_cholesky
+from repro.sparse import OrderingMethod, numeric, numeric_cholesky, symbolic_cholesky
 from repro.sparse.numeric import (
     CholeskyFactor,
     NotPositiveDefiniteError,
@@ -173,6 +173,32 @@ def test_a_wide_band_member_is_bitwise_the_same_wherever_it_is_stacked():
         assert np.array_equal(numeric_cholesky(matrices[i], symbolic).band, band[i])
     # The identity rows between the members are gone from the result.
     assert band.base is None or band.base.size == band.size
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name", ["narrow", "wide"])
+def test_runs_factored_into_rows_of_one_band_are_the_stack_alone(monkeypatch, name, dtype):
+    """``out``: every run of a band's rows holds what the run alone returns.
+
+    An fp64 run of a narrow band is factored where it lies, in place; a wide
+    band's run (alignment rows) and an fp32 one are written into the rows.
+    """
+    A = fem_stiffness(HeatTransferProblem(), 2, 6) if name == "narrow" else WIDE
+    _, symbolic, values = _scaled_stack(A, [1.0, 2.5, 0.3, 7.0, 0.9])
+    band = np.empty((5, symbolic.n, symbolic.kd + 1), dtype)
+    in_place = []
+    factor = numeric.dpbtrf
+
+    def noted(ab, *args, **kwargs):
+        in_place.append(np.shares_memory(ab, band))
+        return factor(ab, *args, **kwargs)
+
+    monkeypatch.setattr(numeric, "dpbtrf", noted)
+    for start, stop in [(0, 2), (2, 3), (3, 5)]:
+        rows = band[start:stop]
+        assert stacked_cholesky(values[start:stop], symbolic, rows) is rows
+    assert in_place == [name == "narrow" and dtype == np.float64] * 3
+    assert np.array_equal(band, stacked_cholesky(values, symbolic).astype(dtype))
 
 
 @pytest.mark.parametrize(("physics", "dim"), [

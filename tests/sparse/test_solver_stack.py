@@ -1,13 +1,13 @@
 """The stacked ``K⁺`` solve against the per-subdomain oracle.
 
-``SolverStack`` (sparse layer: one block-diagonal band per pattern group,
-two BLAS calls per solve) and the operator methods built on it
+``PatternGroup.solve`` (sparse layer: one block-diagonal band per pattern
+group, two BLAS calls per solve) and the operator methods built on it
 (``dual_rhs``, ``primal_solution``, ``apply_accurate``, the implicit CPU
-apply) must reproduce ``tests/oracles/kplus.py`` — one
-``SparseSolver.solve`` and one ``scipy.sparse`` product per subdomain —
-on the *current* numeric factors, under every precision policy, keep every
-member independent of the others, and hold ``L`` once: as the band the
-factorization produced.
+apply) must reproduce ``tests/oracles/kplus.py`` — two
+``spsolve_triangular`` sweeps on each member's CSC factor and one
+``scipy.sparse`` product per subdomain — on the *current* numeric factors,
+under every precision policy, keep every member independent of the others,
+and hold ``L`` once: as the band the factorization produced.
 """
 
 from __future__ import annotations
@@ -27,13 +27,20 @@ from repro.feti.config import DualOperatorApproach
 from repro.feti.operators import make_dual_operator
 from repro.feti.problem import FetiProblem
 from repro.feti.solver import FetiSolver, MultiStepDriver
-from repro.memory.precision import PRECISION_NAMES
+from repro.memory.precision import PRECISION_NAMES, PRECISIONS, demote_array
 from repro.runtime.executor import shared_executor
 from repro.sparse import triangular
 from repro.sparse.cache import PatternCache
-from repro.sparse.numeric import CholeskyFactor
-from repro.sparse.solvers import SolverStack, SparseSolver, _band_stack
+from repro.sparse.group import PatternGroup
+from repro.sparse.numeric import (
+    numeric_cholesky,
+    rows_as_stack,
+    stacked_cholesky,
+    stacked_values,
+)
+from repro.sparse.solvers import SparseSolver
 from repro.sparse.symbolic import SymbolicFactor
+from repro.sparse.triangular import solve_banded
 
 from tests.conftest import fem_stiffness
 from tests.oracles.kplus import (
@@ -54,8 +61,7 @@ WORKLOADS = {
 }
 
 #: Largest relative difference to the oracle under every precision policy:
-#: the two paths run the same banded solve, the stack over more members
-#: (measured ≤ 1e-15).
+#: the band and the oracle's sparse triangular sweeps sum in other orders.
 TOLERANCE = 1e-13
 
 
@@ -92,10 +98,7 @@ def _assert_matches_oracle(operator, exact=False):
 
 
 def _pattern_groups(operator) -> list[int]:
-    sizes: dict[int, int] = {}
-    for solver in operator._cpu_solvers.values():
-        sizes[id(solver.symbolic)] = sizes.get(id(solver.symbolic), 0) + 1
-    return sorted(sizes.values())
+    return sorted(len(group) for group in operator._groups)
 
 
 # --------------------------------------------------------------------- #
@@ -131,11 +134,19 @@ def _distinct_patterns_problem() -> FetiProblem:
 
 
 @pytest.mark.parametrize("precision", PRECISION_NAMES)
-def test_stacks_of_one_are_bit_identical_to_the_oracle(precision):
-    """A stack of one runs the single-factor kernels: the oracle's own bits."""
+def test_groups_of_one_are_bit_identical_to_the_single_matrix_solver(precision):
+    """A group of one runs the single-matrix facade's kernels: its own bits."""
     operator = _preprocessed(_distinct_patterns_problem(), precision)
     assert _pattern_groups(operator) == [1, 1, 1, 1]
-    _assert_matches_oracle(operator, exact=True)
+    _assert_matches_oracle(operator)
+    rhs = np.random.default_rng(8).standard_normal(sum(s.ndofs for s in operator.problem.subdomains))
+    x = operator._kplus(rhs)
+    for group in operator._groups:
+        (index,), (dofs,) = group.members, group.dofs
+        alone = SparseSolver(pattern_cache=False, precision=precision)
+        alone.factorize(operator.problem.subdomains[index].K_reg)
+        assert np.array_equal(group.band[0], alone._factor.band)
+        assert np.array_equal(x[dofs], alone.solve(rhs[dofs]))
 
 
 def test_one_group_spans_subdomains_with_different_gluing():
@@ -157,45 +168,69 @@ def test_explicit_backends_share_the_stacked_solve(approach):
 
 
 # --------------------------------------------------------------------- #
-# The stack itself                                                       #
+# The group itself                                                       #
 # --------------------------------------------------------------------- #
-def _factorized(n_solvers, scale=lambda i: 1.0 + 0.25 * i, **kwargs):
+def _group(k, scale=lambda i: 1.0 + 0.25 * i, precision="fp64"):
+    """A factorized group of ``k`` scaled copies of one matrix, and their
+    single-matrix solvers."""
     K = fem_stiffness(HeatTransferProblem(), 2, 6)
     cache = PatternCache()
-    solvers = [SparseSolver(pattern_cache=cache, **kwargs) for _ in range(n_solvers)]
-    for i, solver in enumerate(solvers):
-        solver.factorize(K * scale(i))
-    return solvers, K.shape[0]
+    matrices = [(K * scale(i)).tocsr() for i in range(k)]
+    solvers = [SparseSolver(pattern_cache=cache, precision=precision) for _ in range(k)]
+    for solver, A in zip(solvers, matrices):
+        solver.factorize(A)
+    symbolic = solvers[0].symbolic
+    n = symbolic.n
+    group = PatternGroup(symbolic, range(k), np.arange(k * n).reshape(k, n))
+    dtype = PRECISIONS[precision].storage_dtype
+    group.band = demote_array(stacked_cholesky(stacked_values(matrices, symbolic), symbolic), dtype)
+    return group, solvers
 
 
-def test_stack_of_one_is_bit_identical_to_the_solver():
-    (solver,), n = _factorized(1)
-    b = np.random.default_rng(0).standard_normal((1, n))
-    x = SolverStack([solver]).solve(b)
-    assert np.array_equal(x[0], solver.solve(b[0]))
+def _solve(group, rhs):
+    """The group's solve of ``(k, n)`` right-hand sides."""
+    out = np.empty(rhs.size)
+    group.solve(rhs.reshape(-1), out)
+    return out.reshape(rhs.shape)
+
+
+def test_group_of_one_is_bit_identical_to_the_solver():
+    group, (solver,) = _group(1)
+    b = np.random.default_rng(0).standard_normal((1, group.symbolic.n))
+    assert np.array_equal(_solve(group, b)[0], solver.solve(b[0]))
 
 
 @pytest.mark.parametrize("precision", PRECISION_NAMES)
-def test_stack_of_two_matches_the_solver(precision):
-    solvers, n = _factorized(2, precision=precision)
-    b = np.random.default_rng(1).standard_normal((2, n))
+def test_group_of_two_matches_the_solver(precision):
+    group, solvers = _group(2, precision=precision)
+    assert group.band.dtype == PRECISIONS[precision].storage_dtype
+    b = np.random.default_rng(1).standard_normal((2, group.symbolic.n))
     reference = np.stack([s.solve(row) for s, row in zip(solvers, b)])
-    x = SolverStack(solvers).solve(b)
+    x = _solve(group, b)
     assert np.abs(x - reference).max() <= TOLERANCE * np.abs(reference).max()
 
 
 @pytest.mark.parametrize("precision", PRECISION_NAMES)
 def test_zero_right_hand_sides_stay_zero(precision):
     """A zero member right-hand side solves to exact zeros beside nonzero ones."""
-    solvers, n = _factorized(3, precision=precision)
-    stack = SolverStack(solvers)
-    assert not stack.solve(np.zeros((3, n))).any()
+    group, solvers = _group(3, precision=precision)
+    n = group.symbolic.n
+    assert not _solve(group, np.zeros((3, n))).any()
     b = np.zeros((3, n))
     b[1] = np.random.default_rng(6).standard_normal(n)
-    x = stack.solve(b)
+    x = _solve(group, b)
     assert not x[0].any() and not x[2].any()
     reference = solvers[1].solve(b[1])
     assert np.abs(x[1] - reference).max() <= TOLERANCE * np.abs(reference).max()
+
+
+def test_a_released_group_holds_no_band_and_refuses_to_solve():
+    group, _ = _group(2)
+    assert group.storage_nbytes() == group.band.nbytes > 0
+    group.release()
+    assert group.band is None and group.storage_nbytes() == 0
+    with pytest.raises(RuntimeError, match="preprocessing"):
+        _solve(group, np.ones((2, group.symbolic.n)))
 
 
 #: ``(workload, precision)`` of the member-against-stack-of-one checks.
@@ -208,89 +243,50 @@ MEMBER_CASES = {
 
 
 @pytest.mark.parametrize("name", MEMBER_CASES)
-def test_a_member_of_the_stack_is_its_stack_of_one(name):
+def test_a_member_of_the_group_is_its_stack_of_one(name):
     """The block-diagonal band couples no two members.
 
-    Every member solves as its own stack of one does (≤ 1e-15 relative:
-    BLAS may block the two bands differently), and a changed right-hand
-    side of one member leaves every other member's solution bitwise equal.
+    Every member solves as its row of the band does alone (≤ 1e-15
+    relative: BLAS may block the two bands differently), and a changed
+    right-hand side of one member leaves every other member's solution
+    bitwise equal.
     """
     workload, precision = MEMBER_CASES[name]
     operator = _preprocessed(build_problem(workload), precision)
-    operator.dual_rhs()  # builds the stacks
-    ((dofs, stack),) = operator._kplus_stacks
-    assert stack.band.dtype == operator.precision.storage_dtype
-    k, n = dofs.shape
+    (group,) = operator._groups
+    assert group.band.dtype == operator.precision.storage_dtype
+    k, n = group.dofs.shape
     rng = np.random.default_rng(7)
     rhs = rng.standard_normal((k, n))
-    x = stack.solve(rhs)
-    for i, sub in enumerate(operator.problem.subdomains):
-        alone = operator._cpu_solvers[sub.index].solve(rhs[i])
+    x = _solve(group, rhs)
+    perm = group.symbolic.perm
+    for i in range(k):
+        alone = solve_banded(perm, group.band[i : i + 1], rhs[i : i + 1])[0]
         assert np.abs(x[i] - alone).max() <= 1e-15 * np.abs(alone).max(), i
     changed = rhs.copy()
     changed[k // 2] = rng.standard_normal(n)
-    y = stack.solve(changed)
+    y = _solve(group, changed)
     others = np.arange(k) != k // 2
     assert np.array_equal(y[others], x[others])
     assert not np.array_equal(y[k // 2], x[k // 2])
 
 
 # --------------------------------------------------------------------- #
-# L is never resident twice: the stacks adopt the factorization's bands  #
+# L is never resident twice: the group holds the factorization's band    #
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("precision", PRECISION_NAMES)
-def test_stacking_repoints_the_factors_at_the_band(precision):
-    solvers, n = _factorized(4, precision=precision)
-    stack = SolverStack(solvers)
-    assert stack.band.dtype == solvers[0].precision.storage_dtype
-    for row, solver in zip(stack.band, solvers):
-        factor = solver._factor
-        assert np.shares_memory(row, factor.band)
-    assert sum(s.storage_nbytes() for s in solvers) == stack.band.nbytes
-    # Re-stacking the same factors (or a run of them) copies nothing.
-    for again in (SolverStack(solvers), SolverStack(solvers[1:3])):
-        assert np.shares_memory(again.band, stack.band)
-    # A non-consecutive selection has to copy — and stays correct.
-    picked = [solvers[2], solvers[0]]
-    b = np.random.default_rng(2).standard_normal((2, n))
-    reference = np.stack([s.solve(row) for s, row in zip(picked, b)])
-    x = SolverStack(picked).solve(b)
-    assert np.abs(x - reference).max() <= TOLERANCE * np.abs(reference).max()
+def test_rows_viewing_one_buffer_are_read_zero_copy():
+    """Consecutive rows of one buffer, even one no array owns, are one stack.
 
-
-def test_a_group_stack_takes_over_the_bands_of_stacks_of_one():
-    """Members solved alone first hold their own bands; the group copies them.
-
-    The copy re-points every member at its row and drops the members'
-    stacks of one, so the old bands are not kept alive beside the new one.
+    Any other selection is not (``None``): its caller has to copy.
     """
-    solvers, n = _factorized(3)
-    b = np.random.default_rng(4).standard_normal((3, n))
-    alone = [solvers[0].solve(b[0]), solvers[2].solve(b[2])]
-    old = solvers[0]._factor.band
-    stack = SolverStack(solvers)
-    assert not np.shares_memory(stack.band, old)
-    assert all(s._stack is None for s in solvers)
-    assert np.shares_memory(solvers[0]._stack_of_one().band, stack.band)
-    x = stack.solve(b)
-    assert np.abs(x[0] - alone[0]).max() <= 1e-15 * np.abs(alone[0]).max()
-    assert np.abs(x[2] - alone[1]).max() <= 1e-15 * np.abs(alone[1]).max()
-
-
-def test_bands_viewing_a_foreign_buffer_are_adopted_zero_copy():
-    """Factors whose bands view a buffer no array owns are stacked zero-copy."""
-    solvers, n = _factorized(3)
-    SolverStack(solvers)
-    rows = np.stack([s._factor.band for s in solvers])
-    band = np.frombuffer(bytearray(rows.tobytes()), dtype=float).reshape(rows.shape)
+    group, _ = _group(3)
+    band = np.frombuffer(bytearray(group.band.tobytes()), dtype=float).reshape(group.band.shape)
     assert not band.flags.owndata
-    for solver, row in zip(solvers, band):
-        solver.adopt_factor(CholeskyFactor(solver.symbolic, row))
-    stack = SolverStack(solvers)
-    assert np.shares_memory(stack.band, band)
-    b = np.random.default_rng(3).standard_normal((3, n))
-    reference = np.stack([s.solve(row) for s, row in zip(solvers, b)])
-    assert np.abs(stack.solve(b) - reference).max() <= 1e-13 * np.abs(reference).max()
+    for rows in (list(band), list(band[1:3]), [band[2]]):
+        stack = rows_as_stack(rows)
+        assert np.shares_memory(stack, band) and np.array_equal(stack, np.stack(rows))
+    assert rows_as_stack([band[2], band[0]]) is None
+    assert rows_as_stack([band[0], group.band[1]]) is None
 
 
 @pytest.mark.parametrize("execution", ["serial", "threads:2"])
@@ -301,19 +297,20 @@ def test_after_the_first_solve_the_factor_bytes_are_the_bands(execution):
     with Session(spec, memory_budget="unlimited") as session:
         solution = session.solve(w)
         operator = session.solver(w).operator
-        ((_, stack),) = operator._kplus_stacks
-        assert operator.storage_nbytes()["factor"] == stack.band.nbytes
+        (group,) = operator._groups
+        nbytes = group.band.nbytes
+        assert operator.storage_nbytes()["factor"] == nbytes
         operator.preprocess()  # before any solve of the round
-        assert operator._kplus_stacks is None or not operator._kplus_stacks
-        assert operator.storage_nbytes()["factor"] == stack.band.nbytes
+        assert operator.storage_nbytes()["factor"] == group.band.nbytes == nbytes
         _assert_matches_oracle(operator)
-        assert operator.storage_nbytes()["factor"] == stack.band.nbytes
+        assert operator.storage_nbytes()["factor"] == group.band.nbytes == nbytes
     u_ref, _ = build_problem(w).saddle_point_solution()
     assert np.allclose(np.concatenate(solution.primal), u_ref, atol=1e-7)
 
 
 def test_schur_assembly_reads_the_band_before_and_after_a_solve():
-    (solver,), n = _factorized(1)
+    _, (solver,) = _group(1)
+    n = solver.symbolic.n
     B = sp.csr_matrix(([1.0, -1.0], ([0, 1], [0, n - 1])), shape=(2, n))
     before = solver.schur_complement(B)
     solver.solve(np.ones(n))
@@ -323,7 +320,7 @@ def test_schur_assembly_reads_the_band_before_and_after_a_solve():
 
 
 # --------------------------------------------------------------------- #
-# Staleness: a stack never outlives the factors it was built from        #
+# Staleness: a solve never reads the factors of an earlier round         #
 # --------------------------------------------------------------------- #
 def _fresh_problem() -> FetiProblem:
     """A private problem (the update callback below rescales its matrices)."""
@@ -348,7 +345,7 @@ def test_stack_follows_a_rescaled_stiffness_across_steps(approach, name):
     problem = FRESH_PROBLEMS[name]()
     solver = FetiSolver(problem, SolverSpec(approach=approach))
     operator = solver.operator
-    dual_rhs, stacks = [], []
+    dual_rhs, bands = [], []
 
     def check_step():
         """The step just solved, against the matrices it was solved with."""
@@ -357,13 +354,12 @@ def test_stack_follows_a_rescaled_stiffness_across_steps(approach, name):
         assert np.abs(u - u_ref).max() <= 1e-6 * np.abs(u_ref).max()
         _assert_matches_oracle(operator)
         dual_rhs.append(operator.dual_rhs())
-        ((_, stack),) = operator._kplus_stacks
-        assert all(stack is not old for old in stacks)
-        assert all(not np.shares_memory(stack.band, old.band) for old in stacks)
-        stacks.append(stack)
+        (group,) = operator._groups
+        assert all(not np.shares_memory(group.band, old) for old in bands)
+        bands.append(group.band)
         # The band is this step's factors, nothing older.
-        for row, sub in zip(stack.band, problem.subdomains):
-            assert np.shares_memory(row, operator._cpu_solvers[sub.index]._factor.band)
+        for row, sub in zip(group.band, problem.subdomains):
+            assert np.array_equal(row, numeric_cholesky(sub.K_reg, group.symbolic).band)
 
     def update(step, problem):
         if step:
@@ -405,7 +401,7 @@ def test_band_is_built_once_per_pattern_group_per_preprocessing(monkeypatch):
     with Session(spec, memory_budget="unlimited") as session:
         assert session.solve(w).converged
         operator = session.solver(w).operator
-        groups = len({id(s.symbolic) for s in operator._cpu_solvers.values()})
+        groups = len(operator._groups)
         assert builds == groups == 1  # one pattern across both clusters
         for _ in range(3):
             assert session.solve(w).converged  # warm: no preprocessing
@@ -417,12 +413,20 @@ def test_band_is_built_once_per_pattern_group_per_preprocessing(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["heat2d-8x8x8", "heat2d-4x4x8"])
-def test_a_serial_round_stacks_a_group_across_clusters_zero_copy(name):
-    """The ``K⁺`` stack of a serial round is its group's one band, not a copy.
+def test_a_serial_round_stacks_a_group_across_clusters_zero_copy(monkeypatch, name):
+    """A serial round's group keeps the one band its factorization returned.
 
     The round factors every cluster's members of a pattern group in one
-    stack, so the stack adopts that band as it is, whatever the clusters.
+    stack, and the ``K⁺`` solves read that band as it is.
     """
+    returned = []
+    factor = preprocess.stacked_cholesky
+
+    def recorded(*args, **kwargs):
+        returned.append(factor(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(preprocess, "stacked_cholesky", recorded)
     operator = make_dual_operator(
         DualOperatorApproach.IMPLICIT_MKL,
         build_problem(WORKLOADS[name]),
@@ -431,15 +435,11 @@ def test_a_serial_round_stacks_a_group_across_clusters_zero_copy(name):
     )
     operator.preprocess()
     assert len({sub.cluster for sub in operator.problem.subdomains}) > 1
-    solvers = [operator._cpu_solvers[sub.index] for sub in operator.problem.subdomains]
-    factors = [solver._factor for solver in solvers]
-    band, new = _band_stack(factors)
-    assert not new
-    assert all(np.shares_memory(band, factor.band) for factor in factors)
-    operator.dual_rhs()  # builds the stacks
-    ((_, stack),) = operator._kplus_stacks
-    assert all(np.shares_memory(stack.band, factor.band) for factor in factors)
-    assert all(solver._factor is factor for solver, factor in zip(solvers, factors))
+    (group,) = operator._groups
+    (band,) = returned
+    assert group.band is band and len(group) == operator.problem.n_subdomains
+    operator.dual_rhs()
+    assert group.band is band
 
 
 def test_no_stack_without_a_factorization():
@@ -467,9 +467,9 @@ def test_stack_survives_budget_pressure(monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# Budget: two BLAS calls per stack, whatever its size                    #
+# Budget: two BLAS calls per group, whatever its size                    #
 # --------------------------------------------------------------------- #
-def _counted_sweep(stack: SolverStack, rhs: np.ndarray, monkeypatch) -> tuple[int, int]:
+def _counted_sweep(group: PatternGroup, rhs: np.ndarray, monkeypatch) -> tuple[int, int]:
     """``(BLAS calls, interpreted line events in the kernel)`` of one sweep."""
     calls = 0
     dtbsv = triangular.dtbsv
@@ -496,7 +496,7 @@ def _counted_sweep(stack: SolverStack, rhs: np.ndarray, monkeypatch) -> tuple[in
         previous = sys.gettrace()
         sys.settrace(global_trace)
         try:
-            stack.solve(rhs)
+            _solve(group, rhs)
         finally:
             sys.settrace(previous)
     return calls, events
@@ -505,8 +505,8 @@ def _counted_sweep(stack: SolverStack, rhs: np.ndarray, monkeypatch) -> tuple[in
 def test_a_sweep_is_two_blas_calls_whatever_the_stack(monkeypatch):
     counts = {}
     for k in (1, 16, 64):
-        solvers, n = _factorized(k, scale=lambda i: 1.0 + 0.01 * i)
-        counts[k] = _counted_sweep(SolverStack(solvers), np.ones((k, n)), monkeypatch)
+        group, _ = _group(k, scale=lambda i: 1.0 + 0.01 * i)
+        counts[k] = _counted_sweep(group, np.ones((k, group.symbolic.n)), monkeypatch)
     assert counts[1] == counts[16] == counts[64]
     calls, events = counts[64]
     assert calls == 2

@@ -61,6 +61,7 @@ def test_band_solves_match_dense_triangular_solves(physics, dim, precision):
     K = fem_stiffness(physics, dim)
     solver = SparseSolver(pattern_cache=PatternCache(), precision=precision)
     factor = solver.factorize(K)
+    band = factor.band
     L_before = factor.to_csc()
     L = L_before.toarray().astype(float)  # the stored (fp32) values, up-cast
     perm = solver.symbolic.perm
@@ -70,7 +71,7 @@ def test_band_solves_match_dense_triangular_solves(physics, dim, precision):
     assert _close(solver.solve(b), _dense_solve(L, perm, b))
     # The solves read the factor's band where it is, at its storage dtype.
     assert factor.band.dtype == solver.precision.storage_dtype
-    assert np.shares_memory(solver._stack_of_one().band, factor.band)
+    assert solver._factor is factor and solver._factor.band is band  # never re-pointed
     assert np.array_equal(factor.to_csc().data, L_before.data)
     assert np.array_equal(factor.diagonal(), L_before.diagonal())
 
