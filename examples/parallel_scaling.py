@@ -1,14 +1,13 @@
-"""Parallel runtime: split the preprocessing across workers and serve a queue.
+"""Parallel runtime: split the preprocessing across workers and serve requests.
 
 The :mod:`repro.runtime` subsystem adds host-side parallelism on top of the
 simulated machine: a :class:`~repro.api.SolverSpec` declares an ``execution``
-backend (``serial`` | ``threads``) and a worker count, the
-session cuts every FETI preprocessing into one contiguous span of its
-pattern groups' members per worker, and a :class:`~repro.runtime.SolveQueue`
-schedules many concurrent solve requests against one session.  The solve
-phase is not split: the
-dual-operator apply is one batched GEMV in the caller's process on every
-backend.
+backend (``serial`` | ``threads``) and a worker count, and the session cuts
+every FETI preprocessing into one contiguous span of its pattern groups'
+members per worker.  The solve phase is not split: the dual-operator apply
+is one batched GEMV in the caller's process on every backend, and
+concurrent requests (:meth:`~repro.api.Session.solve_request`) run on
+their callers' threads against one shared session.
 
 This script drives the two parallel layers and the block-solve path
 between them:
@@ -19,9 +18,9 @@ between them:
 2. a multi-RHS block solve via :meth:`Session.solve_many` — one stacked
    PCPG iteration answering many load cases at once, serially (the data
    behind the ``BENCH_apply_phase.json`` baseline), and
-3. a burst of queued solve requests — the "many users" serving path, where
-   the :class:`~repro.runtime.SolveQueue` answers every request with its
-   own scalar solve.
+3. a burst of concurrent solve requests — the "many users" serving path,
+   where :meth:`~repro.api.Session.solve_request` answers every request
+   with its own scalar solve.
 
 Run with:  python examples/parallel_scaling.py
 """
@@ -29,6 +28,7 @@ Run with:  python examples/parallel_scaling.py
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -111,21 +111,21 @@ def block_solve_many_load_cases() -> None:
 
 
 def serve_a_request_burst() -> None:
-    """The SolveQueue: many (workload, spec, rhs) requests, one session.
+    """Many (workload, spec, rhs) requests from caller threads, one session.
 
     Same-workload requests serialize on the session's workload lock and
     each runs its own scalar solve, so an answer never depends on what
     else was in flight: it is bitwise the answer of the same request alone.
     """
-    print("\nconcurrent solve queue (8 requests, 2 workers):")
+    print("\nconcurrent solve requests (8 requests, 2 caller threads):")
     with Session(SolverSpec(approach="expl mkl", execution="threads:2")) as session:
-        queue = session.queue()
         # Eight "users": the same model under different load scalings.
-        tickets = [
-            queue.submit(WORKLOAD, rhs=1.0 + 0.25 * k) for k in range(8)
-        ]
-        results = [t.result() for t in tickets]
-        alone = queue.submit(WORKLOAD, rhs=1.75).result()
+        scales = [1.0 + 0.25 * k for k in range(8)]
+        with ThreadPoolExecutor(max_workers=2) as users:
+            results = list(
+                users.map(lambda scale: session.solve_request(WORKLOAD, rhs=scale), scales)
+            )
+        alone = session.solve_request(WORKLOAD, rhs=1.75)
     reference = np.linalg.norm(results[0].lam)
     for k, result in enumerate(results):
         scale = 1.0 + 0.25 * k

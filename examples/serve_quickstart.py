@@ -1,6 +1,6 @@
 """Serving quickstart: boot the solve service, drive it, read its metrics.
 
-The serve layer exposes the Session/SolveQueue stack over HTTP/JSON:
+The serve layer exposes ``Session.solve_request`` over HTTP/JSON:
 
 1. a :class:`~repro.serve.server.SolveServer` (here on a background thread
    via :class:`~repro.serve.server.ServerThread`; in production use the

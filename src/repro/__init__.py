@@ -46,7 +46,6 @@ _LAZY_EXPORTS: dict[str, str] = {
     "PreconditionerKind": "repro.feti.preconditioner",
     # The parallel runtime (PR 5).
     "ExecutionSpec": "repro.runtime.executor",
-    "SolveQueue": "repro.runtime.queue",
     # Engine-level types.
     "AssemblyConfig": "repro.feti.config",
     "CudaLibraryVersion": "repro.feti.config",

@@ -54,6 +54,7 @@ _LAZY_EXPORTS: dict[str, str] = {
     "SpecError": "repro.api.spec",
     "assembly_config": "repro.api.spec",
     "solver_presets": "repro.api.spec",
+    "RequestSolution": "repro.api.session",
     "RunResult": "repro.api.session",
     "Session": "repro.api.session",
 }

@@ -19,15 +19,17 @@ Typical use::
 
     session = Session(SolverSpec(approach="expl modern", assembly="table2"))
     solution = session.solve(Workload("heat", 2, (4, 4), 8))
+    answer = session.solve_request("heat-2d-quick", rhs=2.0)   # one request
     result = session.run("elasticity-2d-multistep")   # Algorithm 2
     print(session.cache_stats())
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -48,7 +50,7 @@ from repro.sparse.cache import PatternCache
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.queue import SolveQueue
 
-__all__ = ["Session", "RunResult"]
+__all__ = ["Session", "RunResult", "RequestSolution"]
 
 
 @dataclass
@@ -70,6 +72,34 @@ class RunResult:
     def converged(self) -> bool:
         """Whether every step converged."""
         return all(r.converged for r in self.records)
+
+
+@dataclass
+class RequestSolution:
+    """The picklable answer of one :meth:`Session.solve_request`."""
+
+    lam: np.ndarray
+    alpha: np.ndarray
+    primal: list[np.ndarray]
+    iterations: int
+    converged: bool
+    preprocessing_seconds: float
+    dual_apply_seconds: float
+    #: Wall seconds of the coarse-problem work of this solve.
+    coarse_seconds: float = 0.0
+
+    @classmethod
+    def from_solution(cls, solution: FetiSolution) -> "RequestSolution":
+        return cls(
+            lam=solution.lam,
+            alpha=solution.alpha,
+            primal=list(solution.primal),
+            iterations=solution.iterations,
+            converged=solution.converged,
+            preprocessing_seconds=solution.preprocessing.simulated_seconds,
+            dual_apply_seconds=solution.dual_apply_seconds,
+            coarse_seconds=solution.coarse_seconds,
+        )
 
 
 class Session:
@@ -109,7 +139,7 @@ class Session:
         self.pattern_cache = pattern_cache if pattern_cache is not None else PatternCache()
         if memory_budget is None:
             memory_budget = os.environ.get("REPRO_MEMORY_BUDGET")
-        #: The session's counters; its tier and its queues count into it too.
+        #: The session's counters; its tier counts into it too.
         #: They are named for the ``/v1/metrics/prometheus`` family they sum
         #: into across a serve tier's session pool.
         self.metrics = MetricsRegistry()
@@ -128,16 +158,14 @@ class Session:
         self._base_loads: dict[Workload, list[np.ndarray]] = {}
         self._solvers: dict[tuple[Workload, SolverSpec], FetiSolver] = {}
         #: Re-entrant lock guarding every session cache, so the ``threads``
-        #: execution backend (and :class:`~repro.runtime.queue.SolveQueue`
-        #: traffic) can share one session without corrupting the problem /
-        #: solver maps.
+        #: execution backend (and concurrent request threads) can share one
+        #: session without corrupting the problem / solver maps.
         self._cache_lock = threading.RLock()
         #: Per-workload execution locks: a workload's problem (its load
         #: vectors) and its prepared solvers are stateful, so concurrent
-        #: solves of one workload — from any number of queues or direct
-        #: ``solve`` calls — must serialize, while different workloads
-        #: overlap.  Owned by the session (not a queue) so every consumer
-        #: shares one lock per workload.
+        #: solves of one workload — requests or direct ``solve`` calls from
+        #: any number of threads — must serialize, while different
+        #: workloads overlap.
         self._workload_locks: dict[Workload, threading.RLock] = {}
         #: Runtime executors owned by this session, one per execution spec;
         #: created on demand, closed by :meth:`close`.
@@ -170,7 +198,7 @@ class Session:
 
         Re-entrant, created on demand; every in-process consumer that runs
         a solve or mutates a workload's loads holds it, so concurrent
-        queues and direct ``solve`` calls can never interleave on one
+        requests and direct ``solve`` calls can never interleave on one
         workload's shared state.
         """
         w = self.resolve_workload(workload)
@@ -206,16 +234,12 @@ class Session:
         """The executor of the session's default spec."""
         return self.executor_for(None)
 
-    def queue(self, spec: SolverSpec | str | None = None) -> "SolveQueue":
-        """A :class:`~repro.runtime.queue.SolveQueue` over this session.
-
-        The queue schedules many ``(workload, spec, rhs)`` requests across
-        the executor of ``spec`` (the session default when omitted) — the
-        concurrent "many users" serving path.
-        """
+    def queue(self) -> "SolveQueue":
+        """The synchronous :class:`~repro.runtime.queue.SolveQueue` facade
+        over :meth:`solve_request`."""
         from repro.runtime.queue import SolveQueue
 
-        return SolveQueue(self, executor=self.executor_for(spec))
+        return SolveQueue(self)
 
     def close(self) -> None:
         """Shut down the session's worker pools (idempotent).
@@ -374,6 +398,60 @@ class Session:
                 self._solves.inc()
                 self._record_usage((w, s), solver)
                 return solution
+
+    def solve_request(
+        self,
+        workload: Workload | str | Mapping[str, Any],
+        spec: SolverSpec | str | None = None,
+        rhs: Any = None,
+    ) -> RequestSolution:
+        """Solve one ``(workload, spec, rhs)`` request — the serving path.
+
+        ``rhs`` is ``None`` (the declared loads), a finite scalar load
+        factor, or one load vector per subdomain (a sequence or a stacked
+        array).  A malformed ``rhs`` raises ``TypeError`` / ``ValueError``
+        before the workload lock is taken.  The loads are swapped in under
+        that lock and the pristine ones restored after the solve, whatever
+        its outcome, so a request never leaks state into the next one and
+        its answer is bitwise :meth:`solve` at the same loads.
+        """
+        w = self.resolve_workload(workload)
+        s = self.resolve_spec(spec)
+        loads = self._request_loads(w, rhs)
+        if loads is None:
+            return RequestSolution.from_solution(self.solve(w, s))
+        problem = self.problem(w)
+        with self.workload_lock(w):
+            try:
+                for sub, f in zip(problem.subdomains, loads):
+                    sub.f = f
+                return RequestSolution.from_solution(self.solve(w, s))
+            finally:
+                for sub, f in zip(problem.subdomains, self._base_loads[w]):
+                    sub.f = f.copy()
+
+    def _request_loads(self, w: Workload, rhs: Any) -> list[np.ndarray] | None:
+        """The checked loads a request's ``rhs`` stands for (``None``: declared)."""
+        if rhs is None:
+            return None
+        if isinstance(rhs, (int, float, np.integer, np.floating)) or (
+            isinstance(rhs, np.ndarray) and rhs.ndim == 0
+        ):
+            factor = float(rhs)
+            if not math.isfinite(factor):
+                raise ValueError(f"the rhs load factor must be finite, got {factor!r}")
+            return [factor * f for f in self.base_loads(w)]
+        if isinstance(rhs, np.ndarray) or (
+            isinstance(rhs, Sequence) and not isinstance(rhs, (str, bytes))
+        ):
+            # One copy per vector: the problem never aliases the caller's arrays.
+            loads = [np.array(f, dtype=float) for f in rhs]
+            self.problem(w).check_loads(loads)
+            return loads
+        raise TypeError(
+            "rhs must be None, a scalar load factor, or a sequence of "
+            f"per-subdomain load vectors, got {type(rhs).__name__}"
+        )
 
     def solve_many(
         self,

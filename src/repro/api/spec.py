@@ -148,8 +148,7 @@ class SolverSpec:
         :class:`AssemblyConfig`, or a dict of its fields.  Only valid for
         approaches that assemble ``F̃ᵢ`` on the GPU.
     execution:
-        The runtime backend the preprocessing spans and queued solves run
-        on: an :class:`~repro.runtime.executor.ExecutionSpec`, a backend
+        The runtime backend the preprocessing spans run on: an :class:`~repro.runtime.executor.ExecutionSpec`, a backend
         string (``"threads"``, ``"threads:4"``), a ``{"backend", "workers"}``
         dict, or ``None`` for the process-wide default (``REPRO_EXECUTOR`` /
         ``REPRO_WORKERS``, serial when unset).

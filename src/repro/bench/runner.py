@@ -30,8 +30,9 @@ import os
 import platform
 import re
 import subprocess
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -315,17 +316,25 @@ def _measure_unit(
 ) -> list[dict[str, Any]]:
     """Measure one unit, under a wall-clock budget when ``timeout`` is set.
 
-    The budgeted measurement runs on a watchdog thread, in a copy of the
-    caller's context (a traced run attributes its spans like an untimed
-    one), so the caller can give up after ``timeout`` seconds.  The
-    abandoned measurement (and any pool or server it started) is left to
-    the interpreter's cleanup — the point of the budget is to fail the CI
-    job fast, not to recover.
+    The budgeted measurement runs on a daemon watchdog thread, in a copy
+    of the caller's context (a traced run attributes its spans like an
+    untimed one), so the caller can give up after ``timeout`` seconds.  The
+    abandoned measurement (and any pool or server it started) is left
+    behind, and being a daemon it never holds up the interpreter's exit —
+    the point of the budget is to fail the CI job fast, not to recover.
     """
     if timeout is None:
         return scenario.measure(unit)
-    watchdog = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bench-watchdog")
-    future = watchdog.submit(contextvars.copy_context().run, scenario.measure, unit)
+    future: Future = Future()
+    context = contextvars.copy_context()
+
+    def measure() -> None:
+        try:
+            future.set_result(context.run(scenario.measure, unit))
+        except BaseException as exc:  # noqa: BLE001 - mirrored into the future
+            future.set_exception(exc)
+
+    threading.Thread(target=measure, name="bench-watchdog", daemon=True).start()
     try:
         return future.result(timeout=timeout)
     except FutureTimeout:
@@ -333,9 +342,6 @@ def _measure_unit(
             f"unit {name} exceeded the per-unit timeout of "
             f"{timeout:g} s (hung worker?)"
         ) from None
-    finally:
-        # wait=False: never block on a wedged measurement thread.
-        watchdog.shutdown(wait=False)
 
 
 def _check_expected(scenario: Scenario) -> None:

@@ -402,8 +402,8 @@ class FetiProblem:
         return np.matmul(self.kernel_stack.transpose(0, 2, 1), f).ravel()
 
     def check_loads(self, loads: list[np.ndarray]) -> None:
-        """Raise ``ValueError`` unless ``loads`` are one load vector per
-        subdomain, each of that subdomain's shape."""
+        """Raise ``ValueError`` unless ``loads`` are one finite load vector
+        per subdomain, each of that subdomain's shape."""
         if len(loads) != len(self.subdomains):
             raise ValueError(
                 f"got {len(loads)} load vectors but the problem has "
@@ -414,6 +414,10 @@ class FetiProblem:
                 raise ValueError(
                     f"the load vector of subdomain {sub.index} has shape "
                     f"{np.shape(f)}, expected {sub.f.shape}"
+                )
+            if not np.isfinite(f).all():
+                raise ValueError(
+                    f"the load vector of subdomain {sub.index} holds non-finite entries"
                 )
 
     # ------------------------------------------------------------------ #

@@ -2,9 +2,8 @@
 
 Every counter of the package is one metric of a :class:`MetricsRegistry`,
 incremented where its event happens: a ``Session`` owns one (its solves and
-stacked solves, its ``FactorTier``'s releases, its ``SolveQueue``'s
-requests), and so do the serve tier's ``SolveServer``, ``SessionPool`` and
-``ResultCache``.  A metric's name is its Prometheus family, e.g.
+stacked solves, its ``FactorTier``'s releases), and so do the serve tier's
+``SolveServer``, ``SessionPool`` and ``ResultCache``.  A metric's name is its Prometheus family, e.g.
 ``repro_tier_releases_total``.
 
 Views read registries and keep no copies:
@@ -20,8 +19,8 @@ Views read registries and keep no copies:
 Folds happen only when a view is read; producers do O(1) increments.
 
 Thread-safety: every mutation takes the owning metric's registry lock, so
-concurrent publishers (serve worker threads, the queue's request pool)
-never lose increments.  No external dependencies — the exposition format
+concurrent publishers (serve worker threads, request threads of one
+session) never lose increments.  No external dependencies — the exposition format
 is written by hand against the Prometheus text format v0.0.4.
 """
 

@@ -1,11 +1,11 @@
-"""repro.runtime — host-side parallel preprocessing and request serving.
+"""repro.runtime — host-side parallel preprocessing.
 
-The executors run two things in parallel: the FETI preprocessing (factor
-and assemble ``F̃ᵢ`` per span of the pattern groups) and the requests of a :class:`SolveQueue`.
-The dual-operator apply is not among them: on every executor it runs over
-the stored ``F̃ᵢ`` in the caller's process
-(:class:`repro.feti.operators.batch.BatchedDenseApply`).  The runtime is
-organized as three pieces:
+The executors run the FETI preprocessing in parallel (factor and assemble
+``F̃ᵢ`` per span of the pattern groups).  The dual-operator apply is not
+split: on every executor it runs over the stored ``F̃ᵢ`` in the
+caller's process (:class:`repro.feti.operators.batch.BatchedDenseApply`),
+and requests (:meth:`repro.api.Session.solve_request`) run on their
+callers' threads.  The runtime is organized as three pieces:
 
 :mod:`repro.runtime.executor`
     :class:`ExecutionSpec` (the declarative ``backend`` + ``workers``
@@ -20,9 +20,9 @@ organized as three pieces:
     group-ordered members run in one span per worker, as futures on the
     caller's solvers (one span, inline, under ``serial``).
 :mod:`repro.runtime.queue`
-    :class:`SolveQueue`: the concurrent serving path — many ``(workload,
-    spec, rhs)`` requests against one :class:`repro.api.Session`, scheduled
-    across the executor.
+    :class:`SolveQueue`: a synchronous facade over
+    :meth:`~repro.api.Session.solve_request`, kept for one benchmark
+    harness.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ _LAZY_EXPORTS: dict[str, str] = {
     "default_execution": "repro.runtime.executor",
     "shared_executor": "repro.runtime.executor",
     "run_preprocessing": "repro.runtime.preprocess",
-    "QueueSolution": "repro.runtime.queue",
     "SolveQueue": "repro.runtime.queue",
-    "SolveTicket": "repro.runtime.queue",
 }
 
 __all__ = sorted(_LAZY_EXPORTS)

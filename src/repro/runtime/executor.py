@@ -1,8 +1,7 @@
 """Execution backends of the parallel runtime.
 
 An :class:`Executor` runs *tasks* — the preprocessing's spans of pattern
-groups (:mod:`repro.runtime.preprocess`) and a :class:`~repro.runtime.queue.
-SolveQueue`'s requests — on one of two backends:
+groups (:mod:`repro.runtime.preprocess`) — on one of two backends:
 
 ``serial``
     Run inline in the calling thread.  The reference backend: no pools.
@@ -238,10 +237,10 @@ class ThreadExecutor(Executor):
     """Thread-pool execution over the parent's objects.
 
     Submissions *from one of the pool's own workers* run inline instead of
-    being enqueued: a task that blocks on nested futures (a queued solve
-    waiting on its preprocessing spans) would otherwise starve itself when
-    every worker is occupied by a blocking parent — the classic bounded-pool
-    self-deadlock.
+    being enqueued: a task that blocks on nested futures (a solve submitted
+    to the pool, waiting on its preprocessing spans) would otherwise starve
+    itself when every worker is occupied by a blocking parent — the classic
+    bounded-pool self-deadlock.
     """
 
     def __init__(self, spec: ExecutionSpec) -> None:

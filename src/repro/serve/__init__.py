@@ -1,7 +1,7 @@
 """repro.serve — the solver-as-a-service HTTP layer.
 
-A stdlib-only asyncio HTTP/JSON front over :class:`repro.api.Session` and
-:class:`repro.runtime.queue.SolveQueue`:
+A stdlib-only asyncio HTTP/JSON front over
+:meth:`repro.api.Session.solve_request`:
 
 - :mod:`repro.serve.protocol` — the wire envelope (reusing the api layer's
   ``to_dict`` schemas), pattern keys and request fingerprints;

@@ -63,8 +63,8 @@ class ServeClient:
         """``POST /v1/solve``; returns the response payload.
 
         ``workload``/``spec`` accept api objects, preset names or already
-        serialized dicts; ``rhs`` follows the queue convention (``None``,
-        scalar factor, or per-subdomain load vectors).
+        serialized dicts; ``rhs`` follows the ``Session.solve_request``
+        convention (``None``, scalar factor, or per-subdomain load vectors).
         """
         envelope: dict[str, Any] = {
             "schema_version": SCHEMA_VERSION,

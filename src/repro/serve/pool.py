@@ -5,28 +5,25 @@ grids, element order, clusters and Dirichlet faces — see
 :func:`repro.serve.protocol.pattern_key`) are routed to one pooled session,
 so they share its :class:`~repro.sparse.cache.PatternCache`, built problems
 and prepared solvers: N same-pattern requests pay for exactly one symbolic
-analysis.  Each pooled session also carries one
-:class:`~repro.runtime.queue.SolveQueue`, the error-isolated execution path
-every request runs through.
+analysis.  The serve tier runs every request as
+:meth:`~repro.api.Session.solve_request` of its pattern's session.
 
-The pool is a bounded LRU: evicting a pattern closes its session's worker
-pools.  Entries are created under the pool lock but solved *outside* it, so
-slow solves on one pattern never block admission of another.
+The pool is a bounded LRU: evicting a pattern closes its session.
+Sessions are created under the pool lock but solved *outside* it, so slow
+solves on one pattern never block admission of another.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any
 
 from repro.api import Session, SolverSpec, Workload
 from repro.observe.metrics import MetricsRegistry
-from repro.runtime.queue import SolveQueue
 from repro.serve.protocol import pattern_key
 
-__all__ = ["SessionPool", "PoolEntry"]
+__all__ = ["SessionPool"]
 
 #: Pool gauge family -> the ``cache_stats()`` key it sums over live sessions.
 _LIVE_SUMS = {
@@ -35,24 +32,6 @@ _LIVE_SUMS = {
     "repro_pool_coarse_seconds": "coarse_seconds",
     "repro_tier_resident_bytes": "resident_bytes",
 }
-
-
-@dataclass
-class PoolEntry:
-    """One pooled pattern: its session and solve queue."""
-
-    key: tuple
-    session: Session
-    queue: SolveQueue
-
-    def solve(self, workload: Workload, spec: SolverSpec | None, rhs: Any):
-        """Run one request through the entry's queue (blocking).
-
-        Submission is thread-safe: the serve tier's concurrent handler
-        threads serialize on the workload's session lock.
-        """
-        ticket = self.queue.submit(workload, spec, rhs)
-        return ticket.result()
 
 
 class SessionPool:
@@ -87,7 +66,7 @@ class SessionPool:
             base = SolverSpec.from_dict(payload)
         self.spec = base
         self.max_sessions = max_sessions
-        self._entries: OrderedDict[tuple, PoolEntry] = OrderedDict()
+        self._sessions: OrderedDict[tuple, Session] = OrderedDict()
         self._lock = threading.Lock()
         self.metrics = MetricsRegistry()
         self._evictions = self.metrics.counter(
@@ -96,36 +75,35 @@ class SessionPool:
         #: The counters of every evicted session, folded at eviction.
         self._retired = MetricsRegistry()
 
-    def entry_for(self, workload: Workload) -> PoolEntry:
-        """The pooled entry serving a workload's pattern (created on miss)."""
+    def session_for(self, workload: Workload) -> Session:
+        """The pooled session serving a workload's pattern (created on miss).
+
+        Its :meth:`~repro.api.Session.solve_request` is thread-safe: the
+        serve tier's concurrent handler threads serialize on the
+        workload's session lock.
+        """
         key = pattern_key(workload)
-        evicted: PoolEntry | None = None
+        evicted: Session | None = None
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                session = Session(self.spec)
-                entry = PoolEntry(key=key, session=session, queue=session.queue())
-                self._entries[key] = entry
-                if len(self._entries) > self.max_sessions:
-                    _, evicted = self._entries.popitem(last=False)
+            session = self._sessions.get(key)
+            if session is None:
+                session = self._sessions[key] = Session(self.spec)
+                if len(self._sessions) > self.max_sessions:
+                    _, evicted = self._sessions.popitem(last=False)
                     self._evictions.inc()
-                    self._retired = MetricsRegistry.fold(
-                        [self._retired, evicted.session.metrics]
-                    )
-            self._entries.move_to_end(key)
+                    self._retired = MetricsRegistry.fold([self._retired, evicted.metrics])
+            self._sessions.move_to_end(key)
         if evicted is not None:
-            evicted.queue.close()
-            evicted.session.close()
-        return entry
+            evicted.close()
+        return session
 
     def close(self) -> None:
         """Close every pooled session (idempotent)."""
         with self._lock:
-            entries = list(self._entries.values())
-            self._entries.clear()
-        for entry in entries:
-            entry.queue.close()
-            entry.session.close()
+            sessions = list(self._sessions.values())
+            self._sessions.clear()
+        for session in sessions:
+            session.close()
 
     def __enter__(self) -> "SessionPool":
         return self
@@ -135,7 +113,7 @@ class SessionPool:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._sessions)
 
     def _fold(self) -> tuple[MetricsRegistry, list[dict[str, Any]]]:
         """The pool's registry view and its per-pattern rows.
@@ -145,19 +123,18 @@ class SessionPool:
         Gauges are point-in-time sums of the live sessions' ``cache_stats()``.
         """
         with self._lock:
-            entries = list(self._entries.values())
+            sessions = list(self._sessions.items())
             view = MetricsRegistry.fold(
-                [self.metrics, self._retired, *(e.session.metrics for e in entries)]
+                [self.metrics, self._retired, *(s.metrics for _, s in sessions)]
             )
         rows = [
             {
-                "pattern": list(e.key[:2]) + [list(e.key[2]), *e.key[3:6], list(e.key[6])],
-                **e.session.cache_stats(),
-                **e.session.metrics.values("repro_queue_"),
+                "pattern": list(key[:2]) + [list(key[2]), *key[3:6], list(key[6])],
+                **session.cache_stats(),
             }
-            for e in entries
+            for key, session in sessions
         ]
-        view.gauge("repro_pool_sessions", "Pooled sessions").set(len(entries))
+        view.gauge("repro_pool_sessions", "Pooled sessions").set(len(sessions))
         view.gauge("repro_pool_max_sessions", "Session-pool capacity").set(self.max_sessions)
         for family, key in _LIVE_SUMS.items():
             view.gauge(family, f"Sum of {key} over the pooled sessions").set(
@@ -166,8 +143,8 @@ class SessionPool:
         return view, rows
 
     def view(self) -> MetricsRegistry:
-        """The ``repro_pool_*`` / ``repro_tier_*`` / ``repro_queue_*``
-        families of ``GET /v1/metrics/prometheus``."""
+        """The ``repro_pool_*`` / ``repro_tier_*`` families of
+        ``GET /v1/metrics/prometheus``."""
         return self._fold()[0]
 
     def stats(self) -> dict[str, Any]:

@@ -16,7 +16,7 @@ serializations of :class:`repro.api.Workload` and
 
 ``workload`` may also be a registered preset name, ``spec`` a spec preset
 name or absent (server default), and ``rhs`` follows the
-:class:`~repro.runtime.queue.SolveQueue` convention — absent/null (declared
+:meth:`~repro.api.Session.solve_request` convention — absent/null (declared
 loads), a scalar load factor, or a list of per-subdomain load vectors.
 
 The module is transport-free: it parses/validates envelopes, computes the
@@ -31,12 +31,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.api import SCHEMA_VERSION, ApiError, SolverSpec, Workload, check_schema_version
-from repro.runtime.queue import QueueSolution
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api import RequestSolution
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -71,11 +73,10 @@ class SolveRequest:
 
 
 def _normalize_wire_rhs(rhs: Any) -> float | list | None:
-    """The ``rhs`` field as the queue takes it; every number must be finite.
+    """The ``rhs`` field as ``solve_request`` takes it; every number must be finite.
 
     Python's ``json`` accepts ``NaN`` and ``Infinity``: a non-finite load
-    would only fail after a solve had run to its iteration cap, so it is a
-    400 here instead.
+    is a 400 here, before the request reaches (or builds) a pooled session.
     """
     if rhs is None:
         return None
@@ -224,7 +225,7 @@ def request_fingerprint(
 # Response payloads                                                      #
 # --------------------------------------------------------------------- #
 def solution_payload(
-    solution: QueueSolution,
+    solution: RequestSolution,
     *,
     solve_seconds: float,
     cached: bool,

@@ -7,8 +7,8 @@ solves: past ``queue_limit`` the service answers ``429`` with a
 ``Retry-After`` header instead of queueing unboundedly.  A per-request
 timeout maps to ``504``; the timed-out worker thread finishes (or fails) in
 the background under the session's per-workload locks, so an abandoned
-request can never poison the shared :class:`~repro.runtime.queue.SolveQueue`
-or its session.
+request can never poison its pooled session.  A worker runs one request as
+:meth:`~repro.api.Session.solve_request` of the pattern's pooled session.
 
 Endpoints
 ---------
@@ -25,8 +25,8 @@ Endpoints
 ``GET /v1/metrics/prometheus``
     The same registries in Prometheus text exposition format (version
     0.0.4): the server's ``repro_serve_*`` families, the session pool's
-    ``repro_pool_*`` / ``repro_tier_*`` / ``repro_queue_*`` and the result
-    cache's ``repro_result_cache_*``.
+    ``repro_pool_*`` / ``repro_tier_*`` and the result cache's
+    ``repro_result_cache_*``.
 
 Every response carries an ``X-Repro-Request-Id`` header (echoed from the
 request header of the same name when present and well-formed, generated
@@ -434,14 +434,14 @@ class SolveServer:
                 429,
             )
 
-        entry = self.pool.entry_for(request.workload)
+        session = self.pool.session_for(request.workload)
         loop = asyncio.get_running_loop()
         # Carry the active trace context (if any) into the worker thread so
         # the solve's spans nest under this request's "serve.request" span.
-        solve = entry.solve
+        solve = session.solve_request
         state = capture_context()
         if state is not None:
-            solve = partial(run_with_context, state, entry.solve)
+            solve = partial(run_with_context, state, session.solve_request)
         future = loop.run_in_executor(
             self._executor, solve, request.workload, spec, request.rhs
         )

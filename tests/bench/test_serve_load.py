@@ -40,7 +40,6 @@ def test_record_has_cold_and_warm_points(result):
 def test_warm_pass_is_measurably_faster_than_cold(result):
     cold, warm = result.record["points"]
     assert warm["wall"]["p50_seconds"] < cold["wall"]["p50_seconds"]
-    assert result.record["derived"]["serve_warm_speedup[p50]"] > 1.0
 
 
 def test_simulated_metrics_are_identical_across_passes(result):

@@ -181,8 +181,7 @@ def test_solve_many_is_within_1e9_of_sequential(workload):
     with Session(SolverSpec(approach="expl mkl")) as session:
         loads = _scaled_loads(session, workload, [1.0, 1.5, 0.25])
         many = session.solve_many(workload, loads)
-        queue = session.queue()
-        sequential = [queue.submit(workload, rhs=s).result() for s in (1.0, 1.5, 0.25)]
+        sequential = [session.solve_request(workload, rhs=s) for s in (1.0, 1.5, 0.25)]
     _assert_close_to_sequential(many, sequential)
 
 

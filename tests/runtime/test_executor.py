@@ -131,9 +131,9 @@ def _raise():
 def test_thread_executor_reentrant_submit_runs_inline():
     """A pool worker submitting to its own pool must not starve itself.
 
-    This is how a queued solve's nested preprocessing spans stay safe even
-    when requests and spans share one executor: re-entrant submissions run
-    inline instead of queueing behind their blocked parent.
+    This is how a solve submitted to the pool keeps its nested
+    preprocessing spans safe: re-entrant submissions run inline instead of
+    queueing behind their blocked parent.
     """
     with make_executor("threads:1") as ex:
 

@@ -93,16 +93,14 @@ def test_session_caches_survive_concurrent_solves():
     errors: list[BaseException] = []
     lam_norms: dict[Workload, set[float]] = {w: set() for w in workloads}
     norms_lock = threading.Lock()
-    queue = session.queue()  # one queue: its per-workload locks serialize
-
     def hammer(tid: int) -> None:
         try:
             barrier.wait()
             for r in range(rounds):
                 w = workloads[(tid + r) % len(workloads)]
-                queue_result = queue.submit(w).result()
+                result = session.solve_request(w)
                 with norms_lock:
-                    lam_norms[w].add(float(np.linalg.norm(queue_result.lam)))
+                    lam_norms[w].add(float(np.linalg.norm(result.lam)))
         except BaseException as exc:  # noqa: BLE001 - surfaced below
             errors.append(exc)
 
@@ -113,7 +111,6 @@ def test_session_caches_survive_concurrent_solves():
             list(pool.map(hammer, range(n_threads)))
     finally:
         sys.setswitchinterval(interval)
-    queue.close()
     session.close()
 
     assert not errors
@@ -124,10 +121,9 @@ def test_session_caches_survive_concurrent_solves():
     assert stats["problems"] == len(workloads)
     # One prepared solver per workload (the session spec is shared).
     assert stats["solvers"] == len(workloads)
-    # The registry counters lose no increment, and the queue holds nothing.
+    # The registry counters lose no increment.
     assert stats["solves"] == n_threads * rounds
-    assert session.metrics.values("repro_queue_")["requests"] == n_threads * rounds
-    assert queue.pending == 0
+    assert session.metrics.values("repro_pool_")["solves"] == n_threads * rounds
 
 
 def test_closed_session_refuses_new_executors():

@@ -176,7 +176,7 @@ def test_metrics_json_and_prometheus_are_one_vocabulary():
             client.solve("heat-2d-quick", rhs=1.0)  # result-cache hit
             client.solve("elasticity-2d-quick", spec="cpu-explicit")
             heat = Workload.from_preset("heat-2d-quick")
-            session = server.server.pool.entry_for(heat).session
+            session = server.server.pool.session_for(heat)
             session.solve_many(heat, [None, None])
             session.solve_many(heat, [None, None, None])
             for j in range(3):
@@ -206,7 +206,7 @@ def test_an_evicted_session_lowers_no_total():
             after = _samples(client.metrics_prometheus())
     assert after["repro_pool_evictions"] == 1
     assert after["repro_pool_sessions"] == 1
-    assert after["repro_queue_requests_total"] == 3
+    assert after["repro_pool_solves"] == 3
     lowered = {
         name: (value, after.get(name))
         for name, value in before.items()

@@ -14,14 +14,14 @@ ELASTICITY = Workload.from_preset("elasticity-2d-quick")
 def test_same_pattern_workloads_share_one_session():
     harder = Workload.from_dict({**HEAT.to_dict(), "material": {"conductivity": 9.0}})
     with SessionPool(max_sessions=4) as pool:
-        first = pool.entry_for(HEAT)
-        second = pool.entry_for(harder)
+        first = pool.session_for(HEAT)
+        second = pool.session_for(harder)
         assert first is second
         assert len(pool) == 1
 
-        first.solve(HEAT, None, None)
-        second.solve(harder, None, None)
-        stats = first.session.cache_stats()
+        first.solve_request(HEAT)
+        second.solve_request(harder)
+        stats = first.cache_stats()
         # Two different workloads, one sparsity pattern: exactly one
         # symbolic analysis, the second build is a pattern-cache hit.
         assert stats["symbolic_analyses"] == 1
@@ -31,17 +31,17 @@ def test_same_pattern_workloads_share_one_session():
 
 def test_different_patterns_get_different_sessions():
     with SessionPool(max_sessions=4) as pool:
-        assert pool.entry_for(HEAT) is not pool.entry_for(ELASTICITY)
+        assert pool.session_for(HEAT) is not pool.session_for(ELASTICITY)
         assert len(pool) == 2
 
 
 def test_lru_eviction_closes_the_evicted_session():
     coarse = Workload.from_dict({**HEAT.to_dict(), "cells": HEAT.cells + 1})
     with SessionPool(max_sessions=2) as pool:
-        pool.entry_for(HEAT)
-        pool.entry_for(ELASTICITY)
-        pool.entry_for(HEAT)  # refresh heat so elasticity is the LRU
-        pool.entry_for(coarse)  # third pattern: evicts elasticity
+        pool.session_for(HEAT)
+        pool.session_for(ELASTICITY)
+        pool.session_for(HEAT)  # refresh heat so elasticity is the LRU
+        pool.session_for(coarse)  # third pattern: evicts elasticity
         stats = pool.stats()
         assert stats["evictions"] == 1
         assert len(pool) == 2
@@ -63,9 +63,9 @@ def test_solves_through_the_pool_match_direct_session_solves():
     from repro.api import Session
 
     with SessionPool() as pool:
-        served = pool.entry_for(HEAT).solve(HEAT, None, 2.0)
+        served = pool.session_for(HEAT).solve_request(HEAT, None, 2.0)
     with Session() as session:
-        direct = session.queue().submit(HEAT, rhs=2.0).result()
+        direct = session.solve_request(HEAT, rhs=2.0)
     np.testing.assert_allclose(served.lam, direct.lam)
     assert served.iterations == direct.iterations
 

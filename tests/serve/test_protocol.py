@@ -5,8 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import SCHEMA_VERSION, SolverSpec, Workload
-from repro.runtime.queue import QueueSolution
+from repro.api import SCHEMA_VERSION, RequestSolution, SolverSpec, Workload
 from repro.serve.protocol import (
     ProtocolError,
     parse_solve_request,
@@ -178,8 +177,8 @@ def test_request_fingerprint_is_content_addressed():
 # --------------------------------------------------------------------- #
 # Payloads                                                               #
 # --------------------------------------------------------------------- #
-def _solution() -> QueueSolution:
-    return QueueSolution(
+def _solution() -> RequestSolution:
+    return RequestSolution(
         lam=np.array([1.0, 2.0]),
         alpha=np.array([0.5]),
         primal=[np.array([1.0, 1.0]), np.array([2.0, 2.0])],

@@ -213,15 +213,15 @@ def test_distinct_patterns_get_distinct_sessions(client):
 # --------------------------------------------------------------------- #
 def _slow_solve(monkeypatch, delay: float):
     """Make every pooled solve take at least ``delay`` seconds."""
-    from repro.serve.pool import PoolEntry
+    from repro.api import Session
 
-    original = PoolEntry.solve
+    original = Session.solve_request
 
     def slowed(self, workload, spec, rhs):
         time.sleep(delay)
         return original(self, workload, spec, rhs)
 
-    monkeypatch.setattr(PoolEntry, "solve", slowed)
+    monkeypatch.setattr(Session, "solve_request", slowed)
 
 
 def test_saturation_yields_429_with_retry_after(monkeypatch):
