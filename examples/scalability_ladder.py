@@ -7,7 +7,9 @@ This script climbs both ladders — ``cells`` 8 / 16 / 32 on a ``(4,4)`` grid,
 then ``(4,4)`` / ``(8,8)`` / ``(16,16)`` subdomains of 8 cells — for heat
 transfer and linear elasticity in 2D, under all three preconditioners, and
 prints the PCPG iteration count next to the Lanczos estimate of ``κ`` every
-solve carries (``PcpgResult.condition_estimate``).
+solve carries (``PcpgResult.condition_estimate``).  The subdomain rungs also
+show the wall milliseconds per subdomain of their first (cold) solve — the
+cold path's scaling from 16 to 256 subdomains; that column is not gated.
 
 The output is a Markdown table (the nightly workflow appends it to the step
 summary).  The exit status is non-zero if ``dirichlet ≤ lumped ≤ none`` breaks
@@ -20,8 +22,10 @@ Run with:  python examples/scalability_ladder.py
 from __future__ import annotations
 
 import sys
+import time
 
 from repro.api import Session, SolverSpec, Workload
+from repro.api.workload import build_problem
 
 KINDS = ("none", "lumped", "dirichlet")
 CELLS_LADDER = [((4, 4), cells) for cells in (8, 16, 32)]
@@ -30,19 +34,33 @@ SUBDOMAIN_LADDER = [(grid, 8) for grid in ((4, 4), (8, 8), (16, 16))]
 FLATNESS = 3
 
 
-def climb(session: Session, physics: str, rungs: list) -> list[dict[str, tuple[int, float]]]:
-    """Solve every rung under every preconditioner; print one table row each."""
+def climb(
+    session: Session, physics: str, rungs: list, cold_column: bool = False
+) -> list[dict[str, tuple[int, float]]]:
+    """Solve every rung under every preconditioner; print one table row each.
+
+    With ``cold_column``, the row ends with the wall milliseconds per
+    subdomain of the rung's first solve, from an empty problem cache (its
+    problem build, preparation and preprocessing included).
+    """
     results = []
     for grid, cells in rungs:
         workload = Workload(physics=physics, dim=2, subdomains=grid, cells=cells)
         row = {}
+        cold_ms = None
+        if cold_column:
+            build_problem.cache_clear()
         for kind in KINDS:
+            start = time.perf_counter()
             solution = session.solve(workload, SolverSpec(approach="expl mkl", preconditioner=kind))
+            if cold_ms is None:
+                cold_ms = 1e3 * (time.perf_counter() - start) / workload.n_subdomains
             if not solution.converged:
                 sys.exit(f"{workload.describe()} did not converge under {kind!r}")
             row[kind] = (solution.iterations, solution.pcpg.condition_estimate)
         cells_text = " | ".join(f"{its} | {kappa:.2f}" for its, kappa in row.values())
-        print(f"| {physics} | {grid[0]}x{grid[1]} | {cells} | {cells_text} |")
+        cold_text = f"{cold_ms:.3f}" if cold_column else "–"
+        print(f"| {physics} | {grid[0]}x{grid[1]} | {cells} | {cells_text} | {cold_text} |")
         results.append(row)
     return results
 
@@ -50,12 +68,16 @@ def climb(session: Session, physics: str, rungs: list) -> list[dict[str, tuple[i
 def main() -> int:
     failures = []
     print("### FETI scalability ladder (PCPG iterations and κ estimate)\n")
-    print("| physics | subdomains | H/h | none | κ | lumped | κ | dirichlet | κ |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+    print(
+        "| physics | subdomains | H/h | none | κ | lumped | κ | dirichlet | κ "
+        "| cold ms / subdomain |"
+    )
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for physics in ("heat", "elasticity"):
         with Session() as session:
             by_cells = climb(session, physics, CELLS_LADDER)
-            by_subdomains = climb(session, physics, SUBDOMAIN_LADDER)
+        with Session() as session:  # every subdomain rung starts cold
+            by_subdomains = climb(session, physics, SUBDOMAIN_LADDER, cold_column=True)
         for row in by_cells + by_subdomains:
             none, lumped, dirichlet = (row[kind][0] for kind in KINDS)
             if not dirichlet <= lumped <= none:

@@ -7,7 +7,11 @@ subdomain shapes alone.  These helpers keep that bookkeeping tidy:
 
 * :class:`ThreadClocks` — per-virtual-thread CPU clocks of the replays'
   subdomain loops (subdomains are assigned round-robin, exactly like the
-  OpenMP loop of the paper with one CUDA stream per thread);
+  OpenMP loop of the paper with one CUDA stream per thread).  A replay
+  advances them item by item with :meth:`~ThreadClocks.advance`, a whole
+  loop of costs at once with :meth:`~ThreadClocks.advance_each` (bitwise the
+  item-by-item sums) or, where a loop also drives device streams, on the
+  plain floats of :attr:`ThreadClocks.clocks`;
 * :class:`PhaseTiming` — the result of one phase (preparation, preprocessing
   or application) with an optional per-kernel breakdown;
 * :class:`TimingLedger` — accumulates phases and answers the questions the
@@ -70,6 +74,26 @@ class ThreadClocks:
             chunk = costs[first :: self.n_threads]
             if chunk.size:
                 self.clocks[t] += float(chunk.sum())
+
+    def advance_each(self, costs) -> None:
+        """``advance(i, costs[i])`` for every item ``i``, in item order, bit for bit.
+
+        Each thread's clock gets its items' costs added one at a time:
+        ``np.cumsum`` adds left to right (where :meth:`advance_many`'s
+        ``sum`` adds pairwise and rounds differently past eight items).
+        """
+        costs = np.asarray(costs, dtype=float)
+        if not costs.size:
+            return
+        if float(costs.min()) < 0.0:
+            raise ValueError("cannot advance a clock backwards")
+        n = self.n_threads
+        # Row 0 holds the clocks, row r + 1 the costs of items r·n … r·n + n − 1;
+        # the padding is +0.0, which changes no sum.
+        rows = np.zeros((1 + -(-costs.size // n), n))
+        rows[0] = self.clocks
+        rows.reshape(-1)[n : n + costs.size] = costs
+        self.clocks = np.cumsum(rows, axis=0)[-1].tolist()
 
     @property
     def elapsed(self) -> float:

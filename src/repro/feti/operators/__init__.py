@@ -158,8 +158,6 @@ def replay_for(
     """
     _, library, replay = _APPROACHES[approach]
     if shapes is None:
-        analyses, _, scatters = analyze_problem(problem, scatters=replay.reads_rhs_fill)
-        shapes = ShapeTable.from_analyses(
-            problem, analyses, library, replay.reads_rhs_fill, scatters
-        )
+        groups = analyze_problem(problem, scatters=replay.reads_rhs_fill)
+        shapes = ShapeTable.from_groups(problem, groups, library, replay.reads_rhs_fill)
     return replay(shapes, _machine(approach, problem, machine_config), assembly_config)

@@ -51,39 +51,39 @@ __all__ = ["DualOperator", "analyze_problem"]
 
 def analyze_problem(
     problem: FetiProblem, pattern_cache: PatternCache | None = None, *, scatters: bool
-) -> tuple[dict[int, SymbolicFactor], list[PatternGroup], dict[int, SchurScatter]]:
-    """Every subdomain's symbolic analysis, the pattern groups and, given ``scatters``, the Schur scatters.
+) -> list[PatternGroup]:
+    """The pattern groups of ``problem``, with their Schur scatters given ``scatters``.
 
     Per stored pattern of ``K_reg`` (:meth:`FetiProblem.stiffness_patterns`:
-    one per shape group unless a matrix was assigned), every member looks one
-    CSR of the pattern up in ``pattern_cache`` (``None``: the process-global
-    cache) under the RCM ordering — one lookup per subdomain, one structural
-    hash per pattern.  A pattern group is the subdomains sharing one
-    analysis, in index order (the groups ordered by their first member); its
-    members get their scatters from one
-    :func:`~repro.sparse.schur.schur_scatters` pass over the gluing entries,
-    which the group keeps too.  No subdomain's ``K_reg`` or ``B̃ᵢ`` is built.
+    one per shape group unless a matrix was assigned), one lookup in
+    ``pattern_cache`` (``None``: the process-global cache) under the RCM
+    ordering, counted once per member — one structural hash and one call
+    per pattern.  A pattern group is the subdomains sharing one analysis,
+    in index order (the groups ordered by their first member); its members
+    get their scatters from one :func:`~repro.sparse.schur.schur_scatters`
+    pass over the gluing entries, which the group keeps.  No subdomain's
+    ``K_reg`` or ``B̃ᵢ`` is built.
     """
     cache = global_pattern_cache() if pattern_cache is None else pattern_cache
-    analyses: dict[int, SymbolicFactor] = {}
-    by_symbolic: dict[int, list[int]] = {}
+    by_symbolic: dict[int, tuple[SymbolicFactor, list[int]]] = {}
     for pattern, members in problem.stiffness_patterns("K_reg"):
-        for sub in members:
-            symbolic = analyses[sub.index] = cache.symbolic_for(pattern, OrderingMethod.RCM)
-            by_symbolic.setdefault(id(symbolic), []).append(sub.index)
+        symbolic = cache.symbolic_for(pattern, OrderingMethod.RCM, lookups=len(members))
+        by_symbolic.setdefault(id(symbolic), (symbolic, []))[1].extend(
+            sub.index for sub in members
+        )
     offsets = np.cumsum([0] + [sub.ndofs for sub in problem.subdomains])
     groups: list[PatternGroup] = []
-    out: dict[int, SchurScatter] = {}
-    for indices in sorted(map(sorted, by_symbolic.values())):
-        symbolic = analyses[indices[0]]
+    for symbolic, indices in sorted(
+        ((symbolic, sorted(indices)) for symbolic, indices in by_symbolic.values()),
+        key=lambda group: group[1],
+    ):
         group_scatters: list[SchurScatter] = []
         if scatters:
             B, bounds = problem.gluing.entries.rows_of(indices)
             group_scatters = schur_scatters(symbolic, B, bounds)
-            out.update(zip(indices, group_scatters))
         dofs = offsets[indices][:, None] + np.arange(symbolic.n)
         groups.append(PatternGroup(symbolic, indices, dofs, group_scatters))
-    return analyses, groups, out
+    return groups
 
 #: Process-wide source of :attr:`DualOperator.storage_version` values.
 _STORAGE_VERSIONS = itertools.count()
@@ -210,19 +210,19 @@ class DualOperator:
         """
         wall0 = time.perf_counter()
         with trace_span("preparation", approach=self.approach.value):
-            analyses, self._groups, scatters = analyze_problem(
+            self._groups = analyze_problem(
                 self.problem, self.pattern_cache, scatters=self.explicit
             )
-            self.replay = self._replay_type.build(
-                self.problem,
-                analyses,
-                self._library,
-                self.machine,
-                self.config,
-                self.precision.storage_dtype,
-                scatters=scatters,
-            )
-            sim, breakdown = self.replay.prepare()
+            with self._replay_span("prepare"):
+                self.replay = self._replay_type.build(
+                    self.problem,
+                    self._groups,
+                    self._library,
+                    self.machine,
+                    self.config,
+                    self.precision.storage_dtype,
+                )
+                sim, breakdown = self.replay.prepare()
         self._prepared = True
         return self._record("preparation", sim, breakdown, wall0)
 
@@ -252,7 +252,8 @@ class DualOperator:
             )
             for sub in self.problem.subdomains if self.explicit else ():
                 self.batch_engine.install_dense_block(sub.index, local_F.pop(sub.index))
-            sim, breakdown = self.replay.preprocess()
+            with self._replay_span("preprocess"):
+                sim, breakdown = self.replay.preprocess()
         self._preprocessed = True
         self.storage_version = next(_STORAGE_VERSIONS)
         return self._record("preprocessing", sim, breakdown, wall0)
@@ -365,8 +366,14 @@ class DualOperator:
             with self._plan_lock:
                 plan = self._apply_plans.get(columns)
                 if plan is None:
-                    plan = self._apply_plans[columns] = self.replay.apply(columns)
+                    with self._replay_span("apply", columns=columns):
+                        plan = self._apply_plans[columns] = self.replay.apply(columns)
         return plan
+
+    def _replay_span(self, phase: str, **attrs):
+        """The span of one cost-replay call: the simulated timeline's
+        bookkeeping, apart from the numerics around it."""
+        return trace_span("cost_replay", approach=self.approach.value, phase=phase, **attrs)
 
     # ------------------------------------------------------------------ #
     # Timing accessors used by the benchmarks                             #

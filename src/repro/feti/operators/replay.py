@@ -10,6 +10,17 @@ of a :class:`~repro.cluster.topology.Machine`: the per-thread CPU clocks of
 cluster's threads) and, on the GPU, the device streams, the persistent pool
 and the blocking temporary arena of :mod:`repro.gpu`.
 
+The unit of pricing is the shape group: the subdomains of one
+:class:`SubdomainShape` (one symbolic analysis, one number of multipliers,
+one right-hand-side fill).  Every cost-model duration, byte size and device
+structure is evaluated once per group, and a group's member count charges
+the pools.  The subdomain loop itself — subdomain ``i`` of a cluster on
+thread ``i mod threads`` and stream ``i mod streams`` — runs on plain
+floats: each thread clock, stream tail and breakdown sum takes the same
+additions and maxima, in the same order, as one stream submission per
+kernel would, so every simulated second is bitwise the per-subdomain replay
+kept as the oracle in ``tests/oracles/replay.py``.
+
 One replay per approach family — CPU explicit, CPU implicit, GPU explicit,
 GPU implicit and hybrid — each with ``prepare()`` / ``preprocess()`` /
 ``apply(columns)`` returning ``(simulated seconds, breakdown)``.  Clusters
@@ -18,8 +29,10 @@ run on different processes, so a phase takes its slowest cluster.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -29,10 +42,10 @@ from repro.feti.config import AssemblyConfig, FactorStorage, Path, ScatterGather
 from repro.gpu import cusparse
 from repro.gpu.arrays import DeviceCsrMatrix, MatrixOrder
 from repro.gpu.cusparse import SparseTrsmPlan
-from repro.gpu.memory import Allocation
+from repro.gpu.memory import Allocation, buffer, round_up
+from repro.gpu.stream import StreamOperation
 from repro.sparse.costmodel import CpuLibrary
-from repro.sparse.schur import SchurScatter
-from repro.sparse.symbolic import SymbolicFactor
+from repro.sparse.group import PatternGroup
 
 __all__ = [
     "SubdomainShape",
@@ -46,14 +59,15 @@ __all__ = [
 ]
 
 Timeline = tuple[float, dict[str, float]]
+#: One stream kernel of a shape: ``(breakdown slot, duration, label)``; a
+#: ``{}`` in the label stands for the subdomain index (stream logs only).
+Kernel = tuple[int, float, str]
 
 
 @dataclass(frozen=True)
 class SubdomainShape:
-    """What the cost model reads of one subdomain."""
+    """What the cost model reads of a subdomain; equal shapes are priced once."""
 
-    index: int
-    cluster: int
     ndofs: int
     n_lambda: int
     #: Entries of ``K_reg`` and of its factor ``L``.
@@ -62,100 +76,144 @@ class SubdomainShape:
     #: Flops of one numeric factorization.
     flops: float
     B_nnz: int
-    #: Which symbolic analysis the subdomain shares (first-seen order).
-    pattern: int
     #: Fraction of the Schur assembly's TRSM work left after exploiting the
     #: sparsity of ``B̃ᵢ`` (read by the CPU assembly; 1.0 where unread).
     rhs_fill: float = 1.0
 
 
 class ShapeTable:
-    """The shapes of every subdomain, grouped by cluster.
+    """The distinct subdomain shapes, and which subdomain has which.
 
-    ``cluster_n_lambda[c]`` is the number of distinct multipliers of cluster
-    ``c``: the length of its cluster-wide dual vectors.
+    ``shapes[g]`` is shape group ``g`` (first-seen order), ``shape_of[i]``
+    the group of subdomain ``i``.  ``cluster_n_lambda[c]`` is the number of
+    distinct multipliers of cluster ``c``: the length of its cluster-wide
+    dual vectors.
     """
 
     def __init__(
         self,
-        subdomains: list[SubdomainShape],
+        shapes: Sequence[SubdomainShape],
+        shape_of: np.ndarray,
+        cluster_of: np.ndarray,
         cluster_n_lambda: dict[int, int],
         library: CpuLibrary,
     ) -> None:
-        self.subdomains = tuple(subdomains)
+        self.shapes = tuple(shapes)
+        self.shape_of = np.asarray(shape_of, dtype=np.int64)
         self.cluster_n_lambda = cluster_n_lambda
         #: The CPU library whose analysis (and factorization) the table prices.
         self.library = library
-        self._by_cluster: dict[int, list[SubdomainShape]] = {}
-        for shape in self.subdomains:
-            self._by_cluster.setdefault(shape.cluster, []).append(shape)
+        cluster_of = np.asarray(cluster_of, dtype=np.int64)
+        counts = np.bincount(cluster_of)
+        by_cluster = np.split(np.argsort(cluster_of, kind="stable"), np.cumsum(counts)[:-1])
+        self._members = {c: by_cluster[c] for c in np.flatnonzero(counts).tolist()}
 
-    def of_cluster(self, cluster_id: int) -> list[SubdomainShape]:
-        """The shapes of one cluster's subdomains, in subdomain order."""
-        return self._by_cluster.get(cluster_id, [])
+    def members(self, cluster_id: int) -> np.ndarray:
+        """The subdomain indices of one cluster, ascending."""
+        return self._members.get(cluster_id, np.empty(0, dtype=np.int64))
+
+    def of_cluster(self, cluster_id: int) -> np.ndarray:
+        """The shape group of each of one cluster's subdomains, in subdomain order."""
+        return self.shape_of[self.members(cluster_id)]
+
+    def per_shape(self, cost: Callable[[SubdomainShape], float]) -> np.ndarray:
+        """``cost(shape)`` of every shape group: one evaluation each."""
+        return np.array([cost(shape) for shape in self.shapes], dtype=float)
 
     @classmethod
-    def from_analyses(
+    def from_groups(
         cls,
         problem,
-        analyses: Mapping[int, SymbolicFactor],
+        groups: Sequence[PatternGroup],
         library: CpuLibrary,
         rhs_fill: bool = False,
-        scatters: Mapping[int, SchurScatter] | None = None,
     ) -> "ShapeTable":
-        """The table of ``problem`` under its subdomains' symbolic analyses.
+        """The table of ``problem`` under its pattern groups.
 
-        ``nnz(L)`` and the factorization flops are read once per analysis,
-        ``nnz(B̃ᵢ)`` from the gluing entries and ``rhs_fill`` (where the
-        replay reads it) from the Schur scatters
-        (:meth:`~repro.sparse.schur.SchurScatter.rhs_fill`), which
-        ``scatters`` must then hold: once per distinct ``starts`` and row
-        order.
+        ``nnz(K_reg)``, ``nnz(L)`` and the factorization flops are read once
+        per pattern group, ``n_λ`` (= ``nnz(B̃ᵢ)``: one entry per row) from
+        the gluing entries, the clusters' multiplier counts from one sort
+        of them, and ``rhs_fill`` (where the replay reads it)
+        from the groups' Schur scatters
+        (:meth:`~repro.sparse.schur.SchurScatter.rhs_fill`) once per
+        distinct ``starts`` and row order.
         """
-        patterns: dict[int, tuple[int, int, float]] = {}
+        entries = problem.gluing.entries
+        subdomains = problem.subdomains
+        n_lambda = entries.counts
+        group_of = np.zeros(len(subdomains), dtype=np.int64)
+        fill_of = np.zeros(len(subdomains), dtype=np.int64)
+        patterns = []
         fills: dict[tuple, float] = {}
-        b_nnz = problem.gluing.entries.counts.tolist()
-        shapes = []
-        for sub in problem.subdomains:
-            symbolic = analyses[sub.index]
-            pattern = patterns.get(id(symbolic))
-            if pattern is None:
-                pattern = patterns[id(symbolic)] = (
-                    len(patterns), symbolic.nnz, symbolic.factorization_flops()
+        fill_ids: dict[float, int] = {1.0: 0}
+        for g, group in enumerate(groups):
+            symbolic = group.symbolic
+            group_of[group.members] = g
+            first = subdomains[group.members[0]]
+            patterns.append(
+                (
+                    int(symbolic.n),
+                    int(first.csr_arrays("K_reg")[2][-1]),
+                    symbolic.nnz,
+                    symbolic.factorization_flops(),
                 )
-            fill = 1.0
-            if rhs_fill:
+            )
+            if not rhs_fill:
+                continue
+            for member, scatter in zip(group.members, group.scatters):
                 # Equal starts in equal row order: the same mean, bit for bit.
-                scatter = scatters[sub.index]
                 order = None if scatter.rank is None else scatter.rank.tobytes()
                 fill = fills.get((symbolic.n, scatter.key, order))
                 if fill is None:
                     fill = fills[symbolic.n, scatter.key, order] = scatter.rhs_fill(symbolic.n)
+                fill_of[member] = fill_ids.setdefault(fill, len(fill_ids))
+        # A subdomain's shape is its (pattern group, n_λ, fill): one integer.
+        radix = int(n_lambda.max(initial=0)) + 1
+        code = (group_of * radix + n_lambda) * len(fill_ids) + fill_of
+        _, first_seen, inverse = np.unique(code, return_index=True, return_inverse=True)
+        rank = np.argsort(first_seen)
+        shape_id = np.empty_like(rank)
+        shape_id[rank] = np.arange(rank.size)
+        fill_values = list(fill_ids)
+        shapes = []
+        for i in first_seen[rank].tolist():
+            ndofs, K_nnz, L_nnz, flops = patterns[group_of[i]]
             shapes.append(
                 SubdomainShape(
-                    index=sub.index,
-                    cluster=sub.cluster,
-                    ndofs=sub.ndofs,
-                    n_lambda=sub.n_lambda,
-                    K_nnz=int(sub.csr_arrays("K_reg")[2][-1]),
-                    L_nnz=pattern[1],
-                    flops=pattern[2],
-                    B_nnz=int(b_nnz[sub.index]),
-                    pattern=pattern[0],
-                    rhs_fill=fill,
+                    ndofs=ndofs,
+                    n_lambda=int(n_lambda[i]),
+                    K_nnz=K_nnz,
+                    L_nnz=L_nnz,
+                    flops=flops,
+                    B_nnz=int(n_lambda[i]),
+                    rhs_fill=fill_values[fill_of[i]],
                 )
             )
-        lambda_ids: dict[int, list[np.ndarray]] = {}
-        for sub in problem.subdomains:
-            lambda_ids.setdefault(sub.cluster, []).append(sub.lambda_ids)
-        cluster_n_lambda = {
-            c: int(np.unique(np.concatenate(ids)).size) for c, ids in lambda_ids.items()
-        }
-        return cls(shapes, cluster_n_lambda, library)
+        cluster_of = np.fromiter(
+            (sub.cluster for sub in subdomains), dtype=np.int64, count=len(subdomains)
+        )
+        # One (cluster, multiplier) pair per distinct multiplier of a cluster.
+        pairs = np.sort(cluster_of[entries.subdomain] * problem.n_lambda + entries.lam)
+        distinct = pairs[np.diff(pairs, prepend=-1) != 0]
+        clusters = np.bincount(cluster_of)
+        per_cluster = np.bincount(distinct // max(problem.n_lambda, 1), minlength=clusters.size)
+        cluster_n_lambda = {c: int(per_cluster[c]) for c in np.flatnonzero(clusters).tolist()}
+        return cls(shapes, shape_id[inverse], cluster_of, cluster_n_lambda, library)
 
 
 def _slowest(cluster_times: list[float]) -> float:
     return max(cluster_times) if cluster_times else 0.0
+
+
+def _in_order(total: float, values: np.ndarray) -> float:
+    """``total + values[0] + values[1] + …``, added left to right.
+
+    Bitwise a loop of ``+=``: ``np.cumsum`` adds in order, where ``np.sum``
+    would add pairwise.
+    """
+    if not values.size:
+        return total
+    return float(np.cumsum(np.concatenate(([total], values)))[-1])
 
 
 def _matrix_order(order) -> MatrixOrder:
@@ -166,15 +224,13 @@ def _matrix_order(order) -> MatrixOrder:
 class CostReplay:
     """The simulated timeline of one approach family.
 
-    ``prepare()`` charges the symbolic analysis of every subdomain, then the
-    family's per-subdomain and per-cluster setup (:meth:`_prepare_subdomain`,
-    :meth:`_close_prepare`); ``preprocess()`` and ``apply(columns)`` are the
+    ``prepare()`` charges the symbolic analysis of every subdomain and the
+    family's setup; ``preprocess()`` and ``apply(columns)`` are the
     family's own.
     """
 
     #: Whether the replay reads :attr:`SubdomainShape.rhs_fill`.
     reads_rhs_fill = False
-    prepare_keys: tuple[str, ...] = ("symbolic",)
 
     def __init__(
         self,
@@ -188,56 +244,40 @@ class CostReplay:
         self.config = config or AssemblyConfig()
         #: Storage dtype of the assembled ``F̃ᵢ`` (the precision policy's).
         self.storage_dtype = np.dtype(storage_dtype)
+        #: The CPU cost model every cluster shares.
+        self._cpu = machine.config.cpu_cost_model
 
     @classmethod
     def build(
         cls,
         problem,
-        analyses: Mapping[int, SymbolicFactor],
+        groups: Sequence[PatternGroup],
         library: CpuLibrary,
         machine: Machine,
         config: AssemblyConfig | None = None,
         storage_dtype=np.float64,
-        scatters: Mapping[int, SchurScatter] | None = None,
     ) -> "CostReplay":
-        """The replay of ``problem`` from its subdomains' symbolic analyses.
+        """The replay of ``problem`` from its pattern groups.
 
-        ``scatters`` (every subdomain's Schur scatter) is required where the
-        replay reads ``rhs_fill``.
+        The groups must hold their Schur scatters where the replay reads
+        ``rhs_fill``.
         """
-        shapes = ShapeTable.from_analyses(
-            problem, analyses, library, cls.reads_rhs_fill, scatters
-        )
+        shapes = ShapeTable.from_groups(problem, groups, library, cls.reads_rhs_fill)
         return cls(shapes, machine, config, storage_dtype)
 
     def clusters(self):
-        """Yield ``(resources, shapes)`` for every cluster."""
+        """Yield ``(resources, shape group of each of its subdomains)`` for every cluster."""
         for cluster in self.machine.clusters:
             yield cluster, self.shapes.of_cluster(cluster.cluster_id)
 
+    def _symbolic(self) -> np.ndarray:
+        """The symbolic analysis of each shape group."""
+        return self.shapes.per_shape(
+            lambda s: self._cpu.symbolic_factorization(s.K_nnz, s.L_nnz)
+        )
+
     def prepare(self) -> Timeline:
-        breakdown = dict.fromkeys(self.prepare_keys, 0.0)
-        cluster_times = []
-        for cluster, subs in self.clusters():
-            self._open(cluster)
-            clocks = ThreadClocks(cluster.n_threads)
-            for i, sub in enumerate(subs):
-                cost = cluster.cpu.symbolic_factorization(sub.K_nnz, sub.L_nnz)
-                clocks.advance(i, cost)
-                breakdown["symbolic"] += cost
-                self._prepare_subdomain(cluster, clocks, i, sub, breakdown)
-            cluster_times.append(self._close_prepare(cluster, clocks))
-        return _slowest(cluster_times), breakdown
-
-    def _open(self, cluster: ClusterResources) -> None:
-        """Start a cluster's phase (the GPU families reset its streams)."""
-
-    def _prepare_subdomain(self, cluster, clocks, i: int, sub: SubdomainShape, breakdown) -> None:
-        """Per-subdomain setup after its symbolic analysis."""
-
-    def _close_prepare(self, cluster, clocks: ThreadClocks) -> float:
-        """Finish a cluster's preparation; return its elapsed time."""
-        return clocks.elapsed
+        raise NotImplementedError
 
     def preprocess(self) -> Timeline:
         raise NotImplementedError
@@ -253,21 +293,23 @@ class CostReplay:
 class _CpuReplay(CostReplay):
     """Subdomains round-robin over the cluster threads; no device."""
 
-    def _cpu_loop(self, key: str, cost) -> Timeline:
-        """One cost per subdomain, advanced one at a time."""
-        breakdown = {key: 0.0}
+    def _cpu_loop(self, key: str, costs: np.ndarray) -> Timeline:
+        """One cost per subdomain (``costs`` by shape group), on its thread's clock."""
+        total = 0.0
         cluster_times = []
-        for cluster, subs in self.clusters():
+        for cluster, shape_ids in self.clusters():
             clocks = ThreadClocks(cluster.n_threads)
-            for i, sub in enumerate(subs):
-                seconds = cost(cluster, sub)
-                clocks.advance(i, seconds)
-                breakdown[key] += seconds
+            item_costs = costs[shape_ids]
+            clocks.advance_each(item_costs)
+            total = _in_order(total, item_costs)
             cluster_times.append(clocks.elapsed)
-        return _slowest(cluster_times), breakdown
+        return _slowest(cluster_times), {key: total}
 
-    def _apply_costs(self, cluster, subs) -> dict[str, np.ndarray]:
-        """Per-subdomain costs of one column, by breakdown key."""
+    def prepare(self) -> Timeline:
+        return self._cpu_loop("symbolic", self._symbolic())
+
+    def _apply_costs(self) -> dict[str, np.ndarray]:
+        """Costs of one column by breakdown key, by shape group."""
         raise NotImplementedError
 
     def apply(self, columns: int = 1) -> Timeline:
@@ -275,11 +317,12 @@ class _CpuReplay(CostReplay):
 
         (The cost model has no GEMM-efficiency term for a stacked apply.)
         """
+        per_shape = self._apply_costs()
         breakdown: dict[str, float] = {}
         cluster_times = []
-        for cluster, subs in self.clusters():
+        for cluster, shape_ids in self.clusters():
             clocks = ThreadClocks(cluster.n_threads)
-            costs = {key: columns * c for key, c in self._apply_costs(cluster, subs).items()}
+            costs = {key: columns * c[shape_ids] for key, c in per_shape.items()}
             clocks.advance_many(sum(costs.values()))
             for key, c in costs.items():
                 breakdown[key] = breakdown.get(key, 0.0) + float(c.sum())
@@ -296,13 +339,15 @@ class CpuExplicitReplay(_CpuReplay):
         library = self.shapes.library
         return self._cpu_loop(
             "schur_complement",
-            lambda cluster, sub: cluster.cpu.schur_complement(
-                sub.L_nnz, sub.flops, sub.n_lambda, sub.rhs_fill, library, ndofs=sub.ndofs
+            self.shapes.per_shape(
+                lambda s: self._cpu.schur_complement(
+                    s.L_nnz, s.flops, s.n_lambda, s.rhs_fill, library, ndofs=s.ndofs
+                )
             ),
         )
 
-    def _apply_costs(self, cluster, subs):
-        return {"gemv": np.array([cluster.cpu.gemv(s.n_lambda, s.n_lambda) for s in subs])}
+    def _apply_costs(self):
+        return {"gemv": self.shapes.per_shape(lambda s: self._cpu.gemv(s.n_lambda, s.n_lambda))}
 
 
 class CpuImplicitReplay(_CpuReplay):
@@ -312,15 +357,15 @@ class CpuImplicitReplay(_CpuReplay):
         library = self.shapes.library
         return self._cpu_loop(
             "numeric_factorization",
-            lambda cluster, sub: cluster.cpu.numeric_factorization(
-                sub.flops, sub.L_nnz, library
+            self.shapes.per_shape(
+                lambda s: self._cpu.numeric_factorization(s.flops, s.L_nnz, library)
             ),
         )
 
-    def _apply_costs(self, cluster, subs):
+    def _apply_costs(self):
         return {
-            "spmv": np.array([2.0 * cluster.cpu.spmv(s.B_nnz) for s in subs]),
-            "trsv": np.array([2.0 * cluster.cpu.sparse_trsv(s.L_nnz) for s in subs]),
+            "spmv": self.shapes.per_shape(lambda s: 2.0 * self._cpu.spmv(s.B_nnz)),
+            "trsv": self.shapes.per_shape(lambda s: 2.0 * self._cpu.sparse_trsv(s.L_nnz)),
         }
 
 
@@ -329,7 +374,10 @@ class CpuImplicitReplay(_CpuReplay):
 # --------------------------------------------------------------------- #
 @dataclass
 class DeviceState:
-    """Per-subdomain persistent device structures (byte sizes, no values)."""
+    """One subdomain's persistent device structures (byte sizes, no values).
+
+    Allocation order: the fields' order.
+    """
 
     device_B: DeviceCsrMatrix | None = None
     device_factor: DeviceCsrMatrix | None = None
@@ -340,77 +388,205 @@ class DeviceState:
     q: Allocation | None = None
     work: Allocation | None = None
 
+    def allocations(self) -> list[Allocation]:
+        """The persistent pool blocks of one holder."""
+        blocks = [m.allocation for m in (self.device_B, self.device_factor) if m is not None]
+        blocks += [p.persistent_buffer for p in (self.forward_plan, self.backward_plan) if p]
+        blocks += [self.F, self.p, self.q, self.work]
+        return [block for block in blocks if block is not None]
+
+
+def _sparse(shape: tuple[int, int], nnz: int, label: str, order=MatrixOrder.ROW_MAJOR):
+    """A device sparse matrix and its pool block (sized once per shape group)."""
+    matrix = DeviceCsrMatrix(shape=shape, nnz=nnz, order=order, label=label)
+    matrix.allocation = buffer(matrix.nbytes, label)
+    return matrix
+
+
+def _plan(model, version, factor: DeviceCsrMatrix, nrhs: int, **kwargs) -> SparseTrsmPlan:
+    """A sparse-TRSM plan and its persistent workspace block, if it has one."""
+    plan = cusparse.trsm_plan(model, version, factor, nrhs, **kwargs)
+    if plan.persistent_bytes > 0:
+        plan.persistent_buffer = buffer(plan.persistent_bytes, "cusparse-trsm-workspace")
+    return plan
+
 
 class _GpuReplay(CostReplay):
     """Kernels on per-thread streams; a cluster's phase ends when its device drains."""
 
-    prepare_keys = ("symbolic", "persistent_upload", "analysis")
+    prepare_keys: tuple[str, ...] = ("symbolic", "persistent_upload", "analysis")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: Persistent device structures by subdomain index (set by prepare()).
-        self.device_state = {s.index: DeviceState() for s in self.shapes.subdomains}
+        self._gpu = self.machine.config.gpu_cost_model
+        self._version = self.machine.config.cuda_version
+        #: One member's persistent device structures, by shape group.
+        self._states = [self._device_state(shape) for shape in self.shapes.shapes]
 
-    def _open(self, cluster: ClusterResources) -> None:
-        cluster.device.reset_timeline()
+    @cached_property
+    def device_state(self) -> dict[int, DeviceState]:
+        """Persistent device structures by subdomain index.
+
+        The members of a shape group share one :class:`DeviceState`: their
+        byte sizes, each charged to the pool once per member by
+        :meth:`prepare`.
+        """
+        return dict(enumerate(map(self._states.__getitem__, self.shapes.shape_of.tolist())))
+
+    def _device_state(self, shape: SubdomainShape) -> DeviceState:
+        """One member's persistent structures (sizes only)."""
+        raise NotImplementedError
+
+    def _patterns(self, shape: SubdomainShape, factor_order: MatrixOrder):
+        """The device copies of ``B̃ᵢ`` and of the factor's pattern."""
+        return (
+            _sparse((shape.n_lambda, shape.ndofs), shape.B_nnz, "B"),
+            _sparse((shape.ndofs, shape.ndofs), shape.L_nnz, "L", factor_order),
+        )
+
+    def _slots(self, keys: tuple[str, ...], kernels) -> list[tuple[Kernel, ...]]:
+        """``(key, duration, label)`` triples by shape group, keys made breakdown slots."""
+        return [
+            tuple((keys.index(key), duration, label) for key, duration, label in group)
+            for group in kernels
+        ]
+
+    def _lanes(
+        self,
+        cluster: ClusterResources,
+        clocks: ThreadClocks,
+        shape_ids: np.ndarray,
+        kernels: list[tuple[Kernel, ...]],
+        sums: list[float],
+        host: np.ndarray | None = None,
+        ready: float | None = None,
+    ) -> None:
+        """One cluster's subdomain loop, on plain floats.
+
+        Subdomain ``i`` (of shape group ``g``) puts ``host[g]`` on the clock
+        of thread ``i mod n_threads``; on stream ``i mod n_streams`` (which
+        first waits for ``ready``) each of ``kernels[g]`` then starts at the
+        later of the stream's tail and the thread's clock, adds its
+        duration to ``sums[slot]`` and costs the thread the submission
+        overhead — the operations, in order, of one
+        :meth:`~repro.gpu.stream.Stream.submit` per kernel.  The streams
+        adopt their tails (and, where kept, their logs) at the end.
+        """
+        streams = cluster.streams
+        tails = [stream.tail for stream in streams]
+        times = clocks.clocks
+        overhead = self._gpu.submission_overhead_cpu
+        logs = members = None
+        if any(stream.keep_log for stream in streams):
+            logs = [[] for _ in streams]
+            members = self.shapes.members(cluster.cluster_id).tolist()
+        host = host.tolist() if host is not None else [0.0] * len(kernels)
+        n_threads, n_streams = len(times), len(tails)
+        for i, g in enumerate(shape_ids.tolist()):
+            t, s = i % n_threads, i % n_streams
+            now = times[t] + host[g]
+            tail = tails[s]
+            if ready is not None and ready > tail:
+                tail = ready
+            for slot, duration, label in kernels[g]:
+                start = tail if tail > now else now
+                tail = start + duration
+                sums[slot] += tail - start
+                if logs is not None:
+                    logs[s].append(StreamOperation(label.format(members[i]), now, start, tail))
+                now += overhead
+            times[t] = now
+            tails[s] = tail
+        for stream, tail, log in zip(streams, tails, logs or repeat(())):
+            stream.extend(tail, log)
+
+    def prepare(self) -> Timeline:
+        """The symbolic analyses, then every subdomain's persistent device
+        structures: their pool bytes, the uploads and the TRSM analyses."""
+        blocks = [state.allocations() for state in self._states]
+        member_bytes = [sum(block.nbytes for block in group) for group in blocks]
+
+        def charge(device, counts: list[int]) -> None:
+            device.memory.allocate_batch(
+                sum(count * nbytes for count, nbytes in zip(counts, member_bytes)),
+                sum(count * len(group) for count, group in zip(counts, blocks)),
+            )
+
+        return self._stream_loop(
+            self.prepare_keys,
+            map(self._prepare_kernels, self._states),
+            {"symbolic": self._symbolic()},
+            charge=charge,
+            close=self._close_prepare,
+        )
+
+    def _prepare_kernels(self, state: DeviceState):
+        """The uploads of the persistent patterns, then the TRSM analyses."""
+        kernels = [
+            ("persistent_upload", self._gpu.transfer(matrix.nbytes), f"h2d:{matrix.label}[{{}}]")
+            for matrix in (state.device_B, state.device_factor)
+            if matrix is not None
+        ]
+        kernels += [
+            (
+                "analysis",
+                self._gpu.sparse_trsm_analysis(plan.factor_nnz, plan.version),
+                "cusparse.trsm_analysis",
+            )
+            for plan in (state.forward_plan, state.backward_plan)
+            if plan is not None
+        ]
+        return kernels
 
     def _close_prepare(self, cluster, clocks: ThreadClocks) -> float:
+        """Finish a cluster's preparation; return its elapsed time."""
         device = cluster.device
         if device.temporary is None:
             device.allocate_temporary_arena()
         return device.synchronize(clocks.max_time)
 
-    def _upload_patterns(
-        self, cluster, clocks, i: int, sub: SubdomainShape, breakdown, factor_order
-    ) -> DeviceState:
-        """The persistent device copies of ``B̃ᵢ`` and of the factor's pattern."""
-        device = cluster.device
-        stream = cluster.stream_for(i)
-        state = self.device_state[sub.index]
-        overhead = device.cost_model.submission_overhead_cpu
-        state.device_B, op = device.upload_sparse(
-            (sub.n_lambda, sub.ndofs), sub.B_nnz, stream, clocks.now(i), label=f"B[{sub.index}]"
-        )
-        clocks.advance(i, overhead)
-        breakdown["persistent_upload"] += op.duration
-        state.device_factor, op = device.upload_sparse(
-            (sub.ndofs, sub.ndofs), sub.L_nnz, stream, clocks.now(i),
-            order=factor_order, label=f"L[{sub.index}]",
-        )
-        clocks.advance(i, overhead)
-        breakdown["persistent_upload"] += op.duration
-        return state
+    def _stream_loop(
+        self,
+        keys: tuple[str, ...],
+        kernels,
+        host: dict[str, np.ndarray] | None = None,
+        *,
+        skip_empty: bool = False,
+        charge: Callable | None = None,
+        close: Callable | None = None,
+    ) -> Timeline:
+        """Every subdomain's host costs (summed, by breakdown key) then its
+        kernels, on every cluster's reset timeline.
 
-    def _analyse(self, cluster, clocks, i: int, breakdown, factor, nrhs: int, **kwargs):
-        """One sparse-TRSM analysis (its persistent workspace included)."""
-        device = cluster.device
-        plan, op = cusparse.trsm_analysis(
-            device, cluster.stream_for(i), factor, nrhs=nrhs, submit_time=clocks.now(i), **kwargs
-        )
-        clocks.advance(i, device.cost_model.submission_overhead_cpu)
-        breakdown["analysis"] += op.duration
-        return plan
-
-    def _stream_kernels(self, breakdown: dict[str, float], kernels) -> Timeline:
-        """Every subdomain's ``kernels(device, shape)`` — ``(key, label,
-        duration)`` triples — submitted in order to its stream."""
+        ``skip_empty``: a cluster without subdomains takes 0.0 and leaves
+        its device untouched.  ``charge(device, counts)`` takes a cluster's
+        memory for its members (``counts`` by shape group) before the loop;
+        ``close(cluster, clocks)`` ends a cluster's phase (default: the
+        device drains).
+        """
+        kernels = self._slots(keys, kernels)
+        host = host or {}
+        host_total = sum(host.values()) if host else None
+        sums = [0.0] * len(keys)
         cluster_times = []
-        for cluster, subs in self.clusters():
-            if not subs:
+        for cluster, shape_ids in self.clusters():
+            if skip_empty and not shape_ids.size:
                 cluster_times.append(0.0)
                 continue
             device = cluster.device
             device.reset_timeline()
+            if charge is not None:
+                charge(device, np.bincount(shape_ids, minlength=len(kernels)).tolist())
             clocks = ThreadClocks(cluster.n_threads)
-            overhead = device.cost_model.submission_overhead_cpu
-            for i, sub in enumerate(subs):
-                stream = cluster.stream_for(i)
-                for key, label, duration in kernels(device, sub):
-                    op = stream.submit(label, duration, clocks.now(i))
-                    breakdown[key] += op.duration
-                    clocks.advance(i, overhead)
-            cluster_times.append(device.synchronize(clocks.max_time))
-        return _slowest(cluster_times), breakdown
+            self._lanes(cluster, clocks, shape_ids, kernels, sums, host=host_total)
+            for key, costs in host.items():
+                slot = keys.index(key)
+                sums[slot] = _in_order(sums[slot], costs[shape_ids])
+            if close is not None:
+                cluster_times.append(close(cluster, clocks))
+            else:
+                cluster_times.append(device.synchronize(clocks.max_time))
+        return _slowest(cluster_times), dict(zip(keys, sums))
 
     def apply(self, columns: int = 1) -> Timeline:
         """``columns`` stacked columns cost ``columns`` one-column replays."""
@@ -436,58 +612,52 @@ class GpuImplicitReplay(_GpuReplay):
     on its stream.
     """
 
-    def _prepare_subdomain(self, cluster, clocks, i, sub, breakdown) -> None:
-        state = self._upload_patterns(
-            cluster, clocks, i, sub, breakdown, MatrixOrder.ROW_MAJOR
+    def _device_state(self, shape: SubdomainShape) -> DeviceState:
+        B, L = self._patterns(shape, MatrixOrder.ROW_MAJOR)
+        return DeviceState(
+            device_B=B,
+            device_factor=L,
+            forward_plan=_plan(self._gpu, self._version, L, 1),
+            p=buffer(8 * shape.n_lambda, "p"),
+            q=buffer(8 * shape.n_lambda, "q"),
+            work=buffer(8 * shape.ndofs, "work"),
         )
-        state.forward_plan = self._analyse(cluster, clocks, i, breakdown, state.device_factor, 1)
-        memory = cluster.device.memory
-        state.p = memory.allocate(8 * sub.n_lambda, "p")
-        state.q = memory.allocate(8 * sub.n_lambda, "q")
-        state.work = memory.allocate(8 * sub.ndofs, "work")
 
     def preprocess(self) -> Timeline:
-        breakdown = {"numeric_factorization": 0.0, "factor_extraction": 0.0, "upload": 0.0}
-        cluster_times = []
-        for cluster, subs in self.clusters():
-            device = cluster.device
-            device.reset_timeline()
-            clocks = ThreadClocks(cluster.n_threads)
-            for i, sub in enumerate(subs):
-                fact_cost = cluster.cpu.numeric_factorization(
-                    sub.flops, sub.L_nnz, self.shapes.library
-                )
-                extract_cost = cluster.cpu.factor_extraction(sub.L_nnz)
-                clocks.advance(i, fact_cost + extract_cost)
-                breakdown["numeric_factorization"] += fact_cost
-                breakdown["factor_extraction"] += extract_cost
-
-                op = device.update_sparse_values(
-                    self.device_state[sub.index].device_factor,
-                    cluster.stream_for(i),
-                    clocks.now(i),
-                )
-                clocks.advance(i, device.cost_model.submission_overhead_cpu)
-                breakdown["upload"] += op.duration
-            cluster_times.append(device.synchronize(clocks.max_time))
-        return _slowest(cluster_times), breakdown
+        library = self.shapes.library
+        factorization = self.shapes.per_shape(
+            lambda s: self._cpu.numeric_factorization(s.flops, s.L_nnz, library)
+        )
+        extraction = self.shapes.per_shape(lambda s: self._cpu.factor_extraction(s.L_nnz))
+        upload = [
+            (("upload", self._gpu.transfer(L.values_nbytes), f"h2d-values:{L.label}[{{}}]"),)
+            for L in (state.device_factor for state in self._states)
+        ]
+        return self._stream_loop(
+            ("numeric_factorization", "factor_extraction", "upload"),
+            upload,
+            {"numeric_factorization": factorization, "factor_extraction": extraction},
+        )
 
     def _apply_one(self) -> Timeline:
-        def kernels(device, sub):
-            cost = device.cost_model
-            transfer = cost.transfer(8 * sub.n_lambda)
-            spmv = cost.spmv(sub.B_nnz)
-            trsv = cost.sparse_trsm(sub.L_nnz, sub.ndofs, 1, device.cuda_version)
+        cost = self._gpu
+
+        def kernels(shape: SubdomainShape):
+            transfer = cost.transfer(8 * shape.n_lambda)
+            spmv = cost.spmv(shape.B_nnz)
+            trsv = cost.sparse_trsm(shape.L_nnz, shape.ndofs, 1, self._version)
             return (
-                ("transfer", "h2d:p", transfer),
-                ("spmv", "cusparse.spmv", spmv),
-                ("trsv", "cusparse.trsv_fwd", trsv),
-                ("trsv", "cusparse.trsv_bwd", trsv),
-                ("spmv", "cusparse.spmv", spmv),
-                ("transfer", "d2h:q", transfer),
+                ("transfer", transfer, "h2d:p"),
+                ("spmv", spmv, "cusparse.spmv"),
+                ("trsv", trsv, "cusparse.trsv_fwd"),
+                ("trsv", trsv, "cusparse.trsv_bwd"),
+                ("spmv", spmv, "cusparse.spmv"),
+                ("transfer", transfer, "d2h:q"),
             )
 
-        return self._stream_kernels({"transfer": 0.0, "spmv": 0.0, "trsv": 0.0}, kernels)
+        return self._stream_loop(
+            ("transfer", "spmv", "trsv"), map(kernels, self.shapes.shapes), skip_empty=True
+        )
 
 
 class GpuExplicitReplay(_GpuReplay):
@@ -503,38 +673,35 @@ class GpuExplicitReplay(_GpuReplay):
     dual-vector scatter/gather on the CPU or the GPU.
     """
 
-    def _prepare_subdomain(self, cluster, clocks, i, sub, breakdown) -> None:
+    def _device_state(self, shape: SubdomainShape) -> DeviceState:
         cfg = self.config
-        state = self._upload_patterns(
-            cluster, clocks, i, sub, breakdown, _matrix_order(cfg.forward_factor_order)
-        )
+        B, L = self._patterns(shape, _matrix_order(cfg.forward_factor_order))
+        state = DeviceState(device_B=B, device_factor=L)
         rhs_order = _matrix_order(cfg.rhs_order)
         if cfg.forward_factor_storage is FactorStorage.SPARSE:
-            state.forward_plan = self._analyse(
-                cluster, clocks, i, breakdown, state.device_factor, sub.n_lambda,
-                rhs_order=rhs_order,
+            state.forward_plan = _plan(
+                self._gpu, self._version, L, shape.n_lambda, rhs_order=rhs_order
             )
         if cfg.path is Path.TRSM and cfg.backward_factor_storage is FactorStorage.SPARSE:
-            state.backward_plan = self._analyse(
-                cluster, clocks, i, breakdown, state.device_factor, sub.n_lambda,
-                rhs_order=rhs_order,
+            state.backward_plan = _plan(
+                self._gpu, self._version, L, shape.n_lambda, rhs_order=rhs_order
             )
-        self._allocate_apply_buffers(cluster, sub)
+        self._apply_buffers(state, shape)
+        return state
 
-    def _allocate_apply_buffers(self, cluster, sub: SubdomainShape) -> None:
+    def _apply_buffers(self, state: DeviceState, shape: SubdomainShape) -> DeviceState:
         """Persistent ``F̃ᵢ`` and dual vectors of one subdomain.
 
         ``F̃ᵢ`` at the storage dtype, halved when only a triangle is stored
         for the SYMV apply.
         """
-        memory = cluster.device.memory
-        state = self.device_state[sub.index]
-        state.F = memory.allocate(self._f_nbytes(sub), f"F[{sub.index}]")
-        state.p = memory.allocate(8 * sub.n_lambda, "p")
-        state.q = memory.allocate(8 * sub.n_lambda, "q")
+        state.F = buffer(self._f_nbytes(shape), "F")
+        state.p = buffer(8 * shape.n_lambda, "p")
+        state.q = buffer(8 * shape.n_lambda, "q")
+        return state
 
-    def _f_nbytes(self, sub: SubdomainShape) -> int:
-        f_bytes = self.storage_dtype.itemsize * sub.n_lambda * sub.n_lambda
+    def _f_nbytes(self, shape: SubdomainShape) -> int:
+        f_bytes = self.storage_dtype.itemsize * shape.n_lambda * shape.n_lambda
         return f_bytes // 2 if self.config.apply_symmetric else f_bytes
 
     def _close_prepare(self, cluster, clocks: ThreadClocks) -> float:
@@ -546,112 +713,96 @@ class GpuExplicitReplay(_GpuReplay):
         return super()._close_prepare(cluster, clocks)
 
     def preprocess(self) -> Timeline:
-        cfg = self.config
-        breakdown = dict.fromkeys(
-            ("numeric_factorization", "factor_upload", "sparse_to_dense", "trsm", "syrk", "spmm"),
-            0.0,
+        library = self.shapes.library
+        # CPU cost of factorization + extraction: a function of the pattern.
+        factor = self.shapes.per_shape(
+            lambda s: self._cpu.numeric_factorization(s.flops, s.L_nnz, library)
+            + self._cpu.factor_extraction(s.L_nnz)
         )
-        need_dense = cfg.forward_factor_storage is FactorStorage.DENSE or (
-            cfg.path is Path.TRSM and cfg.backward_factor_storage is FactorStorage.DENSE
-        )
-        cluster_times = []
-        for cluster, subs in self.clusters():
-            device = cluster.device
-            device.reset_timeline()
+        assembly = list(map(self._assembly, self.shapes.shapes, self._states))
+
+        def charge(device, counts: list[int]) -> None:
+            # Every member's temporaries are back before the next one's.
             arena = device.require_temporary()
-            cost = device.cost_model
-            clocks = ThreadClocks(cluster.n_threads)
-            # CPU cost of factorization + extraction: a function of the pattern.
-            factor_costs: dict[int, float] = {}
-            for i, sub in enumerate(subs):
-                stream = cluster.stream_for(i)
-                state = self.device_state[sub.index]
-
-                def kernel(key: str, label: str, duration: float) -> None:
-                    op = stream.submit(label, duration, clocks.now(i))
-                    clocks.advance(i, cost.submission_overhead_cpu)
-                    breakdown[key] += op.duration
-
-                if sub.pattern not in factor_costs:
-                    factor_costs[sub.pattern] = cluster.cpu.numeric_factorization(
-                        sub.flops, sub.L_nnz, self.shapes.library
-                    ) + cluster.cpu.factor_extraction(sub.L_nnz)
-                clocks.advance(i, factor_costs[sub.pattern])
-                breakdown["numeric_factorization"] += factor_costs[sub.pattern]
-
-                L = state.device_factor
-                kernel("factor_upload", f"h2d-values:{L.label}", cost.transfer(8 * L.nnz))
-
-                # Temporary buffers: dense RHS (and dense factor if needed).
-                ndofs, n_lambda = sub.ndofs, sub.n_lambda
-                temporaries = [arena.allocate(8 * ndofs * n_lambda, "dense-rhs")]
-                kernel(
-                    "sparse_to_dense",
-                    "cusparse.sparse_to_dense",
-                    cost.sparse_to_dense(ndofs, n_lambda, sub.B_nnz),
+            held = [peak for (_, (peak, _)), count in zip(assembly, counts) if count]
+            if held:
+                arena.hold_batch(
+                    max(held),
+                    sum(count * n for (_, (_, n)), count in zip(assembly, counts)),
                 )
-                if need_dense:
-                    temporaries.append(arena.allocate(8 * ndofs * ndofs, "dense-factor"))
-                    kernel(
-                        "sparse_to_dense",
-                        "cusparse.sparse_to_dense",
-                        cost.sparse_to_dense(ndofs, ndofs, L.nnz),
-                    )
 
-                self._triangular_solve(
-                    kernel, cost, arena, state.forward_plan, cfg.forward_factor_storage,
-                    ndofs, n_lambda,
-                )
-                if cfg.path is Path.SYRK:
-                    kernel("syrk", "cublas.syrk", cost.syrk(n_lambda, ndofs))
-                else:
-                    self._triangular_solve(
-                        kernel, cost, arena, state.backward_plan, cfg.backward_factor_storage,
-                        ndofs, n_lambda,
-                    )
-                    kernel("spmm", "cusparse.spmm", cost.spmm(sub.B_nnz, n_lambda))
+        return self._stream_loop(
+            ("numeric_factorization", "factor_upload", "sparse_to_dense", "trsm", "syrk", "spmm"),
+            [kernels for kernels, _ in assembly],
+            {"numeric_factorization": factor},
+            charge=charge,
+        )
 
-                # Temporary buffers are only needed until the kernels finish.
-                for allocation in temporaries:
-                    allocation.release()
-            cluster_times.append(device.synchronize(clocks.max_time))
-        return _slowest(cluster_times), breakdown
+    def _assembly(self, shape: SubdomainShape, state: DeviceState):
+        """One member's assembly: its kernels, and the most arena bytes it
+        holds at once with its number of arena buffers."""
+        cfg, cost = self.config, self._gpu
+        ndofs, n_lambda = shape.ndofs, shape.n_lambda
+        L = state.device_factor
+        to_dense = "cusparse.sparse_to_dense"
+        kernels = [
+            ("factor_upload", cost.transfer(L.values_nbytes), f"h2d-values:{L.label}[{{}}]"),
+            ("sparse_to_dense", cost.sparse_to_dense(ndofs, n_lambda, shape.B_nnz), to_dense),
+        ]
+        # Temporary buffers: the dense RHS (and the dense factor if needed),
+        # held until the kernels finish; a sparse solve's workspace only
+        # while it runs.
+        held = [round_up(8 * ndofs * n_lambda)]
+        if cfg.forward_factor_storage is FactorStorage.DENSE or (
+            cfg.path is Path.TRSM and cfg.backward_factor_storage is FactorStorage.DENSE
+        ):
+            held.append(round_up(8 * ndofs * ndofs))
+            kernels.append(("sparse_to_dense", cost.sparse_to_dense(ndofs, ndofs, L.nnz), to_dense))
+        workspaces: list[int] = []
+        self._triangular_solve(
+            kernels, workspaces, state.forward_plan, cfg.forward_factor_storage, shape
+        )
+        if cfg.path is Path.SYRK:
+            kernels.append(("syrk", cost.syrk(n_lambda, ndofs), "cublas.syrk"))
+        else:
+            self._triangular_solve(
+                kernels, workspaces, state.backward_plan, cfg.backward_factor_storage, shape
+            )
+            kernels.append(("spmm", cost.spmm(shape.B_nnz, n_lambda), "cusparse.spmm"))
+        return kernels, (sum(held) + max(workspaces, default=0), len(held) + len(workspaces))
 
-    @staticmethod
     def _triangular_solve(
-        kernel,
-        cost,
-        arena,
+        self,
+        kernels: list,
+        workspaces: list[int],
         plan: SparseTrsmPlan | None,
         storage: FactorStorage,
-        ndofs: int,
-        n_lambda: int,
+        shape: SubdomainShape,
     ) -> None:
         """One triangular solve of the assembly: dense cuBLAS or sparse cuSPARSE.
 
         The sparse solve holds its temporary workspace for the kernel's
         duration.
         """
+        cost = self._gpu
+        ndofs, n_lambda = shape.ndofs, shape.n_lambda
         if storage is FactorStorage.DENSE:
-            kernel("trsm", "cublas.trsm", cost.dense_trsm(ndofs, n_lambda))
+            kernels.append(("trsm", cost.dense_trsm(ndofs, n_lambda), "cublas.trsm"))
             return
         assert plan is not None
-        workspace = None
         if plan.temporary_bytes > 0:
-            workspace = arena.allocate(plan.temporary_bytes, label="cusparse-trsm-buffer")
+            workspaces.append(round_up(plan.temporary_bytes))
         duration = cost.sparse_trsm(
             plan.factor_nnz, ndofs, n_lambda, plan.version, plan.csc_factor,
             plan.col_major_rhs,
         )
-        kernel("trsm", "cusparse.trsm", duration)
-        if workspace is not None:
-            workspace.release()
+        kernels.append(("trsm", duration, "cusparse.trsm"))
 
-    def _mv_kernel(self, cost_model, n_lambda: int) -> tuple[str, float]:
-        """Stream label and duration of one subdomain's application kernel."""
+    def _mv_kernel(self, shape: SubdomainShape) -> tuple[str, float, str]:
+        """Breakdown key, duration and stream label of one subdomain's application kernel."""
         if self.config.apply_symmetric:
-            return "cublas.symv", cost_model.symv(n_lambda)
-        return "cublas.gemv", cost_model.gemv(n_lambda, n_lambda)
+            return "mv", self._gpu.symv(shape.n_lambda), "cublas.symv"
+        return "mv", self._gpu.gemv(shape.n_lambda, shape.n_lambda), "cublas.gemv"
 
     def _apply_one(self) -> Timeline:
         if self.config.scatter_gather is ScatterGatherDevice.GPU:
@@ -660,10 +811,13 @@ class GpuExplicitReplay(_GpuReplay):
 
     def _gpu_scatter(self) -> Timeline:
         """One H2D + scatter kernel per cluster, the MVs, one gather + D2H."""
-        breakdown = {"transfer": 0.0, "scatter_gather": 0.0, "mv": 0.0}
+        keys = ("transfer", "scatter_gather", "mv")
+        kernels = self._slots(keys, ((self._mv_kernel(shape),) for shape in self.shapes.shapes))
+        n_lambda = [shape.n_lambda for shape in self.shapes.shapes]
+        sums = [0.0] * len(keys)
         cluster_times = []
-        for cluster, subs in self.clusters():
-            if not subs:
+        for cluster, shape_ids in self.clusters():
+            if not shape_ids.size:
                 cluster_times.append(0.0)
                 continue
             device = cluster.device
@@ -673,43 +827,41 @@ class GpuExplicitReplay(_GpuReplay):
             overhead = cost.submission_overhead_cpu
             main_stream = cluster.stream_for(0)
             dual_transfer = cost.transfer(8 * self.shapes.cluster_n_lambda[cluster.cluster_id])
-            scatter_gather = cost.scatter_gather(sum(s.n_lambda for s in subs))
+            counts = np.bincount(shape_ids, minlength=len(n_lambda)).tolist()
+            scatter_gather = cost.scatter_gather(sum(c * n for c, n in zip(counts, n_lambda)))
 
             op = main_stream.submit("h2d:cluster-dual", dual_transfer, clocks.now(0))
-            breakdown["transfer"] += op.duration
+            sums[0] += op.duration
             scatter_op = main_stream.submit("gpu.scatter", scatter_gather, op.end_time)
-            breakdown["scatter_gather"] += scatter_op.duration
+            sums[1] += scatter_op.duration
             clocks.advance(0, 2 * overhead)
 
             # GEMV/SYMV kernels on per-subdomain streams, after the scatter.
-            for i, sub in enumerate(subs):
-                stream = cluster.stream_for(i)
-                stream.wait_for(scatter_op.end_time)
-                op = stream.submit(*self._mv_kernel(cost, sub.n_lambda), clocks.now(i))
-                clocks.advance(i, overhead)
-                breakdown["mv"] += op.duration
+            self._lanes(cluster, clocks, shape_ids, kernels, sums, ready=scatter_op.end_time)
 
             # One gather kernel + one D2H copy after all GEMVs finish.
             main_stream.wait_for(max(s.tail for s in cluster.streams))
             gather_op = main_stream.submit("gpu.gather", scatter_gather, clocks.max_time)
-            breakdown["scatter_gather"] += gather_op.duration
+            sums[1] += gather_op.duration
             op = main_stream.submit("d2h:cluster-dual", dual_transfer, gather_op.end_time)
-            breakdown["transfer"] += op.duration
+            sums[0] += op.duration
             cluster_times.append(device.synchronize(clocks.max_time))
-        return _slowest(cluster_times), breakdown
+        return _slowest(cluster_times), dict(zip(keys, sums))
 
     def _cpu_scatter(self) -> Timeline:
         """H2D of ``pᵢ``, GEMV/SYMV and D2H of ``qᵢ`` per subdomain on its stream."""
 
-        def kernels(device, sub):
-            transfer = device.cost_model.transfer(8 * sub.n_lambda)
+        def kernels(shape: SubdomainShape):
+            transfer = self._gpu.transfer(8 * shape.n_lambda)
             return (
-                ("transfer", "h2d:p", transfer),
-                ("mv", *self._mv_kernel(device.cost_model, sub.n_lambda)),
-                ("transfer", "d2h:q", transfer),
+                ("transfer", transfer, "h2d:p"),
+                self._mv_kernel(shape),
+                ("transfer", transfer, "d2h:q"),
             )
 
-        return self._stream_kernels({"transfer": 0.0, "mv": 0.0}, kernels)
+        return self._stream_loop(
+            ("transfer", "mv"), map(kernels, self.shapes.shapes), skip_empty=True
+        )
 
 
 class HybridReplay(GpuExplicitReplay):
@@ -723,28 +875,20 @@ class HybridReplay(GpuExplicitReplay):
     reads_rhs_fill = True
     prepare_keys = ("symbolic",)
 
-    def _prepare_subdomain(self, cluster, clocks, i, sub, breakdown) -> None:
-        self._allocate_apply_buffers(cluster, sub)
+    def _device_state(self, shape: SubdomainShape) -> DeviceState:
+        return self._apply_buffers(DeviceState(), shape)
 
     def preprocess(self) -> Timeline:
-        breakdown = {"schur_complement": 0.0, "upload_F": 0.0}
-        cluster_times = []
-        for cluster, subs in self.clusters():
-            device = cluster.device
-            device.reset_timeline()
-            clocks = ThreadClocks(cluster.n_threads)
-            for i, sub in enumerate(subs):
-                cost = cluster.cpu.schur_complement(
-                    sub.L_nnz, sub.flops, sub.n_lambda, sub.rhs_fill, self.shapes.library,
-                    ndofs=sub.ndofs,
-                )
-                clocks.advance(i, cost)
-                breakdown["schur_complement"] += cost
-
-                op = cluster.stream_for(i).submit(
-                    "h2d:F", device.cost_model.transfer(self._f_nbytes(sub)), clocks.now(i)
-                )
-                clocks.advance(i, device.cost_model.submission_overhead_cpu)
-                breakdown["upload_F"] += op.duration
-            cluster_times.append(device.synchronize(clocks.max_time))
-        return _slowest(cluster_times), breakdown
+        library = self.shapes.library
+        schur = self.shapes.per_shape(
+            lambda s: self._cpu.schur_complement(
+                s.L_nnz, s.flops, s.n_lambda, s.rhs_fill, library, ndofs=s.ndofs
+            )
+        )
+        upload = [
+            (("upload_F", self._gpu.transfer(self._f_nbytes(shape)), "h2d:F"),)
+            for shape in self.shapes.shapes
+        ]
+        return self._stream_loop(
+            ("schur_complement", "upload_F"), upload, {"schur_complement": schur}
+        )

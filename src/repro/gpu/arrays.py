@@ -41,3 +41,8 @@ class DeviceCsrMatrix:
         """Approximate CSR/CSC byte size (values + indices + pointers)."""
         n_major = self.shape[0] if self.order is MatrixOrder.ROW_MAJOR else self.shape[1]
         return int(12 * self.nnz + 8 * (n_major + 1))
+
+    @property
+    def values_nbytes(self) -> int:
+        """Bytes of the numerical values alone (what a value update copies)."""
+        return 8 * self.nnz

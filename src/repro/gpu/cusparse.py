@@ -12,6 +12,9 @@ paper compares:
 The solves themselves are stream submissions with the cost model's
 durations (:meth:`repro.gpu.costmodel.GpuCostModel.sparse_trsm`), each
 holding :attr:`SparseTrsmPlan.temporary_bytes` of the arena while it runs.
+:func:`trsm_plan` sizes a plan without allocating or submitting anything
+(a cost replay sizes one per subdomain shape); :func:`trsm_analysis` runs
+the analysis on a device.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.gpu.arrays import DeviceCsrMatrix, MatrixOrder
-from repro.gpu.costmodel import CudaVersion
+from repro.gpu.costmodel import CudaVersion, GpuCostModel
 from repro.gpu.device import Device
 from repro.gpu.memory import Allocation, MemoryPool
 from repro.gpu.stream import Stream, StreamOperation
 
-__all__ = ["SparseTrsmPlan", "trsm_analysis"]
+__all__ = ["SparseTrsmPlan", "trsm_plan", "trsm_analysis"]
 
 
 @dataclass
@@ -46,6 +49,37 @@ class SparseTrsmPlan:
     temporary_bytes: int = 0
 
 
+def trsm_plan(
+    model: GpuCostModel,
+    version: CudaVersion,
+    factor: DeviceCsrMatrix,
+    nrhs: int,
+    rhs_order: MatrixOrder = MatrixOrder.ROW_MAJOR,
+) -> SparseTrsmPlan:
+    """The plan of a sparse TRSM with ``factor`` and ``nrhs`` right-hand sides.
+
+    Its workspace sizes only: no buffer is allocated
+    (``persistent_buffer`` stays ``None``) and no analysis is submitted.
+    """
+    n = factor.shape[0]
+    csc_factor = factor.order is MatrixOrder.COL_MAJOR
+    col_major_rhs = rhs_order is MatrixOrder.COL_MAJOR
+    return SparseTrsmPlan(
+        factor_nnz=factor.nnz,
+        n=n,
+        nrhs=nrhs,
+        version=version,
+        csc_factor=csc_factor,
+        col_major_rhs=col_major_rhs,
+        persistent_bytes=model.sparse_trsm_buffer_bytes(
+            factor.nnz, n, nrhs, version, csc_factor, col_major_rhs, persistent=True
+        ),
+        temporary_bytes=model.sparse_trsm_buffer_bytes(
+            factor.nnz, n, nrhs, version, csc_factor, col_major_rhs, persistent=False
+        ),
+    )
+
+
 def trsm_analysis(
     device: Device,
     stream: Stream,
@@ -60,32 +94,11 @@ def trsm_analysis(
     Allocates the persistent workspace the kernel needs for its lifetime.
     """
     model = device.cost_model
-    version = device.cuda_version
-    n = factor.shape[0]
-    csc_factor = factor.order is MatrixOrder.COL_MAJOR
-    col_major_rhs = rhs_order is MatrixOrder.COL_MAJOR
-    persistent_bytes = model.sparse_trsm_buffer_bytes(
-        factor.nnz, n, nrhs, version, csc_factor, col_major_rhs, persistent=True
-    )
-    temporary_bytes = model.sparse_trsm_buffer_bytes(
-        factor.nnz, n, nrhs, version, csc_factor, col_major_rhs, persistent=False
-    )
-    allocation = None
-    if persistent_bytes > 0:
-        allocation = (pool or device.memory).allocate(
-            persistent_bytes, label="cusparse-trsm-workspace"
+    plan = trsm_plan(model, device.cuda_version, factor, nrhs, rhs_order)
+    if plan.persistent_bytes > 0:
+        plan.persistent_buffer = (pool or device.memory).allocate(
+            plan.persistent_bytes, label="cusparse-trsm-workspace"
         )
-    duration = model.sparse_trsm_analysis(factor.nnz, version)
+    duration = model.sparse_trsm_analysis(factor.nnz, device.cuda_version)
     op = stream.submit("cusparse.trsm_analysis", duration, submit_time)
-    plan = SparseTrsmPlan(
-        factor_nnz=factor.nnz,
-        n=n,
-        nrhs=nrhs,
-        version=version,
-        csc_factor=csc_factor,
-        col_major_rhs=col_major_rhs,
-        persistent_buffer=allocation,
-        persistent_bytes=persistent_bytes,
-        temporary_bytes=temporary_bytes,
-    )
     return plan, op

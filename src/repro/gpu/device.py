@@ -145,7 +145,8 @@ class Device:
         Used every time step for the factors: the pattern stays on the
         device, only the values are copied again.
         """
-        nbytes = 8 * device_matrix.nnz
         return stream.submit(
-            f"h2d-values:{device_matrix.label}", self.cost_model.transfer(nbytes), submit_time
+            f"h2d-values:{device_matrix.label}",
+            self.cost_model.transfer(device_matrix.values_nbytes),
+            submit_time,
         )

@@ -11,7 +11,10 @@ memory.
 Both behaviours are reproduced here.  The arena uses a condition variable so
 the blocking semantics are real under the threaded subdomain loop of
 :mod:`repro.cluster`; statistics (peak usage, number of blocking waits) are
-recorded for the ablation benchmarks.
+recorded for the ablation benchmarks.  A cost replay that prices equal
+buffers once (:func:`buffer`) charges them in one call per loop:
+:meth:`MemoryPool.allocate_batch` and :meth:`TemporaryArena.hold_batch`
+leave every counter where the one-by-one calls would.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-__all__ = ["AllocationError", "Allocation", "MemoryPool", "TemporaryArena"]
+__all__ = ["AllocationError", "Allocation", "MemoryPool", "TemporaryArena", "buffer", "round_up"]
 
 
 class AllocationError(RuntimeError):
@@ -28,18 +31,30 @@ class AllocationError(RuntimeError):
 
 @dataclass
 class Allocation:
-    """A handle to a block of simulated GPU memory."""
+    """A handle to a block of simulated GPU memory.
+
+    ``pool`` is ``None`` for a :func:`buffer`: a size its holders were
+    charged for in a batch, which no single release returns.
+    """
 
     nbytes: int
     label: str
-    pool: "MemoryPool | TemporaryArena" = field(repr=False)
+    pool: "MemoryPool | TemporaryArena | None" = field(default=None, repr=False)
     released: bool = False
 
     def release(self) -> None:
         """Return the block to its pool (idempotent)."""
         if not self.released:
             self.released = True
-            self.pool._release(self)  # noqa: SLF001 - cooperative release
+            if self.pool is not None:
+                self.pool._release(self)  # noqa: SLF001 - cooperative release
+
+
+def buffer(nbytes: int, label: str = "") -> Allocation:
+    """The handle of a buffer of ``nbytes`` (rounded as a pool rounds it),
+    charged to no pool: what :meth:`MemoryPool.allocate_batch` charges once
+    per holder."""
+    return Allocation(nbytes=round_up(nbytes), label=label)
 
 
 class MemoryPool:
@@ -82,7 +97,7 @@ class MemoryPool:
 
     def allocate(self, nbytes: int, label: str = "") -> Allocation:
         """Allocate ``nbytes`` (rounded up to 256-byte granularity)."""
-        nbytes = _round_up(nbytes)
+        nbytes = round_up(nbytes)
         with self._lock:
             if nbytes > self.capacity_bytes - self._used:
                 raise AllocationError(
@@ -93,6 +108,24 @@ class MemoryPool:
             self._peak = max(self._peak, self._used)
             self._allocations += 1
         return Allocation(nbytes=nbytes, label=label, pool=self)
+
+    def allocate_batch(self, nbytes: int, count: int) -> None:
+        """Serve ``count`` allocations of ``nbytes`` in total (each already
+        rounded, e.g. a :func:`buffer`'s size) at once.
+
+        Used, peak and allocation counters end where ``count``
+        :meth:`allocate` calls would leave them; if they do not all fit,
+        nothing is allocated and :class:`AllocationError` is raised.
+        """
+        with self._lock:
+            if nbytes > self.capacity_bytes - self._used:
+                raise AllocationError(
+                    f"{self.name} pool exhausted: requested {nbytes} bytes in "
+                    f"{count} allocations, free {self.capacity_bytes - self._used}"
+                )
+            self._used += nbytes
+            self._peak = max(self._peak, self._used)
+            self._allocations += count
 
     def _release(self, allocation: Allocation) -> None:
         with self._lock:
@@ -149,7 +182,7 @@ class TemporaryArena:
         self, nbytes: int, label: str = "", timeout: float | None = 60.0
     ) -> Allocation:
         """Allocate ``nbytes``, blocking until the request can be served."""
-        nbytes = _round_up(nbytes)
+        nbytes = round_up(nbytes)
         if nbytes > self.capacity_bytes:
             raise AllocationError(
                 f"temporary buffer of {nbytes} bytes exceeds the arena "
@@ -170,13 +203,32 @@ class TemporaryArena:
             self._allocations += 1
         return Allocation(nbytes=nbytes, label=label, pool=self)
 
+    def hold_batch(self, peak_bytes: int, count: int) -> None:
+        """Serve ``count`` kernel-lifetime buffers, all released again, at
+        most ``peak_bytes`` (rounded sizes) of them live at once.
+
+        The counters end where the one-by-one :meth:`allocate` /
+        ``release`` calls of a single thread would leave them.  A thread
+        alone cannot wait for memory nobody else will free: if the peak
+        does not fit, :class:`AllocationError` is raised at once.
+        """
+        with self._cond:
+            if peak_bytes > self.capacity_bytes - self._used:
+                raise AllocationError(
+                    f"temporary buffers of {peak_bytes} bytes at once exceed the "
+                    f"free {self.capacity_bytes - self._used} bytes of the arena"
+                )
+            self._peak = max(self._peak, self._used + peak_bytes)
+            self._allocations += count
+
     def _release(self, allocation: Allocation) -> None:
         with self._cond:
             self._used -= allocation.nbytes
             self._cond.notify_all()
 
 
-def _round_up(nbytes: int, granularity: int = 256) -> int:
+def round_up(nbytes: int, granularity: int = 256) -> int:
+    """``nbytes`` rounded up to the pools' allocation granularity."""
     nbytes = int(nbytes)
     if nbytes < 0:
         raise ValueError("allocation size must be non-negative")

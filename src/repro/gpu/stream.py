@@ -9,7 +9,9 @@ to reproduce the concurrency effects the paper relies on: CPU–GPU overlap
 previous one) and copy–compute overlap across multiple streams.
 
 Thread safety: streams may be driven from the thread-pool workers of the
-cluster runtime, so the submission bookkeeping is protected by a lock.
+cluster runtime, so the submission bookkeeping is protected by a lock.  A
+cost replay that schedules a whole subdomain loop on plain floats hands the
+result over in one :meth:`Stream.extend`.
 """
 
 from __future__ import annotations
@@ -84,6 +86,14 @@ class Stream:
             if self.keep_log:
                 self.operations.append(op)
             return op
+
+    def extend(self, tail: float, operations: list[StreamOperation] = ()) -> None:
+        """Adopt a timeline scheduled elsewhere: the new tail and the
+        operations that led to it (kept only if the stream keeps a log)."""
+        with self._lock:
+            self.tail = tail
+            if self.keep_log:
+                self.operations.extend(operations)
 
     def wait_for(self, time: float) -> None:
         """Make the stream wait until ``time`` (event dependency)."""

@@ -15,7 +15,8 @@ subdomains with equal patterns but different stiffness values hit the same
 entry.  The hash is computed once per distinct ``(indptr, indices)`` pair of
 arrays: the members of a shape group's stiffness stack share one pair
 (:class:`~repro.fem.assembly.CsrStack`), so a group of any size costs one
-hash, while every lookup still counts as a hit or a miss.  A pattern's
+hash, while every lookup still counts as a hit or a miss (a caller looking
+a pattern up for ``k`` holders makes one call with ``lookups=k``).  A pattern's
 index arrays are taken as immutable (SciPy replaces them, never edits them,
 when a sparsity changes).  The cache is bounded LRU and thread-safe; the
 solvers use the process-global instance by default.
@@ -73,6 +74,8 @@ class PatternCache:
         self,
         A: sp.spmatrix,
         ordering: OrderingMethod | str = OrderingMethod.RCM,
+        *,
+        lookups: int = 1,
         **kwargs,
     ) -> SymbolicFactor:
         """Symbolic factorization of ``A``, computed once per pattern.
@@ -80,6 +83,8 @@ class PatternCache:
         ``kwargs`` are forwarded to
         :func:`repro.sparse.symbolic.symbolic_cholesky` and participate in
         the cache key, so e.g. supernode-detection settings cannot collide.
+        ``lookups`` counts one call for that many holders of the pattern:
+        the first is a hit or a miss, every other one a hit.
         """
         method = OrderingMethod(ordering) if isinstance(ordering, str) else ordering
         key = (method.value, tuple(sorted(kwargs.items())), *self._structural_key(A))
@@ -87,9 +92,10 @@ class PatternCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self.hits += 1
+                self.hits += lookups
                 return entry
             self.misses += 1
+            self.hits += lookups - 1
         symbolic = symbolic_cholesky(A, ordering=method, **kwargs)
         with self._lock:
             self._entries[key] = symbolic

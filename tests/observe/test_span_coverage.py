@@ -60,3 +60,21 @@ def test_cold_solve_builds_the_coarse_problem_and_preconditioner_before_pcpg():
             break
     for name, share in SHARES.items():
         assert best[name] >= share, (name, best[name])
+
+
+def test_every_cost_replay_call_has_its_own_span():
+    """The simulated timeline's bookkeeping is a ``cost_replay`` span inside
+    the phase that runs it: one per prepare, preprocess and planned apply,
+    each naming the approach and the phase; a warm solve opens none."""
+    spec = SolverSpec(approach="expl modern", assembly="table2")
+    with Session(spec, memory_budget="unlimited") as session:
+        with trace() as cold:
+            assert session.solve(WORKLOAD).converged
+        with trace() as warm:
+            assert session.solve(WORKLOAD).converged
+    replays = cold.find("cost_replay")
+    assert [s.attrs["phase"] for s in replays] == ["prepare", "preprocess", "apply"]
+    assert {s.attrs["approach"] for s in replays} == {"expl modern"}
+    parents = {s.span_id: s.name for s in cold.spans}
+    assert [parents[s.parent_id] for s in replays] == ["preparation", "preprocessing", "apply"]
+    assert not warm.find("cost_replay")

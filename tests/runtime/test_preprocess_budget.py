@@ -239,3 +239,65 @@ def test_cold_set_up_builds_per_group_not_per_subdomain(monkeypatch):
         assert 0 < calls["sparse matrix"] <= SET_UP_SPARSE_MATRICES, (name, dict(calls))
         counts[name] = dict(calls)
     assert counts["heat2d-8x8x8-c4"] == counts["heat2d-16x16x8-c4"]
+
+
+#: 16 and 64 subdomains of one shape on one cluster: both have the same six
+#: shape groups (a corner, edge or interior subdomain, on the Dirichlet face
+#: or not), so a replay that prices groups evaluates the cost model equally
+#: often on both.
+PRICING_SIZES = {
+    "heat2d-4x4x8-c1": Workload("heat", 2, (4, 4), 8),
+    "heat2d-8x8x8-c1": Workload("heat", 2, (8, 8), 8),
+}
+
+
+def _count_cold_pricing(monkeypatch, workload: Workload) -> tuple[Counter, dict]:
+    """Cost-model method calls and pattern-cache lookups of a cold
+    ``expl modern`` ``prepare()`` + ``preprocess()``, and the cache stats."""
+    from repro.gpu.costmodel import GpuCostModel
+    from repro.sparse.cache import PatternCache
+    from repro.sparse.costmodel import CpuCostModel
+
+    calls: Counter[str] = Counter()
+
+    def counted(label, function):
+        def call(*args, **kwargs):
+            calls[label] += 1
+            return function(*args, **kwargs)
+
+        return call
+
+    for model in (GpuCostModel, CpuCostModel):
+        for name, member in list(vars(model).items()):
+            if callable(member) and not name.startswith("__"):
+                monkeypatch.setattr(model, name, counted("cost model", member))
+    monkeypatch.setattr(
+        PatternCache, "symbolic_for", counted("symbolic_for", PatternCache.symbolic_for)
+    )
+    build_problem.cache_clear()
+    spec = SolverSpec(approach="expl modern", assembly="table2", execution="serial")
+    with Session(spec, memory_budget="unlimited") as session:
+        solver = session.solver(workload)
+        solver.prepare()
+        solver.preprocess()
+        stats = session.cache_stats()
+    return calls, stats
+
+
+def test_cold_pricing_is_per_shape_group_not_per_subdomain(monkeypatch):
+    """The replays evaluate each cost once per shape group, and the analysis
+    looks each stored pattern up once while counting a hit per other member.
+
+    16 and 64 subdomains make the same number of cost-model calls and one
+    ``symbolic_for`` call each; ``cache_stats()`` still reads one analysis
+    and a hit for every other subdomain.
+    """
+    counts = {}
+    for name, workload in PRICING_SIZES.items():
+        calls, stats = _count_cold_pricing(monkeypatch, workload)
+        assert calls["symbolic_for"] == 1, name
+        assert stats["symbolic_analyses"] == 1, name
+        assert stats["pattern_hits"] == workload.n_subdomains - 1, name
+        assert calls["cost model"] > 0, name
+        counts[name] = calls["cost model"]
+    assert counts["heat2d-4x4x8-c1"] == counts["heat2d-8x8x8-c1"]
