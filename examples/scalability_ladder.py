@@ -9,7 +9,10 @@ transfer and linear elasticity in 2D, under all three preconditioners, and
 prints the PCPG iteration count next to the Lanczos estimate of ``κ`` every
 solve carries (``PcpgResult.condition_estimate``).  The subdomain rungs also
 show the wall milliseconds per subdomain of their first (cold) solve — the
-cold path's scaling from 16 to 256 subdomains; that column is not gated.
+cold path's scaling from 16 to 256 subdomains — and the ``H/h`` rungs the
+wall milliseconds of the cold Dirichlet ``preconditioner_build`` (its
+``Sᵢ`` read off the preprocessed ``F̃ᵢ``: the refresh cost against the
+subdomain size).  Neither column is gated.
 
 The output is a Markdown table (the nightly workflow appends it to the step
 summary).  The exit status is non-zero if ``dirichlet ≤ lumped ≤ none`` breaks
@@ -34,6 +37,16 @@ SUBDOMAIN_LADDER = [(grid, 8) for grid in ((4, 4), (8, 8), (16, 16))]
 FLATNESS = 3
 
 
+def dirichlet_build_ms(session: Session, workload: Workload, spec: SolverSpec) -> float:
+    """Wall milliseconds of the Dirichlet preconditioner's first build, after
+    a preprocessing (the ``preconditioner_build`` span of a cold solve)."""
+    solver = session.solver(workload, spec)
+    solver.preprocess()
+    start = time.perf_counter()
+    _ = solver.preconditioner
+    return 1e3 * (time.perf_counter() - start)
+
+
 def climb(
     session: Session, physics: str, rungs: list, cold_column: bool = False
 ) -> list[dict[str, tuple[int, float]]]:
@@ -41,25 +54,29 @@ def climb(
 
     With ``cold_column``, the row ends with the wall milliseconds per
     subdomain of the rung's first solve, from an empty problem cache (its
-    problem build, preparation and preprocessing included).
+    problem build, preparation and preprocessing included); without it,
+    with the wall milliseconds of the Dirichlet preconditioner's build.
     """
     results = []
     for grid, cells in rungs:
         workload = Workload(physics=physics, dim=2, subdomains=grid, cells=cells)
         row = {}
-        cold_ms = None
+        cold_ms = build_ms = None
         if cold_column:
             build_problem.cache_clear()
         for kind in KINDS:
+            spec = SolverSpec(approach="expl mkl", preconditioner=kind)
+            if kind == "dirichlet" and not cold_column:
+                build_ms = dirichlet_build_ms(session, workload, spec)
             start = time.perf_counter()
-            solution = session.solve(workload, SolverSpec(approach="expl mkl", preconditioner=kind))
+            solution = session.solve(workload, spec)
             if cold_ms is None:
                 cold_ms = 1e3 * (time.perf_counter() - start) / workload.n_subdomains
             if not solution.converged:
                 sys.exit(f"{workload.describe()} did not converge under {kind!r}")
             row[kind] = (solution.iterations, solution.pcpg.condition_estimate)
         cells_text = " | ".join(f"{its} | {kappa:.2f}" for its, kappa in row.values())
-        cold_text = f"{cold_ms:.3f}" if cold_column else "–"
+        cold_text = f"{cold_ms:.3f} | –" if cold_column else f"– | {build_ms:.2f}"
         print(f"| {physics} | {grid[0]}x{grid[1]} | {cells} | {cells_text} | {cold_text} |")
         results.append(row)
     return results
@@ -70,9 +87,9 @@ def main() -> int:
     print("### FETI scalability ladder (PCPG iterations and κ estimate)\n")
     print(
         "| physics | subdomains | H/h | none | κ | lumped | κ | dirichlet | κ "
-        "| cold ms / subdomain |"
+        "| cold ms / subdomain | dirichlet build ms |"
     )
-    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for physics in ("heat", "elasticity"):
         with Session() as session:
             by_cells = climb(session, physics, CELLS_LADDER)

@@ -245,14 +245,27 @@ class Session:
         """Shut down the session's worker pools (idempotent).
 
         The caches survive — a closed session can still resolve problems —
-        but no further parallel work can be dispatched.
+        but no further parallel work can be dispatched.  Every cached solver
+        releases its numeric storage as the memory tier's eviction does, so
+        a closed session that is still referenced holds no factor, ``F̃ᵢ`` or
+        preconditioner block (its shut executors preprocess nothing again);
+        a solver whose workload is being solved on another thread keeps its
+        own.
         """
         with self._cache_lock:
             executors = list(self._executors.values())
             self._executors.clear()
             self._closed = True
+            solvers = list(self._solvers.items())
         for executor in executors:
             executor.close()
+        for key, solver in solvers:
+            lock = self.workload_lock(key[0])
+            if solver.operator.preprocessed and lock.acquire(blocking=False):
+                try:
+                    self._release_solver(key, solver)
+                finally:
+                    lock.release()
 
     def __enter__(self) -> "Session":
         return self
@@ -365,11 +378,15 @@ class Session:
                 continue
             try:
                 with self._cache_lock:
-                    operator = self._solvers[key].operator
-                operator.release()
-                tier.mark_released(key, operator.storage_version)
+                    solver = self._solvers[key]
+                self._release_solver(key, solver)
             finally:
                 lock.release()
+
+    def _release_solver(self, key: tuple[Workload, SolverSpec], solver: FetiSolver) -> None:
+        """Release one entry's numeric storage (its workload lock held)."""
+        solver.release()
+        self.tier.mark_released(key, solver.operator.storage_version)
 
     # ------------------------------------------------------------------ #
     # Execution                                                           #
@@ -551,7 +568,7 @@ class Session:
                     K.data[:] = K_data
                     K_reg.data[:] = K_reg_data
             if not driver.factors_current():
-                solver.operator.release()
+                solver.release()
         self._steps.inc(n)
         self._solves.inc(n)
         self._record_usage((w, s), solver)

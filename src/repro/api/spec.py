@@ -136,7 +136,12 @@ class SolverSpec:
         e.g. ``"expl modern"``).
     preconditioner:
         Dual preconditioner of the PCPG iteration (``"none"``, ``"lumped"``
-        or ``"dirichlet"``).
+        or ``"dirichlet"``).  ``None`` (the default) resolves by approach
+        family at construction: ``"dirichlet"`` for every explicit approach,
+        whose assembled ``F̃ᵢ`` make each Dirichlet ``Sᵢ`` a gather and a
+        small dense inverse, ``"lumped"`` for the implicit ones, where
+        ``Sᵢ`` would cost a Schur assembly.  The resolved kind is what the
+        spec holds and serializes.
     tolerance, max_iterations, absolute_tolerance:
         PCPG stopping criteria.
     threads_per_cluster, streams_per_cluster:
@@ -170,7 +175,7 @@ class SolverSpec:
     """
 
     approach: DualOperatorApproach = DualOperatorApproach.IMPLICIT_MKL
-    preconditioner: PreconditionerKind = PreconditionerKind.LUMPED
+    preconditioner: PreconditionerKind | None = None
     tolerance: float = 1e-9
     max_iterations: int = 500
     absolute_tolerance: float = 1e-300
@@ -186,6 +191,14 @@ class SolverSpec:
         object.__setattr__(
             self, "approach", _coerce_enum(DualOperatorApproach, self.approach, "approach")
         )
+        if self.preconditioner is None:
+            object.__setattr__(
+                self,
+                "preconditioner",
+                PreconditionerKind.DIRICHLET
+                if self.approach.is_explicit
+                else PreconditionerKind.LUMPED,
+            )
         object.__setattr__(
             self,
             "preconditioner",

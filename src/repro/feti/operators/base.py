@@ -206,9 +206,18 @@ class DualOperator:
         The symbolic analysis of every subdomain, the pattern groups (and, on
         the explicit path, how every ``B̃ᵢ`` enters the Schur assembly), per
         stored pattern (:func:`analyze_problem`); the cost replay is built
-        from them and charges the phase.
+        from them and charges the phase.  A second call starts over: it
+        releases the first one's factors and the device bytes its replay
+        charged.
         """
         wall0 = time.perf_counter()
+        if self.replay is not None:
+            # A second preparation re-analyses and charges the machine
+            # afresh: the old factors go with the old groups, and the old
+            # replay returns what it took, or its arena leaves the pool no
+            # bytes.
+            self.release()
+            self.replay.release()
         with trace_span("preparation", approach=self.approach.value):
             self._groups = analyze_problem(
                 self.problem, self.pattern_cache, scatters=self.explicit
@@ -262,6 +271,11 @@ class DualOperator:
     def preprocessed(self) -> bool:
         """Whether the factors and ``F̃ᵢ`` of a preprocessing are resident."""
         return self._preprocessed
+
+    @property
+    def pattern_groups(self) -> list[PatternGroup]:
+        """The pattern groups :meth:`prepare` found (their bands once preprocessed)."""
+        return self._groups
 
     def _drop_factors(self) -> None:
         """Forget the numeric factors and what was derived from them."""

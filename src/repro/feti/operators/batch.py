@@ -202,6 +202,22 @@ class BatchedDenseApply:
         view.flags.writeable = False
         return view
 
+    def principal(self, items: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The ``(k, m, m)`` fp64 principal submatrices ``block[rows[j]][:, rows[j]]``.
+
+        ``items`` names ``k`` installed blocks, ``rows`` is ``(k, m)``.  The
+        packed blocks are gathered by one fancy index over the pack, each
+        large one by its own.
+        """
+        items = np.asarray(items, dtype=np.int64)
+        out = np.empty((items.shape[0], rows.shape[1], rows.shape[1]))
+        packed = items < self.n_packed
+        picked = rows[packed]
+        out[packed] = self.blocks[items[packed][:, None, None], picked[:, :, None], picked[:, None, :]]
+        for j in np.flatnonzero(~packed).tolist():
+            out[j] = self.large[items[j] - self.n_packed][np.ix_(rows[j], rows[j])]
+        return out
+
     def apply(self, lam: np.ndarray) -> np.ndarray:
         """``q = Σᵢ B̃ᵢᵀ F̃ᵢ B̃ᵢ λ``: one batched GEMV, one SYMV per large block.
 
@@ -342,3 +358,7 @@ class SubdomainBatchEngine:
     def dense_block(self, subdomain_index: int) -> np.ndarray:
         """One installed ``F̃ᵢ``: a read-only view, unpadded."""
         return self.dense.block(int(self._dense_item[subdomain_index]))
+
+    def principal_blocks(self, subdomains: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``F̃ᵢ[rows[j]][:, rows[j]]`` of every subdomain ``i = subdomains[j]``, fp64."""
+        return self.dense.principal(self._dense_item[subdomains], rows)

@@ -42,6 +42,7 @@ from repro.feti.config import AssemblyConfig, FactorStorage, Path, ScatterGather
 from repro.gpu import cusparse
 from repro.gpu.arrays import DeviceCsrMatrix, MatrixOrder
 from repro.gpu.cusparse import SparseTrsmPlan
+from repro.gpu.device import Device
 from repro.gpu.memory import Allocation, buffer, round_up
 from repro.gpu.stream import StreamOperation
 from repro.sparse.costmodel import CpuLibrary
@@ -279,6 +280,10 @@ class CostReplay:
     def prepare(self) -> Timeline:
         raise NotImplementedError
 
+    def release(self) -> None:
+        """Return what :meth:`prepare` charged to the machine (a CPU family
+        charges nothing)."""
+
     def preprocess(self) -> Timeline:
         raise NotImplementedError
 
@@ -422,6 +427,8 @@ class _GpuReplay(CostReplay):
         self._version = self.machine.config.cuda_version
         #: One member's persistent device structures, by shape group.
         self._states = [self._device_state(shape) for shape in self.shapes.shapes]
+        #: The pool bytes :meth:`prepare` charged, by device (its arena's too).
+        self._charged: list[tuple[Device, int]] = []
 
     @cached_property
     def device_state(self) -> dict[int, DeviceState]:
@@ -512,13 +519,27 @@ class _GpuReplay(CostReplay):
                 sum(count * len(group) for count, group in zip(counts, blocks)),
             )
 
-        return self._stream_loop(
+        devices = [cluster.device for cluster in self.machine.clusters]
+        before = [device.memory.used_bytes for device in devices]
+        timeline = self._stream_loop(
             self.prepare_keys,
             map(self._prepare_kernels, self._states),
             {"symbolic": self._symbolic()},
             charge=charge,
             close=self._close_prepare,
         )
+        self._charged = [
+            (device, device.memory.used_bytes - used) for device, used in zip(devices, before)
+        ]
+        return timeline
+
+    def release(self) -> None:
+        """Return every pool byte :meth:`prepare` charged and drop the arena
+        it made of the rest, so a new preparation finds the pool as it was."""
+        for device, nbytes in self._charged:
+            device.memory.release_batch(nbytes)
+            device.temporary = None
+        self._charged = []
 
     def _prepare_kernels(self, state: DeviceState):
         """The uploads of the persistent patterns, then the TRSM analyses."""

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from repro.observe.trace import trace_event, trace_span
+from repro.observe.trace import trace_event, trace_span, tracing_active
 
 __all__ = ["PcpgResult", "pcpg", "pcpg_block"]
 
@@ -131,13 +131,20 @@ def pcpg(
         ``PcpgResult.residual_history`` (0 keeps none).
     """
 
-    def project(v: np.ndarray) -> np.ndarray:
-        with trace_span("project"):
-            return apply_P(v)
+    traced = tracing_active()
+    if traced:
 
-    def precondition(v: np.ndarray) -> np.ndarray:
-        with trace_span("precondition"):
-            return apply_M(v)
+        def project(v: np.ndarray) -> np.ndarray:
+            with trace_span("project"):
+                return apply_P(v)
+
+        def precondition(v: np.ndarray) -> np.ndarray:
+            with trace_span("precondition"):
+                return apply_M(v)
+
+    else:
+        # No trace is live: the operators are called directly.
+        project, precondition = apply_P, apply_M
 
     lam = np.array(lambda_0, dtype=float, copy=True)
     r = d - apply_F(lam)
@@ -186,7 +193,8 @@ def pcpg(
             wy_next = float(w_next @ y_next)
             norm = np.sqrt(abs(wy_next))
             norms.append(norm)
-            trace_event("residual", iteration=k + 1, norm=norm)
+            if traced:
+                trace_event("residual", iteration=k + 1, norm=norm)
             if callback is not None:
                 callback(k + 1, norm)
             if norm <= max(tolerance * norm0, absolute_tolerance):

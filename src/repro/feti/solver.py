@@ -43,11 +43,10 @@ __all__ = [
     "MultiStepDriver",
 ]
 
-#: The preconditioner class of every :class:`PreconditionerKind`.
+#: The preconditioner class of every kind that needs only the problem.
 _PRECONDITIONERS = {
     PreconditionerKind.NONE: IdentityPreconditioner,
     PreconditionerKind.LUMPED: LumpedPreconditioner,
-    PreconditionerKind.DIRICHLET: DirichletPreconditioner,
 }
 
 
@@ -149,10 +148,23 @@ class FetiSolver:
     @property
     def preconditioner(self):
         """The dual preconditioner selected by the spec (built lazily, under a
-        ``preconditioner_build`` span)."""
+        ``preconditioner_build`` span).
+
+        The Dirichlet preconditioner reads its ``Sᵢ`` off the preprocessed
+        dual operator, so building it first runs a preprocessing where none
+        is resident.
+        """
         if self._preconditioner is None:
+            kind = self.spec.preconditioner
+            dirichlet = kind is PreconditionerKind.DIRICHLET
+            if dirichlet and not self.operator.preprocessed:
+                self.preprocess()
             with trace_span("preconditioner_build"):
-                self._preconditioner = _PRECONDITIONERS[self.spec.preconditioner](self.problem)
+                self._preconditioner = (
+                    DirichletPreconditioner(self.problem, self.operator)
+                    if dirichlet
+                    else _PRECONDITIONERS[kind](self.problem)
+                )
         return self._preconditioner
 
     def _pcpg_inputs(self) -> tuple[Projector, object]:
@@ -174,14 +186,26 @@ class FetiSolver:
 
         An already-built preconditioner is refreshed in place (same object,
         new values), so it follows the stiffness exactly when the
-        factorization does; its wall time is not part of the simulated ledger.
+        factorization does; its wall time is not part of the simulated
+        ledger.  It releases its old blocks first: they never coexist with
+        the preprocessing's Schur workspace.
         """
         if not self._prepared:
             self.prepare()
+        if self._preconditioner is not None:
+            self._preconditioner.release()
         timing = self.operator.preprocess()
         if self._preconditioner is not None:
             self._preconditioner.refresh()
         return timing
+
+    def release(self) -> None:
+        """Drop what :meth:`preprocess` rebuilds: the dual operator's factors
+        and ``F̃ᵢ`` and the preconditioner's blocks.  The next solve
+        preprocesses again."""
+        self.operator.release()
+        if self._preconditioner is not None:
+            self._preconditioner.release()
 
     def solve(self, reuse_preprocessing: bool = False) -> FetiSolution:
         """Solve the dual problem with PCPG and recover the primal solution.

@@ -126,9 +126,17 @@ def _devices(machine) -> list[dict]:
 
 def operator_record(problem: FetiProblem, approach, assembly) -> dict:
     """Prepare, preprocess, solve, then one apply and a three-column block
-    applied column by column (``stacked=False``) and as one ``apply_multi``."""
+    applied column by column (``stacked=False``) and as one ``apply_multi``.
+
+    The preconditioner is pinned to ``lumped``: the fixture holds replay
+    timings and the iteration counts they were recorded with, not the
+    default preconditioner of an approach family.
+    """
     solver = FetiSolver(
-        problem, SolverSpec(approach=approach, assembly=assembly, machine=MACHINE)
+        problem,
+        SolverSpec(
+            approach=approach, assembly=assembly, machine=MACHINE, preconditioner="lumped"
+        ),
     )
     record = {"prepare": _phase(solver.prepare()), "preprocess": _phase(solver.preprocess())}
     solution = solver.solve(reuse_preprocessing=True)

@@ -236,3 +236,33 @@ def test_explicit_approaches_apply_faster_than_implicit_on_gpu(
     assert explicit.application_time < implicit.application_time
     # and the explicit preprocessing is the more expensive phase
     assert explicit.preprocessing_time > implicit.preprocessing_time
+
+
+@pytest.mark.parametrize("approach", ["expl modern", "impl legacy", "expl hybrid", "expl mkl"])
+def test_prepare_is_re_entrant(heat_problem_2d, small_machine_config, approach):
+    """A second ``prepare()`` returns the first one's pool and arena bytes
+    before it charges again: same timeline, same device counters."""
+    operator = make_dual_operator(
+        DualOperatorApproach(approach), heat_problem_2d, small_machine_config
+    )
+    first = operator.prepare()
+    clusters = operator.machine.clusters
+
+    def counters():
+        return [
+            (c.device.memory.used_bytes, c.device.memory.peak_bytes, c.device.temporary.capacity_bytes)
+            for c in clusters
+            if c.has_device
+        ]
+
+    before = counters()
+    operator.preprocess()
+    lam = np.random.default_rng(0).standard_normal(heat_problem_2d.n_lambda)
+    q = operator.apply(lam)
+    second = operator.prepare()
+    assert (second.simulated_seconds, second.breakdown) == (first.simulated_seconds, first.breakdown)
+    assert counters() == before
+    assert bool(before) == DualOperatorApproach(approach).uses_gpu
+    assert not operator.preprocessed  # the old factors went with the old analysis
+    operator.preprocess()
+    np.testing.assert_array_equal(operator.apply(lam), q)

@@ -91,6 +91,27 @@ def test_dirichlet_is_flat_in_the_number_of_subdomains(solve):
     assert max(kappa) <= 1.1 * min(kappa)
 
 
+#: The Dirichlet column of the iteration table in the README (``expl mkl``,
+#: tolerance 1e-9), built from the ``Sᵢ`` the solver splits off ``F̃ᵢ``
+#: since the explicit approaches default to it.
+DIRICHLET_ITERATIONS = {
+    HEAT_2D_BY_CELLS[8]: 13,
+    HEAT_2D_BY_CELLS[16]: 15,
+    HEAT_2D_BY_CELLS[32]: 17,
+    HEAT_2D_BY_SUBDOMAINS[1]: 13,
+    HEAT_2D_BY_SUBDOMAINS[2]: 13,
+    HEAT_3D: 13,
+    Workload("heat", 3, (3, 3, 3), 4): 11,
+    ELASTICITY_2D: 17,
+    ELASTICITY_3D: 17,
+}
+
+
+@pytest.mark.parametrize("workload", list(DIRICHLET_ITERATIONS), ids=Workload.describe)
+def test_dirichlet_iterations_match_the_table(solve, workload):
+    assert abs(solve(workload, "dirichlet").iterations - DIRICHLET_ITERATIONS[workload]) <= 1
+
+
 def test_elasticity_3d_converges_under_every_preconditioner(solve):
     """The one outright failure of the multiplicity-only scaling."""
     budget = {"none": 120, "lumped": 30, "dirichlet": 30}

@@ -48,12 +48,13 @@ def test_measure_solver_matches_the_operator_report_exactly():
         solver = session.solver(W)
         report = solver.operator.storage_nbytes()
         entry = measure_solver(solver)
+        # The operator itself measures the same as its owning solver (before
+        # the session's close releases both).
+        assert measure_solver(solver.operator) == entry
     assert entry.factor_bytes == report["factor"] > 0
     assert entry.pack_bytes == report["pack"]
     assert entry.arena_bytes == report["arena"]
     assert entry.total == sum(report.values())
-    # The operator itself measures the same as its owning solver.
-    assert measure_solver(solver.operator) == entry
 
 
 def test_fp32_entry_measures_smaller_than_fp64():

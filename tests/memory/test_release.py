@@ -43,12 +43,14 @@ def test_a_released_operator_holds_nothing_until_it_preprocesses(spec):
         device = _device_bytes(operator)
         (group,) = operator._groups
         band = weakref.ref(group.band)
+        dense = weakref.ref(operator.batch_engine.dense) if operator.explicit else None
         version = operator.storage_version
 
         operator.release()
         gc.collect()
         assert operator.storage_nbytes() == {"factor": 0, "pack": 0, "arena": 0}
         assert band() is None  # no group, solve or plan keeps the band alive
+        assert dense is None or dense() is None  # nor the F̃ᵢ blocks
         assert not operator.preprocessed
         assert operator.storage_version != version
         assert operator.local_F == {}
@@ -68,6 +70,29 @@ def test_a_released_operator_holds_nothing_until_it_preprocesses(spec):
         assert np.array_equal(operator.dual_rhs(), d)
         assert _device_bytes(operator) == device
     assert np.array_equal(again.lam, solution.lam)
+
+
+def test_a_closed_session_holds_no_numeric_storage():
+    """``Session.close()`` releases every cached solver: factors, ``F̃ᵢ`` and
+    the Dirichlet blocks (heat 3D ``x6`` has blocks of ``SYMV_MIN_ROWS`` rows
+    or more).  Its executors are shut, so it solves nothing again."""
+    workload = Workload("heat", 3, (2, 2, 1), 6)
+    session = Session(SolverSpec(approach="expl mkl"), memory_budget="unlimited")
+    session.solve(workload)
+    solver = session.solver(workload)
+    (group,) = solver.operator.pattern_groups
+    held = [weakref.ref(group.band), weakref.ref(solver.operator.batch_engine.dense)]
+    held += [weakref.ref(S.base) for S in solver.preconditioner._squares]
+    assert len(held) > 2
+    session.close()
+    gc.collect()
+    assert all(ref() is None for ref in held)
+    assert not solver.operator.preprocessed
+    assert session.cache_stats()["released_entries"] == 1
+    session.close()  # idempotent: nothing left to release
+    assert session.cache_stats()["released_entries"] == 1
+    with pytest.raises(RuntimeError, match="closed"):
+        session.solve(workload)
 
 
 def test_a_failing_preprocessing_leaves_the_operator_stale(monkeypatch):

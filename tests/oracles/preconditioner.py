@@ -7,19 +7,29 @@ the oracle shares no code with :mod:`repro.feti.preconditioner`: the global
 ``B`` is filled block by block into a dense array (no ``global_B``), ``B_D``
 comes from one dense ``np.linalg.solve`` (no block detection, no batched
 inverses), the operators are applied one subdomain at a time reading the
-stiffness live (no block-diagonal operator, no assembled ``M``), and the
-Schur complements are solved column by column.  Dense ``n_λ``-sized arrays
+stiffness live (no block-diagonal operator, no assembled ``M``), and each
+Schur complement ``Sᵢ`` is the textbook ``Kbb − Kbi Kii⁻¹ Kib`` of ``Kᵢ``
+itself, by one sparse LU of ``Kii`` (:func:`interface_schur` — the library
+reads ``Sᵢ`` off the dual operator instead).  Dense ``n_λ``-sized arrays
 limit it to ``n_λ`` of about a thousand.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.feti.problem import FetiProblem, SubdomainProblem
+from repro.feti.problem import FetiProblem
 
-__all__ = ["dense_B", "dense_B_D", "lumped_apply", "dirichlet_apply"]
+__all__ = [
+    "dense_B",
+    "dense_B_D",
+    "lumped_apply",
+    "interface_schur",
+    "dirichlet_blocks",
+    "dirichlet_apply",
+]
 
 
 def _column_blocks(problem: FetiProblem) -> list[slice]:
@@ -57,30 +67,38 @@ def lumped_apply(problem: FetiProblem, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _schur_complement(sub: SubdomainProblem, boundary: np.ndarray) -> np.ndarray:
-    interior = np.setdiff1d(np.arange(sub.ndofs), boundary)
-    K = sub.K.tocsc()
+def interface_schur(K: sp.spmatrix, boundary: np.ndarray) -> np.ndarray:
+    """Dense ``Kbb − Kbi Kii⁻¹ Kib`` (one ``splu`` of ``Kii``, one multi-RHS solve)."""
+    K = sp.csc_matrix(K)
+    interior = np.setdiff1d(np.arange(K.shape[0]), boundary)
     Kbb = K[np.ix_(boundary, boundary)].toarray()
     if interior.size == 0:
         return Kbb
-    Kib = K[np.ix_(interior, boundary)].tocsc()
-    solve = spla.factorized(K[np.ix_(interior, interior)].tocsc())
-    X = np.column_stack(
-        [solve(np.asarray(Kib[:, j].todense()).ravel()) for j in range(boundary.size)]
-    )
-    return Kbb - Kib.T @ X
+    Kib = K[np.ix_(interior, boundary)].toarray()
+    Kii = K[np.ix_(interior, interior)].tocsc()
+    return Kbb - Kib.T @ spla.splu(Kii).solve(Kib)
+
+
+def dirichlet_blocks(problem: FetiProblem) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """``{i: (bᵢ, Sᵢ)}`` with ``bᵢ`` the DOFs any row of ``B̃ᵢ`` touches."""
+    return {
+        sub.index: (boundary, interface_schur(sub.K, boundary))
+        for sub in problem.subdomains
+        if (boundary := np.unique(sub.B.indices)).size
+    }
 
 
 def dirichlet_apply(problem: FetiProblem, w: np.ndarray) -> np.ndarray:
     """``Σᵢ B_D,ᵢ Sᵢ B_D,ᵢᵀ w`` with ``Sᵢ`` on the constrained DOFs."""
     B_D = dense_B_D(problem)
+    blocks = dirichlet_blocks(problem)
     out = np.zeros_like(w)
     for sub, block in zip(problem.subdomains, _column_blocks(problem)):
-        if sub.B.nnz == 0:
+        if sub.index not in blocks:
             continue
-        boundary = np.unique(sub.B.indices)
+        boundary, S = blocks[sub.index]
         local = B_D[:, block].T @ w
         full = np.zeros(sub.ndofs)
-        full[boundary] = _schur_complement(sub, boundary) @ local[boundary]
+        full[boundary] = S @ local[boundary]
         out += B_D[:, block] @ full
     return out

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.api import SolverSpec
 from repro.api.workload import Workload, build_problem
 from repro.feti.operators.batch import SubdomainBatchEngine
-from repro.feti.preconditioner import DirichletPreconditioner, LumpedPreconditioner
+from repro.feti.preconditioner import LumpedPreconditioner
 from repro.feti.projector import build_projector
+from repro.feti.solver import FetiSolver
 from repro.sparse.spmv import CsrProduct
 
 WORKLOADS = [
@@ -29,7 +31,7 @@ def _routed_products(problem) -> dict[str, CsrProduct]:
         "G": projector.G_product,
         "Gt": projector.Gt_product,
         "M lumped": LumpedPreconditioner(problem).product,
-        "M dirichlet": DirichletPreconditioner(problem).product,
+        "M dirichlet": FetiSolver(problem, SolverSpec(approach="expl mkl")).preconditioner.product,
         "B": engine.B_product,
         "Bt": engine.Bt_product,
     }
