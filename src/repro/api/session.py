@@ -248,7 +248,7 @@ class Session:
         but no further parallel work can be dispatched.  Every cached solver
         releases its numeric storage as the memory tier's eviction does, so
         a closed session that is still referenced holds no factor, ``F̃ᵢ`` or
-        preconditioner block (its shut executors preprocess nothing again);
+        preconditioner ``M`` (its shut executors preprocess nothing again);
         a solver whose workload is being solved on another thread keeps its
         own.
         """

@@ -232,9 +232,7 @@ class GluingData:
     def global_B(self, ndofs_per_subdomain: Sequence[int]) -> sp.csr_matrix:
         """The global ``B = [B_1, B_2, ..., B_N]``, one pass over the entries.
 
-        The lumped and Dirichlet preconditioners scale it
-        (:mod:`repro.feti.preconditioner`) and the saddle-point oracle
-        assembles it.
+        The saddle-point oracle assembles it.
 
         Parameters
         ----------
@@ -283,7 +281,7 @@ def build_gluing(
     * gluing rows first, one group of equal keys at a time, the groups in
       order of their first ``(subdomain, local node)``; inside a group of
       ``m`` copies (sorted by subdomain), component-major, then the ``m − 1``
-      consecutive pairs;
+      consecutive pairs (the preconditioners read these chains off it);
     * then the Dirichlet rows, per subdomain, per node in ascending order,
       per component.
 

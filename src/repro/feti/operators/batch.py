@@ -206,14 +206,17 @@ class BatchedDenseApply:
         """The ``(k, m, m)`` fp64 principal submatrices ``block[rows[j]][:, rows[j]]``.
 
         ``items`` names ``k`` installed blocks, ``rows`` is ``(k, m)``.  The
-        packed blocks are gathered by one fancy index over the pack, each
-        large one by its own.
+        packed blocks are gathered by one ``take`` of flat positions in the
+        pack, each large one by its own fancy index.
         """
         items = np.asarray(items, dtype=np.int64)
         out = np.empty((items.shape[0], rows.shape[1], rows.shape[1]))
         packed = items < self.n_packed
-        picked = rows[packed]
-        out[packed] = self.blocks[items[packed][:, None, None], picked[:, :, None], picked[:, None, :]]
+        n = self.blocks.shape[-1]
+        flat = ((items * n)[:, None] + rows)[:, :, None] * n + rows[:, None, :]
+        if packed.all() and self.blocks.dtype == out.dtype:
+            return self.blocks.reshape(-1).take(flat, out=out)
+        out[packed] = self.blocks.reshape(-1).take(flat[packed])
         for j in np.flatnonzero(~packed).tolist():
             out[j] = self.large[items[j] - self.n_packed][np.ix_(rows[j], rows[j])]
         return out

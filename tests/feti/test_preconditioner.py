@@ -26,6 +26,7 @@ from tests.oracles.preconditioner import (
     dirichlet_apply,
     dirichlet_blocks,
     lumped_apply,
+    scaled_gluing,
 )
 
 
@@ -272,12 +273,81 @@ def test_scaled_gluing_algebra(workload):
         xMy, yMx = x @ pre.apply(y), y @ pre.apply(x)
         assert abs(xMy - yMx) <= 1e-12 * abs(x) @ abs(pre.apply(abs(y)))
         assert x @ pre.apply(x) >= 0.0
-    M = LumpedPreconditioner(problem).matrix
+    pre = LumpedPreconditioner(problem)
+    M = pre.matrix
     assert abs(M - M.T).max() <= 1e-12 * abs(M).max()
     B_D = pre._B_D  # the scaling is the same for both kinds
     assert np.abs(B_D @ B.T - np.eye(n)).max() <= 1e-14
     dirichlet_rows = slice(problem.gluing.n_gluing, n)
     assert np.array_equal(B_D[dirichlet_rows].toarray(), B[dirichlet_rows])
+
+
+#: Heat and elasticity, 2D and 3D, every one with cross-points (chains of
+#: 4 copies in 2D, of 8 in 3D) and shared Dirichlet DOFs.
+CHAIN_WORKLOADS = [
+    Workload("heat", 2, (8, 8), 8, n_clusters=4),
+    Workload("heat", 3, (2, 2, 2), 4),
+    Workload("elasticity", 2, (3, 3), 4),
+    Workload("elasticity", 3, (2, 2, 2), 3),
+]
+
+
+@pytest.mark.parametrize("workload", CHAIN_WORKLOADS, ids=Workload.describe)
+def test_closed_form_scaling_is_exact(workload):
+    """``B_D`` from the chain tables: ``B_D Bᵀ = I`` bitwise, its dyadic
+    values and pattern those of the global formula ``(B D⁻¹ Bᵀ)⁻¹ B D⁻¹``
+    (whose LU inverse rounds ¼ to ``0.24999999999999994``) to 1e-15, and
+    ``B_Dᵀ`` the transpose of ``B_D``."""
+    problem = build_problem(workload)
+    pre = LumpedPreconditioner(problem)
+    B = problem.gluing.global_B([sub.ndofs for sub in problem.subdomains])
+    identity = (pre._B_D @ B.T).toarray()
+    assert np.array_equal(identity, np.eye(problem.n_lambda))
+    expected = scaled_gluing(problem)
+    assert np.array_equal(pre._B_D.indptr, expected.indptr)
+    assert abs(pre._B_D - expected).max() <= 1e-15
+    assert (pre._B_D != pre._B_Dt.T).nnz == 0
+    copies = np.bincount(np.diff(expected.indptr)).nonzero()[0]
+    assert copies.max() == (4 if workload.dim == 2 else 8)
+    quarters = np.abs(pre._B_D.data[np.isclose(np.abs(pre._B_D.data), 0.25)])
+    assert np.all(quarters == 0.25)
+
+
+@pytest.mark.parametrize(
+    "workload, method",
+    [
+        (Workload("heat", 2, (8, 8), 8, n_clusters=4), "principal_blocks"),
+        (Workload("heat", 3, (2, 2, 1), 6), "dense_block"),
+    ],
+    ids=["small blocks", "large blocks"],
+)
+def test_a_non_spd_block_names_its_subdomain(monkeypatch, workload, method):
+    """A gathered ``X`` that is not SPD fails the refresh with a
+    ``LinAlgError`` naming its subdomain and ``|bᵢ|``, from the batched
+    Cholesky of the small blocks and from ``dpotrf`` of a large one."""
+    problem = build_problem(workload)
+    pre = dirichlet(problem)
+    engine = pre.operator.batch_engine
+    members, slots = pre._groups[-1]
+    assert (slots.shape[1] >= SYMV_MIN_ROWS) == (method == "dense_block")
+    bad = int(members[-1])
+    original = getattr(engine, method)
+    if method == "principal_blocks":
+
+        def negated(subdomains, rows):
+            X = original(subdomains, rows)
+            X[subdomains == bad] *= -1.0
+            return X
+
+    else:
+
+        def negated(subdomain):
+            block = original(subdomain)
+            return -block if subdomain == bad else block
+
+    monkeypatch.setattr(engine, method, negated)
+    with pytest.raises(np.linalg.LinAlgError, match=rf"subdomain {bad} \(\|bᵢ\| = {slots.shape[1]}\)"):
+        pre.refresh()
 
 
 @pytest.mark.parametrize("build", BUILDERS, ids=BUILDER_IDS)

@@ -74,20 +74,41 @@ def test_a_released_operator_holds_nothing_until_it_preprocesses(spec):
 
 def test_a_closed_session_holds_no_numeric_storage():
     """``Session.close()`` releases every cached solver: factors, ``F̃ᵢ`` and
-    the Dirichlet blocks (heat 3D ``x6`` has blocks of ``SYMV_MIN_ROWS`` rows
-    or more).  Its executors are shut, so it solves nothing again."""
-    workload = Workload("heat", 3, (2, 2, 1), 6)
-    session = Session(SolverSpec(approach="expl mkl"), memory_budget="unlimited")
+    the preconditioner's ``M`` — the Dirichlet blocks applied by ``dsymv``
+    (heat 3D ``x6`` has blocks of ``SYMV_MIN_ROWS`` rows or more) and the
+    assembled CSR (all of lumped's ``M``, the small Dirichlet blocks' part
+    on heat 2D), whose ``apply`` then raises.  Its executors are shut, so it
+    solves nothing again."""
+    heat_2d = Workload("heat", 2, (8, 8), 8, n_clusters=4)
+    for workload, approach in [
+        (Workload("heat", 3, (2, 2, 1), 6), "expl mkl"),  # Dirichlet, large blocks
+        (heat_2d, "expl mkl"),  # Dirichlet, every block in the CSR
+        (heat_2d, "impl mkl"),  # lumped
+    ]:
+        _closing_releases_everything(workload, approach)
+
+
+def _closing_releases_everything(workload: Workload, approach: str) -> None:
+    session = Session(SolverSpec(approach=approach), memory_budget="unlimited")
     session.solve(workload)
     solver = session.solver(workload)
+    pre = solver.preconditioner
     (group,) = solver.operator.pattern_groups
-    held = [weakref.ref(group.band), weakref.ref(solver.operator.batch_engine.dense)]
-    held += [weakref.ref(S.base) for S in solver.preconditioner._squares]
-    assert len(held) > 2
+    held = [weakref.ref(group.band)]
+    if solver.operator.explicit:
+        held += [weakref.ref(solver.operator.batch_engine.dense)]
+    held += [weakref.ref(S.base) for S in getattr(pre, "_squares", [])]
+    held += [weakref.ref(a) for a in (pre.matrix.data, pre.matrix.indices, pre.matrix.indptr)]
+    assert (workload.dim == 3) == bool(getattr(pre, "_squares", []))
     session.close()
     gc.collect()
     assert all(ref() is None for ref in held)
     assert not solver.operator.preprocessed
+    x = np.ones(solver.problem.n_lambda)
+    with pytest.raises(RuntimeError, match="released: refresh\\(\\) first"):
+        pre.apply(x)
+    with pytest.raises(RuntimeError, match="released: refresh\\(\\) first"):
+        pre.apply_block(x[:, None])
     assert session.cache_stats()["released_entries"] == 1
     session.close()  # idempotent: nothing left to release
     assert session.cache_stats()["released_entries"] == 1

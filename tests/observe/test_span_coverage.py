@@ -78,3 +78,26 @@ def test_every_cost_replay_call_has_its_own_span():
     parents = {s.span_id: s.name for s in cold.spans}
     assert [parents[s.parent_id] for s in replays] == ["preparation", "preprocessing", "apply"]
     assert not warm.find("cost_replay")
+
+
+#: The cold Dirichlet build's steps, in order, under ``preconditioner_build``.
+DIRICHLET_BUILD = ("scaled_gluing", "dirichlet_inverse", "dirichlet_assemble")
+
+
+def test_the_cold_preconditioner_build_shows_its_steps():
+    """A traced cold solve splits ``preconditioner_build`` into the scaled
+    gluing (``B_D`` from the chains), the inverse (gather, Cholesky,
+    ``dpotri``, kernel term) and the assembly (the CSR of the small ``Sᵢ``);
+    lumped has the first only.  A warm solve opens none."""
+    for kind, steps in (("dirichlet", DIRICHLET_BUILD), ("lumped", DIRICHLET_BUILD[:1])):
+        spec = SolverSpec(approach="expl mkl", preconditioner=kind)
+        with Session(spec, memory_budget="unlimited") as session:
+            with trace() as cold:
+                assert session.solve(WORKLOAD).converged
+            with trace() as warm:
+                assert session.solve(WORKLOAD).converged
+        (build,) = cold.find("preconditioner_build")
+        children = [s for s in cold.spans if s.parent_id == build.span_id]
+        assert [s.name for s in children] == list(steps), kind
+        assert sum(s.duration_us for s in children) <= build.duration_us
+        assert not any(warm.find(name) for name in DIRICHLET_BUILD)

@@ -11,7 +11,10 @@ stiffness live (no block-diagonal operator, no assembled ``M``), and each
 Schur complement ``Sᵢ`` is the textbook ``Kbb − Kbi Kii⁻¹ Kib`` of ``Kᵢ``
 itself, by one sparse LU of ``Kii`` (:func:`interface_schur` — the library
 reads ``Sᵢ`` off the dual operator instead).  Dense ``n_λ``-sized arrays
-limit it to ``n_λ`` of about a thousand.
+limit it to ``n_λ`` of about a thousand.  :func:`scaled_gluing` is the
+sparse global formula the library's closed-form ``B_D`` replaced (graph
+components of ``B D⁻¹ Bᵀ``, batched inverses, two sparse products), for
+sizes the dense one cannot reach.
 """
 
 from __future__ import annotations
@@ -19,12 +22,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from repro.feti.problem import FetiProblem
 
 __all__ = [
     "dense_B",
     "dense_B_D",
+    "scaled_gluing",
     "lumped_apply",
     "interface_schur",
     "dirichlet_blocks",
@@ -56,6 +61,48 @@ def dense_B_D(problem: FetiProblem) -> np.ndarray:
     B_D = np.zeros_like(B)
     B_D[:, constrained] = np.linalg.solve(B_Dinv @ B[:, constrained].T, B_Dinv)
     return B_D
+
+
+def _block_diagonal_inverse(A: sp.spmatrix) -> sp.csr_matrix:
+    """Inverse of a sparse matrix that is block diagonal up to a permutation:
+    its blocks are the connected components of its graph, all blocks of one
+    size inverted by one batched ``np.linalg.inv``."""
+    A = A.tocoo()
+    n = A.shape[0]
+    n_blocks, block_of = connected_components(A, directed=False)
+    size = np.bincount(block_of, minlength=n_blocks)
+    # Rows grouped by block, and every row's position inside its block.
+    grouped = np.argsort(block_of, kind="stable")
+    start = np.cumsum(size) - size
+    position = np.empty(n, dtype=np.int64)
+    position[grouped] = np.arange(n) - start[block_of[grouped]]
+    entry_block = block_of[A.row]
+    rows, cols, vals = [], [], []
+    for s in np.unique(size):
+        blocks = np.flatnonzero(size == s)
+        pick = size[entry_block] == s
+        dense = np.zeros((blocks.size, s, s))
+        slot = np.searchsorted(blocks, entry_block[pick])
+        dense[slot, position[A.row[pick]], position[A.col[pick]]] = A.data[pick]
+        members = grouped[start[blocks][:, None] + np.arange(s)]
+        rows.append(np.repeat(members, s, axis=1).ravel())
+        cols.append(np.tile(members, (1, s)).ravel())
+        vals.append(np.linalg.inv(dense).ravel())
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+
+
+def scaled_gluing(problem: FetiProblem) -> sp.csr_matrix:
+    """``B_D = (B D⁻¹ Bᵀ)⁻¹ B D⁻¹`` by the global formula (CSR): the
+    connected components of ``B D⁻¹ Bᵀ`` inverted block-wise, then two
+    sparse products — the library builds it in closed form from the gluing
+    chains instead."""
+    ndofs = [sub.ndofs for sub in problem.subdomains]
+    B = problem.gluing.global_B(ndofs)
+    multiplicity = np.concatenate([sub.dof_multiplicity for sub in problem.subdomains])
+    B_Dinv = (B @ sp.diags(1.0 / multiplicity)).tocsr()
+    return (_block_diagonal_inverse(B_Dinv @ B.T) @ B_Dinv).tocsr()
 
 
 def lumped_apply(problem: FetiProblem, w: np.ndarray) -> np.ndarray:

@@ -197,8 +197,16 @@ SIZES = {
 #: interface class.  Measured 46 under the lumped preconditioner, 49 since
 #: ``expl mkl`` defaults to the Dirichlet one (the rows of ``B_Dᵀ`` on the
 #: constrained DOFs, their transpose and the block diagonal of the ``Sᵢ``
-#: in place of ``blockdiag(Kᵢ)``).
-SET_UP_SPARSE_MATRICES = 49
+#: in place of ``blockdiag(Kᵢ)``), 34 since the Dirichlet build reads
+#: ``B_D`` off the gluing chains (no global ``B``, ``B D⁻¹ Bᵀ``, block
+#: inverse or ``B_D`` products; :data:`DIRICHLET_BUILD_SPARSE_MATRICES` of
+#: them are the build's).
+SET_UP_SPARSE_MATRICES = 34
+
+#: SciPy sparse constructions of one Dirichlet build on heat 2D: ``B_Dᵀ``,
+#: its rows on the slots and their transpose (four), the block diagonal of
+#: the ``Sᵢ`` and the two products that sum it into ``M`` (five).
+DIRICHLET_BUILD_SPARSE_MATRICES = 9
 
 
 def _count_setup_objects(monkeypatch, workload: Workload) -> tuple[Counter, int]:
@@ -251,6 +259,60 @@ def test_cold_set_up_builds_per_group_not_per_subdomain(monkeypatch):
         assert 0 < calls["sparse matrix"] <= SET_UP_SPARSE_MATRICES, (name, dict(calls))
         counts[name] = dict(calls)
     assert counts["heat2d-8x8x8-c4"] == counts["heat2d-16x16x8-c4"]
+
+
+def _count_dirichlet_build(monkeypatch, workload: Workload) -> tuple[Counter, int]:
+    """One Dirichlet build's SciPy sparse constructions, graph searches and
+    Python-level LAPACK calls, on a preprocessed serial ``expl mkl`` solver,
+    and the workload's subdomain count."""
+    import scipy.sparse._compressed as compressed
+    import scipy.sparse.csgraph as csgraph
+
+    import repro.feti.preconditioner as module
+
+    calls: Counter[str] = Counter()
+
+    def counted(label, function):
+        def call(*args, **kwargs):
+            calls[label] += 1
+            return function(*args, **kwargs)
+
+        return call
+
+    spec = SolverSpec(approach="expl mkl", execution="serial")
+    with Session(spec, memory_budget="unlimited") as session:
+        solver = session.solver(workload)
+        solver.preprocess()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                compressed._cs_matrix,
+                "__init__",
+                counted("sparse matrix", compressed._cs_matrix.__init__),
+            )
+            patch.setattr(
+                csgraph, "connected_components", counted("graph search", csgraph.connected_components)
+            )
+            for name in ("dpotrf", "dpotri"):
+                patch.setattr(module, name, counted(name, getattr(module, name)))
+            _ = solver.preconditioner
+    return calls, workload.n_subdomains
+
+
+def test_dirichlet_build_runs_per_structure_not_per_subdomain(monkeypatch):
+    """The Dirichlet build on 64 and on 256 subdomains: ``B_D`` comes from
+    the gluing chains (no graph search of ``B D⁻¹ Bᵀ``), the SciPy sparse
+    constructions are a fixed set, and the only LAPACK calls made from
+    Python are one ``dpotri`` per subdomain (every block is below
+    ``SYMV_MIN_ROWS``, so no ``dpotrf``): the floor, since a batched
+    triangular inverse ran 3x slower."""
+    sparse = {}
+    for name, workload in SIZES.items():
+        calls, n_subdomains = _count_dirichlet_build(monkeypatch, workload)
+        assert calls["graph search"] == 0, name
+        assert calls["dpotri"] == n_subdomains and calls["dpotrf"] == 0, (name, dict(calls))
+        sparse[name] = calls["sparse matrix"]
+    assert sparse["heat2d-8x8x8-c4"] == sparse["heat2d-16x16x8-c4"]
+    assert 0 < sparse["heat2d-8x8x8-c4"] <= DIRICHLET_BUILD_SPARSE_MATRICES
 
 
 #: 16 and 64 subdomains of one shape on one cluster: both have the same six
