@@ -10,7 +10,8 @@ loops are test oracles (``tests/oracles/``), not options.
 Incompatible combinations are rejected at *construction* time with
 actionable errors instead of being silently ignored deep inside
 ``make_dual_operator`` — e.g. explicit-assembly parameters on an approach
-that never assembles ``F̃ᵢ`` on the GPU.
+that never assembles ``F̃ᵢ`` on the GPU, or the Dirichlet preconditioner,
+whose ``Sᵢ`` are gathered from ``F̃ᵢ``, on one that never assembles it.
 
 The Table-I parameters can be given three ways:
 
@@ -40,7 +41,7 @@ from repro.feti.config import (
     RhsOrder,
     ScatterGatherDevice,
 )
-from repro.feti.preconditioner import PreconditionerKind
+from repro.feti.preconditioner import DirichletPreconditioner, PreconditionerKind
 from repro.feti.problem import FetiProblem
 from repro.runtime.executor import ExecutionError, ExecutionSpec
 
@@ -139,9 +140,10 @@ class SolverSpec:
         or ``"dirichlet"``).  ``None`` (the default) resolves by approach
         family at construction: ``"dirichlet"`` for every explicit approach,
         whose assembled ``F̃ᵢ`` make each Dirichlet ``Sᵢ`` a gather and a
-        small dense inverse, ``"lumped"`` for the implicit ones, where
-        ``Sᵢ`` would cost a Schur assembly.  The resolved kind is what the
-        spec holds and serializes.
+        small dense inverse, ``"lumped"`` for the implicit ones, which hold
+        no ``F̃ᵢ``.  The resolved kind is what the spec holds and
+        serializes; ``"dirichlet"`` on an implicit approach raises
+        :class:`SpecError`.
     tolerance, max_iterations, absolute_tolerance:
         PCPG stopping criteria.
     threads_per_cluster, streams_per_cluster:
@@ -204,6 +206,8 @@ class SolverSpec:
             "preconditioner",
             _coerce_enum(PreconditionerKind, self.preconditioner, "preconditioner"),
         )
+        if self.preconditioner is PreconditionerKind.DIRICHLET:
+            DirichletPreconditioner.require_explicit(self.approach)
         for name in ("tolerance", "absolute_tolerance"):
             try:
                 object.__setattr__(self, name, float(getattr(self, name)))

@@ -29,11 +29,13 @@ projection.  ``B_D`` has the column support of ``B``.
 factorized: ``X = (K_reg⁻¹)_bb`` is the dual operator's by-product, and
 ``X⁻¹`` is the Schur complement ``S_reg`` of ``K_reg`` on ``b``.
 
-* On an explicit operator ``X`` is a gather: every row of ``B̃ᵢ`` has one
-  ±1 entry, at a DOF of ``b``; with one row ``r(d)`` per ``d ∈ b`` and its
-  sign ``s``, ``X = diag(s) F̃ᵢ[r, r] diag(s)``.  On an implicit one it is
-  one stacked Schur assembly per interface class with the selection ``E_b``
-  in place of ``B̃ᵢ`` (:func:`~repro.sparse.schur.selection_scatters`).
+* ``X`` is a gather of the explicit operator's ``F̃ᵢ``: every row of
+  ``B̃ᵢ`` has one ±1 entry, at a DOF of ``b``; with one row ``r(d)`` per
+  ``d ∈ b`` and its sign ``s``, ``X = diag(s) F̃ᵢ[r, r] diag(s)``.  An
+  implicit operator holds no ``F̃ᵢ``, so the Dirichlet preconditioner needs
+  an explicit approach: an implicit one raises
+  :class:`~repro.api.spec.SpecError`, from ``SolverSpec`` and from
+  :class:`DirichletPreconditioner` alike.
 * ``X`` is inverted by Cholesky: ``_STEP`` blocks of equal ``|bᵢ|`` below
   ``SYMV_MIN_ROWS`` rows by one batched ``np.linalg.cholesky``, ``dpotri``
   in place on each; a larger block by ``dpotrf`` and ``dpotri``.
@@ -81,15 +83,11 @@ from repro.fem.assembly import PRUNE_TOLERANCE
 from repro.feti.operators.batch import SYMV_MIN_ROWS
 from repro.feti.problem import FetiProblem
 from repro.observe.trace import trace_span
-from repro.sparse.schur import (
-    interface_classes,
-    schur_workspace,
-    selection_scatters,
-    stacked_schur_complement,
-)
+from repro.sparse.schur import schur_workspace
 from repro.sparse.spmv import CsrProduct
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.feti.config import DualOperatorApproach
     from repro.feti.operators.base import DualOperator
 
 __all__ = [
@@ -237,10 +235,12 @@ class DirichletPreconditioner(_AssembledPreconditioner):
     subdomains are grouped by ``|bᵢ|``.  The ``Sᵢ`` below ``SYMV_MIN_ROWS``
     rows are summed into :attr:`matrix`; each larger one is held as one
     triangle of a square, two blocks of a group to an ``m × (m + 1)`` array,
-    and applied by one BLAS ``dsymv``.
+    and applied by one BLAS ``dsymv``.  An implicit ``operator`` raises
+    :class:`~repro.api.spec.SpecError` (see :meth:`require_explicit`).
     """
 
     def __init__(self, problem: FetiProblem, operator: "DualOperator") -> None:
+        self.require_explicit(operator.approach)
         super().__init__(problem)
         self.operator = operator
         with trace_span("scaled_gluing"):
@@ -270,7 +270,7 @@ class DirichletPreconditioner(_AssembledPreconditioner):
 
             def rows_of(groups) -> sp.csr_matrix:
                 # Each row times its slot's sign: M = B_D D (D Sᵢ D) D B_Dᵀ, and
-                # the blocks are the sign-free D Sᵢ D (see ``_interface_inverse``).
+                # the blocks are the sign-free D Sᵢ D (see ``refresh``).
                 slots = [slots.ravel() for _, slots in groups]
                 slots = np.concatenate(slots) if slots else np.empty(0, np.int64)
                 rows = B_Dt[primal[slots]]
@@ -296,14 +296,37 @@ class DirichletPreconditioner(_AssembledPreconditioner):
         #: The large ``D Sᵢ D``: one F-contiguous square each, in group
         #: order, of which ``dsymv`` reads the triangle ``_large_rows`` names.
         self._squares: list[np.ndarray] = []
-        self._scatters = None
         self.refresh()
+
+    @staticmethod
+    def require_explicit(approach: "DualOperatorApproach") -> None:
+        """Raise :class:`~repro.api.spec.SpecError` unless ``approach``
+        assembles ``F̃ᵢ``: the ``Sᵢ`` are gathered from them."""
+        if approach.is_explicit:
+            return
+        from repro.api.spec import SpecError  # repro.api imports this module
+
+        explicit = ", ".join(repr(a.value) for a in type(approach) if a.is_explicit)
+        raise SpecError(
+            "the Dirichlet preconditioner gathers its Sᵢ from the assembled F̃ᵢ, so it "
+            f"needs an explicit approach ({explicit}); {approach.value!r} is implicit: "
+            "use an explicit approach, or preconditioner 'lumped' or 'none'"
+        )
 
     # ------------------------------------------------------------------ #
     def refresh(self) -> None:
-        """Rebuild every ``Sᵢ`` from the operator's current ``X`` and
-        reassemble ``M``."""
+        """Rebuild every ``Sᵢ`` from the operator's current ``F̃ᵢ`` and
+        reassemble ``M``.
+
+        ``X = (K_reg⁻¹)_bb`` and ``D = diag(s)``: ``D X D = F̃ᵢ[r, r]`` is a
+        gather of the stored block.  ``D`` is folded into the rows of ``B_D``
+        the blocks are applied between, so ``Sᵢ`` is held as ``D Sᵢ D``
+        (with ``D R_b`` for ``R_b``).
+        """
+        if not self.operator.preprocessed:
+            raise RuntimeError("the Dirichlet preconditioner needs a preprocessed dual operator")
         self.release()
+        engine = self.operator.batch_engine
         kernels = self.problem.kernel_stack
         with trace_span("dirichlet_inverse"):
             # The squares share one mapping: off the heap, where they would
@@ -314,16 +337,16 @@ class DirichletPreconditioner(_AssembledPreconditioner):
             sides = [m for m, _, _ in self._large_rows]
             scratch = schur_workspace(max(sides) ** 2) if sides else None
             stacks, out = [], iter(zip(squares, self._large_rows))
-            for g, X in enumerate(self._interface_inverse()):
-                members, slots = self._groups[g]
+            for g, (members, slots) in enumerate(self._groups):
+                rows = self._slot_row[slots]
                 R_b = kernels[members[:, None], self._slot_dof[slots]]
                 R_b *= self._slot_sign[slots][:, :, None]
                 if g < self._n_small:
-                    stacks.append(_dirichlet_schur(X, R_b, members))
+                    stacks.append(_dirichlet_schur(engine.principal_blocks, members, rows, R_b))
                 else:
-                    for i, (source, rows), R_i in zip(members.tolist(), X, R_b):
+                    for i, rows_i, R_i in zip(members.tolist(), rows, R_b):
                         S, (_, _, lower) = next(out)
-                        _large_dirichlet_schur(source, rows, R_i, S, lower, scratch, i)
+                        _large_dirichlet_schur(engine.dense_block(i), rows_i, R_i, S, lower, scratch, i)
             del scratch
         with trace_span("dirichlet_assemble"):
             n = self._small.shape[1]
@@ -337,64 +360,6 @@ class DirichletPreconditioner(_AssembledPreconditioner):
         super().release()
         self._stacks = []
         self._squares = []
-
-    def _interface_inverse(self):
-        """``D X D`` of every group in turn: for a group below
-        ``SYMV_MIN_ROWS``, a function of a slice of its members returning
-        their ``(k, |b|, |b|)`` stack, else a ``(source, rows)`` pair per
-        member, its ``D X D`` being ``source[rows][:, rows]``.
-
-        ``X = (K_reg⁻¹)_bb`` and ``D = diag(s)``: on an explicit operator
-        ``D X D = F̃ᵢ[r, r]`` is a gather of the stored block.  ``D`` is
-        folded into the rows of ``B_D`` the blocks are applied between, so
-        ``Sᵢ`` is held as ``D Sᵢ D`` (with ``D R_b`` for ``R_b``).
-        """
-        operator = self.operator
-        if not operator.preprocessed:
-            raise RuntimeError("the Dirichlet preconditioner needs a preprocessed dual operator")
-        if not operator.explicit:
-            for g, (X, (_, slots)) in enumerate(zip(self._assembled_inverse(), self._groups)):
-                sign = self._slot_sign[slots]
-                X *= sign[:, :, None]
-                X *= sign[:, None, :]
-                yield X.__getitem__ if g < self._n_small else [(X_i, np.arange(len(X_i))) for X_i in X]
-            return
-        engine = operator.batch_engine
-        for g, (members, slots) in enumerate(self._groups):
-            rows = self._slot_row[slots]
-            if g < self._n_small:
-                yield lambda step, members=members, rows=rows: engine.principal_blocks(
-                    members[step], rows[step]
-                )
-            else:
-                yield [(engine.dense_block(i), r) for i, r in zip(members.tolist(), rows)]
-
-    def _assembled_inverse(self) -> list[np.ndarray]:
-        """``X`` on an implicit operator: ``E_b K_reg⁻¹ E_bᵀ`` by one stacked
-        Schur assembly per interface class of every pattern group."""
-        groups = self.operator.pattern_groups
-        where = {}  # subdomain -> (its size group, its position there)
-        for g, (members, _) in enumerate(self._groups):
-            for j, i in enumerate(members.tolist()):
-                where[i] = (g, j)
-        if self._scatters is None:
-            bounds = self._slot_bounds
-            self._scatters = [
-                selection_scatters(
-                    group.symbolic, [self._slot_dof[bounds[i] : bounds[i + 1]] for i in group.members]
-                )
-                for group in groups
-            ]
-        blocks = [np.empty((len(slots), slots.shape[1], slots.shape[1])) for _, slots in self._groups]
-        for group, scatters in zip(groups, self._scatters):
-            for cls in interface_classes(scatters):
-                X = stacked_schur_complement(
-                    group.symbolic, [group.band[j] for j in cls], [scatters[j] for j in cls]
-                )
-                for j, X_j in zip(cls, X):
-                    g, position = where[group.members[j]]
-                    blocks[g][position] = X_j
-        return blocks
 
     # ------------------------------------------------------------------ #
     @property
@@ -469,18 +434,22 @@ def _not_spd(subdomain: int, size: int, info: int = 0) -> np.linalg.LinAlgError:
     return np.linalg.LinAlgError(f"the Dirichlet X of subdomain {subdomain} (|bᵢ| = {size}) is not SPD (info={info})")
 
 
-def _dirichlet_schur(gather, R_b: np.ndarray, members: np.ndarray) -> np.ndarray:
+def _dirichlet_schur(
+    principal_blocks, members: np.ndarray, rows: np.ndarray, R_b: np.ndarray
+) -> np.ndarray:
     """``Sᵢ = S_reg − T (R_bᵀ T)⁻¹ Tᵀ``, ``S_reg = X⁻¹``, ``T = S_reg R_b``,
     for SPD blocks ``X`` below ``SYMV_MIN_ROWS`` rows (of the subdomains
-    ``members``, ``gather(step)`` those of a slice) and their ``(k, m, r)``
-    kernel rows ``R_b``, ``_STEP`` at a time: one batched Cholesky, LAPACK
-    ``dpotri`` in place on each factor, then the step's stack at once.
+    ``members``, ``principal_blocks(members[step], rows[step])`` those of a
+    slice) and their ``(k, m, r)`` kernel rows ``R_b``, ``_STEP`` at a time:
+    one batched Cholesky, LAPACK ``dpotri`` in place on each factor, then
+    the step's stack at once.
     """
     k, m, r = R_b.shape
     out = np.empty((k, m, m))
     for c in range(0, k, _STEP):
         step = slice(c, c + _STEP)
-        X, R, subdomains = gather(step), R_b[step], members[step].tolist()
+        X = principal_blocks(members[step], rows[step])
+        R, subdomains = R_b[step], members[step].tolist()
         try:
             S = np.linalg.cholesky(X)
         except np.linalg.LinAlgError:  # name the block that is least SPD

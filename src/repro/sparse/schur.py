@@ -54,7 +54,6 @@ __all__ = [
     "schur_scatter",
     "schur_scatters",
     "schur_workspace",
-    "selection_scatters",
     "stacked_schur_complement",
 ]
 
@@ -236,26 +235,6 @@ def schur_scatters(
 def schur_scatter(symbolic: SymbolicFactor, B: sp.spmatrix) -> SchurScatter:
     """The :class:`SchurScatter` of ``B`` under ``symbolic``: a group of one."""
     return schur_scatters(symbolic, B, [0, B.shape[0]])[0]
-
-
-def selection_scatters(
-    symbolic: SymbolicFactor, dofs: Sequence[np.ndarray]
-) -> list[SchurScatter]:
-    """The scatters of the selections ``E_b`` of a group's members.
-
-    ``dofs[i]`` is member ``i``'s DOF set ``b``; its ``E_b`` has one row per
-    entry, a 1 at that DOF.  Assembled in place of ``B̃ᵢ``,
-    :func:`stacked_schur_complement` then gives ``E_b Kᵢ⁻¹ E_bᵀ``, the
-    principal block ``(Kᵢ⁻¹)_bb`` in ``dofs[i]``'s order.
-    """
-    sizes = [len(d) for d in dofs]
-    bounds = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]).astype(np.int64)
-    cols = np.concatenate(dofs).astype(np.int64) if dofs else np.empty(0, dtype=np.int64)
-    E = sp.csr_matrix(
-        (np.ones(cols.shape[0]), cols, np.arange(cols.shape[0] + 1)),
-        shape=(int(bounds[-1]), symbolic.n),
-    )
-    return schur_scatters(symbolic, E, bounds)
 
 
 def interface_classes(scatters: Sequence[SchurScatter]) -> list[list[int]]:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import Session, SolverSpec, Workload
+from repro.api import Session, SolverSpec, SpecError, Workload
 from repro.api.workload import build_problem
 from repro.decomposition import decompose_box
 from repro.feti.config import DualOperatorApproach
@@ -20,7 +20,7 @@ from repro.feti.preconditioner import (
 )
 from repro.feti.problem import FetiProblem
 from repro.feti.solver import FetiSolver, MultiStepDriver, PreconditionerKind
-from repro.serve.protocol import parse_solve_request
+from repro.serve.protocol import ProtocolError, parse_solve_request
 from tests.oracles.preconditioner import (
     dense_B,
     dirichlet_apply,
@@ -41,13 +41,9 @@ def dirichlet(problem: FetiProblem, approach: str = "expl mkl") -> DirichletPrec
     return solver.preconditioner
 
 
-def dirichlet_implicit(problem: FetiProblem) -> DirichletPreconditioner:
-    return dirichlet(problem, "impl mkl")
-
-
-BUILDERS = [lumped, dirichlet, dirichlet_implicit]
-BUILDER_IDS = ["LumpedPreconditioner", "DirichletPreconditioner", "DirichletPreconditioner-implicit"]
-KINDS = [(lumped, lumped_apply), (dirichlet, dirichlet_apply), (dirichlet_implicit, dirichlet_apply)]
+BUILDERS = [lumped, dirichlet]
+BUILDER_IDS = ["LumpedPreconditioner", "DirichletPreconditioner"]
+KINDS = [(lumped, lumped_apply), (dirichlet, dirichlet_apply)]
 KIND_IDS = [f"{name}-{oracle.__name__}" for name, (_, oracle) in zip(BUILDER_IDS, KINDS)]
 #: Realistic sizes (the benchmark's problems), not only the 2x2 fixture.
 ORACLE_WORKLOADS = [
@@ -93,7 +89,7 @@ def test_preconditioner_linear(heat_problem_2d, build):
 def test_all_preconditioners_converge_to_same_solution(heat_problem_2d, kind):
     reference = None
     options = SolverSpec(
-        preconditioner=kind, tolerance=1e-10, max_iterations=300
+        approach="expl mkl", preconditioner=kind, tolerance=1e-10, max_iterations=300
     )
     solver = FetiSolver(heat_problem_2d, options)
     solution = solver.solve()
@@ -107,7 +103,7 @@ def test_preconditioning_reduces_iterations(elasticity_problem_2d):
     """Strictly: lumped beats none, dirichlet is no worse than lumped."""
     def run(kind):
         opts = SolverSpec(
-            preconditioner=kind, tolerance=1e-8, max_iterations=400
+            approach="expl mkl", preconditioner=kind, tolerance=1e-8, max_iterations=400
         )
         return FetiSolver(elasticity_problem_2d, opts).solve().iterations
 
@@ -144,11 +140,14 @@ ZOO = [
 ]
 
 
-@pytest.mark.parametrize("approach", ["expl mkl", "impl mkl"])
+@pytest.mark.parametrize(
+    "approach", [a.value for a in DualOperatorApproach if a.is_explicit]
+)
 @pytest.mark.parametrize("workload", ZOO, ids=Workload.describe)
 def test_dirichlet_blocks_match_the_splu_oracle(workload, approach):
-    """``Sᵢ`` from the dual operator's ``X`` is the ``splu`` Schur complement
-    of ``Kᵢ`` (the explicit gather and the implicit ``E_b`` assembly alike)."""
+    """``Sᵢ`` from the dual operator's ``X``, a gather of ``F̃ᵢ``, is the
+    ``splu`` Schur complement of ``Kᵢ`` whichever explicit approach
+    assembled ``F̃ᵢ``."""
     problem = build_problem(workload)
     expected = dirichlet_blocks(problem)
     got = dirichlet(problem, approach).local_S
@@ -392,7 +391,7 @@ def test_preconditioner_follows_stiffness_values(heat, kind):
     """``preprocess()`` refreshes the built preconditioner in place."""
     dec = decompose_box(2, 2, 4, order=1, n_clusters=2)
     problem = FetiProblem.from_physics(heat, dec, dirichlet_faces=("xmin",))
-    solver = FetiSolver(problem, SolverSpec(preconditioner=kind))
+    solver = FetiSolver(problem, SolverSpec(approach="expl mkl", preconditioner=kind))
     pre = solver.preconditioner
     x = np.random.default_rng(4).standard_normal(problem.n_lambda)
     pristine = pre.apply(x)
@@ -405,7 +404,7 @@ def test_preconditioner_follows_stiffness_values(heat, kind):
 def test_session_restores_preconditioner_after_custom_update():
     """A schedule's stiffness change must not outlive it in ``M``."""
     workload = Workload("heat", 2, (2, 2), 3)
-    with Session(SolverSpec(preconditioner="dirichlet")) as session:
+    with Session(SolverSpec(approach="expl mkl", preconditioner="dirichlet")) as session:
         pre = session.solver(workload).preconditioner
         x = np.random.default_rng(5).standard_normal(pre.problem.n_lambda)
         pristine = pre.apply(x)
@@ -471,3 +470,25 @@ def test_default_preconditioner_resolves_by_approach_family(approach):
     assert SolverSpec(approach=approach, preconditioner="lumped").preconditioner is (
         PreconditionerKind.LUMPED
     )
+
+
+@pytest.mark.parametrize(
+    "approach", [a for a in DualOperatorApproach if not a.is_explicit], ids=lambda a: a.value
+)
+def test_dirichlet_on_an_implicit_approach_is_a_spec_error(heat_problem_2d, approach):
+    """An implicit operator holds no ``F̃ᵢ`` to gather the ``Sᵢ`` from: the
+    spec is refused at construction, from a dict and as a served request (a
+    400), naming an explicit approach, and so is the operator itself."""
+    named = r"needs an explicit approach \('expl mkl'"
+    with pytest.raises(SpecError, match=named):
+        SolverSpec(approach=approach, preconditioner="dirichlet")
+    spec = {"approach": approach.value, "preconditioner": "dirichlet"}
+    with pytest.raises(SpecError, match=named):
+        SolverSpec.from_dict(spec)
+    with pytest.raises(ProtocolError, match=named) as raised:
+        parse_solve_request(json.dumps({"workload": "heat-2d-quick", "spec": spec}))
+    assert raised.value.status == 400
+    solver = FetiSolver(heat_problem_2d, SolverSpec(approach=approach))
+    solver.preprocess()
+    with pytest.raises(SpecError, match=rf"{approach.value!r} is implicit"):
+        DirichletPreconditioner(heat_problem_2d, solver.operator)

@@ -136,7 +136,8 @@ def test_preconditioned_solves_meet_the_saddle_point_oracle(sessions, solve, wor
 @pytest.mark.parametrize("kind", KINDS)
 def test_condition_estimate_matches_the_dense_operator(heat_problem_2d, kind):
     """Converged estimate vs ``κ`` of the dense ``P M P F`` on ``range(P)``."""
-    solver = FetiSolver(heat_problem_2d, SolverSpec(preconditioner=kind, tolerance=1e-12))
+    spec = SolverSpec(approach="expl mkl", preconditioner=kind, tolerance=1e-12)
+    solver = FetiSolver(heat_problem_2d, spec)
     solution = solver.solve()
     assert solution.converged
     identity = np.eye(heat_problem_2d.n_lambda)
