@@ -9,11 +9,13 @@ transfer and linear elasticity in 2D, under all three preconditioners, and
 prints the PCPG iteration count next to the Lanczos estimate of ``κ`` every
 solve carries (``PcpgResult.condition_estimate``).  The subdomain rungs also
 show the wall milliseconds per subdomain of their first (cold) solve — the
-cold path's scaling from 16 to 256 subdomains — and every rung the wall
+cold path's scaling from 16 to 256 subdomains — and of a problem build
+alone (element kernels, scatter, regularization and gluing, timed apart
+from the cold solve), and every rung the wall
 milliseconds of the Dirichlet preconditioner's build after a preprocessing
 (``B_D`` from the gluing chains, its ``Sᵢ`` read off the preprocessed
 ``F̃ᵢ``; best of three), in total and per subdomain: its cost against the
-subdomain size and against the subdomain count.  Neither column is gated.
+subdomain size and against the subdomain count.  No timing column is gated.
 
 The output is a Markdown table (the nightly workflow appends it to the step
 summary).  The exit status is non-zero if ``dirichlet ≤ lumped ≤ none`` breaks
@@ -60,7 +62,8 @@ def climb(
 
     With ``cold_column``, the row shows the wall milliseconds per subdomain
     of the rung's first solve, from an empty problem cache (its problem
-    build, preparation and preprocessing included).  Every row ends with the
+    build, preparation and preprocessing included), and of one problem
+    build timed before it (the cache emptied again after).  Every row ends with the
     wall milliseconds of the Dirichlet preconditioner's build, in total and
     per subdomain.
     """
@@ -70,6 +73,10 @@ def climb(
         row = {}
         cold_ms = build_ms = None
         if cold_column:
+            build_problem.cache_clear()
+            start = time.perf_counter()
+            build_problem(workload)
+            problem_ms = 1e3 * (time.perf_counter() - start) / workload.n_subdomains
             build_problem.cache_clear()
         for kind in KINDS:
             spec = SolverSpec(approach="expl mkl", preconditioner=kind)
@@ -83,7 +90,7 @@ def climb(
                 sys.exit(f"{workload.describe()} did not converge under {kind!r}")
             row[kind] = (solution.iterations, solution.pcpg.condition_estimate)
         cells_text = " | ".join(f"{its} | {kappa:.2f}" for its, kappa in row.values())
-        cold_text = f"{cold_ms:.3f}" if cold_column else "–"
+        cold_text = f"{cold_ms:.3f} | {problem_ms:.3f}" if cold_column else "– | –"
         build_text = f"{build_ms:.2f} | {1e3 * build_ms / workload.n_subdomains:.0f}"
         print(
             f"| {physics} | {grid[0]}x{grid[1]} | {cells} | {cells_text} | {cold_text} | {build_text} |"
@@ -97,9 +104,10 @@ def main() -> int:
     print("### FETI scalability ladder (PCPG iterations and κ estimate)\n")
     print(
         "| physics | subdomains | H/h | none | κ | lumped | κ | dirichlet | κ "
-        "| cold ms / subdomain | dirichlet build ms | µs / subdomain |"
+        "| cold ms / subdomain | problem build ms / subdomain | dirichlet build ms "
+        "| µs / subdomain |"
     )
-    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+    print("| --- " * 13 + "|")
     for physics in ("heat", "elasticity"):
         with Session() as session:
             by_cells = climb(session, physics, CELLS_LADDER)

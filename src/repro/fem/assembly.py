@@ -5,10 +5,19 @@ Same-shape meshes — one connectivity, translated coordinates, which is what
 *stack* of ``k`` members, never one mesh at a time:
 
 * :class:`ElementStack` computes the affine geometry of all ``k · ncells``
-  elements once, with the closed-form (adjugate) 2×2 / 3×3 inverse and
-  determinant, and the stiffness and load kernels share it;
-* each element kernel (:func:`scalar_stiffness_kernel`, ...) is one
-  batched product (``matmul``) over all ``k · ncells`` elements;
+  elements once (:func:`vertex_adjugates`: the vertex coordinates gathered
+  into component-first arrays, the closed-form adjugate rows
+  ``Aₐ = det J · ∇λₐ`` with ``A₀ = −Σ Aᵢ``, and ``det J``); the stiffness
+  and load kernels share it;
+* P1 heat elements take a closed form: ``K_e[a, b] = κ·w·(Aₐ·A_b)/|det J|``,
+  one dot product over component-first arrays per unique ``(a, b)``,
+  written into the ``(k · ncells, m, m)`` stack the scatter reads — no
+  gradients, no per-element product.  It is bitwise the batched-``matmul``
+  kernel it replaced (``tests/oracles/elements.py``) wherever that
+  kernel's products are exact (the structured meshes on binary-fraction
+  coordinates, e.g. ``h = 2⁻ᵏ``), and within two ulp per entry elsewhere;
+* P2 heat and every elasticity kernel are one batched product (``matmul``)
+  over the physical gradients, which the stack computes on first read;
 * :class:`ScatterMap` records once per shape where every element-matrix
   entry lands in the CSR arrays; the ``(k, nnz)`` values of all members come
   from one ``bincount`` through it, and so do the ``(k, ndofs)`` loads;
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +48,7 @@ __all__ = [
     "CsrStack",
     "ElementStack",
     "ScatterMap",
+    "vertex_adjugates",
     "element_geometry",
     "scalar_stiffness_kernel",
     "scalar_load_kernel",
@@ -49,6 +60,66 @@ __all__ = [
     "assemble_elasticity_stiffness",
     "assemble_elasticity_load",
 ]
+
+
+def vertex_adjugates(coords: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``det J · ∇λₐ`` of every vertex of every cell of a stack, and ``det J``.
+
+    The vertex coordinates gathered into component-first arrays (one
+    ``take`` per vertex, the edges formed as they arrive), then the
+    closed-form adjugate: row ``j + 1`` of the result is row ``j`` of
+    ``adj J`` (the cross product of the other two edges in 3D), row 0 is
+    minus their sum.  Exact wherever the products are, e.g. on
+    binary-fraction coordinates.
+
+    Parameters
+    ----------
+    coords:
+        Node coordinates of the ``k`` members, shape ``(k, nnodes, dim)``.
+    cells:
+        The shared connectivity, shape ``(ncells, nodes_per_cell)``.
+
+    Returns
+    -------
+    adjugate:
+        ``(dim + 1, dim, k · ncells)``: vertex, component, element.
+    det:
+        Signed Jacobian determinants, ``(k · ncells,)``.
+    """
+    k, dim = coords.shape[0], coords.shape[-1]
+    ncells = cells.shape[0]
+    x = np.ascontiguousarray(np.moveaxis(coords, -1, 0))  # (dim, k, nnodes)
+    v0 = np.take(x, cells[:, 0], axis=2)
+    # The Jacobian's columns are the edges from vertex 0: e[j][d] is
+    # component d of edge j, shape (k, ncells).
+    e = np.empty((dim, dim, k, ncells))
+    for j in range(dim):
+        np.subtract(np.take(x, cells[:, j + 1], axis=2), v0, out=e[j])
+    del v0
+    adj = np.empty((dim + 1, dim, k, ncells))
+    if dim == 2:
+        (ax, ay), (bx, by) = e
+        adj[1, 0] = by
+        np.negative(bx, out=adj[1, 1])
+        np.negative(ay, out=adj[2, 0])
+        adj[2, 1] = ax
+        det = ax * by - bx * ay
+    else:
+        # Rows of the adjugate: e1 × e2, e2 × e0, e0 × e1.
+        term = np.empty((k, ncells))
+        for j in range(3):
+            p, q = e[(j + 1) % 3], e[(j + 2) % 3]
+            for d in range(3):
+                d1, d2 = (d + 1) % 3, (d + 2) % 3
+                entry = np.multiply(p[d1], q[d2], out=adj[j + 1, d])
+                entry -= np.multiply(p[d2], q[d1], out=term)
+        ax, ay, az = e[0]
+        det = ax * adj[1, 0] + ay * adj[1, 1] + az * adj[1, 2]
+    first = np.add(adj[1], adj[2], out=adj[0])
+    for row in adj[3:]:
+        first += row
+    np.negative(first, out=first)
+    return adj.reshape(dim + 1, dim, -1), det.reshape(-1)
 
 
 def element_geometry(coords: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -65,33 +136,15 @@ def element_geometry(coords: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray,
     -------
     inv_jac:
         Inverse Jacobians, shape ``(k, ncells, dim, dim)`` (reference →
-        physical), from the adjugate: exact wherever the adjugate and the
-        determinant are, e.g. on binary-fraction coordinates.
+        physical), the adjugate of :func:`vertex_adjugates` over the
+        determinant.
     det_jac:
         Absolute Jacobian determinants, shape ``(k, ncells)``.
     """
-    dim = coords.shape[-1]
-    x = np.moveaxis(coords, -1, 0)  # components first: (dim, k, nnodes)
-    v0 = x[:, :, cells[:, 0]]
-    # The Jacobian's columns are the edges from vertex 0, one array per
-    # component: e[j][d] is component d of edge j, shape (k, ncells).
-    e = [x[:, :, cells[:, j + 1]] - v0 for j in range(dim)]
-    if dim == 2:
-        (ax, ay), (bx, by) = e
-        det = ax * by - bx * ay
-        adj = [[by, -bx], [-ay, ax]]
-    else:
-        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = e
-        # Rows of the adjugate: e1 × e2, e2 × e0, e0 × e1.
-        adj = [
-            [by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx],
-            [cy * az - cz * ay, cz * ax - cx * az, cx * ay - cy * ax],
-            [ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx],
-        ]
-        det = ax * adj[0][0] + ay * adj[0][1] + az * adj[0][2]
-    inv_jac = np.array(adj)  # (dim, dim, k, ncells)
-    inv_jac /= det
-    return np.moveaxis(inv_jac, (0, 1), (-2, -1)), np.abs(det)
+    k, dim = coords.shape[0], coords.shape[-1]
+    adj, det = vertex_adjugates(coords, cells)
+    inv_jac = (adj[1:] / det).reshape(dim, dim, k, -1)
+    return np.moveaxis(inv_jac, (0, 1), (-2, -1)), np.abs(det).reshape(k, -1)
 
 
 class ElementStack:
@@ -103,13 +156,21 @@ class ElementStack:
         The connectivity every member shares, ``(ncells, nodes_per_cell)``.
     coords:
         Node coordinates of the members, ``(k, nnodes, dim)``.
+    order:
+        The element order (1 linear, 2 quadratic).
     shape:
         Shape functions at the quadrature points, ``(nq, nodes_per_cell)``.
-    grads:
-        Physical shape-function gradients, ``(k · ncells, nq, nodes_per_cell,
-        dim)``; the elements of member ``i`` are rows ``i·ncells …``.
+    weights:
+        Quadrature weights, ``(nq,)``.
+    adjugate, det:
+        ``det J · ∇λₐ`` of the vertices, ``(dim + 1, dim, k · ncells)``, and
+        the signed ``det J``, ``(k · ncells,)`` (:func:`vertex_adjugates`);
+        the elements of member ``i`` are ``i·ncells …``.
     wdet:
         Quadrature weight times ``|det J|``, ``(k · ncells, nq)``.
+    grads:
+        Physical shape-function gradients, ``(k · ncells, nq, nodes_per_cell,
+        dim)``, computed on first read (P1 heat elements never read them).
     """
 
     def __init__(self, meshes: Sequence[Mesh]) -> None:
@@ -118,21 +179,29 @@ class ElementStack:
         for i, mesh in enumerate(meshes[1:], start=1):
             if mesh.cells is not cells and not np.array_equal(mesh.cells, cells):
                 raise ValueError(f"stack member {i} does not share member 0's connectivity")
-        ref = first.reference_element
-        quad = simplex_quadrature(first.dim, ref.quadrature_degree)
+        self.reference = first.reference_element
+        quad = simplex_quadrature(first.dim, self.reference.quadrature_degree)
         self.k = len(meshes)
         self.dim = first.dim
+        self.order = first.order
         self.nnodes = first.nnodes
         self.cells = cells
         self.coords = np.stack([m.coords for m in meshes])
-        self.shape = ref.shape_functions(quad.points)  # (nq, nnodes)
-        inv_jac, det = element_geometry(self.coords, cells)
-        ref_grads = ref.shape_gradients(quad.points)  # (nq, nnodes, dim)
+        self.points = quad.points
+        self.weights = quad.weights
+        self.shape = self.reference.shape_functions(quad.points)  # (nq, nnodes)
+        self.adjugate, self.det = vertex_adjugates(self.coords, cells)
+        self.wdet = np.abs(self.det).reshape(-1, 1) * quad.weights[None, :]
+
+    @cached_property
+    def grads(self) -> np.ndarray:
+        """Physical shape-function gradients, ``(k · ncells, nq, m, dim)``."""
+        inv_jac = np.moveaxis(self.adjugate[1:] / self.det, (0, 1), (-2, -1))  # (k·ncells, dim, dim)
+        ref_grads = self.reference.shape_gradients(self.points)  # (nq, nnodes, dim)
         # dN/dx = dN/dxi · dxi/dx = ref_grads @ inv_jac
         nq, m, dim = ref_grads.shape
-        grads = np.matmul(ref_grads.reshape(nq * m, dim), inv_jac)  # (k, ncells, nq·m, dim)
-        self.grads = grads.reshape(-1, nq, m, dim)
-        self.wdet = det.reshape(-1, 1) * quad.weights[None, :]
+        grads = np.matmul(ref_grads.reshape(nq * m, dim), inv_jac)  # (k·ncells, nq·m, dim)
+        return grads.reshape(-1, nq, m, dim)
 
 
 #: Entries with ``|aᵢⱼ| ≤ PRUNE_TOLERANCE · sqrt(|aᵢᵢ aⱼⱼ|)`` are cancellation
@@ -270,12 +339,48 @@ class ScatterMap:
 # Scalar diffusion (heat transfer)                                        #
 # ---------------------------------------------------------------------- #
 def scalar_stiffness_kernel(stack: ElementStack, conductivity: float = 1.0) -> np.ndarray:
-    """Element matrices of ``-div(kappa grad u)``, ``(k · ncells, m, m)``."""
+    """Element matrices of ``-div(kappa grad u)``, ``(k · ncells, m, m)``.
+
+    P1 elements take the closed form (:func:`_p1_scalar_stiffness`); higher
+    orders one batched ``matmul`` over the stack's gradients.
+    """
+    if stack.order == 1:
+        return _p1_scalar_stiffness(stack, conductivity)
     ncells, nq, m, dim = stack.grads.shape
     # Gradients as (element, node, quadrature point · component); a view for nq = 1.
     g = stack.grads.transpose(0, 2, 1, 3).reshape(ncells, m, nq * dim)
     gw = g * np.repeat(conductivity * stack.wdet, dim, axis=1)[:, None, :]
     return np.matmul(gw, g.transpose(0, 2, 1))
+
+
+def _p1_scalar_stiffness(stack: ElementStack, conductivity: float) -> np.ndarray:
+    """P1 element matrices in closed form: ``K[a, b] = κ·w·(Aₐ·A_b)/|det J|``.
+
+    ``Aₐ = det J · ∇λₐ`` (:attr:`ElementStack.adjugate`) and ``w`` is the
+    reference volume.  Each of the ``m (m + 1) / 2`` unique entries is one
+    dot product over component-first arrays, so the matrices are exactly
+    symmetric.  They are bitwise the gradient ``matmul`` wherever its
+    products are exact (binary-fraction coordinates) and within two ulp of
+    it elsewhere (``tests/fem/test_p1_closed_form.py``).
+    """
+    adj = stack.adjugate
+    m, dim, count = adj.shape
+    rows, cols = np.triu_indices(m)
+    # The unique entries are computed in the output's own memory (its first
+    # rows.size · count values), then laid out element by element.
+    ke = np.empty((count, m, m))
+    upper = ke.reshape(-1)[: rows.size * count].reshape(rows.size, count)
+    term = np.empty(count)
+    for entry, a, b in zip(upper, rows, cols):
+        np.multiply(adj[a, 0], adj[b, 0], out=entry)
+        for d in range(1, dim):
+            entry += np.multiply(adj[a, d], adj[b, d], out=term)
+    scale = conductivity * stack.weights.sum() / np.abs(stack.det)
+    by_element = np.multiply(upper.T, scale[:, None], out=np.empty((count, rows.size)))
+    unique = np.empty((m, m), dtype=np.intp)
+    unique[rows, cols] = unique[cols, rows] = np.arange(rows.size)
+    np.take(by_element, unique.ravel(), axis=1, out=ke.reshape(count, m * m), mode="clip")
+    return ke
 
 
 def scalar_load_kernel(stack: ElementStack, source: float | np.ndarray = 1.0) -> np.ndarray:

@@ -169,17 +169,29 @@ def _build_shape(
 
     One element geometry and one scatter map for the shape; ``K``, ``K_reg``
     and ``f`` of all members come out as ``(k, ·)`` stacks.  The stiffness
-    stacks stay the :class:`ShapeGroup`'s; each member views its row.
+    stacks stay the :class:`ShapeGroup`'s; each member views its row.  Three
+    trace spans name the parts: ``element_kernels`` (geometry, stiffness
+    and load), ``scatter`` (the map, the sums and the prune) and
+    ``regularize`` (kernel bases, fixing DOFs and ``K_reg``).
     """
     meshes = [sub.mesh for sub in group]
-    stack = ElementStack(meshes)
-    smap = ScatterMap(physics.element_dofs(meshes[0]), physics.ndofs(meshes[0]))
-    K = smap.prune(smap.matrices(physics.stiffness_kernel(stack)), [s.index for s in group])
-    f = smap.vectors(physics.load_kernel(stack))
-    kernels = physics.kernel_bases(stack.coords)
-    del stack, smap  # the element workspaces; only the stacks are kept
-    fixing_dofs = fixing_dofs_for(meshes[0], kernels, dofs_per_node)
-    K_reg, _rho = regularize_stack(K, kernels, fixing_dofs)
+    with trace_span("element_kernels"):
+        stack = ElementStack(meshes)
+        ke = physics.stiffness_kernel(stack)
+        fe = physics.load_kernel(stack)
+        coords = stack.coords
+        del stack  # the geometry is freed before the scatter allocates
+    with trace_span("scatter"):
+        smap = ScatterMap(physics.element_dofs(meshes[0]), physics.ndofs(meshes[0]))
+        values = smap.matrices(ke)
+        del ke
+        K = smap.prune(values, [s.index for s in group])
+        f = smap.vectors(fe)
+        del values, fe, smap
+    with trace_span("regularize"):
+        kernels = physics.kernel_bases(coords)
+        fixing_dofs = fixing_dofs_for(meshes[0], kernels, dofs_per_node)
+        K_reg, _rho = regularize_stack(K, kernels, fixing_dofs)
     shape = ShapeGroup(np.array([sub.index for sub in group], dtype=np.int64), K, K_reg)
     return shape, [
         SubdomainProblem(

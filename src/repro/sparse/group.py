@@ -5,11 +5,11 @@ symbolic analysis, and every piece of numeric work runs on them together: a
 preprocessing factors them as one ``(k, n, kd + 1)`` band
 (:func:`~repro.sparse.numeric.stacked_cholesky`, run by
 :mod:`repro.runtime.preprocess`), the Schur assembly reads a member's row of
-that band, and a ``K⁺`` solve is one :func:`~repro.sparse.triangular.solve_banded`
-over the whole band.  :class:`PatternGroup` holds all of it: the analysis,
-the members, their :class:`~repro.sparse.schur.SchurScatter` (explicit
-approaches only), where their DOFs sit in the concatenated primal vector,
-and the band.
+that band, and a ``K⁺`` solve is one gather, one
+:func:`~repro.sparse.triangular.sweep_banded` over the whole band and one
+scatter.  :class:`PatternGroup` holds all of it: the analysis, the members,
+their :class:`~repro.sparse.schur.SchurScatter` (explicit approaches only),
+where their DOFs sit in the concatenated primal vector, and the band.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.sparse.schur import SchurScatter
 from repro.sparse.symbolic import SymbolicFactor
-from repro.sparse.triangular import solve_banded
+from repro.sparse.triangular import sweep_banded
 
 __all__ = ["PatternGroup"]
 
@@ -57,18 +57,22 @@ class PatternGroup:
         #: precision policy's storage dtype; ``None`` until a preprocessing
         #: installs them and after :meth:`release`.
         self.band: np.ndarray | None = None
-        #: The shared permutation of every member, offset into the band.
-        n = symbolic.n
-        self._perm = (np.arange(len(self.members))[:, None] * n + symbolic.perm).reshape(-1)
+        #: Where row ``i·n + j`` of the band stack reads the primal vector:
+        #: ``dofs`` composed with the shared fill-reducing permutation.
+        self._gather = dofs[:, symbolic.perm].reshape(-1)
 
     def __len__(self) -> int:
         return len(self.members)
 
     def solve(self, rhs: np.ndarray, out: np.ndarray) -> None:
-        """``out[dofs] = Kᵢ⁻¹ rhs[dofs]`` for every member: one banded solve."""
+        """``out[dofs] = Kᵢ⁻¹ rhs[dofs]`` for every member.
+
+        One gather into the factors' ordering, one banded sweep over the
+        whole stack, one scatter back.
+        """
         if self.band is None:
             raise RuntimeError("no numeric factorization; run a preprocessing first")
-        out[self.dofs] = solve_banded(self._perm, self.band, rhs[self.dofs])
+        out[self._gather] = sweep_banded(self.band, np.asarray(rhs, dtype=float).take(self._gather))
 
     def storage_nbytes(self) -> int:
         """Resident bytes of the numeric factors: the band."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.blas import dtbsv
 
-__all__ = ["solve_banded"]
+__all__ = ["solve_banded", "sweep_banded"]
 
 
 def _lower_band(band: np.ndarray) -> np.ndarray:
@@ -48,18 +48,27 @@ def solve_banded(perm: np.ndarray, band: np.ndarray, rhs: np.ndarray) -> np.ndar
     rhs:
         ``(k, n)`` right-hand sides in the original ordering.
 
-    One gather through the permutation, ``dtbsv`` with ``L`` and with
-    ``Lᵀ`` over the block-diagonal band, one scatter back.  The members do
-    not interact: a member's solution is bitwise the same whatever the
-    other members' right-hand sides are.
+    One gather through the permutation, :func:`sweep_banded`, one scatter
+    back.
     """
-    k, n, width = band.shape
-    y = np.asarray(rhs, dtype=float).reshape(-1)[perm]
-    if y.size:
-        ab = _lower_band(band)
-        y = dtbsv(width - 1, ab, y, lower=1, overwrite_x=1)
-        y = dtbsv(width - 1, ab, y, lower=1, trans=1, overwrite_x=1)
+    k, n = band.shape[:2]
+    y = sweep_banded(band, np.asarray(rhs, dtype=float).reshape(-1)[perm])
     x = np.empty(k * n)
     x[perm] = y
     return x.reshape(k, n)
 
+
+def sweep_banded(band: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``(L Lᵀ)⁻¹ y`` for ``(k·n,)`` right-hand sides in the factors' ordering.
+
+    ``dtbsv`` with ``L`` and with ``Lᵀ`` over the block-diagonal band of the
+    ``(k, n, kd + 1)`` stack, overwriting ``y`` (a fresh fp64 array).  The
+    members do not interact: a member's solution is bitwise the same
+    whatever the other members' right-hand sides are.
+    """
+    if y.size:
+        width = band.shape[-1]
+        ab = _lower_band(band)
+        y = dtbsv(width - 1, ab, y, lower=1, overwrite_x=1)
+        y = dtbsv(width - 1, ab, y, lower=1, trans=1, overwrite_x=1)
+    return y

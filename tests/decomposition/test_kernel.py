@@ -145,7 +145,12 @@ def test_regularized_pattern_is_k_union_the_fixing_block_by_index():
 #: LAPACK's LU ``det`` rounded (by 1.6e-19 of 2.4e-4), which moved the
 #: ``(8, 8)`` values by ≤ 2.7e-15; the per-subdomain build with the
 #: closed-form geometry reproduces the heat 2D digests bit for bit.  The
-#: heat 3D pin is new: the next change to the assembly shows up in it.
+#: heat 3D ``x12`` ``data`` digest was re-pinned once more when the P1 heat
+#: element matrices became closed-form (``κ·w·(Aₐ·A_b)/|det J|`` in place of
+#: two batched ``matmul``): on ``h = 1/24`` 45% of the element entries move
+#: by one ulp (≤ 2.5e-16 relative); its pattern digests did not move.  The
+#: ``(2, 2, 2)x8`` pin (``h = 1/16``, binary fractions) was computed before
+#: that change and holds after it: the closed form is bitwise there.
 K_REG_SHA256 = {
     ("heat", 2, (8, 8), 8, 4): (
         "3a423c312118e378e40108ce308996054f45b5819117f9093fdedbe96fb409ee",
@@ -158,9 +163,14 @@ K_REG_SHA256 = {
         "1de2a5a7ebf70a0f1d0227c03248e1466de3bb818bbc4cef35e59ac8e559fba6",
     ),
     ("heat", 3, (2, 2, 1), 12, 1): (
-        "144f61d5b9687171984668253e78d8ff4e8c61f1ef9f68aa5a6a92058c960e64",
+        "c4f04410ef07e11ecc200b8810b7ff8cf7888dc515f0a5a3286f737de7b54cc4",
         "7a23c80d6c22079d2d3b6e62af8045713ffb184e8549186e1c534cbf6a743f86",
         "ff82617fbb37fc46bc80f9e7c8cad4ae704d5045e6ba0cde4b15e8fddb624376",
+    ),
+    ("heat", 3, (2, 2, 2), 8, 1): (
+        "918ac7bb678baadd9e1294b8fe5075c731591feb946a5baa531a0fa1b8dfb5c5",
+        "a601d32b46be50f876f6f6bdb04b450e0009588a0a83c27520fd4c46039d4750",
+        "c641b5b97e25200c3aa370434f1580e586b256055cb85a3ae098fd159f171b89",
     ),
 }
 

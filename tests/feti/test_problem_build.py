@@ -25,6 +25,7 @@ from repro.fem.heat import HeatTransferProblem
 from repro.feti.problem import FetiProblem
 from repro.observe.trace import trace
 from tests.oracles import assembly as assembly_oracle
+from tests.oracles import elements as elements_oracle
 from tests.oracles import gluing as gluing_oracle
 
 #: Heat and elasticity × 2D and 3D × P1 and P2 on ``h = 1/6`` (P1) or
@@ -92,6 +93,23 @@ def test_values_match_the_per_subdomain_build(built):
         assert np.allclose(sub.kernel, ref.kernel, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("case", [c for c in ZOO if c[0] == "heat"], ids=_id)
+def test_heat_stiffness_matches_the_matmul_kernel_build(case):
+    """The closed-form P1 element matrices, summed and pruned, against the
+    same build on the batched-``matmul`` kernel (``tests/oracles/elements.py``)."""
+    _name, dim, subs, cells, order, clusters, faces = case
+    physics = HeatTransferProblem()
+    dec = decompose_box(dim, subs, cells, order=order, n_clusters=clusters)
+    problem = FetiProblem.from_physics(physics, dec, dirichlet_faces=faces)
+    for shape, group in zip(problem.groups, dec.shape_groups()):
+        meshes = [sub.mesh for sub in group]
+        smap = ScatterMap(physics.element_dofs(meshes[0]), physics.ndofs(meshes[0]))
+        ke = elements_oracle.matmul_scalar_stiffness(ElementStack(meshes))
+        ref = smap.prune(smap.matrices(ke))
+        assert np.array_equal(shape.K.indices, ref.indices)
+        assert _close(shape.K.values, ref.values)
+
+
 def test_gluing_is_bit_identical_to_the_dict_build(built):
     problem, _, ref = built
     got = problem.gluing
@@ -143,7 +161,7 @@ def _count(monkeypatch, owner, name) -> list[int]:
 )
 def test_build_computes_geometry_once_and_one_scatter_map(workload, monkeypatch):
     """One shape, so one geometry pass and one COO → CSR map — not per subdomain."""
-    geometry = _count(monkeypatch, assembly, "element_geometry")
+    geometry = _count(monkeypatch, assembly, "vertex_adjugates")
     maps = _count(monkeypatch, ScatterMap, "__init__")
     conversions = _count(monkeypatch, sp.coo_matrix, "tocsr")
     build_problem.cache_clear()
@@ -188,6 +206,13 @@ def test_a_cold_traced_solve_names_the_problem_build():
     children = {s.name: s for s in tracer.spans if s.parent_id == build.span_id}
     assert set(children) == {"assembly", "gluing"}
     assert children["assembly"].attrs == {"subdomains": 16, "shapes": 1}
+    # One of each part per shape, in build order.
+    parts = sorted(
+        (s for s in tracer.spans if s.parent_id == children["assembly"].span_id),
+        key=lambda s: s.start_us,
+    )
+    assert [s.name for s in parts] == ["element_kernels", "scatter", "regularize"]
+    assert sum(s.duration_us for s in parts) <= children["assembly"].duration_us
     assert sum(s.duration_us for s in children.values()) <= build.duration_us
     (solve,) = tracer.find("session.solve")
     ancestors, span = set(), build
