@@ -1,28 +1,17 @@
-"""Parallel runtime: split the preprocessing across workers and serve requests.
+"""Many right-hand sides: one block solve, or a burst of concurrent requests.
 
-The :mod:`repro.runtime` subsystem adds host-side parallelism on top of the
-simulated machine: a :class:`~repro.api.SolverSpec` declares an ``execution``
-backend (``serial`` | ``threads``) and a worker count, and the session cuts
-every FETI preprocessing into one contiguous span of its pattern groups'
-members per worker.  The solve phase is not split: the dual-operator apply
-is one batched GEMV in the caller's process on every backend, and
-concurrent requests (:meth:`~repro.api.Session.solve_request`) run on
-their callers' threads against one shared session.
+Two ways to answer many load cases of one model from one
+:class:`~repro.api.Session`:
 
-This script drives the two parallel layers and the block-solve path
-between them:
-
-1. a worker-count sweep of the preprocessing wall time on the 64-subdomain
-   scenario (the data behind the committed ``BENCH_parallel_scaling.json``
-   baseline),
-2. a multi-RHS block solve via :meth:`Session.solve_many` — one stacked
-   PCPG iteration answering many load cases at once, serially (the data
-   behind the ``BENCH_apply_phase.json`` baseline), and
-3. a burst of concurrent solve requests — the "many users" serving path,
+1. a multi-RHS block solve via :meth:`Session.solve_many` — one stacked
+   PCPG iteration answering many load cases at once (the data behind the
+   ``BENCH_apply_phase.json`` baseline), and
+2. a burst of concurrent solve requests — the "many users" serving path,
    where :meth:`~repro.api.Session.solve_request` answers every request
-   with its own scalar solve.
+   with its own scalar solve on its caller's thread, against one shared
+   session.
 
-Run with:  python examples/parallel_scaling.py
+Run with:  python examples/block_and_concurrent_solves.py
 """
 
 from __future__ import annotations
@@ -34,49 +23,8 @@ import numpy as np
 
 from repro.api import Session, SolverSpec, Workload
 
-#: The 64-subdomain workload of the ``parallel_scaling`` bench scenario.
+#: 64 subdomains of heat 2D.
 WORKLOAD = Workload(physics="heat", dim=2, subdomains=(8, 8), cells=8)
-
-#: The sweep: serial (one task over every pattern group) plus thread pools.
-BACKENDS = [None, "threads:2", "threads:4"]
-
-
-def preprocessing_wall_seconds(execution: str | None) -> float:
-    """Preparation + FETI preprocessing wall time under one backend."""
-    spec = SolverSpec(
-        approach="expl mkl",
-        threads_per_cluster=4,
-        streams_per_cluster=4,
-        execution=execution,
-    )
-    with Session(spec) as session:
-        operator = session.operator_for(WORKLOAD)
-        start = time.perf_counter()
-        operator.prepare()
-        operator.preprocess()
-        return time.perf_counter() - start
-
-
-def sweep_worker_counts() -> None:
-    print(f"workload: {WORKLOAD.describe()}")
-    # One pattern group: the 4 spans cut its member list like np.array_split.
-    spans = [len(span) for span in np.array_split(np.arange(WORKLOAD.n_subdomains), 4)]
-    print(f"preprocessing spans at 4 workers: {spans} subdomains\n")
-
-    serial = None
-    print(f"{'executor':<12} {'preprocessing':>14} {'speedup':>8}")
-    for backend in BACKENDS:
-        wall = preprocessing_wall_seconds(backend)
-        if serial is None:
-            serial = wall
-        label = backend or "serial"
-        print(f"{label:<12} {wall * 1e3:>11.1f} ms {serial / wall:>7.2f}x")
-    print(
-        "\n(every executor runs the same stacked kernels; threads run the "
-        "spans in-process and\n overlap inside the GIL-free BLAS kernels — "
-        "a win only once subdomains\n are large enough, and never beyond "
-        "the host's core count)"
-    )
 
 
 def block_solve_many_load_cases() -> None:
@@ -118,7 +66,7 @@ def serve_a_request_burst() -> None:
     else was in flight: it is bitwise the answer of the same request alone.
     """
     print("\nconcurrent solve requests (8 requests, 2 caller threads):")
-    with Session(SolverSpec(approach="expl mkl", execution="threads:2")) as session:
+    with Session(SolverSpec(approach="expl mkl")) as session:
         # Eight "users": the same model under different load scalings.
         scales = [1.0 + 0.25 * k for k in range(8)]
         with ThreadPoolExecutor(max_workers=2) as users:
@@ -140,7 +88,7 @@ def serve_a_request_burst() -> None:
 
 
 def main() -> None:
-    sweep_worker_counts()
+    print(f"workload: {WORKLOAD.describe()}")
     block_solve_many_load_cases()
     serve_a_request_burst()
 

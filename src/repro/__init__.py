@@ -44,8 +44,6 @@ _LAZY_EXPORTS: dict[str, str] = {
     "SolverSpec": "repro.api.spec",
     "Session": "repro.api.session",
     "PreconditionerKind": "repro.feti.preconditioner",
-    # The parallel runtime (PR 5).
-    "ExecutionSpec": "repro.runtime.executor",
     # Engine-level types.
     "AssemblyConfig": "repro.feti.config",
     "CudaLibraryVersion": "repro.feti.config",

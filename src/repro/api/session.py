@@ -44,7 +44,6 @@ from repro.memory.ledger import measure_solver
 from repro.memory.tier import FactorTier, parse_budget
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.trace import trace_span
-from repro.runtime.executor import ExecutionSpec, Executor, make_executor
 from repro.sparse.cache import PatternCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -157,9 +156,9 @@ class Session:
         self._problems: dict[Workload, FetiProblem] = {}
         self._base_loads: dict[Workload, list[np.ndarray]] = {}
         self._solvers: dict[tuple[Workload, SolverSpec], FetiSolver] = {}
-        #: Re-entrant lock guarding every session cache, so the ``threads``
-        #: execution backend (and concurrent request threads) can share one
-        #: session without corrupting the problem / solver maps.
+        #: Re-entrant lock guarding every session cache, so concurrent
+        #: request threads can share one session without corrupting the
+        #: problem / solver maps.
         self._cache_lock = threading.RLock()
         #: Per-workload execution locks: a workload's problem (its load
         #: vectors) and its prepared solvers are stateful, so concurrent
@@ -167,9 +166,7 @@ class Session:
         #: any number of threads — must serialize, while different
         #: workloads overlap.
         self._workload_locks: dict[Workload, threading.RLock] = {}
-        #: Runtime executors owned by this session, one per execution spec;
-        #: created on demand, closed by :meth:`close`.
-        self._executors: dict[ExecutionSpec, Executor] = {}
+        #: Set by :meth:`close`: :meth:`solver` then refuses new work.
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -210,30 +207,8 @@ class Session:
             return lock
 
     # ------------------------------------------------------------------ #
-    # Executor lifecycle                                                  #
+    # Lifecycle                                                           #
     # ------------------------------------------------------------------ #
-    def executor_for(self, spec: SolverSpec | str | None = None) -> Executor:
-        """The session-owned executor of a spec's execution backend.
-
-        One executor is kept per distinct :class:`~repro.runtime.executor.
-        ExecutionSpec`; pools are created on first use and shut down by
-        :meth:`close` (or the session's context-manager exit).
-        """
-        s = self.resolve_spec(spec)
-        execution = s.resolve_execution()
-        with self._cache_lock:
-            if self._closed:
-                raise RuntimeError("the session has been closed")
-            executor = self._executors.get(execution)
-            if executor is None:
-                executor = make_executor(execution)
-                self._executors[execution] = executor
-            return executor
-
-    def executor(self) -> Executor:
-        """The executor of the session's default spec."""
-        return self.executor_for(None)
-
     def queue(self) -> "SolveQueue":
         """The synchronous :class:`~repro.runtime.queue.SolveQueue` facade
         over :meth:`solve_request`."""
@@ -242,23 +217,18 @@ class Session:
         return SolveQueue(self)
 
     def close(self) -> None:
-        """Shut down the session's worker pools (idempotent).
+        """Release every cached solver's storage and refuse new work (idempotent).
 
         The caches survive — a closed session can still resolve problems —
-        but no further parallel work can be dispatched.  Every cached solver
+        but :meth:`solver`, and so every solve, raises.  Every cached solver
         releases its numeric storage as the memory tier's eviction does, so
         a closed session that is still referenced holds no factor, ``F̃ᵢ`` or
-        preconditioner ``M`` (its shut executors preprocess nothing again);
-        a solver whose workload is being solved on another thread keeps its
-        own.
+        preconditioner ``M``; a solver whose workload is being solved on
+        another thread keeps its own.
         """
         with self._cache_lock:
-            executors = list(self._executors.values())
-            self._executors.clear()
             self._closed = True
             solvers = list(self._solvers.items())
-        for executor in executors:
-            executor.close()
         for key, solver in solvers:
             lock = self.workload_lock(key[0])
             if solver.operator.preprocessed and lock.acquire(blocking=False):
@@ -299,19 +269,19 @@ class Session:
         workload: Workload | str | Mapping[str, Any],
         spec: SolverSpec | str | None = None,
     ) -> FetiSolver:
-        """The (session-cached) prepared solver of ``(workload, spec)``."""
+        """The (session-cached) prepared solver of ``(workload, spec)``.
+
+        Raises ``RuntimeError`` once the session has been closed.
+        """
         w = self.resolve_workload(workload)
         s = self.resolve_spec(spec)
         key = (w, s)
         with self._cache_lock:
+            if self._closed:
+                raise RuntimeError("the session has been closed")
             solver = self._solvers.get(key)
             if solver is None:
-                solver = FetiSolver(
-                    self.problem(w),
-                    s,
-                    pattern_cache=self.pattern_cache,
-                    executor=self.executor_for(s),
-                )
+                solver = FetiSolver(self.problem(w), s, pattern_cache=self.pattern_cache)
                 self._solvers[key] = solver
             else:
                 self._solver_reuses.inc()

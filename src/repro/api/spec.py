@@ -155,10 +155,15 @@ class SolverSpec:
         :class:`AssemblyConfig`, or a dict of its fields.  Only valid for
         approaches that assemble ``F̃ᵢ`` on the GPU.
     execution:
-        The runtime backend the preprocessing spans run on: an :class:`~repro.runtime.executor.ExecutionSpec`, a backend
-        string (``"threads"``, ``"threads:4"``), a ``{"backend", "workers"}``
-        dict, or ``None`` for the process-wide default (``REPRO_EXECUTOR`` /
-        ``REPRO_WORKERS``, serial when unset).
+        Where the preprocessing runs: ``None`` (serial, inline), or
+        ``threads:n`` (a backend string such as ``"threads:2"``, a
+        ``{"backend", "workers"}`` dict or an
+        :class:`~repro.runtime.executor.ExecutionSpec`), which cuts it into
+        at most ``n`` spans on a private thread pool, bitwise the serial
+        result.  The wall-clock harness's threaded rig
+        (``benchmarks/perf/bench.py:242``) is built with it;
+        ``benchmarks/threads_verdict.py`` measures where it pays.  A served
+        request may not ask for more than one worker.
     precision:
         Factor storage policy (see :mod:`repro.memory.precision`):
         ``"fp64"`` (the double-precision reference), ``"fp32"``
@@ -279,21 +284,6 @@ class SolverSpec:
     # ------------------------------------------------------------------ #
     # Wiring helpers (consumed by FetiSolver / Session)                   #
     # ------------------------------------------------------------------ #
-    def resolve_execution(self) -> ExecutionSpec:
-        """The concrete execution backend of this spec.
-
-        ``execution=None`` resolves to the process-wide default from
-        ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` (serial when unset) at call
-        time, so the spec's identity (hashing, caching, serialization) does
-        not depend on the environment.
-        """
-        from repro.runtime.executor import default_execution
-
-        if self.execution is None:
-            return default_execution()
-        assert isinstance(self.execution, ExecutionSpec)
-        return self.execution
-
     def machine_config(self) -> MachineConfig | None:
         """The per-cluster resource description (``None`` = library default)."""
         if self.machine is not None:

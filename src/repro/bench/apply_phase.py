@@ -9,9 +9,7 @@ it:
 * **stacked** — one ``operator.apply_multi(block)`` call,
   the fused-GEMM path used by ``Session.solve_many`` throughput callers.
 
-The apply runs in the caller's process on every executor, so the
-registered scenario measures one serial unit (an ``execution`` override
-changes only where the preprocessing runs).  Simulated apply seconds come
+The scenario measures one serial unit.  Simulated apply seconds come
 from the operator's timing ledger and are deterministic, so the comparator
 gates them at the usual rtol.  Wall seconds are recorded
 (best-of-``rounds``) but not comparator-gated.  The run re-checks the
@@ -31,7 +29,6 @@ from repro.api.spec import SolverSpec
 from repro.api.workload import Workload
 from repro.bench.registry import Scenario, register
 from repro.bench.runner import InvariantViolation
-from repro.runtime.executor import ExecutionSpec
 
 __all__ = ["ApplyPhaseScenario"]
 
@@ -44,22 +41,19 @@ _BLOCK_SEED = 20250806
 class ApplyPhaseScenario(Scenario):
     """Sequential vs stacked block applies of one preprocessed operator.
 
-    One unit per entry of the ``execution`` axis, named by its short form
-    (``serial`` for the registered scenario); each unit measures the
-    ``<backend>/sequential`` then the ``<backend>/stacked`` point.
+    One unit, ``serial``: it measures the ``serial/sequential`` then the
+    ``serial/stacked`` point.
     """
 
     n_rhs: int = 8
     rounds: int = 3
 
-    def units(self) -> dict[str, ExecutionSpec | None]:
-        return {ExecutionSpec.of(e).describe(): e for e in self.execution}
+    def units(self) -> dict[str, str]:
+        return {"serial": "serial"}
 
-    def measure(self, execution: ExecutionSpec | None) -> list[dict[str, Any]]:
-        """Wall + simulated seconds of both variants on one backend."""
-        backend = ExecutionSpec.of(execution).describe()
-        spec = SolverSpec(approach=self.approaches[0], execution=execution)
-        with Session(spec) as session:
+    def measure(self, backend: str) -> list[dict[str, Any]]:
+        """Wall + simulated seconds of both variants."""
+        with Session(SolverSpec(approach=self.approaches[0])) as session:
             operator = session.operator_for(self.base)
             operator.prepare()
             operator.preprocess()
@@ -102,7 +96,7 @@ class ApplyPhaseScenario(Scenario):
         return rows
 
     def check(self, rows: list[dict[str, Any]]) -> None:
-        """The numerical contract of the stacked apply, on every unit."""
+        """The numerical contract of the stacked apply."""
         for stacked in rows[1::2]:
             backend = stacked["key"].partition("/")[0]
             rel = stacked["stacked_rel_error"]

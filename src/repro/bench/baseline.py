@@ -15,9 +15,9 @@ classifies every metric difference:
 * **invariants** (problem shapes) and the point set itself must match
   exactly — any difference is a blocking *mismatch* meaning the scenario
   definition changed and the baseline must be regenerated;
-* **derived** record-level metrics (the executor wall speedups)
-  are ratios of measurements and never gated — drifts beyond the simulated
-  rtol are surfaced as non-blocking *info* rows so the CI summary shows how
+* **derived** record-level metrics (wall speedups such as the stacked
+  apply's) are ratios of measurements and never gated — drifts beyond the
+  simulated rtol are surfaced as non-blocking *info* rows so the CI summary shows how
   the speedups moved;
 * the records' ``environment.cpu_count`` must agree for their wall and
   derived numbers to be comparable — a difference is one non-blocking
@@ -287,9 +287,8 @@ def _compare_derived(
 ) -> None:
     """Surface record-level derived metrics (speedups) as non-blocking rows.
 
-    Derived metrics are ratios of measurements — the executor speedups
-    among them — so they drift with wall noise and are
-    never gated; the rows exist so the CI summary shows how the derived
+    Derived metrics are ratios of measurements, so they drift with wall
+    noise and are never gated; the rows exist so the CI summary shows how the derived
     speedups moved without failing the gate.  A metric present on only one
     side (e.g. a baseline predating the metric) is informational too.
     """

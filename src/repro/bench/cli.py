@@ -86,21 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the scenario invariant checks (shape + operator consistency)",
     )
     p_run.add_argument(
-        "--executor",
-        choices=["serial", "threads"],
-        help=(
-            "force one runtime execution backend for every measured point "
-            "(replaces the scenarios' own execution axis; point keys gain "
-            "the executor suffix, so compare ad-hoc runs against each other, "
-            "not against committed baselines)"
-        ),
-    )
-    p_run.add_argument(
-        "--workers",
-        type=int,
-        help="worker count for --executor (default: the host's CPU count)",
-    )
-    p_run.add_argument(
         "--precision",
         choices=PRECISION_NAMES,
         help=(
@@ -116,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help=(
             "per-unit wall-clock budget (a unit is one grid point, or one "
-            "backend / approach / service boot of a phase scenario); a unit "
-            "that does not finish (e.g. a hung pool worker) aborts the run "
+            "apply block / approach / service boot of a phase scenario); a unit "
+            "that does not finish (e.g. a hung server worker) aborts the run "
             "with exit code 2"
         ),
     )
@@ -279,21 +264,6 @@ def _workload_scenario(args: argparse.Namespace) -> registry.Scenario:
     )
 
 
-def _resolve_executor_override(args: argparse.Namespace):
-    """The forced execution axis of ``--executor/--workers`` (or ``None``)."""
-    from repro.runtime.executor import ExecutionSpec, default_workers
-
-    if args.executor is None:
-        if args.workers is not None:
-            raise KeyError("--workers requires --executor")
-        return None
-    workers = (
-        args.workers if args.workers is not None else default_workers(args.executor)
-    )
-    spec = ExecutionSpec(args.executor, workers)  # validates the combination
-    return (None,) if spec.backend == "serial" else (spec,)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.approach and not args.workload:
         print(
@@ -301,13 +271,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "registered scenarios declare their own approach sweep",
             file=sys.stderr,
         )
-        return 2
-    from repro.runtime.executor import ExecutionError
-
-    try:
-        executor_override = _resolve_executor_override(args)
-    except ExecutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.workload:
         if args.scenarios or args.tag or args.quick:
@@ -333,13 +296,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     trace_sink = {} if args.trace else None
     for name in names:
         scenario = get_scenario(name)
-        if executor_override is not None or args.precision is not None:
+        if args.precision is not None:
             from dataclasses import replace as dc_replace
 
-            if executor_override is not None:
-                scenario = dc_replace(scenario, execution=executor_override)
-            if args.precision is not None:
-                scenario = dc_replace(scenario, precision=(args.precision,))
+            scenario = dc_replace(scenario, precision=(args.precision,))
         print(f"running {name} ({scenario.n_points()} grid points)...", flush=True)
         try:
             result = run_scenario(
@@ -393,7 +353,7 @@ def _write_trace(trace_sink: dict, path: str):
 def _print_speedup_summary(record: dict) -> None:
     """Preprocessing-vs-apply summary of one record (shown in the CI gate log).
 
-    Prints the derived wall-clock speedups (thread-pool executors vs serial)
+    Prints the derived wall-clock ratios (e.g. the stacked apply's speedup)
     and the preprocessing/apply wall ratio of every measured point, so the
     benchmark-gate job log shows at a glance which phase dominates and what
     the optimized paths buy.

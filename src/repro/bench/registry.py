@@ -8,8 +8,8 @@ runnable (``repro-bench run``), and regression-gated against committed
 baselines (``repro-bench compare``) — and gives the pytest benchmark suite
 and the CLI one shared source of scenario truth.
 
-A scenario's sweep grid always has five axes (``subdomains``, ``cells``,
-``approach``, ``execution``, ``precision``); axes not explicitly swept are
+A scenario's sweep grid always has four axes (``subdomains``, ``cells``,
+``approach``, ``precision``); axes not explicitly swept are
 pinned to the base workload values.  A scenario is a list of measurement
 units, each measured by one method, and :func:`repro.bench.runner.
 run_scenario` is the one loop over them.  The base :class:`Scenario`
@@ -36,7 +36,6 @@ from repro.api.workload import build_problem as build_feti_problem
 from repro.bench.runner import InvariantViolation, measure_point, point_key
 from repro.feti.config import DualOperatorApproach
 from repro.feti.problem import FetiProblem
-from repro.runtime.executor import ExecutionSpec
 
 __all__ = [
     "PHYSICS",
@@ -67,13 +66,6 @@ class Scenario:
         The base workload; grid axes not swept are pinned to its values.
     approaches:
         Dual-operator approaches to sweep (the ``approach`` axis).
-    execution:
-        Runtime execution backends to sweep (the ``execution`` axis):
-        ``None`` is the serial reference, an
-        :class:`~repro.runtime.executor.ExecutionSpec` selects a thread
-        worker pool — sweeping e.g. ``(None, ExecutionSpec("threads", 2),
-        ExecutionSpec("threads", 4))`` measures the wall-clock scaling of
-        the preprocessing phase over worker counts.
     precision:
         Factor-storage precisions to sweep (the ``precision`` axis):
         ``"fp64"`` is the reference, ``"fp32"`` stores factors and packed
@@ -98,7 +90,6 @@ class Scenario:
     description: str
     base: Workload
     approaches: tuple[DualOperatorApproach, ...] = (DualOperatorApproach.EXPLICIT_MKL,)
-    execution: tuple[ExecutionSpec | None, ...] = (None,)
     precision: tuple[str, ...] = ("fp64",)
     subdomain_grid: tuple[tuple[int, ...], ...] | None = None
     cells_grid: tuple[int, ...] | None = None
@@ -107,12 +98,11 @@ class Scenario:
     expected: dict[str, int] = field(default_factory=dict)
 
     def grid(self) -> dict[str, list[Any]]:
-        """The cartesian sweep grid of the scenario (five fixed axes)."""
+        """The cartesian sweep grid of the scenario (four fixed axes)."""
         return {
             "subdomains": list(self.subdomain_grid or (self.base.subdomains,)),
             "cells": list(self.cells_grid or (self.base.cells,)),
             "approach": list(self.approaches),
-            "execution": list(self.execution),
             "precision": list(self.precision),
         }
 
@@ -120,19 +110,13 @@ class Scenario:
         """Human-readable sweep-axis values (``repro-bench list`` output).
 
         Every grid axis maps to the strings a reader would recognise from
-        point keys: approaches by enum value, executions by their
-        ``describe()`` short form (``serial`` for the reference), grids as
-        ``AxB``.
+        point keys: approaches by enum value, grids as ``AxB``.
         """
         grid = self.grid()
         return {
             "subdomains": ["x".join(str(v) for v in s) for s in grid["subdomains"]],
             "cells": [str(c) for c in grid["cells"]],
             "approach": [a.value for a in grid["approach"]],
-            "execution": [
-                "serial" if e is None or not e.parallel else e.describe()
-                for e in grid["execution"]
-            ],
             "precision": [str(p) for p in grid["precision"]],
         }
 
@@ -165,7 +149,6 @@ class Scenario:
             self.spec_with(unit["subdomains"], unit["cells"]),
             unit["approach"],
             self.n_applies,
-            unit["execution"],
             unit["precision"],
         )
         return [
@@ -194,8 +177,8 @@ class Scenario:
         ]
 
     def check(self, rows: list[dict[str, Any]]) -> None:
-        """Every approach — and every runtime backend — of one workload must
-        compute the same dual operator (parallel results identical to serial).
+        """Every approach of one workload must compute the same dual
+        operator.
 
         Reduced-precision points intentionally round the stored operator, so
         they are held to a looser tolerance against the workload's fp64
@@ -217,35 +200,9 @@ class Scenario:
                     )
 
     def derived(self, rows: list[dict[str, Any]]) -> dict[str, float]:
-        """Wall-clock speedups the scenario's own axes pair up.
-
-        ``wall_preprocessing_speedup[.../<executor>]`` compares every parallel
-        execution backend against the serial point of the same workload on
-        the preparation+preprocessing wall-clock time.  Reduced-precision
-        points never pair with the fp64 reference (the ``precision_phase``
-        scenario derives their comparisons).
-        """
-
-        def stem(row: dict[str, Any]) -> str:
-            grid = "x".join(str(s) for s in row["subdomains"])
-            return f"{grid}/c{row['cells']}/{row['approach'].value}"
-
-        fp64 = [r for r in rows if r["precision"] == "fp64"]
-        serial = {
-            stem(r): r["wall_preprocessing_seconds"]
-            for r in fp64
-            if r["execution"] is None or not r["execution"].parallel
-        }
-        return {
-            f"wall_preprocessing_speedup[{stem(r)}/{r['execution'].describe()}]": (
-                serial[stem(r)] / r["wall_preprocessing_seconds"]
-            )
-            for r in fp64
-            if r["execution"] is not None
-            and r["execution"].parallel
-            and stem(r) in serial
-            and r["wall_preprocessing_seconds"] > 0.0
-        }
+        """Record-level ratios of the rows: none on the operator grid (the
+        phase scenarios derive their own)."""
+        return {}
 
     def spec_with(
         self, subdomains: tuple[int, ...] | None = None, cells: int | None = None
@@ -399,22 +356,6 @@ def _register_defaults() -> None:
             subdomain_grid=((2, 2), (4, 4)),
             tags=frozenset({"quick", "scaling"}),
             expected={"n_subdomains": 4, "kernel_dim": 1},
-        )
-    )
-    register(
-        Scenario(
-            name="parallel_scaling",
-            description="Runtime executor scaling: preprocessing wall time over worker counts, 64 subdomains",
-            base=Workload("heat", 2, (8, 8), 8),
-            approaches=(DualOperatorApproach.EXPLICIT_MKL,),
-            execution=(
-                None,
-                ExecutionSpec("threads", 2),
-                ExecutionSpec("threads", 4),
-            ),
-            n_applies=2,
-            tags=frozenset({"quick", "wall", "runtime", "scaling"}),
-            expected={"n_subdomains": 64, "dofs_per_subdomain": 81, "kernel_dim": 1},
         )
     )
     register(

@@ -53,7 +53,6 @@ from repro.feti.config import DualOperatorApproach
 from repro.feti.projector import build_projector
 from repro.observe.log import get_logger
 from repro.observe.trace import Tracer, trace
-from repro.runtime.executor import ExecutionSpec
 
 if TYPE_CHECKING:
     from repro.bench.registry import Scenario
@@ -87,7 +86,7 @@ RUNNER_MACHINE = MachineConfig(threads_per_cluster=4, streams_per_cluster=4)
 #: A row may carry more — the grid's flat sweep columns and operator output,
 #: a phase scenario's gate inputs — for ``check``, ``derived`` and the sweep.
 _POINT_FIELDS = (
-    "key", "subdomains", "cells", "approach", "execution", "precision",
+    "key", "subdomains", "cells", "approach", "precision",
     "invariants", "simulated", "wall",
 )
 
@@ -133,19 +132,16 @@ def measure_point(
     spec: Workload,
     approach: DualOperatorApproach,
     n_applies: int = 3,
-    execution: ExecutionSpec | None = None,
     precision: str = "fp64",
 ) -> PointMeasurement:
-    """Measure one (workload, approach, execution, precision) point.
+    """Measure one (workload, approach, precision) point.
 
     Simulated times come from the operator's timing ledger; wall-clock times
     wrap the real execution of prepare+preprocess and of the ``n_applies``
     application loop (mean per apply, after one untimed warm-up apply that
     pays the once-per-preprocessing timeline plan).  Each point runs in its own
     :class:`~repro.api.session.Session` with a private pattern cache, so it
-    pays its own symbolic-analysis cost.  ``execution`` selects the runtime
-    backend of the point (``None`` = the serial reference); the session
-    shuts its thread pool down when the measurement is done.  The coarse problem is
+    pays its own symbolic-analysis cost.  The coarse problem is
     benchmarked alongside the operator: the projector build (G^T G
     factorization) and ``n_applies`` projector applications are timed on the
     same workload.  ``precision`` selects the factor-storage policy
@@ -156,7 +152,6 @@ def measure_point(
             approach=approach,
             threads_per_cluster=RUNNER_MACHINE.threads_per_cluster,
             streams_per_cluster=RUNNER_MACHINE.streams_per_cluster,
-            execution=execution if execution is not None else ExecutionSpec(),
             precision=precision,
         )
     )
@@ -212,22 +207,18 @@ def point_key(
     subdomains: tuple[int, ...],
     cells: int,
     approach: DualOperatorApproach,
-    execution: ExecutionSpec | None = None,
     precision: str = "fp64",
 ) -> str:
     """Stable human-readable identity of a grid point (used for pairing).
 
     The ``/batched`` segment is a fixed part of the stem: it dates from the
     removed ``batched`` sweep axis and stays so every committed baseline
-    keeps pairing by key.  The ``execution=None`` / ``precision="fp64"``
-    defaults add nothing; thread-pool points are suffixed with the
-    executor short form (e.g. ``/threads4``) and reduced-precision points
-    with the policy name (e.g. ``/fp32``).
+    keeps pairing by key.  The ``precision="fp64"`` default adds nothing;
+    reduced-precision points are suffixed with the policy name (e.g.
+    ``/fp32``).
     """
     grid = "x".join(str(s) for s in subdomains)
     key = f"{grid}/c{cells}/{approach.value}/batched"
-    if execution is not None and execution.parallel:
-        key += f"/{execution.describe()}"
     if precision != "fp64":
         key += f"/{precision}"
     return key
@@ -392,8 +383,6 @@ def _scenario_block(scenario: Scenario) -> dict[str, Any]:
 
 def _plain(value: Any) -> Any:
     """JSON form of the Python labels a row carries (``json.dumps`` default)."""
-    if isinstance(value, ExecutionSpec):
-        return value.to_dict()
     if isinstance(value, Enum):
         return value.value
     raise TypeError(f"{type(value).__name__} is not JSON serializable")

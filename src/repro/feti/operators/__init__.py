@@ -93,7 +93,7 @@ def make_dual_operator(
     machine_config: MachineConfig | None = None,
     assembly_config: AssemblyConfig | None = None,
     pattern_cache=None,
-    executor=None,
+    workers: int = 1,
     precision: str = "fp64",
 ) -> DualOperator:
     """Instantiate one of the nine Table-III dual-operator approaches.
@@ -115,11 +115,10 @@ def make_dual_operator(
         Caller-owned :class:`~repro.sparse.cache.PatternCache` for the
         symbolic analysis (a :class:`repro.api.Session` passes its own);
         ``None`` keeps the sparse layer's process-global cache.
-    executor:
-        Runtime :class:`~repro.runtime.executor.Executor` the preprocessing
-        runs on (a :class:`repro.api.Session` passes the one it
-        owns); ``None`` resolves to the ``REPRO_EXECUTOR`` process default
-        (serial when unset).
+    workers:
+        Span count of the preprocessing (:func:`repro.runtime.preprocess.
+        run_preprocessing`): ``1`` (serial) unless the spec's
+        ``execution`` asks for threads.
     precision:
         Factor/pack storage policy (:mod:`repro.memory.precision`):
         ``"fp64"`` (the reference) or ``"fp32"`` (half-size resident
@@ -137,7 +136,7 @@ def make_dual_operator(
         replay=replay,
         config=assembly_config,
         pattern_cache=pattern_cache,
-        executor=executor,
+        workers=workers,
         precision=precision,
     )
 

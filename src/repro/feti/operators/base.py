@@ -119,7 +119,7 @@ class DualOperator:
         replay: type,
         config: AssemblyConfig | None = None,
         pattern_cache: PatternCache | None = None,
-        executor=None,
+        workers: int = 1,
         precision: "str | PrecisionPolicy" = "fp64",
     ) -> None:
         self.problem = problem
@@ -135,12 +135,8 @@ class DualOperator:
         #: :class:`repro.api.Session` passes its own); ``None`` keeps the
         #: sparse layer's default (the process-global cache).
         self.pattern_cache = pattern_cache
-        #: Runtime executor the preprocessing runs on (a
-        #: :class:`repro.runtime.executor.Executor`); ``None`` resolves to
-        #: the process-wide default (``REPRO_EXECUTOR``, serial when unset)
-        #: on first use.  A :class:`repro.api.Session` passes the executor
-        #: it owns.
-        self._executor = executor
+        #: Span count of the preprocessing: ``1`` runs it inline.
+        self.workers = workers
         self._library = library
         self._replay_type = replay
         #: The approach's cost replay, built by :meth:`prepare`.
@@ -188,15 +184,6 @@ class DualOperator:
             return {}
         return {sub.index: engine.dense_block(sub.index) for sub in self.problem.subdomains}
 
-    @property
-    def executor(self):
-        """The runtime executor of the preprocessing (lazy default)."""
-        if self._executor is None:
-            from repro.runtime.executor import shared_executor
-
-            self._executor = shared_executor()
-        return self._executor
-
     # ------------------------------------------------------------------ #
     # Phases                                                              #
     # ------------------------------------------------------------------ #
@@ -239,7 +226,7 @@ class DualOperator:
         """Run the FETI preprocessing phase (once per time step that changed ``K``).
 
         The single entry point of the runtime layer: every pattern group is
-        factored as one stack (cut into per-worker spans on a thread pool)
+        factored as one stack (cut into :attr:`workers` spans on a thread pool)
         — then, on the explicit path, the ``F̃ᵢ`` of each interface class
         are assembled as one stack (see :mod:`repro.runtime.preprocess`),
         which the batch engine installs.
@@ -254,7 +241,7 @@ class DualOperator:
         self._drop_factors()
         with trace_span("preprocessing", approach=self.approach.value):
             local_F = run_preprocessing(
-                self.executor,
+                self.workers,
                 self._groups,
                 self.problem.subdomains,
                 self.precision.storage_dtype,
@@ -363,8 +350,8 @@ class DualOperator:
         """
         sim, breakdown = self._planned(1)
         if self.explicit:
-            # In the caller's process whatever the executor: the executor
-            # runs preprocessing only.
+            # In the caller's thread whatever the worker count: the workers
+            # run preprocessing only.
             return self.batch_engine.require_dense().apply(lam), sim, breakdown
         return self.apply_accurate(lam), sim, breakdown
 

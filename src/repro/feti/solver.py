@@ -31,6 +31,7 @@ from repro.feti.problem import FetiProblem
 from repro.feti.projector import Projector, build_projector
 from repro.observe.convergence import ConvergenceReport
 from repro.observe.trace import trace_span
+from repro.runtime.executor import ExecutionSpec
 from repro.sparse.cache import PatternCache
 
 if TYPE_CHECKING:  # imported lazily at runtime (repro.api imports repro.feti)
@@ -106,7 +107,6 @@ class FetiSolver:
         options: "SolverSpec | str | None" = None,
         *,
         pattern_cache: PatternCache | None = None,
-        executor=None,
     ) -> None:
         from repro.api.spec import SolverSpec
 
@@ -115,19 +115,13 @@ class FetiSolver:
         self.spec = spec
         #: Normalized options (always a :class:`SolverSpec` since PR 4).
         self.options = spec
-        if executor is None and spec.execution is not None:
-            # A spec-declared execution backend works without a Session:
-            # the solver falls back to the process-shared executor pool.
-            from repro.runtime.executor import shared_executor
-
-            executor = shared_executor(spec.execution)
         self.operator: DualOperator = make_dual_operator(
             spec.approach,
             problem,
             machine_config=spec.machine_config(),
             assembly_config=spec.resolve_assembly(problem),
             pattern_cache=pattern_cache,
-            executor=executor,
+            workers=ExecutionSpec.of(spec.execution).workers,
             precision=spec.precision,
         )
         self._projector: Projector | None = None

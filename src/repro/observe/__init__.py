@@ -1,6 +1,6 @@
 """Unified observability: tracing, metrics, structured logging, telemetry.
 
-- :mod:`repro.observe.trace` — span-based tracer with executor-safe
+- :mod:`repro.observe.trace` — span-based tracer with thread-pool-safe
   context propagation and Chrome trace-event export.
 - :mod:`repro.observe.metrics` — central counter/gauge/histogram registry
   with Prometheus text exposition.

@@ -12,10 +12,11 @@ Design constraints, in order:
    singleton without touching the context, allocating, or reading the
    clock.  Hot loops (one span per PCPG iteration, one per dual-operator
    apply) stay within noise of the untraced build.
-2. **Context propagation through the runtime executors.**  The current
-   span lives in a :class:`contextvars.ContextVar`; worker threads do not
-   inherit it, so the executors capture it at submission
-   (:func:`capture_context`) and re-install it around the task
+2. **Context propagation into worker threads.**  The current span lives
+   in a :class:`contextvars.ContextVar`; worker threads do not inherit it,
+   so whoever hands a task to a thread pool (the serve tier's solve
+   threads, a ``threads:n`` preprocessing round) captures it at submission
+   (:func:`capture_context`) and re-installs it around the task
    (:func:`run_with_context`), so worker spans nest under the submitting
    request's span.
 3. **Independent of** :class:`~repro.api.spec.SolverSpec`.  Tracing is a
@@ -375,12 +376,12 @@ def trace(name: str = "trace") -> _TraceHandle:
 
 
 # --------------------------------------------------------------------- #
-# Executor propagation                                                   #
+# Propagation into worker threads                                        #
 # --------------------------------------------------------------------- #
 def capture_context() -> tuple[Tracer, int | None] | None:
     """The submitting context's trace state (``None`` when tracing is off).
 
-    Thread executors pass the captured state to :func:`run_with_context`.
+    A task handed to a thread pool runs under it via :func:`run_with_context`.
     """
     if not _ACTIVE:
         return None

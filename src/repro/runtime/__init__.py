@@ -1,24 +1,22 @@
-"""repro.runtime — host-side parallel preprocessing.
+"""repro.runtime — the FETI preprocessing round.
 
-The executors run the FETI preprocessing in parallel (factor and assemble
-``F̃ᵢ`` per span of the pattern groups).  The dual-operator apply is not
-split: on every executor it runs over the stored ``F̃ᵢ`` in the
-caller's process (:class:`repro.feti.operators.batch.BatchedDenseApply`),
-and requests (:meth:`repro.api.Session.solve_request`) run on their
-callers' threads.  The runtime is organized as three pieces:
+The round factors every ``Kᵢ`` and assembles ``F̃ᵢ`` per span of the pattern
+groups: one span, inline, by default; ``SolverSpec(execution="threads:n")``
+cuts it into at most ``n`` spans on a private thread pool.  The
+dual-operator apply is not split: it runs over the stored ``F̃ᵢ`` in the
+caller's thread (:class:`repro.feti.operators.batch.BatchedDenseApply`), and
+requests (:meth:`repro.api.Session.solve_request`) run on their callers'
+threads.  The runtime is organized as three pieces:
 
 :mod:`repro.runtime.executor`
-    :class:`ExecutionSpec` (the declarative ``backend`` + ``workers``
-    description carried by :class:`repro.api.SolverSpec`) and the two
-    :class:`Executor` backends — ``serial`` and ``threads`` — plus the
-    ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` environment defaults.
+    :class:`ExecutionSpec`: the parsed and validated ``backend`` +
+    ``workers`` of :class:`repro.api.SolverSpec`'s ``execution`` field.
 :mod:`repro.runtime.preprocess`
-    The one preprocessing path every dual-operator backend and every
-    executor runs its FETI preprocessing through: the subdomains sharing a
-    symbolic analysis (a pattern group) are factored as one stack, the
-    ``F̃ᵢ`` of each interface class are assembled as one stack, and the
-    group-ordered members run in one span per worker, as futures on the
-    caller's solvers (one span, inline, under ``serial``).
+    The one preprocessing path every dual-operator backend runs its FETI
+    preprocessing through: the subdomains sharing a symbolic analysis (a
+    pattern group) are factored as one stack, the ``F̃ᵢ`` of each
+    interface class are assembled as one stack, and the group-ordered
+    members run in one span per worker.
 :mod:`repro.runtime.queue`
     :class:`SolveQueue`: a synchronous facade over
     :meth:`~repro.api.Session.solve_request`, kept for one benchmark
@@ -34,12 +32,6 @@ _LAZY_EXPORTS: dict[str, str] = {
     "BACKENDS": "repro.runtime.executor",
     "ExecutionError": "repro.runtime.executor",
     "ExecutionSpec": "repro.runtime.executor",
-    "Executor": "repro.runtime.executor",
-    "SerialExecutor": "repro.runtime.executor",
-    "ThreadExecutor": "repro.runtime.executor",
-    "make_executor": "repro.runtime.executor",
-    "default_execution": "repro.runtime.executor",
-    "shared_executor": "repro.runtime.executor",
     "run_preprocessing": "repro.runtime.preprocess",
     "SolveQueue": "repro.runtime.queue",
 }

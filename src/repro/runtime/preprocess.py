@@ -3,15 +3,16 @@
 Every backend's FETI preprocessing — the numeric factorization of every
 ``Kᵢ`` and, for the explicit approaches, the assembly of
 ``F̃ᵢ = B̃ᵢ Kᵢ⁺ B̃ᵢᵀ`` — runs through :func:`run_preprocessing`, on one path
-whatever the executor.  Its unit of work is the operator's
+whatever the worker count.  Its unit of work is the operator's
 :class:`~repro.sparse.group.PatternGroup`: the subdomains sharing one
 symbolic analysis, found once when the operator was prepared
 (:func:`~repro.feti.operators.base.analyze_problem`).
 
-1. The serial executor runs one task over every group.  ``threads:n`` cuts
-   the group-ordered member list into at most ``n`` contiguous spans
-   (``np.array_split``), one task each; a span holds the runs of the groups
-   it crosses.
+1. One worker (``execution=None``, serial) runs one task over every group,
+   inline.  ``threads:n`` cuts the group-ordered member list into at most
+   ``n`` contiguous spans (``np.array_split``) and runs one task each on a
+   thread pool opened for the round; a span holds the runs of the groups it
+   crosses.
 2. Every run of a group gets one :func:`~repro.sparse.numeric.stacked_cholesky`
    of its ``(k, nnz)`` values — one LAPACK ``dpbtrf`` on the run's
    ``(k·n, kd + 1)`` block-diagonal band — then one
@@ -26,27 +27,27 @@ A group keeps one band.  A run that is its whole group (every group under
 ``serial``) keeps the band its factorization returned; a group cut across
 spans gets its band before the tasks start and each run is factored into
 its rows of it, so no band is copied after the round and every ``K⁺`` solve
-runs on one layout whatever the executor.  The groups take their bands
+runs on one layout whatever the worker count.  The groups take their bands
 once every task has finished: a round that raises leaves them without.
 
-Every executor runs the same task function on the same values, a member's
+Every worker count runs the same task function on the same values, a member's
 factor does not depend on where its run puts it and its ``F̃ᵢ`` not on which
 other members share its class, so the factors and every ``F̃ᵢ`` are bitwise
-equal across executors.  A member that is not positive definite fails its
+equal across worker counts.  A member that is not positive definite fails its
 task with a :class:`~repro.sparse.numeric.NotPositiveDefiniteError` naming
 its subdomain index and the column of the failing pivot.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import wait
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.memory.precision import demote_array
-from repro.observe.trace import trace_span
-from repro.runtime.executor import Executor
+from repro.observe.trace import capture_context, run_with_context, trace_span
 from repro.sparse.group import PatternGroup
 from repro.sparse.numeric import NotPositiveDefiniteError, stacked_cholesky, stacked_values
 from repro.sparse.schur import interface_classes, schur_workspace, stacked_schur_complement
@@ -137,34 +138,41 @@ def _run_span(
 # Entry point                                                            #
 # --------------------------------------------------------------------- #
 def run_preprocessing(
-    executor: Executor,
+    workers: int,
     groups: Sequence[PatternGroup],
     subdomains: Sequence["SubdomainProblem"],
     dtype: np.dtype = np.dtype(np.float64),
 ) -> dict[int, np.ndarray]:
     """Factorize every group (and assemble ``F̃ᵢ`` where it has scatters).
 
+    ``workers`` is the span count (``1``: one task, inline);
     ``subdomains`` is the problem's subdomain list, indexed by subdomain
     index; ``dtype`` the storage dtype of the bands.  On return every group
     holds the band of its members' factors for the current stiffness
     values; the returned dict maps subdomain indices to their ``F̃ᵢ``.
     """
-    spans = _spans(groups, executor.workers)
+    spans = _spans(groups, workers)
     # A group cut across spans gets its band up front: each run fills its rows.
     bands: dict[int, np.ndarray] = {}
     for g, start, stop in (run for span in spans for run in span):
         symbolic = groups[g].symbolic
         if stop - start < len(groups[g]) and g not in bands:
             bands[g] = np.empty((len(groups[g]), symbolic.n, symbolic.kd + 1), dtype)
-    futures = [
-        executor.submit(_run_span, span, groups, bands, subdomains, dtype) for span in spans
-    ]
-    # Every task finishes before the round reports, so a task that raises
-    # fails the round with its own exception and leaves none running on.
-    wait(futures)
-    local_F: dict[int, np.ndarray] = {}
-    for future in futures:
-        local_F.update(future.result())
+    args = (groups, bands, subdomains, dtype)
+    if len(spans) == 1:
+        local_F = _run_span(spans[0], *args)
+    else:
+        # Trace context does not flow into pool threads by itself: every
+        # task re-installs the caller's, so worker spans nest under it.
+        state = capture_context()
+        task = _run_span if state is None else partial(run_with_context, state, _run_span)
+        # The pool's exit waits for every task, so a task that raises fails
+        # the round with its own exception and leaves none running on.
+        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+            futures = [pool.submit(task, span, *args) for span in spans]
+        local_F = {}
+        for future in futures:
+            local_F.update(future.result())
     for g, group in enumerate(groups):
         group.band = bands[g]
     return local_F

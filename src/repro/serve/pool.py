@@ -41,10 +41,7 @@ class SessionPool:
     ----------
     spec:
         Default solver configuration of every pooled session (requests may
-        override per call).  The serve layer forces the serial execution
-        backend inside sessions — concurrency lives in the HTTP tier's
-        thread pool, and nesting a worker pool per session would
-        oversubscribe the host.
+        override per call).
     max_sessions:
         Pattern capacity; the least recently used pattern is evicted (and
         its session closed) beyond it.
@@ -53,18 +50,7 @@ class SessionPool:
     def __init__(self, spec: SolverSpec | str | None = None, max_sessions: int = 8) -> None:
         if max_sessions < 1:
             raise ValueError(f"max_sessions must be >= 1, got {max_sessions}")
-        from repro.runtime.executor import ExecutionSpec
-
-        base = SolverSpec.of(spec)
-        # Force the serial backend explicitly: execution=None would resolve
-        # to the process-wide default (REPRO_EXECUTOR), and a worker pool
-        # nested inside each pooled session would oversubscribe the host.
-        serial = ExecutionSpec()
-        if base.execution != serial:
-            payload = base.to_dict()
-            payload["execution"] = serial.to_dict()
-            base = SolverSpec.from_dict(payload)
-        self.spec = base
+        self.spec = SolverSpec.of(spec)
         self.max_sessions = max_sessions
         self._sessions: OrderedDict[tuple, Session] = OrderedDict()
         self._lock = threading.Lock()

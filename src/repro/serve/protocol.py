@@ -122,7 +122,8 @@ def parse_solve_request(body: bytes | str) -> SolveRequest:
     """Parse and validate one ``POST /v1/solve`` body.
 
     Raises :class:`ProtocolError` (→ HTTP 400) on malformed JSON, an
-    unknown schema version, a missing/invalid workload, or a bad spec/rhs.
+    unknown schema version, a missing/invalid workload, or a bad spec/rhs
+    — a spec whose ``execution`` asks for more than one worker included.
     """
     if isinstance(body, bytes):
         try:
@@ -173,6 +174,12 @@ def parse_solve_request(body: bytes | str) -> SolveRequest:
     except (ApiError, KeyError) as exc:
         detail = str(exc).strip("'\"")
         raise ProtocolError(f"invalid spec: {detail}") from None
+    if spec is not None and spec.execution is not None and spec.execution.workers > 1:
+        # Concurrency belongs to the HTTP tier's solve threads.
+        raise ProtocolError(
+            f"invalid spec: execution {spec.execution.backend}:{spec.execution.workers} "
+            "asks for more than one worker; a served request runs on one"
+        )
 
     return_primal = envelope.get("return_primal", False)
     if not isinstance(return_primal, bool):

@@ -7,8 +7,8 @@ timeline plan is made — and never again in that round; a long-lived
 session's timing ledger does not grow with the number of solves; a solve
 whose condition estimate nobody reads never computes it; a projector apply
 (a block apply too, whatever its width) is two sparse products around one
-GEMV per column with ``(GᵀG)⁻¹``, never a LAPACK call or an executor
-dispatch; a warm solve re-measures no resident bytes, while a solve that
+GEMV per column with ``(GᵀG)⁻¹``, never a LAPACK call or a
+preprocessing round; a warm solve re-measures no resident bytes, while a solve that
 re-factors re-measures once; every sparse product of a warm solve runs a
 bound CSR kernel (:class:`~repro.sparse.spmv.CsrProduct`); and outside
 ``preprocess()`` nothing is solved or multiplied one subdomain at a time:
@@ -27,6 +27,7 @@ import pytest
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 
+import repro.runtime.preprocess as preprocess
 import repro.sparse.triangular as triangular
 
 from repro.analysis.timing import ThreadClocks
@@ -37,7 +38,6 @@ from repro.feti.operators.base import DualOperator
 from repro.feti.projector import Projector, build_projector
 from repro.gpu.stream import Stream
 from repro.memory.ledger import measure_solver
-from repro.runtime.executor import ThreadExecutor
 from repro.sparse.group import PatternGroup
 from repro.sparse.solvers import SparseSolver
 from repro.sparse.spmv import CsrProduct
@@ -198,10 +198,10 @@ _PROJECTOR_ENTRY_POINTS = ("apply", "apply_block", "initial_lambda", "alpha")
 
 
 def test_projector_never_dispatches_to_the_executor(monkeypatch):
-    """The projector is serial on every backend: no submit under threads:2."""
+    """The projector is serial on every backend: no span task under threads:2."""
     inside = [0]
     calls: Counter[str] = Counter()
-    submits = [0]
+    tasks = [0]
 
     def entered(name):
         original = getattr(Projector, name)
@@ -218,13 +218,13 @@ def test_projector_never_dispatches_to_the_executor(monkeypatch):
 
     for name in _PROJECTOR_ENTRY_POINTS:
         entered(name)
-    submit = ThreadExecutor.submit
+    run_span = preprocess._run_span
 
-    def counted_submit(self, fn, /, *args, **kwargs):
-        submits[0] += bool(inside[0])
-        return submit(self, fn, *args, **kwargs)
+    def counted_run_span(*args):
+        tasks[0] += bool(inside[0])
+        return run_span(*args)
 
-    monkeypatch.setattr(ThreadExecutor, "submit", counted_submit)
+    monkeypatch.setattr(preprocess, "_run_span", counted_run_span)
 
     spec = SolverSpec(approach="expl modern", assembly="table2", execution="threads:2")
     with Session(spec, memory_budget="unlimited") as session:
@@ -234,7 +234,7 @@ def test_projector_never_dispatches_to_the_executor(monkeypatch):
     assert warm.converged
     assert calls["initial_lambda"] == 1 and calls["alpha"] == 1
     assert calls["apply"] >= 2 * warm.iterations
-    assert submits[0] == 0
+    assert tasks[0] == 0
 
 
 class _CountedMatrix(np.ndarray):

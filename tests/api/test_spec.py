@@ -277,16 +277,13 @@ def test_feti_solver_accepts_spec_and_preset_names():
 class TestExecutionField:
     """The runtime execution backend carried by the spec (PR 5)."""
 
-    def test_default_is_unset_and_resolves_to_the_environment(self, monkeypatch):
-        from repro.runtime.executor import ExecutionSpec
+    def test_default_is_unset_and_means_serial(self):
+        from repro.feti.solver import FetiSolver
 
-        spec = SolverSpec()
-        assert spec.execution is None
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert spec.resolve_execution() == ExecutionSpec()
-        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert spec.resolve_execution() == ExecutionSpec("threads", 2)
+        problem = workload_preset("heat-2d-quick").build_problem()
+        assert SolverSpec().execution is None
+        assert FetiSolver(problem, SolverSpec()).operator.workers == 1
+        assert FetiSolver(problem, SolverSpec(execution="threads:3")).operator.workers == 3
 
     def test_strings_and_dicts_coerce(self):
         from repro.runtime.executor import ExecutionSpec

@@ -10,14 +10,12 @@ from repro.api.workload import Workload
 from repro.bench import registry
 from repro.bench.apply_phase import ApplyPhaseScenario
 from repro.bench.runner import InvariantViolation, run_scenario
-from repro.runtime.executor import ExecutionSpec
 
 
 def _shrunken(**overrides):
-    """A fast copy of the registered scenario (tiny mesh, two backends)."""
+    """A fast copy of the registered scenario (tiny mesh)."""
     defaults = dict(
         base=Workload("heat", 2, (2, 2), 3),
-        execution=(None, ExecutionSpec("threads", 2)),
         n_rhs=2,
         expected={"n_subdomains": 4},
     )
@@ -39,10 +37,7 @@ def result():
 
 def test_one_unit_per_execution_entry_two_points_each(result):
     keys = [p["key"] for p in result.record["points"]]
-    assert keys == [
-        "serial/sequential", "serial/stacked",
-        "threads2/sequential", "threads2/stacked",
-    ]
+    assert keys == ["serial/sequential", "serial/stacked"]
     for point in result.record["points"]:
         assert set(point) == {"key", "invariants", "simulated", "wall"}
         assert point["invariants"]["n_rhs"] == 2
@@ -50,16 +45,13 @@ def test_one_unit_per_execution_entry_two_points_each(result):
         assert point["wall"]["per_column_seconds"] == pytest.approx(
             point["wall"]["wall_seconds"] / 2
         )
-    assert set(result.record["derived"]) == {
-        "wall_apply_stacked_speedup[serial]",
-        "wall_apply_stacked_speedup[threads2]",
-    }
+    assert set(result.record["derived"]) == {"wall_apply_stacked_speedup[serial]"}
     assert result.record["scenario"]["n_rhs"] == 2
 
 
 def test_stacked_applies_match_sequential_ones(result):
     stacked = [r for r in result.sweep.records if r["key"].endswith("/stacked")]
-    assert len(stacked) == 2
+    assert len(stacked) == 1
     for row in stacked:
         assert row["stacked_rel_error"] <= 1e-12
 
@@ -72,13 +64,5 @@ def test_rel_error_gate_flags_a_diverging_stacked_apply():
 def test_registered_scenario_is_one_serial_unit():
     scenario = registry.get("apply_phase")
     assert isinstance(scenario, ApplyPhaseScenario)
-    assert scenario.axes()["execution"] == ["serial"]
     assert list(scenario.units()) == ["serial"]
     assert scenario.n_points() == 1
-
-
-def test_executor_override_reaches_the_execution_axis():
-    scenario = dataclasses.replace(
-        registry.get("apply_phase"), execution=(ExecutionSpec("threads", 2),)
-    )
-    assert list(scenario.units()) == ["threads2"]

@@ -136,7 +136,7 @@ def test_compare_directories_and_missing_baseline(tmp_path, record):
     assert compare_directories(results, baselines).exit_code == 0
 
     # restricting to a scenario without a fresh record is a setup error too
-    report = compare_directories(results, baselines, scenario_names=["parallel_scaling"])
+    report = compare_directories(results, baselines, scenario_names=["heat_2d_sizes"])
     assert report.exit_code == 2
 
 

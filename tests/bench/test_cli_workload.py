@@ -81,7 +81,7 @@ def test_list_json_shows_the_precision_axis(capsys):
 def test_list_json_shows_the_backends_apply_phase_runs(capsys):
     assert main(["list", "apply_phase", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload[0]["axes"]["execution"] == ["serial"]
+    assert sorted(payload[0]["axes"]) == ["approach", "cells", "precision", "subdomains"]
 
 
 def test_run_workload_rejects_unknown_sources_and_combinations(tmp_path, capsys):
@@ -165,3 +165,12 @@ def test_compare_json_reports_regressions_machine_readably(comparable_dirs, caps
     blocking = [d for d in report["differences"] if d["blocking"]]
     assert blocking and blocking[0]["metric"] == "simulated.apply_seconds"
     assert blocking[0]["rel_change"] == pytest.approx(9.0)
+
+
+@pytest.mark.parametrize("flag", [["--executor", "threads"], ["--workers", "2"]])
+def test_run_has_no_execution_flags(flag, capsys):
+    """The bench sweeps no execution: ``run`` refuses the old flags."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(["run", "--quick", *flag])
+    assert exc_info.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err

@@ -95,12 +95,9 @@ def test_workload_spec_alias_is_removed():
 def test_scenario_grid_axes_and_point_count():
     scenario = registry.get("heat_2d_scaling")
     grid = scenario.grid()
-    assert sorted(grid) == [
-        "approach", "cells", "execution", "precision", "subdomains",
-    ]
+    assert sorted(grid) == ["approach", "cells", "precision", "subdomains"]
     assert sorted(scenario.axes()) == sorted(grid)
     assert grid["subdomains"] == [(2, 2), (4, 4)]
-    assert grid["execution"] == [None]
     assert grid["precision"] == ["fp64"]
     assert scenario.n_points() == 4
 
@@ -114,17 +111,6 @@ def test_multicluster_scenario_is_the_quick_gated_cluster_workload():
     assert {"quick", "cluster"} <= scenario.tags
     assert scenario.base.n_clusters == 4
     assert scenario.n_points() == 2  # two approaches, one coarse problem
-
-
-def test_parallel_scaling_scenario_sweeps_worker_counts():
-    from repro.runtime.executor import ExecutionSpec
-
-    scenario = registry.get("parallel_scaling")
-    assert scenario.execution[0] is None  # the serial reference point
-    parallel = [e for e in scenario.execution if e is not None]
-    assert parallel == [ExecutionSpec("threads", 2), ExecutionSpec("threads", 4)]
-    assert {"quick", "runtime"} <= scenario.tags
-    assert scenario.expected["n_subdomains"] == 64
 
 
 def test_spec_with_substitutes_grid_axes():

@@ -56,8 +56,8 @@ def test_record_points_carry_metrics_and_invariants(smoke_result):
         assert point["wall"]["coarse_apply_seconds"] > 0.0
         # One apply path, one sparse path, one coarse problem: the axes left.
         assert set(point) == {
-            "key", "subdomains", "cells", "approach", "execution",
-            "precision", "invariants", "simulated", "wall",
+            "key", "subdomains", "cells", "approach", "precision",
+            "invariants", "simulated", "wall",
         }
     keys = {p["key"] for p in points}
     assert keys == {
@@ -101,20 +101,6 @@ def test_point_key_format():
     assert key == "4x4/c7/expl hybrid/batched"
 
 
-def test_point_key_execution_suffix_preserves_historical_keys():
-    from repro.runtime.executor import ExecutionSpec
-
-    base = point_key((8, 8), 8, DualOperatorApproach.EXPLICIT_MKL)
-    assert base == "8x8/c8/expl mkl/batched"
-    # The serial execution spec leaves the key unchanged (old records pair).
-    serial = point_key((8, 8), 8, DualOperatorApproach.EXPLICIT_MKL, ExecutionSpec())
-    assert serial == base
-    threaded = point_key(
-        (8, 8), 8, DualOperatorApproach.EXPLICIT_MKL, ExecutionSpec("threads", 4)
-    )
-    assert threaded == "8x8/c8/expl mkl/batched/threads4"
-
-
 def test_point_key_precision_suffix_preserves_historical_keys():
     base = point_key((4, 4), 7, DualOperatorApproach.EXPLICIT_MKL)
     fp64 = point_key((4, 4), 7, DualOperatorApproach.EXPLICIT_MKL, precision="fp64")
@@ -133,8 +119,8 @@ def test_measure_point_is_cached_and_deterministic():
 
 
 def test_derived_speedups_need_a_swept_axis_to_pair(smoke_result):
-    """No execution sweep, nothing to pair: no ``derived`` section (the
-    paired half is ``TestExecutionAxis.test_derived_parallel_speedup_is_emitted``)."""
+    """The operator grid derives nothing: no ``derived`` section (the
+    phase scenarios derive their own, e.g. ``apply_phase``)."""
     assert "derived" not in smoke_result.record
 
 
@@ -163,70 +149,6 @@ def test_unknown_expected_invariant_key_raises():
     )
     with pytest.raises(InvariantViolation, match="unknown invariant"):
         run_scenario(bad)
-
-
-class TestExecutionAxis:
-    """The runtime execution sweep of the bench layer (PR 5)."""
-
-    @pytest.fixture(scope="class")
-    def scaling_result(self):
-        from repro.runtime.executor import ExecutionSpec
-
-        scenario = Scenario(
-            name="tiny_parallel",
-            description="execution-axis test scenario",
-            base=Workload("heat", 2, (2, 2), 3),
-            approaches=(DualOperatorApproach.EXPLICIT_MKL,),
-            execution=(None, ExecutionSpec("threads", 2)),
-            n_applies=1,
-        )
-        return run_scenario(scenario)
-
-    def test_points_carry_the_execution_stamp(self, scaling_result):
-        points = {p["key"]: p for p in scaling_result.record["points"]}
-        assert set(points) == {
-            "2x2/c3/expl mkl/batched",
-            "2x2/c3/expl mkl/batched/threads2",
-        }
-        assert points["2x2/c3/expl mkl/batched"]["execution"] is None
-        assert points["2x2/c3/expl mkl/batched/threads2"]["execution"] == {
-            "backend": "threads",
-            "workers": 2,
-        }
-
-    def test_derived_parallel_speedup_is_emitted(self, scaling_result):
-        derived = scaling_result.record["derived"]
-        key = "wall_preprocessing_speedup[2x2/c3/expl mkl/threads2]"
-        assert key in derived
-        assert derived[key] > 0.0
-
-    def test_simulated_metrics_are_identical_across_executors(self, scaling_result):
-        points = {p["key"]: p for p in scaling_result.record["points"]}
-        serial = points["2x2/c3/expl mkl/batched"]["simulated"]
-        threaded = points["2x2/c3/expl mkl/batched/threads2"]["simulated"]
-        assert serial == threaded
-
-    def test_operator_consistency_covers_execution_variants(self):
-        # The grid's check pairs every execution variant of a workload
-        # against one reference; a divergence would have raised in the
-        # fixture above.  Exercise the check directly with a forced
-        # divergence to prove the execution axis participates.
-        from repro.runtime.executor import ExecutionSpec
-
-        scenario = registry.get("smoke_heat_2d")
-        q = np.ones(3)
-
-        def row(execution, q):
-            labels = {
-                "subdomains": (2, 1), "cells": 2,
-                "approach": DualOperatorApproach.IMPLICIT_MKL,
-                "execution": execution, "precision": "fp64",
-            }
-            return {"key": point_key(**labels), **labels, "q": q}
-
-        rows = [row(None, q), row(ExecutionSpec("threads", 2), 2.0 * q)]
-        with pytest.raises(InvariantViolation, match="threads2"):
-            scenario.check(rows)
 
 
 @dataclass

@@ -20,7 +20,6 @@ import pytest
 from repro.api import SolverSpec, Workload
 from repro.api.workload import build_problem
 from repro.feti.solver import FetiSolver
-from repro.runtime.executor import shared_executor
 
 from tests.oracles.kplus import member_factor
 from tests.oracles.schur import schur_complement
@@ -47,11 +46,7 @@ IMPLICIT = ["impl cholmod", "impl legacy", "impl modern"]
 
 
 def _preprocessed(name, approach):
-    solver = FetiSolver(
-        build_problem(ZOO[name]),
-        SolverSpec(approach=approach),
-        executor=shared_executor("serial"),
-    )
+    solver = FetiSolver(build_problem(ZOO[name]), SolverSpec(approach=approach))
     operator = solver.operator
     operator.prepare()
     operator.preprocess()
@@ -89,11 +84,7 @@ def test_every_implicit_approach_applies_like_impl_mkl(name, approach):
 @pytest.mark.parametrize("name", ["heat2d", "elasticity2d-2faces", "heat3d"])
 def test_the_zoo_stacks_members(name):
     """The zoo exercises real stacks, not only classes of one."""
-    solver = FetiSolver(
-        build_problem(ZOO[name]),
-        SolverSpec(approach="expl mkl"),
-        executor=shared_executor("serial"),
-    )
+    solver = FetiSolver(build_problem(ZOO[name]), SolverSpec(approach="expl mkl"))
     solver.operator.prepare()
     keys = [scatter.key for group in solver.operator._groups for scatter in group.scatters]
     assert len(set(keys)) < len(keys)

@@ -77,8 +77,7 @@ def test_a_closed_session_holds_no_numeric_storage():
     the preconditioner's ``M`` — the Dirichlet blocks applied by ``dsymv``
     (heat 3D ``x6`` has blocks of ``SYMV_MIN_ROWS`` rows or more) and the
     assembled CSR (all of lumped's ``M``, the small Dirichlet blocks' part
-    on heat 2D), whose ``apply`` then raises.  Its executors are shut, so it
-    solves nothing again."""
+    on heat 2D), whose ``apply`` then raises.  It solves nothing again."""
     heat_2d = Workload("heat", 2, (8, 8), 8, n_clusters=4)
     for workload, approach in [
         (Workload("heat", 3, (2, 2, 1), 6), "expl mkl"),  # Dirichlet, large blocks

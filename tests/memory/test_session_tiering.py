@@ -207,6 +207,7 @@ def test_a_released_entry_refactors_once_at_the_first_step_of_a_run(monkeypatch)
         assert stats["resident_bytes"] == 256000
         result = session.run(schedule)
         assert session.cache_stats()["refactorizations"] == stats["refactorizations"] + 1
+        operator = session.solver(schedule).operator  # a closed session serves no solver
     assert [r.preprocessed for r in result.records] == [True, False, False]
-    assert session.solver(schedule).operator.ledger.count("preprocessing") == 2
+    assert operator.ledger.count("preprocessing") == 2
     _assert_bitwise_equal(result.solution, reference.solution)

@@ -1,11 +1,10 @@
 """The solve phase never dispatches: every apply runs in the caller's thread.
 
-The executor parallelizes preprocessing only.  Preprocessing is bitwise
-equal across executors (``test_determinism.py``), so an operator
-preprocessed on a thread pool of any size applies bitwise like the serial
-one, and a
-warm solve — applies, projector, preconditioner — makes no executor submit
-at all.
+Threads run preprocessing only.  Preprocessing is bitwise equal across
+worker counts (``test_determinism.py``), so an operator preprocessed on a
+thread pool of any size applies bitwise like the serial one, and a warm
+solve — applies, projector, preconditioner — never enters the
+preprocessing round at all.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.runtime.preprocess as preprocess
 from repro.api import Session, SolverSpec, Workload
 
 APPROACHES = [
@@ -62,31 +62,30 @@ WARM_SPECS = {
 
 
 def _warm_solve(spec_kwargs, execution, monkeypatch=None):
-    """A warm ``Session.solve`` and the executor submits it made."""
+    """A warm ``Session.solve`` and the preprocessing rounds it ran."""
     spec = SolverSpec(execution=execution, **spec_kwargs)
     with Session(spec, memory_budget="unlimited") as session:
         session.solve(W_WARM)
-        submits = [0]
+        rounds = [0]
         if monkeypatch is not None:
-            executor = session.executor()
-            submit = executor.submit
+            run = preprocess.run_preprocessing
 
-            def counted(fn, /, *args, **kwargs):
-                submits[0] += 1
-                return submit(fn, *args, **kwargs)
+            def counted(*args, **kwargs):
+                rounds[0] += 1
+                return run(*args, **kwargs)
 
-            monkeypatch.setattr(executor, "submit", counted)
+            monkeypatch.setattr(preprocess, "run_preprocessing", counted)
         warm = session.solve(W_WARM)
-    return warm, submits[0]
+    return warm, rounds[0]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("spec_name", sorted(WARM_SPECS))
-def test_warm_solve_makes_no_executor_submit(spec_name, backend, monkeypatch):
+def test_warm_solve_runs_no_preprocessing_round(spec_name, backend, monkeypatch):
     reference, _ = _warm_solve(WARM_SPECS[spec_name], "serial")
-    warm, submits = _warm_solve(WARM_SPECS[spec_name], backend, monkeypatch)
+    warm, rounds = _warm_solve(WARM_SPECS[spec_name], backend, monkeypatch)
     assert warm.converged and warm.iterations == reference.iterations
-    assert submits == 0
+    assert rounds == 0
     assert warm.lam.tobytes() == reference.lam.tobytes()
 
 

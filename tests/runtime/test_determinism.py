@@ -1,13 +1,13 @@
 """Determinism of the parallel runtime.
 
-Every executor runs one preprocessing path: the same stacked factorization
+Every worker count runs one preprocessing path: the same stacked factorization
 and the same interface-class Schur assembly on the same values (a member's
 factor does not depend on where its group's band stack puts it, nor its
 ``F̃ᵢ`` on which span's class it joins).  So the factors (the bands of
 ``L``) and every ``F̃ᵢ`` are bitwise equal between serial and threads,
 whatever the worker count — even, uneven or more workers than a pattern
 group has subdomains.  The solve phase runs in the caller's thread
-on every executor, so the solutions of all nine dual-operator approaches
+whatever the worker count, so the solutions of all nine dual-operator approaches
 are bitwise equal too.
 """
 
@@ -23,12 +23,11 @@ from repro.api import Session, SolverSpec, Workload
 from repro.api.workload import build_problem
 from repro.feti.config import DualOperatorApproach
 from repro.feti.solver import FetiSolver
-from repro.runtime.executor import shared_executor
 
 WORKLOADS = {
     "heat-2d": Workload("heat", 2, (2, 2), 4),
     "elasticity-3d": Workload("elasticity", 3, (2, 1, 1), 2),
-    # 16 subdomains in interface classes of up to 4: a parallel executor
+    # 16 subdomains in interface classes of up to 4: a thread pool
     # splits the pattern group into spans, and so every class across them.
     "heat-2d-classes": Workload("heat", 2, (4, 4), 3),
     # Bands wider than 64 (kd = 98): LAPACK's blocked dpbtrf, whose members
@@ -53,17 +52,8 @@ THREAD_BACKENDS = ["threads:2", "threads:3", "threads:4"]
 
 
 def _solver(approach, workload, backend="serial"):
-    """A fresh solver; pools are shared process-wide.
-
-    ``shared_executor`` reuses one worker pool per backend across the whole
-    parametrized sweep — the sweep then measures determinism, not pool
-    start-up, and stays fast on small CI runners.
-    """
-    return FetiSolver(
-        build_problem(workload),
-        SolverSpec(approach=approach),
-        executor=shared_executor(backend),
-    )
+    """A fresh solver whose spec declares the execution."""
+    return FetiSolver(build_problem(workload), SolverSpec(approach=approach, execution=backend))
 
 
 def _solve(approach, workload, backend="serial"):
@@ -199,12 +189,7 @@ def test_a_solve_after_any_round_reads_the_factorizations_own_band(monkeypatch, 
 def test_repeated_parallel_preprocessing_is_stable():
     """Re-running preprocess on the same operator reproduces the factors."""
     workload = WORKLOADS["heat-2d"]
-    solver = FetiSolver(
-        build_problem(workload),
-        SolverSpec(approach=DualOperatorApproach.EXPLICIT_MKL),
-        executor=shared_executor("threads:2"),
-    )
-    operator = solver.operator
+    operator = _solver(DualOperatorApproach.EXPLICIT_MKL, workload, "threads:2").operator
     operator.prepare()
     operator.preprocess()
     first = {i: operator.local_F[i].copy() for i in sorted(operator.local_F)}

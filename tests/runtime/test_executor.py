@@ -1,4 +1,4 @@
-"""Tests of the execution backends and their declarative spec."""
+"""Tests of :class:`ExecutionSpec`: the parsing of ``SolverSpec.execution``."""
 
 from __future__ import annotations
 
@@ -6,19 +6,7 @@ import os
 
 import pytest
 
-from repro.runtime.executor import (
-    BACKENDS,
-    ExecutionError,
-    ExecutionSpec,
-    SerialExecutor,
-    ThreadExecutor,
-    default_execution,
-    make_executor,
-)
-
-
-def _double(x):
-    return 2 * x
+from repro.runtime.executor import BACKENDS, ExecutionError, ExecutionSpec
 
 
 class TestExecutionSpec:
@@ -26,7 +14,6 @@ class TestExecutionSpec:
         spec = ExecutionSpec()
         assert spec.backend == "serial"
         assert spec.workers == 1
-        assert not spec.parallel
 
     @pytest.mark.parametrize("workers", [0, -1, -100])
     def test_rejects_non_positive_workers_with_actionable_error(self, workers):
@@ -51,7 +38,8 @@ class TestExecutionSpec:
 
     def test_of_parses_backend_strings_with_worker_suffix(self):
         assert ExecutionSpec.of("threads:3") == ExecutionSpec("threads", 3)
-        assert ExecutionSpec.of("threads").backend == "threads"
+        assert ExecutionSpec.of("threads") == ExecutionSpec("threads", os.cpu_count() or 1)
+        assert ExecutionSpec.of("serial") == ExecutionSpec()
         assert ExecutionSpec.of(None) == ExecutionSpec()
         spec = ExecutionSpec("threads", 2)
         assert ExecutionSpec.of(spec) is spec
@@ -64,82 +52,16 @@ class TestExecutionSpec:
         spec = ExecutionSpec("threads", 4)
         assert ExecutionSpec.of(spec.to_dict()) == spec
 
-    def test_describe_short_form(self):
-        assert ExecutionSpec().describe() == "serial"
-        assert ExecutionSpec("threads", 4).describe() == "threads4"
+    @pytest.mark.parametrize("value", ["threads:0", "threads:x", "threads:1.5"])
+    def test_of_rejects_a_bad_worker_suffix(self, value):
+        with pytest.raises(ExecutionError, match="workers must be"):
+            ExecutionSpec.of(value)
 
+    @pytest.mark.parametrize("value", [2, ["threads", 2]])
+    def test_of_rejects_values_of_other_types(self, value):
+        with pytest.raises(ExecutionError, match=f"got {type(value).__name__}$"):
+            ExecutionSpec.of(value)
 
-class TestEnvironmentDefault:
-    def test_unset_environment_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert default_execution() == ExecutionSpec()
-
-    def test_env_selects_backend_and_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert default_execution() == ExecutionSpec("threads", 3)
-
-    def test_env_workers_default_to_cpu_count(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        spec = default_execution()
-        assert spec.backend == "threads"
-        assert spec.workers == max(1, os.cpu_count() or 1)
-
-    @pytest.mark.parametrize("backend", ["gpu", "processes"])
-    def test_invalid_env_backend_raises_actionably(self, monkeypatch, backend):
-        monkeypatch.setenv("REPRO_EXECUTOR", backend)
-        with pytest.raises(ExecutionError, match="REPRO_EXECUTOR.*serial, threads$"):
-            default_execution()
-
-
-class TestExecutors:
-    def test_factory_builds_the_matching_backend(self):
-        assert isinstance(make_executor(None), SerialExecutor)
-        with make_executor("threads:2") as ex:
-            assert isinstance(ex, ThreadExecutor)
-
-    @pytest.mark.parametrize("backend", [None, "threads:2"])
-    def test_submit_round_trip(self, backend):
-        with make_executor(backend) as ex:
-            assert ex.submit(_double, 21).result() == 42
-
-    def test_serial_submit_captures_exceptions_in_the_future(self):
-        ex = SerialExecutor()
-        future = ex.submit(_raise)
-        with pytest.raises(RuntimeError, match="boom"):
-            future.result()
-
-    def test_submit_after_close_raises(self):
-        ex = make_executor("threads:2")
-        ex.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            ex.submit(_double, 1)
-
-    def test_close_is_idempotent(self):
-        ex = make_executor("threads:2")
-        assert ex.submit(_double, 1).result() == 2
-        ex.close()
-        ex.close()
-
-
-def _raise():
-    raise RuntimeError("boom")
-
-
-def test_thread_executor_reentrant_submit_runs_inline():
-    """A pool worker submitting to its own pool must not starve itself.
-
-    This is how a solve submitted to the pool keeps its nested
-    preprocessing spans safe: re-entrant submissions run inline instead of
-    queueing behind their blocked parent.
-    """
-    with make_executor("threads:1") as ex:
-
-        def nested():
-            # With one worker, waiting on an enqueued task here would
-            # deadlock; the inline path completes it immediately.
-            return ex.submit(_double, 4).result()
-
-        assert ex.submit(nested).result() == 8
+    def test_serial_dict_round_trip(self):
+        assert ExecutionSpec().to_dict() == {"backend": "serial", "workers": 1}
+        assert ExecutionSpec.of(ExecutionSpec().to_dict()) == ExecutionSpec()

@@ -1,6 +1,6 @@
 """A deterministic call budget for the cold path: one factorization per group.
 
-Every executor runs one preprocessing path.  A cold serial ``Session.solve``
+Every worker count runs one preprocessing path.  A cold serial ``Session.solve``
 factors the subdomains sharing one symbolic analysis as one stack, whatever
 cluster they belong to — one ``stacked_cholesky`` per pattern group, which
 is one LAPACK ``dpbtrf`` on the group's block-diagonal band — and

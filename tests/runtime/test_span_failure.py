@@ -1,6 +1,6 @@
 """A span that raises on a pool thread fails its round with its own exception.
 
-The executor adds no wrapper: the cold ``Session.solve`` that ran the round
+The pool adds no wrapper: the cold ``Session.solve`` that ran the round
 raises the span's exception type once every other span has finished, and
 the session stays usable — its next solve preprocesses again and answers
 bitwise like a serial session.  A subdomain that is not positive definite
@@ -22,7 +22,6 @@ from repro.decomposition import decompose_box
 from repro.fem.elasticity import LinearElasticityProblem
 from repro.feti.problem import FetiProblem
 from repro.feti.solver import FetiSolver
-from repro.runtime.executor import shared_executor
 from repro.sparse.numeric import NotPositiveDefiniteError
 
 WORKLOAD = Workload("heat", 2, (4, 4), 6, n_clusters=2)
@@ -80,9 +79,7 @@ def _wide_problem():
 def test_an_indefinite_member_is_named_and_the_solvers_refactor(execution):
     reference = FetiSolver(_wide_problem(), SolverSpec(approach="expl mkl")).solve()
     problem = _wide_problem()
-    solver = FetiSolver(
-        problem, SolverSpec(approach="expl mkl"), executor=shared_executor(execution)
-    )
+    solver = FetiSolver(problem, SolverSpec(approach="expl mkl", execution=execution))
     operator = solver.operator
     operator.prepare()
     bad, column = problem.subdomains[1], 200  # a DOF in the subdomain's own numbering

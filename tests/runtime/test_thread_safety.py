@@ -78,9 +78,8 @@ def test_pattern_cache_lock_is_reentrant():
 def test_session_caches_survive_concurrent_solves():
     """Concurrent solves on one session: no corruption, no double builds.
 
-    The execution backend is pinned to ``threads`` so the requests exercise
-    the *shared* session caches regardless of the ``REPRO_EXECUTOR``
-    environment (the process backend would solve in worker sessions).
+    The requests' preprocessing runs on ``threads:2`` as well, so request
+    threads and pool threads share the session caches at once.
     """
     session = Session(SolverSpec(approach="expl mkl", execution="threads:2"))
     workloads = [
@@ -126,8 +125,30 @@ def test_session_caches_survive_concurrent_solves():
     assert session.metrics.values("repro_pool_")["solves"] == n_threads * rounds
 
 
-def test_closed_session_refuses_new_executors():
+def test_a_closed_session_refuses_new_solves():
+    """A closed session takes no new work: ``solve`` (through ``solver``)
+    raises, the cached problem stays readable."""
+    workload = Workload("heat", 2, (2, 1), 3)
+    session = Session()
+    session.problem(workload)
+    session.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        session.solve(workload)
+    assert session.problem(workload).n_subdomains == 2
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda session, w: session.solve_many(w, [None, None]),
+        lambda session, w: session.run(w),
+        lambda session, w: session.operator_for(w),
+    ],
+    ids=["solve_many", "run", "operator_for"],
+)
+def test_every_entry_to_a_solver_of_a_closed_session_raises(entry):
+    workload = Workload("heat", 2, (2, 1), 3)
     session = Session()
     session.close()
     with pytest.raises(RuntimeError, match="closed"):
-        session.executor()
+        entry(session, workload)

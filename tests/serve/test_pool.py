@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.api import Workload
-from repro.runtime.executor import ExecutionSpec
 from repro.serve.pool import SessionPool
 
 HEAT = Workload.from_preset("heat-2d-quick")
@@ -49,14 +48,14 @@ def test_lru_eviction_closes_the_evicted_session():
         assert keys == {"heat"}
 
 
-def test_pool_forces_the_serial_backend_in_sessions(monkeypatch):
-    monkeypatch.setenv("REPRO_EXECUTOR", "threads")
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    pool = SessionPool()
-    try:
-        assert pool.spec.execution == ExecutionSpec()
-    finally:
-        pool.close()
+def test_pool_sessions_solve_on_one_worker():
+    """A pooled session's solver runs its preprocessing inline: concurrency
+    belongs to the HTTP tier, not to a pool inside each solve."""
+    with SessionPool() as pool:
+        assert pool.spec.execution is None
+        session = pool.session_for(HEAT)
+        assert session.solve_request(HEAT).converged
+        assert session.solver(HEAT).operator.workers == 1
 
 
 def test_solves_through_the_pool_match_direct_session_solves():

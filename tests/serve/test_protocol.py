@@ -66,6 +66,25 @@ def test_parse_rejects_the_removed_spec_toggles_by_name(field, value):
         )
 
 
+@pytest.mark.parametrize(
+    "execution", ["threads:2", "threads:4", {"backend": "threads", "workers": 3}]
+)
+def test_parse_rejects_a_spec_asking_for_worker_threads(execution):
+    """Concurrency belongs to the HTTP tier: a request runs on one worker."""
+    with pytest.raises(ProtocolError, match="invalid spec: execution threads:.*one worker"):
+        parse_solve_request(
+            _body(workload="heat-2d-quick", spec={"approach": "expl mkl", "execution": execution})
+        )
+
+
+@pytest.mark.parametrize("execution", [None, "serial", "threads:1"])
+def test_parse_accepts_a_single_worker_execution(execution):
+    request = parse_solve_request(
+        _body(workload="heat-2d-quick", spec={"approach": "expl mkl", "execution": execution})
+    )
+    assert request.spec == SolverSpec(approach="expl mkl", execution=execution)
+
+
 def test_parse_checks_the_schema_version():
     ok = parse_solve_request(_body(schema_version=SCHEMA_VERSION, workload="heat-2d-quick"))
     assert ok.workload.physics == "heat"

@@ -106,6 +106,16 @@ def test_the_deleted_refinement_policy_is_a_400_before_any_session(client):
     assert doc["session_pool"]["sessions"] == 0
 
 
+def test_a_spec_asking_for_worker_threads_is_a_400_before_any_session(client):
+    """A request's ``execution`` may not nest a thread pool in the solve."""
+    with pytest.raises(ServeError, match="invalid spec: execution threads:2") as exc_info:
+        client.solve("heat-2d-quick", spec={"approach": "expl mkl", "execution": "threads:2"})
+    assert exc_info.value.status == 400
+    doc = client.metrics()
+    assert doc["counters"]["solve_rejected_400"] == 1
+    assert doc["session_pool"]["sessions"] == 0
+
+
 def test_non_finite_rhs_is_a_400_before_any_solve(client):
     """A ``NaN`` load is refused at parse time, not after a capped solve."""
     for rhs in (float("nan"), [[1.0, float("inf")]]):

@@ -28,7 +28,6 @@ from repro.feti.operators import make_dual_operator
 from repro.feti.problem import FetiProblem
 from repro.feti.solver import FetiSolver, MultiStepDriver
 from repro.memory.precision import PRECISION_NAMES, PRECISIONS, demote_array
-from repro.runtime.executor import shared_executor
 from repro.sparse import triangular
 from repro.sparse.cache import PatternCache
 from repro.sparse.group import PatternGroup
@@ -291,7 +290,7 @@ def test_rows_viewing_one_buffer_are_read_zero_copy():
 
 @pytest.mark.parametrize("execution", ["serial", "threads:2"])
 def test_after_the_first_solve_the_factor_bytes_are_the_bands(execution):
-    """On every executor the factors are bands from the factorization on."""
+    """On every worker count the factors are bands from the factorization on."""
     w = WORKLOADS["heat2d-4x4x8"]
     spec = SolverSpec(approach="impl mkl", execution=execution)
     with Session(spec, memory_budget="unlimited") as session:
@@ -431,7 +430,6 @@ def test_a_serial_round_stacks_a_group_across_clusters_zero_copy(monkeypatch, na
         DualOperatorApproach.IMPLICIT_MKL,
         build_problem(WORKLOADS[name]),
         pattern_cache=PatternCache(),
-        executor=shared_executor("serial"),
     )
     operator.preprocess()
     assert len({sub.cluster for sub in operator.problem.subdomains}) > 1
