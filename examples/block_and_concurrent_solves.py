@@ -4,12 +4,15 @@ Two ways to answer many load cases of one model from one
 :class:`~repro.api.Session`:
 
 1. a multi-RHS block solve via :meth:`Session.solve_many` — one stacked
-   PCPG iteration answering many load cases at once (the data behind the
-   ``BENCH_apply_phase.json`` baseline), and
+   PCPG iteration answering many load cases at once (its fused apply is
+   what the ``BENCH_apply_phase.json`` baseline measures, on heat 3D), and
 2. a burst of concurrent solve requests — the "many users" serving path,
    where :meth:`~repro.api.Session.solve_request` answers every request
    with its own scalar solve on its caller's thread, against one shared
    session.
+
+Either way the load cases are arguments of the solves: no solve writes
+them into the workload's problem, which every session shares.
 
 Run with:  python examples/block_and_concurrent_solves.py
 """
@@ -31,8 +34,9 @@ def block_solve_many_load_cases() -> None:
     """Session.solve_many: one block-PCPG iteration over stacked RHS columns.
 
     The applies of all still-active columns are fused into one GEMM per
-    iteration — the throughput path measured by ``BENCH_apply_phase.json``;
-    the answers agree with solving the cases one by one to rounding.
+    iteration — the throughput path whose apply ``BENCH_apply_phase.json``
+    measures; the answers agree with solving the cases one by one to
+    rounding.
     """
     factors = [1.0 + 0.5 * k for k in range(6)]
     print(f"\nblock solve: {len(factors)} load cases in one stacked PCPG run:")
@@ -62,8 +66,9 @@ def serve_a_request_burst() -> None:
     """Many (workload, spec, rhs) requests from caller threads, one session.
 
     Same-workload requests serialize on the session's workload lock and
-    each runs its own scalar solve, so an answer never depends on what
-    else was in flight: it is bitwise the answer of the same request alone.
+    each runs its own scalar solve at its own loads, passed as an argument,
+    so an answer never depends on what else was in flight, on this session
+    or another: it is bitwise the answer of the same request alone.
     """
     print("\nconcurrent solve requests (8 requests, 2 caller threads):")
     with Session(SolverSpec(approach="expl mkl")) as session:

@@ -7,7 +7,8 @@ caches that previously had no owner above a single ``FetiSolver``:
   session builds, so subdomains *and workloads* with equal sparsity
   patterns pay for exactly one symbolic analysis;
 * the built :class:`~repro.feti.problem.FetiProblem` instances together
-  with their pristine load vectors (restored after multi-step schedules);
+  with their pristine load vectors (a request's loads scale them, and a
+  schedule with a custom ``update`` restores them);
 * the prepared :class:`~repro.feti.solver.FetiSolver` instances, keyed by
   ``(workload, spec)``, so repeated ``solve`` calls reuse symbolic and
   numeric factorizations, assembled dual operators and persistent GPU
@@ -160,11 +161,10 @@ class Session:
         #: request threads can share one session without corrupting the
         #: problem / solver maps.
         self._cache_lock = threading.RLock()
-        #: Per-workload execution locks: a workload's problem (its load
-        #: vectors) and its prepared solvers are stateful, so concurrent
-        #: solves of one workload — requests or direct ``solve`` calls from
-        #: any number of threads — must serialize, while different
-        #: workloads overlap.
+        #: Per-workload execution locks: a workload's prepared solvers are
+        #: stateful, so concurrent solves of one workload — requests or
+        #: direct ``solve`` calls from any number of threads — must
+        #: serialize, while different workloads overlap.
         self._workload_locks: dict[Workload, threading.RLock] = {}
         #: Set by :meth:`close`: :meth:`solver` then refuses new work.
         self._closed = False
@@ -194,9 +194,8 @@ class Session:
         """The session-wide execution lock of one workload.
 
         Re-entrant, created on demand; every in-process consumer that runs
-        a solve or mutates a workload's loads holds it, so concurrent
-        requests and direct ``solve`` calls can never interleave on one
-        workload's shared state.
+        a solve or a schedule holds it, so concurrent requests and direct
+        ``solve`` calls can never interleave on one workload's solvers.
         """
         w = self.resolve_workload(workload)
         with self._cache_lock:
@@ -377,14 +376,27 @@ class Session:
         earlier preprocessing raised.
         """
         w = self.resolve_workload(workload)
-        s = self.resolve_spec(spec)
-        with trace_span("session.solve", workload=w.describe(), approach=s.approach.value):
+        return self._solve(w, self.resolve_spec(spec), [None])[0]
+
+    def _solve(
+        self,
+        w: Workload,
+        s: SolverSpec,
+        loads_columns: "list[list[np.ndarray] | None]",
+        **attrs: Any,
+    ) -> list[FetiSolution]:
+        """The one solve of :meth:`solve`, :meth:`solve_request` and
+        :meth:`solve_many`: ``FetiSolver.solve_many`` under the workload
+        lock, in a ``session.solve`` span carrying ``attrs``."""
+        with trace_span(
+            "session.solve", workload=w.describe(), approach=s.approach.value, **attrs
+        ):
             with self.workload_lock(w):
                 solver = self.solver(w, s)
-                solution = solver.solve(reuse_preprocessing=True)
-                self._solves.inc()
+                solutions = solver.solve_many(loads_columns, reuse_preprocessing=True)
+                self._solves.inc(len(loads_columns))
                 self._record_usage((w, s), solver)
-                return solution
+                return solutions
 
     def solve_request(
         self,
@@ -397,25 +409,16 @@ class Session:
         ``rhs`` is ``None`` (the declared loads), a finite scalar load
         factor, or one load vector per subdomain (a sequence or a stacked
         array).  A malformed ``rhs`` raises ``TypeError`` / ``ValueError``
-        before the workload lock is taken.  The loads are swapped in under
-        that lock and the pristine ones restored after the solve, whatever
-        its outcome, so a request never leaks state into the next one and
-        its answer is bitwise :meth:`solve` at the same loads.
+        before the workload lock is taken.  The loads are an argument of
+        the solve, never written into the problem, so a request leaks no
+        state into the next one and its answer is bitwise :meth:`solve` at
+        the same loads, whatever else is in flight on this or any other
+        session.
         """
         w = self.resolve_workload(workload)
         s = self.resolve_spec(spec)
         loads = self._request_loads(w, rhs)
-        if loads is None:
-            return RequestSolution.from_solution(self.solve(w, s))
-        problem = self.problem(w)
-        with self.workload_lock(w):
-            try:
-                for sub, f in zip(problem.subdomains, loads):
-                    sub.f = f
-                return RequestSolution.from_solution(self.solve(w, s))
-            finally:
-                for sub, f in zip(problem.subdomains, self._base_loads[w]):
-                    sub.f = f.copy()
+        return RequestSolution.from_solution(self._solve(w, s, [loads])[0])
 
     def _request_loads(self, w: Workload, rhs: Any) -> list[np.ndarray] | None:
         """The checked loads a request's ``rhs`` stands for (``None``: declared)."""
@@ -446,12 +449,14 @@ class Session:
         loads_columns: "list[list[np.ndarray] | None]",
         spec: SolverSpec | str | None = None,
     ) -> list[FetiSolution]:
-        """Solve one workload under many load cases in a single block PCPG.
+        """Solve one workload under many load cases over one preprocessing.
 
-        The preprocessing runs once and each iteration applies the dual
+        Each column's loads are an argument, as in :meth:`solve_request`.
+        More than one column runs one block PCPG that applies the dual
         operator to all columns in one fused kernel (see
-        :meth:`~repro.feti.solver.FetiSolver.solve_many`); the answers
+        :meth:`~repro.feti.solver.FetiSolver.solve_many`); those answers
         agree with sequential :meth:`solve` calls to rounding, not bitwise.
+        One column is bitwise :meth:`solve_request` at the same loads.
 
         Parameters
         ----------
@@ -461,39 +466,29 @@ class Session:
         """
         w = self.resolve_workload(workload)
         s = self.resolve_spec(spec)
-        with trace_span(
-            "session.solve",
-            workload=w.describe(),
-            approach=s.approach.value,
-            columns=len(loads_columns),
-        ):
-            with self.workload_lock(w):
-                solver = self.solver(w, s)
-                solutions = solver.solve_many(loads_columns, reuse_preprocessing=True)
-                self._solves.inc(len(loads_columns))
-                self._stacked_solves.inc()
-                self._stacked_columns.inc(len(loads_columns))
-                self._record_usage((w, s), solver)
-                return solutions
+        solutions = self._solve(w, s, loads_columns, columns=len(loads_columns))
+        self._stacked_solves.inc()
+        self._stacked_columns.inc(len(loads_columns))
+        return solutions
 
     def _run_schedule(
         self,
         w: Workload,
         spec: SolverSpec | str | None,
         n_steps: int | None,
-        update: Callable[[int, FetiProblem], None] | None,
+        update: Callable[[int, FetiProblem], list[np.ndarray] | None] | None,
     ) -> tuple[list[StepRecord], FetiSolution | None]:
         """Drive Algorithm 2 and restore the pristine problem afterwards.
 
         The built problems are shared process-wide (one instance per
         workload), so the schedule's mutations must never leak past the
-        run.  The built-in load ramp only touches the load vectors; a
-        custom ``update`` may additionally change stiffness *values*
-        (``K``/``K_reg``, pattern fixed — the MultiStepDriver contract), so
-        those are snapshotted and restored too.  The schedule's operator
-        releases its factors — its next solve re-runs the numeric
-        preprocessing — exactly when the values its last step factored
-        differ from the restored ones.
+        run.  The built-in load ramp returns each step's loads and writes
+        nothing; a custom ``update`` may write the load vectors and change
+        stiffness *values* (``K``/``K_reg``, pattern fixed — the
+        MultiStepDriver contract), so after one those are restored.  The
+        schedule's operator releases its factors — its next solve re-runs
+        the numeric preprocessing — exactly when the values its last step
+        factored differ from the restored ones.
         """
         s = self.resolve_spec(spec)
         with self.workload_lock(w):
@@ -504,36 +499,34 @@ class Session:
         w: Workload,
         s: SolverSpec,
         n_steps: int | None,
-        update: Callable[[int, FetiProblem], None] | None,
+        update: Callable[[int, FetiProblem], list[np.ndarray] | None] | None,
     ) -> tuple[list[StepRecord], FetiSolution | None]:
         solver = self.solver(w, s)
         problem = self.problem(w)
         n = int(n_steps) if n_steps is not None else w.steps
         base = self._base_loads[w]
-        custom_update = update is not None
-        matrices = (
-            [(sub.K, sub.K.data.copy(), sub.K_reg, sub.K_reg.data.copy())
-             for sub in problem.subdomains]
-            if custom_update
-            else None
-        )
+        matrices = None
         if update is None:
 
-            def update(step: int, problem: FetiProblem) -> None:
+            def update(step: int, problem: FetiProblem) -> list[np.ndarray]:
                 scale = 1.0 + w.load_ramp * step
-                for sub, f0 in zip(problem.subdomains, base):
-                    sub.f = scale * f0
+                return [scale * f0 for f0 in base]
+
+        else:
+            matrices = [
+                (sub.K, sub.K.data.copy(), sub.K_reg, sub.K_reg.data.copy())
+                for sub in problem.subdomains
+            ]
 
         driver = MultiStepDriver(solver, update=update)
         try:
             records = driver.run(n)
         finally:
-            for sub, f0 in zip(problem.subdomains, base):
-                sub.f = f0.copy()
             if matrices is not None:
-                for sub, (K, K_data, K_reg, K_reg_data) in zip(
-                    problem.subdomains, matrices
+                for sub, f0, (K, K_data, K_reg, K_reg_data) in zip(
+                    problem.subdomains, base, matrices
                 ):
+                    sub.f = f0.copy()
                     sub.K, sub.K_reg = K, K_reg
                     K.data[:] = K_data
                     K_reg.data[:] = K_reg_data
@@ -549,17 +542,21 @@ class Session:
         workload: Workload | str | Mapping[str, Any],
         n_steps: int | None = None,
         spec: SolverSpec | str | None = None,
-        update: Callable[[int, FetiProblem], None] | None = None,
+        update: Callable[[int, FetiProblem], list[np.ndarray] | None] | None = None,
     ) -> list[StepRecord]:
         """Run the multi-step schedule (Algorithm 2) and return its records.
 
         Without an explicit ``update`` the workload's ``load_ramp`` is
         applied: step ``s`` solves with loads ``(1 + load_ramp * s) * f``
-        scaled from the pristine base loads.  The loads are restored to
-        their pristine values afterwards, so repeated runs and later
-        ``solve`` calls are deterministic.  A step preprocesses only when
-        its update changed a stiffness value (the first step always does);
-        each record's ``preprocessed`` says which steps did.
+        scaled from the pristine base loads, passed to the solve and never
+        written into the shared problem.  A custom ``update`` may return
+        the step's loads the same way, or write the problem's loads and
+        stiffness values (see :class:`~repro.feti.solver.MultiStepDriver`);
+        those are restored to their pristine values afterwards, so repeated
+        runs and later ``solve`` calls are deterministic.  A step
+        preprocesses only when its update changed a stiffness value (the
+        first step always does); each record's ``preprocessed`` says which
+        steps did.
         """
         w = self.resolve_workload(workload)
         records, _ = self._run_schedule(w, spec, n_steps, update)
@@ -574,9 +571,9 @@ class Session:
 
         The returned :class:`RunResult` carries the per-step records and the
         full solution of the final step (at that step's ramped loads) — no
-        extra solve is run.  The problem's load vectors are restored to
-        their pristine values afterwards, so later ``solve`` calls on the
-        same workload see the declared loads.
+        extra solve is run.  The ramped loads are arguments of the steps'
+        solves, so later ``solve`` calls on the same workload see the
+        declared loads.
         """
         w = self.resolve_workload(workload)
         records, solution = self._run_schedule(w, spec, None, None)

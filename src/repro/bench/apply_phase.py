@@ -9,11 +9,14 @@ it:
 * **stacked** — one ``operator.apply_multi(block)`` call,
   the fused-GEMM path used by ``Session.solve_many`` throughput callers.
 
-The scenario measures one serial unit.  Simulated apply seconds come
-from the operator's timing ledger and are deterministic, so the comparator
-gates them at the usual rtol.  Wall seconds are recorded
-(best-of-``rounds``) but not comparator-gated.  The run re-checks the
-numerical contract: stacked ≤ 1e-12 of sequential, relative.
+The scenario measures one serial unit on heat 3D ``(2,2,1)x12`` ``expl
+mkl``: four large ``F̃ᵢ``, the regime where one GEMM per block beats ``k``
+GEMVs on wall clock (the heat 2D ``(8,8)x8`` pack read 0.82x).  Simulated
+apply seconds come from the operator's timing ledger and are
+deterministic, so the comparator gates them at the usual rtol.  Wall
+seconds are recorded (best-of-``rounds``) but not comparator-gated.  The
+run re-checks the numerical contract: stacked ≤ 1e-12 of sequential,
+relative.
 """
 
 from __future__ import annotations
@@ -124,10 +127,10 @@ def _register_default() -> None:
                 "multi-RHS dual-operator applies: k sequential scalar applies "
                 "vs one stacked GEMM block"
             ),
-            base=Workload("heat", 2, (8, 8), 8),
+            base=Workload("heat", 3, (2, 2, 1), 12),
             approaches=(DualOperatorApproach("expl mkl"),),
             tags=frozenset({"wall"}),
-            expected={"n_subdomains": 64, "dofs_per_subdomain": 81},
+            expected={"n_subdomains": 4, "dofs_per_subdomain": 2197},
         )
     )
 

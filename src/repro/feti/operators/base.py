@@ -426,24 +426,29 @@ class DualOperator:
             engine.global_map.scatter_add(q, engine.B_product(z))
         return q
 
-    def dual_rhs(self) -> np.ndarray:
-        """Compute ``d = B K⁺ f − c`` using the per-subdomain factorizations."""
+    def dual_rhs(self, loads: list[np.ndarray] | None = None) -> np.ndarray:
+        """Compute ``d = B K⁺ f − c`` using the per-subdomain factorizations.
+
+        ``loads`` are one load vector per subdomain; ``None`` reads every
+        subdomain's current ``f``.
+        """
         d = -np.array(self.problem.c, dtype=float, copy=True)
-        subdomains = self.problem.subdomains
-        if not subdomains:
+        if not self.problem.subdomains:
             return d
         engine = self.batch_engine
-        f = np.concatenate([sub.f for sub in subdomains])
+        f = np.concatenate(self.problem.loads(loads))
         engine.global_map.scatter_add(d, engine.B_product(self._kplus(f)))
         return d
 
-    def primal_solution(self, lam: np.ndarray, alpha: np.ndarray) -> list[np.ndarray]:
-        """Recover ``uᵢ = Kᵢ⁺ (fᵢ − B̃ᵢᵀ λ) + Rᵢ αᵢ`` (views of one vector)."""
-        subdomains = self.problem.subdomains
-        if not subdomains:
+    def primal_solution(
+        self, lam: np.ndarray, alpha: np.ndarray, loads: list[np.ndarray] | None = None
+    ) -> list[np.ndarray]:
+        """Recover ``uᵢ = Kᵢ⁺ (fᵢ − B̃ᵢᵀ λ) + Rᵢ αᵢ`` (views of one vector)
+        at ``loads`` (as in :meth:`dual_rhs`)."""
+        if not self.problem.subdomains:
             return []
         engine = self.batch_engine
-        f = np.concatenate([sub.f for sub in subdomains])
+        f = np.concatenate(self.problem.loads(loads))
         u = self._kplus(f - engine.Bt_product(engine.global_map.gather(lam)))
         u += self.problem.R @ alpha
         bounds = engine.primal_offsets.tolist()

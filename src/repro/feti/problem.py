@@ -403,15 +403,21 @@ class FetiProblem:
         indptr = np.arange(0, k * n * dim + 1, dim, dtype=np.int64)
         return sp.csr_matrix((stack.ravel(), indices, indptr), shape=(k * n, k * dim))
 
-    def compute_e(self) -> np.ndarray:
+    def compute_e(self, loads: list[np.ndarray] | None = None) -> np.ndarray:
         """The coarse right-hand side ``e = Rᵀ f`` as one batched product.
 
-        Each ``Rᵢᵀ fᵢ`` runs the same BLAS call as a per-subdomain product
-        would, so ``e`` is bitwise the per-subdomain loop's (a sparse
-        ``Rᵀ @ f`` sums in another order and moves ``λ`` in its last bits).
+        ``loads`` are one load vector per subdomain; ``None`` reads every
+        subdomain's current ``f``.  Each ``Rᵢᵀ fᵢ`` runs the same BLAS call
+        as a per-subdomain product would, so ``e`` is bitwise the
+        per-subdomain loop's (a sparse ``Rᵀ @ f`` sums in another order and
+        moves ``λ`` in its last bits).
         """
-        f = np.stack([s.f for s in self.subdomains])[:, :, None]
+        f = np.stack(self.loads(loads))[:, :, None]
         return np.matmul(self.kernel_stack.transpose(0, 2, 1), f).ravel()
+
+    def loads(self, loads: list[np.ndarray] | None = None) -> list[np.ndarray]:
+        """``loads``, or every subdomain's current ``f`` when it is ``None``."""
+        return [sub.f for sub in self.subdomains] if loads is None else loads
 
     def check_loads(self, loads: list[np.ndarray]) -> None:
         """Raise ``ValueError`` unless ``loads`` are one finite load vector
@@ -427,10 +433,13 @@ class FetiProblem:
                     f"the load vector of subdomain {sub.index} has shape "
                     f"{np.shape(f)}, expected {sub.f.shape}"
                 )
-            if not np.isfinite(f).all():
-                raise ValueError(
-                    f"the load vector of subdomain {sub.index} holds non-finite entries"
-                )
+        # One pass over all entries; a subdomain-by-subdomain pass only to
+        # name the culprit.
+        if self.subdomains and not np.isfinite(np.concatenate(loads)).all():
+            sub = next(s for s, f in zip(self.subdomains, loads) if not np.isfinite(f).all())
+            raise ValueError(
+                f"the load vector of subdomain {sub.index} holds non-finite entries"
+            )
 
     # ------------------------------------------------------------------ #
     # Reference solution (for tests and the benchmark's oracle)           #

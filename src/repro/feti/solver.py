@@ -201,8 +201,11 @@ class FetiSolver:
         if self._preconditioner is not None:
             self._preconditioner.release()
 
-    def solve(self, reuse_preprocessing: bool = False) -> FetiSolution:
-        """Solve the dual problem with PCPG and recover the primal solution.
+    def solve(
+        self, reuse_preprocessing: bool = False, loads: list[np.ndarray] | None = None
+    ) -> FetiSolution:
+        """Solve the dual problem with PCPG and recover the primal solution:
+        :meth:`solve_many` of the one column ``loads``.
 
         Parameters
         ----------
@@ -211,53 +214,11 @@ class FetiSolver:
             the factors of one (used by callers that manage Algorithm 2
             themselves, and by the session, which releases the factors of
             an entry they no longer match).
+        loads:
+            One load vector per subdomain, or ``None`` for the problem's
+            current ``f``.
         """
-        if reuse_preprocessing and self.operator.preprocessed:
-            preprocessing = self.operator.ledger.last("preprocessing")
-        else:
-            preprocessing = self.preprocess()
-
-        with trace_span("dual_rhs"):
-            d = self.operator.dual_rhs()
-            e = self.problem.compute_e()
-        projector, preconditioner = self._pcpg_inputs()
-        coarse_before = projector.seconds
-        with trace_span("coarse_setup", n_kernel=projector.n_kernel):
-            lambda_0 = projector.initial_lambda(e)
-
-        self.operator.ledger.mark("apply")
-        with trace_span("pcpg", tolerance=self.spec.tolerance):
-            result = pcpg(
-                apply_F=self.operator.apply,
-                apply_P=projector.apply,
-                apply_M=preconditioner.apply,
-                d=d,
-                lambda_0=lambda_0,
-                tolerance=self.spec.tolerance,
-                max_iterations=self.spec.max_iterations,
-                absolute_tolerance=self.spec.absolute_tolerance,
-                residual_history=self.spec.residual_history,
-            )
-        dual_apply_seconds = self.operator.ledger.since_mark()
-
-        with trace_span("primal_recovery"):
-            residual = (
-                result.final_residual
-                if result.final_residual is not None
-                else d - self.operator.apply(result.lam)
-            )
-            alpha = projector.alpha(residual)
-            primal = self.operator.primal_solution(result.lam, alpha)
-        return FetiSolution(
-            lam=result.lam,
-            alpha=alpha,
-            primal=primal,
-            pcpg=result,
-            preprocessing=preprocessing,
-            dual_apply_seconds=dual_apply_seconds,
-            coarse_seconds=projector.seconds - coarse_before,
-            convergence=ConvergenceReport.from_pcpg(result, self.spec.tolerance),
-        )
+        return self.solve_many([loads], reuse_preprocessing=reuse_preprocessing)[0]
 
     def solve_many(
         self,
@@ -265,14 +226,17 @@ class FetiSolver:
         *,
         reuse_preprocessing: bool = False,
     ) -> list[FetiSolution]:
-        """Solve one problem under many load cases in a single block PCPG.
+        """Solve one problem under many load cases over one preprocessing.
 
-        The preprocessing (factorizations, explicit assembly, GPU uploads)
-        runs **once**; each iteration applies ``F`` to all still-active
-        columns in one fused :meth:`~repro.feti.operators.base.
-        DualOperator.apply_multi` call (one GEMM over the pack and one per
-        large block on the explicit approaches), so the solutions agree with
-        sequential :meth:`solve` calls to iteration-amplified rounding.
+        The loads are arguments: no solve writes a subdomain's ``f``.  The
+        preprocessing (factorizations, explicit assembly, GPU uploads) runs
+        **once**; ``d``, ``e`` and ``λ₀`` are computed per column.  One
+        column runs the scalar PCPG on ``apply``.  More columns run one
+        block PCPG that applies ``F`` to all still-active columns in one
+        fused :meth:`~repro.feti.operators.base.DualOperator.apply_multi`
+        call (one GEMM over the pack and one per large block on the explicit
+        approaches), so they agree with one-column solves to
+        iteration-amplified rounding.
 
         Parameters
         ----------
@@ -293,83 +257,75 @@ class FetiSolver:
         else:
             preprocessing = self.preprocess()
 
-        subdomains = self.problem.subdomains
-        base_f = [sub.f for sub in subdomains]
-
-        def install(loads: "list[np.ndarray] | None") -> None:
-            for sub, f in zip(subdomains, base_f if loads is None else loads):
-                sub.f = f
-
         n_cols = len(loads_columns)
-        self.operator.ledger.mark("apply", "apply_multi")
+        operator = self.operator
+        with trace_span("dual_rhs"):
+            d_cols = [operator.dual_rhs(loads) for loads in loads_columns]
+            e_cols = [self.problem.compute_e(loads) for loads in loads_columns]
         projector, preconditioner = self._pcpg_inputs()
         coarse_before = projector.seconds
-        try:
-            d_cols: list[np.ndarray] = []
-            lambda_0_cols: list[np.ndarray] = []
-            for loads in loads_columns:
-                install(loads)
-                d_cols.append(self.operator.dual_rhs())
-                e = self.problem.compute_e()
-                lambda_0_cols.append(projector.initial_lambda(e))
+        with trace_span("coarse_setup", n_kernel=projector.n_kernel):
+            lambda_0_cols = [projector.initial_lambda(e) for e in e_cols]
 
+        stopping = dict(
+            tolerance=self.spec.tolerance,
+            max_iterations=self.spec.max_iterations,
+            absolute_tolerance=self.spec.absolute_tolerance,
+            residual_history=self.spec.residual_history,
+        )
+        operator.ledger.mark("apply", "apply_multi")
+        if n_cols == 1:
+            with trace_span("pcpg", tolerance=self.spec.tolerance):
+                results = [
+                    pcpg(
+                        apply_F=operator.apply,
+                        apply_P=projector.apply,
+                        apply_M=preconditioner.apply,
+                        d=d_cols[0],
+                        lambda_0=lambda_0_cols[0],
+                        **stopping,
+                    )
+                ]
+        else:
             with trace_span("pcpg", columns=n_cols):
                 results = pcpg_block(
-                    apply_F_block=self.operator.apply_multi,
+                    apply_F_block=operator.apply_multi,
                     apply_P_block=projector.apply_block,
                     apply_M_block=preconditioner.apply_block,
                     d_columns=d_cols,
                     lambda_0_columns=lambda_0_cols,
-                    tolerance=self.spec.tolerance,
-                    max_iterations=self.spec.max_iterations,
-                    absolute_tolerance=self.spec.absolute_tolerance,
-                    residual_history=self.spec.residual_history,
+                    **stopping,
                 )
-            total_apply_seconds = self.operator.ledger.since_mark()
-            # The block applies are shared work: attribute an equal share of
-            # the fused apply time to every column.
-            apply_share = total_apply_seconds / n_cols if n_cols else 0.0
+        # The block applies are shared work: each column gets an equal share.
+        apply_share = operator.ledger.since_mark() / n_cols if n_cols else 0.0
 
-            solutions: list[FetiSolution] = []
-            coarse_share_known = False
-            coarse_share = 0.0
+        with trace_span("primal_recovery"):
+            alphas, primals = [], []
             for loads, d, result in zip(loads_columns, d_cols, results):
-                install(loads)
                 residual = (
                     result.final_residual
                     if result.final_residual is not None
-                    else d - self.operator.apply(result.lam)
+                    else d - operator.apply(result.lam)
                 )
-                alpha = projector.alpha(residual)
-                primal = self.operator.primal_solution(result.lam, alpha)
-                if not coarse_share_known:
-                    # Coarse work (projections + coarse solves) is shared
-                    # across the block like the fused applies; the alpha
-                    # recoveries after this point are per-column noise.
-                    coarse_share = (
-                        (projector.seconds - coarse_before) / n_cols
-                        if n_cols
-                        else 0.0
-                    )
-                    coarse_share_known = True
-                solutions.append(
-                    FetiSolution(
-                        lam=result.lam,
-                        alpha=alpha,
-                        primal=primal,
-                        pcpg=result,
-                        preprocessing=preprocessing,
-                        dual_apply_seconds=apply_share,
-                        coarse_seconds=coarse_share,
-                        convergence=ConvergenceReport.from_pcpg(
-                            result, self.spec.tolerance, columns=n_cols
-                        ),
-                    )
-                )
-            return solutions
-        finally:
-            for sub, f0 in zip(subdomains, base_f):
-                sub.f = f0
+                alphas.append(projector.alpha(residual))
+                primals.append(operator.primal_solution(result.lam, alphas[-1], loads))
+        # So is the coarse work (projections and coarse solves).
+        coarse_share = (projector.seconds - coarse_before) / n_cols if n_cols else 0.0
+        return [
+            FetiSolution(
+                lam=result.lam,
+                alpha=alpha,
+                primal=primal,
+                pcpg=result,
+                preprocessing=preprocessing,
+                dual_apply_seconds=apply_share,
+                coarse_seconds=coarse_share,
+                convergence=ConvergenceReport.from_pcpg(
+                    result, self.spec.tolerance, columns=n_cols
+                ),
+            )
+            for result, alpha, primal in zip(results, alphas, primals)
+        ]
 
 
 @dataclass
@@ -409,15 +365,17 @@ class MultiStepDriver:
         only once).
     update:
         Optional callback ``update(step, problem)`` invoked before every
-        step; it may modify the numerical values of the subdomain matrices
-        and load vectors (the sparsity pattern must stay fixed, as in the
-        paper's use case).
+        step.  It may return the step's loads (one vector per subdomain),
+        which the step solves at without writing them anywhere; ``None``
+        solves at the subdomains' current ``f``.  It may also modify the
+        numerical values of the subdomain matrices and load vectors (the
+        sparsity pattern must stay fixed, as in the paper's use case).
     """
 
     def __init__(
         self,
         solver: FetiSolver,
-        update: Callable[[int, FetiProblem], None] | None = None,
+        update: Callable[[int, FetiProblem], list[np.ndarray] | None] | None = None,
     ) -> None:
         self.solver = solver
         self.update = update
@@ -443,12 +401,13 @@ class MultiStepDriver:
         subdomains = self.solver.problem.subdomains
         self._factored = None
         for step in range(n_steps):
+            loads = None
             if self.update is not None:
-                self.update(step, self.solver.problem)
+                loads = self.update(step, self.solver.problem)
             reuse = self.factors_current()
             if not reuse:
                 self._factored = None  # a failed preprocessing leaves no record
-            solution = self.solver.solve(reuse_preprocessing=reuse)
+            solution = self.solver.solve(reuse_preprocessing=reuse, loads=loads)
             if not reuse:
                 self._factored = [
                     (sub.csr_arrays("K")[0].copy(), sub.csr_arrays("K_reg")[0].copy())

@@ -8,9 +8,11 @@ and prepared solvers: N same-pattern requests pay for exactly one symbolic
 analysis.  The serve tier runs every request as
 :meth:`~repro.api.Session.solve_request` of its pattern's session.
 
-The pool is a bounded LRU: evicting a pattern closes its session.
-Sessions are created under the pool lock but solved *outside* it, so slow
-solves on one pattern never block admission of another.
+The pool is a bounded LRU: evicting a pattern drops its session from the
+pool without closing it, so a request that already holds it still solves
+on it; its storage goes with its last reference.  Sessions are created
+under the pool lock but solved *outside* it, so slow solves on one pattern
+never block admission of another.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ class SessionPool:
         Default solver configuration of every pooled session (requests may
         override per call).
     max_sessions:
-        Pattern capacity; the least recently used pattern is evicted (and
-        its session closed) beyond it.
+        Pattern capacity; the least recently used pattern is evicted
+        beyond it.
     """
 
     def __init__(self, spec: SolverSpec | str | None = None, max_sessions: int = 8) -> None:
@@ -69,7 +71,6 @@ class SessionPool:
         workload's session lock.
         """
         key = pattern_key(workload)
-        evicted: Session | None = None
         with self._lock:
             session = self._sessions.get(key)
             if session is None:
@@ -79,8 +80,6 @@ class SessionPool:
                     self._evictions.inc()
                     self._retired = MetricsRegistry.fold([self._retired, evicted.metrics])
             self._sessions.move_to_end(key)
-        if evicted is not None:
-            evicted.close()
         return session
 
     def close(self) -> None:

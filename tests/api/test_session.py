@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import Material, RunResult, Session, SolverSpec, Workload
+from repro.feti.solver import MultiStepDriver
 from repro.sparse.cache import PatternCache
 
 W_SMALL = Workload("heat", 2, (2, 1), 3)
@@ -91,11 +92,12 @@ def test_workloads_resolve_from_presets_and_dicts():
         session.solve(7)  # type: ignore[arg-type]
 
 
-def test_run_executes_the_declared_schedule_and_restores_loads():
+def test_run_executes_the_declared_schedule_and_writes_no_loads():
     workload = Workload("heat", 2, (2, 1), 2, steps=3, load_ramp=0.5)
     session = Session(SolverSpec(approach="expl mkl"))
     problem = session.problem(workload)
-    base = [sub.f.copy() for sub in problem.subdomains]
+    loads = [sub.f for sub in problem.subdomains]
+    base = [f.copy() for f in loads]
 
     result = session.run(workload)
     assert isinstance(result, RunResult)
@@ -103,9 +105,11 @@ def test_run_executes_the_declared_schedule_and_restores_loads():
     assert result.converged
     assert result.total_dual_operator_seconds > 0
     assert result.solution is not None and result.solution.converged
-    # Loads are restored to their pristine values after the schedule.
-    for sub, f0 in zip(problem.subdomains, base):
-        np.testing.assert_array_equal(sub.f, f0)
+    # The ramped loads are arguments of the steps' solves: every subdomain
+    # keeps its load array, with its pristine values.
+    for sub, f, f0 in zip(problem.subdomains, loads, base):
+        assert sub.f is f
+        np.testing.assert_array_equal(f, f0)
     # Preparation ran once; the load-only steps after the first reused its
     # numeric preprocessing.
     solver = session.solver(workload)
@@ -191,6 +195,43 @@ def test_a_load_only_custom_update_leaves_the_solver_warm():
     assert ledger.count("preprocessing") == 1
     u_ref, _ = problem.saddle_point_solution()
     np.testing.assert_allclose(np.concatenate(solution.primal), u_ref, atol=1e-9)
+
+
+def test_a_custom_update_may_return_the_step_loads():
+    """An ``update`` that returns its loads writes nothing and steps bitwise
+    as one that writes them into the problem."""
+    workload = Workload("heat", 2, (2, 2), 3)
+
+    def schedule(returns: bool) -> MultiStepDriver:
+        with Session(SolverSpec(approach="expl mkl")) as session:
+            problem = session.problem(workload)
+            base = session.base_loads(workload)
+            before = [sub.f for sub in problem.subdomains]
+
+            def ramp(step: int, p):
+                loads = [(1.0 + step) * f0 for f0 in base]
+                if returns:
+                    return loads
+                for sub, f in zip(p.subdomains, loads):
+                    sub.f = f
+                return None
+
+            driver = MultiStepDriver(session.solver(workload), update=ramp)
+            driver.run(3)
+            replaced = [sub.f is not f for sub, f in zip(problem.subdomains, before)]
+            for sub, f in zip(problem.subdomains, before):
+                sub.f = f
+        assert replaced == [not returns] * len(before)
+        return driver
+
+    returned, written = schedule(True), schedule(False)
+    assert [r.preprocessed for r in returned.records] == [True, False, False]
+    assert [r.iterations for r in returned.records] == [r.iterations for r in written.records]
+    assert np.array_equal(returned.last_solution.lam, written.last_solution.lam)
+    assert np.array_equal(
+        np.concatenate(returned.last_solution.primal),
+        np.concatenate(written.last_solution.primal),
+    )
 
 
 def test_a_stiffness_schedule_after_a_solve_prepares_once_on_the_gpu():

@@ -181,11 +181,20 @@ def test_implicit_preprocessing_assembles_no_schur_complement():
 
 
 def test_traced_block_solve_covers_project_and_precondition():
+    """A block solve names the phases a single solve does, then its block
+    iterations cover the apply, both projections and the preconditioner."""
     with trace() as tracer:
         with Session() as session:
             session.solve_many(WORKLOAD, [None, None])
     (root,) = tracer.to_tree()
+    assert root["attrs"]["columns"] == 2
+    phases = [c["name"] for c in root["children"]]
+    for expected in ("dual_rhs", "coarse_setup", "pcpg", "primal_recovery"):
+        assert expected in phases, f"missing {expected} in {phases}"
+    assert phases.index("dual_rhs") < phases.index("coarse_setup") < phases.index("pcpg")
+    assert phases.index("pcpg") < phases.index("primal_recovery")
     pcpg = next(c for c in root["children"] if c["name"] == "pcpg")
+    assert pcpg["attrs"] == {"columns": 2}
     iterations = [c for c in pcpg["children"] if c["name"] == "block_iteration"]
     assert iterations
     for node in iterations:

@@ -75,9 +75,9 @@ def looped_apply_multi(operator: DualOperator, lam_block: np.ndarray) -> Applied
 def use_looped_apply(operator: DualOperator) -> None:
     """Make ``operator`` run the oracle loops (a whole solve on the oracle)."""
     operator._apply_impl = lambda lam: looped_apply(operator, lam)
-    operator.dual_rhs = lambda: looped_dual_rhs(operator)
-    operator.primal_solution = lambda lam, alpha: looped_primal_solution(
-        operator, lam, alpha
+    operator.dual_rhs = lambda loads=None: looped_dual_rhs(operator, loads)
+    operator.primal_solution = lambda lam, alpha, loads=None: looped_primal_solution(
+        operator, lam, alpha, loads
     )
     operator.apply_accurate = lambda lam: looped_apply_accurate(operator, lam)
 

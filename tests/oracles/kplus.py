@@ -52,22 +52,25 @@ def kplus_solve(operator: DualOperator, index: int, rhs: np.ndarray) -> np.ndarr
     return x
 
 
-def looped_dual_rhs(operator: DualOperator) -> np.ndarray:
-    """``d = B K⁺ f − c``, one ``np.add.at`` per subdomain."""
+def looped_dual_rhs(operator: DualOperator, loads=None) -> np.ndarray:
+    """``d = B K⁺ f − c``, one ``np.add.at`` per subdomain (``loads``:
+    one vector per subdomain, ``None`` = each subdomain's ``f``)."""
     d = -np.array(operator.problem.c, dtype=float, copy=True)
-    for sub in operator.problem.subdomains:
-        np.add.at(d, sub.lambda_ids, sub.B @ kplus_solve(operator, sub.index, sub.f))
+    subdomains = operator.problem.subdomains
+    for sub, f in zip(subdomains, loads or [sub.f for sub in subdomains]):
+        np.add.at(d, sub.lambda_ids, sub.B @ kplus_solve(operator, sub.index, f))
     return d
 
 
 def looped_primal_solution(
-    operator: DualOperator, lam: np.ndarray, alpha: np.ndarray
+    operator: DualOperator, lam: np.ndarray, alpha: np.ndarray, loads=None
 ) -> list[np.ndarray]:
     """``uᵢ = Kᵢ⁺ (fᵢ − B̃ᵢᵀ λ) + Rᵢ αᵢ``, subdomain by subdomain."""
     offsets = operator.problem.kernel_offsets
+    subdomains = operator.problem.subdomains
     out = []
-    for sub in operator.problem.subdomains:
-        u = kplus_solve(operator, sub.index, sub.f - sub.Bt @ lam[sub.lambda_ids])
+    for sub, f in zip(subdomains, loads or [sub.f for sub in subdomains]):
+        u = kplus_solve(operator, sub.index, f - sub.Bt @ lam[sub.lambda_ids])
         out.append(u + sub.kernel @ alpha[offsets[sub.index] : offsets[sub.index + 1]])
     return out
 

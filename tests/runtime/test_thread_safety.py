@@ -125,6 +125,65 @@ def test_session_caches_survive_concurrent_solves():
     assert session.metrics.values("repro_pool_")["solves"] == n_threads * rounds
 
 
+def test_two_sessions_on_one_workload_solve_at_their_own_loads():
+    """Two sessions share the process-wide problem of one workload.
+
+    Each thread drives its own session at its own load factor, through
+    ``solve_request`` with a scalar, ``solve_request`` with per-subdomain
+    loads and a two-column ``solve_many``.  The loads are arguments of the
+    solves, so no answer sees the other thread's loads and no subdomain's
+    ``f`` is replaced.
+    """
+    workload = Workload("heat", 2, (4, 4), 8, n_clusters=2)
+    spec = SolverSpec(approach="expl mkl")
+    with Session(spec) as session:
+        reference = np.concatenate(session.solve(workload).primal)
+        base = session.base_loads(workload)
+        problem = session.problem(workload)
+    f_before = [sub.f for sub in problem.subdomains]
+    factors = (2.0, 0.5)
+    sessions = [Session(spec) for _ in factors]
+    rounds = 12
+    barrier = threading.Barrier(len(factors))
+    answers: list[tuple[float, np.ndarray]] = []
+    errors: list[BaseException] = []
+
+    def hammer(tid: int) -> None:
+        session, a = sessions[tid], factors[tid]
+        loads = [a * f for f in base]
+        try:
+            barrier.wait()
+            for r in range(rounds):
+                if r % 3 == 0:
+                    solutions = [session.solve_request(workload, rhs=a)]
+                elif r % 3 == 1:
+                    solutions = [session.solve_request(workload, rhs=loads)]
+                else:
+                    solutions = session.solve_many(workload, [loads, loads])
+                answers.extend((a, np.concatenate(s.primal)) for s in solutions)
+        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(factors)) as pool:
+            list(pool.map(hammer, range(len(factors))))
+    finally:
+        sys.setswitchinterval(interval)
+        for session in sessions:
+            session.close()
+
+    assert not errors
+    assert len(answers) == len(factors) * rounds * 4 // 3
+    worst = max(
+        np.linalg.norm(primal - a * reference) / np.linalg.norm(a * reference)
+        for a, primal in answers
+    )
+    assert worst <= 1e-9
+    assert all(sub.f is f for sub, f in zip(problem.subdomains, f_before))
+
+
 def test_a_closed_session_refuses_new_solves():
     """A closed session takes no new work: ``solve`` (through ``solver``)
     raises, the cached problem stays readable."""

@@ -34,7 +34,7 @@ def test_different_patterns_get_different_sessions():
         assert len(pool) == 2
 
 
-def test_lru_eviction_closes_the_evicted_session():
+def test_lru_eviction_drops_the_least_recently_used_pattern():
     coarse = Workload.from_dict({**HEAT.to_dict(), "cells": HEAT.cells + 1})
     with SessionPool(max_sessions=2) as pool:
         pool.session_for(HEAT)
@@ -46,6 +46,18 @@ def test_lru_eviction_closes_the_evicted_session():
         assert len(pool) == 2
         keys = {entry["pattern"][0] for entry in stats["patterns"]}
         assert keys == {"heat"}
+
+
+def test_an_evicted_session_still_answers_the_request_holding_it():
+    """A request takes its session, then another pattern evicts it before
+    the solve starts: the request is answered, and a later request of its
+    pattern gets a new session."""
+    with SessionPool(max_sessions=1) as pool:
+        held = pool.session_for(HEAT)
+        pool.session_for(ELASTICITY)  # evicts heat
+        assert held.solve_request(HEAT, None, 2.0).converged
+        assert pool.session_for(HEAT) is not held
+        assert pool.stats()["evictions"] == 2
 
 
 def test_pool_sessions_solve_on_one_worker():
