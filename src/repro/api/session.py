@@ -387,13 +387,15 @@ class Session:
     ) -> list[FetiSolution]:
         """The one solve of :meth:`solve`, :meth:`solve_request` and
         :meth:`solve_many`: ``FetiSolver.solve_many`` under the workload
-        lock, in a ``session.solve`` span carrying ``attrs``."""
+        lock, in a ``session.solve`` span carrying ``attrs``.  The callers
+        have checked ``loads_columns`` before the lock; the solver does not
+        check them again."""
         with trace_span(
             "session.solve", workload=w.describe(), approach=s.approach.value, **attrs
         ):
             with self.workload_lock(w):
                 solver = self.solver(w, s)
-                solutions = solver.solve_many(loads_columns, reuse_preprocessing=True)
+                solutions = solver._solve_checked(loads_columns, reuse_preprocessing=True)
                 self._solves.inc(len(loads_columns))
                 self._record_usage((w, s), solver)
                 return solutions
@@ -421,7 +423,11 @@ class Session:
         return RequestSolution.from_solution(self._solve(w, s, [loads])[0])
 
     def _request_loads(self, w: Workload, rhs: Any) -> list[np.ndarray] | None:
-        """The checked loads a request's ``rhs`` stands for (``None``: declared)."""
+        """The checked loads a request's ``rhs`` stands for (``None``: declared).
+
+        This is the loads' one check on the request path: :meth:`_solve`
+        hands them to the solver unchecked.
+        """
         if rhs is None:
             return None
         if isinstance(rhs, (int, float, np.integer, np.floating)) or (
@@ -430,18 +436,20 @@ class Session:
             factor = float(rhs)
             if not math.isfinite(factor):
                 raise ValueError(f"the rhs load factor must be finite, got {factor!r}")
-            return [factor * f for f in self.base_loads(w)]
-        if isinstance(rhs, np.ndarray) or (
+            loads = [factor * f for f in self.base_loads(w)]
+        elif isinstance(rhs, np.ndarray) or (
             isinstance(rhs, Sequence) and not isinstance(rhs, (str, bytes))
         ):
             # One copy per vector: the problem never aliases the caller's arrays.
             loads = [np.array(f, dtype=float) for f in rhs]
-            self.problem(w).check_loads(loads)
-            return loads
-        raise TypeError(
-            "rhs must be None, a scalar load factor, or a sequence of "
-            f"per-subdomain load vectors, got {type(rhs).__name__}"
-        )
+        else:
+            raise TypeError(
+                "rhs must be None, a scalar load factor, or a sequence of "
+                f"per-subdomain load vectors, got {type(rhs).__name__}"
+            )
+        # A finite factor can still overflow a load to infinity.
+        self.problem(w).check_loads(loads)
+        return loads
 
     def solve_many(
         self,
@@ -466,6 +474,9 @@ class Session:
         """
         w = self.resolve_workload(workload)
         s = self.resolve_spec(spec)
+        for loads in loads_columns:
+            if loads is not None:
+                self.problem(w).check_loads(loads)
         solutions = self._solve(w, s, loads_columns, columns=len(loads_columns))
         self._stacked_solves.inc()
         self._stacked_columns.inc(len(loads_columns))

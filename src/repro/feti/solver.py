@@ -252,6 +252,13 @@ class FetiSolver:
         for loads in loads_columns:
             if loads is not None:
                 self.problem.check_loads(loads)
+        return self._solve_checked(loads_columns, reuse_preprocessing)
+
+    def _solve_checked(
+        self, loads_columns: "Sequence[list[np.ndarray] | None]", reuse_preprocessing: bool
+    ) -> list[FetiSolution]:
+        """:meth:`solve_many` of load columns the caller has already checked
+        (the session checks a request's loads once, before its lock)."""
         if reuse_preprocessing and self.operator.preprocessed:
             preprocessing = self.operator.ledger.last("preprocessing")
         else:

@@ -14,8 +14,8 @@ Design constraints, in order:
    apply) stay within noise of the untraced build.
 2. **Context propagation into worker threads.**  The current span lives
    in a :class:`contextvars.ContextVar`; worker threads do not inherit it,
-   so whoever hands a task to a thread pool (the serve tier's solve
-   threads, a ``threads:n`` preprocessing round) captures it at submission
+   so whoever hands a task to a thread pool (a ``threads:n``
+   preprocessing round) captures it at submission
    (:func:`capture_context`) and re-installs it around the task
    (:func:`run_with_context`), so worker spans nest under the submitting
    request's span.

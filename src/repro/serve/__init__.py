@@ -1,7 +1,8 @@
 """repro.serve — the solver-as-a-service HTTP layer.
 
-A stdlib-only asyncio HTTP/JSON front over
-:meth:`repro.api.Session.solve_request`:
+A stdlib-only threaded HTTP/JSON front over
+:meth:`repro.api.Session.solve_request`, which each request runs on the
+handler thread of the connection that sent it:
 
 - :mod:`repro.serve.protocol` — the wire envelope (reusing the api layer's
   ``to_dict`` schemas), pattern keys and request fingerprints;
@@ -10,7 +11,8 @@ A stdlib-only asyncio HTTP/JSON front over
 - :mod:`repro.serve.cache` — result cache keyed by the
   ``(workload, spec, rhs)`` content hash;
 - :mod:`repro.serve.server` — routes, admission control (429 +
-  ``Retry-After``), per-request timeouts (504) and metrics;
+  ``Retry-After``), per-request timeouts (504 from one deadline thread)
+  and metrics;
 - :mod:`repro.serve.client` — a blocking keep-alive client;
 - :mod:`repro.serve.loadgen` — the closed-loop load generator behind the
   ``serve_load`` bench scenario;

@@ -12,7 +12,6 @@ Capacity knobs map one-to-one onto :class:`repro.serve.server.ServeConfig`.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import contextlib
 import sys
 
@@ -41,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--concurrency",
         type=int,
         default=defaults.concurrency,
-        help="solve worker threads",
+        help="solves running at once (each on its connection's handler thread)",
     )
     parser.add_argument(
         "--queue-limit",
@@ -81,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _serve(config: ServeConfig) -> None:
+def _serve(config: ServeConfig) -> None:
     server = SolveServer(config)
-    await server.start()
+    server.start()
     print(f"repro-serve listening on http://{config.host}:{server.port}")
     print(
         "  POST /v1/solve   GET /v1/health   GET /v1/metrics   "
@@ -91,9 +90,9 @@ async def _serve(config: ServeConfig) -> None:
     )
     sys.stdout.flush()
     try:
-        await server.serve_forever()
+        server.serve_forever()
     finally:
-        await server.aclose()
+        server.close()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -110,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
         cache_size=args.cache_size,
     )
     with contextlib.suppress(KeyboardInterrupt):
-        asyncio.run(_serve(config))
+        _serve(config)
     return 0
 
 

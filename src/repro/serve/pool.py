@@ -10,15 +10,20 @@ analysis.  The serve tier runs every request as
 
 The pool is a bounded LRU: evicting a pattern drops its session from the
 pool without closing it, so a request that already holds it still solves
-on it; its storage goes with its last reference.  Sessions are created
-under the pool lock but solved *outside* it, so slow solves on one pattern
-never block admission of another.
+on it; its storage goes with its last reference.  The server takes its
+session through :meth:`SessionPool.hold`: a session evicted while held
+stays in the pool's counters and is folded into them at its last release,
+so solves that finish on it after the eviction are counted.  Sessions are
+created under the pool lock but solved *outside* it, so slow solves on one
+pattern never block admission of another.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Iterator
+from contextlib import contextmanager
 from typing import Any
 
 from repro.api import Session, SolverSpec, Workload
@@ -60,17 +65,44 @@ class SessionPool:
         self._evictions = self.metrics.counter(
             "repro_pool_evictions", "Sessions evicted from the pool"
         )
-        #: The counters of every evicted session, folded at eviction.
+        #: The counters of every evicted session no request holds any more.
         self._retired = MetricsRegistry()
+        #: Open holds per session (see :meth:`hold`).
+        self._holds: dict[Session, int] = {}
+        #: Evicted sessions still held: counted live until their last release.
+        self._draining: list[Session] = []
 
     def session_for(self, workload: Workload) -> Session:
         """The pooled session serving a workload's pattern (created on miss).
 
         Its :meth:`~repro.api.Session.solve_request` is thread-safe: the
         serve tier's concurrent handler threads serialize on the
-        workload's session lock.
+        workload's session lock.  A session evicted while nobody holds it
+        has its counters folded at the eviction; solve through :meth:`hold`
+        to keep counting solves that finish after it.
         """
-        key = pattern_key(workload)
+        return self._checkout(pattern_key(workload), held=False)
+
+    @contextmanager
+    def hold(self, workload: Workload) -> Iterator[Session]:
+        """:meth:`session_for`, held until the block exits.
+
+        An eviction while held leaves the session's counters live; they are
+        folded into the pool's at the last release.
+        """
+        session = self._checkout(pattern_key(workload), held=True)
+        try:
+            yield session
+        finally:
+            with self._lock:
+                self._holds[session] -= 1
+                if not self._holds[session]:
+                    del self._holds[session]
+                    if session in self._draining:
+                        self._draining.remove(session)
+                        self._retire(session)
+
+    def _checkout(self, key: tuple, held: bool) -> Session:
         with self._lock:
             session = self._sessions.get(key)
             if session is None:
@@ -78,9 +110,18 @@ class SessionPool:
                 if len(self._sessions) > self.max_sessions:
                     _, evicted = self._sessions.popitem(last=False)
                     self._evictions.inc()
-                    self._retired = MetricsRegistry.fold([self._retired, evicted.metrics])
+                    if evicted in self._holds:
+                        self._draining.append(evicted)
+                    else:
+                        self._retire(evicted)
             self._sessions.move_to_end(key)
+            if held:
+                self._holds[session] = self._holds.get(session, 0) + 1
         return session
+
+    def _retire(self, session: Session) -> None:
+        """Fold a session that left the pool into its totals (lock held)."""
+        self._retired = MetricsRegistry.fold([self._retired, session.metrics])
 
     def close(self) -> None:
         """Close every pooled session (idempotent)."""
@@ -104,13 +145,19 @@ class SessionPool:
         """The pool's registry view and its per-pattern rows.
 
         Counters sum over the pool's own registry, the sessions it evicted
-        and the live sessions, so no ``_total`` falls when a session goes.
-        Gauges are point-in-time sums of the live sessions' ``cache_stats()``.
+        (held ones live) and the pooled sessions, so no ``_total`` falls
+        when a session goes.  Gauges are point-in-time sums of the pooled
+        sessions' ``cache_stats()``.
         """
         with self._lock:
             sessions = list(self._sessions.items())
             view = MetricsRegistry.fold(
-                [self.metrics, self._retired, *(s.metrics for _, s in sessions)]
+                [
+                    self.metrics,
+                    self._retired,
+                    *(s.metrics for s in self._draining),
+                    *(s.metrics for _, s in sessions),
+                ]
             )
         rows = [
             {

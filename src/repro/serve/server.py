@@ -1,14 +1,20 @@
-"""The asyncio HTTP/JSON solve service (stdlib only).
+"""The threaded HTTP/JSON solve service (stdlib only).
 
-Architecture: the asyncio loop owns the sockets and the protocol; solves run
-on a bounded thread pool (``concurrency`` workers) and are awaited with
-``asyncio.wait_for``.  Admission control counts admitted-but-unfinished
-solves: past ``queue_limit`` the service answers ``429`` with a
-``Retry-After`` header instead of queueing unboundedly.  A per-request
-timeout maps to ``504``; the timed-out worker thread finishes (or fails) in
-the background under the session's per-workload locks, so an abandoned
-request can never poison its pooled session.  A worker runs one request as
-:meth:`~repro.api.Session.solve_request` of the pattern's pooled session.
+Architecture: one handler thread per open connection
+(:class:`socketserver.ThreadingTCPServer`) reads a request, answers it and
+writes the reply with one ``sendall`` on a ``TCP_NODELAY`` socket.  An
+admitted solve runs as :meth:`~repro.api.Session.solve_request` of the
+pattern's pooled session on that same thread, so a request crosses no
+thread boundary and its solve's spans nest under its ``serve.request``
+span.  A semaphore lets at most ``concurrency`` solves run at once; the
+other admitted requests wait on their own threads.  Admission control
+counts admitted-but-unfinished solves: past ``queue_limit`` the service
+answers ``429`` with a ``Retry-After`` header instead of queueing
+unboundedly.  A per-request timeout maps to ``504``: one deadline thread
+answers an overdue request with ``Connection: close`` (each request gets
+exactly one response), while the abandoned solve finishes on its handler
+thread under the session's per-workload locks, so it can never poison its
+pooled session, and only then releases its admission slot.
 
 Endpoints
 ---------
@@ -37,22 +43,25 @@ structured access-log record emitted per request on
 
 from __future__ import annotations
 
-import asyncio
+import heapq
+import itertools
 import json
+import math
+import socket
+import socketserver
 import threading
 import uuid
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from re import fullmatch
 from time import monotonic
-from typing import Any
+from typing import Any, BinaryIO
 
 from repro.api import SolverSpec
 from repro.observe.log import get_logger
 from repro.observe.metrics import MetricsRegistry
-from repro.observe.trace import capture_context, run_with_context, trace_span
+from repro.observe.trace import trace_span
 from repro.serve.cache import ResultCache
 from repro.serve.metrics import latency_summary
 from repro.serve.pool import SessionPool
@@ -82,11 +91,17 @@ _REASONS = {
 #: Upper bound on request head + body size (covers large rhs vectors).
 _MAX_BODY = 64 * 1024 * 1024
 
+#: Upper bound on a request head; a longer one closes the connection.
+_MAX_HEAD = 64 * 1024
+
 #: Accepted shape of a client-supplied ``X-Repro-Request-Id`` — anything
 #: else is replaced by a generated id so log/header injection is impossible.
 _REQUEST_ID = r"[A-Za-z0-9_-]{1,64}"
 
 _access_log = get_logger("repro.serve.access")
+
+#: A routed request's answer; ``None`` when the deadline thread answered it.
+Reply = tuple[int, "dict[str, Any] | str"] | None
 
 
 @dataclass(frozen=True)
@@ -102,7 +117,8 @@ class ServeConfig:
         Default :class:`SolverSpec` (or preset name) of pooled sessions;
         requests may override per call.
     concurrency:
-        Solve worker threads — solves actually running in parallel.
+        Solves running at once; further admitted requests wait on their
+        handler threads.
     queue_limit:
         Admission bound: admitted-but-unfinished solves beyond which new
         requests get ``429``.  Must be >= ``concurrency`` to ever queue.
@@ -140,8 +156,162 @@ class ServeConfig:
             raise ValueError(f"timeout_seconds must be positive, got {self.timeout_seconds}")
 
 
+class _Exchange:
+    """One request on its connection: what its access-log record and (for a
+    solve) the deadline thread need.  ``answered`` flips once, under the
+    deadline lock, for whichever thread writes the response."""
+
+    __slots__ = ("sock", "request_id", "method", "path", "started", "info", "timeout", "answered")
+
+    def __init__(self, sock: socket.socket, request_id: str, method: str, path: str) -> None:
+        self.sock = sock
+        self.request_id = request_id
+        self.method = method
+        self.path = path
+        self.started = monotonic()
+        #: The access log's extra fields: disposition and workload pattern.
+        self.info: dict[str, Any] = {}
+        self.timeout = 0.0
+        self.answered = False
+
+
+class _Deadlines:
+    """One thread that answers the solves still running at their deadline.
+
+    :meth:`add` wakes the thread only when the new deadline is earlier than
+    the one it sleeps towards, and :meth:`settle` wakes nobody, so a
+    request answered in time costs no other thread a wakeup.  An exchange
+    is answered exactly once: by its handler (``settle`` returned ``True``)
+    or by ``on_overdue`` on this thread.
+    """
+
+    def __init__(self, on_overdue: Callable[[_Exchange], None]) -> None:
+        self._on_overdue = on_overdue
+        self._cond = threading.Condition(threading.Lock())
+        self._heap: list[tuple[float, int, _Exchange]] = []
+        self._order = itertools.count()
+        #: The deadline the thread sleeps towards (``-inf`` while awake).
+        self._wake_at = -math.inf
+        self._closed = False
+        self._thread = threading.Thread(target=self._run, name="repro-serve-deadlines", daemon=True)
+        self._thread.start()
+
+    def add(self, exchange: _Exchange, deadline: float) -> None:
+        with self._cond:
+            heap = self._heap
+            # Requests settle about in deadline order: drop the settled top.
+            while heap and heap[0][2].answered:
+                heapq.heappop(heap)
+            heapq.heappush(heap, (deadline, next(self._order), exchange))
+            if deadline < self._wake_at:
+                self._cond.notify()
+
+    def settle(self, exchange: _Exchange) -> bool:
+        """Claim the response for the handler (``False``: already a 504)."""
+        with self._cond:
+            claimed = not exchange.answered
+            exchange.answered = True
+        return claimed
+
+    def close(self) -> None:
+        with self._cond:
+            self._closed = True
+            self._cond.notify()
+        self._thread.join()
+
+    def _run(self) -> None:
+        while True:
+            with self._cond:
+                overdue = self._wait_for_overdue()
+            if overdue is None:
+                return
+            for exchange in overdue:
+                self._on_overdue(exchange)
+
+    def _wait_for_overdue(self) -> list[_Exchange] | None:
+        """Sleep until some deadline passes; claim its exchanges (lock held)."""
+        heap = self._heap
+        while not self._closed:
+            now = monotonic()
+            overdue = []
+            while heap and (heap[0][2].answered or heap[0][0] <= now):
+                exchange = heapq.heappop(heap)[2]
+                if not exchange.answered:
+                    exchange.answered = True
+                    overdue.append(exchange)
+            if overdue:
+                return overdue
+            self._wake_at = heap[0][0] if heap else math.inf
+            self._cond.wait(self._wake_at - now if heap else None)
+            self._wake_at = -math.inf
+        return None
+
+
+def _read_request(rfile: BinaryIO) -> tuple[str, str, dict[str, str], bytes] | None:
+    """The next request on a connection (``None`` when it closed, sent a head
+    over ``_MAX_HEAD`` bytes or no parseable request line); raises
+    :class:`ProtocolError` for a bad ``Content-Length``."""
+    lines: list[str] = []
+    budget = _MAX_HEAD
+    while True:
+        line = rfile.readline(budget)
+        budget -= len(line)
+        if not line.endswith(b"\n"):
+            return None
+        if line == b"\r\n":
+            break
+        lines.append(line.decode("latin-1").rstrip("\r\n"))
+    try:
+        method, path, _version = lines[0].split(" ", 2)
+    except (IndexError, ValueError):
+        return None
+    headers: dict[str, str] = {}
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    declared = headers.get("content-length", "0") or "0"
+    if not fullmatch(r"[0-9]+", declared):
+        raise ProtocolError(f"Content-Length {declared!r} is not a non-negative integer")
+    length = int(declared)
+    if length > _MAX_BODY:
+        raise ProtocolError(f"request body of {length} bytes is over {_MAX_BODY} bytes", 413)
+    body = rfile.read(length) if length else b""
+    if len(body) < length:
+        return None
+    return method.upper(), path.split("?", 1)[0], headers, body
+
+
+class _Connection(socketserver.StreamRequestHandler):
+    """A connection's handler thread: :meth:`SolveServer._serve_connection`."""
+
+    disable_nagle_algorithm = True
+
+    def handle(self) -> None:
+        self.server.app._serve_connection(self.connection, self.rfile)  # type: ignore[attr-defined]
+
+
+class _Front(socketserver.ThreadingTCPServer):
+    """The listening socket and its accept loop; one thread per connection,
+    which ends when its connection closes."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+    block_on_close = False
+
+    def __init__(self, app: "SolveServer") -> None:
+        self.app = app
+        super().__init__((app.config.host, app.config.port), _Connection)
+
+
 class SolveServer:
-    """One service instance: session pool + result cache + HTTP front."""
+    """One service instance: session pool + result cache + HTTP front.
+
+    :meth:`start` binds, :meth:`serve_forever` runs the accept loop on the
+    calling thread until :meth:`shutdown` (from another thread), and
+    :meth:`close` releases the socket, the deadline thread and the pool.
+    """
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
@@ -155,141 +325,93 @@ class SolveServer:
         #: The window ``/v1/metrics`` takes its latency percentiles from.
         self._latencies: deque[float] = deque(maxlen=2048)
         self._started = monotonic()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.concurrency, thread_name_prefix="repro-serve"
-        )
+        #: At most ``concurrency`` solves run at once.
+        self._slots = threading.Semaphore(self.config.concurrency)
         self._in_flight = 0
         #: Guards the in-flight count and the latency window.
         self._admission_lock = threading.Lock()
-        self._server: asyncio.AbstractServer | None = None
+        self._front: _Front | None = None
+        self._deadlines: _Deadlines | None = None
         #: Actual bound port (differs from config when ``port=0``).
         self.port: int = self.config.port
 
     # ------------------------------------------------------------------ #
     # Lifecycle                                                           #
     # ------------------------------------------------------------------ #
-    async def start(self) -> None:
-        """Bind the listening socket (idempotent)."""
-        if self._server is not None:
+    def start(self) -> None:
+        """Bind the listening socket and start the deadline thread (idempotent)."""
+        if self._front is not None:
             return
-        self._server = await asyncio.start_server(
-            self._handle_client, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._front = _Front(self)
+        self.port = self._front.server_address[1]
+        self._deadlines = _Deadlines(self._answer_overdue)
 
-    async def serve_forever(self) -> None:
-        """Start (if needed) and serve until cancelled."""
-        await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+    def serve_forever(self) -> None:
+        """Start (if needed) and accept connections until :meth:`shutdown`."""
+        self.start()
+        assert self._front is not None
+        self._front.serve_forever()
 
-    async def aclose(self) -> None:
-        """Stop accepting, then release the pool and worker threads."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        self._executor.shutdown(wait=False, cancel_futures=True)
+    def shutdown(self) -> None:
+        """Stop a :meth:`serve_forever` running on another thread and wait
+        for its loop to exit."""
+        if self._front is not None:
+            self._front.shutdown()
+
+    def close(self) -> None:
+        """Stop accepting, then release the deadline thread and the pool."""
+        if self._front is not None:
+            self._front.server_close()
+            self._front = None
+        if self._deadlines is not None:
+            self._deadlines.close()
+            self._deadlines = None
         self.pool.close()
 
     # ------------------------------------------------------------------ #
     # HTTP plumbing                                                       #
     # ------------------------------------------------------------------ #
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _serve_connection(self, sock: socket.socket, rfile: BinaryIO) -> None:
+        """Answer the requests of one connection, in order, on this thread."""
         try:
             while True:
                 try:
-                    request = await self._read_request(reader)
+                    request = _read_request(rfile)
                 except ProtocolError as exc:
                     # The body cannot be framed: answer, then close.
                     self._count(f"http_rejected_{exc.status}")
                     payload = error_payload(str(exc), exc.status)
-                    await self._respond(writer, exc.status, payload, keep_alive=False)
-                    break
+                    self._respond(sock, exc.status, payload, keep_alive=False)
+                    return
                 if request is None:
-                    break
+                    return
                 method, path, headers, body = request
                 keep_alive = headers.get("connection", "keep-alive") != "close"
                 request_id = headers.get("x-repro-request-id", "")
                 if not fullmatch(_REQUEST_ID, request_id):
                     request_id = uuid.uuid4().hex[:16]
-                info: dict[str, Any] = {}
-                started = monotonic()
+                exchange = _Exchange(sock, request_id, method, path)
                 with trace_span(
                     "serve.request", request_id=request_id, method=method, path=path
                 ):
-                    status, payload = await self._dispatch(method, path, body, info)
-                _access_log.info(
-                    "request",
-                    request_id=request_id,
-                    method=method,
-                    path=path,
-                    status=status,
-                    latency_ms=round((monotonic() - started) * 1000.0, 3),
-                    **info,
-                )
-                await self._respond(
-                    writer,
-                    status,
-                    payload,
-                    keep_alive,
-                    extra_headers=(f"X-Repro-Request-Id: {request_id}",),
-                )
+                    reply = self._dispatch(method, path, body, exchange)
+                if reply is None:
+                    return  # answered 504 on the deadline thread, connection closing
+                status, payload = reply
+                self._log_access(exchange, status)
+                self._respond(sock, status, payload, keep_alive, request_id)
                 if not keep_alive:
-                    break
-        except asyncio.CancelledError:
-            pass  # server shutdown: drop the connection quietly
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionResetError, BrokenPipeError):
-                pass
+                    return
+        except OSError:
+            pass  # the peer went away
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes] | None:
-        """The next request on the connection (``None`` when it closed or
-        sent no parseable request line); raises :class:`ProtocolError` for
-        a bad ``Content-Length``."""
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError:
-            return None
-        except asyncio.LimitOverrunError:
-            return None
-        lines = head.decode("latin-1").split("\r\n")
-        try:
-            method, path, _version = lines[0].split(" ", 2)
-        except ValueError:
-            return None
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            if not line:
-                continue
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        declared = headers.get("content-length", "0") or "0"
-        if not fullmatch(r"[0-9]+", declared):
-            raise ProtocolError(f"Content-Length {declared!r} is not a non-negative integer")
-        length = int(declared)
-        if length > _MAX_BODY:
-            raise ProtocolError(f"request body of {length} bytes is over {_MAX_BODY} bytes", 413)
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), path.split("?", 1)[0], headers, body
-
-    async def _respond(
+    def _respond(
         self,
-        writer: asyncio.StreamWriter,
+        sock: socket.socket,
         status: int,
         payload: dict[str, Any] | str,
         keep_alive: bool,
-        extra_headers: tuple[str, ...] = (),
+        request_id: str | None = None,
     ) -> None:
         if isinstance(payload, str):
             body = payload.encode("utf-8")
@@ -302,23 +424,28 @@ class SolveServer:
             f"Content-Type: {content_type}",
             f"Content-Length: {len(body)}",
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
-            *extra_headers,
         ]
+        if request_id is not None:
+            headers.append(f"X-Repro-Request-Id: {request_id}")
         if status == 429:
             headers.append(f"Retry-After: {self.config.retry_after_seconds:g}")
-        writer.write(("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + body)
-        await writer.drain()
+        sock.sendall(("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + body)
+
+    def _log_access(self, exchange: _Exchange, status: int) -> None:
+        _access_log.info(
+            "request",
+            request_id=exchange.request_id,
+            method=exchange.method,
+            path=exchange.path,
+            status=status,
+            latency_ms=round((monotonic() - exchange.started) * 1000.0, 3),
+            **exchange.info,
+        )
 
     # ------------------------------------------------------------------ #
     # Routing                                                             #
     # ------------------------------------------------------------------ #
-    async def _dispatch(
-        self, method: str, path: str, body: bytes, info: dict[str, Any] | None = None
-    ) -> tuple[int, dict[str, Any] | str]:
-        # ``info`` is filled for the access log: the request's disposition
-        # (cached / solved / rejected-429 / ...) and its workload pattern.
-        if info is None:
-            info = {}
+    def _dispatch(self, method: str, path: str, body: bytes, exchange: _Exchange) -> Reply:
         self._count("requests")
         if path == "/v1/health":
             if method != "GET":
@@ -335,9 +462,9 @@ class SolveServer:
         if path == "/v1/solve":
             if method != "POST":
                 return 405, error_payload(f"{method} not allowed on {path}", 405)
-            return await self._solve(body, info)
+            return self._solve(body, exchange)
         self._count("errors_404")
-        info["disposition"] = "not-found"
+        exchange.info["disposition"] = "not-found"
         return 404, error_payload(f"unknown path {path!r}", 404)
 
     def _health(self) -> dict[str, Any]:
@@ -392,15 +519,28 @@ class SolveServer:
             self._in_flight += 1
             return True
 
-    def _release(self, _future: Any = None) -> None:
+    def _release(self) -> None:
         with self._admission_lock:
             self._in_flight -= 1
 
-    async def _solve(
-        self, body: bytes, info: dict[str, Any] | None = None
-    ) -> tuple[int, dict[str, Any]]:
-        if info is None:
-            info = {}
+    def _answer_overdue(self, exchange: _Exchange) -> None:
+        """The deadline thread's ``504``; the solve runs on, abandoned."""
+        self._count("solve_timeouts_504")
+        exchange.info["disposition"] = "timeout-504"
+        payload = error_payload(
+            f"solve did not finish within {exchange.timeout:g}s; the session "
+            "stays serviceable and the request was abandoned",
+            504,
+        )
+        self._log_access(exchange, 504)
+        try:
+            self._respond(exchange.sock, 504, payload, False, exchange.request_id)
+            exchange.sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+
+    def _solve(self, body: bytes, exchange: _Exchange) -> Reply:
+        info = exchange.info
         started = monotonic()
         self._count("solve_requests")
         try:
@@ -434,39 +574,29 @@ class SolveServer:
                 429,
             )
 
-        session = self.pool.session_for(request.workload)
-        loop = asyncio.get_running_loop()
-        # Carry the active trace context (if any) into the worker thread so
-        # the solve's spans nest under this request's "serve.request" span.
-        solve = session.solve_request
-        state = capture_context()
-        if state is not None:
-            solve = partial(run_with_context, state, session.solve_request)
-        future = loop.run_in_executor(
-            self._executor, solve, request.workload, spec, request.rhs
+        deadlines = self._deadlines
+        assert deadlines is not None, "the server is not started"
+        exchange.timeout = (
+            request.timeout if request.timeout is not None else self.config.timeout_seconds
         )
-        # Admission is released when the *thread* finishes, not when the
-        # request is answered: a timed-out solve still occupies a worker.
-        future.add_done_callback(self._release)
-        timeout = request.timeout if request.timeout is not None else self.config.timeout_seconds
+        deadlines.add(exchange, started + exchange.timeout)
+        solution = error = None
+        # Admission is released when the solve ends, not when the request is
+        # answered: a timed-out solve still holds its slot and its session.
         try:
-            solution = await asyncio.wait_for(asyncio.shield(future), timeout)
-        except asyncio.TimeoutError:
-            self._count("solve_timeouts_504")
-            info["disposition"] = "timeout-504"
-            # The worker thread keeps running under the session's workload
-            # locks; retrieve its eventual outcome so nothing warns on GC.
-            future.add_done_callback(lambda f: f.cancelled() or f.exception())
-            return 504, error_payload(
-                f"solve did not finish within {timeout:g}s; the session "
-                "stays serviceable and the request was abandoned",
-                504,
-            )
+            with self._slots, self.pool.hold(request.workload) as session:
+                solution = session.solve_request(request.workload, spec, request.rhs)
         except Exception as exc:  # noqa: BLE001 - mapped to wire statuses
-            status = 400 if isinstance(exc, (ValueError, TypeError, KeyError)) else 500
+            error = exc
+        finally:
+            self._release()
+        if not deadlines.settle(exchange):
+            return None
+        if error is not None:
+            status = 400 if isinstance(error, (ValueError, TypeError, KeyError)) else 500
             self._count(f"solve_errors_{status}")
             info["disposition"] = f"error-{status}"
-            return status, error_payload(f"solve failed: {exc}", status)
+            return status, error_payload(f"solve failed: {error}", status)
 
         elapsed = monotonic() - started
         info["disposition"] = "solved"
@@ -489,7 +619,8 @@ class SolveServer:
 
 
 class ServerThread:
-    """Run a :class:`SolveServer` on a background thread (tests, benches).
+    """Run a :class:`SolveServer`'s accept loop on a background thread
+    (tests, benches).
 
     .. code-block:: python
 
@@ -500,9 +631,7 @@ class ServerThread:
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.server = SolveServer(config or ServeConfig(port=0))
-        self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
-        self._started = threading.Event()
 
     @property
     def port(self) -> int:
@@ -513,53 +642,21 @@ class ServerThread:
         return f"http://{self.server.config.host}:{self.port}"
 
     def start(self) -> "ServerThread":
-        if self._thread is not None:
-            return self
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            self._loop = loop
-            asyncio.set_event_loop(loop)
-
-            async def _serve() -> None:
-                await self.server.start()
-                self._started.set()
-                assert self.server._server is not None
-                await self.server._server.serve_forever()
-
-            try:
-                loop.run_until_complete(_serve())
-            except asyncio.CancelledError:
-                pass
-            finally:
-                pending = asyncio.all_tasks(loop)
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
-                loop.run_until_complete(self.server.aclose())
-                loop.close()
-
-        self._thread = threading.Thread(target=_run, name="repro-serve-loop", daemon=True)
-        self._thread.start()
-        if not self._started.wait(timeout=30):
-            raise RuntimeError("serve loop failed to start within 30s")
+        if self._thread is None:
+            self.server.start()
+            self._thread = threading.Thread(
+                target=self.server.serve_forever, name="repro-serve-accept", daemon=True
+            )
+            self._thread.start()
         return self
 
     def stop(self) -> None:
-        if self._thread is None or self._loop is None:
+        if self._thread is None:
             return
-        loop, thread = self._loop, self._thread
-        self._loop = self._thread = None
-
-        def _cancel_all() -> None:
-            for task in asyncio.all_tasks(loop):
-                task.cancel()
-
-        loop.call_soon_threadsafe(_cancel_all)
+        thread, self._thread = self._thread, None
+        self.server.shutdown()
         thread.join(timeout=30)
+        self.server.close()
 
     def __enter__(self) -> "ServerThread":
         return self.start()

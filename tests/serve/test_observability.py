@@ -215,6 +215,41 @@ def test_an_evicted_session_lowers_no_total():
     assert not lowered
 
 
+def test_a_burst_that_evicts_held_sessions_counts_every_solve():
+    """Eight requests alternating two patterns at ``pool_size=1``: sessions
+    are evicted while requests hold them, and the pool still counts every
+    solve the server completed."""
+    import threading
+
+    width = 8
+    config = ServeConfig(port=0, pool_size=1, cache_size=0, concurrency=4)
+    with ServerThread(config) as server:
+        barrier = threading.Barrier(width)
+        errors = []
+
+        def one(j):
+            try:
+                with ServeClient(port=server.port, timeout=120) as c:
+                    barrier.wait()
+                    if j % 2:
+                        c.solve("elasticity-2d-quick")
+                    else:
+                        c.solve("heat-2d-quick", rhs=1.0 + j / 8.0)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=one, args=(j,)) for j in range(width)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors, errors
+        with ServeClient(port=server.port) as client:
+            doc = client.metrics()
+    assert doc["session_pool"]["evictions"] >= 1
+    assert doc["session_pool"]["solves"] == doc["counters"]["solve_completed"] == width
+
+
 def test_bad_content_length_is_answered_and_counted(server):
     import socket
 

@@ -60,6 +60,23 @@ def test_an_evicted_session_still_answers_the_request_holding_it():
         assert pool.stats()["evictions"] == 2
 
 
+def test_solves_on_a_held_session_count_after_its_eviction():
+    """A session evicted while held keeps counting; its counters join the
+    pool's totals at the last release, and no total falls on the way."""
+    with SessionPool(max_sessions=1) as pool:
+        with pool.hold(HEAT) as held:
+            held.solve_request(HEAT, None, 1.0)
+            pool.session_for(ELASTICITY)  # evicts heat while held
+            assert pool.stats()["solves"] == 1
+            held.solve_request(HEAT, None, 2.0)
+            assert pool.stats()["solves"] == 2
+        assert pool.stats()["solves"] == 2
+        assert pool.stats()["evictions"] == 1
+        with pool.hold(HEAT) as fresh:  # a new session for the pattern
+            assert fresh is not held
+        assert pool.stats()["solves"] == 2
+
+
 def test_pool_sessions_solve_on_one_worker():
     """A pooled session's solver runs its preprocessing inline: concurrency
     belongs to the HTTP tier, not to a pool inside each solve."""

@@ -6,6 +6,8 @@ path, not handler calls.  Workloads are the quick presets, so each solve is
 a few tens of milliseconds.
 """
 
+import json
+import socket
 import threading
 import time
 from importlib import import_module
@@ -13,12 +15,16 @@ from importlib import import_module
 import pytest
 
 import repro.serve.server as server_module
-from repro.api import Workload
+from repro.api import Session, Workload
+from repro.feti.problem import FetiProblem
+from repro.observe.trace import Tracer
 from repro.serve import ServeClient, ServeConfig, ServeError, ServerThread
 from repro.serve.server import SolveServer
 
-#: The module (``repro.feti.pcpg`` the attribute is the function).
+#: The modules (``repro.feti.pcpg`` and ``repro.observe.trace`` the
+#: attributes are the functions).
 pcpg_module = import_module("repro.feti.pcpg")
+trace_module = import_module("repro.observe.trace")
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -271,7 +277,7 @@ def test_saturation_yields_429_with_retry_after(monkeypatch):
 
 def test_timeout_yields_504_and_session_stays_serviceable(client):
     # A cold 16-subdomain solve takes tens of milliseconds: it cannot finish
-    # inside the event loop's first GIL slice and beat the 1 µs timer.
+    # before the deadline thread, woken for the 1 µs deadline, gets the GIL.
     workload = Workload("heat", 2, (4, 4), 10).to_dict()
     with pytest.raises(ServeError, match="did not finish") as exc_info:
         client.solve(workload, rhs=2.0, timeout=1e-6)
@@ -298,16 +304,108 @@ def test_config_validation():
 def test_server_binds_an_ephemeral_port():
     server = SolveServer(ServeConfig(port=0))
     assert server.port == 0  # not bound yet
+    server.start()
+    try:
+        assert server.port > 0
+    finally:
+        server.close()
 
-    import asyncio
 
-    async def check():
-        await server.start()
-        bound = server.port
-        await server.aclose()
-        return bound
+def _raw_solve(port: int, envelope: dict) -> tuple[bytes, float]:
+    """POST one solve on a fresh socket; the bytes until the server closed
+    it, and the seconds that took."""
+    body = json.dumps(envelope).encode("utf-8")
+    head = f"POST /v1/solve HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n\r\n"
+    started = time.monotonic()
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(head.encode("latin-1") + body)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks), time.monotonic() - started
 
-    assert asyncio.run(check()) > 0
+
+def test_an_overdue_solve_is_answered_504_and_holds_admission_until_it_ends(monkeypatch):
+    """The deadline thread answers while the solve still runs, closes the
+    connection, and the abandoned solve keeps its slot until it ends."""
+    _slow_solve(monkeypatch, 0.8)
+    config = ServeConfig(port=0, concurrency=1, queue_limit=1, timeout_seconds=0.1)
+    with ServerThread(config) as server:
+        started = time.monotonic()
+        raw, seconds = _raw_solve(
+            server.port, {"schema_version": 1, "workload": "heat-2d-quick", "rhs": 1.0}
+        )
+        assert raw.startswith(b"HTTP/1.1 504 ")
+        assert b"Connection: close" in raw
+        assert b"did not finish within 0.1s" in raw
+        assert seconds < 0.5  # answered, and closed, long before the solve ends
+
+        with ServeClient(port=server.port) as client:
+            with pytest.raises(ServeError, match="queue is full") as exc_info:
+                client.solve("heat-2d-quick", rhs=2.0)
+            assert exc_info.value.status == 429
+            while client.health()["in_flight"]:
+                time.sleep(0.02)
+            assert time.monotonic() - started > 0.75
+            reply = client.solve("heat-2d-quick", rhs=3.0, timeout=30.0)
+            assert reply["result"]["converged"] is True
+            counters = client.metrics()["counters"]
+    assert counters["solve_timeouts_504"] == 1
+    assert counters["solve_rejected_429"] == 1
+    assert counters["solve_completed"] == 1
+
+
+def test_a_connection_solves_on_its_own_thread_under_its_request_spans(monkeypatch):
+    """Process-wide tracing (as ``REPRO_TRACE=1`` installs it): two solves
+    on one keep-alive connection run their ``pcpg`` spans on that
+    connection's handler thread, nested under their ``serve.request``."""
+    tracer = Tracer("serve")
+    monkeypatch.setattr(trace_module, "_GLOBAL_STATE", (tracer, None))
+    monkeypatch.setattr(trace_module, "_ACTIVE", trace_module._ACTIVE + 1)
+    with ServerThread(ServeConfig(port=0, cache_size=0)) as server:
+        with ServeClient(port=server.port) as client:
+            for rhs in (1.0, 2.0):
+                client.solve("heat-2d-quick", rhs=rhs)
+    spans = {span.span_id: span for span in tracer.spans}
+    requests = [s for s in tracer.find("serve.request") if s.attrs["path"] == "/v1/solve"]
+    assert len(requests) == 2
+    (handler,) = {s.tid for s in requests}
+    assert handler != threading.get_ident()
+    pcpgs = tracer.find("pcpg")
+    assert len(pcpgs) == 2
+    roots = set()
+    for span in pcpgs:
+        assert span.tid == handler
+        while span.name != "serve.request":
+            span = spans[span.parent_id]
+        roots.add(span.span_id)
+    assert roots == {s.span_id for s in requests}
+
+
+def test_closed_connections_leave_no_threads_behind():
+    with ServerThread(ServeConfig(port=0)) as server:
+        baseline = threading.active_count()
+        for _ in range(20):
+            with ServeClient(port=server.port) as client:
+                assert client.health()["status"] == "ok"
+        deadline = time.monotonic() + 10
+        while threading.active_count() > baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == baseline
+
+
+def test_a_served_request_checks_its_loads_once(monkeypatch):
+    """A scalar factor and a per-subdomain list: one ``check_loads`` each."""
+    heat = Workload.from_preset("heat-2d-quick")
+    with Session() as session:
+        loads = [(2.0 * f).tolist() for f in session.base_loads(heat)]
+    checks = _count_calls(monkeypatch, FetiProblem, "check_loads")
+    with ServerThread(ServeConfig(port=0, cache_size=0)) as server:
+        with ServeClient(port=server.port) as client:
+            by_factor = client.solve("heat-2d-quick", rhs=2.0)
+            by_list = client.solve("heat-2d-quick", rhs=loads)
+    assert checks == [2]
+    assert by_list["result"]["lam"] == by_factor["result"]["lam"]
 
 
 def test_metrics_accumulate_coarse_seconds(client):
