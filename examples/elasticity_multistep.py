@@ -6,8 +6,9 @@ steps.  The schedule is part of the :class:`~repro.api.Workload` itself:
 (and therefore every sparsity pattern) stays fixed, so the symbolic
 factorizations and the persistent GPU structures are prepared once.  A step
 re-runs the numeric factorization and the explicit assembly of the local dual
-operators ``F̃ᵢ`` on the simulated GPU only when its update changed a
-stiffness value — the paper's use case, where ``K`` changes every step.  This
+operators ``F̃ᵢ`` on the simulated GPU only when its update returns new
+stiffness values (a ``StepValues``) — the paper's use case, where ``K``
+changes every step.  This
 ramp changes only the loads, so step 0 preprocesses and every later step
 reuses its factors and ``F̃ᵢ`` and runs just the PCPG solve (the
 ``preprocessed`` column).

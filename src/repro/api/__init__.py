@@ -20,8 +20,8 @@ three objects:
     they replaced live in ``tests/oracles/``.
 :class:`Session`
     A stateful runner that owns the cross-solve state: the structural
-    :class:`~repro.sparse.cache.PatternCache`, the built problems with
-    their pristine load vectors, and the prepared
+    :class:`~repro.sparse.cache.PatternCache`, the built (read-only)
+    problems, and the prepared
     :class:`~repro.feti.solver.FetiSolver` instances, so repeated
     ``session.solve(workload)`` / ``session.run(workload)`` calls amortize
     symbolic analysis, factorizations and persistent GPU structures
@@ -57,6 +57,7 @@ _LAZY_EXPORTS: dict[str, str] = {
     "RequestSolution": "repro.api.session",
     "RunResult": "repro.api.session",
     "Session": "repro.api.session",
+    "StepValues": "repro.feti.solver",
 }
 
 __all__ = sorted(_LAZY_EXPORTS)

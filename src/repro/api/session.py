@@ -6,9 +6,9 @@ caches that previously had no owner above a single ``FetiSolver``:
 * one :class:`~repro.sparse.cache.PatternCache` shared by every solver the
   session builds, so subdomains *and workloads* with equal sparsity
   patterns pay for exactly one symbolic analysis;
-* the built :class:`~repro.feti.problem.FetiProblem` instances together
-  with their pristine load vectors (a request's loads scale them, and a
-  schedule with a custom ``update`` restores them);
+* the built :class:`~repro.feti.problem.FetiProblem` instances, read-only
+  and shared process-wide (a request's loads and a schedule's values are
+  arguments of their solves, never written into a problem);
 * the prepared :class:`~repro.feti.solver.FetiSolver` instances, keyed by
   ``(workload, spec)``, so repeated ``solve`` calls reuse symbolic and
   numeric factorizations, assembled dual operators and persistent GPU
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -40,7 +40,7 @@ from repro.api.spec import SolverSpec
 from repro.api.workload import Workload, build_problem, workload_preset
 from repro.feti.operators.base import DualOperator
 from repro.feti.problem import FetiProblem
-from repro.feti.solver import FetiSolution, FetiSolver, MultiStepDriver, StepRecord
+from repro.feti.solver import FetiSolution, FetiSolver, MultiStepDriver, StepRecord, Update
 from repro.memory.ledger import measure_solver
 from repro.memory.tier import FactorTier, parse_budget
 from repro.observe.metrics import MetricsRegistry
@@ -155,7 +155,6 @@ class Session:
             "repro_pool_stacked_columns", "Right-hand sides of the block solves"
         )
         self._problems: dict[Workload, FetiProblem] = {}
-        self._base_loads: dict[Workload, list[np.ndarray]] = {}
         self._solvers: dict[tuple[Workload, SolverSpec], FetiSolver] = {}
         #: Re-entrant lock guarding every session cache, so concurrent
         #: request threads can share one session without corrupting the
@@ -253,15 +252,11 @@ class Session:
             if problem is None:
                 problem = build_problem(w)
                 self._problems[w] = problem
-                self._base_loads[w] = [sub.f.copy() for sub in problem.subdomains]
             return problem
 
-    def base_loads(self, workload: Workload | str | Mapping[str, Any]) -> list[np.ndarray]:
-        """The pristine load vectors of a workload's problem."""
-        w = self.resolve_workload(workload)
-        self.problem(w)
-        with self._cache_lock:
-            return self._base_loads[w]
+    def base_loads(self, workload: Workload | str | Mapping[str, Any]) -> tuple[np.ndarray, ...]:
+        """The pristine (built, read-only) load vectors of a workload's problem."""
+        return self.problem(workload).base_loads
 
     def solver(
         self,
@@ -371,7 +366,7 @@ class Session:
         solver — symbolic analysis, numeric factorization and the assembled
         dual operator are not recomputed.  The preprocessing is re-run only
         when the operator released its factors: a schedule's last step
-        factored stiffness values other than the restored ones (see
+        factored stiffness values other than the built ones (see
         :meth:`run_steps`), the memory tier released a cold entry, or an
         earlier preprocessing raised.
         """
@@ -487,87 +482,62 @@ class Session:
         w: Workload,
         spec: SolverSpec | str | None,
         n_steps: int | None,
-        update: Callable[[int, FetiProblem], list[np.ndarray] | None] | None,
+        update: Update | None,
     ) -> tuple[list[StepRecord], FetiSolution | None]:
-        """Drive Algorithm 2 and restore the pristine problem afterwards.
+        """Drive Algorithm 2 under the workload lock.
 
-        The built problems are shared process-wide (one instance per
-        workload), so the schedule's mutations must never leak past the
-        run.  The built-in load ramp returns each step's loads and writes
-        nothing; a custom ``update`` may write the load vectors and change
-        stiffness *values* (``K``/``K_reg``, pattern fixed — the
-        MultiStepDriver contract), so after one those are restored.  The
-        schedule's operator releases its factors — its next solve re-runs
-        the numeric preprocessing — exactly when the values its last step
-        factored differ from the restored ones.
+        The built-in load ramp returns each step's loads.  A custom
+        ``update`` may also rebind the subdomains' ``f``, so after one every
+        ``f`` is rebound to the built loads.  The operator releases its
+        factors — its next solve preprocesses again — exactly when its last
+        step factored values other than the built ones.
         """
         s = self.resolve_spec(spec)
         with self.workload_lock(w):
-            return self._run_schedule_locked(w, s, n_steps, update)
+            solver = self.solver(w, s)
+            problem = self.problem(w)
+            n = int(n_steps) if n_steps is not None else w.steps
+            base = problem.base_loads
+            custom = update is not None
+            if not custom:
 
-    def _run_schedule_locked(
-        self,
-        w: Workload,
-        s: SolverSpec,
-        n_steps: int | None,
-        update: Callable[[int, FetiProblem], list[np.ndarray] | None] | None,
-    ) -> tuple[list[StepRecord], FetiSolution | None]:
-        solver = self.solver(w, s)
-        problem = self.problem(w)
-        n = int(n_steps) if n_steps is not None else w.steps
-        base = self._base_loads[w]
-        matrices = None
-        if update is None:
+                def update(step: int, problem: FetiProblem) -> list[np.ndarray]:
+                    scale = 1.0 + w.load_ramp * step
+                    return [scale * f0 for f0 in base]
 
-            def update(step: int, problem: FetiProblem) -> list[np.ndarray]:
-                scale = 1.0 + w.load_ramp * step
-                return [scale * f0 for f0 in base]
-
-        else:
-            matrices = [
-                (sub.K, sub.K.data.copy(), sub.K_reg, sub.K_reg.data.copy())
-                for sub in problem.subdomains
-            ]
-
-        driver = MultiStepDriver(solver, update=update)
-        try:
-            records = driver.run(n)
-        finally:
-            if matrices is not None:
-                for sub, f0, (K, K_data, K_reg, K_reg_data) in zip(
-                    problem.subdomains, base, matrices
-                ):
-                    sub.f = f0.copy()
-                    sub.K, sub.K_reg = K, K_reg
-                    K.data[:] = K_data
-                    K_reg.data[:] = K_reg_data
-            if not driver.factors_current():
-                solver.release()
-        self._steps.inc(n)
-        self._solves.inc(n)
-        self._record_usage((w, s), solver)
-        return list(records), driver.last_solution
+            driver = MultiStepDriver(solver, update=update)
+            try:
+                records = driver.run(n)
+            finally:
+                for sub, f0 in zip(problem.subdomains, base) if custom else ():
+                    sub.f = f0
+                if not driver.factors_current():
+                    solver.release()
+            self._steps.inc(n)
+            self._solves.inc(n)
+            self._record_usage((w, s), solver)
+            return list(records), driver.last_solution
 
     def run_steps(
         self,
         workload: Workload | str | Mapping[str, Any],
         n_steps: int | None = None,
         spec: SolverSpec | str | None = None,
-        update: Callable[[int, FetiProblem], list[np.ndarray] | None] | None = None,
+        update: Update | None = None,
     ) -> list[StepRecord]:
         """Run the multi-step schedule (Algorithm 2) and return its records.
 
         Without an explicit ``update`` the workload's ``load_ramp`` is
         applied: step ``s`` solves with loads ``(1 + load_ramp * s) * f``
         scaled from the pristine base loads, passed to the solve and never
-        written into the shared problem.  A custom ``update`` may return
-        the step's loads the same way, or write the problem's loads and
-        stiffness values (see :class:`~repro.feti.solver.MultiStepDriver`);
-        those are restored to their pristine values afterwards, so repeated
-        runs and later ``solve`` calls are deterministic.  A step
-        preprocesses only when its update changed a stiffness value (the
-        first step always does); each record's ``preprocessed`` says which
-        steps did.
+        written into the shared problem.  A custom ``update`` returns its
+        loads, or a :class:`~repro.feti.solver.StepValues` with its loads and
+        ``K`` / ``K_reg`` values (see
+        :class:`~repro.feti.solver.MultiStepDriver`): the problem is
+        read-only, so a schedule leaks nothing into later solves or other
+        sessions.  A step preprocesses only when its stiffness values differ
+        from the ones its factors hold (the first step always does); each
+        record's ``preprocessed`` says which steps did.
         """
         w = self.resolve_workload(workload)
         records, _ = self._run_schedule(w, spec, n_steps, update)

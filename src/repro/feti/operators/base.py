@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -54,8 +55,7 @@ def analyze_problem(
 ) -> list[PatternGroup]:
     """The pattern groups of ``problem``, with their Schur scatters given ``scatters``.
 
-    Per stored pattern of ``K_reg`` (:meth:`FetiProblem.stiffness_patterns`:
-    one per shape group unless a matrix was assigned), one lookup in
+    Per shape group (one stored pattern of ``K_reg`` each), one lookup in
     ``pattern_cache`` (``None``: the process-global cache) under the RCM
     ordering, counted once per member — one structural hash and one call
     per pattern.  A pattern group is the subdomains sharing one analysis,
@@ -66,11 +66,10 @@ def analyze_problem(
     """
     cache = global_pattern_cache() if pattern_cache is None else pattern_cache
     by_symbolic: dict[int, tuple[SymbolicFactor, list[int]]] = {}
-    for pattern, members in problem.stiffness_patterns("K_reg"):
-        symbolic = cache.symbolic_for(pattern, OrderingMethod.RCM, lookups=len(members))
-        by_symbolic.setdefault(id(symbolic), (symbolic, []))[1].extend(
-            sub.index for sub in members
-        )
+    for shape in problem.groups:
+        members = shape.indices.tolist()
+        symbolic = cache.symbolic_for(shape.K_reg.member(0), OrderingMethod.RCM, lookups=len(members))
+        by_symbolic.setdefault(id(symbolic), (symbolic, []))[1].extend(members)
     offsets = np.cumsum([0] + [sub.ndofs for sub in problem.subdomains])
     groups: list[PatternGroup] = []
     for symbolic, indices in sorted(
@@ -222,14 +221,16 @@ class DualOperator:
         self._prepared = True
         return self._record("preparation", sim, breakdown, wall0)
 
-    def preprocess(self) -> PhaseTiming:
+    def preprocess(self, K_reg: Sequence[np.ndarray] | None = None) -> PhaseTiming:
         """Run the FETI preprocessing phase (once per time step that changed ``K``).
 
         The single entry point of the runtime layer: every pattern group is
         factored as one stack (cut into :attr:`workers` spans on a thread pool)
         — then, on the explicit path, the ``F̃ᵢ`` of each interface class
         are assembled as one stack (see :mod:`repro.runtime.preprocess`),
-        which the batch engine installs.
+        which the batch engine installs.  It factors the values ``K_reg``
+        (:meth:`~repro.feti.problem.FetiProblem.stiffness`; ``None``: the
+        built ones).
         """
         from repro.runtime.preprocess import run_preprocessing
 
@@ -243,7 +244,7 @@ class DualOperator:
             local_F = run_preprocessing(
                 self.workers,
                 self._groups,
-                self.problem.subdomains,
+                self.problem.csr_arrays("K_reg", K_reg),
                 self.precision.storage_dtype,
             )
             for sub in self.problem.subdomains if self.explicit else ():

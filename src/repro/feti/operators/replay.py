@@ -150,11 +150,10 @@ class ShapeTable:
         for g, group in enumerate(groups):
             symbolic = group.symbolic
             group_of[group.members] = g
-            first = subdomains[group.members[0]]
             patterns.append(
                 (
                     int(symbolic.n),
-                    int(first.csr_arrays("K_reg")[2][-1]),
+                    int(symbolic.a_indptr[-1]),
                     symbolic.nnz,
                     symbolic.factorization_flops(),
                 )

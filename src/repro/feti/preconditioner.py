@@ -71,6 +71,7 @@ with the Schur assembly's workspace.  The per-subdomain loop and the
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
@@ -115,7 +116,7 @@ class IdentityPreconditioner:
     def __init__(self, problem: FetiProblem) -> None:
         self.problem = problem
 
-    def refresh(self) -> None:
+    def refresh(self, K: Sequence[np.ndarray] | None = None) -> None:
         """Nothing depends on the stiffness values."""
 
     def release(self) -> None:
@@ -185,8 +186,8 @@ class _AssembledPreconditioner:
     def __init__(self, problem: FetiProblem) -> None:
         self.problem = problem
 
-    def refresh(self) -> None:
-        """Reassemble ``M`` from the current stiffness values."""
+    def refresh(self, K: Sequence[np.ndarray] | None = None) -> None:
+        """Reassemble ``M`` at the stiffness values ``K`` (``None``: built)."""
         raise NotImplementedError
 
     def release(self) -> None:
@@ -213,17 +214,17 @@ class _AssembledPreconditioner:
 class LumpedPreconditioner(_AssembledPreconditioner):
     """The lumped preconditioner ``M = Σᵢ B̃_D,ᵢ Kᵢ B̃_D,ᵢᵀ``."""
 
-    def __init__(self, problem: FetiProblem) -> None:
+    def __init__(self, problem: FetiProblem, K: Sequence[np.ndarray] | None = None) -> None:
         super().__init__(problem)
         with trace_span("scaled_gluing"):
             #: ``B_Dᵀ``, one row per DOF of every subdomain, and ``B_D``.
             self._B_Dt = _scaled_gluing(problem)[1]
             self._B_D = self._B_Dt.T.tocsr()
-        self.refresh()
+        self.refresh(K)
 
-    def refresh(self) -> None:
-        # One CSR block diagonal from the stiffness stacks' arrays.
-        self._bind(self._B_D @ self.problem.block_diagonal("K") @ self._B_Dt)
+    def refresh(self, K: Sequence[np.ndarray] | None = None) -> None:
+        # One CSR block diagonal from the stiffness values' arrays.
+        self._bind(self._B_D @ self.problem.block_diagonal("K", K) @ self._B_Dt)
 
 
 class DirichletPreconditioner(_AssembledPreconditioner):
@@ -314,9 +315,9 @@ class DirichletPreconditioner(_AssembledPreconditioner):
         )
 
     # ------------------------------------------------------------------ #
-    def refresh(self) -> None:
+    def refresh(self, K: Sequence[np.ndarray] | None = None) -> None:
         """Rebuild every ``Sᵢ`` from the operator's current ``F̃ᵢ`` and
-        reassemble ``M``.
+        reassemble ``M`` (``K`` is unused: the ``F̃ᵢ`` hold the values).
 
         ``X = (K_reg⁻¹)_bb`` and ``D = diag(s)``: ``D X D = F̃ᵢ[r, r]`` is a
         gather of the stored block.  ``D`` is folded into the rows of ``B_D``

@@ -14,14 +14,19 @@ The values are held per **shape group** (:class:`ShapeGroup`): one
 :class:`~repro.fem.assembly.CsrStack` for ``K`` and one for ``K_reg``, and
 the gluing as one sorted entry list
 (:class:`~repro.decomposition.gluing.GluingEntries`).  A subdomain's
-``K`` / ``K_reg`` / ``B`` are SciPy matrices built on first read — tests,
+``K`` / ``K_reg`` / ``B`` are SciPy matrices built on read — tests,
 oracles and user code read them; the solve path reads the stacks
-(:meth:`SubdomainProblem.csr_arrays`, :meth:`FetiProblem.stiffness_patterns`)
-and the entries instead.
+(:meth:`FetiProblem.csr_arrays`) and the entries instead.
+
+A built problem is shared process-wide and read-only: every stiffness
+stack, load and kernel array has ``flags.writeable = False``, so an in-place
+write raises where it happens.  Other stiffness values or loads reach a
+solve as arguments (:meth:`FetiProblem.stiffness`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,11 +40,9 @@ from repro.fem.assembly import CsrStack, ElementStack, ScatterMap
 from repro.fem.mesh import Mesh
 from repro.feti.problem_helpers import dofs_per_node_of as _dofs_per_node
 from repro.observe.trace import trace_span
+from repro.sparse.numeric import CsrArrays
 
 __all__ = ["ShapeGroup", "SubdomainProblem", "FetiProblem"]
-
-#: The stiffness matrices a subdomain holds.
-_STIFFNESS = ("K", "K_reg")
 
 
 @dataclass
@@ -58,10 +61,8 @@ class SubdomainProblem:
     """All per-subdomain data of the torn system.
 
     ``K`` and ``K_reg`` are CSR views of this subdomain's row of its
-    :class:`ShapeGroup`'s stacks, built on first read: a write through
-    ``.data`` lands in the stack.  Assigning another matrix (``sub.K_reg =
-    other``) is legal; the subdomain then holds that matrix, no longer a
-    view.  ``B`` is the gluing's ``B̃ᵢ``, built on first read as well.
+    :class:`ShapeGroup`'s stacks, built on every read (read-only, as the
+    stacks are); ``B`` is the gluing's ``B̃ᵢ``, built on first read.
     """
 
     def __init__(
@@ -87,50 +88,16 @@ class SubdomainProblem:
         self._gluing = gluing
         self._group = group
         self._row = row
-        #: ``K`` / ``K_reg`` once read or assigned (absent: the stack row).
-        self._matrices: dict[str, sp.spmatrix] = {}
-
-    def _stiffness(self, name: str) -> sp.spmatrix:
-        matrix = self._matrices.get(name)
-        if matrix is None:
-            matrix = self._matrices[name] = getattr(self._group, name).member(self._row)
-        return matrix
 
     @property
     def K(self) -> sp.csr_matrix:
         """The singular stiffness ``Kᵢ``."""
-        return self._stiffness("K")
-
-    @K.setter
-    def K(self, matrix: sp.spmatrix) -> None:
-        self._matrices["K"] = matrix
+        return self._group.K.member(self._row)
 
     @property
     def K_reg(self) -> sp.csr_matrix:
         """The regularized stiffness ``K_reg,ᵢ`` (SPD, ``K_reg⁻¹`` a generalized inverse of ``K``)."""
-        return self._stiffness("K_reg")
-
-    @K_reg.setter
-    def K_reg(self, matrix: sp.spmatrix) -> None:
-        self._matrices["K_reg"] = matrix
-
-    def csr_arrays(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(data, indices, indptr)`` of ``K`` or ``K_reg``, building no matrix.
-
-        The arrays of the matrix the subdomain holds when it was read or
-        assigned (converted to canonical CSR where it is not), else its
-        row of the stack and the stack's shared pattern.
-        """
-        if name not in _STIFFNESS:
-            raise ValueError(f"no stiffness matrix {name!r}; expected one of {_STIFFNESS}")
-        matrix = self._matrices.get(name)
-        if matrix is None:
-            stack = getattr(self._group, name)
-            return stack.values[self._row], stack.indices, stack.indptr
-        if matrix.format != "csr" or not matrix.has_canonical_format:
-            matrix = sp.csr_matrix(matrix, copy=True)
-            matrix.sum_duplicates()
-        return matrix.data, matrix.indices, matrix.indptr
+        return self._group.K_reg.member(self._row)
 
     @property
     def B(self) -> sp.csr_matrix:
@@ -145,8 +112,7 @@ class SubdomainProblem:
     @property
     def ndofs(self) -> int:
         """Primal DOFs of the subdomain."""
-        matrix = self._matrices.get("K")
-        return int(matrix.shape[0]) if matrix is not None else self._group.K.n
+        return self._group.K.n
 
     @property
     def n_lambda(self) -> int:
@@ -168,8 +134,9 @@ def _build_shape(
     """Assemble every subdomain of one shape as one stack.
 
     One element geometry and one scatter map for the shape; ``K``, ``K_reg``
-    and ``f`` of all members come out as ``(k, ·)`` stacks.  The stiffness
-    stacks stay the :class:`ShapeGroup`'s; each member views its row.  Three
+    and ``f`` of all members come out as ``(k, ·)`` stacks, read-only from
+    then on.  The stiffness stacks stay the :class:`ShapeGroup`'s; each
+    member views its row of them and of the loads and kernels.  Three
     trace spans name the parts: ``element_kernels`` (geometry, stiffness
     and load), ``scatter`` (the map, the sums and the prune) and
     ``regularize`` (kernel bases, fixing DOFs and ``K_reg``).
@@ -193,6 +160,11 @@ def _build_shape(
         fixing_dofs = fixing_dofs_for(meshes[0], kernels, dofs_per_node)
         K_reg, _rho = regularize_stack(K, kernels, fixing_dofs)
     shape = ShapeGroup(np.array([sub.index for sub in group], dtype=np.int64), K, K_reg)
+    for array in (
+        shape.indices, K.values, K.indices, K.indptr, K_reg.values, K_reg.indices,
+        K_reg.indptr, f, kernels, fixing_dofs,
+    ):
+        array.flags.writeable = False
     return shape, [
         SubdomainProblem(
             index=sub.index,
@@ -224,6 +196,8 @@ class FetiProblem:
     dofs_per_node: int
     #: The shape groups: every subdomain is a row of exactly one.
     groups: list[ShapeGroup]
+    #: The built load vectors, one per subdomain: each ``f`` until rebound.
+    base_loads: tuple[np.ndarray, ...]
 
     # ------------------------------------------------------------------ #
     # Construction                                                        #
@@ -279,6 +253,7 @@ class FetiProblem:
             subdomains=subdomains,
             dofs_per_node=dofs_per_node,
             groups=shapes,
+            base_loads=tuple(sub.f for sub in subdomains),
         )
 
     # ------------------------------------------------------------------ #
@@ -314,35 +289,51 @@ class FetiProblem:
         """Total number of kernel modes (columns of ``G``)."""
         return int(self.kernel_offsets[-1])
 
-    def stiffness_patterns(self, name: str = "K_reg") -> list[tuple[sp.csr_matrix, list[SubdomainProblem]]]:
-        """The subdomains grouped by the stored pattern of ``K`` or ``K_reg``.
+    def stiffness(
+        self, name: str, values: Sequence[np.ndarray] | None = None
+    ) -> list[np.ndarray]:
+        """The values of ``K`` or ``K_reg``: one ``(members, nnz)`` array per
+        shape group, in :attr:`groups` order.
 
-        One group per distinct ``(indices, indptr)`` pair — the members of a
-        shape group's stack share theirs — with one CSR of that pattern (the
-        values of its first member), the members in index order.  A matrix
-        assigned to a subdomain forms its own group.  No member's matrix is
-        built.
+        ``values`` in that layout are returned as float arrays, checked
+        against the stacks' shapes; ``None`` gives the built values (the
+        stacks' own arrays).
         """
-        groups: dict[tuple[int, int], tuple[sp.csr_matrix, list[SubdomainProblem]]] = {}
-        for sub in self.subdomains:
-            data, indices, indptr = sub.csr_arrays(name)
-            key = (id(indices), id(indptr))
-            group = groups.get(key)
-            if group is None:
-                n = indptr.shape[0] - 1
-                pattern = sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
-                group = groups[key] = (pattern, [])
-            group[1].append(sub)
-        return list(groups.values())
+        stacks = [getattr(group, name).values for group in self.groups]
+        if values is None:
+            return stacks
+        values = [np.asarray(v, dtype=float) for v in values]
+        if [v.shape for v in values] != [v.shape for v in stacks]:
+            raise ValueError(
+                f"{name} values need one array per shape group, of shapes "
+                f"{[v.shape for v in stacks]}; got {[v.shape for v in values]}"
+            )
+        return values
 
-    def block_diagonal(self, name: str = "K") -> sp.csr_matrix:
-        """``blockdiag(Kᵢ)`` (or of ``K_reg,ᵢ``) in index order, one CSR.
+    def csr_arrays(
+        self, name: str, values: Sequence[np.ndarray] | None = None
+    ) -> list[CsrArrays]:
+        """``(data, indices, indptr)`` of every subdomain's ``K`` or
+        ``K_reg`` in index order, building no matrix: its row of ``values``
+        (as in :meth:`stiffness`) on its shape group's pattern."""
+        arrays: list[CsrArrays] = [None] * self.n_subdomains
+        for group, stack in zip(self.groups, self.stiffness(name, values)):
+            pattern = getattr(group, name)
+            for row, i in enumerate(group.indices.tolist()):
+                arrays[i] = (stack[row], pattern.indices, pattern.indptr)
+        return arrays
 
-        Concatenated from every subdomain's CSR arrays
-        (:meth:`SubdomainProblem.csr_arrays`) in one pass: the same matrix
-        ``sp.block_diag`` gives, without a SciPy matrix per block.
+    def block_diagonal(
+        self, name: str = "K", values: Sequence[np.ndarray] | None = None
+    ) -> sp.csr_matrix:
+        """``blockdiag(Kᵢ)`` (or of ``K_reg,ᵢ``) in index order, one CSR, at
+        ``values`` (as in :meth:`stiffness`).
+
+        Concatenated from every subdomain's CSR arrays (:meth:`csr_arrays`)
+        in one pass: the same matrix ``sp.block_diag`` gives, without a
+        SciPy matrix per block.
         """
-        arrays = [sub.csr_arrays(name) for sub in self.subdomains]
+        arrays = self.csr_arrays(name, values)
         sizes = np.array([indptr.shape[0] - 1 for _, _, indptr in arrays], dtype=np.int64)
         nnz = np.array([indptr[-1] for _, _, indptr in arrays], dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -386,8 +377,11 @@ class FetiProblem:
 
         Built once: the kernels do not change across Algorithm-2 steps, and
         a box decomposition gives every subdomain the same shape.
+        Read-only, as every kernel is.
         """
-        return np.stack([s.kernel for s in self.subdomains])
+        stack = np.stack([s.kernel for s in self.subdomains])
+        stack.flags.writeable = False
+        return stack
 
     @cached_property
     def R(self) -> sp.csr_matrix:

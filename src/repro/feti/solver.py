@@ -4,8 +4,8 @@
 approach), the coarse projector, a dual preconditioner and the PCPG
 iteration, and recovers the primal solution.  :class:`MultiStepDriver`
 implements Algorithm 2 of the paper: preparation once, then per time step a
-FETI preprocessing (skipped when the step left every ``Kᵢ`` unchanged)
-followed by the PCPG solve, with the dual-operator timing
+FETI preprocessing (skipped when the step's stiffness values are the ones
+already factored) followed by the PCPG solve, with the dual-operator timing
 collected per phase so that the amortization analysis of Figures 6/7 can be
 computed from a real run.
 """
@@ -42,13 +42,9 @@ __all__ = [
     "FetiSolution",
     "FetiSolver",
     "MultiStepDriver",
+    "StepValues",
+    "Update",
 ]
-
-#: The preconditioner class of every kind that needs only the problem.
-_PRECONDITIONERS = {
-    PreconditionerKind.NONE: IdentityPreconditioner,
-    PreconditionerKind.LUMPED: LumpedPreconditioner,
-}
 
 
 @dataclass
@@ -127,6 +123,8 @@ class FetiSolver:
         self._projector: Projector | None = None
         self._preconditioner = None
         self._prepared = False
+        #: The ``K`` values of the last preprocessing (for a lumped ``M``).
+        self._K: Sequence[np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -154,11 +152,12 @@ class FetiSolver:
             if dirichlet and not self.operator.preprocessed:
                 self.preprocess()
             with trace_span("preconditioner_build"):
-                self._preconditioner = (
-                    DirichletPreconditioner(self.problem, self.operator)
-                    if dirichlet
-                    else _PRECONDITIONERS[kind](self.problem)
-                )
+                if dirichlet:
+                    self._preconditioner = DirichletPreconditioner(self.problem, self.operator)
+                elif kind is PreconditionerKind.LUMPED:
+                    self._preconditioner = LumpedPreconditioner(self.problem, self._K)
+                else:
+                    self._preconditioner = IdentityPreconditioner(self.problem)
         return self._preconditioner
 
     def _pcpg_inputs(self) -> tuple[Projector, object]:
@@ -175,22 +174,29 @@ class FetiSolver:
         self._prepared = True
         return timing
 
-    def preprocess(self) -> PhaseTiming:
-        """Run the per-time-step FETI preprocessing.
+    def preprocess(
+        self,
+        K: Sequence[np.ndarray] | None = None,
+        K_reg: Sequence[np.ndarray] | None = None,
+    ) -> PhaseTiming:
+        """Run the per-time-step FETI preprocessing at the stiffness values
+        ``K`` and ``K_reg`` (:meth:`~repro.feti.problem.FetiProblem.stiffness`;
+        ``None``: the built ones).
 
-        An already-built preconditioner is refreshed in place (same object,
-        new values), so it follows the stiffness exactly when the
-        factorization does; its wall time is not part of the simulated
-        ledger.  It releases its old blocks first: they never coexist with
-        the preprocessing's Schur workspace.
+        The operator factors ``K_reg``.  An already-built preconditioner is
+        refreshed in place (same object, new values), so it follows the
+        stiffness exactly when the factorization does; its wall time is not
+        part of the simulated ledger.  It releases its old blocks first:
+        they never coexist with the preprocessing's Schur workspace.
         """
         if not self._prepared:
             self.prepare()
         if self._preconditioner is not None:
             self._preconditioner.release()
-        timing = self.operator.preprocess()
+        timing = self.operator.preprocess(K_reg)
+        self._K = K
         if self._preconditioner is not None:
-            self._preconditioner.refresh()
+            self._preconditioner.refresh(K)
         return timing
 
     def release(self) -> None:
@@ -355,14 +361,38 @@ class StepRecord:
         return self.preprocessing_seconds + self.apply_seconds
 
 
+@dataclass(frozen=True)
+class StepValues:
+    """What one step of a :class:`MultiStepDriver` schedule solves at.
+
+    ``loads`` are one vector per subdomain; ``K`` and ``K_reg`` one
+    ``(members, nnz)`` array per shape group, on its fixed pattern (the
+    layout of :meth:`~repro.feti.problem.FetiProblem.stiffness`).  ``None``
+    is the problem's own: the subdomains' current ``f``, the built values.
+    """
+
+    loads: list[np.ndarray] | None = None
+    K: Sequence[np.ndarray] | None = None
+    K_reg: Sequence[np.ndarray] | None = None
+
+
+#: A schedule's ``update(step, problem)``: the step's values, its loads or ``None``.
+Update = Callable[[int, FetiProblem], "StepValues | list[np.ndarray] | None"]
+
+
+def _same(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
+    """Whether two per-group value lists are equal (the same arrays unread)."""
+    return all(x is y or np.array_equal(x, y) for x, y in zip(a, b))
+
+
 class MultiStepDriver:
     """Algorithm 2: a multi-step simulation with per-step FETI preprocessing.
 
-    A step preprocesses only when its ``update`` changed a stiffness value:
-    the driver compares every subdomain's ``K.data`` and ``K_reg.data``
-    with the values its last preprocessing factored, and a load-only step
-    reuses those factors and ``F̃ᵢ``.  The first step of every :meth:`run`
-    always preprocesses.
+    A step solves at the values its ``update`` returns; nothing is written
+    into the (read-only) problem.  It preprocesses only when its stiffness
+    values differ from the ones the factors hold: a step that returns none
+    while the factors hold the built ones reuses them and ``F̃ᵢ`` without
+    reading any array.  The first step of every :meth:`run` preprocesses.
 
     Parameters
     ----------
@@ -372,54 +402,55 @@ class MultiStepDriver:
         only once).
     update:
         Optional callback ``update(step, problem)`` invoked before every
-        step.  It may return the step's loads (one vector per subdomain),
-        which the step solves at without writing them anywhere; ``None``
-        solves at the subdomains' current ``f``.  It may also modify the
-        numerical values of the subdomain matrices and load vectors (the
-        sparsity pattern must stay fixed, as in the paper's use case).
+        step.  It returns ``None`` (the subdomains' current ``f`` and the
+        built stiffness), the step's loads (one vector per subdomain), or a
+        :class:`StepValues` with its loads and ``K`` / ``K_reg`` values (the
+        sparsity pattern stays fixed, as in the paper's use case).  The
+        driver keeps the returned arrays its factors hold, uncopied: a step
+        returns new arrays rather than writing those of an earlier step.
     """
 
-    def __init__(
-        self,
-        solver: FetiSolver,
-        update: Callable[[int, FetiProblem], list[np.ndarray] | None] | None = None,
-    ) -> None:
+    def __init__(self, solver: FetiSolver, update: Update | None = None) -> None:
         self.solver = solver
         self.update = update
         self.records: list[StepRecord] = []
         #: Full solution of the most recent step (records keep only timings).
         self.last_solution: FetiSolution | None = None
-        # (K.data, K_reg.data) per subdomain as of the last preprocessing.
-        self._factored: list[tuple[np.ndarray, np.ndarray]] | None = None
+        # The (K, K_reg) values, per shape group, of the last preprocessing.
+        self._factored: tuple[list[np.ndarray], list[np.ndarray]] | None = None
+
+    def _stiffness(self, K=None, K_reg=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        problem = self.solver.problem
+        return problem.stiffness("K", K), problem.stiffness("K_reg", K_reg)
 
     def factors_current(self) -> bool:
-        """Whether every ``Kᵢ`` / ``K_reg,ᵢ`` still holds the values the
-        driver's last preprocessing factored (``False`` before one ran)."""
+        """Whether the driver's last preprocessing factored the built
+        stiffness values (``False`` before one ran)."""
         return self._factored is not None and all(
-            np.array_equal(sub.csr_arrays("K")[0], K)
-            and np.array_equal(sub.csr_arrays("K_reg")[0], K_reg)
-            for sub, (K, K_reg) in zip(self.solver.problem.subdomains, self._factored)
+            map(_same, self._factored, self._stiffness())
         )
 
     def run(self, n_steps: int) -> list[StepRecord]:
         """Run ``n_steps`` time steps and return their records."""
-        if not self.solver._prepared:
-            self.solver.prepare()
-        subdomains = self.solver.problem.subdomains
+        solver = self.solver
+        if not solver._prepared:
+            solver.prepare()
         self._factored = None
         for step in range(n_steps):
-            loads = None
-            if self.update is not None:
-                loads = self.update(step, self.solver.problem)
-            reuse = self.factors_current()
+            values = self.update(step, solver.problem) if self.update is not None else None
+            if not isinstance(values, StepValues):
+                values = StepValues(loads=values)
+            stiffness = self._stiffness(values.K, values.K_reg)
+            reuse = (
+                self._factored is not None
+                and solver.operator.preprocessed
+                and all(map(_same, self._factored, stiffness))
+            )
             if not reuse:
                 self._factored = None  # a failed preprocessing leaves no record
-            solution = self.solver.solve(reuse_preprocessing=reuse, loads=loads)
-            if not reuse:
-                self._factored = [
-                    (sub.csr_arrays("K")[0].copy(), sub.csr_arrays("K_reg")[0].copy())
-                    for sub in subdomains
-                ]
+                solver.preprocess(*stiffness)
+                self._factored = stiffness
+            solution = solver.solve(reuse_preprocessing=True, loads=values.loads)
             self.last_solution = solution
             self.records.append(
                 StepRecord(

@@ -42,18 +42,20 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.memory.precision import demote_array
 from repro.observe.trace import capture_context, run_with_context, trace_span
 from repro.sparse.group import PatternGroup
-from repro.sparse.numeric import NotPositiveDefiniteError, stacked_cholesky, stacked_values
+from repro.sparse.numeric import (
+    CsrArrays,
+    NotPositiveDefiniteError,
+    stacked_cholesky,
+    stacked_values,
+)
 from repro.sparse.schur import interface_classes, schur_workspace, stacked_schur_complement
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.feti.problem import SubdomainProblem
 
 __all__ = ["run_preprocessing"]
 
@@ -83,15 +85,15 @@ def _run_span(
     runs: list[Run],
     groups: Sequence[PatternGroup],
     bands: dict[int, np.ndarray],
-    subdomains: Sequence["SubdomainProblem"],
+    K_reg: Sequence[CsrArrays],
     dtype: np.dtype,
 ) -> dict[int, np.ndarray]:
     """One task: per run, a stacked factorization, then ``F̃ᵢ`` per class.
 
     A run of a group cut across spans is factored into its rows of the
     group's band in ``bands``; a whole group's band goes into ``bands``.
-    The values are read from the members' stiffness stack (one ``(k, nnz)``
-    gather, :meth:`~repro.feti.problem.SubdomainProblem.csr_arrays`).
+    The values are the members' rows of ``K_reg`` (one ``(k, nnz)``
+    gather, read in place where they are consecutive rows of one array).
     Returns the ``F̃ᵢ`` by subdomain index — empty without scatters.
     """
     local_F: dict[int, np.ndarray] = {}
@@ -99,9 +101,7 @@ def _run_span(
         group, shared = groups[g], bands.get(g)
         symbolic, members = group.symbolic, group.members[start:stop]
         with trace_span("factorize", subdomains=len(members)):
-            values = stacked_values(
-                [subdomains[i].csr_arrays("K_reg") for i in members], symbolic
-            )
+            values = stacked_values([K_reg[i] for i in members], symbolic)
             try:
                 band = stacked_cholesky(
                     values, symbolic, None if shared is None else shared[start:stop]
@@ -140,16 +140,17 @@ def _run_span(
 def run_preprocessing(
     workers: int,
     groups: Sequence[PatternGroup],
-    subdomains: Sequence["SubdomainProblem"],
+    K_reg: Sequence[CsrArrays],
     dtype: np.dtype = np.dtype(np.float64),
 ) -> dict[int, np.ndarray]:
     """Factorize every group (and assemble ``F̃ᵢ`` where it has scatters).
 
-    ``workers`` is the span count (``1``: one task, inline);
-    ``subdomains`` is the problem's subdomain list, indexed by subdomain
-    index; ``dtype`` the storage dtype of the bands.  On return every group
-    holds the band of its members' factors for the current stiffness
-    values; the returned dict maps subdomain indices to their ``F̃ᵢ``.
+    ``workers`` is the span count (``1``: one task, inline); ``K_reg`` the
+    CSR arrays of every subdomain's matrix to factor, indexed by subdomain
+    index (:meth:`~repro.feti.problem.FetiProblem.csr_arrays`); ``dtype``
+    the storage dtype of the bands.  On return every group holds the band
+    of its members' factors of those values; the returned dict maps
+    subdomain indices to their ``F̃ᵢ``.
     """
     spans = _spans(groups, workers)
     # A group cut across spans gets its band up front: each run fills its rows.
@@ -158,7 +159,7 @@ def run_preprocessing(
         symbolic = groups[g].symbolic
         if stop - start < len(groups[g]) and g not in bands:
             bands[g] = np.empty((len(groups[g]), symbolic.n, symbolic.kd + 1), dtype)
-    args = (groups, bands, subdomains, dtype)
+    args = (groups, bands, K_reg, dtype)
     if len(spans) == 1:
         local_F = _run_span(spans[0], *args)
     else:

@@ -31,7 +31,7 @@ import repro.runtime.preprocess as preprocess
 import repro.sparse.triangular as triangular
 
 from repro.analysis.timing import ThreadClocks
-from repro.api import Session, SolverSpec, Workload
+from repro.api import Session, SolverSpec, StepValues, Workload
 from repro.api.workload import build_problem
 from repro.cluster.topology import ClusterResources
 from repro.feti.operators.base import DualOperator
@@ -79,9 +79,9 @@ def test_simulator_runs_in_the_first_apply_of_a_round_only(monkeypatch):
 
     preprocess, apply_impl = DualOperator.preprocess, DualOperator._apply_impl
 
-    def tracking_preprocess(self):
+    def tracking_preprocess(self, *args):
         fresh_round[0] = True
-        return preprocess(self)
+        return preprocess(self, *args)
 
     def tracking_apply_impl(self, lam):
         before = sum(calls.values())
@@ -315,10 +315,11 @@ def test_warm_solve_measures_no_bytes_and_runs_no_dpotrs(monkeypatch):
         assert _resident_bytes_are_fresh(session)
 
 
-def _harden(step: int, problem) -> None:
-    for sub in problem.subdomains:
-        sub.K.data *= 1.0 + step
-        sub.K_reg.data *= 1.0 + step
+def _harden(step: int, problem) -> StepValues:
+    return StepValues(
+        K=[(1.0 + step) * group.K.values for group in problem.groups],
+        K_reg=[(1.0 + step) * group.K_reg.values for group in problem.groups],
+    )
 
 
 #: A CPU approach for the re-factoring solves below.

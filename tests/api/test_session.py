@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import Material, RunResult, Session, SolverSpec, Workload
+from repro.api import Material, RunResult, Session, SolverSpec, StepValues, Workload
 from repro.feti.solver import MultiStepDriver
 from repro.sparse.cache import PatternCache
 
@@ -147,23 +147,29 @@ def test_run_uses_the_last_step_solution_without_an_extra_solve():
     assert result.solution.iterations == result.records[-1].iterations
 
 
+def _scaled_stiffness(problem, scale: float) -> StepValues:
+    """The step values of ``scale`` times the built ``K`` and ``K_reg``."""
+    return StepValues(
+        K=[scale * group.K.values for group in problem.groups],
+        K_reg=[scale * group.K_reg.values for group in problem.groups],
+    )
+
+
 def test_custom_matrix_update_is_restored_and_invalidates_preprocessing():
-    """A custom update may change stiffness values (the MultiStepDriver
-    contract); the session must restore them on the shared problem and must
-    not reuse the schedule's last factorization afterwards."""
+    """A custom update may return stiffness values (the MultiStepDriver
+    contract); the shared problem keeps its own, and the session must not
+    reuse the schedule's last factorization afterwards."""
     workload = Workload("heat", 2, (2, 1), 3, steps=2)
     session = Session(SolverSpec(approach="expl mkl"))
     problem = session.problem(workload)
     reference = np.concatenate(session.solve(workload).primal)
     K_before = [sub.K_reg.data.copy() for sub in problem.subdomains]
 
-    def harden(step: int, p) -> None:
-        for sub in p.subdomains:
-            sub.K.data *= 1.0 + step
-            sub.K_reg.data *= 1.0 + step
+    def harden(step: int, p) -> StepValues:
+        return _scaled_stiffness(p, 1.0 + step)
 
     session.run_steps(workload, update=harden)
-    # Matrix values restored on the shared problem...
+    # Matrix values untouched on the shared problem...
     for sub, data in zip(problem.subdomains, K_before):
         np.testing.assert_array_equal(sub.K_reg.data, data)
     # ...the same session re-preprocesses instead of reusing the stale
@@ -242,11 +248,8 @@ def test_a_stiffness_schedule_after_a_solve_prepares_once_on_the_gpu():
     session = Session(SolverSpec(approach="expl modern", assembly="table2"))
     reference = session.solve(workload)
 
-    def harden_once(step: int, p) -> None:
-        if step == 1:
-            for sub in p.subdomains:
-                sub.K.data *= 2.0
-                sub.K_reg.data *= 2.0
+    def harden_once(step: int, p) -> StepValues | None:
+        return _scaled_stiffness(p, 2.0) if step >= 1 else None
 
     records = session.run_steps(workload, 3, update=harden_once)
     assert [r.preprocessed for r in records] == [True, True, False]

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.api import RequestSolution, Session, SolverSpec, Workload
+from repro.api import RequestSolution, Session, SolverSpec, StepValues, Workload
 
 HEAT = Workload("heat", 2, (2, 2), 4)
 HEAT_SMALL = Workload("heat", 2, (2, 1), 3)
@@ -204,9 +204,11 @@ def test_stale_marker_survives_a_failing_solve():
         baseline = session.solve(HEAT_SMALL).lam.copy()
 
         def harden(step, problem):
-            for sub in problem.subdomains:
-                sub.K_reg = sub.K_reg * 2.0
-                sub.K = sub.K * 2.0
+            scale = 2.0 ** (step + 1)
+            return StepValues(
+                K=[scale * group.K.values for group in problem.groups],
+                K_reg=[scale * group.K_reg.values for group in problem.groups],
+            )
 
         session.run_steps(HEAT_SMALL, update=harden)
         # The schedule marked the solver stale.  Sabotage the next solve.

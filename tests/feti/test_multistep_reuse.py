@@ -1,7 +1,7 @@
-"""Algorithm 2 preprocesses a step only when its update changed a ``Kᵢ``.
+"""Algorithm 2 preprocesses a step only when its stiffness values changed.
 
-``MultiStepDriver.run`` compares every subdomain's ``K.data`` and
-``K_reg.data`` with the values its last preprocessing factored.  A load-only
+``MultiStepDriver.run`` compares the ``K`` / ``K_reg`` values a step's
+update returns with the values its last preprocessing factored.  A load-only
 step reuses the factors and ``F̃ᵢ`` — and must return bitwise what a run that
 re-preprocesses every step returns — while any changed stiffness value, even
 in ``K`` alone, makes the step preprocess again.
@@ -14,7 +14,7 @@ import pytest
 
 from repro.api import SolverSpec, Workload
 from repro.api.workload import build_problem
-from repro.feti.solver import FetiSolver, MultiStepDriver
+from repro.feti.solver import FetiSolver, MultiStepDriver, StepValues
 
 HEAT3D = Workload("heat", 3, (2, 2, 1), 12)
 #: Loads of step ``s`` are ``LOAD_SCALES[s]`` times the pristine loads.
@@ -76,23 +76,12 @@ def test_a_load_only_schedule_preprocesses_once_and_matches_per_step_preprocessi
 
 
 def _run(update, n_steps, solver=None):
-    """Run ``n_steps`` of ``update`` on a shared small problem, restoring its
-    matrices afterwards; return the driver."""
+    """Run ``n_steps`` of ``update`` on a shared small problem; return the driver."""
     solver = solver or FetiSolver(
         build_problem(Workload("heat", 2, (2, 2), 4)), SolverSpec(approach="expl mkl")
     )
-    subdomains = solver.problem.subdomains
-    pristine = [
-        (sub.K, sub.K.data.copy(), sub.K_reg, sub.K_reg.data.copy()) for sub in subdomains
-    ]
     driver = MultiStepDriver(solver, update)
-    try:
-        driver.run(n_steps)
-    finally:
-        for sub, (K, K_data, K_reg, K_reg_data) in zip(subdomains, pristine):
-            sub.K, sub.K_reg = K, K_reg
-            K.data[:] = K_data
-            K_reg.data[:] = K_reg_data
+    driver.run(n_steps)
     return driver
 
 
@@ -108,8 +97,9 @@ def test_an_update_of_K_alone_preprocesses():
     def update(step, problem):
         if step == 1:
             before.append(solver.preconditioner.matrix.data.copy())
-            for sub in problem.subdomains:
-                sub.K.data *= 2.0
+        if step >= 1:
+            return StepValues(K=[2.0 * group.K.values for group in problem.groups])
+        return None
 
     driver = _run(update, 3, solver)
     assert [r.preprocessed for r in driver.records] == [True, True, False]
@@ -118,10 +108,11 @@ def test_an_update_of_K_alone_preprocesses():
 
 
 def test_a_rebound_K_reg_with_equal_values_skips():
+    """A step returning new arrays of the factored values reuses the factors."""
     def update(step, problem):
         if step == 1:
-            for sub in problem.subdomains:
-                sub.K_reg = sub.K_reg.copy()
+            return StepValues(K_reg=[group.K_reg.values.copy() for group in problem.groups])
+        return None
 
     driver = _run(update, 2)
     assert [r.preprocessed for r in driver.records] == [True, False]
@@ -136,13 +127,19 @@ def test_every_run_preprocesses_its_first_step():
 
 def test_a_changed_stiffness_value_preprocesses_the_steps_it_changes():
     """Steps 1 and 3 harden one subdomain's ``K`` and ``K_reg``; steps 2 and 4
-    leave the values as they are."""
+    return the values as they are."""
+    scale = [1.0]
 
     def update(step, problem):
         if step % 2:
-            sub = problem.subdomains[-1]
-            sub.K.data *= 1.5
-            sub.K_reg.data *= 1.5
+            scale[0] *= 1.5
+        last = problem.subdomains[-1].index
+        values = {}
+        for name in ("K", "K_reg"):
+            values[name] = [getattr(group, name).values.copy() for group in problem.groups]
+            for group, stack in zip(problem.groups, values[name]):
+                stack[group.indices == last] *= scale[0]
+        return StepValues(**values)
 
     driver = _run(update, 5)
     assert [r.preprocessed for r in driver.records] == [True, True, False, True, False]

@@ -10,6 +10,7 @@ import pytest
 from repro.api import Session, SolverSpec, SpecError, Workload
 from repro.api.workload import build_problem
 from repro.decomposition import decompose_box
+from repro.fem.assembly import CsrStack
 from repro.feti.config import DualOperatorApproach
 from repro.feti.operators.batch import SYMV_MIN_ROWS
 from repro.feti.preconditioner import (
@@ -19,7 +20,7 @@ from repro.feti.preconditioner import (
     _paired_squares,
 )
 from repro.feti.problem import FetiProblem
-from repro.feti.solver import FetiSolver, MultiStepDriver, PreconditionerKind
+from repro.feti.solver import FetiSolver, MultiStepDriver, PreconditionerKind, StepValues
 from repro.serve.protocol import ProtocolError, parse_solve_request
 from tests.oracles.preconditioner import (
     dense_B,
@@ -220,11 +221,14 @@ def test_dirichlet_refresh_factorizes_no_subdomain(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a sparse factorization in the Dirichlet refresh")
 
+    def forbidden_K(*args, **kwargs):
+        raise AssertionError("a Kᵢ built in the Dirichlet refresh")
+
     for name in ("splu", "spilu", "factorized"):
         monkeypatch.setattr(spla, name, forbidden)
     monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
     monkeypatch.setattr(module, "dpotrf", counted("dpotrf", module.dpotrf))
-    problem.subdomains[0]._matrices.clear()
+    monkeypatch.setattr(CsrStack, "member", forbidden_K)
     pre.refresh()
     stacks = [shape for name, shape in calls if name == "cholesky" and len(shape) == 3]
     assert sorted(shape[-1] for shape in stacks) == sorted({m for m in sizes if m < SYMV_MIN_ROWS})
@@ -234,7 +238,6 @@ def test_dirichlet_refresh_factorizes_no_subdomain(monkeypatch):
     # The rest are the kernel terms' ``R_bᵀ T`` (1 x 1 for heat) of the
     # large blocks.
     assert all(shape == (1, 1) for name, shape in calls if name == "cholesky" and len(shape) != 3)
-    assert "K" not in problem.subdomains[0]._matrices
 
 
 def test_solver_releases_the_blocks_before_it_preprocesses():
@@ -246,9 +249,9 @@ def test_solver_releases_the_blocks_before_it_preprocesses():
     held = []
     preprocess = solver.operator.preprocess
 
-    def watched():
+    def watched(*args):
         held.append(len(pre.local_S))
-        return preprocess()
+        return preprocess(*args)
 
     solver.operator.preprocess = watched
     solver.preprocess()
@@ -380,10 +383,10 @@ def test_paired_squares_share_an_array_in_disjoint_triangles():
 
 
 def _triple_stiffness(step, problem):
-    if step == 0:
-        for sub in problem.subdomains:
-            sub.K.data *= 3.0
-            sub.K_reg.data *= 3.0
+    return StepValues(
+        K=[3.0 * group.K.values for group in problem.groups],
+        K_reg=[3.0 * group.K_reg.values for group in problem.groups],
+    )
 
 
 @pytest.mark.parametrize("kind", ["lumped", "dirichlet"])

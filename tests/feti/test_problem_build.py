@@ -93,6 +93,31 @@ def test_values_match_the_per_subdomain_build(built):
         assert np.allclose(sub.kernel, ref.kernel, rtol=0.0, atol=1e-14)
 
 
+def test_every_array_of_the_built_problem_is_read_only(built):
+    """A write into a built problem — shared by every session of a process —
+    raises where it happens; its stiffness cannot be assigned either."""
+    problem, _, _ = built
+    arrays = [problem.kernel_stack, problem.R.data, *problem.base_loads]
+    for group in problem.groups:
+        arrays += [group.indices]
+        arrays += [getattr(s, a) for s in (group.K, group.K_reg) for a in ("values", "indices", "indptr")]
+    for sub in problem.subdomains:
+        arrays += [sub.f, sub.kernel, sub.fixing_dofs]
+        arrays += [getattr(m, a) for m in (sub.K, sub.K_reg) for a in ("data", "indices", "indptr")]
+    assert not [a for a in arrays if a.flags.writeable]
+    sub = problem.subdomains[0]
+    K, f = sub.K.data.copy(), sub.f.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        sub.K.data *= 2
+    with pytest.raises(ValueError, match="read-only"):
+        sub.f[0] = 0
+    with pytest.raises(AttributeError):
+        sub.K = 2.0 * sub.K
+    with pytest.raises(AttributeError):
+        sub.K_reg = 2.0 * sub.K_reg
+    assert np.array_equal(sub.K.data, K) and np.array_equal(sub.f, f)
+
+
 @pytest.mark.parametrize("case", [c for c in ZOO if c[0] == "heat"], ids=_id)
 def test_heat_stiffness_matches_the_matmul_kernel_build(case):
     """The closed-form P1 element matrices, summed and pruned, against the

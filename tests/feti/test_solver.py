@@ -13,6 +13,7 @@ from repro.feti.solver import (
     FetiSolver,
     MultiStepDriver,
     PreconditionerKind,
+    StepValues,
 )
 
 from tests.oracles.apply import use_looped_apply
@@ -122,20 +123,19 @@ def test_multistep_driver_runs_algorithm_2(heat_problem_3d, small_machine_config
     )
     solver = FetiSolver(heat_problem_3d, options)
 
+    scale = [1.0]
+
     def update(step, problem):
         # change numerical values (not the pattern), as in the paper's use case
-        for sub in problem.subdomains:
-            sub.K = sub.K * (1.0 + 0.1 * step)
-            sub.K_reg = sub.K_reg * (1.0 + 0.1 * step)
-            sub.f = sub.f * (1.0 + 0.1 * step)
+        scale[0] *= 1.0 + 0.1 * step
+        return StepValues(
+            loads=[scale[0] * f for f in problem.base_loads],
+            K=[scale[0] * group.K.values for group in problem.groups],
+            K_reg=[scale[0] * group.K_reg.values for group in problem.groups],
+        )
 
     driver = MultiStepDriver(solver, update=update)
-    pristine = [(sub.K, sub.K_reg, sub.f) for sub in heat_problem_3d.subdomains]
-    try:
-        records = driver.run(3)
-    finally:  # the fixture is shared by the whole session
-        for sub, (K, K_reg, f) in zip(heat_problem_3d.subdomains, pristine):
-            sub.K, sub.K_reg, sub.f = K, K_reg, f
+    records = driver.run(3)
     assert len(records) == 3
     assert all(r.converged for r in records)
     assert all(r.preprocessing_seconds > 0 for r in records)

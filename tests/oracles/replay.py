@@ -130,7 +130,7 @@ class OracleShapeTable:
                     cluster=sub.cluster,
                     ndofs=sub.ndofs,
                     n_lambda=sub.n_lambda,
-                    K_nnz=int(sub.csr_arrays("K_reg")[2][-1]),
+                    K_nnz=int(sub.K_reg.nnz),
                     L_nnz=pattern[1],
                     flops=pattern[2],
                     B_nnz=int(b_nnz[sub.index]),

@@ -86,14 +86,14 @@ def test_an_indefinite_member_is_named_and_the_solvers_refactor(execution):
     K = bad.K_reg
     row = slice(K.indptr[column], K.indptr[column + 1])
     entry = K.indptr[column] + int(np.flatnonzero(K.indices[row] == column)[0])
-    spd = K.data[entry]
-    K.data[entry] = -1.0
+    values = [group.K_reg.values.copy() for group in problem.groups]
+    for group, stack in zip(problem.groups, values):
+        stack[group.indices == bad.index, entry] = -1.0
     with pytest.raises(NotPositiveDefiniteError) as failure:
-        operator.preprocess()
+        operator.preprocess(values)
     assert (failure.value.member, failure.value.column) == (bad.index, column)
     assert f"matrix {bad.index} " in str(failure.value)
 
-    K.data[entry] = spd
     solution = solver.solve()  # the same solvers factor the SPD values again
     assert solution.converged and solution.iterations == reference.iterations
     assert solution.lam.tobytes() == reference.lam.tobytes()

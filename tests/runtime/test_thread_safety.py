@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.api import Session, SolverSpec, Workload
+from repro.api import Session, SolverSpec, StepValues, Workload
 from repro.sparse.cache import PatternCache, structural_key
 
 
@@ -182,6 +182,84 @@ def test_two_sessions_on_one_workload_solve_at_their_own_loads():
     )
     assert worst <= 1e-9
     assert all(sub.f is f for sub, f in zip(problem.subdomains, f_before))
+
+
+def _doubled(step: int, problem) -> StepValues:
+    return StepValues(
+        K=[2.0 * group.K.values for group in problem.groups],
+        K_reg=[2.0 * group.K_reg.values for group in problem.groups],
+    )
+
+
+def test_a_stiffness_schedule_leaks_into_no_cold_solve_of_another_session():
+    """One session runs schedules whose ``update`` returns doubled ``K`` and
+    ``K_reg`` while 40 fresh sessions solve the same workload cold.
+
+    The problem is shared process-wide; the schedule's stiffness values are
+    arguments of its steps, so every cold answer is the single-threaded
+    reference.
+    """
+    workload = Workload("heat", 2, (4, 4), 8, n_clusters=2)
+    spec = SolverSpec(approach="expl mkl")
+    with Session(spec) as session:
+        reference = np.concatenate(session.solve(workload).primal)
+    stop = threading.Event()
+
+    def schedules() -> int:
+        runs = 0
+        with Session(spec) as session:
+            while not stop.is_set():
+                records = session.run_steps(workload, n_steps=2, update=_doubled)
+                assert [r.preprocessed for r in records] == [True, False]
+                runs += 1
+        return runs
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    answers = []
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            runs = pool.submit(schedules)
+            try:
+                for _ in range(40):
+                    with Session(spec) as cold:
+                        answers.append(np.concatenate(cold.solve(workload).primal))
+            finally:
+                stop.set()
+            assert runs.result() > 0
+    finally:
+        sys.setswitchinterval(interval)
+    worst = max(np.linalg.norm(u - reference) / np.linalg.norm(reference) for u in answers)
+    assert worst <= 1e-9
+
+
+def test_a_session_takes_its_pristine_loads_from_the_build():
+    """A session that first touches a workload while another session's
+    ``update`` has rebound the loads still scales the built ones."""
+    workload = Workload("heat", 2, (2, 2), 4)
+    with Session() as session:
+        reference = session.solve_request(workload, rhs=2.0)
+        built = [f.copy() for f in session.base_loads(workload)]
+    entered, release = threading.Event(), threading.Event()
+
+    def hold(step: int, problem) -> None:
+        for sub, f in zip(problem.subdomains, built):
+            sub.f = 3.0 * f
+        entered.set()
+        assert release.wait(timeout=60)
+
+    with Session() as holder, Session() as late:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            schedule = pool.submit(holder.run_steps, workload, 1, update=hold)
+            try:
+                assert entered.wait(timeout=60)
+                late.base_loads(workload)  # the first touch, the loads rebound
+            finally:
+                release.set()
+            schedule.result()
+        assert all(np.array_equal(f, f0) for f, f0 in zip(late.base_loads(workload), built))
+        answer = late.solve_request(workload, rhs=2.0)
+    assert np.array_equal(answer.lam, reference.lam)
 
 
 def test_a_closed_session_refuses_new_solves():

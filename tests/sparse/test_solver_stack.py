@@ -12,6 +12,7 @@ and hold ``L`` once: as the band the factorization produced.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -22,11 +23,12 @@ import repro.runtime.preprocess as preprocess
 from repro.api import Session, SolverSpec, Workload
 from repro.api.workload import build_problem
 from repro.decomposition import decompose_box
+from repro.fem.assembly import CsrStack
 from repro.fem.heat import HeatTransferProblem
 from repro.feti.config import DualOperatorApproach
 from repro.feti.operators import make_dual_operator
-from repro.feti.problem import FetiProblem
-from repro.feti.solver import FetiSolver, MultiStepDriver
+from repro.feti.problem import FetiProblem, ShapeGroup, SubdomainProblem
+from repro.feti.solver import FetiSolver, MultiStepDriver, StepValues
 from repro.memory.precision import PRECISION_NAMES, PRECISIONS, demote_array
 from repro.sparse import triangular
 from repro.sparse.cache import PatternCache
@@ -121,15 +123,29 @@ def _distinct_patterns_problem() -> FetiProblem:
     problem = FetiProblem.from_physics(
         HeatTransferProblem(), decompose_box(3, (2, 2, 1), 3, order=1)
     )
+    groups, subdomains = [], []
     for i, sub in enumerate(problem.subdomains):
         K = sub.K_reg.tocoo()
         j = K.shape[0] - 1 - i
         rows = np.concatenate([K.row, [0, j]])
         cols = np.concatenate([K.col, [j, 0]])
         vals = np.concatenate([K.data, [0.0, 0.0]])
-        sub.K_reg = sp.coo_matrix((vals, (rows, cols)), shape=K.shape).tocsr()
-        sub.K_reg.sum_duplicates()
-    return problem
+        K_reg = sp.coo_matrix((vals, (rows, cols)), shape=K.shape).tocsr()
+        K_reg.sum_duplicates()
+        # One shape group per subdomain, holding its own pattern.
+        group = ShapeGroup(
+            np.array([sub.index]),
+            CsrStack(sub.K.data[None], sub.K.indices, sub.K.indptr),
+            CsrStack(K_reg.data[None], K_reg.indices, K_reg.indptr),
+        )
+        groups.append(group)
+        subdomains.append(
+            SubdomainProblem(
+                sub.index, sub.cluster, sub.mesh, group, 0, sub.kernel,
+                sub.fixing_dofs, sub.f, problem.gluing.per_subdomain[sub.index],
+            )
+        )
+    return dataclasses.replace(problem, subdomains=subdomains, groups=groups)
 
 
 @pytest.mark.parametrize("precision", PRECISION_NAMES)
@@ -345,10 +361,14 @@ def test_stack_follows_a_rescaled_stiffness_across_steps(approach, name):
     solver = FetiSolver(problem, SolverSpec(approach=approach))
     operator = solver.operator
     dual_rhs, bands = [], []
+    # The saddle point of s K (c = 0: homogeneous Dirichlet) is u / s.
+    u_pristine, _ = problem.saddle_point_solution()
+    scale = [1.0]
+    values = {name: problem.stiffness(name) for name in ("K", "K_reg")}
 
     def check_step():
         """The step just solved, against the matrices it was solved with."""
-        u_ref, _ = problem.saddle_point_solution()
+        u_ref = u_pristine / scale[0]
         u = np.concatenate(driver.last_solution.primal)
         assert np.abs(u - u_ref).max() <= 1e-6 * np.abs(u_ref).max()
         _assert_matches_oracle(operator)
@@ -357,15 +377,19 @@ def test_stack_follows_a_rescaled_stiffness_across_steps(approach, name):
         assert all(not np.shares_memory(group.band, old) for old in bands)
         bands.append(group.band)
         # The band is this step's factors, nothing older.
-        for row, sub in zip(group.band, problem.subdomains):
-            assert np.array_equal(row, numeric_cholesky(sub.K_reg, group.symbolic).band)
+        for row, (data, indices, indptr) in zip(
+            group.band, problem.csr_arrays("K_reg", values["K_reg"])
+        ):
+            K_reg = sp.csr_matrix((data, indices, indptr))
+            assert np.array_equal(row, numeric_cholesky(K_reg, group.symbolic).band)
 
     def update(step, problem):
         if step:
             check_step()
-        for sub in problem.subdomains:
-            sub.K = sub.K * STEP_SCALES[step]
-            sub.K_reg = sub.K_reg * STEP_SCALES[step]
+        scale[0] *= STEP_SCALES[step]
+        for name, stacks in values.items():
+            values[name] = [STEP_SCALES[step] * stack for stack in stacks]
+        return StepValues(**values)
 
     driver = MultiStepDriver(solver, update)
     driver.run(len(STEP_SCALES))
