@@ -18,7 +18,7 @@ import pytest
 from bench_utils import BENCH_MACHINE, SUBDOMAIN_SIZES, build_problem
 from repro.analysis.reporting import format_table
 from repro.feti.config import DualOperatorApproach
-from repro.feti.operators import make_dual_operator
+from repro.feti.operators import make_dual_operator, replay_for
 
 
 def _preprocessed_operator(dim: int, cells: int):
@@ -34,9 +34,15 @@ def _preprocessed_operator(dim: int, cells: int):
 def test_ablation_temporary_memory_arena(benchmark, capsys):
     rows = []
     for cells in SUBDOMAIN_SIZES[3]:
-        problem, operator = _preprocessed_operator(3, cells)
-        cluster = operator.machine.cluster(0)
-        arena = cluster.device.require_temporary()
+        # The arena of the replay an operator is priced from, driven
+        # through its preparation and preprocessing.
+        problem = build_problem(3, cells)
+        replay = replay_for(
+            DualOperatorApproach.EXPLICIT_GPU_MODERN, problem, BENCH_MACHINE
+        )
+        replay.prepare()
+        replay.preprocess()
+        arena = replay.machine.cluster(0).device.require_temporary()
         # Unbounded alternative: every subdomain keeps its dense RHS and dense
         # factor copy alive for the whole preprocessing phase.
         unbounded = sum(

@@ -3,7 +3,8 @@
 The dual operator computes its numbers along one of two numeric paths; the
 cost replays of :mod:`repro.feti.operators.replay` charge analytic costs
 (CPU cost model + GPU discrete-event streams) to a simulated clock from the
-subdomain shapes alone.  These helpers keep that bookkeeping tidy:
+subdomain shapes alone, once per operator, into the price list every phase
+records from.  These helpers keep that bookkeeping tidy:
 
 * :class:`ThreadClocks` — per-virtual-thread CPU clocks of the replays'
   subdomain loops (subdomains are assigned round-robin, exactly like the
@@ -14,14 +15,14 @@ subdomain shapes alone.  These helpers keep that bookkeeping tidy:
   plain floats of :attr:`ThreadClocks.clocks`;
 * :class:`PhaseTiming` — the result of one phase (preparation, preprocessing
   or application) with an optional per-kernel breakdown;
-* :class:`TimingLedger` — accumulates phases and answers the questions the
-  benchmarks ask (total preprocessing time, time per application, ...).
+* :class:`TimingLedger` — folds phases into per-name aggregates and answers
+  the questions the benchmarks ask (total preprocessing time, time per
+  application, ...).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -128,27 +129,17 @@ class PhaseTiming:
     wall_seconds: float = 0.0
     breakdown: dict[str, float] = field(default_factory=dict)
 
-    def add(self, key: str, seconds: float) -> None:
-        """Accumulate a component into the breakdown."""
-        self.breakdown[key] = self.breakdown.get(key, 0.0) + seconds
-
 
 @dataclass
 class TimingLedger:
     """Accumulated phase timings of one dual-operator instance.
 
     Every phase goes through :meth:`record`, which keeps per-name running
-    aggregates (``count`` / ``total`` / ``last``, all O(1)).  ``phases`` is
-    the append-only record of the *setup* phases only (preparation,
-    preprocessing): the per-iteration ``apply`` / ``apply_multi`` phases are
-    folded into the aggregates and dropped, so a long-lived session's ledger
-    stays the same size however many solves it serves.
+    aggregates (``count`` / ``total`` / ``last``, all O(1)) and retains no
+    phase but the last of each name, so a long-lived session's ledger stays
+    the same size however many solves it serves.
     """
 
-    #: Per-iteration phase names: aggregated, never retained in ``phases``.
-    AGGREGATED_ONLY: ClassVar[frozenset[str]] = frozenset({"apply", "apply_multi"})
-
-    phases: list[PhaseTiming] = field(default_factory=list, init=False)
     _count: dict[str, int] = field(default_factory=dict, init=False, repr=False)
     _total: dict[str, float] = field(default_factory=dict, init=False, repr=False)
     _last: dict[str, PhaseTiming] = field(default_factory=dict, init=False, repr=False)
@@ -156,10 +147,8 @@ class TimingLedger:
     _since_mark: float = field(default=0.0, init=False, repr=False)
 
     def record(self, phase: PhaseTiming) -> PhaseTiming:
-        """Fold a phase into the aggregates (and keep it, if a setup phase)."""
+        """Fold a phase into the aggregates."""
         name = phase.name
-        if name not in self.AGGREGATED_ONLY:
-            self.phases.append(phase)
         self._count[name] = self._count.get(name, 0) + 1
         self._total[name] = self._total.get(name, 0.0) + phase.simulated_seconds
         self._last[name] = phase

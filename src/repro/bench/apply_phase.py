@@ -65,7 +65,8 @@ class ApplyPhaseScenario(Scenario):
             block = rng.standard_normal((n_lambda, self.n_rhs))
             columns = [np.ascontiguousarray(block[:, j]) for j in range(self.n_rhs)]
 
-            # Warm both paths untimed: the first apply plans the timeline.
+            # Warm both paths untimed: the first applies after a
+            # preprocessing read the fresh blocks cold.
             seq_ref = np.column_stack([operator.apply(col) for col in columns])
             stacked_ref = operator.apply_multi(block)
 

@@ -165,9 +165,10 @@ def measure_point(
 
         rng = np.random.default_rng(_APPLY_SEED)
         x = rng.standard_normal(problem.n_lambda)
-        # Untimed warm-up: the first apply of a round plans the simulated
-        # timeline.  The mark keeps it out of the simulated mean as well, so
-        # that stays the left-to-right sum of exactly ``n_applies`` applies.
+        # Untimed warm-up: the first apply after a preprocessing reads the
+        # freshly assembled blocks and factors cold.  The mark keeps it out
+        # of the simulated mean as well, so that stays the left-to-right sum
+        # of exactly ``n_applies`` applies.
         operator.apply(x)
         operator.ledger.mark("apply")
         wall0 = time.perf_counter()

@@ -22,10 +22,17 @@ group (:class:`~repro.sparse.group.PatternGroup`).  The CPU library it stands fo
 explicit, GPU implicit, hybrid) give its simulated seconds and device
 bytes; the replays read the subdomain shapes only.  So approaches sharing
 a numeric path compute the same operator bit for bit, and a replay prices
-any problem from its symbolic analysis alone (:func:`replay_for`).
+any problem from its symbolic analysis alone (:func:`replay_for`).  An
+operator is priced once, at ``prepare()``, through that same call: it
+keeps the frozen :class:`~repro.feti.operators.replay.PriceList`, never a
+machine.
 """
 
 from __future__ import annotations
+
+from functools import partial
+
+import numpy as np
 
 from repro.cluster.topology import Machine, MachineConfig
 from repro.feti.config import AssemblyConfig, DualOperatorApproach
@@ -42,10 +49,13 @@ from repro.feti.operators.replay import (
     GpuExplicitReplay,
     GpuImplicitReplay,
     HybridReplay,
+    PriceList,
     ShapeTable,
 )
 from repro.feti.problem import FetiProblem
+from repro.memory.precision import resolve_precision
 from repro.sparse.costmodel import CpuLibrary
+from repro.sparse.group import PatternGroup
 
 __all__ = [
     "DualOperator",
@@ -53,6 +63,7 @@ __all__ = [
     "FlatIndexMap",
     "BatchedDenseApply",
     "ShapeTable",
+    "PriceList",
     "CostReplay",
     "make_dual_operator",
     "replay_for",
@@ -126,19 +137,37 @@ def make_dual_operator(
     """
     if approach not in _APPROACHES:
         raise ValueError(f"unknown approach: {approach}")
-    explicit, library, replay = _APPROACHES[approach]
+    policy = resolve_precision(precision)
     return DualOperator(
         problem,
-        _machine(approach, problem, machine_config),
         approach,
-        explicit=explicit,
-        library=library,
-        replay=replay,
+        explicit=_APPROACHES[approach][0],
+        price=partial(
+            _price, approach, problem, machine_config, assembly_config, policy.storage_dtype
+        ),
         config=assembly_config,
         pattern_cache=pattern_cache,
         workers=workers,
-        precision=precision,
+        precision=policy,
     )
+
+
+def _price(
+    approach: DualOperatorApproach,
+    problem: FetiProblem,
+    machine_config: MachineConfig | None,
+    assembly_config: AssemblyConfig | None,
+    storage_dtype,
+    groups: list[PatternGroup],
+) -> PriceList:
+    """The price list of ``problem`` under its pattern groups (a
+    :meth:`DualOperator.prepare` found them): :func:`replay_for` on the
+    :class:`ShapeTable` of the groups."""
+    _, library, replay = _APPROACHES[approach]
+    shapes = ShapeTable.from_groups(problem, groups, library, replay.reads_rhs_fill)
+    return replay_for(
+        approach, problem, machine_config, assembly_config, shapes, storage_dtype
+    ).price()
 
 
 def replay_for(
@@ -147,16 +176,21 @@ def replay_for(
     machine_config: MachineConfig | None = None,
     assembly_config: AssemblyConfig | None = None,
     shapes: ShapeTable | None = None,
+    storage_dtype=np.float64,
 ) -> CostReplay:
     """The approach's cost replay on a fresh machine, from the symbolic analysis alone.
 
     No factorization and no Schur assembly: the replay's phases charge what
-    :func:`make_dual_operator`'s would.  ``shapes`` reuses a table built
-    for the same problem and library (the exhaustive Table-I sweep prices
-    every configuration from one).
+    :func:`make_dual_operator`'s would (``storage_dtype``: the precision
+    policy's, which sizes the ``F̃ᵢ`` on the device).  ``shapes`` reuses a
+    table built for the same problem and library (the exhaustive Table-I
+    sweep prices every configuration from one; an operator's
+    ``prepare()``, from its pattern groups).
     """
     _, library, replay = _APPROACHES[approach]
     if shapes is None:
         groups = analyze_problem(problem, scatters=replay.reads_rhs_fill)
         shapes = ShapeTable.from_groups(problem, groups, library, replay.reads_rhs_fill)
-    return replay(shapes, _machine(approach, problem, machine_config), assembly_config)
+    return replay(
+        shapes, _machine(approach, problem, machine_config), assembly_config, storage_dtype
+    )

@@ -1,4 +1,4 @@
-"""The dual operator: two numeric paths, priced by a cost replay.
+"""The dual operator: two numeric paths, and the price list of its approach.
 
 The nine Table-III approaches compute the same ``F = B̃ K⁺ B̃ᵀ`` along one of
 two numeric paths:
@@ -15,33 +15,33 @@ two numeric paths:
 
 Both paths run on the operator's pattern groups
 (:class:`~repro.sparse.group.PatternGroup`: the subdomains sharing one
-symbolic analysis), which own the factor bands.  Where the work runs and
-what it costs — simulated seconds, device bytes — is the approach's cost
-replay (:mod:`repro.feti.operators.replay`), which ``prepare()`` builds
-from the symbolic analyses and the CPU library the approach stands for.  The
-operator also owns the phase bookkeeping (simulated + wall time, in a
-:class:`~repro.analysis.timing.TimingLedger`) and the ``K⁺`` solves of
-``d = B K⁺ f − c`` and the primal recovery.
+symbolic analysis), which own the factor bands.  What the work costs —
+simulated seconds — is a pure function of the subdomain shapes, the
+machine and the assembly configuration: ``prepare()`` prices it once, from
+the pattern groups, through the ``price`` function
+:func:`~repro.feti.operators.make_dual_operator` gives it (a cost replay
+on a fresh simulated machine), and keeps the frozen price list.  Every
+later phase records its timeline from that list; no phase drives a
+simulated clock.  The operator also owns the phase bookkeeping (simulated
++ wall time, in a :class:`~repro.analysis.timing.TimingLedger`) and the
+``K⁺`` solves of ``d = B K⁺ f − c`` and the primal recovery.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from repro.analysis.timing import PhaseTiming, TimingLedger
-from repro.cluster.topology import Machine
 from repro.feti.config import AssemblyConfig, DualOperatorApproach
 from repro.feti.operators.batch import SubdomainBatchEngine
 from repro.feti.problem import FetiProblem
 from repro.memory.precision import PrecisionPolicy, resolve_precision
 from repro.observe.trace import trace_span
 from repro.sparse.cache import PatternCache, global_pattern_cache
-from repro.sparse.costmodel import CpuLibrary
 from repro.sparse.group import PatternGroup
 from repro.sparse.ordering import OrderingMethod
 from repro.sparse.schur import SchurScatter, schur_scatters
@@ -89,7 +89,7 @@ _STORAGE_VERSIONS = itertools.count()
 
 
 class DualOperator:
-    """One Table-III approach: a numeric path plus the replay that prices it.
+    """One Table-III approach: a numeric path plus the price list of its timelines.
 
     Parameters
     ----------
@@ -99,30 +99,26 @@ class DualOperator:
         Assemble ``F̃ᵢ`` and apply them as dense blocks (``True``), or apply
         ``B̃ K⁺ B̃ᵀ`` through one banded ``K⁺`` solve per sparsity pattern
         (``False``).
-    library:
-        The CPU library (MKL PARDISO or CHOLMOD) whose analysis,
-        factorization and Schur assembly the cost replay charges.
-    replay:
-        The :class:`~repro.feti.operators.replay.CostReplay` subclass of the
-        approach family; ``prepare()`` builds it with its ``build``.
+    price:
+        The approach's price list of the problem under given pattern groups
+        (a :class:`~repro.feti.operators.replay.PriceList`: ``preparation``,
+        ``preprocessing``, ``applied`` and ``apply(columns)``);
+        :meth:`prepare` calls it once.
     """
 
     def __init__(
         self,
         problem: FetiProblem,
-        machine: Machine,
         approach: DualOperatorApproach,
         *,
         explicit: bool,
-        library: CpuLibrary,
-        replay: type,
+        price: Callable[[list[PatternGroup]], object],
         config: AssemblyConfig | None = None,
         pattern_cache: PatternCache | None = None,
         workers: int = 1,
         precision: "str | PrecisionPolicy" = "fp64",
     ) -> None:
         self.problem = problem
-        self.machine = machine
         self.approach = approach
         self.explicit = explicit
         self.config = config or AssemblyConfig()
@@ -136,10 +132,10 @@ class DualOperator:
         self.pattern_cache = pattern_cache
         #: Span count of the preprocessing: ``1`` runs it inline.
         self.workers = workers
-        self._library = library
-        self._replay_type = replay
-        #: The approach's cost replay, built by :meth:`prepare`.
-        self.replay = None
+        self._price = price
+        #: The frozen simulated timelines of every phase, priced by
+        #: :meth:`prepare`.
+        self.prices = None
         self.ledger = TimingLedger()
         #: Changes (to a value no other operator holds) whenever the
         #: resident storage may have: at construction, after every
@@ -149,10 +145,6 @@ class DualOperator:
         self._prepared = False
         self._preprocessed = False
         self._batch_engine: "SubdomainBatchEngine | None" = None
-        #: The applies' simulated timelines of this preprocessing round, keyed
-        #: by stacked column count (see :meth:`_planned`).
-        self._apply_plans: dict[int, tuple[float, dict[str, float]]] = {}
-        self._plan_lock = threading.Lock()
         #: The subdomains sharing one symbolic analysis, with their Schur
         #: scatters on the explicit path (:func:`analyze_problem`): found by
         #: :meth:`prepare`, the unit of the preprocessing, and the owners of
@@ -191,35 +183,20 @@ class DualOperator:
 
         The symbolic analysis of every subdomain, the pattern groups (and, on
         the explicit path, how every ``B̃ᵢ`` enters the Schur assembly), per
-        stored pattern (:func:`analyze_problem`); the cost replay is built
-        from them and charges the phase.  A second call starts over: it
-        releases the first one's factors and the device bytes its replay
-        charged.
+        stored pattern (:func:`analyze_problem`); the price list of every
+        phase is priced from them, in a ``cost_replay`` span.  A second call
+        starts over: the old factors go with the old groups.
         """
         wall0 = time.perf_counter()
-        if self.replay is not None:
-            # A second preparation re-analyses and charges the machine
-            # afresh: the old factors go with the old groups, and the old
-            # replay returns what it took, or its arena leaves the pool no
-            # bytes.
-            self.release()
-            self.replay.release()
+        self.release()
         with trace_span("preparation", approach=self.approach.value):
             self._groups = analyze_problem(
                 self.problem, self.pattern_cache, scatters=self.explicit
             )
-            with self._replay_span("prepare"):
-                self.replay = self._replay_type.build(
-                    self.problem,
-                    self._groups,
-                    self._library,
-                    self.machine,
-                    self.config,
-                    self.precision.storage_dtype,
-                )
-                sim, breakdown = self.replay.prepare()
+            with trace_span("cost_replay", approach=self.approach.value):
+                self.prices = self._price(self._groups)
         self._prepared = True
-        return self._record("preparation", sim, breakdown, wall0)
+        return self._record("preparation", *self.prices.preparation, wall0)
 
     def preprocess(self, K_reg: Sequence[np.ndarray] | None = None) -> PhaseTiming:
         """Run the FETI preprocessing phase (once per time step that changed ``K``).
@@ -249,11 +226,9 @@ class DualOperator:
             )
             for sub in self.problem.subdomains if self.explicit else ():
                 self.batch_engine.install_dense_block(sub.index, local_F.pop(sub.index))
-            with self._replay_span("preprocess"):
-                sim, breakdown = self.replay.preprocess()
         self._preprocessed = True
         self.storage_version = next(_STORAGE_VERSIONS)
-        return self._record("preprocessing", sim, breakdown, wall0)
+        return self._record("preprocessing", *self.prices.preprocessing, wall0)
 
     @property
     def preprocessed(self) -> bool:
@@ -268,7 +243,6 @@ class DualOperator:
     def _drop_factors(self) -> None:
         """Forget the numeric factors and what was derived from them."""
         self._preprocessed = False
-        self._apply_plans = {}
         for group in self._groups:
             group.release()
 
@@ -291,8 +265,11 @@ class DualOperator:
             )
         wall0 = time.perf_counter()
         with trace_span("apply"):
-            q, sim, breakdown = self._apply_impl(lam)
-        self._record("apply", sim, breakdown, wall0)
+            if self.explicit:
+                q = self.batch_engine.require_dense().apply(lam)
+            else:
+                q = self.apply_accurate(lam)
+        self._record("apply", *self.prices.applied, wall0)
         return q
 
     __call__ = apply
@@ -306,9 +283,8 @@ class DualOperator:
         :meth:`apply` calls to machine rounding (≤1e-12 relative).  The
         implicit approaches apply the columns one by one.
 
-        One ``apply_multi`` phase is recorded per call: the replay's
-        timeline of ``k`` stacked columns, or the sum of ``k`` per-column
-        applies.
+        One ``apply_multi`` phase is recorded per call: the price list's
+        timeline of ``k`` stacked columns.
         """
         if not self._preprocessed:
             raise RuntimeError("preprocess() must run before apply_multi()")
@@ -323,59 +299,14 @@ class DualOperator:
         with trace_span("apply_multi", columns=k):
             if self.explicit:
                 out = self.batch_engine.require_dense().apply_multi(lam_block)
-                sim, breakdown = self._planned(k)
+            elif k:
+                out = np.column_stack(
+                    [self.apply_accurate(np.ascontiguousarray(column)) for column in lam_block.T]
+                )
             else:
-                sim = 0.0
-                breakdown: dict[str, float] = {}
-                columns = []
-                for j in range(k):
-                    q, col_sim, col_breakdown = self._apply_impl(
-                        np.ascontiguousarray(lam_block[:, j])
-                    )
-                    columns.append(q)
-                    sim += col_sim
-                    for key, value in col_breakdown.items():
-                        breakdown[key] = breakdown.get(key, 0.0) + value
-                out = np.column_stack(columns) if columns else np.zeros_like(lam_block)
-        self._record("apply_multi", sim, breakdown, wall0)
+                out = np.zeros_like(lam_block)
+        self._record("apply_multi", *self.prices.apply(k), wall0)
         return out
-
-    def _apply_impl(self, lam: np.ndarray) -> tuple[np.ndarray, float, dict[str, float]]:
-        """Return (result, simulated seconds, breakdown) of one application.
-
-        Numerics plus the round's planned timeline — simulated time is a pure
-        function of the shapes and the machine, so the replay runs once per
-        :meth:`preprocess`, not per PCPG iteration (the breakdown mapping is
-        shared: read-only).  The per-subdomain loops that replay on every
-        apply are the oracle (``tests/oracles/apply.py``).
-        """
-        sim, breakdown = self._planned(1)
-        if self.explicit:
-            # In the caller's thread whatever the worker count: the workers
-            # run preprocessing only.
-            return self.batch_engine.require_dense().apply(lam), sim, breakdown
-        return self.apply_accurate(lam), sim, breakdown
-
-    def _planned(self, columns: int) -> tuple[float, dict[str, float]]:
-        """This round's apply timeline for ``columns`` stacked right-hand sides.
-
-        Planned on first use, dropped by the next preprocessing.  The lock is
-        taken only while the plan is missing: replays drive the shared device
-        streams and must not interleave.
-        """
-        plan = self._apply_plans.get(columns)
-        if plan is None:
-            with self._plan_lock:
-                plan = self._apply_plans.get(columns)
-                if plan is None:
-                    with self._replay_span("apply", columns=columns):
-                        plan = self._apply_plans[columns] = self.replay.apply(columns)
-        return plan
-
-    def _replay_span(self, phase: str, **attrs):
-        """The span of one cost-replay call: the simulated timeline's
-        bookkeeping, apart from the numerics around it."""
-        return trace_span("cost_replay", approach=self.approach.value, phase=phase, **attrs)
 
     # ------------------------------------------------------------------ #
     # Timing accessors used by the benchmarks                             #
@@ -492,7 +423,7 @@ class DualOperator:
         :meth:`dual_rhs` raise until the next :meth:`preprocess`, which
         rebuilds the factors at the spec's own precision.  The structure
         stays warm — problem, symbolic analyses, Schur scatters and the
-        cost replay with its simulated device byte sizes.
+        price list.
         """
         self._drop_factors()
         if self._batch_engine is not None:

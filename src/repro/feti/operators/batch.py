@@ -19,9 +19,9 @@ as a handful of vectorized NumPy operations regardless of the subdomain count:
   stored triangle, as the paper applies ``F̃ᵢ``;
 * :class:`SubdomainBatchEngine` — the above over every subdomain at once.
 
-The engine is numerics only: the simulated time of an apply is the cost
-replay's timeline, planned once per preprocessing round (see
-:meth:`~repro.feti.operators.base.DualOperator._apply_impl`).
+The engine is numerics only: the simulated time of an apply is read from
+the operator's price list (see
+:meth:`~repro.feti.operators.base.DualOperator.prepare`).
 """
 
 from __future__ import annotations

@@ -24,13 +24,16 @@ kept as the oracle in ``tests/oracles/replay.py``.
 One replay per approach family — CPU explicit, CPU implicit, GPU explicit,
 GPU implicit and hybrid — each with ``prepare()`` / ``preprocess()`` /
 ``apply(columns)`` returning ``(simulated seconds, breakdown)``.  Clusters
-run on different processes, so a phase takes its slowest cluster.
+run on different processes, so a phase takes its slowest cluster.  A
+dual operator reads none of them: :meth:`CostReplay.price` runs the three
+phases once, on the fresh machine of
+:func:`~repro.feti.operators.replay_for`, into a :class:`PriceList`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
 
@@ -42,7 +45,6 @@ from repro.feti.config import AssemblyConfig, FactorStorage, Path, ScatterGather
 from repro.gpu import cusparse
 from repro.gpu.arrays import DeviceCsrMatrix, MatrixOrder
 from repro.gpu.cusparse import SparseTrsmPlan
-from repro.gpu.device import Device
 from repro.gpu.memory import Allocation, buffer, round_up
 from repro.gpu.stream import StreamOperation
 from repro.sparse.costmodel import CpuLibrary
@@ -51,6 +53,7 @@ from repro.sparse.group import PatternGroup
 __all__ = [
     "SubdomainShape",
     "ShapeTable",
+    "PriceList",
     "CostReplay",
     "CpuExplicitReplay",
     "CpuImplicitReplay",
@@ -221,6 +224,67 @@ def _matrix_order(order) -> MatrixOrder:
     return MatrixOrder.ROW_MAJOR if order.value == "row-major" else MatrixOrder.COL_MAJOR
 
 
+def _repeated(timeline: Timeline, columns: int) -> Timeline:
+    """``columns`` one-column timelines, added left to right from zero."""
+    seconds, breakdown = timeline
+    total = 0.0
+    summed: dict[str, float] = {}
+    for _ in range(columns):
+        total += seconds
+        for key, value in breakdown.items():
+            summed[key] = summed.get(key, 0.0) + value
+    return total, summed
+
+
+#: One cluster of a CPU family's apply: its thread count and its subdomains'
+#: one-column costs (in subdomain order) by breakdown key.
+CpuApplyCosts = tuple[int, dict[str, np.ndarray]]
+
+
+def _cpu_apply(clusters: Sequence[CpuApplyCosts], columns: int) -> Timeline:
+    """Every subdomain's kernels ``columns`` times on its thread's clock.
+
+    (The cost model has no GEMM-efficiency term for a stacked apply.)
+    """
+    breakdown: dict[str, float] = {}
+    cluster_times = []
+    for n_threads, per_key in clusters:
+        clocks = ThreadClocks(n_threads)
+        costs = {key: columns * c for key, c in per_key.items()}
+        clocks.advance_many(sum(costs.values()))
+        for key, c in costs.items():
+            breakdown[key] = breakdown.get(key, 0.0) + float(c.sum())
+        cluster_times.append(clocks.elapsed)
+    return _slowest(cluster_times), breakdown
+
+
+@dataclass(frozen=True, eq=False)
+class PriceList:
+    """A dual operator's simulated timelines, priced once.
+
+    ``preparation``, ``preprocessing`` and ``applied`` (one column) are
+    ``(simulated seconds, breakdown)``: every phase of that name records
+    them (the breakdown mappings are shared, read-only).  :meth:`apply`
+    prices stacked columns by arithmetic on these numbers alone.
+    """
+
+    preparation: Timeline
+    preprocessing: Timeline
+    applied: Timeline
+    #: The CPU explicit family's per-cluster apply costs: its ``k`` stacked
+    #: columns are one loop of ``k`` times each cost.  ``None``: ``k``
+    #: stacked columns cost ``k`` one-column applies.
+    cpu_apply: tuple[CpuApplyCosts, ...] | None = None
+
+    def apply(self, columns: int = 1) -> Timeline:
+        """The timeline of one apply to ``columns`` stacked right-hand sides."""
+        if columns == 1:
+            return self.applied
+        if self.cpu_apply is not None:
+            return _cpu_apply(self.cpu_apply, columns)
+        return _repeated(self.applied, columns)
+
+
 class CostReplay:
     """The simulated timeline of one approach family.
 
@@ -247,24 +311,6 @@ class CostReplay:
         #: The CPU cost model every cluster shares.
         self._cpu = machine.config.cpu_cost_model
 
-    @classmethod
-    def build(
-        cls,
-        problem,
-        groups: Sequence[PatternGroup],
-        library: CpuLibrary,
-        machine: Machine,
-        config: AssemblyConfig | None = None,
-        storage_dtype=np.float64,
-    ) -> "CostReplay":
-        """The replay of ``problem`` from its pattern groups.
-
-        The groups must hold their Schur scatters where the replay reads
-        ``rhs_fill``.
-        """
-        shapes = ShapeTable.from_groups(problem, groups, library, cls.reads_rhs_fill)
-        return cls(shapes, machine, config, storage_dtype)
-
     def clusters(self):
         """Yield ``(resources, shape group of each of its subdomains)`` for every cluster."""
         for cluster in self.machine.clusters:
@@ -279,16 +325,17 @@ class CostReplay:
     def prepare(self) -> Timeline:
         raise NotImplementedError
 
-    def release(self) -> None:
-        """Return what :meth:`prepare` charged to the machine (a CPU family
-        charges nothing)."""
-
     def preprocess(self) -> Timeline:
         raise NotImplementedError
 
     def apply(self, columns: int = 1) -> Timeline:
         """One apply to ``columns`` stacked right-hand sides."""
         raise NotImplementedError
+
+    def price(self) -> "PriceList":
+        """Prepare, preprocess and one apply, in an operator's order: the
+        price list of a dual operator (run once, on a fresh machine)."""
+        return PriceList(self.prepare(), self.preprocess(), self.apply())
 
 
 # --------------------------------------------------------------------- #
@@ -316,22 +363,16 @@ class _CpuReplay(CostReplay):
         """Costs of one column by breakdown key, by shape group."""
         raise NotImplementedError
 
-    def apply(self, columns: int = 1) -> Timeline:
-        """Every subdomain's kernels ``columns`` times on its thread's clock.
-
-        (The cost model has no GEMM-efficiency term for a stacked apply.)
-        """
+    def _apply_clusters(self) -> tuple[CpuApplyCosts, ...]:
+        """Every cluster's thread count and its subdomains' one-column costs."""
         per_shape = self._apply_costs()
-        breakdown: dict[str, float] = {}
-        cluster_times = []
-        for cluster, shape_ids in self.clusters():
-            clocks = ThreadClocks(cluster.n_threads)
-            costs = {key: columns * c[shape_ids] for key, c in per_shape.items()}
-            clocks.advance_many(sum(costs.values()))
-            for key, c in costs.items():
-                breakdown[key] = breakdown.get(key, 0.0) + float(c.sum())
-            cluster_times.append(clocks.elapsed)
-        return _slowest(cluster_times), breakdown
+        return tuple(
+            (cluster.n_threads, {key: c[shape_ids] for key, c in per_shape.items()})
+            for cluster, shape_ids in self.clusters()
+        )
+
+    def apply(self, columns: int = 1) -> Timeline:
+        return _cpu_apply(self._apply_clusters(), columns)
 
 
 class CpuExplicitReplay(_CpuReplay):
@@ -352,6 +393,11 @@ class CpuExplicitReplay(_CpuReplay):
 
     def _apply_costs(self):
         return {"gemv": self.shapes.per_shape(lambda s: self._cpu.gemv(s.n_lambda, s.n_lambda))}
+
+    def price(self) -> PriceList:
+        # One GEMM per stacked block: priced as the stacked loop, not as
+        # ``k`` one-column applies.
+        return replace(super().price(), cpu_apply=self._apply_clusters())
 
 
 class CpuImplicitReplay(_CpuReplay):
@@ -426,8 +472,6 @@ class _GpuReplay(CostReplay):
         self._version = self.machine.config.cuda_version
         #: One member's persistent device structures, by shape group.
         self._states = [self._device_state(shape) for shape in self.shapes.shapes]
-        #: The pool bytes :meth:`prepare` charged, by device (its arena's too).
-        self._charged: list[tuple[Device, int]] = []
 
     @cached_property
     def device_state(self) -> dict[int, DeviceState]:
@@ -518,27 +562,13 @@ class _GpuReplay(CostReplay):
                 sum(count * len(group) for count, group in zip(counts, blocks)),
             )
 
-        devices = [cluster.device for cluster in self.machine.clusters]
-        before = [device.memory.used_bytes for device in devices]
-        timeline = self._stream_loop(
+        return self._stream_loop(
             self.prepare_keys,
             map(self._prepare_kernels, self._states),
             {"symbolic": self._symbolic()},
             charge=charge,
             close=self._close_prepare,
         )
-        self._charged = [
-            (device, device.memory.used_bytes - used) for device, used in zip(devices, before)
-        ]
-        return timeline
-
-    def release(self) -> None:
-        """Return every pool byte :meth:`prepare` charged and drop the arena
-        it made of the rest, so a new preparation finds the pool as it was."""
-        for device, nbytes in self._charged:
-            device.memory.release_batch(nbytes)
-            device.temporary = None
-        self._charged = []
 
     def _prepare_kernels(self, state: DeviceState):
         """The uploads of the persistent patterns, then the TRSM analyses."""
@@ -610,16 +640,8 @@ class _GpuReplay(CostReplay):
 
     def apply(self, columns: int = 1) -> Timeline:
         """``columns`` stacked columns cost ``columns`` one-column replays."""
-        seconds, breakdown = self._apply_one()
-        if columns == 1:
-            return seconds, breakdown
-        total = 0.0
-        summed: dict[str, float] = {}
-        for _ in range(columns):
-            total += seconds
-            for key, value in breakdown.items():
-                summed[key] = summed.get(key, 0.0) + value
-        return total, summed
+        applied = self._apply_one()
+        return applied if columns == 1 else _repeated(applied, columns)
 
     def _apply_one(self) -> Timeline:
         raise NotImplementedError

@@ -127,14 +127,6 @@ class MemoryPool:
             self._peak = max(self._peak, self._used)
             self._allocations += count
 
-    def release_batch(self, nbytes: int) -> None:
-        """Return ``nbytes`` that earlier allocations took (the inverse of
-        :meth:`allocate_batch`; the allocation count stays)."""
-        with self._lock:
-            if nbytes > self._used:
-                raise ValueError(f"cannot release {nbytes} bytes; only {self._used} are in use")
-            self._used -= nbytes
-
     def _release(self, allocation: Allocation) -> None:
         with self._lock:
             self._used -= allocation.nbytes

@@ -9,7 +9,7 @@ entries from the cold end of the LRU.  An entry is in one of two states:
   measured in the ledger;
 * **released** — :meth:`~repro.feti.operators.base.DualOperator.release`
   dropped them (0 budgeted bytes).  The entry keeps its built structure
-  warm (problem, symbolic analysis, projector, scatters, cost replay); its
+  warm (problem, symbolic analysis, projector, scatters, price list); its
   operator is no longer preprocessed, so the next touch re-runs the numeric
   factorization in the spec's own precision and a release can never change
   a solve's results.  Re-measuring a released entry counts that lazy

@@ -2,8 +2,8 @@
 
 Wall-clock numbers live in ``benchmarks/perf``; these are the call counts
 behind them.  The discrete-event GPU simulator (streams, stream lookup,
-thread clocks) runs during the first apply after a preprocessing — where the
-timeline plan is made — and never again in that round; a long-lived
+thread clocks) runs in ``prepare()`` only — where the operator is priced —
+and never in a preprocessing or an apply; a long-lived
 session's timing ledger does not grow with the number of solves; a solve
 whose condition estimate nobody reads never computes it; a projector apply
 (a block apply too, whatever its width) is two sparse products around one
@@ -59,10 +59,9 @@ def _session() -> Session:
     return Session(SPEC, memory_budget="unlimited")
 
 
-def test_simulator_runs_in_the_first_apply_of_a_round_only(monkeypatch):
+def test_simulator_runs_in_prepare_only(monkeypatch):
     calls: Counter[str] = Counter()
-    applies: list[tuple[bool, int]] = []  # (first of its round?, simulator calls)
-    fresh_round = [False]
+    phases: list[tuple[str, int]] = []  # (operator phase, its own simulator calls)
 
     def count(cls, name):
         original = getattr(cls, name)
@@ -77,41 +76,42 @@ def test_simulator_runs_in_the_first_apply_of_a_round_only(monkeypatch):
         for name in names:
             count(cls, name)
 
-    preprocess, apply_impl = DualOperator.preprocess, DualOperator._apply_impl
+    def track(name):
+        original = getattr(DualOperator, name)
 
-    def tracking_preprocess(self, *args):
-        fresh_round[0] = True
-        return preprocess(self, *args)
+        def tracked(self, *args, **kwargs):
+            before, nested = sum(calls.values()), len(phases)
+            result = original(self, *args, **kwargs)
+            inner = sum(n for _, n in phases[nested:])
+            phases.append((name, sum(calls.values()) - before - inner))
+            return result
 
-    def tracking_apply_impl(self, lam):
-        before = sum(calls.values())
-        result = apply_impl(self, lam)
-        applies.append((fresh_round[0], sum(calls.values()) - before))
-        fresh_round[0] = False
-        return result
+        monkeypatch.setattr(DualOperator, name, tracked)
 
-    monkeypatch.setattr(DualOperator, "preprocess", tracking_preprocess)
-    monkeypatch.setattr(DualOperator, "_apply_impl", tracking_apply_impl)
+    for name in ("prepare", "preprocess", "apply"):
+        track(name)
 
     session = _session()
     cold = session.solve(W)
     assert cold.converged
-    n_cold = len(applies)
-    assert n_cold == cold.iterations + 1
-    # The cold solve preprocessed: its first apply planned the timeline ...
-    first, *rest = applies
-    assert first[0] and first[1] > 0
+    # The cold solve priced the operator once, in its preparation ...
+    assert [name for name, n in phases if n] == ["prepare"]
     assert calls["Stream.submit"] > 0 and calls["ClusterResources.stream_for"] > 0
-    # ... and applies 2…n never touched the simulator.
-    assert rest and all(not fresh and n == 0 for fresh, n in rest)
+    # ... and its preprocessing and every apply never touched the simulator.
+    assert sorted(name for name, _ in phases) == sorted(
+        ["prepare", "preprocess"] + ["apply"] * (cold.iterations + 1)
+    )
 
-    # A warm solve reuses the preprocessing, hence the plan: zero simulator
-    # calls in any of its applies.
+    # A warm solve, and a solve that re-factors a released entry, make zero
+    # simulator calls.
     calls.clear()
     warm = session.solve(W)
+    session.solver(W).operator.release()
+    again = session.solve(W)
     assert warm.converged and warm.iterations == cold.iterations
-    assert applies[n_cold:] == [(False, 0)] * (warm.iterations + 1)
-    assert warm.dual_apply_seconds == cold.dual_apply_seconds
+    assert again.iterations == cold.iterations
+    assert not calls
+    assert warm.dual_apply_seconds == again.dual_apply_seconds == cold.dual_apply_seconds
 
 
 def test_warm_solves_do_not_grow_the_timing_ledger():
@@ -119,8 +119,6 @@ def test_warm_solves_do_not_grow_the_timing_ledger():
     session = _session()
     first = session.solve(W)
     ledger = session.solver(W).operator.ledger
-    retained = len(ledger.phases)
-    assert retained == ledger.count("preparation") + ledger.count("preprocessing")
     applies = ledger.count("apply")
     total = ledger.total("apply")
     iterations = 0
@@ -128,10 +126,9 @@ def test_warm_solves_do_not_grow_the_timing_ledger():
         solution = session.solve(W)
         iterations += solution.iterations + 1  # + the initial residual's apply
         assert solution.dual_apply_seconds == first.dual_apply_seconds
-    assert len(ledger.phases) == retained
     assert ledger.count("apply") == applies + iterations
     assert ledger.total("apply") > total
-    assert ledger.last("apply").breakdown is session.solver(W).operator._apply_plans[1][1]
+    assert ledger.last("apply").breakdown is session.solver(W).operator.prices.applied[1]
 
 
 #: κ estimates of two warm solves as computed before the estimate became

@@ -1,18 +1,20 @@
-"""The apply's simulated timeline is planned once per preprocessing.
+"""The apply's simulated timeline comes from the operator's price list.
 
-An apply is numerics plus a *plan* — the ``(simulated_seconds, breakdown)``
-the stream/clock replay yields, which is a pure function of the preprocessed
-state.  These tests pin the contract: the plan equals a fresh replay bit for
-bit, equals the per-subdomain loop of ``tests/oracles/apply.py`` (which
-replays on every apply and is the oracle), is rebuilt by every
-``preprocess()``, and is computed once even when several threads hit the
-first apply together.
+An apply is numerics plus the ``(simulated_seconds, breakdown)`` of one
+apply, which is a pure function of the subdomain shapes, the machine and
+the assembly configuration: ``prepare()`` prices it once, with the other
+phases.  These tests pin the contract: what an apply records equals a
+fresh replay bit for bit, equals the per-subdomain loop of
+``tests/oracles/apply.py`` (which replays on every apply and is the
+oracle), survives every ``preprocess()`` and ``release()`` unchanged, and
+is the same whichever thread records it.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,9 +30,10 @@ from repro.feti.operators import BatchedDenseApply, make_dual_operator
 from repro.feti.problem import FetiProblem
 
 from tests.oracles.apply import looped_apply, looped_apply_multi
+from tests.oracles.clusters import priced_replay
 
 APPROACHES = list(DualOperatorApproach)
-#: The CPU approaches' plan sums its cost arrays with NumPy's pairwise
+#: The CPU approaches' price list sums its cost arrays with NumPy's pairwise
 #: ``sum`` while the loop adds one cost at a time: same terms, another order.
 _CPU_SUM_RTOL = 1e-12
 _CPU_APPROACHES = {
@@ -81,24 +84,25 @@ def test_planned_apply_equals_the_replaying_loop(
     problem, machine_config, approach, scatter
 ):
     planned = _operator(problem, machine_config, approach, scatter)
+    replay = priced_replay(planned, machine_config)
     rng = np.random.default_rng(7)
     looped_total = 0.0
     for n in range(1, 11):
         x = rng.standard_normal(problem.n_lambda)
         q_planned = planned.apply(x)
-        q_looped, sim, breakdown = looped_apply(planned, x)
+        q_looped, sim, breakdown = looped_apply(planned, x, replay)
         looped_total += sim
         if n in (1, 2, 10):
             np.testing.assert_allclose(q_planned, q_looped, rtol=1e-12, atol=1e-12)
             _assert_same_timeline(planned.ledger.last("apply"), sim, breakdown, approach)
-            # The plan *is* what a replay returns, bit for bit, and every
-            # planned apply shares its one breakdown mapping.
-            assert planned.replay.apply() == planned._apply_plans[1]
-            assert planned.ledger.last("apply").breakdown is planned._apply_plans[1][1]
+            # The price *is* what a replay returns, bit for bit, and every
+            # apply shares its one breakdown mapping.
+            assert replay.apply() == planned.prices.applied
+            assert planned.ledger.last("apply").breakdown is planned.prices.applied[1]
     assert planned.ledger.total("apply") == looped_total
 
     block = rng.standard_normal((problem.n_lambda, 3))
-    Q_looped, sim, breakdown = looped_apply_multi(planned, block)
+    Q_looped, sim, breakdown = looped_apply_multi(planned, block, replay)
     np.testing.assert_allclose(
         planned.apply_multi(block), Q_looped, rtol=1e-12, atol=1e-12
     )
@@ -129,83 +133,76 @@ def test_apply_multi_is_one_pack_gemm(problem, machine_config, approach, monkeyp
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
-def test_preprocess_and_release_rebuild_the_plan(problem, machine_config, approach):
+def test_preprocess_and_release_keep_the_price_list(problem, machine_config, approach):
     operator = _operator(problem, machine_config, approach, ScatterGatherDevice.GPU)
+    prices = operator.prices
     x = np.random.default_rng(3).standard_normal(problem.n_lambda)
     operator.apply(x)
     honest = operator.ledger.last("apply")
+    assert honest.breakdown is prices.applied[1]
 
-    def poison():
-        operator._apply_plans[1] = (-1.0, {"poisoned": 1.0})
-
-    # The cached plan is what an apply records ...
-    poison()
+    # What an apply records is the price list's, read at every apply ...
+    poisoned = replace(prices, applied=(-1.0, {"poisoned": 1.0}))
+    operator.prices = poisoned
     operator.apply(x)
     assert operator.ledger.last("apply").simulated_seconds == -1.0
-    # ... until the next preprocessing drops it,
+    # ... and neither a preprocessing nor a release reprices,
+    operator.preprocess()
+    operator.release()
+    operator.preprocess()
+    assert operator.prices is poisoned
+    operator.apply(x)
+    assert operator.ledger.last("apply").simulated_seconds == -1.0
+    # while a preparation prices afresh, bitwise the first list.
+    operator.prepare()
+    fresh = operator.prices
+    assert fresh is not poisoned
+    assert (fresh.preparation, fresh.preprocessing, fresh.applied) == (
+        prices.preparation,
+        prices.preprocessing,
+        prices.applied,
+    )
     operator.preprocess()
     operator.apply(x)
     rebuilt = operator.ledger.last("apply")
     assert rebuilt.simulated_seconds == honest.simulated_seconds
     assert list(rebuilt.breakdown.items()) == list(honest.breakdown.items())
-    # and so does a release (followed by the re-preprocessing it forces).
-    poison()
-    operator.release()
-    assert not operator._apply_plans
-    operator.preprocess()
-    operator.apply(x)
-    assert operator.ledger.last("apply").simulated_seconds == honest.simulated_seconds
 
 
-def test_stream_logs_show_one_apply_after_planned_applies(problem):
-    """``keep_stream_logs``: the streams hold the replay of exactly one apply."""
-    operator = make_dual_operator(DualOperatorApproach.EXPLICIT_GPU_MODERN, problem)
-    operator.prepare()
-    streams = [s for c in operator.machine.clusters for s in c.streams]
-    for stream in streams:
-        stream.keep_log = True
-    operator.preprocess()
-    x = np.random.default_rng(5).standard_normal(problem.n_lambda)
-    for _ in range(3):
-        operator.apply(x)
-    planned = [(list(s.operations), s.tail) for s in streams]
-    assert any(operations for operations, _ in planned)
-    looped_apply(operator, x)  # resets the timelines and replays one apply
-    assert [(list(s.operations), s.tail) for s in streams] == planned
-
-
-def test_first_apply_from_many_threads_plans_once(problem, machine_config, monkeypatch):
-    """More threads than cores race to the first apply: one uninterleaved replay."""
+def test_concurrent_first_applies_record_equal_phases(problem, machine_config, monkeypatch):
+    """More threads than cores race to the first apply after a preprocessing:
+    every one records the same apply phase, bit for bit."""
     operator = _operator(
         problem,
         machine_config,
-        DualOperatorApproach.IMPLICIT_GPU_MODERN,
+        DualOperatorApproach.EXPLICIT_GPU_MODERN,
         ScatterGatherDevice.GPU,
     )
     _, expected_sim, expected_breakdown = looped_apply(
-        operator, np.zeros(problem.n_lambda)
+        operator,
+        np.zeros(problem.n_lambda),
+        priced_replay(operator, machine_config),
     )
+    recorded = []
+    record = operator.ledger.record
 
-    replays = []
-    plan_apply = operator.replay.apply
+    def keeping_record(phase):
+        recorded.append(phase)
+        return record(phase)
 
-    def counting_plan_apply(columns=1):
-        replays.append(threading.get_ident())
-        return plan_apply(columns)
-
-    monkeypatch.setattr(operator.replay, "apply", counting_plan_apply)
+    monkeypatch.setattr(operator.ledger, "record", keeping_record)
     n_threads = 8
     barrier = threading.Barrier(n_threads)
-    plans: list = [None] * n_threads
+    x = np.random.default_rng(13).standard_normal(problem.n_lambda)
 
-    def worker(slot: int) -> None:
+    def worker() -> None:
         barrier.wait(timeout=10)
-        plans[slot] = operator._planned(1)
+        operator.apply(x)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -213,7 +210,7 @@ def test_first_apply_from_many_threads_plans_once(problem, machine_config, monke
             assert not thread.is_alive()
     finally:
         sys.setswitchinterval(interval)
-    assert len(replays) == 1
-    assert all(plan is plans[0] for plan in plans)
-    assert plans[0][0] == expected_sim
-    assert list(plans[0][1].items()) == list(expected_breakdown.items())
+    assert [phase.name for phase in recorded] == ["apply"] * n_threads
+    for phase in recorded:
+        assert phase.simulated_seconds == expected_sim
+        assert list(phase.breakdown.items()) == list(expected_breakdown.items())

@@ -27,7 +27,7 @@ from repro.feti.operators import make_dual_operator
 from repro.feti.operators.batch import SYMV_MIN_ROWS, BatchedDenseApply, FlatIndexMap
 
 from tests.oracles.apply import looped_apply
-from tests.oracles.clusters import iter_clusters
+from tests.oracles.clusters import iter_clusters, priced_replay
 from tests.oracles.kplus import looped_apply_accurate, looped_dual_rhs, member_factor
 from tests.oracles.scatter_apply import local_apply, scatter_apply, scatter_apply_multi
 from tests.oracles.schur import schur_complement
@@ -170,11 +170,11 @@ def test_apply_is_bitwise_the_scatter_path(sizes, dtype):
 # --------------------------------------------------------------------- #
 # Operator-level equivalence                                             #
 # --------------------------------------------------------------------- #
-def _assert_apply_matches_oracle(operator, x):
+def _assert_apply_matches_oracle(operator, x, replay):
     """Values to 1e-10, simulated seconds and breakdown to summation order."""
     q = operator.apply(x)
     phase = operator.ledger.last("apply")
-    q_looped, sim, breakdown = looped_apply(operator, x)
+    q_looped, sim, breakdown = looped_apply(operator, x, replay)
     np.testing.assert_allclose(q, q_looped, atol=1e-10)
     assert phase.simulated_seconds == pytest.approx(sim, rel=1e-12)
     assert set(phase.breakdown) == set(breakdown)
@@ -192,10 +192,11 @@ def test_batched_apply_matches_looped_apply(
     )
     operator.prepare()
     operator.preprocess()
+    replay = priced_replay(operator, small_machine_config)
     rng = np.random.default_rng(11)
     for _ in range(3):
         _assert_apply_matches_oracle(
-            operator, rng.standard_normal(heat_problem_2d.n_lambda)
+            operator, rng.standard_normal(heat_problem_2d.n_lambda), replay
         )
     assert operator.ledger.count("apply") == 3
 
@@ -279,7 +280,7 @@ EXPLICIT_SPECS = [
 ]
 
 
-def _per_cluster_packs(operator, lam):
+def _per_cluster_packs(operator, lam, machine):
     """The apply as one padded pack per cluster, one ``np.add.at`` each.
 
     The layout the one pack replaced, rebuilt from ``local_F``: every
@@ -290,7 +291,7 @@ def _per_cluster_packs(operator, lam):
     local_F = operator.local_F
     max_size = max(F.shape[0] for F in local_F.values())
     q = np.zeros_like(lam)
-    for _, subs in iter_clusters(operator):
+    for _, subs in iter_clusters(operator, machine):
         index_map = FlatIndexMap([s.lambda_ids for s in subs])
         assert int(index_map.sizes.max()) == max_size < SYMV_MIN_ROWS
         pack = BatchedDenseApply(index_map, lam.shape[0], dtype=local_F[subs[0].index].dtype)
@@ -317,13 +318,14 @@ def test_one_pack_apply_is_bitwise_the_per_cluster_apply(workload, spec):
         rng = np.random.default_rng(31)
         lam = rng.standard_normal(operator.problem.n_lambda)
         block = rng.standard_normal((operator.problem.n_lambda, 3))
+        replay = priced_replay(operator, spec.machine_config())
         applied = operator.apply(lam)
-        looped, _, _ = looped_apply(operator, lam)
+        looped, _, _ = looped_apply(operator, lam, replay)
         stacked = operator.apply_multi(block)
         columns = np.column_stack(
-            [looped_apply(operator, block[:, j].copy())[0] for j in range(3)]
+            [looped_apply(operator, block[:, j].copy(), replay)[0] for j in range(3)]
         )
-        per_cluster = _per_cluster_packs(operator, lam)
+        per_cluster = _per_cluster_packs(operator, lam, replay.machine)
     assert np.array_equal(applied, per_cluster)
     assert np.linalg.norm(applied - looped) <= 1e-14 * np.linalg.norm(looped)
     assert np.linalg.norm(stacked - columns) <= 1e-12 * np.linalg.norm(columns)
@@ -356,7 +358,7 @@ def test_blocks_on_both_sides_of_the_symv_threshold(approach):
         lam = rng.standard_normal(operator.problem.n_lambda)
         block = rng.standard_normal((operator.problem.n_lambda, 3))
         applied = operator.apply(lam)
-        looped, _, _ = looped_apply(operator, lam)
+        looped, _, _ = looped_apply(operator, lam, priced_replay(operator))
         stacked = operator.apply_multi(block)
         columns = np.column_stack([operator.apply(block[:, j].copy()) for j in range(3)])
         assert np.array_equal(applied, scatter_apply(dense, lam))
@@ -389,7 +391,7 @@ def test_batched_gpu_apply_matches_looped_for_nondefault_configs(
     )
     operator.preprocess()
     x = np.random.default_rng(23).standard_normal(heat_problem_2d.n_lambda)
-    _assert_apply_matches_oracle(operator, x)
+    _assert_apply_matches_oracle(operator, x, priced_replay(operator, small_machine_config))
     np.testing.assert_allclose(
         operator.apply(x), looped_apply_accurate(operator, x), rtol=1e-10, atol=1e-10
     )
@@ -416,7 +418,7 @@ def test_sparse_factor_storage_matches_looped_and_reference(
     )
     operator.preprocess()
     x = np.random.default_rng(29).standard_normal(heat_problem_2d.n_lambda)
-    _assert_apply_matches_oracle(operator, x)
+    _assert_apply_matches_oracle(operator, x, priced_replay(operator, small_machine_config))
     np.testing.assert_allclose(
         operator.apply(x), looped_apply_accurate(operator, x), rtol=1e-10, atol=1e-10
     )

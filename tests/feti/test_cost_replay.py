@@ -45,6 +45,7 @@ from repro.feti.config import (
     RhsOrder,
     ScatterGatherDevice,
 )
+from repro.feti.operators import replay_for
 from repro.feti.problem import FetiProblem
 from repro.feti.solver import FetiSolver
 
@@ -130,7 +131,9 @@ def operator_record(problem: FetiProblem, approach, assembly) -> dict:
 
     The preconditioner is pinned to ``lumped``: the fixture holds replay
     timings and the iteration counts they were recorded with, not the
-    default preconditioner of an approach family.
+    default preconditioner of an approach family.  The operator holds no
+    machine: the device counters are those of the same problem's replay,
+    driven through the phases the operator was priced from.
     """
     solver = FetiSolver(
         problem,
@@ -155,7 +158,11 @@ def operator_record(problem: FetiProblem, approach, assembly) -> dict:
     record["apply_multi_stacked=False"] = _timeline(seconds, breakdown)
     operator.apply_multi(block)
     record["apply_multi_stacked=True"] = _phase(operator.ledger.last("apply_multi"))
-    record["devices"] = _devices(operator.machine)
+    replay = replay_for(approach, problem, MACHINE, assembly)
+    replay.prepare()
+    replay.preprocess()
+    replay.apply()
+    record["devices"] = _devices(replay.machine)
     record["storage_nbytes"] = operator.storage_nbytes()
     record["iterations"] = solution.iterations
     return record
@@ -222,8 +229,6 @@ def test_exhaustive_parameter_search_is_the_fixture(fixture, problems):
 def test_replays_on_the_symbolic_analysis_alone_are_the_fixture(
     fixture, problems, name, approach, assembly
 ):
-    from repro.feti.operators import replay_for
-
     problem = problems[name]
     replay = replay_for(approach, problem, MACHINE, assembly)
     want = fixture["operators"][name][_key(approach, assembly)]

@@ -8,10 +8,13 @@ timing bookkeeping the benchmark harness relies on.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from repro.cluster.topology import MachineConfig
 from repro.feti.config import (
     AssemblyConfig,
     DualOperatorApproach,
@@ -20,10 +23,11 @@ from repro.feti.config import (
     RhsOrder,
     ScatterGatherDevice,
 )
-from repro.feti.operators import make_dual_operator
+from repro.feti.operators import make_dual_operator, replay_for
 from repro.feti.operators.replay import CpuExplicitReplay
+from repro.gpu.memory import AllocationError
 
-from tests.oracles.clusters import iter_clusters
+from tests.oracles.clusters import iter_clusters, priced_replay
 from tests.oracles.kplus import kplus_solve
 
 
@@ -115,7 +119,7 @@ def test_explicit_cpu_local_operators_match_schur(heat_problem_2d, small_machine
     )
     assert operator.approach is DualOperatorApproach.EXPLICIT_MKL and operator.explicit
     operator.preprocess()
-    assert isinstance(operator.replay, CpuExplicitReplay)
+    assert isinstance(priced_replay(operator, small_machine_config), CpuExplicitReplay)
     sub = heat_problem_2d.subdomains[0]
     F_local = operator.local_F[sub.index]
     expected = sub.B @ spla.spsolve(sub.K_reg.tocsc(), sub.B.T.toarray())
@@ -179,7 +183,8 @@ def test_gpu_memory_is_actually_used(heat_problem_2d, small_machine_config):
         machine_config=small_machine_config,
     )
     operator.preprocess()
-    for cluster, subs in iter_clusters(operator):
+    replay = priced_replay(operator, small_machine_config)
+    for cluster, subs in iter_clusters(operator, replay.machine):
         if not subs:
             continue
         assert cluster.device.memory.used_bytes > 0
@@ -195,14 +200,14 @@ def test_symmetric_apply_stores_one_triangle_of_each_device_F(
     """SYMV reads one triangle of ``F̃ᵢ``: its persistent device buffer is half the size."""
     nbytes = {}
     for symmetric in (False, True):
-        operator = make_dual_operator(
+        replay = replay_for(
             DualOperatorApproach(approach),
             heat_problem_2d,
-            machine_config=small_machine_config,
-            assembly_config=AssemblyConfig(apply_symmetric=symmetric),
+            small_machine_config,
+            AssemblyConfig(apply_symmetric=symmetric),
         )
-        operator.prepare()
-        states = operator.replay.device_state
+        replay.prepare()
+        states = replay.device_state
         nbytes[symmetric] = {i: state.F.nbytes for i, state in states.items()}
 
     def pool_bytes(n):  # the device pool allocates in 256-byte granules
@@ -238,31 +243,59 @@ def test_explicit_approaches_apply_faster_than_implicit_on_gpu(
     assert explicit.preprocessing_time > implicit.preprocessing_time
 
 
+def _one_preparation_pool(approach, problem, config: MachineConfig) -> MachineConfig:
+    """``config`` with device memory for one preparation's persistent bytes
+    and the arena its preprocessing holds, and no more: a second charge of
+    the same pool fails."""
+    replay = replay_for(approach, problem, config)
+    replay.prepare()
+    replay.preprocess()
+    need = [
+        c.device.memory.used_bytes
+        - c.device.temporary.capacity_bytes
+        + max(c.device.temporary.peak_bytes, 256)
+        for c in replay.machine.clusters
+        if c.has_device
+    ]
+    if not need:
+        return config
+    tight = replace(config, gpu_memory_bytes=max(need))
+    # The tight pool fits one preparation, not two.
+    fresh = replay_for(approach, problem, tight)
+    fresh.prepare()
+    fresh.preprocess()
+    with pytest.raises(AllocationError):
+        fresh.prepare()
+    return tight
+
+
 @pytest.mark.parametrize("approach", ["expl modern", "impl legacy", "expl hybrid", "expl mkl"])
 def test_prepare_is_re_entrant(heat_problem_2d, small_machine_config, approach):
-    """A second ``prepare()`` returns the first one's pool and arena bytes
-    before it charges again: same timeline, same device counters."""
-    operator = make_dual_operator(
-        DualOperatorApproach(approach), heat_problem_2d, small_machine_config
-    )
-    first = operator.prepare()
-    clusters = operator.machine.clusters
+    """A second ``prepare()``, and a ``release()`` followed by ``preprocess()``,
+    record the first preparation's phases bit for bit, on a device pool
+    too small for two preparations' charges."""
+    approach = DualOperatorApproach(approach)
+    config = _one_preparation_pool(approach, heat_problem_2d, small_machine_config)
+    operator = make_dual_operator(approach, heat_problem_2d, config)
+    lam = np.random.default_rng(0).standard_normal(heat_problem_2d.n_lambda)
 
-    def counters():
-        return [
-            (c.device.memory.used_bytes, c.device.memory.peak_bytes, c.device.temporary.capacity_bytes)
-            for c in clusters
-            if c.has_device
+    def phases():
+        operator.preprocess()
+        q = operator.apply(lam)
+        names = ("preparation", "preprocessing", "apply")
+        return q, [
+            (phase.simulated_seconds, list(phase.breakdown.items()))
+            for phase in map(operator.ledger.last, names)
         ]
 
-    before = counters()
-    operator.preprocess()
-    lam = np.random.default_rng(0).standard_normal(heat_problem_2d.n_lambda)
-    q = operator.apply(lam)
-    second = operator.prepare()
-    assert (second.simulated_seconds, second.breakdown) == (first.simulated_seconds, first.breakdown)
-    assert counters() == before
-    assert bool(before) == DualOperatorApproach(approach).uses_gpu
+    operator.prepare()
+    q, first = phases()
+    operator.prepare()
     assert not operator.preprocessed  # the old factors went with the old analysis
-    operator.preprocess()
-    np.testing.assert_array_equal(operator.apply(lam), q)
+    again, second = phases()
+    operator.release()
+    released, third = phases()
+    assert second == first and third == first
+    assert operator.ledger.count("preparation") == 2
+    np.testing.assert_array_equal(again, q)
+    np.testing.assert_array_equal(released, q)

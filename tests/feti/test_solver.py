@@ -17,6 +17,7 @@ from repro.feti.solver import (
 )
 
 from tests.oracles.apply import use_looped_apply
+from tests.oracles.clusters import priced_replay
 
 
 def _solve(problem, approach, machine_config, tol=1e-10):
@@ -171,7 +172,9 @@ def test_batched_and_looped_solvers_produce_identical_solutions(
     )
     engine = FetiSolver(heat_problem_2d, options).solve()
     looped_solver = FetiSolver(heat_problem_2d, options)
-    use_looped_apply(looped_solver.operator)
+    use_looped_apply(
+        looped_solver.operator, priced_replay(looped_solver.operator, small_machine_config)
+    )
     looped = looped_solver.solve()
     assert engine.converged and looped.converged
     np.testing.assert_allclose(engine.lam, looped.lam, atol=1e-10)

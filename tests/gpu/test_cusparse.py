@@ -8,7 +8,7 @@ from repro.api import Session, SolverSpec, Workload
 from repro.feti.config import FactorStorage
 from repro.gpu import CudaVersion, Device, DeviceProperties, MatrixOrder, cusparse
 
-from tests.oracles.clusters import iter_clusters
+from tests.oracles.clusters import iter_clusters, priced_replay
 
 
 @pytest.fixture(params=[CudaVersion.LEGACY, CudaVersion.MODERN])
@@ -66,11 +66,12 @@ def test_the_sparse_assembly_holds_its_trsm_workspace_only_while_it_runs():
         operator = session.operator_for(workload)
     # 2-D table2 under the legacy API assembles through the sparse TRSMs.
     assert operator.config.forward_factor_storage is FactorStorage.SPARSE
-    for cluster, subs in iter_clusters(operator):
+    replay = priced_replay(operator, spec.machine_config())
+    for cluster, subs in iter_clusters(operator, replay.machine):
         arena = cluster.device.require_temporary()
         assert arena.used_bytes == 0
         assert arena.peak_bytes >= max(
             8 * s.ndofs * s.n_lambda
-            + operator.replay.device_state[s.index].forward_plan.temporary_bytes
+            + replay.device_state[s.index].forward_plan.temporary_bytes
             for s in subs
         )

@@ -2,8 +2,10 @@
 
 :meth:`~repro.feti.operators.base.DualOperator.release` is the tier's one
 step: it drops every pattern group's factor band and every ``F̃ᵢ``, keeps the
-structure (groups, analyses, scatters, cost replay) and leaves the operator unusable until a
-preprocessing rebuilds the numbers — bitwise the ones it dropped.
+structure (groups, analyses, scatters, price list) and leaves the operator unusable until a
+preprocessing rebuilds the numbers — bitwise the ones it dropped.  That a
+preprocessing after a release records the simulated phases of the first is
+``tests/feti/test_operators.py::test_prepare_is_re_entrant``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
+import repro.runtime.preprocess as preprocess
 from repro.api import Session, SolverSpec, Workload
 
 SPECS = [
@@ -24,15 +27,6 @@ SPECS = [
 WORKLOAD = Workload("heat", 2, (4, 4), 4, n_clusters=2)
 
 
-def _device_bytes(operator) -> list[tuple[int, int]]:
-    """Used bytes and allocation count of every simulated device pool."""
-    return [
-        (c.device.memory.used_bytes, c.device.memory.allocation_count)
-        for c in operator.machine.clusters
-        if c.has_device
-    ]
-
-
 @pytest.mark.parametrize("spec", SPECS)
 def test_a_released_operator_holds_nothing_until_it_preprocesses(spec):
     with Session(spec, memory_budget="unlimited") as session:
@@ -40,7 +34,6 @@ def test_a_released_operator_holds_nothing_until_it_preprocesses(spec):
         operator = session.solver(WORKLOAD).operator
         x = np.random.default_rng(0).standard_normal(operator.problem.n_lambda)
         q, d = operator.apply(x), operator.dual_rhs()
-        device = _device_bytes(operator)
         (group,) = operator._groups
         band = weakref.ref(group.band)
         dense = weakref.ref(operator.batch_engine.dense) if operator.explicit else None
@@ -58,17 +51,15 @@ def test_a_released_operator_holds_nothing_until_it_preprocesses(spec):
             operator.apply(x)
         with pytest.raises(RuntimeError):
             operator.dual_rhs()
-        assert _device_bytes(operator) == device
 
         # The session sees the stale operator and re-factors; the numbers
-        # are bitwise the released ones, the device byte sizes untouched.
+        # are bitwise the released ones.
         again = session.solve(WORKLOAD)
         assert operator.preprocessed
         assert operator.ledger.count("preprocessing") == 2
         assert operator.ledger.count("preparation") == 1
         assert np.array_equal(operator.apply(x), q)
         assert np.array_equal(operator.dual_rhs(), d)
-        assert _device_bytes(operator) == device
     assert np.array_equal(again.lam, solution.lam)
 
 
@@ -119,12 +110,11 @@ def test_a_failing_preprocessing_leaves_the_operator_stale(monkeypatch):
     with Session(SolverSpec(approach="expl mkl"), memory_budget="unlimited") as session:
         session.solve(WORKLOAD)
         operator = session.solver(WORKLOAD).operator
-        replay = operator.replay
 
-        def boom():
-            raise RuntimeError("injected replay failure")
+        def boom(*args):
+            raise RuntimeError("injected preprocessing failure")
 
-        monkeypatch.setattr(replay, "preprocess", boom)
+        monkeypatch.setattr(preprocess, "run_preprocessing", boom)
         with pytest.raises(RuntimeError, match="injected"):
             operator.preprocess()
         assert not operator.preprocessed

@@ -154,8 +154,7 @@ def _preprocessing_layers(approach: str) -> tuple[dict, list[dict]]:
 
 
 def test_explicit_preprocessing_names_factorization_and_schur_assembly():
-    """One stacked factorization of the pattern group, one assembly per class,
-    then the cost replay.
+    """One stacked factorization of the pattern group, one assembly per class.
 
     Every subdomain of this 2 x 2 x 1 grid is an interface class of its own
     (``n_λ`` 481 / 494 / 338 / 325), and the classes run largest ``n_λ``
@@ -167,17 +166,14 @@ def test_explicit_preprocessing_names_factorization_and_schur_assembly():
     ] + [
         ("schur_assembly", {"subdomains": 1, "n_lambda": n_lambda})
         for n_lambda in (494, 481, 338, 325)
-    ] + [("cost_replay", {"approach": "expl mkl", "phase": "preprocess"})]
+    ]
     covered = sum(c["duration_us"] for c in layers)
     assert covered >= 0.9 * preprocessing["duration_us"]
 
 
 def test_implicit_preprocessing_assembles_no_schur_complement():
     _, layers = _preprocessing_layers("impl mkl")
-    assert [(c["name"], c["attrs"]) for c in layers] == [
-        ("factorize", {"subdomains": 4}),
-        ("cost_replay", {"approach": "impl mkl", "phase": "preprocess"}),
-    ]
+    assert [(c["name"], c["attrs"]) for c in layers] == [("factorize", {"subdomains": 4})]
 
 
 def test_traced_block_solve_covers_project_and_precondition():

@@ -62,21 +62,20 @@ def test_cold_solve_builds_the_coarse_problem_and_preconditioner_before_pcpg():
         assert best[name] >= share, (name, best[name])
 
 
-def test_every_cost_replay_call_has_its_own_span():
-    """The simulated timeline's bookkeeping is a ``cost_replay`` span inside
-    the phase that runs it: one per prepare, preprocess and planned apply,
-    each naming the approach and the phase; a warm solve opens none."""
+def test_the_one_cost_replay_runs_in_the_preparation():
+    """The simulated timeline's bookkeeping is one ``cost_replay`` span inside
+    the preparation, naming the approach: the operator is priced once, and
+    no preprocessing, apply or warm solve opens another."""
     spec = SolverSpec(approach="expl modern", assembly="table2")
     with Session(spec, memory_budget="unlimited") as session:
         with trace() as cold:
             assert session.solve(WORKLOAD).converged
         with trace() as warm:
             assert session.solve(WORKLOAD).converged
-    replays = cold.find("cost_replay")
-    assert [s.attrs["phase"] for s in replays] == ["prepare", "preprocess", "apply"]
-    assert {s.attrs["approach"] for s in replays} == {"expl modern"}
+    (replay,) = cold.find("cost_replay")
+    assert replay.attrs == {"approach": "expl modern"}
     parents = {s.span_id: s.name for s in cold.spans}
-    assert [parents[s.parent_id] for s in replays] == ["preparation", "preprocessing", "apply"]
+    assert parents[replay.parent_id] == "preparation"
     assert not warm.find("cost_replay")
 
 

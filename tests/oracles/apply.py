@@ -1,16 +1,18 @@
 """Test oracle: the per-subdomain dual-operator apply loops.
 
-``looped_apply(operator, λ)`` is what every backend ran before the apply
-became *numerics + one planned timeline*: one subdomain at a time it gathers
-``λᵢ``, runs that subdomain's kernels (a dense GEMV, or SpMV → TRSV → TRSV →
-SpMV), scatters ``qᵢ`` back **and** replays the simulated thread clocks /
-device streams — on every call.  It takes a preprocessed operator, reads the
-state the preprocessing left behind (``local_F`` and the subdomains' rows of
-their pattern groups' factor bands, solved by ``tests/oracles/kplus.py`` —
-the simulated device holds byte sizes only, so the GPU kernels' numbers are
-NumPy's and SciPy's here) and shares no code with the engine's flat index
-maps, packed block stacks or cached plans, which makes it the oracle for
-both the values and the plan (``tests/feti/test_apply_plan.py``).
+``looped_apply(operator, λ, replay)`` is what every backend ran before the
+apply became *numerics + one priced timeline*: one subdomain at a time it
+gathers ``λᵢ``, runs that subdomain's kernels (a dense GEMV, or SpMV → TRSV
+→ TRSV → SpMV), scatters ``qᵢ`` back **and** replays the simulated thread
+clocks / device streams — on every call, on the machine of ``replay`` (a
+:func:`~tests.oracles.clusters.priced_replay` of the operator).  It takes a
+preprocessed operator, reads the state the preprocessing left behind
+(``local_F`` and the subdomains' rows of their pattern groups' factor
+bands, solved by ``tests/oracles/kplus.py`` — the simulated device holds
+byte sizes only, so the GPU kernels' numbers are NumPy's and SciPy's here)
+and shares no code with the engine's flat index maps, packed block stacks
+or price list, which makes it the oracle for both the values and the
+price list (``tests/feti/test_apply_plan.py``).
 """
 
 from __future__ import annotations
@@ -42,29 +44,29 @@ __all__ = ["looped_apply", "looped_apply_multi", "use_looped_apply"]
 Applied = tuple[np.ndarray, float, dict[str, float]]
 
 
-def looped_apply(operator: DualOperator, lam: np.ndarray) -> Applied:
-    """``(q, simulated seconds, breakdown)`` of one per-subdomain apply."""
-    replay = operator.replay
+def looped_apply(operator: DualOperator, lam: np.ndarray, replay) -> Applied:
+    """``(q, simulated seconds, breakdown)`` of one per-subdomain apply, its
+    timeline replayed on ``replay``'s machine."""
     if isinstance(replay, CpuExplicitReplay):
-        return _explicit_cpu(operator, lam)
+        return _explicit_cpu(operator, lam, replay)
     if isinstance(replay, CpuImplicitReplay):
-        return _implicit_cpu(operator, lam)
+        return _implicit_cpu(operator, lam, replay)
     if isinstance(replay, GpuImplicitReplay):
-        return _implicit_gpu(operator, lam)
+        return _implicit_gpu(operator, lam, replay)
     if isinstance(replay, GpuExplicitReplay):  # the hybrid included
         if operator.config.scatter_gather is ScatterGatherDevice.GPU:
-            return _explicit_gpu_scatter(operator, lam)
-        return _explicit_cpu_scatter(operator, lam)
+            return _explicit_gpu_scatter(operator, lam, replay)
+        return _explicit_cpu_scatter(operator, lam, replay)
     raise TypeError(f"no looped oracle for {type(replay).__name__}")
 
 
-def looped_apply_multi(operator: DualOperator, lam_block: np.ndarray) -> Applied:
+def looped_apply_multi(operator: DualOperator, lam_block: np.ndarray, replay) -> Applied:
     """Column-by-column :func:`looped_apply`; times and breakdowns add up."""
     sim = 0.0
     breakdown: dict[str, float] = {}
     columns = []
     for j in range(lam_block.shape[1]):
-        q, col_sim, col_breakdown = looped_apply(operator, lam_block[:, j].copy())
+        q, col_sim, col_breakdown = looped_apply(operator, lam_block[:, j].copy(), replay)
         columns.append(q)
         sim += col_sim
         for key, value in col_breakdown.items():
@@ -72,9 +74,9 @@ def looped_apply_multi(operator: DualOperator, lam_block: np.ndarray) -> Applied
     return np.column_stack(columns), sim, breakdown
 
 
-def use_looped_apply(operator: DualOperator) -> None:
+def use_looped_apply(operator: DualOperator, replay) -> None:
     """Make ``operator`` run the oracle loops (a whole solve on the oracle)."""
-    operator._apply_impl = lambda lam: looped_apply(operator, lam)
+    operator.apply = lambda lam: looped_apply(operator, lam, replay)[0]
     operator.dual_rhs = lambda loads=None: looped_dual_rhs(operator, loads)
     operator.primal_solution = lambda lam, alpha, loads=None: looped_primal_solution(
         operator, lam, alpha, loads
@@ -85,11 +87,11 @@ def use_looped_apply(operator: DualOperator) -> None:
 # --------------------------------------------------------------------- #
 # CPU backends                                                           #
 # --------------------------------------------------------------------- #
-def _explicit_cpu(op: DualOperator, lam: np.ndarray) -> Applied:
+def _explicit_cpu(op: DualOperator, lam: np.ndarray, replay) -> Applied:
     q = np.zeros_like(lam)
     breakdown: dict[str, float] = {"gemv": 0.0}
     cluster_times = []
-    for cluster, subs in iter_clusters(op):
+    for cluster, subs in iter_clusters(op, replay.machine):
         clocks = ThreadClocks(cluster.n_threads)
         for i, sub in enumerate(subs):
             q_local = op.local_F[sub.index] @ local_dual(sub, lam)
@@ -101,11 +103,11 @@ def _explicit_cpu(op: DualOperator, lam: np.ndarray) -> Applied:
     return q, max(cluster_times), breakdown
 
 
-def _implicit_cpu(op: DualOperator, lam: np.ndarray) -> Applied:
+def _implicit_cpu(op: DualOperator, lam: np.ndarray, replay) -> Applied:
     q = np.zeros_like(lam)
     breakdown: dict[str, float] = {"spmv": 0.0, "trsv": 0.0}
     cluster_times = []
-    for cluster, subs in iter_clusters(op):
+    for cluster, subs in iter_clusters(op, replay.machine):
         clocks = ThreadClocks(cluster.n_threads)
         for i, sub in enumerate(subs):
             z = kplus_solve(op, sub.index, sub.Bt @ local_dual(sub, lam))
@@ -122,12 +124,12 @@ def _implicit_cpu(op: DualOperator, lam: np.ndarray) -> Applied:
 # --------------------------------------------------------------------- #
 # GPU backends                                                           #
 # --------------------------------------------------------------------- #
-def _implicit_gpu(op: DualOperator, lam: np.ndarray) -> Applied:
+def _implicit_gpu(op: DualOperator, lam: np.ndarray, replay) -> Applied:
     """H2D, SpMV, two TRSVs, SpMV and D2H per subdomain on its stream."""
     q = np.zeros_like(lam)
     breakdown = {"transfer": 0.0, "spmv": 0.0, "trsv": 0.0}
     cluster_times = []
-    for cluster, subs in iter_clusters(op):
+    for cluster, subs in iter_clusters(op, replay.machine):
         device = cluster.device
         device.reset_timeline()
         clocks = ThreadClocks(cluster.n_threads)
@@ -135,7 +137,7 @@ def _implicit_gpu(op: DualOperator, lam: np.ndarray) -> Applied:
         overhead = cost.submission_overhead_cpu
         for i, sub in enumerate(subs):
             stream = cluster.stream_for(i)
-            state = op.replay.device_state[sub.index]
+            state = replay.device_state[sub.index]
             spmv = cost.spmv(state.device_B.nnz)
             trsv = cost.sparse_trsm(
                 state.device_factor.nnz, sub.ndofs, 1, device.cuda_version
@@ -169,12 +171,12 @@ def _mv(op: DualOperator, cost, stream, sub, submit_time: float):
     )
 
 
-def _explicit_cpu_scatter(op: DualOperator, lam: np.ndarray) -> Applied:
+def _explicit_cpu_scatter(op: DualOperator, lam: np.ndarray, replay) -> Applied:
     """H2D of ``pᵢ``, GEMV/SYMV, D2H of ``qᵢ`` per subdomain on its stream."""
     q = np.zeros_like(lam)
     breakdown = {"transfer": 0.0, "mv": 0.0}
     cluster_times = []
-    for cluster, subs in iter_clusters(op):
+    for cluster, subs in iter_clusters(op, replay.machine):
         if not subs:
             cluster_times.append(0.0)
             continue
@@ -200,12 +202,12 @@ def _explicit_cpu_scatter(op: DualOperator, lam: np.ndarray) -> Applied:
     return q, max(cluster_times), breakdown
 
 
-def _explicit_gpu_scatter(op: DualOperator, lam: np.ndarray) -> Applied:
+def _explicit_gpu_scatter(op: DualOperator, lam: np.ndarray, replay) -> Applied:
     """One cluster-wide H2D + scatter kernel, the MVs, one gather + D2H."""
     q = np.zeros_like(lam)
     breakdown = {"transfer": 0.0, "scatter_gather": 0.0, "mv": 0.0}
     cluster_times = []
-    for cluster, subs in iter_clusters(op):
+    for cluster, subs in iter_clusters(op, replay.machine):
         if not subs:
             cluster_times.append(0.0)
             continue
