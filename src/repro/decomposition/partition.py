@@ -63,6 +63,13 @@ class BoxDecomposition:
         Grid cells per direction inside each subdomain.
     n_clusters:
         Number of clusters (simulated MPI processes / GPUs).
+    box_size:
+        Physical size of the global box.
+    template:
+        The subdomain shape's mesh at the origin: every subdomain's mesh is
+        it translated by the subdomain's ``origin`` (``coords == origin +
+        template.coords``, bitwise) and shares its ``cells``.  The problem
+        build assembles the shape once, on this mesh.
     """
 
     dim: int
@@ -72,6 +79,7 @@ class BoxDecomposition:
     cells_per_subdomain: tuple[int, ...]
     n_clusters: int
     box_size: tuple[float, ...]
+    template: Mesh
 
     @property
     def n_subdomains(self) -> int:
@@ -81,8 +89,8 @@ class BoxDecomposition:
     def shape_groups(self) -> list[list[Subdomain]]:
         """Subdomains grouped by shape, in index order within each group.
 
-        Members of a group share one connectivity array (one mesh template,
-        translated), so they can be assembled as one stack.
+        Members of a group share one connectivity array (the
+        :attr:`template`, translated), so one assembly serves them all.
         """
         groups: dict[int, list[Subdomain]] = {}
         for sub in self.subdomains:
@@ -122,6 +130,12 @@ def decompose_box(
     n_clusters: int = 1,
 ) -> BoxDecomposition:
     """Decompose the box into a structured grid of subdomains.
+
+    Every subdomain has one shape: its mesh is generated once, at the origin
+    (kept as :attr:`BoxDecomposition.template`), and each subdomain's mesh
+    is that template translated (``origin + template.coords``), sharing its
+    ``cells``.  Each is bit for bit the mesh :func:`structured_mesh` would
+    generate for the subdomain on its own.
 
     Parameters
     ----------
@@ -212,4 +226,5 @@ def decompose_box(
         cells_per_subdomain=cells,
         n_clusters=n_clusters,
         box_size=size,
+        template=template,
     )

@@ -1,55 +1,56 @@
-"""Finite-element assembly, one subdomain shape at a time.
+"""Finite-element assembly of one mesh: one element pass, one CSR sum.
 
-Same-shape meshes — one connectivity, translated coordinates, which is what
-:func:`repro.decomposition.decompose_box` produces — are assembled as one
-*stack* of ``k`` members, never one mesh at a time:
+A subdomain shape is built once, on its template mesh
+(:attr:`repro.decomposition.BoxDecomposition.template`): every member of the
+shape is the template translated, and a translation changes no element
+matrix and no element load.
 
-* :class:`ElementStack` computes the affine geometry of all ``k · ncells``
-  elements once (:func:`vertex_adjugates`: the vertex coordinates gathered
-  into component-first arrays, the closed-form adjugate rows
+* :class:`ElementStack` computes the affine geometry of the mesh's elements
+  once (:func:`vertex_adjugates`: the vertex coordinates gathered into
+  component-first arrays, the closed-form adjugate rows
   ``Aₐ = det J · ∇λₐ`` with ``A₀ = −Σ Aᵢ``, and ``det J``); the stiffness
   and load kernels share it;
 * P1 heat elements take a closed form: ``K_e[a, b] = κ·w·(Aₐ·A_b)/|det J|``,
   one dot product over component-first arrays per unique ``(a, b)``,
-  written into the ``(k · ncells, m, m)`` stack the scatter reads — no
-  gradients, no per-element product.  It is bitwise the batched-``matmul``
-  kernel it replaced (``tests/oracles/elements.py``) wherever that
-  kernel's products are exact (the structured meshes on binary-fraction
-  coordinates, e.g. ``h = 2⁻ᵏ``), and within two ulp per entry elsewhere;
+  written into the ``(ncells, m, m)`` stack the sum reads — no gradients,
+  no per-element product.  It is bitwise the batched-``matmul`` kernel it
+  replaced (``tests/oracles/elements.py``) wherever that kernel's products
+  are exact (the structured meshes on binary-fraction coordinates, e.g.
+  ``h = 2⁻ᵏ``), and within two ulp per entry elsewhere;
 * P2 heat and every elasticity kernel are one batched product (``matmul``)
   over the physical gradients, which the stack computes on first read;
-* :class:`ScatterMap` records once per shape where every element-matrix
-  entry lands in the CSR arrays; the ``(k, nnz)`` values of all members come
-  from one ``bincount`` through it, and so do the ``(k, ndofs)`` loads;
-* :meth:`ScatterMap.prune` drops the cancellation noise
-  (:data:`PRUNE_TOLERANCE`) with one mask computed from the stacked values
-  and required equal for every member, so the members share one stored
-  pattern (:class:`CsrStack`).
+* :func:`sum_element_matrices` sums the ``ncells · m²`` entries into one
+  canonical CSR through SciPy's compiled COO → CSR kernels (the ones
+  ``coo_matrix.tocsr()`` ends in, bound directly: no sparse-matrix object)
+  and drops the cancellation noise (:data:`PRUNE_TOLERANCE`), so the stored
+  pattern is a function of the shape alone (:class:`CsrStack`);
+  :func:`sum_element_vectors` sums the loads with one ``bincount``.
 
-The single-mesh ``assemble_*`` functions are the ``k = 1`` call of the same
-kernels.
+The single-mesh ``assemble_*`` functions are these steps on one mesh; the
+problem build (:func:`repro.feti.problem.FetiProblem.from_physics`) runs
+them on each shape's template and gives every member that row.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import coo_tocsr, csr_sort_indices, csr_sum_duplicates
 
 from repro.fem.mesh import Mesh
 from repro.fem.quadrature import simplex_quadrature
 
 __all__ = [
     "PRUNE_TOLERANCE",
-    "PatternMismatchError",
     "CsrStack",
     "ElementStack",
-    "ScatterMap",
     "vertex_adjugates",
     "element_geometry",
+    "sum_element_matrices",
+    "sum_element_vectors",
     "scalar_stiffness_kernel",
     "scalar_load_kernel",
     "elasticity_stiffness_kernel",
@@ -63,7 +64,7 @@ __all__ = [
 
 
 def vertex_adjugates(coords: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``det J · ∇λₐ`` of every vertex of every cell of a stack, and ``det J``.
+    """``det J · ∇λₐ`` of every vertex of every cell of a mesh, and ``det J``.
 
     The vertex coordinates gathered into component-first arrays (one
     ``take`` per vertex, the edges formed as they arrive), then the
@@ -75,28 +76,28 @@ def vertex_adjugates(coords: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray,
     Parameters
     ----------
     coords:
-        Node coordinates of the ``k`` members, shape ``(k, nnodes, dim)``.
+        Node coordinates, shape ``(nnodes, dim)``.
     cells:
-        The shared connectivity, shape ``(ncells, nodes_per_cell)``.
+        The connectivity, shape ``(ncells, nodes_per_cell)``.
 
     Returns
     -------
     adjugate:
-        ``(dim + 1, dim, k · ncells)``: vertex, component, element.
+        ``(dim + 1, dim, ncells)``: vertex, component, element.
     det:
-        Signed Jacobian determinants, ``(k · ncells,)``.
+        Signed Jacobian determinants, ``(ncells,)``.
     """
-    k, dim = coords.shape[0], coords.shape[-1]
+    dim = coords.shape[-1]
     ncells = cells.shape[0]
-    x = np.ascontiguousarray(np.moveaxis(coords, -1, 0))  # (dim, k, nnodes)
-    v0 = np.take(x, cells[:, 0], axis=2)
+    x = np.ascontiguousarray(coords.T)  # (dim, nnodes)
+    v0 = np.take(x, cells[:, 0], axis=1)
     # The Jacobian's columns are the edges from vertex 0: e[j][d] is
-    # component d of edge j, shape (k, ncells).
-    e = np.empty((dim, dim, k, ncells))
+    # component d of edge j, shape (ncells,).
+    e = np.empty((dim, dim, ncells))
     for j in range(dim):
-        np.subtract(np.take(x, cells[:, j + 1], axis=2), v0, out=e[j])
+        np.subtract(np.take(x, cells[:, j + 1], axis=1), v0, out=e[j])
     del v0
-    adj = np.empty((dim + 1, dim, k, ncells))
+    adj = np.empty((dim + 1, dim, ncells))
     if dim == 2:
         (ax, ay), (bx, by) = e
         adj[1, 0] = by
@@ -106,7 +107,7 @@ def vertex_adjugates(coords: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray,
         det = ax * by - bx * ay
     else:
         # Rows of the adjugate: e1 × e2, e2 × e0, e0 × e1.
-        term = np.empty((k, ncells))
+        term = np.empty(ncells)
         for j in range(3):
             p, q = e[(j + 1) % 3], e[(j + 2) % 3]
             for d in range(3):
@@ -119,43 +120,41 @@ def vertex_adjugates(coords: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray,
     for row in adj[3:]:
         first += row
     np.negative(first, out=first)
-    return adj.reshape(dim + 1, dim, -1), det.reshape(-1)
+    return adj, det
 
 
 def element_geometry(coords: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Affine geometry of every cell of a stack of same-shape meshes.
+    """Affine geometry of every cell of a mesh.
 
     Parameters
     ----------
     coords:
-        Node coordinates of the ``k`` members, shape ``(k, nnodes, dim)``.
+        Node coordinates, shape ``(nnodes, dim)``.
     cells:
-        The shared connectivity, shape ``(ncells, nodes_per_cell)``.
+        The connectivity, shape ``(ncells, nodes_per_cell)``.
 
     Returns
     -------
     inv_jac:
-        Inverse Jacobians, shape ``(k, ncells, dim, dim)`` (reference →
+        Inverse Jacobians, shape ``(ncells, dim, dim)`` (reference →
         physical), the adjugate of :func:`vertex_adjugates` over the
         determinant.
     det_jac:
-        Absolute Jacobian determinants, shape ``(k, ncells)``.
+        Absolute Jacobian determinants, shape ``(ncells,)``.
     """
-    k, dim = coords.shape[0], coords.shape[-1]
     adj, det = vertex_adjugates(coords, cells)
-    inv_jac = (adj[1:] / det).reshape(dim, dim, k, -1)
-    return np.moveaxis(inv_jac, (0, 1), (-2, -1)), np.abs(det).reshape(k, -1)
+    return np.moveaxis(adj[1:] / det, (0, 1), (-2, -1)), np.abs(det)
 
 
 class ElementStack:
-    """``k`` same-shape meshes: one connectivity, geometry computed once.
+    """The elements of one mesh, their geometry computed once.
 
     Attributes
     ----------
     cells:
-        The connectivity every member shares, ``(ncells, nodes_per_cell)``.
+        The connectivity, ``(ncells, nodes_per_cell)``.
     coords:
-        Node coordinates of the members, ``(k, nnodes, dim)``.
+        Node coordinates, ``(nnodes, dim)``.
     order:
         The element order (1 linear, 2 quadratic).
     shape:
@@ -163,44 +162,37 @@ class ElementStack:
     weights:
         Quadrature weights, ``(nq,)``.
     adjugate, det:
-        ``det J · ∇λₐ`` of the vertices, ``(dim + 1, dim, k · ncells)``, and
-        the signed ``det J``, ``(k · ncells,)`` (:func:`vertex_adjugates`);
-        the elements of member ``i`` are ``i·ncells …``.
+        ``det J · ∇λₐ`` of the vertices, ``(dim + 1, dim, ncells)``, and the
+        signed ``det J``, ``(ncells,)`` (:func:`vertex_adjugates`).
     wdet:
-        Quadrature weight times ``|det J|``, ``(k · ncells, nq)``.
+        Quadrature weight times ``|det J|``, ``(ncells, nq)``.
     grads:
-        Physical shape-function gradients, ``(k · ncells, nq, nodes_per_cell,
+        Physical shape-function gradients, ``(ncells, nq, nodes_per_cell,
         dim)``, computed on first read (P1 heat elements never read them).
     """
 
-    def __init__(self, meshes: Sequence[Mesh]) -> None:
-        first = meshes[0]
-        cells = first.cells
-        for i, mesh in enumerate(meshes[1:], start=1):
-            if mesh.cells is not cells and not np.array_equal(mesh.cells, cells):
-                raise ValueError(f"stack member {i} does not share member 0's connectivity")
-        self.reference = first.reference_element
-        quad = simplex_quadrature(first.dim, self.reference.quadrature_degree)
-        self.k = len(meshes)
-        self.dim = first.dim
-        self.order = first.order
-        self.nnodes = first.nnodes
-        self.cells = cells
-        self.coords = np.stack([m.coords for m in meshes])
+    def __init__(self, mesh: Mesh) -> None:
+        self.reference = mesh.reference_element
+        quad = simplex_quadrature(mesh.dim, self.reference.quadrature_degree)
+        self.dim = mesh.dim
+        self.order = mesh.order
+        self.nnodes = mesh.nnodes
+        self.cells = mesh.cells
+        self.coords = mesh.coords
         self.points = quad.points
         self.weights = quad.weights
         self.shape = self.reference.shape_functions(quad.points)  # (nq, nnodes)
-        self.adjugate, self.det = vertex_adjugates(self.coords, cells)
+        self.adjugate, self.det = vertex_adjugates(mesh.coords, mesh.cells)
         self.wdet = np.abs(self.det).reshape(-1, 1) * quad.weights[None, :]
 
     @cached_property
     def grads(self) -> np.ndarray:
-        """Physical shape-function gradients, ``(k · ncells, nq, m, dim)``."""
-        inv_jac = np.moveaxis(self.adjugate[1:] / self.det, (0, 1), (-2, -1))  # (k·ncells, dim, dim)
+        """Physical shape-function gradients, ``(ncells, nq, m, dim)``."""
+        inv_jac = np.moveaxis(self.adjugate[1:] / self.det, (0, 1), (-2, -1))  # (ncells, dim, dim)
         ref_grads = self.reference.shape_gradients(self.points)  # (nq, nnodes, dim)
         # dN/dx = dN/dxi · dxi/dx = ref_grads @ inv_jac
         nq, m, dim = ref_grads.shape
-        grads = np.matmul(ref_grads.reshape(nq * m, dim), inv_jac)  # (k·ncells, nq·m, dim)
+        grads = np.matmul(ref_grads.reshape(nq * m, dim), inv_jac)  # (ncells, nq·m, dim)
         return grads.reshape(-1, nq, m, dim)
 
 
@@ -213,10 +205,6 @@ class ElementStack:
 #: stored pattern — and so the symbolic analysis — a function of the
 #: subdomain shape alone.
 PRUNE_TOLERANCE = 1e-12
-
-
-class PatternMismatchError(ValueError):
-    """Members of one stack would store different patterns after pruning."""
 
 
 @dataclass
@@ -238,7 +226,7 @@ class CsrStack:
     @classmethod
     def from_keys(cls, values: np.ndarray, keys: np.ndarray, n: int) -> "CsrStack":
         """The stack storing ``(k, nnz)`` values at sorted ``row · n + col`` keys."""
-        dtype = np.int32 if max(n, keys.size) <= np.iinfo(np.int32).max else np.int64
+        dtype = _index_dtype(n, keys.size)
         indptr = np.zeros(n + 1, dtype=dtype)
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
         return cls(values, (keys % n).astype(dtype), indptr)
@@ -267,79 +255,62 @@ class CsrStack:
         return [self.member(i) for i in range(self.values.shape[0])]
 
 
-class ScatterMap:
-    """Where every element-matrix entry of one shape lands in the CSR arrays.
+def _index_dtype(*sizes: int) -> type:
+    """``int32`` when every size fits it (SciPy's choice), else ``int64``."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
 
-    Built once per shape from the element DOF map: entry ``(c, i, j)`` of
-    the element matrices goes to stored position ``slot[c, i, j]`` of the
-    canonical (row-major, sorted, duplicate-free) pattern.
+
+def sum_element_matrices(ke: np.ndarray, dofs: np.ndarray, n: int) -> CsrStack:
+    """Sum element matrices into one pruned CSR matrix: a stack of one.
+
+    Entry ``(c, a, b)`` of ``ke`` lands at ``(dofs[c, a], dofs[c, b])``.  The
+    ``ncells · m²`` entries go through the compiled kernels
+    ``coo_matrix.tocsr()`` ends in — ``coo_tocsr``, ``csr_sort_indices``,
+    ``csr_sum_duplicates``, called directly, so the values are bitwise that
+    conversion's and no sparse-matrix object is built — and the noise is
+    then dropped: every ``|aᵢⱼ| ≤`` :data:`PRUNE_TOLERANCE` ``·
+    sqrt(|aᵢᵢ aⱼⱼ|)``.
 
     Parameters
     ----------
+    ke:
+        Element matrices, ``(ncells, m, m)``.
     dofs:
         Element DOF map, ``(ncells, m)``.
     n:
-        DOFs per member.
+        DOFs of the mesh.
     """
+    ncells, m = dofs.shape
+    count = ncells * m * m
+    dtype = _index_dtype(n, count)
+    rows = np.repeat(dofs, m, axis=1).astype(dtype).ravel()
+    cols = np.tile(dofs, m).astype(dtype).ravel()
+    indptr = np.empty(n + 1, dtype=dtype)
+    indices = np.empty(count, dtype=dtype)
+    data = np.empty(count)
+    coo_tocsr(n, n, count, rows, cols, ke.ravel(), indptr, indices, data)
+    del rows, cols
+    csr_sort_indices(n, indptr, indices, data)
+    csr_sum_duplicates(n, n, indptr, indices, data)
+    nnz = int(indptr[-1])
+    data, indices = data[:nnz], indices[:nnz]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    keys = rows * n + indices
+    scale = np.sqrt(np.abs(data[np.searchsorted(keys, np.arange(n, dtype=np.int64) * (n + 1))]))
+    keep = np.abs(data) > PRUNE_TOLERANCE * scale[rows] * scale[indices]
+    return CsrStack.from_keys(data[keep][None], keys[keep], n)
 
-    def __init__(self, dofs: np.ndarray, n: int) -> None:
-        ncells, m = dofs.shape
-        rows = np.repeat(dofs, m, axis=1).ravel()
-        cols = np.tile(dofs, m).ravel()
-        keys = rows * n + cols
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        first = np.empty(ordered.shape, dtype=bool)
-        first[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        self.slot = np.empty(keys.shape, dtype=np.int64)
-        self.slot[order] = np.cumsum(first) - 1
-        self.keys = ordered[first]
-        self.n = int(n)
-        self.nnz = int(self.keys.shape[0])
-        self.dofs = dofs
-        self.rows = self.keys // n
-        self.cols = self.keys % n
-        self.diagonal = np.searchsorted(self.keys, np.arange(n, dtype=np.int64) * (n + 1))
 
-    def matrices(self, ke: np.ndarray) -> np.ndarray:
-        """Sum element matrices ``(k · ncells, m, m)`` into ``(k, nnz)`` values."""
-        k = ke.shape[0] // self.dofs.shape[0]
-        index = (self.slot.reshape(1, -1) + self.nnz * np.arange(k)[:, None]).ravel()
-        return np.bincount(index, weights=ke.ravel(), minlength=k * self.nnz).reshape(k, self.nnz)
-
-    def vectors(self, fe: np.ndarray) -> np.ndarray:
-        """Sum element vectors ``(k · ncells, m)`` into ``(k, n)`` loads."""
-        k = fe.shape[0] // self.dofs.shape[0]
-        index = (self.dofs.reshape(1, -1) + self.n * np.arange(k)[:, None]).ravel()
-        return np.bincount(index, weights=fe.ravel(), minlength=k * self.n).reshape(k, self.n)
-
-    def prune(self, values: np.ndarray, names: Sequence[object] | None = None) -> CsrStack:
-        """Drop the cancellation noise of ``(k, nnz)`` values: one pattern for all.
-
-        Raises :class:`PatternMismatchError`, naming the member (by
-        ``names``, default its stack position), if some member would keep a
-        different set of entries than member 0.
-        """
-        scale = np.sqrt(np.abs(values[:, self.diagonal]))
-        keep = np.abs(values) > PRUNE_TOLERANCE * scale[:, self.rows] * scale[:, self.cols]
-        bad = np.flatnonzero((keep != keep[0]).any(axis=1))
-        if bad.size:
-            label = names if names is not None else range(values.shape[0])
-            raise PatternMismatchError(
-                f"stack member {label[int(bad[0])]} prunes a different pattern than "
-                f"member {label[0]}: its subdomain shape does not fix its stored entries"
-            )
-        keep = keep[0]
-        # ``values[:, keep]`` comes out Fortran-ordered; members view rows.
-        return CsrStack.from_keys(np.ascontiguousarray(values[:, keep]), self.keys[keep], self.n)
+def sum_element_vectors(fe: np.ndarray, dofs: np.ndarray, n: int) -> np.ndarray:
+    """Sum element vectors ``(ncells, m)`` over the DOF map into ``(n,)``: one ``bincount``."""
+    return np.bincount(dofs.ravel(), weights=fe.ravel(), minlength=n)
 
 
 # ---------------------------------------------------------------------- #
 # Scalar diffusion (heat transfer)                                        #
 # ---------------------------------------------------------------------- #
 def scalar_stiffness_kernel(stack: ElementStack, conductivity: float = 1.0) -> np.ndarray:
-    """Element matrices of ``-div(kappa grad u)``, ``(k · ncells, m, m)``.
+    """Element matrices of ``-div(kappa grad u)``, ``(ncells, m, m)``.
 
     P1 elements take the closed form (:func:`_p1_scalar_stiffness`); higher
     orders one batched ``matmul`` over the stack's gradients.
@@ -384,10 +355,10 @@ def _p1_scalar_stiffness(stack: ElementStack, conductivity: float) -> np.ndarray
 
 
 def scalar_load_kernel(stack: ElementStack, source: float | np.ndarray = 1.0) -> np.ndarray:
-    """Element loads of a heat source, ``(k · ncells, m)``.
+    """Element loads of a heat source, ``(ncells, m)``.
 
-    ``source`` is a scalar or a per-node array (the same for every member,
-    interpolated through the shape functions).
+    ``source`` is a scalar or a per-node array (interpolated through the
+    shape functions).
     """
     shape, wdet = stack.shape, stack.wdet
     if np.isscalar(source):
@@ -397,24 +368,23 @@ def scalar_load_kernel(stack: ElementStack, source: float | np.ndarray = 1.0) ->
         if source.shape != (stack.nnodes,):
             raise ValueError("per-node source must have shape (nnodes,)")
         nodal = np.einsum("qn,cn->cq", shape, source[stack.cells], optimize=True)
-        fq = wdet * np.tile(nodal, (stack.k, 1))
+        fq = wdet * nodal
     return fq @ shape
 
 
 def assemble_scalar_stiffness(mesh: Mesh, conductivity: float = 1.0) -> sp.csr_matrix:
-    """Stiffness matrix of ``-div(kappa grad u)`` on one mesh (a stack of one).
+    """Stiffness matrix of ``-div(kappa grad u)`` on one mesh.
 
     One DOF per node; the DOF numbering equals the node numbering.
     """
-    stack = ElementStack([mesh])
-    smap = ScatterMap(stack.cells, mesh.nnodes)
-    return smap.prune(smap.matrices(scalar_stiffness_kernel(stack, conductivity))).member(0)
+    ke = scalar_stiffness_kernel(ElementStack(mesh), conductivity)
+    return sum_element_matrices(ke, mesh.cells, mesh.nnodes).member(0)
 
 
 def assemble_scalar_load(mesh: Mesh, source: float | np.ndarray = 1.0) -> np.ndarray:
-    """Load vector of a volumetric heat source on one mesh (a stack of one)."""
-    stack = ElementStack([mesh])
-    return ScatterMap(stack.cells, mesh.nnodes).vectors(scalar_load_kernel(stack, source))[0]
+    """Load vector of a volumetric heat source on one mesh."""
+    fe = scalar_load_kernel(ElementStack(mesh), source)
+    return sum_element_vectors(fe, mesh.cells, mesh.nnodes)
 
 
 # ---------------------------------------------------------------------- #
@@ -495,7 +465,7 @@ def elasticity_dof_map(cells: np.ndarray, dim: int) -> np.ndarray:
 def elasticity_stiffness_kernel(
     stack: ElementStack, young: float = 1.0, poisson: float = 0.3
 ) -> np.ndarray:
-    """Element matrices of linear elasticity (plane strain in 2D), ``(k · ncells, m, m)``."""
+    """Element matrices of linear elasticity (plane strain in 2D), ``(ncells, m, m)``."""
     c = _elastic_moduli(stack.dim, young, poisson)
     b = _strain_displacement(stack.grads, stack.dim)  # (elements, nq, nvoigt, m)
     ncells, nq, nvoigt, m = b.shape
@@ -506,7 +476,7 @@ def elasticity_stiffness_kernel(
 def elasticity_load_kernel(
     stack: ElementStack, body_force: tuple[float, ...] | np.ndarray = (0.0, -1.0)
 ) -> np.ndarray:
-    """Element loads of a constant body force, ``(k · ncells, m)``."""
+    """Element loads of a constant body force, ``(ncells, m)``."""
     force = np.asarray(body_force, dtype=float)
     if force.shape != (stack.dim,):
         raise ValueError(f"body_force must have {stack.dim} components")
@@ -517,16 +487,15 @@ def elasticity_load_kernel(
 def assemble_elasticity_stiffness(
     mesh: Mesh, young: float = 1.0, poisson: float = 0.3
 ) -> sp.csr_matrix:
-    """Linear-elasticity stiffness matrix on one mesh (a stack of one)."""
-    stack = ElementStack([mesh])
-    smap = ScatterMap(elasticity_dof_map(stack.cells, mesh.dim), mesh.nnodes * mesh.dim)
-    return smap.prune(smap.matrices(elasticity_stiffness_kernel(stack, young, poisson))).member(0)
+    """Linear-elasticity stiffness matrix on one mesh."""
+    ke = elasticity_stiffness_kernel(ElementStack(mesh), young, poisson)
+    dofs = elasticity_dof_map(mesh.cells, mesh.dim)
+    return sum_element_matrices(ke, dofs, mesh.nnodes * mesh.dim).member(0)
 
 
 def assemble_elasticity_load(
     mesh: Mesh, body_force: tuple[float, ...] | np.ndarray = (0.0, -1.0)
 ) -> np.ndarray:
-    """Load vector of a constant body force on one mesh (a stack of one)."""
-    stack = ElementStack([mesh])
-    smap = ScatterMap(elasticity_dof_map(stack.cells, mesh.dim), mesh.nnodes * mesh.dim)
-    return smap.vectors(elasticity_load_kernel(stack, body_force))[0]
+    """Load vector of a constant body force on one mesh."""
+    fe = elasticity_load_kernel(ElementStack(mesh), body_force)
+    return sum_element_vectors(fe, elasticity_dof_map(mesh.cells, mesh.dim), mesh.nnodes * mesh.dim)

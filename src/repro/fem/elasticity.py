@@ -77,18 +77,18 @@ class LinearElasticityProblem:
         return force
 
     # ------------------------------------------------------------------ #
-    # A stack of same-shape meshes                                        #
+    # One shape: element kernels and per-member kernel bases              #
     # ------------------------------------------------------------------ #
     def element_dofs(self, mesh: Mesh) -> np.ndarray:
         """Element DOF map: node ``n`` owns DOFs ``dim·n … dim·n + dim − 1``."""
         return elasticity_dof_map(mesh.cells, mesh.dim)
 
     def stiffness_kernel(self, stack: ElementStack) -> np.ndarray:
-        """Element stiffness matrices of every element of the stack."""
+        """Element stiffness matrices of every element of the mesh."""
         return elasticity_stiffness_kernel(stack, young=self.young, poisson=self.poisson)
 
     def load_kernel(self, stack: ElementStack) -> np.ndarray:
-        """Element load vectors of every element of the stack."""
+        """Element load vectors of every element of the mesh."""
         return elasticity_load_kernel(stack, body_force=self._force_for(stack.dim))
 
     def kernel_bases(self, coords: np.ndarray) -> np.ndarray:
@@ -123,7 +123,7 @@ class LinearElasticityProblem:
         return q
 
     # ------------------------------------------------------------------ #
-    # One mesh (a stack of one)                                           #
+    # One mesh                                                            #
     # ------------------------------------------------------------------ #
     def assemble_stiffness(self, mesh: Mesh) -> sp.csr_matrix:
         """Subdomain stiffness matrix (singular for a floating subdomain)."""

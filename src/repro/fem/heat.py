@@ -1,10 +1,10 @@
 """Steady-state heat transfer (scalar Laplace) problem definition.
 
 This is one of the two physics the paper benchmarks ("heat transfer ... in
-2D and 3D").  A problem instance provides the element kernels of a stack of
-same-shape subdomain meshes (:mod:`repro.fem.assembly`), their kernel bases,
-single-mesh assembly (a stack of one), and the metadata the decomposition
-layer needs (DOFs per node, kernel dimension of a floating subdomain).
+2D and 3D").  A problem instance provides the element kernels of a mesh
+(:mod:`repro.fem.assembly`), the kernel bases of a stack of same-shape
+subdomains, single-mesh assembly, and the metadata the decomposition layer
+needs (DOFs per node, kernel dimension of a floating subdomain).
 """
 
 from __future__ import annotations
@@ -54,18 +54,18 @@ class HeatTransferProblem:
         return mesh.nnodes * self.dofs_per_node
 
     # ------------------------------------------------------------------ #
-    # A stack of same-shape meshes                                        #
+    # One shape: element kernels and per-member kernel bases              #
     # ------------------------------------------------------------------ #
     def element_dofs(self, mesh: Mesh) -> np.ndarray:
         """Element DOF map: one DOF per node, numbered like the nodes."""
         return mesh.cells
 
     def stiffness_kernel(self, stack: ElementStack) -> np.ndarray:
-        """Element stiffness matrices of every element of the stack."""
+        """Element stiffness matrices of every element of the mesh."""
         return scalar_stiffness_kernel(stack, conductivity=self.conductivity)
 
     def load_kernel(self, stack: ElementStack) -> np.ndarray:
-        """Element load vectors of every element of the stack."""
+        """Element load vectors of every element of the mesh."""
         return scalar_load_kernel(stack, source=self.source)
 
     def kernel_bases(self, coords: np.ndarray) -> np.ndarray:
@@ -78,7 +78,7 @@ class HeatTransferProblem:
         return np.full((k, n, 1), 1.0 / np.sqrt(n))
 
     # ------------------------------------------------------------------ #
-    # One mesh (a stack of one)                                           #
+    # One mesh                                                            #
     # ------------------------------------------------------------------ #
     def assemble_stiffness(self, mesh: Mesh) -> sp.csr_matrix:
         """Subdomain stiffness matrix (singular for a floating subdomain)."""

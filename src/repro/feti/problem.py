@@ -10,7 +10,8 @@ iteration need:
 * globally: the number of multipliers, the constraint right-hand side ``c``,
   the natural coarse matrix ``G = B R`` and ``e = Rᵀ f``.
 
-The values are held per **shape group** (:class:`ShapeGroup`): one
+The values are held per **shape group** (:class:`ShapeGroup`), whose ``K``
+and loads are built once, on the decomposition's template mesh: one
 :class:`~repro.fem.assembly.CsrStack` for ``K`` and one for ``K_reg``, and
 the gluing as one sorted entry list
 (:class:`~repro.decomposition.gluing.GluingEntries`).  A subdomain's
@@ -36,7 +37,12 @@ import scipy.sparse as sp
 from repro.decomposition.gluing import GluingData, SubdomainGluing, build_gluing
 from repro.decomposition.kernel import fixing_dofs_for, regularize_stack
 from repro.decomposition.partition import BoxDecomposition, Subdomain
-from repro.fem.assembly import CsrStack, ElementStack, ScatterMap
+from repro.fem.assembly import (
+    CsrStack,
+    ElementStack,
+    sum_element_matrices,
+    sum_element_vectors,
+)
 from repro.fem.mesh import Mesh
 from repro.feti.problem_helpers import dofs_per_node_of as _dofs_per_node
 from repro.observe.trace import trace_span
@@ -125,39 +131,82 @@ class SubdomainProblem:
         return int(self.kernel.shape[1])
 
 
+def _translated_coords(template: Mesh, group: list[Subdomain]) -> np.ndarray:
+    """The members' node coordinates, ``(k, nnodes, dim)``, each checked to
+    be the template translated by its origin.
+
+    A member must share the template's ``cells`` and hold ``coords ==
+    origin + template.coords`` bitwise — the expression
+    :func:`~repro.decomposition.decompose_box` evaluates.  A ``ValueError``
+    names the first member that does not.
+    """
+
+    def refuse(sub: Subdomain) -> ValueError:
+        return ValueError(
+            f"subdomain {sub.index} is not the template mesh translated by its origin: "
+            "its shape cannot be built from the template"
+        )
+
+    for sub in group:
+        mesh = sub.mesh
+        if mesh.coords.shape != template.coords.shape or not (
+            mesh.cells is template.cells or np.array_equal(mesh.cells, template.cells)
+        ):
+            raise refuse(sub)
+    coords = np.array([sub.mesh.coords for sub in group])
+    origins = np.array([sub.mesh.origin for sub in group])
+    # One component at a time: an outer sum keeps the long axis innermost.
+    moved = np.zeros(len(group), dtype=bool)
+    for d in range(template.dim):
+        moved |= (coords[:, :, d] != np.add.outer(origins[:, d], template.coords[:, d])).any(axis=1)
+    if moved.any():
+        raise refuse(group[int(np.argmax(moved))])
+    return coords
+
+
 def _build_shape(
     physics: object,
+    template: Mesh,
     group: list[Subdomain],
     gluing: GluingData,
     dofs_per_node: int,
 ) -> tuple[ShapeGroup, list[SubdomainProblem]]:
-    """Assemble every subdomain of one shape as one stack.
+    """Assemble every subdomain of one shape from the shape's template mesh.
 
-    One element geometry and one scatter map for the shape; ``K``, ``K_reg``
-    and ``f`` of all members come out as ``(k, ·)`` stacks, read-only from
-    then on.  The stiffness stacks stay the :class:`ShapeGroup`'s; each
-    member views its row of them and of the loads and kernels.  Three
-    trace spans name the parts: ``element_kernels`` (geometry, stiffness
-    and load), ``scatter`` (the map, the sums and the prune) and
+    Every member is the template translated (checked first, bitwise:
+    :func:`_translated_coords`), and a translation changes no element
+    matrix and no element load: ``K`` and ``f`` are built once, on the
+    template — one element pass, one CSR sum, one prune — and every
+    member's row of the ``(k, ·)`` stacks is that row.  This holds because
+    only volume terms (the heat source, the body force) enter the element
+    kernels; a boundary term (a flux on a face of the global box) differs
+    between members and would have to be built per member.  The kernel
+    bases, fixing DOFs and ``K_reg`` are per member: elasticity's rotation
+    modes read absolute coordinates.  Every array is read-only from then
+    on; the stiffness stacks stay the :class:`ShapeGroup`'s, and each member
+    views its row of them and of the loads and kernels.  Three trace spans
+    name the parts: ``element_kernels`` (geometry, stiffness and load),
+    ``scatter`` (the CSR sum, the prune and the load sum) and
     ``regularize`` (kernel bases, fixing DOFs and ``K_reg``).
     """
-    meshes = [sub.mesh for sub in group]
+    coords = _translated_coords(template, group)
     with trace_span("element_kernels"):
-        stack = ElementStack(meshes)
+        stack = ElementStack(template)
         ke = physics.stiffness_kernel(stack)
         fe = physics.load_kernel(stack)
-        coords = stack.coords
-        del stack  # the geometry is freed before the scatter allocates
+        del stack  # the geometry is freed before the sum allocates
     with trace_span("scatter"):
-        smap = ScatterMap(physics.element_dofs(meshes[0]), physics.ndofs(meshes[0]))
-        values = smap.matrices(ke)
+        dofs, n = physics.element_dofs(template), physics.ndofs(template)
+        row = sum_element_matrices(ke, dofs, n)
         del ke
-        K = smap.prune(values, [s.index for s in group])
-        f = smap.vectors(fe)
-        del values, fe, smap
+        load = sum_element_vectors(fe, dofs, n)
+        del fe
+    k = len(group)
+    K = CsrStack(np.repeat(row.values, k, axis=0), row.indices, row.indptr)
+    f = np.repeat(load[None], k, axis=0)
     with trace_span("regularize"):
         kernels = physics.kernel_bases(coords)
-        fixing_dofs = fixing_dofs_for(meshes[0], kernels, dofs_per_node)
+        fixing_dofs = fixing_dofs_for(group[0].mesh, kernels, dofs_per_node)
         K_reg, _rho = regularize_stack(K, kernels, fixing_dofs)
     shape = ShapeGroup(np.array([sub.index for sub in group], dtype=np.int64), K, K_reg)
     for array in (
@@ -214,7 +263,8 @@ class FetiProblem:
 
         The subdomains are built one shape at a time
         (:meth:`~repro.decomposition.partition.BoxDecomposition.shape_groups`),
-        inside an ``assembly`` span; the gluing is one ``gluing`` span.
+        each from the decomposition's template mesh, inside an ``assembly``
+        span; the gluing is one ``gluing`` span.
 
         Parameters
         ----------
@@ -242,7 +292,9 @@ class FetiProblem:
         subdomains: list[SubdomainProblem] = []
         with trace_span("assembly", subdomains=decomposition.n_subdomains, shapes=len(groups)):
             for group in groups:
-                shape, members = _build_shape(physics, group, gluing, dofs_per_node)
+                shape, members = _build_shape(
+                    physics, decomposition.template, group, gluing, dofs_per_node
+                )
                 shapes.append(shape)
                 subdomains += members
         subdomains.sort(key=lambda sub: sub.index)

@@ -155,15 +155,16 @@ def _csr_arrays(A: "sp.spmatrix | CsrArrays") -> CsrArrays:
 def stacked_values(
     matrices: "Sequence[sp.spmatrix | CsrArrays]", symbolic: SymbolicFactor
 ) -> np.ndarray:
-    """The ``(k, nnz)`` canonical-CSC values of matrices with the analysed pattern.
+    """The ``(k, nnz)`` canonical-CSR values of matrices with the analysed pattern.
 
     Each matrix is a SciPy matrix or its canonical CSR arrays ``(data,
     indices, indptr)``.  The analysed pattern is structurally symmetric, so a
     matrix that has it stores the same index arrays in canonical CSR form as
-    in CSC form: the matrices are checked and stacked as CSR, and one map
-    puts the whole stack into CSC order.  Members sharing one pair of index
-    arrays are checked once, and values that are consecutive rows of one
-    array (a :class:`~repro.fem.assembly.CsrStack`) are read in place
+    in CSC form; the symbolic analysis maps CSR data positions into the band
+    (:attr:`~repro.sparse.symbolic.SymbolicFactor.a_lower_map`), so the
+    values need no reordering.  Members sharing one pair of index arrays are
+    checked once, and values that are consecutive rows of one array (a
+    :class:`~repro.fem.assembly.CsrStack`) are read in place
     (:func:`rows_as_stack`) instead of stacked.
 
     Raises
@@ -188,14 +189,7 @@ def stacked_values(
     nnz = symbolic.a_indices.shape[0]
     rows = [data[:nnz] for data, _, _ in arrays]
     values = rows_as_stack(rows)
-    if values is None:
-        values = np.stack(rows)
-    # Convert the positions 0..nnz-1 once: the CSR -> CSC map of the pattern.
-    positions = np.arange(nnz, dtype=np.int64)
-    to_csc = sp.csr_matrix(
-        (positions, symbolic.a_indices, symbolic.a_indptr), shape=(symbolic.n, symbolic.n)
-    )
-    return values[:, to_csc.tocsc().data]
+    return np.stack(rows) if values is None else values
 
 
 def numeric_cholesky(A: sp.spmatrix, symbolic: SymbolicFactor) -> CholeskyFactor:
@@ -229,7 +223,7 @@ def stacked_cholesky(
     Parameters
     ----------
     values:
-        ``(k, nnz)`` canonical-CSC values of the matrices
+        ``(k, nnz)`` canonical-CSR values of the matrices
         (:func:`stacked_values`).
     symbolic:
         Their shared symbolic factorization.

@@ -163,9 +163,10 @@ class SymbolicFactor:
     kd: int
     #: ``nnz(L)`` divided by the nnz of the lower triangle of ``A`` (fill-in).
     fill_ratio: float = 1.0
-    # Pattern of the analysed matrix in canonical CSC order, the canonical
-    # data positions of the entries of the permuted lower triangle, and the
-    # band position of every one of them.
+    # Pattern of the analysed matrix (structurally symmetric, so its
+    # canonical CSR and CSC index arrays are the same pair), the canonical
+    # CSR data positions of the entries of the permuted lower triangle, and
+    # the band position of every one of them.
     a_indptr: np.ndarray | None = field(default=None, repr=False)
     a_indices: np.ndarray | None = field(default=None, repr=False)
     a_lower_map: np.ndarray | None = field(default=None, repr=False)
@@ -489,12 +490,14 @@ def symbolic_cholesky(
 
     # One-pass permutation: classify every stored entry of A by its permuted
     # coordinates, which yields the entries of the permuted lower triangle
-    # and where each sits in A's canonical CSC data (reused by every numeric
-    # factorization of the same pattern).
+    # and where each sits in A's canonical CSR data (reused by every numeric
+    # factorization of the same pattern).  The pattern is symmetric, so the
+    # CSC index arrays are the CSR ones: entry ``p`` is row ``rows[p]``,
+    # column ``cols[p]`` of the CSR.
     inv_perm = np.empty(n, dtype=np.int64)
     inv_perm[perm] = np.arange(n, dtype=np.int64)
-    rows = np.asarray(csc.indices, dtype=np.int64)
-    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(csc.indptr))
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csc.indptr))
+    cols = np.asarray(csc.indices, dtype=np.int64)
     pr, pc = inv_perm[rows], inv_perm[cols]
     low_src = np.flatnonzero(pr >= pc)
     lr, lc = pr[low_src], pc[low_src]
@@ -514,7 +517,7 @@ def symbolic_cholesky(
         kd=kd,
         fill_ratio=float(int(col_ptr[-1]) / max(int(low_src.shape[0]), 1)),
         a_indptr=np.asarray(csc.indptr, dtype=np.int64),
-        a_indices=rows,
+        a_indices=cols,
         a_lower_map=low_src,
         a_band_pos=lc * (kd + 1) + (lr - lc),
         relax=relax,

@@ -168,25 +168,24 @@ def test_assembly_stores_exactly_the_entries_above_the_noise_threshold(
 
 def test_element_geometry_determinants():
     mesh = structured_mesh(2, 2, order=1)
-    inv_jac, det = element_geometry(mesh.coords[None], mesh.cells)
-    assert det.shape == (1, mesh.ncells)
+    inv_jac, det = element_geometry(mesh.coords, mesh.cells)
+    assert det.shape == (mesh.ncells,)
     # each triangle of a 2x2 grid has area 1/8 -> |det J| = 2 * area, exactly
     assert np.all(det == 0.25)
-    assert inv_jac.shape == (1, mesh.ncells, 2, 2)
+    assert inv_jac.shape == (mesh.ncells, 2, 2)
 
 
 @pytest.mark.parametrize(("dim", "order"), CASES)
 def test_closed_form_geometry_matches_lapack(dim, order):
-    """Adjugate inverse and determinant of a stack against ``np.linalg``."""
+    """Adjugate inverse and determinant of every subdomain mesh against ``np.linalg``."""
     dec = decompose_box(dim, 2, 3, order=order)
-    meshes = [s.mesh for s in dec.subdomains]
-    inv_jac, det = element_geometry(np.stack([m.coords for m in meshes]), meshes[0].cells)
-    for i, mesh in enumerate(meshes):
+    for mesh in [s.mesh for s in dec.subdomains]:
+        inv_jac, det = element_geometry(mesh.coords, mesh.cells)
         verts = mesh.coords[mesh.cells[:, : dim + 1]]
         jac = np.swapaxes(verts[:, 1:, :] - verts[:, :1, :], 1, 2)
-        assert np.allclose(det[i], np.abs(np.linalg.det(jac)), rtol=1e-14, atol=0.0)
+        assert np.allclose(det, np.abs(np.linalg.det(jac)), rtol=1e-14, atol=0.0)
         inv = np.linalg.inv(jac)
-        assert np.abs(inv_jac[i] - inv).max() <= 1e-14 * np.abs(inv).max()
+        assert np.abs(inv_jac - inv).max() <= 1e-14 * np.abs(inv).max()
 
 
 def test_heat_problem_facade():

@@ -31,7 +31,7 @@ ROW_SUM_ULPS = 8
 
 
 def _element(coords: np.ndarray) -> ElementStack:
-    """A stack of one mesh of one P1 simplex with the given vertices."""
+    """The elements of a mesh of one P1 simplex with the given vertices."""
     d = coords.shape[1]
     mesh = Mesh(
         dim=d,
@@ -43,7 +43,7 @@ def _element(coords: np.ndarray) -> ElementStack:
         box_size=np.ones(d),
         ncells_per_dim=(1,) * d,
     )
-    return ElementStack([mesh])
+    return ElementStack(mesh)
 
 
 def _both(coords: np.ndarray, conductivity: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

@@ -1,15 +1,19 @@
-"""The stacked problem build against the per-subdomain oracles.
+"""The template problem build against the per-member and per-subdomain oracles.
 
-``FetiProblem.from_physics`` assembles every subdomain shape as one stack
-(one element geometry, one scatter map, one ``bincount``) and glues with one
-``lexsort``.  The oracles in ``tests/oracles/assembly.py`` and
-``tests/oracles/gluing.py`` are the per-subdomain loop and the dict-based
-gluing it replaced.  Patterns, fixing DOFs and the whole gluing must be
-identical; the values differ only by the summation order and the
-closed-form geometry.
+``FetiProblem.from_physics`` builds every subdomain shape once, on its
+template mesh (one element pass, one CSR sum, one prune), gives every
+member that row, and glues with one ``lexsort``.  The oracles are
+``tests/oracles/member_stack.py`` (the stack of every member's own
+elements it replaced), ``tests/oracles/assembly.py`` (the per-subdomain
+loop before that) and ``tests/oracles/gluing.py`` (the dict-based gluing).
+Patterns, fixing DOFs and the whole gluing must be identical; the values
+differ only by the summation order, the closed-form geometry and the
+rounding of absolute against template coordinates.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,8 +22,9 @@ import scipy.sparse as sp
 from repro.api import Session, SolverSpec, Workload
 from repro.api.workload import build_problem
 from repro.decomposition import decompose_box
+from repro.decomposition.partition import BoxDecomposition
 from repro.fem import assembly
-from repro.fem.assembly import ElementStack, PatternMismatchError, ScatterMap
+from repro.fem.assembly import ElementStack
 from repro.fem.elasticity import LinearElasticityProblem
 from repro.fem.heat import HeatTransferProblem
 from repro.feti.problem import FetiProblem
@@ -27,6 +32,7 @@ from repro.observe.trace import trace
 from tests.oracles import assembly as assembly_oracle
 from tests.oracles import elements as elements_oracle
 from tests.oracles import gluing as gluing_oracle
+from tests.oracles import member_stack as member_oracle
 
 #: Heat and elasticity × 2D and 3D × P1 and P2 on ``h = 1/6`` (P1) or
 #: ``1/4`` (P2), the heat 2D workload of record and a two-face Dirichlet case:
@@ -126,13 +132,72 @@ def test_heat_stiffness_matches_the_matmul_kernel_build(case):
     physics = HeatTransferProblem()
     dec = decompose_box(dim, subs, cells, order=order, n_clusters=clusters)
     problem = FetiProblem.from_physics(physics, dec, dirichlet_faces=faces)
-    for shape, group in zip(problem.groups, dec.shape_groups()):
-        meshes = [sub.mesh for sub in group]
-        smap = ScatterMap(physics.element_dofs(meshes[0]), physics.ndofs(meshes[0]))
-        ke = elements_oracle.matmul_scalar_stiffness(ElementStack(meshes))
-        ref = smap.prune(smap.matrices(ke))
-        assert np.array_equal(shape.K.indices, ref.indices)
-        assert _close(shape.K.values, ref.values)
+    template = dec.template
+    ke = elements_oracle.matmul_scalar_stiffness(ElementStack(template))
+    ref = assembly.sum_element_matrices(
+        ke, physics.element_dofs(template), physics.ndofs(template)
+    )
+    (shape,) = problem.groups
+    assert np.array_equal(shape.K.indices, ref.indices)
+    for row in shape.K.values:
+        assert _close(row, ref.values[0])
+
+
+#: The two 2D problems of record (``benchmarks/perf``'s ``heat2d_warm_solve``
+#: and ``serve_closed_loop``): ``h = 2⁻⁶`` and ``2⁻⁵``, binary fractions.
+BINARY_FRACTION = [
+    ("heat", 2, (8, 8), 8, 1, 4, ("xmin",)),
+    ("heat", 2, (4, 4), 8, 1, 2, ("xmin",)),
+]
+
+
+@pytest.mark.parametrize("case", ZOO + BINARY_FRACTION, ids=_id)
+def test_the_template_build_matches_every_members_own_elements(case):
+    """Each member's ``K``, ``K_reg`` and ``f`` against the stack of every
+    member's own elements (``tests/oracles/member_stack.py``): bitwise on
+    the binary-fraction problems of record, where every element product and
+    every sum is exact, and within 1e-13 per entry elsewhere."""
+    name, dim, subs, cells, order, clusters, faces = case
+    physics = _physics(name)
+    dec = decompose_box(dim, subs, cells, order=order, n_clusters=clusters)
+    problem = FetiProblem.from_physics(physics, dec, dirichlet_faces=faces)
+    (group,) = dec.shape_groups()
+    K, K_reg, f = member_oracle.build_shape(physics, group, problem.dofs_per_node)
+    (shape,) = problem.groups
+    for got, want in ((shape.K, K), (shape.K_reg, K_reg)):
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
+    pairs = [(shape.K.values, K.values), (shape.K_reg.values, K_reg.values)]
+    pairs.append((np.stack(problem.base_loads), f))
+    for got, want in pairs:
+        if case in BINARY_FRACTION:
+            assert np.array_equal(got, want)
+        else:
+            assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
+
+
+def _moved_by_one_ulp(dec: BoxDecomposition, index: int) -> BoxDecomposition:
+    subdomains = list(dec.subdomains)
+    sub = subdomains[index]
+    mesh = dataclasses.replace(sub.mesh, coords=np.nextafter(sub.mesh.coords, np.inf))
+    subdomains[index] = dataclasses.replace(sub, mesh=mesh)
+    return dataclasses.replace(dec, subdomains=subdomains)
+
+
+def test_a_member_that_is_not_the_template_translated_is_refused():
+    """The template build rests on every member being the template moved by
+    its origin, bitwise: a member off by one ulp is named, before any
+    element work."""
+    dec = decompose_box(2, (2, 2), 3)
+    FetiProblem.from_physics(HeatTransferProblem(), dec)  # the premise holds
+    moved = _moved_by_one_ulp(dec, 1)
+    assert moved.subdomains[1].mesh.cells is dec.template.cells
+    geometry = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assembly, "vertex_adjugates", lambda *a: geometry.append(a))
+        with pytest.raises(ValueError, match="subdomain 1 is not the template mesh translated"):
+            FetiProblem.from_physics(HeatTransferProblem(), moved)
+    assert geometry == []
 
 
 def test_gluing_is_bit_identical_to_the_dict_build(built):
@@ -181,13 +246,26 @@ def _count(monkeypatch, owner, name) -> list[int]:
 
 @pytest.mark.parametrize(
     "workload",
-    [Workload("heat", 2, (8, 8), 8, n_clusters=4), Workload("heat", 3, (2, 2, 1), 12)],
-    ids=["heat2d-8x8x8-c4", "heat3d-2x2x1x12"],
+    [
+        Workload("heat", 3, (2, 2, 1), 12),
+        Workload("heat", 2, (8, 8), 8, n_clusters=4),
+        Workload("heat", 2, (32, 32), 8, n_clusters=4),
+    ],
+    ids=["heat3d-2x2x1x12", "heat2d-8x8x8-c4", "heat2d-32x32x8-c4"],
 )
-def test_build_computes_geometry_once_and_one_scatter_map(workload, monkeypatch):
-    """One shape, so one geometry pass and one COO → CSR map — not per subdomain."""
-    geometry = _count(monkeypatch, assembly, "vertex_adjugates")
-    maps = _count(monkeypatch, ScatterMap, "__init__")
+def test_build_computes_one_template_not_one_per_subdomain(workload, monkeypatch):
+    """One shape, so one geometry pass over one mesh's cells and one COO sum
+    — for 4, 64 and 1 024 members alike — and no scatter map, no sparse
+    conversion."""
+    cells = []
+    adjugates = assembly.vertex_adjugates
+
+    def geometry(coords, mesh_cells):
+        cells.append(mesh_cells.shape[0])
+        return adjugates(coords, mesh_cells)
+
+    monkeypatch.setattr(assembly, "vertex_adjugates", geometry)
+    sums = _count(monkeypatch, assembly, "coo_tocsr")
     conversions = _count(monkeypatch, sp.coo_matrix, "tocsr")
     build_problem.cache_clear()
     try:
@@ -195,24 +273,9 @@ def test_build_computes_geometry_once_and_one_scatter_map(workload, monkeypatch)
     finally:
         build_problem.cache_clear()
     assert problem.n_subdomains == workload.n_subdomains
-    assert (geometry[0], maps[0], conversions[0]) == (1, 1, 0)
-
-
-def test_a_mismatched_prune_mask_names_the_member():
-    mesh = decompose_box(2, 2, 3).subdomains[0].mesh
-    smap = ScatterMap(mesh.cells, mesh.nnodes)
-    values = smap.matrices(assembly.scalar_stiffness_kernel(ElementStack([mesh, mesh, mesh])))
-    values[2, np.flatnonzero(smap.rows != smap.cols)[0]] = 0.0  # one coupling cancels
-    with pytest.raises(PatternMismatchError, match="member 12 ") as err:
-        smap.prune(values, names=[10, 11, 12])
-    assert isinstance(err.value, ValueError)
-
-
-def test_a_stack_needs_one_connectivity():
-    a = decompose_box(2, 2, 3).subdomains[0].mesh
-    b = decompose_box(2, 2, 4).subdomains[0].mesh
-    with pytest.raises(ValueError, match="member 1"):
-        ElementStack([a, b])
+    assert cells == [problem.decomposition.template.ncells]
+    assert (sums[0], conversions[0]) == (len(problem.groups), 0) == (1, 0)
+    assert not hasattr(assembly, "ScatterMap")
 
 
 # --------------------------------------------------------------------- #

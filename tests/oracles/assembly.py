@@ -1,11 +1,12 @@
 """Test oracle: the problem build one subdomain at a time.
 
-What ``FetiProblem.from_physics`` ran before the stacked build: per subdomain,
+What ``FetiProblem.from_physics`` ran before it built a stack of every
+member's elements (``tests/oracles/member_stack.py``): per subdomain,
 its own element geometry (``np.linalg.inv`` / ``np.linalg.det``), its own
 element ``einsum``, its own COO → CSR conversion with the noise pruned
 afterwards, its own kernel basis, fixing nodes (one full ``argsort`` of the
 node distances per bounding-box corner) and ``K_reg`` by COO concatenation.
-Nothing here reads ``repro.fem.assembly``'s stacks or scatter maps.
+Nothing here reads ``repro.fem.assembly``'s element stacks or CSR sums.
 """
 
 from __future__ import annotations

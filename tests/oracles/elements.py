@@ -17,7 +17,7 @@ __all__ = ["matmul_scalar_stiffness"]
 
 
 def matmul_scalar_stiffness(stack: ElementStack, conductivity: float = 1.0) -> np.ndarray:
-    """Element matrices of ``-div(kappa grad u)``, ``(k · ncells, m, m)``."""
+    """Element matrices of ``-div(kappa grad u)``, ``(ncells, m, m)``."""
     ncells, nq, m, dim = stack.grads.shape
     g = stack.grads.transpose(0, 2, 1, 3).reshape(ncells, m, nq * dim)
     gw = g * np.repeat(conductivity * stack.wdet, dim, axis=1)[:, None, :]

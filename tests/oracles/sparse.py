@@ -282,7 +282,13 @@ def symbolic_reference(
         ([0], np.cumsum(np.bincount(lc, minlength=n)))
     ).astype(np.int64)
     a_lower_rows = lr[order_csc]
-    a_lower_map = low_src[order_csc]
+    # A's data position of each lower entry, in its canonical CSR: the CSC
+    # entry's position converted by SciPy (the index arrays are the same
+    # pair, the pattern being symmetric).
+    csr_position = sp.csr_matrix(
+        (np.arange(rows.size), csc.indices, csc.indptr), shape=(n, n)
+    ).tocsc().data
+    a_lower_map = csr_position[low_src[order_csc]]
 
     parent = _etree_from_arrays(csr_indptr, csr_indices, n)
 

@@ -191,17 +191,18 @@ SIZES = {
 }
 
 #: SciPy sparse constructions of such a set-up: the preconditioner, the
-#: projector, the ordering and the gluing build a fixed set, the stacked
-#: factorization two per pattern group (:func:`~repro.sparse.numeric.
-#: stacked_values`), and nothing is built per subdomain, cluster or
-#: interface class.  Measured 46 under the lumped preconditioner, 49 since
-#: ``expl mkl`` defaults to the Dirichlet one (the rows of ``B_Dᵀ`` on the
-#: constrained DOFs, their transpose and the block diagonal of the ``Sᵢ``
-#: in place of ``blockdiag(Kᵢ)``), 34 since the Dirichlet build reads
-#: ``B_D`` off the gluing chains (no global ``B``, ``B D⁻¹ Bᵀ``, block
-#: inverse or ``B_D`` products; :data:`DIRICHLET_BUILD_SPARSE_MATRICES` of
-#: them are the build's).
-SET_UP_SPARSE_MATRICES = 34
+#: projector, the ordering and the gluing build a fixed set, and nothing is
+#: built per subdomain, cluster, pattern group or interface class.  Measured
+#: 46 under the lumped preconditioner, 49 since ``expl mkl`` defaults to the
+#: Dirichlet one (the rows of ``B_Dᵀ`` on the constrained DOFs, their
+#: transpose and the block diagonal of the ``Sᵢ`` in place of
+#: ``blockdiag(Kᵢ)``), 34 since the Dirichlet build reads ``B_D`` off the
+#: gluing chains (no global ``B``, ``B D⁻¹ Bᵀ``, block inverse or ``B_D``
+#: products; :data:`DIRICHLET_BUILD_SPARSE_MATRICES` of them are the
+#: build's), 32 since the symbolic analysis maps the factorization's values
+#: from their CSR positions (:func:`~repro.sparse.numeric.stacked_values`
+#: builds no CSR → CSC map per pattern group and preprocessing).
+SET_UP_SPARSE_MATRICES = 32
 
 #: SciPy sparse constructions of one Dirichlet build on heat 2D: ``B_Dᵀ``,
 #: its rows on the slots and their transpose (four), the block diagonal of

@@ -124,10 +124,19 @@ def heat_stack():
     return matrices, symbolic, stacked_values(matrices, symbolic)
 
 
-def test_stacked_values_are_the_canonical_csc_values(heat_stack):
+def test_stacked_values_are_the_canonical_csr_values(heat_stack):
     matrices, _, values = heat_stack
     for A, row in zip(matrices, values):
-        assert np.array_equal(row, A.tocsc().data)
+        assert A.has_canonical_format and np.array_equal(row, A.data)
+
+
+def test_the_band_takes_each_lower_entry_from_its_own_position(heat_stack):
+    """The CSR positions the analysis maps into the band hold the entries of
+    the permuted lower triangle: ``band[c, r − c] = A[perm[r], perm[c]]``."""
+    matrices, symbolic, values = heat_stack
+    dense = matrices[0].toarray()[np.ix_(symbolic.perm, symbolic.perm)]
+    col, offset = np.divmod(symbolic.a_band_pos, symbolic.kd + 1)
+    assert np.array_equal(values[0, symbolic.a_lower_map], dense[col + offset, col])
 
 
 def test_stacked_values_reject_another_pattern(heat_stack):
