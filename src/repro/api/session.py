@@ -455,8 +455,8 @@ class Session:
         """Solve one workload under many load cases over one preprocessing.
 
         Each column's loads are an argument, as in :meth:`solve_request`.
-        More than one column runs one block PCPG that applies the dual
-        operator to all columns in one fused kernel (see
+        More than one column runs the one PCPG loop on block applies: the
+        dual operator reaches all active columns in one fused kernel (see
         :meth:`~repro.feti.solver.FetiSolver.solve_many`); those answers
         agree with sequential :meth:`solve` calls to rounding, not bitwise.
         One column is bitwise :meth:`solve_request` at the same loads.

@@ -19,8 +19,9 @@ local dual operators ``F̃ᵢ``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,10 +70,9 @@ class SubdomainGluing:
         Sorted global indices of the Lagrange multipliers connected to this
         subdomain; the rows of ``B`` follow this order.
     B:
-        Signed Boolean constraint matrix, shape ``(len(lambda_ids), ndofs)``.
-        :func:`build_gluing` leaves it to be built on first read from the
-        subdomain's run of :class:`GluingEntries`; nothing on the solve path
-        reads it.
+        Signed Boolean constraint matrix, shape ``(len(lambda_ids), ndofs)``,
+        built on first read from the subdomain's run of
+        :class:`GluingEntries`; nothing on the solve path reads it.
     dof_multiplicity:
         For every local DOF, the number of subdomains sharing the underlying
         physical DOF (1 for interior DOFs).  It is the diagonal ``D`` of the
@@ -86,27 +86,20 @@ class SubdomainGluing:
     def __init__(
         self,
         lambda_ids: np.ndarray,
-        B: sp.csr_matrix | None = None,
-        dof_multiplicity: np.ndarray | None = None,
-        *,
-        entries: tuple[np.ndarray, np.ndarray, int] | None = None,
+        dof_multiplicity: np.ndarray,
+        entries: tuple[np.ndarray, np.ndarray, int],
     ) -> None:
-        if (B is None) == (entries is None):
-            raise ValueError("give either B or its entries (cols, vals, ndofs)")
         self.lambda_ids = lambda_ids
         self.dof_multiplicity = dof_multiplicity
-        self._B = B
         #: ``(cols, vals, ndofs)``: row ``r`` of ``B`` is ``vals[r]`` at ``cols[r]``.
         self._entries = entries
 
-    @property
+    @cached_property
     def B(self) -> sp.csr_matrix:
-        """``B̃ᵢ`` (built on first read when the gluing gave its entries)."""
-        if self._B is None:
-            cols, vals, ndofs = self._entries
-            n = cols.shape[0]
-            self._B = sp.csr_matrix((vals, cols, np.arange(n + 1)), shape=(n, ndofs))
-        return self._B
+        """``B̃ᵢ``, built from the subdomain's entries on first read."""
+        cols, vals, ndofs = self._entries
+        n = cols.shape[0]
+        return sp.csr_matrix((vals, cols, np.arange(n + 1)), shape=(n, ndofs))
 
     @property
     def n_lambda(self) -> int:
@@ -134,26 +127,6 @@ class GluingEntries:
     bounds: np.ndarray
     #: ``(n_subdomains,)`` columns of every ``B̃ᵢ``.
     ndofs: np.ndarray
-
-    @classmethod
-    def of(cls, per_subdomain: Sequence[SubdomainGluing]) -> "GluingEntries":
-        """The entries of given ``B̃ᵢ`` (each with one entry per row)."""
-        lam, col, val = [], [], []
-        for sub in per_subdomain:
-            B = sub.B.tocsr()
-            if not np.all(np.diff(B.indptr) == 1):
-                raise ValueError("every row of a B̃ᵢ must hold exactly one entry")
-            lam.append(np.asarray(sub.lambda_ids, dtype=np.int64))
-            col.append(B.indices.astype(np.int64))
-            val.append(np.asarray(B.data, dtype=float))
-        counts = [a.size for a in lam]
-        return cls(
-            lam=np.concatenate(lam) if lam else np.empty(0, dtype=np.int64),
-            col=np.concatenate(col) if col else np.empty(0, dtype=np.int64),
-            val=np.concatenate(val) if val else np.empty(0),
-            bounds=np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]).astype(np.int64),
-            ndofs=np.array([sub.B.shape[1] for sub in per_subdomain], dtype=np.int64),
-        )
 
     @property
     def counts(self) -> np.ndarray:
@@ -205,8 +178,7 @@ class GluingData:
     dofs_per_node:
         DOFs per mesh node used when the constraints were generated.
     entries:
-        Every ``B̃ᵢ`` as one sorted entry list (:class:`GluingEntries`);
-        derived from ``per_subdomain`` when not given.
+        Every ``B̃ᵢ`` as one sorted entry list (:class:`GluingEntries`).
     """
 
     n_lambda: int
@@ -215,11 +187,7 @@ class GluingData:
     c: np.ndarray
     per_subdomain: list[SubdomainGluing]
     dofs_per_node: int
-    entries: GluingEntries | None = None
-
-    def __post_init__(self) -> None:
-        if self.entries is None:
-            self.entries = GluingEntries.of(self.per_subdomain)
+    entries: GluingEntries
 
     def scatter_maps(self) -> tuple[np.ndarray, np.ndarray]:
         """The flat scatter/gather index maps over all subdomains.

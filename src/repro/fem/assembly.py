@@ -146,6 +146,26 @@ def element_geometry(coords: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray,
     return np.moveaxis(adj[1:] / det, (0, 1), (-2, -1)), np.abs(det)
 
 
+def _refuse_degenerate(adjugate: np.ndarray, det: np.ndarray, mesh: Mesh) -> None:
+    """Raise a ``ValueError`` naming the first cell the kernels cannot use.
+
+    That is a cell whose ``|det J|``, or whose largest ``|det J · ∇λₐ|²``
+    (the products of the P1 closed form), is zero, subnormal or not finite:
+    a degenerate cell, or one so small that its element matrix would come
+    out ``inf``, ``nan`` or flushed to zero.  In 2D the second bound follows
+    from the first; a tetrahedron of edge ``h`` meets it only for
+    ``h⁴ ≥ tiny``.
+    """
+    sizes = np.vstack([np.abs(det), (adjugate**2).sum(axis=1).max(axis=0)])
+    usable = (np.isfinite(sizes) & (sizes >= np.finfo(float).tiny)).all(axis=0)
+    if not usable.all():
+        cell = int(np.argmin(usable))
+        raise ValueError(
+            f"cell {cell} is degenerate or too small for the element kernels: "
+            f"det J = {float(det[cell])!r}, vertices {mesh.coords[mesh.cells[cell]].tolist()}"
+        )
+
+
 class ElementStack:
     """The elements of one mesh, their geometry computed once.
 
@@ -183,6 +203,7 @@ class ElementStack:
         self.weights = quad.weights
         self.shape = self.reference.shape_functions(quad.points)  # (nq, nnodes)
         self.adjugate, self.det = vertex_adjugates(mesh.coords, mesh.cells)
+        _refuse_degenerate(self.adjugate, self.det, mesh)
         self.wdet = np.abs(self.det).reshape(-1, 1) * quad.weights[None, :]
 
     @cached_property

@@ -1,9 +1,13 @@
 """The preconditioned conjugate projected gradient method (Algorithm 1).
 
-The implementation follows the paper's pseudo-code line by line; the dual
-operator ``F`` is an arbitrary callable (one of the approaches from
-:mod:`repro.feti.operators`), so the same loop drives every implicit,
-explicit, CPU, GPU and hybrid variant.
+The paper's pseudo-code is written once, in :func:`pcpg`, for one
+right-hand side or many run in lockstep: every column keeps its own
+recursion, and each iteration applies ``F``, ``P`` and ``M`` once to the
+list of still-active columns.  The applies are arbitrary callables (``F``
+is one of the approaches of :mod:`repro.feti.operators`), so the same loop
+drives every implicit, explicit, CPU, GPU and hybrid variant;
+:func:`per_column` and :func:`stacked` make a list apply of a vector or a
+block one.
 """
 
 from __future__ import annotations
@@ -17,7 +21,10 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from repro.observe.trace import trace_event, trace_span, tracing_active
 
-__all__ = ["PcpgResult", "pcpg", "pcpg_block"]
+__all__ = ["ColumnsApply", "PcpgResult", "pcpg", "per_column", "stacked"]
+
+#: An operator applied to a list of columns: the list of the columns applied.
+ColumnsApply = Callable[[list[np.ndarray]], list[np.ndarray]]
 
 
 @dataclass
@@ -27,9 +34,9 @@ class PcpgResult:
     lam: np.ndarray
     iterations: int
     converged: bool
-    residual_norms: list[float] = field(default_factory=list)
     #: Final value of ``d − F λ`` (reused for the α recovery).
-    final_residual: np.ndarray | None = None
+    final_residual: np.ndarray
+    residual_norms: list[float] = field(default_factory=list)
     #: First ``SolverSpec.residual_history`` per-iteration norms (opt-in;
     #: empty when history capture is off).  Entry 0 is the initial residual.
     residual_history: list[float] = field(default_factory=list)
@@ -87,257 +94,141 @@ def _exact_start(w: np.ndarray, d: np.ndarray, tolerance: float) -> bool:
     return bool(np.linalg.norm(w) <= tolerance * np.linalg.norm(d))
 
 
+def per_column(apply: Callable[[np.ndarray], np.ndarray]) -> ColumnsApply:
+    """A vector apply as a column-list apply: one call per column."""
+
+    def apply_columns(columns: list[np.ndarray]) -> list[np.ndarray]:
+        # A plain loop: the loop calls this four times per iteration, and a
+        # comprehension costs an extra frame per call before Python 3.12.
+        applied = []
+        for column in columns:
+            applied.append(apply(column))
+        return applied
+
+    return apply_columns
+
+
+def stacked(apply_block: Callable[[np.ndarray], np.ndarray]) -> ColumnsApply:
+    """A block apply as a column-list apply: one call on the columns stacked
+    into an ``(n_λ, k)`` matrix, its result split back into contiguous ones."""
+
+    def apply(columns: list[np.ndarray]) -> list[np.ndarray]:
+        block = apply_block(np.column_stack(columns))
+        return [np.ascontiguousarray(block[:, i]) for i in range(len(columns))]
+
+    return apply
+
+
 def pcpg(
-    apply_F: Callable[[np.ndarray], np.ndarray],
-    apply_P: Callable[[np.ndarray], np.ndarray],
-    apply_M: Callable[[np.ndarray], np.ndarray],
-    d: np.ndarray,
-    lambda_0: np.ndarray,
+    apply_F: ColumnsApply,
+    apply_P: ColumnsApply,
+    apply_M: ColumnsApply,
+    d: Sequence[np.ndarray],
+    lambda_0: Sequence[np.ndarray],
     *,
     tolerance: float = 1e-9,
     max_iterations: int = 500,
     absolute_tolerance: float = 1e-300,
-    callback: Callable[[int, float], None] | None = None,
     residual_history: int = 0,
-) -> PcpgResult:
-    """Run Algorithm 1 of the paper.
+) -> list[PcpgResult]:
+    """Run Algorithm 1 of the paper on ``k`` right-hand sides in lockstep.
+
+    Every column keeps its own recursion — its own ``wy``/``δ``/``β``
+    scalars and its own C-contiguous 1-D state vectors, so its dots and
+    axpys are those of a one-column solve — while each iteration applies
+    ``F``, ``P`` and ``M`` once to the list of its still-active columns.
+    A column stops when it converges or breaks down and leaves the later
+    applies, so late-converging columns do not pay for early ones.  How a
+    list is applied is the caller's choice: :func:`per_column` (one call
+    per column, so a solve of ``k`` columns is bitwise ``k`` solves of
+    one) or :func:`stacked` (one block call, e.g. the fused GEMM of
+    :meth:`~repro.feti.operators.base.DualOperator.apply_multi`).
 
     Parameters
     ----------
-    apply_F:
-        The dual operator ``λ ↦ F λ``.
-    apply_P:
-        The coarse projector ``P``.
-    apply_M:
-        The preconditioner ``M``.
+    apply_F, apply_P, apply_M:
+        The dual operator ``λ ↦ F λ``, the coarse projector ``P`` and the
+        preconditioner ``M``, each mapping a list of columns to the list
+        of the columns applied.
     d:
-        Dual right-hand side ``d = B K⁺ f − c``.
+        Dual right-hand sides ``d = B K⁺ f − c``, one per column.
     lambda_0:
-        Feasible initial iterate (``Gᵀ λ₀ = e``).
+        Feasible initial iterates (``Gᵀ λ₀ = e``), one per column.
     tolerance:
-        Relative tolerance on the projected-preconditioned residual norm
-        ``sqrt(wᵀ y)`` with respect to its initial value.  A ``λ₀`` whose
-        projected residual is already within ``tolerance · ‖d‖`` counts as
-        converged in zero iterations.
+        Relative tolerance on a column's projected-preconditioned residual
+        norm ``sqrt(wᵀ y)`` with respect to its initial value.  A ``λ₀``
+        whose projected residual is already within ``tolerance · ‖d‖``
+        counts as converged in zero iterations.
     max_iterations:
         Hard iteration cap.
     absolute_tolerance:
         Absolute floor on the same quantity (protects against a zero initial
         residual).
-    callback:
-        Optional per-iteration callback ``callback(k, residual_norm)``.
-    residual_history:
-        Keep the first ``residual_history`` residual norms on
-        ``PcpgResult.residual_history`` (0 keeps none).
-    """
-
-    traced = tracing_active()
-    if traced:
-
-        def project(v: np.ndarray) -> np.ndarray:
-            with trace_span("project"):
-                return apply_P(v)
-
-        def precondition(v: np.ndarray) -> np.ndarray:
-            with trace_span("precondition"):
-                return apply_M(v)
-
-    else:
-        # No trace is live: the operators are called directly.
-        project, precondition = apply_P, apply_M
-
-    lam = np.array(lambda_0, dtype=float, copy=True)
-    r = d - apply_F(lam)
-    w = project(r)
-    y = project(precondition(w))
-    p = y.copy()
-
-    wy = float(w @ y)
-    norm0 = np.sqrt(abs(wy))
-    norms = [norm0]
-    if norm0 <= absolute_tolerance or _exact_start(w, d, tolerance):
-        return PcpgResult(
-            lam=lam,
-            iterations=0,
-            converged=True,
-            residual_norms=norms,
-            final_residual=r,
-            residual_history=norms[:residual_history],
-        )
-
-    converged = False
-    k = 0
-    deltas: list[float] = []
-    betas: list[float] = []
-    # Scratch buffer for the axpy updates: the dual vectors are the hot-path
-    # arrays of the whole solve, so the loop avoids allocating fresh
-    # temporaries for ``delta * p`` / ``delta * q`` every iteration.
-    scratch = np.empty_like(lam)
-    for k in range(max_iterations):
-        with trace_span("iteration", k=k + 1):
-            q = apply_F(p)
-            pq = float(p @ q)
-            if not pq > 0.0:
-                # Loss of positive definiteness on the constraint subspace,
-                # or a NaN from non-finite data — stop and report
-                # non-convergence rather than iterating to the cap.
-                break
-            delta = wy / pq
-            deltas.append(delta)
-            np.multiply(p, delta, out=scratch)
-            lam += scratch
-            np.multiply(q, delta, out=scratch)
-            r -= scratch
-            w_next = project(r)
-            y_next = project(precondition(w_next))
-            wy_next = float(w_next @ y_next)
-            norm = np.sqrt(abs(wy_next))
-            norms.append(norm)
-            if traced:
-                trace_event("residual", iteration=k + 1, norm=norm)
-            if callback is not None:
-                callback(k + 1, norm)
-            if norm <= max(tolerance * norm0, absolute_tolerance):
-                converged = True
-                w, y, wy = w_next, y_next, wy_next
-                k += 1
-                break
-            beta = wy_next / wy
-            betas.append(beta)
-            p *= beta
-            p += y_next
-            w, y, wy = w_next, y_next, wy_next
-    else:
-        k = max_iterations
-
-    return PcpgResult(
-        lam=lam,
-        iterations=k,
-        converged=converged,
-        residual_norms=norms,
-        final_residual=r,
-        residual_history=norms[:residual_history],
-        deltas=deltas,
-        betas=betas,
-    )
-
-
-def pcpg_block(
-    apply_F_block: Callable[[np.ndarray], np.ndarray],
-    apply_P_block: Callable[[np.ndarray], np.ndarray],
-    apply_M_block: Callable[[np.ndarray], np.ndarray],
-    d_columns: Sequence[np.ndarray],
-    lambda_0_columns: Sequence[np.ndarray],
-    *,
-    tolerance: float = 1e-9,
-    max_iterations: int = 500,
-    absolute_tolerance: float = 1e-300,
-    callback: Callable[[int, int, float], None] | None = None,
-    residual_history: int = 0,
-) -> list[PcpgResult]:
-    """Run Algorithm 1 on ``k`` right-hand sides in lockstep.
-
-    The recursion of :func:`pcpg` is applied to every column independently
-    — each column keeps its own ``wy``/``delta``/``beta`` scalars and its
-    own contiguous state vectors — but the operator applications of all
-    still-active columns are fused into one block call per iteration: each
-    ``apply_*_block`` receives an ``(n_lambda, k_active)`` matrix and must
-    return the operator applied to each column.
-
-    Block forms that apply their columns one by one make the iterates
-    **bitwise identical** to ``k`` sequential scalar solves; the solver's
-    fused GEMM :meth:`~repro.feti.operators.base.DualOperator.apply_multi`
-    trades that for one kernel per iteration at iteration-amplified
-    rounding differences.
-
-    Columns converge (or break down) independently: a finished column is
-    masked out of subsequent block applies, so late-converging columns do
-    not pay for early ones.
-
-    Parameters
-    ----------
-    apply_F_block, apply_P_block, apply_M_block:
-        The dual operator, the coarse projector and the preconditioner,
-        each applied to an ``(n_lambda, k_active)`` block.
-    d_columns, lambda_0_columns:
-        Per-column dual right-hand sides and feasible initial iterates.
-    callback:
-        Optional ``callback(column, k, residual_norm)`` per column and
-        iteration.
     residual_history:
         Keep the first ``residual_history`` residual norms per column on
         ``PcpgResult.residual_history`` (0 keeps none).
     """
-    n_cols = len(d_columns)
-    if len(lambda_0_columns) != n_cols:
-        raise ValueError(
-            f"{n_cols} right-hand sides but {len(lambda_0_columns)} initial iterates"
-        )
+    n_cols = len(d)
+    if len(lambda_0) != n_cols:
+        raise ValueError(f"{n_cols} right-hand sides but {len(lambda_0)} initial iterates")
     if n_cols == 0:
         return []
 
-    # Per-column state lives in separate C-contiguous 1-D arrays (not the
-    # columns of one matrix): dots and axpys on them run the exact same
-    # BLAS code paths as the scalar solver, so per-column block forms are
-    # bitwise equal to sequential solves.
-    lam = [np.array(l0, dtype=float, copy=True) for l0 in lambda_0_columns]
-    tol = [0.0] * n_cols
-    iterations = [0] * n_cols
-    converged = [False] * n_cols
-    norms: list[list[float]] = [[] for _ in range(n_cols)]
-    deltas: list[list[float]] = [[] for _ in range(n_cols)]
-    betas: list[list[float]] = [[] for _ in range(n_cols)]
+    traced = tracing_active()
+    if traced:
 
-    def over_columns(name, apply_block, columns: list[np.ndarray]) -> list[np.ndarray]:
-        """``apply_block`` over the columns, split back into contiguous ones."""
-        with trace_span(name, columns=len(columns)):
-            if not columns:
-                return []
-            block = apply_block(np.column_stack(columns))
-            return [np.ascontiguousarray(block[:, i]) for i in range(len(columns))]
+        def project(columns: list[np.ndarray]) -> list[np.ndarray]:
+            with trace_span("project"):
+                return apply_P(columns)
 
-    def project(columns: list[np.ndarray]) -> list[np.ndarray]:
-        return over_columns("project", apply_P_block, columns)
+        def precondition(columns: list[np.ndarray]) -> list[np.ndarray]:
+            with trace_span("precondition"):
+                return apply_M(columns)
 
-    def precondition(columns: list[np.ndarray]) -> list[np.ndarray]:
-        return over_columns("precondition", apply_M_block, columns)
+    else:
+        # No trace is live: the applies are called directly.
+        project, precondition = apply_P, apply_M
 
-    r0_block = apply_F_block(np.column_stack(lam))
-    r = [
-        np.asarray(d_columns[j], dtype=float) - np.ascontiguousarray(r0_block[:, j])
-        for j in range(n_cols)
-    ]
+    lam = [np.array(l0, dtype=float, copy=True) for l0 in lambda_0]
+    r = [np.asarray(d_j, dtype=float) - F_j for d_j, F_j in zip(d, apply_F(lam))]
     w = project(r)
     y = project(precondition(w))
-    p = [y[j].copy() for j in range(n_cols)]
-    wy = [float(w[j] @ y[j]) for j in range(n_cols)]
-
-    active: list[int] = []
+    p = [y_j.copy() for y_j in y]
+    wy = [float(w_j @ y_j) for w_j, y_j in zip(w, y)]
+    norms = [[np.sqrt(abs(wy_j))] for wy_j in wy]
+    tol = [max(tolerance * n_j[0], absolute_tolerance) for n_j in norms]
+    iterations = [0] * n_cols
+    converged = [False] * n_cols
+    deltas: list[list[float]] = [[] for _ in range(n_cols)]
+    betas: list[list[float]] = [[] for _ in range(n_cols)]
+    active = []
     for j in range(n_cols):
-        norm0 = np.sqrt(abs(wy[j]))
-        norms[j].append(norm0)
-        tol[j] = max(tolerance * norm0, absolute_tolerance)
-        if norm0 <= absolute_tolerance or _exact_start(w[j], d_columns[j], tolerance):
+        if norms[j][0] <= absolute_tolerance or _exact_start(w[j], d[j], tolerance):
             converged[j] = True
         else:
             active.append(j)
 
-    scratch = [np.empty_like(lam[j]) for j in range(n_cols)]
-    for k in range(max_iterations):
+    # Scratch buffers for the axpy updates: the dual vectors are the hot-path
+    # arrays of the whole solve, so the loop avoids allocating fresh
+    # temporaries for ``delta * p`` / ``delta * q`` every iteration.
+    scratch = [np.empty_like(lam_j) for lam_j in lam]
+    # The active columns' directions and residuals: the arrays are updated
+    # in place, so the lists change only when a column stops.
+    p_active = [p[j] for j in active]
+    r_active = [r[j] for j in active]
+    for k in range(1, max_iterations + 1):
         if not active:
             break
-        with trace_span("block_iteration", k=k + 1, active=len(active)):
-            q_block = apply_F_block(np.column_stack([p[j] for j in active]))
-            # Phase 1: per-column direction/step updates, collecting the
-            # columns that survive the positive-definiteness check.
-            updating: list[int] = []
-            for pos, j in enumerate(active):
-                q = np.ascontiguousarray(q_block[:, pos])
+        with trace_span("iteration", k=k, active=len(active)):
+            # The step along every active column's direction.
+            stepped = []
+            for j, q in zip(active, apply_F(p_active)):
                 pq = float(p[j] @ q)
                 if not pq > 0.0:
-                    # Loss of positive definiteness (or a NaN) on this column
-                    # only — the remaining columns keep iterating.
-                    iterations[j] = k
+                    # Loss of positive definiteness on the constraint
+                    # subspace, or a NaN from non-finite data: this column
+                    # stops and reports non-convergence.
+                    iterations[j] = k - 1
                     continue
                 delta = wy[j] / pq
                 deltas[j].append(delta)
@@ -345,41 +236,45 @@ def pcpg_block(
                 lam[j] += scratch[j]
                 np.multiply(q, delta, out=scratch[j])
                 r[j] -= scratch[j]
-                updating.append(j)
-            # Phase 2: the projections / preconditioner applications of all
-            # updated columns, fused into block calls.
-            w_nexts = project([r[j] for j in updating])
-            y_nexts = project(precondition(w_nexts))
-            # Phase 3: per-column convergence checks and direction updates.
-            still_active: list[int] = []
-            for j, w_next, y_next in zip(updating, w_nexts, y_nexts):
-                wy_next = float(w_next @ y_next)
+                stepped.append(j)
+            if len(stepped) < len(active):
+                if not stepped:
+                    break
+                r_active = [r[j] for j in stepped]
+            # The convergence check and the next direction.
+            w = project(r_active)
+            still_active = []
+            for j, w_j, y_j in zip(stepped, w, project(precondition(w))):
+                wy_next = float(w_j @ y_j)
                 norm = np.sqrt(abs(wy_next))
                 norms[j].append(norm)
-                trace_event("residual", column=j, iteration=k + 1, norm=norm)
-                if callback is not None:
-                    callback(j, k + 1, norm)
+                if traced:
+                    trace_event("residual", column=j, iteration=k, norm=norm)
                 if norm <= tol[j]:
                     converged[j] = True
-                    iterations[j] = k + 1
+                    iterations[j] = k
                     continue
                 beta = wy_next / wy[j]
                 betas[j].append(beta)
                 p[j] *= beta
-                p[j] += y_next
+                p[j] += y_j
                 wy[j] = wy_next
                 still_active.append(j)
+            if len(still_active) < len(active):
+                p_active = [p[j] for j in still_active]
+                r_active = [r[j] for j in still_active]
             active = still_active
-    for j in active:
-        iterations[j] = max_iterations
+    else:
+        for j in active:
+            iterations[j] = max_iterations
 
     return [
         PcpgResult(
             lam=lam[j],
             iterations=iterations[j],
             converged=converged[j],
-            residual_norms=norms[j],
             final_residual=r[j],
+            residual_norms=norms[j],
             residual_history=norms[j][:residual_history],
             deltas=deltas[j],
             betas=betas[j],

@@ -1,8 +1,9 @@
 """The Total FETI solver and the multi-step simulation driver.
 
 :class:`FetiSolver` wires together the dual operator (any Table-III
-approach), the coarse projector, a dual preconditioner and the PCPG
-iteration, and recovers the primal solution.  :class:`MultiStepDriver`
+approach), the coarse projector, a dual preconditioner and the one PCPG
+loop — vector applies for one right-hand side, block applies for many —
+and recovers the primal solution.  :class:`MultiStepDriver`
 implements Algorithm 2 of the paper: preparation once, then per time step a
 FETI preprocessing (skipped when the step's stiffness values are the ones
 already factored) followed by the PCPG solve, with the dual-operator timing
@@ -20,7 +21,7 @@ import numpy as np
 from repro.analysis.timing import PhaseTiming
 from repro.feti.operators import make_dual_operator
 from repro.feti.operators.base import DualOperator
-from repro.feti.pcpg import PcpgResult, pcpg, pcpg_block
+from repro.feti.pcpg import PcpgResult, pcpg, per_column, stacked
 from repro.feti.preconditioner import (
     DirichletPreconditioner,
     IdentityPreconditioner,
@@ -236,11 +237,14 @@ class FetiSolver:
 
         The loads are arguments: no solve writes a subdomain's ``f``.  The
         preprocessing (factorizations, explicit assembly, GPU uploads) runs
-        **once**; ``d``, ``e`` and ``λ₀`` are computed per column.  One
-        column runs the scalar PCPG on ``apply``.  More columns run one
-        block PCPG that applies ``F`` to all still-active columns in one
-        fused :meth:`~repro.feti.operators.base.DualOperator.apply_multi`
-        call (one GEMM over the pack and one per large block on the explicit
+        **once**; ``d``, ``e`` and ``λ₀`` are computed per column.  Every
+        solve runs the one PCPG loop (:func:`~repro.feti.pcpg.pcpg`),
+        choosing its applies once from the number of columns.  One column
+        applies ``F``, ``P`` and ``M`` through their vector ``apply``.  More
+        columns apply all still-active columns through one block call each
+        iteration: ``F`` by one fused
+        :meth:`~repro.feti.operators.base.DualOperator.apply_multi` (one
+        GEMM over the pack and one per large block on the explicit
         approaches), so they agree with one-column solves to
         iteration-amplified rounding.
 
@@ -280,47 +284,35 @@ class FetiSolver:
         with trace_span("coarse_setup", n_kernel=projector.n_kernel):
             lambda_0_cols = [projector.initial_lambda(e) for e in e_cols]
 
-        stopping = dict(
-            tolerance=self.spec.tolerance,
-            max_iterations=self.spec.max_iterations,
-            absolute_tolerance=self.spec.absolute_tolerance,
-            residual_history=self.spec.residual_history,
-        )
-        operator.ledger.mark("apply", "apply_multi")
+        # One column applies vector by vector; more apply every iteration's
+        # active columns as one block (one fused GEMM on ``expl *``).
         if n_cols == 1:
-            with trace_span("pcpg", tolerance=self.spec.tolerance):
-                results = [
-                    pcpg(
-                        apply_F=operator.apply,
-                        apply_P=projector.apply,
-                        apply_M=preconditioner.apply,
-                        d=d_cols[0],
-                        lambda_0=lambda_0_cols[0],
-                        **stopping,
-                    )
-                ]
+            adapt = per_column
+            applies = (operator.apply, projector.apply, preconditioner.apply)
         else:
-            with trace_span("pcpg", columns=n_cols):
-                results = pcpg_block(
-                    apply_F_block=operator.apply_multi,
-                    apply_P_block=projector.apply_block,
-                    apply_M_block=preconditioner.apply_block,
-                    d_columns=d_cols,
-                    lambda_0_columns=lambda_0_cols,
-                    **stopping,
-                )
+            adapt = stacked
+            applies = (operator.apply_multi, projector.apply_block, preconditioner.apply_block)
+        apply_F, apply_P, apply_M = map(adapt, applies)
+        operator.ledger.mark("apply", "apply_multi")
+        with trace_span("pcpg", columns=n_cols):
+            results = pcpg(
+                apply_F,
+                apply_P,
+                apply_M,
+                d_cols,
+                lambda_0_cols,
+                tolerance=self.spec.tolerance,
+                max_iterations=self.spec.max_iterations,
+                absolute_tolerance=self.spec.absolute_tolerance,
+                residual_history=self.spec.residual_history,
+            )
         # The block applies are shared work: each column gets an equal share.
         apply_share = operator.ledger.since_mark() / n_cols if n_cols else 0.0
 
         with trace_span("primal_recovery"):
             alphas, primals = [], []
-            for loads, d, result in zip(loads_columns, d_cols, results):
-                residual = (
-                    result.final_residual
-                    if result.final_residual is not None
-                    else d - operator.apply(result.lam)
-                )
-                alphas.append(projector.alpha(residual))
+            for loads, result in zip(loads_columns, results):
+                alphas.append(projector.alpha(result.final_residual))
                 primals.append(operator.primal_solution(result.lam, alphas[-1], loads))
         # So is the coarse work (projections and coarse solves).
         coarse_share = (projector.seconds - coarse_before) / n_cols if n_cols else 0.0

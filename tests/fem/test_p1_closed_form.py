@@ -21,6 +21,7 @@ from repro.fem.mesh import Mesh
 from tests.oracles.elements import matmul_scalar_stiffness
 
 EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
 
 #: Largest ``|closed form − oracle|`` in units of ``eps · max|entry|``
 #: (measured ≤ 3.2 on 20 000 random triangles, ≤ 5.0 on 20 000 random
@@ -30,18 +31,20 @@ ORACLE_ULPS = 8
 ROW_SUM_ULPS = 8
 
 
-def _element(coords: np.ndarray) -> ElementStack:
-    """The elements of a mesh of one P1 simplex with the given vertices."""
+def _element(coords: np.ndarray, cells: np.ndarray | None = None) -> ElementStack:
+    """The elements of a P1 mesh of the given vertices: one simplex of all
+    of them unless ``cells`` says otherwise."""
     d = coords.shape[1]
+    cells = np.arange(d + 1)[None] if cells is None else cells
     mesh = Mesh(
         dim=d,
         order=1,
         coords=coords,
-        cells=np.arange(d + 1)[None],
-        lattice=np.zeros((d + 1, d), dtype=np.int64),
+        cells=cells,
+        lattice=np.zeros((coords.shape[0], d), dtype=np.int64),
         origin=np.zeros(d),
         box_size=np.ones(d),
-        ncells_per_dim=(1,) * d,
+        ncells_per_dim=(cells.shape[0],) + (1,) * (d - 1),
     )
     return ElementStack(mesh)
 
@@ -72,14 +75,60 @@ def simplices(draw):
     return coords
 
 
+def _underflows(coords: np.ndarray) -> bool:
+    """Whether ``|det J|`` or the largest ``|det J · ∇λₐ|²`` of the simplex is
+    below ``tiny`` (within a factor of 4 for the rounding of either side):
+    ``det J · ∇λₐ`` is the rotated edge opposite vertex ``a`` in 2D, the
+    cross product of two edges of the face opposite it in 3D."""
+    edges = coords[1:] - coords[:1]
+    if coords.shape[1] == 2:
+        sides = [b - a for a, b in itertools.combinations(coords, 2)]
+        largest = max(float(side @ side) for side in sides)
+    else:
+        faces = itertools.combinations(coords, 3)
+        largest = max(float(n @ n) for n in (np.cross(b - a, c - a) for a, b, c in faces))
+    return min(abs(np.linalg.det(edges)), largest) < 4 * TINY
+
+
 @settings(max_examples=200, deadline=None)
 @given(simplices(), st.floats(0.1, 10.0))
 def test_p1_element_matrices_match_the_matmul_oracle(coords, conductivity):
-    ke, ref = _both(coords, conductivity)
+    """Every draw either matches the oracle or, when its geometry underflows,
+    is refused by name before any kernel runs."""
+    try:
+        ke, ref = _both(coords, conductivity)
+    except ValueError as error:
+        assert str(error).startswith("cell 0 is degenerate or too small")
+        assert _underflows(coords)
+        return
     largest = np.abs(ke).max()
     assert np.array_equal(ke, ke.T)
     assert np.abs(ke.sum(axis=1)).max() <= ROW_SUM_ULPS * EPS * largest
     assert np.abs(ke - ref).max() <= ORACLE_ULPS * EPS * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "coords, cells, refusal",
+    [
+        # A Hypothesis draw of the property above: a right triangle of legs
+        # 2.8e-162, whose det J underflows to a subnormal.
+        (np.array([[0.0, 0.0], [2.8e-162, 0.0], [0.0, 2.8e-162]]), None, "cell 0 .*det J = 1e-323,"),
+        # A normal det J (1e-270), but the P1 products |det J · ∇λₐ|² ~ h⁴
+        # underflow: the closed form would read 0 where the oracle has 5e-91.
+        (np.vstack([np.zeros(3), 1e-90 * np.eye(3)]), None, "cell 0 .*det J = 1e-270,"),
+        # Two triangles, the second collapsed onto a segment: the first
+        # unusable cell is named.
+        (
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]),
+            np.array([[0, 1, 2], [0, 1, 3]]),
+            "cell 1 .*det J = 0.0,",
+        ),
+    ],
+    ids=["subnormal-det", "underflowing-adjugate", "flat-second-cell"],
+)
+def test_a_cell_too_small_for_the_kernels_is_refused_by_name(coords, cells, refusal):
+    with pytest.raises(ValueError, match=rf"^{refusal} vertices"):
+        _element(coords, cells)
 
 
 @settings(max_examples=100, deadline=None)

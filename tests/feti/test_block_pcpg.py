@@ -1,11 +1,11 @@
-"""Block (multi-RHS) PCPG: lockstep agreement with sequential solves.
+"""Many-column PCPG: lockstep agreement with sequential solves.
 
-With block forms that apply their columns one by one,
-:func:`repro.feti.pcpg.pcpg_block` must be **bitwise** equal to running the
-scalar solver once per right-hand side; the solver's fused GEMM apply
-trades that for one kernel per iteration at tiny (iteration-amplified)
-rounding differences.  The convergence mask must let columns finish
-independently.
+With applies that run their columns one by one (``per_column``),
+:func:`repro.feti.pcpg.pcpg` on ``k`` columns must be **bitwise** equal to
+running the scalar loop of ``tests/oracles/pcpg.py`` once per right-hand
+side; the solver's fused GEMM apply (``stacked``) trades that for one
+kernel per iteration at tiny (iteration-amplified) rounding differences.
+The convergence mask must let columns finish independently.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.api import Session, SolverSpec, Workload
-from repro.feti.pcpg import pcpg, pcpg_block
+from repro.feti.pcpg import pcpg, per_column, stacked
+from tests.oracles.pcpg import pcpg as scalar_pcpg
 
 APPROACHES = [
     "impl mkl",
@@ -55,16 +56,15 @@ def test_block_matches_scalar_bitwise_on_synthetic_problem():
     ident = lambda x: x
 
     scalar = [
-        pcpg(lambda v: F @ v, ident, ident, d, l0, tolerance=1e-10)
+        scalar_pcpg(lambda v: F @ v, ident, ident, d, l0, tolerance=1e-10)
         for d, l0 in zip(ds, l0s)
     ]
 
-    def apply_per_column(B):
-        # One scalar (GEMV) apply per contiguous column — a fused GEMM
-        # would round differently and break bitwise equality.
-        return np.column_stack([F @ np.ascontiguousarray(B[:, j]) for j in range(B.shape[1])])
-
-    block = pcpg_block(apply_per_column, ident, ident, ds, l0s, tolerance=1e-10)
+    # One scalar (GEMV) apply per contiguous column — a fused GEMM would
+    # round differently and break bitwise equality.
+    block = pcpg(
+        per_column(lambda v: F @ v), stacked(ident), stacked(ident), ds, l0s, tolerance=1e-10
+    )
     for s, b in zip(scalar, block):
         assert np.array_equal(s.lam, b.lam)
         assert s.iterations == b.iterations
@@ -95,8 +95,8 @@ def test_columns_converge_independently():
         applied_widths.append(B.shape[1])
         return F @ B
 
-    results = pcpg_block(
-        apply_block, ident, ident, [d_easy, d_hard], [np.zeros(2 * n)] * 2,
+    results = pcpg(
+        stacked(apply_block), stacked(ident), stacked(ident), [d_easy, d_hard], [np.zeros(2 * n)] * 2,
         tolerance=1e-10,
     )
     assert all(r.converged for r in results)
@@ -120,8 +120,9 @@ def test_breakdown_fails_only_its_own_column():
     d_bad = np.concatenate([np.zeros(n), rng.standard_normal(n)])
     ident = lambda x: x
 
-    results = pcpg_block(
-        lambda B: F @ B, ident, ident, [d_good, d_bad], [np.zeros(2 * n)] * 2,
+    results = pcpg(
+        stacked(lambda B: F @ B), stacked(ident), stacked(ident), [d_good, d_bad],
+        [np.zeros(2 * n)] * 2,
         tolerance=1e-10,
     )
     assert results[0].converged
@@ -133,10 +134,10 @@ def test_zero_rhs_column_converges_immediately():
     F = _random_spd(n, 2)
     rng = np.random.default_rng(4)
     ident = lambda x: x
-    results = pcpg_block(
-        lambda B: F @ B,
-        ident,
-        ident,
+    results = pcpg(
+        stacked(lambda B: F @ B),
+        stacked(ident),
+        stacked(ident),
         [np.zeros(n), rng.standard_normal(n)],
         [np.zeros(n)] * 2,
         tolerance=1e-10,
@@ -147,13 +148,11 @@ def test_zero_rhs_column_converges_immediately():
 
 def test_mismatched_column_counts_raise():
     with pytest.raises(ValueError, match="initial iterates"):
-        pcpg_block(
-            lambda B: B, lambda x: x, lambda x: x, [np.zeros(3)], []
-        )
+        pcpg(stacked(lambda B: B), stacked(lambda x: x), stacked(lambda x: x), [np.zeros(3)], [])
 
 
 def test_empty_block_returns_empty():
-    assert pcpg_block(lambda B: B, lambda x: x, lambda x: x, [], []) == []
+    assert pcpg(stacked(lambda B: B), stacked(lambda x: x), stacked(lambda x: x), [], []) == []
 
 
 # --------------------------------------------------------------------- #
@@ -280,16 +279,9 @@ def test_a_rejected_solve_many_counts_no_solves():
         assert {name: session.cache_stats()[name] for name in counters} == before
 
 
-def _per_column(apply):
-    """The block form of a vector callable: one call per contiguous column."""
-    return lambda X: np.column_stack(
-        [apply(np.ascontiguousarray(X[:, j])) for j in range(X.shape[1])]
-    )
-
-
 def test_per_column_block_forms_are_bitwise_scalar_pcpg():
-    """Non-trivial ``P`` and ``M`` applied column by column: the block
-    iterates are the scalar solver's, bit for bit."""
+    """Non-trivial ``P`` and ``M`` applied column by column: the lockstep
+    iterates are the scalar loop's, bit for bit."""
     n, k = 24, 3
     F = _random_spd(n, 21)
     rng = np.random.default_rng(22)
@@ -300,9 +292,9 @@ def test_per_column_block_forms_are_bitwise_scalar_pcpg():
     l0s = [np.zeros(n) for _ in range(k)]
     F_vec, P_vec, M_vec = (lambda x: F @ x), (lambda x: P @ x), (lambda x: M @ x)
 
-    scalar = [pcpg(F_vec, P_vec, M_vec, d, l0, tolerance=1e-10) for d, l0 in zip(ds, l0s)]
-    blocked = pcpg_block(
-        _per_column(F_vec), _per_column(P_vec), _per_column(M_vec), ds, l0s, tolerance=1e-10
+    scalar = [scalar_pcpg(F_vec, P_vec, M_vec, d, l0, tolerance=1e-10) for d, l0 in zip(ds, l0s)]
+    blocked = pcpg(
+        per_column(F_vec), per_column(P_vec), per_column(M_vec), ds, l0s, tolerance=1e-10
     )
     for ref, blk in zip(scalar, blocked):
         assert blk.iterations == ref.iterations > 0
@@ -311,8 +303,9 @@ def test_per_column_block_forms_are_bitwise_scalar_pcpg():
 
 
 def test_real_projector_block_is_bitwise_scalar_pcpg():
-    """The solver's wiring: the Projector's apply_block feeding pcpg_block
-    reproduces scalar PCPG with per-column projector applies bitwise."""
+    """The solver's wiring: the Projector's apply_block, stacked, feeding
+    the lockstep loop reproduces the scalar loop with per-column projector
+    applies bitwise."""
     from repro.api.workload import build_problem
     from repro.feti.projector import build_projector
 
@@ -327,10 +320,11 @@ def test_real_projector_block_is_bitwise_scalar_pcpg():
     F_vec = lambda x: F @ x
 
     scalar = [
-        pcpg(F_vec, projector.apply, ident, d, l0, tolerance=1e-8) for d, l0 in zip(ds, l0s)
+        scalar_pcpg(F_vec, projector.apply, ident, d, l0, tolerance=1e-8)
+        for d, l0 in zip(ds, l0s)
     ]
-    blocked = pcpg_block(
-        _per_column(F_vec), projector.apply_block, ident, ds, l0s, tolerance=1e-8
+    blocked = pcpg(
+        per_column(F_vec), stacked(projector.apply_block), stacked(ident), ds, l0s, tolerance=1e-8
     )
     for ref, blk in zip(scalar, blocked):
         assert blk.iterations == ref.iterations

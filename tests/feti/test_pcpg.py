@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 from repro.api import Session, SolverSpec, Workload
-from repro.feti.pcpg import PcpgResult, pcpg, pcpg_block
+from repro.feti.pcpg import PcpgResult, pcpg, per_column, stacked
 
 
 def _identity(x):
     return x
+
+
+def _pcpg(apply_F, apply_P, apply_M, d, lambda_0, **options) -> PcpgResult:
+    """The one column of a solve of ``d`` whose applies run vector by vector."""
+    (result,) = pcpg(
+        per_column(apply_F), per_column(apply_P), per_column(apply_M), [d], [lambda_0], **options
+    )
+    return result
 
 
 def _make_spd(n, seed=0):
@@ -23,7 +31,7 @@ def test_pcpg_solves_unconstrained_spd_system():
     n = 40
     F = _make_spd(n)
     d = np.arange(1.0, n + 1.0)
-    result = pcpg(
+    result = _pcpg(
         apply_F=lambda x: F @ x,
         apply_P=_identity,
         apply_M=_identity,
@@ -47,7 +55,7 @@ def test_pcpg_with_projector_stays_in_subspace():
     P = np.eye(n) - G @ np.linalg.solve(G.T @ G, G.T)
     d = rng.standard_normal(n)
     lam0 = G @ np.linalg.solve(G.T @ G, rng.standard_normal(3))
-    result = pcpg(
+    result = _pcpg(
         apply_F=lambda x: F @ x,
         apply_P=lambda x: P @ x,
         apply_M=_identity,
@@ -70,8 +78,8 @@ def test_preconditioner_reduces_iteration_count():
     F = np.diag(diag)
     d = rng.standard_normal(n)
     opts = dict(tolerance=1e-10, max_iterations=500)
-    plain = pcpg(lambda x: F @ x, _identity, _identity, d, np.zeros(n), **opts)
-    precond = pcpg(
+    plain = _pcpg(lambda x: F @ x, _identity, _identity, d, np.zeros(n), **opts)
+    precond = _pcpg(
         lambda x: F @ x, _identity, lambda x: x / diag, d, np.zeros(n), **opts
     )
     assert precond.converged
@@ -81,7 +89,7 @@ def test_preconditioner_reduces_iteration_count():
 def test_zero_rhs_converges_immediately():
     n = 10
     F = _make_spd(n)
-    result = pcpg(lambda x: F @ x, _identity, _identity, np.zeros(n), np.zeros(n))
+    result = _pcpg(lambda x: F @ x, _identity, _identity, np.zeros(n), np.zeros(n))
     assert result.converged
     assert result.iterations == 0
     assert np.allclose(result.lam, 0.0)
@@ -92,7 +100,7 @@ def test_max_iterations_reported_as_not_converged():
     diag = np.logspace(0, 8, n)
     F = np.diag(diag)
     d = np.ones(n)
-    result = pcpg(
+    result = _pcpg(
         lambda x: F @ x, _identity, _identity, d, np.zeros(n),
         tolerance=1e-14, max_iterations=3,
     )
@@ -101,24 +109,10 @@ def test_max_iterations_reported_as_not_converged():
     assert len(result.residual_norms) >= 3
 
 
-def test_callback_invoked_each_iteration():
-    n = 20
-    F = _make_spd(n, seed=5)
-    calls = []
-    pcpg(
-        lambda x: F @ x, _identity, _identity, np.ones(n), np.zeros(n),
-        tolerance=1e-10, max_iterations=100,
-        callback=lambda k, norm: calls.append((k, norm)),
-    )
-    assert len(calls) >= 1
-    assert calls[0][0] == 1
-    assert all(norm >= 0 for _, norm in calls)
-
-
 def test_indefinite_operator_detected():
     n = 10
     F = -np.eye(n)
-    result = pcpg(lambda x: F @ x, _identity, _identity, np.ones(n), np.zeros(n))
+    result = _pcpg(lambda x: F @ x, _identity, _identity, np.ones(n), np.zeros(n))
     assert not result.converged
 
 
@@ -131,10 +125,14 @@ def test_a_nan_curvature_stops_the_iteration():
         calls.append(1)
         return np.full_like(x, np.nan) if len(calls) > 1 else x
 
-    result = pcpg(apply_F, _identity, _identity, np.ones(n), np.zeros(n))
+    result = _pcpg(apply_F, _identity, _identity, np.ones(n), np.zeros(n))
     assert not result.converged and result.iterations == 0 and len(calls) == 2
-    (column,) = pcpg_block(
-        lambda X: np.full_like(X, np.nan), _identity, _identity, [np.ones(n)], [np.zeros(n)]
+    (column,) = pcpg(
+        stacked(lambda X: np.full_like(X, np.nan)),
+        stacked(_identity),
+        stacked(_identity),
+        [np.ones(n)],
+        [np.zeros(n)],
     )
     assert not column.converged and column.iterations == 0
 
@@ -155,7 +153,7 @@ def test_session_solve_with_nan_loads_fails_fast_without_raising(approach):
 
 
 def test_result_dataclass_fields():
-    result = PcpgResult(lam=np.zeros(3), iterations=0, converged=True)
+    result = PcpgResult(lam=np.zeros(3), iterations=0, converged=True, final_residual=np.zeros(3))
     assert result.relative_residual == 0.0
     assert result.condition_estimate is None
 
@@ -168,7 +166,7 @@ def test_condition_estimate_matches_dense_spectrum_on_range_of_projector():
     M = _make_spd(n, seed=8)
     G = rng.standard_normal((n, 4))
     P = np.eye(n) - G @ np.linalg.solve(G.T @ G, G.T)
-    result = pcpg(
+    result = _pcpg(
         lambda x: F @ x, lambda x: P @ x, lambda x: M @ x,
         rng.standard_normal(n), np.zeros(n), tolerance=1e-12, max_iterations=200,
     )
@@ -181,10 +179,10 @@ def test_condition_estimate_matches_dense_spectrum_on_range_of_projector():
 def test_condition_estimate_needs_an_iteration_and_a_positive_preconditioner():
     n = 10
     F = _make_spd(n)
-    at_solution = pcpg(lambda x: F @ x, _identity, _identity, np.zeros(n), np.zeros(n))
+    at_solution = _pcpg(lambda x: F @ x, _identity, _identity, np.zeros(n), np.zeros(n))
     assert at_solution.condition_estimate is None
-    one_step = pcpg(lambda x: 2.0 * x, _identity, _identity, np.ones(n), np.zeros(n))
+    one_step = _pcpg(lambda x: 2.0 * x, _identity, _identity, np.ones(n), np.zeros(n))
     assert one_step.iterations == 1
     assert one_step.condition_estimate == 1.0
-    negative = pcpg(lambda x: F @ x, _identity, lambda x: -x, np.ones(n), np.zeros(n))
+    negative = _pcpg(lambda x: F @ x, _identity, lambda x: -x, np.ones(n), np.zeros(n))
     assert negative.condition_estimate is None

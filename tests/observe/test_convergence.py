@@ -120,11 +120,13 @@ def test_traced_solve_span_tree_covers_phases():
     preprocessing = next(c for c in root["children"] if c["name"] == "preprocessing")
     assert any(g["name"] == "factorize" for g in preprocessing["children"])
     pcpg = next(c for c in root["children"] if c["name"] == "pcpg")
+    assert pcpg["attrs"] == {"columns": 1}
     iterations = [c for c in pcpg["children"] if c["name"] == "iteration"]
     assert len(iterations) == solution.pcpg.iterations
     # each iteration carries its residual instant event, and its time is
     # covered: the dual-operator apply, both projections, the preconditioner
-    for node in iterations:
+    for k, node in enumerate(iterations, start=1):
+        assert node["attrs"] == {"k": k, "active": 1}
         events = [e["name"] for e in node["events"]]
         assert "residual" in events
         spans = [c["name"] for c in node["children"]]
@@ -191,8 +193,9 @@ def test_traced_block_solve_covers_project_and_precondition():
     assert phases.index("pcpg") < phases.index("primal_recovery")
     pcpg = next(c for c in root["children"] if c["name"] == "pcpg")
     assert pcpg["attrs"] == {"columns": 2}
-    iterations = [c for c in pcpg["children"] if c["name"] == "block_iteration"]
+    iterations = [c for c in pcpg["children"] if c["name"] == "iteration"]
     assert iterations
-    for node in iterations:
+    for k, node in enumerate(iterations, start=1):
+        assert node["attrs"] == {"k": k, "active": 2}
         spans = [c["name"] for c in node["children"]]
         assert spans == ["apply_multi", "project", "precondition", "project"]

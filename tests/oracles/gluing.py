@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.decomposition.gluing import GluingData, SubdomainGluing
+from repro.decomposition.gluing import GluingData, GluingEntries, SubdomainGluing
 from repro.decomposition.partition import BoxDecomposition
 
-__all__ = ["OracleGluing", "build_gluing", "lambda_owners"]
+__all__ = ["OracleGluing", "build_gluing", "entries_of", "lambda_owners"]
 
 
 @dataclass
@@ -28,6 +28,25 @@ class OracleGluing(GluingData):
     """The oracle's gluing plus, for every multiplier, the subdomains it touches."""
 
     lambda_subdomains: list[tuple[int, ...]] = field(default_factory=list)
+
+
+def entries_of(per_subdomain: Sequence[SubdomainGluing]) -> GluingEntries:
+    """The entries of given ``B̃ᵢ`` (each with one entry per row): every
+    subdomain's ``lambda_ids`` and ``B`` concatenated in subdomain order."""
+    lam, col, val = [], [], []
+    for sub in per_subdomain:
+        B = sub.B
+        lam.append(np.asarray(sub.lambda_ids, dtype=np.int64))
+        col.append(B.indices.astype(np.int64))
+        val.append(np.asarray(B.data, dtype=float))
+    counts = [a.size for a in lam]
+    return GluingEntries(
+        lam=np.concatenate(lam) if lam else np.empty(0, dtype=np.int64),
+        col=np.concatenate(col) if col else np.empty(0, dtype=np.int64),
+        val=np.concatenate(val) if val else np.empty(0),
+        bounds=np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]).astype(np.int64),
+        ndofs=np.array([sub.B.shape[1] for sub in per_subdomain], dtype=np.int64),
+    )
 
 
 def lambda_owners(gluing: GluingData) -> list[tuple[int, ...]]:
@@ -132,8 +151,16 @@ def build_gluing(
             ).tocsr()
         else:
             B = sp.csr_matrix((0, ndofs))
+        if not np.all(np.diff(B.indptr) == 1):
+            raise ValueError("every row of a B̃ᵢ must hold exactly one entry")
         dof_mult = np.repeat(multiplicity[s], dofs_per_node).astype(float)
-        per_subdomain.append(SubdomainGluing(lambda_ids=lam_ids, B=B, dof_multiplicity=dof_mult))
+        per_subdomain.append(
+            SubdomainGluing(
+                lambda_ids=lam_ids,
+                dof_multiplicity=dof_mult,
+                entries=(B.indices.astype(np.int64), np.asarray(B.data, dtype=float), ndofs),
+            )
+        )
 
     return OracleGluing(
         n_lambda=next_lambda,
@@ -143,4 +170,5 @@ def build_gluing(
         per_subdomain=per_subdomain,
         lambda_subdomains=lambda_subdomains,
         dofs_per_node=dofs_per_node,
+        entries=entries_of(per_subdomain),
     )
